@@ -29,20 +29,17 @@ pub struct Instance {
     pub params: SolverParams,
 }
 
-/// Builds an instance over the given template.
-///
-/// `reservations` counts the guaranteed reservations (headline profiles
-/// first, then generated requests); utilization sets the fraction of
-/// fleet RRUs requested in total.
-pub fn build(
+/// The region and reservation portfolio of [`build`], without the broker
+/// or the warm-up solve: `reservations` guaranteed reservations (headline
+/// profiles first, then generated requests) asking in total for
+/// `utilization` of the fleet's RRUs, plus 2 % shared failure buffers.
+pub fn portfolio(
     template: RegionTemplate,
     seed: u64,
     reservations: usize,
     utilization: f64,
-) -> Instance {
+) -> (Region, Vec<ReservationSpec>) {
     let region = RegionBuilder::new(template, seed).build();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9e3779b9);
-    let mut broker = ResourceBroker::new(region.server_count());
     let total_units = region.server_count() as f64 * utilization;
 
     // Portfolio: headline profiles get 40 % of demand, generated capacity
@@ -75,6 +72,23 @@ pub fn build(
     }
     // Shared random-failure buffers (2 %).
     specs.extend(buffers::shared_buffer_specs(&region, 0.02));
+    (region, specs)
+}
+
+/// Builds an instance over the given template.
+///
+/// `reservations` counts the guaranteed reservations (headline profiles
+/// first, then generated requests); utilization sets the fraction of
+/// fleet RRUs requested in total.
+pub fn build(
+    template: RegionTemplate,
+    seed: u64,
+    reservations: usize,
+    utilization: f64,
+) -> Instance {
+    let (region, specs) = portfolio(template, seed, reservations, utilization);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x9e3779b9);
+    let mut broker = ResourceBroker::new(region.server_count());
     for s in &specs {
         broker.register_reservation(&s.name);
     }

@@ -19,7 +19,7 @@ use crate::branching::PseudoCosts;
 use crate::model::{Model, VarType};
 use crate::nan;
 use crate::nan::NanGuard;
-use crate::simplex::{solve_lp_warm, Basis, LpResult, LpStatus, SimplexConfig};
+use crate::simplex::{solve_lp_warm, Basis, LpResult, LpStatus, Simplex, SimplexConfig};
 use crate::solution::{Solution, SolveConfig, SolveError, SolveStats, Status};
 use crate::standard::StandardForm;
 use crate::tol;
@@ -238,6 +238,8 @@ impl BranchAndBound {
             }
         }
         stats.incumbent_seeded = incumbent.is_some();
+        // One engine for every node and dive LP of this solve.
+        let mut node_lp = Simplex::new(&sf, lp_config);
         // Both the dive and the integral-root shortcut require a *proven*
         // root optimum; an iteration-limited root goes straight to the
         // search, which will re-solve it.
@@ -247,12 +249,11 @@ impl BranchAndBound {
                 if self.config.use_heuristics {
                     if let Some((obj, values)) = self.dive(
                         model,
-                        &sf,
+                        &mut node_lp,
                         &root_lower,
                         &root_upper,
                         &root,
                         &int_vars,
-                        &lp_config,
                         &mut stats,
                         start,
                     ) {
@@ -342,13 +343,7 @@ impl BranchAndBound {
                 }
             }
             let node = &nodes[entry.index];
-            let lp = solve_lp_warm(
-                &sf,
-                &node.lower,
-                &node.upper,
-                &lp_config,
-                node.warm.as_deref(),
-            );
+            let lp = node_lp.solve(&node.lower, &node.upper, node.warm.as_deref());
             stats.nodes += 1;
             stats.record_lp(&lp);
             match lp.status {
@@ -390,12 +385,11 @@ impl BranchAndBound {
             if self.config.use_heuristics && stats.nodes.is_multiple_of(256) {
                 if let Some((obj, values)) = self.dive(
                     model,
-                    &sf,
+                    &mut node_lp,
                     &node.lower.clone(),
                     &node.upper.clone(),
                     &lp,
                     &int_vars,
-                    &lp_config,
                     &mut stats,
                     start,
                 ) {
@@ -542,12 +536,11 @@ impl BranchAndBound {
     fn dive(
         &self,
         model: &Model,
-        sf: &StandardForm,
+        node_lp: &mut Simplex<'_>,
         root_lower: &[f64],
         root_upper: &[f64],
         root: &LpResult,
         int_vars: &[usize],
-        lp_config: &SimplexConfig,
         stats: &mut SolveStats,
         start: Instant,
     ) -> Option<(f64, Vec<f64>)> {
@@ -595,7 +588,7 @@ impl BranchAndBound {
                         upper[j] = v;
                         (j, v)
                     });
-                    let mut lp = solve_lp_warm(sf, &lower, &upper, lp_config, warm.as_ref());
+                    let mut lp = node_lp.solve(&lower, &upper, warm.as_ref());
                     stats.record_lp(&lp);
                     if lp.status != LpStatus::Optimal {
                         // Rounding to nearest may have cut off feasibility;
@@ -609,7 +602,7 @@ impl BranchAndBound {
                         }
                         lower[j] = other;
                         upper[j] = other;
-                        lp = solve_lp_warm(sf, &lower, &upper, lp_config, warm.as_ref());
+                        lp = node_lp.solve(&lower, &upper, warm.as_ref());
                         stats.record_lp(&lp);
                         if lp.status != LpStatus::Optimal {
                             return None;

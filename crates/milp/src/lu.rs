@@ -67,29 +67,25 @@ impl LuFactors {
         }
     }
 
-    /// Dimension of the factored basis.
-    pub fn dim(&self) -> usize {
-        self.m
-    }
-
-    /// Stored nonzeros across `L`, `U`, and the diagonal.
-    pub fn nnz(&self) -> usize {
-        self.l.nnz() + self.u.nnz() + self.m
-    }
-
-    /// Factorizes the basis whose columns are `columns[slot]` as sparse
-    /// `(row, value)` lists. Returns `None` when the basis is numerically
-    /// singular (no remaining pivot exceeds `pivot_tol` in magnitude).
+    /// Factorizes the `m`-column basis whose column `slot` is the sparse
+    /// `(row, value)` sequence `column(slot)` — read in place from the
+    /// caller's matrix, duplicates summed. Returns `None` when the basis
+    /// is numerically singular (no remaining pivot exceeds `pivot_tol`
+    /// in magnitude).
     // lint:allow(hot-path-index): Markowitz elimination kernel; row/col indices live in the m-sized pattern built above
-    pub fn factorize(m: usize, columns: &[Vec<(usize, f64)>], pivot_tol: f64) -> Option<Self> {
-        assert_eq!(columns.len(), m, "basis must be square");
+    pub fn factorize<I: Iterator<Item = (usize, f64)>>(
+        m: usize,
+        column: impl Fn(usize) -> I,
+        pivot_tol: f64,
+    ) -> Option<Self> {
         // Static column order: fewest nonzeros first. Identity-like
         // columns (slacks, artificials) eliminate without fill, which
         // keeps the fronts small by the time denser columns arrive.
+        let lens: Vec<usize> = (0..m).map(|j| column(j).count()).collect();
         let mut order: Vec<usize> = (0..m).collect();
-        order.sort_by_key(|&j| columns[j].len());
+        order.sort_by_key(|&j| lens[j]);
 
-        let nnz_hint: usize = columns.iter().map(Vec::len).sum();
+        let nnz_hint: usize = lens.iter().sum();
         let mut pivot_row = Vec::with_capacity(m);
         let mut slot_of_step = Vec::with_capacity(m);
         let mut l = CscStore::with_capacity(m, nnz_hint);
@@ -111,7 +107,7 @@ impl LuFactors {
             pattern.clear();
             reach.clear();
             // Scatter the column into the workspace.
-            for &(r, v) in &columns[slot] {
+            for (r, v) in column(slot) {
                 if live[r] != epoch {
                     live[r] = epoch;
                     x[r] = 0.0;
@@ -124,7 +120,7 @@ impl LuFactors {
             // column structure of `L`. Edges run from earlier to later
             // steps, so ascending step order is a valid topological
             // order for the numeric phase.
-            for &(r0, _) in &columns[slot] {
+            for (r0, _) in column(slot) {
                 let t0 = row_to_step[r0];
                 if t0 == usize::MAX || step_seen[t0] == epoch {
                     continue;
@@ -217,103 +213,6 @@ impl LuFactors {
             u_diag,
         })
     }
-
-    /// Solves `B z = v` in place (FTRAN): `v` enters indexed by
-    /// constraint row and leaves indexed by basis slot. `scratch` must
-    /// have length `m`.
-    // lint:allow(hot-path-index): triangular solve over m-length pivot_row/order permutation arrays
-    pub fn ftran(&self, v: &mut [f64], scratch: &mut [f64]) {
-        let m = self.m;
-        // L solve (unit diagonal), column-oriented in step order.
-        for k in 0..m {
-            let t = v[self.pivot_row[k]];
-            if t != 0.0 {
-                for (r, lv) in self.l.column(k) {
-                    v[r] -= lv * t;
-                }
-            }
-        }
-        // U back-substitution, column-oriented in reverse step order.
-        for k in (0..m).rev() {
-            let pr = self.pivot_row[k];
-            let z = v[pr] / self.u_diag[k];
-            v[pr] = z;
-            if z != 0.0 {
-                for (t, uv) in self.u.column(k) {
-                    v[self.pivot_row[t]] -= uv * z;
-                }
-            }
-        }
-        // Un-permute from step space into slot space.
-        for k in 0..m {
-            scratch[self.slot_of_step[k]] = v[self.pivot_row[k]];
-        }
-        v.copy_from_slice(scratch);
-    }
-
-    /// Solves `Bᵀ y = v` in place (BTRAN): `v` enters indexed by basis
-    /// slot and leaves indexed by constraint row. `scratch` must have
-    /// length `m`.
-    // lint:allow(hot-path-index): triangular solve over m-length pivot_row/order permutation arrays
-    pub fn btran(&self, v: &mut [f64], scratch: &mut [f64]) {
-        let m = self.m;
-        // Permute into step space.
-        for k in 0..m {
-            scratch[k] = v[self.slot_of_step[k]];
-        }
-        // Uᵀ forward solve (row-oriented dot products over U's columns).
-        for k in 0..m {
-            let mut s = scratch[k];
-            for (t, uv) in self.u.column(k) {
-                s -= uv * scratch[t];
-            }
-            scratch[k] = s / self.u_diag[k];
-        }
-        // Lᵀ backward solve; every entry of L's column `k` sits on a row
-        // pivoted by a *later* step, already solved in this sweep.
-        for k in (0..m).rev() {
-            let mut s = scratch[k];
-            for (r, lv) in self.l.column(k) {
-                s -= lv * v[r];
-            }
-            v[self.pivot_row[k]] = s;
-        }
-    }
-
-    /// Solves `Bᵀ ρ = e_slot` (BTRAN of a unit vector) into `v`, which is
-    /// overwritten entirely. Equivalent to zeroing `v`, setting
-    /// `v[slot] = 1`, and calling [`btran`](Self::btran), but skips the
-    /// Uᵀ forward-solve prefix before the step that eliminated `slot`
-    /// (everything earlier stays zero). This is the pricing engine's
-    /// pivot-row extraction: `ρ = B⁻ᵀ e_r` feeds the α-row kernel that
-    /// updates reduced costs incrementally. `scratch` must have length
-    /// `m`; its prior contents are ignored.
-    // lint:allow(hot-path-index): triangular solve over m-length pivot_row/order permutation arrays
-    pub fn btran_unit(&self, slot: usize, v: &mut [f64], scratch: &mut [f64]) {
-        let m = self.m;
-        let k0 = self.step_of_slot[slot];
-        // Uᵀ forward solve starting at k0; steps before k0 are zero, so
-        // guard reads of `scratch` against the unsolved (stale) prefix.
-        for k in k0..m {
-            let mut s = if k == k0 { 1.0 } else { 0.0 };
-            for (t, uv) in self.u.column(k) {
-                if t >= k0 {
-                    s -= uv * scratch[t];
-                }
-            }
-            scratch[k] = s / self.u_diag[k];
-        }
-        // Lᵀ backward solve. L's column `k` only reads rows pivoted by
-        // later steps, all written earlier in this sweep, so `v` needs no
-        // pre-zeroing: every row is assigned exactly once.
-        for k in (0..m).rev() {
-            let mut s = if k < k0 { 0.0 } else { scratch[k] };
-            for (r, lv) in self.l.column(k) {
-                s -= lv * v[r];
-            }
-            v[self.pivot_row[k]] = s;
-        }
-    }
 }
 
 /// Why a Forrest–Tomlin update was refused (the caller must refactorize
@@ -328,15 +227,59 @@ pub enum FtReject {
     UnstableMultiplier,
 }
 
-/// One Forrest–Tomlin row eta: the elementary row operations that
-/// eliminated the row spike of one update. In `ftran`, row `target` of
-/// the intermediate vector receives `x[target] -= Σ mu_j · x[source_j]`.
+/// `m` growable `(step, value)` lists packed into one arena, for the
+/// Forrest–Tomlin mirrors of `U`: a `Vec` per list cost every
+/// refactorization — one per branch-and-bound node — `2m` allocations.
+/// A list that outgrows its span moves to the arena's end with doubled
+/// room; the hole is dropped with the arena at the next refactorization.
+/// Entry order within a list is exactly that of a `Vec` under `push` and
+/// `swap_remove`, so solves sum in the order they always did.
 #[derive(Debug, Clone)]
-struct FtEta {
-    /// Step whose row was eliminated (the replaced column's step).
-    target: u32,
-    /// `(source step, multiplier)` pairs, recorded in elimination order.
-    entries: Vec<(u32, f64)>,
+struct Segments {
+    /// `(start, len, capacity)` of each list inside `data`.
+    spans: Vec<(u32, u32, u32)>,
+    data: Vec<(u32, f64)>,
+    /// Live entries across all lists.
+    nnz: usize,
+}
+
+impl Segments {
+    fn list(&self, k: usize) -> &[(u32, f64)] {
+        let (start, len, _) = self.spans[k];
+        &self.data[cast::idx(start)..cast::idx(start + len)]
+    }
+
+    fn clear(&mut self, k: usize) {
+        self.nnz -= cast::idx(self.spans[k].1);
+        self.spans[k].1 = 0;
+    }
+
+    fn push(&mut self, k: usize, entry: (u32, f64)) {
+        let (mut start, len, cap) = self.spans[k];
+        if len == cap {
+            let old = cast::idx(start)..cast::idx(start + len);
+            start = cast::idx32(self.data.len());
+            let room = (2 * cap).max(4);
+            self.data.extend_from_within(old);
+            self.data.resize(cast::idx(start + room), (0, 0.0));
+            self.spans[k] = (start, len, room);
+        }
+        self.data[cast::idx(start + len)] = entry;
+        self.spans[k].1 += 1;
+        self.nnz += 1;
+    }
+
+    /// Removes the entry keyed `key` from list `k`, if present; the last
+    /// entry takes its place.
+    fn remove(&mut self, k: usize, key: u32) {
+        let (start, len, _) = self.spans[k];
+        let list = &mut self.data[cast::idx(start)..cast::idx(start + len)];
+        if let Some(at) = list.iter().position(|&(c, _)| c == key) {
+            list.swap(at, list.len() - 1);
+            self.spans[k].1 -= 1;
+            self.nnz -= 1;
+        }
+    }
 }
 
 /// Sparse LU factors maintained under Forrest–Tomlin column updates.
@@ -346,7 +289,7 @@ struct FtEta {
 /// replaced column becomes the spike `U·w̃` (computed from the simplex's
 /// FTRAN direction `w = B⁻¹a_q`), the replaced step moves to the end of a
 /// dynamic triangular ordering, and the resulting row spike is eliminated
-/// by elementary row operations recorded as `FtEta`s. The invariant is
+/// by elementary row operations recorded as row etas. The invariant is
 ///
 /// ```text
 /// B = Pᵀ · L · (E₁⁻¹ ⋯ Eₚ⁻¹) · U · Q
@@ -369,24 +312,31 @@ pub struct FtFactors {
     step_of_slot: Vec<usize>,
     /// `L` by step: off-diagonal multipliers, indexed by original row.
     l: CscStore,
-    /// `U` off-diagonals column-wise: `u_cols[t]` holds `(row step, value)`.
-    u_cols: Vec<Vec<(u32, f64)>>,
-    /// Row-wise mirror: `u_rows[k]` holds `(column step, value)`.
-    u_rows: Vec<Vec<(u32, f64)>>,
+    /// `U` off-diagonals column-wise: list `t` holds `(row step, value)`.
+    u_cols: Segments,
+    /// Row-wise mirror: list `k` holds `(column step, value)`.
+    u_rows: Segments,
     /// Diagonal of `U` per step.
     diag: Vec<f64>,
     /// Dynamic triangular ordering: `order[p]` is the step at position `p`.
     order: Vec<u32>,
     /// Inverse of `order`: position of each step.
     pos: Vec<u32>,
-    /// Row etas accumulated since the factorization, in creation order.
-    etas: Vec<FtEta>,
-    /// Total entries across all etas (growth telemetry).
-    eta_entries: usize,
+    /// Row etas accumulated since the factorization, in creation order:
+    /// the elementary row operations that eliminated each update's row
+    /// spike. Eta `e` has `(source step, multiplier)` entries
+    /// `eta_data[eta_start[e]..eta_start[e + 1]]`, recorded in elimination
+    /// order; in `ftran`, row `eta_target[e]` of the intermediate vector
+    /// receives `x[target] -= Σ mu_j · x[source_j]`.
+    eta_target: Vec<u32>,
+    eta_start: Vec<usize>,
+    eta_data: Vec<(u32, f64)>,
     /// Nonzeros at the last factorization (denominator of `fill_ratio`).
     base_nnz: usize,
     /// Updates applied since the last factorization.
     updates: usize,
+    /// Step-indexed workspace of the solves.
+    scratch: Vec<f64>,
     // Dense epoch-marked scratch for `update`.
     spike: Vec<f64>,
     spike_mark: Vec<u32>,
@@ -405,12 +355,38 @@ impl FtFactors {
     // lint:allow(hot-path-index): packs factors whose patterns were built over the same m columns
     pub fn from_lu(lu: LuFactors) -> Self {
         let m = lu.m;
-        let mut u_cols: Vec<Vec<(u32, f64)>> = vec![Vec::new(); m];
-        let mut u_rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); m];
-        for (k, col) in u_cols.iter_mut().enumerate() {
+        // Column lists are `U`'s columns as factored; the row mirror is
+        // a counting sort that files every entry under its row step in
+        // ascending column order.
+        let mut u_cols = Segments {
+            spans: Vec::with_capacity(m),
+            data: Vec::with_capacity(lu.u.nnz()),
+            nnz: lu.u.nnz(),
+        };
+        let mut u_rows = Segments {
+            spans: vec![(0, 0, 0); m],
+            data: vec![(0, 0.0); lu.u.nnz()],
+            nnz: lu.u.nnz(),
+        };
+        for k in 0..m {
+            let start = cast::idx32(u_cols.data.len());
             for (t, uv) in lu.u.column(k) {
-                col.push((cast::idx32(t), uv));
-                u_rows[t].push((cast::idx32(k), uv));
+                u_cols.data.push((cast::idx32(t), uv));
+                u_rows.spans[t].2 += 1;
+            }
+            let len = cast::idx32(u_cols.data.len()) - start;
+            u_cols.spans.push((start, len, len));
+        }
+        let mut next = 0;
+        for span in &mut u_rows.spans {
+            span.0 = next;
+            next += span.2;
+        }
+        for k in 0..m {
+            for &(t, uv) in u_cols.list(k) {
+                let (start, len, _) = u_rows.spans[cast::idx(t)];
+                u_rows.data[cast::idx(start + len)] = (cast::idx32(k), uv);
+                u_rows.spans[cast::idx(t)].1 += 1;
             }
         }
         let base_nnz = lu.l.nnz() + lu.u.nnz() + m;
@@ -425,10 +401,12 @@ impl FtFactors {
             diag: lu.u_diag,
             order: (0..cast::idx32(m)).collect(),
             pos: (0..cast::idx32(m)).collect(),
-            etas: Vec::new(),
-            eta_entries: 0,
+            eta_target: Vec::new(),
+            eta_start: vec![0],
+            eta_data: Vec::new(),
             base_nnz,
             updates: 0,
+            scratch: vec![0.0; m],
             spike: vec![0.0; m],
             spike_mark: vec![u32::MAX; m],
             spike_pat: Vec::new(),
@@ -458,18 +436,14 @@ impl FtFactors {
     /// engine refactorizes on growth ("spike length") when this passes
     /// its cap, separately from the accuracy-triggered path.
     pub fn fill_ratio(&self) -> f64 {
-        let now = self.l.nnz()
-            + self.u_cols.iter().map(Vec::len).sum::<usize>()
-            + self.m
-            + self.eta_entries;
+        let now = self.l.nnz() + self.u_cols.nnz + self.m + self.eta_data.len();
         now as f64 / self.base_nnz.max(1) as f64
     }
 
     /// Solves `B z = v` in place (FTRAN): `v` enters indexed by
-    /// constraint row and leaves indexed by basis slot. `scratch` must
-    /// have length `m`.
+    /// constraint row and leaves indexed by basis slot.
     // lint:allow(hot-path-index): triangular solve over m-length pivot_row/order permutation arrays
-    pub fn ftran(&self, v: &mut [f64], scratch: &mut [f64]) {
+    pub fn ftran(&mut self, v: &mut [f64]) {
         let m = self.m;
         // L solve (unit diagonal), column-oriented in step order; values
         // live at original-row indices throughout.
@@ -484,10 +458,10 @@ impl FtFactors {
         // Row etas in creation order (step space via `pivot_row`): each
         // update's sources are never its own target, so within one eta
         // the entries are order-independent.
-        for eta in &self.etas {
-            let tr = self.pivot_row[cast::idx(eta.target)];
+        for (e, &target) in self.eta_target.iter().enumerate() {
+            let tr = self.pivot_row[cast::idx(target)];
             let mut s = v[tr];
-            for &(src, mu) in &eta.entries {
+            for &(src, mu) in &self.eta_data[self.eta_start[e]..self.eta_start[e + 1]] {
                 s -= mu * v[self.pivot_row[cast::idx(src)]];
             }
             v[tr] = s;
@@ -500,44 +474,43 @@ impl FtFactors {
             let z = v[pr] / self.diag[k];
             v[pr] = z;
             if z != 0.0 {
-                for &(r, uv) in &self.u_cols[k] {
+                for &(r, uv) in self.u_cols.list(k) {
                     v[self.pivot_row[cast::idx(r)]] -= uv * z;
                 }
             }
         }
         // Un-permute from step space into slot space.
         for k in 0..m {
-            scratch[self.slot_of_step[k]] = v[self.pivot_row[k]];
+            self.scratch[self.slot_of_step[k]] = v[self.pivot_row[k]];
         }
-        v.copy_from_slice(scratch);
+        v.copy_from_slice(&self.scratch);
     }
 
     /// Solves `Bᵀ y = v` in place (BTRAN): `v` enters indexed by basis
-    /// slot and leaves indexed by constraint row. `scratch` must have
-    /// length `m`.
+    /// slot and leaves indexed by constraint row.
     // lint:allow(hot-path-index): triangular solve over m-length pivot_row/order permutation arrays
-    pub fn btran(&self, v: &mut [f64], scratch: &mut [f64]) {
-        let m = self.m;
+    pub fn btran(&mut self, v: &mut [f64]) {
         // Permute into step space.
-        for k in 0..m {
-            scratch[k] = v[self.slot_of_step[k]];
+        for k in 0..self.m {
+            self.scratch[k] = v[self.slot_of_step[k]];
         }
-        self.btran_steps(v, scratch, 0);
+        self.btran_steps(v, 0);
     }
 
-    /// Solves `Bᵀ ρ = e_slot` into `v` (overwritten entirely), skipping
-    /// the Uᵀ forward-solve prefix before the replaced step's *position*
-    /// — the same pricing fast path as [`LuFactors::btran_unit`], but
-    /// valid with updates applied. `scratch` contents are ignored.
-    pub fn btran_unit(&self, slot: usize, v: &mut [f64], scratch: &mut [f64]) {
+    /// Solves `Bᵀ ρ = e_slot` (BTRAN of a unit vector) into `v`, which is
+    /// overwritten entirely, skipping the Uᵀ forward-solve prefix before
+    /// the replaced step's *position*: everything earlier stays zero,
+    /// with or without updates applied. This is the pricing engine's
+    /// pivot-row extraction.
+    pub fn btran_unit(&mut self, slot: usize, v: &mut [f64]) {
         let t0 = self.step_of_slot[slot];
         let p0 = cast::idx(self.pos[t0]);
-        // Materialize the unit right-hand side (the incoming scratch is
-        // dirty): zeros everywhere, one at the replaced step. Positions
-        // before `p0` then stay zero through the skipped solve prefix.
-        scratch.iter_mut().for_each(|s| *s = 0.0);
-        scratch[t0] = 1.0;
-        self.btran_steps(v, scratch, p0);
+        // Materialize the unit right-hand side: zeros everywhere, one at
+        // the replaced step. Positions before `p0` then stay zero through
+        // the skipped solve prefix.
+        self.scratch.fill(0.0);
+        self.scratch[t0] = 1.0;
+        self.btran_steps(v, p0);
     }
 
     /// Shared BTRAN tail: Uᵀ forward solve from position `p_start` (all
@@ -546,24 +519,25 @@ impl FtFactors {
     /// positions), then the eta transposes in reverse creation order,
     /// then the Lᵀ solve writing the row-indexed result into `v`.
     // lint:allow(hot-path-index): eta/permutation indices bounded by m by the Forrest-Tomlin invariant
-    fn btran_steps(&self, v: &mut [f64], scratch: &mut [f64], p_start: usize) {
+    fn btran_steps(&mut self, v: &mut [f64], p_start: usize) {
         let m = self.m;
+        let scratch = &mut self.scratch[..];
         // Uᵀ forward solve in ascending position order: every off-diagonal
         // of column `k` sits at an earlier position, already solved.
         for p in p_start..m {
             let k = cast::idx(self.order[p]);
             let mut s = scratch[k];
-            for &(t, uv) in &self.u_cols[k] {
+            for &(t, uv) in self.u_cols.list(k) {
                 s -= uv * scratch[cast::idx(t)];
             }
             scratch[k] = s / self.diag[k];
         }
         // Eta transposes in reverse creation order: sources update from
         // the (unmodified-within-this-eta) target.
-        for eta in self.etas.iter().rev() {
-            let zt = scratch[cast::idx(eta.target)];
+        for (e, &target) in self.eta_target.iter().enumerate().rev() {
+            let zt = scratch[cast::idx(target)];
             if zt != 0.0 {
-                for &(src, mu) in &eta.entries {
+                for &(src, mu) in &self.eta_data[self.eta_start[e]..self.eta_start[e + 1]] {
                     scratch[cast::idx(src)] -= mu * zt;
                 }
             }
@@ -609,7 +583,7 @@ impl FtFactors {
                 self.spike_pat.push(cast::idx32(k));
             }
             self.spike[k] += self.diag[k] * wk;
-            for &(r, uv) in &self.u_cols[k] {
+            for &(r, uv) in self.u_cols.list(k) {
                 let r = cast::idx(r);
                 if self.spike_mark[r] != epoch {
                     self.spike_mark[r] = epoch;
@@ -627,12 +601,13 @@ impl FtFactors {
         // values instead, which is exactly the new diagonal
         // `d_t = spike_t − Σ mu_j · spike_{s_j}`.
         let old_pos = cast::idx(self.pos[t]);
-        for &(s, uv) in &self.u_rows[t] {
+        for &(s, uv) in self.u_rows.list(t) {
             let s_us = cast::idx(s);
             self.roww_mark[s_us] = epoch;
             self.roww[s_us] = uv;
         }
-        let mut eta_entries: Vec<(u32, f64)> = Vec::new();
+        // The eta is recorded in place and rolled back on refusal.
+        let eta_base = self.eta_data.len();
         let mut d_t = if self.spike_mark[t] == epoch {
             self.spike[t]
         } else {
@@ -653,16 +628,17 @@ impl FtFactors {
             }
             let mu = val / self.diag[s];
             if !mu.is_finite() || mu.abs() > Self::MAX_MULTIPLIER {
+                self.eta_data.truncate(eta_base);
                 return Err(FtReject::UnstableMultiplier);
             }
-            eta_entries.push((cast::idx32(s), mu));
+            self.eta_data.push((cast::idx32(s), mu));
             d_t -= mu
                 * if self.spike_mark[s] == epoch {
                     self.spike[s]
                 } else {
                     0.0
                 };
-            for &(t2, uv) in &self.u_rows[s] {
+            for &(t2, uv) in self.u_rows.list(s) {
                 let t2_us = cast::idx(t2);
                 if t2_us == t {
                     continue;
@@ -675,19 +651,20 @@ impl FtFactors {
             }
         }
         if !d_t.is_finite() || d_t.abs() <= tol::SPIKE_MIN * (1.0 + spike_scale) {
+            self.eta_data.truncate(eta_base);
             return Err(FtReject::SingularDiagonal);
         }
 
         // Commit. Delete old column `t` from the row mirror…
-        for &(r, _) in &self.u_cols[t] {
-            remove_entry(&mut self.u_rows[cast::idx(r)], cast::idx32(t));
+        for &(r, _) in self.u_cols.list(t) {
+            self.u_rows.remove(cast::idx(r), cast::idx32(t));
         }
-        self.u_cols[t].clear();
+        self.u_cols.clear(t);
         // …and old row `t` from the column mirror.
-        for &(s, _) in &self.u_rows[t] {
-            remove_entry(&mut self.u_cols[cast::idx(s)], cast::idx32(t));
+        for &(s, _) in self.u_rows.list(t) {
+            self.u_cols.remove(cast::idx(s), cast::idx32(t));
         }
-        self.u_rows[t].clear();
+        self.u_rows.clear(t);
         // Move `t` to the last position (everything after shifts left).
         for p in old_pos..m - 1 {
             let s = self.order[p + 1];
@@ -697,12 +674,9 @@ impl FtFactors {
         self.order[m - 1] = cast::idx32(t);
         self.pos[t] = cast::idx32(m - 1);
         // Record the row eta and insert the spike as the new column `t`.
-        if !eta_entries.is_empty() {
-            self.eta_entries += eta_entries.len();
-            self.etas.push(FtEta {
-                target: cast::idx32(t),
-                entries: eta_entries,
-            });
+        if self.eta_data.len() > eta_base {
+            self.eta_target.push(cast::idx32(t));
+            self.eta_start.push(self.eta_data.len());
         }
         for &k in &self.spike_pat {
             let k_us = cast::idx(k);
@@ -711,20 +685,13 @@ impl FtFactors {
             }
             let val = self.spike[k_us];
             if val != 0.0 {
-                self.u_cols[t].push((k, val));
-                self.u_rows[k_us].push((cast::idx32(t), val));
+                self.u_cols.push(t, (k, val));
+                self.u_rows.push(k_us, (cast::idx32(t), val));
             }
         }
         self.diag[t] = d_t;
         self.updates += 1;
         Ok(())
-    }
-}
-
-/// Removes the entry keyed `key` from a mirror list (order-insensitive).
-fn remove_entry(list: &mut Vec<(u32, f64)>, key: u32) {
-    if let Some(idx) = list.iter().position(|&(k, _)| k == key) {
-        list.swap_remove(idx);
     }
 }
 
@@ -752,6 +719,10 @@ mod tests {
             .collect()
     }
 
+    fn factorize(columns: &[Vec<(usize, f64)>]) -> Option<LuFactors> {
+        LuFactors::factorize(columns.len(), |j| columns[j].iter().copied(), 1e-12)
+    }
+
     fn assert_close(a: &[f64], b: &[f64]) {
         for (x, y) in a.iter().zip(b) {
             assert!((x - y).abs() < 1e-9, "{a:?} != {b:?}");
@@ -759,28 +730,25 @@ mod tests {
     }
 
     fn check_roundtrip(columns: &[Vec<(usize, f64)>], rhs: &[f64]) {
-        let m = columns.len();
-        let lu = LuFactors::factorize(m, columns, 1e-12).expect("nonsingular");
-        let mut scratch = vec![0.0; m];
+        let mut ft = FtFactors::from_lu(factorize(columns).expect("nonsingular"));
         let mut z = rhs.to_vec();
-        lu.ftran(&mut z, &mut scratch);
+        ft.ftran(&mut z);
         assert_close(&mul(columns, &z), rhs);
         let mut y = rhs.to_vec();
-        lu.btran(&mut y, &mut scratch);
+        ft.btran(&mut y);
         assert_close(&mul_t(columns, &y), rhs);
     }
 
     #[test]
     fn diagonal_factors_solve() {
         let signs = [1.0, -1.0, 2.0];
-        let lu = LuFactors::diagonal(&signs);
-        assert_eq!(lu.dim(), 3);
-        let mut scratch = vec![0.0; 3];
+        let mut ft = FtFactors::diagonal(&signs);
+        assert_eq!(ft.dim(), 3);
         let mut v = vec![3.0, 4.0, 8.0];
-        lu.ftran(&mut v, &mut scratch);
+        ft.ftran(&mut v);
         assert_close(&v, &[3.0, -4.0, 4.0]);
         let mut y = vec![3.0, 4.0, 8.0];
-        lu.btran(&mut y, &mut scratch);
+        ft.btran(&mut y);
         assert_close(&y, &[3.0, -4.0, 4.0]);
     }
 
@@ -819,13 +787,13 @@ mod tests {
     #[test]
     fn duplicate_columns_are_singular() {
         let cols = vec![vec![(0, 1.0), (1, 2.0)], vec![(0, 1.0), (1, 2.0)]];
-        assert!(LuFactors::factorize(2, &cols, 1e-12).is_none());
+        assert!(factorize(&cols).is_none());
     }
 
     #[test]
     fn zero_column_is_singular() {
         let cols = vec![vec![(0, 1.0)], vec![]];
-        assert!(LuFactors::factorize(2, &cols, 1e-12).is_none());
+        assert!(factorize(&cols).is_none());
     }
 
     #[test]
@@ -836,7 +804,7 @@ mod tests {
             vec![(1, 1.0), (2, 1.0)],
             vec![(0, 1.0), (1, 1.0), (2, 2.0)],
         ];
-        assert!(LuFactors::factorize(3, &cols, 1e-12).is_none());
+        assert!(factorize(&cols).is_none());
     }
 
     #[test]
@@ -849,16 +817,14 @@ mod tests {
             vec![(4, 1.0), (0, 0.5)],
         ];
         let m = cols.len();
-        let lu = LuFactors::factorize(m, &cols, 1e-12).expect("nonsingular");
-        let mut scratch = vec![0.0; m];
+        let mut ft = FtFactors::from_lu(factorize(&cols).expect("nonsingular"));
         for slot in 0..m {
             let mut expected = vec![0.0; m];
             expected[slot] = 1.0;
-            lu.btran(&mut expected, &mut scratch);
-            // Poison the outputs so btran_unit has to overwrite them.
+            ft.btran(&mut expected);
+            // Poison the output so btran_unit has to overwrite it.
             let mut got = vec![f64::NAN; m];
-            let mut dirty = vec![f64::NAN; m];
-            lu.btran_unit(slot, &mut got, &mut dirty);
+            ft.btran_unit(slot, &mut got);
             assert_close(&got, &expected);
         }
     }
@@ -922,32 +888,6 @@ mod tests {
             .fold(0.0, f64::max)
     }
 
-    #[test]
-    fn ft_matches_lu_before_updates() {
-        let cols = vec![
-            vec![(0, 1.0)],
-            vec![(1, 2.0), (3, 1.0)],
-            vec![(2, -1.0)],
-            vec![(1, 1.0), (3, 3.0), (4, 1.0)],
-            vec![(4, 1.0), (0, 0.5)],
-        ];
-        let m = cols.len();
-        let lu = LuFactors::factorize(m, &cols, 1e-12).expect("nonsingular");
-        let ft = FtFactors::from_lu(lu.clone());
-        let rhs = [1.0, -2.0, 3.5, 0.0, 4.0];
-        let mut scratch = vec![0.0; m];
-        let mut a = rhs.to_vec();
-        let mut b = rhs.to_vec();
-        lu.ftran(&mut a, &mut scratch);
-        ft.ftran(&mut b, &mut scratch);
-        assert_close(&a, &b);
-        let mut a = rhs.to_vec();
-        let mut b = rhs.to_vec();
-        lu.btran(&mut a, &mut scratch);
-        ft.btran(&mut b, &mut scratch);
-        assert_close(&a, &b);
-    }
-
     /// Long random column-replacement sequences: after every update the
     /// FT solves must agree with a *fresh* factorization of the current
     /// columns, in both directions, including the unit-BTRAN fast path.
@@ -957,15 +897,14 @@ mod tests {
         let mut state = 0x9E3779B97F4A7C15u64;
         for trial in 0..5 {
             let mut columns = random_basis(m, &mut state);
-            let lu = LuFactors::factorize(m, &columns, 1e-12).expect("nonsingular");
+            let lu = factorize(&columns).expect("nonsingular");
             let mut ft = FtFactors::from_lu(lu);
-            let mut scratch = vec![0.0; m];
             for step in 0..40 {
                 let slot = (xorshift(&mut state) as usize) % m;
                 let new_col = random_column(m, slot, &mut state);
                 // w = B⁻¹ a_q from the *current* factors.
                 let mut w = scatter(m, &new_col);
-                ft.ftran(&mut w, &mut scratch);
+                ft.ftran(&mut w);
                 if ft.update(slot, &w).is_err() {
                     // Unlucky near-singular replacement: restart factors
                     // without applying it (the simplex refactorizes here).
@@ -973,20 +912,20 @@ mod tests {
                 }
                 columns[slot] = new_col;
                 assert!(
-                    LuFactors::factorize(m, &columns, 1e-12).is_some(),
+                    factorize(&columns).is_some(),
                     "replacement kept the basis nonsingular"
                 );
                 // FTRAN residual against the exact current columns.
                 let rhs: Vec<f64> = (0..m).map(|i| (i as f64) - 4.0).collect();
                 let mut z = rhs.clone();
-                ft.ftran(&mut z, &mut scratch);
+                ft.ftran(&mut z);
                 assert!(
                     ftran_residual(&columns, &z, &rhs) < 1e-7,
                     "trial {trial} step {step}: ftran drifted"
                 );
                 // BTRAN residual `‖Bᵀy − v‖∞` stays bounded too.
                 let mut y_ft = rhs.clone();
-                ft.btran(&mut y_ft, &mut scratch);
+                ft.btran(&mut y_ft);
                 let bt_res = mul_t(&columns, &y_ft)
                     .iter()
                     .zip(&rhs)
@@ -997,10 +936,9 @@ mod tests {
                 let probe = (xorshift(&mut state) as usize) % m;
                 let mut expected = vec![0.0; m];
                 expected[probe] = 1.0;
-                ft.btran(&mut expected, &mut scratch);
+                ft.btran(&mut expected);
                 let mut got = vec![f64::NAN; m];
-                let mut dirty = vec![f64::NAN; m];
-                ft.btran_unit(probe, &mut got, &mut dirty);
+                ft.btran_unit(probe, &mut got);
                 assert_close(&got, &expected);
             }
             assert!(ft.update_count() > 20, "most updates should apply");
@@ -1018,17 +956,16 @@ mod tests {
             vec![(1, 1.0), (2, 4.0)],
         ];
         let m = cols.len();
-        let lu = LuFactors::factorize(m, &cols, 1e-12).expect("nonsingular");
+        let lu = factorize(&cols).expect("nonsingular");
         let mut ft = FtFactors::from_lu(lu);
-        let mut scratch = vec![0.0; m];
         // Duplicate column 1 into slot 0.
         let mut w = scatter(m, &cols[1]);
-        ft.ftran(&mut w, &mut scratch);
+        ft.ftran(&mut w);
         assert_eq!(ft.update(0, &w), Err(FtReject::SingularDiagonal));
         // The factors must still solve the *original* basis exactly.
         let rhs = [5.0, 10.0, 22.0];
         let mut z = rhs.to_vec();
-        ft.ftran(&mut z, &mut scratch);
+        ft.ftran(&mut z);
         assert_close(&mul(&cols, &z), &rhs);
         assert_eq!(ft.update_count(), 0);
     }

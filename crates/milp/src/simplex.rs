@@ -22,10 +22,12 @@
 //! change leaves the persisted basis *dual* feasible, so the dual simplex
 //! (dual devex pricing, bound-flip ratio test) walks straight back to
 //! optimality with **zero phase-1 iterations** — the re-solve path the
-//! RAS session hits every round.
+//! RAS session hits every round at the root. Branch-and-bound nodes
+//! re-solve with the one-violation repair instead (`warm_dual: false`),
+//! from one [`Simplex`] engine kept for the whole search.
 
 use crate::cast;
-use crate::lu::{FtFactors, FtReject, LuFactors};
+use crate::lu::{FtFactors, LuFactors};
 use crate::nan::NanGuard;
 use crate::standard::StandardForm;
 use crate::tol;
@@ -343,9 +345,9 @@ pub struct SimplexConfig {
     /// [`DualPricingRule`]).
     pub dual_pricing: DualPricingRule,
     /// Route warm re-solves through the true dual simplex (bound-flip
-    /// ratio test, dual devex). `false` restores the legacy one-row
-    /// repair loop — kept as the warm-primal baseline for benches and
-    /// differential tests.
+    /// ratio test, dual devex). `false` selects the one-violation repair
+    /// loop, which is what branch and bound re-solves every node and
+    /// dive LP with.
     pub warm_dual: bool,
 }
 
@@ -377,32 +379,7 @@ pub fn solve_lp(
     upper: &[f64],
     config: &SimplexConfig,
 ) -> LpResult {
-    if config.engine == BasisEngine::Dense && sf.num_rows > DENSE_MAX_ROWS {
-        return LpResult {
-            status: LpStatus::TooLarge,
-            // NaN on purpose: a refused solve proves nothing about the
-            // optimum, and callers must branch on the status instead of
-            // consuming the objective (an earlier NEG_INFINITY here once
-            // leaked into branch-and-bound as a "proven" bound).
-            objective: f64::NAN,
-            values: lower
-                .iter()
-                .zip(upper)
-                .map(|(l, u)| 0.0_f64.nmax(*l).nmin(*u))
-                .collect(),
-            duals: Vec::new(),
-            iterations: 0,
-            phase1_iterations: 0,
-            dual_iterations: 0,
-            used_dual_simplex: false,
-            refactorizations: 0,
-            basis_stats: BasisStats::default(),
-            pricing: PricingStats::default(),
-            basis: None,
-            warm_basis_used: false,
-        };
-    }
-    Simplex::new(sf, lower, upper, config.clone()).run()
+    solve_lp_warm(sf, lower, upper, config, None)
 }
 
 /// Like [`solve_lp`] but warm-started from a previous optimal basis.
@@ -419,18 +396,7 @@ pub fn solve_lp_warm(
     config: &SimplexConfig,
     warm: Option<&Basis>,
 ) -> LpResult {
-    if let Some(basis) = warm {
-        if sf.num_rows > 0
-            && basis.basis.len() == sf.num_rows
-            && !(config.engine == BasisEngine::Dense && sf.num_rows > DENSE_MAX_ROWS)
-        {
-            let simplex = Simplex::new(sf, lower, upper, config.clone());
-            if let Some(result) = simplex.run_warm(basis) {
-                return result;
-            }
-        }
-    }
-    solve_lp(sf, lower, upper, config)
+    Simplex::new(sf, config.clone()).solve(lower, upper, warm)
 }
 
 /// One product-form (eta) update: after a pivot on basis slot `row` with
@@ -537,11 +503,11 @@ impl DenseBasis {
     /// Rebuilds `B⁻¹` by Gauss-Jordan elimination with partial pivoting.
     /// Returns false (keeping the old inverse) on a singular basis.
     // lint:allow(hot-path-index): rebuilds basis columns; slots and rows bounded by m
-    fn refactor(&mut self, cols: &[Vec<(usize, f64)>]) -> bool {
+    fn refactor<I: Iterator<Item = (usize, f64)>>(&mut self, column: impl Fn(usize) -> I) -> bool {
         let m = self.m;
         let mut b_mat = vec![0.0; m * m];
-        for (col, entries) in cols.iter().enumerate() {
-            for &(r, v) in entries {
+        for col in 0..m {
+            for (r, v) in column(col) {
                 b_mat[r * m + col] = v;
             }
         }
@@ -592,34 +558,24 @@ impl DenseBasis {
     }
 }
 
-/// Sparse basis: an LU factorization plus the eta file of product-form
-/// updates accumulated since the last refactorization (oldest first).
+/// Sparse basis: an LU factorization (never updated in place) plus the
+/// eta file of product-form updates accumulated since the last
+/// refactorization (oldest first).
 struct SparseBasis {
-    m: usize,
-    lu: LuFactors,
+    lu: FtFactors,
     etas: Vec<Eta>,
-    scratch: Vec<f64>,
 }
 
 impl SparseBasis {
-    fn new(m: usize) -> Self {
-        Self {
-            m,
-            lu: LuFactors::diagonal(&vec![1.0; m]),
-            etas: Vec::new(),
-            scratch: vec![0.0; m],
-        }
-    }
-
     fn reset_diagonal(&mut self, signs: &[f64]) {
-        self.lu = LuFactors::diagonal(signs);
+        self.lu = FtFactors::diagonal(signs);
         self.etas.clear();
     }
 
     /// `v := B⁻¹ v`: LU solve, then the etas in creation order.
     // lint:allow(hot-path-index): eta-file application over slots bounded by m
     fn ftran(&mut self, v: &mut [f64]) {
-        self.lu.ftran(v, &mut self.scratch);
+        self.lu.ftran(v);
         for eta in &self.etas {
             let t = v[eta.row] / eta.pivot;
             v[eta.row] = t;
@@ -641,14 +597,14 @@ impl SparseBasis {
             }
             v[eta.row] = s / eta.pivot;
         }
-        self.lu.btran(v, &mut self.scratch);
+        self.lu.btran(v);
     }
 
     fn rho(&mut self, row: usize, out: &mut [f64]) {
         if self.etas.is_empty() {
             // Right after a (re)factorization the unit BTRAN can skip
             // the solve prefix before the step that pivoted `row`.
-            self.lu.btran_unit(row, out, &mut self.scratch);
+            self.lu.btran_unit(row, out);
         } else {
             out.iter_mut().for_each(|v| *v = 0.0);
             out[row] = 1.0;
@@ -670,71 +626,29 @@ impl SparseBasis {
         });
     }
 
-    fn refactor(&mut self, cols: &[Vec<(usize, f64)>]) -> bool {
-        match LuFactors::factorize(self.m, cols, tol::DROP) {
-            Some(lu) => {
-                self.lu = lu;
-                self.etas.clear();
-                true
-            }
-            None => false,
+    fn refactor<I: Iterator<Item = (usize, f64)>>(&mut self, column: impl Fn(usize) -> I) -> bool {
+        let rebuilt = refactor_ft(&mut self.lu, column);
+        if rebuilt {
+            self.etas.clear();
         }
+        rebuilt
     }
+}
+
+/// Replaces `ft` with a fresh factorization of the basis whose slot `i`
+/// holds `column(i)`; false, and `ft` untouched, when it is singular.
+fn refactor_ft<I: Iterator<Item = (usize, f64)>>(
+    ft: &mut FtFactors,
+    column: impl Fn(usize) -> I,
+) -> bool {
+    let lu = LuFactors::factorize(ft.dim(), column, tol::DROP);
+    lu.map(|lu| *ft = FtFactors::from_lu(lu)).is_some()
 }
 
 /// Once the Forrest–Tomlin factors (spike fill plus row-elimination
 /// etas) outgrow the fresh factorization's nonzeros by this factor, a
 /// refactorization is cheaper than dragging the fill along.
 const FT_MAX_FILL_RATIO: f64 = 4.0;
-
-/// Sparse basis with Forrest–Tomlin maintenance: each pivot replaces a
-/// column of `U` in place (spike insertion + row elimination), keeping
-/// `U` genuinely triangular instead of stacking product-form etas.
-struct FtBasis {
-    ft: FtFactors,
-    scratch: Vec<f64>,
-}
-
-impl FtBasis {
-    fn new(m: usize) -> Self {
-        Self {
-            ft: FtFactors::diagonal(&vec![1.0; m]),
-            scratch: vec![0.0; m],
-        }
-    }
-
-    fn reset_diagonal(&mut self, signs: &[f64]) {
-        self.ft = FtFactors::diagonal(signs);
-    }
-
-    fn ftran(&mut self, v: &mut [f64]) {
-        self.ft.ftran(v, &mut self.scratch);
-    }
-
-    fn btran(&mut self, v: &mut [f64]) {
-        self.ft.btran(v, &mut self.scratch);
-    }
-
-    fn rho(&mut self, row: usize, out: &mut [f64]) {
-        // Unlike the eta file, FT's unit BTRAN stays position-pruned
-        // across updates, so the fast path never degrades.
-        self.ft.btran_unit(row, out, &mut self.scratch);
-    }
-
-    fn update(&mut self, row: usize, w: &[f64]) -> Result<(), FtReject> {
-        self.ft.update(row, w)
-    }
-
-    fn refactor(&mut self, cols: &[Vec<(usize, f64)>]) -> bool {
-        match LuFactors::factorize(self.ft.dim(), cols, tol::DROP) {
-            Some(lu) => {
-                self.ft = FtFactors::from_lu(lu);
-                true
-            }
-            None => false,
-        }
-    }
-}
 
 /// Why a refactorization was triggered (counted in [`BasisStats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -755,7 +669,9 @@ enum RefactorReason {
 enum BasisRepr {
     Dense(DenseBasis),
     Sparse(SparseBasis),
-    Ft(FtBasis),
+    /// Sparse LU under Forrest–Tomlin updates: each pivot replaces a
+    /// column of `U` in place instead of stacking a product-form eta.
+    Ft(FtFactors),
 }
 
 impl BasisRepr {
@@ -764,7 +680,7 @@ impl BasisRepr {
         match self {
             BasisRepr::Dense(d) => d.reset_diagonal(signs),
             BasisRepr::Sparse(s) => s.reset_diagonal(signs),
-            BasisRepr::Ft(f) => f.reset_diagonal(signs),
+            BasisRepr::Ft(f) => *f = FtFactors::diagonal(signs),
         }
     }
 
@@ -791,7 +707,9 @@ impl BasisRepr {
         match self {
             BasisRepr::Dense(d) => d.rho(row, out),
             BasisRepr::Sparse(s) => s.rho(row, out),
-            BasisRepr::Ft(f) => f.rho(row, out),
+            // Unlike the eta file, FT's unit BTRAN stays position-pruned
+            // across updates, so the fast path never degrades.
+            BasisRepr::Ft(f) => f.btran_unit(row, out),
         }
     }
 
@@ -819,22 +737,29 @@ impl BasisRepr {
     fn fill_exceeded(&self) -> bool {
         match self {
             BasisRepr::Dense(_) | BasisRepr::Sparse(_) => false,
-            BasisRepr::Ft(f) => f.ft.update_count() > 0 && f.ft.fill_ratio() > FT_MAX_FILL_RATIO,
+            BasisRepr::Ft(f) => f.update_count() > 0 && f.fill_ratio() > FT_MAX_FILL_RATIO,
         }
     }
 
-    /// Rebuilds the representation from the given basis columns. Returns
-    /// false on a numerically singular basis, keeping the old state.
-    fn refactor(&mut self, cols: &[Vec<(usize, f64)>]) -> bool {
+    /// Rebuilds the representation from the basis whose slot `i` holds
+    /// the `(row, value)` column `column(i)`. Returns false on a
+    /// numerically singular basis, keeping the old state.
+    fn refactor<I: Iterator<Item = (usize, f64)>>(&mut self, column: impl Fn(usize) -> I) -> bool {
         match self {
-            BasisRepr::Dense(d) => d.refactor(cols),
-            BasisRepr::Sparse(s) => s.refactor(cols),
-            BasisRepr::Ft(f) => f.refactor(cols),
+            BasisRepr::Dense(d) => d.refactor(column),
+            BasisRepr::Sparse(s) => s.refactor(column),
+            BasisRepr::Ft(f) => refactor_ft(f, column),
         }
     }
 }
 
-struct Simplex<'a> {
+/// The simplex engine for one standard form: every vector a solve needs,
+/// allocated once and reused by each [`solve`](Self::solve). Branch and
+/// bound keeps one for all its node and dive LPs — a node re-solve is a
+/// handful of pivots, and building a dozen `n + m` vectors around each
+/// used to cost as much as the pivots. [`solve_lp`] and [`solve_lp_warm`]
+/// wrap a throwaway instance.
+pub struct Simplex<'a> {
     sf: &'a StandardForm,
     config: SimplexConfig,
     m: usize,
@@ -845,6 +770,9 @@ struct Simplex<'a> {
     costs: Vec<f64>,
     /// Sign of each artificial's identity coefficient.
     art_sign: Vec<f64>,
+    /// `0..m`: the row index of artificial `r` as the one-entry slice
+    /// `unit_rows[r..=r]`, so every column reads as CSC slices.
+    unit_rows: Vec<u32>,
     /// Basic variable of each row.
     basis: Vec<usize>,
     /// Row of a basic variable, or `usize::MAX` when nonbasic.
@@ -887,6 +815,9 @@ struct Simplex<'a> {
     devex: Vec<f64>,
     /// Partial-pricing candidate list (column indices).
     candidates: Vec<u32>,
+    /// Whether the list, when last built, held every eligible column
+    /// (the cap cut nothing).
+    candidates_complete: bool,
     /// α-row scatter workspace: `alpha[j] = ρᵀA_j` for touched columns.
     alpha: Vec<f64>,
     /// Epoch marks for `alpha` (valid iff equal to `alpha_epoch`).
@@ -894,30 +825,31 @@ struct Simplex<'a> {
     alpha_epoch: u32,
     /// Columns touched by the current α-row scatter.
     alpha_cols: Vec<u32>,
+    /// One bit per column: the candidates of the repair's dual ratio
+    /// test (see [`dual_pivot`](Self::dual_pivot)).
+    ratio_cands: Vec<u64>,
     pricing: PricingStats,
 }
 
 impl<'a> Simplex<'a> {
-    fn new(sf: &'a StandardForm, lower: &[f64], upper: &[f64], config: SimplexConfig) -> Self {
+    /// Allocates the engine for `sf`. An explicitly dense engine beyond
+    /// [`DENSE_MAX_ROWS`] allocates no `m²` inverse; its solves return
+    /// [`LpStatus::TooLarge`].
+    pub fn new(sf: &'a StandardForm, config: SimplexConfig) -> Self {
         let m = sf.num_rows;
         let n0 = sf.num_cols();
         let total = n0 + m;
-        let mut lo = Vec::with_capacity(total);
-        let mut up = Vec::with_capacity(total);
-        lo.extend_from_slice(lower);
-        up.extend_from_slice(upper);
-        lo.extend(std::iter::repeat_n(0.0, m));
-        up.extend(std::iter::repeat_n(f64::INFINITY, m));
+        let dense = |m| BasisRepr::Dense(DenseBasis::new(m));
         let repr = match config.engine {
-            BasisEngine::Dense => BasisRepr::Dense(DenseBasis::new(m)),
-            BasisEngine::SparseEta => BasisRepr::Sparse(SparseBasis::new(m)),
-            BasisEngine::SparseLu => BasisRepr::Ft(FtBasis::new(m)),
-            BasisEngine::Auto => {
-                if m > AUTO_DENSE_MAX_ROWS {
-                    BasisRepr::Ft(FtBasis::new(m))
-                } else {
-                    BasisRepr::Dense(DenseBasis::new(m))
-                }
+            BasisEngine::Dense if m > DENSE_MAX_ROWS => dense(0),
+            BasisEngine::Dense => dense(m),
+            BasisEngine::Auto if m <= AUTO_DENSE_MAX_ROWS => dense(m),
+            BasisEngine::SparseEta => BasisRepr::Sparse(SparseBasis {
+                lu: FtFactors::diagonal(&vec![1.0; m]),
+                etas: Vec::new(),
+            }),
+            BasisEngine::SparseLu | BasisEngine::Auto => {
+                BasisRepr::Ft(FtFactors::diagonal(&vec![1.0; m]))
             }
         };
         let rule = match config.pricing {
@@ -939,10 +871,11 @@ impl<'a> Simplex<'a> {
             config,
             m,
             n0,
-            lower: lo,
-            upper: up,
+            lower: vec![0.0; total],
+            upper: vec![0.0; total],
             costs: vec![0.0; total],
             art_sign: vec![1.0; m],
+            unit_rows: (0..cast::idx32(m)).collect(),
             basis: vec![0; m],
             position: vec![usize::MAX; total],
             repr,
@@ -967,26 +900,100 @@ impl<'a> Simplex<'a> {
             d_fresh: false,
             devex: vec![1.0; total],
             candidates: Vec::new(),
+            candidates_complete: false,
             alpha: vec![0.0; total],
             alpha_mark: vec![0; total],
             alpha_epoch: 0,
             alpha_cols: Vec::new(),
+            ratio_cands: vec![0; total.div_ceil(64)],
             pricing: PricingStats::default(),
         }
     }
 
-    /// Iterates the `(row, value)` nonzeros of any column, including
-    /// artificials.
-    fn column(&self, j: usize) -> ColumnIter<'_> {
-        if j < self.n0 {
-            ColumnIter::Matrix(Box::new(self.sf.matrix.column(j)))
-        } else {
-            ColumnIter::Artificial(Some((j - self.n0, self.art_sign[j - self.n0])))
+    /// Solves under the given bounds (length `n + m`, as in
+    /// [`solve_lp`]), from `warm` when it is usable and from the slack
+    /// crash otherwise (see [`solve_lp_warm`]).
+    pub fn solve(&mut self, lower: &[f64], upper: &[f64], warm: Option<&Basis>) -> LpResult {
+        self.solve_observed(lower, upper, warm, |_, _, _, _| {})
+    }
+
+    /// Test hook: [`solve`](Self::solve), showing `observe` every pivot
+    /// choice of the warm one-violation repair before it is applied: the
+    /// engine, the leaving row, whether its basic variable lands on its
+    /// upper bound, and the entering column (`None`: no candidate, the
+    /// solve goes cold).
+    #[doc(hidden)]
+    pub fn solve_observed(
+        &mut self,
+        lower: &[f64],
+        upper: &[f64],
+        warm: Option<&Basis>,
+        mut observe: impl FnMut(&Self, usize, bool, Option<usize>),
+    ) -> LpResult {
+        if self.config.engine == BasisEngine::Dense && self.m > DENSE_MAX_ROWS {
+            // NaN on purpose: a refused solve proves nothing about the
+            // optimum, and callers must branch on the status instead of
+            // consuming the objective (an earlier NEG_INFINITY here once
+            // leaked into branch-and-bound as a "proven" bound).
+            self.reset(lower, upper);
+            for ((x, l), u) in self.x.iter_mut().zip(lower).zip(upper) {
+                *x = 0.0_f64.nmax(*l).nmin(*u);
+            }
+            return LpResult {
+                objective: f64::NAN,
+                duals: Vec::new(),
+                ..self.finish(LpStatus::TooLarge)
+            };
+        }
+        if let Some(basis) = warm.filter(|b| self.m > 0 && b.basis.len() == self.m) {
+            self.reset(lower, upper);
+            if let Some(result) = self.run_warm(basis, &mut observe) {
+                return result;
+            }
+        }
+        self.reset(lower, upper);
+        self.run()
+    }
+
+    /// Puts every vector and counter back to the state a fresh engine
+    /// starts a solve from: all columns nonbasic at zero with zero cost,
+    /// artificials free above zero.
+    fn reset(&mut self, lower: &[f64], upper: &[f64]) {
+        let n0 = self.n0;
+        self.lower[..n0].copy_from_slice(lower);
+        self.lower[n0..].fill(0.0);
+        self.upper[..n0].copy_from_slice(upper);
+        self.upper[n0..].fill(f64::INFINITY);
+        self.costs.fill(0.0);
+        self.art_sign.fill(1.0);
+        self.position.fill(usize::MAX);
+        self.x.fill(0.0);
+        self.at_upper.fill(false);
+        self.iterations = 0;
+        self.phase1_iterations = 0;
+        self.dual_iterations = 0;
+        self.used_dual_simplex = false;
+        self.refactorizations = 0;
+        self.basis_stats = BasisStats::default();
+        self.update_rejected = false;
+        self.pivots_since_refactor = 0;
+        self.degenerate_run = 0;
+        self.d_valid = false;
+        self.d_fresh = false;
+        self.pricing = PricingStats::default();
+        self.y.fill(0.0);
+    }
+
+    /// `A_jᵀ v` for any column, including artificials.
+    fn column_dot(&self, j: usize, v: &[f64]) -> f64 {
+        match j.checked_sub(self.n0) {
+            None => self.sf.matrix.column_dot(j, v),
+            Some(r) => self.art_sign[r] * v[r],
         }
     }
 
     // lint:allow(hot-path-index): phase driver; var indices bounded by tableau width n
-    fn run(mut self) -> LpResult {
+    fn run(&mut self) -> LpResult {
         if self.m == 0 {
             return self.solve_unconstrained();
         }
@@ -1026,7 +1033,7 @@ impl<'a> Simplex<'a> {
 
     /// Handles the degenerate `m == 0` case (no constraints).
     // lint:allow(hot-path-index): bound arrays are sized to n with the tableau
-    fn solve_unconstrained(mut self) -> LpResult {
+    fn solve_unconstrained(&mut self) -> LpResult {
         for j in 0..self.n0 {
             let c = self.sf.costs[j];
             let v = if c > 0.0 {
@@ -1049,7 +1056,7 @@ impl<'a> Simplex<'a> {
         self.finish(LpStatus::Optimal)
     }
 
-    fn finish(self, status: LpStatus) -> LpResult {
+    fn finish(&self, status: LpStatus) -> LpResult {
         let objective = self.sf.obj_constant
             + (0..self.n0)
                 .map(|j| self.sf.costs[j] * self.x[j])
@@ -1062,7 +1069,7 @@ impl<'a> Simplex<'a> {
             status,
             objective,
             values: self.x[..self.n0].to_vec(),
-            duals: self.y,
+            duals: self.y.clone(),
             iterations: self.iterations,
             phase1_iterations: self.phase1_iterations,
             dual_iterations: self.dual_iterations,
@@ -1283,11 +1290,12 @@ impl<'a> Simplex<'a> {
     fn select_entering(&mut self, use_bland: bool) -> Option<(usize, f64)> {
         if use_bland {
             // Bland's anti-cycling guarantee needs exact reduced costs.
-            self.refresh_reduced_costs();
+            self.refresh_reduced_costs(false);
             return self.pick_bland();
         }
+        let relist = self.rule == PricingRule::PartialDevex;
         if !self.d_valid {
-            self.refresh_reduced_costs();
+            self.refresh_reduced_costs(relist);
         }
         if let Some(pick) = self.pick_by_rule() {
             return Some(pick);
@@ -1298,7 +1306,7 @@ impl<'a> Simplex<'a> {
         // The maintained costs found no candidate, but they may have
         // drifted; verify against exact reduced costs before declaring
         // optimality.
-        self.refresh_reduced_costs();
+        self.refresh_reduced_costs(relist);
         self.pick_by_rule()
     }
 
@@ -1312,22 +1320,33 @@ impl<'a> Simplex<'a> {
     }
 
     /// Recomputes the duals and every nonbasic reduced cost from scratch.
+    /// With `relist`, the same pass rebuilds partial pricing's candidate
+    /// list, which the pick that follows would otherwise do with a second
+    /// full scan: the old list was ranked on drifted costs and is dropped
+    /// either way.
     // lint:allow(hot-path-index): reduced-cost array sized to n with the tableau
-    fn refresh_reduced_costs(&mut self) {
+    fn refresh_reduced_costs(&mut self, relist: bool) {
         self.compute_duals();
+        // Take the list out so `eligible_d` can borrow `self`.
+        let mut cands = std::mem::take(&mut self.candidates);
+        cands.clear();
         for j in 0..self.n0 + self.m {
             self.d[j] = if self.position[j] != usize::MAX {
                 0.0
             } else {
-                self.costs[j] - self.column_dot_y(j)
+                self.costs[j] - self.column_dot(j, &self.y)
             };
+            if relist && self.eligible_d(j).is_some() {
+                cands.push(cast::idx32(j));
+            }
+        }
+        self.candidates = cands;
+        self.candidates_complete = false;
+        if relist {
+            self.cap_candidates();
         }
         self.d_valid = true;
         self.d_fresh = true;
-        if self.rule == PricingRule::PartialDevex {
-            // Stale candidates were ranked on drifted costs.
-            self.candidates.clear();
-        }
         self.pricing.full_rebuilds += 1;
     }
 
@@ -1414,39 +1433,49 @@ impl<'a> Simplex<'a> {
                 return Some((j, d));
             }
             if attempt == 0 {
+                if self.d_fresh && self.candidates_complete {
+                    // Listed in full from these very reduced costs (bound
+                    // flips since only took columns out): a rescan would
+                    // find what the list had.
+                    return None;
+                }
                 self.rebuild_candidates();
             }
         }
         None
     }
 
-    /// Rebuilds the candidate list from a full eligibility scan, keeping
-    /// the top slice by devex merit when there are more candidates than
-    /// the cap.
+    /// Rebuilds the candidate list from a full eligibility scan.
     fn rebuild_candidates(&mut self) {
         self.pricing.full_rebuilds += 1;
-        let total = self.n0 + self.m;
-        // Take the list out so the merit closure can borrow `self`.
         let mut cands = std::mem::take(&mut self.candidates);
         cands.clear();
-        for j in 0..total {
-            if self.eligible_d(j).is_some() {
-                cands.push(cast::idx32(j));
-            }
-        }
+        cands.extend(
+            (0..cast::idx32(self.n0 + self.m)).filter(|j| self.eligible_d(cast::idx(*j)).is_some()),
+        );
+        self.candidates = cands;
+        self.cap_candidates();
+    }
+
+    /// Keeps the top slice of the candidate list by devex merit when it
+    /// holds more than the cap.
+    fn cap_candidates(&mut self) {
+        let total = self.n0 + self.m;
         let cap = (cast::floor_usize((total as f64).sqrt()) * 2).clamp(64, 2048);
-        if cands.len() > cap {
+        self.candidates_complete = self.candidates.len() <= cap;
+        if !self.candidates_complete {
+            let (d, devex) = (&self.d, &self.devex);
             let merit = |j: &u32| {
                 let j = cast::idx(*j);
-                self.d[j] * self.d[j] / self.devex[j]
+                d[j] * d[j] / devex[j]
             };
             // `total_cmp`: a NaN merit (0/0 from a zeroed devex weight)
             // must not scramble the selection into an arbitrary slice —
             // under the total order NaN sorts to one end deterministically.
-            cands.select_nth_unstable_by(cap - 1, |a, b| merit(b).total_cmp(&merit(a)));
-            cands.truncate(cap);
+            self.candidates
+                .select_nth_unstable_by(cap - 1, |a, b| merit(b).total_cmp(&merit(a)));
+            self.candidates.truncate(cap);
         }
-        self.candidates = cands;
     }
 
     /// Extracts the pivot row for incremental pricing: `ρ = B⁻ᵀe_row` of
@@ -1542,14 +1571,6 @@ impl<'a> Simplex<'a> {
             // Restart the reference framework once weights outgrow their
             // numerical usefulness (standard devex practice).
             self.devex.iter_mut().for_each(|w| *w = 1.0);
-        }
-    }
-
-    fn column_dot_y(&self, j: usize) -> f64 {
-        match self.column(j) {
-            ColumnIter::Matrix(_) => self.sf.matrix.column_dot(j, &self.y),
-            ColumnIter::Artificial(Some((row, sign))) => sign * self.y[row],
-            ColumnIter::Artificial(None) => 0.0,
         }
     }
 
@@ -1677,42 +1698,32 @@ impl<'a> Simplex<'a> {
     // lint:allow(hot-path-index): rebuilds basis columns; slots and rows bounded by m
     fn refactor(&mut self) -> bool {
         self.pivots_since_refactor = 0;
-        let cols: Vec<Vec<(usize, f64)>> = self
-            .basis
-            .iter()
-            .map(|&bj| match self.column(bj) {
-                ColumnIter::Matrix(it) => it.collect(),
-                ColumnIter::Artificial(e) => e.into_iter().collect(),
-            })
-            .collect();
-        if !self.repr.refactor(&cols) {
+        let (sf, basis) = (self.sf, &self.basis);
+        let (unit_rows, art_sign) = (&self.unit_rows, &self.art_sign);
+        if !self
+            .repr
+            .refactor(|slot| column_of(sf, unit_rows, art_sign, basis[slot]))
+        {
             return false;
         }
         self.refactorizations += 1;
-        // Recompute x_B = B⁻¹ (b − N x_N).
-        let mut r = self.sf.rhs.clone();
+        // Recompute x_B = B⁻¹ (b − N x_N); the direction buffer is free
+        // between pivots.
+        let mut r = std::mem::take(&mut self.w);
+        r.copy_from_slice(&self.sf.rhs);
         for j in 0..self.n0 + self.m {
-            if self.position[j] != usize::MAX {
-                continue;
-            }
             let xj = self.x[j];
-            if xj == 0.0 {
-                continue;
-            }
-            match self.column(j) {
-                ColumnIter::Matrix(it) => {
-                    for (row, v) in it {
-                        r[row] -= v * xj;
-                    }
+            if self.position[j] == usize::MAX && xj != 0.0 {
+                for (row, v) in column_of(sf, unit_rows, art_sign, j) {
+                    r[row] -= v * xj;
                 }
-                ColumnIter::Artificial(Some((row, sign))) => r[row] -= sign * xj,
-                ColumnIter::Artificial(None) => {}
             }
         }
         self.repr.ftran(&mut r);
         for (i, &ri) in r.iter().enumerate() {
             self.x[self.basis[i]] = ri;
         }
+        self.w = r;
         // The rebuilt representation supersedes whatever incremental
         // drift the maintained reduced costs accumulated against the old
         // one; force a refresh at the next pricing step.
@@ -1725,7 +1736,11 @@ impl<'a> Simplex<'a> {
     /// phase 2. Returns `None` when the warm path cannot proceed safely —
     /// the caller falls back to a cold start.
     // lint:allow(hot-path-index): warm-start driver; slots bounded by m, columns by n
-    fn run_warm(mut self, warm: &Basis) -> Option<LpResult> {
+    fn run_warm(
+        &mut self,
+        warm: &Basis,
+        observe: &mut impl FnMut(&Self, usize, bool, Option<usize>),
+    ) -> Option<LpResult> {
         let m = self.m;
         // Real costs from the start; artificial columns are pinned at 0.
         self.costs[..self.n0].copy_from_slice(&self.sf.costs);
@@ -1812,19 +1827,21 @@ impl<'a> Simplex<'a> {
                 DualOutcome::Fallback => None,
             };
         }
-        // Legacy warm-primal repair loop (`warm_dual: false`): one
-        // full-recompute dual pivot per violated row, kept as the
-        // baseline the dual simplex is benchmarked against.
+        // One-violation repair (`warm_dual: false`): one dual pivot per
+        // violated row, duals recomputed each time. This is what every
+        // branch-and-bound node and dive step re-solves with — a branch
+        // moves one bound, so a node is a handful of these pivots — and
+        // with it the largest single cost of a warm round.
         let max_repair = 4 * m + 200;
         for _ in 0..max_repair {
-            let Some((row, target, to_upper)) = self.most_violated_basic() else {
+            let Some((row, target, to_upper)) = self.select_leaving(None) else {
                 // Primal feasible: a primal cleanup reaches optimality.
                 let status = self.optimize();
                 let mut result = self.finish(status);
                 result.warm_basis_used = true;
                 return Some(result);
             };
-            if !self.dual_pivot(row, target, to_upper) {
+            if !self.dual_pivot(row, target, to_upper, observe) {
                 return None;
             }
             self.iterations += 1;
@@ -1873,10 +1890,11 @@ impl<'a> Simplex<'a> {
                 }
             }
             if !self.d_valid {
-                self.refresh_reduced_costs();
+                self.refresh_reduced_costs(false);
                 pivots_since_refresh = 0;
             }
-            let Some((row, target, to_upper)) = self.select_leaving(&dw) else {
+            let weights = (self.dual_rule != DualPricingRule::Violation).then_some(&dw[..]);
+            let Some((row, target, to_upper)) = self.select_leaving(weights) else {
                 return DualOutcome::PrimalFeasible;
             };
             let leaving = self.basis[row];
@@ -2005,17 +2023,7 @@ impl<'a> Simplex<'a> {
             // variable exactly on its violated bound.
             let a_hat_q = sigma * w_r;
             let theta = (self.d[q] / a_hat_q).nmax(0.0);
-            let delta_q = (self.x[leaving] - target) / w_r;
-            for i in 0..m {
-                let b = self.basis[i];
-                self.x[b] -= delta_q * self.w[i];
-            }
-            self.x[leaving] = target;
-            self.at_upper[leaving] = to_upper;
-            self.position[leaving] = usize::MAX;
-            self.x[q] += delta_q;
-            self.basis[row] = q;
-            self.position[q] = row;
+            self.land_leaving(row, q, target, to_upper);
             // Reduced costs move along the α-row: d'_j = d_j − θ·σ·α_j.
             if theta != 0.0 {
                 for idx in 0..self.alpha_cols.len() {
@@ -2070,27 +2078,19 @@ impl<'a> Simplex<'a> {
         }
     }
 
-    /// Dual pricing: the leaving row. `Violation` takes the largest
-    /// bound violation; `DualDevex` weights it by the reference
-    /// framework (`violation²/w_i`), which spreads pivots across
-    /// degenerate capacity rows instead of hammering one.
+    /// Dual pricing: the leaving row, with the bound it must land on, as
+    /// `(row, bound value, is_upper)`. Without weights it is the largest
+    /// bound violation; dual devex weights it by the reference framework
+    /// (`violation²/w_i`), which spreads pivots across degenerate
+    /// capacity rows instead of hammering one.
     // lint:allow(hot-path-index): leaving-row scan over m basis slots
-    fn select_leaving(&self, dw: &[f64]) -> Option<(usize, f64, bool)> {
+    fn select_leaving(&self, dw: Option<&[f64]>) -> Option<(usize, f64, bool)> {
         let mut best: Option<(usize, f64, bool, f64)> = None;
-        for (i, &dw_i) in dw.iter().enumerate().take(self.m) {
-            let b = self.basis[i];
-            let x = self.x[b];
-            let (viol, target, to_upper) = if x < self.lower[b] - self.config.feas_tol {
-                (self.lower[b] - x, self.lower[b], false)
-            } else if x > self.upper[b] + self.config.feas_tol {
-                (x - self.upper[b], self.upper[b], true)
-            } else {
+        for i in 0..self.m {
+            let Some((viol, target, to_upper)) = self.basic_violation(i) else {
                 continue;
             };
-            let merit = match self.dual_rule {
-                DualPricingRule::Violation => viol,
-                _ => viol * viol / dw_i,
-            };
+            let merit = dw.map_or(viol, |dw| viol * viol / dw[i]);
             match best {
                 Some((_, _, _, bm)) if bm >= merit => {}
                 _ => best = Some((i, target, to_upper, merit)),
@@ -2099,90 +2099,120 @@ impl<'a> Simplex<'a> {
         best.map(|(i, t, u, _)| (i, t, u))
     }
 
-    /// The basic variable furthest outside its bounds, with the bound it
-    /// must land on: `(row, bound value, is_upper)`.
-    // lint:allow(hot-path-index): violation scan over m basis slots
-    fn most_violated_basic(&self) -> Option<(usize, f64, bool)> {
-        let mut worst: Option<(usize, f64, bool, f64)> = None;
-        for i in 0..self.m {
-            let b = self.basis[i];
-            let x = self.x[b];
-            let (viol, target, to_upper) = if x < self.lower[b] - self.config.feas_tol {
-                (self.lower[b] - x, self.lower[b], false)
-            } else if x > self.upper[b] + self.config.feas_tol {
-                (x - self.upper[b], self.upper[b], true)
-            } else {
-                continue;
-            };
-            match worst {
-                Some((_, _, _, w)) if w >= viol => {}
-                _ => worst = Some((i, target, to_upper, viol)),
-            }
+    /// How far the basic variable of `row` sits outside its bounds, if it
+    /// does: `(violation, violated bound, bound is the upper one)`.
+    fn basic_violation(&self, row: usize) -> Option<(f64, f64, bool)> {
+        let b = self.basis[row];
+        let x = self.x[b];
+        if x < self.lower[b] - self.config.feas_tol {
+            Some((self.lower[b] - x, self.lower[b], false))
+        } else if x > self.upper[b] + self.config.feas_tol {
+            Some((x - self.upper[b], self.upper[b], true))
+        } else {
+            None
         }
-        worst.map(|(i, t, u, _)| (i, t, u))
+    }
+
+    /// Column `j` in the repair's dual ratio test (public for the tests'
+    /// full-scan oracle only), for a leaving row — the one `ρ` and the
+    /// duals were last computed for — whose basic variable lands on its
+    /// upper bound or, `to_upper` false, its lower one: `(|d_j / α_j|, |α_j|)`
+    /// when `j` may enter — nonbasic, not fixed, `|α_j|` above the pivot
+    /// tolerance, free to move the way that pushes the leaving variable there.
+    #[doc(hidden)]
+    pub fn repair_candidate(&self, j: usize, to_upper: bool) -> Option<(f64, f64)> {
+        if self.position[j] != usize::MAX || self.lower[j] == self.upper[j] {
+            return None;
+        }
+        let alpha = self.column_dot(j, &self.rho);
+        if alpha.abs() <= self.config.pivot_tol {
+            return None;
+        }
+        // x_B[row] changes by -alpha * Δx_j, and must increase toward a
+        // lower bound. At its upper bound x_j can only decrease (Δ < 0 →
+        // x_B[row] += alpha·|Δ|), at its lower one only increase.
+        let ok = if self.is_free(j) {
+            true
+        } else if self.at_upper[j] {
+            (alpha > 0.0) != to_upper
+        } else {
+            (alpha < 0.0) != to_upper
+        };
+        if !ok {
+            return None;
+        }
+        let d = self.costs[j] - self.column_dot(j, &self.y);
+        Some(((d / alpha).abs(), alpha.abs()))
     }
 
     /// One dual-simplex pivot: the basic variable of `row` leaves onto
     /// `target`; an entering column is chosen by the dual ratio test.
     /// Returns false when no entering candidate exists (fall back cold).
-    // lint:allow(hot-path-index): pivot bookkeeping over basis slots bounded by m
-    fn dual_pivot(&mut self, row: usize, target: f64, to_upper: bool) -> bool {
-        let m = self.m;
-        let leaving = self.basis[row];
-        // Direction the leaving basic must move: up toward its lower
-        // bound, or down toward its upper bound.
-        let need_increase = !to_upper;
+    // lint:allow(hot-path-index): candidate bitmap sized to the n + m columns; rows bounded by m
+    fn dual_pivot(
+        &mut self,
+        row: usize,
+        target: f64,
+        to_upper: bool,
+        observe: &mut impl FnMut(&Self, usize, bool, Option<usize>),
+    ) -> bool {
         // rho = row `row` of B⁻¹.
         self.repr.rho(row, &mut self.rho);
         self.compute_duals();
-        let mut best: Option<(usize, f64, f64)> = None; // (col, |ratio|, |alpha|)
-        for j in 0..self.n0 + m {
-            if self.position[j] != usize::MAX || self.lower[j] == self.upper[j] {
-                continue;
-            }
-            let alpha = match self.column(j) {
-                ColumnIter::Matrix(it) => it.map(|(r, v)| v * self.rho[r]).sum::<f64>(),
-                ColumnIter::Artificial(Some((r, sign))) => sign * self.rho[r],
-                ColumnIter::Artificial(None) => 0.0,
-            };
-            if alpha.abs() <= self.config.pivot_tol {
-                continue;
-            }
-            // x_B[row] changes by -alpha * Δx_j; pick a j whose feasible
-            // move direction pushes the leaving variable the right way.
-            let ok = if self.is_free(j) {
-                true
-            } else if self.at_upper[j] {
-                // x_j can only decrease: Δ < 0 → x_B[row] += alpha·|Δ|.
-                (alpha > 0.0) == need_increase
-            } else {
-                // x_j can only increase: x_B[row] -= alpha·Δ.
-                (alpha < 0.0) == need_increase
-            };
-            if !ok {
-                continue;
-            }
-            let d = self.costs[j] - self.column_dot_y(j);
-            let ratio = (d / alpha).abs();
-            match best {
-                Some((_, br, ba))
-                    if ratio > br + tol::DROP || (ratio >= br - tol::DROP && alpha.abs() <= ba) => {
+        // α_j = ρᵀA_j is an exact ±0.0 — below any pivot tolerance — for
+        // every column with no entry in a row where ρ ≠ 0, and ρ is
+        // sparse (a few dozen rows of a thousand). Walk those rows of the
+        // row-major mirror to mark the columns that can pass at all, then
+        // evaluate only them, column-wise and in ascending order exactly
+        // as a scan over every column would.
+        self.ratio_cands.fill(0);
+        for r in 0..self.m {
+            if self.rho[r] != 0.0 {
+                // The row's matrix columns, and its artificial.
+                let reached = self.sf.matrix.row(r).map(|(j, _)| j);
+                for j in reached.chain([self.n0 + r]) {
+                    self.ratio_cands[j / 64] |= 1 << (j % 64);
                 }
-                _ => best = Some((j, ratio, alpha.abs())),
             }
         }
+        let mut best: Option<(usize, f64, f64)> = None; // (col, |ratio|, |alpha|)
+        for (word, &bits) in self.ratio_cands.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let j = word * 64 + cast::idx(bits.trailing_zeros());
+                bits &= bits - 1;
+                let Some((ratio, alpha)) = self.repair_candidate(j, to_upper) else {
+                    continue;
+                };
+                match best {
+                    Some((_, br, ba))
+                        if ratio > br + tol::DROP || (ratio >= br - tol::DROP && alpha <= ba) => {}
+                    _ => best = Some((j, ratio, alpha)),
+                }
+            }
+        }
+        observe(self, row, to_upper, best.map(|(q, _, _)| q));
         let Some((q, _, _)) = best else {
             return false;
         };
         // FTRAN for the entering column, then the standard pivot.
         self.compute_direction(q);
-        let w_r = self.w[row];
-        if w_r.abs() <= self.config.pivot_tol {
+        if self.w[row].abs() <= self.config.pivot_tol {
             return false;
         }
-        // Step that lands the leaving variable exactly on `target`.
-        let delta = (self.x[leaving] - target) / w_r;
-        for i in 0..m {
+        self.land_leaving(row, q, target, to_upper);
+        self.record_basis_update(row);
+        true
+    }
+
+    /// Moves along the FTRAN'd direction `self.w` of entering column `q`
+    /// by the step that lands the basic variable of `row` exactly on
+    /// `target`, and swaps the two in the basis.
+    // lint:allow(hot-path-index): basic-value update over basis slots, bounded by m
+    fn land_leaving(&mut self, row: usize, q: usize, target: f64, to_upper: bool) {
+        let leaving = self.basis[row];
+        let delta = (self.x[leaving] - target) / self.w[row];
+        for i in 0..self.m {
             let b = self.basis[i];
             self.x[b] -= delta * self.w[i];
         }
@@ -2192,8 +2222,6 @@ impl<'a> Simplex<'a> {
         self.x[q] += delta;
         self.basis[row] = q;
         self.position[q] = row;
-        self.record_basis_update(row);
-        true
     }
 }
 
@@ -2220,9 +2248,19 @@ enum Ratio {
     Pivot { t: f64, row: usize, to_upper: bool },
 }
 
-enum ColumnIter<'a> {
-    Matrix(Box<dyn Iterator<Item = (usize, f64)> + 'a>),
-    Artificial(Option<(usize, f64)>),
+/// The `(row, value)` nonzeros of column `j`: a matrix column, or past
+/// them the one-entry column of artificial `j − n0`.
+fn column_of<'a>(
+    sf: &'a StandardForm,
+    unit_rows: &'a [u32],
+    art_sign: &'a [f64],
+    j: usize,
+) -> impl Iterator<Item = (usize, f64)> + 'a {
+    let (rows, values) = match j.checked_sub(sf.num_cols()) {
+        None => sf.matrix.column_slices(j),
+        Some(r) => (&unit_rows[r..=r], &art_sign[r..=r]),
+    };
+    rows.iter().zip(values).map(|(r, v)| (cast::idx(*r), *v))
 }
 
 #[cfg(test)]
@@ -2826,10 +2864,11 @@ mod tests {
         assert_eq!(warm.phase1_iterations, 0);
     }
 
-    /// `warm_dual: false` restores the legacy warm-primal repair loop;
-    /// both warm paths and the cold solve agree on the fixtures.
+    /// `warm_dual: false` selects the one-violation repair loop (the node
+    /// re-solve path); both warm paths and the cold solve agree on the
+    /// fixtures.
     #[test]
-    fn legacy_warm_primal_path_still_agrees() {
+    fn one_violation_repair_path_agrees() {
         let mut m = Model::new();
         let x = m.add_var("x", VarType::Continuous, 0.0, 8.0);
         let y = m.add_var("y", VarType::Continuous, 0.0, 8.0);

@@ -157,9 +157,9 @@ pub struct SolveConfig {
     /// Leaving-row pricing rule for dual-simplex warm re-solves (see
     /// [`crate::simplex::DualPricingRule`]).
     pub dual_pricing: crate::simplex::DualPricingRule,
-    /// Route warm re-solves through the true dual simplex; `false`
-    /// restores the legacy warm-primal repair loop (the benchmark
-    /// baseline).
+    /// Route the root's warm re-solve through the true dual simplex;
+    /// `false` sends it through the one-violation repair loop that node
+    /// and dive re-solves always use.
     pub warm_dual: bool,
     /// Stop once an incumbent exists and the best bound has not improved
     /// for this many consecutive nodes (0 disables). Mirrors how

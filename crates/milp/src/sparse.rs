@@ -104,14 +104,16 @@ impl CscMatrix {
         self.values.len()
     }
 
+    /// The row indices and values of one column, as parallel slices.
+    pub fn column_slices(&self, col: usize) -> (&[u32], &[f64]) {
+        let span = self.col_starts[col]..self.col_starts[col + 1];
+        (&self.row_idx[span.clone()], &self.values[span])
+    }
+
     /// Iterates the `(row, value)` entries of one column.
     pub fn column(&self, col: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let start = self.col_starts[col];
-        let end = self.col_starts[col + 1];
-        self.row_idx[start..end]
-            .iter()
-            .zip(&self.values[start..end])
-            .map(|(r, v)| (cast::idx(*r), *v))
+        let (rows, values) = self.column_slices(col);
+        rows.iter().zip(values).map(|(r, v)| (cast::idx(*r), *v))
     }
 
     /// Computes the dot product `yᵀ A_j` for one column.

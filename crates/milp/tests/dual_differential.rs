@@ -120,23 +120,21 @@ fn dual_resolve_agrees_with_primal_on_random_lps() {
 type Eta = (usize, f64, Vec<(usize, f64)>);
 
 struct EtaFile {
-    lu: LuFactors,
+    /// The initial factorization; its solves are never updated in place.
+    lu: FtFactors,
     etas: Vec<Eta>,
-    scratch: Vec<f64>,
 }
 
 impl EtaFile {
     fn new(lu: LuFactors) -> Self {
-        let m = lu.dim();
         Self {
-            lu,
+            lu: FtFactors::from_lu(lu),
             etas: Vec::new(),
-            scratch: vec![0.0; m],
         }
     }
 
     fn ftran(&mut self, v: &mut [f64]) {
-        self.lu.ftran(v, &mut self.scratch);
+        self.lu.ftran(v);
         for (row, pivot, entries) in &self.etas {
             let t = v[*row] / pivot;
             v[*row] = t;
@@ -156,7 +154,7 @@ impl EtaFile {
             }
             v[*row] = s / pivot;
         }
-        self.lu.btran(v, &mut self.scratch);
+        self.lu.btran(v);
     }
 
     fn update(&mut self, row: usize, w: &[f64]) {
@@ -223,11 +221,11 @@ fn ft_residuals_stay_bounded_where_eta_file_degrades() {
     let mut rng = StdRng::seed_from_u64(0xF7_0E7A);
     // Well-conditioned sparse start: dominant diagonal + off-diagonals.
     let mut cols: Vec<Vec<(usize, f64)>> = (0..m).map(|j| good_col(m, j, &mut rng)).collect();
-    let lu = LuFactors::factorize(m, &cols, 1e-12).expect("start basis factorizes");
-    let mut ft = FtFactors::from_lu(LuFactors::factorize(m, &cols, 1e-12).expect("ft copy"));
-    let mut eta = EtaFile::new(lu);
+    let factorize =
+        |cols: &[Vec<(usize, f64)>]| LuFactors::factorize(m, |j| cols[j].iter().copied(), 1e-12);
+    let mut ft = FtFactors::from_lu(factorize(&cols).expect("ft copy"));
+    let mut eta = EtaFile::new(factorize(&cols).expect("start basis factorizes"));
 
-    let mut scratch = vec![0.0; m];
     let mut ft_updates = 0usize;
     let mut ft_rejections = 0usize;
     for round in 0..120 {
@@ -251,7 +249,7 @@ fn ft_residuals_stay_bounded_where_eta_file_degrades() {
             }
             let mut w_ft = w_eta.clone();
             eta.ftran(&mut w_eta);
-            ft.ftran(&mut w_ft, &mut scratch);
+            ft.ftran(&mut w_ft);
             eta.update(slot, &w_eta);
             cols[slot] = new_col;
             if ft.update(slot, &w_ft).is_ok() {
@@ -260,9 +258,7 @@ fn ft_residuals_stay_bounded_where_eta_file_degrades() {
                 // An FT rejection triggers an accuracy refactorization
                 // in the engine; mirror that here.
                 ft_rejections += 1;
-                ft = FtFactors::from_lu(
-                    LuFactors::factorize(m, &cols, 1e-12).expect("replacement basis factorizes"),
-                );
+                ft = FtFactors::from_lu(factorize(&cols).expect("replacement basis factorizes"));
             }
         }
     }
@@ -283,14 +279,14 @@ fn ft_residuals_stay_bounded_where_eta_file_degrades() {
         let mut rhs = vec![0.0; m];
         rhs[trial] = 1.0;
         let mut x_ft = rhs.clone();
-        ft.ftran(&mut x_ft, &mut scratch);
+        ft.ftran(&mut x_ft);
         worst_ft = worst_ft.max(ftran_residual(&b, &x_ft, &rhs));
         let mut x_eta = rhs.clone();
         eta.ftran(&mut x_eta);
         worst_eta = worst_eta.max(ftran_residual(&b, &x_eta, &rhs));
 
         let mut y_ft = rhs.clone();
-        ft.btran(&mut y_ft, &mut scratch);
+        ft.btran(&mut y_ft);
         worst_ft = worst_ft.max(btran_residual(&b, &y_ft, &rhs));
         let mut y_eta = rhs.clone();
         eta.btran(&mut y_eta);

@@ -1,15 +1,28 @@
-//! Release-mode timing smoke test: devex / partial-devex pricing must
-//! beat the Dantzig full-scan baseline on a region-scale LP by a clear
-//! margin, so a pricing regression fails CI instead of silently landing.
+//! Release-mode pricing smoke test: on a region-scale LP, devex and
+//! partial-devex pricing must keep their reduced costs incrementally —
+//! a handful of full rescans per solve, not one per pivot — and must not
+//! run slower than the Dantzig full-scan baseline they replace, so a
+//! pricing regression fails CI instead of silently landing.
 //!
-//! The threshold is deliberately generous (the measured speedup is much
-//! larger — see CHANGES.md); the point is to catch the pathological
-//! regression where incremental reduced-cost maintenance stops working
-//! and every pivot silently degrades back to a full O(n·nnz) rescan.
+//! The regression this guards against is incremental reduced-cost
+//! maintenance silently breaking, so that every pivot degrades back to a
+//! full O(n·nnz) rescan. The rescan count (`PricingStats::full_rebuilds`)
+//! shows exactly that and repeats from run to run; it is the gate. The
+//! test used to assert a 1.5x wall-clock margin over Dantzig instead,
+//! which measured how slow the baseline's rescan was as much as anything
+//! about devex: the margin was 1.9–2.2x while every column read went
+//! through a boxed iterator and 1.2–1.4x once it did not, with devex's
+//! own time unchanged. On this LP (100 000 rows, one entry per column)
+//! over two thirds of a devex pivot is the `m`-long FTRAN, BTRAN and
+//! factor update, which Dantzig pays too, so no pricing-side change puts
+//! the old margin back. The wall-clock check that remains is the one
+//! that holds whatever the baseline costs: a rule whose maintenance
+//! broke does Dantzig's rescan *plus* its own pivot-row work and
+//! cannot come out ahead.
 
 use std::time::Instant;
 
-use ras_milp::simplex::{solve_lp, LpStatus, PricingRule, SimplexConfig, DENSE_MAX_ROWS};
+use ras_milp::simplex::{solve_lp, LpResult, LpStatus, PricingRule, SimplexConfig, DENSE_MAX_ROWS};
 use ras_milp::standard::StandardForm;
 use ras_milp::{LinExpr, Model, Sense, VarType};
 
@@ -28,7 +41,7 @@ fn large_instance(n: usize, k: usize) -> StandardForm {
     StandardForm::from_model(&m)
 }
 
-fn time_solve(sf: &StandardForm, pricing: PricingRule) -> (f64, f64) {
+fn time_solve(sf: &StandardForm, pricing: PricingRule) -> (f64, LpResult) {
     let cfg = SimplexConfig {
         pricing,
         ..SimplexConfig::default()
@@ -37,7 +50,7 @@ fn time_solve(sf: &StandardForm, pricing: PricingRule) -> (f64, f64) {
     let r = solve_lp(sf, &sf.lower.clone(), &sf.upper.clone(), &cfg);
     let secs = start.elapsed().as_secs_f64();
     assert_eq!(r.status, LpStatus::Optimal, "{pricing:?} must solve");
-    (secs, r.objective)
+    (secs, r)
 }
 
 #[test]
@@ -53,27 +66,46 @@ fn devex_beats_dantzig_on_region_scale_lp() {
     // Warm the allocator/caches once, off the clock.
     let _ = time_solve(&sf, PricingRule::PartialDevex);
 
-    let (dantzig, obj_dantzig) = time_solve(&sf, PricingRule::Dantzig);
-    let (devex, obj_devex) = time_solve(&sf, PricingRule::Devex);
-    let (partial, obj_partial) = time_solve(&sf, PricingRule::PartialDevex);
+    let (dantzig, r_dantzig) = time_solve(&sf, PricingRule::Dantzig);
+    let (devex, r_devex) = time_solve(&sf, PricingRule::Devex);
+    let (partial, r_partial) = time_solve(&sf, PricingRule::PartialDevex);
     println!(
-        "dantzig {dantzig:.3}s  devex {devex:.3}s ({:.1}x)  partial {partial:.3}s ({:.1}x)",
+        "dantzig {dantzig:.3}s ({} rescans / {} pivots)  \
+         devex {devex:.3}s ({:.1}x, {} rescans)  partial {partial:.3}s ({:.1}x, {} rescans)",
+        r_dantzig.pricing.full_rebuilds,
+        r_dantzig.iterations,
         dantzig / devex,
-        dantzig / partial
+        r_devex.pricing.full_rebuilds,
+        dantzig / partial,
+        r_partial.pricing.full_rebuilds,
     );
-    assert!((obj_dantzig - k as f64).abs() < 1e-6);
-    assert!((obj_devex - obj_dantzig).abs() < 1e-6);
-    assert!((obj_partial - obj_dantzig).abs() < 1e-6);
+    assert!((r_dantzig.objective - k as f64).abs() < 1e-6);
+    assert!((r_devex.objective - r_dantzig.objective).abs() < 1e-6);
+    assert!((r_partial.objective - r_dantzig.objective).abs() < 1e-6);
 
-    // The acceptance bar is 2x; assert 1.5x so CI noise on shared
-    // runners cannot flake an honest pass (the real margin is far
-    // larger — the full factor is recorded in CHANGES.md).
+    // The gate: Dantzig rescans every column on every pivot (that is
+    // what makes it the baseline); the incremental rules rescan on phase
+    // entry, after a refactorization and to certify optimality — 4 and 5
+    // times over these 250 pivots. One rescan per 16 pivots leaves room
+    // for a changed refactorization interval, none for a broken update.
+    assert!(r_dantzig.pricing.full_rebuilds >= r_dantzig.iterations);
+    for (rule, r) in [("devex", &r_devex), ("partial devex", &r_partial)] {
+        assert!(r.iterations >= k, "{rule}: {} pivots", r.iterations);
+        assert!(
+            16 * r.pricing.full_rebuilds <= r.iterations,
+            "{rule} rescanned every column {} times in {} pivots",
+            r.pricing.full_rebuilds,
+            r.iterations
+        );
+    }
+    // And neither may be slower than the baseline it replaces (measured:
+    // devex 1.2–1.4x faster, partial devex 1.8–1.9x).
     assert!(
-        dantzig > 1.5 * devex,
-        "devex ({devex:.3}s) must clearly beat dantzig ({dantzig:.3}s)"
+        dantzig > devex,
+        "devex ({devex:.3}s) must beat dantzig ({dantzig:.3}s)"
     );
     assert!(
-        dantzig > 1.5 * partial,
-        "partial devex ({partial:.3}s) must clearly beat dantzig ({dantzig:.3}s)"
+        dantzig > partial,
+        "partial devex ({partial:.3}s) must beat dantzig ({dantzig:.3}s)"
     );
 }

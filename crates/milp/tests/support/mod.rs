@@ -1,0 +1,48 @@
+//! Reference oracle for the differential tests.
+//!
+//! The one-violation warm repair (the re-solve every branch-and-bound
+//! node runs) used to evaluate its dual ratio test on *every* nonbasic
+//! column each pivot. Production now visits only the columns with an
+//! entry in a row where `ρ = B⁻ᵀe_r` is nonzero; the full scan lives on
+//! here, as the oracle that restriction is checked against.
+//!
+//! It covers the column restriction only — which columns are marked and
+//! the order they are compared in. Each column's `α_j` and `d_j` come
+//! from the production `Simplex::repair_candidate`, so the arithmetic
+//! inside it is pinned elsewhere: by the primal/dual differential suites
+//! and the golden counts of `tests/node_resolve_identity.rs`.
+
+use ras_milp::simplex::Simplex;
+use ras_milp::tol;
+
+/// The entering column of a repair pivot by a scan over all `columns`
+/// (structural, slack and artificial), and how many columns tied with
+/// it on the dual ratio: smallest `|d_j / α_j|`, ties within the drop
+/// tolerance going to the largest `|α_j|` and then to the lowest index.
+pub fn full_scan_entering(
+    lp: &Simplex<'_>,
+    columns: usize,
+    to_upper: bool,
+) -> (Option<usize>, usize) {
+    let mut best: Option<(usize, f64, f64)> = None; // (col, |ratio|, |alpha|)
+    let mut tied = 0;
+    for j in 0..columns {
+        let Some((ratio, alpha)) = lp.repair_candidate(j, to_upper) else {
+            continue;
+        };
+        match best {
+            Some((_, br, _)) if ratio > br + tol::DROP => {}
+            Some((_, br, ba)) if ratio >= br - tol::DROP => {
+                tied += 1;
+                if alpha > ba {
+                    best = Some((j, ratio, alpha));
+                }
+            }
+            _ => {
+                tied = 0;
+                best = Some((j, ratio, alpha));
+            }
+        }
+    }
+    (best.map(|(j, _, _)| j), tied)
+}

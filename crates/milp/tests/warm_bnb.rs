@@ -1,9 +1,17 @@
 //! Warm-start integrity at the branch-and-bound level: enabling warm
 //! incumbents, heuristics, or presolve must never change the optimum —
 //! only the work needed to find it.
+//!
+//! At the LP level underneath it, the node re-solve path's
+//! pattern-restricted dual ratio test must pick exactly what a scan of
+//! every column (`support`) picks.
+
+mod support;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use ras_milp::simplex::{solve_lp, solve_lp_warm, BasisEngine, LpStatus, Simplex, SimplexConfig};
+use ras_milp::standard::StandardForm;
 use ras_milp::{LinExpr, Model, Sense, SolveConfig, VarType};
 
 /// A random small integer program (feasibility not guaranteed).
@@ -122,4 +130,117 @@ fn suboptimal_incumbent_is_improved_upon() {
         })
         .unwrap();
     assert_eq!(s.int_value(x), 8);
+}
+
+/// A random bounded LP with small integer data — degenerate vertices
+/// and tied dual ratios are the norm — and a few nonzeros per row, so
+/// the pivot row `ρ` stays sparse on the larger draws.
+fn random_lp(rng: &mut StdRng) -> Model {
+    let nv: usize = rng.gen_range(6..40);
+    let nc = rng.gen_range(3..30);
+    let mut m = Model::new();
+    let vars: Vec<_> = (0..nv)
+        .map(|i| {
+            let ub = rng.gen_range(1..7) as f64;
+            m.add_var(format!("x{i}"), VarType::Continuous, 0.0, ub)
+        })
+        .collect();
+    for ci in 0..nc {
+        let terms: Vec<_> = (0..rng.gen_range(2..7))
+            .map(|_| (vars[rng.gen_range(0..nv)], rng.gen_range(1..4) as f64))
+            .collect();
+        let sense = if rng.gen_range(0..4) == 0 {
+            Sense::Ge
+        } else {
+            Sense::Le
+        };
+        let rhs = rng.gen_range(4..24) as f64;
+        m.add_constraint(format!("c{ci}"), LinExpr::sum(terms), sense, rhs);
+    }
+    m.set_objective(LinExpr::sum(
+        vars.iter().map(|v| (*v, rng.gen_range(-5..3) as f64)),
+    ));
+    m
+}
+
+/// The pattern-restricted dual ratio test of the node re-solve path must
+/// pick, pivot for pivot and for the leaving row production chose, the
+/// entering column a scan of every column picks: over warm re-solves
+/// after branch-like bound changes, from optimal bases and from bases
+/// with an artificial column swapped in, on the dense and the
+/// Forrest–Tomlin engine. The oracle shares production's per-column
+/// `α_j`/`d_j` evaluation (see `support`): it checks the restriction to
+/// marked columns and the tie order, nothing else.
+#[test]
+fn pattern_restricted_ratio_test_matches_the_full_scan() {
+    let mut rng = StdRng::seed_from_u64(0x5EED12);
+    let (mut resolves, mut pivots, mut tied_pivots, mut artificial_bases) = (0, 0, 0, 0);
+    let mut no_candidate = 0;
+    while resolves < 720 {
+        let model = random_lp(&mut rng);
+        let sf = StandardForm::from_model(&model);
+        let cold = solve_lp(&sf, &sf.lower, &sf.upper, &SimplexConfig::default());
+        let Some(basis) = cold
+            .basis
+            .clone()
+            .filter(|_| cold.status == LpStatus::Optimal)
+        else {
+            continue;
+        };
+        let (rows, columns) = (sf.num_rows, sf.num_cols() + sf.num_rows);
+        for engine in [BasisEngine::Dense, BasisEngine::SparseLu] {
+            let config = SimplexConfig {
+                engine,
+                warm_dual: false,
+                ..SimplexConfig::default()
+            };
+            // One engine re-used across this LP's re-solves, as branch and
+            // bound re-uses its own.
+            let mut lp = Simplex::new(&sf, config.clone());
+            for _ in 0..3 {
+                // Branches: cut up to three variables' ranges at their LP values.
+                let (mut lower, mut upper) = (sf.lower.clone(), sf.upper.clone());
+                for _ in 0..rng.gen_range(1..4) {
+                    let j = rng.gen_range(0..model.num_vars());
+                    if rng.gen_range(0..2) == 0 {
+                        upper[j] = (cold.values[j] - 0.5).floor().max(lower[j]);
+                    } else {
+                        lower[j] = (cold.values[j] + 0.5).ceil().min(upper[j]);
+                    }
+                }
+                let mut warm = basis.clone();
+                if rng.gen_range(0..4) == 0 {
+                    // A remapped basis: some row covered by its artificial.
+                    let row = rng.gen_range(0..rows);
+                    warm.basis[row] = sf.num_cols() + row;
+                    artificial_bases += 1;
+                }
+                let observed = lp.solve_observed(
+                    &lower,
+                    &upper,
+                    Some(&warm),
+                    |lp, row, to_upper, entering| {
+                        let (expected, tied) = support::full_scan_entering(lp, columns, to_upper);
+                        assert_eq!(entering, expected, "entering column differs (row {row})");
+                        pivots += 1;
+                        tied_pivots += usize::from(tied > 0);
+                        no_candidate += usize::from(entering.is_none());
+                    },
+                );
+                // Observing changes nothing, and neither does re-use.
+                let plain = solve_lp_warm(&sf, &lower, &upper, &config, Some(&warm));
+                assert_eq!(observed.status, plain.status);
+                assert_eq!(observed.iterations, plain.iterations);
+                assert_eq!(observed.objective.to_bits(), plain.objective.to_bits());
+                resolves += 1;
+            }
+        }
+    }
+    assert!(pivots > 500, "too few repair pivots observed: {pivots}");
+    assert!(tied_pivots > 60, "too few tied dual ratios: {tied_pivots}");
+    assert!(
+        artificial_bases > 60,
+        "too few artificial bases: {artificial_bases}"
+    );
+    assert!(no_candidate > 20, "too few dead-end rows: {no_candidate}");
 }

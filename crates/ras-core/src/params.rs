@@ -74,8 +74,8 @@ pub struct SolverParams {
     pub audit: AuditMode,
     /// Route warm re-solves through the true dual simplex (bound-only
     /// round diffs then re-solve with zero phase-1 iterations). `false`
-    /// restores the legacy warm-primal repair loop; kept as the
-    /// benchmark baseline, not a production setting.
+    /// sends root re-solves through the one-violation repair loop that
+    /// branch-and-bound nodes use; not a production setting.
     pub warm_dual: bool,
     /// How aggressively solves aggregate before the MIP (see
     /// [`crate::aggregate`]). [`AggregationLevel::Classes`] is today's

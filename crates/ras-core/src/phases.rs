@@ -415,6 +415,11 @@ pub fn rack_overages(
             }
         }
     }
+    // Summed in (rack, reservation) order: in the map's per-process hash
+    // order, f64 rounding made near-tied reservations swap ranks — and
+    // the 10 % phase-2 cut — from one run to the next.
+    let mut per_rack: Vec<_> = per_rack.into_iter().collect();
+    per_rack.sort_unstable_by_key(|(key, _)| *key);
     let mut overage = vec![0.0; specs.len()];
     for ((_, r), rru) in per_rack {
         let ri = cast::idx(r);
@@ -512,6 +517,45 @@ mod tests {
             );
         }
         assert!(outcome.phase1.assignment_vars > 0);
+    }
+
+    /// Two reservations whose rack overages are sums of the same terms:
+    /// exactly tied in real arithmetic, a last bit apart in `f64` once the
+    /// terms are added in different orders. The ranking feeds phase 2's
+    /// 10 % cut, so it must not depend on a hash map's per-instance order.
+    #[test]
+    fn rack_overage_ranking_is_reproducible() {
+        let (region, _) = setup();
+        // Non-dyadic RRU values per hardware type, so the per-rack terms
+        // differ and their sum rounds differently in different orders.
+        let mut rru = RruTable::uniform(&region.catalog, 1.0);
+        for (k, hw) in region.catalog.iter().enumerate() {
+            rru.set(hw.id, 0.7 + 0.3 * k as f64);
+        }
+        let mut specs = Vec::new();
+        for name in ["a", "b", "c"] {
+            let mut spec = ReservationSpec::guaranteed(name, 90.0, rru.clone());
+            spec.spread.rack_share = Some(0.001);
+            specs.push(spec);
+        }
+        // Every rack alternates its servers between `a` and `b`, mirrored
+        // in every other rack; `c` takes none and ranks last.
+        let mut targets = vec![None; region.server_count()];
+        for (ri, rack) in region.racks().iter().enumerate() {
+            for (si, s) in rack.servers.iter().enumerate() {
+                targets[s.index()] = Some(ReservationId::from_index((ri + si) % 2));
+            }
+        }
+        let params = SolverParams::default();
+        let first = rack_overages(&region, &specs, &targets, &params);
+        assert!(first[0].1 > 0.0 && first[1].1 > 0.0 && first[2].1 == 0.0);
+        for _ in 0..64 {
+            let again = rack_overages(&region, &specs, &targets, &params);
+            let bits = |r: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                r.iter().map(|(i, v)| (*i, v.to_bits())).collect()
+            };
+            assert_eq!(bits(&again), bits(&first));
+        }
     }
 
     #[test]

@@ -1,0 +1,105 @@
+//! Identity oracle for branch-and-bound node re-solves.
+//!
+//! Branch and bound is chaotic in its inputs: one changed pivot in one
+//! node LP changes the tree. The constants below were recorded at the
+//! commit *before* the node re-solve hot path was rebuilt (pattern-
+//! restricted dual ratio test, allocation-free warm starts); any solver
+//! change that claims to be pivot-for-pivot identical must reproduce
+//! them unchanged, to the last bit of the objective.
+
+use ras::broker::{ResourceBroker, SimTime};
+use ras::core::aggregate::build_reduction;
+use ras::core::heuristic::greedy_counts;
+use ras::core::model::{build_model_labeled, soften_baseline};
+use ras::core::SolverParams;
+use ras::milp::simplex::{solve_lp, SimplexConfig};
+use ras::milp::standard::StandardForm;
+use ras::milp::{AuditMode, SolveConfig};
+use ras::topology::RegionTemplate;
+use ras_bench::instance;
+
+/// What must repeat: `(nodes, simplex iterations over every LP of the
+/// solve, cold root-LP iterations, objective bits, best-bound bits)`.
+type Fingerprint = (usize, usize, usize, u64, u64);
+
+/// Phase-1 MIP of a `bench::instance` medium portfolio on an empty
+/// broker, seeded with the greedy incumbent as the session seeds it, and
+/// searched under a node budget — no clock, no stall rule — so the tree
+/// is the same on every machine and every node of it is a warm re-solve.
+fn fingerprint(reservations: usize, utilization: f64, soften: bool) -> Fingerprint {
+    let (region, specs) =
+        instance::portfolio(RegionTemplate::medium(), 2, reservations, utilization);
+    let mut broker = ResourceBroker::new(region.server_count());
+    for s in &specs {
+        broker.register_reservation(&s.name);
+    }
+    let snapshot = broker.snapshot(SimTime::ZERO);
+    let params = SolverParams::default();
+    let reduction = build_reduction(
+        &region,
+        &snapshot,
+        &specs,
+        params.phase1_granularity,
+        params.aggregation,
+        None,
+    );
+    let baseline = soften_baseline(&region, &reduction.specs, &reduction.classes);
+    let ras = build_model_labeled(
+        &region,
+        &reduction.specs,
+        &reduction.classes,
+        &reduction.labels,
+        &params,
+        false,
+        soften.then_some(&baseline),
+    );
+    let greedy = ras.incumbent_from_counts(&greedy_counts(
+        &region,
+        &reduction.specs,
+        &reduction.classes,
+        &params,
+    ));
+    let config = SolveConfig {
+        time_limit_seconds: 1e6,
+        max_nodes: 600,
+        rel_gap_tol: params.mip_rel_gap,
+        abs_gap_tol: params.mip_abs_gap,
+        initial_incumbent: Some(greedy),
+        audit: AuditMode::Off,
+        ..SolveConfig::default()
+    };
+    let solution = ras.model.solve_with(&config).expect("portfolio solves");
+    let sf = StandardForm::from_model(&ras.model);
+    let root = solve_lp(&sf, &sf.lower, &sf.upper, &SimplexConfig::default());
+    (
+        solution.stats.nodes,
+        solution.stats.simplex_iterations,
+        root.iterations,
+        solution.objective.to_bits(),
+        solution.stats.best_bound.to_bits(),
+    )
+}
+
+#[test]
+fn satisfiable_24_spec_portfolio_repeats() {
+    assert_eq!(
+        fingerprint(24, 0.5, false),
+        (600, 6663, 1689, 4670324290201856246, 4670014702636901928)
+    );
+}
+
+#[test]
+fn satisfiable_40_spec_portfolio_repeats() {
+    assert_eq!(
+        fingerprint(40, 0.5, false),
+        (600, 10825, 2786, 4670685482520359731, 4670547665574546079)
+    );
+}
+
+#[test]
+fn oversubscribed_24_spec_portfolio_repeats() {
+    assert_eq!(
+        fingerprint(24, 0.85, true),
+        (600, 12267, 2361, 4706352623589838029, 4706298521788312895)
+    );
+}
