@@ -4,6 +4,12 @@
 //! the Online Mover and the Twine allocator subscribe (paper Figure 6,
 //! step 7). For deterministic simulation the "callback" is modeled as a
 //! per-subscriber queue drained by each component on its own schedule.
+//!
+//! Beside the notice queues sits the *change feed* ([`ChangeFeeds`]): per
+//! consumer, the set of servers whose binding, health or container count
+//! changed since that consumer last drained it. Consumers re-read those
+//! records and update their own typed indexes, so the broker never learns
+//! about hardware types or container shapes.
 
 use ras_topology::{ScopeId, ServerId};
 use serde::{Deserialize, Serialize};
@@ -115,6 +121,65 @@ impl EventQueue {
     }
 }
 
+/// Handle identifying a consumer's change feed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct ChangeFeedId(pub u32);
+
+/// One consumer's pending changes: each server at most once, in the order
+/// it first changed.
+#[derive(Debug)]
+struct ChangeFeed {
+    changed: Vec<ServerId>,
+    /// `listed[s]` ⇔ `s` is in `changed` (keeps the list duplicate-free and
+    /// therefore bounded by the fleet size however late the consumer drains).
+    listed: Vec<bool>,
+}
+
+/// Per-consumer sets of servers changed since the consumer's last drain.
+#[derive(Debug, Default)]
+pub struct ChangeFeeds {
+    feeds: Vec<ChangeFeed>,
+}
+
+impl ChangeFeeds {
+    /// Registers a consumer. Its first drain reports all `server_count`
+    /// servers (ascending), so a consumer builds its index and keeps it
+    /// current through one code path.
+    pub fn subscribe(&mut self, server_count: usize) -> ChangeFeedId {
+        self.feeds.push(ChangeFeed {
+            changed: (0..server_count).map(ServerId::from_index).collect(),
+            listed: vec![true; server_count],
+        });
+        ChangeFeedId((self.feeds.len() - 1) as u32)
+    }
+
+    /// Records a change of `server` for every consumer.
+    pub fn mark(&mut self, server: ServerId) {
+        for feed in &mut self.feeds {
+            if let Some(listed) = feed.listed.get_mut(server.index()) {
+                if !*listed {
+                    *listed = true;
+                    feed.changed.push(server);
+                }
+            }
+        }
+    }
+
+    /// Hands one consumer's pending changes to `visit`, in first-change
+    /// order, and forgets them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handle was not issued by this feed set.
+    pub fn drain(&mut self, consumer: ChangeFeedId, mut visit: impl FnMut(ServerId)) {
+        let feed = &mut self.feeds[consumer.0 as usize];
+        for server in feed.changed.drain(..) {
+            feed.listed[server.index()] = false;
+            visit(server);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,6 +214,36 @@ mod tests {
         let late = q.subscribe();
         assert_eq!(q.drain(a).len(), 1);
         assert!(q.drain(late).is_empty());
+    }
+
+    #[test]
+    fn change_feed_lists_each_server_once_per_drain() {
+        let mut feeds = ChangeFeeds::default();
+        let drained = |feeds: &mut ChangeFeeds, consumer| {
+            let mut got = Vec::new();
+            feeds.drain(consumer, |s| got.push(s));
+            got
+        };
+        let a = feeds.subscribe(3);
+        assert_eq!(
+            drained(&mut feeds, a),
+            vec![ServerId(0), ServerId(1), ServerId(2)]
+        );
+        let b = feeds.subscribe(3);
+        feeds.mark(ServerId(2));
+        feeds.mark(ServerId(0));
+        feeds.mark(ServerId(2));
+        assert_eq!(
+            drained(&mut feeds, a),
+            vec![ServerId(2), ServerId(0)],
+            "first-change order"
+        );
+        assert!(drained(&mut feeds, a).is_empty(), "a drain must consume");
+        assert_eq!(
+            drained(&mut feeds, b).len(),
+            3,
+            "a late consumer still starts from everything"
+        );
     }
 
     #[test]

@@ -16,7 +16,10 @@ pub mod record;
 pub mod store;
 pub mod time;
 
-pub use events::{EventNotice, EventQueue, SubscriberId, UnavailabilityEvent, UnavailabilityKind};
+pub use events::{
+    ChangeFeedId, ChangeFeeds, EventNotice, EventQueue, SubscriberId, UnavailabilityEvent,
+    UnavailabilityKind,
+};
 pub use record::{ReservationId, ServerRecord};
 pub use store::{BrokerError, BrokerSnapshot, ResourceBroker};
 pub use time::SimTime;

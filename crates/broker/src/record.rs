@@ -25,6 +25,7 @@ impl ReservationId {
     ///
     /// Panics if `index` exceeds `u32`.
     pub fn from_index(index: usize) -> Self {
+        // lint:allow(solver-unwrap): the documented contract, as for the topology ids; an index is a position in a spec list
         Self(u32::try_from(index).expect("reservation index exceeds u32"))
     }
 }

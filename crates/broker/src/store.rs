@@ -1,9 +1,13 @@
 //! The broker store: versioned records plus the subscription fan-out.
 
+use std::collections::BTreeSet;
+
 use ras_topology::ServerId;
 use serde::{Deserialize, Serialize};
 
-use crate::events::{EventNotice, EventQueue, SubscriberId, UnavailabilityEvent};
+use crate::events::{
+    ChangeFeedId, ChangeFeeds, EventNotice, EventQueue, SubscriberId, UnavailabilityEvent,
+};
 use crate::record::{ReservationId, ServerRecord};
 use crate::time::SimTime;
 
@@ -58,11 +62,23 @@ impl BrokerSnapshot {
 }
 
 /// The region's server-state store (paper Figure 6, bottom).
+///
+/// Membership is indexed where it changes: every write that moves
+/// `current` or `target` also moves the server between the ordered sets
+/// below, so [`ResourceBroker::members_of`], [`ResourceBroker::member_count`]
+/// and [`ResourceBroker::pending_moves`] never walk the fleet.
 #[derive(Debug, Default)]
 pub struct ResourceBroker {
     records: Vec<ServerRecord>,
     reservation_names: Vec<String>,
     events: EventQueue,
+    /// `members[r]`: servers with `current == Some(r)`, ascending.
+    members: Vec<BTreeSet<ServerId>>,
+    /// Servers with `current == None`, ascending.
+    unbound: BTreeSet<ServerId>,
+    /// Servers with `target != current`, ascending.
+    pending: BTreeSet<ServerId>,
+    changes: ChangeFeeds,
 }
 
 impl ResourceBroker {
@@ -70,8 +86,8 @@ impl ResourceBroker {
     pub fn new(server_count: usize) -> Self {
         Self {
             records: vec![ServerRecord::default(); server_count],
-            reservation_names: Vec::new(),
-            events: EventQueue::new(),
+            unbound: (0..server_count).map(ServerId::from_index).collect(),
+            ..Self::default()
         }
     }
 
@@ -109,6 +125,31 @@ impl ResourceBroker {
             .ok_or(BrokerError::UnknownServer(server))
     }
 
+    /// The ordered set holding the servers bound to `binding`.
+    fn bound_set(&mut self, binding: Option<ReservationId>) -> &mut BTreeSet<ServerId> {
+        match binding {
+            None => &mut self.unbound,
+            Some(r) => {
+                // Bindings may name a reservation that was never registered.
+                if self.members.len() <= r.index() {
+                    self.members.resize_with(r.index() + 1, BTreeSet::new);
+                }
+                &mut self.members[r.index()]
+            }
+        }
+    }
+
+    /// Re-files `server` in the pending-move set after a write to its
+    /// `target` or `current`.
+    fn refile_pending(&mut self, server: ServerId) {
+        let r = &self.records[server.index()];
+        if r.target != r.current {
+            self.pending.insert(server);
+        } else {
+            self.pending.remove(&server);
+        }
+    }
+
     /// Writes the solver's target for one server (unconditional).
     pub fn set_target(
         &mut self,
@@ -118,6 +159,7 @@ impl ResourceBroker {
         let r = self.record_mut(server)?;
         r.target = target;
         r.version += 1;
+        self.refile_pending(server);
         Ok(())
     }
 
@@ -139,6 +181,7 @@ impl ResourceBroker {
         }
         r.target = target;
         r.version += 1;
+        self.refile_pending(server);
         Ok(())
     }
 
@@ -150,10 +193,20 @@ impl ResourceBroker {
         current: Option<ReservationId>,
     ) -> Result<(), BrokerError> {
         let r = self.record_mut(server)?;
-        r.current = current;
+        let previous = std::mem::replace(&mut r.current, current);
         // Any rebinding also cancels an elastic loan.
         r.elastic = None;
         r.version += 1;
+        if previous != current {
+            let was_filed = self.bound_set(previous).remove(&server);
+            let is_new = self.bound_set(current).insert(server);
+            debug_assert!(
+                was_filed && is_new,
+                "{server} filed under the wrong binding"
+            );
+            self.refile_pending(server);
+            self.changes.mark(server);
+        }
         Ok(())
     }
 
@@ -172,17 +225,24 @@ impl ResourceBroker {
     /// Updates the container count reported by the Twine allocator.
     pub fn set_running_containers(&mut self, server: ServerId, n: u32) -> Result<(), BrokerError> {
         let r = self.record_mut(server)?;
+        let changed = r.running_containers != n;
         r.running_containers = n;
         r.version += 1;
+        if changed {
+            self.changes.mark(server);
+        }
         Ok(())
     }
 
     /// Health Check Service: marks a server down and notifies subscribers.
     pub fn mark_down(&mut self, event: UnavailabilityEvent) -> Result<(), BrokerError> {
         let r = self.record_mut(event.server)?;
-        r.unavailability = Some(event);
+        let was_up = r.unavailability.replace(event).is_none();
         r.version += 1;
         self.events.publish(EventNotice::Down(event));
+        if was_up {
+            self.changes.mark(event.server);
+        }
         Ok(())
     }
 
@@ -192,6 +252,7 @@ impl ResourceBroker {
         if r.unavailability.take().is_some() {
             r.version += 1;
             self.events.publish(EventNotice::Recovered { server, at });
+            self.changes.mark(server);
         }
         Ok(())
     }
@@ -206,6 +267,34 @@ impl ResourceBroker {
         self.events.drain(subscriber)
     }
 
+    /// Registers a change-feed consumer (Mover, Twine). Its first
+    /// [`ResourceBroker::take_changes`] reports every server.
+    pub fn watch_changes(&mut self) -> ChangeFeedId {
+        self.changes.subscribe(self.records.len())
+    }
+
+    /// Shows `visit` the servers whose binding (`current`), health
+    /// (`is_up`) or container count changed since this consumer's last
+    /// call — each once, in first-change order, with its record as it is
+    /// now — so the consumer can update whatever it derives from them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the handle was not issued by this broker.
+    pub fn take_changes(
+        &mut self,
+        consumer: ChangeFeedId,
+        mut visit: impl FnMut(ServerId, &ServerRecord),
+    ) {
+        let records = &self.records;
+        self.changes.drain(consumer, |server| {
+            // Only servers with a record are ever marked.
+            if let Some(record) = records.get(server.index()) {
+                visit(server, record);
+            }
+        });
+    }
+
     /// Takes a consistent snapshot for the Async Solver.
     pub fn snapshot(&self, at: SimTime) -> BrokerSnapshot {
         BrokerSnapshot {
@@ -215,32 +304,36 @@ impl ResourceBroker {
     }
 
     /// Servers whose target differs from their current binding — the
-    /// Online Mover's work queue.
+    /// Online Mover's work queue, ascending.
     pub fn pending_moves(&self) -> Vec<ServerId> {
-        self.records
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.target != r.current)
-            .map(|(i, _)| ServerId::from_index(i))
-            .collect()
+        self.pending.iter().copied().collect()
     }
 
-    /// Servers currently bound to a reservation.
+    /// Servers currently bound to a reservation, ascending.
     pub fn members_of(&self, reservation: ReservationId) -> Vec<ServerId> {
-        self.records
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.current == Some(reservation))
-            .map(|(i, _)| ServerId::from_index(i))
-            .collect()
+        self.members(reservation).collect()
+    }
+
+    /// [`ResourceBroker::members_of`] without the allocation: borrows the
+    /// member set and yields it in ascending order.
+    pub fn members(&self, reservation: ReservationId) -> impl Iterator<Item = ServerId> + '_ {
+        self.members
+            .get(reservation.index())
+            .into_iter()
+            .flatten()
+            .copied()
+    }
+
+    /// Servers bound to no reservation (the free pool), ascending.
+    pub fn unbound(&self) -> impl Iterator<Item = ServerId> + '_ {
+        self.unbound.iter().copied()
     }
 
     /// Count of servers currently bound to a reservation.
     pub fn member_count(&self, reservation: ReservationId) -> usize {
-        self.records
-            .iter()
-            .filter(|r| r.current == Some(reservation))
-            .count()
+        self.members
+            .get(reservation.index())
+            .map_or(0, BTreeSet::len)
     }
 
     /// Iterates `(server, record)` pairs.

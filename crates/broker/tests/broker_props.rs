@@ -1,6 +1,7 @@
 //! Property-based tests for the Resource Broker: version monotonicity,
 //! CAS linearizability under random operation sequences, snapshot
-//! isolation, and event-delivery completeness.
+//! isolation, event-delivery completeness, and the maintained membership
+//! sets and change feed against a fresh walk of the records.
 
 use proptest::prelude::*;
 use ras_broker::{
@@ -161,6 +162,93 @@ proptest! {
             match n {
                 EventNotice::Down(e) => prop_assert!(e.server.0 < N),
                 EventNotice::Recovered { server, .. } => prop_assert!(server.0 < N),
+            }
+        }
+    }
+
+    #[test]
+    fn maintained_sets_equal_a_fresh_filter(
+        ops in prop::collection::vec(arb_op(N, 3), 1..80),
+        cas in prop::collection::vec((0..N, prop::option::of(0u32..3)), 0..8),
+    ) {
+        let mut broker = ResourceBroker::new(N as usize);
+        for _ in 0..3 {
+            broker.register_reservation("r");
+        }
+        let check = |broker: &ResourceBroker| {
+            let servers_where = |keep: &dyn Fn(&ras_broker::ServerRecord) -> bool| -> Vec<ServerId> {
+                broker.iter().filter(|(_, r)| keep(r)).map(|(s, _)| s).collect()
+            };
+            for r in (0..3).map(ReservationId) {
+                let scan = servers_where(&|rec| rec.current == Some(r));
+                assert_eq!(broker.members_of(r), scan);
+                assert_eq!(broker.members(r).collect::<Vec<_>>(), scan);
+                assert_eq!(broker.member_count(r), scan.len());
+            }
+            assert_eq!(
+                broker.unbound().collect::<Vec<_>>(),
+                servers_where(&|rec| rec.current.is_none())
+            );
+            assert_eq!(
+                broker.pending_moves(),
+                servers_where(&|rec| rec.target != rec.current)
+            );
+        };
+        check(&broker);
+        for (t, op) in ops.iter().enumerate() {
+            apply(&mut broker, op, t as u64);
+            check(&broker);
+        }
+        // Emergency-path writes keep the pending set current too.
+        for (s, target) in cas {
+            let v = broker.record(ServerId(s)).unwrap().version;
+            broker.cas_target(ServerId(s), v, target.map(ReservationId)).unwrap();
+            check(&broker);
+        }
+    }
+
+    #[test]
+    fn change_feed_reports_every_changed_server(
+        ops in prop::collection::vec(arb_op(N, 3), 1..80),
+        drain_every in 1usize..12,
+    ) {
+        let mut broker = ResourceBroker::new(N as usize);
+        for _ in 0..3 {
+            broker.register_reservation("r");
+        }
+        // What a consumer indexes: binding, health, container count.
+        let view = |broker: &ResourceBroker, s: u32| {
+            let r = broker.record(ServerId(s)).unwrap();
+            (r.current, r.is_up(), r.running_containers)
+        };
+        let feed = broker.watch_changes();
+        let drained = |broker: &mut ResourceBroker| {
+            let mut changed = Vec::new();
+            broker.take_changes(feed, |s, _| changed.push(s));
+            changed
+        };
+        prop_assert_eq!(
+            drained(&mut broker).len(),
+            N as usize,
+            "a new consumer starts from every server"
+        );
+        let mut seen: Vec<_> = (0..N).map(|s| view(&broker, s)).collect();
+        for (t, op) in ops.iter().enumerate() {
+            apply(&mut broker, op, t as u64);
+            if t % drain_every != 0 {
+                continue;
+            }
+            let changed = drained(&mut broker);
+            let mut once = changed.clone();
+            once.sort_unstable();
+            once.dedup();
+            prop_assert_eq!(once.len(), changed.len(), "a server is reported once per drain");
+            for s in 0..N {
+                let now = view(&broker, s);
+                if now != seen[s as usize] {
+                    prop_assert!(changed.contains(&ServerId(s)), "change of {} not reported", s);
+                    seen[s as usize] = now;
+                }
             }
         }
     }

@@ -1,8 +1,10 @@
 //! Target execution and failure replacement.
 
-use ras_broker::{EventNotice, ReservationId, ResourceBroker, SimTime, SubscriberId};
+use std::collections::{BTreeMap, BTreeSet};
+
+use ras_broker::{ChangeFeedId, EventNotice, ReservationId, ResourceBroker, SimTime, SubscriberId};
 use ras_core::reservation::{ReservationKind, ReservationSpec};
-use ras_topology::{Region, ServerId};
+use ras_topology::{HardwareTypeId, Region, ServerId};
 
 use crate::log::{MoveLog, MoveReason, MoveRecord};
 
@@ -25,22 +27,43 @@ impl Default for MoverConfig {
     }
 }
 
+/// Where an idle, up server is filed: its hardware type and its binding.
+/// Whether a binding is a shared buffer is the caller's `specs` to say, at
+/// the time of the failure.
+type Pool = (HardwareTypeId, Option<ReservationId>);
+
 /// The Online Mover.
 #[derive(Debug)]
 pub struct OnlineMover {
     config: MoverConfig,
     subscriber: SubscriberId,
+    /// The broker change feed that keeps `pools` current.
+    feed: ChangeFeedId,
+    /// Up servers without containers, ascending within each pool — the
+    /// only servers a failure replacement can come from.
+    pools: BTreeMap<Pool, BTreeSet<ServerId>>,
+    /// The pool each server is filed in, indexed by [`ServerId::index`].
+    filed: Vec<Option<Pool>>,
     /// Executed-move log (Figure 16's data source).
     pub log: MoveLog,
+    /// Work counter of the latest [`OnlineMover::handle_failures`] call:
+    /// pool servers inspected over all its replacements. The pools keep
+    /// it proportional to hardware types times buffer reservations, not
+    /// to fleet size.
+    pub last_servers_inspected: usize,
 }
 
 impl OnlineMover {
-    /// Creates a mover and subscribes it to broker events.
+    /// Creates a mover and subscribes it to broker events and changes.
     pub fn new(broker: &mut ResourceBroker, config: MoverConfig) -> Self {
         Self {
             config,
             subscriber: broker.subscribe(),
+            feed: broker.watch_changes(),
+            pools: BTreeMap::new(),
+            filed: Vec::new(),
             log: MoveLog::new(),
+            last_servers_inspected: 0,
         }
     }
 
@@ -57,27 +80,26 @@ impl OnlineMover {
         let pending = broker.pending_moves();
         let mut executed = 0;
         for server in pending.into_iter().take(self.config.moves_per_cycle) {
-            let record = match broker.record(server) {
-                Ok(r) => r.clone(),
-                Err(_) => continue,
+            let Ok(record) = broker.record(server) else {
+                continue;
             };
             // Down servers cannot be reconfigured; the move waits.
             if !record.is_up() {
                 continue;
             }
+            let (from, target) = (record.current, record.target);
             let in_use = record.running_containers > 0;
             if in_use {
                 // Preempt containers off the host (host cleanup + OS
                 // reconfiguration follow in the real system).
                 preempt(server, broker);
             }
-            let target = record.target;
             if broker.bind_current(server, target).is_err() {
                 continue;
             }
             self.log.push(MoveRecord {
                 server,
-                from: record.current,
+                from,
                 to: target,
                 at,
                 in_use,
@@ -104,6 +126,7 @@ impl OnlineMover {
     ) -> Vec<(ServerId, ServerId)> {
         let notices = broker.drain_events(self.subscriber);
         let mut replacements = Vec::new();
+        self.last_servers_inspected = 0;
         for notice in notices {
             let EventNotice::Down(event) = notice else {
                 continue;
@@ -123,8 +146,9 @@ impl OnlineMover {
             if spec.kind != ReservationKind::Guaranteed {
                 continue;
             }
+            self.sync(region, broker);
             if let Some(replacement) =
-                self.find_buffer_replacement(region, specs, broker, spec, event.server)
+                self.find_buffer_replacement(region, specs, spec, event.server)
             {
                 let done = at.plus_secs(self.config.replacement_latency_secs);
                 let from = broker
@@ -149,46 +173,89 @@ impl OnlineMover {
         replacements
     }
 
+    /// Brings the pools up to the broker's state: re-files every server
+    /// the change feed reports.
+    fn sync(&mut self, region: &Region, broker: &mut ResourceBroker) {
+        self.filed.resize(region.server_count(), None);
+        let (filed, pools) = (&mut self.filed, &mut self.pools);
+        broker.take_changes(self.feed, |server, record| {
+            // A server the region does not describe is no replacement
+            // for anything.
+            let Some(filed) = filed.get_mut(server.index()) else {
+                return;
+            };
+            let pool = (record.is_up() && record.running_containers == 0)
+                .then(|| (region.server(server).hardware, record.current));
+            if *filed == pool {
+                return;
+            }
+            if let Some(old) = std::mem::replace(filed, pool) {
+                let mut was_filed = false;
+                if let Some(servers) = pools.get_mut(&old) {
+                    was_filed = servers.remove(&server);
+                    if servers.is_empty() {
+                        pools.remove(&old);
+                    }
+                }
+                debug_assert!(was_filed, "{server} missing from its pool");
+            }
+            if let Some(new) = pool {
+                let is_new = pools.entry(new).or_default().insert(server);
+                debug_assert!(is_new, "{server} filed twice");
+            }
+        });
+    }
+
     /// Finds a healthy, idle server in a shared-buffer reservation (or
     /// the free pool as a fallback) that the impacted workload can use —
     /// preferring the same hardware type as the failed server.
+    ///
+    /// The answer is the one an id-ordered walk of the fleet gives: the
+    /// first buffer server of the failed server's type if that type is
+    /// eligible and one exists, else the lowest-id eligible server of the
+    /// buffers and the free pool. Each pool is ascending, so its head is
+    /// all of it that can be the answer.
     fn find_buffer_replacement(
-        &self,
+        &mut self,
         region: &Region,
         specs: &[ReservationSpec],
-        broker: &ResourceBroker,
         impacted_spec: &ReservationSpec,
         failed: ServerId,
     ) -> Option<ServerId> {
         let failed_hw = region.server(failed).hardware;
-        let is_buffer = |r: Option<ReservationId>| match r {
-            Some(id) => specs
-                .get(id.index())
-                .is_some_and(|s| s.kind == ReservationKind::SharedBuffer),
-            None => false,
+        let buffers = || {
+            specs
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.kind == ReservationKind::SharedBuffer)
+                .map(|(i, _)| Some(ReservationId::from_index(i)))
         };
-        let mut fallback = None;
-        for (server, record) in broker.iter() {
-            if server == failed || !record.is_up() || record.running_containers > 0 {
-                continue;
-            }
-            let hw = region.server(server).hardware;
-            if !impacted_spec.rru.eligible(hw) {
-                continue;
-            }
-            let from_buffer = is_buffer(record.current);
-            let from_pool = record.current.is_none();
-            if !from_buffer && !from_pool {
-                continue;
-            }
-            if from_buffer && hw == failed_hw {
-                return Some(server); // Ideal: same type, from the buffer.
-            }
-            if fallback.is_none() && (from_buffer || from_pool) {
-                fallback = Some(server);
-            }
+        let mut inspected = 0;
+        let mut head = |hw: HardwareTypeId, binding: Option<ReservationId>| {
+            let first = self.pools.get(&(hw, binding))?.first().copied();
+            inspected += 1;
+            first
+        };
+        let mut choice = None;
+        if impacted_spec.rru.eligible(failed_hw) {
+            // Ideal: same type, from the buffer.
+            choice = buffers().filter_map(|b| head(failed_hw, b)).min();
         }
-        fallback
+        if choice.is_none() {
+            choice = region
+                .catalog
+                .iter()
+                .filter(|hw| impacted_spec.rru.eligible(hw.id))
+                .flat_map(|hw| {
+                    std::iter::once(None)
+                        .chain(buffers())
+                        .map(move |binding| (hw.id, binding))
+                })
+                .filter_map(|(hw, binding)| head(hw, binding))
+                .min();
+        }
+        self.last_servers_inspected += inspected;
+        choice
     }
 }
 

@@ -396,7 +396,7 @@ pub(crate) fn stranded_now(
             continue;
         }
         let mut free = Vec::new();
-        for s in broker.members_of(r) {
+        for s in broker.members(r) {
             let up = broker.record(s).map(|rec| rec.is_up()).unwrap_or(false);
             if !up || sched.allocator.containers_on(s) == 0 {
                 continue;

@@ -341,7 +341,7 @@ impl Simulation {
                 continue;
             }
             let mut free = Vec::new();
-            for s in self.broker.members_of(r) {
+            for s in self.broker.members(r) {
                 let up = self
                     .broker
                     .record(s)

@@ -4,10 +4,10 @@
 //! and keeps the broker's `running_containers` counters in sync, which is
 //! how the Async Solver learns which servers are expensive to move.
 //!
-//! Placement is policy-pluggable: every candidate server that fits the
+//! Placement is policy-pluggable: every capacity state that fits the
 //! container is scored by a [`PlacementPolicy`] and the lowest score wins
 //! (after the rack anti-affinity tier, which the allocator applies
-//! itself). Two policies ship:
+//! itself), the lowest server id among equals. Two policies ship:
 //!
 //! * [`BestFit`] — the classic tightest-stacking rule: least residual
 //!   cores after placement. Cheap and dense, but blind to the memory
@@ -18,11 +18,12 @@
 //!   balance most heavily so neither cores nor memory is left stranded
 //!   behind an exhausted complement.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use ras_broker::{ReservationId, ResourceBroker};
+use ras_broker::{ChangeFeedId, ReservationId, ResourceBroker};
 use ras_milp::cast;
-use ras_topology::{Region, ServerId};
+use ras_topology::{HardwareTypeId, RackId, Region, ServerId};
 use serde::{Deserialize, Serialize};
 
 use crate::job::{ContainerId, ContainerSpec, JobId, JobSpec};
@@ -175,25 +176,86 @@ struct Placement {
     spec: ContainerSpec,
 }
 
+/// A job as the allocator knows it.
+#[derive(Debug)]
+struct JobEntry {
+    /// Latest spec submitted under this id.
+    spec: JobSpec,
+    /// Replicas currently placed per rack — the anti-affinity penalty of
+    /// every server in that rack. Racks without replicas are absent.
+    racks: HashMap<RackId, usize>,
+}
+
+/// The capacity state all servers of one bucket share. A
+/// [`PlacementPolicy`] sees nothing else of a server (the [`Candidate`]
+/// is built from exactly these three values), so one score stands for
+/// the whole bucket.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Bucket {
+    hardware: HardwareTypeId,
+    /// Free cores and memory as `f64::to_bits`: equal bits, equal score.
+    free_cores: u64,
+    free_memory: u64,
+}
+
+/// Per-server allocator state.
+#[derive(Debug)]
+struct Host {
+    hardware: HardwareTypeId,
+    rack: RackId,
+    /// Free `(cores, memory_gib)`: hardware capacity minus `containers`.
+    free: (f64, f64),
+    /// Containers placed here, ascending: ids are minted in increasing
+    /// order and appended.
+    containers: Vec<ContainerId>,
+    /// The reservation whose buckets list this server — its broker
+    /// binding while it is up, `None` while it is down or unbound.
+    listed: Option<ReservationId>,
+}
+
+impl Host {
+    fn bucket(&self) -> Bucket {
+        Bucket {
+            hardware: self.hardware,
+            free_cores: self.free.0.to_bits(),
+            free_memory: self.free.1.to_bits(),
+        }
+    }
+}
+
+/// One reservation's placeable servers, grouped by capacity state.
+type Buckets = BTreeMap<Bucket, BTreeSet<ServerId>>;
+
 /// The per-region Twine allocator (manages many reservations; each
 /// placement decision only looks at one).
+///
+/// Placement answers from three indexes instead of scans: per server its
+/// container list, per job its replicas per rack, and per reservation
+/// its up members grouped into capacity-state buckets. Membership
+/// and health reach the buckets through the broker's change feed; free
+/// capacity moves a server between buckets as containers come and go.
 #[derive(Debug)]
 pub struct TwineAllocator {
-    /// Latest spec submitted per job id — identity for anti-affinity and
-    /// evacuation re-placement. Retries of the same job update in place
-    /// rather than minting duplicates.
-    jobs: HashMap<JobId, JobSpec>,
+    /// Identity for anti-affinity and evacuation re-placement. Retries of
+    /// the same job update the spec in place rather than minting
+    /// duplicates.
+    jobs: HashMap<JobId, JobEntry>,
     containers: HashMap<ContainerId, Placement>,
     next_container: u64,
     /// Next allocator-minted job id (for callers without their own ids);
     /// kept past any externally supplied id to avoid collisions.
     next_job: u32,
-    /// Free capacity per server (initialized lazily from hardware specs).
-    free: HashMap<ServerId, (f64, f64)>,
+    /// Indexed by [`ServerId::index`]; filled from the region on first use.
+    hosts: Vec<Host>,
+    /// Indexed by [`ReservationId::index`].
+    buckets: Vec<Buckets>,
+    /// The broker change feed that keeps `Host::listed` current.
+    feed: Option<ChangeFeedId>,
     policy: Box<dyn PlacementPolicy>,
-    /// Candidate-evaluation counter for the latest placement call — the
-    /// two-level design keeps this proportional to reservation size, not
-    /// region size.
+    /// Work counter of the latest placement call: bucket representatives
+    /// scored plus servers inspected. The indexes keep it proportional to
+    /// the number of distinct capacity states and the job's replicas, not
+    /// to reservation or region size.
     pub last_candidates_evaluated: usize,
 }
 
@@ -201,6 +263,23 @@ impl Default for TwineAllocator {
     fn default() -> Self {
         Self::with_policy(PlacementPolicyKind::BestFit)
     }
+}
+
+/// The first id that can follow `server` and a run of its rack-mates.
+/// A rack's ids ascend (`Region::add_server` appends them in id order);
+/// when they are consecutive, everything up to the last one is the same
+/// rack, otherwise only `server` itself is known to be.
+fn after_rack_run(region: &Region, server: ServerId, rack: RackId) -> Option<ServerId> {
+    let mates = &region.rack(rack).servers;
+    let last = match (mates.first(), mates.last()) {
+        (Some(first), Some(last))
+            if last.index().checked_sub(first.index()) == Some(mates.len() - 1) =>
+        {
+            *last
+        }
+        _ => server,
+    };
+    last.0.checked_add(1).map(ServerId)
 }
 
 impl TwineAllocator {
@@ -216,7 +295,9 @@ impl TwineAllocator {
             containers: HashMap::new(),
             next_container: 0,
             next_job: 0,
-            free: HashMap::new(),
+            hosts: Vec::new(),
+            buckets: Vec::new(),
+            feed: None,
             policy: kind.build(),
             last_candidates_evaluated: 0,
         }
@@ -227,22 +308,37 @@ impl TwineAllocator {
         self.policy.name()
     }
 
-    fn free_capacity(&mut self, region: &Region, server: ServerId) -> (f64, f64) {
-        *self.free.entry(server).or_insert_with(|| {
-            let hw = region.catalog.get(region.server(server).hardware);
-            (hw.cores as f64, hw.memory_gib as f64)
-        })
+    /// Gives every server of the region a [`Host`] at hardware capacity.
+    fn ensure_hosts(&mut self, region: &Region) {
+        let known = self.hosts.len();
+        self.hosts
+            .extend(region.servers().iter().skip(known).map(|server| {
+                let hw = region.catalog.get(server.hardware);
+                Host {
+                    hardware: server.hardware,
+                    rack: server.rack,
+                    free: (hw.cores as f64, hw.memory_gib as f64),
+                    containers: Vec::new(),
+                    listed: None,
+                }
+            }));
     }
 
     /// Free capacity `(cores, memory_gib)` currently tracked for one
     /// server (hardware capacity if nothing was ever placed there).
     pub fn free_capacity_of(&mut self, region: &Region, server: ServerId) -> (f64, f64) {
-        self.free_capacity(region, server)
+        self.ensure_hosts(region);
+        self.hosts[server.index()].free
     }
 
     /// True when the container is currently placed.
     pub fn contains(&self, container: ContainerId) -> bool {
         self.containers.contains_key(&container)
+    }
+
+    /// The server a container currently runs on.
+    pub fn server_of(&self, container: ContainerId) -> Option<ServerId> {
+        self.containers.get(&container).map(|p| p.server)
     }
 
     /// The distinct container shapes offered by the reservation's jobs —
@@ -251,8 +347,8 @@ impl TwineAllocator {
     pub fn container_shapes(&self, reservation: ReservationId) -> Vec<ContainerSpec> {
         let mut shapes: Vec<ContainerSpec> = Vec::new();
         for j in self.jobs.values() {
-            if j.reservation == reservation && !shapes.contains(&j.container) {
-                shapes.push(j.container);
+            if j.spec.reservation == reservation && !shapes.contains(&j.spec.container) {
+                shapes.push(j.spec.container);
             }
         }
         shapes
@@ -302,9 +398,9 @@ impl TwineAllocator {
     /// Places `job.replicas` containers under the *caller's* job id.
     ///
     /// Schedulers that retry or scale a job call this with the same id
-    /// every time, so the rack anti-affinity scan sees replicas placed in
-    /// earlier calls and job bookkeeping stays deduplicated (the stored
-    /// spec is updated in place, never duplicated).
+    /// every time, so rack anti-affinity sees replicas placed in earlier
+    /// calls and job bookkeeping stays deduplicated (the stored spec is
+    /// updated in place, never duplicated).
     pub fn submit_partial_as(
         &mut self,
         region: &Region,
@@ -315,16 +411,25 @@ impl TwineAllocator {
         self.next_job = self.next_job.max(job_id.0.saturating_add(1));
         let reservation = job.reservation;
         let replicas = job.replicas;
+        let (container, anti_affinity) = (job.container, job.rack_anti_affinity);
         let mut placed = Vec::new();
         self.last_candidates_evaluated = 0;
-        self.jobs.insert(job_id, job.clone());
+        match self.jobs.entry(job_id) {
+            Entry::Occupied(mut known) => known.get_mut().spec = job,
+            Entry::Vacant(new) => {
+                new.insert(JobEntry {
+                    spec: job,
+                    racks: HashMap::new(),
+                });
+            }
+        }
         for _ in 0..replicas {
             match self.place_one(
                 region,
                 broker,
                 reservation,
-                job.container,
-                job.rack_anti_affinity,
+                container,
+                anti_affinity,
                 job_id,
                 None,
             ) {
@@ -334,6 +439,143 @@ impl TwineAllocator {
         }
         let unplaced = replicas - cast::idx32(placed.len());
         (placed, unplaced)
+    }
+
+    /// Brings `Host::listed` and the buckets up to the broker's state:
+    /// re-reads every server the change feed reports.
+    fn sync(&mut self, region: &Region, broker: &mut ResourceBroker) {
+        self.ensure_hosts(region);
+        let feed = *self.feed.get_or_insert_with(|| broker.watch_changes());
+        broker.take_changes(feed, |server, record| {
+            // A server the region does not describe can hold no container:
+            // it is skipped, never a reason to fail a placement.
+            let Some(host) = self.hosts.get_mut(server.index()) else {
+                return;
+            };
+            let listing = record.current.filter(|_| record.is_up());
+            if host.listed != listing {
+                let bucket = host.bucket();
+                let previous = std::mem::replace(&mut host.listed, listing);
+                self.unlist(previous, bucket, server);
+                self.list(listing, bucket, server);
+            }
+        });
+    }
+
+    fn list(&mut self, reservation: Option<ReservationId>, bucket: Bucket, server: ServerId) {
+        let Some(reservation) = reservation else {
+            return;
+        };
+        if self.buckets.len() <= reservation.index() {
+            self.buckets
+                .resize_with(reservation.index() + 1, Buckets::new);
+        }
+        let is_new = self.buckets[reservation.index()]
+            .entry(bucket)
+            .or_default()
+            .insert(server);
+        debug_assert!(is_new, "{server} listed twice");
+    }
+
+    fn unlist(&mut self, reservation: Option<ReservationId>, bucket: Bucket, server: ServerId) {
+        let Some(buckets) = reservation.and_then(|r| self.buckets.get_mut(r.index())) else {
+            return;
+        };
+        let mut was_listed = false;
+        if let Some(servers) = buckets.get_mut(&bucket) {
+            was_listed = servers.remove(&server);
+            if servers.is_empty() {
+                buckets.remove(&bucket);
+            }
+        }
+        debug_assert!(was_listed, "{server} missing from its bucket");
+    }
+
+    /// Changes a server's free capacity, moving it between buckets.
+    fn set_free(&mut self, server: ServerId, free: (f64, f64)) {
+        let host = &mut self.hosts[server.index()];
+        let listed = host.listed;
+        let before = host.bucket();
+        host.free = free;
+        let after = host.bucket();
+        if before != after {
+            self.unlist(listed, before, server);
+            self.list(listed, after, server);
+        }
+    }
+
+    /// The server the member scan would pick: among the reservation's up
+    /// members that fit `spec`, the minimum `(rack penalty, quantized
+    /// score)` and, among equals, the lowest id.
+    ///
+    /// Every server of a bucket has the same score, so a bucket is scored
+    /// once and then walked in id order only as far as it can still hold
+    /// the winner: up to its first server in a rack the job does not use
+    /// yet (penalty 0 — nothing later in the bucket has a smaller key or,
+    /// at that key, a smaller id), stepping over each rack the job already
+    /// uses after its first server (the rest of the rack ties on the key
+    /// with larger ids).
+    ///
+    /// Returns the choice and the work it took (representatives scored
+    /// plus servers inspected).
+    fn choose(
+        &self,
+        region: &Region,
+        reservation: ReservationId,
+        spec: ContainerSpec,
+        job_racks: Option<&HashMap<RackId, usize>>,
+        exclude: Option<ServerId>,
+    ) -> (Option<ServerId>, usize) {
+        let Some(buckets) = self.buckets.get(reservation.index()) else {
+            return (None, 0);
+        };
+        let mut evaluated = 0;
+        let mut best: Option<((usize, i64), ServerId)> = None;
+        for (bucket, servers) in buckets {
+            let free_cores = f64::from_bits(bucket.free_cores);
+            let free_memory_gib = f64::from_bits(bucket.free_memory);
+            if free_cores < spec.cores || free_memory_gib < spec.memory_gib {
+                continue;
+            }
+            let hw = region.catalog.get(bucket.hardware);
+            let candidate = Candidate {
+                free_cores,
+                free_memory_gib,
+                capacity_cores: hw.cores as f64,
+                capacity_memory_gib: hw.memory_gib as f64,
+            };
+            // Quantize the policy score so the placement key stays a
+            // totally ordered integer even for NaN-free float scores.
+            let fit = cast::rounded_i64(self.policy.score(candidate, spec) * SCORE_SCALE);
+            evaluated += 1;
+            let mut from = Some(ServerId(0));
+            while let Some(&server) = from.and_then(|id| servers.range(id..).next()) {
+                // From here on the bucket offers keys >= (0, fit) and ids
+                // >= server only.
+                if best.is_some_and(|b| b < ((0, fit), server)) {
+                    break;
+                }
+                evaluated += 1;
+                if exclude == Some(server) {
+                    from = server.0.checked_add(1).map(ServerId);
+                    continue;
+                }
+                let rack = self.hosts[server.index()].rack;
+                let penalty = job_racks
+                    .and_then(|racks| racks.get(&rack))
+                    .copied()
+                    .unwrap_or(0);
+                let found = ((penalty, fit), server);
+                if best.is_none_or(|b| found < b) {
+                    best = Some(found);
+                }
+                if penalty == 0 {
+                    break;
+                }
+                from = after_rack_run(region, server, rack);
+            }
+        }
+        (best.map(|(_, server)| server), evaluated)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -347,86 +589,68 @@ impl TwineAllocator {
         job: JobId,
         exclude: Option<ServerId>,
     ) -> Option<ContainerId> {
-        // Candidates: the reservation's members only.
-        let members = broker.members_of(reservation);
-        // Rack usage of this job for anti-affinity.
-        let mut job_racks: HashMap<u32, usize> = HashMap::new();
-        if anti_affinity {
-            for p in self.containers.values() {
-                if p.job == job {
-                    *job_racks.entry(region.server(p.server).rack.0).or_default() += 1;
-                }
-            }
-        }
-        let mut best: Option<(ServerId, (usize, i64))> = None;
-        for s in members {
-            if exclude == Some(s) {
-                continue;
-            }
-            self.last_candidates_evaluated += 1;
-            let record = broker.record(s).ok()?;
-            if !record.is_up() {
-                continue;
-            }
-            let (cores, mem) = self.free_capacity(region, s);
-            if cores < spec.cores || mem < spec.memory_gib {
-                continue;
-            }
-            let rack_penalty = if anti_affinity {
-                job_racks
-                    .get(&region.server(s).rack.0)
-                    .copied()
-                    .unwrap_or(0)
-            } else {
-                0
-            };
-            let hw = region.catalog.get(region.server(s).hardware);
-            let candidate = Candidate {
-                free_cores: cores,
-                free_memory_gib: mem,
-                capacity_cores: hw.cores as f64,
-                capacity_memory_gib: hw.memory_gib as f64,
-            };
-            // Quantize the policy score so the placement key stays a
-            // totally ordered integer even for NaN-free float scores.
-            let fit = cast::rounded_i64(self.policy.score(candidate, spec) * SCORE_SCALE);
-            let key = (rack_penalty, fit);
-            match best {
-                Some((_, bk)) if bk <= key => {}
-                _ => best = Some((s, key)),
-            }
-        }
-        let (server, _) = best?;
-        let (cores, mem) = self.free_capacity(region, server);
-        self.free
-            .insert(server, (cores - spec.cores, mem - spec.memory_gib));
+        self.sync(region, broker);
+        let job_racks = self.jobs.get(&job).map(|j| &j.racks);
+        let (chosen, evaluated) = self.choose(
+            region,
+            reservation,
+            spec,
+            job_racks.filter(|_| anti_affinity),
+            exclude,
+        );
+        self.last_candidates_evaluated += evaluated;
+        let server = chosen?;
+        let (cores, mem) = self.hosts[server.index()].free;
+        self.set_free(server, (cores - spec.cores, mem - spec.memory_gib));
         let id = ContainerId(self.next_container);
         self.next_container += 1;
         self.containers.insert(id, Placement { job, server, spec });
-        let count = cast::idx32(self.containers_on(server));
+        let host = &mut self.hosts[server.index()];
+        host.containers.push(id);
+        let count = cast::idx32(host.containers.len());
+        if let Some(entry) = self.jobs.get_mut(&job) {
+            *entry.racks.entry(host.rack).or_default() += 1;
+        }
         broker.set_running_containers(server, count).ok()?;
         Some(id)
+    }
+
+    /// Returns a removed container's capacity and rack slot. The caller
+    /// has taken it out of `containers` and of its host's list.
+    fn release(&mut self, p: Placement) {
+        let host = &self.hosts[p.server.index()];
+        let (rack, (cores, mem)) = (host.rack, host.free);
+        self.set_free(p.server, (cores + p.spec.cores, mem + p.spec.memory_gib));
+        if let Some(job) = self.jobs.get_mut(&p.job) {
+            if let Some(count) = job.racks.get_mut(&rack) {
+                *count -= 1;
+                if *count == 0 {
+                    job.racks.remove(&rack);
+                }
+            }
+        }
     }
 
     /// Stops one container.
     pub fn stop(&mut self, broker: &mut ResourceBroker, container: ContainerId) {
         if let Some(p) = self.containers.remove(&container) {
-            if let Some((c, m)) = self.free.get_mut(&p.server) {
-                *c += p.spec.cores;
-                *m += p.spec.memory_gib;
-            }
-            let count = cast::idx32(self.containers_on(p.server));
+            let on_host = &mut self.hosts[p.server.index()].containers;
+            on_host.retain(|c| *c != container);
+            let count = cast::idx32(on_host.len());
+            self.release(p);
             let _ = broker.set_running_containers(p.server, count);
         }
     }
 
     /// Capacity `(cores, memory_gib)` consumed by the containers
-    /// currently on one server — the ground truth the `free` map must
+    /// currently on one server — the ground truth the free capacity must
     /// mirror (asserted by the allocator property tests).
     pub fn used_on(&self, server: ServerId) -> (f64, f64) {
-        self.containers
-            .values()
-            .filter(|p| p.server == server)
+        self.hosts
+            .get(server.index())
+            .into_iter()
+            .flat_map(|host| &host.containers)
+            .filter_map(|c| self.containers.get(c))
             .fold((0.0, 0.0), |(c, m), p| {
                 (c + p.spec.cores, m + p.spec.memory_gib)
             })
@@ -434,10 +658,9 @@ impl TwineAllocator {
 
     /// Containers currently on one server.
     pub fn containers_on(&self, server: ServerId) -> usize {
-        self.containers
-            .values()
-            .filter(|p| p.server == server)
-            .count()
+        self.hosts
+            .get(server.index())
+            .map_or(0, |host| host.containers.len())
     }
 
     /// Total running containers.
@@ -447,7 +670,9 @@ impl TwineAllocator {
 
     /// Evacuates every container from a failed or preempted server and
     /// re-places each within its reservation (onto embedded buffer
-    /// capacity after an MSB failure). Returns `(moved, lost)` counts.
+    /// capacity after an MSB failure), in ascending [`ContainerId`] order
+    /// so the outcome is the same in every process. Returns
+    /// `(moved, lost)` counts.
     ///
     /// The drained server is excluded from the candidate set even when it
     /// is still up (a preempted server would otherwise be the tightest
@@ -458,28 +683,28 @@ impl TwineAllocator {
         broker: &mut ResourceBroker,
         server: ServerId,
     ) -> (usize, usize) {
-        let victims: Vec<(ContainerId, Placement)> = self
-            .containers
-            .iter()
-            .filter(|(_, p)| p.server == server)
-            .map(|(id, p)| (*id, *p))
-            .collect();
+        let victims = self
+            .hosts
+            .get_mut(server.index())
+            .map(|host| std::mem::take(&mut host.containers))
+            .unwrap_or_default();
         let mut moved = 0;
         let mut lost = 0;
-        for (id, p) in victims {
-            self.containers.remove(&id);
-            if let Some((c, m)) = self.free.get_mut(&server) {
-                *c += p.spec.cores;
-                *m += p.spec.memory_gib;
-            }
+        // Victims leave one at a time: those still waiting keep counting
+        // towards their jobs' rack penalties, as they still run there.
+        for id in victims {
+            let Some(p) = self.containers.remove(&id) else {
+                continue;
+            };
+            self.release(p);
             let Some(job) = self.jobs.get(&p.job) else {
                 // Unknown job id (cannot happen through the public API):
                 // the container cannot be re-placed faithfully.
                 lost += 1;
                 continue;
             };
-            let reservation = job.reservation;
-            let anti = job.rack_anti_affinity;
+            let reservation = job.spec.reservation;
+            let anti = job.spec.rack_anti_affinity;
             if self
                 .place_one(
                     region,
@@ -602,6 +827,25 @@ mod tests {
             "only reservation members may be scanned, got {}",
             alloc.last_candidates_evaluated
         );
+    }
+
+    #[test]
+    fn unresolvable_member_is_skipped_not_fatal() {
+        let (region, _, _) = setup();
+        // The broker tracks one server the region does not describe, and
+        // it is the reservation's lowest-id... highest-id member.
+        let stray = ServerId::from_index(region.server_count());
+        let mut broker = ResourceBroker::new(region.server_count() + 1);
+        let r = broker.register_reservation("web");
+        for s in [ServerId(0), ServerId(1), stray] {
+            broker.bind_current(s, Some(r)).unwrap();
+        }
+        let mut alloc = TwineAllocator::new();
+        let placed = alloc
+            .submit(&region, &mut broker, job(r, 6, false))
+            .expect("the two known members hold the job");
+        assert_eq!(placed.len(), 6);
+        assert_eq!(broker.record(stray).unwrap().running_containers, 0);
     }
 
     #[test]

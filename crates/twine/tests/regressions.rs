@@ -1,7 +1,7 @@
-//! Regression tests for two latent level-2 placement bugs.
+//! Regression tests for three latent level-2 placement bugs.
 //!
-//! Both tests drive the *public* scheduler API and fail against the
-//! pre-fix allocator behavior:
+//! They drive the *public* scheduler and allocator APIs and fail against
+//! the pre-fix allocator behavior:
 //!
 //! 1. `submit_partial` used to mint a fresh `JobId` on every call, so a
 //!    scheduler retry (after capacity arrived) placed the remaining
@@ -11,10 +11,15 @@
 //! 2. `evacuate` freed the victim's capacity before re-placing each
 //!    container, so a still-up (preempted) server was the tightest
 //!    best-fit for its own evacuees and they bounced straight back.
+//! 3. `evacuate` collected its victims by walking a `HashMap`, so the
+//!    order in which a server's *mixed* containers were re-placed — and
+//!    with it where each landed — differed from process to process.
 
 use ras_broker::{ReservationId, ResourceBroker, SimTime};
 use ras_topology::{Region, RegionBuilder, RegionTemplate, ServerId};
-use ras_twine::{ContainerSpec, JobSpec, JobState, TwineScheduler};
+use ras_twine::{
+    ContainerId, ContainerSpec, JobId, JobSpec, JobState, TwineAllocator, TwineScheduler,
+};
 
 fn region() -> Region {
     RegionBuilder::new(RegionTemplate::tiny(), 42).build()
@@ -149,4 +154,46 @@ fn preempted_server_drain_does_not_bounce_back() {
     assert_eq!(broker.record(victim).unwrap().running_containers, 0);
     assert_eq!(sched.state(id), Some(JobState::Running));
     assert_eq!(sched.placed_replicas(id), 2);
+}
+
+/// A server holding three container shapes of two anti-affinity jobs is
+/// drained in ascending container id, so every container lands on the
+/// same server in every repetition (each repetition's hash maps draw
+/// their own `RandomState`, as separate processes would).
+#[test]
+fn mixed_evacuation_lands_the_same_way_every_time() {
+    let region = region();
+    let victim = ServerId(0);
+    let drain = || -> Vec<Option<ServerId>> {
+        let mut broker = ResourceBroker::new(region.server_count());
+        let r = broker.register_reservation("web");
+        let mut alloc = TwineAllocator::new();
+        // Only the victim is bound while the load arrives, so all of it
+        // stacks there: job 0 changes shape between its two submissions.
+        broker.bind_current(victim, Some(r)).unwrap();
+        let load = [
+            (JobId(0), ContainerSpec::small(), 2),
+            (JobId(1), ContainerSpec::memory_heavy(), 1),
+            (JobId(0), ContainerSpec::cores_heavy(), 1),
+        ];
+        for (id, spec, replicas) in load {
+            let (placed, unplaced) =
+                alloc.submit_partial_as(&region, &mut broker, id, job(r, spec, replicas, true));
+            assert_eq!((placed.len(), unplaced), (replicas as usize, 0));
+        }
+        assert_eq!(alloc.containers_on(victim), 4);
+        // Capacity arrives in two racks, fewer than job 0 has replicas,
+        // so where a container lands depends on who went first.
+        for i in [10, 11, 20] {
+            broker.bind_current(ServerId(i), Some(r)).unwrap();
+        }
+        assert_eq!(alloc.evacuate(&region, &mut broker, victim), (4, 0));
+        // Re-placed containers carry fresh ids, minted in drain order.
+        (0..20).map(|c| alloc.server_of(ContainerId(c))).collect()
+    };
+    let first = drain();
+    assert_eq!(first.iter().flatten().count(), 4);
+    for repetition in 1..20 {
+        assert_eq!(drain(), first, "repetition {repetition} landed differently");
+    }
 }

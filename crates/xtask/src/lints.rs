@@ -31,11 +31,18 @@ pub const LINT_NAMES: [&str; 8] = [
 ];
 
 /// Crates whose non-test sources must not panic on fallible paths
-/// (`solver-unwrap` scope): the solver stack proper, plus the twine
-/// level-2 placement path (it runs inside the simulation loop and must
-/// degrade, not panic, when capacity or bookkeeping is off). Scoped to
+/// (`solver-unwrap` scope): the solver stack proper, plus the level-2
+/// path around it — twine placement, the broker it reads and the mover
+/// that feeds it — which runs inside the simulation loop and must
+/// degrade, not panic, when capacity or bookkeeping is off. Scoped to
 /// `src/` on purpose: integration tests and benches may unwrap freely.
-const SOLVER_SCOPES: [&str; 3] = ["crates/milp/src", "crates/ras-core/src", "crates/twine/src"];
+const SOLVER_SCOPES: [&str; 5] = [
+    "crates/milp/src",
+    "crates/ras-core/src",
+    "crates/twine/src",
+    "crates/broker/src",
+    "crates/mover/src",
+];
 
 /// Scans one file and returns every unsuppressed finding, plus
 /// warnings for `lint:allow` comments that are inert because a
