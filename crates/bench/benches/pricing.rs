@@ -1,8 +1,8 @@
 //! Criterion benchmarks for the simplex pricing engine: the same LP
-//! solved under each [`PricingRule`], at sizes where the full Dantzig
+//! solved under each [`PricingRule`], at sizes where a full pricing
 //! scan is respectively cheap, noticeable, and dominant. These quantify
 //! the pricing half of the paper's Section 3.5.3 solve-time budget the
-//! way `solver.rs` quantifies the basis engines.
+//! way `solver.rs` quantifies whole LP and MIP solves.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ras_milp::simplex::{solve_lp, solve_lp_warm, LpStatus, PricingRule, SimplexConfig};
@@ -49,11 +49,7 @@ fn diagonal(n: usize, k: usize) -> StandardForm {
     StandardForm::from_model(&m)
 }
 
-const RULES: [PricingRule; 3] = [
-    PricingRule::Dantzig,
-    PricingRule::Devex,
-    PricingRule::PartialDevex,
-];
+const RULES: [PricingRule; 2] = [PricingRule::Devex, PricingRule::PartialDevex];
 
 fn solve_with(sf: &StandardForm, pricing: PricingRule) -> f64 {
     let cfg = SimplexConfig {

@@ -83,8 +83,7 @@ fn main() {
         let t2 = Instant::now();
         // Initial state: the root LP with a tight pivot budget (the paper
         // measures loading the initial assignment + the initial LP pass,
-        // not a solve to optimality). The sparse LU engine handles every
-        // sweep size, so no row gate is needed any more.
+        // not a solve to optimality).
         // Partial devex keeps the 200-pivot budget spent on pivots, not
         // on full pricing scans over the widest sweep sizes.
         let lp_cfg = SimplexConfig {

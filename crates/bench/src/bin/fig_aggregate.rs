@@ -1,4 +1,4 @@
-//! Aggregation-pipeline ablation: Off vs Classes vs Clusters.
+//! Aggregation-pipeline ablation: Classes vs Clusters.
 //!
 //! The two-sided aggregation pipeline ([`ras_core::aggregate`]) folds
 //! symmetric servers into equivalence classes and CvxCluster-style
@@ -10,9 +10,6 @@
 //!
 //! * every round at every level audit-certifies clean
 //!   ([`ras_core::AuditMode::On`]);
-//! * `Off` and `Classes` are bit-identical — the staged pipeline is a
-//!   pure refactor of the legacy class builder (objective bits, moves,
-//!   and assigned counts compared per round);
 //! * `Clusters` shrinks the phase-1 variable space ≥ 2× relative to the
 //!   Classes-level model in every round;
 //! * the clustered objective stays within the documented sharded
@@ -73,7 +70,6 @@ fn run_level(
 
 fn level_name(level: AggregationLevel) -> &'static str {
     match level {
-        AggregationLevel::Off => "off",
         AggregationLevel::Classes => "classes",
         AggregationLevel::Clusters => "clusters",
     }
@@ -93,9 +89,9 @@ fn main() {
 
     let mut exp = Experiment::new(
         "fig_aggregate",
-        "Two-sided aggregation ablation: Off vs Classes vs Clusters on one churn trace",
-        "all rounds certified; Off == Classes bit-for-bit; Clusters >=2x variable reduction \
-         within the sharded tolerance of Classes; every exact-model ratchet OK",
+        "Two-sided aggregation ablation: Classes vs Clusters on one churn trace",
+        "all rounds certified; Clusters >=2x variable reduction within the sharded \
+         tolerance of Classes; every exact-model ratchet OK",
         &[
             "level",
             "round",
@@ -112,11 +108,7 @@ fn main() {
         ],
     );
 
-    let levels = [
-        AggregationLevel::Off,
-        AggregationLevel::Classes,
-        AggregationLevel::Clusters,
-    ];
+    let levels = [AggregationLevel::Classes, AggregationLevel::Clusters];
     let runs: Vec<(AggregationLevel, Vec<RoundReport>)> = levels
         .iter()
         .map(|&level| (level, run_level(&region, rounds, level)))
@@ -166,21 +158,8 @@ fn main() {
         failures += 1;
     }
 
-    let off = &runs[0].1;
-    let classes = &runs[1].1;
-    let clusters = &runs[2].1;
-
-    // Off and Classes route through the same class builder (directly vs
-    // via the staged pipeline) and must be indistinguishable.
-    let off_matches = off.iter().zip(classes).all(|(a, b)| {
-        a.objective.to_bits() == b.objective.to_bits()
-            && a.moves == b.moves
-            && a.assigned == b.assigned
-    });
-    if !off_matches {
-        eprintln!("fig_aggregate: Off and Classes diverged (must be bit-identical)");
-        failures += 1;
-    }
+    let classes = &runs[0].1;
+    let clusters = &runs[1].1;
 
     let params = params_for(AggregationLevel::Clusters);
     let mut max_gap = 0.0f64;
@@ -222,8 +201,7 @@ fn main() {
         reports.iter().map(|r| r.solve_seconds).sum::<f64>() / reports.len().max(1) as f64
     };
     exp.note(format!(
-        "mean solve: off {:.4}s, classes {:.4}s, clusters {:.4}s ({:.2}x vs classes)",
-        mean(off),
+        "mean solve: classes {:.4}s, clusters {:.4}s ({:.2}x vs classes)",
         mean(classes),
         mean(clusters),
         mean(classes) / mean(clusters).max(1e-12),
@@ -232,10 +210,6 @@ fn main() {
         "clusters: min reduction ratio {min_ratio:.2}x, max objective gap {max_gap:.4}, \
          {ratchets}/{} rounds ratchet-checked",
         clusters.len()
-    ));
-    exp.note(format!(
-        "off == classes bit-for-bit across {} rounds: {off_matches}",
-        off.len()
     ));
     exp.finish();
     if failures > 0 {

@@ -125,8 +125,6 @@ impl BranchAndBound {
             deadline: Some(
                 start + std::time::Duration::from_secs_f64(self.config.time_limit_seconds),
             ),
-            pricing: self.config.pricing,
-            dual_pricing: self.config.dual_pricing,
             // Node and dive re-solves stay on the conservative one-
             // violation-at-a-time repair: a branch changes a single
             // bound, and the long-step dual's bound flips would jump
@@ -189,7 +187,6 @@ impl BranchAndBound {
         match root.status {
             LpStatus::Infeasible => return Err(SolveError::Infeasible),
             LpStatus::Unbounded => return Err(SolveError::Unbounded),
-            LpStatus::TooLarge => return Err(SolveError::TooLarge),
             LpStatus::IterationLimit | LpStatus::Optimal => {}
         }
         // An iteration-limited root proves nothing: its objective must
@@ -303,7 +300,7 @@ impl BranchAndBound {
         });
         let mut best_open_bound = root_bound;
         // Weakest bound among subtrees the search abandoned (LP iteration
-        // limit / size refusal). It must stay in the final open-bound
+        // limit). It must stay in the final open-bound
         // accounting: silently dropping those nodes let `best_bound`
         // overclaim whatever optimum they might have contained.
         let mut abandoned_bound = f64::INFINITY;
@@ -349,7 +346,7 @@ impl BranchAndBound {
             match lp.status {
                 LpStatus::Infeasible => continue,
                 LpStatus::Unbounded => return Err(SolveError::Unbounded),
-                LpStatus::IterationLimit | LpStatus::TooLarge => {
+                LpStatus::IterationLimit => {
                     // Abandoning the subtree is fine, forgetting it is
                     // not: its parent bound stays in the accounting.
                     hit_limit = true;

@@ -54,7 +54,6 @@ pub mod branching;
 pub mod cast;
 pub mod expr;
 pub mod localsearch;
-pub mod lpfile;
 pub mod lu;
 pub mod model;
 pub mod nan;
@@ -70,5 +69,5 @@ pub use branch::BranchAndBound;
 pub use expr::{LinExpr, Var};
 pub use localsearch::LocalSearch;
 pub use model::{Constraint, Model, Sense, VarType};
-pub use simplex::{Basis, BasisStats, DualPricingRule, PricingRule, PricingStats};
+pub use simplex::{Basis, BasisStats, PricingRule, PricingStats};
 pub use solution::{Solution, SolveConfig, SolveError, SolveStats, Status, WarmStart};

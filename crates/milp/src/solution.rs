@@ -73,8 +73,8 @@ pub struct SolveStats {
     pub root_used_dual_simplex: bool,
     /// Total basis (re)factorizations across all LP solves.
     pub lp_refactorizations: usize,
-    /// Successful basis updates (eta pushes / FT column replacements /
-    /// dense product-form updates) across all LP solves.
+    /// Successful basis updates (Forrest–Tomlin column replacements)
+    /// across all LP solves.
     pub basis_updates: usize,
     /// Refactorizations triggered by the fixed pivot interval.
     pub refactors_interval: usize,
@@ -151,12 +151,6 @@ pub struct SolveConfig {
     pub int_tol: f64,
     /// Simplex pivot limit per LP.
     pub max_lp_iterations: usize,
-    /// Entering-variable pricing rule for every LP in the search (see
-    /// [`crate::simplex::PricingRule`]).
-    pub pricing: crate::simplex::PricingRule,
-    /// Leaving-row pricing rule for dual-simplex warm re-solves (see
-    /// [`crate::simplex::DualPricingRule`]).
-    pub dual_pricing: crate::simplex::DualPricingRule,
     /// Route the root's warm re-solve through the true dual simplex;
     /// `false` sends it through the one-violation repair loop that node
     /// and dive re-solves always use.
@@ -194,8 +188,6 @@ impl Default for SolveConfig {
             abs_gap_tol: tol::PRIMAL_FEAS,
             int_tol: tol::PRIMAL_FEAS,
             max_lp_iterations: 200_000,
-            pricing: crate::simplex::PricingRule::default(),
-            dual_pricing: crate::simplex::DualPricingRule::default(),
             warm_dual: true,
             stall_node_limit: 0,
             use_heuristics: true,
@@ -260,9 +252,9 @@ pub enum SolveError {
     Unbounded,
     /// Limits hit before any feasible point was found.
     NoIncumbent,
-    /// The model exceeds the configured solver size cap (see
-    /// [`crate::simplex::LpStatus::TooLarge`]). This is a configuration
-    /// problem, not a statement about feasibility.
+    /// The model outgrew the solver's `u32` variable indices while it
+    /// was being built. This is a size problem, not a statement about
+    /// feasibility.
     TooLarge,
     /// The static model auditor found reject-level defects (NaN
     /// coefficients, crossed bounds, dangling variable references, …) and
@@ -280,7 +272,7 @@ impl std::fmt::Display for SolveError {
                 write!(f, "limits reached before a feasible solution was found")
             }
             SolveError::TooLarge => {
-                write!(f, "model exceeds the configured solver size cap")
+                write!(f, "model exceeds the solver's variable index range")
             }
             SolveError::InvalidModel(issues) => {
                 let rejects = issues

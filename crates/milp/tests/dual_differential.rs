@@ -2,9 +2,8 @@
 //!
 //! 1. On 400 random bounded LPs, a bound/RHS perturbation re-solved warm
 //!    (dual simplex from the previous optimal basis) must agree with the
-//!    cold primal solve on status and objective — on both the
-//!    Forrest–Tomlin engine and the legacy eta-file engine — and must
-//!    never run a single phase-1 iteration when the warm basis sticks.
+//!    cold primal solve on status and objective, and must never run a
+//!    single phase-1 iteration when the warm basis sticks.
 //! 2. A long-pivot-sequence regression: after hundreds of basis updates
 //!    without refactorization, Forrest–Tomlin keeps `ftran`/`btran`
 //!    residuals near machine precision where the product-form eta file
@@ -13,7 +12,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ras_milp::lu::{FtFactors, LuFactors};
-use ras_milp::simplex::{solve_lp, solve_lp_warm, BasisEngine, LpStatus, SimplexConfig};
+use ras_milp::simplex::{solve_lp, solve_lp_warm, LpStatus, SimplexConfig};
 use ras_milp::standard::StandardForm;
 use ras_milp::{LinExpr, Model, Sense, VarType};
 
@@ -46,13 +45,12 @@ fn random_model(rng: &mut StdRng) -> Model {
     m
 }
 
-/// 400 random LPs, each perturbed bounds-only and re-solved three ways:
-/// cold primal, warm dual on Forrest–Tomlin, warm dual on the eta file.
-/// All three must agree; accepted warm solves must skip phase 1.
+/// 400 random LPs, each perturbed bounds-only and re-solved two ways:
+/// cold primal and warm dual. Both must agree; accepted warm solves must
+/// skip phase 1.
 #[test]
 fn dual_resolve_agrees_with_primal_on_random_lps() {
     let mut rng = StdRng::seed_from_u64(0xD0A1_51A5);
-    let engines = [BasisEngine::SparseLu, BasisEngine::SparseEta];
     let mut dual_resolves = 0usize;
     for case in 0..400 {
         let m = random_model(&mut rng);
@@ -73,42 +71,30 @@ fn dual_resolve_agrees_with_primal_on_random_lps() {
             }
         }
         let cold = solve_lp(&sf, &sf.lower.clone(), &upper, &cfg);
-        for engine in engines {
-            let warm_cfg = SimplexConfig {
-                engine,
-                ..SimplexConfig::default()
-            };
-            let warm = solve_lp_warm(
-                &sf,
-                &sf.lower.clone(),
-                &upper,
-                &warm_cfg,
-                base.basis.as_ref(),
+        let warm = solve_lp_warm(&sf, &sf.lower.clone(), &upper, &cfg, base.basis.as_ref());
+        assert_eq!(
+            warm.status, cold.status,
+            "case {case}: warm {:?} vs cold {:?}",
+            warm.status, cold.status
+        );
+        if cold.status == LpStatus::Optimal {
+            assert!(
+                (warm.objective - cold.objective).abs() < 1e-6,
+                "case {case}: warm {} vs cold {}",
+                warm.objective,
+                cold.objective
             );
+        }
+        if warm.used_dual_simplex {
+            dual_resolves += 1;
             assert_eq!(
-                warm.status, cold.status,
-                "case {case} {engine:?}: warm {:?} vs cold {:?}",
-                warm.status, cold.status
+                warm.phase1_iterations, 0,
+                "case {case}: dual re-solve ran phase 1"
             );
-            if cold.status == LpStatus::Optimal {
-                assert!(
-                    (warm.objective - cold.objective).abs() < 1e-6,
-                    "case {case} {engine:?}: warm {} vs cold {}",
-                    warm.objective,
-                    cold.objective
-                );
-            }
-            if warm.used_dual_simplex {
-                dual_resolves += 1;
-                assert_eq!(
-                    warm.phase1_iterations, 0,
-                    "case {case} {engine:?}: dual re-solve ran phase 1"
-                );
-            }
         }
     }
     assert!(
-        dual_resolves > 200,
+        dual_resolves > 100,
         "too few dual re-solves exercised: {dual_resolves}"
     );
 }
@@ -213,8 +199,8 @@ fn good_col(m: usize, j: usize, rng: &mut StdRng) -> Vec<(usize, f64)> {
 /// defense — it records the bad eta and its error compounds with every
 /// such event. The FT update refuses the pivot ([`FtReject`]) and the
 /// engine refactorizes instead, which is what keeps residuals bounded.
-/// This safeguard is why `BasisEngine::SparseLu` is the default and
-/// `SparseEta` is only a differential-testing baseline.
+/// This safeguard is why the simplex maintains its factors with
+/// Forrest–Tomlin updates and the eta file survives only in this test.
 #[test]
 fn ft_residuals_stay_bounded_where_eta_file_degrades() {
     let m = 40;

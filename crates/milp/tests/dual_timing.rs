@@ -11,7 +11,7 @@
 
 use std::time::Instant;
 
-use ras_milp::simplex::{solve_lp, solve_lp_warm, Basis, LpStatus, SimplexConfig, DENSE_MAX_ROWS};
+use ras_milp::simplex::{solve_lp, solve_lp_warm, Basis, LpStatus, SimplexConfig};
 use ras_milp::standard::StandardForm;
 use ras_milp::{LinExpr, Model, Sense, VarType};
 
@@ -63,7 +63,7 @@ fn time_warm(sf: &StandardForm, lower: &[f64], basis: &Basis, warm_dual: bool) -
     ignore = "timing assertions are only meaningful in release builds"
 )]
 fn warm_dual_resolve_beats_cold_on_region_scale_lp() {
-    let n = 4 * DENSE_MAX_ROWS; // 100,000 rows
+    let n = 100_000;
     let k = 250;
     let sf = large_instance(n, k);
 

@@ -1,18 +1,22 @@
-//! Differential test of the pricing rules: on random bounded LPs,
-//! Dantzig, devex, and partial devex must agree on status and objective,
-//! and each rule's duals must be dual feasible at the optimum. The
-//! pricing rule only decides *which* improving column enters at each
-//! pivot, so any disagreement in the answer is a bug in the maintained
-//! reduced costs, the devex weight updates, or the candidate list.
+//! Differential test of the pricing rules: on random bounded LPs, devex
+//! and partial devex must agree on status and objective with each other
+//! and with the textbook tableau simplex of `support::dense_simplex`
+//! (Bland's rule, every reduced cost recomputed each pivot), and each
+//! rule's duals must be dual feasible at the optimum. The pricing rule
+//! only decides *which* improving column enters at each pivot, so any
+//! disagreement in the answer is a bug in the maintained reduced costs,
+//! the devex weight updates, or the candidate list.
 //!
 //! A proptest rides along: heavily degenerate LPs (many redundant
 //! constraints through one vertex) must still terminate with a proven
-//! optimum under every pricing rule — the Bland's-rule anti-cycling
-//! fallback is shared by all of them.
+//! optimum under both pricing rules — the Bland's-rule anti-cycling
+//! fallback is shared by them.
 
 // The vendored proptest macro expands one token at a time; the test
 // bodies below get close to the default recursion limit.
 #![recursion_limit = "2048"]
+
+mod support;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -20,6 +24,7 @@ use rand::{Rng, SeedableRng};
 use ras_milp::simplex::{solve_lp, LpStatus, PricingRule, SimplexConfig};
 use ras_milp::standard::StandardForm;
 use ras_milp::{LinExpr, Model, Sense, VarType};
+use support::dense_simplex::{self, Outcome};
 
 fn random_model(rng: &mut StdRng) -> Model {
     let nv: usize = rng.gen_range(2..8);
@@ -77,46 +82,37 @@ fn assert_dual_feasible(sf: &StandardForm, values: &[f64], duals: &[f64], tag: &
 #[test]
 fn pricing_rules_agree_on_random_lps() {
     let mut rng = StdRng::seed_from_u64(0xDE7E_C7A8);
-    let rules = [
-        PricingRule::Dantzig,
-        PricingRule::Devex,
-        PricingRule::PartialDevex,
-    ];
+    let rules = [PricingRule::Devex, PricingRule::PartialDevex];
     // A small refactor interval also exercises the reduced-cost
     // invalidation on refactorization, not just the incremental path.
-    let configs: Vec<SimplexConfig> = rules
-        .iter()
-        .map(|&pricing| SimplexConfig {
-            pricing,
-            refactor_interval: 8,
-            ..SimplexConfig::default()
-        })
-        .collect();
+    let configs = rules.map(|pricing| SimplexConfig {
+        pricing,
+        refactor_interval: 8,
+        ..SimplexConfig::default()
+    });
     let mut optimal_cases = 0;
     for case in 0..400 {
         let m = random_model(&mut rng);
         let sf = StandardForm::from_model(&m);
-        let results: Vec<_> = configs
-            .iter()
-            .map(|cfg| solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), cfg))
-            .collect();
-        let baseline = &results[0];
-        for (rule, r) in rules.iter().zip(&results).skip(1) {
+        let oracle = dense_simplex::solve(&m);
+        let expected = match oracle {
+            Outcome::Optimal(_) => LpStatus::Optimal,
+            Outcome::Infeasible => LpStatus::Infeasible,
+            Outcome::Unbounded => LpStatus::Unbounded,
+        };
+        for (rule, cfg) in rules.iter().zip(&configs) {
+            let r = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), cfg);
             assert_eq!(
-                baseline.status, r.status,
-                "case {case}: Dantzig {:?} vs {rule:?} {:?}",
-                baseline.status, r.status
+                r.status, expected,
+                "case {case}: {rule:?} {:?} vs oracle {oracle:?}",
+                r.status
             );
-        }
-        if baseline.status != LpStatus::Optimal {
-            continue;
-        }
-        optimal_cases += 1;
-        for (rule, r) in rules.iter().zip(&results) {
+            let Outcome::Optimal(objective) = oracle else {
+                continue;
+            };
             assert!(
-                (baseline.objective - r.objective).abs() < 1e-6,
-                "case {case}: Dantzig obj {} vs {rule:?} obj {}",
-                baseline.objective,
+                (objective - r.objective).abs() < 1e-6,
+                "case {case}: oracle obj {objective} vs {rule:?} obj {}",
                 r.objective
             );
             assert!(
@@ -125,6 +121,7 @@ fn pricing_rules_agree_on_random_lps() {
             );
             assert_dual_feasible(&sf, &r.values, &r.duals, &format!("case {case} {rule:?}"));
         }
+        optimal_cases += usize::from(expected == LpStatus::Optimal);
     }
     assert!(
         optimal_cases > 100,
@@ -154,9 +151,9 @@ fn degenerate_model(nv: usize, copies: usize, coeffs: &[i8]) -> Model {
     m
 }
 
-/// Runs the degenerate model under every pricing rule; returns an error
-/// message when any rule fails to terminate optimally or the rules
-/// disagree on the optimum. The shape of the model is derived from a
+/// Runs the degenerate model under both pricing rules; returns an error
+/// message when a rule fails to terminate optimally or the rules and
+/// the oracle disagree on the optimum. The shape of the model is derived from a
 /// proptest-supplied seed (keeping the macro input to one parameter —
 /// the vendored proptest expands its input token by token).
 fn check_degenerate_terminates(seed: u64) -> Result<(), String> {
@@ -166,12 +163,11 @@ fn check_degenerate_terminates(seed: u64) -> Result<(), String> {
     let coeffs: Vec<i8> = (0..6).map(|_| rng.gen_range(-1..=1)).collect();
     let m = degenerate_model(nv, copies, &coeffs);
     let sf = StandardForm::from_model(&m);
-    let mut objectives = Vec::new();
-    for pricing in [
-        PricingRule::Dantzig,
-        PricingRule::Devex,
-        PricingRule::PartialDevex,
-    ] {
+    let Outcome::Optimal(expected) = dense_simplex::solve(&m) else {
+        return Err("the oracle found no optimum".into());
+    };
+    let mut objectives = vec![expected];
+    for pricing in [PricingRule::Devex, PricingRule::PartialDevex] {
         let cfg = SimplexConfig {
             pricing,
             // Tight enough that a cycle would hit it, loose enough that
@@ -190,13 +186,15 @@ fn check_degenerate_terminates(seed: u64) -> Result<(), String> {
     }
     for obj in &objectives[1..] {
         if (objectives[0] - obj).abs() > 1e-6 {
-            return Err(format!("objectives diverge across rules: {objectives:?}"));
+            return Err(format!(
+                "objectives diverge (oracle, devex, partial): {objectives:?}"
+            ));
         }
     }
     Ok(())
 }
 
-// Degenerate vertices must not cycle under any pricing rule: the shared
+// Degenerate vertices must not cycle under either pricing rule: the shared
 // Bland's-rule fallback (exact reduced costs, first eligible column)
 // guarantees termination at the same proven optimum.
 proptest! {

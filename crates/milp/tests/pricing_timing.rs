@@ -1,28 +1,21 @@
 //! Release-mode pricing smoke test: on a region-scale LP, devex and
 //! partial-devex pricing must keep their reduced costs incrementally —
-//! a handful of full rescans per solve, not one per pivot — and must not
-//! run slower than the Dantzig full-scan baseline they replace, so a
-//! pricing regression fails CI instead of silently landing.
+//! a handful of full rescans per solve, not one per pivot — so a pricing
+//! regression fails CI instead of silently landing.
 //!
 //! The regression this guards against is incremental reduced-cost
 //! maintenance silently breaking, so that every pivot degrades back to a
 //! full O(n·nnz) rescan. The rescan count (`PricingStats::full_rebuilds`)
 //! shows exactly that and repeats from run to run; it is the gate. The
-//! test used to assert a 1.5x wall-clock margin over Dantzig instead,
-//! which measured how slow the baseline's rescan was as much as anything
-//! about devex: the margin was 1.9–2.2x while every column read went
-//! through a boxed iterator and 1.2–1.4x once it did not, with devex's
-//! own time unchanged. On this LP (100 000 rows, one entry per column)
-//! over two thirds of a devex pivot is the `m`-long FTRAN, BTRAN and
-//! factor update, which Dantzig pays too, so no pricing-side change puts
-//! the old margin back. The wall-clock check that remains is the one
-//! that holds whatever the baseline costs: a rule whose maintenance
-//! broke does Dantzig's rescan *plus* its own pivot-row work and
-//! cannot come out ahead.
+//! test used to compare wall clock against a rule that rescanned every
+//! pivot on purpose, which measured how slow that baseline was as much as
+//! anything about devex; the baseline left production with the other
+//! never-selected solver paths, and the timings are printed for the log
+//! only.
 
 use std::time::Instant;
 
-use ras_milp::simplex::{solve_lp, LpResult, LpStatus, PricingRule, SimplexConfig, DENSE_MAX_ROWS};
+use ras_milp::simplex::{solve_lp, LpResult, LpStatus, PricingRule, SimplexConfig};
 use ras_milp::standard::StandardForm;
 use ras_milp::{LinExpr, Model, Sense, VarType};
 
@@ -56,39 +49,29 @@ fn time_solve(sf: &StandardForm, pricing: PricingRule) -> (f64, LpResult) {
 #[test]
 #[cfg_attr(
     debug_assertions,
-    ignore = "timing assertions are only meaningful in release builds"
+    ignore = "a 100,000-row solve per rule is only quick in release builds"
 )]
-fn devex_beats_dantzig_on_region_scale_lp() {
-    let n = 4 * DENSE_MAX_ROWS; // 100,000 rows
+fn devex_rules_rescan_rarely_on_region_scale_lp() {
+    let n = 100_000;
     let k = 250;
     let sf = large_instance(n, k);
 
-    // Warm the allocator/caches once, off the clock.
-    let _ = time_solve(&sf, PricingRule::PartialDevex);
-
-    let (dantzig, r_dantzig) = time_solve(&sf, PricingRule::Dantzig);
     let (devex, r_devex) = time_solve(&sf, PricingRule::Devex);
     let (partial, r_partial) = time_solve(&sf, PricingRule::PartialDevex);
     println!(
-        "dantzig {dantzig:.3}s ({} rescans / {} pivots)  \
-         devex {devex:.3}s ({:.1}x, {} rescans)  partial {partial:.3}s ({:.1}x, {} rescans)",
-        r_dantzig.pricing.full_rebuilds,
-        r_dantzig.iterations,
-        dantzig / devex,
+        "devex {devex:.3}s ({} rescans / {} pivots)  partial {partial:.3}s ({} rescans / {} pivots)",
         r_devex.pricing.full_rebuilds,
-        dantzig / partial,
+        r_devex.iterations,
         r_partial.pricing.full_rebuilds,
+        r_partial.iterations,
     );
-    assert!((r_dantzig.objective - k as f64).abs() < 1e-6);
-    assert!((r_devex.objective - r_dantzig.objective).abs() < 1e-6);
-    assert!((r_partial.objective - r_dantzig.objective).abs() < 1e-6);
+    assert!((r_devex.objective - k as f64).abs() < 1e-6);
+    assert!((r_partial.objective - r_devex.objective).abs() < 1e-6);
 
-    // The gate: Dantzig rescans every column on every pivot (that is
-    // what makes it the baseline); the incremental rules rescan on phase
-    // entry, after a refactorization and to certify optimality — 4 and 5
-    // times over these 250 pivots. One rescan per 16 pivots leaves room
-    // for a changed refactorization interval, none for a broken update.
-    assert!(r_dantzig.pricing.full_rebuilds >= r_dantzig.iterations);
+    // The gate: the incremental rules rescan on phase entry, after a
+    // refactorization and to certify optimality — 4 and 5 times over
+    // these 250 pivots. One rescan per 16 pivots leaves room for a
+    // changed refactorization interval, none for a broken update.
     for (rule, r) in [("devex", &r_devex), ("partial devex", &r_partial)] {
         assert!(r.iterations >= k, "{rule}: {} pivots", r.iterations);
         assert!(
@@ -98,14 +81,4 @@ fn devex_beats_dantzig_on_region_scale_lp() {
             r.iterations
         );
     }
-    // And neither may be slower than the baseline it replaces (measured:
-    // devex 1.2–1.4x faster, partial devex 1.8–1.9x).
-    assert!(
-        dantzig > devex,
-        "devex ({devex:.3}s) must beat dantzig ({dantzig:.3}s)"
-    );
-    assert!(
-        dantzig > partial,
-        "partial devex ({partial:.3}s) must beat dantzig ({dantzig:.3}s)"
-    );
 }

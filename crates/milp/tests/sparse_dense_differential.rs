@@ -1,15 +1,20 @@
-//! Differential test of the two basis engines: on random bounded LPs the
-//! sparse LU engine must agree with the dense engine on status and
-//! objective, and each engine's duals must be dual feasible. Duals are
-//! *not* compared for equality — degenerate optima admit many valid dual
-//! vectors — but dual feasibility at the reported primal point is a
-//! property every optimal basis satisfies.
+//! Differential test of the sparse engine against a dense oracle: on
+//! random bounded LPs the Forrest–Tomlin simplex must agree on status
+//! and objective with the textbook tableau simplex of
+//! `support::dense_simplex`, which shares no code with it, and its
+//! solution must satisfy the model with dual feasible duals. Duals are
+//! *not* compared — degenerate optima admit many valid dual vectors —
+//! but dual feasibility at the reported primal point is a property
+//! every optimal basis satisfies.
+
+mod support;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ras_milp::simplex::{solve_lp, BasisEngine, LpStatus, SimplexConfig};
+use ras_milp::simplex::{solve_lp, LpStatus, SimplexConfig};
 use ras_milp::standard::StandardForm;
 use ras_milp::{LinExpr, Model, Sense, VarType};
+use support::dense_simplex::{self, Outcome};
 
 fn random_model(rng: &mut StdRng) -> Model {
     let nv: usize = rng.gen_range(2..8);
@@ -67,14 +72,10 @@ fn assert_dual_feasible(sf: &StandardForm, values: &[f64], duals: &[f64], tag: &
 #[test]
 fn sparse_and_dense_agree_on_random_lps() {
     let mut rng = StdRng::seed_from_u64(0x5EED_D1FF);
-    let dense_cfg = SimplexConfig {
-        engine: BasisEngine::Dense,
-        ..SimplexConfig::default()
-    };
-    // A small refactor interval exercises the LU factorization (not just
-    // the diagonal crash basis + etas) on these small instances.
+    // A small refactor interval exercises the LU factorization and the
+    // Forrest–Tomlin updates (not just the diagonal crash basis) on
+    // these small instances.
     let sparse_cfg = SimplexConfig {
-        engine: BasisEngine::SparseLu,
         refactor_interval: 4,
         ..SimplexConfig::default()
     };
@@ -82,37 +83,31 @@ fn sparse_and_dense_agree_on_random_lps() {
     for case in 0..400 {
         let m = random_model(&mut rng);
         let sf = StandardForm::from_model(&m);
-        let dense = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &dense_cfg);
+        let dense = dense_simplex::solve(&m);
         let sparse = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &sparse_cfg);
-        assert_eq!(
-            dense.status, sparse.status,
-            "case {case}: dense {:?} vs sparse {:?}",
-            dense.status, sparse.status
-        );
-        if dense.status != LpStatus::Optimal {
+        let Outcome::Optimal(dense_objective) = dense else {
+            assert_eq!(
+                (dense, sparse.status),
+                (Outcome::Infeasible, LpStatus::Infeasible),
+                "case {case}: bounded LPs are optimal or infeasible"
+            );
             continue;
-        }
+        };
+        assert_eq!(
+            sparse.status,
+            LpStatus::Optimal,
+            "case {case}: the oracle found {dense_objective}"
+        );
         optimal_cases += 1;
         assert!(
-            (dense.objective - sparse.objective).abs() < 1e-6,
-            "case {case}: dense obj {} vs sparse obj {}",
-            dense.objective,
+            (dense_objective - sparse.objective).abs() < 1e-6,
+            "case {case}: dense obj {dense_objective} vs sparse obj {}",
             sparse.objective
-        );
-        assert!(
-            m.violations(&dense.values[..m.num_vars()], 1e-5).is_empty(),
-            "case {case}: dense solution violates the model"
         );
         assert!(
             m.violations(&sparse.values[..m.num_vars()], 1e-5)
                 .is_empty(),
             "case {case}: sparse solution violates the model"
-        );
-        assert_dual_feasible(
-            &sf,
-            &dense.values,
-            &dense.duals,
-            &format!("case {case} dense"),
         );
         assert_dual_feasible(
             &sf,

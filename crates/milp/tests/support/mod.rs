@@ -1,4 +1,5 @@
-//! Reference oracle for the differential tests.
+//! Reference oracles for the differential tests: a whole-LP one in
+//! [`dense_simplex`], and below it the full-scan ratio test.
 //!
 //! The one-violation warm repair (the re-solve every branch-and-bound
 //! node runs) used to evaluate its dual ratio test on *every* nonbasic
@@ -11,6 +12,11 @@
 //! from the production `Simplex::repair_candidate`, so the arithmetic
 //! inside it is pinned elsewhere: by the primal/dual differential suites
 //! and the golden counts of `tests/node_resolve_identity.rs`.
+
+// Each test binary compiles this module and uses its own part of it.
+#![allow(dead_code)]
+
+pub mod dense_simplex;
 
 use ras_milp::simplex::Simplex;
 use ras_milp::tol;

@@ -10,7 +10,7 @@ mod support;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ras_milp::simplex::{solve_lp, solve_lp_warm, BasisEngine, LpStatus, Simplex, SimplexConfig};
+use ras_milp::simplex::{solve_lp, solve_lp_warm, LpStatus, Simplex, SimplexConfig};
 use ras_milp::standard::StandardForm;
 use ras_milp::{LinExpr, Model, Sense, SolveConfig, VarType};
 
@@ -167,10 +167,9 @@ fn random_lp(rng: &mut StdRng) -> Model {
 /// pick, pivot for pivot and for the leaving row production chose, the
 /// entering column a scan of every column picks: over warm re-solves
 /// after branch-like bound changes, from optimal bases and from bases
-/// with an artificial column swapped in, on the dense and the
-/// Forrest–Tomlin engine. The oracle shares production's per-column
-/// `α_j`/`d_j` evaluation (see `support`): it checks the restriction to
-/// marked columns and the tie order, nothing else.
+/// with an artificial column swapped in. The oracle shares production's
+/// per-column `α_j`/`d_j` evaluation (see `support`): it checks the
+/// restriction to marked columns and the tie order, nothing else.
 #[test]
 fn pattern_restricted_ratio_test_matches_the_full_scan() {
     let mut rng = StdRng::seed_from_u64(0x5EED12);
@@ -188,52 +187,49 @@ fn pattern_restricted_ratio_test_matches_the_full_scan() {
             continue;
         };
         let (rows, columns) = (sf.num_rows, sf.num_cols() + sf.num_rows);
-        for engine in [BasisEngine::Dense, BasisEngine::SparseLu] {
-            let config = SimplexConfig {
-                engine,
-                warm_dual: false,
-                ..SimplexConfig::default()
-            };
-            // One engine re-used across this LP's re-solves, as branch and
-            // bound re-uses its own.
-            let mut lp = Simplex::new(&sf, config.clone());
-            for _ in 0..3 {
-                // Branches: cut up to three variables' ranges at their LP values.
-                let (mut lower, mut upper) = (sf.lower.clone(), sf.upper.clone());
-                for _ in 0..rng.gen_range(1..4) {
-                    let j = rng.gen_range(0..model.num_vars());
-                    if rng.gen_range(0..2) == 0 {
-                        upper[j] = (cold.values[j] - 0.5).floor().max(lower[j]);
-                    } else {
-                        lower[j] = (cold.values[j] + 0.5).ceil().min(upper[j]);
-                    }
+        let config = SimplexConfig {
+            warm_dual: false,
+            ..SimplexConfig::default()
+        };
+        // One engine re-used across this LP's re-solves, as branch and
+        // bound re-uses its own.
+        let mut lp = Simplex::new(&sf, config.clone());
+        for _ in 0..3 {
+            // Branches: cut up to three variables' ranges at their LP values.
+            let (mut lower, mut upper) = (sf.lower.clone(), sf.upper.clone());
+            for _ in 0..rng.gen_range(1..4) {
+                let j = rng.gen_range(0..model.num_vars());
+                if rng.gen_range(0..2) == 0 {
+                    upper[j] = (cold.values[j] - 0.5).floor().max(lower[j]);
+                } else {
+                    lower[j] = (cold.values[j] + 0.5).ceil().min(upper[j]);
                 }
-                let mut warm = basis.clone();
-                if rng.gen_range(0..4) == 0 {
-                    // A remapped basis: some row covered by its artificial.
-                    let row = rng.gen_range(0..rows);
-                    warm.basis[row] = sf.num_cols() + row;
-                    artificial_bases += 1;
-                }
-                let observed = lp.solve_observed(
-                    &lower,
-                    &upper,
-                    Some(&warm),
-                    |lp, row, to_upper, entering| {
-                        let (expected, tied) = support::full_scan_entering(lp, columns, to_upper);
-                        assert_eq!(entering, expected, "entering column differs (row {row})");
-                        pivots += 1;
-                        tied_pivots += usize::from(tied > 0);
-                        no_candidate += usize::from(entering.is_none());
-                    },
-                );
-                // Observing changes nothing, and neither does re-use.
-                let plain = solve_lp_warm(&sf, &lower, &upper, &config, Some(&warm));
-                assert_eq!(observed.status, plain.status);
-                assert_eq!(observed.iterations, plain.iterations);
-                assert_eq!(observed.objective.to_bits(), plain.objective.to_bits());
-                resolves += 1;
             }
+            let mut warm = basis.clone();
+            if rng.gen_range(0..4) == 0 {
+                // A remapped basis: some row covered by its artificial.
+                let row = rng.gen_range(0..rows);
+                warm.basis[row] = sf.num_cols() + row;
+                artificial_bases += 1;
+            }
+            let observed = lp.solve_observed(
+                &lower,
+                &upper,
+                Some(&warm),
+                |lp, row, to_upper, entering| {
+                    let (expected, tied) = support::full_scan_entering(lp, columns, to_upper);
+                    assert_eq!(entering, expected, "entering column differs (row {row})");
+                    pivots += 1;
+                    tied_pivots += usize::from(tied > 0);
+                    no_candidate += usize::from(entering.is_none());
+                },
+            );
+            // Observing changes nothing, and neither does re-use.
+            let plain = solve_lp_warm(&sf, &lower, &upper, &config, Some(&warm));
+            assert_eq!(observed.status, plain.status);
+            assert_eq!(observed.iterations, plain.iterations);
+            assert_eq!(observed.objective.to_bits(), plain.objective.to_bits());
+            resolves += 1;
         }
     }
     assert!(pivots > 500, "too few repair pivots observed: {pivots}");

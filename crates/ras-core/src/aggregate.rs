@@ -19,10 +19,7 @@
 //! [`ServerClasses`] re-homes the existing equivalence-class build, and
 //! [`SpecClusters`] adds the reservation-side clustering. The
 //! [`AggregationLevel`] knob in [`SolverParams`](crate::SolverParams)
-//! picks the stage list; `Off` bypasses the pluggable pipeline entirely
-//! and builds the identity reduction straight from the legacy class
-//! builder (byte-identical to `Classes` by construction — pinned by the
-//! differential tests).
+//! picks the stage list.
 //!
 //! # Certified disaggregation
 //!
@@ -88,11 +85,6 @@ use ras_milp::tol;
 /// How aggressively one solve aggregates before solving.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AggregationLevel {
-    /// No pluggable pipeline: the identity reduction is built directly
-    /// from the legacy class builder. Semantically identical to
-    /// [`Classes`](Self::Classes) (the classes *are* the model's
-    /// representation); exists as the pinned pre-pipeline baseline.
-    Off,
     /// Server-side only: the paper's symmetric-server equivalence
     /// classes, run as the pipeline's [`ServerClasses`] stage. Today's
     /// default behavior.
@@ -300,10 +292,7 @@ impl Reduction {
 
 /// The pipeline driver: builds the round's reduction at `level`.
 ///
-/// `Off` bypasses the stage list (legacy direct build); `Classes` and
-/// `Clusters` run the pluggable [`Aggregator`] stages in order. All three
-/// produce a valid [`Reduction`]; `Off` and `Classes` produce identical
-/// ones by construction.
+/// Runs the level's pluggable [`Aggregator`] stages in order.
 pub fn build_reduction(
     region: &Region,
     snapshot: &BrokerSnapshot,
@@ -321,10 +310,6 @@ pub fn build_reduction(
     };
     let mut reduction = Reduction::seed(specs, level);
     let stages: &[&dyn Aggregator] = match level {
-        AggregationLevel::Off => {
-            apply_server_classes(&input, &mut reduction);
-            &[]
-        }
         AggregationLevel::Classes => &[&ServerClasses],
         AggregationLevel::Clusters => &[&ServerClasses, &SpecClusters],
     };
@@ -345,27 +330,21 @@ impl Aggregator for ServerClasses {
     }
 
     fn apply(&self, input: &AggregationInput<'_>, reduction: &mut Reduction) {
-        apply_server_classes(input, reduction);
+        let (classes, excluded) = build_classes_counted(
+            input.region,
+            input.snapshot,
+            input.granularity,
+            input.include,
+        );
+        reduction.labels = classes.iter().map(|c| c.label()).collect();
+        let vars = eligible_vars(&classes, &reduction.specs);
+        reduction.stats.servers = crate::classes::total_servers(&classes);
+        reduction.stats.servers_excluded = excluded;
+        reduction.stats.classes = classes.len();
+        reduction.stats.vars_full = vars;
+        reduction.stats.vars_reduced = vars;
+        reduction.classes = classes;
     }
-}
-
-/// Shared body of [`ServerClasses`] and the `Off`-level direct build —
-/// one implementation, so the pipeline and the bypass cannot diverge.
-fn apply_server_classes(input: &AggregationInput<'_>, reduction: &mut Reduction) {
-    let (classes, excluded) = build_classes_counted(
-        input.region,
-        input.snapshot,
-        input.granularity,
-        input.include,
-    );
-    reduction.labels = classes.iter().map(|c| c.label()).collect();
-    let vars = eligible_vars(&classes, &reduction.specs);
-    reduction.stats.servers = crate::classes::total_servers(&classes);
-    reduction.stats.servers_excluded = excluded;
-    reduction.stats.classes = classes.len();
-    reduction.stats.vars_full = vars;
-    reduction.stats.vars_reduced = vars;
-    reduction.classes = classes;
 }
 
 /// The reservation-side stage: clusters specs with identical
@@ -890,37 +869,6 @@ mod tests {
 
     fn uniform_spec(region: &Region, name: &str, capacity: f64) -> ReservationSpec {
         ReservationSpec::guaranteed(name, capacity, RruTable::uniform(&region.catalog, 1.0))
-    }
-
-    #[test]
-    fn off_and_classes_levels_are_identical() {
-        let (region, broker) = setup();
-        let specs = vec![uniform_spec(&region, "web", 30.0)];
-        let snap = broker.snapshot(SimTime::ZERO);
-        let off = build_reduction(
-            &region,
-            &snap,
-            &specs,
-            Granularity::Msb,
-            AggregationLevel::Off,
-            None,
-        );
-        let classes = build_reduction(
-            &region,
-            &snap,
-            &specs,
-            Granularity::Msb,
-            AggregationLevel::Classes,
-            None,
-        );
-        assert_eq!(off.labels, classes.labels);
-        assert_eq!(off.classes.len(), classes.classes.len());
-        for (a, b) in off.classes.iter().zip(&classes.classes) {
-            assert_eq!(a.servers, b.servers);
-            assert_eq!(a.key(), b.key());
-        }
-        assert_eq!(off.specs, classes.specs);
-        assert!(!off.has_clusters() && !classes.has_clusters());
     }
 
     #[test]
