@@ -1,0 +1,214 @@
+//! Bounded-variable revised simplex: two-phase primal, plus a true dual
+//! simplex for warm re-solves.
+//!
+//! The basis is held as a sparse LU factorization (see [`crate::lu`])
+//! maintained with Forrest–Tomlin updates ([`crate::lu::FtFactors`]),
+//! which keep `U` genuinely triangular between refactorizations. The
+//! factors are rebuilt every few hundred pivots — or early, when an
+//! update reports instability or fill growth.
+//!
+//! Cold solves start from a *crash* basis: every row whose residual fits
+//! inside its slack's bounds gets the slack basic (no phase-1 work);
+//! only the remaining rows receive an artificial variable, and phase 1
+//! minimizes their sum. Phase 2 then minimizes the true objective.
+//! Anti-cycling uses Bland's rule after a run of degenerate pivots.
+//!
+//! Warm solves ([`solve_lp_warm`]) skip both phases: a bound or RHS
+//! change leaves the persisted basis *dual* feasible, so the dual simplex
+//! (dual devex pricing, bound-flip ratio test) walks straight back to
+//! optimality with **zero phase-1 iterations** — the re-solve path the
+//! RAS session hits every round at the root. Branch-and-bound nodes
+//! re-solve with the one-violation repair instead (`warm_dual: false`),
+//! from one [`Simplex`] engine kept for the whole search.
+
+mod basis;
+mod dual;
+mod engine;
+mod pricing;
+mod primal;
+
+pub use basis::Basis;
+pub use engine::Simplex;
+
+use crate::standard::StandardForm;
+
+/// Above this many columns (structural + slack + artificial),
+/// [`PricingRule::Auto`] switches from full devex pricing to partial
+/// devex over a candidate list: below it a full scan per pivot is cheap
+/// and the better pivot quality wins; above it the scan itself is the
+/// bottleneck.
+pub const AUTO_PARTIAL_MIN_COLS: usize = 4096;
+
+/// Outcome status of an LP solve.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LpStatus {
+    /// Proven optimal.
+    Optimal,
+    /// No feasible point exists (phase-1 optimum is positive).
+    Infeasible,
+    /// Objective unbounded below.
+    Unbounded,
+    /// Iteration limit reached before optimality.
+    IterationLimit,
+}
+
+/// Entering-variable pricing rule (see [`SimplexConfig::pricing`]).
+///
+/// Both rules select from the same eligibility set (reduced cost pushes
+/// the objective down from the bound the variable rests on), so they
+/// reach the same optimum; they differ only in how many pivots they
+/// take and what each selection scan costs. Anti-cycling is
+/// orthogonal: after a long degenerate run the engine switches to
+/// Bland's rule on exact reduced costs regardless of the configured
+/// pricing rule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+pub enum PricingRule {
+    /// Devex up to [`AUTO_PARTIAL_MIN_COLS`] columns, partial devex
+    /// above.
+    #[default]
+    Auto,
+    /// Devex reference-framework weights (Forrest & Goldfarb): pick the
+    /// maximizer of `d_j² / w_j` over maintained reduced costs, update
+    /// the weights of the columns touched by each pivot row.
+    Devex,
+    /// Devex merit restricted to a rotating candidate list, rebuilt from
+    /// a full scan only when the list runs dry. The default for large
+    /// models, where a full per-pivot scan dominates solve time.
+    PartialDevex,
+}
+
+/// Pricing-engine counters for one LP solve.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PricingStats {
+    /// Pivots whose entering variable came straight from the candidate
+    /// list (partial pricing only).
+    pub candidate_hits: usize,
+    /// Full scans over every column: reduced-cost refreshes plus
+    /// candidate-list rebuilds.
+    pub full_rebuilds: usize,
+}
+
+/// Basis-maintenance counters for one LP solve: update counts plus
+/// refactorizations broken down by trigger. `refactors_interval +
+/// refactors_growth + refactors_accuracy` can undercount
+/// `LpResult::refactorizations` by the basis *installs* (cold crash /
+/// warm basis), which are factorizations but not maintenance triggers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BasisStats {
+    /// Successful basis updates (Forrest–Tomlin column replacements).
+    pub updates: usize,
+    /// Refactorizations on the fixed pivot-count interval.
+    pub refactors_interval: usize,
+    /// Refactorizations because accumulated fill (spikes plus row-
+    /// elimination etas) outgrew the factorization's nonzeros.
+    pub refactors_growth: usize,
+    /// Refactorizations because an update reported numerical instability
+    /// (singular replacement diagonal, oversized multiplier).
+    pub refactors_accuracy: usize,
+}
+
+/// Result of an LP solve.
+#[derive(Debug, Clone)]
+pub struct LpResult {
+    /// Status.
+    pub status: LpStatus,
+    /// Objective value (meaningful for `Optimal` and `IterationLimit`).
+    pub objective: f64,
+    /// Values for all structural + slack columns.
+    pub values: Vec<f64>,
+    /// Row duals `y` from the final pricing pass (meaningful on
+    /// `Optimal`; empty when there are no rows).
+    pub duals: Vec<f64>,
+    /// Total simplex iterations across both phases (dual included).
+    pub iterations: usize,
+    /// Iterations spent in primal phase 1 (minimizing artificial
+    /// infeasibility). Warm dual re-solves report 0 by construction:
+    /// bound-only changes keep the persisted basis dual feasible, so no
+    /// artificial phase ever runs.
+    pub phase1_iterations: usize,
+    /// Dual-simplex iterations (warm re-solves only).
+    pub dual_iterations: usize,
+    /// True when the dual simplex drove the solve back to primal
+    /// feasibility from a warm basis.
+    pub used_dual_simplex: bool,
+    /// Basis (re)factorizations performed.
+    pub refactorizations: usize,
+    /// Basis-maintenance counters (see [`BasisStats`]).
+    pub basis_stats: BasisStats,
+    /// Pricing-engine counters (see [`PricingStats`]).
+    pub pricing: PricingStats,
+    /// Optimal basis snapshot (present on `Optimal`), usable to warm-start
+    /// a re-solve after bound changes via [`solve_lp_warm`].
+    pub basis: Option<Basis>,
+    /// True when the solve actually started from supplied warm-start state
+    /// — the exact basis, or its slack-degraded bound snapshot — and the
+    /// dual repair succeeded (no fallback to a cold two-phase solve).
+    pub warm_basis_used: bool,
+}
+
+/// Tuning knobs for the simplex engine.
+#[derive(Debug, Clone)]
+pub struct SimplexConfig {
+    /// Hard cap on total pivots.
+    pub max_iterations: usize,
+    /// Optional wall-clock deadline; pivoting stops with
+    /// [`LpStatus::IterationLimit`] once it passes. Branch and bound sets
+    /// this from its own time limit so a single huge LP cannot blow
+    /// through the solve budget.
+    pub deadline: Option<std::time::Instant>,
+    /// Rebuild the basis factorization after this many pivots.
+    pub refactor_interval: usize,
+    /// Entering-variable pricing rule (see [`PricingRule`]).
+    pub pricing: PricingRule,
+    /// Route warm re-solves through the true dual simplex (bound-flip
+    /// ratio test, dual devex). `false` selects the one-violation repair
+    /// loop, which is what branch and bound re-solves every node and
+    /// dive LP with.
+    pub warm_dual: bool,
+}
+
+impl Default for SimplexConfig {
+    fn default() -> Self {
+        Self {
+            max_iterations: 200_000,
+            deadline: None,
+            refactor_interval: 200,
+            pricing: PricingRule::default(),
+            warm_dual: true,
+        }
+    }
+}
+
+/// Solves the LP `min cᵀx  s.t.  Ax = b, lower <= x <= upper`.
+///
+/// `lower`/`upper` override the standard form's default bounds (same
+/// length, `n + m`); branch-and-bound nodes use this to impose branching
+/// bounds without rebuilding the matrix.
+pub fn solve_lp(
+    sf: &StandardForm,
+    lower: &[f64],
+    upper: &[f64],
+    config: &SimplexConfig,
+) -> LpResult {
+    solve_lp_warm(sf, lower, upper, config, None)
+}
+
+/// Like [`solve_lp`] but warm-started from a previous optimal basis.
+///
+/// After a branch-and-bound bound change, the old basis stays dual
+/// feasible; a short dual-simplex repair restores primal feasibility and
+/// a primal cleanup finishes. Falls back to a cold start whenever the
+/// warm basis is unusable (singular, stale, or the repair stalls), so the
+/// result is always identical to a cold solve up to degeneracy.
+pub fn solve_lp_warm(
+    sf: &StandardForm,
+    lower: &[f64],
+    upper: &[f64],
+    config: &SimplexConfig,
+    warm: Option<&Basis>,
+) -> LpResult {
+    Simplex::new(sf, config.clone()).solve(lower, upper, warm)
+}
+
+#[cfg(test)]
+mod tests;

@@ -1,0 +1,540 @@
+use super::*;
+use crate::expr::LinExpr;
+use crate::model::{Model, Sense, VarType};
+
+fn lp(model: &Model) -> LpResult {
+    let sf = StandardForm::from_model(model);
+    solve_lp(
+        &sf,
+        &sf.lower.clone(),
+        &sf.upper.clone(),
+        &SimplexConfig::default(),
+    )
+}
+
+#[test]
+fn textbook_2d_lp() {
+    // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 → (2, 6), obj 36.
+    let mut m = Model::new();
+    let x = m.add_var("x", VarType::Continuous, 0.0, f64::INFINITY);
+    let y = m.add_var("y", VarType::Continuous, 0.0, f64::INFINITY);
+    m.add_constraint("c1", LinExpr::from(x), Sense::Le, 4.0);
+    m.add_constraint("c2", 2.0 * y, Sense::Le, 12.0);
+    m.add_constraint("c3", 3.0 * x + 2.0 * y, Sense::Le, 18.0);
+    m.set_objective(-3.0 * x - 5.0 * y);
+    let r = lp(&m);
+    assert_eq!(r.status, LpStatus::Optimal);
+    assert!(
+        (r.objective + 36.0).abs() < 1e-6,
+        "objective {}",
+        r.objective
+    );
+    assert!((r.values[0] - 2.0).abs() < 1e-6);
+    assert!((r.values[1] - 6.0).abs() < 1e-6);
+}
+
+#[test]
+fn equality_constraints() {
+    // min x + y s.t. x + y = 10, x - y = 4 → (7, 3).
+    let mut m = Model::new();
+    let x = m.add_var("x", VarType::Continuous, 0.0, f64::INFINITY);
+    let y = m.add_var("y", VarType::Continuous, 0.0, f64::INFINITY);
+    m.add_constraint("sum", 1.0 * x + 1.0 * y, Sense::Eq, 10.0);
+    m.add_constraint("diff", 1.0 * x - 1.0 * y, Sense::Eq, 4.0);
+    m.set_objective(1.0 * x + 1.0 * y);
+    let r = lp(&m);
+    assert_eq!(r.status, LpStatus::Optimal);
+    assert!((r.values[0] - 7.0).abs() < 1e-6);
+    assert!((r.values[1] - 3.0).abs() < 1e-6);
+}
+
+#[test]
+fn infeasible_detected() {
+    let mut m = Model::new();
+    let x = m.add_var("x", VarType::Continuous, 0.0, 1.0);
+    m.add_constraint("hi", LinExpr::from(x), Sense::Ge, 2.0);
+    let r = lp(&m);
+    assert_eq!(r.status, LpStatus::Infeasible);
+}
+
+#[test]
+fn unbounded_detected() {
+    let mut m = Model::new();
+    let x = m.add_var("x", VarType::Continuous, 0.0, f64::INFINITY);
+    m.set_objective(-1.0 * x);
+    m.add_constraint("noop", LinExpr::from(x), Sense::Ge, 0.0);
+    let r = lp(&m);
+    assert_eq!(r.status, LpStatus::Unbounded);
+}
+
+#[test]
+fn negative_lower_bounds() {
+    // min x s.t. x >= -5  → -5.
+    let mut m = Model::new();
+    let x = m.add_var("x", VarType::Continuous, -5.0, 5.0);
+    m.add_constraint("noop", LinExpr::from(x), Sense::Le, 100.0);
+    m.set_objective(LinExpr::from(x));
+    let r = lp(&m);
+    assert_eq!(r.status, LpStatus::Optimal);
+    assert!((r.values[0] + 5.0).abs() < 1e-6);
+}
+
+#[test]
+fn free_variable_lp() {
+    // min x + 2y, x free, y in [0, 10], x + y >= 4, x >= -3 via constraint.
+    let mut m = Model::new();
+    let x = m.add_var("x", VarType::Continuous, f64::NEG_INFINITY, f64::INFINITY);
+    let y = m.add_var("y", VarType::Continuous, 0.0, 10.0);
+    m.add_constraint("c", 1.0 * x + 1.0 * y, Sense::Ge, 4.0);
+    m.add_constraint("lb", LinExpr::from(x), Sense::Ge, -3.0);
+    m.set_objective(1.0 * x + 2.0 * y);
+    let r = lp(&m);
+    assert_eq!(r.status, LpStatus::Optimal);
+    // Optimum: x = 4, y = 0 → 4 (cheaper than using y).
+    assert!(
+        (r.objective - 4.0).abs() < 1e-6,
+        "objective {}",
+        r.objective
+    );
+}
+
+#[test]
+fn degenerate_lp_terminates() {
+    // Many redundant constraints through the same vertex.
+    let mut m = Model::new();
+    let x = m.add_var("x", VarType::Continuous, 0.0, f64::INFINITY);
+    let y = m.add_var("y", VarType::Continuous, 0.0, f64::INFINITY);
+    for i in 0..20 {
+        m.add_constraint(format!("r{i}"), 1.0 * x + 1.0 * y, Sense::Le, 10.0);
+    }
+    m.add_constraint("cap", 1.0 * x - 1.0 * y, Sense::Le, 0.0);
+    m.set_objective(-1.0 * x - 1.0 * y);
+    let r = lp(&m);
+    assert_eq!(r.status, LpStatus::Optimal);
+    assert!((r.objective + 10.0).abs() < 1e-6);
+}
+
+#[test]
+fn transportation_lp() {
+    // 2 supplies (10, 20), 3 demands (5, 15, 10), unit costs.
+    let costs = [[2.0, 4.0, 5.0], [3.0, 1.0, 7.0]];
+    let mut m = Model::new();
+    let mut vars = Vec::new();
+    for i in 0..2 {
+        for j in 0..3 {
+            vars.push(m.add_var(format!("x{i}{j}"), VarType::Continuous, 0.0, f64::INFINITY));
+        }
+    }
+    for (i, supply) in [10.0, 20.0].iter().enumerate() {
+        let e = LinExpr::sum((0..3).map(|j| (vars[i * 3 + j], 1.0)));
+        m.add_constraint(format!("s{i}"), e, Sense::Le, *supply);
+    }
+    for (j, demand) in [5.0, 15.0, 10.0].iter().enumerate() {
+        let e = LinExpr::sum((0..2).map(|i| (vars[i * 3 + j], 1.0)));
+        m.add_constraint(format!("d{j}"), e, Sense::Ge, *demand);
+    }
+    let mut obj = LinExpr::zero();
+    for i in 0..2 {
+        for j in 0..3 {
+            obj += LinExpr::term(vars[i * 3 + j], costs[i][j]);
+        }
+    }
+    m.set_objective(obj);
+    let r = lp(&m);
+    assert_eq!(r.status, LpStatus::Optimal);
+    // Optimal plan: d0 ← s1 at cost 3 (15), d1 ← s1 at cost 1 (15),
+    // d2 ← s0 at cost 5 (50): total 80.
+    assert!(
+        (r.objective - 80.0).abs() < 1e-6,
+        "objective {}",
+        r.objective
+    );
+}
+
+#[test]
+fn refactor_keeps_solution_consistent() {
+    // Force many pivots with a tiny refactor interval.
+    let mut m = Model::new();
+    let n = 15;
+    let vars: Vec<_> = (0..n)
+        .map(|i| m.add_var(format!("x{i}"), VarType::Continuous, 0.0, 10.0))
+        .collect();
+    for i in 0..n - 1 {
+        m.add_constraint(
+            format!("c{i}"),
+            1.0 * vars[i] + 1.0 * vars[i + 1],
+            Sense::Le,
+            7.0 + (i % 3) as f64,
+        );
+    }
+    m.set_objective(LinExpr::sum(vars.iter().map(|v| (*v, -1.0))));
+    let sf = StandardForm::from_model(&m);
+    let reference = solve_lp(
+        &sf,
+        &sf.lower.clone(),
+        &sf.upper.clone(),
+        &SimplexConfig::default(),
+    );
+    let tight = SimplexConfig {
+        refactor_interval: 3,
+        ..SimplexConfig::default()
+    };
+    let r = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &tight);
+    assert_eq!(r.status, LpStatus::Optimal);
+    assert!((r.objective - reference.objective).abs() < 1e-5);
+    assert!(m.violations(&r.values[..n], 1e-5).is_empty());
+    assert!(r.refactorizations > 0, "interval 3 must refactor");
+}
+
+#[test]
+fn bound_override_changes_optimum() {
+    let mut m = Model::new();
+    let x = m.add_var("x", VarType::Continuous, 0.0, 10.0);
+    m.add_constraint("noop", LinExpr::from(x), Sense::Le, 100.0);
+    m.set_objective(-1.0 * x);
+    let sf = StandardForm::from_model(&m);
+    let mut up = sf.upper.clone();
+    up[0] = 3.0;
+    let r = solve_lp(&sf, &sf.lower.clone(), &up, &SimplexConfig::default());
+    assert_eq!(r.status, LpStatus::Optimal);
+    assert!((r.values[0] - 3.0).abs() < 1e-6);
+}
+
+/// With an effectively infinite refactor interval the engine runs on
+/// Forrest–Tomlin updates alone; the answer must not drift.
+#[test]
+fn sparse_update_only_path_is_exact() {
+    let mut m = Model::new();
+    let n = 12;
+    let vars: Vec<_> = (0..n)
+        .map(|i| m.add_var(format!("x{i}"), VarType::Continuous, 0.0, 5.0))
+        .collect();
+    for i in 0..n - 1 {
+        m.add_constraint(
+            format!("c{i}"),
+            2.0 * vars[i] + 1.0 * vars[i + 1],
+            Sense::Le,
+            6.0 + (i % 4) as f64,
+        );
+    }
+    m.set_objective(LinExpr::sum(vars.iter().map(|v| (*v, -1.0))));
+    let sf = StandardForm::from_model(&m);
+    let reference = lp(&m);
+    let update_only = SimplexConfig {
+        refactor_interval: usize::MAX,
+        ..SimplexConfig::default()
+    };
+    let r = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &update_only);
+    assert_eq!(r.status, LpStatus::Optimal);
+    assert!((r.objective - reference.objective).abs() < 1e-7);
+    assert_eq!(r.refactorizations, 0, "update-only run must never refactor");
+    assert!(r.basis_stats.updates > 0, "updates must be counted");
+}
+
+/// Warm-started re-solves agree with cold ones.
+#[test]
+fn sparse_warm_start_matches_cold() {
+    let mut m = Model::new();
+    let x = m.add_var("x", VarType::Continuous, 0.0, 8.0);
+    let y = m.add_var("y", VarType::Continuous, 0.0, 8.0);
+    m.add_constraint("a", 1.0 * x + 2.0 * y, Sense::Le, 10.0);
+    m.add_constraint("b", 3.0 * x + 1.0 * y, Sense::Le, 15.0);
+    m.set_objective(-2.0 * x - 3.0 * y);
+    let sf = StandardForm::from_model(&m);
+    let cfg = SimplexConfig::default();
+    let base = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &cfg);
+    assert_eq!(base.status, LpStatus::Optimal);
+    let mut up = sf.upper.clone();
+    up[0] = 2.0; // branch-style tightening
+    let cold = solve_lp(&sf, &sf.lower.clone(), &up, &cfg);
+    let warm = solve_lp_warm(&sf, &sf.lower.clone(), &up, &cfg, base.basis.as_ref());
+    assert_eq!(cold.status, warm.status);
+    assert!((cold.objective - warm.objective).abs() < 1e-7);
+}
+
+/// A singular warm basis must degrade safely (slack-basis repair or
+/// cold fallback), never a wrong answer.
+#[test]
+fn singular_warm_basis_degrades_safely() {
+    let mut m = Model::new();
+    let x = m.add_var("x", VarType::Continuous, 0.0, 3.0);
+    let y = m.add_var("y", VarType::Continuous, 0.0, 3.0);
+    // Rows are multiples of each other, so basis {x, y} is singular.
+    m.add_constraint("a", 1.0 * x + 1.0 * y, Sense::Le, 4.0);
+    m.add_constraint("b", 2.0 * x + 2.0 * y, Sense::Le, 8.0);
+    m.set_objective(-1.0 * x - 1.0 * y);
+    let sf = StandardForm::from_model(&m);
+    let singular = Basis {
+        basis: vec![0, 1],
+        at_upper: vec![false, false],
+    };
+    let r = solve_lp_warm(
+        &sf,
+        &sf.lower.clone(),
+        &sf.upper.clone(),
+        &SimplexConfig::default(),
+        Some(&singular),
+    );
+    assert_eq!(r.status, LpStatus::Optimal);
+    assert!((r.objective + 4.0).abs() < 1e-6, "{}", r.objective);
+}
+
+/// The crash basis makes a bound-feasible LP skip phase 1 entirely:
+/// at an already-optimal vertex, zero pivots are needed.
+#[test]
+fn slack_crash_skips_phase_one() {
+    let mut m = Model::new();
+    let x = m.add_var("x", VarType::Continuous, 0.0, 5.0);
+    let y = m.add_var("y", VarType::Continuous, 0.0, 5.0);
+    m.add_constraint("a", 1.0 * x + 1.0 * y, Sense::Le, 8.0);
+    m.add_constraint("b", 1.0 * x - 1.0 * y, Sense::Le, 3.0);
+    // Minimizing positive costs puts the optimum at the lower-bound
+    // corner the crash basis already sits on.
+    m.set_objective(2.0 * x + 1.0 * y);
+    let r = lp(&m);
+    assert_eq!(r.status, LpStatus::Optimal);
+    assert_eq!(r.iterations, 0, "crash basis should already be optimal");
+    assert!(r.objective.abs() < 1e-9);
+}
+
+/// Every pricing rule reaches the same optimum on the fixture LPs —
+/// they only differ in pivot selection, never in the answer.
+#[test]
+fn pricing_rules_agree_on_fixtures() {
+    let mut m = Model::new();
+    let x = m.add_var("x", VarType::Continuous, 0.0, f64::INFINITY);
+    let y = m.add_var("y", VarType::Continuous, 0.0, f64::INFINITY);
+    m.add_constraint("c1", LinExpr::from(x), Sense::Le, 4.0);
+    m.add_constraint("c2", 2.0 * y, Sense::Le, 12.0);
+    m.add_constraint("c3", 3.0 * x + 2.0 * y, Sense::Le, 18.0);
+    m.set_objective(-3.0 * x - 5.0 * y);
+    let sf = StandardForm::from_model(&m);
+    for pricing in [PricingRule::Devex, PricingRule::PartialDevex] {
+        let cfg = SimplexConfig {
+            pricing,
+            ..SimplexConfig::default()
+        };
+        let r = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &cfg);
+        assert_eq!(r.status, LpStatus::Optimal, "{pricing:?}");
+        assert!(
+            (r.objective + 36.0).abs() < 1e-6,
+            "{pricing:?}: {}",
+            r.objective
+        );
+    }
+}
+
+/// Partial pricing records its candidate-list activity: a solve
+/// needs at least one full scan (the final optimality proof) and
+/// reports hits only when the list actually served a pivot.
+#[test]
+fn partial_pricing_reports_stats() {
+    let mut m = Model::new();
+    let n = 30;
+    let vars: Vec<_> = (0..n)
+        .map(|i| m.add_var(format!("x{i}"), VarType::Continuous, 0.0, 10.0))
+        .collect();
+    for i in 0..n - 1 {
+        m.add_constraint(
+            format!("c{i}"),
+            1.0 * vars[i] + 1.0 * vars[i + 1],
+            Sense::Le,
+            7.0 + (i % 3) as f64,
+        );
+    }
+    m.set_objective(LinExpr::sum(vars.iter().map(|v| (*v, -1.0))));
+    let sf = StandardForm::from_model(&m);
+    let cfg = SimplexConfig {
+        pricing: PricingRule::PartialDevex,
+        ..SimplexConfig::default()
+    };
+    let r = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &cfg);
+    assert_eq!(r.status, LpStatus::Optimal);
+    assert!(r.pricing.full_rebuilds >= 1, "optimality needs a full scan");
+    assert!(
+        r.pricing.candidate_hits <= r.iterations,
+        "hits cannot exceed pivots"
+    );
+}
+
+/// Optimal duals must be dual feasible: reduced costs respect the
+/// bound each variable rests on.
+#[test]
+fn duals_are_dual_feasible_at_optimum() {
+    let mut m = Model::new();
+    let x = m.add_var("x", VarType::Continuous, 0.0, f64::INFINITY);
+    let y = m.add_var("y", VarType::Continuous, 0.0, f64::INFINITY);
+    m.add_constraint("c1", LinExpr::from(x), Sense::Le, 4.0);
+    m.add_constraint("c2", 2.0 * y, Sense::Le, 12.0);
+    m.add_constraint("c3", 3.0 * x + 2.0 * y, Sense::Le, 18.0);
+    m.set_objective(-3.0 * x - 5.0 * y);
+    let sf = StandardForm::from_model(&m);
+    let r = lp(&m);
+    assert_eq!(r.status, LpStatus::Optimal);
+    assert_eq!(r.duals.len(), sf.num_rows);
+    for j in 0..sf.num_cols() {
+        let d = sf.costs[j] - sf.matrix.column_dot(j, &r.duals);
+        let at_lo = (r.values[j] - sf.lower[j]).abs() < 1e-7;
+        let at_up = (sf.upper[j] - r.values[j]).abs() < 1e-7;
+        if at_lo {
+            assert!(d > -1e-6, "col {j}: d = {d}");
+        } else if at_up {
+            assert!(d < 1e-6, "col {j}: d = {d}");
+        } else {
+            assert!(d.abs() < 1e-6, "col {j}: d = {d}");
+        }
+    }
+}
+
+/// A bound-only change re-solved from the persisted basis must go
+/// through the dual simplex with **zero** phase-1 iterations — the
+/// tentpole property of the warm re-solve hot path — and agree with
+/// the cold answer.
+#[test]
+fn warm_bound_patch_uses_dual_simplex_with_zero_phase1() {
+    let mut m = Model::new();
+    let x = m.add_var("x", VarType::Continuous, 0.0, 8.0);
+    let y = m.add_var("y", VarType::Continuous, 0.0, 8.0);
+    let z = m.add_var("z", VarType::Continuous, 0.0, 8.0);
+    m.add_constraint("a", 1.0 * x + 2.0 * y + 1.0 * z, Sense::Le, 12.0);
+    m.add_constraint("b", 3.0 * x + 1.0 * y, Sense::Le, 15.0);
+    m.add_constraint("c", 1.0 * y + 2.0 * z, Sense::Le, 10.0);
+    m.set_objective(-2.0 * x - 3.0 * y - 1.0 * z);
+    let sf = StandardForm::from_model(&m);
+    let cfg = SimplexConfig::default();
+    let base = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &cfg);
+    assert_eq!(base.status, LpStatus::Optimal);
+    // Tighten a bound that cuts off the old optimum.
+    let mut up = sf.upper.clone();
+    up[0] = 1.0;
+    let cold = solve_lp(&sf, &sf.lower.clone(), &up, &cfg);
+    let warm = solve_lp_warm(&sf, &sf.lower.clone(), &up, &cfg, base.basis.as_ref());
+    assert_eq!(warm.status, cold.status);
+    assert!(
+        (warm.objective - cold.objective).abs() < 1e-7,
+        "warm {} vs cold {}",
+        warm.objective,
+        cold.objective
+    );
+    assert!(warm.warm_basis_used);
+    assert!(warm.used_dual_simplex);
+    assert_eq!(warm.phase1_iterations, 0, "dual re-solve must skip phase 1");
+}
+
+/// RHS-only changes preserve dual feasibility too: the dual simplex
+/// re-solves a perturbed-capacity LP from the old basis exactly.
+#[test]
+fn warm_rhs_patch_resolves_via_dual() {
+    let mut m = Model::new();
+    let x = m.add_var("x", VarType::Continuous, 0.0, f64::INFINITY);
+    let y = m.add_var("y", VarType::Continuous, 0.0, f64::INFINITY);
+    m.add_constraint("c1", LinExpr::from(x), Sense::Le, 4.0);
+    m.add_constraint("c2", 2.0 * y, Sense::Le, 12.0);
+    m.add_constraint("c3", 3.0 * x + 2.0 * y, Sense::Le, 18.0);
+    m.set_objective(-3.0 * x - 5.0 * y);
+    let mut sf = StandardForm::from_model(&m);
+    let cfg = SimplexConfig::default();
+    let base = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &cfg);
+    assert_eq!(base.status, LpStatus::Optimal);
+    // Shrink two capacities in place (what `Model::set_rhs` patches).
+    sf.rhs[0] = 3.0;
+    sf.rhs[2] = 14.0;
+    let cold = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &cfg);
+    let warm = solve_lp_warm(
+        &sf,
+        &sf.lower.clone(),
+        &sf.upper.clone(),
+        &cfg,
+        base.basis.as_ref(),
+    );
+    assert_eq!(warm.status, cold.status);
+    assert!((warm.objective - cold.objective).abs() < 1e-7);
+    assert!(warm.used_dual_simplex);
+    assert_eq!(warm.phase1_iterations, 0);
+}
+
+/// `warm_dual: false` selects the one-violation repair loop (the node
+/// re-solve path); both warm paths and the cold solve agree on the
+/// fixtures.
+#[test]
+fn one_violation_repair_path_agrees() {
+    let mut m = Model::new();
+    let x = m.add_var("x", VarType::Continuous, 0.0, 8.0);
+    let y = m.add_var("y", VarType::Continuous, 0.0, 8.0);
+    m.add_constraint("a", 1.0 * x + 2.0 * y, Sense::Le, 10.0);
+    m.add_constraint("b", 3.0 * x + 1.0 * y, Sense::Le, 15.0);
+    m.set_objective(-2.0 * x - 3.0 * y);
+    let sf = StandardForm::from_model(&m);
+    let base = solve_lp(
+        &sf,
+        &sf.lower.clone(),
+        &sf.upper.clone(),
+        &SimplexConfig::default(),
+    );
+    let mut up = sf.upper.clone();
+    up[0] = 2.0;
+    let cold = solve_lp(&sf, &sf.lower.clone(), &up, &SimplexConfig::default());
+    for warm_dual in [true, false] {
+        let cfg = SimplexConfig {
+            warm_dual,
+            ..SimplexConfig::default()
+        };
+        let warm = solve_lp_warm(&sf, &sf.lower.clone(), &up, &cfg, base.basis.as_ref());
+        assert_eq!(warm.status, cold.status, "warm_dual={warm_dual}");
+        assert!(
+            (warm.objective - cold.objective).abs() < 1e-7,
+            "warm_dual={warm_dual}"
+        );
+        assert_eq!(
+            warm.used_dual_simplex, warm_dual,
+            "dual flag must track the configured path"
+        );
+    }
+}
+
+/// The bound-flip ratio test must handle a patch whose repair is
+/// absorbed partly by flipping boxed nonbasics: boxed columns with
+/// small ranges force flips before an entering pivot.
+#[test]
+fn dual_bound_flips_reach_the_cold_optimum() {
+    let mut m = Model::new();
+    // Many tightly boxed columns sharing one capacity row: after the
+    // capacity drops, the dual repair must flip several of them.
+    let vars: Vec<_> = (0..10)
+        .map(|i| m.add_var(format!("x{i}"), VarType::Continuous, 0.0, 1.0))
+        .collect();
+    m.add_constraint(
+        "cap",
+        LinExpr::sum(vars.iter().map(|v| (*v, 1.0))),
+        Sense::Le,
+        9.0,
+    );
+    m.set_objective(LinExpr::sum(
+        vars.iter().enumerate().map(|(i, v)| (*v, -1.0 - i as f64)),
+    ));
+    let sf = StandardForm::from_model(&m);
+    let cfg = SimplexConfig::default();
+    let base = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &cfg);
+    assert_eq!(base.status, LpStatus::Optimal);
+    // Emulate `set_rhs`: capacity 9 → 3 strands six basics' worth of
+    // mass above the new cap.
+    let mut sf2 = sf;
+    sf2.rhs[0] = 3.0;
+    let cold = solve_lp(&sf2, &sf2.lower.clone(), &sf2.upper.clone(), &cfg);
+    let warm = solve_lp_warm(
+        &sf2,
+        &sf2.lower.clone(),
+        &sf2.upper.clone(),
+        &cfg,
+        base.basis.as_ref(),
+    );
+    assert_eq!(warm.status, cold.status);
+    assert!(
+        (warm.objective - cold.objective).abs() < 1e-7,
+        "warm {} vs cold {}",
+        warm.objective,
+        cold.objective
+    );
+    assert!(warm.used_dual_simplex);
+    assert_eq!(warm.phase1_iterations, 0);
+}
