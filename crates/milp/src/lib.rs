@@ -13,16 +13,14 @@
 //!   infeasibility detection, run before the search;
 //! * [`standard`] — conversion to computational standard form;
 //! * [`lu`] — sparse LU factorization (Gilbert–Peierls left-looking
-//!   elimination) with Forrest–Tomlin updates, backing the
-//!   large-instance basis engine;
+//!   elimination) with Forrest–Tomlin updates: the simplex's one basis
+//!   representation;
 //! * [`simplex`] — a bounded-variable, two-phase revised primal simplex
-//!   plus a dual simplex for warm re-solves, with a pluggable basis
-//!   engine (dense inverse for small instances, Forrest–Tomlin-updated
-//!   sparse LU for region-scale models, the legacy eta file as a
-//!   differential baseline, all with periodic refactorization) and
-//!   pluggable pricing engines (Dantzig, devex, and partial devex with
-//!   incrementally maintained reduced costs on the primal side; dual
-//!   devex with a bound-flip ratio test on the dual side);
+//!   plus a dual simplex for warm re-solves, over Forrest–Tomlin-updated
+//!   sparse LU factors with periodic refactorization; devex pricing with
+//!   incrementally maintained reduced costs on the primal side (partial,
+//!   over a candidate list, on wide models), dual devex with a
+//!   bound-flip ratio test on the dual side;
 //! * [`audit`] — a static model auditor (run before every solve) and
 //!   solution certificate checkers (primal/dual feasibility, integrality,
 //!   incumbent-within-gap) producing a structured [`AuditReport`];

@@ -7,14 +7,12 @@
 //! reach so each step costs time proportional to the fill it actually
 //! produces. The factors are stored column-wise in [`CscStore`]s.
 //!
-//! Two update schemes sit on top of a factorization:
-//!
-//! * the legacy product-form *eta file* (kept in `simplex.rs` as the
-//!   differential baseline), which appends one rank-one eta per pivot and
-//!   loses sparsity and accuracy on long pivot sequences; and
-//! * [`FtFactors`] — Forrest–Tomlin updates that modify `U` in place per
-//!   pivot, keeping the factorization genuinely triangular so `ftran` /
-//!   `btran` residuals stay bounded between refactorizations.
+//! On top of a factorization sits [`FtFactors`]: Forrest–Tomlin updates
+//! that modify `U` in place per pivot, keeping the factorization
+//! genuinely triangular so `ftran` / `btran` residuals stay bounded
+//! between refactorizations — where a product-form *eta file*, one
+//! rank-one eta appended per pivot, loses sparsity and accuracy on long
+//! pivot sequences (`tests/dual_differential.rs` keeps one to show it).
 
 use crate::cast;
 use crate::nan::NanGuard;

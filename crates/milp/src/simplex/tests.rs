@@ -1,3 +1,11 @@
+//! Unit tests of the simplex engine, declared `#[cfg(test)] mod tests;`
+//! in `mod.rs`.
+
+// Repeats the declaration's attribute so that the file reads as test
+// code on its own — to a reader and to `cargo xtask lint`, which scans
+// file by file.
+#![cfg(test)]
+
 use super::*;
 use crate::expr::LinExpr;
 use crate::model::{Model, Sense, VarType};

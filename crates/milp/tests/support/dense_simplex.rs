@@ -155,9 +155,6 @@ pub fn solve(model: &Model) -> Outcome {
     let (art0, cols) = (n + slacks, n + slacks + m);
 
     let mut ub: Vec<f64> = model.vars().iter().map(|v| v.upper - v.lower).collect();
-    if ub.iter().any(|&u| u < 0.0) {
-        return Outcome::Infeasible;
-    }
     ub.resize(cols, f64::INFINITY);
     let mut cost = vec![0.0; cols];
     for &(v, c) in &model.objective().terms {

@@ -173,9 +173,19 @@ fn is_ident_char(c: char) -> bool {
 /// Blanks every `#[cfg(test)] mod … { … }` block in already-masked
 /// source (the lints only police production code; test code may unwrap
 /// freely). Attributes between the cfg and the `mod` keyword are
-/// skipped; `#[cfg(test)]` on non-mod items is left untouched.
+/// skipped; `#[cfg(test)]` on non-mod items is left untouched. A file
+/// that is itself a test module — the out-of-line half of
+/// `#[cfg(test)] mod tests;`, marked by a leading `#![cfg(test)]` — is
+/// blanked whole: the engine scans file by file and cannot see the
+/// declaration in the parent.
 pub fn mask_test_mods(masked: &str) -> String {
     let chars: Vec<char> = masked.chars().collect();
+    if is_test_file(&chars) {
+        return chars
+            .iter()
+            .map(|&c| if c == '\n' { c } else { ' ' })
+            .collect();
+    }
     let mut out = chars.clone();
     let mut search_from = 0usize;
     while let Some((start, after_attr)) = find_cfg_test(&chars, search_from) {
@@ -228,6 +238,35 @@ pub fn mask_test_mods(masked: &str) -> String {
     out.into_iter().collect()
 }
 
+/// Whether one of the file's leading inner attributes is `#![cfg(test)]`.
+fn is_test_file(chars: &[char]) -> bool {
+    let mut i = 0;
+    loop {
+        while chars.get(i).is_some_and(|c| c.is_whitespace()) {
+            i += 1;
+        }
+        if chars.get(i..i + 3) != Some(&['#', '!', '[']) {
+            return false;
+        }
+        let (body, end) = attr_body(chars, i + 2);
+        if body == "cfg(test)" {
+            return true;
+        }
+        i = end;
+    }
+}
+
+/// The text between the brackets of the attribute whose `[` is at
+/// `open`, whitespace removed, and the index just past its `]`.
+fn attr_body(chars: &[char], open: usize) -> (String, usize) {
+    let end = skip_delimited(chars, open, '[', ']');
+    let body = chars[open + 1..end.saturating_sub(1)]
+        .iter()
+        .filter(|c| !c.is_whitespace())
+        .collect();
+    (body, end)
+}
+
 /// Index just past the delimiter balanced with the opener at `open`.
 fn skip_delimited(chars: &[char], open: usize, lhs: char, rhs: char) -> usize {
     let mut depth = 0usize;
@@ -267,11 +306,7 @@ fn find_cfg_test(chars: &[char], from: usize) -> Option<(usize, usize)> {
     let mut i = from;
     while i < chars.len() {
         if chars[i] == '#' && chars.get(i + 1) == Some(&'[') {
-            let end = skip_delimited(chars, i + 1, '[', ']');
-            let body: String = chars[i + 2..end.saturating_sub(1)]
-                .iter()
-                .filter(|c| !c.is_whitespace())
-                .collect();
+            let (body, end) = attr_body(chars, i + 1);
             if body == "cfg(test)" {
                 return Some((i, end));
             }
@@ -322,6 +357,18 @@ mod tests {
         assert!(m.contains("x.unwrap()"));
         assert!(!m.contains("y.expect"));
         assert_eq!(m.matches('\n').count(), src.matches('\n').count());
+    }
+
+    #[test]
+    fn inner_cfg_test_excludes_the_whole_file() {
+        let src = "// Out-of-line half of `#[cfg(test)] mod tests;`.\n\
+                   #![allow(dead_code)]\n#![cfg(test)]\nfn t() { y.unwrap(); }\n";
+        let m = mask_test_mods(&mask_source(src));
+        assert!(m.trim().is_empty(), "test file must be blanked: {m:?}");
+        assert_eq!(m.lines().count(), src.lines().count());
+        // An inner attribute further down is not a file-level marker.
+        let src = "fn live() { x.unwrap(); }\nmod m {\n#![cfg(test)]\n}\n";
+        assert!(mask_test_mods(&mask_source(src)).contains("unwrap"));
     }
 
     #[test]

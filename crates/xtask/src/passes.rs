@@ -35,9 +35,10 @@ pub const SYNTAX_LINTS: [&str; 5] = [
     "debug-assert-effect",
 ];
 
-/// Hot solver modules whose loop bodies must use checked indexing.
-const HOT_PATH_FILES: [&str; 3] = [
-    "crates/milp/src/simplex.rs",
+/// Hot solver modules whose loop bodies must use checked indexing: the
+/// simplex module tree (every file under it) and two single files.
+const HOT_PATHS: [&str; 3] = [
+    "crates/milp/src/simplex/",
     "crates/milp/src/lu.rs",
     "crates/ras-core/src/shard.rs",
 ];
@@ -63,7 +64,7 @@ pub fn run(repo_rel: &str, trees: &[Tree]) -> (Vec<Finding>, Vec<AllowScope>) {
     let mut findings = Vec::new();
     let mut scopes_out: Vec<AllowScope> = Vec::new();
 
-    let hot_path = HOT_PATH_FILES.contains(&repo_rel);
+    let hot_path = HOT_PATHS.iter().any(|p| repo_rel.starts_with(p));
     let solver = SOLVER_SRC.iter().any(|p| repo_rel.starts_with(p));
     let tolerance = solver && !TOLERANCE_MODULES.contains(&repo_rel);
     let cast = solver && repo_rel != CAST_MODULE;
@@ -630,6 +631,11 @@ mod tests {
             ]
         );
         assert!(run_on("crates/milp/src/model.rs", src).is_empty());
+        // The simplex module tree is in scope file by file.
+        for file in ["mod", "engine", "pricing", "primal", "dual"] {
+            let path = format!("crates/milp/src/simplex/{file}.rs");
+            assert_eq!(run_on(&path, src), hits, "{path}");
+        }
     }
 
     #[test]
@@ -642,7 +648,7 @@ mod tests {
                    let c = (x)[1];\n\
                    }\n\
                    }\n";
-        let hits = run_on("crates/milp/src/simplex.rs", src);
+        let hits = run_on("crates/milp/src/simplex/primal.rs", src);
         assert_eq!(hits, vec![("hot-path-index".to_string(), 6)]);
     }
 
@@ -661,7 +667,7 @@ mod tests {
                    static TAB: [f64; 2] = [1e-7, 1e-8];\n\
                    fn f(x: f64) -> bool { x.abs() < 1e-7 }\n";
         assert_eq!(
-            run_on("crates/milp/src/simplex.rs", src)
+            run_on("crates/milp/src/simplex/pricing.rs", src)
                 .iter()
                 .filter(|(l, _)| l == "tolerance-literal")
                 .collect::<Vec<_>>(),

@@ -66,6 +66,8 @@ fn walked_files_cover_every_authored_tree() {
         has("crates/milp/tests/simplex_reference.rs") || has("crates/milp/tests/parallel_solve.rs")
     );
     assert!(has("crates/xtask/src/main.rs"));
+    // The simplex module tree: files below a crate's `src/` top level.
+    assert!(has("crates/milp/src/simplex/dual.rs"));
 }
 
 #[test]
