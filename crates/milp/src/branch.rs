@@ -30,32 +30,68 @@ pub struct BranchAndBound {
     config: SolveConfig,
 }
 
+/// One branching decision: `(column, is_upper, value)` sets the column's
+/// upper (`true`) or lower (`false`) bound to `value`.
+type BoundChange = (usize, bool, f64);
+
+/// An open node, stored as its branching path instead of full bound
+/// vectors: memory per node follows its depth, not the model's size.
 struct Node {
-    /// Lower bounds for every column (structural + slack).
-    lower: Vec<f64>,
-    /// Upper bounds for every column.
-    upper: Vec<f64>,
-    /// Depth in the tree, used to break bound ties depth-first.
-    depth: usize,
+    /// Bound changes from the root, in branching order; the last one
+    /// created this node and the length is the node's depth.
+    path: Vec<BoundChange>,
+    /// Fractional part of the branched variable in the parent's LP
+    /// (pseudo-cost weight; unused at the root).
+    frac: f64,
     /// Parent's optimal basis, used to warm-start this node's LP.
     warm: Option<Rc<Basis>>,
-    /// How this node was created: `(variable, went_up, fractional part)`
-    /// — used to update pseudo-costs once the node's LP solves.
-    branch: Option<(usize, bool, f64)>,
-    /// The parent LP objective (pseudo-cost degradation baseline).
-    parent_bound: f64,
 }
 
-/// Max-heap entry ordered so that the *smallest* bound pops first.
+impl Node {
+    /// Materialises this node's bounds into `lower`/`upper`: the root
+    /// bounds with the path applied in order, so a column branched twice
+    /// ends on its latest bound.
+    fn bounds_into(
+        &self,
+        root_lower: &[f64],
+        root_upper: &[f64],
+        lower: &mut Vec<f64>,
+        upper: &mut Vec<f64>,
+    ) {
+        lower.clear();
+        lower.extend_from_slice(root_lower);
+        upper.clear();
+        upper.extend_from_slice(root_upper);
+        for &(column, is_upper, value) in &self.path {
+            if is_upper {
+                upper[column] = value;
+            } else {
+                lower[column] = value;
+            }
+        }
+    }
+
+    /// The child one branching decision further down.
+    fn child(&self, change: BoundChange, frac: f64, warm: Option<Rc<Basis>>) -> Node {
+        let mut path = Vec::with_capacity(self.path.len() + 1);
+        path.extend_from_slice(&self.path);
+        path.push(change);
+        Node { path, frac, warm }
+    }
+}
+
+/// Max-heap entry ordered so that the *smallest* bound pops first. It
+/// owns its node, so a popped node is freed once it has been processed.
 struct HeapEntry {
+    /// The parent's LP objective (the root's own for the root): the
+    /// node's bound and its pseudo-cost degradation baseline.
     bound: f64,
-    depth: usize,
-    index: usize,
+    node: Node,
 }
 
 impl PartialEq for HeapEntry {
     fn eq(&self, other: &Self) -> bool {
-        self.bound == other.bound && self.depth == other.depth
+        self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for HeapEntry {}
@@ -73,7 +109,7 @@ impl Ord for HeapEntry {
         other
             .bound
             .total_cmp(&self.bound)
-            .then(self.depth.cmp(&other.depth))
+            .then(self.node.path.len().cmp(&other.node.path.len()))
     }
 }
 
@@ -241,7 +277,7 @@ impl BranchAndBound {
         // root optimum; an iteration-limited root goes straight to the
         // search, which will re-solve it.
         if root_optimal {
-            if let Some(frac) = self.most_fractional(&root.values, &int_vars) {
+            if self.most_fractional(&root.values, &int_vars).is_some() {
                 // Try the rounding/diving heuristic for an early incumbent.
                 if self.config.use_heuristics {
                     if let Some((obj, values)) = self.dive(
@@ -260,7 +296,6 @@ impl BranchAndBound {
                         }
                     }
                 }
-                let _ = frac;
             } else {
                 // Root relaxation is already integral.
                 let (obj, values) = self.snap(model, &root, &int_vars);
@@ -282,22 +317,18 @@ impl BranchAndBound {
         }
 
         // Best-bound search.
-        let root_basis = root.basis.clone().map(Rc::new);
         let mut pseudo = PseudoCosts::new(model.num_vars());
-        let mut nodes: Vec<Node> = vec![Node {
-            lower: root_lower,
-            upper: root_upper,
-            depth: 0,
-            warm: root_basis,
-            branch: None,
-            parent_bound: root_bound,
-        }];
         let mut heap = BinaryHeap::new();
         heap.push(HeapEntry {
             bound: root_bound,
-            depth: 0,
-            index: 0,
+            node: Node {
+                path: Vec::new(),
+                frac: 0.0,
+                warm: root.basis.clone().map(Rc::new),
+            },
         });
+        // The popped node's bounds, materialised from its path.
+        let (mut lower, mut upper) = (Vec::new(), Vec::new());
         let mut best_open_bound = root_bound;
         // Weakest bound among subtrees the search abandoned (LP iteration
         // limit). It must stay in the final open-bound
@@ -339,8 +370,9 @@ impl BranchAndBound {
                     break;
                 }
             }
-            let node = &nodes[entry.index];
-            let lp = node_lp.solve(&node.lower, &node.upper, node.warm.as_deref());
+            let node = &entry.node;
+            node.bounds_into(&root_lower, &root_upper, &mut lower, &mut upper);
+            let lp = node_lp.solve(&lower, &upper, node.warm.as_deref());
             stats.nodes += 1;
             stats.record_lp(&lp);
             match lp.status {
@@ -361,13 +393,8 @@ impl BranchAndBound {
                 lp.objective
             );
             // Pseudo-cost learning: the degradation this branch caused.
-            if let Some((var, went_up, frac)) = nodes[entry.index].branch {
-                pseudo.record(
-                    var,
-                    went_up,
-                    frac,
-                    lp.objective - nodes[entry.index].parent_bound,
-                );
+            if let Some(&(var, is_upper, _)) = node.path.last() {
+                pseudo.record(var, !is_upper, node.frac, lp.objective - entry.bound);
             }
             if let Some((inc_obj, _)) = &incumbent {
                 if lp.objective >= inc_obj - self.config.abs_gap_tol {
@@ -383,8 +410,8 @@ impl BranchAndBound {
                 if let Some((obj, values)) = self.dive(
                     model,
                     &mut node_lp,
-                    &node.lower.clone(),
-                    &node.upper.clone(),
+                    &lower,
+                    &upper,
                     &lp,
                     &int_vars,
                     &mut stats,
@@ -396,7 +423,6 @@ impl BranchAndBound {
                     }
                 }
             }
-            let node = &nodes[entry.index];
             match crate::branching::select(&lp.values, &int_vars, self.config.int_tol, &pseudo) {
                 None => {
                     let (obj, values) = self.snap(model, &lp, &int_vars);
@@ -408,44 +434,26 @@ impl BranchAndBound {
                 Some(branch_var) => {
                     let value = lp.values[branch_var];
                     let frac = value - value.floor();
-                    let depth = node.depth + 1;
                     let child_warm = lp.basis.clone().map(Rc::new);
-                    let (node_lower, node_upper) = (node.lower.clone(), node.upper.clone());
-                    // Down child: x <= floor(value).
-                    let mut down_upper = node_upper.clone();
-                    down_upper[branch_var] = value.floor();
-                    if node_lower[branch_var] <= down_upper[branch_var] {
-                        nodes.push(Node {
-                            lower: node_lower.clone(),
-                            upper: down_upper,
-                            depth,
-                            warm: child_warm.clone(),
-                            branch: Some((branch_var, false, frac)),
-                            parent_bound: lp.objective,
-                        });
-                        heap.push(HeapEntry {
-                            bound: lp.objective,
-                            depth,
-                            index: nodes.len() - 1,
-                        });
-                    }
-                    // Up child: x >= ceil(value).
-                    let mut up_lower = node_lower;
-                    up_lower[branch_var] = value.ceil();
-                    if up_lower[branch_var] <= node_upper[branch_var] {
-                        nodes.push(Node {
-                            lower: up_lower,
-                            upper: node_upper,
-                            depth,
-                            warm: child_warm,
-                            branch: Some((branch_var, true, frac)),
-                            parent_bound: lp.objective,
-                        });
-                        heap.push(HeapEntry {
-                            bound: lp.objective,
-                            depth,
-                            index: nodes.len() - 1,
-                        });
+                    // Down child first (x <= floor(value)), then the up
+                    // child (x >= ceil(value)); either only if non-empty.
+                    let (down, up) = (value.floor(), value.ceil());
+                    for (is_upper, bound) in [(true, down), (false, up)] {
+                        let nonempty = if is_upper {
+                            lower[branch_var] <= bound
+                        } else {
+                            bound <= upper[branch_var]
+                        };
+                        if nonempty {
+                            heap.push(HeapEntry {
+                                bound: lp.objective,
+                                node: node.child(
+                                    (branch_var, is_upper, bound),
+                                    frac,
+                                    child_warm.clone(),
+                                ),
+                            });
+                        }
                     }
                 }
             }
@@ -619,6 +627,63 @@ mod tests {
     use super::*;
     use crate::expr::LinExpr;
     use crate::model::Sense;
+
+    fn entry(bound: f64, depth: usize) -> HeapEntry {
+        HeapEntry {
+            bound,
+            node: Node {
+                path: vec![(0, true, 0.0); depth],
+                frac: 0.0,
+                warm: None,
+            },
+        }
+    }
+
+    #[test]
+    fn heap_entry_equality_agrees_with_its_ordering() {
+        let bounds = [0.0, -0.0, f64::NAN, -f64::NAN, 1.0, f64::INFINITY];
+        for &a in &bounds {
+            for &b in &bounds {
+                for (da, db) in [(1, 1), (1, 2)] {
+                    let (x, y) = (entry(a, da), entry(b, db));
+                    assert_eq!(
+                        x == y,
+                        x.cmp(&y) == Ordering::Equal,
+                        "bounds {a:?}/{b:?}, depths {da}/{db}"
+                    );
+                }
+            }
+        }
+        assert!(entry(f64::NAN, 1) == entry(f64::NAN, 1));
+        assert!(entry(0.0, 1) != entry(-0.0, 1));
+        // Smaller bound pops first; deeper first on ties.
+        assert!(entry(-0.0, 1) > entry(0.0, 1));
+        assert!(entry(1.0, 2) > entry(1.0, 1));
+    }
+
+    #[test]
+    fn node_bounds_are_root_bounds_with_the_path_applied_in_order() {
+        let (root_lower, root_upper) = (vec![0.0, 1.0, 0.0], vec![10.0, 9.0, 7.0]);
+        let root = Node {
+            path: Vec::new(),
+            frac: 0.0,
+            warm: None,
+        };
+        // x0 <= 4, then x1 >= 2, then x0 again: x0 <= 1.
+        let node = root
+            .child((0, true, 4.0), 0.5, None)
+            .child((1, false, 2.0), 0.5, None)
+            .child((0, true, 1.0), 0.5, None);
+        assert_eq!(node.path.len(), 3);
+        // Scratch vectors arrive dirty from the previous node.
+        let (mut lower, mut upper) = (vec![5.0; 7], vec![-1.0]);
+        node.bounds_into(&root_lower, &root_upper, &mut lower, &mut upper);
+        assert_eq!(lower, vec![0.0, 2.0, 0.0]);
+        assert_eq!(upper, vec![1.0, 9.0, 7.0]);
+        // The parent's path is untouched by its children.
+        root.bounds_into(&root_lower, &root_upper, &mut lower, &mut upper);
+        assert_eq!((lower, upper), (root_lower, root_upper));
+    }
 
     #[test]
     fn knapsack_small() {

@@ -15,11 +15,9 @@
 //! * a **backward map** from the reduced solution to per-server /
 //!   per-reservation targets, with integer rounding repaired.
 //!
-//! [`Reduction`] is that artifact. [`Aggregator`] stages produce it:
-//! [`ServerClasses`] re-homes the existing equivalence-class build, and
-//! [`SpecClusters`] adds the reservation-side clustering. The
-//! [`AggregationLevel`] knob in [`SolverParams`](crate::SolverParams)
-//! picks the stage list.
+//! [`Reduction`] is that artifact. [`build_reduction`] produces it in two
+//! calls: the equivalence-class build, then — at
+//! [`AggregationLevel::Clusters`] — the reservation-side clustering.
 //!
 //! # Certified disaggregation
 //!
@@ -86,14 +84,12 @@ use ras_milp::tol;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum AggregationLevel {
     /// Server-side only: the paper's symmetric-server equivalence
-    /// classes, run as the pipeline's [`ServerClasses`] stage. Today's
-    /// default behavior.
+    /// classes. Today's default behavior.
     #[default]
     Classes,
-    /// Both sides: [`ServerClasses`] then [`SpecClusters`] — reservations
-    /// with identical hardware-fungibility footprints collapse into one
-    /// aggregate spec, and classes whose keys collide under the merged
-    /// spec space are merged too.
+    /// Both sides: reservations with identical hardware-fungibility
+    /// footprints also collapse into one aggregate spec, and classes
+    /// whose keys collide under the merged spec space are merged too.
     Clusters,
 }
 
@@ -165,32 +161,6 @@ pub struct DisaggStats {
     pub shortfall_rru: f64,
 }
 
-/// Everything an [`Aggregator`] stage may read.
-pub struct AggregationInput<'a> {
-    /// The region topology.
-    pub region: &'a Region,
-    /// The broker snapshot the round solves against.
-    pub snapshot: &'a BrokerSnapshot,
-    /// The full (unreduced) reservation specs.
-    pub specs: &'a [ReservationSpec],
-    /// Class-key location granularity.
-    pub granularity: Granularity,
-    /// Optional universe restriction (phase 2 / shard scoping).
-    pub include: Option<&'a dyn Fn(ServerId) -> bool>,
-}
-
-/// One pluggable aggregation stage. Stages run in order and refine the
-/// [`Reduction`] in place; every stage must keep the forward and backward
-/// maps consistent (`spec_of` and `members` inverse of each other, class
-/// `current`/`target` expressed in the *reduced* spec space, labels
-/// parallel to classes).
-pub trait Aggregator {
-    /// Stable stage name (diagnostics).
-    fn name(&self) -> &'static str;
-    /// Applies the stage.
-    fn apply(&self, input: &AggregationInput<'_>, reduction: &mut Reduction);
-}
-
 /// The forward/backward map between the full problem and the reduced
 /// model entities — the artifact every solve path builds once per round
 /// and threads through model build, warm-start diffing, and target
@@ -221,24 +191,6 @@ pub struct Reduction {
 }
 
 impl Reduction {
-    /// The identity reduction over `specs` with no classes yet.
-    fn seed(specs: &[ReservationSpec], level: AggregationLevel) -> Self {
-        Self {
-            level,
-            classes: Vec::new(),
-            labels: Vec::new(),
-            specs: specs.to_vec(),
-            spec_of: (0..specs.len()).collect(),
-            members: (0..specs.len()).map(|i| vec![i]).collect(),
-            stats: ReductionStats {
-                level,
-                full_specs: specs.len(),
-                reduced_specs: specs.len(),
-                ..ReductionStats::default()
-            },
-        }
-    }
-
     /// True when at least one reduced spec stands for several full specs
     /// (the backward map is non-trivial).
     pub fn has_clusters(&self) -> bool {
@@ -290,9 +242,9 @@ impl Reduction {
     }
 }
 
-/// The pipeline driver: builds the round's reduction at `level`.
-///
-/// Runs the level's pluggable [`Aggregator`] stages in order.
+/// Builds the round's reduction at `level`: the paper's symmetric-server
+/// equivalence classes (Section 3.5.2) under the identity spec map, then
+/// the spec clustering on top at [`AggregationLevel::Clusters`].
 pub fn build_reduction(
     region: &Region,
     snapshot: &BrokerSnapshot,
@@ -301,184 +253,156 @@ pub fn build_reduction(
     level: AggregationLevel,
     include: Option<&dyn Fn(ServerId) -> bool>,
 ) -> Reduction {
-    let input = AggregationInput {
-        region,
-        snapshot,
-        specs,
-        granularity,
-        include,
+    let (classes, excluded) = build_classes_counted(region, snapshot, granularity, include);
+    let vars = eligible_vars(&classes, specs);
+    let mut reduction = Reduction {
+        level,
+        labels: classes.iter().map(|c| c.label()).collect(),
+        specs: specs.to_vec(),
+        spec_of: (0..specs.len()).collect(),
+        members: (0..specs.len()).map(|i| vec![i]).collect(),
+        stats: ReductionStats {
+            level,
+            servers: crate::classes::total_servers(&classes),
+            servers_excluded: excluded,
+            classes: classes.len(),
+            full_specs: specs.len(),
+            reduced_specs: specs.len(),
+            spec_clusters: 0,
+            vars_full: vars,
+            vars_reduced: vars,
+        },
+        classes,
     };
-    let mut reduction = Reduction::seed(specs, level);
-    let stages: &[&dyn Aggregator] = match level {
-        AggregationLevel::Classes => &[&ServerClasses],
-        AggregationLevel::Clusters => &[&ServerClasses, &SpecClusters],
-    };
-    for stage in stages {
-        stage.apply(&input, &mut reduction);
+    if level == AggregationLevel::Clusters {
+        cluster_specs(specs, &mut reduction);
     }
     reduction
 }
 
-/// The server-side stage: the paper's symmetric-server equivalence
-/// classes (Section 3.5.2), re-homed from the hard-coded call in the old
-/// solve paths.
-pub struct ServerClasses;
-
-impl Aggregator for ServerClasses {
-    fn name(&self) -> &'static str {
-        "server-classes"
-    }
-
-    fn apply(&self, input: &AggregationInput<'_>, reduction: &mut Reduction) {
-        let (classes, excluded) = build_classes_counted(
-            input.region,
-            input.snapshot,
-            input.granularity,
-            input.include,
-        );
-        reduction.labels = classes.iter().map(|c| c.label()).collect();
-        let vars = eligible_vars(&classes, &reduction.specs);
-        reduction.stats.servers = crate::classes::total_servers(&classes);
-        reduction.stats.servers_excluded = excluded;
-        reduction.stats.classes = classes.len();
-        reduction.stats.vars_full = vars;
-        reduction.stats.vars_reduced = vars;
-        reduction.classes = classes;
-    }
-}
-
-/// The reservation-side stage: clusters specs with identical
+/// The reservation-side reduction: clusters specs with identical
 /// hardware-fungibility footprints into one aggregate spec and merges
 /// classes whose keys collide in the reduced spec space.
-pub struct SpecClusters;
-
-impl Aggregator for SpecClusters {
-    fn name(&self) -> &'static str {
-        "spec-clusters"
+fn cluster_specs(specs: &[ReservationSpec], reduction: &mut Reduction) {
+    // Group clusterable specs by footprint. O(n²) on the spec count,
+    // which is tiny next to the fleet.
+    let clusterable = |spec: &ReservationSpec| solver_visible(spec) && spec.capacity > 0.0;
+    let same_footprint = |a: &ReservationSpec, b: &ReservationSpec| {
+        a.kind == b.kind
+            && a.rru == b.rru
+            && a.spread == b.spread
+            && a.dc_affinity == b.dc_affinity
+            && a.msb_buffer == b.msb_buffer
+            && a.host_profile == b.host_profile
+    };
+    let mut cluster_of: Vec<Option<usize>> = vec![None; specs.len()];
+    let mut clusters: Vec<Vec<usize>> = Vec::new();
+    for (ri, spec) in specs.iter().enumerate() {
+        if !clusterable(spec) {
+            continue;
+        }
+        let found = clusters
+            .iter()
+            .position(|c| same_footprint(&specs[c[0]], spec));
+        match found {
+            Some(gi) => {
+                clusters[gi].push(ri);
+                cluster_of[ri] = Some(gi);
+            }
+            None => {
+                cluster_of[ri] = Some(clusters.len());
+                clusters.push(vec![ri]);
+            }
+        }
+    }
+    if !clusters.iter().any(|c| c.len() > 1) {
+        return; // Nothing to merge: identity (Clusters ≡ Classes).
     }
 
-    fn apply(&self, input: &AggregationInput<'_>, reduction: &mut Reduction) {
-        let specs = input.specs;
-        // Group clusterable specs by footprint. O(n²) on the spec count,
-        // which is tiny next to the fleet.
-        let clusterable = |spec: &ReservationSpec| solver_visible(spec) && spec.capacity > 0.0;
-        let same_footprint = |a: &ReservationSpec, b: &ReservationSpec| {
-            a.kind == b.kind
-                && a.rru == b.rru
-                && a.spread == b.spread
-                && a.dc_affinity == b.dc_affinity
-                && a.msb_buffer == b.msb_buffer
-                && a.host_profile == b.host_profile
-        };
-        let mut cluster_of: Vec<Option<usize>> = vec![None; specs.len()];
-        let mut clusters: Vec<Vec<usize>> = Vec::new();
-        for (ri, spec) in specs.iter().enumerate() {
-            if !clusterable(spec) {
-                continue;
+    // Reduced spec list: the first member of each multi-member
+    // cluster becomes the aggregate spec (at its original position,
+    // preserving relative spec order); later members vanish.
+    let mut spec_of = vec![usize::MAX; specs.len()];
+    let mut reduced: Vec<ReservationSpec> = Vec::new();
+    let mut members: Vec<Vec<usize>> = Vec::new();
+    for (ri, spec) in specs.iter().enumerate() {
+        let in_cluster = cluster_of[ri]
+            .filter(|gi| clusters[*gi].len() > 1)
+            .map(|gi| clusters[gi].clone());
+        match in_cluster {
+            Some(cluster) if cluster[0] == ri => {
+                // Aggregate spec: summed capacity plus the rounding
+                // margin (one worst-case server per member funds the
+                // integer apportionment; see the module docs).
+                let mut agg = spec.clone();
+                agg.name = format!(
+                    "agg[{}]",
+                    cluster
+                        .iter()
+                        .map(|j| specs[*j].name.as_str())
+                        .collect::<Vec<_>>()
+                        .join("+")
+                );
+                let summed: f64 = cluster.iter().map(|j| specs[*j].capacity).sum();
+                agg.capacity = summed + cluster.len() as f64 * spec.rru.max_value();
+                let g = reduced.len();
+                for &j in &cluster {
+                    spec_of[j] = g;
+                }
+                reduced.push(agg);
+                members.push(cluster);
             }
-            let found = clusters
-                .iter()
-                .position(|c| same_footprint(&specs[c[0]], spec));
-            match found {
-                Some(gi) => {
-                    clusters[gi].push(ri);
-                    cluster_of[ri] = Some(gi);
-                }
-                None => {
-                    cluster_of[ri] = Some(clusters.len());
-                    clusters.push(vec![ri]);
-                }
-            }
-        }
-        if !clusters.iter().any(|c| c.len() > 1) {
-            return; // Nothing to merge: identity (Clusters ≡ Classes).
-        }
-
-        // Reduced spec list: the first member of each multi-member
-        // cluster becomes the aggregate spec (at its original position,
-        // preserving relative spec order); later members vanish.
-        let mut spec_of = vec![usize::MAX; specs.len()];
-        let mut reduced: Vec<ReservationSpec> = Vec::new();
-        let mut members: Vec<Vec<usize>> = Vec::new();
-        for (ri, spec) in specs.iter().enumerate() {
-            let in_cluster = cluster_of[ri]
-                .filter(|gi| clusters[*gi].len() > 1)
-                .map(|gi| clusters[gi].clone());
-            match in_cluster {
-                Some(cluster) if cluster[0] == ri => {
-                    // Aggregate spec: summed capacity plus the rounding
-                    // margin (one worst-case server per member funds the
-                    // integer apportionment; see the module docs).
-                    let mut agg = spec.clone();
-                    agg.name = format!(
-                        "agg[{}]",
-                        cluster
-                            .iter()
-                            .map(|j| specs[*j].name.as_str())
-                            .collect::<Vec<_>>()
-                            .join("+")
-                    );
-                    let summed: f64 = cluster.iter().map(|j| specs[*j].capacity).sum();
-                    agg.capacity = summed + cluster.len() as f64 * spec.rru.max_value();
-                    let g = reduced.len();
-                    for &j in &cluster {
-                        spec_of[j] = g;
-                    }
-                    reduced.push(agg);
-                    members.push(cluster);
-                }
-                Some(_) => {} // Later cluster member: mapped with its head.
-                None => {
-                    let g = reduced.len();
-                    spec_of[ri] = g;
-                    reduced.push(spec.clone());
-                    members.push(vec![ri]);
-                }
+            Some(_) => {} // Later cluster member: mapped with its head.
+            None => {
+                let g = reduced.len();
+                spec_of[ri] = g;
+                reduced.push(spec.clone());
+                members.push(vec![ri]);
             }
         }
-
-        // Merge classes whose keys collide once current/target map into
-        // the reduced spec space — mandatory, not cosmetic: two classes
-        // with the same reduced key would otherwise carry the same label
-        // and the by-name basis remap (and the model's name-keyed rows)
-        // would see duplicates.
-        let map_res = |r: Option<ReservationId>| {
-            r.and_then(|r| spec_of.get(r.index()).copied())
-                .filter(|g| *g != usize::MAX)
-                .map(ReservationId::from_index)
-        };
-        type Key = (
-            u32,
-            u32,
-            Option<u32>,
-            Option<ReservationId>,
-            Option<ReservationId>,
-            bool,
-        );
-        let mut merged: BTreeMap<Key, EquivClass> = BTreeMap::new();
-        for class in reduction.classes.drain(..) {
-            let mut mapped = class;
-            mapped.current = map_res(mapped.current);
-            mapped.target = map_res(mapped.target);
-            match merged.entry(mapped.key()) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(mapped);
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    e.get_mut().servers.extend(mapped.servers);
-                }
-            }
-        }
-        reduction.classes = merged.into_values().collect();
-        reduction.labels = reduction.classes.iter().map(|c| c.label()).collect();
-        reduction.stats.vars_reduced = eligible_vars(&reduction.classes, &reduced);
-        reduction.stats.classes = reduction.classes.len();
-        reduction.stats.reduced_specs = reduced.len();
-        reduction.stats.spec_clusters = members.iter().filter(|m| m.len() > 1).count();
-        reduction.specs = reduced;
-        reduction.spec_of = spec_of;
-        reduction.members = members;
     }
+
+    // Merge classes whose keys collide once current/target map into
+    // the reduced spec space — mandatory, not cosmetic: two classes
+    // with the same reduced key would otherwise carry the same label
+    // and the by-name basis remap (and the model's name-keyed rows)
+    // would see duplicates.
+    let map_res = |r: Option<ReservationId>| {
+        r.and_then(|r| spec_of.get(r.index()).copied())
+            .filter(|g| *g != usize::MAX)
+            .map(ReservationId::from_index)
+    };
+    type Key = (
+        u32,
+        u32,
+        Option<u32>,
+        Option<ReservationId>,
+        Option<ReservationId>,
+        bool,
+    );
+    let mut merged: BTreeMap<Key, EquivClass> = BTreeMap::new();
+    for class in reduction.classes.drain(..) {
+        let mut mapped = class;
+        mapped.current = map_res(mapped.current);
+        mapped.target = map_res(mapped.target);
+        match merged.entry(mapped.key()) {
+            std::collections::btree_map::Entry::Vacant(e) => {
+                e.insert(mapped);
+            }
+            std::collections::btree_map::Entry::Occupied(mut e) => {
+                e.get_mut().servers.extend(mapped.servers);
+            }
+        }
+    }
+    reduction.classes = merged.into_values().collect();
+    reduction.labels = reduction.classes.iter().map(|c| c.label()).collect();
+    reduction.stats.vars_reduced = eligible_vars(&reduction.classes, &reduced);
+    reduction.stats.classes = reduction.classes.len();
+    reduction.stats.reduced_specs = reduced.len();
+    reduction.stats.spec_clusters = members.iter().filter(|m| m.len() > 1).count();
+    reduction.specs = reduced;
+    reduction.spec_of = spec_of;
+    reduction.members = members;
 }
 
 /// Assignment variables a model over `classes × specs` would create.

@@ -16,18 +16,22 @@
 //! * [`rru`] — relative-resource-unit tables;
 //! * [`params`] — the MIP weights of Table 1 (`Ms`, `β`, `τ`, `αK`, `αF`, `θ`);
 //! * [`classes`] — symmetric-server equivalence-class reduction;
-//! * [`aggregate`] — the two-sided aggregation pipeline (server classes
-//!   plus CvxCluster-style spec clustering) with certified disaggregation;
+//! * [`aggregate`] — the round's reduction (server classes, then
+//!   CvxCluster-style spec clustering) with certified disaggregation;
 //! * [`model`] — the MIP build (Expressions 1–7) with constraint softening;
+//! * [`heuristic`] — the greedy spread-aware incumbent;
 //! * [`assign`] — concretization of class counts into per-server targets;
-//! * [`phases`] — the two-phase solve orchestration;
-//! * [`session`] — the continuous warm-started solve session;
+//! * [`phases`] — the one phase body and the two-phase orchestration;
+//! * [`session`] — the continuous warm-started solve session, phase 1
+//!   through the same phase body;
 //! * [`shard`] — POP-style sharded region solves (k warm sessions in
 //!   parallel plus a merge/reconcile pass);
 //! * [`solver`] — the Async Solver facade writing targets to the broker;
 //! * [`baseline`] — Twine's previous greedy assignment (evaluation baseline);
 //! * [`buffers`] — failure-buffer sizing and accounting;
 //! * [`emergency`] — the out-of-band emergency allocation path;
+//! * [`explain`] — per-reservation explanations of a placement;
+//! * [`error`] — the crate's error type;
 //! * [`stats`] — per-phase timing/size breakdowns (Figures 8, 10, 11).
 
 pub mod aggregate;
@@ -47,12 +51,9 @@ pub mod rru;
 pub mod session;
 pub mod shard;
 pub mod solver;
-pub mod stacking;
 pub mod stats;
 
-pub use aggregate::{
-    build_reduction, AggregationLevel, Aggregator, DisaggStats, Reduction, ReductionStats,
-};
+pub use aggregate::{build_reduction, AggregationLevel, DisaggStats, Reduction, ReductionStats};
 pub use error::CoreError;
 pub use params::SolverParams;
 pub use ras_milp::cast;

@@ -382,8 +382,9 @@ pub fn build_model_labeled(
             .filter(|(_, e)| !e.terms.is_empty())
             .collect();
 
-        // Expressions 4 + 6: embedded correlated-failure buffer.
-        if spec.survives_msb_loss() {
+        // Expressions 4 + 6: embedded correlated-failure buffer, or the
+        // plain capacity constraint (shared buffers, no-buffer specs).
+        let capacity_lhs = if spec.survives_msb_loss() {
             let max_msb = model.max_over(
                 format!("maxmsb[{}]", spec.name),
                 msb_exprs.iter().map(|(_, e)| e.clone()),
@@ -393,84 +394,35 @@ pub fn build_model_labeled(
                 AuxInit::MaxOver(msb_exprs.iter().map(|(_, e)| e.clone()).collect()),
             ));
             objective += LinExpr::term(max_msb, params.buffer_cost);
-            let lhs = total_expr.clone() - max_msb;
-            if let Some(baseline) = soften {
-                let bound = baseline.capacity_shortfall[ri];
-                if bound > 0.0 {
-                    let slack = model.add_var(
-                        format!("soft.cap[{}]", spec.name),
-                        VarType::Continuous,
-                        0.0,
-                        bound,
-                    );
-                    aux.push((
-                        slack,
-                        AuxInit::Clamp(LinExpr::constant(spec.capacity) - lhs.clone(), bound),
-                    ));
-                    objective += LinExpr::term(slack, params.soften_penalty);
-                    softened.push(format!("capacity[{}]", spec.name));
-                    model.add_constraint(
-                        format!("capacity[{}]", spec.name),
-                        lhs + slack,
-                        Sense::Ge,
-                        spec.capacity,
-                    );
-                } else {
-                    model.add_constraint(
-                        format!("capacity[{}]", spec.name),
-                        lhs,
-                        Sense::Ge,
-                        spec.capacity,
-                    );
-                }
-            } else {
-                model.add_constraint(
-                    format!("capacity[{}]", spec.name),
-                    lhs,
-                    Sense::Ge,
-                    spec.capacity,
+            Some(total_expr - max_msb)
+        } else {
+            (spec.capacity > 0.0).then_some(total_expr)
+        };
+        // The capacity row, softened by a slack column bounded by the
+        // current shortfall when the baseline reports one.
+        if let Some(mut lhs) = capacity_lhs {
+            let bound = soften.map_or(0.0, |b| b.capacity_shortfall[ri]);
+            if bound > 0.0 {
+                let slack = model.add_var(
+                    format!("soft.cap[{}]", spec.name),
+                    VarType::Continuous,
+                    0.0,
+                    bound,
                 );
+                aux.push((
+                    slack,
+                    AuxInit::Clamp(LinExpr::constant(spec.capacity) - lhs.clone(), bound),
+                ));
+                objective += LinExpr::term(slack, params.soften_penalty);
+                softened.push(format!("capacity[{}]", spec.name));
+                lhs = lhs + slack;
             }
-        } else if spec.capacity > 0.0 {
-            // Plain capacity constraint (shared buffers, no-buffer specs).
-            let lhs = total_expr.clone();
-            if let Some(baseline) = soften {
-                let bound = baseline.capacity_shortfall[ri];
-                if bound > 0.0 {
-                    let slack = model.add_var(
-                        format!("soft.cap[{}]", spec.name),
-                        VarType::Continuous,
-                        0.0,
-                        bound,
-                    );
-                    aux.push((
-                        slack,
-                        AuxInit::Clamp(LinExpr::constant(spec.capacity) - lhs.clone(), bound),
-                    ));
-                    objective += LinExpr::term(slack, params.soften_penalty);
-                    softened.push(format!("capacity[{}]", spec.name));
-                    model.add_constraint(
-                        format!("capacity[{}]", spec.name),
-                        lhs + slack,
-                        Sense::Ge,
-                        spec.capacity,
-                    );
-                } else {
-                    model.add_constraint(
-                        format!("capacity[{}]", spec.name),
-                        lhs,
-                        Sense::Ge,
-                        spec.capacity,
-                    );
-                }
-            } else {
-                model.add_constraint(
-                    format!("capacity[{}]", spec.name),
-                    lhs,
-                    Sense::Ge,
-                    spec.capacity,
-                );
-            }
+            model.add_constraint(
+                format!("capacity[{}]", spec.name),
+                lhs,
+                Sense::Ge,
+                spec.capacity,
+            );
         }
 
         // Expression 3: MSB spread-wide objective.
@@ -783,6 +735,43 @@ mod tests {
             total as f64 >= region.server_count() as f64 * 0.9,
             "softened solve should nearly fill the region, got {total}"
         );
+    }
+
+    /// A baseline that reports no shortfall softens nothing: the build is
+    /// the hard model, column for column and row for row.
+    #[test]
+    fn zero_shortfall_baseline_builds_the_hard_model() {
+        let (region, broker) = setup();
+        let mut plain = uniform_spec(&region, "feed", 20.0);
+        plain.msb_buffer = false;
+        let specs = vec![uniform_spec(&region, "web", 30.0), plain];
+        let snap = broker.snapshot(SimTime::ZERO);
+        let classes = build_classes(&region, &snap, Granularity::Msb, None);
+        let params = SolverParams::default();
+        let baseline = SoftenBaseline {
+            capacity_shortfall: vec![0.0; specs.len()],
+            affinity_violation: vec![vec![0.0; region.datacenters().len()]; specs.len()],
+        };
+        let hard = build_model(&region, &specs, &classes, &params, false, None);
+        let soft = build_model(&region, &specs, &classes, &params, false, Some(&baseline));
+        assert!(soft.softened.is_empty());
+        let names = |m: &RasModel| -> Vec<String> {
+            m.model.vars().iter().map(|v| v.name.clone()).collect()
+        };
+        let rows = |m: &RasModel| -> Vec<(String, Sense, u64)> {
+            m.model
+                .constraints()
+                .iter()
+                .map(|c| (c.name.clone(), c.sense, c.rhs.to_bits()))
+                .collect()
+        };
+        assert_eq!(names(&soft), names(&hard));
+        assert_eq!(rows(&soft), rows(&hard));
+        let capacity_rows = rows(&hard)
+            .iter()
+            .filter(|(name, ..)| name.starts_with("capacity["))
+            .count();
+        assert_eq!(capacity_rows, 2, "one buffered and one plain capacity row");
     }
 
     #[test]

@@ -14,7 +14,7 @@ use ras_broker::{BrokerSnapshot, ReservationId};
 use ras_milp::{SolveConfig, SolveError, WarmStart};
 use ras_topology::{Region, ServerId};
 
-use crate::aggregate::{build_reduction, ReductionStats};
+use crate::aggregate::{build_reduction, AggregationLevel, DisaggStats, Reduction, ReductionStats};
 use crate::assign::concretize;
 use crate::classes::{EquivClass, Granularity};
 use crate::error::CoreError;
@@ -181,21 +181,17 @@ pub(crate) struct PhaseSolveResult {
 }
 
 /// Solves one already-built phase model, softening and retrying on
-/// infeasibility. This is the shared core under both the stateless
-/// [`run_phase`] and the warm-started [`SolveSession`] round: the session
-/// supplies a previous-round basis and seed incumbent (via
-/// [`WarmStart`]), the stateless path supplies neither.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_prepared(
+/// infeasibility; `warm` is the session's previous-round basis and seed
+/// incumbent, `None` on the stateless path.
+fn solve_prepared(
     region: &Region,
-    specs: &[ReservationSpec],
-    classes: &[EquivClass],
-    labels: &[String],
+    reduction: &Reduction,
     ras: &RasModel,
     params: &SolverParams,
     rack_goals: bool,
     warm: Option<WarmStart>,
 ) -> Result<PhaseSolveResult, CoreError> {
+    let (specs, classes) = (&reduction.specs, &reduction.classes);
     let mut config = SolveConfig {
         time_limit_seconds: params.phase_time_limit,
         rel_gap_tol: params.mip_rel_gap,
@@ -231,7 +227,7 @@ pub(crate) fn solve_prepared(
             region,
             specs,
             classes,
-            labels,
+            &reduction.labels,
             params,
             rack_goals,
             Some(&baseline),
@@ -276,7 +272,7 @@ pub(crate) fn solve_prepared(
 }
 
 /// Assembles the per-phase statistics from a phase solve.
-pub(crate) fn make_stats(
+fn make_stats(
     phase_start: Instant,
     ras_build_seconds: f64,
     reduction: ReductionStats,
@@ -299,6 +295,77 @@ pub(crate) fn make_stats(
     }
 }
 
+/// A round's reduction over the whole region or, for a phase-2 or shard
+/// solve, over `universe` only.
+pub(crate) fn scoped_reduction(
+    region: &Region,
+    snapshot: &BrokerSnapshot,
+    specs: &[ReservationSpec],
+    granularity: Granularity,
+    level: AggregationLevel,
+    universe: Option<&HashSet<ServerId>>,
+) -> Reduction {
+    let filter = universe.map(|u| move |s: ServerId| u.contains(&s));
+    let include = filter.as_ref().map(|f| f as &dyn Fn(ServerId) -> bool);
+    build_reduction(region, snapshot, specs, granularity, level, include)
+}
+
+/// What one run of the phase body hands back.
+pub(crate) struct PhaseRun {
+    /// Per-server targets of this phase.
+    pub targets: Vec<Option<ReservationId>>,
+    /// The phase's statistics.
+    pub stats: PhaseStats,
+    /// The solve itself (the session caches its basis and name space).
+    pub result: PhaseSolveResult,
+    /// What the backward map had to do (all zero without clusters).
+    pub disagg: DisaggStats,
+}
+
+/// The one phase body, model in hand: solve (softening on demand) →
+/// split aggregate specs back over their members → per-server targets →
+/// statistics. [`run_phase`] enters with a model it built cold and no
+/// warm start; the session enters with its reused, patched or rebuilt
+/// skeleton and the previous round's basis and targets as `warm`.
+/// `specs` are the full specs `reduction` was built from.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn solve_phase(
+    region: &Region,
+    specs: &[ReservationSpec],
+    snapshot: &BrokerSnapshot,
+    params: &SolverParams,
+    reduction: &Reduction,
+    ras: &RasModel,
+    rack_goals: bool,
+    warm: Option<WarmStart>,
+    phase_start: Instant,
+    ras_build_seconds: f64,
+) -> Result<PhaseRun, CoreError> {
+    let result = solve_prepared(region, reduction, ras, params, rack_goals, warm)?;
+    // Below `Clusters` the counts pass through untouched.
+    let mut disagg = DisaggStats::default();
+    let disaggregated;
+    let counts: &[Vec<usize>] = if reduction.has_clusters() {
+        (disaggregated, disagg) = reduction.disaggregate_counts(snapshot, specs, &result.counts);
+        &disaggregated
+    } else {
+        &result.counts
+    };
+    let targets = concretize(region, snapshot, &reduction.classes, counts, specs.len());
+    let stats = make_stats(
+        phase_start,
+        ras_build_seconds,
+        reduction.stats.clone(),
+        &result,
+    );
+    Ok(PhaseRun {
+        targets,
+        stats,
+        result,
+        disagg,
+    })
+}
+
 /// Runs a single phase cold: classes → model → solve (softening on
 /// demand) → concretize.
 #[allow(clippy::type_complexity)]
@@ -312,13 +379,6 @@ pub fn run_phase(
     universe: Option<&HashSet<ServerId>>,
 ) -> Result<(Vec<Option<ReservationId>>, PhaseStats), CoreError> {
     let phase_start = Instant::now();
-    let filter = universe.map(|u| {
-        let u = u.clone();
-        move |s: ServerId| u.contains(&s)
-    });
-    let filter_dyn: Option<&dyn Fn(ServerId) -> bool> =
-        filter.as_ref().map(|f| f as &dyn Fn(ServerId) -> bool);
-
     // Rack-granularity (phase-2) solves never cluster specs: their
     // universe and visibility change every round, so aggregate identities
     // would churn for no reuse benefit.
@@ -326,8 +386,7 @@ pub fn run_phase(
         Granularity::Rack => params.aggregation.without_spec_clusters(),
         Granularity::Msb => params.aggregation,
     };
-    let build_start = Instant::now();
-    let reduction = build_reduction(region, snapshot, specs, granularity, level, filter_dyn);
+    let reduction = scoped_reduction(region, snapshot, specs, granularity, level, universe);
     let ras = build_model_labeled(
         region,
         &reduction.specs,
@@ -337,29 +396,20 @@ pub fn run_phase(
         rack_goals,
         None,
     );
-    let ras_build_seconds = build_start.elapsed().as_secs_f64();
-
-    let result = solve_prepared(
+    let ras_build_seconds = phase_start.elapsed().as_secs_f64();
+    let run = solve_phase(
         region,
-        &reduction.specs,
-        &reduction.classes,
-        &reduction.labels,
-        &ras,
+        specs,
+        snapshot,
         params,
+        &reduction,
+        &ras,
         rack_goals,
         None,
+        phase_start,
+        ras_build_seconds,
     )?;
-    let disaggregated;
-    let counts: &[Vec<usize>] = if reduction.has_clusters() {
-        let (full, _disagg) = reduction.disaggregate_counts(snapshot, specs, &result.counts);
-        disaggregated = full;
-        &disaggregated
-    } else {
-        &result.counts
-    };
-    let targets = concretize(region, snapshot, &reduction.classes, counts, specs.len());
-    let stats = make_stats(phase_start, ras_build_seconds, reduction.stats, &result);
-    Ok((targets, stats))
+    Ok((run.targets, run.stats))
 }
 
 /// Picks the best valid warm incumbent for a built model: the current

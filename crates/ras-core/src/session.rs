@@ -52,12 +52,13 @@ use ras_milp::{Basis, WarmStart};
 use ras_topology::{Region, ServerId};
 use serde::{Deserialize, Serialize};
 
-use crate::aggregate::{build_reduction, AggregationLevel, Reduction};
-use crate::assign::concretize;
+use crate::aggregate::{AggregationLevel, Reduction};
 use crate::error::CoreError;
 use crate::model::{build_model_labeled, current_counts, movement_constant, RasModel};
 use crate::params::SolverParams;
-use crate::phases::{make_stats, refine_with_phase2, run_phase, solve_prepared, TwoPhaseOutcome};
+use crate::phases::{
+    refine_with_phase2, run_phase, scoped_reduction, solve_phase, PhaseRun, TwoPhaseOutcome,
+};
 use crate::reservation::ReservationSpec;
 use crate::shard::{evaluate_targets, sharded_tolerance};
 use ras_milp::tol;
@@ -271,16 +272,13 @@ impl SolveSession {
         };
 
         let build_start = Instant::now();
-        let filter = universe.map(|u| move |s: ServerId| u.contains(&s));
-        let filter_dyn: Option<&dyn Fn(ServerId) -> bool> =
-            filter.as_ref().map(|f| f as &dyn Fn(ServerId) -> bool);
-        let reduction = build_reduction(
+        let reduction = scoped_reduction(
             region,
             snapshot,
             specs,
             params.phase1_granularity,
             params.aggregation,
-            filter_dyn,
+            universe,
         );
         report.spec_clusters = reduction.stats.spec_clusters;
         report.reduced_specs = reduction.stats.reduced_specs;
@@ -403,15 +401,22 @@ impl SolveSession {
         }
 
         let warm = (!warm.is_empty()).then_some(warm);
-        let result = solve_prepared(
+        let PhaseRun {
+            targets: targets1,
+            stats: phase1,
+            result,
+            disagg,
+        } = solve_phase(
             region,
-            &reduction.specs,
-            &reduction.classes,
-            &reduction.labels,
-            &ras,
+            specs,
+            snapshot,
             params,
+            &reduction,
+            &ras,
             false,
             warm,
+            phase_start,
+            ras_build_seconds,
         )?;
         report.warm_basis_accepted = result.solution.stats.warm_basis_accepted;
         report.dual_resolve = result.solution.stats.root_used_dual_simplex;
@@ -419,36 +424,10 @@ impl SolveSession {
         report.dual_iterations = result.solution.stats.dual_iterations;
         report.incumbent_seeded = result.solution.stats.incumbent_seeded;
         report.nodes_pruned_by_seed = result.solution.stats.nodes_pruned_by_seed;
-
-        // Backward map: split aggregate-spec counts over the member
-        // reservations (identity below `Clusters` — the counts pass
-        // through untouched, keeping that path byte-identical).
-        let disaggregated;
-        let counts_full: &[Vec<usize>] = if reduction.has_clusters() {
-            let (full, disagg) = reduction.disaggregate_counts(snapshot, specs, &result.counts);
-            report.disagg_repair_moves = disagg.repair_moves;
-            report.disagg_stays_honored = disagg.stays_honored;
-            report.disagg_topup_units = disagg.topup_units;
-            report.disagg_shortfall_rru = disagg.shortfall_rru;
-            disaggregated = full;
-            &disaggregated
-        } else {
-            &result.counts
-        };
-
-        let targets1 = concretize(
-            region,
-            snapshot,
-            &reduction.classes,
-            counts_full,
-            specs.len(),
-        );
-        let phase1 = make_stats(
-            phase_start,
-            ras_build_seconds,
-            reduction.stats.clone(),
-            &result,
-        );
+        report.disagg_repair_moves = disagg.repair_moves;
+        report.disagg_stays_honored = disagg.stays_honored;
+        report.disagg_topup_units = disagg.topup_units;
+        report.disagg_shortfall_rru = disagg.shortfall_rru;
 
         // Exact-model ratchet: every N rounds re-solve the unreduced
         // (Classes-level) model and score both phase-1 plans with the

@@ -65,22 +65,15 @@ impl SolveOutput {
             || self.warm.model_patched
     }
 
-    /// Simplex iterations spent in phase 1 (all LP solves of the MIP).
-    pub fn phase1_lp_iterations(&self) -> usize {
-        self.phase1.mip_stats.simplex_iterations
-    }
-
-    /// Simplex iterations spent in phase 2, zero when phase 2 did not run.
-    pub fn phase2_lp_iterations(&self) -> usize {
-        self.phase2
-            .as_ref()
-            .map_or(0, |p| p.mip_stats.simplex_iterations)
-    }
-
-    /// Total simplex iterations across both phases. Warm rounds should
-    /// spend measurably fewer than the cold round that preceded them.
+    /// Total simplex iterations across both phases (all LP solves of each
+    /// MIP). Warm rounds should spend measurably fewer than the cold
+    /// round that preceded them.
     pub fn lp_iterations(&self) -> usize {
-        self.phase1_lp_iterations() + self.phase2_lp_iterations()
+        self.phase1.mip_stats.simplex_iterations
+            + self
+                .phase2
+                .as_ref()
+                .map_or(0, |p| p.mip_stats.simplex_iterations)
     }
 
     /// The real, auditable per-phase solver statistics of this round: the

@@ -7,7 +7,7 @@
 //! [`lints`] also runs the original masked-substring lints and resolves
 //! `lint:allow` suppression; [`report`] renders text and JSON
 //! diagnostics; [`walk`] decides which files are in scope. The binary
-//! in `main.rs` ties it to the ratchet file.
+//! in `main.rs` fails on any unsuppressed finding.
 //!
 //! Deliberately zero dependencies — see `Cargo.toml`.
 

@@ -144,8 +144,7 @@ fn legacy_findings(repo_rel: &str, chars: &[char]) -> Vec<Finding> {
 
     // solver-unwrap: bare `.unwrap()` / `.expect(` in the solver crates'
     // production code. Fallible paths there must propagate `SolveError`
-    // / `CoreError`; remaining sites live in the ratchet until burned
-    // down or individually allowed.
+    // / `CoreError`, or be individually allowed.
     if SOLVER_SCOPES.iter().any(|s| repo_rel.starts_with(s)) {
         for pat in [".unwrap()", ".expect("] {
             let mut from = 0;

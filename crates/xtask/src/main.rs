@@ -6,16 +6,13 @@
 //! bare hot-loop indexing in the solver stack, NaN-unsound comparisons
 //! and min/max, inline tolerance literals that can drift apart,
 //! unchecked narrowing casts, and side effects inside `debug_assert!`.
-//! Findings are counted per lint and compared against the committed
-//! ratchet file `lint-ratchet.toml`: any count *growing* fails the run
-//! (and CI); counts going down print a reminder to re-bless.
+//! Any finding not suppressed by a `lint:allow` fails the run (and CI).
 //!
 //! Usage:
 //!
 //! ```text
-//! cargo xtask lint                 # enforce the ratchet (CI gate)
-//! cargo xtask lint --list          # also print every current finding
-//! cargo xtask lint --bless         # rewrite lint-ratchet.toml with current counts
+//! cargo xtask lint                 # fail on any unsuppressed finding (CI gate)
+//! cargo xtask lint --list          # also print every finding on stdout
 //! cargo xtask lint --format json   # machine-readable report on stdout (CI artifact)
 //! ```
 
@@ -27,8 +24,6 @@ use xtask::lints::{self, LINT_NAMES};
 use xtask::report::{self, Finding};
 use xtask::walk;
 
-const RATCHET_FILE: &str = "lint-ratchet.toml";
-
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Format {
     Text,
@@ -39,13 +34,11 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => {
-            let mut bless = false;
             let mut list = false;
             let mut format = Format::Text;
             let mut it = args[1..].iter();
             while let Some(a) = it.next() {
                 match a.as_str() {
-                    "--bless" => bless = true,
                     "--list" => list = true,
                     "--format" => match it.next().map(String::as_str) {
                         Some("json") => format = Format::Json,
@@ -63,18 +56,18 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            run_lint(bless, list, format)
+            run_lint(list, format)
         }
         _ => usage(),
     }
 }
 
 fn usage() -> ExitCode {
-    eprintln!("usage: cargo xtask lint [--bless] [--list] [--format <text|json>]");
+    eprintln!("usage: cargo xtask lint [--list] [--format <text|json>]");
     ExitCode::FAILURE
 }
 
-fn run_lint(bless: bool, list: bool, format: Format) -> ExitCode {
+fn run_lint(list: bool, format: Format) -> ExitCode {
     let root = repo_root();
     let files = walk::workspace_files(&root);
     if files.is_empty() {
@@ -122,82 +115,36 @@ fn run_lint(bless: bool, list: bool, format: Format) -> ExitCode {
         }
     }
 
-    let ratchet_path = root.join(RATCHET_FILE);
-    if bless {
-        if let Err(e) = std::fs::write(&ratchet_path, render_ratchet(&counts)) {
-            eprintln!("xtask lint: cannot write {}: {e}", ratchet_path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("blessed {} ({} files scanned):", RATCHET_FILE, files.len());
-        for (name, n) in &counts {
-            println!("  {name} = {n}");
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = match std::fs::read_to_string(&ratchet_path) {
-        Ok(text) => parse_ratchet(&text),
-        Err(_) => {
-            eprintln!(
-                "xtask lint: missing {RATCHET_FILE}; run `cargo xtask lint --bless` and commit it"
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let mut failed = false;
-    let mut improved = false;
+    let failed = !findings.is_empty();
     let human = format == Format::Text;
     if human {
         println!("xtask lint: {} files scanned", files.len());
     }
     for (&name, &now) in &counts {
-        let Some(&base) = baseline.get(name) else {
-            eprintln!(
-                "  {name}: {now} findings but no ratchet entry — run `cargo xtask lint --bless`"
-            );
-            failed = true;
-            continue;
-        };
-        match now.cmp(&base) {
-            std::cmp::Ordering::Greater => {
-                eprintln!("  {name}: {now} findings (ratchet {base}) — REGRESSION");
-                for f in findings.iter().filter(|f| f.lint == name) {
-                    eprint!("    {}", report::render_text(f));
-                }
-                failed = true;
+        if now > 0 {
+            eprintln!("  {name}: {now} findings");
+            for f in findings.iter().filter(|f| f.lint == name) {
+                eprint!("    {}", report::render_text(f));
             }
-            std::cmp::Ordering::Less => {
-                if human {
-                    println!("  {name}: {now} findings (ratchet {base}) — improved");
-                }
-                improved = true;
-            }
-            std::cmp::Ordering::Equal => {
-                if human {
-                    println!("  {name}: {now} findings (at ratchet)");
-                }
-            }
+        } else if human {
+            println!("  {name}: 0 findings");
         }
     }
 
     if format == Format::Json {
         print!(
             "{}",
-            report::render_json(files.len(), &findings, &counts, &baseline, !failed)
+            report::render_json(files.len(), &findings, &counts, !failed)
         );
     }
 
     if failed {
         eprintln!(
-            "xtask lint: FAILED — fix the new findings or, for a reviewed-and-sound site, \
+            "xtask lint: FAILED — fix the findings or, for a reviewed-and-sound site, \
              suppress it with `// lint:allow(<lint>)` (syntax lints additionally require \
              `// lint:allow(<lint>): <justification>`)"
         );
         return ExitCode::FAILURE;
-    }
-    if improved && human {
-        println!("xtask lint: counts went down — run `cargo xtask lint --bless` and commit {RATCHET_FILE}");
     }
     if human {
         println!("xtask lint: ok");
@@ -212,72 +159,4 @@ fn repo_root() -> PathBuf {
         .nth(2)
         .map(Path::to_path_buf)
         .unwrap_or_else(|| PathBuf::from("."))
-}
-
-/// Parses the `[counts]` section of the ratchet file. The format is a
-/// deliberately tiny TOML subset — `name = integer` lines — so the
-/// zero-dependency constraint holds.
-fn parse_ratchet(text: &str) -> BTreeMap<String, usize> {
-    let mut counts = BTreeMap::new();
-    let mut in_counts = false;
-    for line in text.lines() {
-        let line = line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        if line.starts_with('[') {
-            in_counts = line == "[counts]";
-            continue;
-        }
-        if !in_counts {
-            continue;
-        }
-        if let Some((name, value)) = line.split_once('=') {
-            if let Ok(n) = value.trim().parse::<usize>() {
-                counts.insert(name.trim().to_string(), n);
-            }
-        }
-    }
-    counts
-}
-
-fn render_ratchet(counts: &BTreeMap<&'static str, usize>) -> String {
-    let mut out = String::from(
-        "# Findings ratchet for `cargo xtask lint` (see crates/xtask).\n\
-         #\n\
-         # Counts may only go down. If your change removes a finding, run\n\
-         # `cargo xtask lint --bless` and commit the new counts; if it adds\n\
-         # one, fix it — or, for a reviewed-and-sound site, annotate it with\n\
-         # `// lint:allow(<lint-name>)`. The syntax-aware lints (hot-path-index,\n\
-         # tolerance-literal, as-cast-audit, nan-min-max, debug-assert-effect)\n\
-         # require a one-line justification: `// lint:allow(<name>): <why>`.\n\n[counts]\n",
-    );
-    for (name, n) in counts {
-        out.push_str(&format!("{name} = {n}\n"));
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn ratchet_round_trips() {
-        let counts: BTreeMap<&'static str, usize> = [("float-as-int", 3), ("solver-unwrap", 1)]
-            .into_iter()
-            .collect();
-        let parsed = parse_ratchet(&render_ratchet(&counts));
-        assert_eq!(parsed.get("float-as-int"), Some(&3));
-        assert_eq!(parsed.get("solver-unwrap"), Some(&1));
-    }
-
-    #[test]
-    fn parser_ignores_comments_and_other_sections() {
-        let text = "# header\n[other]\nx = 9\n[counts]\nfoo = 2  # trailing\nbad = nope\n";
-        let parsed = parse_ratchet(text);
-        assert_eq!(parsed.get("foo"), Some(&2));
-        assert_eq!(parsed.get("x"), None);
-        assert_eq!(parsed.get("bad"), None);
-    }
 }

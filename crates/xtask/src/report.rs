@@ -168,7 +168,6 @@ pub fn render_json(
     files_scanned: usize,
     findings: &[Finding],
     counts: &BTreeMap<&'static str, usize>,
-    baseline: &BTreeMap<String, usize>,
     ok: bool,
 ) -> String {
     let mut out = String::from("{\n");
@@ -177,15 +176,6 @@ pub fn render_json(
     out.push_str("  \"counts\": {");
     let mut first = true;
     for (name, n) in counts {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(&format!("\n    \"{}\": {n}", json_escape(name)));
-    }
-    out.push_str("\n  },\n  \"ratchet\": {");
-    first = true;
-    for (name, n) in baseline {
         if !first {
             out.push(',');
         }
@@ -269,9 +259,7 @@ mod tests {
             suggestion: "use total_cmp",
         }];
         let counts: BTreeMap<&'static str, usize> = [("nan-min-max", 1)].into_iter().collect();
-        let baseline: BTreeMap<String, usize> =
-            [("nan-min-max".to_string(), 0)].into_iter().collect();
-        let j = render_json(9, &findings, &counts, &baseline, false);
+        let j = render_json(9, &findings, &counts, false);
         assert!(j.contains("\"files_scanned\": 9"));
         assert!(j.contains("a\\\"b.rs"));
         assert!(j.contains("\\t\\\"q\\\""));

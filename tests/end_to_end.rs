@@ -2,8 +2,10 @@
 //! solve → mover → container-placement pipeline, exercised end to end.
 
 use ras::broker::{ReservationId, ResourceBroker, SimTime};
+use ras::core::classes::Granularity;
+use ras::core::phases::run_phase;
 use ras::core::rru::RruTable;
-use ras::core::{buffers, AsyncSolver, ReservationSpec};
+use ras::core::{buffers, AsyncSolver, ReservationSpec, SolveSession, SolverParams};
 use ras::mover::{MoverConfig, OnlineMover};
 use ras::topology::{RegionBuilder, RegionTemplate, ServerId};
 use ras::twine::{ContainerSpec, JobSpec, TwineAllocator};
@@ -271,4 +273,54 @@ fn server_bound_to_at_most_one_reservation_always() {
         assert!(members >= 25, "reservation {ri} under-allocated: {members}");
     }
     let _ = ServerId(0);
+}
+
+/// The phase body has two entry points — a fresh session's round and the
+/// stateless `run_phase` — and on the same snapshot they are one solve:
+/// same model, same search, same softening, same targets.
+#[test]
+fn fresh_session_round_and_run_phase_are_one_solve() {
+    let region = RegionBuilder::new(RegionTemplate::tiny(), 107).build();
+    let rru = RruTable::uniform(&region.catalog, 1.0);
+    let oversubscribed = region.server_count() as f64 * 3.0;
+    for (capacities, softens) in [([40.0, 25.0], false), ([oversubscribed, 25.0], true)] {
+        let specs = vec![
+            ReservationSpec::guaranteed("web", capacities[0], rru.clone()),
+            ReservationSpec::guaranteed("feed", capacities[1], rru.clone()),
+        ];
+        let mut broker = ResourceBroker::new(region.server_count());
+        for s in &specs {
+            broker.register_reservation(&s.name);
+        }
+        let snapshot = broker.snapshot(SimTime::ZERO);
+        let params = SolverParams::default();
+
+        let (outcome, _) = SolveSession::new()
+            .solve_round(&region, &specs, &snapshot, &params)
+            .expect("session round");
+        let (targets, stats) = run_phase(
+            &region,
+            &specs,
+            &snapshot,
+            &params,
+            Granularity::Msb,
+            false,
+            None,
+        )
+        .expect("run_phase");
+
+        let phase1 = &outcome.phase1;
+        assert_eq!(phase1.objective.to_bits(), stats.objective.to_bits());
+        assert_eq!(phase1.assignment_vars, stats.assignment_vars);
+        assert_eq!(phase1.mip_stats.nodes, stats.mip_stats.nodes);
+        assert_eq!(
+            phase1.mip_stats.simplex_iterations,
+            stats.mip_stats.simplex_iterations
+        );
+        assert_eq!(phase1.softened, stats.softened);
+        assert_eq!(!stats.softened.is_empty(), softens);
+        if outcome.phase2.is_none() {
+            assert_eq!(outcome.targets, targets);
+        }
+    }
 }
