@@ -207,8 +207,9 @@ impl BranchAndBound {
             ..lp_config.clone()
         };
         // A warm basis from the previous round (repaired against column
-        // changes by `Basis::remap`) replaces the slack crash; the simplex
-        // falls back cold when it is stale or singular.
+        // changes by `Basis::remap`) replaces the cold start; the simplex
+        // falls back cold when it is stale or singular — dual-first when
+        // the model carries a running plan, from the slack crash if not.
         let warm_basis = self
             .config
             .warm_start

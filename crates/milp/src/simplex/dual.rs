@@ -1,17 +1,26 @@
-//! Warm re-solves: the dual simplex (dual devex, bound-flip ratio test)
-//! and the one-violation repair that branch-and-bound nodes use.
+//! The dual simplex (dual devex, bound-flip ratio test) — warm re-solves
+//! from the previous basis and the dual-first cold start from the slack
+//! basis — and the one-violation repair that branch-and-bound nodes use.
 
 use super::engine::RefactorReason;
 use super::{Basis, LpResult, LpStatus, Simplex};
 use crate::cast;
 use crate::nan::NanGuard;
 use crate::tol;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Dual pivots between full reduced-cost refreshes: the dual iteration
 /// patches `d` incrementally along each α-row, and the accumulated
 /// drift is re-zeroed on this cadence (mirroring the primal side's
 /// refresh-on-invalidation policy).
 const DUAL_REFRESH_INTERVAL: usize = 100;
+
+/// Relative size of the cost perturbation a dual-first cold start runs
+/// its dual phase on: `ε_j = COLD_PERTURB·(1 + |c_j|)·(0.5 + 0.5·u_j)`,
+/// `u_j` uniform in `[0, 1)` from a fixed seed.
+const COLD_PERTURB: f64 = 1e-6;
+const COLD_PERTURB_SEED: u64 = 0xC01D_D0A1;
 
 impl Simplex<'_> {
     /// Warm-started solve: install the given basis, repair primal
@@ -91,24 +100,14 @@ impl Simplex<'_> {
             // True dual simplex: the installed basis is dual feasible
             // after a bound/RHS-only change, so the dual iteration walks
             // straight back to optimality — zero phase-1 iterations.
-            return match self.dual_optimize() {
-                DualOutcome::PrimalFeasible => {
-                    self.used_dual_simplex = true;
-                    // Primal cleanup certifies optimality (normally zero
-                    // pivots) and leaves fresh duals for the audit.
-                    let status = self.optimize();
-                    let mut result = self.finish(status);
-                    result.warm_basis_used = true;
-                    Some(result)
-                }
-                DualOutcome::Limit => {
-                    self.used_dual_simplex = true;
-                    let mut result = self.finish(LpStatus::IterationLimit);
-                    result.warm_basis_used = true;
-                    Some(result)
-                }
-                DualOutcome::Fallback => None,
-            };
+            // A bound patch should never need more than this many
+            // pivots; past it a cold solve is the safer bet than riding
+            // degeneracy.
+            let outcome = self.dual_optimize(10 * m + 1000);
+            let status = self.after_dual(outcome)?;
+            let mut result = self.finish(status);
+            result.warm_basis_used = true;
+            return Some(result);
         }
         // One-violation repair (`warm_dual: false`): one dual pivot per
         // violated row, duals recomputed each time. This is what every
@@ -136,6 +135,187 @@ impl Simplex<'_> {
         None
     }
 
+    /// Decides whether a cold solve goes dual-first (see
+    /// [`run_cold_dual`]) and, if so, returns the structural columns
+    /// that need an implied bound to rest on, with that bound. The
+    /// attempt is made when the dual simplex is selected, the LP is one
+    /// [`PricingRule::Auto`] calls large, every structural column has a
+    /// finite bound on the side its cost pushes toward — its own, or
+    /// for a free column one its rows imply — and at least one of them
+    /// is an upper bound with room below it: the model rewards a current
+    /// assignment, so the start is that plan and not the empty one.
+    ///
+    /// [`run_cold_dual`]: Self::run_cold_dual
+    /// [`PricingRule::Auto`]: super::PricingRule::Auto
+    // lint:allow(hot-path-index): start-up pass; columns bounded by n
+    pub(super) fn cold_dual_start(&self) -> Option<Vec<(usize, f64)>> {
+        if !self.config.warm_dual || self.m == 0 || self.n0 + self.m <= self.cold_dual_min_cols {
+            return None;
+        }
+        let mut implied = Vec::new();
+        let mut stays = false;
+        for j in 0..self.n0 - self.m {
+            let c = self.sf.costs[j];
+            let (lo, up) = (self.lower[j], self.upper[j]);
+            let rest = if self.rests_on_upper(j) { up } else { lo };
+            if rest.is_finite() {
+                stays |= c < 0.0 && lo < up;
+            } else if c != 0.0 {
+                implied.push((j, self.implied_bound(j, c > 0.0)?));
+            }
+        }
+        stays.then_some(implied)
+    }
+
+    /// The bound structural column `j` rests on in the dual-first cold
+    /// start: the one that keeps its reduced cost `c_j` dual feasible.
+    fn rests_on_upper(&self, j: usize) -> bool {
+        let c = self.sf.costs[j];
+        c < 0.0 || (c == 0.0 && self.lower[j] == f64::NEG_INFINITY && self.upper[j].is_finite())
+    }
+
+    /// The tightest lower (or upper) bound the rows of structural column
+    /// `j` imply for it, given the bounds of the other columns and of
+    /// each row's slack: row `r` reads `a·x_j = b_r − s_r − Σ a_rk x_k`,
+    /// and one end of the right-hand side's range bounds `x_j` on the
+    /// wanted side. `None` when no row bounds it there.
+    // lint:allow(hot-path-index): walks the rows of one column; indices from the packed matrix
+    fn implied_bound(&self, j: usize, lower_side: bool) -> Option<f64> {
+        let n = self.n0 - self.m;
+        let mut best: Option<f64> = None;
+        for (r, a) in self.sf.matrix.column(j) {
+            // A lower bound on x_j comes from the smallest right-hand
+            // side when a > 0 and, the division flipping it, from the
+            // largest when a < 0; an upper bound the other way round.
+            let smallest = (a > 0.0) == lower_side;
+            let slack = if smallest {
+                self.upper[n + r]
+            } else {
+                self.lower[n + r]
+            };
+            let mut rhs = self.sf.rhs[r] - slack;
+            for (k, v) in self.sf.matrix.row(r) {
+                if k != j && k < n {
+                    let at_upper = (v > 0.0) == smallest;
+                    rhs -= v * if at_upper {
+                        self.upper[k]
+                    } else {
+                        self.lower[k]
+                    };
+                }
+            }
+            let bound = rhs / a;
+            if bound.is_finite() {
+                best = Some(best.map_or(bound, |b: f64| {
+                    if lower_side {
+                        b.nmax(bound)
+                    } else {
+                        b.nmin(bound)
+                    }
+                }));
+            }
+        }
+        best
+    }
+
+    /// Dual-first cold start, from [`cold_dual_start`]: the all-slack
+    /// basis with every structural column on the bound its cost pushes
+    /// toward is dual feasible (`y = 0`, `d = c`) and, in a model whose
+    /// negative costs reward staying put, *is* the current assignment —
+    /// primal infeasible only in the rows the round's drift broke. The
+    /// dual simplex repairs those; a primal cleanup on the true costs
+    /// and bounds certifies optimality. No phase 1 runs and no warm
+    /// basis was used. Returns `None` when the attempt stalls, runs out
+    /// of its pivot budget or hits a singular refactorization: the
+    /// caller resets and runs the primal two-phase solve.
+    ///
+    /// [`cold_dual_start`]: Self::cold_dual_start
+    // lint:allow(hot-path-index): start-up pass; columns bounded by n, slots by m
+    pub(super) fn run_cold_dual(&mut self, mut implied: Vec<(usize, f64)>) -> Option<LpResult> {
+        let (m, n) = (self.m, self.n0 - self.m);
+        // A free column with a cost rests, for the dual phase only, on
+        // the bound its rows imply: redundant, so the feasible set and
+        // every verdict on it stand.
+        self.swap_implied_bounds(&mut implied);
+        // Costs move away from the resting bound for the dual phase only:
+        // the stay rewards and assignment costs take a handful of
+        // distinct values, so unperturbed nearly every dual ratio ties
+        // and the iteration rides degenerate pivots to its budget.
+        self.costs[..self.n0].copy_from_slice(&self.sf.costs);
+        let mut rng = StdRng::seed_from_u64(COLD_PERTURB_SEED);
+        for j in 0..n {
+            let u: f64 = rng.gen();
+            self.at_upper[j] = self.rests_on_upper(j);
+            let rest = if self.at_upper[j] {
+                self.upper[j]
+            } else {
+                self.lower[j]
+            };
+            if !rest.is_finite() {
+                // A free column without a cost is dual feasible at zero.
+                self.x[j] = 0.0;
+                continue;
+            }
+            self.x[j] = rest;
+            if self.cold_dual_perturb && self.lower[j] < self.upper[j] {
+                let eps = COLD_PERTURB * (1.0 + self.costs[j].abs()) * (0.5 + 0.5 * u);
+                self.costs[j] += if self.at_upper[j] { -eps } else { eps };
+            }
+        }
+        for i in 0..m {
+            self.basis[i] = n + i;
+            self.position[n + i] = i;
+            // Artificials are pinned at zero throughout.
+            self.upper[self.n0 + i] = 0.0;
+        }
+        if !self.refactor() {
+            return None;
+        }
+        // Budget, in proportion to what the primal would spend: from
+        // the crash basis it takes 0.5–1.5 pivots per column on the
+        // region models, a repair that works 0.05–0.7 (and each of its
+        // pivots costs less). One per column abandons a stalled attempt
+        // for less than the solve it falls back to.
+        let outcome = self.dual_optimize(self.n0);
+        // Whichever way the dual phase ended, everything after it prices
+        // with the true costs inside the true bounds.
+        self.costs[..self.n0].copy_from_slice(&self.sf.costs);
+        self.swap_implied_bounds(&mut implied);
+        let status = self.after_dual(outcome)?;
+        Some(self.finish(status))
+    }
+
+    /// Exchanges each listed value with the bound of its column on the
+    /// side the column's cost pushes toward: called once it installs the
+    /// implied bounds and keeps the infinite ones, called again it puts
+    /// them back.
+    // lint:allow(hot-path-index): listed columns are structural, bounded by n
+    fn swap_implied_bounds(&mut self, implied: &mut [(usize, f64)]) {
+        for (j, bound) in implied {
+            let side = if self.sf.costs[*j] > 0.0 {
+                &mut self.lower[*j]
+            } else {
+                &mut self.upper[*j]
+            };
+            std::mem::swap(side, bound);
+        }
+    }
+
+    /// What a solve reports after its dual phase ended in `outcome`:
+    /// once primal feasible, the primal cleanup certifies optimality
+    /// (normally zero pivots) and leaves fresh duals for the audit.
+    /// `None`: the dual iteration could not proceed safely, solve cold.
+    fn after_dual(&mut self, outcome: DualOutcome) -> Option<LpStatus> {
+        let status = match outcome {
+            DualOutcome::PrimalFeasible => self.optimize(),
+            DualOutcome::Infeasible => LpStatus::Infeasible,
+            DualOutcome::Limit => LpStatus::IterationLimit,
+            DualOutcome::Fallback => return None,
+        };
+        self.used_dual_simplex = true;
+        Some(status)
+    }
+
     /// Dual simplex to primal feasibility: pick the most violated basic
     /// row (dual devex weighted), run the bound-flip ratio test over the
     /// α-row, flip every boxed candidate the violation can absorb with a
@@ -143,7 +323,7 @@ impl Simplex<'_> {
     /// Reduced costs are maintained incrementally (the dual step `θ`
     /// patches them along the α-row) and refreshed periodically.
     // lint:allow(hot-path-index): dual simplex kernel; rows bounded by m, columns by n
-    fn dual_optimize(&mut self) -> DualOutcome {
+    fn dual_optimize(&mut self, budget: usize) -> DualOutcome {
         let m = self.m;
         // Dual devex row weights: reference framework = current rows.
         let mut dw = vec![1.0; m];
@@ -155,14 +335,11 @@ impl Simplex<'_> {
         let mut pivots_since_refresh = 0usize;
         let mut consecutive_failures = 0usize;
         let mut dual_pivots = 0usize;
-        let stall_cap = 10 * m + 1000;
         loop {
             if self.iterations >= self.config.max_iterations {
                 return DualOutcome::Limit;
             }
-            if dual_pivots > stall_cap {
-                // A bound patch should never need this many pivots; a
-                // cold solve is the safer bet than riding degeneracy.
+            if dual_pivots > budget {
                 return DualOutcome::Fallback;
             }
             if self.iterations.is_multiple_of(32) {
@@ -211,9 +388,8 @@ impl Simplex<'_> {
             }
             if cands.is_empty() {
                 // No entering candidate: the row certifies primal
-                // infeasibility — but after an incremental patch the warm
-                // path plays it safe and lets the cold solve prove it.
-                return DualOutcome::Fallback;
+                // infeasibility, if it still does on fresh factors.
+                return self.infeasible_or_fallback(row);
             }
             cands.sort_unstable_by(|a, b| a.1.total_cmp(&b.1));
             // Bound-flip (long-step) ratio test: a boxed candidate whose
@@ -262,8 +438,8 @@ impl Simplex<'_> {
             }
             let Some(q) = entering else {
                 // Every candidate flipped yet violation remains: no
-                // entering column bounds the dual step. Fall back.
-                return DualOutcome::Fallback;
+                // entering column bounds the dual step.
+                return self.infeasible_or_fallback(row);
             };
             // FTRAN the entering column and cross-check the α-row
             // *before* mutating any state, so a drift-retry is clean.
@@ -353,6 +529,46 @@ impl Simplex<'_> {
                 // can misrank the dual ratio test.
                 self.d_valid = false;
             }
+        }
+    }
+
+    /// The verdict when `row` is violated and the ratio test found no
+    /// entering column: on fresh factors, the row of `B⁻¹` reads
+    /// `x_B[row] = ρᵀb − Σ α_j x_j` over the nonbasic columns, and if
+    /// moving every one of them to its helping bound still leaves a
+    /// violation the primal's phase 1 would call infeasible (each row
+    /// residual enters with weight `|ρ_i|`, so its sum-of-artificials
+    /// threshold scales by `‖ρ‖∞`), no point satisfies the rows and
+    /// bounds. Anything less clear falls back to the cold solve.
+    // lint:allow(hot-path-index): one pass over the α-row; columns bounded by n, rows by m
+    fn infeasible_or_fallback(&mut self, row: usize) -> DualOutcome {
+        if self.repr.update_count() > 0 && !self.refactor_for(RefactorReason::Accuracy) {
+            return DualOutcome::Fallback;
+        }
+        let Some((violation, _, to_upper)) = self.basic_violation(row) else {
+            return DualOutcome::Fallback;
+        };
+        let sigma = if to_upper { 1.0 } else { -1.0 };
+        self.scatter_alpha_row(row);
+        let mut unabsorbed = violation;
+        for &cj in &self.alpha_cols {
+            let j = cast::idx(cj);
+            let a_hat = sigma * self.alpha[j];
+            if self.position[j] != usize::MAX || a_hat == 0.0 {
+                continue;
+            }
+            let room = if a_hat > 0.0 {
+                self.upper[j] - self.x[j]
+            } else {
+                self.x[j] - self.lower[j]
+            };
+            unabsorbed -= a_hat.abs() * room;
+        }
+        let rho_max = self.rho.iter().fold(1.0, |a, r| r.abs().nmax(a));
+        if unabsorbed > self.infeasibility_threshold() * rho_max {
+            DualOutcome::Infeasible
+        } else {
+            DualOutcome::Fallback
         }
     }
 
@@ -509,9 +725,12 @@ enum DualOutcome {
     /// Primal feasibility restored; a primal cleanup certifies
     /// optimality (normally with zero further pivots).
     PrimalFeasible,
-    /// The dual iteration cannot proceed safely (no entering candidate,
-    /// repeated representation drift, stall): the caller falls back to
-    /// a cold two-phase solve, which is always correct.
+    /// A violated row that no move of the nonbasic columns inside their
+    /// bounds can repair: the LP has no feasible point.
+    Infeasible,
+    /// The dual iteration cannot proceed safely (an unclear infeasible
+    /// row, repeated representation drift, stall): the caller falls back
+    /// to a cold two-phase solve, which is always correct.
     Fallback,
     /// Iteration or deadline budget exhausted mid-repair.
     Limit,

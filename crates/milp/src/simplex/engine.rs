@@ -1,5 +1,6 @@
-//! The [`Simplex`] engine: its state, the cold two-phase driver and the
-//! maintenance of the Forrest–Tomlin basis factors.
+//! The [`Simplex`] engine: its state, the cold drivers' dispatch, the
+//! primal two-phase one and the maintenance of the Forrest–Tomlin basis
+//! factors.
 
 use super::{
     Basis, BasisStats, LpResult, LpStatus, PricingRule, PricingStats, SimplexConfig,
@@ -103,6 +104,12 @@ pub struct Simplex<'a> {
     /// test (see [`dual_pivot`](Self::dual_pivot)).
     pub(super) ratio_cands: Vec<u64>,
     pub(super) pricing: PricingStats,
+    /// A cold solve goes dual-first only above this many columns:
+    /// [`AUTO_PARTIAL_MIN_COLS`], lowered by tests alone.
+    pub(super) cold_dual_min_cols: usize,
+    /// Whether the dual-first cold start perturbs its costs (tests turn
+    /// it off to reach the stall fallback).
+    pub(super) cold_dual_perturb: bool,
 }
 
 impl<'a> Simplex<'a> {
@@ -161,12 +168,24 @@ impl<'a> Simplex<'a> {
             alpha_cols: Vec::new(),
             ratio_cands: vec![0; total.div_ceil(64)],
             pricing: PricingStats::default(),
+            cold_dual_min_cols: AUTO_PARTIAL_MIN_COLS,
+            cold_dual_perturb: true,
         }
     }
 
+    /// Test hook: lets LPs of more than `min_cols` columns (in place of
+    /// [`AUTO_PARTIAL_MIN_COLS`]) take the dual-first cold start, with
+    /// or without its cost perturbation.
+    #[doc(hidden)]
+    pub fn set_cold_dual_gate(&mut self, min_cols: usize, perturb: bool) {
+        self.cold_dual_min_cols = min_cols;
+        self.cold_dual_perturb = perturb;
+    }
+
     /// Solves under the given bounds (length `n + m`, as in
-    /// [`solve_lp`]), from `warm` when it is usable and from the slack
-    /// crash otherwise (see [`solve_lp_warm`]).
+    /// [`solve_lp`]), from `warm` when it is usable and cold otherwise
+    /// (see [`solve_lp_warm`]): dual-first from the slack basis where
+    /// that pays, else the primal two-phase solve from the slack crash.
     ///
     /// [`solve_lp`]: super::solve_lp
     /// [`solve_lp_warm`]: super::solve_lp_warm
@@ -194,6 +213,12 @@ impl<'a> Simplex<'a> {
             }
         }
         self.reset(lower, upper);
+        if let Some(implied) = self.cold_dual_start() {
+            if let Some(result) = self.run_cold_dual(implied) {
+                return result;
+            }
+            self.reset(lower, upper);
+        }
         self.run()
     }
 
@@ -255,7 +280,7 @@ impl<'a> Simplex<'a> {
                 return self.finish(LpStatus::IterationLimit);
             }
             let infeas: f64 = (0..self.m).map(|i| self.x[self.n0 + i]).sum();
-            if infeas > tol::OPT * (1.0 + self.sf.rhs.iter().map(|v| v.abs()).sum::<f64>()) {
+            if infeas > self.infeasibility_threshold() {
                 return self.finish(LpStatus::Infeasible);
             }
         }
@@ -269,6 +294,12 @@ impl<'a> Simplex<'a> {
         self.costs[..self.n0].copy_from_slice(&self.sf.costs);
         let status = self.optimize();
         self.finish(status)
+    }
+
+    /// Row residual, summed over the rows, above which the LP counts as
+    /// infeasible: the optimality tolerance scaled by the right-hand side.
+    pub(super) fn infeasibility_threshold(&self) -> f64 {
+        tol::OPT * (1.0 + self.sf.rhs.iter().map(|v| v.abs()).sum::<f64>())
     }
 
     /// Handles the degenerate `m == 0` case (no constraints).

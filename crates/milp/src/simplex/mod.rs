@@ -1,5 +1,6 @@
 //! Bounded-variable revised simplex: two-phase primal, plus a true dual
-//! simplex for warm re-solves.
+//! simplex for warm re-solves and for cold solves that already have a
+//! plan to start from.
 //!
 //! The basis is held as a sparse LU factorization (see [`crate::lu`])
 //! maintained with Forrest–Tomlin updates ([`crate::lu::FtFactors`]),
@@ -13,6 +14,39 @@
 //! minimizes their sum. Phase 2 then minimizes the true objective.
 //! Anti-cycling uses Bland's rule after a run of degenerate pivots.
 //!
+//! Some cold solves go **dual-first** instead. With every structural
+//! column resting on the bound its cost pushes toward, the all-slack
+//! basis is dual feasible (`y = 0`, `d = c`); in a model that rewards
+//! each server for staying where it is (negative cost on the "stay"
+//! columns, RAS Expression 1) that start *is* the plan already running,
+//! primal infeasible only in the rows the round's drift broke, and the
+//! dual simplex repairs it in a tenth of the pivots the primal needs to
+//! rebuild the plan from nothing. The attempt is made when both hold,
+//! each read off the LP and neither an option: some column with a
+//! negative cost actually rests on an upper bound with room below it
+//! (without one there is no plan to repair — the start is the empty
+//! region — and the primal crash stays round 0's solver), and the LP is
+//! one [`PricingRule::Auto`] already calls large, more than
+//! [`AUTO_PARTIAL_MIN_COLS`] columns (smaller LPs solve in a couple of
+//! milliseconds either way, and moving them would re-roll plans for
+//! nothing). A free column with a cost rests, for the dual phase, on the
+//! bound its own rows imply (the `max`-over-MSBs columns of the region
+//! model: `t ≥ Σ x ≥ 0`); if a column has no dual-feasible finite bound,
+//! own or implied, the attempt is skipped. The dual phase runs on costs
+//! perturbed away from the resting bound by a seeded
+//! `1e-6·(1 + |c_j|)·(0.5 + 0.5·u_j)` — the region model's costs take a
+//! handful of distinct values, and unperturbed nearly every dual ratio
+//! ties (5 606 pivots against 1 443 on the 40-spec region root, and a
+//! 104-row miniature of it cycles) — with the true costs and bounds
+//! restored before the primal cleanup, on every exit. Its budget is one
+//! pivot per column, in proportion to the primal's own spend from the
+//! crash basis (0.5–1.5 per column on the region models); on stall,
+//! budget or a singular refactorization the engine resets and runs the
+//! primal two-phase solve, exactly as a warm start that cannot proceed
+//! does. Such a solve reports `used_dual_simplex`, zero
+//! `phase1_iterations` and — it was a cold solve — `warm_basis_used ==
+//! false`.
+//!
 //! Warm solves ([`solve_lp_warm`]) skip both phases: a bound or RHS
 //! change leaves the persisted basis *dual* feasible, so the dual simplex
 //! (dual devex pricing, bound-flip ratio test) walks straight back to
@@ -20,6 +54,13 @@
 //! RAS session hits every round at the root. Branch-and-bound nodes
 //! re-solve with the one-violation repair instead (`warm_dual: false`),
 //! from one [`Simplex`] engine kept for the whole search.
+//!
+//! The dual simplex, warm or cold, proves infeasibility itself: a
+//! violated row whose nonbasic columns, each moved to its helping bound,
+//! still cannot absorb the violation — checked on fresh factors, against
+//! the threshold the primal's phase 1 uses — has no feasible point, and
+//! the solve returns [`LpStatus::Infeasible`] instead of falling back to
+//! a cold primal that would spend a whole phase 1 re-proving it.
 
 mod basis;
 mod dual;
@@ -44,7 +85,8 @@ pub const AUTO_PARTIAL_MIN_COLS: usize = 4096;
 pub enum LpStatus {
     /// Proven optimal.
     Optimal,
-    /// No feasible point exists (phase-1 optimum is positive).
+    /// No feasible point exists (phase-1 optimum is positive, or a row
+    /// of the dual simplex that no move inside the bounds can repair).
     Infeasible,
     /// Objective unbounded below.
     Unbounded,
@@ -122,14 +164,18 @@ pub struct LpResult {
     /// Total simplex iterations across both phases (dual included).
     pub iterations: usize,
     /// Iterations spent in primal phase 1 (minimizing artificial
-    /// infeasibility). Warm dual re-solves report 0 by construction:
-    /// bound-only changes keep the persisted basis dual feasible, so no
+    /// infeasibility). Dual solves report 0 by construction: a warm one
+    /// starts from a basis that bound-only changes left dual feasible, a
+    /// dual-first cold one from the dual-feasible slack basis, so no
     /// artificial phase ever runs.
     pub phase1_iterations: usize,
-    /// Dual-simplex iterations (warm re-solves only).
+    /// Dual-simplex iterations: of a warm re-solve, or of a dual-first
+    /// cold start.
     pub dual_iterations: usize,
-    /// True when the dual simplex drove the solve back to primal
-    /// feasibility from a warm basis.
+    /// True when the dual simplex carried the solve — back to primal
+    /// feasibility, to an infeasible row or to the iteration limit — from
+    /// a warm basis or, on a dual-first cold start, from the slack basis
+    /// ([`warm_basis_used`](Self::warm_basis_used) tells the two apart).
     pub used_dual_simplex: bool,
     /// Basis (re)factorizations performed.
     pub refactorizations: usize,
@@ -160,10 +206,11 @@ pub struct SimplexConfig {
     pub refactor_interval: usize,
     /// Entering-variable pricing rule (see [`PricingRule`]).
     pub pricing: PricingRule,
-    /// Route warm re-solves through the true dual simplex (bound-flip
-    /// ratio test, dual devex). `false` selects the one-violation repair
-    /// loop, which is what branch and bound re-solves every node and
-    /// dive LP with.
+    /// Use the true dual simplex (bound-flip ratio test, dual devex):
+    /// for warm re-solves, and for the cold solves that go dual-first
+    /// (module docs, "dual-first"). `false` re-solves warm with the
+    /// one-violation repair loop — what branch and bound runs every node
+    /// and dive LP with — and solves cold with the primal only.
     pub warm_dual: bool,
 }
 
@@ -199,7 +246,9 @@ pub fn solve_lp(
 /// feasible; a short dual-simplex repair restores primal feasibility and
 /// a primal cleanup finishes. Falls back to a cold start whenever the
 /// warm basis is unusable (singular, stale, or the repair stalls), so the
-/// result is always identical to a cold solve up to degeneracy.
+/// result is always identical to a cold solve up to degeneracy. Without a
+/// basis the solve is cold: dual-first where that pays (module docs),
+/// else the primal two-phase solve.
 pub fn solve_lp_warm(
     sf: &StandardForm,
     lower: &[f64],

@@ -546,3 +546,82 @@ fn dual_bound_flips_reach_the_cold_optimum() {
     assert!(warm.used_dual_simplex);
     assert_eq!(warm.phase1_iterations, 0);
 }
+
+/// A region-shaped LP, as `tests/dual_differential.rs` draws them but
+/// fixed: 32 classes of servers in 8 MSBs and 8 reservations, each class
+/// rewarded for staying (−10), charged 0.01 elsewhere and every third one
+/// a server short; per reservation a free `max`-over-MSBs column costing 5
+/// and a capacity row net of it.
+fn region_lp() -> Model {
+    let (msbs, per_msb, reservations) = (8, 4, 8);
+    let mut m = Model::new();
+    let mut obj = LinExpr::zero();
+    let mut held = vec![0.0; reservations];
+    let mut vars = Vec::new();
+    for c in 0..msbs * per_msb {
+        let count = 2.0 + (c * 5 % 7) as f64;
+        let current = c % reservations;
+        let row: Vec<_> = (0..reservations)
+            .map(|r| {
+                let v = m.add_var(format!("x{c}_{r}"), VarType::Continuous, 0.0, count);
+                obj += LinExpr::term(v, if r == current { -10.0 } else { 0.01 });
+                v
+            })
+            .collect();
+        held[current] += count;
+        let lost = if c % 3 == 0 { 1.0 } else { 0.0 };
+        let supply = LinExpr::sum(row.iter().map(|v| (*v, 1.0)));
+        m.add_constraint(format!("supply{c}"), supply, Sense::Le, count - lost);
+        vars.push(row);
+    }
+    for r in 0..reservations {
+        let by_msb =
+            (0..msbs).map(|i| LinExpr::sum((0..per_msb).map(|k| (vars[i * per_msb + k][r], 1.0))));
+        let max_msb = m.max_over(format!("maxmsb{r}"), by_msb);
+        obj += LinExpr::term(max_msb, 5.0);
+        let total = LinExpr::sum(vars.iter().map(|row| (row[r], 1.0)));
+        let capacity = (held[r] * 0.7).floor();
+        m.add_constraint(format!("cap{r}"), total - max_msb, Sense::Ge, capacity);
+    }
+    m.set_objective(obj);
+    m
+}
+
+/// A dual-first cold start runs its dual phase on perturbed costs, its
+/// free `max` columns on implied bounds. Whichever way the attempt ends —
+/// optimal, out of iterations, or stalled and fallen back to the primal —
+/// the engine prices with `sf.costs` inside the caller's bounds again.
+#[test]
+fn cold_dual_exits_restore_costs_and_bounds() {
+    let sf = StandardForm::from_model(&region_lp());
+    let solve = |max_iterations: usize, perturb: bool| {
+        let cfg = SimplexConfig {
+            max_iterations,
+            ..SimplexConfig::default()
+        };
+        let mut lp = Simplex::new(&sf, cfg);
+        lp.set_cold_dual_gate(0, perturb);
+        let r = lp.solve(&sf.lower, &sf.upper, None);
+        assert_eq!(lp.costs[..lp.n0], sf.costs[..], "costs");
+        assert_eq!(lp.lower[..lp.n0], sf.lower[..], "lower bounds");
+        assert_eq!(lp.upper[..lp.n0], sf.upper[..], "upper bounds");
+        r
+    };
+    let optimal = solve(200_000, true);
+    assert_eq!(optimal.status, LpStatus::Optimal);
+    assert!(optimal.used_dual_simplex);
+    assert_eq!(optimal.phase1_iterations, 0);
+
+    let limited = solve(10, true);
+    assert_eq!(limited.status, LpStatus::IterationLimit);
+    assert!(limited.used_dual_simplex);
+    assert_eq!(limited.dual_iterations, 10);
+
+    // Unperturbed, the attempt stalls past its budget: the primal
+    // two-phase solve answers.
+    let fallen_back = solve(200_000, false);
+    assert_eq!(fallen_back.status, LpStatus::Optimal);
+    assert!(!fallen_back.used_dual_simplex);
+    assert!(fallen_back.phase1_iterations > 0);
+    assert!((fallen_back.objective - optimal.objective).abs() < 1e-6);
+}

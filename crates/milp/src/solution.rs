@@ -58,18 +58,21 @@ pub struct SolveStats {
     /// Total simplex iterations across all LP solves.
     pub simplex_iterations: usize,
     /// Primal phase-1 iterations across all LP solves. Zero whenever
-    /// every LP either crashed feasible or re-solved via the dual
-    /// simplex from a warm basis.
+    /// every LP either crashed feasible or was solved by the dual
+    /// simplex (warm from a basis, or cold and dual-first).
     pub phase1_iterations: usize,
-    /// Dual-simplex iterations across all LP solves (warm re-solves).
+    /// Dual-simplex iterations across all LP solves (warm re-solves and
+    /// dual-first cold starts).
     pub dual_iterations: usize,
-    /// True when at least one LP used the dual-simplex warm path.
+    /// True when the dual simplex carried at least one LP, warm or cold.
     pub used_dual_simplex: bool,
     /// Phase-1 iterations of the root LP alone — the number the
     /// continuous-session gate checks: a bound-only warm round must
-    /// report 0 here.
+    /// report 0 here, and so does a cold root that went dual-first.
     pub root_phase1_iterations: usize,
-    /// True when the root LP re-solved via the dual simplex.
+    /// True when the dual simplex solved the root LP: warm from the
+    /// supplied basis (`warm_basis_accepted` is then set too) or cold,
+    /// dual-first from the slack basis (it is not).
     pub root_used_dual_simplex: bool,
     /// Total basis (re)factorizations across all LP solves.
     pub lp_refactorizations: usize,
@@ -151,9 +154,11 @@ pub struct SolveConfig {
     pub int_tol: f64,
     /// Simplex pivot limit per LP.
     pub max_lp_iterations: usize,
-    /// Route the root's warm re-solve through the true dual simplex;
-    /// `false` sends it through the one-violation repair loop that node
-    /// and dive re-solves always use.
+    /// Solve the root with the true dual simplex where it applies: a
+    /// warm re-solve from the supplied basis, or a cold root that goes
+    /// dual-first (see [`crate::simplex`]). `false` sends a warm root
+    /// through the one-violation repair loop that node and dive
+    /// re-solves always use, and a cold one through the primal only.
     pub warm_dual: bool,
     /// Stop once an incumbent exists and the best bound has not improved
     /// for this many consecutive nodes (0 disables). Mirrors how

@@ -1,4 +1,5 @@
-//! Differential tests for the warm re-solve hot path.
+//! Differential tests for the dual simplex: the warm re-solve hot path
+//! and the dual-first cold start.
 //!
 //! 1. On 400 random bounded LPs, a bound/RHS perturbation re-solved warm
 //!    (dual simplex from the previous optimal basis) must agree with the
@@ -8,13 +9,22 @@
 //!    without refactorization, Forrest–Tomlin keeps `ftran`/`btran`
 //!    residuals near machine precision where the product-form eta file
 //!    visibly degrades (its error compounds across the eta product).
+//! 3. The dual-first cold start, its size gate lowered through
+//!    `Simplex::set_cold_dual_gate`: 400 random boxed LPs against the
+//!    dense-tableau oracle, a quarter of them infeasible (the dual's own
+//!    verdict, cold and warm), region-shaped LPs whose free `max`
+//!    columns rest on implied bounds against the primal, the two starts
+//!    the attempt must skip, and the stall that must fall back.
+
+mod support;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ras_milp::lu::{FtFactors, LuFactors};
-use ras_milp::simplex::{solve_lp, solve_lp_warm, LpStatus, SimplexConfig};
+use ras_milp::simplex::{solve_lp, solve_lp_warm, LpResult, LpStatus, Simplex, SimplexConfig};
 use ras_milp::standard::StandardForm;
-use ras_milp::{LinExpr, Model, Sense, VarType};
+use ras_milp::{LinExpr, Model, Sense, Var, VarType};
+use support::dense_simplex::{self, Outcome};
 
 fn random_model(rng: &mut StdRng) -> Model {
     let nv: usize = rng.gen_range(2..8);
@@ -288,5 +298,288 @@ fn ft_residuals_stay_bounded_where_eta_file_degrades() {
     assert!(
         worst_eta > worst_ft * 20.0,
         "eta file should visibly degrade on this sequence: eta {worst_eta:e} vs ft {worst_ft:e}"
+    );
+}
+
+/// A cold solve with the dual-first start open to LPs of any size.
+fn solve_dual_first(sf: &StandardForm, perturb: bool) -> LpResult {
+    let mut lp = Simplex::new(sf, SimplexConfig::default());
+    lp.set_cold_dual_gate(0, perturb);
+    lp.solve(&sf.lower, &sf.upper, None)
+}
+
+/// The cold primal two-phase solve (`warm_dual: false` never goes
+/// dual-first).
+fn solve_primal(sf: &StandardForm) -> LpResult {
+    let cfg = SimplexConfig {
+        warm_dual: false,
+        ..SimplexConfig::default()
+    };
+    solve_lp(sf, &sf.lower, &sf.upper, &cfg)
+}
+
+fn assert_close(got: f64, want: f64, tag: &str) {
+    assert!(
+        (got - want).abs() <= 1e-6 * (1.0 + want.abs()),
+        "{tag}: objective {got} vs {want}"
+    );
+}
+
+/// A dual-first solve reports what it was: cold, and without a phase 1.
+fn assert_cold_dual_counters(r: &LpResult, tag: &str) {
+    assert_eq!(r.phase1_iterations, 0, "{tag}: phase 1 ran");
+    assert!(!r.warm_basis_used, "{tag}: no warm basis was supplied");
+}
+
+/// A random boxed LP with mixed-sign costs that is feasible by
+/// construction: every row holds, with up to three units to spare, at a
+/// point drawn inside the bounds. The last row is a `≥`; returned with
+/// the model is the most its left-hand side can reach inside the bounds,
+/// so a right-hand side past that makes the LP infeasible by that row
+/// alone.
+fn feasible_boxed_lp(rng: &mut StdRng) -> (Model, f64) {
+    let nv: u32 = rng.gen_range(3..10);
+    let mut m = Model::new();
+    let mut point = Vec::new();
+    for j in 0..nv {
+        let upper = rng.gen_range(1..9);
+        m.add_var(format!("x{j}"), VarType::Continuous, 0.0, upper as f64);
+        point.push(rng.gen_range(0..upper + 1) as f64);
+    }
+    let rows = rng.gen_range(2..8);
+    let mut reach = 0.0;
+    for ci in 0..rows {
+        let terms: Vec<_> = (0..nv)
+            .map(|j| (Var(j), rng.gen_range(-4..5) as f64))
+            .collect();
+        let at_point: f64 = terms.iter().map(|&(v, a)| a * point[v.index()]).sum();
+        let spare = rng.gen_range(0..4) as f64;
+        let (sense, rhs) = match rng.gen_range(0..3) {
+            _ if ci + 1 == rows => (Sense::Ge, at_point - spare),
+            0 => (Sense::Le, at_point + spare),
+            1 => (Sense::Ge, at_point - spare),
+            _ => (Sense::Eq, at_point),
+        };
+        reach = terms
+            .iter()
+            .map(|&(v, a)| (a * m.var(v).upper).max(0.0))
+            .sum();
+        m.add_constraint(format!("c{ci}"), LinExpr::sum(terms), sense, rhs);
+    }
+    m.set_objective(LinExpr::sum(
+        (0..nv).map(|j| (Var(j), rng.gen_range(-5..6) as f64)),
+    ));
+    (m, reach)
+}
+
+/// 400 random boxed LPs with mixed-sign costs, dual-first against the
+/// dense-tableau oracle and the cold primal. Every fourth is infeasible
+/// by one `≥` row pushed past its bound-implied maximum: the dual must
+/// say so itself — cold, and warm from the basis of the feasible LP the
+/// row was pushed from.
+#[test]
+fn cold_dual_first_agrees_with_dense_oracle() {
+    let mut rng = StdRng::seed_from_u64(0xC01D_57A7);
+    let (mut dual_first, mut dual_infeasible) = (0usize, 0usize);
+    let (mut warm_calls, mut warm_infeasible) = (0usize, 0usize);
+    for case in 0..400 {
+        let pushed = case % 4 == 0;
+        let (mut m, reach) = feasible_boxed_lp(&mut rng);
+        let base = pushed.then(|| {
+            let sf = StandardForm::from_model(&m);
+            solve_lp(&sf, &sf.lower, &sf.upper, &SimplexConfig::default())
+        });
+        if pushed {
+            let row = m.num_constraints() - 1;
+            m.set_rhs(row, reach + 1.0);
+        }
+        let tag = format!("case {case}");
+        let sf = StandardForm::from_model(&m);
+        let oracle = dense_simplex::solve(&m);
+        let dual = solve_dual_first(&sf, true);
+        let primal = solve_primal(&sf);
+        assert_eq!(dual.status, primal.status, "{tag}: dual-first vs primal");
+        match oracle {
+            Outcome::Optimal(obj) => {
+                assert_eq!(dual.status, LpStatus::Optimal, "{tag}");
+                assert_close(dual.objective, obj, &tag);
+            }
+            Outcome::Infeasible => assert_eq!(dual.status, LpStatus::Infeasible, "{tag}"),
+            Outcome::Unbounded => panic!("{tag}: a boxed LP is bounded"),
+        }
+        assert!(
+            !pushed || oracle == Outcome::Infeasible,
+            "{tag}: pushed row"
+        );
+        if dual.used_dual_simplex {
+            dual_first += 1;
+            assert_cold_dual_counters(&dual, &tag);
+            dual_infeasible += usize::from(dual.status == LpStatus::Infeasible);
+        }
+        // The same verdict on a warm call: only the right-hand side
+        // moved, so the feasible LP's basis is still dual feasible.
+        if let Some(basis) = base.as_ref().and_then(|b| b.basis.as_ref()) {
+            let cfg = SimplexConfig::default();
+            let warm = solve_lp_warm(&sf, &sf.lower, &sf.upper, &cfg, Some(basis));
+            assert_eq!(warm.status, LpStatus::Infeasible, "{tag}: warm");
+            warm_calls += 1;
+            warm_infeasible += usize::from(warm.used_dual_simplex);
+        }
+    }
+    assert!(dual_first > 350, "too few dual-first solves: {dual_first}");
+    assert!(
+        dual_infeasible > 80,
+        "the dual proved too few of 100 LPs infeasible itself: {dual_infeasible}"
+    );
+    assert_eq!(
+        warm_calls, 100,
+        "every pushed LP starts from a feasible one"
+    );
+    assert!(
+        warm_infeasible > 80,
+        "the warm dual proved too few of 100 LPs infeasible itself: {warm_infeasible}"
+    );
+}
+
+/// A region-shaped LP: classes of servers in MSBs, each rewarded for
+/// staying with the reservation that holds it (−10) and charged a little
+/// for any other (0.01), a third of the classes one server short; per
+/// reservation a free `max`-over-MSBs column costing 5 and a capacity row
+/// net of it. Three distinct cost values.
+fn region_lp(rng: &mut StdRng, msbs: usize, per_msb: usize, reservations: usize) -> Model {
+    let mut m = Model::new();
+    let classes = msbs * per_msb;
+    let mut vars = Vec::new();
+    let mut obj = LinExpr::zero();
+    let mut held = vec![0.0; reservations];
+    for c in 0..classes {
+        let count = rng.gen_range(2..9) as f64;
+        let current = rng.gen_range(0..reservations);
+        let row: Vec<_> = (0..reservations)
+            .map(|r| {
+                let v = m.add_var(format!("x{c}_{r}"), VarType::Continuous, 0.0, count);
+                obj += LinExpr::term(v, if r == current { -10.0 } else { 0.01 });
+                v
+            })
+            .collect();
+        held[current] += count;
+        let lost = f64::from(u8::from(rng.gen_range(0..3) == 0));
+        let supply = LinExpr::sum(row.iter().map(|v| (*v, 1.0)));
+        m.add_constraint(format!("supply{c}"), supply, Sense::Le, count - lost);
+        vars.push(row);
+    }
+    for r in 0..reservations {
+        let by_msb =
+            (0..msbs).map(|i| LinExpr::sum((0..per_msb).map(|k| (vars[i * per_msb + k][r], 1.0))));
+        let max_msb = m.max_over(format!("maxmsb{r}"), by_msb);
+        obj += LinExpr::term(max_msb, 5.0);
+        let total = LinExpr::sum((0..classes).map(|c| (vars[c][r], 1.0)));
+        let capacity = (held[r] * 0.7).floor();
+        m.add_constraint(format!("cap{r}"), total - max_msb, Sense::Ge, capacity);
+    }
+    m.set_objective(obj);
+    m
+}
+
+/// The production shape: free `max` columns with a cost rest on the
+/// bound their rows imply, so the attempt is made; it must agree with
+/// the primal (the oracle takes no free column). With few MSBs
+/// a capacity net of the largest one can be out of reach: those LPs are
+/// infeasible, and the dual says so.
+#[test]
+fn cold_dual_first_rests_free_columns_on_implied_bounds() {
+    let mut rng = StdRng::seed_from_u64(0x01A9_11ED);
+    let mut optimal = 0;
+    for case in 0..60 {
+        let m = region_lp(&mut rng, 4 + case % 5, 1 + case % 3, 2 + case % 6);
+        let sf = StandardForm::from_model(&m);
+        let tag = format!("case {case}");
+        let dual = solve_dual_first(&sf, true);
+        let primal = solve_primal(&sf);
+        assert!(
+            dual.used_dual_simplex,
+            "{tag}: attempt skipped or fell back"
+        );
+        assert_cold_dual_counters(&dual, &tag);
+        assert_eq!(dual.status, primal.status, "{tag}");
+        if dual.status == LpStatus::Optimal {
+            optimal += 1;
+            assert_close(dual.objective, primal.objective, &tag);
+        }
+    }
+    assert!(optimal > 30, "too few feasible region LPs: {optimal}");
+}
+
+/// Everything a solve reports that a different pivot sequence would
+/// change.
+fn fingerprint(r: &LpResult) -> (LpStatus, u64, usize, usize, bool) {
+    (
+        r.status,
+        r.objective.to_bits(),
+        r.iterations,
+        r.phase1_iterations,
+        r.used_dual_simplex,
+    )
+}
+
+/// Two starts the attempt cannot make dual feasible — a free column with
+/// a cost that no single row bounds, a negative cost on a column without
+/// an upper bound, own or implied — are skipped: the solve is the
+/// primal's, pivot for pivot. Each LP also carries a stay column, so the
+/// skip is for that reason and no other.
+#[test]
+fn cold_dual_first_skips_columns_without_a_dual_feasible_bound() {
+    let inf = f64::INFINITY;
+    // min t − z  s.t.  t − s ≥ 0,  s ≥ 1,  t and s free: t ≥ s is all
+    // any one row says about t.
+    let mut free = Model::new();
+    let z = free.add_var("z", VarType::Continuous, 0.0, 3.0);
+    let t = free.add_var("t", VarType::Continuous, -inf, inf);
+    let s = free.add_var("s", VarType::Continuous, -inf, inf);
+    free.add_constraint("t_over_s", LinExpr::from(t) - s, Sense::Ge, 0.0);
+    free.add_constraint("s_floor", LinExpr::from(s), Sense::Ge, 1.0);
+    free.set_objective(LinExpr::from(t) - z);
+    // min −x + 2y − z  s.t.  x − y ≤ 5,  x, y ≥ 0 unbounded above.
+    let mut unbounded_column = Model::new();
+    let z = unbounded_column.add_var("z", VarType::Continuous, 0.0, 3.0);
+    let x = unbounded_column.add_var("x", VarType::Continuous, 0.0, inf);
+    let y = unbounded_column.add_var("y", VarType::Continuous, 0.0, inf);
+    unbounded_column.add_constraint("x_under_y", LinExpr::from(x) - y, Sense::Le, 5.0);
+    unbounded_column.set_objective(2.0 * y - x - z);
+    for (name, m, objective) in [("free", free, -2.0), ("unbounded", unbounded_column, -8.0)] {
+        let sf = StandardForm::from_model(&m);
+        let dual = solve_dual_first(&sf, true);
+        let primal = solve_primal(&sf);
+        assert_eq!(fingerprint(&dual), fingerprint(&primal), "{name}");
+        assert!(!dual.used_dual_simplex, "{name}: the attempt was made");
+        assert_eq!(dual.status, LpStatus::Optimal, "{name}");
+        assert_close(dual.objective, objective, name);
+    }
+}
+
+/// On the region shape the stay rewards, assignment costs and `max`
+/// penalties tie nearly every dual ratio: without its cost perturbation
+/// the attempt rides degenerate pivots past its budget, and the solve
+/// that comes back is the primal's, pivot for pivot. With it the same LP
+/// goes dual-first.
+#[test]
+fn unperturbed_stall_falls_back_to_the_primal() {
+    let mut rng = StdRng::seed_from_u64(14);
+    let m = region_lp(&mut rng, 8, 4, 8);
+    let sf = StandardForm::from_model(&m);
+    let primal = solve_primal(&sf);
+    assert_eq!(primal.status, LpStatus::Optimal);
+    assert!(primal.phase1_iterations > 0);
+    let stalled = solve_dual_first(&sf, false);
+    assert_eq!(fingerprint(&stalled), fingerprint(&primal));
+    let perturbed = solve_dual_first(&sf, true);
+    assert!(perturbed.used_dual_simplex);
+    assert_cold_dual_counters(&perturbed, "perturbed");
+    assert_close(perturbed.objective, primal.objective, "perturbed");
+    assert!(
+        perturbed.iterations < primal.iterations,
+        "dual-first {} pivots vs primal {}",
+        perturbed.iterations,
+        primal.iterations
     );
 }

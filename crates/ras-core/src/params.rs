@@ -72,10 +72,14 @@ pub struct SolverParams {
     /// builds only; production runs opt in with [`AuditMode::On`] to
     /// certify every warm round against the same invariants as cold ones.
     pub audit: AuditMode,
-    /// Route warm re-solves through the true dual simplex (bound-only
-    /// round diffs then re-solve with zero phase-1 iterations). `false`
-    /// sends root re-solves through the one-violation repair loop that
-    /// branch-and-bound nodes use; not a production setting.
+    /// Solve root LPs with the true dual simplex where it applies:
+    /// warm re-solves (bound-only round diffs then re-solve with zero
+    /// phase-1 iterations) and cold roots of a region that already runs
+    /// a plan, which start dual-first from it (a restarted solver, a
+    /// softened retry). `false` sends warm roots through the
+    /// one-violation repair loop that branch-and-bound nodes use and
+    /// cold ones through the primal two-phase solve; not a production
+    /// setting.
     pub warm_dual: bool,
     /// How aggressively solves aggregate before the MIP (see
     /// [`crate::aggregate`]). [`AggregationLevel::Classes`] is today's

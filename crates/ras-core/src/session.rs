@@ -86,7 +86,9 @@ pub struct WarmReport {
     /// persisted basis dual feasible, so the session routes them to the
     /// dual simplex.
     pub bounds_only_patch: bool,
-    /// The root LP re-solved via the dual simplex (no phase 1 at all).
+    /// The dual simplex solved the root LP (no phase 1 at all): warm
+    /// from the accepted basis, or — `warm_basis_accepted` false — cold
+    /// and dual-first from the plan the region already runs.
     pub dual_resolve: bool,
     /// Primal phase-1 iterations of the root LP. Must be 0 whenever a
     /// bounds-only round's warm basis was accepted — `fig_continuous`
