@@ -1,5 +1,6 @@
-//! The [`Simplex`] engine: its state, the cold drivers' dispatch, the
-//! primal two-phase one and the maintenance of the Forrest–Tomlin basis
+//! The [`Simplex`] engine: its state, the choice between the warm, the
+//! dual-first cold and the primal two-phase cold start, the primal
+//! two-phase driver and the maintenance of the Forrest–Tomlin basis
 //! factors.
 
 use super::{
