@@ -121,12 +121,12 @@ fn main() {
                 r.round.to_string(),
                 r.churned.to_string(),
                 fmt(r.solve_seconds, 4),
-                fmt(r.objective, 2),
-                r.warm.agg_vars_full.to_string(),
-                r.warm.agg_vars_reduced.to_string(),
-                format!("{:.2}x", r.reduction_ratio),
-                r.spec_clusters.to_string(),
-                r.disagg_repair_moves.to_string(),
+                fmt(r.phase1.objective, 2),
+                r.phase1.reduction.vars_full.to_string(),
+                r.phase1.reduction.vars_reduced.to_string(),
+                format!("{:.2}x", r.phase1.reduction.reduction_ratio()),
+                r.phase1.reduction.spec_clusters.to_string(),
+                r.phase1.disagg.repair_moves.to_string(),
                 (if r.ratchet_checked {
                     if r.ratchet_ok {
                         "ok"
@@ -165,10 +165,11 @@ fn main() {
     let mut max_gap = 0.0f64;
     let mut min_ratio = f64::INFINITY;
     for (c, base) in clusters.iter().zip(classes) {
-        let tol = sharded_tolerance(2, &params, base.objective);
-        let gap = (c.objective - base.objective).abs();
+        let tol = sharded_tolerance(2, &params, base.phase1.objective);
+        let gap = (c.phase1.objective - base.phase1.objective).abs();
+        let ratio = c.phase1.reduction.reduction_ratio();
         max_gap = max_gap.max(gap);
-        min_ratio = min_ratio.min(c.reduction_ratio);
+        min_ratio = min_ratio.min(ratio);
         if gap > tol {
             eprintln!(
                 "fig_aggregate: round {} clustered objective gap {gap:.4} exceeds tolerance {tol:.4}",
@@ -176,10 +177,10 @@ fn main() {
             );
             failures += 1;
         }
-        if c.reduction_ratio < 2.0 {
+        if ratio < 2.0 {
             eprintln!(
-                "fig_aggregate: round {} reduction ratio {:.2} below the 2x gate",
-                c.round, c.reduction_ratio
+                "fig_aggregate: round {} reduction ratio {ratio:.2} below the 2x gate",
+                c.round
             );
             failures += 1;
         }

@@ -55,7 +55,7 @@ fn main() {
             "dual_iters",
             "dual",
             "moves",
-            "reused",
+            "names",
             "basis",
             "seeded",
             "pruned",
@@ -73,18 +73,16 @@ fn main() {
             fmt(cold, 4),
             fmt(cold / r.solve_seconds.max(1e-12), 2),
             r.lp_iterations.to_string(),
-            r.warm.root_phase1_iterations.to_string(),
-            r.warm.dual_iterations.to_string(),
+            r.phase1.mip_stats.root_phase1_iterations.to_string(),
+            r.phase1.mip_stats.dual_iterations.to_string(),
             (if r.warm.dual_resolve { "dual" } else { "-" }).to_string(),
             r.moves.to_string(),
             (if r.warm.model_reused {
-                if r.warm.model_patched {
-                    "patched"
-                } else {
-                    "full"
-                }
+                "same"
+            } else if r.warm.seed_supplied {
+                "changed"
             } else {
-                "rebuild"
+                "-"
             })
             .to_string(),
             (if r.warm.warm_basis_accepted {
@@ -96,9 +94,9 @@ fn main() {
             })
             .to_string(),
             r.warm.incumbent_seeded.to_string(),
-            r.warm.nodes_pruned_by_seed.to_string(),
-            format!("{:.2}x", r.reduction_ratio),
-            r.spec_clusters.to_string(),
+            r.phase1.mip_stats.nodes_pruned_by_seed.to_string(),
+            format!("{:.2}x", r.phase1.reduction.reduction_ratio()),
+            r.phase1.reduction.spec_clusters.to_string(),
             (if r.audit_certified {
                 "certified".to_string()
             } else {
@@ -127,7 +125,7 @@ fn main() {
     let agree = reports.iter().all(|r| {
         r.cold_status_matches.unwrap_or(true)
             && r.cold_objective
-                .map(|c| (c - r.objective).abs() <= tol)
+                .map(|c| (c - r.phase1.objective).abs() <= tol)
                 .unwrap_or(true)
     });
     exp.note(format!(
@@ -147,17 +145,19 @@ fn main() {
         "audit: {certified}/{} rounds certified clean, {violations} violations",
         reports.len()
     ));
-    // The warm-path contract for bound-only rounds: a reused model whose
-    // warm basis sticks must re-solve via the dual simplex with zero
-    // phase-1 iterations — phase 1 rebuilding feasibility from scratch
-    // would mean the persisted basis bought nothing.
+    // The warm-path contract for bound-only rounds: a model with last
+    // round's name space whose warm basis sticks must re-solve via the
+    // dual simplex with zero phase-1 iterations — phase 1 rebuilding
+    // feasibility from scratch would mean the persisted basis bought
+    // nothing. No such round at all fails too: a session that stopped
+    // recognising an unchanged name space would otherwise pass 0/0.
     let bound_only_rounds: Vec<_> = warm
         .iter()
         .filter(|r| r.warm.bounds_only_patch && r.warm.warm_basis_accepted)
         .collect();
     let phase1_free = bound_only_rounds
         .iter()
-        .filter(|r| r.warm.root_phase1_iterations == 0)
+        .filter(|r| r.phase1.mip_stats.root_phase1_iterations == 0)
         .count();
     exp.note(format!(
         "bound-only warm rounds with zero phase-1 iterations: {phase1_free}/{}",
@@ -166,6 +166,10 @@ fn main() {
     exp.finish();
     if certified != reports.len() || violations != 0 {
         eprintln!("fig_continuous: audit certification failed");
+        std::process::exit(1);
+    }
+    if bound_only_rounds.is_empty() {
+        eprintln!("fig_continuous: no bound-only warm round to check");
         std::process::exit(1);
     }
     if phase1_free != bound_only_rounds.len() {

@@ -178,8 +178,8 @@ impl Model {
     /// Replaces the right-hand side of an existing constraint.
     ///
     /// This is the row-level analogue of [`set_bounds`](Self::set_bounds):
-    /// continuous re-solves patch drifted supply counts in place instead
-    /// of rebuilding the whole model.
+    /// an RHS-only change keeps an optimal basis dual feasible, which is
+    /// what the dual-simplex differential tests drive through it.
     ///
     /// # Panics
     ///

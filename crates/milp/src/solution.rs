@@ -137,6 +137,36 @@ impl SolveStats {
         self.pricing_candidate_hits += lp.pricing.candidate_hits;
         self.pricing_full_rebuilds += lp.pricing.full_rebuilds;
     }
+
+    /// Folds another solve's statistics into this one, for a caller that
+    /// reports several solves as one (the sharded round): work counters
+    /// and `absolute_gap` sum, the `used_dual_simplex` /
+    /// `root_used_dual_simplex` / `hit_limit` flags OR, `solve_seconds`
+    /// takes the longer solve (shards run side by side). What has no
+    /// merge is left as it is in `self`: `best_bound` and `gap` (no
+    /// common incumbent to be relative to), the per-step seconds, the
+    /// `warm_basis_accepted` / `incumbent_seeded` flags (the caller
+    /// decides which solves vote) and `audit`.
+    pub fn absorb(&mut self, other: &SolveStats) {
+        self.nodes += other.nodes;
+        self.simplex_iterations += other.simplex_iterations;
+        self.phase1_iterations += other.phase1_iterations;
+        self.dual_iterations += other.dual_iterations;
+        self.used_dual_simplex |= other.used_dual_simplex;
+        self.root_phase1_iterations += other.root_phase1_iterations;
+        self.root_used_dual_simplex |= other.root_used_dual_simplex;
+        self.lp_refactorizations += other.lp_refactorizations;
+        self.basis_updates += other.basis_updates;
+        self.refactors_interval += other.refactors_interval;
+        self.refactors_growth += other.refactors_growth;
+        self.refactors_accuracy += other.refactors_accuracy;
+        self.pricing_candidate_hits += other.pricing_candidate_hits;
+        self.pricing_full_rebuilds += other.pricing_full_rebuilds;
+        self.solve_seconds = self.solve_seconds.max(other.solve_seconds);
+        self.absolute_gap += other.absolute_gap;
+        self.hit_limit |= other.hit_limit;
+        self.nodes_pruned_by_seed += other.nodes_pruned_by_seed;
+    }
 }
 
 /// Configuration for a MIP solve.

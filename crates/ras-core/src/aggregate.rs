@@ -27,7 +27,7 @@
 //!    post-solve certificates (the reduced model is a real model);
 //! 2. [`Reduction::disaggregate_counts`] reports residual per-member
 //!    capacity shortfall after its repair passes, surfaced in
-//!    [`WarmReport`](crate::WarmReport);
+//!    [`PhaseStats::disagg`](crate::stats::PhaseStats::disagg);
 //! 3. the session's **exact-model ratchet** re-solves the unreduced
 //!    (`Classes`-level) model every `exact_ratchet_interval` rounds and
 //!    compares plan objectives under the common
@@ -142,6 +142,21 @@ impl ReductionStats {
             self.vars_full as f64 / self.vars_reduced.max(1) as f64
         }
     }
+
+    /// Folds in the reduction of a disjoint server universe (another
+    /// shard's): the size counters sum; the level is uniform across
+    /// shards (they solve with the same params), so the last one stands.
+    pub fn absorb(&mut self, other: &ReductionStats) {
+        self.level = other.level;
+        self.servers += other.servers;
+        self.servers_excluded += other.servers_excluded;
+        self.classes += other.classes;
+        self.full_specs += other.full_specs;
+        self.reduced_specs += other.reduced_specs;
+        self.spec_clusters += other.spec_clusters;
+        self.vars_full += other.vars_full;
+        self.vars_reduced += other.vars_reduced;
+    }
 }
 
 /// What the backward map (integer disaggregation) had to do.
@@ -159,6 +174,16 @@ pub struct DisaggStats {
     /// Residual RRU shortfall across members after repair and top-up —
     /// 0.0 on a certified split.
     pub shortfall_rru: f64,
+}
+
+impl DisaggStats {
+    /// Folds in another shard's split: every field sums.
+    pub fn absorb(&mut self, other: &DisaggStats) {
+        self.repair_moves += other.repair_moves;
+        self.stays_honored += other.stays_honored;
+        self.topup_units += other.topup_units;
+        self.shortfall_rru += other.shortfall_rru;
+    }
 }
 
 /// The forward/backward map between the full problem and the reduced

@@ -72,10 +72,6 @@ pub struct RasModel {
     pub assignment_var_count: usize,
     /// Names of constraints that were softened (empty on a hard build).
     pub softened: Vec<String>,
-    /// Constraint index of each class's supply row (Expression 5), when
-    /// one exists. Continuous re-solves patch drifted class counts in
-    /// place through these instead of rebuilding the model.
-    pub supply_rows: Vec<Option<usize>>,
     /// The current assignment expressed as a full variable vector, used
     /// as the solver's warm incumbent: the search then only returns a
     /// different assignment when it is strictly better, which keeps
@@ -139,7 +135,7 @@ pub fn solver_visible(spec: &ReservationSpec) -> bool {
 
 /// The current assignment as per-class counts: `counts[class][res]` is
 /// the number of members currently bound to `res`.
-pub(crate) fn current_counts(classes: &[EquivClass], n_specs: usize) -> Vec<Vec<usize>> {
+fn current_counts(classes: &[EquivClass], n_specs: usize) -> Vec<Vec<usize>> {
     classes
         .iter()
         .map(|class| {
@@ -152,24 +148,6 @@ pub(crate) fn current_counts(classes: &[EquivClass], n_specs: usize) -> Vec<Vec<
             row
         })
         .collect()
-}
-
-/// Constant part of the movement objective (Expression 1): the cost if
-/// every currently-bound server moved. Re-derived when a continuous
-/// re-solve patches drifted class counts into a cached model.
-pub(crate) fn movement_constant(classes: &[EquivClass], params: &SolverParams) -> f64 {
-    classes
-        .iter()
-        .filter(|c| c.current.is_some())
-        .map(|c| {
-            let m = if c.in_use {
-                params.move_cost_in_use
-            } else {
-                params.move_cost_unused
-            };
-            m * c.count() as f64
-        })
-        .sum()
 }
 
 /// Computes the RRUs each reservation currently holds, per MSB and per
@@ -309,18 +287,15 @@ pub fn build_model_labeled(
     }
 
     // Expression 5: each server in at most one reservation.
-    let mut supply_rows: Vec<Option<usize>> = Vec::with_capacity(classes.len());
     for (ci, class) in classes.iter().enumerate() {
         let terms: Vec<(Var, f64)> = vars[ci].iter().flatten().map(|v| (*v, 1.0)).collect();
-        if terms.is_empty() {
-            supply_rows.push(None);
-        } else {
-            supply_rows.push(Some(model.add_constraint(
+        if !terms.is_empty() {
+            model.add_constraint(
                 format!("supply[{}]", labels[ci]),
                 LinExpr::sum(terms),
                 Sense::Le,
                 class.count() as f64,
-            )));
+            );
         }
     }
 
@@ -515,7 +490,6 @@ pub fn build_model_labeled(
         objective_constant,
         assignment_var_count,
         softened,
-        supply_rows,
         initial: Vec::new(),
         aux_defs: aux,
     };

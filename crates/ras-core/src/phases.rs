@@ -11,7 +11,7 @@ use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 use ras_broker::{BrokerSnapshot, ReservationId};
-use ras_milp::{SolveConfig, SolveError, WarmStart};
+use ras_milp::{Basis, SolveConfig, SolveError, WarmStart};
 use ras_topology::{Region, ServerId};
 
 use crate::aggregate::{build_reduction, AggregationLevel, DisaggStats, Reduction, ReductionStats};
@@ -155,29 +155,15 @@ pub(crate) fn refine_with_phase2(
     }
 }
 
-/// Everything the session needs back from one phase solve: the decoded
-/// counts, the raw solution, and enough metadata to cache a warm start
-/// for the next round.
-pub(crate) struct PhaseSolveResult {
-    /// Decoded per-class assignment counts from the model actually solved.
-    pub counts: Vec<Vec<usize>>,
+/// One phase solve.
+struct PhaseSolveResult {
     /// The MIP solution (of the hard model, or of the softened rebuild).
-    pub solution: ras_milp::Solution,
-    /// Softened constraint names (empty when the hard model solved).
-    pub softened: Vec<String>,
-    /// Assignment variables of the model actually solved.
-    pub assignment_vars: usize,
-    /// Memory estimate of the model actually solved.
-    pub memory_bytes: usize,
-    /// Movement-objective constant of the model actually solved.
-    pub objective_constant: f64,
+    solution: ras_milp::Solution,
+    /// The softened rebuild, when the hard model was infeasible and this
+    /// is what `solution` solves.
+    soft: Option<RasModel>,
     /// Extra model-(re)build seconds spent inside the solve (softening).
-    pub extra_build_seconds: f64,
-    /// Structural variable names of the model actually solved — the name
-    /// space `solution.root_basis` lives in.
-    pub var_names: Vec<String>,
-    /// Constraint row names of the model actually solved.
-    pub row_names: Vec<String>,
+    extra_build_seconds: f64,
 }
 
 /// Solves one already-built phase model, softening and retrying on
@@ -250,32 +236,21 @@ fn solve_prepared(
         }
         soft = Some(soft_ras);
     }
-    let solution = solution.map_err(|e| CoreError::Solver(e.to_string()))?;
-    let used = soft.as_ref().unwrap_or(ras);
-    let counts = used.decode(&solution);
     Ok(PhaseSolveResult {
-        counts,
-        softened: used.softened.clone(),
-        assignment_vars: used.assignment_var_count,
-        memory_bytes: used.model.memory_estimate_bytes(),
-        objective_constant: used.objective_constant,
+        solution: solution.map_err(|e| CoreError::Solver(e.to_string()))?,
+        soft,
         extra_build_seconds,
-        var_names: used.model.vars().iter().map(|v| v.name.clone()).collect(),
-        row_names: used
-            .model
-            .constraints()
-            .iter()
-            .map(|c| c.name.clone())
-            .collect(),
-        solution,
     })
 }
 
-/// Assembles the per-phase statistics from a phase solve.
+/// Assembles the per-phase statistics from a phase solve; `used` is the
+/// model the solution belongs to.
 fn make_stats(
     phase_start: Instant,
     ras_build_seconds: f64,
     reduction: ReductionStats,
+    disagg: DisaggStats,
+    used: &RasModel,
     result: &PhaseSolveResult,
 ) -> PhaseStats {
     PhaseStats {
@@ -284,14 +259,15 @@ fn make_stats(
         initial_state_seconds: result.solution.stats.root_lp_seconds,
         mip_seconds: result.solution.stats.mip_seconds,
         total_seconds: phase_start.elapsed().as_secs_f64(),
-        assignment_vars: result.assignment_vars,
+        assignment_vars: used.assignment_var_count,
         classes: reduction.classes,
-        memory_bytes: result.memory_bytes,
+        memory_bytes: used.model.memory_estimate_bytes(),
         mip_stats: result.solution.stats.clone(),
-        softened: result.softened.clone(),
+        softened: used.softened.clone(),
         status: result.solution.status,
-        objective: result.solution.objective + result.objective_constant,
+        objective: result.solution.objective + used.objective_constant,
         reduction,
+        disagg,
     }
 }
 
@@ -310,23 +286,35 @@ pub(crate) fn scoped_reduction(
     build_reduction(region, snapshot, specs, granularity, level, include)
 }
 
+/// A model's structural variable names and constraint row names — the
+/// name space a [`Basis`] of that model lives in.
+pub(crate) type ModelNames = (Vec<String>, Vec<String>);
+
+/// Collects `model`'s name space.
+pub(crate) fn model_names(model: &ras_milp::Model) -> ModelNames {
+    (
+        model.vars().iter().map(|v| v.name.clone()).collect(),
+        model.constraints().iter().map(|c| c.name.clone()).collect(),
+    )
+}
+
 /// What one run of the phase body hands back.
 pub(crate) struct PhaseRun {
     /// Per-server targets of this phase.
     pub targets: Vec<Option<ReservationId>>,
     /// The phase's statistics.
     pub stats: PhaseStats,
-    /// The solve itself (the session caches its basis and name space).
-    pub result: PhaseSolveResult,
-    /// What the backward map had to do (all zero without clusters).
-    pub disagg: DisaggStats,
+    /// The solve's root LP basis, for the next round's warm start.
+    pub root_basis: Option<Basis>,
+    /// The name space `root_basis` lives in when the softened rebuild is
+    /// what solved; `None` means the model that was passed in.
+    pub softened_names: Option<ModelNames>,
 }
 
 /// The one phase body, model in hand: solve (softening on demand) →
 /// split aggregate specs back over their members → per-server targets →
-/// statistics. [`run_phase`] enters with a model it built cold and no
-/// warm start; the session enters with its reused, patched or rebuilt
-/// skeleton and the previous round's basis and targets as `warm`.
+/// statistics. [`run_phase`] enters with no warm start; the session
+/// enters with the previous round's basis and targets as `warm`.
 /// `specs` are the full specs `reduction` was built from.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_phase(
@@ -342,27 +330,31 @@ pub(crate) fn solve_phase(
     ras_build_seconds: f64,
 ) -> Result<PhaseRun, CoreError> {
     let result = solve_prepared(region, reduction, ras, params, rack_goals, warm)?;
+    let used = result.soft.as_ref().unwrap_or(ras);
+    let solved = used.decode(&result.solution);
     // Below `Clusters` the counts pass through untouched.
     let mut disagg = DisaggStats::default();
     let disaggregated;
     let counts: &[Vec<usize>] = if reduction.has_clusters() {
-        (disaggregated, disagg) = reduction.disaggregate_counts(snapshot, specs, &result.counts);
+        (disaggregated, disagg) = reduction.disaggregate_counts(snapshot, specs, &solved);
         &disaggregated
     } else {
-        &result.counts
+        &solved
     };
     let targets = concretize(region, snapshot, &reduction.classes, counts, specs.len());
     let stats = make_stats(
         phase_start,
         ras_build_seconds,
         reduction.stats.clone(),
+        disagg,
+        used,
         &result,
     );
     Ok(PhaseRun {
         targets,
         stats,
-        result,
-        disagg,
+        softened_names: result.soft.as_ref().map(|s| model_names(&s.model)),
+        root_basis: result.solution.root_basis,
     })
 }
 

@@ -2,30 +2,26 @@
 //!
 //! The paper's title claim is **continuously** optimized allocation: RAS
 //! re-solves the region every ~30 minutes against a slightly-drifted
-//! input. A cold solve pays for that drift with fleet-proportional work —
-//! the model is rebuilt from scratch, the simplex starts from a slack
-//! crash, and branch-and-bound starts with no incumbent even though the
-//! previous round's assignment is almost always feasible and
-//! near-optimal. The session makes the re-solve cost proportional to the
-//! *drift* instead, by carrying three things across rounds:
+//! input. A cold solve pays for that drift with fleet-proportional
+//! search — the simplex starts from a slack crash and branch-and-bound
+//! starts with no incumbent even though the previous round's assignment
+//! is almost always feasible and near-optimal. The session makes the
+//! search cost proportional to the *drift* instead, by carrying two
+//! artifacts across rounds:
 //!
-//! 1. **The phase-1 model skeleton.** Class keys are stable under pure
-//!    count drift, so when the new round's class decomposition has the
-//!    same keys and the same specs, the cached [`RasModel`] is reused:
-//!    unchanged outright when counts match, or patched in place
-//!    (variable upper bounds, supply right-hand sides, the movement
-//!    constant) when a few classes grew or shrank. Any structural change
-//!    — classes appearing/vanishing, spec edits, parameter changes —
-//!    triggers a full rebuild.
-//! 2. **The root LP basis.** The previous round's optimal root basis is
-//!    handed to the simplex through [`ras_milp::SolveConfig::warm_start`].
-//!    When the model was rebuilt, the basis is first repaired by name
-//!    ([`ras_milp::Basis::remap`]) — variables and rows are matched by
-//!    their key-stable labels, vanished columns fall back to slacks or
-//!    artificials, and the warm solve's dual-repair loop absorbs the
+//! 1. **The root LP basis, with its name space.** The previous round's
+//!    optimal root basis is handed to the simplex through
+//!    [`ras_milp::SolveConfig::warm_start`]. Variables and rows are named
+//!    after key-stable class labels, so the basis goes in as it is when
+//!    the new model's names equal the cached ones
+//!    ([`WarmReport::model_reused`]: the round differs from the last in
+//!    bounds and right-hand sides only, which keeps the basis dual
+//!    feasible) and is otherwise repaired by name
+//!    ([`ras_milp::Basis::remap`]) — vanished columns fall back to slacks
+//!    or artificials, and the warm solve's dual-repair loop absorbs the
 //!    difference (or the simplex falls back to a cold start; the final
 //!    objective is identical either way).
-//! 3. **The previous targets as a seed incumbent.** The last round's
+//! 2. **The previous targets as a seed incumbent.** The last round's
 //!    per-server targets are re-aggregated over the *new* classes —
 //!    which silently repairs assignments of servers that since left the
 //!    fleet — valued through the model's auxiliary definitions, and
@@ -34,12 +30,21 @@
 //!    seed infeasible (e.g. capacity grew), the solver validates and
 //!    rejects it and falls back to the greedy/current candidates.
 //!
+//! The phase-1 model itself is rebuilt from the round's reduction every
+//! round. An earlier design cached it and patched drifted class counts
+//! in place; measured on the benchmark's four workloads that cache was
+//! hit on 0 / 0 / 0 / 9.4 % of rounds (class keys embed current, target
+//! and in-use, so any applied move changes them) and a hit skipped a
+//! 0.5 ms build inside a 17 ms round, while the basis and the seed above
+//! carried every warm round whether it hit or not (EXPERIMENTS,
+//! *Session traffic*).
+//!
 //! Staleness and fallback rules: a failed round drops the cache (the
-//! next round is cold); a softened round keeps the hard skeleton but its
-//! basis is cached against the softened model's name space and remapped
-//! on reuse; a basis never crosses a structural rebuild without a name
-//! remap; every warm artifact is validated downstream, so warm and cold
-//! solves of the same round agree on status and objective.
+//! next round is cold); a softened round caches its basis against the
+//! softened model's name space, so the next round remaps it; a basis
+//! never enters a model with different names un-remapped; every warm
+//! artifact is validated downstream, so warm and cold solves of the same
+//! round agree on status and objective.
 //!
 //! Phase 2 always runs cold: its restricted universe and spec visibility
 //! change every round, so there is no temporal structure to exploit.
@@ -52,50 +57,46 @@ use ras_milp::{Basis, WarmStart};
 use ras_topology::{Region, ServerId};
 use serde::{Deserialize, Serialize};
 
-use crate::aggregate::{AggregationLevel, Reduction};
+use crate::aggregate::AggregationLevel;
 use crate::error::CoreError;
-use crate::model::{build_model_labeled, current_counts, movement_constant, RasModel};
+use crate::model::build_model_labeled;
 use crate::params::SolverParams;
 use crate::phases::{
-    refine_with_phase2, run_phase, scoped_reduction, solve_phase, PhaseRun, TwoPhaseOutcome,
+    model_names, refine_with_phase2, run_phase, scoped_reduction, solve_phase, PhaseRun,
+    TwoPhaseOutcome,
 };
 use crate::reservation::ReservationSpec;
 use crate::shard::{evaluate_targets, sharded_tolerance};
 use ras_milp::tol;
 
 /// What warm-start machinery did in one session round (the observability
-/// half of the continuous pipeline — `fig_continuous` prints these).
+/// half of the continuous pipeline — `fig_continuous` prints these). The
+/// solve's own counters are in the round's phase-1
+/// [`PhaseStats`](crate::stats::PhaseStats); `warm_basis_accepted`,
+/// `dual_resolve` and `incumbent_seeded` repeat three of them here for
+/// readers of this struct alone.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct WarmReport {
     /// 0-based index of this round within the session.
     pub round: usize,
-    /// The cached phase-1 model skeleton was reused (possibly patched).
+    /// The round's model has the name space of the previous round's: the
+    /// same variables and rows, so the same skeleton as last round.
     pub model_reused: bool,
-    /// The reused skeleton needed in-place count patches.
-    pub model_patched: bool,
-    /// Classes whose member count drifted (patched in place).
-    pub classes_resized: usize,
     /// A warm basis was handed to the root LP.
     pub warm_basis_supplied: bool,
-    /// The basis had to be remapped by name against a rebuilt model.
+    /// The basis had to be remapped by name: the name space changed.
     pub basis_remapped: bool,
     /// The root LP actually started from the warm basis (no fallback).
     pub warm_basis_accepted: bool,
-    /// The round's skeleton diff was bounds/RHS-only (a reused model,
-    /// at most patched in place) — exactly the diffs that keep the
-    /// persisted basis dual feasible, so the session routes them to the
-    /// dual simplex.
+    /// The round differs from the last in bounds and right-hand sides
+    /// only (an unchanged name space) — exactly the diffs that keep the
+    /// persisted basis dual feasible, so the dual simplex re-solves them
+    /// with no phase 1.
     pub bounds_only_patch: bool,
     /// The dual simplex solved the root LP (no phase 1 at all): warm
     /// from the accepted basis, or — `warm_basis_accepted` false — cold
     /// and dual-first from the plan the region already runs.
     pub dual_resolve: bool,
-    /// Primal phase-1 iterations of the root LP. Must be 0 whenever a
-    /// bounds-only round's warm basis was accepted — `fig_continuous`
-    /// gates on exactly this.
-    pub root_phase1_iterations: usize,
-    /// Dual-simplex iterations across all of the round's LP solves.
-    pub dual_iterations: usize,
     /// Branch-and-bound installed a supplied incumbent before searching.
     pub incumbent_seeded: bool,
     /// A previous-round target seed was offered to the solver.
@@ -106,29 +107,6 @@ pub struct WarmReport {
     /// The seed violated the new model (drift broke it) and was left for
     /// the solver to reject in favor of the repair candidates.
     pub seed_repaired: bool,
-    /// Nodes pruned against the seeded incumbent before any better
-    /// solution was found.
-    pub nodes_pruned_by_seed: usize,
-    /// Multi-member spec clusters the aggregation pipeline formed.
-    pub spec_clusters: usize,
-    /// Reduced spec count the model was built over.
-    pub reduced_specs: usize,
-    /// Assignment variables the `Classes`-level model would have had.
-    pub agg_vars_full: usize,
-    /// Assignment variables of the reduced model actually built.
-    pub agg_vars_reduced: usize,
-    /// Servers the class builder excluded as unplanned-unavailable.
-    pub excluded_servers: usize,
-    /// Single-server transfers disaggregation's capacity repair made.
-    pub disagg_repair_moves: usize,
-    /// Units disaggregation assigned to the member whose servers
-    /// already run them (stays honored instead of reshuffled).
-    pub disagg_stays_honored: usize,
-    /// Extra servers disaggregation pulled from free class supply to
-    /// cover shortfall its internal repair could not fix.
-    pub disagg_topup_units: usize,
-    /// Residual RRU shortfall after disaggregation repair (0.0 = clean).
-    pub disagg_shortfall_rru: f64,
     /// This round ran the exact-model ratchet (unreduced re-solve).
     pub ratchet_checked: bool,
     /// Aggregated-plan objective minus exact-plan objective (only
@@ -142,21 +120,12 @@ pub struct WarmReport {
 /// Per-round state carried to the next solve.
 #[derive(Debug, Clone)]
 struct RoundCache {
-    /// Parameters the skeleton was built with (any change → rebuild).
-    params: SolverParams,
-    /// Specs the skeleton was built with (any change → rebuild).
-    specs: Vec<ReservationSpec>,
-    /// Previous round's phase-1 reduction (its classes' keys + counts
-    /// drive the diff; its labels are the basis name space).
-    reduction: Reduction,
-    /// The hard phase-1 model skeleton.
-    ras: RasModel,
+    /// Root LP basis of the previous round's phase-1 solve.
+    basis: Option<Basis>,
     /// Structural variable names of the model `basis` was recorded in.
     var_names: Vec<String>,
     /// Constraint row names of the model `basis` was recorded in.
     row_names: Vec<String>,
-    /// Root LP basis of the previous round's final solve.
-    basis: Option<Basis>,
     /// Final (merged, post-phase-2) targets of the previous round.
     targets: Vec<Option<ReservationId>>,
 }
@@ -165,9 +134,9 @@ struct RoundCache {
 ///
 /// Create one next to the broker, call [`solve_round`](Self::solve_round)
 /// every allocation interval, and apply the returned targets; each round
-/// after the first reuses the previous round's model skeleton, LP basis,
-/// and assignment. Dropping the session (or any round failing) simply
-/// makes the next round cold — no correctness depends on the cache.
+/// after the first starts from the previous round's LP basis and
+/// assignment. Dropping the session (or any round failing) simply makes
+/// the next round cold — no correctness depends on the cache.
 #[derive(Debug, Clone, Default)]
 pub struct SolveSession {
     rounds: usize,
@@ -204,9 +173,9 @@ impl SolveSession {
         self.rounds = 0;
     }
 
-    /// Runs one continuous round: diff against the cached state, reuse or
-    /// rebuild the model, warm-start the MIP, refine with phase 2, and
-    /// re-arm the cache for the next round.
+    /// Runs one continuous round: build the model, warm-start the MIP
+    /// from the cached basis and targets, refine with phase 2, and re-arm
+    /// the cache for the next round.
     pub fn solve_round(
         &mut self,
         region: &Region,
@@ -226,11 +195,11 @@ impl SolveSession {
     /// # Failure recovery
     ///
     /// On any error the session *explicitly* resets its warm state — the
-    /// cached skeleton, basis, and seed targets are dropped and round
-    /// numbering restarts at 0 — and, when warm state actually existed,
-    /// the error is wrapped in [`CoreError::SessionInvalidated`] so
-    /// callers know the next round runs cold. A failure on a fresh
-    /// session (nothing warm to lose) surfaces the raw error unchanged.
+    /// cached basis and seed targets are dropped and round numbering
+    /// restarts at 0 — and, when warm state actually existed, the error
+    /// is wrapped in [`CoreError::SessionInvalidated`] so callers know
+    /// the next round runs cold. A failure on a fresh session (nothing
+    /// warm to lose) surfaces the raw error unchanged.
     pub fn solve_round_scoped(
         &mut self,
         region: &Region,
@@ -273,7 +242,6 @@ impl SolveSession {
             ..WarmReport::default()
         };
 
-        let build_start = Instant::now();
         let reduction = scoped_reduction(
             region,
             snapshot,
@@ -282,102 +250,39 @@ impl SolveSession {
             params.aggregation,
             universe,
         );
-        report.spec_clusters = reduction.stats.spec_clusters;
-        report.reduced_specs = reduction.stats.reduced_specs;
-        report.agg_vars_full = reduction.stats.vars_full;
-        report.agg_vars_reduced = reduction.stats.vars_reduced;
-        report.excluded_servers = reduction.stats.servers_excluded;
-
-        // On any error below the cache stays dropped: a failed round
-        // invalidates the session and the next round starts cold.
-        let cache = self.cache.take();
-        // The diff runs over *reduced* class keys and labels: identical
-        // full specs + params imply an identical clustering (the pipeline
-        // is deterministic), so the reduced key space is stable whenever
-        // the full inputs are — warm starts survive aggregation.
-        let skeleton_reusable = cache.as_ref().is_some_and(|c| {
-            c.params == *params
-                && c.specs.as_slice() == specs
-                && c.reduction.classes.len() == reduction.classes.len()
-                && c.reduction
-                    .classes
-                    .iter()
-                    .zip(&reduction.classes)
-                    .all(|(a, b)| a.key() == b.key())
-        });
-
-        let (ras, prev) = match cache {
-            Some(mut c) if skeleton_reusable => {
-                report.model_reused = true;
-                // A reused skeleton can only have drifted in bounds, RHS
-                // and the objective constant — the diff class whose warm
-                // basis stays dual feasible.
-                report.bounds_only_patch = true;
-                let drifted: Vec<usize> = reduction
-                    .classes
-                    .iter()
-                    .enumerate()
-                    .filter(|(ci, cl)| cl.count() != c.reduction.classes[*ci].count())
-                    .map(|(ci, _)| ci)
-                    .collect();
-                if !drifted.is_empty() {
-                    // Pure count drift: patch columns and rows in place.
-                    report.model_patched = true;
-                    report.classes_resized = drifted.len();
-                    for &ci in &drifted {
-                        let count = reduction.classes[ci].count() as f64;
-                        for var in c.ras.vars[ci].iter().flatten() {
-                            c.ras.model.set_bounds(*var, 0.0, count);
-                        }
-                        if let Some(row) = c.ras.supply_rows[ci] {
-                            c.ras.model.set_rhs(row, count);
-                        }
-                    }
-                    c.ras.objective_constant = movement_constant(&reduction.classes, params);
-                    c.ras.initial = c.ras.incumbent_from_counts(&current_counts(
-                        &reduction.classes,
-                        reduction.specs.len(),
-                    ));
-                }
-                (c.ras, Some((c.basis, c.var_names, c.row_names, c.targets)))
-            }
-            other => {
-                // Structural change (or first round): full rebuild. The
-                // previous basis and targets still warm-start the solve.
-                let ras = build_model_labeled(
-                    region,
-                    &reduction.specs,
-                    &reduction.classes,
-                    &reduction.labels,
-                    params,
-                    false,
-                    None,
-                );
-                let prev = other.map(|c| (c.basis, c.var_names, c.row_names, c.targets));
-                (ras, prev)
-            }
-        };
-        let ras_build_seconds = build_start.elapsed().as_secs_f64();
+        let ras = build_model_labeled(
+            region,
+            &reduction.specs,
+            &reduction.classes,
+            &reduction.labels,
+            params,
+            false,
+            None,
+        );
+        let ras_build_seconds = phase_start.elapsed().as_secs_f64();
+        let (var_names, row_names) = model_names(&ras.model);
 
         // Assemble the warm start from the previous round's artifacts.
-        let prev_targets = prev.as_ref().map(|(_, _, _, t)| t.clone());
+        // On any error below the cache stays dropped: a failed round
+        // invalidates the session and the next round starts cold.
+        let mut prev = self.cache.take();
         let mut warm = WarmStart::default();
-        if let Some((basis, var_names, row_names, targets)) = prev {
-            if let Some(basis) = basis {
-                let new_var_names: Vec<String> =
-                    ras.model.vars().iter().map(|v| v.name.clone()).collect();
-                let new_row_names: Vec<String> = ras
-                    .model
-                    .constraints()
-                    .iter()
-                    .map(|k| k.name.clone())
-                    .collect();
-                warm.basis = if var_names == new_var_names && row_names == new_row_names {
-                    Some(basis)
+        if let Some(prev) = prev.as_mut() {
+            // Names are built from *reduced* class labels and spec names:
+            // identical full specs imply an identical clustering (the
+            // pipeline is deterministic), so the name space is stable
+            // whenever the class keys are — warm starts survive
+            // aggregation.
+            let same_names = prev.var_names == var_names && prev.row_names == row_names;
+            report.model_reused = same_names;
+            report.bounds_only_patch = same_names;
+            if let Some(basis) = prev.basis.take() {
+                warm.basis = Some(if same_names {
+                    basis
                 } else {
                     report.basis_remapped = true;
-                    Some(basis.remap(&var_names, &row_names, &new_var_names, &new_row_names))
-                };
+                    basis.remap(&prev.var_names, &prev.row_names, &var_names, &row_names)
+                });
                 report.warm_basis_supplied = true;
             }
             // Previous targets, re-aggregated over the new classes (this
@@ -387,7 +292,7 @@ impl SolveSession {
             let mut counts = vec![vec![0usize; reduction.specs.len()]; reduction.classes.len()];
             for (ci, class) in reduction.classes.iter().enumerate() {
                 for &s in &class.servers {
-                    if let Some(r) = targets.get(s.index()).copied().flatten() {
+                    if let Some(r) = prev.targets.get(s.index()).copied().flatten() {
                         if let Some(g) = reduction.reduced_index(r) {
                             if let Some(slot) = counts[ci].get_mut(g) {
                                 *slot += 1;
@@ -406,8 +311,8 @@ impl SolveSession {
         let PhaseRun {
             targets: targets1,
             stats: phase1,
-            result,
-            disagg,
+            root_basis,
+            softened_names,
         } = solve_phase(
             region,
             specs,
@@ -420,16 +325,9 @@ impl SolveSession {
             phase_start,
             ras_build_seconds,
         )?;
-        report.warm_basis_accepted = result.solution.stats.warm_basis_accepted;
-        report.dual_resolve = result.solution.stats.root_used_dual_simplex;
-        report.root_phase1_iterations = result.solution.stats.root_phase1_iterations;
-        report.dual_iterations = result.solution.stats.dual_iterations;
-        report.incumbent_seeded = result.solution.stats.incumbent_seeded;
-        report.nodes_pruned_by_seed = result.solution.stats.nodes_pruned_by_seed;
-        report.disagg_repair_moves = disagg.repair_moves;
-        report.disagg_stays_honored = disagg.stays_honored;
-        report.disagg_topup_units = disagg.topup_units;
-        report.disagg_shortfall_rru = disagg.shortfall_rru;
+        report.warm_basis_accepted = phase1.mip_stats.warm_basis_accepted;
+        report.dual_resolve = phase1.mip_stats.root_used_dual_simplex;
+        report.incumbent_seeded = phase1.mip_stats.incumbent_seeded;
 
         // Exact-model ratchet: every N rounds re-solve the unreduced
         // (Classes-level) model and score both phase-1 plans with the
@@ -468,7 +366,7 @@ impl SolveSession {
         // rack refinement already mapped this assignment to itself, so
         // re-running phase 2 would re-derive the identical plan. Skip it;
         // any real drift changes targets1 and re-enables refinement.
-        let outcome = if prev_targets.as_deref() == Some(targets1.as_slice()) {
+        let outcome = if prev.is_some_and(|c| c.targets == targets1) {
             report.phase2_skipped = true;
             TwoPhaseOutcome {
                 targets: targets1,
@@ -479,14 +377,11 @@ impl SolveSession {
             refine_with_phase2(region, specs, snapshot, params, targets1, phase1, universe)
         };
 
+        let (var_names, row_names) = softened_names.unwrap_or((var_names, row_names));
         self.cache = Some(RoundCache {
-            params: params.clone(),
-            specs: specs.to_vec(),
-            reduction,
-            ras,
-            var_names: result.var_names,
-            row_names: result.row_names,
-            basis: result.solution.root_basis.clone(),
+            basis: root_basis,
+            var_names,
+            row_names,
             targets: outcome.targets.clone(),
         });
         self.rounds += 1;
@@ -539,8 +434,8 @@ mod tests {
         materialize(&mut broker);
 
         // Round 1 sees the applied bindings for the first time: the class
-        // keys embed current/target, so this round rebuilds (with a
-        // remapped basis) and settles into the steady-state key set.
+        // keys embed current/target, so this round's names differ (the
+        // basis is remapped) and settle into the steady-state key set.
         let snap2 = broker.snapshot(SimTime::from_hours(1));
         let (o2, w2) = session
             .solve_round(&region, &specs, &snap2, &params)
@@ -552,13 +447,12 @@ mod tests {
             "steady-state round must keep the assignment"
         );
 
-        // Round 2 on an unchanged snapshot: full skeleton reuse.
+        // Round 2 on an unchanged snapshot: the same name space.
         let snap3 = broker.snapshot(SimTime::from_hours(2));
         let (o3, w3) = session
             .solve_round(&region, &specs, &snap3, &params)
             .unwrap();
-        assert!(w3.model_reused, "steady state must reuse the skeleton");
-        assert!(!w3.model_patched, "no drift, no patches");
+        assert!(w3.model_reused, "steady state must keep the skeleton");
         assert!(w3.warm_basis_supplied);
         assert!(!w3.basis_remapped, "identical name space, no remap");
         assert!(w3.incumbent_seeded);
@@ -566,7 +460,7 @@ mod tests {
     }
 
     #[test]
-    fn count_drift_patches_instead_of_rebuilding() {
+    fn count_drift_keeps_the_name_space_and_resolves_dual_first() {
         let (region, mut broker) = setup();
         let specs = vec![uniform_spec(&region, "web", 40.0)];
         broker.register_reservation("web");
@@ -587,8 +481,9 @@ mod tests {
             .solve_round(&region, &specs, &snap1, &params)
             .unwrap();
 
-        // Take down one free-pool server: its class only shrinks, so the
-        // skeleton survives with a count patch.
+        // Take down one free-pool server: its class only shrinks, which
+        // moves a bound and a right-hand side and no name, so the cached
+        // basis goes in as it is and stays dual feasible.
         let victim = o1
             .targets
             .iter()
@@ -605,12 +500,14 @@ mod tests {
             })
             .unwrap();
         let snap2 = broker.snapshot(SimTime::from_hours(1));
-        let (_, w2) = session
+        let (o2, w2) = session
             .solve_round(&region, &specs, &snap2, &params)
             .unwrap();
         assert!(w2.model_reused);
-        assert!(w2.model_patched);
-        assert!(w2.classes_resized >= 1);
+        assert!(!w2.basis_remapped);
+        assert!(w2.warm_basis_accepted);
+        assert!(w2.dual_resolve);
+        assert_eq!(o2.phase1.mip_stats.root_phase1_iterations, 0);
     }
 
     #[test]
@@ -652,7 +549,7 @@ mod tests {
     }
 
     #[test]
-    fn spec_change_triggers_rebuild_with_remap() {
+    fn spec_change_still_carries_basis_and_seed() {
         let (region, mut broker) = setup();
         let mut specs = vec![uniform_spec(&region, "web", 30.0)];
         broker.register_reservation("web");
@@ -668,13 +565,13 @@ mod tests {
         }
         materialize(&mut broker);
 
-        // Growing the reservation is a structural spec change.
+        // Growing the reservation moves a right-hand side only.
         specs[0].capacity = 35.0;
         let snap2 = broker.snapshot(SimTime::from_hours(1));
         let (_, w2) = session
             .solve_round(&region, &specs, &snap2, &params)
             .unwrap();
-        assert!(!w2.model_reused, "spec change must rebuild");
+        assert!(!w2.model_reused, "the applied bindings renamed classes");
         assert!(w2.warm_basis_supplied, "basis still carried over");
         assert!(w2.seed_supplied);
     }

@@ -828,38 +828,24 @@ impl ShardedSession {
     }
 }
 
-/// Folds per-shard warm reports into one session-level view: reuse flags
+/// Folds per-shard warm reports into one session-level view: the flags
 /// AND across shards (the round is only as warm as its coldest shard),
-/// counters sum.
+/// the two that flag trouble OR, and the ratchet gap sums.
 fn aggregate_warm(round: usize, shards: &[ShardReport]) -> WarmReport {
     let all = |f: fn(&WarmReport) -> bool| shards.iter().all(|s| f(&s.warm));
     let any = |f: fn(&WarmReport) -> bool| shards.iter().any(|s| f(&s.warm));
     WarmReport {
         round,
         model_reused: all(|w| w.model_reused),
-        model_patched: any(|w| w.model_patched),
-        classes_resized: shards.iter().map(|s| s.warm.classes_resized).sum(),
         warm_basis_supplied: all(|w| w.warm_basis_supplied),
         basis_remapped: any(|w| w.basis_remapped),
         warm_basis_accepted: all(|w| w.warm_basis_accepted),
         bounds_only_patch: all(|w| w.bounds_only_patch),
         dual_resolve: all(|w| w.dual_resolve),
-        root_phase1_iterations: shards.iter().map(|s| s.warm.root_phase1_iterations).sum(),
-        dual_iterations: shards.iter().map(|s| s.warm.dual_iterations).sum(),
         incumbent_seeded: all(|w| w.incumbent_seeded),
         seed_supplied: all(|w| w.seed_supplied),
         phase2_skipped: all(|w| w.phase2_skipped),
         seed_repaired: any(|w| w.seed_repaired),
-        nodes_pruned_by_seed: shards.iter().map(|s| s.warm.nodes_pruned_by_seed).sum(),
-        spec_clusters: shards.iter().map(|s| s.warm.spec_clusters).sum(),
-        reduced_specs: shards.iter().map(|s| s.warm.reduced_specs).sum(),
-        agg_vars_full: shards.iter().map(|s| s.warm.agg_vars_full).sum(),
-        agg_vars_reduced: shards.iter().map(|s| s.warm.agg_vars_reduced).sum(),
-        excluded_servers: shards.iter().map(|s| s.warm.excluded_servers).sum(),
-        disagg_repair_moves: shards.iter().map(|s| s.warm.disagg_repair_moves).sum(),
-        disagg_stays_honored: shards.iter().map(|s| s.warm.disagg_stays_honored).sum(),
-        disagg_topup_units: shards.iter().map(|s| s.warm.disagg_topup_units).sum(),
-        disagg_shortfall_rru: shards.iter().map(|s| s.warm.disagg_shortfall_rru).sum(),
         ratchet_checked: any(|w| w.ratchet_checked),
         ratchet_gap: shards.iter().map(|s| s.warm.ratchet_gap).sum(),
         // The round's ratchet holds only if every shard that checked one
@@ -875,7 +861,8 @@ fn aggregate_warm(round: usize, shards: &[ShardReport]) -> WarmReport {
 /// score (comparable with a monolithic phase-1 objective). Per-shard raw
 /// statistics — including audit certificates — stay available in
 /// [`ShardedReport::shards`]; the aggregate's `mip_stats.audit` is
-/// deliberately left default (it certifies nothing itself).
+/// deliberately left default (it certifies nothing itself), and so are
+/// its `gap` and `best_bound`.
 fn aggregate_phase1(shards: &[ShardReport], objective: f64, wall_seconds: f64) -> PhaseStats {
     let fmax = |f: fn(&PhaseStats) -> f64| {
         shards
@@ -883,28 +870,17 @@ fn aggregate_phase1(shards: &[ShardReport], objective: f64, wall_seconds: f64) -
             .map(|s| f(&s.phase1) + s.phase2.as_ref().map_or(0.0, f))
             .fold(0.0, nan::fmax)
     };
+    // `SolveStats::absorb` owns the per-counter rules; only the two
+    // acceptance flags are this level's call: they AND over phase 1.
     let mut mip_stats = ras_milp::SolveStats::default();
+    let mut reduction = crate::aggregate::ReductionStats::default();
+    let mut disagg = crate::aggregate::DisaggStats::default();
     for s in shards {
         for p in std::iter::once(&s.phase1).chain(s.phase2.as_ref()) {
-            mip_stats.nodes += p.mip_stats.nodes;
-            mip_stats.simplex_iterations += p.mip_stats.simplex_iterations;
-            mip_stats.phase1_iterations += p.mip_stats.phase1_iterations;
-            mip_stats.dual_iterations += p.mip_stats.dual_iterations;
-            mip_stats.used_dual_simplex |= p.mip_stats.used_dual_simplex;
-            mip_stats.root_phase1_iterations += p.mip_stats.root_phase1_iterations;
-            mip_stats.root_used_dual_simplex |= p.mip_stats.root_used_dual_simplex;
-            mip_stats.lp_refactorizations += p.mip_stats.lp_refactorizations;
-            mip_stats.basis_updates += p.mip_stats.basis_updates;
-            mip_stats.refactors_interval += p.mip_stats.refactors_interval;
-            mip_stats.refactors_growth += p.mip_stats.refactors_growth;
-            mip_stats.refactors_accuracy += p.mip_stats.refactors_accuracy;
-            mip_stats.pricing_candidate_hits += p.mip_stats.pricing_candidate_hits;
-            mip_stats.pricing_full_rebuilds += p.mip_stats.pricing_full_rebuilds;
-            mip_stats.solve_seconds = p.mip_stats.solve_seconds.max(mip_stats.solve_seconds);
-            mip_stats.absolute_gap += p.mip_stats.absolute_gap;
-            mip_stats.hit_limit |= p.mip_stats.hit_limit;
-            mip_stats.nodes_pruned_by_seed += p.mip_stats.nodes_pruned_by_seed;
+            mip_stats.absorb(&p.mip_stats);
         }
+        reduction.absorb(&s.phase1.reduction);
+        disagg.absorb(&s.phase1.disagg);
     }
     mip_stats.warm_basis_accepted = shards
         .iter()
@@ -933,24 +909,8 @@ fn aggregate_phase1(shards: &[ShardReport], objective: f64, wall_seconds: f64) -
             ras_milp::Status::Feasible
         },
         objective,
-        reduction: {
-            // Size counters sum across the disjoint shard universes; the
-            // level is uniform (every shard solves with the same params).
-            let mut r = crate::aggregate::ReductionStats::default();
-            for s in shards {
-                let p = &s.phase1.reduction;
-                r.level = p.level;
-                r.servers += p.servers;
-                r.servers_excluded += p.servers_excluded;
-                r.classes += p.classes;
-                r.full_specs += p.full_specs;
-                r.reduced_specs += p.reduced_specs;
-                r.spec_clusters += p.spec_clusters;
-                r.vars_full += p.vars_full;
-                r.vars_reduced += p.vars_reduced;
-            }
-            r
-        },
+        reduction,
+        disagg,
     }
 }
 
@@ -1108,5 +1068,192 @@ mod tests {
             "{:?}",
             score.capacity_shortfall
         );
+    }
+
+    /// A `SolveStats` whose every field is a distinct multiple of `n`, so
+    /// decimal digits show which inputs reached which output field.
+    fn solve_stats(n: usize, flags: [bool; 5]) -> ras_milp::SolveStats {
+        let f = n as f64;
+        ras_milp::SolveStats {
+            nodes: n,
+            simplex_iterations: 2 * n,
+            phase1_iterations: 3 * n,
+            dual_iterations: 4 * n,
+            used_dual_simplex: flags[0],
+            root_phase1_iterations: 5 * n,
+            root_used_dual_simplex: flags[1],
+            lp_refactorizations: 6 * n,
+            basis_updates: 7 * n,
+            refactors_interval: 8 * n,
+            refactors_growth: 9 * n,
+            refactors_accuracy: 10 * n,
+            pricing_candidate_hits: 11 * n,
+            pricing_full_rebuilds: 12 * n,
+            solve_seconds: 0.125 * f,
+            best_bound: 7.0 * f,
+            absolute_gap: 0.5 * f,
+            gap: 0.25 * f,
+            hit_limit: flags[2],
+            setup_seconds: 1.5 * f,
+            root_lp_seconds: 2.5 * f,
+            mip_seconds: 3.5 * f,
+            warm_basis_accepted: flags[3],
+            incumbent_seeded: flags[4],
+            nodes_pruned_by_seed: 13 * n,
+            audit: crate::AuditReport {
+                certified: true,
+                ..crate::AuditReport::default()
+            },
+        }
+    }
+
+    /// The sharded round's phase-1 aggregate, field for field: counters
+    /// sum over every shard's phase 1 and phase 2, flags OR, seconds take
+    /// the slowest shard, the two acceptance flags AND over phase 1 only,
+    /// size accounting sums over phase 1 only, and `best_bound`, `gap`,
+    /// the per-step seconds and `audit` of `mip_stats` stay at their
+    /// defaults. Expected values recorded from the hand-written merge
+    /// this replaced (63e5252), which had no `disagg` to sum: that summed
+    /// in `aggregate_warm`.
+    #[test]
+    fn aggregate_phase1_merges_shards_field_for_field() {
+        use crate::aggregate::{AggregationLevel, DisaggStats, ReductionStats};
+        use ras_milp::Status;
+        let reduction = |n: usize, level| ReductionStats {
+            level,
+            servers: 100 * n,
+            servers_excluded: n,
+            classes: 5 * n,
+            full_specs: 4 * n,
+            reduced_specs: 2 * n,
+            spec_clusters: n,
+            vars_full: 40 * n,
+            vars_reduced: 20 * n,
+        };
+        // Shard A: phase 1 (n = 1) and a phase 2 (n = 10); shard B:
+        // phase 1 only (n = 100).
+        let a1 = PhaseStats {
+            ras_build_seconds: 0.5,
+            solver_build_seconds: 0.25,
+            initial_state_seconds: 1.0,
+            mip_seconds: 8.0,
+            total_seconds: 9.0,
+            assignment_vars: 20,
+            classes: 5,
+            memory_bytes: 1000,
+            mip_stats: solve_stats(1, [false, false, false, true, true]),
+            softened: vec!["cap[web]".into()],
+            status: Status::Optimal,
+            objective: 1.0,
+            reduction: reduction(1, AggregationLevel::Classes),
+            disagg: DisaggStats {
+                repair_moves: 1,
+                stays_honored: 2,
+                topup_units: 3,
+                shortfall_rru: 0.5,
+            },
+        };
+        let a2 = PhaseStats {
+            ras_build_seconds: 4.0,
+            solver_build_seconds: 0.25,
+            initial_state_seconds: 2.0,
+            mip_seconds: 0.0,
+            total_seconds: 9.0,
+            assignment_vars: 7,
+            classes: 3,
+            memory_bytes: 10,
+            mip_stats: solve_stats(10, [true, false, false, false, false]),
+            softened: vec!["rackspread[web][k3]".into()],
+            status: Status::Feasible,
+            objective: 2.0,
+            reduction: reduction(10, AggregationLevel::Classes),
+            disagg: DisaggStats::default(),
+        };
+        let b1 = PhaseStats {
+            ras_build_seconds: 3.0,
+            solver_build_seconds: 1.0,
+            initial_state_seconds: 2.5,
+            mip_seconds: 7.0,
+            total_seconds: 9.0,
+            assignment_vars: 30,
+            classes: 6,
+            memory_bytes: 2000,
+            mip_stats: solve_stats(100, [false, true, false, true, false]),
+            softened: vec!["cap[feed]".into()],
+            status: Status::Optimal,
+            objective: 3.0,
+            reduction: reduction(100, AggregationLevel::Clusters),
+            disagg: DisaggStats {
+                repair_moves: 10,
+                stays_honored: 20,
+                topup_units: 30,
+                shortfall_rru: 1.5,
+            },
+        };
+        let shard = |shard, phase1, phase2| ShardReport {
+            shard,
+            servers: 0,
+            capacity: Vec::new(),
+            phase1,
+            phase2,
+            warm: WarmReport::default(),
+        };
+        let shards = [shard(0, a1, Some(a2)), shard(1, b1, None)];
+
+        let expected = PhaseStats {
+            ras_build_seconds: 4.5,
+            solver_build_seconds: 1.0,
+            initial_state_seconds: 3.0,
+            mip_seconds: 8.0,
+            total_seconds: 0.75,
+            assignment_vars: 50,
+            classes: 11,
+            memory_bytes: 3000,
+            mip_stats: ras_milp::SolveStats {
+                nodes: 111,
+                simplex_iterations: 222,
+                phase1_iterations: 333,
+                dual_iterations: 444,
+                used_dual_simplex: true,
+                root_phase1_iterations: 555,
+                root_used_dual_simplex: true,
+                lp_refactorizations: 666,
+                basis_updates: 777,
+                refactors_interval: 888,
+                refactors_growth: 999,
+                refactors_accuracy: 1110,
+                pricing_candidate_hits: 1221,
+                pricing_full_rebuilds: 1332,
+                solve_seconds: 12.5,
+                absolute_gap: 55.5,
+                hit_limit: false,
+                warm_basis_accepted: true,
+                incumbent_seeded: false,
+                nodes_pruned_by_seed: 1443,
+                ..ras_milp::SolveStats::default()
+            },
+            softened: vec!["cap[web]".into(), "cap[feed]".into()],
+            status: Status::Optimal,
+            objective: 123.5,
+            reduction: ReductionStats {
+                level: AggregationLevel::Clusters,
+                servers: 10_100,
+                servers_excluded: 101,
+                classes: 505,
+                full_specs: 404,
+                reduced_specs: 202,
+                spec_clusters: 101,
+                vars_full: 4040,
+                vars_reduced: 2020,
+            },
+            disagg: DisaggStats {
+                repair_moves: 11,
+                stays_honored: 22,
+                topup_units: 33,
+                shortfall_rru: 2.0,
+            },
+        };
+        let got = aggregate_phase1(&shards, 123.5, 0.75);
+        assert_eq!(format!("{got:#?}"), format!("{expected:#?}"));
     }
 }

@@ -7,8 +7,8 @@
 //!
 //! The solver owns a [`ShardedSession`], so consecutive
 //! [`AsyncSolver::solve`] calls on the same instance are *continuous*:
-//! each round warm-starts from the previous one (cached model skeleton,
-//! root-LP basis, seeded incumbent — per shard when `params.shards > 1`).
+//! each round warm-starts from the previous one (root-LP basis, seeded
+//! incumbent — per shard when `params.shards > 1`).
 //! Drop or [`AsyncSolver::reset`] the solver to force a cold round.
 
 use ras_broker::{BrokerSnapshot, ReservationId, ResourceBroker};
@@ -56,13 +56,10 @@ impl SolveOutput {
         self.phase1.assignment_vars + self.phase2.as_ref().map_or(0, |p| p.assignment_vars)
     }
 
-    /// True when this round reused warm state from the previous round
-    /// (a supplied root basis, a seeded incumbent, or a cached model).
+    /// True when this round started from the previous round's state (a
+    /// supplied root basis or a seed incumbent).
     pub fn warm_start_used(&self) -> bool {
-        self.warm.warm_basis_supplied
-            || self.warm.seed_supplied
-            || self.warm.model_reused
-            || self.warm.model_patched
+        self.warm.warm_basis_supplied || self.warm.seed_supplied
     }
 
     /// Total simplex iterations across both phases (all LP solves of each

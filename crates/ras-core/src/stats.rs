@@ -3,7 +3,7 @@
 use ras_milp::{SolveStats, Status};
 use serde::{Deserialize, Serialize};
 
-use crate::aggregate::ReductionStats;
+use crate::aggregate::{DisaggStats, ReductionStats};
 
 /// Timing and size breakdown of one solver phase, matching the paper's
 /// four steps: RAS Build, Solver Build, Initial State, MIP (Figure 8).
@@ -38,6 +38,9 @@ pub struct PhaseStats {
     /// Size accounting of the aggregation pipeline's reduction for this
     /// phase (reduction ratio, excluded servers, spec clusters).
     pub reduction: ReductionStats,
+    /// What splitting aggregate specs back over their members had to do
+    /// (all zero when the phase solved without spec clusters).
+    pub disagg: DisaggStats,
 }
 
 impl PhaseStats {

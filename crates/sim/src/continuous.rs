@@ -10,7 +10,7 @@
 //! failures and the previous round's victims come back up.
 //!
 //! The per-round [`RoundReport`]s expose what the continuous machinery
-//! did (model reuse/patch, basis acceptance, incumbent seeding) alongside
+//! did (name-space stability, basis acceptance, incumbent seeding) alongside
 //! wall-clock and simplex-iteration costs, so tests and the
 //! `fig_continuous` benchmark can assert that warm rounds are measurably
 //! cheaper than the cold round 0 and that steady-state rounds plan zero
@@ -19,6 +19,7 @@
 use ras_broker::{ReservationId, ResourceBroker, SimTime, UnavailabilityEvent, UnavailabilityKind};
 use ras_core::reservation::ReservationSpec;
 use ras_core::solver::AsyncSolver;
+use ras_core::stats::PhaseStats;
 use ras_core::{SolverParams, WarmReport};
 use ras_topology::{Region, ScopeId, ServerId};
 use ras_twine::{ContainerSpec, JobSpec, PlacementPolicyKind, TwineScheduler};
@@ -110,8 +111,11 @@ pub struct RoundReport {
     pub assigned: usize,
     /// Servers churned (marked down) immediately before this round.
     pub churned: usize,
-    /// Full phase-1 objective (warm and cold must agree on this).
-    pub objective: f64,
+    /// The round's phase-1 statistics: the full objective (warm and cold
+    /// must agree on it), the solve's counters, the aggregation
+    /// pipeline's reduction and what disaggregation had to repair. A
+    /// sharded round's are the aggregate over its shards.
+    pub phase1: PhaseStats,
     /// The session's account of its warm-start behavior.
     pub warm: WarmReport,
     /// Wall-clock seconds of the cold solve of the same snapshot
@@ -137,13 +141,6 @@ pub struct RoundReport {
     pub reconcile_released: usize,
     /// Wall-clock seconds of the sharded merge/reconcile pass.
     pub merge_seconds: f64,
-    /// Model-size reduction factor of the aggregation pipeline's spec
-    /// clustering (1.0 below `AggregationLevel::Clusters`).
-    pub reduction_ratio: f64,
-    /// Multi-member spec clusters formed this round.
-    pub spec_clusters: usize,
-    /// Single-server transfers disaggregation repair made this round.
-    pub disagg_repair_moves: usize,
     /// This round ran the exact-model ratchet.
     pub ratchet_checked: bool,
     /// The ratchet (when checked) found the aggregated plan within
@@ -346,7 +343,7 @@ pub fn run_continuous(region: &Region, config: &ContinuousConfig) -> Vec<RoundRe
             moves: output.moves.total(),
             assigned: output.targets.iter().filter(|t| t.is_some()).count(),
             churned,
-            objective: output.phase1.objective,
+            phase1: output.phase1.clone(),
             warm: output.warm.clone(),
             cold_solve_seconds,
             cold_objective,
@@ -356,9 +353,6 @@ pub fn run_continuous(region: &Region, config: &ContinuousConfig) -> Vec<RoundRe
             shards,
             reconcile_released,
             merge_seconds,
-            reduction_ratio: output.phase1.reduction.reduction_ratio(),
-            spec_clusters: output.warm.spec_clusters,
-            disagg_repair_moves: output.warm.disagg_repair_moves,
             ratchet_checked: output.warm.ratchet_checked,
             ratchet_ok: output.warm.ratchet_ok,
             container_count,
@@ -437,8 +431,8 @@ mod tests {
         // (phase 2 works off a per-round move budget), but with zero
         // churn the plan must reach a fixed point: the last rounds plan
         // zero moves, and once targets stop changing the class keys
-        // stabilize and the whole model skeleton is reused with its warm
-        // basis accepted outright.
+        // stabilize, the model keeps its name space and the warm basis
+        // goes in un-remapped and is accepted outright.
         for r in &reports[4..] {
             assert_eq!(
                 r.moves, 0,
@@ -474,7 +468,7 @@ mod tests {
                 "round {} must certify every shard phase",
                 r.round
             );
-            assert!(r.objective.is_finite());
+            assert!(r.phase1.objective.is_finite());
             assert!(r.assigned > 0, "round {} fills the portfolio", r.round);
         }
         for r in &reports[1..] {
@@ -509,15 +503,15 @@ mod tests {
                 r.round
             );
             assert!(
-                r.spec_clusters >= 1,
+                r.phase1.reduction.spec_clusters >= 1,
                 "round {}: web+feed share a footprint and must cluster",
                 r.round
             );
+            let ratio = r.phase1.reduction.reduction_ratio();
             assert!(
-                r.reduction_ratio > 1.0,
-                "round {}: clustering must shrink the model (ratio {})",
-                r.round,
-                r.reduction_ratio
+                ratio > 1.0,
+                "round {}: clustering must shrink the model (ratio {ratio})",
+                r.round
             );
             assert!(
                 !r.ratchet_checked || r.ratchet_ok,
@@ -586,7 +580,7 @@ mod tests {
             assert!(r.warm.warm_basis_supplied, "round {} basis", r.round);
             assert!(r.warm.seed_supplied, "round {} seed", r.round);
             assert!(r.warm.incumbent_seeded, "round {} incumbent", r.round);
-            assert!(r.objective.is_finite());
+            assert!(r.phase1.objective.is_finite());
             // Churn only perturbs the plan locally.
             assert!(
                 r.moves <= region.server_count() / 10,

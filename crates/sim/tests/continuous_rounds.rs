@@ -41,10 +41,10 @@ fn warm_rounds_agree_with_cold_solves() {
         );
         let cold = r.cold_objective.expect("cold objective recorded");
         assert!(
-            (cold - r.objective).abs() <= tol,
+            (cold - r.phase1.objective).abs() <= tol,
             "round {}: warm objective {} vs cold {} (tol {tol})",
             r.round,
-            r.objective,
+            r.phase1.objective,
             cold
         );
     }
@@ -113,10 +113,10 @@ fn warm_rounds_beat_cold_by_2x_in_release() {
         );
         let cold = r.cold_objective.expect("cold objective recorded");
         assert!(
-            (cold - r.objective).abs() <= tol,
+            (cold - r.phase1.objective).abs() <= tol,
             "round {}: warm objective {} vs cold {} (tol {tol})",
             r.round,
-            r.objective,
+            r.phase1.objective,
             cold
         );
     }

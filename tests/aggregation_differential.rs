@@ -158,7 +158,7 @@ fn check_clusters_match_exact(seed: u64, a: f64, b: f64, extra: Option<f64>) -> 
     if !clustered_score.capacity_feasible(exact_params.mip_abs_gap + 1e-6) {
         return Err("disaggregated plan must stay capacity-feasible".into());
     }
-    if clustered.warm.spec_clusters < 1 {
+    if clustered.phase1.reduction.spec_clusters < 1 {
         return Err("web+feed share a footprint and must cluster".into());
     }
     Ok(())
@@ -212,13 +212,13 @@ fn clustered_session_tracks_exact_across_rounds() {
             "round {} must certify clean",
             c.round
         );
-        let tol = sharded_tolerance(2, &params, e.objective);
+        let tol = sharded_tolerance(2, &params, e.phase1.objective);
         assert!(
-            (c.objective - e.objective).abs() <= tol,
+            (c.phase1.objective - e.phase1.objective).abs() <= tol,
             "round {}: clustered {} vs exact {} exceeds tolerance {}",
             c.round,
-            c.objective,
-            e.objective,
+            c.phase1.objective,
+            e.phase1.objective,
             tol
         );
         assert!(
