@@ -223,6 +223,10 @@ pub enum FtReject {
     /// A row-elimination multiplier grew past the stability cap, so the
     /// update would amplify rounding error instead of bounding it.
     UnstableMultiplier,
+    /// No entering column went through [`FtFactors::ftran_entering`]
+    /// since the last factorization or update: there is no spike to
+    /// insert, and one is never rebuilt from stale data.
+    Unstaged,
 }
 
 /// `m` growable `(step, value)` lists packed into one arena, for the
@@ -284,10 +288,10 @@ impl Segments {
 ///
 /// Built from a fresh [`LuFactors`] factorization, this keeps `L` and the
 /// row permutation fixed while `U` is *mutated* per basis change: the
-/// replaced column becomes the spike `U·w̃` (computed from the simplex's
-/// FTRAN direction `w = B⁻¹a_q`), the replaced step moves to the end of a
-/// dynamic triangular ordering, and the resulting row spike is eliminated
-/// by elementary row operations recorded as row etas. The invariant is
+/// replaced column becomes the spike, the replaced step moves to the end
+/// of a dynamic triangular ordering, and the resulting row spike is
+/// eliminated by elementary row operations recorded as row etas. The
+/// invariant is
 ///
 /// ```text
 /// B = Pᵀ · L · (E₁⁻¹ ⋯ Eₚ⁻¹) · U · Q
@@ -295,9 +299,15 @@ impl Segments {
 ///
 /// with `U` genuinely upper triangular with respect to the maintained
 /// ordering — unlike the product-form eta file, whose implicit `U` only
-/// degrades as pivots accumulate. `U` is stored twice (column-wise and
-/// row-wise mirrors, both step-indexed) so both the spike insertion and
-/// the row elimination run in time proportional to the touched nonzeros.
+/// degrades as pivots accumulate. `B w = a_q` reads `U Q w = E L⁻¹ P a_q`,
+/// so the spike is the entering column's own FTRAN stopped before the `U`
+/// solve: [`ftran_entering`](Self::ftran_entering) stages that vector
+/// with its nonzero pattern, and [`update`](Self::update) inserts exactly
+/// those entries — no pass over `U`, and no exact cancellation of the L
+/// and eta stages rebuilt as rounding-level fill. `U` is stored twice
+/// (column-wise and row-wise mirrors, both step-indexed) so both the
+/// spike insertion and the row elimination run in time proportional to
+/// the touched nonzeros.
 #[derive(Debug, Clone)]
 pub struct FtFactors {
     m: usize,
@@ -335,10 +345,18 @@ pub struct FtFactors {
     updates: usize,
     /// Step-indexed workspace of the solves.
     scratch: Vec<f64>,
-    // Dense epoch-marked scratch for `update`.
+    /// The staged spike, step-indexed: `spike[k]` holds a value iff
+    /// `spike_mark[k] == epoch`, and `spike_pat` lists those steps.
     spike: Vec<f64>,
     spike_mark: Vec<u32>,
     spike_pat: Vec<u32>,
+    /// Whether the spike was staged since the last factorization or
+    /// update: [`update`](Self::update) consumes it.
+    staged: bool,
+    /// The staged column's finished FTRAN, for the spike oracle.
+    #[cfg(debug_assertions)]
+    staged_w: Vec<f64>,
+    // Epoch-marked row-elimination scratch for `update`.
     roww: Vec<f64>,
     roww_mark: Vec<u32>,
     epoch: u32,
@@ -408,6 +426,9 @@ impl FtFactors {
             spike: vec![0.0; m],
             spike_mark: vec![u32::MAX; m],
             spike_pat: Vec::new(),
+            staged: false,
+            #[cfg(debug_assertions)]
+            staged_w: vec![0.0; m],
             roww: vec![0.0; m],
             roww_mark: vec![u32::MAX; m],
             epoch: 0,
@@ -440,8 +461,26 @@ impl FtFactors {
 
     /// Solves `B z = v` in place (FTRAN): `v` enters indexed by
     /// constraint row and leaves indexed by basis slot.
-    // lint:allow(hot-path-index): triangular solve over m-length pivot_row/order permutation arrays
     pub fn ftran(&mut self, v: &mut [f64]) {
+        self.ftran_steps(v, false);
+    }
+
+    /// [`ftran`](Self::ftran) of the column about to enter the basis,
+    /// `a_q`: also stages the vector between the L/eta stages and the
+    /// `U` solve, `E L⁻¹ P a_q` in step space with its nonzero pattern,
+    /// as the spike the next [`update`](Self::update) inserts. Any other
+    /// solve — a batch of bound flips, the basic values after a
+    /// refactorization — goes through `ftran` and leaves the stage alone.
+    pub fn ftran_entering(&mut self, v: &mut [f64]) {
+        self.ftran_steps(v, true);
+        #[cfg(debug_assertions)]
+        self.staged_w.copy_from_slice(v);
+    }
+
+    /// Shared FTRAN body; with `stage`, the L/eta-stage vector becomes
+    /// the staged spike.
+    // lint:allow(hot-path-index): triangular solve over m-length pivot_row/order permutation arrays
+    fn ftran_steps(&mut self, v: &mut [f64], stage: bool) {
         let m = self.m;
         // L solve (unit diagonal), column-oriented in step order; values
         // live at original-row indices throughout.
@@ -463,6 +502,21 @@ impl FtFactors {
                 s -= mu * v[self.pivot_row[cast::idx(src)]];
             }
             v[tr] = s;
+        }
+        if stage {
+            // `U Q w = E L⁻¹ P a_q`: what the solve holds here is the
+            // entering column of `U`, in step space.
+            self.epoch = self.epoch.wrapping_add(1);
+            self.spike_pat.clear();
+            for k in 0..m {
+                let val = v[self.pivot_row[k]];
+                if val != 0.0 {
+                    self.spike_mark[k] = self.epoch;
+                    self.spike[k] = val;
+                    self.spike_pat.push(cast::idx32(k));
+                }
+            }
+            self.staged = true;
         }
         // U back-substitution, column-oriented in reverse *position*
         // order — the dynamic ordering is what updates keep triangular.
@@ -552,43 +606,36 @@ impl FtFactors {
     }
 
     /// Forrest–Tomlin update after a pivot that replaces the basis column
-    /// in `slot` with a column whose FTRAN direction is `w = B⁻¹a_q`
-    /// (slot-indexed — exactly what the simplex already has in hand).
+    /// in `slot` with the column last staged by
+    /// [`ftran_entering`](Self::ftran_entering). Returns the entries the
+    /// spike inserted into `U`.
     ///
     /// On `Err` the factors are untouched and the caller must
     /// refactorize: the numeric checks run against scratch state before
-    /// anything is committed.
+    /// anything is committed. Either way the stage is consumed.
     // lint:allow(hot-path-index): Forrest-Tomlin spike update; order/pos stay an m-permutation throughout
-    pub fn update(&mut self, slot: usize, w: &[f64]) -> Result<(), FtReject> {
+    pub fn update(&mut self, slot: usize) -> Result<usize, FtReject> {
+        if !std::mem::take(&mut self.staged) {
+            return Err(FtReject::Unstaged);
+        }
         let m = self.m;
         let t = self.step_of_slot[slot];
-        self.epoch = self.epoch.wrapping_add(1);
         let epoch = self.epoch;
-
-        // The spike replacing column `t` of `U` is `U·w̃` (w̃ = w permuted
-        // into step space): `B w = a_q` gives `U Q w = (L·M⁻¹)⁻¹ a_q`,
-        // so the current `U` — prior updates included — maps the FTRAN
-        // result straight to the spike. Column-oriented for sparsity.
-        self.spike_pat.clear();
-        for k in 0..m {
-            let wk = w[self.slot_of_step[k]];
-            if wk == 0.0 {
-                continue;
-            }
-            if self.spike_mark[k] != epoch {
-                self.spike_mark[k] = epoch;
-                self.spike[k] = 0.0;
-                self.spike_pat.push(cast::idx32(k));
-            }
-            self.spike[k] += self.diag[k] * wk;
-            for &(r, uv) in self.u_cols.list(k) {
-                let r = cast::idx(r);
-                if self.spike_mark[r] != epoch {
-                    self.spike_mark[r] = epoch;
-                    self.spike[r] = 0.0;
-                    self.spike_pat.push(cast::idx32(r));
-                }
-                self.spike[r] += uv * wk;
+        #[cfg(debug_assertions)]
+        {
+            // The staged spike is the `U·w̃` this update used to rebuild
+            // from the finished FTRAN, up to the solve's rounding.
+            const ORACLE_REL: f64 = 1e-9;
+            for (k, &(product, scale)) in self.spike_oracle(&self.staged_w).iter().enumerate() {
+                let staged = if self.spike_mark[k] == epoch {
+                    self.spike[k]
+                } else {
+                    0.0
+                };
+                assert!(
+                    (staged - product).abs() <= ORACLE_REL * (1.0 + scale),
+                    "staged spike {staged} vs U·w {product} at step {k}"
+                );
             }
         }
         // Dry-run the row-spike elimination against scratch state: walk
@@ -676,20 +723,46 @@ impl FtFactors {
             self.eta_target.push(cast::idx32(t));
             self.eta_start.push(self.eta_data.len());
         }
+        let mut inserted = 0;
         for &k in &self.spike_pat {
             let k_us = cast::idx(k);
             if k_us == t {
                 continue;
             }
             let val = self.spike[k_us];
-            if val != 0.0 {
-                self.u_cols.push(t, (k, val));
-                self.u_rows.push(k_us, (cast::idx32(t), val));
-            }
+            self.u_cols.push(t, (k, val));
+            self.u_rows.push(k_us, (cast::idx32(t), val));
+            inserted += 1;
         }
         self.diag[t] = d_t;
         self.updates += 1;
-        Ok(())
+        Ok(inserted)
+    }
+
+    /// `U·w̃` for a slot-indexed `w` (`w̃` its step-space permutation),
+    /// step-indexed, each entry paired with `(|U|·|w̃|)_k`, the scale its
+    /// rounding error is relative to. For an FTRAN result `w = B⁻¹a_q`
+    /// this is the spike [`ftran_entering`](Self::ftran_entering) stages:
+    /// the oracle it is checked against, never a production path.
+    #[cfg(any(test, debug_assertions))]
+    fn spike_oracle(&self, w: &[f64]) -> Vec<(f64, f64)> {
+        let mut product = vec![(0.0, 0.0); self.m];
+        let steps = self.slot_of_step.iter().zip(&self.diag).enumerate();
+        for (k, (&slot, &diag)) in steps {
+            let wk = w.get(slot).copied().unwrap_or(0.0);
+            let column = self
+                .u_cols
+                .list(k)
+                .iter()
+                .map(|&(r, uv)| (cast::idx(r), uv));
+            for (r, uv) in column.chain([(k, diag)]) {
+                if let Some(entry) = product.get_mut(r) {
+                    entry.0 += uv * wk;
+                    entry.1 += (uv * wk).abs();
+                }
+            }
+        }
+        product
     }
 }
 
@@ -889,6 +962,9 @@ mod tests {
     /// Long random column-replacement sequences: after every update the
     /// FT solves must agree with a *fresh* factorization of the current
     /// columns, in both directions, including the unit-BTRAN fast path.
+    /// Before every update the staged spike must equal the `U·w̃` oracle
+    /// to 1e-12 of its scale, and the update must insert no more entries
+    /// into `U` than the staged vector has nonzeros.
     #[test]
     fn ft_updates_match_fresh_factorization() {
         let m = 12;
@@ -902,12 +978,29 @@ mod tests {
                 let new_col = random_column(m, slot, &mut state);
                 // w = B⁻¹ a_q from the *current* factors.
                 let mut w = scatter(m, &new_col);
-                ft.ftran(&mut w);
-                if ft.update(slot, &w).is_err() {
+                ft.ftran_entering(&mut w);
+                let oracle = ft.spike_oracle(&w);
+                let scale = oracle.iter().fold(1.0, |s: f64, &(p, _)| s.max(p.abs()));
+                for (k, &(product, _)) in oracle.iter().enumerate() {
+                    let staged = if ft.spike_mark[k] == ft.epoch {
+                        ft.spike[k]
+                    } else {
+                        0.0
+                    };
+                    assert!(
+                        (staged - product).abs() <= 1e-12 * scale,
+                        "trial {trial} step {step}: staged {staged} vs U·w {product}"
+                    );
+                }
+                let staged_nnz = ft.spike_pat.len();
+                let u_nnz = ft.u_cols.nnz;
+                let Ok(inserted) = ft.update(slot) else {
                     // Unlucky near-singular replacement: restart factors
                     // without applying it (the simplex refactorizes here).
                     continue;
-                }
+                };
+                assert!(inserted <= staged_nnz, "{inserted} > {staged_nnz}");
+                assert!(ft.u_cols.nnz <= u_nnz + inserted, "U grew past the spike");
                 columns[slot] = new_col;
                 assert!(
                     factorize(&columns).is_some(),
@@ -958,14 +1051,50 @@ mod tests {
         let mut ft = FtFactors::from_lu(lu);
         // Duplicate column 1 into slot 0.
         let mut w = scatter(m, &cols[1]);
-        ft.ftran(&mut w);
-        assert_eq!(ft.update(0, &w), Err(FtReject::SingularDiagonal));
+        ft.ftran_entering(&mut w);
+        assert_eq!(ft.update(0), Err(FtReject::SingularDiagonal));
         // The factors must still solve the *original* basis exactly.
         let rhs = [5.0, 10.0, 22.0];
         let mut z = rhs.to_vec();
         ft.ftran(&mut z);
         assert_close(&mul(&cols, &z), &rhs);
         assert_eq!(ft.update_count(), 0);
+    }
+
+    /// An update needs a spike staged since the last factorization or
+    /// update: fresh factors, a plain `ftran` and a consumed stage all
+    /// leave nothing to insert, and the refusal leaves the factors
+    /// solving the old basis.
+    #[test]
+    fn unstaged_update_is_refused() {
+        let cols = vec![
+            vec![(0, 2.0), (1, 1.0)],
+            vec![(0, 1.0), (1, 3.0), (2, 1.0)],
+            vec![(1, 1.0), (2, 4.0)],
+        ];
+        let m = cols.len();
+        let mut ft = FtFactors::from_lu(factorize(&cols).expect("nonsingular"));
+        let replacement = vec![(0, 1.0), (2, 2.0)];
+        assert_eq!(ft.update(1), Err(FtReject::Unstaged), "fresh factors");
+        let mut w = scatter(m, &replacement);
+        ft.ftran(&mut w);
+        assert_eq!(ft.update(1), Err(FtReject::Unstaged), "plain ftran");
+        let rhs = [5.0, 10.0, 22.0];
+        let mut z = rhs.to_vec();
+        ft.ftran(&mut z);
+        assert_close(&mul(&cols, &z), &rhs);
+        assert_eq!(ft.update_count(), 0);
+
+        let mut w = scatter(m, &replacement);
+        ft.ftran_entering(&mut w);
+        assert!(ft.update(1).is_ok());
+        assert_eq!(ft.update(1), Err(FtReject::Unstaged), "stage consumed");
+        let mut updated = cols.clone();
+        updated[1] = replacement;
+        let mut z = rhs.to_vec();
+        ft.ftran(&mut z);
+        assert_close(&mul(&updated, &z), &rhs);
+        assert_eq!(ft.update_count(), 1);
     }
 
     #[test]

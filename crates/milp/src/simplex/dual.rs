@@ -16,6 +16,10 @@ use rand::{Rng, SeedableRng};
 /// refresh-on-invalidation policy).
 const DUAL_REFRESH_INTERVAL: usize = 100;
 
+/// Refactorize-and-retry rounds a dual pivot gets when its FTRAN'd pivot
+/// element disagrees with the α-row's before the solve falls back cold.
+const DRIFT_RETRIES: usize = 2;
+
 /// Relative size of the cost perturbation a dual-first cold start runs
 /// its dual phase on: `ε_j = COLD_PERTURB·(1 + |c_j|)·(0.5 + 0.5·u_j)`,
 /// `u_j` uniform in `[0, 1)` from a fixed seed.
@@ -110,10 +114,11 @@ impl Simplex<'_> {
             return Some(result);
         }
         // One-violation repair (`warm_dual: false`): one dual pivot per
-        // violated row, duals recomputed each time. This is what every
-        // branch-and-bound node and dive step re-solves with — a branch
-        // moves one bound, so a node is a handful of these pivots — and
-        // with it the largest single cost of a warm round.
+        // violated row, the duals kept by the dual step and recomputed
+        // once per factorization. This is what every branch-and-bound
+        // node and dive step re-solves with — a branch moves one bound,
+        // so a node is a handful of these pivots — and with it the
+        // largest single cost of a warm round.
         let max_repair = 4 * m + 200;
         for _ in 0..max_repair {
             let Some((row, target, to_upper)) = self.select_leaving(None) else {
@@ -449,7 +454,9 @@ impl Simplex<'_> {
             if w_r.abs() <= tol::EPS || (w_r - expected).abs() > tol::OPT * (1.0 + expected.abs()) {
                 // Representation drift: refactorize, refresh, retry.
                 consecutive_failures += 1;
-                if consecutive_failures > 2 || !self.refactor_for(RefactorReason::Accuracy) {
+                if consecutive_failures > DRIFT_RETRIES
+                    || !self.refactor_for(RefactorReason::Accuracy)
+                {
                     return DualOutcome::Fallback;
                 }
                 continue;
@@ -608,18 +615,27 @@ impl Simplex<'_> {
         }
     }
 
-    /// Column `j` in the repair's dual ratio test (public for the tests'
-    /// full-scan oracle only), for a leaving row — the one `ρ` and the
-    /// duals were last computed for — whose basic variable lands on its
-    /// upper bound or, `to_upper` false, its lower one: `(|d_j / α_j|, |α_j|)`
-    /// when `j` may enter — nonbasic, not fixed, `|α_j|` above the pivot
-    /// tolerance, free to move the way that pushes the leaving variable there.
+    /// Column `j` in the repair's dual ratio test, by the full-scan
+    /// oracle's arithmetic (public for the tests only): `α_j` as the
+    /// column dot `ρᵀA_j`, where the repair reads the α-row it scattered.
+    /// See [`repair_ratio`](Self::repair_ratio).
     #[doc(hidden)]
     pub fn repair_candidate(&self, j: usize, to_upper: bool) -> Option<(f64, f64)> {
+        self.repair_ratio(j, self.column_dot(j, &self.rho), to_upper)
+    }
+
+    /// Column `j`, whose entry in the pivot row is `alpha`, in the
+    /// repair's dual ratio test for a leaving row — the one `ρ` was last
+    /// computed for — whose basic variable lands on its upper bound or,
+    /// `to_upper` false, its lower one: `(|d_j / α_j|, |α_j|)` when `j` may
+    /// enter — nonbasic, not fixed, `|α_j|` above the pivot tolerance,
+    /// free to move the way that pushes the leaving variable there — with
+    /// `d_j = c_j − yᵀA_j` on the duals the repair holds, computed for
+    /// such a column only.
+    fn repair_ratio(&self, j: usize, alpha: f64, to_upper: bool) -> Option<(f64, f64)> {
         if self.position[j] != usize::MAX || self.lower[j] == self.upper[j] {
             return None;
         }
-        let alpha = self.column_dot(j, &self.rho);
         if alpha.abs() <= tol::EPS {
             return None;
         }
@@ -642,7 +658,12 @@ impl Simplex<'_> {
 
     /// One dual-simplex pivot: the basic variable of `row` leaves onto
     /// `target`; an entering column is chosen by the dual ratio test.
-    /// Returns false when no entering candidate exists (fall back cold).
+    /// The duals are recomputed once per factorization and otherwise kept
+    /// by the dual step, `y += (d_q/α_q)·ρ`. The FTRAN'd pivot element is
+    /// cross-checked against the α-row's; on disagreement the factors are
+    /// rebuilt and the pivot retried, at most [`DRIFT_RETRIES`] times.
+    /// Returns false when no entering candidate exists, the drift
+    /// persists or a rebuild fails (fall back cold).
     // lint:allow(hot-path-index): candidate bitmap sized to the n + m columns; rows bounded by m
     fn dual_pivot(
         &mut self,
@@ -651,53 +672,68 @@ impl Simplex<'_> {
         to_upper: bool,
         observe: &mut impl FnMut(&Self, usize, bool, Option<usize>),
     ) -> bool {
-        // rho = row `row` of B⁻¹.
-        self.repr.btran_unit(row, &mut self.rho);
-        self.compute_duals();
-        // α_j = ρᵀA_j is an exact ±0.0 — below any pivot tolerance — for
-        // every column with no entry in a row where ρ ≠ 0, and ρ is
-        // sparse (a few dozen rows of a thousand). Walk those rows of the
-        // row-major mirror to mark the columns that can pass at all, then
-        // evaluate only them, column-wise and in ascending order exactly
-        // as a scan over every column would.
-        self.ratio_cands.fill(0);
-        for r in 0..self.m {
-            if self.rho[r] != 0.0 {
-                // The row's matrix columns, and its artificial.
-                let reached = self.sf.matrix.row(r).map(|(j, _)| j);
-                for j in reached.chain([self.n0 + r]) {
-                    self.ratio_cands[j / 64] |= 1 << (j % 64);
+        for attempt in 0..=DRIFT_RETRIES {
+            if !self.y_valid {
+                self.compute_duals();
+            }
+            // ρ = row `row` of B⁻¹, and α_j = ρᵀA_j over the columns with
+            // an entry in a row where ρ is nonzero — every other α_j is
+            // an exact ±0.0, below any pivot tolerance, and ρ is sparse
+            // (a few dozen rows of a thousand). Evaluate the touched
+            // columns in ascending order, exactly as a scan over every
+            // column would, so every tie breaks as it would there.
+            self.scatter_alpha_row(row);
+            self.ratio_cands.fill(0);
+            for &cj in &self.alpha_cols {
+                let j = cast::idx(cj);
+                self.ratio_cands[j / 64] |= 1 << (j % 64);
+            }
+            let mut best: Option<(usize, f64, f64)> = None; // (col, |ratio|, |alpha|)
+            for (word, &bits) in self.ratio_cands.iter().enumerate() {
+                let mut bits = bits;
+                while bits != 0 {
+                    let j = word * 64 + cast::idx(bits.trailing_zeros());
+                    bits &= bits - 1;
+                    let Some((ratio, alpha)) = self.repair_ratio(j, self.alpha[j], to_upper) else {
+                        continue;
+                    };
+                    match best {
+                        Some((_, br, ba))
+                            if ratio > br + tol::DROP
+                                || (ratio >= br - tol::DROP && alpha <= ba) => {}
+                        _ => best = Some((j, ratio, alpha)),
+                    }
                 }
             }
-        }
-        let mut best: Option<(usize, f64, f64)> = None; // (col, |ratio|, |alpha|)
-        for (word, &bits) in self.ratio_cands.iter().enumerate() {
-            let mut bits = bits;
-            while bits != 0 {
-                let j = word * 64 + cast::idx(bits.trailing_zeros());
-                bits &= bits - 1;
-                let Some((ratio, alpha)) = self.repair_candidate(j, to_upper) else {
-                    continue;
-                };
-                match best {
-                    Some((_, br, ba))
-                        if ratio > br + tol::DROP || (ratio >= br - tol::DROP && alpha <= ba) => {}
-                    _ => best = Some((j, ratio, alpha)),
+            observe(self, row, to_upper, best.map(|(q, _, _)| q));
+            let Some((q, _, _)) = best else {
+                return false;
+            };
+            self.compute_direction(q);
+            #[cfg(test)]
+            if self.inject_drift > 0 {
+                self.inject_drift -= 1;
+                self.w[row] += 1.0;
+            }
+            let (w_r, alpha_q) = (self.w[row], self.alpha[q]);
+            if w_r.abs() > tol::EPS && (w_r - alpha_q).abs() <= tol::OPT * (1.0 + alpha_q.abs()) {
+                let theta = (self.costs[q] - self.column_dot(q, &self.y)) / w_r;
+                self.land_leaving(row, q, target, to_upper);
+                self.record_basis_update(row);
+                // The dual step: d'_j = d_j − θ·α_j zeroes d_q and keeps
+                // every other basic column's d at zero.
+                for (y, &r) in self.y.iter_mut().zip(&self.rho) {
+                    *y += theta * r;
                 }
+                self.y_valid = true;
+                return true;
+            }
+            // Representation drift: refactorize and retry.
+            if attempt == DRIFT_RETRIES || !self.refactor_for(RefactorReason::Accuracy) {
+                return false;
             }
         }
-        observe(self, row, to_upper, best.map(|(q, _, _)| q));
-        let Some((q, _, _)) = best else {
-            return false;
-        };
-        // FTRAN for the entering column, then the standard pivot.
-        self.compute_direction(q);
-        if self.w[row].abs() <= tol::EPS {
-            return false;
-        }
-        self.land_leaving(row, q, target, to_upper);
-        self.record_basis_update(row);
-        true
+        false
     }
 
     /// Moves along the FTRAN'd direction `self.w` of entering column `q`

@@ -72,8 +72,15 @@ pub struct Simplex<'a> {
     pub(super) update_rejected: bool,
     pub(super) pivots_since_refactor: usize,
     pub(super) degenerate_run: usize,
-    // Scratch buffers.
+    /// Duals `y = B⁻ᵀc_B`, recomputed by BTRAN or — across the pivots of
+    /// the one-violation repair — kept by the dual step.
     pub(super) y: Vec<f64>,
+    /// Whether `y` belongs to the current basis (up to the dual steps'
+    /// drift). The repair keeps it so across its own pivots; every other
+    /// basis change and every factorization clear it, so the repair
+    /// recomputes `y` once per factorization.
+    pub(super) y_valid: bool,
+    // Scratch buffers.
     pub(super) w: Vec<f64>,
     pub(super) rho: Vec<f64>,
     // Pricing engine state (see `select_entering`).
@@ -111,6 +118,11 @@ pub struct Simplex<'a> {
     /// Whether the dual-first cold start perturbs its costs (tests turn
     /// it off to reach the stall fallback).
     pub(super) cold_dual_perturb: bool,
+    /// Test hook: the next this many repair pivots find their FTRAN
+    /// pivot element off from the α-row, as representation drift would
+    /// leave it.
+    #[cfg(test)]
+    pub(super) inject_drift: usize,
 }
 
 impl<'a> Simplex<'a> {
@@ -154,6 +166,7 @@ impl<'a> Simplex<'a> {
             pivots_since_refactor: 0,
             degenerate_run: 0,
             y: vec![0.0; m],
+            y_valid: false,
             w: vec![0.0; m],
             rho: vec![0.0; m],
             rule,
@@ -171,6 +184,8 @@ impl<'a> Simplex<'a> {
             pricing: PricingStats::default(),
             cold_dual_min_cols: AUTO_PARTIAL_MIN_COLS,
             cold_dual_perturb: true,
+            #[cfg(test)]
+            inject_drift: 0,
         }
     }
 
@@ -250,6 +265,7 @@ impl<'a> Simplex<'a> {
         self.d_fresh = false;
         self.pricing = PricingStats::default();
         self.y.fill(0.0);
+        self.y_valid = false;
     }
 
     /// `A_jᵀ v` for any column, including artificials.
@@ -459,19 +475,54 @@ impl<'a> Simplex<'a> {
             self.y[i] = self.costs[self.basis[i]];
         }
         self.repr.btran(&mut self.y);
+        self.y_valid = true;
     }
 
-    /// Replaces column `row` of the factors by the pivot direction
-    /// `self.w` and books the outcome: a rejected update (FT instability)
-    /// flags an accuracy refactorization, which
+    /// Test hook: the duals as the engine holds them — within the
+    /// one-violation repair, kept by the dual step since the last
+    /// factorization.
+    #[doc(hidden)]
+    pub fn duals(&self) -> &[f64] {
+        &self.y
+    }
+
+    /// Test hook: `B⁻ᵀc_B` of the current basis from a fresh
+    /// factorization, the oracle for [`duals`](Self::duals). `None` when
+    /// the basis does not factorize.
+    #[doc(hidden)]
+    pub fn fresh_duals(&self) -> Option<Vec<f64>> {
+        let mut y: Vec<f64> = self.basis.iter().map(|&b| self.costs[b]).collect();
+        FtFactors::from_lu(self.factor_basis()?).btran(&mut y);
+        Some(y)
+    }
+
+    /// A fresh LU factorization of the current basis columns; `None` when
+    /// the basis is numerically singular.
+    fn factor_basis(&self) -> Option<LuFactors> {
+        let (sf, basis) = (self.sf, &self.basis);
+        let (unit_rows, art_sign) = (&self.unit_rows, &self.art_sign);
+        LuFactors::factorize(
+            self.m,
+            |slot| column_of(sf, unit_rows, art_sign, basis[slot]),
+            tol::DROP,
+        )
+    }
+
+    /// Replaces column `row` of the factors by the entering column staged
+    /// with its direction `self.w` and books the outcome: a rejected
+    /// update (FT instability) flags an accuracy refactorization, which
     /// [`maintain_basis`](Self::maintain_basis) performs before the
-    /// factors are used again.
+    /// factors are used again. The basis changed, so `y` no longer
+    /// belongs to it until recomputed or stepped.
     pub(super) fn record_basis_update(&mut self, row: usize) {
-        if self.repr.update(row, &self.w).is_ok() {
-            self.basis_stats.updates += 1;
-        } else {
-            self.update_rejected = true;
+        match self.repr.update(row) {
+            Ok(entries) => {
+                self.basis_stats.updates += 1;
+                self.basis_stats.spike_entries += entries;
+            }
+            Err(_) => self.update_rejected = true,
         }
+        self.y_valid = false;
     }
 
     /// Rebuilds the basis representation from the current basis columns
@@ -482,19 +533,14 @@ impl<'a> Simplex<'a> {
     // lint:allow(hot-path-index): rebuilds basis columns; slots and rows bounded by m
     pub(super) fn refactor(&mut self) -> bool {
         self.pivots_since_refactor = 0;
-        let (sf, basis) = (self.sf, &self.basis);
-        let (unit_rows, art_sign) = (&self.unit_rows, &self.art_sign);
-        let Some(lu) = LuFactors::factorize(
-            self.m,
-            |slot| column_of(sf, unit_rows, art_sign, basis[slot]),
-            tol::DROP,
-        ) else {
+        let Some(lu) = self.factor_basis() else {
             return false;
         };
         self.repr = FtFactors::from_lu(lu);
         self.refactorizations += 1;
         // Recompute x_B = B⁻¹ (b − N x_N); the direction buffer is free
         // between pivots.
+        let (sf, unit_rows, art_sign) = (self.sf, &self.unit_rows, &self.art_sign);
         let mut r = std::mem::take(&mut self.w);
         r.copy_from_slice(&self.sf.rhs);
         for j in 0..self.n0 + self.m {
@@ -512,8 +558,10 @@ impl<'a> Simplex<'a> {
         self.w = r;
         // The rebuilt representation supersedes whatever incremental
         // drift the maintained reduced costs accumulated against the old
-        // one; force a refresh at the next pricing step.
+        // one; force a refresh at the next pricing step. The repair's
+        // dual steps restart from a BTRAN on the new factors too.
         self.d_valid = false;
+        self.y_valid = false;
         true
     }
 }

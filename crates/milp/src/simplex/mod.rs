@@ -4,9 +4,12 @@
 //!
 //! The basis is held as a sparse LU factorization (see [`crate::lu`])
 //! maintained with Forrest–Tomlin updates ([`crate::lu::FtFactors`]),
-//! which keep `U` genuinely triangular between refactorizations. The
-//! factors are rebuilt every few hundred pivots — or early, when an
-//! update reports instability or fill growth.
+//! which keep `U` genuinely triangular between refactorizations. Each
+//! update's spike is the entering column's own FTRAN stopped before the
+//! `U` solve, staged when the pivot's direction is computed, so it costs
+//! the nonzeros that vector has and nothing more. The factors are rebuilt
+//! every few hundred pivots — or early, when an update reports
+//! instability or fill growth.
 //!
 //! Cold solves start from a *crash* basis: every row whose residual fits
 //! inside its slack's bounds gets the slack basic (no phase-1 work);
@@ -36,8 +39,8 @@
 //! perturbed away from the resting bound by a seeded
 //! `1e-6·(1 + |c_j|)·(0.5 + 0.5·u_j)` — the region model's costs take a
 //! handful of distinct values, and unperturbed nearly every dual ratio
-//! ties (5 606 pivots against 1 443 on the 40-spec region root, and a
-//! 104-row miniature of it cycles) — with the true costs and bounds
+//! ties (the 40-spec region root stalls past its budget, and some
+//! 104-row miniatures of it cycle) — with the true costs and bounds
 //! restored before the primal cleanup, on every exit. Its budget is one
 //! pivot per column, in proportion to the primal's own spend from the
 //! crash basis (0.5–1.5 per column on the region models); on stall,
@@ -53,7 +56,11 @@
 //! optimality with **zero phase-1 iterations** — the re-solve path the
 //! RAS session hits every round at the root. Branch-and-bound nodes
 //! re-solve with the one-violation repair instead (`warm_dual: false`),
-//! from one [`Simplex`] engine kept for the whole search.
+//! from one [`Simplex`] engine kept for the whole search: one dual pivot
+//! per violated row, its ratio test read off the scattered pivot row
+//! `ρᵀA`, its duals recomputed once per factorization and otherwise kept
+//! by the dual step `y += (d_q/α_q)·ρ`. Its primal cleanup, like every
+//! path's, declares optimality only on freshly recomputed reduced costs.
 //!
 //! The dual simplex, warm or cold, proves infeasibility itself: a
 //! violated row whose nonbasic columns, each moved to its helping bound,
@@ -139,6 +146,10 @@ pub struct PricingStats {
 pub struct BasisStats {
     /// Successful basis updates (Forrest–Tomlin column replacements).
     pub updates: usize,
+    /// Entries those updates inserted into `U`: each one's spike, the
+    /// entering column's L/eta-stage nonzeros off the diagonal.
+    /// `spike_entries / updates` is the fill an update costs.
+    pub spike_entries: usize,
     /// Refactorizations on the fixed pivot-count interval.
     pub refactors_interval: usize,
     /// Refactorizations because accumulated fill (spikes plus row-

@@ -92,7 +92,8 @@ impl Simplex<'_> {
         }
     }
 
-    /// Computes `w = B⁻¹ A_q` into `self.w`.
+    /// Computes `w = B⁻¹ A_q` into `self.w`, staging `A_q`'s spike for the
+    /// basis update of the pivot that brings `q` in.
     pub(super) fn compute_direction(&mut self, q: usize) {
         self.w.iter_mut().for_each(|v| *v = 0.0);
         if q < self.n0 {
@@ -100,7 +101,7 @@ impl Simplex<'_> {
         } else {
             self.w[q - self.n0] = self.art_sign[q - self.n0];
         }
-        self.repr.ftran(&mut self.w);
+        self.repr.ftran_entering(&mut self.w);
     }
 
     /// Ratio test: how far can the entering variable move?

@@ -500,6 +500,41 @@ fn one_violation_repair_path_agrees() {
     }
 }
 
+/// A repair pivot whose FTRAN'd pivot element disagrees with the α-row
+/// (drift injected through the test hook) refactorizes and retries, at
+/// most twice; a third disagreement sends the solve cold. Every way it
+/// ends, the answer is the cold one.
+#[test]
+fn repair_drift_refactors_and_retries() {
+    let mut m = Model::new();
+    let x = m.add_var("x", VarType::Continuous, 0.0, 8.0);
+    let y = m.add_var("y", VarType::Continuous, 0.0, 8.0);
+    m.add_constraint("a", 1.0 * x + 2.0 * y, Sense::Le, 10.0);
+    m.add_constraint("b", 3.0 * x + 1.0 * y, Sense::Le, 15.0);
+    m.set_objective(-2.0 * x - 3.0 * y);
+    let sf = StandardForm::from_model(&m);
+    let base = solve_lp(&sf, &sf.lower, &sf.upper, &SimplexConfig::default());
+    let mut up = sf.upper.clone();
+    up[0] = 2.0;
+    let cold = solve_lp(&sf, &sf.lower, &up, &SimplexConfig::default());
+    let config = SimplexConfig {
+        warm_dual: false,
+        ..SimplexConfig::default()
+    };
+    for (drift, warm) in [(0, true), (1, true), (2, true), (3, false)] {
+        let mut lp = Simplex::new(&sf, config.clone());
+        lp.inject_drift = drift;
+        let r = lp.solve(&sf.lower, &up, base.basis.as_ref());
+        assert_eq!(lp.inject_drift, 0, "drift {drift}: the repair pivoted");
+        assert_eq!(r.status, cold.status, "drift {drift}");
+        assert!((r.objective - cold.objective).abs() < 1e-7, "drift {drift}");
+        assert_eq!(r.warm_basis_used, warm, "drift {drift}");
+        if warm {
+            assert_eq!(r.basis_stats.refactors_accuracy, drift, "drift {drift}");
+        }
+    }
+}
+
 /// The bound-flip ratio test must handle a patch whose repair is
 /// absorbed partly by flipping boxed nonbasics: boxed columns with
 /// small ranges force flips before an entering pivot.

@@ -79,6 +79,9 @@ pub struct SolveStats {
     /// Successful basis updates (Forrest–Tomlin column replacements)
     /// across all LP solves.
     pub basis_updates: usize,
+    /// Entries those updates inserted into `U` across all LP solves
+    /// (`simplex::BasisStats::spike_entries`); sums in `absorb`.
+    pub spike_entries: usize,
     /// Refactorizations triggered by the fixed pivot interval.
     pub refactors_interval: usize,
     /// Refactorizations triggered by update fill growth (FT spike/eta
@@ -131,6 +134,7 @@ impl SolveStats {
         self.used_dual_simplex |= lp.used_dual_simplex;
         self.lp_refactorizations += lp.refactorizations;
         self.basis_updates += lp.basis_stats.updates;
+        self.spike_entries += lp.basis_stats.spike_entries;
         self.refactors_interval += lp.basis_stats.refactors_interval;
         self.refactors_growth += lp.basis_stats.refactors_growth;
         self.refactors_accuracy += lp.basis_stats.refactors_accuracy;
@@ -157,6 +161,7 @@ impl SolveStats {
         self.root_used_dual_simplex |= other.root_used_dual_simplex;
         self.lp_refactorizations += other.lp_refactorizations;
         self.basis_updates += other.basis_updates;
+        self.spike_entries += other.spike_entries;
         self.refactors_interval += other.refactors_interval;
         self.refactors_growth += other.refactors_growth;
         self.refactors_accuracy += other.refactors_accuracy;

@@ -238,17 +238,18 @@ fn ft_residuals_stay_bounded_where_eta_file_degrades() {
         for new_col in [near, restore] {
             // Each scheme FTRANs the entering column through its own
             // factors (exactly what the simplex does) and updates from
-            // that direction.
+            // that solve: the eta file from its direction, FT from the
+            // spike the solve staged.
             let mut w_eta = vec![0.0; m];
             for &(r, v) in &new_col {
                 w_eta[r] += v;
             }
             let mut w_ft = w_eta.clone();
             eta.ftran(&mut w_eta);
-            ft.ftran(&mut w_ft);
+            ft.ftran_entering(&mut w_ft);
             eta.update(slot, &w_eta);
             cols[slot] = new_col;
-            if ft.update(slot, &w_ft).is_ok() {
+            if ft.update(slot).is_ok() {
                 ft_updates += 1;
             } else {
                 // An FT rejection triggers an accuracy refactorization
@@ -559,12 +560,14 @@ fn cold_dual_first_skips_columns_without_a_dual_feasible_bound() {
 
 /// On the region shape the stay rewards, assignment costs and `max`
 /// penalties tie nearly every dual ratio: without its cost perturbation
-/// the attempt rides degenerate pivots past its budget, and the solve
+/// the attempt can ride degenerate pivots past its budget, and the solve
 /// that comes back is the primal's, pivot for pivot. With it the same LP
-/// goes dual-first.
+/// goes dual-first. Whether a given draw stalls depends on rounding in
+/// the ratio test; this one (104 rows, like six of the first sixty seeds
+/// of its shape) does.
 #[test]
 fn unperturbed_stall_falls_back_to_the_primal() {
-    let mut rng = StdRng::seed_from_u64(14);
+    let mut rng = StdRng::seed_from_u64(21);
     let m = region_lp(&mut rng, 8, 4, 8);
     let sf = StandardForm::from_model(&m);
     let primal = solve_primal(&sf);

@@ -7,11 +7,14 @@
 //! entry in a row where `ρ = B⁻ᵀe_r` is nonzero; the full scan lives on
 //! here, as the oracle that restriction is checked against.
 //!
-//! It covers the column restriction only — which columns are marked and
-//! the order they are compared in. Each column's `α_j` and `d_j` come
-//! from the production `Simplex::repair_candidate`, so the arithmetic
-//! inside it is pinned elsewhere: by the primal/dual differential suites
-//! and the golden counts of `tests/node_resolve_identity.rs`.
+//! It covers which columns are marked, the order they are compared in,
+//! and the α-row itself: production reads each `α_j` off the pivot row it
+//! scattered through the rows where `ρ` is nonzero, while the oracle's
+//! `Simplex::repair_candidate` computes it as an independent column dot
+//! `ρᵀA_j`. Both price `d_j` on the duals the repair holds, so those are
+//! pinned elsewhere: against a fresh `B⁻ᵀc_B` in `warm_bnb.rs`, and by
+//! the primal/dual differential suites and the golden counts of
+//! `tests/node_resolve_identity.rs`.
 
 // Each test binary compiles this module and uses its own part of it.
 #![allow(dead_code)]

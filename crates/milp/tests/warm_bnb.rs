@@ -167,13 +167,16 @@ fn random_lp(rng: &mut StdRng) -> Model {
 /// pick, pivot for pivot and for the leaving row production chose, the
 /// entering column a scan of every column picks: over warm re-solves
 /// after branch-like bound changes, from optimal bases and from bases
-/// with an artificial column swapped in. The oracle shares production's
-/// per-column `α_j`/`d_j` evaluation (see `support`): it checks the
-/// restriction to marked columns and the tie order, nothing else.
+/// with an artificial column swapped in. The oracle computes each `α_j`
+/// as its own column dot where production reads the scattered α-row, and
+/// prices `d_j` on the same duals (see `support`). Those duals, kept by
+/// the dual step between factorizations, must stay within 1e-9 of a
+/// fresh `B⁻ᵀc_B` at every repair pivot.
 #[test]
 fn pattern_restricted_ratio_test_matches_the_full_scan() {
     let mut rng = StdRng::seed_from_u64(0x5EED12);
     let (mut resolves, mut pivots, mut tied_pivots, mut artificial_bases) = (0, 0, 0, 0);
+    let mut stepped_pivots = 0;
     let mut no_candidate = 0;
     while resolves < 720 {
         let model = random_lp(&mut rng);
@@ -212,6 +215,9 @@ fn pattern_restricted_ratio_test_matches_the_full_scan() {
                 warm.basis[row] = sf.num_cols() + row;
                 artificial_bases += 1;
             }
+            // Pivots of this re-solve so far: from the second on, the
+            // duals were stepped, not recomputed.
+            let mut solve_pivots = 0;
             let observed = lp.solve_observed(
                 &lower,
                 &upper,
@@ -219,6 +225,19 @@ fn pattern_restricted_ratio_test_matches_the_full_scan() {
                 |lp, row, to_upper, entering| {
                     let (expected, tied) = support::full_scan_entering(lp, columns, to_upper);
                     assert_eq!(entering, expected, "entering column differs (row {row})");
+                    let fresh = lp.fresh_duals().expect("the repair's basis factorizes");
+                    let scale = fresh.iter().fold(1.0, |s: f64, v| s.max(v.abs()));
+                    let drift = lp
+                        .duals()
+                        .iter()
+                        .zip(&fresh)
+                        .fold(0.0, |d: f64, (a, b)| d.max((a - b).abs()));
+                    assert!(
+                        drift <= 1e-9 * scale,
+                        "maintained duals off by {drift:e} (row {row})"
+                    );
+                    stepped_pivots += usize::from(solve_pivots > 0);
+                    solve_pivots += 1;
                     pivots += 1;
                     tied_pivots += usize::from(tied > 0);
                     no_candidate += usize::from(entering.is_none());
@@ -239,4 +258,8 @@ fn pattern_restricted_ratio_test_matches_the_full_scan() {
         "too few artificial bases: {artificial_bases}"
     );
     assert!(no_candidate > 20, "too few dead-end rows: {no_candidate}");
+    assert!(
+        stepped_pivots > 100,
+        "too few pivots on stepped duals: {stepped_pivots}"
+    );
 }

@@ -1084,6 +1084,7 @@ mod tests {
             root_used_dual_simplex: flags[1],
             lp_refactorizations: 6 * n,
             basis_updates: 7 * n,
+            spike_entries: 14 * n,
             refactors_interval: 8 * n,
             refactors_growth: 9 * n,
             refactors_accuracy: 10 * n,
@@ -1219,6 +1220,7 @@ mod tests {
                 root_used_dual_simplex: true,
                 lp_refactorizations: 666,
                 basis_updates: 777,
+                spike_entries: 1554,
                 refactors_interval: 888,
                 refactors_growth: 999,
                 refactors_accuracy: 1110,

@@ -1,11 +1,26 @@
 //! Identity oracle for branch-and-bound node re-solves.
 //!
 //! Branch and bound is chaotic in its inputs: one changed pivot in one
-//! node LP changes the tree. The constants below were recorded at the
-//! commit *before* the node re-solve hot path was rebuilt (pattern-
-//! restricted dual ratio test, allocation-free warm starts); any solver
-//! change that claims to be pivot-for-pivot identical must reproduce
-//! them unchanged, to the last bit of the objective.
+//! node LP changes the tree. Any solver change that claims to be
+//! pivot-for-pivot identical must reproduce the constants below
+//! unchanged, to the last bit of the objective.
+//!
+//! They were first recorded before the node re-solve hot path was
+//! rebuilt (pattern-restricted dual ratio test, allocation-free warm
+//! starts), which reproduced them. They were re-recorded once since, by
+//! the change that made Forrest–Tomlin updates insert the entering
+//! column's staged L/eta-stage vector in place of rebuilding `U·w̃`, and
+//! made the node repair keep its duals by the dual step and read `α_j`
+//! off the scattered pivot row. Both move every LP's rounding, so every
+//! trajectory re-rolls. Old → new, `(nodes, iterations, root
+//! iterations, objective, best bound)`:
+//!
+//! - 24 specs at 0.5: `(600, 6663, 1689, 16716.79, 15987.2585)` →
+//!   `(600, 7742, 1704, 16611.57, 15987.5096)`;
+//! - 40 specs at 0.5: `(600, 10825, 2786, 18030.80, 17529.4249)` →
+//!   `(600, 11703, 2517, 18015.79, 17529.4249)`;
+//! - 24 specs at 0.85, softened: `(600, 12267, 2361, 4279066.45,
+//!   4228680.2209)` → `(600, 13387, 2388, 4279187.45, 4228680.2209)`.
 
 use ras::broker::{ResourceBroker, SimTime};
 use ras::core::aggregate::build_reduction;
@@ -84,7 +99,7 @@ fn fingerprint(reservations: usize, utilization: f64, soften: bool) -> Fingerpri
 fn satisfiable_24_spec_portfolio_repeats() {
     assert_eq!(
         fingerprint(24, 0.5, false),
-        (600, 6663, 1689, 4670324290201856246, 4670014702636901928)
+        (600, 7742, 1704, 4670295367548487598, 4670014840703003127)
     );
 }
 
@@ -92,7 +107,7 @@ fn satisfiable_24_spec_portfolio_repeats() {
 fn satisfiable_40_spec_portfolio_repeats() {
     assert_eq!(
         fingerprint(40, 0.5, false),
-        (600, 10825, 2786, 4670685482520359731, 4670547665574546079)
+        (600, 11703, 2517, 4670681356602976502, 4670547665574546075)
     );
 }
 
@@ -100,6 +115,6 @@ fn satisfiable_40_spec_portfolio_repeats() {
 fn oversubscribed_24_spec_portfolio_repeats() {
     assert_eq!(
         fingerprint(24, 0.85, true),
-        (600, 12267, 2361, 4706352623589838029, 4706298521788312895)
+        (600, 13387, 2388, 4706352753512598733, 4706298521788312899)
     );
 }
