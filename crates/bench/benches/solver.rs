@@ -1,12 +1,11 @@
 //! Criterion microbenchmarks for the MIP substrate: simplex LP solves,
-//! branch-and-bound, the local-search backend, and the linearization
-//! helpers. These quantify the building blocks behind Figures 7–11.
+//! branch-and-bound, and the linearization helpers. These quantify the
+//! building blocks behind Figures 7–11.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ras_milp::localsearch::LocalSearchConfig;
 use ras_milp::simplex::{solve_lp, SimplexConfig};
 use ras_milp::standard::StandardForm;
-use ras_milp::{LinExpr, LocalSearch, Model, Sense, SolveConfig, VarType};
+use ras_milp::{LinExpr, Model, Sense, SolveConfig, VarType};
 
 /// A transportation LP with `m` supplies and `m` demands.
 fn transportation(m: usize, integer: bool) -> Model {
@@ -72,29 +71,6 @@ fn bench_branch_and_bound(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_localsearch_vs_mip(c: &mut Criterion) {
-    // The ReBalancer trade-off: local search answers fast but unproven.
-    let model = transportation(8, true);
-    let mut group = c.benchmark_group("backend_comparison");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(10));
-    group.bench_function("mip_exact", |b| {
-        b.iter(|| model.solve().expect("feasible").objective)
-    });
-    group.bench_function("local_search", |b| {
-        b.iter(|| {
-            LocalSearch::new(LocalSearchConfig {
-                iterations: 20_000,
-                ..LocalSearchConfig::default()
-            })
-            .solve(&model)
-            .map(|s| s.objective)
-            .unwrap_or(f64::INFINITY)
-        })
-    });
-    group.finish();
-}
-
 fn bench_timeout_gap(c: &mut Criterion) {
     // Figure 9's mechanism: a timed-out solve still yields an incumbent.
     let model = transportation(12, true);
@@ -120,7 +96,6 @@ criterion_group!(
     benches,
     bench_simplex,
     bench_branch_and_bound,
-    bench_localsearch_vs_mip,
     bench_timeout_gap
 );
 criterion_main!(benches);

@@ -56,10 +56,11 @@ fn main() {
         instance::perturb(&mut inst, round);
         let snapshot = inst.broker.snapshot(SimTime::from_hours(round));
         let classes = build_classes(&inst.region, &snapshot, Granularity::Msb, None);
-        // Exactly the production path: hard model first, softened rebuild
-        // when the region cannot fully satisfy the requests (the paper's
-        // 99 %-optimal-up-to-softened-constraints bucket exists *because*
-        // production solves are often softened). The warm incumbent is
+        // Exactly the production path: hard model first, the same model
+        // softened in place when the region cannot fully satisfy the
+        // requests (the paper's 99 %-optimal-up-to-softened-constraints
+        // bucket exists *because* production solves are often
+        // softened). The warm incumbent is
         // the better of {current assignment, greedy construction}, as in
         // `run_phase`.
         let best_warm = |ras: &ras_core::model::RasModel| -> Vec<f64> {
@@ -98,15 +99,7 @@ fn main() {
             result,
             Err(ras_milp::SolveError::Infeasible) | Err(ras_milp::SolveError::NoIncumbent)
         ) {
-            let baseline = soften_baseline(&inst.region, &inst.specs, &classes);
-            ras = build_model(
-                &inst.region,
-                &inst.specs,
-                &classes,
-                &inst.params,
-                false,
-                Some(&baseline),
-            );
+            ras.soften(&soften_baseline(&inst.region, &inst.specs, &classes));
             cfg.initial_incumbent = Some(best_warm(&ras));
             result = ras.model.solve_with(&cfg);
         }

@@ -100,11 +100,6 @@ impl LinExpr {
                 .map(|(v, c)| c * values[v.index()])
                 .sum::<f64>()
     }
-
-    /// True when the expression has no variable terms.
-    pub fn is_constant(&self) -> bool {
-        self.terms.iter().all(|(_, c)| c.abs() <= tol::DROP)
-    }
 }
 
 impl From<Var> for LinExpr {
@@ -278,7 +273,6 @@ mod tests {
         let mut e = 1.0 * x - 1.0 * x + 5.0;
         e.compact();
         assert!(e.terms.is_empty());
-        assert!(e.is_constant());
         assert_eq!(e.constant, 5.0);
     }
 

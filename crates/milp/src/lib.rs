@@ -27,9 +27,7 @@
 //! * [`branch`] — best-bound branch-and-bound with pseudo-cost /
 //!   most-fractional branching, rounding/diving incumbent heuristics, gap
 //!   reporting and node/time limits (Figure 9 measures exactly this gap);
-//! * [`branching`] — the branching-variable selection rules;
-//! * [`localsearch`] — an alternative local-search backend, mirroring how
-//!   Facebook's ReBalancer library can swap MIP for local search.
+//! * [`branching`] — the branching-variable selection rules.
 //!
 //! # Examples
 //!
@@ -51,7 +49,6 @@ pub mod branch;
 pub mod branching;
 pub mod cast;
 pub mod expr;
-pub mod localsearch;
 pub mod lu;
 pub mod model;
 pub mod nan;
@@ -65,7 +62,6 @@ pub mod tol;
 pub use audit::{AuditCheck, AuditConfig, AuditIssue, AuditMode, AuditReport, Severity};
 pub use branch::BranchAndBound;
 pub use expr::{LinExpr, Var};
-pub use localsearch::LocalSearch;
 pub use model::{Constraint, Model, Sense, VarType};
 pub use simplex::{Basis, BasisStats, PricingRule, PricingStats};
 pub use solution::{Solution, SolveConfig, SolveError, SolveStats, Status, WarmStart};

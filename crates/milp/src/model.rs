@@ -125,18 +125,20 @@ impl Model {
         self.constraints.len() - 1
     }
 
+    /// Appends `coeff · var` to row `index`, where `var` is newer than
+    /// every column the row already holds, so the row stays sorted.
+    pub fn add_term(&mut self, index: usize, var: Var, coeff: f64) {
+        let terms = &mut self.constraints[index].expr.terms;
+        debug_assert!(terms.last().is_none_or(|(v, _)| v.index() < var.index()));
+        terms.reserve_exact(1);
+        terms.push((var, coeff));
+    }
+
     /// Sets the minimization objective (replacing any previous one).
     pub fn set_objective(&mut self, expr: impl Into<LinExpr>) {
         let mut expr = expr.into();
         expr.compact();
         self.objective = expr;
-    }
-
-    /// Adds `expr` (compacted) to the current objective.
-    pub fn add_objective_term(&mut self, expr: impl Into<LinExpr>) {
-        let mut obj = std::mem::take(&mut self.objective) + expr.into();
-        obj.compact();
-        self.objective = obj;
     }
 
     /// The minimization objective.

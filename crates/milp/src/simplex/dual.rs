@@ -154,7 +154,7 @@ impl Simplex<'_> {
     /// [`PricingRule::Auto`]: super::PricingRule::Auto
     // lint:allow(hot-path-index): start-up pass; columns bounded by n
     pub(super) fn cold_dual_start(&self) -> Option<Vec<(usize, f64)>> {
-        if !self.config.warm_dual || self.m == 0 || self.n0 + self.m <= self.cold_dual_min_cols {
+        if !self.config.warm_dual || self.m == 0 || self.live_cols <= self.cold_dual_min_cols {
             return None;
         }
         let mut implied = Vec::new();
@@ -279,9 +279,10 @@ impl Simplex<'_> {
         // Budget, in proportion to what the primal would spend: from
         // the crash basis it takes 0.5–1.5 pivots per column on the
         // region models, a repair that works 0.05–0.7 (and each of its
-        // pivots costs less). One per column abandons a stalled attempt
-        // for less than the solve it falls back to.
-        let outcome = self.dual_optimize(self.n0);
+        // pivots costs less). One per column the model leaves free
+        // abandons a stalled attempt for less than the solve it falls
+        // back to.
+        let outcome = self.dual_optimize(self.live_cols - m);
         // Whichever way the dual phase ended, everything after it prices
         // with the true costs inside the true bounds.
         self.costs[..self.n0].copy_from_slice(&self.sf.costs);

@@ -43,6 +43,9 @@ pub struct Simplex<'a> {
     pub(super) m: usize,
     /// Columns: structural + slack (`n0`), then `m` artificials.
     pub(super) n0: usize,
+    /// `n0 + m` less the structural columns the model fixes: what the
+    /// size rules count, since a fixed column can never enter.
+    pub(super) live_cols: usize,
     pub(super) lower: Vec<f64>,
     pub(super) upper: Vec<f64>,
     pub(super) costs: Vec<f64>,
@@ -112,7 +115,7 @@ pub struct Simplex<'a> {
     /// test (see [`dual_pivot`](Self::dual_pivot)).
     pub(super) ratio_cands: Vec<u64>,
     pub(super) pricing: PricingStats,
-    /// A cold solve goes dual-first only above this many columns:
+    /// A cold solve goes dual-first only above this many `live_cols`:
     /// [`AUTO_PARTIAL_MIN_COLS`], lowered by tests alone.
     pub(super) cold_dual_min_cols: usize,
     /// Whether the dual-first cold start perturbs its costs (tests turn
@@ -131,9 +134,14 @@ impl<'a> Simplex<'a> {
         let m = sf.num_rows;
         let n0 = sf.num_cols();
         let total = n0 + m;
+        let fixed = (sf.lower.iter().zip(&sf.upper))
+            .take(sf.num_structural)
+            .filter(|(lo, up)| lo == up)
+            .count();
+        let live_cols = total - fixed;
         let rule = match config.pricing {
             PricingRule::Auto => {
-                if total > AUTO_PARTIAL_MIN_COLS {
+                if live_cols > AUTO_PARTIAL_MIN_COLS {
                     PricingRule::PartialDevex
                 } else {
                     PricingRule::Devex
@@ -146,6 +154,7 @@ impl<'a> Simplex<'a> {
             config,
             m,
             n0,
+            live_cols,
             lower: vec![0.0; total],
             upper: vec![0.0; total],
             costs: vec![0.0; total],
@@ -462,6 +471,12 @@ impl<'a> Simplex<'a> {
             RefactorReason::Accuracy => self.basis_stats.refactors_accuracy += 1,
         }
         true
+    }
+
+    /// Whether `j` is a structural column the model fixes (equal default
+    /// bounds): one that can never enter, which `live_cols` leaves out.
+    pub(super) fn model_fixes(&self, j: usize) -> bool {
+        j < self.sf.num_structural && self.sf.lower.get(j) == self.sf.upper.get(j)
     }
 
     pub(super) fn is_free(&self, j: usize) -> bool {

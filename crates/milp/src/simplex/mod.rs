@@ -30,20 +30,20 @@
 //! (without one there is no plan to repair — the start is the empty
 //! region — and the primal crash stays round 0's solver), and the LP is
 //! one [`PricingRule::Auto`] already calls large, more than
-//! [`AUTO_PARTIAL_MIN_COLS`] columns (smaller LPs solve in a couple of
-//! milliseconds either way, and moving them would re-roll plans for
-//! nothing). A free column with a cost rests, for the dual phase, on the
-//! bound its own rows imply (the `max`-over-MSBs columns of the region
-//! model: `t ≥ Σ x ≥ 0`); if a column has no dual-feasible finite bound,
-//! own or implied, the attempt is skipped. The dual phase runs on costs
-//! perturbed away from the resting bound by a seeded
-//! `1e-6·(1 + |c_j|)·(0.5 + 0.5·u_j)` — the region model's costs take a
-//! handful of distinct values, and unperturbed nearly every dual ratio
-//! ties (the 40-spec region root stalls past its budget, and some
-//! 104-row miniatures of it cycle) — with the true costs and bounds
+//! [`AUTO_PARTIAL_MIN_COLS`] columns the model does not fix (smaller LPs
+//! solve in a couple of milliseconds either way, and moving them would
+//! re-roll plans for nothing). A free column with a cost rests, for the
+//! dual phase, on the bound its own rows imply (the `max`-over-MSBs
+//! columns of the region model: `t ≥ Σ x ≥ 0`); if a column has no
+//! dual-feasible finite bound, own or implied, the attempt is skipped.
+//! The dual phase runs on costs perturbed away from the resting bound by
+//! a seeded `1e-6·(1 + |c_j|)·(0.5 + 0.5·u_j)` — the region model's
+//! costs take a handful of distinct values, and unperturbed nearly every
+//! dual ratio ties (the 40-spec region root stalls past its budget, and
+//! some 104-row miniatures of it cycle) — with the true costs and bounds
 //! restored before the primal cleanup, on every exit. Its budget is one
-//! pivot per column, in proportion to the primal's own spend from the
-//! crash basis (0.5–1.5 per column on the region models); on stall,
+//! pivot per unfixed column, in proportion to the primal's own spend
+//! from the crash basis (0.5–1.5 per column on the region models); on stall,
 //! budget or a singular refactorization the engine resets and runs the
 //! primal two-phase solve, exactly as a warm start that cannot proceed
 //! does. Such a solve reports `used_dual_simplex`, zero
@@ -80,11 +80,13 @@ pub use engine::Simplex;
 
 use crate::standard::StandardForm;
 
-/// Above this many columns (structural + slack + artificial),
-/// [`PricingRule::Auto`] switches from full devex pricing to partial
-/// devex over a candidate list: below it a full scan per pivot is cheap
-/// and the better pivot quality wins; above it the scan itself is the
-/// bottleneck.
+/// Above this many columns (structural + slack + artificial, counting
+/// only the structural columns the model does not fix — a column whose
+/// bounds are equal can never enter), [`PricingRule::Auto`] switches
+/// from full devex pricing to partial devex over a candidate list: below
+/// it a full scan per pivot is cheap and the better pivot quality wins;
+/// above it the scan itself is the bottleneck. The same count sizes the
+/// candidate list and gates and budgets the dual-first cold start.
 pub const AUTO_PARTIAL_MIN_COLS: usize = 4096;
 
 /// Outcome status of an LP solve.

@@ -173,8 +173,7 @@ impl Simplex<'_> {
     /// Keeps the top slice of the candidate list by devex merit when it
     /// holds more than the cap.
     fn cap_candidates(&mut self) {
-        let total = self.n0 + self.m;
-        let cap = (cast::floor_usize((total as f64).sqrt()) * 2).clamp(64, 2048);
+        let cap = (cast::floor_usize((self.live_cols as f64).sqrt()) * 2).clamp(64, 2048);
         self.candidates_complete = self.candidates.len() <= cap;
         if !self.candidates_complete {
             let (d, devex) = (&self.d, &self.devex);
@@ -271,7 +270,9 @@ impl Simplex<'_> {
             let w_new = scaled * scaled * gamma_q;
             if w_new > self.devex[j] {
                 self.devex[j] = w_new;
-                exploded |= w_new > 1e12;
+                // A column the model fixes never enters, so its weight
+                // never prices anything and must not restart the rest.
+                exploded |= w_new > 1e12 && !self.model_fixes(j);
             }
         }
         self.d[q] = 0.0;

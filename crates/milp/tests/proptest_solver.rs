@@ -110,21 +110,6 @@ proptest! {
     }
 
     #[test]
-    fn local_search_solutions_are_feasible(model in small_mip()) {
-        let config = ras_milp::localsearch::LocalSearchConfig {
-            iterations: 30_000,
-            ..Default::default()
-        };
-        if let Ok(solution) = ras_milp::LocalSearch::new(config).solve(&model) {
-            prop_assert!(model.violations(&solution.values, 1e-6).is_empty());
-            // Local search can never beat the exact optimum.
-            if let Some(best) = brute_force(&model) {
-                prop_assert!(solution.objective >= best - 1e-6);
-            }
-        }
-    }
-
-    #[test]
     fn lp_relaxation_bounds_the_mip(model in small_mip()) {
         // The root LP relaxation objective must lower-bound the integer optimum.
         let sf = ras_milp::standard::StandardForm::from_model(&model);

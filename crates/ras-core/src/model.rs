@@ -17,11 +17,17 @@
 //! * Expression 7 (network affinity): per datacenter, RRUs must stay
 //!   within `θ · Cr` of the desired share `A[r][G] · Cr`.
 //!
-//! When the hard model is infeasible, [`soften_baseline`] computes each
-//! constraint's violation under the *current* assignment and
-//! [`build_model`] re-adds the constraints with slack bounded by that
-//! violation — no constraint may regress, and a high-priority penalty
-//! pushes the solver to fix as many as possible (Section 3.5.1).
+//! Every capacity row and every affinity pair carries an elastic column
+//! that costs `soften_penalty` and is fixed at zero, so the hard model is
+//! the model with those columns pinned. When it is infeasible,
+//! [`soften_baseline`] computes each constraint's violation under the
+//! *current* assignment and [`RasModel::soften`] raises the elastic
+//! columns' upper bounds to it — no constraint may regress, and the
+//! penalty pushes the solver to fix as many as possible (Section 3.5.1).
+//! Softening changes bounds only: the softened model has the hard
+//! model's columns, rows and names. The elastic columns come after every
+//! other column, so the hard model's column indices do not depend on
+//! them.
 
 use ras_milp::{LinExpr, Model, Sense, Var, VarType};
 use ras_topology::Region;
@@ -35,7 +41,7 @@ use ras_milp::nan;
 use ras_milp::nan::NanGuard;
 
 /// Per-constraint violation levels of the current assignment, used as
-/// slack bounds when softening.
+/// the elastic columns' upper bounds when softening.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SoftenBaseline {
     /// Capacity shortfall per reservation (RRUs below `Cr`, after the
@@ -53,10 +59,23 @@ pub(crate) enum AuxInit {
     MaxZero(LinExpr),
     /// `t = max_i expr_i` (0 over the empty set).
     MaxOver(Vec<LinExpr>),
-    /// `s = clamp(expr, 0, bound)` — capacity-softening slack.
-    Clamp(LinExpr, f64),
-    /// `s = clamp(|expr| - sub, 0, bound)` — affinity slack.
-    ClampAbs(LinExpr, f64, f64),
+    /// `s = clamp(expr, 0, upper(s))` — a capacity row's elastic column.
+    Clamp(LinExpr),
+    /// `s = clamp(|expr| - sub, 0, upper(s))` — an affinity pair's
+    /// elastic column.
+    ClampAbs(LinExpr, f64),
+}
+
+/// A softenable constraint's elastic column, fixed at zero until
+/// [`RasModel::soften`] raises its upper bound.
+#[derive(Debug, Clone)]
+struct ElasticColumn {
+    var: Var,
+    /// The constraint's name, as [`RasModel::softened`] lists it.
+    name: String,
+    /// Where [`SoftenBaseline`] keeps the constraint's violation: the
+    /// reservation, and the datacenter of an affinity pair.
+    slot: (usize, Option<usize>),
 }
 
 /// A constructed RAS MIP plus the variable map to decode solutions.
@@ -70,7 +89,7 @@ pub struct RasModel {
     pub objective_constant: f64,
     /// Number of assignment variables created (the x-axis of Figs 10/11).
     pub assignment_var_count: usize,
-    /// Names of constraints that were softened (empty on a hard build).
+    /// Names of constraints that were softened (empty on a hard model).
     pub softened: Vec<String>,
     /// The current assignment expressed as a full variable vector, used
     /// as the solver's warm incumbent: the search then only returns a
@@ -79,6 +98,9 @@ pub struct RasModel {
     pub initial: Vec<f64>,
     /// Auxiliary-variable definitions, kept to value other incumbents.
     pub(crate) aux_defs: Vec<(Var, AuxInit)>,
+    /// The elastic columns, in the order [`soften`](Self::soften) lists
+    /// their constraints.
+    elastic: Vec<ElasticColumn>,
 }
 
 impl RasModel {
@@ -95,9 +117,7 @@ impl RasModel {
             })
             .collect()
     }
-}
 
-impl RasModel {
     /// Values a full variable vector from per-class assignment counts:
     /// assignment variables get the counts (where a variable exists),
     /// auxiliaries are replayed from their definitions. The result is a
@@ -113,17 +133,43 @@ impl RasModel {
                 }
             }
         }
+        self.replay_aux(&mut values);
+        values
+    }
+
+    /// Values every auxiliary variable of `values` from its definition,
+    /// in creation order, under the model's current bounds.
+    fn replay_aux(&self, values: &mut [f64]) {
         for (var, def) in &self.aux_defs {
+            let upper = self.model.var(*var).upper;
             values[var.index()] = match def {
-                AuxInit::MaxZero(e) => e.eval(&values).nmax(0.0),
-                AuxInit::MaxOver(es) => es.iter().map(|e| e.eval(&values)).fold(0.0, nan::fmax),
-                AuxInit::Clamp(e, bound) => e.eval(&values).clamp(0.0, *bound),
-                AuxInit::ClampAbs(e, sub, bound) => {
-                    (e.eval(&values).abs() - sub).clamp(0.0, *bound)
-                }
+                AuxInit::MaxZero(e) => e.eval(values).nmax(0.0),
+                AuxInit::MaxOver(es) => es.iter().map(|e| e.eval(values)).fold(0.0, nan::fmax),
+                AuxInit::Clamp(e) => e.eval(values).clamp(0.0, upper),
+                AuxInit::ClampAbs(e, sub) => (e.eval(values).abs() - sub).clamp(0.0, upper),
             };
         }
-        values
+    }
+
+    /// Softens a hard model in place: each elastic column whose
+    /// constraint the current assignment violates may now absorb that
+    /// violation, the constraint is listed in
+    /// [`softened`](Self::softened), and [`initial`](Self::initial) is
+    /// re-valued under the raised bounds. Columns, rows and names stay.
+    pub fn soften(&mut self, baseline: &SoftenBaseline) {
+        for ElasticColumn { var, name, slot } in &self.elastic {
+            let violation = match *slot {
+                (ri, None) => baseline.capacity_shortfall[ri],
+                (ri, Some(dc)) => baseline.affinity_violation[ri][dc],
+            };
+            if violation > 0.0 {
+                self.model.set_bounds(*var, 0.0, violation);
+                self.softened.push(name.clone());
+            }
+        }
+        let mut initial = std::mem::take(&mut self.initial);
+        self.replay_aux(&mut initial);
+        self.initial = initial;
     }
 }
 
@@ -175,8 +221,8 @@ fn current_usage(
     (total, by_msb, by_dc)
 }
 
-/// Computes the violation levels of the current assignment, used as slack
-/// bounds for a softened rebuild.
+/// Computes the violation levels of the current assignment, the upper
+/// bounds [`RasModel::soften`] gives the elastic columns.
 pub fn soften_baseline(
     region: &Region,
     specs: &[ReservationSpec],
@@ -215,8 +261,8 @@ pub fn soften_baseline(
 ///
 /// `include_rack_goals` enables Expression 2 (phase 2 only — phase 1
 /// deliberately drops rack goals so classes stay coarse). Passing a
-/// `soften` baseline converts the hard capacity/affinity constraints into
-/// softened ones that cannot regress beyond their current violation.
+/// `soften` baseline builds the hard model and then
+/// [`soften`](RasModel::soften)s it.
 pub fn build_model(
     region: &Region,
     specs: &[ReservationSpec],
@@ -257,8 +303,11 @@ pub fn build_model_labeled(
     let mut assignment_var_count = 0usize;
     let mut objective = LinExpr::zero();
     let mut objective_constant = 0.0;
-    let mut softened = Vec::new();
     let mut aux: Vec<(Var, AuxInit)> = Vec::new();
+    // Softenable constraints, each waiting for its elastic column: the
+    // column's name, its `(row, coefficient)` terms and definition, and
+    // the constraint's name and baseline slot.
+    let mut soft_rows = Vec::new();
 
     // Assignment variables n[c][r], Expression 5's primitives. Names use
     // the class's key-stable label (not its position) so warm bases can be
@@ -373,31 +422,12 @@ pub fn build_model_labeled(
         } else {
             (spec.capacity > 0.0).then_some(total_expr)
         };
-        // The capacity row, softened by a slack column bounded by the
-        // current shortfall when the baseline reports one.
-        if let Some(mut lhs) = capacity_lhs {
-            let bound = soften.map_or(0.0, |b| b.capacity_shortfall[ri]);
-            if bound > 0.0 {
-                let slack = model.add_var(
-                    format!("soft.cap[{}]", spec.name),
-                    VarType::Continuous,
-                    0.0,
-                    bound,
-                );
-                aux.push((
-                    slack,
-                    AuxInit::Clamp(LinExpr::constant(spec.capacity) - lhs.clone(), bound),
-                ));
-                objective += LinExpr::term(slack, params.soften_penalty);
-                softened.push(format!("capacity[{}]", spec.name));
-                lhs = lhs + slack;
-            }
-            model.add_constraint(
-                format!("capacity[{}]", spec.name),
-                lhs,
-                Sense::Ge,
-                spec.capacity,
-            );
+        if let Some(lhs) = capacity_lhs {
+            let name = format!("capacity[{}]", spec.name);
+            let row = model.add_constraint(name.clone(), lhs.clone(), Sense::Ge, spec.capacity);
+            let def = AuxInit::Clamp(LinExpr::constant(spec.capacity) - lhs);
+            let column = format!("soft.cap[{}]", spec.name);
+            soft_rows.push((column, vec![(row, 1.0)], def, name, (ri, None)));
         }
 
         // Expression 3: MSB spread-wide objective.
@@ -448,39 +478,27 @@ pub fn build_model_labeled(
                 let want = aff.share(dc.id) * spec.capacity;
                 let allowed = aff.tolerance * spec.capacity;
                 let name = format!("affinity[{}][{}]", spec.name, dc.name);
-                let slack_bound = soften
-                    .map(|b| b.affinity_violation[ri][dc.id.index()])
-                    .unwrap_or(0.0);
-                if slack_bound > 0.0 {
-                    let slack = model.add_var(
-                        format!("soft.aff[{}][{}]", spec.name, dc.name),
-                        VarType::Continuous,
-                        0.0,
-                        slack_bound,
-                    );
-                    aux.push((
-                        slack,
-                        AuxInit::ClampAbs(e.clone() - want, allowed, slack_bound),
-                    ));
-                    objective += LinExpr::term(slack, params.soften_penalty);
-                    softened.push(name.clone());
-                    model.add_constraint(
-                        format!("{name}.pos"),
-                        e.clone() - slack,
-                        Sense::Le,
-                        want + allowed,
-                    );
-                    model.add_constraint(
-                        format!("{name}.neg"),
-                        e + slack,
-                        Sense::Ge,
-                        want - allowed,
-                    );
-                } else {
-                    model.abs_le(name, e - want, allowed);
-                }
+                // `abs_le` adds the `.pos` row, then the `.neg` row.
+                let pos = model.num_constraints();
+                model.abs_le(name.clone(), e.clone() - want, allowed);
+                let def = AuxInit::ClampAbs(e - want, allowed);
+                let column = format!("soft.aff[{}][{}]", spec.name, dc.name);
+                let terms = vec![(pos, -1.0), (pos + 1, 1.0)];
+                soft_rows.push((column, terms, def, name, (ri, Some(dc.id.index()))));
             }
         }
+    }
+
+    // The elastic columns, fixed at zero, after every other column.
+    let mut elastic = Vec::with_capacity(soft_rows.len());
+    for (column, terms, def, name, slot) in soft_rows {
+        let var = model.add_var(column, VarType::Continuous, 0.0, 0.0);
+        for (row, coeff) in terms {
+            model.add_term(row, var, coeff);
+        }
+        objective += LinExpr::term(var, params.soften_penalty);
+        aux.push((var, def));
+        elastic.push(ElasticColumn { var, name, slot });
     }
 
     model.set_objective(objective);
@@ -489,13 +507,17 @@ pub fn build_model_labeled(
         vars,
         objective_constant,
         assignment_var_count,
-        softened,
+        softened: Vec::new(),
         initial: Vec::new(),
         aux_defs: aux,
+        elastic,
     };
     // Warm incumbent: the current assignment with auxiliaries valued by
     // replaying their definitions in creation order.
     ras.initial = ras.incumbent_from_counts(&current_counts(classes, specs.len()));
+    if let Some(baseline) = soften {
+        ras.soften(baseline);
+    }
     ras
 }
 
@@ -711,41 +733,87 @@ mod tests {
         );
     }
 
-    /// A baseline that reports no shortfall softens nothing: the build is
-    /// the hard model, column for column and row for row.
+    /// Softening changes bounds only: a softened build has the hard
+    /// build's columns in the same order, its rows, right-hand sides,
+    /// terms and costs, and differs in the upper bounds of the `soft.*`
+    /// columns it raised and in `softened`. A baseline that reports no
+    /// violation raises nothing.
     #[test]
-    fn zero_shortfall_baseline_builds_the_hard_model() {
+    fn softening_keeps_the_hard_model() {
         let (region, broker) = setup();
+        let dc0 = region.datacenters()[0].id;
         let mut plain = uniform_spec(&region, "feed", 20.0);
         plain.msb_buffer = false;
-        let specs = vec![uniform_spec(&region, "web", 30.0), plain];
+        let pinned =
+            uniform_spec(&region, "presto", 40.0).with_dc_affinity(DcAffinity::single(dc0, 0.10));
+        let specs = vec![uniform_spec(&region, "web", 30.0), plain, pinned];
         let snap = broker.snapshot(SimTime::ZERO);
         let classes = build_classes(&region, &snap, Granularity::Msb, None);
         let params = SolverParams::default();
-        let baseline = SoftenBaseline {
-            capacity_shortfall: vec![0.0; specs.len()],
-            affinity_violation: vec![vec![0.0; region.datacenters().len()]; specs.len()],
-        };
-        let hard = build_model(&region, &specs, &classes, &params, false, None);
-        let soft = build_model(&region, &specs, &classes, &params, false, Some(&baseline));
-        assert!(soft.softened.is_empty());
-        let names = |m: &RasModel| -> Vec<String> {
-            m.model.vars().iter().map(|v| v.name.clone()).collect()
-        };
-        let rows = |m: &RasModel| -> Vec<(String, Sense, u64)> {
-            m.model
-                .constraints()
+        let n_dc = region.datacenters().len();
+        // Everything but the upper bounds, bit for bit.
+        let bits = |e: &LinExpr| -> Vec<(usize, u64)> {
+            e.terms
                 .iter()
-                .map(|c| (c.name.clone(), c.sense, c.rhs.to_bits()))
+                .map(|(v, c)| (v.index(), c.to_bits()))
                 .collect()
         };
-        assert_eq!(names(&soft), names(&hard));
-        assert_eq!(rows(&soft), rows(&hard));
-        let capacity_rows = rows(&hard)
+        let shape = |m: &RasModel| {
+            let vars = m.model.vars().iter();
+            let columns: Vec<_> = vars
+                .map(|v| (v.name.clone(), v.ty, v.lower.to_bits()))
+                .collect();
+            let rows: Vec<_> = (m.model.constraints().iter())
+                .map(|c| (c.name.clone(), c.sense, c.rhs.to_bits(), bits(&c.expr)))
+                .collect();
+            (columns, rows, bits(m.model.objective()))
+        };
+        let uppers = |m: &RasModel| -> Vec<u64> {
+            m.model.vars().iter().map(|v| v.upper.to_bits()).collect()
+        };
+
+        let hard = build_model(&region, &specs, &classes, &params, false, None);
+        // One elastic column per capacity row and per affinity pair, fixed
+        // at zero, after every other column.
+        let vars = hard.model.vars();
+        let first_soft = vars
             .iter()
-            .filter(|(name, ..)| name.starts_with("capacity["))
-            .count();
-        assert_eq!(capacity_rows, 2, "one buffered and one plain capacity row");
+            .position(|v| v.name.starts_with("soft."))
+            .unwrap();
+        assert_eq!(vars.len() - first_soft, specs.len() + n_dc);
+        assert!(vars[first_soft..]
+            .iter()
+            .all(|v| v.name.starts_with("soft.") && v.upper == 0.0));
+
+        let zero = SoftenBaseline {
+            capacity_shortfall: vec![0.0; specs.len()],
+            affinity_violation: vec![vec![0.0; n_dc]; specs.len()],
+        };
+        let soft = build_model(&region, &specs, &classes, &params, false, Some(&zero));
+        assert_eq!(shape(&soft), shape(&hard));
+        assert_eq!(uppers(&soft), uppers(&hard));
+        assert!(soft.softened.is_empty());
+
+        let baseline = soften_baseline(&region, &specs, &classes);
+        let soft = build_model(&region, &specs, &classes, &params, false, Some(&baseline));
+        assert_eq!(shape(&soft), shape(&hard));
+        assert_eq!(uppers(&soft)[..first_soft], uppers(&hard)[..first_soft]);
+        assert_eq!(
+            soft.model.vars()[first_soft].upper,
+            baseline.capacity_shortfall[0]
+        );
+        // The empty region misses every capacity row, and presto's pair in
+        // its pinned datacenter, which wants 40 ± 4 RRUs and holds none.
+        let pair = format!("affinity[presto][{}]", region.datacenters()[0].name);
+        assert_eq!(
+            soft.softened,
+            [
+                "capacity[web]",
+                "capacity[feed]",
+                "capacity[presto]",
+                pair.as_str()
+            ]
+        );
     }
 
     #[test]

@@ -14,7 +14,7 @@ use ras_broker::{BrokerSnapshot, ReservationId};
 use ras_milp::{Basis, SolveConfig, SolveError, WarmStart};
 use ras_topology::{Region, ServerId};
 
-use crate::aggregate::{build_reduction, AggregationLevel, DisaggStats, Reduction, ReductionStats};
+use crate::aggregate::{build_reduction, AggregationLevel, DisaggStats, Reduction};
 use crate::assign::concretize;
 use crate::classes::{EquivClass, Granularity};
 use crate::error::CoreError;
@@ -155,28 +155,16 @@ pub(crate) fn refine_with_phase2(
     }
 }
 
-/// One phase solve.
-struct PhaseSolveResult {
-    /// The MIP solution (of the hard model, or of the softened rebuild).
-    solution: ras_milp::Solution,
-    /// The softened rebuild, when the hard model was infeasible and this
-    /// is what `solution` solves.
-    soft: Option<RasModel>,
-    /// Extra model-(re)build seconds spent inside the solve (softening).
-    extra_build_seconds: f64,
-}
-
-/// Solves one already-built phase model, softening and retrying on
-/// infeasibility; `warm` is the session's previous-round basis and seed
-/// incumbent, `None` on the stateless path.
+/// Solves one already-built phase model, softening it in place and
+/// solving it again on infeasibility; `warm` is the session's
+/// previous-round basis and seed incumbent, `None` on the stateless path.
 fn solve_prepared(
     region: &Region,
     reduction: &Reduction,
-    ras: &RasModel,
+    ras: &mut RasModel,
     params: &SolverParams,
-    rack_goals: bool,
     warm: Option<WarmStart>,
-) -> Result<PhaseSolveResult, CoreError> {
+) -> Result<ras_milp::Solution, CoreError> {
     let (specs, classes) = (&reduction.specs, &reduction.classes);
     let mut config = SolveConfig {
         time_limit_seconds: params.phase_time_limit,
@@ -195,8 +183,6 @@ fn solve_prepared(
         // softening and retrying would refuse again. Surface it directly.
         return Err(CoreError::Solver(SolveError::TooLarge.to_string()));
     }
-    let mut soft: Option<RasModel> = None;
-    let mut extra_build_seconds = 0.0;
     if matches!(
         solution,
         Err(SolveError::Infeasible) | Err(SolveError::NoIncumbent)
@@ -204,24 +190,15 @@ fn solve_prepared(
         // Soften: no constraint may regress beyond its current violation.
         // (A NoIncumbent timeout also lands here: the softened model
         // always contains the current assignment as a feasible point, so
-        // its heuristics cannot come up empty.) The softened model has a
-        // different column space, so the warm basis is dropped — staleness
-        // rule: a basis never crosses a structural rebuild un-remapped.
-        let soften_start = Instant::now();
+        // its heuristics cannot come up empty.) The model keeps its
+        // columns and rows, but the retry still starts cold: measured on
+        // over-subscribed rounds, dual-first from the running plan beats
+        // the basis that proved the hard model infeasible.
         let baseline = soften_baseline(region, specs, classes);
-        let soft_ras = build_model_labeled(
-            region,
-            specs,
-            classes,
-            &reduction.labels,
-            params,
-            rack_goals,
-            Some(&baseline),
-        );
-        extra_build_seconds = soften_start.elapsed().as_secs_f64();
-        config.initial_incumbent = Some(best_incumbent(&soft_ras, region, specs, classes, params));
+        ras.soften(&baseline);
+        config.initial_incumbent = Some(best_incumbent(ras, region, specs, classes, params));
         config.warm_start = None;
-        solution = soft_ras.model.solve_with(&config);
+        solution = ras.model.solve_with(&config);
         if matches!(solution, Err(SolveError::Infeasible)) {
             // Cannot happen when the current assignment is well formed —
             // surface the shortfalls for actionability.
@@ -234,41 +211,8 @@ fn solve_prepared(
                 .collect();
             return Err(CoreError::CapacityUnavailable { shortfalls });
         }
-        soft = Some(soft_ras);
     }
-    Ok(PhaseSolveResult {
-        solution: solution.map_err(|e| CoreError::Solver(e.to_string()))?,
-        soft,
-        extra_build_seconds,
-    })
-}
-
-/// Assembles the per-phase statistics from a phase solve; `used` is the
-/// model the solution belongs to.
-fn make_stats(
-    phase_start: Instant,
-    ras_build_seconds: f64,
-    reduction: ReductionStats,
-    disagg: DisaggStats,
-    used: &RasModel,
-    result: &PhaseSolveResult,
-) -> PhaseStats {
-    PhaseStats {
-        ras_build_seconds: ras_build_seconds + result.extra_build_seconds,
-        solver_build_seconds: result.solution.stats.setup_seconds,
-        initial_state_seconds: result.solution.stats.root_lp_seconds,
-        mip_seconds: result.solution.stats.mip_seconds,
-        total_seconds: phase_start.elapsed().as_secs_f64(),
-        assignment_vars: used.assignment_var_count,
-        classes: reduction.classes,
-        memory_bytes: used.model.memory_estimate_bytes(),
-        mip_stats: result.solution.stats.clone(),
-        softened: used.softened.clone(),
-        status: result.solution.status,
-        objective: result.solution.objective + used.objective_constant,
-        reduction,
-        disagg,
-    }
+    solution.map_err(|e| CoreError::Solver(e.to_string()))
 }
 
 /// A round's reduction over the whole region or, for a phase-2 or shard
@@ -286,12 +230,9 @@ pub(crate) fn scoped_reduction(
     build_reduction(region, snapshot, specs, granularity, level, include)
 }
 
-/// A model's structural variable names and constraint row names — the
+/// `model`'s structural variable names and constraint row names — the
 /// name space a [`Basis`] of that model lives in.
-pub(crate) type ModelNames = (Vec<String>, Vec<String>);
-
-/// Collects `model`'s name space.
-pub(crate) fn model_names(model: &ras_milp::Model) -> ModelNames {
+pub(crate) fn model_names(model: &ras_milp::Model) -> (Vec<String>, Vec<String>) {
     (
         model.vars().iter().map(|v| v.name.clone()).collect(),
         model.constraints().iter().map(|c| c.name.clone()).collect(),
@@ -304,16 +245,14 @@ pub(crate) struct PhaseRun {
     pub targets: Vec<Option<ReservationId>>,
     /// The phase's statistics.
     pub stats: PhaseStats,
-    /// The solve's root LP basis, for the next round's warm start.
+    /// The solve's root LP basis, for the next round's warm start. It
+    /// lives in the name space of the model passed in, softened or not.
     pub root_basis: Option<Basis>,
-    /// The name space `root_basis` lives in when the softened rebuild is
-    /// what solved; `None` means the model that was passed in.
-    pub softened_names: Option<ModelNames>,
 }
 
-/// The one phase body, model in hand: solve (softening on demand) →
-/// split aggregate specs back over their members → per-server targets →
-/// statistics. [`run_phase`] enters with no warm start; the session
+/// The one phase body, model in hand: solve (softening `ras` on demand)
+/// → split aggregate specs back over their members → per-server targets
+/// → statistics. [`run_phase`] enters with no warm start; the session
 /// enters with the previous round's basis and targets as `warm`.
 /// `specs` are the full specs `reduction` was built from.
 #[allow(clippy::too_many_arguments)]
@@ -323,15 +262,13 @@ pub(crate) fn solve_phase(
     snapshot: &BrokerSnapshot,
     params: &SolverParams,
     reduction: &Reduction,
-    ras: &RasModel,
-    rack_goals: bool,
+    ras: &mut RasModel,
     warm: Option<WarmStart>,
     phase_start: Instant,
     ras_build_seconds: f64,
 ) -> Result<PhaseRun, CoreError> {
-    let result = solve_prepared(region, reduction, ras, params, rack_goals, warm)?;
-    let used = result.soft.as_ref().unwrap_or(ras);
-    let solved = used.decode(&result.solution);
+    let solution = solve_prepared(region, reduction, ras, params, warm)?;
+    let solved = ras.decode(&solution);
     // Below `Clusters` the counts pass through untouched.
     let mut disagg = DisaggStats::default();
     let disaggregated;
@@ -342,19 +279,26 @@ pub(crate) fn solve_phase(
         &solved
     };
     let targets = concretize(region, snapshot, &reduction.classes, counts, specs.len());
-    let stats = make_stats(
-        phase_start,
+    let stats = PhaseStats {
         ras_build_seconds,
-        reduction.stats.clone(),
+        solver_build_seconds: solution.stats.setup_seconds,
+        initial_state_seconds: solution.stats.root_lp_seconds,
+        mip_seconds: solution.stats.mip_seconds,
+        total_seconds: phase_start.elapsed().as_secs_f64(),
+        assignment_vars: ras.assignment_var_count,
+        classes: reduction.stats.classes,
+        memory_bytes: ras.model.memory_estimate_bytes(),
+        mip_stats: solution.stats,
+        softened: ras.softened.clone(),
+        status: solution.status,
+        objective: solution.objective + ras.objective_constant,
+        reduction: reduction.stats.clone(),
         disagg,
-        used,
-        &result,
-    );
+    };
     Ok(PhaseRun {
         targets,
         stats,
-        softened_names: result.soft.as_ref().map(|s| model_names(&s.model)),
-        root_basis: result.solution.root_basis,
+        root_basis: solution.root_basis,
     })
 }
 
@@ -379,7 +323,7 @@ pub fn run_phase(
         Granularity::Msb => params.aggregation,
     };
     let reduction = scoped_reduction(region, snapshot, specs, granularity, level, universe);
-    let ras = build_model_labeled(
+    let mut ras = build_model_labeled(
         region,
         &reduction.specs,
         &reduction.classes,
@@ -395,8 +339,7 @@ pub fn run_phase(
         snapshot,
         params,
         &reduction,
-        &ras,
-        rack_goals,
+        &mut ras,
         None,
         phase_start,
         ras_build_seconds,

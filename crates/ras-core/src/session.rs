@@ -40,11 +40,11 @@
 //! *Session traffic*).
 //!
 //! Staleness and fallback rules: a failed round drops the cache (the
-//! next round is cold); a softened round caches its basis against the
-//! softened model's name space, so the next round remaps it; a basis
-//! never enters a model with different names un-remapped; every warm
-//! artifact is validated downstream, so warm and cold solves of the same
-//! round agree on status and objective.
+//! next round is cold); softening raises bounds on the round's own model
+//! and renames nothing, so a softened round caches its basis in the same
+//! name space as a hard one; a basis never enters a model with different
+//! names un-remapped; every warm artifact is validated downstream, so
+//! warm and cold solves of the same round agree on status and objective.
 //!
 //! Phase 2 always runs cold: its restricted universe and spec visibility
 //! change every round, so there is no temporal structure to exploit.
@@ -250,7 +250,7 @@ impl SolveSession {
             params.aggregation,
             universe,
         );
-        let ras = build_model_labeled(
+        let mut ras = build_model_labeled(
             region,
             &reduction.specs,
             &reduction.classes,
@@ -312,15 +312,13 @@ impl SolveSession {
             targets: targets1,
             stats: phase1,
             root_basis,
-            softened_names,
         } = solve_phase(
             region,
             specs,
             snapshot,
             params,
             &reduction,
-            &ras,
-            false,
+            &mut ras,
             warm,
             phase_start,
             ras_build_seconds,
@@ -377,7 +375,6 @@ impl SolveSession {
             refine_with_phase2(region, specs, snapshot, params, targets1, phase1, universe)
         };
 
-        let (var_names, row_names) = softened_names.unwrap_or((var_names, row_names));
         self.cache = Some(RoundCache {
             basis: root_basis,
             var_names,
@@ -546,6 +543,30 @@ mod tests {
             warm_o.phase1.objective,
             cold_o.phase1.objective
         );
+    }
+
+    /// Softening raises bounds on the round's own model, so a softened
+    /// round caches its basis in the name space the next round builds.
+    #[test]
+    fn softened_round_keeps_the_name_space() {
+        let (region, mut broker) = setup();
+        let specs = vec![uniform_spec(&region, "web", 1e6)];
+        broker.register_reservation("web");
+        let params = SolverParams::default();
+        let mut session = SolveSession::new();
+
+        let snap = broker.snapshot(SimTime::ZERO);
+        let (o1, _) = session
+            .solve_round(&region, &specs, &snap, &params)
+            .unwrap();
+        assert!(!o1.phase1.softened.is_empty(), "1e6 RRUs cannot fit");
+        let (o2, w2) = session
+            .solve_round(&region, &specs, &snap, &params)
+            .unwrap();
+        assert!(!o2.phase1.softened.is_empty());
+        assert!(w2.warm_basis_supplied);
+        assert!(w2.model_reused, "the softened round kept its names");
+        assert!(!w2.basis_remapped);
     }
 
     #[test]

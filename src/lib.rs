@@ -13,7 +13,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`topology`] | `ras-topology` | region / datacenter / MSB / rack / server model and generators |
-//! | [`milp`] | `ras-milp` | pure-Rust MIP solver (simplex + branch & bound + local search) |
+//! | [`milp`] | `ras-milp` | pure-Rust MIP solver (simplex + branch & bound) |
 //! | [`broker`] | `ras-broker` | the Resource Broker: versioned server records and events |
 //! | [`core`] | `ras-core` | reservations, RRUs, the MIP formulation, two-phase solving |
 //! | [`mover`] | `ras-mover` | the Online Mover: target execution, buffer replacement, elastic loans |
