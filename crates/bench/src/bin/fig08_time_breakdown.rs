@@ -37,6 +37,11 @@ fn main() {
     let mut refac_interval = 0usize;
     let mut refac_growth = 0usize;
     let mut refac_accuracy = 0usize;
+    // Branch-and-bound look-ahead: nodes whose LP the helper thread (or
+    // the search, while waiting for it) solved before their pop, and LPs
+    // solved ahead for nodes never popped. Both depend on thread timing.
+    let mut solved_ahead = 0usize;
+    let mut discarded = 0usize;
     let rounds = 10u64;
     for round in 0..rounds {
         instance::perturb(&mut inst, round);
@@ -62,6 +67,8 @@ fn main() {
                 refac_interval += s.mip_stats.refactors_interval;
                 refac_growth += s.mip_stats.refactors_growth;
                 refac_accuracy += s.mip_stats.refactors_accuracy;
+                solved_ahead += s.mip_stats.nodes_solved_ahead;
+                discarded += s.mip_stats.lp_solves_discarded;
                 if slot == 1 {
                     phase2_runs += 1;
                 }
@@ -113,6 +120,10 @@ fn main() {
         "basis: {dual_pivots} dual pivots, {basis_updates} Forrest-Tomlin updates, \
          refactorizations {refac_interval} interval / {refac_growth} growth / \
          {refac_accuracy} accuracy"
+    ));
+    exp.note(format!(
+        "look-ahead: {solved_ahead} nodes solved ahead, {discarded} look-ahead LPs discarded \
+         (timing-dependent)"
     ));
     exp.note("shape check: MIP share of phase 1 should exceed its share of phase 2");
     exp.finish();

@@ -5,10 +5,27 @@
 //! that can stop the search with a feasible-but-unproven incumbent, and a
 //! reported *gap* against the best proven bound (Figure 9 plots exactly
 //! that gap).
+//!
+//! **Look-ahead on an idle core.** A node LP is a pure function of the
+//! node's bounds and its parent's basis: every [`Simplex::solve`] resets
+//! its engine, so which engine solved a node, and what it solved before,
+//! cannot show in the result. While the search runs exactly as it would
+//! alone, one helper thread with an engine of its own solves the best open
+//! nodes ahead of their pop (the best three, republished at every pop),
+//! and the search takes a node's result from it when it pops that
+//! node. Node stats are recorded only then, so every counter, every prune
+//! and the plan are those of the serial search; only
+//! [`SolveStats::nodes_solved_ahead`] and
+//! [`SolveStats::lp_solves_discarded`] depend on timing. The helper starts
+//! only while the process has fewer searches in their node loop than it
+//! has cores, and both threads wait by yielding, not parking: a parked
+//! helper woke on the search's own core often enough to lose the gain.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-use std::rc::Rc;
+use std::collections::{BinaryHeap, HashMap};
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread;
 use std::time::Instant;
 
 use crate::audit::{
@@ -34,9 +51,26 @@ pub struct BranchAndBound {
 /// upper (`true`) or lower (`false`) bound to `value`.
 type BoundChange = (usize, bool, f64);
 
+/// Open nodes the look-ahead keeps queued for the helper.
+const LOOK_AHEAD: usize = 3;
+
+/// Slots of the heap's array that hold its [`LOOK_AHEAD`] best entries: a
+/// binary max-heap keeps its `k`-th greatest entry at depth `k − 1` or
+/// less, so within its first `2^k − 1` slots. (Were the layout ever
+/// otherwise, the look-ahead would guess worse nodes: slower, not wrong.)
+const LOOK_AHEAD_SLOTS: usize = (1 << LOOK_AHEAD) - 1;
+
+/// Searches of this process inside their best-bound loop: a search starts
+/// a helper only while the count, itself included, is below the cores.
+static SEARCHES_IN_LOOP: AtomicUsize = AtomicUsize::new(0);
+
 /// An open node, stored as its branching path instead of full bound
 /// vectors: memory per node follows its depth, not the model's size.
+#[derive(Clone)]
 struct Node {
+    /// Creation order within the search (the root is 0): the key its
+    /// look-ahead result is filed under. It never orders the heap.
+    id: u64,
     /// Bound changes from the root, in branching order; the last one
     /// created this node and the length is the node's depth.
     path: Vec<BoundChange>,
@@ -44,7 +78,7 @@ struct Node {
     /// (pseudo-cost weight; unused at the root).
     frac: f64,
     /// Parent's optimal basis, used to warm-start this node's LP.
-    warm: Option<Rc<Basis>>,
+    warm: Option<Arc<Basis>>,
 }
 
 impl Node {
@@ -72,11 +106,16 @@ impl Node {
     }
 
     /// The child one branching decision further down.
-    fn child(&self, change: BoundChange, frac: f64, warm: Option<Rc<Basis>>) -> Node {
+    fn child(&self, id: u64, change: BoundChange, frac: f64, warm: Option<Arc<Basis>>) -> Node {
         let mut path = Vec::with_capacity(self.path.len() + 1);
         path.extend_from_slice(&self.path);
         path.push(change);
-        Node { path, frac, warm }
+        Node {
+            id,
+            path,
+            frac,
+            warm,
+        }
     }
 }
 
@@ -110,6 +149,182 @@ impl Ord for HeapEntry {
             .bound
             .total_cmp(&self.bound)
             .then(self.node.path.len().cmp(&other.node.path.len()))
+    }
+}
+
+/// What the search and its look-ahead helper share, under one lock.
+#[derive(Default)]
+struct Shared {
+    /// Open nodes for the helper to solve, best first.
+    queue: Vec<Node>,
+    /// The node the helper is solving.
+    helper_on: Option<u64>,
+    /// Finished look-ahead results, by node id.
+    done: HashMap<u64, LpResult>,
+    /// Set when the search leaves its node loop, by any exit.
+    stop: bool,
+}
+
+/// Locks the shared state. A panicking thread leaves it consistent (no
+/// update spans a solve), so a poisoned lock is taken as it is.
+fn lock(shared: &Mutex<Shared>) -> MutexGuard<'_, Shared> {
+    shared.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The search's side of the look-ahead. Created when the search enters
+/// its node loop, where it takes its place in [`SEARCHES_IN_LOOP`];
+/// dropped on every exit from the loop, where it gives the place back and
+/// stops the helper.
+struct LookAhead<'a> {
+    shared: &'a Mutex<Shared>,
+    /// Whether a core was idle when the search entered its loop.
+    idle_core: bool,
+    /// Whether the helper has been started (at the first publish that
+    /// queued a node).
+    started: bool,
+    /// Bounds scratch for the nodes the search solves ahead itself.
+    lower: Vec<f64>,
+    upper: Vec<f64>,
+}
+
+impl<'a> LookAhead<'a> {
+    fn enter(shared: &'a Mutex<Shared>) -> Self {
+        static CORES: OnceLock<usize> = OnceLock::new();
+        let cores = *CORES.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()));
+        let searches = SEARCHES_IN_LOOP.fetch_add(1, AtomicOrdering::Relaxed) + 1;
+        Self {
+            shared,
+            idle_core: searches < cores,
+            started: false,
+            lower: Vec::new(),
+            upper: Vec::new(),
+        }
+    }
+
+    /// Replaces the helper's queue with the [`LOOK_AHEAD`] best open
+    /// nodes, less those already solved or being solved. Returns true when
+    /// the caller should start the helper: a core is idle, the helper is
+    /// not running yet and the queue holds a node.
+    fn publish(&mut self, heap: &BinaryHeap<HeapEntry>) -> bool {
+        if !self.idle_core {
+            return false;
+        }
+        let slots = heap.as_slice();
+        let mut best: Vec<&HeapEntry> = slots[..slots.len().min(LOOK_AHEAD_SLOTS)].iter().collect();
+        best.sort_unstable_by(|a, b| b.cmp(a));
+        let mut shared = lock(self.shared);
+        let shared = &mut *shared;
+        shared.queue.clear();
+        for entry in best.into_iter().take(LOOK_AHEAD) {
+            let id = entry.node.id;
+            if shared.helper_on != Some(id) && !shared.done.contains_key(&id) {
+                shared.queue.push(entry.node.clone());
+            }
+        }
+        let start = !self.started && !shared.queue.is_empty();
+        self.started |= start;
+        start
+    }
+
+    /// The popped node's LP result if the look-ahead has it or is solving
+    /// it, `None` when the caller must solve it. While the helper finishes
+    /// the node, the search solves the heap's next node itself (when no
+    /// one has it yet) and files the result for its pop. No node is
+    /// solved twice.
+    fn take(
+        &mut self,
+        node: &Node,
+        heap: &BinaryHeap<HeapEntry>,
+        engine: &mut Simplex<'_>,
+        root_lower: &[f64],
+        root_upper: &[f64],
+    ) -> Option<LpResult> {
+        if !self.started {
+            return None;
+        }
+        let mut shared = lock(self.shared);
+        if let Some(lp) = shared.done.remove(&node.id) {
+            return Some(lp);
+        }
+        if shared.helper_on != Some(node.id) {
+            return None;
+        }
+        if let Some(next) = heap.peek().map(|e| &e.node) {
+            if shared.helper_on != Some(next.id) && !shared.done.contains_key(&next.id) {
+                shared.queue.retain(|job| job.id != next.id);
+                drop(shared);
+                next.bounds_into(root_lower, root_upper, &mut self.lower, &mut self.upper);
+                let lp = engine.solve(&self.lower, &self.upper, next.warm.as_deref());
+                shared = lock(self.shared);
+                shared.done.insert(next.id, lp);
+            }
+        }
+        loop {
+            if let Some(lp) = shared.done.remove(&node.id) {
+                return Some(lp);
+            }
+            if shared.helper_on != Some(node.id) {
+                // The helper died mid-solve (its panic resurfaces when the
+                // search's scope joins it): solve the node here.
+                return None;
+            }
+            drop(shared);
+            thread::yield_now();
+            shared = lock(self.shared);
+        }
+    }
+}
+
+impl Drop for LookAhead<'_> {
+    fn drop(&mut self) {
+        SEARCHES_IN_LOOP.fetch_sub(1, AtomicOrdering::Relaxed);
+        lock(self.shared).stop = true;
+    }
+}
+
+/// The helper thread: solves the front of the queue on an engine of its
+/// own, files the result, and repeats until the search stops it.
+fn run_helper(
+    shared: &Mutex<Shared>,
+    sf: &StandardForm,
+    config: &SimplexConfig,
+    root_lower: &[f64],
+    root_upper: &[f64],
+) {
+    /// Clears `helper_on` on every exit, a panic included, so the search
+    /// never waits for a node nobody is solving.
+    struct Gone<'a>(&'a Mutex<Shared>);
+    impl Drop for Gone<'_> {
+        fn drop(&mut self) {
+            lock(self.0).helper_on = None;
+        }
+    }
+    let _gone = Gone(shared);
+    let mut engine = Simplex::new(sf, config.clone());
+    let (mut lower, mut upper) = (Vec::new(), Vec::new());
+    loop {
+        let job = {
+            let mut shared = lock(shared);
+            if shared.stop {
+                return;
+            }
+            if shared.queue.is_empty() {
+                None
+            } else {
+                let job = shared.queue.remove(0);
+                shared.helper_on = Some(job.id);
+                Some(job)
+            }
+        };
+        let Some(job) = job else {
+            thread::yield_now();
+            continue;
+        };
+        job.bounds_into(root_lower, root_upper, &mut lower, &mut upper);
+        let lp = engine.solve(&lower, &upper, job.warm.as_deref());
+        let mut shared = lock(shared);
+        shared.done.insert(job.id, lp);
+        shared.helper_on = None;
     }
 }
 
@@ -272,8 +487,8 @@ impl BranchAndBound {
             }
         }
         stats.incumbent_seeded = incumbent.is_some();
-        // One engine for every node and dive LP of this solve.
-        let mut node_lp = Simplex::new(&sf, lp_config);
+        // One engine for every node and dive LP the search itself solves.
+        let mut node_lp = Simplex::new(&sf, lp_config.clone());
         // Both the dive and the integral-root shortcut require a *proven*
         // root optimum; an iteration-limited root goes straight to the
         // search, which will re-solve it.
@@ -323,11 +538,13 @@ impl BranchAndBound {
         heap.push(HeapEntry {
             bound: root_bound,
             node: Node {
+                id: 0,
                 path: Vec::new(),
                 frac: 0.0,
-                warm: root.basis.clone().map(Rc::new),
+                warm: root.basis.clone().map(Arc::new),
             },
         });
+        let mut next_id = 1;
         // The popped node's bounds, materialised from its path.
         let (mut lower, mut upper) = (Vec::new(), Vec::new());
         let mut best_open_bound = root_bound;
@@ -340,125 +557,167 @@ impl BranchAndBound {
         let mut stall_nodes = 0usize;
         let mut last_bound = f64::NEG_INFINITY;
 
-        while let Some(entry) = heap.pop() {
-            best_open_bound = entry.bound;
-            if start.elapsed().as_secs_f64() > self.config.time_limit_seconds
-                || stats.nodes >= self.config.max_nodes
-            {
-                hit_limit = true;
-                break;
-            }
-            if self.config.stall_node_limit > 0 && incumbent.is_some() {
-                if entry.bound > last_bound + self.config.abs_gap_tol.max(tol::EPS) {
-                    last_bound = entry.bound;
-                    stall_nodes = 0;
-                } else {
-                    stall_nodes += 1;
-                    if stall_nodes >= self.config.stall_node_limit {
-                        hit_limit = true;
+        // The node loop runs in a thread scope: a look-ahead helper, once
+        // started, borrows the standard form and the root bounds, and is
+        // stopped and joined on every exit from the loop.
+        let shared = Mutex::new(Shared::default());
+        thread::scope(|scope| {
+            let mut ahead = LookAhead::enter(&shared);
+            while let Some(entry) = heap.pop() {
+                best_open_bound = entry.bound;
+                if start.elapsed().as_secs_f64() > self.config.time_limit_seconds
+                    || stats.nodes >= self.config.max_nodes
+                {
+                    hit_limit = true;
+                    break;
+                }
+                if self.config.stall_node_limit > 0 && incumbent.is_some() {
+                    if entry.bound > last_bound + self.config.abs_gap_tol.max(tol::EPS) {
+                        last_bound = entry.bound;
+                        stall_nodes = 0;
+                    } else {
+                        stall_nodes += 1;
+                        if stall_nodes >= self.config.stall_node_limit {
+                            hit_limit = true;
+                            break;
+                        }
+                    }
+                }
+                if let Some((inc_obj, _)) = &incumbent {
+                    if entry.bound >= inc_obj - self.config.abs_gap_tol {
+                        // All remaining nodes have bounds at least this large.
+                        if incumbent_is_seed {
+                            stats.nodes_pruned_by_seed += heap.len() + 1;
+                        }
+                        best_open_bound = *inc_obj;
+                        heap.clear();
                         break;
                     }
                 }
-            }
-            if let Some((inc_obj, _)) = &incumbent {
-                if entry.bound >= inc_obj - self.config.abs_gap_tol {
-                    // All remaining nodes have bounds at least this large.
-                    if incumbent_is_seed {
-                        stats.nodes_pruned_by_seed += heap.len() + 1;
+                // This node will be solved: point the helper at the ones
+                // the search would pop next.
+                if ahead.publish(&heap) {
+                    let (sf, config) = (&sf, &lp_config);
+                    let (root_lower, root_upper) = (&root_lower, &root_upper);
+                    let shared = &shared;
+                    scope.spawn(move || run_helper(shared, sf, config, root_lower, root_upper));
+                }
+                let node = &entry.node;
+                node.bounds_into(&root_lower, &root_upper, &mut lower, &mut upper);
+                let mut lp = match ahead.take(node, &heap, &mut node_lp, &root_lower, &root_upper) {
+                    Some(lp) => {
+                        stats.nodes_solved_ahead += 1;
+                        // Debug oracle: every 16th node solved ahead
+                        // must be, to the bit, what this engine solves
+                        // (`Debug` prints every field, each float in its
+                        // shortest round-trip digits).
+                        if cfg!(debug_assertions) && stats.nodes_solved_ahead.is_multiple_of(16) {
+                            let again = node_lp.solve(&lower, &upper, node.warm.as_deref());
+                            debug_assert!(
+                                format!("{lp:?}") == format!("{again:?}"),
+                                "node {} solved ahead differs from its re-solve",
+                                node.id
+                            );
+                        }
+                        lp
                     }
-                    best_open_bound = *inc_obj;
-                    heap.clear();
-                    break;
-                }
-            }
-            let node = &entry.node;
-            node.bounds_into(&root_lower, &root_upper, &mut lower, &mut upper);
-            let lp = node_lp.solve(&lower, &upper, node.warm.as_deref());
-            stats.nodes += 1;
-            stats.record_lp(&lp);
-            match lp.status {
-                LpStatus::Infeasible => continue,
-                LpStatus::Unbounded => return Err(SolveError::Unbounded),
-                LpStatus::IterationLimit => {
-                    // Abandoning the subtree is fine, forgetting it is
-                    // not: its parent bound stays in the accounting.
-                    hit_limit = true;
-                    abandoned_bound = abandoned_bound.min(entry.bound);
-                    continue;
-                }
-                LpStatus::Optimal => {}
-            }
-            debug_assert!(
-                lp.objective.is_finite(),
-                "optimal node LP with non-finite objective {}",
-                lp.objective
-            );
-            // Pseudo-cost learning: the degradation this branch caused.
-            if let Some(&(var, is_upper, _)) = node.path.last() {
-                pseudo.record(var, !is_upper, node.frac, lp.objective - entry.bound);
-            }
-            if let Some((inc_obj, _)) = &incumbent {
-                if lp.objective >= inc_obj - self.config.abs_gap_tol {
-                    if incumbent_is_seed {
-                        stats.nodes_pruned_by_seed += 1;
+                    None => node_lp.solve(&lower, &upper, node.warm.as_deref()),
+                };
+                stats.nodes += 1;
+                stats.record_lp(&lp);
+                match lp.status {
+                    LpStatus::Infeasible => continue,
+                    LpStatus::Unbounded => return Err(SolveError::Unbounded),
+                    LpStatus::IterationLimit => {
+                        // Abandoning the subtree is fine, forgetting it is
+                        // not: its parent bound stays in the accounting.
+                        hit_limit = true;
+                        abandoned_bound = abandoned_bound.min(entry.bound);
+                        continue;
                     }
-                    continue;
+                    LpStatus::Optimal => {}
                 }
-            }
-            // Periodic diving: every 256 nodes, try to round this node's
-            // LP into a better incumbent (cheap thanks to warm starts).
-            if self.config.use_heuristics && stats.nodes.is_multiple_of(256) {
-                if let Some((obj, values)) = self.dive(
-                    model,
-                    &mut node_lp,
-                    &lower,
-                    &upper,
-                    &lp,
-                    &int_vars,
-                    &mut stats,
-                    start,
-                ) {
-                    if incumbent.as_ref().is_none_or(|(io, _)| obj < *io) {
-                        incumbent = Some((obj, values));
-                        incumbent_is_seed = false;
+                debug_assert!(
+                    lp.objective.is_finite(),
+                    "optimal node LP with non-finite objective {}",
+                    lp.objective
+                );
+                // Pseudo-cost learning: the degradation this branch caused.
+                if let Some(&(var, is_upper, _)) = node.path.last() {
+                    pseudo.record(var, !is_upper, node.frac, lp.objective - entry.bound);
+                }
+                if let Some((inc_obj, _)) = &incumbent {
+                    if lp.objective >= inc_obj - self.config.abs_gap_tol {
+                        if incumbent_is_seed {
+                            stats.nodes_pruned_by_seed += 1;
+                        }
+                        continue;
                     }
                 }
-            }
-            match crate::branching::select(&lp.values, &int_vars, self.config.int_tol, &pseudo) {
-                None => {
-                    let (obj, values) = self.snap(model, &lp, &int_vars);
-                    if incumbent.as_ref().is_none_or(|(io, _)| obj < *io) {
-                        incumbent = Some((obj, values));
-                        incumbent_is_seed = false;
+                // Periodic diving: every 256 nodes, try to round this node's
+                // LP into a better incumbent (cheap thanks to warm starts).
+                if self.config.use_heuristics && stats.nodes.is_multiple_of(256) {
+                    if let Some((obj, values)) = self.dive(
+                        model,
+                        &mut node_lp,
+                        &lower,
+                        &upper,
+                        &lp,
+                        &int_vars,
+                        &mut stats,
+                        start,
+                    ) {
+                        if incumbent.as_ref().is_none_or(|(io, _)| obj < *io) {
+                            incumbent = Some((obj, values));
+                            incumbent_is_seed = false;
+                        }
                     }
                 }
-                Some(branch_var) => {
-                    let value = lp.values[branch_var];
-                    let frac = value - value.floor();
-                    let child_warm = lp.basis.clone().map(Rc::new);
-                    // Down child first (x <= floor(value)), then the up
-                    // child (x >= ceil(value)); either only if non-empty.
-                    let (down, up) = (value.floor(), value.ceil());
-                    for (is_upper, bound) in [(true, down), (false, up)] {
-                        let nonempty = if is_upper {
-                            lower[branch_var] <= bound
-                        } else {
-                            bound <= upper[branch_var]
-                        };
-                        if nonempty {
-                            heap.push(HeapEntry {
-                                bound: lp.objective,
-                                node: node.child(
-                                    (branch_var, is_upper, bound),
-                                    frac,
-                                    child_warm.clone(),
-                                ),
-                            });
+                match crate::branching::select(&lp.values, &int_vars, self.config.int_tol, &pseudo)
+                {
+                    None => {
+                        let (obj, values) = self.snap(model, &lp, &int_vars);
+                        if incumbent.as_ref().is_none_or(|(io, _)| obj < *io) {
+                            incumbent = Some((obj, values));
+                            incumbent_is_seed = false;
+                        }
+                    }
+                    Some(branch_var) => {
+                        let value = lp.values[branch_var];
+                        let frac = value - value.floor();
+                        let child_warm = lp.basis.take().map(Arc::new);
+                        // Down child first (x <= floor(value)), then the up
+                        // child (x >= ceil(value)); either only if non-empty.
+                        let (down, up) = (value.floor(), value.ceil());
+                        for (is_upper, bound) in [(true, down), (false, up)] {
+                            let nonempty = if is_upper {
+                                lower[branch_var] <= bound
+                            } else {
+                                bound <= upper[branch_var]
+                            };
+                            if nonempty {
+                                heap.push(HeapEntry {
+                                    bound: lp.objective,
+                                    node: node.child(
+                                        next_id,
+                                        (branch_var, is_upper, bound),
+                                        frac,
+                                        child_warm.clone(),
+                                    ),
+                                });
+                                next_id += 1;
+                            }
                         }
                     }
                 }
             }
-        }
+            Ok(())
+        })?;
+        stats.lp_solves_discarded = shared
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .done
+            .len();
 
         stats.solve_seconds = start.elapsed().as_secs_f64();
         stats.mip_seconds =
@@ -633,6 +892,7 @@ mod tests {
         HeapEntry {
             bound,
             node: Node {
+                id: 0,
                 path: vec![(0, true, 0.0); depth],
                 frac: 0.0,
                 warm: None,
@@ -666,15 +926,16 @@ mod tests {
     fn node_bounds_are_root_bounds_with_the_path_applied_in_order() {
         let (root_lower, root_upper) = (vec![0.0, 1.0, 0.0], vec![10.0, 9.0, 7.0]);
         let root = Node {
+            id: 0,
             path: Vec::new(),
             frac: 0.0,
             warm: None,
         };
         // x0 <= 4, then x1 >= 2, then x0 again: x0 <= 1.
         let node = root
-            .child((0, true, 4.0), 0.5, None)
-            .child((1, false, 2.0), 0.5, None)
-            .child((0, true, 1.0), 0.5, None);
+            .child(1, (0, true, 4.0), 0.5, None)
+            .child(2, (1, false, 2.0), 0.5, None)
+            .child(3, (0, true, 1.0), 0.5, None);
         assert_eq!(node.path.len(), 3);
         // Scratch vectors arrive dirty from the previous node.
         let (mut lower, mut upper) = (vec![5.0; 7], vec![-1.0]);

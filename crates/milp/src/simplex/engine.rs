@@ -29,8 +29,10 @@ pub(super) enum RefactorReason {
 }
 
 /// The simplex engine for one standard form: every vector a solve needs,
-/// allocated once and reused by each [`solve`](Self::solve). Branch and
-/// bound keeps one for all its node and dive LPs — a node re-solve is a
+/// allocated once and reused by each [`solve`](Self::solve), which resets
+/// it: a result never depends on what the engine solved before. Branch
+/// and bound keeps one for the node and dive LPs its search solves, and
+/// its look-ahead helper one more — a node re-solve is a
 /// handful of pivots, and building a dozen `n + m` vectors around each
 /// used to cost as much as the pivots. [`solve_lp`] and [`solve_lp_warm`]
 /// wrap a throwaway instance.

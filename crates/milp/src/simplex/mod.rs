@@ -56,7 +56,9 @@
 //! optimality with **zero phase-1 iterations** — the re-solve path the
 //! RAS session hits every round at the root. Branch-and-bound nodes
 //! re-solve with the one-violation repair instead (`warm_dual: false`),
-//! from one [`Simplex`] engine kept for the whole search: one dual pivot
+//! from a [`Simplex`] engine kept for the whole search (the search's own,
+//! or its look-ahead helper's: each solve resets the engine, so the result
+//! cannot tell them apart): one dual pivot
 //! per violated row, its ratio test read off the scattered pivot row
 //! `ρᵀA`, its duals recomputed once per factorization and otherwise kept
 //! by the dual step `y += (d_q/α_q)·ρ`. Its primal cleanup, like every

@@ -120,6 +120,16 @@ pub struct SolveStats {
     /// Nodes pruned against the seeded incumbent before any better
     /// solution was found — the direct payoff of warm incumbent seeding.
     pub nodes_pruned_by_seed: usize,
+    /// Nodes whose LP result came from the look-ahead: solved before their
+    /// pop, by the helper thread or by the search while it waited for the
+    /// helper (see [`crate::branch`]). Unlike every counter above it
+    /// depends on thread timing, so it changes from run to run and no
+    /// identity check may read it; the search never does.
+    pub nodes_solved_ahead: usize,
+    /// LPs the look-ahead solved for nodes the search never popped
+    /// (pruned, or still open when it stopped). Timing-dependent, like
+    /// [`nodes_solved_ahead`](Self::nodes_solved_ahead).
+    pub lp_solves_discarded: usize,
     /// Outcome of the model auditor and solution certificate checkers
     /// (see [`crate::audit`]); default-empty when auditing was off.
     pub audit: crate::audit::AuditReport,
@@ -143,8 +153,8 @@ impl SolveStats {
     }
 
     /// Folds another solve's statistics into this one, for a caller that
-    /// reports several solves as one (the sharded round): work counters
-    /// and `absolute_gap` sum, the `used_dual_simplex` /
+    /// reports several solves as one (the sharded round): work counters,
+    /// the look-ahead's two counters and `absolute_gap` sum, the `used_dual_simplex` /
     /// `root_used_dual_simplex` / `hit_limit` flags OR, `solve_seconds`
     /// takes the longer solve (shards run side by side). What has no
     /// merge is left as it is in `self`: `best_bound` and `gap` (no
@@ -171,6 +181,8 @@ impl SolveStats {
         self.absolute_gap += other.absolute_gap;
         self.hit_limit |= other.hit_limit;
         self.nodes_pruned_by_seed += other.nodes_pruned_by_seed;
+        self.nodes_solved_ahead += other.nodes_solved_ahead;
+        self.lp_solves_discarded += other.lp_solves_discarded;
     }
 }
 

@@ -442,46 +442,6 @@ fn cold_dual_first_agrees_with_dense_oracle() {
     );
 }
 
-/// A region-shaped LP: classes of servers in MSBs, each rewarded for
-/// staying with the reservation that holds it (−10) and charged a little
-/// for any other (0.01), a third of the classes one server short; per
-/// reservation a free `max`-over-MSBs column costing 5 and a capacity row
-/// net of it. Three distinct cost values.
-fn region_lp(rng: &mut StdRng, msbs: usize, per_msb: usize, reservations: usize) -> Model {
-    let mut m = Model::new();
-    let classes = msbs * per_msb;
-    let mut vars = Vec::new();
-    let mut obj = LinExpr::zero();
-    let mut held = vec![0.0; reservations];
-    for c in 0..classes {
-        let count = rng.gen_range(2..9) as f64;
-        let current = rng.gen_range(0..reservations);
-        let row: Vec<_> = (0..reservations)
-            .map(|r| {
-                let v = m.add_var(format!("x{c}_{r}"), VarType::Continuous, 0.0, count);
-                obj += LinExpr::term(v, if r == current { -10.0 } else { 0.01 });
-                v
-            })
-            .collect();
-        held[current] += count;
-        let lost = f64::from(u8::from(rng.gen_range(0..3) == 0));
-        let supply = LinExpr::sum(row.iter().map(|v| (*v, 1.0)));
-        m.add_constraint(format!("supply{c}"), supply, Sense::Le, count - lost);
-        vars.push(row);
-    }
-    for r in 0..reservations {
-        let by_msb =
-            (0..msbs).map(|i| LinExpr::sum((0..per_msb).map(|k| (vars[i * per_msb + k][r], 1.0))));
-        let max_msb = m.max_over(format!("maxmsb{r}"), by_msb);
-        obj += LinExpr::term(max_msb, 5.0);
-        let total = LinExpr::sum((0..classes).map(|c| (vars[c][r], 1.0)));
-        let capacity = (held[r] * 0.7).floor();
-        m.add_constraint(format!("cap{r}"), total - max_msb, Sense::Ge, capacity);
-    }
-    m.set_objective(obj);
-    m
-}
-
 /// The production shape: free `max` columns with a cost rest on the
 /// bound their rows imply, so the attempt is made; it must agree with
 /// the primal (the oracle takes no free column). With few MSBs
@@ -492,7 +452,7 @@ fn cold_dual_first_rests_free_columns_on_implied_bounds() {
     let mut rng = StdRng::seed_from_u64(0x01A9_11ED);
     let mut optimal = 0;
     for case in 0..60 {
-        let m = region_lp(&mut rng, 4 + case % 5, 1 + case % 3, 2 + case % 6);
+        let m = support::region_lp(&mut rng, 4 + case % 5, 1 + case % 3, 2 + case % 6);
         let sf = StandardForm::from_model(&m);
         let tag = format!("case {case}");
         let dual = solve_dual_first(&sf, true);
@@ -568,7 +528,7 @@ fn cold_dual_first_skips_columns_without_a_dual_feasible_bound() {
 #[test]
 fn unperturbed_stall_falls_back_to_the_primal() {
     let mut rng = StdRng::seed_from_u64(21);
-    let m = region_lp(&mut rng, 8, 4, 8);
+    let m = support::region_lp(&mut rng, 8, 4, 8);
     let sf = StandardForm::from_model(&m);
     let primal = solve_primal(&sf);
     assert_eq!(primal.status, LpStatus::Optimal);

@@ -1,9 +1,11 @@
 //! Reentrancy pins for the sharded region solve: `Model::solve_with`
 //! takes `&self` and must be callable from many threads at once, with
 //! results identical to serial solves. The POP-style sharded session in
-//! `ras-core` relies on exactly this.
+//! `ras-core` relies on exactly this, and so does branch and bound's
+//! look-ahead, which solves open nodes on a helper thread whenever a core
+//! is idle.
 
-use ras_milp::{LinExpr, Model, Sense, SolveConfig, VarType};
+use ras_milp::{LinExpr, Model, Sense, Solution, SolveConfig, VarType};
 
 /// Compile-time pin: everything a worker thread needs crosses threads.
 #[test]
@@ -100,4 +102,109 @@ fn one_model_many_threads() {
             });
         }
     });
+}
+
+/// A two-constraint knapsack over 20 binaries, values close to weights:
+/// best-bound search needs some 900 nodes to close it.
+fn knapsack() -> Model {
+    let mut state = 0x5EA2_C4ED_u64;
+    let mut next = move |lo: u64, span: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (lo + state % span) as f64
+    };
+    let mut m = Model::new();
+    let (mut obj, mut first, mut second) = (LinExpr::zero(), LinExpr::zero(), LinExpr::zero());
+    let (mut first_total, mut second_total) = (0.0, 0.0);
+    for i in 0..20 {
+        let x = m.add_var(format!("x{i}"), VarType::Binary, 0.0, 1.0);
+        let (w1, w2) = (next(20, 40), next(20, 40));
+        obj += LinExpr::term(x, -(w1 + w2 + next(0, 7)));
+        first += LinExpr::term(x, w1);
+        second += LinExpr::term(x, w2);
+        (first_total, second_total) = (first_total + w1, second_total + w2);
+    }
+    m.add_constraint("first", first, Sense::Le, (first_total / 2.0).floor());
+    m.add_constraint("second", second, Sense::Le, (second_total / 2.0).floor());
+    m.set_objective(obj);
+    m
+}
+
+/// Everything a solve reports that depends on neither the clock nor
+/// thread timing: status, objective, bound and gap bits, every work
+/// counter and the bits of every value.
+fn fingerprint(s: &Solution) -> Vec<(&'static str, u64)> {
+    let st = &s.stats;
+    let count = |n: usize| n as u64;
+    let mut f = vec![
+        ("status", s.status as u64),
+        ("objective", s.objective.to_bits()),
+        ("best_bound", st.best_bound.to_bits()),
+        ("gap", st.gap.to_bits()),
+        ("hit_limit", u64::from(st.hit_limit)),
+        ("nodes", count(st.nodes)),
+        ("simplex_iterations", count(st.simplex_iterations)),
+        ("phase1_iterations", count(st.phase1_iterations)),
+        ("dual_iterations", count(st.dual_iterations)),
+        ("used_dual_simplex", u64::from(st.used_dual_simplex)),
+        ("root_phase1_iterations", count(st.root_phase1_iterations)),
+        (
+            "root_used_dual_simplex",
+            u64::from(st.root_used_dual_simplex),
+        ),
+        ("lp_refactorizations", count(st.lp_refactorizations)),
+        ("basis_updates", count(st.basis_updates)),
+        ("spike_entries", count(st.spike_entries)),
+        ("refactors_interval", count(st.refactors_interval)),
+        ("refactors_growth", count(st.refactors_growth)),
+        ("refactors_accuracy", count(st.refactors_accuracy)),
+        ("pricing_candidate_hits", count(st.pricing_candidate_hits)),
+        ("pricing_full_rebuilds", count(st.pricing_full_rebuilds)),
+        ("nodes_pruned_by_seed", count(st.nodes_pruned_by_seed)),
+    ];
+    f.extend(s.values.iter().map(|v| ("value", v.to_bits())));
+    f
+}
+
+/// Branch and bound starts a look-ahead helper only while the process has
+/// fewer searches in their node loop than cores, so of `2 × cores`
+/// searches run at once some get a helper and some do not; the one run
+/// alone gets one on any machine with two cores. Whichever engine solved
+/// which node, every search must report what the lone one reports, to the
+/// bit.
+#[test]
+fn concurrent_searches_equal_the_serial_search() {
+    let model = knapsack();
+    let config = SolveConfig {
+        time_limit_seconds: 1e6,
+        ..SolveConfig::default()
+    };
+    let alone = model.solve_with(&config).expect("lone search");
+    assert!(
+        alone.stats.nodes >= 200,
+        "the search ran only {} nodes",
+        alone.stats.nodes
+    );
+    let expected = fingerprint(&alone);
+    let searches = 2 * std::thread::available_parallelism().map_or(1, |n| n.get());
+    // Every search starts at once, so they overlap in their node loops.
+    let start = std::sync::Barrier::new(searches);
+    let together: Vec<Solution> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..searches)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    model.solve_with(&config).expect("concurrent search")
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("search thread"))
+            .collect()
+    });
+    for (i, s) in together.iter().enumerate() {
+        assert_eq!(fingerprint(s), expected, "search {i} of {searches}");
+    }
 }

@@ -1,5 +1,6 @@
 //! Reference oracles for the differential tests: a whole-LP one in
-//! [`dense_simplex`], and below it the full-scan ratio test.
+//! [`dense_simplex`], and below it the full-scan ratio test. Also the
+//! region-shaped LP several suites draw from.
 //!
 //! The one-violation warm repair (the re-solve every branch-and-bound
 //! node runs) used to evaluate its dual ratio test on *every* nonbasic
@@ -21,8 +22,10 @@
 
 pub mod dense_simplex;
 
+use rand::rngs::StdRng;
+use rand::Rng;
 use ras_milp::simplex::Simplex;
-use ras_milp::tol;
+use ras_milp::{tol, LinExpr, Model, Sense, VarType};
 
 /// The entering column of a repair pivot by a scan over all `columns`
 /// (structural, slack and artificial), and how many columns tied with
@@ -54,4 +57,44 @@ pub fn full_scan_entering(
         }
     }
     (best.map(|(j, _, _)| j), tied)
+}
+
+/// A region-shaped LP: classes of servers in MSBs, each rewarded for
+/// staying with the reservation that holds it (−10) and charged a little
+/// for any other (0.01), a third of the classes one server short; per
+/// reservation a free `max`-over-MSBs column costing 5 and a capacity row
+/// net of it. Three distinct cost values.
+pub fn region_lp(rng: &mut StdRng, msbs: usize, per_msb: usize, reservations: usize) -> Model {
+    let mut m = Model::new();
+    let classes = msbs * per_msb;
+    let mut vars = Vec::new();
+    let mut obj = LinExpr::zero();
+    let mut held = vec![0.0; reservations];
+    for c in 0..classes {
+        let count = rng.gen_range(2..9) as f64;
+        let current = rng.gen_range(0..reservations);
+        let row: Vec<_> = (0..reservations)
+            .map(|r| {
+                let v = m.add_var(format!("x{c}_{r}"), VarType::Continuous, 0.0, count);
+                obj += LinExpr::term(v, if r == current { -10.0 } else { 0.01 });
+                v
+            })
+            .collect();
+        held[current] += count;
+        let lost = f64::from(u8::from(rng.gen_range(0..3) == 0));
+        let supply = LinExpr::sum(row.iter().map(|v| (*v, 1.0)));
+        m.add_constraint(format!("supply{c}"), supply, Sense::Le, count - lost);
+        vars.push(row);
+    }
+    for r in 0..reservations {
+        let by_msb =
+            (0..msbs).map(|i| LinExpr::sum((0..per_msb).map(|k| (vars[i * per_msb + k][r], 1.0))));
+        let max_msb = m.max_over(format!("maxmsb{r}"), by_msb);
+        obj += LinExpr::term(max_msb, 5.0);
+        let total = LinExpr::sum((0..classes).map(|c| (vars[c][r], 1.0)));
+        let capacity = (held[r] * 0.7).floor();
+        m.add_constraint(format!("cap{r}"), total - max_msb, Sense::Ge, capacity);
+    }
+    m.set_objective(obj);
+    m
 }

@@ -4,13 +4,17 @@
 //!
 //! At the LP level underneath it, the node re-solve path's
 //! pattern-restricted dual ratio test must pick exactly what a scan of
-//! every column (`support`) picks.
+//! every column (`support`) picks, and a node LP must be a pure function
+//! of its bounds and its warm basis — what the search's look-ahead rests
+//! on.
 
 mod support;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ras_milp::simplex::{solve_lp, solve_lp_warm, LpStatus, Simplex, SimplexConfig};
+use ras_milp::simplex::{
+    solve_lp, solve_lp_warm, Basis, LpResult, LpStatus, Simplex, SimplexConfig,
+};
 use ras_milp::standard::StandardForm;
 use ras_milp::{LinExpr, Model, Sense, SolveConfig, VarType};
 
@@ -262,4 +266,121 @@ fn pattern_restricted_ratio_test_matches_the_full_scan() {
         stepped_pivots > 100,
         "too few pivots on stepped duals: {stepped_pivots}"
     );
+}
+
+/// Asserts that every field of two LP results is bit for bit the same.
+fn assert_same_lp(a: &LpResult, b: &LpResult, what: &str) {
+    // The first index at which two vectors differ in length or in bits.
+    let first_diff = |x: &[f64], y: &[f64]| {
+        (x.len() != y.len())
+            .then_some(x.len().min(y.len()))
+            .or_else(|| {
+                x.iter()
+                    .zip(y)
+                    .position(|(p, q)| p.to_bits() != q.to_bits())
+            })
+    };
+    let basis = |lp: &LpResult| {
+        lp.basis
+            .as_ref()
+            .map(|b| (b.basis.clone(), b.at_upper.clone()))
+    };
+    assert_eq!(a.status, b.status, "{what}: status");
+    assert_eq!(
+        a.objective.to_bits(),
+        b.objective.to_bits(),
+        "{what}: objective"
+    );
+    assert_eq!(first_diff(&a.values, &b.values), None, "{what}: values");
+    assert_eq!(first_diff(&a.duals, &b.duals), None, "{what}: duals");
+    assert_eq!(a.iterations, b.iterations, "{what}: iterations");
+    assert_eq!(a.phase1_iterations, b.phase1_iterations, "{what}: phase 1");
+    assert_eq!(a.dual_iterations, b.dual_iterations, "{what}: dual");
+    assert_eq!(
+        a.used_dual_simplex, b.used_dual_simplex,
+        "{what}: dual used"
+    );
+    assert_eq!(a.warm_basis_used, b.warm_basis_used, "{what}: warm used");
+    assert_eq!(a.refactorizations, b.refactorizations, "{what}: refactors");
+    assert_eq!(a.basis_stats, b.basis_stats, "{what}: basis stats");
+    assert_eq!(a.pricing, b.pricing, "{what}: pricing");
+    assert_eq!(basis(a), basis(b), "{what}: basis");
+}
+
+/// A node LP is a pure function of its bounds and its parent's basis:
+/// neither what an engine solved before nor which engine solves it shows
+/// in any field of the result. Branch and bound's look-ahead solves nodes
+/// on a second engine, in an order of its own, and hands the results to a
+/// search that must not be able to tell.
+///
+/// On a region-shaped LP under devex and one past the partial-pricing
+/// threshold, nodes branch off the root basis along a random path — each
+/// step a parent's two children, both cutting the parent's vertex off at
+/// one column, the walk going on from a feasible one or restarting at the
+/// root — and are solved in that order on one engine, then each on a
+/// fresh engine, then in reverse order on one engine.
+#[test]
+fn node_lps_are_pure_functions_of_their_bounds_and_basis() {
+    let mut rng = StdRng::seed_from_u64(0x0A11_0DE5);
+    for (msbs, per_msb, reservations) in [(8, 4, 8), (16, 8, 34)] {
+        let model = support::region_lp(&mut rng, msbs, per_msb, reservations);
+        let sf = StandardForm::from_model(&model);
+        let config = SimplexConfig {
+            warm_dual: false,
+            ..SimplexConfig::default()
+        };
+        let root = solve_lp(&sf, &sf.lower, &sf.upper, &SimplexConfig::default());
+        assert_eq!(root.status, LpStatus::Optimal);
+        let mut engine = Simplex::new(&sf, config.clone());
+        let mut nodes: Vec<(Vec<f64>, Vec<f64>, Basis)> = Vec::new();
+        let mut in_order = Vec::new();
+        let (mut lower, mut upper, mut parent) = (sf.lower.clone(), sf.upper.clone(), root.clone());
+        while nodes.len() < 48 {
+            let warm = parent.basis.clone().expect("an optimal parent has a basis");
+            let j = rng.gen_range(0..model.num_vars());
+            let v = parent.values[j];
+            let mut feasible = Vec::new();
+            for (is_upper, bound) in [(true, v.ceil() - 1.0), (false, v.floor() + 1.0)] {
+                let (mut lo, mut up) = (lower.clone(), upper.clone());
+                if is_upper && bound >= lo[j] {
+                    up[j] = bound;
+                } else if !is_upper && bound <= up[j] {
+                    lo[j] = bound;
+                } else {
+                    continue;
+                }
+                let lp = engine.solve(&lo, &up, Some(&warm));
+                if lp.status == LpStatus::Optimal {
+                    feasible.push((lo.clone(), up.clone(), lp.clone()));
+                }
+                nodes.push((lo, up, warm.clone()));
+                in_order.push(lp);
+            }
+            (lower, upper, parent) = if feasible.is_empty() {
+                (sf.lower.clone(), sf.upper.clone(), root.clone())
+            } else {
+                feasible.swap_remove(rng.gen_range(0..feasible.len()))
+            };
+        }
+        let shape = format!("{msbs}x{per_msb}x{reservations}");
+        let repaired = in_order.iter().filter(|lp| lp.iterations > 0).count();
+        assert!(repaired >= 40, "{shape}: only {repaired} nodes pivoted");
+        for (i, (lo, up, warm)) in nodes.iter().enumerate() {
+            let fresh = Simplex::new(&sf, config.clone()).solve(lo, up, Some(warm));
+            assert_same_lp(
+                &in_order[i],
+                &fresh,
+                &format!("{shape} node {i}, fresh engine"),
+            );
+        }
+        let mut reversed = Simplex::new(&sf, config.clone());
+        for (i, (lo, up, warm)) in nodes.iter().enumerate().rev() {
+            let lp = reversed.solve(lo, up, Some(warm));
+            assert_same_lp(
+                &in_order[i],
+                &lp,
+                &format!("{shape} node {i}, reverse order"),
+            );
+        }
+    }
 }

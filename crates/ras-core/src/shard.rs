@@ -1101,6 +1101,8 @@ mod tests {
             warm_basis_accepted: flags[3],
             incumbent_seeded: flags[4],
             nodes_pruned_by_seed: 13 * n,
+            nodes_solved_ahead: 15 * n,
+            lp_solves_discarded: 16 * n,
             audit: crate::AuditReport {
                 certified: true,
                 ..crate::AuditReport::default()
@@ -1232,6 +1234,8 @@ mod tests {
                 warm_basis_accepted: true,
                 incumbent_seeded: false,
                 nodes_pruned_by_seed: 1443,
+                nodes_solved_ahead: 1665,
+                lp_solves_discarded: 1776,
                 ..ras_milp::SolveStats::default()
             },
             softened: vec!["cap[web]".into(), "cap[feed]".into()],
