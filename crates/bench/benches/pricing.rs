@@ -1,11 +1,12 @@
 //! Criterion benchmarks for the simplex pricing engine: the same LP
-//! solved under each [`PricingRule`], at sizes where a full pricing
-//! scan is respectively cheap, noticeable, and dominant. These quantify
+//! solved under devex and under partial devex (forced through the
+//! engine's test hook, whatever the LP's size would pick), at sizes where
+//! a full pricing scan is respectively cheap, noticeable, and dominant. These quantify
 //! the pricing half of the paper's Section 3.5.3 solve-time budget the
 //! way `solver.rs` quantifies whole LP and MIP solves.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ras_milp::simplex::{solve_lp, solve_lp_warm, LpStatus, PricingRule, SimplexConfig};
+use ras_milp::simplex::{solve_lp, solve_lp_warm, LpStatus, Simplex, SimplexConfig};
 use ras_milp::standard::StandardForm;
 use ras_milp::{LinExpr, Model, Sense, VarType};
 
@@ -49,14 +50,13 @@ fn diagonal(n: usize, k: usize) -> StandardForm {
     StandardForm::from_model(&m)
 }
 
-const RULES: [PricingRule; 2] = [PricingRule::Devex, PricingRule::PartialDevex];
+/// The two pricing rules: a name and whether it is partial devex.
+const RULES: [(&str, bool); 2] = [("Devex", false), ("PartialDevex", true)];
 
-fn solve_with(sf: &StandardForm, pricing: PricingRule) -> f64 {
-    let cfg = SimplexConfig {
-        pricing,
-        ..SimplexConfig::default()
-    };
-    let r = solve_lp(sf, &sf.lower.clone(), &sf.upper.clone(), &cfg);
+fn solve_with(sf: &StandardForm, partial: bool) -> f64 {
+    let mut lp = Simplex::new(sf, SimplexConfig::default());
+    lp.set_partial_pricing(partial);
+    let r = lp.solve(&sf.lower, &sf.upper, None);
     assert_eq!(r.status, LpStatus::Optimal);
     r.objective
 }
@@ -65,12 +65,10 @@ fn bench_pricing_transportation(c: &mut Criterion) {
     let mut group = c.benchmark_group("pricing_transportation");
     for m in [10usize, 30] {
         let sf = transportation(m);
-        for rule in RULES {
-            group.bench_with_input(
-                BenchmarkId::new(format!("{rule:?}"), m * m),
-                &sf,
-                |b, sf| b.iter(|| solve_with(sf, rule)),
-            );
+        for (rule, partial) in RULES {
+            group.bench_with_input(BenchmarkId::new(rule, m * m), &sf, |b, sf| {
+                b.iter(|| solve_with(sf, partial))
+            });
         }
     }
     group.finish();
@@ -80,12 +78,10 @@ fn bench_pricing_region_scale(c: &mut Criterion) {
     let mut group = c.benchmark_group("pricing_region_scale");
     group.sample_size(10);
     let sf = diagonal(20_000, 250);
-    for rule in RULES {
-        group.bench_with_input(
-            BenchmarkId::new(format!("{rule:?}"), 20_000),
-            &sf,
-            |b, sf| b.iter(|| solve_with(sf, rule)),
-        );
+    for (rule, partial) in RULES {
+        group.bench_with_input(BenchmarkId::new(rule, 20_000), &sf, |b, sf| {
+            b.iter(|| solve_with(sf, partial))
+        });
     }
     group.finish();
 }

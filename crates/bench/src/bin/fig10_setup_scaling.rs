@@ -12,7 +12,7 @@ use ras_bench::{fmt, instance, Experiment};
 use ras_broker::SimTime;
 use ras_core::classes::{build_classes, Granularity};
 use ras_core::model::build_model;
-use ras_milp::simplex::{solve_lp, PricingRule, SimplexConfig};
+use ras_milp::simplex::{solve_lp, SimplexConfig};
 use ras_milp::standard::StandardForm;
 use ras_topology::RegionTemplate;
 
@@ -84,11 +84,8 @@ fn main() {
         // Initial state: the root LP with a tight pivot budget (the paper
         // measures loading the initial assignment + the initial LP pass,
         // not a solve to optimality).
-        // Partial devex keeps the 200-pivot budget spent on pivots, not
-        // on full pricing scans over the widest sweep sizes.
         let lp_cfg = SimplexConfig {
             max_iterations: 200,
-            pricing: PricingRule::PartialDevex,
             ..SimplexConfig::default()
         };
         let _ = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &lp_cfg);

@@ -219,11 +219,6 @@ pub struct AuditReport {
 }
 
 impl AuditReport {
-    /// True when every check that ran came back clean.
-    pub fn is_clean(&self) -> bool {
-        self.violations.is_empty() && self.issues.iter().all(|i| i.severity != Severity::Reject)
-    }
-
     /// True when the solution was certificate-checked and is clean.
     pub fn certified_clean(&self) -> bool {
         self.certified && self.violations.is_empty()

@@ -41,12 +41,6 @@ use crate::solution::{Solution, SolveConfig, SolveError, SolveStats, Status};
 use crate::standard::StandardForm;
 use crate::tol;
 
-/// Branch-and-bound MIP solver.
-#[derive(Debug, Clone)]
-pub struct BranchAndBound {
-    config: SolveConfig,
-}
-
 /// One branching decision: `(column, is_upper, value)` sets the column's
 /// upper (`true`) or lower (`false`) bound to `value`.
 type BoundChange = (usize, bool, f64);
@@ -328,558 +322,543 @@ fn run_helper(
     }
 }
 
-impl BranchAndBound {
-    /// Creates a solver with the given configuration.
-    pub fn new(config: SolveConfig) -> Self {
-        Self { config }
+/// Solves `model` by branch and bound under `config`.
+pub fn solve(model: &Model, config: &SolveConfig) -> Result<Solution, SolveError> {
+    let start = Instant::now();
+    // Static audit first: a reject-level defect (NaN coefficient,
+    // dangling variable, crossed bounds) would panic or silently
+    // corrupt the standard-form build below, so it must never get
+    // there. Flags are carried through into the final stats.
+    let audit_on = config.audit.enabled();
+    let audit_cfg = AuditConfig::default();
+    let mut audit = AuditReport::default();
+    if audit_on {
+        audit.model_checked = true;
+        let issues = audit_model(model, &audit_cfg);
+        if issues.iter().any(|i| i.severity == Severity::Reject) {
+            return Err(SolveError::InvalidModel(issues));
+        }
+        audit.issues = issues;
+    }
+    let sf = StandardForm::from_model(model);
+    if audit_on {
+        let issues = audit_standard_form(&sf, &audit_cfg);
+        if issues.iter().any(|i| i.severity == Severity::Reject) {
+            return Err(SolveError::InvalidModel(issues));
+        }
+        audit.issues.extend(issues);
+    }
+    let setup_seconds = start.elapsed().as_secs_f64();
+    let int_vars: Vec<usize> = model
+        .vars()
+        .iter()
+        .enumerate()
+        .filter(|(_, v)| v.ty != VarType::Continuous)
+        .map(|(i, _)| i)
+        .collect();
+    let lp_config = SimplexConfig {
+        deadline: Some(start + std::time::Duration::from_secs_f64(config.time_limit_seconds)),
+        // Node and dive re-solves stay on the conservative one-
+        // violation-at-a-time repair: a branch changes a single
+        // bound, and the long-step dual's bound flips would jump
+        // whole runs of nonbasic integer columns to their opposite
+        // bounds, scrambling the vertex trajectory the search (and
+        // any downstream solve built from this solution) depends on
+        // staying near-integral. The long-step engine earns its keep
+        // on the root re-solve below, where a round's bound patch
+        // moves many bounds at once.
+        warm_dual: false,
+        ..SimplexConfig::default()
+    };
+
+    // Presolve: tighten variable bounds by interval propagation and
+    // catch plain infeasibility before any simplex work.
+    let tightened = match crate::presolve::tighten(model) {
+        Ok(t) => t,
+        Err(crate::presolve::PresolveError::Infeasible) => return Err(SolveError::Infeasible),
+    };
+    let mut root_lower = sf.lower.clone();
+    let mut root_upper = sf.upper.clone();
+    root_lower[..model.num_vars()].copy_from_slice(&tightened.lower);
+    root_upper[..model.num_vars()].copy_from_slice(&tightened.upper);
+    for &j in &int_vars {
+        if root_lower[j] > root_upper[j] {
+            return Err(SolveError::Infeasible);
+        }
     }
 
-    /// Solves the model.
-    pub fn solve(&self, model: &Model) -> Result<Solution, SolveError> {
-        let start = Instant::now();
-        // Static audit first: a reject-level defect (NaN coefficient,
-        // dangling variable, crossed bounds) would panic or silently
-        // corrupt the standard-form build below, so it must never get
-        // there. Flags are carried through into the final stats.
-        let audit_on = self.config.audit.enabled();
-        let audit_cfg = AuditConfig {
-            int_tol: self.config.int_tol,
-            ..AuditConfig::default()
-        };
-        let mut audit = AuditReport::default();
-        if audit_on {
-            audit.model_checked = true;
-            let issues = audit_model(model, &audit_cfg);
-            if issues.iter().any(|i| i.severity == Severity::Reject) {
-                return Err(SolveError::InvalidModel(issues));
-            }
-            audit.issues = issues;
-        }
-        let sf = StandardForm::from_model(model);
-        if audit_on {
-            let issues = audit_standard_form(&sf, &audit_cfg);
-            if issues.iter().any(|i| i.severity == Severity::Reject) {
-                return Err(SolveError::InvalidModel(issues));
-            }
-            audit.issues.extend(issues);
-        }
-        let setup_seconds = start.elapsed().as_secs_f64();
-        let int_vars: Vec<usize> = model
-            .vars()
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.ty != VarType::Continuous)
-            .map(|(i, _)| i)
-            .collect();
-        let lp_config = SimplexConfig {
-            max_iterations: self.config.max_lp_iterations,
-            deadline: Some(
-                start + std::time::Duration::from_secs_f64(self.config.time_limit_seconds),
-            ),
-            // Node and dive re-solves stay on the conservative one-
-            // violation-at-a-time repair: a branch changes a single
-            // bound, and the long-step dual's bound flips would jump
-            // whole runs of nonbasic integer columns to their opposite
-            // bounds, scrambling the vertex trajectory the search (and
-            // any downstream solve built from this solution) depends on
-            // staying near-integral. The long-step engine earns its keep
-            // on the root re-solve below, where a round's bound patch
-            // moves many bounds at once.
-            warm_dual: false,
-            ..SimplexConfig::default()
-        };
+    let mut stats = SolveStats {
+        setup_seconds,
+        ..SolveStats::default()
+    };
+    let root_start = Instant::now();
+    // The root LP runs to completion regardless of the wall-clock
+    // deadline: without a proven root bound every reported gap is
+    // infinite (the fig09 regression), and an interrupted root must
+    // honestly publish no bound at all. The node loop below still
+    // enforces the time limit, so the solve stops right after the
+    // root if the budget is already spent.
+    let root_config = SimplexConfig {
+        deadline: None,
+        warm_dual: config.warm_dual,
+        ..lp_config.clone()
+    };
+    // A warm basis from the previous round (repaired against column
+    // changes by `Basis::remap`) replaces the cold start; the simplex
+    // falls back cold when it is stale or singular — dual-first when
+    // the model carries a running plan, from the slack crash if not.
+    let root = solve_lp_warm(
+        &sf,
+        &root_lower,
+        &root_upper,
+        &root_config,
+        config.warm_basis.as_ref(),
+    );
+    stats.root_lp_seconds = root_start.elapsed().as_secs_f64();
+    stats.warm_basis_accepted = root.warm_basis_used;
+    stats.root_phase1_iterations = root.phase1_iterations;
+    stats.root_used_dual_simplex = root.used_dual_simplex;
+    stats.record_lp(&root);
+    match root.status {
+        LpStatus::Infeasible => return Err(SolveError::Infeasible),
+        LpStatus::Unbounded => return Err(SolveError::Unbounded),
+        LpStatus::IterationLimit | LpStatus::Optimal => {}
+    }
+    // An iteration-limited root proves nothing: its objective must
+    // never be used as a bound (it once leaked in as one, overstating
+    // `best_bound` whenever the root LP timed out).
+    let root_optimal = root.status == LpStatus::Optimal;
+    let root_bound = if root_optimal {
+        debug_assert!(
+            root.objective.is_finite(),
+            "optimal LP with non-finite objective"
+        );
+        root.objective
+    } else {
+        f64::NEG_INFINITY
+    };
+    // Certify the proven-optimal root relaxation: primal residual,
+    // bounds, dual feasibility, and complementary slackness against
+    // the duals the simplex reported. Warm-started roots go through
+    // the same checks as cold ones — this is exactly where a stale
+    // remapped basis would first show up.
+    if audit_on && root_optimal {
+        check_lp_certificate(&sf, &root_lower, &root_upper, &root, &audit_cfg, &mut audit);
+    }
 
-        // Presolve: tighten variable bounds by interval propagation and
-        // catch plain infeasibility before any simplex work.
-        let tightened = match crate::presolve::tighten(model) {
-            Ok(t) => t,
-            Err(crate::presolve::PresolveError::Infeasible) => return Err(SolveError::Infeasible),
-        };
-        let mut root_lower = sf.lower.clone();
-        let mut root_upper = sf.upper.clone();
-        root_lower[..model.num_vars()].copy_from_slice(&tightened.lower);
-        root_upper[..model.num_vars()].copy_from_slice(&tightened.upper);
+    let mut incumbent: Option<(f64, Vec<f64>)> = None;
+    // The one place candidate plans enter the search: each is
+    // validated once, in list order, and installed only when strictly
+    // cheaper than what is held, so the first of the cheapest wins.
+    for candidate in &config.incumbents {
+        if candidate.len() != model.num_vars()
+            || !model.violations(candidate, tol::PRIMAL_FEAS).is_empty()
+        {
+            continue;
+        }
+        let mut values = candidate.clone();
         for &j in &int_vars {
-            if root_lower[j] > root_upper[j] {
-                return Err(SolveError::Infeasible);
-            }
+            values[j] = values[j].round();
         }
-
-        let mut stats = SolveStats {
-            setup_seconds,
-            ..SolveStats::default()
-        };
-        let root_start = Instant::now();
-        // The root LP runs to completion regardless of the wall-clock
-        // deadline: without a proven root bound every reported gap is
-        // infinite (the fig09 regression), and an interrupted root must
-        // honestly publish no bound at all. The node loop below still
-        // enforces the time limit, so the solve stops right after the
-        // root if the budget is already spent.
-        let root_config = SimplexConfig {
-            deadline: None,
-            warm_dual: self.config.warm_dual,
-            ..lp_config.clone()
-        };
-        // A warm basis from the previous round (repaired against column
-        // changes by `Basis::remap`) replaces the cold start; the simplex
-        // falls back cold when it is stale or singular — dual-first when
-        // the model carries a running plan, from the slack crash if not.
-        let warm_basis = self
-            .config
-            .warm_start
-            .as_ref()
-            .and_then(|w| w.basis.as_ref());
-        let root = solve_lp_warm(&sf, &root_lower, &root_upper, &root_config, warm_basis);
-        stats.root_lp_seconds = root_start.elapsed().as_secs_f64();
-        stats.warm_basis_accepted = root.warm_basis_used;
-        stats.root_phase1_iterations = root.phase1_iterations;
-        stats.root_used_dual_simplex = root.used_dual_simplex;
-        stats.record_lp(&root);
-        match root.status {
-            LpStatus::Infeasible => return Err(SolveError::Infeasible),
-            LpStatus::Unbounded => return Err(SolveError::Unbounded),
-            LpStatus::IterationLimit | LpStatus::Optimal => {}
+        let obj = model.objective().eval(&values);
+        if incumbent.as_ref().is_none_or(|(io, _)| obj < *io) {
+            incumbent = Some((obj, values));
         }
-        // An iteration-limited root proves nothing: its objective must
-        // never be used as a bound (it once leaked in as one, overstating
-        // `best_bound` whenever the root LP timed out).
-        let root_optimal = root.status == LpStatus::Optimal;
-        let root_bound = if root_optimal {
-            debug_assert!(
-                root.objective.is_finite(),
-                "optimal LP with non-finite objective"
-            );
-            root.objective
-        } else {
-            f64::NEG_INFINITY
-        };
-        // Certify the proven-optimal root relaxation: primal residual,
-        // bounds, dual feasibility, and complementary slackness against
-        // the duals the simplex reported. Warm-started roots go through
-        // the same checks as cold ones — this is exactly where a stale
-        // remapped basis would first show up.
-        if audit_on && root_optimal {
-            check_lp_certificate(&sf, &root_lower, &root_upper, &root, &audit_cfg, &mut audit);
-        }
-
-        let mut incumbent: Option<(f64, Vec<f64>)> = None;
-        // True while the incumbent is still a supplied seed (not something
-        // the search found); prunes against it count as seed payoff.
-        let mut incumbent_is_seed = false;
-        let warm_incumbent = self
-            .config
-            .warm_start
-            .as_ref()
-            .and_then(|w| w.incumbent.as_ref());
-        for init in self.config.initial_incumbent.iter().chain(warm_incumbent) {
-            if init.len() == model.num_vars() && model.violations(init, tol::PRIMAL_FEAS).is_empty()
-            {
-                let mut values = init.clone();
-                for &j in &int_vars {
-                    values[j] = values[j].round();
-                }
-                let obj = model.objective().eval(&values);
+    }
+    // True while the incumbent is still a supplied candidate (not
+    // something the search found); prunes against it count as seed payoff.
+    let mut incumbent_is_seed = incumbent.is_some();
+    stats.incumbent_seeded = incumbent_is_seed;
+    // One engine for every node and dive LP the search itself solves.
+    let mut node_lp = Simplex::new(&sf, lp_config.clone());
+    // Both the dive and the integral-root shortcut require a *proven*
+    // root optimum; an iteration-limited root goes straight to the
+    // search, which will re-solve it.
+    if root_optimal {
+        if most_fractional(&root.values, &int_vars).is_some() {
+            // Try the rounding/diving heuristic for an early incumbent.
+            if let Some((obj, values)) = dive(
+                model,
+                config,
+                &mut node_lp,
+                &root_lower,
+                &root_upper,
+                &root,
+                &int_vars,
+                &mut stats,
+                start,
+            ) {
                 if incumbent.as_ref().is_none_or(|(io, _)| obj < *io) {
                     incumbent = Some((obj, values));
-                    incumbent_is_seed = true;
+                    incumbent_is_seed = false;
                 }
             }
-        }
-        stats.incumbent_seeded = incumbent.is_some();
-        // One engine for every node and dive LP the search itself solves.
-        let mut node_lp = Simplex::new(&sf, lp_config.clone());
-        // Both the dive and the integral-root shortcut require a *proven*
-        // root optimum; an iteration-limited root goes straight to the
-        // search, which will re-solve it.
-        if root_optimal {
-            if self.most_fractional(&root.values, &int_vars).is_some() {
-                // Try the rounding/diving heuristic for an early incumbent.
-                if self.config.use_heuristics {
-                    if let Some((obj, values)) = self.dive(
-                        model,
-                        &mut node_lp,
-                        &root_lower,
-                        &root_upper,
-                        &root,
-                        &int_vars,
-                        &mut stats,
-                        start,
-                    ) {
-                        if incumbent.as_ref().is_none_or(|(io, _)| obj < *io) {
-                            incumbent = Some((obj, values));
-                            incumbent_is_seed = false;
-                        }
-                    }
-                }
-            } else {
-                // Root relaxation is already integral.
-                let (obj, values) = self.snap(model, &root, &int_vars);
-                stats.best_bound = obj;
-                stats.nodes = 1;
-                stats.solve_seconds = start.elapsed().as_secs_f64();
-                if audit_on {
-                    check_mip_certificate(model, &values, obj, &stats, &audit_cfg, &mut audit);
-                }
-                stats.audit = audit;
-                return Ok(Solution {
-                    status: Status::Optimal,
-                    objective: obj,
-                    values,
-                    stats,
-                    root_basis: root.basis.clone(),
-                });
+        } else {
+            // Root relaxation is already integral.
+            let (obj, values) = snap(model, &root, &int_vars);
+            stats.best_bound = obj;
+            stats.nodes = 1;
+            stats.solve_seconds = start.elapsed().as_secs_f64();
+            if audit_on {
+                check_mip_certificate(model, &values, obj, &stats, &audit_cfg, &mut audit);
             }
+            stats.audit = audit;
+            return Ok(Solution {
+                status: Status::Optimal,
+                objective: obj,
+                values,
+                stats,
+                root_basis: root.basis.clone(),
+            });
         }
+    }
 
-        // Best-bound search.
-        let mut pseudo = PseudoCosts::new(model.num_vars());
-        let mut heap = BinaryHeap::new();
-        heap.push(HeapEntry {
-            bound: root_bound,
-            node: Node {
-                id: 0,
-                path: Vec::new(),
-                frac: 0.0,
-                warm: root.basis.clone().map(Arc::new),
-            },
-        });
-        let mut next_id = 1;
-        // The popped node's bounds, materialised from its path.
-        let (mut lower, mut upper) = (Vec::new(), Vec::new());
-        let mut best_open_bound = root_bound;
-        // Weakest bound among subtrees the search abandoned (LP iteration
-        // limit). It must stay in the final open-bound
-        // accounting: silently dropping those nodes let `best_bound`
-        // overclaim whatever optimum they might have contained.
-        let mut abandoned_bound = f64::INFINITY;
-        let mut hit_limit = false;
-        let mut stall_nodes = 0usize;
-        let mut last_bound = f64::NEG_INFINITY;
+    // Best-bound search.
+    let mut pseudo = PseudoCosts::new(model.num_vars());
+    let mut heap = BinaryHeap::new();
+    heap.push(HeapEntry {
+        bound: root_bound,
+        node: Node {
+            id: 0,
+            path: Vec::new(),
+            frac: 0.0,
+            warm: root.basis.clone().map(Arc::new),
+        },
+    });
+    let mut next_id = 1;
+    // The popped node's bounds, materialised from its path.
+    let (mut lower, mut upper) = (Vec::new(), Vec::new());
+    let mut best_open_bound = root_bound;
+    // Weakest bound among subtrees the search abandoned (LP iteration
+    // limit). It must stay in the final open-bound
+    // accounting: silently dropping those nodes let `best_bound`
+    // overclaim whatever optimum they might have contained.
+    let mut abandoned_bound = f64::INFINITY;
+    let mut hit_limit = false;
+    let mut stall_nodes = 0usize;
+    let mut last_bound = f64::NEG_INFINITY;
 
-        // The node loop runs in a thread scope: a look-ahead helper, once
-        // started, borrows the standard form and the root bounds, and is
-        // stopped and joined on every exit from the loop.
-        let shared = Mutex::new(Shared::default());
-        thread::scope(|scope| {
-            let mut ahead = LookAhead::enter(&shared);
-            while let Some(entry) = heap.pop() {
-                best_open_bound = entry.bound;
-                if start.elapsed().as_secs_f64() > self.config.time_limit_seconds
-                    || stats.nodes >= self.config.max_nodes
-                {
-                    hit_limit = true;
-                    break;
-                }
-                if self.config.stall_node_limit > 0 && incumbent.is_some() {
-                    if entry.bound > last_bound + self.config.abs_gap_tol.max(tol::EPS) {
-                        last_bound = entry.bound;
-                        stall_nodes = 0;
-                    } else {
-                        stall_nodes += 1;
-                        if stall_nodes >= self.config.stall_node_limit {
-                            hit_limit = true;
-                            break;
-                        }
-                    }
-                }
-                if let Some((inc_obj, _)) = &incumbent {
-                    if entry.bound >= inc_obj - self.config.abs_gap_tol {
-                        // All remaining nodes have bounds at least this large.
-                        if incumbent_is_seed {
-                            stats.nodes_pruned_by_seed += heap.len() + 1;
-                        }
-                        best_open_bound = *inc_obj;
-                        heap.clear();
+    // The node loop runs in a thread scope: a look-ahead helper, once
+    // started, borrows the standard form and the root bounds, and is
+    // stopped and joined on every exit from the loop.
+    let shared = Mutex::new(Shared::default());
+    thread::scope(|scope| {
+        let mut ahead = LookAhead::enter(&shared);
+        while let Some(entry) = heap.pop() {
+            best_open_bound = entry.bound;
+            if start.elapsed().as_secs_f64() > config.time_limit_seconds
+                || stats.nodes >= config.max_nodes
+            {
+                hit_limit = true;
+                break;
+            }
+            if config.stall_node_limit > 0 && incumbent.is_some() {
+                if entry.bound > last_bound + config.abs_gap_tol.max(tol::EPS) {
+                    last_bound = entry.bound;
+                    stall_nodes = 0;
+                } else {
+                    stall_nodes += 1;
+                    if stall_nodes >= config.stall_node_limit {
+                        hit_limit = true;
                         break;
                     }
                 }
-                // This node will be solved: point the helper at the ones
-                // the search would pop next.
-                if ahead.publish(&heap) {
-                    let (sf, config) = (&sf, &lp_config);
-                    let (root_lower, root_upper) = (&root_lower, &root_upper);
-                    let shared = &shared;
-                    scope.spawn(move || run_helper(shared, sf, config, root_lower, root_upper));
-                }
-                let node = &entry.node;
-                node.bounds_into(&root_lower, &root_upper, &mut lower, &mut upper);
-                let mut lp = match ahead.take(node, &heap, &mut node_lp, &root_lower, &root_upper) {
-                    Some(lp) => {
-                        stats.nodes_solved_ahead += 1;
-                        // Debug oracle: every 16th node solved ahead
-                        // must be, to the bit, what this engine solves
-                        // (`Debug` prints every field, each float in its
-                        // shortest round-trip digits).
-                        if cfg!(debug_assertions) && stats.nodes_solved_ahead.is_multiple_of(16) {
-                            let again = node_lp.solve(&lower, &upper, node.warm.as_deref());
-                            debug_assert!(
-                                format!("{lp:?}") == format!("{again:?}"),
-                                "node {} solved ahead differs from its re-solve",
-                                node.id
-                            );
-                        }
-                        lp
+            }
+            if let Some((inc_obj, _)) = &incumbent {
+                if entry.bound >= inc_obj - config.abs_gap_tol {
+                    // All remaining nodes have bounds at least this large.
+                    if incumbent_is_seed {
+                        stats.nodes_pruned_by_seed += heap.len() + 1;
                     }
-                    None => node_lp.solve(&lower, &upper, node.warm.as_deref()),
-                };
-                stats.nodes += 1;
-                stats.record_lp(&lp);
-                match lp.status {
-                    LpStatus::Infeasible => continue,
-                    LpStatus::Unbounded => return Err(SolveError::Unbounded),
-                    LpStatus::IterationLimit => {
-                        // Abandoning the subtree is fine, forgetting it is
-                        // not: its parent bound stays in the accounting.
-                        hit_limit = true;
-                        abandoned_bound = abandoned_bound.min(entry.bound);
-                        continue;
-                    }
-                    LpStatus::Optimal => {}
+                    best_open_bound = *inc_obj;
+                    heap.clear();
+                    break;
                 }
-                debug_assert!(
-                    lp.objective.is_finite(),
-                    "optimal node LP with non-finite objective {}",
-                    lp.objective
-                );
-                // Pseudo-cost learning: the degradation this branch caused.
-                if let Some(&(var, is_upper, _)) = node.path.last() {
-                    pseudo.record(var, !is_upper, node.frac, lp.objective - entry.bound);
+            }
+            // This node will be solved: point the helper at the ones
+            // the search would pop next.
+            if ahead.publish(&heap) {
+                let (sf, config) = (&sf, &lp_config);
+                let (root_lower, root_upper) = (&root_lower, &root_upper);
+                let shared = &shared;
+                scope.spawn(move || run_helper(shared, sf, config, root_lower, root_upper));
+            }
+            let node = &entry.node;
+            node.bounds_into(&root_lower, &root_upper, &mut lower, &mut upper);
+            let mut lp = match ahead.take(node, &heap, &mut node_lp, &root_lower, &root_upper) {
+                Some(lp) => {
+                    stats.nodes_solved_ahead += 1;
+                    // Debug oracle: every 16th node solved ahead
+                    // must be, to the bit, what this engine solves
+                    // (`Debug` prints every field, each float in its
+                    // shortest round-trip digits).
+                    if cfg!(debug_assertions) && stats.nodes_solved_ahead.is_multiple_of(16) {
+                        let again = node_lp.solve(&lower, &upper, node.warm.as_deref());
+                        debug_assert!(
+                            format!("{lp:?}") == format!("{again:?}"),
+                            "node {} solved ahead differs from its re-solve",
+                            node.id
+                        );
+                    }
+                    lp
                 }
-                if let Some((inc_obj, _)) = &incumbent {
-                    if lp.objective >= inc_obj - self.config.abs_gap_tol {
-                        if incumbent_is_seed {
-                            stats.nodes_pruned_by_seed += 1;
-                        }
-                        continue;
+                None => node_lp.solve(&lower, &upper, node.warm.as_deref()),
+            };
+            stats.nodes += 1;
+            stats.record_lp(&lp);
+            match lp.status {
+                LpStatus::Infeasible => continue,
+                LpStatus::Unbounded => return Err(SolveError::Unbounded),
+                LpStatus::IterationLimit => {
+                    // Abandoning the subtree is fine, forgetting it is
+                    // not: its parent bound stays in the accounting.
+                    hit_limit = true;
+                    abandoned_bound = abandoned_bound.min(entry.bound);
+                    continue;
+                }
+                LpStatus::Optimal => {}
+            }
+            debug_assert!(
+                lp.objective.is_finite(),
+                "optimal node LP with non-finite objective {}",
+                lp.objective
+            );
+            // Pseudo-cost learning: the degradation this branch caused.
+            if let Some(&(var, is_upper, _)) = node.path.last() {
+                pseudo.record(var, !is_upper, node.frac, lp.objective - entry.bound);
+            }
+            if let Some((inc_obj, _)) = &incumbent {
+                if lp.objective >= inc_obj - config.abs_gap_tol {
+                    if incumbent_is_seed {
+                        stats.nodes_pruned_by_seed += 1;
+                    }
+                    continue;
+                }
+            }
+            // Periodic diving: every 256 nodes, try to round this node's
+            // LP into a better incumbent (cheap thanks to warm starts).
+            if stats.nodes.is_multiple_of(256) {
+                if let Some((obj, values)) = dive(
+                    model,
+                    config,
+                    &mut node_lp,
+                    &lower,
+                    &upper,
+                    &lp,
+                    &int_vars,
+                    &mut stats,
+                    start,
+                ) {
+                    if incumbent.as_ref().is_none_or(|(io, _)| obj < *io) {
+                        incumbent = Some((obj, values));
+                        incumbent_is_seed = false;
                     }
                 }
-                // Periodic diving: every 256 nodes, try to round this node's
-                // LP into a better incumbent (cheap thanks to warm starts).
-                if self.config.use_heuristics && stats.nodes.is_multiple_of(256) {
-                    if let Some((obj, values)) = self.dive(
-                        model,
-                        &mut node_lp,
-                        &lower,
-                        &upper,
-                        &lp,
-                        &int_vars,
-                        &mut stats,
-                        start,
-                    ) {
-                        if incumbent.as_ref().is_none_or(|(io, _)| obj < *io) {
-                            incumbent = Some((obj, values));
-                            incumbent_is_seed = false;
-                        }
+            }
+            match crate::branching::select(&lp.values, &int_vars, &pseudo) {
+                None => {
+                    let (obj, values) = snap(model, &lp, &int_vars);
+                    if incumbent.as_ref().is_none_or(|(io, _)| obj < *io) {
+                        incumbent = Some((obj, values));
+                        incumbent_is_seed = false;
                     }
                 }
-                match crate::branching::select(&lp.values, &int_vars, self.config.int_tol, &pseudo)
-                {
-                    None => {
-                        let (obj, values) = self.snap(model, &lp, &int_vars);
-                        if incumbent.as_ref().is_none_or(|(io, _)| obj < *io) {
-                            incumbent = Some((obj, values));
-                            incumbent_is_seed = false;
-                        }
-                    }
-                    Some(branch_var) => {
-                        let value = lp.values[branch_var];
-                        let frac = value - value.floor();
-                        let child_warm = lp.basis.take().map(Arc::new);
-                        // Down child first (x <= floor(value)), then the up
-                        // child (x >= ceil(value)); either only if non-empty.
-                        let (down, up) = (value.floor(), value.ceil());
-                        for (is_upper, bound) in [(true, down), (false, up)] {
-                            let nonempty = if is_upper {
-                                lower[branch_var] <= bound
-                            } else {
-                                bound <= upper[branch_var]
-                            };
-                            if nonempty {
-                                heap.push(HeapEntry {
-                                    bound: lp.objective,
-                                    node: node.child(
-                                        next_id,
-                                        (branch_var, is_upper, bound),
-                                        frac,
-                                        child_warm.clone(),
-                                    ),
-                                });
-                                next_id += 1;
-                            }
+                Some(branch_var) => {
+                    let value = lp.values[branch_var];
+                    let frac = value - value.floor();
+                    let child_warm = lp.basis.take().map(Arc::new);
+                    // Down child first (x <= floor(value)), then the up
+                    // child (x >= ceil(value)); either only if non-empty.
+                    let (down, up) = (value.floor(), value.ceil());
+                    for (is_upper, bound) in [(true, down), (false, up)] {
+                        let nonempty = if is_upper {
+                            lower[branch_var] <= bound
+                        } else {
+                            bound <= upper[branch_var]
+                        };
+                        if nonempty {
+                            heap.push(HeapEntry {
+                                bound: lp.objective,
+                                node: node.child(
+                                    next_id,
+                                    (branch_var, is_upper, bound),
+                                    frac,
+                                    child_warm.clone(),
+                                ),
+                            });
+                            next_id += 1;
                         }
                     }
                 }
             }
-            Ok(())
-        })?;
-        stats.lp_solves_discarded = shared
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .done
-            .len();
+        }
+        Ok(())
+    })?;
+    stats.lp_solves_discarded = shared
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner)
+        .done
+        .len();
 
-        stats.solve_seconds = start.elapsed().as_secs_f64();
-        stats.mip_seconds =
-            (stats.solve_seconds - stats.setup_seconds - stats.root_lp_seconds).nmax(0.0);
-        stats.hit_limit = hit_limit;
-        let open_bound = heap
-            .iter()
-            .map(|e| e.bound)
-            .fold(f64::INFINITY, nan::fmin)
-            .nmin(best_open_bound)
-            .nmin(abandoned_bound);
-        match incumbent {
-            Some((obj, values)) => {
-                stats.best_bound = if heap.is_empty() && !hit_limit {
-                    obj
-                } else {
-                    open_bound.min(obj)
-                };
-                debug_assert!(
-                    stats.best_bound <= obj + tol::PRIMAL_FEAS,
-                    "best_bound {} overclaims incumbent {}",
-                    stats.best_bound,
-                    obj
-                );
-                stats.absolute_gap = (obj - stats.best_bound).nmax(0.0);
-                stats.gap = stats.absolute_gap / obj.abs().nmax(1.0);
-                let status = if stats.absolute_gap <= self.config.abs_gap_tol
-                    || stats.gap <= self.config.rel_gap_tol
-                {
+    stats.solve_seconds = start.elapsed().as_secs_f64();
+    stats.mip_seconds =
+        (stats.solve_seconds - stats.setup_seconds - stats.root_lp_seconds).nmax(0.0);
+    stats.hit_limit = hit_limit;
+    let open_bound = heap
+        .iter()
+        .map(|e| e.bound)
+        .fold(f64::INFINITY, nan::fmin)
+        .nmin(best_open_bound)
+        .nmin(abandoned_bound);
+    match incumbent {
+        Some((obj, values)) => {
+            stats.best_bound = if heap.is_empty() && !hit_limit {
+                obj
+            } else {
+                open_bound.min(obj)
+            };
+            debug_assert!(
+                stats.best_bound <= obj + tol::PRIMAL_FEAS,
+                "best_bound {} overclaims incumbent {}",
+                stats.best_bound,
+                obj
+            );
+            stats.absolute_gap = (obj - stats.best_bound).nmax(0.0);
+            stats.gap = stats.absolute_gap / obj.abs().nmax(1.0);
+            let status =
+                if stats.absolute_gap <= config.abs_gap_tol || stats.gap <= config.rel_gap_tol {
                     Status::Optimal
                 } else {
                     Status::Feasible
                 };
-                if audit_on {
-                    check_mip_certificate(model, &values, obj, &stats, &audit_cfg, &mut audit);
-                }
-                stats.audit = audit;
-                Ok(Solution {
-                    status,
-                    objective: obj,
-                    values,
-                    stats,
-                    root_basis: root.basis.clone(),
-                })
+            if audit_on {
+                check_mip_certificate(model, &values, obj, &stats, &audit_cfg, &mut audit);
             }
-            None if hit_limit => Err(SolveError::NoIncumbent),
-            None => Err(SolveError::Infeasible),
+            stats.audit = audit;
+            Ok(Solution {
+                status,
+                objective: obj,
+                values,
+                stats,
+                root_basis: root.basis.clone(),
+            })
         }
+        None if hit_limit => Err(SolveError::NoIncumbent),
+        None => Err(SolveError::Infeasible),
     }
+}
 
-    /// Returns the integer variable with the most fractional LP value.
-    fn most_fractional(&self, values: &[f64], int_vars: &[usize]) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for &j in int_vars {
-            let v = values[j];
-            let frac = (v - v.round()).abs();
-            if frac > self.config.int_tol {
-                let dist = (v - v.floor() - 0.5).abs(); // 0 = most fractional
-                match best {
-                    Some((_, bd)) if dist >= bd => {}
-                    _ => best = Some((j, dist)),
-                }
+/// Returns the integer variable with the most fractional LP value.
+fn most_fractional(values: &[f64], int_vars: &[usize]) -> Option<usize> {
+    let mut best: Option<(usize, f64)> = None;
+    for &j in int_vars {
+        let v = values[j];
+        let frac = (v - v.round()).abs();
+        if frac > tol::PRIMAL_FEAS {
+            let dist = (v - v.floor() - 0.5).abs(); // 0 = most fractional
+            match best {
+                Some((_, bd)) if dist >= bd => {}
+                _ => best = Some((j, dist)),
             }
         }
-        best.map(|(j, _)| j)
     }
+    best.map(|(j, _)| j)
+}
 
-    /// Snaps integer values and recomputes the objective.
-    fn snap(&self, model: &Model, lp: &LpResult, int_vars: &[usize]) -> (f64, Vec<f64>) {
-        let mut values = lp.values[..model.num_vars()].to_vec();
-        for &j in int_vars {
-            values[j] = values[j].round();
+/// Snaps integer values and recomputes the objective.
+fn snap(model: &Model, lp: &LpResult, int_vars: &[usize]) -> (f64, Vec<f64>) {
+    let mut values = lp.values[..model.num_vars()].to_vec();
+    for &j in int_vars {
+        values[j] = values[j].round();
+    }
+    let obj = model.objective().eval(&values);
+    (obj, values)
+}
+
+/// Iterated rounding/diving heuristic: repeatedly fix near-integral
+/// variables and re-solve, hoping to land on a feasible integral point.
+#[allow(clippy::too_many_arguments)]
+fn dive(
+    model: &Model,
+    config: &SolveConfig,
+    node_lp: &mut Simplex<'_>,
+    root_lower: &[f64],
+    root_upper: &[f64],
+    root: &LpResult,
+    int_vars: &[usize],
+    stats: &mut SolveStats,
+    start: Instant,
+) -> Option<(f64, Vec<f64>)> {
+    let mut lower = root_lower.to_vec();
+    let mut upper = root_upper.to_vec();
+    let mut current = root.clone();
+    let mut warm = root.basis.clone();
+    // Every round fixes at least one more integer, so a full sweep
+    // needs at most one round per integer variable.
+    let max_rounds = int_vars.len().max(64);
+    for _round in 0..max_rounds {
+        if start.elapsed().as_secs_f64() > config.time_limit_seconds * 0.5 {
+            return None;
         }
-        let obj = model.objective().eval(&values);
-        (obj, values)
-    }
-
-    /// Iterated rounding/diving heuristic: repeatedly fix near-integral
-    /// variables and re-solve, hoping to land on a feasible integral point.
-    #[allow(clippy::too_many_arguments)]
-    fn dive(
-        &self,
-        model: &Model,
-        node_lp: &mut Simplex<'_>,
-        root_lower: &[f64],
-        root_upper: &[f64],
-        root: &LpResult,
-        int_vars: &[usize],
-        stats: &mut SolveStats,
-        start: Instant,
-    ) -> Option<(f64, Vec<f64>)> {
-        let mut lower = root_lower.to_vec();
-        let mut upper = root_upper.to_vec();
-        let mut current = root.clone();
-        let mut warm = root.basis.clone();
-        // Every round fixes at least one more integer, so a full sweep
-        // needs at most one round per integer variable.
-        let max_rounds = int_vars.len().max(64);
-        for _round in 0..max_rounds {
-            if start.elapsed().as_secs_f64() > self.config.time_limit_seconds * 0.5 {
+        match most_fractional(&current.values, int_vars) {
+            None => {
+                let (obj, values) = snap(model, &current, int_vars);
+                if model.violations(&values, tol::DUAL_FEAS).is_empty() {
+                    return Some((obj, values));
+                }
                 return None;
             }
-            match self.most_fractional(&current.values, int_vars) {
-                None => {
-                    let (obj, values) = self.snap(model, &current, int_vars);
-                    if model.violations(&values, tol::DUAL_FEAS).is_empty() {
-                        return Some((obj, values));
-                    }
-                    return None;
-                }
-                Some(_) => {
-                    // Fix every var that is already (nearly) integral, plus
-                    // round the least fractional remaining one.
-                    let mut least: Option<(usize, f64)> = None;
-                    for &j in int_vars {
-                        let v = current.values[j];
-                        let frac = (v - v.round()).abs();
-                        if frac <= self.config.int_tol {
-                            lower[j] = v.round();
-                            upper[j] = v.round();
-                        } else {
-                            match least {
-                                Some((_, bf)) if frac >= bf => {}
-                                _ => least = Some((j, frac)),
-                            }
+            Some(_) => {
+                // Fix every var that is already (nearly) integral, plus
+                // round the least fractional remaining one.
+                let mut least: Option<(usize, f64)> = None;
+                for &j in int_vars {
+                    let v = current.values[j];
+                    let frac = (v - v.round()).abs();
+                    if frac <= tol::PRIMAL_FEAS {
+                        lower[j] = v.round();
+                        upper[j] = v.round();
+                    } else {
+                        match least {
+                            Some((_, bf)) if frac >= bf => {}
+                            _ => least = Some((j, frac)),
                         }
                     }
-                    let fixed = least.map(|(j, _)| {
-                        let v = current.values[j]
-                            .round()
-                            .clamp(root_lower[j], root_upper[j]);
-                        lower[j] = v;
-                        upper[j] = v;
-                        (j, v)
-                    });
-                    let mut lp = node_lp.solve(&lower, &upper, warm.as_ref());
+                }
+                let fixed = least.map(|(j, _)| {
+                    let v = current.values[j]
+                        .round()
+                        .clamp(root_lower[j], root_upper[j]);
+                    lower[j] = v;
+                    upper[j] = v;
+                    (j, v)
+                });
+                let mut lp = node_lp.solve(&lower, &upper, warm.as_ref());
+                stats.record_lp(&lp);
+                if lp.status != LpStatus::Optimal {
+                    // Rounding to nearest may have cut off feasibility;
+                    // retry the opposite rounding direction once.
+                    let (j, v) = fixed?;
+                    let frac = current.values[j];
+                    let other = if v >= frac { frac.floor() } else { frac.ceil() };
+                    let other = other.clamp(root_lower[j], root_upper[j]);
+                    if other == v {
+                        return None;
+                    }
+                    lower[j] = other;
+                    upper[j] = other;
+                    lp = node_lp.solve(&lower, &upper, warm.as_ref());
                     stats.record_lp(&lp);
                     if lp.status != LpStatus::Optimal {
-                        // Rounding to nearest may have cut off feasibility;
-                        // retry the opposite rounding direction once.
-                        let (j, v) = fixed?;
-                        let frac = current.values[j];
-                        let other = if v >= frac { frac.floor() } else { frac.ceil() };
-                        let other = other.clamp(root_lower[j], root_upper[j]);
-                        if other == v {
-                            return None;
-                        }
-                        lower[j] = other;
-                        upper[j] = other;
-                        lp = node_lp.solve(&lower, &upper, warm.as_ref());
-                        stats.record_lp(&lp);
-                        if lp.status != LpStatus::Optimal {
-                            return None;
-                        }
+                        return None;
                     }
-                    warm = lp.basis.clone();
-                    current = lp;
                 }
+                warm = lp.basis.clone();
+                current = lp;
             }
         }
-        None
     }
+    None
 }
 
 #[cfg(test)]

@@ -108,19 +108,15 @@ impl PseudoCosts {
 /// Selects a branching variable among fractional candidates.
 ///
 /// `values` are the node LP values; `int_vars` the integer variable
-/// indices; `int_tol` the integrality tolerance. With initialized
-/// pseudo-costs the product rule picks; otherwise most-fractional.
-pub fn select(
-    values: &[f64],
-    int_vars: &[usize],
-    int_tol: f64,
-    pseudo: &PseudoCosts,
-) -> Option<usize> {
+/// indices. A value within [`tol::PRIMAL_FEAS`] of an integer counts as
+/// integral. With initialized pseudo-costs the product rule picks;
+/// otherwise most-fractional.
+pub fn select(values: &[f64], int_vars: &[usize], pseudo: &PseudoCosts) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
     for &j in int_vars {
         let v = values[j];
         let frac_part = v - v.floor();
-        if (v - v.round()).abs() <= int_tol {
+        if (v - v.round()).abs() <= tol::PRIMAL_FEAS {
             continue;
         }
         let score = if pseudo.initialized() {
@@ -145,14 +141,14 @@ mod tests {
     fn uninitialized_falls_back_to_most_fractional() {
         let pseudo = PseudoCosts::new(3);
         // x1 = 2.5 is the most fractional.
-        let pick = select(&[1.1, 2.5, 3.9], &[0, 1, 2], 1e-6, &pseudo);
+        let pick = select(&[1.1, 2.5, 3.9], &[0, 1, 2], &pseudo);
         assert_eq!(pick, Some(1));
     }
 
     #[test]
     fn integral_values_are_skipped() {
         let pseudo = PseudoCosts::new(2);
-        assert_eq!(select(&[1.0, 2.0], &[0, 1], 1e-6, &pseudo), None);
+        assert_eq!(select(&[1.0, 2.0], &[0, 1], &pseudo), None);
     }
 
     #[test]
@@ -166,7 +162,7 @@ mod tests {
             pseudo.record(1, true, 0.5, 0.1);
         }
         // Equal fractionality: the high-impact variable wins.
-        let pick = select(&[1.5, 2.5], &[0, 1], 1e-6, &pseudo);
+        let pick = select(&[1.5, 2.5], &[0, 1], &pseudo);
         assert_eq!(pick, Some(0));
     }
 

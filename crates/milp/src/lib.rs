@@ -24,9 +24,12 @@
 //! * [`audit`] — a static model auditor (run before every solve) and
 //!   solution certificate checkers (primal/dual feasibility, integrality,
 //!   incumbent-within-gap) producing a structured [`AuditReport`];
-//! * [`branch`] — best-bound branch-and-bound with pseudo-cost /
-//!   most-fractional branching, rounding/diving incumbent heuristics, gap
-//!   reporting and node/time limits (Figure 9 measures exactly this gap);
+//! * [`branch`] — best-bound branch-and-bound ([`branch::solve`], what
+//!   [`Model::solve_with`] runs) with pseudo-cost / most-fractional
+//!   branching, a rounding/diving incumbent heuristic, gap reporting and
+//!   node/time limits (Figure 9 measures exactly this gap). The caller's
+//!   candidate plans ([`SolveConfig::incumbents`]) enter the search there
+//!   and only there: each is validated once and the cheapest installed;
 //! * [`branching`] — the branching-variable selection rules.
 //!
 //! # Examples
@@ -60,8 +63,7 @@ pub mod standard;
 pub mod tol;
 
 pub use audit::{AuditCheck, AuditConfig, AuditIssue, AuditMode, AuditReport, Severity};
-pub use branch::BranchAndBound;
 pub use expr::{LinExpr, Var};
 pub use model::{Constraint, Model, Sense, VarType};
-pub use simplex::{Basis, BasisStats, PricingRule, PricingStats};
-pub use solution::{Solution, SolveConfig, SolveError, SolveStats, Status, WarmStart};
+pub use simplex::{Basis, BasisStats, PricingStats};
+pub use solution::{Solution, SolveConfig, SolveError, SolveStats, Status};

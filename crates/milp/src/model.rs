@@ -6,7 +6,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::branch::BranchAndBound;
 use crate::expr::{LinExpr, Var};
 use crate::nan::NanGuard;
 use crate::solution::{Solution, SolveConfig, SolveError};
@@ -326,7 +325,7 @@ impl Model {
             // handles are unreliable, so refuse as a size problem.
             return Err(SolveError::TooLarge);
         }
-        BranchAndBound::new(config.clone()).solve(self)
+        crate::branch::solve(self, config)
     }
 }
 

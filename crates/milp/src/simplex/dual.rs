@@ -144,14 +144,13 @@ impl Simplex<'_> {
     /// [`run_cold_dual`]) and, if so, returns the structural columns
     /// that need an implied bound to rest on, with that bound. The
     /// attempt is made when the dual simplex is selected, the LP is one
-    /// [`PricingRule::Auto`] calls large, every structural column has a
+    /// the pricing size rule calls large, every structural column has a
     /// finite bound on the side its cost pushes toward — its own, or
     /// for a free column one its rows imply — and at least one of them
     /// is an upper bound with room below it: the model rewards a current
     /// assignment, so the start is that plan and not the empty one.
     ///
     /// [`run_cold_dual`]: Self::run_cold_dual
-    /// [`PricingRule::Auto`]: super::PricingRule::Auto
     // lint:allow(hot-path-index): start-up pass; columns bounded by n
     pub(super) fn cold_dual_start(&self) -> Option<Vec<(usize, f64)>> {
         if !self.config.warm_dual || self.m == 0 || self.live_cols <= self.cold_dual_min_cols {

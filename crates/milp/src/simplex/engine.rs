@@ -5,7 +5,7 @@
 
 use super::{
     Basis, BasisStats, LpResult, LpStatus, PricingRule, PricingStats, SimplexConfig,
-    AUTO_PARTIAL_MIN_COLS,
+    AUTO_PARTIAL_MIN_COLS, REFACTOR_INTERVAL,
 };
 use crate::cast;
 use crate::lu::{FtFactors, LuFactors};
@@ -75,6 +75,9 @@ pub struct Simplex<'a> {
     /// Set when a basis update was rejected; forces an accuracy
     /// refactorization before the next FTRAN/BTRAN is trusted.
     pub(super) update_rejected: bool,
+    /// Pivots between scheduled refactorizations: [`REFACTOR_INTERVAL`],
+    /// changed by tests alone.
+    pub(super) refactor_interval: usize,
     pub(super) pivots_since_refactor: usize,
     pub(super) degenerate_run: usize,
     /// Duals `y = B⁻ᵀc_B`, recomputed by BTRAN or — across the pivots of
@@ -89,7 +92,7 @@ pub struct Simplex<'a> {
     pub(super) w: Vec<f64>,
     pub(super) rho: Vec<f64>,
     // Pricing engine state (see `select_entering`).
-    /// Configured rule with `Auto` resolved at construction.
+    /// The rule `live_cols` picks at construction.
     pub(super) rule: PricingRule,
     /// Maintained reduced costs `d_j = c_j − yᵀA_j` for every column.
     pub(super) d: Vec<f64>,
@@ -141,15 +144,10 @@ impl<'a> Simplex<'a> {
             .filter(|(lo, up)| lo == up)
             .count();
         let live_cols = total - fixed;
-        let rule = match config.pricing {
-            PricingRule::Auto => {
-                if live_cols > AUTO_PARTIAL_MIN_COLS {
-                    PricingRule::PartialDevex
-                } else {
-                    PricingRule::Devex
-                }
-            }
-            explicit => explicit,
+        let rule = if live_cols > AUTO_PARTIAL_MIN_COLS {
+            PricingRule::PartialDevex
+        } else {
+            PricingRule::Devex
         };
         Self {
             sf,
@@ -174,6 +172,7 @@ impl<'a> Simplex<'a> {
             refactorizations: 0,
             basis_stats: BasisStats::default(),
             update_rejected: false,
+            refactor_interval: REFACTOR_INTERVAL,
             pivots_since_refactor: 0,
             degenerate_run: 0,
             y: vec![0.0; m],
@@ -207,6 +206,26 @@ impl<'a> Simplex<'a> {
     pub fn set_cold_dual_gate(&mut self, min_cols: usize, perturb: bool) {
         self.cold_dual_min_cols = min_cols;
         self.cold_dual_perturb = perturb;
+    }
+
+    /// Test hook: prices with partial devex (`true`) or full devex
+    /// (`false`) whatever the LP's size, so the two rules can be compared
+    /// on one LP.
+    #[doc(hidden)]
+    pub fn set_partial_pricing(&mut self, partial: bool) {
+        self.rule = if partial {
+            PricingRule::PartialDevex
+        } else {
+            PricingRule::Devex
+        };
+    }
+
+    /// Test hook: refactorizes every `pivots` pivots in place of every
+    /// 200 (a short interval stresses factorization, a huge one leaves
+    /// the Forrest–Tomlin updates alone).
+    #[doc(hidden)]
+    pub fn set_refactor_interval(&mut self, pivots: usize) {
+        self.refactor_interval = pivots;
     }
 
     /// Solves under the given bounds (length `n + m`, as in
@@ -448,7 +467,7 @@ impl<'a> Simplex<'a> {
             Some(RefactorReason::Accuracy)
         } else if self.repr.update_count() > 0 && self.repr.fill_ratio() > FT_MAX_FILL_RATIO {
             Some(RefactorReason::Growth)
-        } else if self.pivots_since_refactor >= self.config.refactor_interval {
+        } else if self.pivots_since_refactor >= self.refactor_interval {
             Some(RefactorReason::Interval)
         } else {
             None

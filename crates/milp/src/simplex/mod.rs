@@ -8,8 +8,15 @@
 //! update's spike is the entering column's own FTRAN stopped before the
 //! `U` solve, staged when the pivot's direction is computed, so it costs
 //! the nonzeros that vector has and nothing more. The factors are rebuilt
-//! every few hundred pivots — or early, when an update reports
-//! instability or fill growth.
+//! every 200 pivots — or early, when an update reports instability or
+//! fill growth.
+//!
+//! A caller sets three things ([`SimplexConfig`]): the pivot limit, the
+//! deadline and whether the true dual simplex runs. Neither the pricing
+//! rule nor the refactorization interval is an option: pricing is devex
+//! up to [`AUTO_PARTIAL_MIN_COLS`] live columns and partial devex above,
+//! and tests reach the other rule, or a shorter interval, through the
+//! engine's hidden test hooks.
 //!
 //! Cold solves start from a *crash* basis: every row whose residual fits
 //! inside its slack's bounds gets the slack basic (no phase-1 work);
@@ -29,7 +36,7 @@
 //! negative cost actually rests on an upper bound with room below it
 //! (without one there is no plan to repair — the start is the empty
 //! region — and the primal crash stays round 0's solver), and the LP is
-//! one [`PricingRule::Auto`] already calls large, more than
+//! one the pricing size rule already calls large, more than
 //! [`AUTO_PARTIAL_MIN_COLS`] columns the model does not fix (smaller LPs
 //! solve in a couple of milliseconds either way, and moving them would
 //! re-roll plans for nothing). A free column with a cost rests, for the
@@ -84,11 +91,12 @@ use crate::standard::StandardForm;
 
 /// Above this many columns (structural + slack + artificial, counting
 /// only the structural columns the model does not fix — a column whose
-/// bounds are equal can never enter), [`PricingRule::Auto`] switches
-/// from full devex pricing to partial devex over a candidate list: below
-/// it a full scan per pivot is cheap and the better pivot quality wins;
-/// above it the scan itself is the bottleneck. The same count sizes the
-/// candidate list and gates and budgets the dual-first cold start.
+/// bounds are equal can never enter), the simplex prices with partial
+/// devex over a candidate list instead of full devex: below it a full
+/// scan per pivot is cheap and the better pivot quality wins; above it
+/// the scan itself is the bottleneck. No option overrides this switch.
+/// The same count sizes the candidate list and gates and budgets the
+/// dual-first cold start.
 pub const AUTO_PARTIAL_MIN_COLS: usize = 4096;
 
 /// Outcome status of an LP solve.
@@ -105,28 +113,29 @@ pub enum LpStatus {
     IterationLimit,
 }
 
-/// Entering-variable pricing rule (see [`SimplexConfig::pricing`]).
+/// Pivots between scheduled refactorizations of the basis factors (an
+/// update that reports instability or fill growth refactorizes early).
+const REFACTOR_INTERVAL: usize = 200;
+
+/// Entering-variable pricing rule, chosen by the LP's size: devex up to
+/// [`AUTO_PARTIAL_MIN_COLS`] live columns, partial devex above (tests
+/// force either through [`Simplex::set_partial_pricing`]).
 ///
 /// Both rules select from the same eligibility set (reduced cost pushes
 /// the objective down from the bound the variable rests on), so they
 /// reach the same optimum; they differ only in how many pivots they
 /// take and what each selection scan costs. Anti-cycling is
 /// orthogonal: after a long degenerate run the engine switches to
-/// Bland's rule on exact reduced costs regardless of the configured
-/// pricing rule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
-pub enum PricingRule {
-    /// Devex up to [`AUTO_PARTIAL_MIN_COLS`] columns, partial devex
-    /// above.
-    #[default]
-    Auto,
+/// Bland's rule on exact reduced costs whatever the rule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PricingRule {
     /// Devex reference-framework weights (Forrest & Goldfarb): pick the
     /// maximizer of `d_j² / w_j` over maintained reduced costs, update
     /// the weights of the columns touched by each pivot row.
     Devex,
     /// Devex merit restricted to a rotating candidate list, rebuilt from
-    /// a full scan only when the list runs dry. The default for large
-    /// models, where a full per-pivot scan dominates solve time.
+    /// a full scan only when the list runs dry: for large models, where
+    /// a full per-pivot scan dominates solve time.
     PartialDevex,
 }
 
@@ -217,10 +226,6 @@ pub struct SimplexConfig {
     /// this from its own time limit so a single huge LP cannot blow
     /// through the solve budget.
     pub deadline: Option<std::time::Instant>,
-    /// Rebuild the basis factorization after this many pivots.
-    pub refactor_interval: usize,
-    /// Entering-variable pricing rule (see [`PricingRule`]).
-    pub pricing: PricingRule,
     /// Use the true dual simplex (bound-flip ratio test, dual devex):
     /// for warm re-solves, and for the cold solves that go dual-first
     /// (module docs, "dual-first"). `false` re-solves warm with the
@@ -234,8 +239,6 @@ impl Default for SimplexConfig {
         Self {
             max_iterations: 200_000,
             deadline: None,
-            refactor_interval: 200,
-            pricing: PricingRule::default(),
             warm_dual: true,
         }
     }

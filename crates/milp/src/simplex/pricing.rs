@@ -43,7 +43,6 @@ impl Simplex<'_> {
         match self.rule {
             PricingRule::Devex => self.pick_devex(),
             PricingRule::PartialDevex => self.pick_partial(),
-            PricingRule::Auto => unreachable!("Auto is resolved at construction"),
         }
     }
 

@@ -10,6 +10,13 @@ use super::*;
 use crate::expr::LinExpr;
 use crate::model::{Model, Sense, VarType};
 
+/// A cold solve of `sf` on an engine the test hooks have set up.
+fn solve_on(sf: &StandardForm, set_up: impl FnOnce(&mut Simplex<'_>)) -> LpResult {
+    let mut lp = Simplex::new(sf, SimplexConfig::default());
+    set_up(&mut lp);
+    lp.solve(&sf.lower, &sf.upper, None)
+}
+
 fn lp(model: &Model) -> LpResult {
     let sf = StandardForm::from_model(model);
     solve_lp(
@@ -183,11 +190,7 @@ fn refactor_keeps_solution_consistent() {
         &sf.upper.clone(),
         &SimplexConfig::default(),
     );
-    let tight = SimplexConfig {
-        refactor_interval: 3,
-        ..SimplexConfig::default()
-    };
-    let r = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &tight);
+    let r = solve_on(&sf, |lp| lp.set_refactor_interval(3));
     assert_eq!(r.status, LpStatus::Optimal);
     assert!((r.objective - reference.objective).abs() < 1e-5);
     assert!(m.violations(&r.values[..n], 1e-5).is_empty());
@@ -228,11 +231,7 @@ fn sparse_update_only_path_is_exact() {
     m.set_objective(LinExpr::sum(vars.iter().map(|v| (*v, -1.0))));
     let sf = StandardForm::from_model(&m);
     let reference = lp(&m);
-    let update_only = SimplexConfig {
-        refactor_interval: usize::MAX,
-        ..SimplexConfig::default()
-    };
-    let r = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &update_only);
+    let r = solve_on(&sf, |lp| lp.set_refactor_interval(usize::MAX));
     assert_eq!(r.status, LpStatus::Optimal);
     assert!((r.objective - reference.objective).abs() < 1e-7);
     assert_eq!(r.refactorizations, 0, "update-only run must never refactor");
@@ -317,16 +316,12 @@ fn pricing_rules_agree_on_fixtures() {
     m.add_constraint("c3", 3.0 * x + 2.0 * y, Sense::Le, 18.0);
     m.set_objective(-3.0 * x - 5.0 * y);
     let sf = StandardForm::from_model(&m);
-    for pricing in [PricingRule::Devex, PricingRule::PartialDevex] {
-        let cfg = SimplexConfig {
-            pricing,
-            ..SimplexConfig::default()
-        };
-        let r = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &cfg);
-        assert_eq!(r.status, LpStatus::Optimal, "{pricing:?}");
+    for partial in [false, true] {
+        let r = solve_on(&sf, |lp| lp.set_partial_pricing(partial));
+        assert_eq!(r.status, LpStatus::Optimal, "partial {partial}");
         assert!(
             (r.objective + 36.0).abs() < 1e-6,
-            "{pricing:?}: {}",
+            "partial {partial}: {}",
             r.objective
         );
     }
@@ -352,11 +347,7 @@ fn partial_pricing_reports_stats() {
     }
     m.set_objective(LinExpr::sum(vars.iter().map(|v| (*v, -1.0))));
     let sf = StandardForm::from_model(&m);
-    let cfg = SimplexConfig {
-        pricing: PricingRule::PartialDevex,
-        ..SimplexConfig::default()
-    };
-    let r = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &cfg);
+    let r = solve_on(&sf, |lp| lp.set_partial_pricing(true));
     assert_eq!(r.status, LpStatus::Optimal);
     assert!(r.pricing.full_rebuilds >= 1, "optimality needs a full scan");
     assert!(

@@ -21,35 +21,6 @@ pub enum Status {
     Unknown,
 }
 
-/// Warm-start information carried from one solve round to the next.
-///
-/// RAS re-solves the region every ~30 minutes against a slightly-drifted
-/// input (the paper's "continuous" claim); both halves of this struct make
-/// the re-solve cost proportional to the drift instead of the fleet:
-///
-/// * [`basis`](Self::basis) — the optimal basis from the previous round's
-///   root LP. The simplex starts from it (repairing dual infeasibility)
-///   instead of performing a slack crash, and falls back to the cold path
-///   when the basis is stale or singular.
-/// * [`incumbent`](Self::incumbent) — the previous round's assignment as a
-///   full variable vector. Branch-and-bound validates it and, when
-///   feasible, installs it as the starting best-known solution so
-///   best-bound search prunes from iteration zero.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct WarmStart {
-    /// Starting basis for the root LP relaxation.
-    pub basis: Option<crate::simplex::Basis>,
-    /// Candidate incumbent (full assignment over the model's variables).
-    pub incumbent: Option<Vec<f64>>,
-}
-
-impl WarmStart {
-    /// True when neither a basis nor an incumbent is present.
-    pub fn is_empty(&self) -> bool {
-        self.basis.is_none() && self.incumbent.is_none()
-    }
-}
-
 /// Statistics from a solve, used by the Figures 7–11 experiments.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SolveStats {
@@ -197,10 +168,6 @@ pub struct SolveConfig {
     pub rel_gap_tol: f64,
     /// Stop when the absolute gap falls below this value.
     pub abs_gap_tol: f64,
-    /// Integrality tolerance.
-    pub int_tol: f64,
-    /// Simplex pivot limit per LP.
-    pub max_lp_iterations: usize,
     /// Solve the root with the true dual simplex where it applies: a
     /// warm re-solve from the supplied basis, or a cold root that goes
     /// dual-first (see [`crate::simplex`]). `false` sends a warm root
@@ -212,18 +179,20 @@ pub struct SolveConfig {
     /// production deployments cut losses on symmetric plateaus instead of
     /// burning the whole timeout (the residual gap is still reported).
     pub stall_node_limit: usize,
-    /// Enable the rounding/diving incumbent heuristic at the root.
-    pub use_heuristics: bool,
-    /// Optional warm incumbent (full variable assignment). When feasible,
-    /// it seeds the search: the solver then only returns something else
-    /// if it is strictly better, which is what makes steady-state
-    /// re-solves quiescent (paper Expression 1's purpose).
-    pub initial_incumbent: Option<Vec<f64>>,
-    /// Warm-start state from the previous round (basis + incumbent). The
-    /// basis seeds the root LP; the incumbent competes with
-    /// [`initial_incumbent`](Self::initial_incumbent) and the better valid
-    /// one is installed.
-    pub warm_start: Option<WarmStart>,
+    /// Candidate incumbents, full variable assignments, in order of
+    /// preference. Branch and bound validates each once — the right
+    /// length, no violation beyond [`tol::PRIMAL_FEAS`] — rounds its
+    /// integer columns and installs the cheapest; on a tie the earlier
+    /// candidate wins. The installed one seeds the search: the solver then
+    /// only returns something else if it is strictly better, which is what
+    /// makes steady-state re-solves quiescent (paper Expression 1's
+    /// purpose).
+    pub incumbents: Vec<Vec<f64>>,
+    /// Starting basis for the root LP, typically the previous round's
+    /// [`Solution::root_basis`]. The simplex starts from it instead of
+    /// performing a cold start and falls back cold when it is stale or
+    /// singular.
+    pub warm_basis: Option<crate::simplex::Basis>,
     /// When to run the model auditor and solution certificate checkers
     /// (see [`crate::audit`]). Defaults to [`crate::audit::AuditMode::Auto`]:
     /// every solve is audited in debug builds, none in release unless a
@@ -238,24 +207,11 @@ impl Default for SolveConfig {
             max_nodes: 100_000,
             rel_gap_tol: tol::PRIMAL_FEAS,
             abs_gap_tol: tol::PRIMAL_FEAS,
-            int_tol: tol::PRIMAL_FEAS,
-            max_lp_iterations: 200_000,
             warm_dual: true,
             stall_node_limit: 0,
-            use_heuristics: true,
-            initial_incumbent: None,
-            warm_start: None,
+            incumbents: Vec::new(),
+            warm_basis: None,
             audit: crate::audit::AuditMode::default(),
-        }
-    }
-}
-
-impl SolveConfig {
-    /// A config with a hard time limit, as RAS phase 1 uses (Section 4.1.2).
-    pub fn with_time_limit(seconds: f64) -> Self {
-        Self {
-            time_limit_seconds: seconds,
-            ..Self::default()
         }
     }
 }
@@ -272,8 +228,8 @@ pub struct Solution {
     /// Solve statistics.
     pub stats: SolveStats,
     /// Final basis of the root LP relaxation, when it solved to
-    /// optimality. Persist it and hand it back through
-    /// [`SolveConfig::warm_start`] to warm-start the next round.
+    /// optimality. Persist it and hand it back as
+    /// [`SolveConfig::warm_basis`] to warm-start the next round.
     pub root_basis: Option<crate::simplex::Basis>,
 }
 
@@ -354,7 +310,7 @@ mod tests {
     fn default_config_is_sane() {
         let c = SolveConfig::default();
         assert!(c.time_limit_seconds > 0.0);
-        assert!(c.int_tol < 1e-3);
+        assert!(c.incumbents.is_empty() && c.warm_basis.is_none());
     }
 
     #[test]

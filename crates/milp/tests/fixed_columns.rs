@@ -4,10 +4,11 @@
 //! iteration count and the bits of its objective unchanged. The RAS model
 //! relies on this — every model carries one elastic column per softenable
 //! row, fixed at zero until softening raises its bound — and it holds
-//! only because the size rules (`PricingRule::Auto`'s devex/partial
-//! switch, the partial-pricing list cap, the dual-first gate and its
-//! budget) count the columns the model leaves free, and because a fixed
-//! column's devex weight never restarts the reference framework.
+//! only because the size rules (the devex/partial-devex switch at
+//! `AUTO_PARTIAL_MIN_COLS`, the simplex's one pricing rule; the
+//! partial-pricing list cap; the dual-first gate and its budget) count
+//! the columns the model leaves free, and because a fixed column's devex
+//! weight never restarts the reference framework.
 
 use ras_milp::simplex::{
     solve_lp, LpResult, LpStatus, Simplex, SimplexConfig, AUTO_PARTIAL_MIN_COLS,

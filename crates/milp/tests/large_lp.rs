@@ -28,7 +28,7 @@ fn large_instance(n: usize, k: usize) -> StandardForm {
 #[test]
 fn solves_a_100_000_row_lp_refactorizing_mid_solve() {
     let n = 100_000;
-    let k = 250; // > default refactor_interval of 200
+    let k = 250; // > the refactor interval of 200 pivots
     let sf = large_instance(n, k);
     assert_eq!(sf.num_rows, n);
 
@@ -50,7 +50,7 @@ fn solves_a_100_000_row_lp_refactorizing_mid_solve() {
     assert!(r.iterations >= k, "needs one pivot per forced variable");
     assert!(
         r.refactorizations >= 1,
-        "K > refactor_interval must trigger a mid-solve refactorization"
+        "K > the refactor interval must trigger a mid-solve refactorization"
     );
     // Dual spot check: rows whose structural variable is basic at an
     // interior value carry y_i = cost = 1.

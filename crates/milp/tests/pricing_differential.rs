@@ -21,7 +21,7 @@ mod support;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ras_milp::simplex::{solve_lp, LpStatus, PricingRule, SimplexConfig};
+use ras_milp::simplex::{LpResult, LpStatus, Simplex, SimplexConfig};
 use ras_milp::standard::StandardForm;
 use ras_milp::{LinExpr, Model, Sense, VarType};
 use support::dense_simplex::{self, Outcome};
@@ -55,6 +55,16 @@ fn random_model(rng: &mut StdRng) -> Model {
     m
 }
 
+/// The two pricing rules: a name and whether it is partial devex.
+const RULES: [(&str, bool); 2] = [("devex", false), ("partial devex", true)];
+
+/// Solves `sf` cold under one pricing rule, forced through the engine's
+/// test hook whatever the LP's size would pick.
+fn solve_under(sf: &StandardForm, partial: bool, lp: &mut Simplex<'_>) -> LpResult {
+    lp.set_partial_pricing(partial);
+    lp.solve(&sf.lower, &sf.upper, None)
+}
+
 /// Checks that `duals` is dual feasible for the solved LP: each column's
 /// reduced cost has the sign its resting bound requires.
 fn assert_dual_feasible(sf: &StandardForm, values: &[f64], duals: &[f64], tag: &str) {
@@ -82,14 +92,6 @@ fn assert_dual_feasible(sf: &StandardForm, values: &[f64], duals: &[f64], tag: &
 #[test]
 fn pricing_rules_agree_on_random_lps() {
     let mut rng = StdRng::seed_from_u64(0xDE7E_C7A8);
-    let rules = [PricingRule::Devex, PricingRule::PartialDevex];
-    // A small refactor interval also exercises the reduced-cost
-    // invalidation on refactorization, not just the incremental path.
-    let configs = rules.map(|pricing| SimplexConfig {
-        pricing,
-        refactor_interval: 8,
-        ..SimplexConfig::default()
-    });
     let mut optimal_cases = 0;
     for case in 0..400 {
         let m = random_model(&mut rng);
@@ -100,11 +102,16 @@ fn pricing_rules_agree_on_random_lps() {
             Outcome::Infeasible => LpStatus::Infeasible,
             Outcome::Unbounded => LpStatus::Unbounded,
         };
-        for (rule, cfg) in rules.iter().zip(&configs) {
-            let r = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), cfg);
+        for (rule, partial) in RULES {
+            let mut lp = Simplex::new(&sf, SimplexConfig::default());
+            // A small refactor interval also exercises the reduced-cost
+            // invalidation on refactorization, not just the incremental
+            // path.
+            lp.set_refactor_interval(8);
+            let r = solve_under(&sf, partial, &mut lp);
             assert_eq!(
                 r.status, expected,
-                "case {case}: {rule:?} {:?} vs oracle {oracle:?}",
+                "case {case}: {rule} {:?} vs oracle {oracle:?}",
                 r.status
             );
             let Outcome::Optimal(objective) = oracle else {
@@ -112,14 +119,14 @@ fn pricing_rules_agree_on_random_lps() {
             };
             assert!(
                 (objective - r.objective).abs() < 1e-6,
-                "case {case}: oracle obj {objective} vs {rule:?} obj {}",
+                "case {case}: oracle obj {objective} vs {rule} obj {}",
                 r.objective
             );
             assert!(
                 m.violations(&r.values[..m.num_vars()], 1e-5).is_empty(),
-                "case {case}: {rule:?} solution violates the model"
+                "case {case}: {rule} solution violates the model"
             );
-            assert_dual_feasible(&sf, &r.values, &r.duals, &format!("case {case} {rule:?}"));
+            assert_dual_feasible(&sf, &r.values, &r.duals, &format!("case {case} {rule}"));
         }
         optimal_cases += usize::from(expected == LpStatus::Optimal);
     }
@@ -167,18 +174,17 @@ fn check_degenerate_terminates(seed: u64) -> Result<(), String> {
         return Err("the oracle found no optimum".into());
     };
     let mut objectives = vec![expected];
-    for pricing in [PricingRule::Devex, PricingRule::PartialDevex] {
+    for (rule, partial) in RULES {
         let cfg = SimplexConfig {
-            pricing,
             // Tight enough that a cycle would hit it, loose enough that
             // honest degenerate stalling never does.
             max_iterations: 10_000,
             ..SimplexConfig::default()
         };
-        let r = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &cfg);
+        let r = solve_under(&sf, partial, &mut Simplex::new(&sf, cfg));
         if r.status != LpStatus::Optimal {
             return Err(format!(
-                "{pricing:?} failed to terminate optimally: {:?}",
+                "{rule} failed to terminate optimally: {:?}",
                 r.status
             ));
         }

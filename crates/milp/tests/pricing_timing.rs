@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use ras_milp::simplex::{solve_lp, LpResult, LpStatus, PricingRule, SimplexConfig};
+use ras_milp::simplex::{LpResult, LpStatus, Simplex, SimplexConfig};
 use ras_milp::standard::StandardForm;
 use ras_milp::{LinExpr, Model, Sense, VarType};
 
@@ -34,15 +34,16 @@ fn large_instance(n: usize, k: usize) -> StandardForm {
     StandardForm::from_model(&m)
 }
 
-fn time_solve(sf: &StandardForm, pricing: PricingRule) -> (f64, LpResult) {
-    let cfg = SimplexConfig {
-        pricing,
-        ..SimplexConfig::default()
-    };
+/// Times one cold solve under devex or, with `partial`, partial devex,
+/// forced through the engine's test hook (the size rule alone would pick
+/// partial devex on this LP).
+fn time_solve(sf: &StandardForm, partial: bool) -> (f64, LpResult) {
     let start = Instant::now();
-    let r = solve_lp(sf, &sf.lower.clone(), &sf.upper.clone(), &cfg);
+    let mut lp = Simplex::new(sf, SimplexConfig::default());
+    lp.set_partial_pricing(partial);
+    let r = lp.solve(&sf.lower, &sf.upper, None);
     let secs = start.elapsed().as_secs_f64();
-    assert_eq!(r.status, LpStatus::Optimal, "{pricing:?} must solve");
+    assert_eq!(r.status, LpStatus::Optimal, "partial {partial} must solve");
     (secs, r)
 }
 
@@ -56,8 +57,8 @@ fn devex_rules_rescan_rarely_on_region_scale_lp() {
     let k = 250;
     let sf = large_instance(n, k);
 
-    let (devex, r_devex) = time_solve(&sf, PricingRule::Devex);
-    let (partial, r_partial) = time_solve(&sf, PricingRule::PartialDevex);
+    let (devex, r_devex) = time_solve(&sf, false);
+    let (partial, r_partial) = time_solve(&sf, true);
     println!(
         "devex {devex:.3}s ({} rescans / {} pivots)  partial {partial:.3}s ({} rescans / {} pivots)",
         r_devex.pricing.full_rebuilds,

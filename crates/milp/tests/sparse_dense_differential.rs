@@ -11,7 +11,7 @@ mod support;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ras_milp::simplex::{solve_lp, LpStatus, SimplexConfig};
+use ras_milp::simplex::{LpStatus, Simplex, SimplexConfig};
 use ras_milp::standard::StandardForm;
 use ras_milp::{LinExpr, Model, Sense, VarType};
 use support::dense_simplex::{self, Outcome};
@@ -72,19 +72,17 @@ fn assert_dual_feasible(sf: &StandardForm, values: &[f64], duals: &[f64], tag: &
 #[test]
 fn sparse_and_dense_agree_on_random_lps() {
     let mut rng = StdRng::seed_from_u64(0x5EED_D1FF);
-    // A small refactor interval exercises the LU factorization and the
-    // Forrest–Tomlin updates (not just the diagonal crash basis) on
-    // these small instances.
-    let sparse_cfg = SimplexConfig {
-        refactor_interval: 4,
-        ..SimplexConfig::default()
-    };
     let mut optimal_cases = 0;
     for case in 0..400 {
         let m = random_model(&mut rng);
         let sf = StandardForm::from_model(&m);
         let dense = dense_simplex::solve(&m);
-        let sparse = solve_lp(&sf, &sf.lower.clone(), &sf.upper.clone(), &sparse_cfg);
+        // A small refactor interval exercises the LU factorization and
+        // the Forrest–Tomlin updates (not just the diagonal crash basis)
+        // on these small instances.
+        let mut lp = Simplex::new(&sf, SimplexConfig::default());
+        lp.set_refactor_interval(4);
+        let sparse = lp.solve(&sf.lower, &sf.upper, None);
         let Outcome::Optimal(dense_objective) = dense else {
             assert_eq!(
                 (dense, sparse.status),

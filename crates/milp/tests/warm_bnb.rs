@@ -1,6 +1,7 @@
-//! Warm-start integrity at the branch-and-bound level: enabling warm
-//! incumbents, heuristics, or presolve must never change the optimum —
-//! only the work needed to find it.
+//! Warm-start integrity at the branch-and-bound level: the search's
+//! optimum matches an enumeration of every integer point, supplied
+//! incumbents never change it — only the work needed to find it — and
+//! candidate incumbents are validated and installed in one pass.
 //!
 //! At the LP level underneath it, the node re-solve path's
 //! pattern-restricted dual ratio test must pick exactly what a scan of
@@ -16,7 +17,7 @@ use ras_milp::simplex::{
     solve_lp, solve_lp_warm, Basis, LpResult, LpStatus, Simplex, SimplexConfig,
 };
 use ras_milp::standard::StandardForm;
-use ras_milp::{LinExpr, Model, Sense, SolveConfig, VarType};
+use ras_milp::{tol, LinExpr, Model, Sense, SolveConfig, SolveError, Status, VarType};
 
 /// A random small integer program (feasibility not guaranteed).
 fn random_mip(rng: &mut StdRng) -> Model {
@@ -48,29 +49,47 @@ fn random_mip(rng: &mut StdRng) -> Model {
     m
 }
 
+/// The optimum of a small bounded integer program by enumerating every
+/// integer point: a reference that shares no code with branch and bound.
+/// `None` when no point is feasible.
+fn enumerated_optimum(model: &Model) -> Option<f64> {
+    let vars = model.vars();
+    let mut point: Vec<f64> = vars.iter().map(|v| v.lower).collect();
+    let mut best: Option<f64> = None;
+    loop {
+        if model.violations(&point, tol::EPS).is_empty() {
+            let obj = model.objective().eval(&point);
+            best = Some(best.map_or(obj, |b| b.min(obj)));
+        }
+        // Next point, odometer style; done once every digit wrapped.
+        let Some(j) = (0..point.len()).find(|&j| point[j] < vars[j].upper) else {
+            return best;
+        };
+        point[j] += 1.0;
+        for (k, value) in point.iter_mut().enumerate().take(j) {
+            *value = vars[k].lower;
+        }
+    }
+}
+
 #[test]
 fn heuristics_and_incumbents_never_change_the_optimum() {
     let mut rng = StdRng::seed_from_u64(0xB0B);
     let mut optima_checked = 0;
     for case in 0..150 {
         let model = random_mip(&mut rng);
-        let plain = model.solve_with(&SolveConfig {
-            use_heuristics: false,
-            ..SolveConfig::default()
-        });
-        let with_heuristics = model.solve();
-        match (plain, with_heuristics) {
-            (Ok(a), Ok(b)) => {
+        match (enumerated_optimum(&model), model.solve()) {
+            (Some(expected), Ok(b)) => {
+                assert_eq!(b.status, Status::Optimal, "case {case}");
                 assert!(
-                    (a.objective - b.objective).abs() < 1e-6,
-                    "case {case}: heuristics changed the optimum {} -> {}",
-                    a.objective,
+                    (expected - b.objective).abs() < 1e-6,
+                    "case {case}: enumeration finds {expected}, the search {}",
                     b.objective
                 );
                 // Feed the optimum back as a warm incumbent: still the same.
                 let warm = model
                     .solve_with(&SolveConfig {
-                        initial_incumbent: Some(b.values.clone()),
+                        incumbents: vec![b.values.clone()],
                         ..SolveConfig::default()
                     })
                     .expect("warm solve");
@@ -78,16 +97,13 @@ fn heuristics_and_incumbents_never_change_the_optimum() {
                     (warm.objective - b.objective).abs() < 1e-6,
                     "case {case}: warm incumbent changed the optimum"
                 );
+                assert!(warm.stats.incumbent_seeded, "case {case}");
                 optima_checked += 1;
             }
-            (Err(a), Err(b)) => {
-                assert_eq!(
-                    std::mem::discriminant(&a),
-                    std::mem::discriminant(&b),
-                    "case {case}: heuristics changed the error kind"
-                );
+            (None, Err(e)) => {
+                assert_eq!(e, SolveError::Infeasible, "case {case}");
             }
-            (a, b) => panic!("case {case}: divergent outcomes {a:?} vs {b:?}"),
+            (expected, b) => panic!("case {case}: enumeration {expected:?}, search {b:?}"),
         }
     }
     assert!(
@@ -105,7 +121,7 @@ fn invalid_incumbents_are_ignored() {
     // An incumbent that violates the constraint must be discarded.
     let s = m
         .solve_with(&SolveConfig {
-            initial_incumbent: Some(vec![10.0]),
+            incumbents: vec![vec![10.0]],
             ..SolveConfig::default()
         })
         .unwrap();
@@ -113,7 +129,7 @@ fn invalid_incumbents_are_ignored() {
     // An incumbent of the wrong arity must be discarded too.
     let s = m
         .solve_with(&SolveConfig {
-            initial_incumbent: Some(vec![1.0, 2.0, 3.0]),
+            incumbents: vec![vec![1.0, 2.0, 3.0]],
             ..SolveConfig::default()
         })
         .unwrap();
@@ -129,11 +145,54 @@ fn suboptimal_incumbent_is_improved_upon() {
     // x = 2 is feasible but poor; the solver must still reach x = 8.
     let s = m
         .solve_with(&SolveConfig {
-            initial_incumbent: Some(vec![2.0]),
+            incumbents: vec![vec![2.0]],
             ..SolveConfig::default()
         })
         .unwrap();
     assert_eq!(s.int_value(x), 8);
+}
+
+/// Candidates are validated once each, in list order, and the first of
+/// the cheapest valid ones is installed. The model has two optimal points
+/// and a fractional root relaxation (`x + y = 1.5`), so the search only
+/// ever finds points as good as the installed one, never strictly better,
+/// and returns the installed candidate's values.
+#[test]
+fn cheapest_valid_candidate_is_installed_first_on_ties() {
+    let mut m = Model::new();
+    let x = m.add_var("x", VarType::Integer, 0.0, 1.0);
+    let y = m.add_var("y", VarType::Integer, 0.0, 1.0);
+    m.add_constraint("c", 2.0 * x + 2.0 * y, Sense::Le, 3.0);
+    m.set_objective(-1.0 * x - 1.0 * y);
+    let (a, b) = (vec![1.0, 0.0], vec![0.0, 1.0]);
+    let solve = |incumbents: Vec<Vec<f64>>| {
+        m.solve_with(&SolveConfig {
+            incumbents,
+            ..SolveConfig::default()
+        })
+        .expect("feasible")
+    };
+    let wrong_arity = vec![1.0, 0.0, 0.0];
+    let violating = vec![1.0, 1.0];
+    let costly = vec![0.0, 0.0];
+    let s = solve(vec![
+        wrong_arity,
+        violating.clone(),
+        costly,
+        b.clone(),
+        a.clone(),
+    ]);
+    assert_eq!(s.values, b, "the first of the two cheapest wins");
+    assert!(s.stats.incumbent_seeded);
+    assert_eq!(s.objective, -1.0);
+
+    let s = solve(vec![a.clone(), b]);
+    assert_eq!(s.values, a);
+    assert!(s.stats.incumbent_seeded);
+
+    let s = solve(vec![violating, vec![0.5, 0.0], vec![1.0]]);
+    assert!(!s.stats.incumbent_seeded, "no valid candidate");
+    assert_eq!(s.objective, -1.0);
 }
 
 /// A random bounded LP with small integer data — degenerate vertices

@@ -11,7 +11,7 @@ use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 use ras_broker::{BrokerSnapshot, ReservationId};
-use ras_milp::{Basis, SolveConfig, SolveError, WarmStart};
+use ras_milp::{Basis, SolveConfig, SolveError};
 use ras_topology::{Region, ServerId};
 
 use crate::aggregate::{build_reduction, AggregationLevel, DisaggStats, Reduction};
@@ -156,23 +156,29 @@ pub(crate) fn refine_with_phase2(
 }
 
 /// Solves one already-built phase model, softening it in place and
-/// solving it again on infeasibility; `warm` is the session's
-/// previous-round basis and seed incumbent, `None` on the stateless path.
+/// solving it again on infeasibility. `warm_basis` and `seed` are the
+/// session's previous-round root basis and re-valued targets, `None` on
+/// the stateless path; the seed is offered after the current assignment
+/// and the greedy construction, and branch and bound installs the
+/// cheapest valid one.
 fn solve_prepared(
     region: &Region,
     reduction: &Reduction,
     ras: &mut RasModel,
     params: &SolverParams,
-    warm: Option<WarmStart>,
+    warm_basis: Option<Basis>,
+    seed: Option<Vec<f64>>,
 ) -> Result<ras_milp::Solution, CoreError> {
     let (specs, classes) = (&reduction.specs, &reduction.classes);
+    let mut incumbents = candidate_incumbents(ras, region, specs, classes, params);
+    incumbents.extend(seed);
     let mut config = SolveConfig {
         time_limit_seconds: params.phase_time_limit,
         rel_gap_tol: params.mip_rel_gap,
         abs_gap_tol: params.mip_abs_gap,
         stall_node_limit: params.stall_node_limit,
-        initial_incumbent: Some(best_incumbent(ras, region, specs, classes, params)),
-        warm_start: warm,
+        incumbents,
+        warm_basis,
         audit: params.audit,
         warm_dual: params.warm_dual,
         ..SolveConfig::default()
@@ -191,13 +197,14 @@ fn solve_prepared(
         // (A NoIncumbent timeout also lands here: the softened model
         // always contains the current assignment as a feasible point, so
         // its heuristics cannot come up empty.) The model keeps its
-        // columns and rows, but the retry still starts cold: measured on
-        // over-subscribed rounds, dual-first from the running plan beats
-        // the basis that proved the hard model infeasible.
+        // columns and rows, but the retry still starts cold and without
+        // the seed: measured on over-subscribed rounds, dual-first from
+        // the running plan beats the basis that proved the hard model
+        // infeasible.
         let baseline = soften_baseline(region, specs, classes);
         ras.soften(&baseline);
-        config.initial_incumbent = Some(best_incumbent(ras, region, specs, classes, params));
-        config.warm_start = None;
+        config.incumbents = candidate_incumbents(ras, region, specs, classes, params);
+        config.warm_basis = None;
         solution = ras.model.solve_with(&config);
         if matches!(solution, Err(SolveError::Infeasible)) {
             // Cannot happen when the current assignment is well formed —
@@ -253,7 +260,8 @@ pub(crate) struct PhaseRun {
 /// The one phase body, model in hand: solve (softening `ras` on demand)
 /// → split aggregate specs back over their members → per-server targets
 /// → statistics. [`run_phase`] enters with no warm start; the session
-/// enters with the previous round's basis and targets as `warm`.
+/// enters with the previous round's basis and its targets, re-valued on
+/// this model, as `seed`.
 /// `specs` are the full specs `reduction` was built from.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_phase(
@@ -263,11 +271,12 @@ pub(crate) fn solve_phase(
     params: &SolverParams,
     reduction: &Reduction,
     ras: &mut RasModel,
-    warm: Option<WarmStart>,
+    warm_basis: Option<Basis>,
+    seed: Option<Vec<f64>>,
     phase_start: Instant,
     ras_build_seconds: f64,
 ) -> Result<PhaseRun, CoreError> {
-    let solution = solve_prepared(region, reduction, ras, params, warm)?;
+    let solution = solve_prepared(region, reduction, ras, params, warm_basis, seed)?;
     let solved = ras.decode(&solution);
     // Below `Clusters` the counts pass through untouched.
     let mut disagg = DisaggStats::default();
@@ -341,44 +350,27 @@ pub fn run_phase(
         &reduction,
         &mut ras,
         None,
+        None,
         phase_start,
         ras_build_seconds,
     )?;
     Ok((run.targets, run.stats))
 }
 
-/// Picks the best valid warm incumbent for a built model: the current
-/// assignment and the greedy spread-aware construction are both valued
-/// and validated; the cheapest valid one wins (in a softened model the
-/// do-nothing point is always valid but pays the full softening penalty,
-/// so the greedy construction usually dominates it). A previous round's
-/// assignment arrives separately as a [`WarmStart`] incumbent.
-pub(crate) fn best_incumbent(
+/// The candidate incumbents every phase solve offers branch and bound,
+/// valued on `ras` as it stands, softened or not: the assignment the
+/// region runs, then the greedy spread-aware construction (in a softened
+/// model the do-nothing point is always valid but pays the full softening
+/// penalty, so the greedy construction usually beats it).
+pub fn candidate_incumbents(
     ras: &RasModel,
     region: &Region,
     specs: &[ReservationSpec],
     classes: &[EquivClass],
     params: &SolverParams,
-) -> Vec<f64> {
-    let score = |v: &[f64]| -> Option<f64> {
-        ras.model
-            .violations(v, tol::PRIMAL_FEAS)
-            .is_empty()
-            .then(|| ras.model.objective().eval(v))
-    };
-    let current = ras.initial.clone();
-    let greedy = ras.incumbent_from_counts(&crate::heuristic::greedy_counts(
-        region, specs, classes, params,
-    ));
-    let mut best: Option<(f64, Vec<f64>)> = None;
-    for candidate in [current.clone(), greedy] {
-        if let Some(s) = score(&candidate) {
-            if best.as_ref().is_none_or(|(b, _)| s < *b) {
-                best = Some((s, candidate));
-            }
-        }
-    }
-    best.map_or(current, |(_, v)| v)
+) -> Vec<Vec<f64>> {
+    let greedy = crate::heuristic::greedy_counts(region, specs, classes, params);
+    vec![ras.initial.clone(), ras.incumbent_from_counts(&greedy)]
 }
 
 /// Rack-overage score per reservation under an assignment: total RRUs

@@ -11,7 +11,7 @@
 //!
 //! 1. **The root LP basis, with its name space.** The previous round's
 //!    optimal root basis is handed to the simplex through
-//!    [`ras_milp::SolveConfig::warm_start`]. Variables and rows are named
+//!    [`ras_milp::SolveConfig::warm_basis`]. Variables and rows are named
 //!    after key-stable class labels, so the basis goes in as it is when
 //!    the new model's names equal the cached ones
 //!    ([`WarmReport::model_reused`]: the round differs from the last in
@@ -26,9 +26,12 @@
 //!    which silently repairs assignments of servers that since left the
 //!    fleet — valued through the model's auxiliary definitions, and
 //!    offered to branch-and-bound as a starting best-known solution so
-//!    best-bound search prunes from iteration zero. If drift made the
-//!    seed infeasible (e.g. capacity grew), the solver validates and
-//!    rejects it and falls back to the greedy/current candidates.
+//!    best-bound search prunes from iteration zero. It is the last of the
+//!    round's candidate incumbents ([`ras_milp::SolveConfig::incumbents`]:
+//!    the current assignment, the greedy construction, the seed), and
+//!    branch and bound, the one place that validates them, installs the
+//!    cheapest valid one. If drift made the seed infeasible (e.g.
+//!    capacity grew), it is simply not installed.
 //!
 //! The phase-1 model itself is rebuilt from the round's reduction every
 //! round. An earlier design cached it and patched drifted class counts
@@ -53,7 +56,7 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use ras_broker::{BrokerSnapshot, ReservationId};
-use ras_milp::{Basis, WarmStart};
+use ras_milp::Basis;
 use ras_topology::{Region, ServerId};
 use serde::{Deserialize, Serialize};
 
@@ -104,9 +107,6 @@ pub struct WarmReport {
     /// Phase 2 was skipped because phase 1 reproduced the previous
     /// round's final targets exactly (the refinement is a fixed point).
     pub phase2_skipped: bool,
-    /// The seed violated the new model (drift broke it) and was left for
-    /// the solver to reject in favor of the repair candidates.
-    pub seed_repaired: bool,
     /// This round ran the exact-model ratchet (unreduced re-solve).
     pub ratchet_checked: bool,
     /// Aggregated-plan objective minus exact-plan objective (only
@@ -266,7 +266,7 @@ impl SolveSession {
         // On any error below the cache stays dropped: a failed round
         // invalidates the session and the next round starts cold.
         let mut prev = self.cache.take();
-        let mut warm = WarmStart::default();
+        let (mut warm_basis, mut seed) = (None, None);
         if let Some(prev) = prev.as_mut() {
             // Names are built from *reduced* class labels and spec names:
             // identical full specs imply an identical clustering (the
@@ -277,7 +277,7 @@ impl SolveSession {
             report.model_reused = same_names;
             report.bounds_only_patch = same_names;
             if let Some(basis) = prev.basis.take() {
-                warm.basis = Some(if same_names {
+                warm_basis = Some(if same_names {
                     basis
                 } else {
                     report.basis_remapped = true;
@@ -288,7 +288,8 @@ impl SolveSession {
             // Previous targets, re-aggregated over the new classes (this
             // clamps away servers that left the fleet), become the seed
             // incumbent. Full-space target ids map through the reduction
-            // into the model's (possibly clustered) spec space.
+            // into the model's (possibly clustered) spec space. Branch and
+            // bound validates it with the other candidates.
             let mut counts = vec![vec![0usize; reduction.specs.len()]; reduction.classes.len()];
             for (ci, class) in reduction.classes.iter().enumerate() {
                 for &s in &class.servers {
@@ -301,13 +302,10 @@ impl SolveSession {
                     }
                 }
             }
-            let seed = ras.incumbent_from_counts(&counts);
+            seed = Some(ras.incumbent_from_counts(&counts));
             report.seed_supplied = true;
-            report.seed_repaired = !ras.model.violations(&seed, tol::PRIMAL_FEAS).is_empty();
-            warm.incumbent = Some(seed);
         }
 
-        let warm = (!warm.is_empty()).then_some(warm);
         let PhaseRun {
             targets: targets1,
             stats: phase1,
@@ -319,7 +317,8 @@ impl SolveSession {
             params,
             &reduction,
             &mut ras,
-            warm,
+            warm_basis,
+            seed,
             phase_start,
             ras_build_seconds,
         )?;

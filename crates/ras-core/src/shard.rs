@@ -830,7 +830,7 @@ impl ShardedSession {
 
 /// Folds per-shard warm reports into one session-level view: the flags
 /// AND across shards (the round is only as warm as its coldest shard),
-/// the two that flag trouble OR, and the ratchet gap sums.
+/// `basis_remapped` and `ratchet_checked` OR, and the ratchet gap sums.
 fn aggregate_warm(round: usize, shards: &[ShardReport]) -> WarmReport {
     let all = |f: fn(&WarmReport) -> bool| shards.iter().all(|s| f(&s.warm));
     let any = |f: fn(&WarmReport) -> bool| shards.iter().any(|s| f(&s.warm));
@@ -845,7 +845,6 @@ fn aggregate_warm(round: usize, shards: &[ShardReport]) -> WarmReport {
         incumbent_seeded: all(|w| w.incumbent_seeded),
         seed_supplied: all(|w| w.seed_supplied),
         phase2_skipped: all(|w| w.phase2_skipped),
-        seed_repaired: any(|w| w.seed_repaired),
         ratchet_checked: any(|w| w.ratchet_checked),
         ratchet_gap: shards.iter().map(|s| s.warm.ratchet_gap).sum(),
         // The round's ratchet holds only if every shard that checked one

@@ -89,7 +89,7 @@ fn fingerprint(reservations: usize, utilization: f64, soften: bool) -> Fingerpri
         max_nodes: 600,
         rel_gap_tol: params.mip_rel_gap,
         abs_gap_tol: params.mip_abs_gap,
-        initial_incumbent: Some(greedy),
+        incumbents: vec![greedy],
         audit: AuditMode::Off,
         ..SolveConfig::default()
     };
