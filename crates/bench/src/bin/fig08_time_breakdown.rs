@@ -42,6 +42,8 @@ fn main() {
     // solved ahead for nodes never popped. Both depend on thread timing.
     let mut solved_ahead = 0usize;
     let mut discarded = 0usize;
+    // The search thread's seconds in its rounding dives (part of MIP).
+    let mut dive_seconds = 0.0;
     let rounds = 10u64;
     for round in 0..rounds {
         instance::perturb(&mut inst, round);
@@ -69,6 +71,7 @@ fn main() {
                 refac_accuracy += s.mip_stats.refactors_accuracy;
                 solved_ahead += s.mip_stats.nodes_solved_ahead;
                 discarded += s.mip_stats.lp_solves_discarded;
+                dive_seconds += s.mip_stats.dive_seconds;
                 if slot == 1 {
                     phase2_runs += 1;
                 }
@@ -123,7 +126,9 @@ fn main() {
     ));
     exp.note(format!(
         "look-ahead: {solved_ahead} nodes solved ahead, {discarded} look-ahead LPs discarded \
-         (timing-dependent)"
+         (timing-dependent); dives {} s of {} s MIP",
+        fmt(dive_seconds, 3),
+        fmt(acc[0].mip_seconds + acc[1].mip_seconds, 3)
     ));
     exp.note("shape check: MIP share of phase 1 should exceed its share of phase 2");
     exp.finish();

@@ -10,16 +10,22 @@
 //! node's bounds and its parent's basis: every [`Simplex::solve`] resets
 //! its engine, so which engine solved a node, and what it solved before,
 //! cannot show in the result. While the search runs exactly as it would
-//! alone, one helper thread with an engine of its own solves the best open
-//! nodes ahead of their pop (the best three, republished at every pop),
-//! and the search takes a node's result from it when it pops that
-//! node. Node stats are recorded only then, so every counter, every prune
-//! and the plan are those of the serial search; only
+//! alone, one helper thread with an engine of its own solves nodes ahead
+//! of their pop and files each result under the node's id with the node's
+//! branching path; the search takes a filed result when it pops a node
+//! with that id and path. While the search runs its root dive, the helper
+//! walks the search's own best-bound expansion from the root with no
+//! incumbent to prune against: until the search first prunes a node by its
+//! incumbent, the two trees are one. After the dive it solves the best open
+//! nodes (the best three, republished at every pop). Node stats are
+//! recorded only when the search takes a node, so every counter, every
+//! prune and the plan are those of the serial search; only
 //! [`SolveStats::nodes_solved_ahead`] and
 //! [`SolveStats::lp_solves_discarded`] depend on timing. The helper starts
-//! only while the process has fewer searches in their node loop than it
-//! has cores, and both threads wait by yielding, not parking: a parked
-//! helper woke on the search's own core often enough to lose the gain.
+//! only while the process has fewer searches in their dive or node loop
+//! than it has cores, and both threads wait by yielding, not parking: a
+//! parked helper woke on the search's own core often enough to lose the
+//! gain.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
@@ -54,9 +60,14 @@ const LOOK_AHEAD: usize = 3;
 /// otherwise, the look-ahead would guess worse nodes: slower, not wrong.)
 const LOOK_AHEAD_SLOTS: usize = (1 << LOOK_AHEAD) - 1;
 
-/// Searches of this process inside their best-bound loop: a search starts
-/// a helper only while the count, itself included, is below the cores.
-static SEARCHES_IN_LOOP: AtomicUsize = AtomicUsize::new(0);
+/// Results the walk files ahead of the search, not yet taken, at which it
+/// stops: the memory a walk may hold.
+const WALK_CAP: usize = 128;
+
+/// Searches of this process in their root dive or best-bound loop: a
+/// search starts a helper only while the count, itself included, is below
+/// the cores.
+static SEARCHING: AtomicUsize = AtomicUsize::new(0);
 
 /// An open node, stored as its branching path instead of full bound
 /// vectors: memory per node follows its depth, not the model's size.
@@ -146,17 +157,164 @@ impl Ord for HeapEntry {
     }
 }
 
+/// A best-bound expansion: the open nodes, what branching has learnt, and
+/// the next node id. The search owns one; during the root dive the
+/// helper's walk owns another, grown by the same [`expand`](Self::expand),
+/// so while no node is pruned the two hand out the same ids to the same
+/// nodes.
+struct Tree {
+    heap: BinaryHeap<HeapEntry>,
+    pseudo: PseudoCosts,
+    next_id: u64,
+}
+
+impl Tree {
+    /// The tree of one open node, the root (id 0), with bound `bound`.
+    fn new(root: Node, bound: f64, num_vars: usize) -> Self {
+        let mut heap = BinaryHeap::new();
+        heap.push(HeapEntry { bound, node: root });
+        Self {
+            heap,
+            pseudo: PseudoCosts::new(num_vars),
+            next_id: 1,
+        }
+    }
+
+    /// Learns from `entry`'s node, solved to optimality as `lp` under
+    /// `lower`/`upper`, and branches on it unless `pruned`: records the
+    /// degradation the branch that created it caused, picks a variable by
+    /// [`crate::branching::select`] and pushes the down child
+    /// (`x ≤ ⌊v⌋`), then the up one (`x ≥ ⌈v⌉`), each only if non-empty,
+    /// ids in creation order. The children take `lp`'s basis. Returns true
+    /// when the node was not pruned and `lp` is integral: a feasible point.
+    fn expand(
+        &mut self,
+        entry: &HeapEntry,
+        lp: &mut LpResult,
+        lower: &[f64],
+        upper: &[f64],
+        int_vars: &[usize],
+        pruned: bool,
+    ) -> bool {
+        let node = &entry.node;
+        if let Some(&(var, is_upper, _)) = node.path.last() {
+            self.pseudo
+                .record(var, !is_upper, node.frac, lp.objective - entry.bound);
+        }
+        if pruned {
+            return false;
+        }
+        let Some(branch_var) = crate::branching::select(&lp.values, int_vars, &self.pseudo) else {
+            return true;
+        };
+        let value = lp.values[branch_var];
+        let frac = value - value.floor();
+        let child_warm = lp.basis.take().map(Arc::new);
+        for (is_upper, bound) in [(true, value.floor()), (false, value.ceil())] {
+            let nonempty = if is_upper {
+                lower[branch_var] <= bound
+            } else {
+                bound <= upper[branch_var]
+            };
+            if nonempty {
+                self.heap.push(HeapEntry {
+                    bound: lp.objective,
+                    node: node.child(
+                        self.next_id,
+                        (branch_var, is_upper, bound),
+                        frac,
+                        child_warm.clone(),
+                    ),
+                });
+                self.next_id += 1;
+            }
+        }
+        false
+    }
+}
+
+/// The stall rule's count: pops since the best open bound last rose by
+/// more than the absolute gap tolerance.
+struct Stall {
+    nodes: usize,
+    last_bound: f64,
+}
+
+impl Stall {
+    fn new() -> Self {
+        Self {
+            nodes: 0,
+            last_bound: f64::NEG_INFINITY,
+        }
+    }
+
+    /// Counts the pop of a node with bound `bound`; true once the bound
+    /// has not risen for `config.stall_node_limit` pops in a row.
+    fn stalled(&mut self, bound: f64, config: &SolveConfig) -> bool {
+        if bound > self.last_bound + config.abs_gap_tol.max(tol::EPS) {
+            self.last_bound = bound;
+            self.nodes = 0;
+            false
+        } else {
+            self.nodes += 1;
+            self.nodes >= config.stall_node_limit
+        }
+    }
+}
+
 /// What the search and its look-ahead helper share, under one lock.
 #[derive(Default)]
 struct Shared {
     /// Open nodes for the helper to solve, best first.
     queue: Vec<Node>,
-    /// The node the helper is solving.
-    helper_on: Option<u64>,
-    /// Finished look-ahead results, by node id.
-    done: HashMap<u64, LpResult>,
+    /// The id and path of the node the helper is solving.
+    helper_on: Option<(u64, Vec<BoundChange>)>,
+    /// Finished look-ahead results, by node id, each with the path of the
+    /// node it was solved for.
+    done: HashMap<u64, (Vec<BoundChange>, LpResult)>,
+    /// Results dropped unused: filed under a popped node's id for another
+    /// path, or replaced by a later result under the same id.
+    discarded: usize,
+    /// Set while the search runs its root dive and the helper walks.
+    walking: bool,
     /// Set when the search leaves its node loop, by any exit.
     stop: bool,
+}
+
+impl Shared {
+    /// Whether the helper is solving `node` now.
+    fn is_on(&self, node: &Node) -> bool {
+        self.helper_on
+            .as_ref()
+            .is_some_and(|(id, path)| *id == node.id && *path == node.path)
+    }
+
+    /// Whether `node` is solved or being solved.
+    fn has(&self, node: &Node) -> bool {
+        self.is_on(node)
+            || self
+                .done
+                .get(&node.id)
+                .is_some_and(|(path, _)| *path == node.path)
+    }
+
+    fn file(&mut self, node: &Node, lp: LpResult) {
+        if self.done.insert(node.id, (node.path.clone(), lp)).is_some() {
+            self.discarded += 1;
+        }
+    }
+
+    /// Removes the result filed under `node`'s id and returns it if it was
+    /// solved for `node`'s path; one solved for another path is discarded.
+    fn take(&mut self, node: &Node) -> Option<LpResult> {
+        let (path, lp) = self.done.remove(&node.id)?;
+        if path == node.path {
+            Some(lp)
+        } else {
+            self.discarded += 1;
+            None
+        }
+    }
 }
 
 /// Locks the shared state. A panicking thread leaves it consistent (no
@@ -165,16 +323,16 @@ fn lock(shared: &Mutex<Shared>) -> MutexGuard<'_, Shared> {
     shared.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The search's side of the look-ahead. Created when the search enters
-/// its node loop, where it takes its place in [`SEARCHES_IN_LOOP`];
-/// dropped on every exit from the loop, where it gives the place back and
-/// stops the helper.
+/// The search's side of the look-ahead. Created before the search's root
+/// dive, where it takes its place in [`SEARCHING`]; dropped on every exit
+/// from the node loop, where it gives the place back and stops the
+/// helper.
 struct LookAhead<'a> {
     shared: &'a Mutex<Shared>,
-    /// Whether a core was idle when the search entered its loop.
+    /// Whether a core was idle when the search entered its dive.
     idle_core: bool,
-    /// Whether the helper has been started (at the first publish that
-    /// queued a node).
+    /// Whether the helper has been started (for the walk, or at the first
+    /// publish that queued a node).
     started: bool,
     /// Bounds scratch for the nodes the search solves ahead itself.
     lower: Vec<f64>,
@@ -185,7 +343,7 @@ impl<'a> LookAhead<'a> {
     fn enter(shared: &'a Mutex<Shared>) -> Self {
         static CORES: OnceLock<usize> = OnceLock::new();
         let cores = *CORES.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()));
-        let searches = SEARCHES_IN_LOOP.fetch_add(1, AtomicOrdering::Relaxed) + 1;
+        let searches = SEARCHING.fetch_add(1, AtomicOrdering::Relaxed) + 1;
         Self {
             shared,
             idle_core: searches < cores,
@@ -193,6 +351,21 @@ impl<'a> LookAhead<'a> {
             lower: Vec::new(),
             upper: Vec::new(),
         }
+    }
+
+    /// Returns true when the caller should start the helper walking the
+    /// tree while the search dives: a core is idle.
+    fn walk(&mut self) -> bool {
+        if self.idle_core {
+            self.started = true;
+            lock(self.shared).walking = true;
+        }
+        self.started
+    }
+
+    /// Ends the walk: the helper finishes its node and turns to the queue.
+    fn end_walk(&self) {
+        lock(self.shared).walking = false;
     }
 
     /// Replaces the helper's queue with the [`LOOK_AHEAD`] best open
@@ -210,8 +383,7 @@ impl<'a> LookAhead<'a> {
         let shared = &mut *shared;
         shared.queue.clear();
         for entry in best.into_iter().take(LOOK_AHEAD) {
-            let id = entry.node.id;
-            if shared.helper_on != Some(id) && !shared.done.contains_key(&id) {
+            if !shared.has(&entry.node) {
                 shared.queue.push(entry.node.clone());
             }
         }
@@ -237,27 +409,27 @@ impl<'a> LookAhead<'a> {
             return None;
         }
         let mut shared = lock(self.shared);
-        if let Some(lp) = shared.done.remove(&node.id) {
+        if let Some(lp) = shared.take(node) {
             return Some(lp);
         }
-        if shared.helper_on != Some(node.id) {
+        if !shared.is_on(node) {
             return None;
         }
         if let Some(next) = heap.peek().map(|e| &e.node) {
-            if shared.helper_on != Some(next.id) && !shared.done.contains_key(&next.id) {
+            if !shared.has(next) {
                 shared.queue.retain(|job| job.id != next.id);
                 drop(shared);
                 next.bounds_into(root_lower, root_upper, &mut self.lower, &mut self.upper);
                 let lp = engine.solve(&self.lower, &self.upper, next.warm.as_deref());
                 shared = lock(self.shared);
-                shared.done.insert(next.id, lp);
+                shared.file(next, lp);
             }
         }
         loop {
-            if let Some(lp) = shared.done.remove(&node.id) {
+            if let Some(lp) = shared.take(node) {
                 return Some(lp);
             }
-            if shared.helper_on != Some(node.id) {
+            if !shared.is_on(node) {
                 // The helper died mid-solve (its panic resurfaces when the
                 // search's scope joins it): solve the node here.
                 return None;
@@ -271,54 +443,117 @@ impl<'a> LookAhead<'a> {
 
 impl Drop for LookAhead<'_> {
     fn drop(&mut self) {
-        SEARCHES_IN_LOOP.fetch_sub(1, AtomicOrdering::Relaxed);
+        SEARCHING.fetch_sub(1, AtomicOrdering::Relaxed);
         lock(self.shared).stop = true;
     }
 }
 
-/// The helper thread: solves the front of the queue on an engine of its
-/// own, files the result, and repeats until the search stops it.
-fn run_helper(
-    shared: &Mutex<Shared>,
-    sf: &StandardForm,
-    config: &SimplexConfig,
-    root_lower: &[f64],
-    root_upper: &[f64],
-) {
-    /// Clears `helper_on` on every exit, a panic included, so the search
-    /// never waits for a node nobody is solving.
-    struct Gone<'a>(&'a Mutex<Shared>);
-    impl Drop for Gone<'_> {
-        fn drop(&mut self) {
-            lock(self.0).helper_on = None;
+/// What the helper thread borrows from the search.
+#[derive(Clone, Copy)]
+struct Helper<'a> {
+    shared: &'a Mutex<Shared>,
+    sf: &'a StandardForm,
+    config: &'a SimplexConfig,
+    root_lower: &'a [f64],
+    root_upper: &'a [f64],
+}
+
+/// The helper's walk while the search dives: the search's best-bound
+/// expansion from the root, with no incumbent to prune against.
+struct Walk<'a> {
+    tree: Tree,
+    int_vars: &'a [usize],
+    config: &'a SolveConfig,
+}
+
+impl Helper<'_> {
+    /// The helper thread: walks the tree first when given a walk, then
+    /// solves the front of the queue on an engine of its own, files the
+    /// result, and repeats until the search stops it.
+    fn run(self, walk: Option<Walk<'_>>) {
+        /// Clears `helper_on` on every exit, a panic included, so the
+        /// search never waits for a node nobody is solving.
+        struct Gone<'a>(&'a Mutex<Shared>);
+        impl Drop for Gone<'_> {
+            fn drop(&mut self) {
+                lock(self.0).helper_on = None;
+            }
+        }
+        let _gone = Gone(self.shared);
+        let mut engine = Simplex::new(self.sf, self.config.clone());
+        let (mut lower, mut upper) = (Vec::new(), Vec::new());
+        if let Some(walk) = walk {
+            self.walk(walk, &mut engine, &mut lower, &mut upper);
+        }
+        loop {
+            let job = {
+                let mut shared = lock(self.shared);
+                if shared.stop {
+                    return;
+                }
+                if shared.queue.is_empty() {
+                    None
+                } else {
+                    let job = shared.queue.remove(0);
+                    shared.helper_on = Some((job.id, job.path.clone()));
+                    Some(job)
+                }
+            };
+            let Some(job) = job else {
+                thread::yield_now();
+                continue;
+            };
+            job.bounds_into(self.root_lower, self.root_upper, &mut lower, &mut upper);
+            let lp = engine.solve(&lower, &upper, job.warm.as_deref());
+            let mut shared = lock(self.shared);
+            shared.file(&job, lp);
+            shared.helper_on = None;
         }
     }
-    let _gone = Gone(shared);
-    let mut engine = Simplex::new(sf, config.clone());
-    let (mut lower, mut upper) = (Vec::new(), Vec::new());
-    loop {
-        let job = {
-            let mut shared = lock(shared);
-            if shared.stop {
+
+    /// Solves and files the walk's nodes in the order the search would pop
+    /// them with no incumbent, until the first of: the dive ends, the
+    /// search's stall rule would stop it were an incumbent held, the node
+    /// limit, or [`WALK_CAP`] results wait untaken (the dive, and with it
+    /// the walk, ends by half the time limit). Stopping early only leaves
+    /// nodes for the search to solve itself.
+    fn walk(
+        &self,
+        mut walk: Walk<'_>,
+        engine: &mut Simplex<'_>,
+        lower: &mut Vec<f64>,
+        upper: &mut Vec<f64>,
+    ) {
+        let config = walk.config;
+        let mut stall = Stall::new();
+        let mut solved = 0;
+        while let Some(entry) = walk.tree.heap.pop() {
+            if solved >= config.max_nodes
+                || (config.stall_node_limit > 0 && stall.stalled(entry.bound, config))
+            {
                 return;
             }
-            if shared.queue.is_empty() {
-                None
-            } else {
-                let job = shared.queue.remove(0);
-                shared.helper_on = Some(job.id);
-                Some(job)
+            let node = &entry.node;
+            {
+                let mut shared = lock(self.shared);
+                if shared.stop || !shared.walking || shared.done.len() >= WALK_CAP {
+                    return;
+                }
+                shared.helper_on = Some((node.id, node.path.clone()));
             }
-        };
-        let Some(job) = job else {
-            thread::yield_now();
-            continue;
-        };
-        job.bounds_into(root_lower, root_upper, &mut lower, &mut upper);
-        let lp = engine.solve(&lower, &upper, job.warm.as_deref());
-        let mut shared = lock(shared);
-        shared.done.insert(job.id, lp);
-        shared.helper_on = None;
+            node.bounds_into(self.root_lower, self.root_upper, lower, upper);
+            let mut lp = engine.solve(lower, upper, node.warm.as_deref());
+            solved += 1;
+            {
+                let mut shared = lock(self.shared);
+                shared.file(node, lp.clone());
+                shared.helper_on = None;
+            }
+            if lp.status == LpStatus::Optimal {
+                walk.tree
+                    .expand(&entry, &mut lp, lower, upper, walk.int_vars, false);
+            }
+        }
     }
 }
 
@@ -469,63 +704,38 @@ pub fn solve(model: &Model, config: &SolveConfig) -> Result<Solution, SolveError
     // something the search found); prunes against it count as seed payoff.
     let mut incumbent_is_seed = incumbent.is_some();
     stats.incumbent_seeded = incumbent_is_seed;
-    // One engine for every node and dive LP the search itself solves.
-    let mut node_lp = Simplex::new(&sf, lp_config.clone());
     // Both the dive and the integral-root shortcut require a *proven*
     // root optimum; an iteration-limited root goes straight to the
     // search, which will re-solve it.
-    if root_optimal {
-        if most_fractional(&root.values, &int_vars).is_some() {
-            // Try the rounding/diving heuristic for an early incumbent.
-            if let Some((obj, values)) = dive(
-                model,
-                config,
-                &mut node_lp,
-                &root_lower,
-                &root_upper,
-                &root,
-                &int_vars,
-                &mut stats,
-                start,
-            ) {
-                if incumbent.as_ref().is_none_or(|(io, _)| obj < *io) {
-                    incumbent = Some((obj, values));
-                    incumbent_is_seed = false;
-                }
-            }
-        } else {
-            // Root relaxation is already integral.
-            let (obj, values) = snap(model, &root, &int_vars);
-            stats.best_bound = obj;
-            stats.nodes = 1;
-            stats.solve_seconds = start.elapsed().as_secs_f64();
-            if audit_on {
-                check_mip_certificate(model, &values, obj, &stats, &audit_cfg, &mut audit);
-            }
-            stats.audit = audit;
-            return Ok(Solution {
-                status: Status::Optimal,
-                objective: obj,
-                values,
-                stats,
-                root_basis: root.basis.clone(),
-            });
+    if root_optimal && most_fractional(&root.values, &int_vars).is_none() {
+        // Root relaxation is already integral.
+        let (obj, values) = snap(model, &root, &int_vars);
+        stats.best_bound = obj;
+        stats.nodes = 1;
+        stats.solve_seconds = start.elapsed().as_secs_f64();
+        if audit_on {
+            check_mip_certificate(model, &values, obj, &stats, &audit_cfg, &mut audit);
         }
+        stats.audit = audit;
+        return Ok(Solution {
+            status: Status::Optimal,
+            objective: obj,
+            values,
+            stats,
+            root_basis: root.basis.clone(),
+        });
     }
+    // One engine for every node and dive LP the search itself solves.
+    let mut node_lp = Simplex::new(&sf, lp_config.clone());
 
     // Best-bound search.
-    let mut pseudo = PseudoCosts::new(model.num_vars());
-    let mut heap = BinaryHeap::new();
-    heap.push(HeapEntry {
-        bound: root_bound,
-        node: Node {
-            id: 0,
-            path: Vec::new(),
-            frac: 0.0,
-            warm: root.basis.clone().map(Arc::new),
-        },
-    });
-    let mut next_id = 1;
+    let root_node = Node {
+        id: 0,
+        path: Vec::new(),
+        frac: 0.0,
+        warm: root.basis.clone().map(Arc::new),
+    };
+    let mut tree = Tree::new(root_node.clone(), root_bound, model.num_vars());
     // The popped node's bounds, materialised from its path.
     let (mut lower, mut upper) = (Vec::new(), Vec::new());
     let mut best_open_bound = root_bound;
@@ -535,16 +745,55 @@ pub fn solve(model: &Model, config: &SolveConfig) -> Result<Solution, SolveError
     // overclaim whatever optimum they might have contained.
     let mut abandoned_bound = f64::INFINITY;
     let mut hit_limit = false;
-    let mut stall_nodes = 0usize;
-    let mut last_bound = f64::NEG_INFINITY;
+    let mut stall = Stall::new();
 
-    // The node loop runs in a thread scope: a look-ahead helper, once
-    // started, borrows the standard form and the root bounds, and is
-    // stopped and joined on every exit from the loop.
+    // The root dive and the node loop run in a thread scope: a look-ahead
+    // helper, once started, borrows the standard form and the root
+    // bounds, and is stopped and joined on every exit from the loop.
     let shared = Mutex::new(Shared::default());
+    let helper = Helper {
+        shared: &shared,
+        sf: &sf,
+        config: &lp_config,
+        root_lower: &root_lower,
+        root_upper: &root_upper,
+    };
     thread::scope(|scope| {
         let mut ahead = LookAhead::enter(&shared);
-        while let Some(entry) = heap.pop() {
+        if root_optimal {
+            // The root is fractional: try the rounding/diving heuristic
+            // for an early incumbent. Meanwhile an idle core walks the
+            // tree the search will grow, as far as no incumbent prunes it.
+            if ahead.walk() {
+                let walk = Walk {
+                    tree: Tree::new(root_node, root_bound, model.num_vars()),
+                    int_vars: &int_vars,
+                    config,
+                };
+                scope.spawn(move || helper.run(Some(walk)));
+            }
+            let dive_start = Instant::now();
+            let found = dive(
+                model,
+                config,
+                &mut node_lp,
+                &root_lower,
+                &root_upper,
+                &root,
+                &int_vars,
+                &mut stats,
+                start,
+            );
+            stats.dive_seconds += dive_start.elapsed().as_secs_f64();
+            ahead.end_walk();
+            if let Some((obj, values)) = found {
+                if incumbent.as_ref().is_none_or(|(io, _)| obj < *io) {
+                    incumbent = Some((obj, values));
+                    incumbent_is_seed = false;
+                }
+            }
+        }
+        while let Some(entry) = tree.heap.pop() {
             best_open_bound = entry.bound;
             if start.elapsed().as_secs_f64() > config.time_limit_seconds
                 || stats.nodes >= config.max_nodes
@@ -552,40 +801,33 @@ pub fn solve(model: &Model, config: &SolveConfig) -> Result<Solution, SolveError
                 hit_limit = true;
                 break;
             }
-            if config.stall_node_limit > 0 && incumbent.is_some() {
-                if entry.bound > last_bound + config.abs_gap_tol.max(tol::EPS) {
-                    last_bound = entry.bound;
-                    stall_nodes = 0;
-                } else {
-                    stall_nodes += 1;
-                    if stall_nodes >= config.stall_node_limit {
-                        hit_limit = true;
-                        break;
-                    }
-                }
+            if config.stall_node_limit > 0
+                && incumbent.is_some()
+                && stall.stalled(entry.bound, config)
+            {
+                hit_limit = true;
+                break;
             }
             if let Some((inc_obj, _)) = &incumbent {
                 if entry.bound >= inc_obj - config.abs_gap_tol {
                     // All remaining nodes have bounds at least this large.
                     if incumbent_is_seed {
-                        stats.nodes_pruned_by_seed += heap.len() + 1;
+                        stats.nodes_pruned_by_seed += tree.heap.len() + 1;
                     }
                     best_open_bound = *inc_obj;
-                    heap.clear();
+                    tree.heap.clear();
                     break;
                 }
             }
             // This node will be solved: point the helper at the ones
             // the search would pop next.
-            if ahead.publish(&heap) {
-                let (sf, config) = (&sf, &lp_config);
-                let (root_lower, root_upper) = (&root_lower, &root_upper);
-                let shared = &shared;
-                scope.spawn(move || run_helper(shared, sf, config, root_lower, root_upper));
+            if ahead.publish(&tree.heap) {
+                scope.spawn(move || helper.run(None));
             }
             let node = &entry.node;
             node.bounds_into(&root_lower, &root_upper, &mut lower, &mut upper);
-            let mut lp = match ahead.take(node, &heap, &mut node_lp, &root_lower, &root_upper) {
+            let mut lp = match ahead.take(node, &tree.heap, &mut node_lp, &root_lower, &root_upper)
+            {
                 Some(lp) => {
                     stats.nodes_solved_ahead += 1;
                     // Debug oracle: every 16th node solved ahead
@@ -623,22 +865,17 @@ pub fn solve(model: &Model, config: &SolveConfig) -> Result<Solution, SolveError
                 "optimal node LP with non-finite objective {}",
                 lp.objective
             );
-            // Pseudo-cost learning: the degradation this branch caused.
-            if let Some(&(var, is_upper, _)) = node.path.last() {
-                pseudo.record(var, !is_upper, node.frac, lp.objective - entry.bound);
-            }
-            if let Some((inc_obj, _)) = &incumbent {
-                if lp.objective >= inc_obj - config.abs_gap_tol {
-                    if incumbent_is_seed {
-                        stats.nodes_pruned_by_seed += 1;
-                    }
-                    continue;
-                }
+            let pruned = incumbent
+                .as_ref()
+                .is_some_and(|(inc_obj, _)| lp.objective >= inc_obj - config.abs_gap_tol);
+            if pruned && incumbent_is_seed {
+                stats.nodes_pruned_by_seed += 1;
             }
             // Periodic diving: every 256 nodes, try to round this node's
             // LP into a better incumbent (cheap thanks to warm starts).
-            if stats.nodes.is_multiple_of(256) {
-                if let Some((obj, values)) = dive(
+            if !pruned && stats.nodes.is_multiple_of(256) {
+                let dive_start = Instant::now();
+                let found = dive(
                     model,
                     config,
                     &mut node_lp,
@@ -648,63 +885,34 @@ pub fn solve(model: &Model, config: &SolveConfig) -> Result<Solution, SolveError
                     &int_vars,
                     &mut stats,
                     start,
-                ) {
+                );
+                stats.dive_seconds += dive_start.elapsed().as_secs_f64();
+                if let Some((obj, values)) = found {
                     if incumbent.as_ref().is_none_or(|(io, _)| obj < *io) {
                         incumbent = Some((obj, values));
                         incumbent_is_seed = false;
                     }
                 }
             }
-            match crate::branching::select(&lp.values, &int_vars, &pseudo) {
-                None => {
-                    let (obj, values) = snap(model, &lp, &int_vars);
-                    if incumbent.as_ref().is_none_or(|(io, _)| obj < *io) {
-                        incumbent = Some((obj, values));
-                        incumbent_is_seed = false;
-                    }
-                }
-                Some(branch_var) => {
-                    let value = lp.values[branch_var];
-                    let frac = value - value.floor();
-                    let child_warm = lp.basis.take().map(Arc::new);
-                    // Down child first (x <= floor(value)), then the up
-                    // child (x >= ceil(value)); either only if non-empty.
-                    let (down, up) = (value.floor(), value.ceil());
-                    for (is_upper, bound) in [(true, down), (false, up)] {
-                        let nonempty = if is_upper {
-                            lower[branch_var] <= bound
-                        } else {
-                            bound <= upper[branch_var]
-                        };
-                        if nonempty {
-                            heap.push(HeapEntry {
-                                bound: lp.objective,
-                                node: node.child(
-                                    next_id,
-                                    (branch_var, is_upper, bound),
-                                    frac,
-                                    child_warm.clone(),
-                                ),
-                            });
-                            next_id += 1;
-                        }
-                    }
+            if tree.expand(&entry, &mut lp, &lower, &upper, &int_vars, pruned) {
+                let (obj, values) = snap(model, &lp, &int_vars);
+                if incumbent.as_ref().is_none_or(|(io, _)| obj < *io) {
+                    incumbent = Some((obj, values));
+                    incumbent_is_seed = false;
                 }
             }
         }
         Ok(())
     })?;
-    stats.lp_solves_discarded = shared
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
-        .done
-        .len();
+    let shared = shared.into_inner().unwrap_or_else(PoisonError::into_inner);
+    stats.lp_solves_discarded = shared.done.len() + shared.discarded;
 
     stats.solve_seconds = start.elapsed().as_secs_f64();
     stats.mip_seconds =
         (stats.solve_seconds - stats.setup_seconds - stats.root_lp_seconds).nmax(0.0);
     stats.hit_limit = hit_limit;
-    let open_bound = heap
+    let open_bound = tree
+        .heap
         .iter()
         .map(|e| e.bound)
         .fold(f64::INFINITY, nan::fmin)
@@ -712,7 +920,7 @@ pub fn solve(model: &Model, config: &SolveConfig) -> Result<Solution, SolveError
         .nmin(abandoned_bound);
     match incumbent {
         Some((obj, values)) => {
-            stats.best_bound = if heap.is_empty() && !hit_limit {
+            stats.best_bound = if tree.heap.is_empty() && !hit_limit {
                 obj
             } else {
                 open_bound.min(obj)
@@ -924,6 +1132,46 @@ mod tests {
         // The parent's path is untouched by its children.
         root.bounds_into(&root_lower, &root_upper, &mut lower, &mut upper);
         assert_eq!((lower, upper), (root_lower, root_upper));
+    }
+
+    /// The walk files results under ids it hands out itself; once the
+    /// search has pruned a node the same id names another node. A result
+    /// filed for another path must never reach the search, only count as
+    /// discarded.
+    #[test]
+    fn a_result_filed_for_another_path_is_never_taken() {
+        let mut m = Model::new();
+        let x = m.add_var("x", VarType::Integer, 0.0, 4.0);
+        m.add_constraint("c", 2.0 * x, Sense::Le, 7.0);
+        m.set_objective(-1.0 * x);
+        let sf = StandardForm::from_model(&m);
+        let mut engine = Simplex::new(&sf, SimplexConfig::default());
+        let lp = engine.solve(&sf.lower, &sf.upper, None);
+        let root = Node {
+            id: 0,
+            path: Vec::new(),
+            frac: 0.0,
+            warm: None,
+        };
+        let walked = root.child(1, (0, true, 3.0), 0.5, None);
+        let popped = root.child(1, (0, false, 4.0), 0.5, None);
+        let shared = Mutex::new(Shared::default());
+        let mut ahead = LookAhead::enter(&shared);
+        ahead.started = true;
+        let heap = BinaryHeap::new();
+        lock(&shared).file(&walked, lp.clone());
+        let taken = ahead.take(&popped, &heap, &mut engine, &sf.lower, &sf.upper);
+        assert!(taken.is_none(), "took a result solved for another path");
+        {
+            let shared = lock(&shared);
+            assert_eq!(shared.discarded, 1);
+            assert!(shared.done.is_empty());
+        }
+        // Filed for the popped node's own path, the result is taken.
+        lock(&shared).file(&popped, lp);
+        let taken = ahead.take(&popped, &heap, &mut engine, &sf.lower, &sf.upper);
+        assert!(taken.is_some());
+        assert_eq!(lock(&shared).discarded, 1);
     }
 
     #[test]

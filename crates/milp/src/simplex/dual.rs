@@ -128,8 +128,21 @@ impl Simplex<'_> {
                 result.warm_basis_used = true;
                 return Some(result);
             };
-            if !self.dual_pivot(row, target, to_upper, observe) {
-                return None;
+            match self.dual_pivot(row, target, to_upper, observe) {
+                RepairPivot::Done => {}
+                RepairPivot::Blocked => {
+                    // No column can enter: the dual simplex's check decides
+                    // whether the row certifies infeasibility.
+                    return match self.infeasible_or_fallback(row) {
+                        DualOutcome::Infeasible => {
+                            let mut result = self.finish(LpStatus::Infeasible);
+                            result.warm_basis_used = true;
+                            Some(result)
+                        }
+                        _ => None,
+                    };
+                }
+                RepairPivot::Failed => return None,
             }
             self.iterations += 1;
             self.pivots_since_refactor += 1;
@@ -662,8 +675,8 @@ impl Simplex<'_> {
     /// by the dual step, `y += (d_q/α_q)·ρ`. The FTRAN'd pivot element is
     /// cross-checked against the α-row's; on disagreement the factors are
     /// rebuilt and the pivot retried, at most [`DRIFT_RETRIES`] times.
-    /// Returns false when no entering candidate exists, the drift
-    /// persists or a rebuild fails (fall back cold).
+    /// Reports whether the pivot was made, found no entering candidate,
+    /// or failed: the drift persisted or a rebuild failed.
     // lint:allow(hot-path-index): candidate bitmap sized to the n + m columns; rows bounded by m
     fn dual_pivot(
         &mut self,
@@ -671,7 +684,7 @@ impl Simplex<'_> {
         target: f64,
         to_upper: bool,
         observe: &mut impl FnMut(&Self, usize, bool, Option<usize>),
-    ) -> bool {
+    ) -> RepairPivot {
         for attempt in 0..=DRIFT_RETRIES {
             if !self.y_valid {
                 self.compute_duals();
@@ -707,7 +720,7 @@ impl Simplex<'_> {
             }
             observe(self, row, to_upper, best.map(|(q, _, _)| q));
             let Some((q, _, _)) = best else {
-                return false;
+                return RepairPivot::Blocked;
             };
             self.compute_direction(q);
             #[cfg(test)]
@@ -726,14 +739,14 @@ impl Simplex<'_> {
                     *y += theta * r;
                 }
                 self.y_valid = true;
-                return true;
+                return RepairPivot::Done;
             }
             // Representation drift: refactorize and retry.
             if attempt == DRIFT_RETRIES || !self.refactor_for(RefactorReason::Accuracy) {
-                return false;
+                return RepairPivot::Failed;
             }
         }
-        false
+        RepairPivot::Failed
     }
 
     /// Moves along the FTRAN'd direction `self.w` of entering column `q`
@@ -754,6 +767,16 @@ impl Simplex<'_> {
         self.basis[row] = q;
         self.position[q] = row;
     }
+}
+
+/// Outcome of one [`Simplex::dual_pivot`] of the one-violation repair.
+enum RepairPivot {
+    /// The leaving row's basic variable landed on its bound.
+    Done,
+    /// No column can enter: the row may certify infeasibility.
+    Blocked,
+    /// The representation drift persisted or a rebuild failed.
+    Failed,
 }
 
 /// Outcome of a [`Simplex::dual_optimize`] run.

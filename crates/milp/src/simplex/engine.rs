@@ -242,8 +242,8 @@ impl<'a> Simplex<'a> {
     /// Test hook: [`solve`](Self::solve), showing `observe` every pivot
     /// choice of the warm one-violation repair before it is applied: the
     /// engine, the leaving row, whether its basic variable lands on its
-    /// upper bound, and the entering column (`None`: no candidate, the
-    /// solve goes cold).
+    /// upper bound, and the entering column (`None`: no candidate; the
+    /// solve returns infeasible if the row certifies it, else goes cold).
     #[doc(hidden)]
     pub fn solve_observed(
         &mut self,

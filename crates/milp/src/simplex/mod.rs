@@ -71,7 +71,8 @@
 //! by the dual step `y += (d_q/α_q)·ρ`. Its primal cleanup, like every
 //! path's, declares optimality only on freshly recomputed reduced costs.
 //!
-//! The dual simplex, warm or cold, proves infeasibility itself: a
+//! The dual simplex, warm or cold, and the node repair prove
+//! infeasibility themselves: a
 //! violated row whose nonbasic columns, each moved to its helping bound,
 //! still cannot absorb the violation — checked on fresh factors, against
 //! the threshold the primal's phase 1 uses — has no feasible point, and

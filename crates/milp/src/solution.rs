@@ -82,6 +82,9 @@ pub struct SolveStats {
     pub root_lp_seconds: f64,
     /// Seconds spent in branch and bound proper (paper's "MIP" step).
     pub mip_seconds: f64,
+    /// Seconds the search thread spent in its rounding dives, the root
+    /// dive and the periodic ones: part of `mip_seconds`.
+    pub dive_seconds: f64,
     /// True when the root LP started from a supplied warm basis and the
     /// repair succeeded (no fallback to the slack crash).
     pub warm_basis_accepted: bool,
@@ -129,7 +132,8 @@ impl SolveStats {
     /// `root_used_dual_simplex` / `hit_limit` flags OR, `solve_seconds`
     /// takes the longer solve (shards run side by side). What has no
     /// merge is left as it is in `self`: `best_bound` and `gap` (no
-    /// common incumbent to be relative to), the per-step seconds, the
+    /// common incumbent to be relative to), the per-step seconds
+    /// (`dive_seconds` among them), the
     /// `warm_basis_accepted` / `incumbent_seeded` flags (the caller
     /// decides which solves vote) and `audit`.
     pub fn absorb(&mut self, other: &SolveStats) {

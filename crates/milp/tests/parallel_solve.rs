@@ -131,6 +131,41 @@ fn knapsack() -> Model {
     m
 }
 
+/// A cover of a 61-cycle (each variable with its next and its third
+/// next) behind a switch: `y = 0` costs 100 more, so the relaxation sets
+/// `y = ½` and branches on it first. The root dive rounds `y` up and finds
+/// an incumbent that prunes the `y = 0` child, one of the search's first
+/// two nodes, while the walk, pruning nothing, expands it.
+fn switched_cover() -> Model {
+    let mut state = 0x5EA2_C4ED_u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (4 + state % 3) as f64
+    };
+    let n = 61;
+    let mut m = Model::new();
+    let y = m.add_var("y", VarType::Binary, 0.0, 1.0);
+    let z = m.add_var("z", VarType::Continuous, 0.0, 10.0);
+    m.add_constraint("switch", 2.0 * y + 1.0 * z, Sense::Ge, 1.0);
+    let xs: Vec<_> = (0..n)
+        .map(|i| m.add_var(format!("x{i}"), VarType::Binary, 0.0, 1.0))
+        .collect();
+    let mut obj = 1.0 * y + 100.0 * z;
+    for i in 0..n {
+        obj += LinExpr::term(xs[i], next());
+        m.add_constraint(
+            format!("cover{i}"),
+            1.0 * xs[i] + 1.0 * xs[(i + 1) % n] + 1.0 * xs[(i + 3) % n],
+            Sense::Ge,
+            1.0,
+        );
+    }
+    m.set_objective(obj);
+    m
+}
+
 /// Everything a solve reports that depends on neither the clock nor
 /// thread timing: status, objective, bound and gap bits, every work
 /// counter and the bits of every value.
@@ -168,43 +203,53 @@ fn fingerprint(s: &Solution) -> Vec<(&'static str, u64)> {
 }
 
 /// Branch and bound starts a look-ahead helper only while the process has
-/// fewer searches in their node loop than cores, so of `2 × cores`
-/// searches run at once some get a helper and some do not; the one run
-/// alone gets one on any machine with two cores. Whichever engine solved
-/// which node, every search must report what the lone one reports, to the
-/// bit.
+/// fewer searches in their dive or node loop than cores, so of
+/// `2 × cores` searches run at once some get a helper and some do not;
+/// the one run alone gets one on any machine with two cores. Whichever
+/// engine solved which node, every search must report what the lone one
+/// reports, to the bit.
+///
+/// On the knapsack no incumbent prunes a node early, so the helper's walk
+/// during the root dive is the search's own tree. On the switched cover
+/// the dive's incumbent prunes the search's second node, which the walk
+/// expands: from there on the walk's ids name other nodes than the
+/// search's, and its results for them must be turned away.
 #[test]
 fn concurrent_searches_equal_the_serial_search() {
-    let model = knapsack();
     let config = SolveConfig {
         time_limit_seconds: 1e6,
         ..SolveConfig::default()
     };
-    let alone = model.solve_with(&config).expect("lone search");
-    assert!(
-        alone.stats.nodes >= 200,
-        "the search ran only {} nodes",
-        alone.stats.nodes
-    );
-    let expected = fingerprint(&alone);
-    let searches = 2 * std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Every search starts at once, so they overlap in their node loops.
-    let start = std::sync::Barrier::new(searches);
-    let together: Vec<Solution> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..searches)
-            .map(|_| {
-                scope.spawn(|| {
-                    start.wait();
-                    model.solve_with(&config).expect("concurrent search")
+    for (what, model) in [
+        ("knapsack", knapsack()),
+        ("switched cover", switched_cover()),
+    ] {
+        let alone = model.solve_with(&config).expect("lone search");
+        assert!(
+            alone.stats.nodes >= 200,
+            "{what}: the search ran only {} nodes",
+            alone.stats.nodes
+        );
+        let expected = fingerprint(&alone);
+        let searches = 2 * std::thread::available_parallelism().map_or(1, |n| n.get());
+        // Every search starts at once, so they overlap in their node loops.
+        let start = std::sync::Barrier::new(searches);
+        let together: Vec<Solution> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..searches)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        model.solve_with(&config).expect("concurrent search")
+                    })
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("search thread"))
-            .collect()
-    });
-    for (i, s) in together.iter().enumerate() {
-        assert_eq!(fingerprint(s), expected, "search {i} of {searches}");
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("search thread"))
+                .collect()
+        });
+        for (i, s) in together.iter().enumerate() {
+            assert_eq!(fingerprint(s), expected, "{what}: search {i} of {searches}");
+        }
     }
 }

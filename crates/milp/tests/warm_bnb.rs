@@ -443,3 +443,68 @@ fn node_lps_are_pure_functions_of_their_bounds_and_basis() {
         }
     }
 }
+
+/// The node repair's infeasibility verdict is the cold solve's. Random
+/// LPs are re-solved from their optimal basis, on the repair's engine,
+/// under random fixings: integral ones, which often leave no feasible
+/// point, and every column nudged off its optimal value by less than the
+/// feasibility tolerance, which leaves violations too small to prove
+/// anything. Whenever the warm re-solve says infeasible, a cold solve must
+/// say so too. Some verdicts must be the repair's own certificate (a warm
+/// solve that found a row no column can enter), and some rows no column
+/// can enter must not be taken for one.
+#[test]
+fn the_repairs_infeasible_verdict_agrees_with_a_cold_solve() {
+    let mut rng = StdRng::seed_from_u64(0xF1A5);
+    let (mut resolves, mut certified, mut declined) = (0, 0, 0);
+    let config = SimplexConfig {
+        warm_dual: false,
+        ..SimplexConfig::default()
+    };
+    while resolves < 600 {
+        let model = random_lp(&mut rng);
+        let sf = StandardForm::from_model(&model);
+        let cold = solve_lp(&sf, &sf.lower, &sf.upper, &SimplexConfig::default());
+        let Some(basis) = cold
+            .basis
+            .clone()
+            .filter(|_| cold.status == LpStatus::Optimal)
+        else {
+            continue;
+        };
+        let mut engine = Simplex::new(&sf, config.clone());
+        for _ in 0..4 {
+            let (mut lower, mut upper) = (sf.lower.clone(), sf.upper.clone());
+            if rng.gen_range(0..2) == 0 {
+                for _ in 0..rng.gen_range(1..6) {
+                    let j = rng.gen_range(0..model.num_vars());
+                    let v = rng.gen_range(0..=sf.upper[j] as i64) as f64;
+                    (lower[j], upper[j]) = (v, v);
+                }
+            } else {
+                for j in 0..model.num_vars() {
+                    let v = (cold.values[j] + rng.gen_range(-1e-7..1e-7)).clamp(lower[j], upper[j]);
+                    (lower[j], upper[j]) = (v, v);
+                }
+            }
+            let mut blocked = false;
+            let warm = engine.solve_observed(&lower, &upper, Some(&basis), |_, _, _, entering| {
+                blocked |= entering.is_none();
+            });
+            let again = solve_lp(&sf, &lower, &upper, &SimplexConfig::default());
+            if warm.status == LpStatus::Infeasible {
+                assert_eq!(
+                    again.status,
+                    LpStatus::Infeasible,
+                    "re-solve {resolves}: the repair says infeasible, a cold solve does not"
+                );
+                certified += usize::from(warm.warm_basis_used);
+            } else {
+                declined += usize::from(blocked);
+            }
+            resolves += 1;
+        }
+    }
+    assert!(certified > 20, "too few certified verdicts: {certified}");
+    assert!(declined > 0, "no blocked row was left to the cold solve");
+}

@@ -1097,6 +1097,7 @@ mod tests {
             setup_seconds: 1.5 * f,
             root_lp_seconds: 2.5 * f,
             mip_seconds: 3.5 * f,
+            dive_seconds: 4.5 * f,
             warm_basis_accepted: flags[3],
             incumbent_seeded: flags[4],
             nodes_pruned_by_seed: 13 * n,
