@@ -5,14 +5,13 @@
 //! it in variables and time (Section 3.5.2: "the symmetry strategy …
 //! cannot be applied to servers with different location properties").
 
-use std::collections::HashSet;
 use std::time::Instant;
 
 use ras_bench::{fmt, Experiment};
 use ras_broker::SimTime;
 use ras_core::classes::Granularity;
 use ras_core::phases::{rack_overages, run_phase, solve_two_phase};
-use ras_topology::{RegionTemplate, ServerId};
+use ras_topology::RegionTemplate;
 
 fn main() {
     let inst = ras_bench::instance::build(RegionTemplate::tiny(), 66, 10, 0.75);
@@ -56,7 +55,7 @@ fn main() {
     ]);
 
     // Monolithic: one rack-granularity solve over everything.
-    let everything: HashSet<ServerId> = inst.region.servers().iter().map(|s| s.id).collect();
+    let everything = vec![true; inst.region.server_count()];
     let t1 = Instant::now();
     match run_phase(
         &inst.region,

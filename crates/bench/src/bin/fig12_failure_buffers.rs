@@ -129,17 +129,16 @@ fn main() {
             }
         }
         let snapshot = broker.snapshot(SimTime::from_days(week as u64 * 7));
-        let universe: HashSet<ServerId> = broker
+        let universe: Vec<bool> = broker
             .iter()
-            .filter(|(s, r)| {
+            .map(|(s, r)| {
                 let in_scope = match r.current {
                     None => true,
                     Some(res) => managed_set.contains(&res.index()),
                 };
-                let online = turned_up || online_at_start.contains(s);
+                let online = turned_up || online_at_start.contains(&s);
                 in_scope && online
             })
-            .map(|(s, _)| s)
             .collect();
         match run_phase(
             &region,
@@ -151,10 +150,11 @@ fn main() {
             Some(&universe),
         ) {
             Ok((targets, _)) => {
-                for s in &universe {
-                    let t = targets[s.index()];
-                    if broker.record(*s).unwrap().current != t {
-                        broker.bind_current(*s, t).unwrap();
+                for (i, _) in universe.iter().enumerate().filter(|(_, inside)| **inside) {
+                    let s = ServerId::from_index(i);
+                    let t = targets[i];
+                    if broker.record(s).unwrap().current != t {
+                        broker.bind_current(s, t).unwrap();
                     }
                 }
             }

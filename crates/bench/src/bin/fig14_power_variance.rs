@@ -78,13 +78,12 @@ fn main() {
                 spec.kind = ReservationKind::Elastic;
             }
         }
-        let universe: HashSet<ServerId> = broker
+        let universe: Vec<bool> = broker
             .iter()
-            .filter(|(_, r)| match r.current {
+            .map(|(_, r)| match r.current {
                 None => true,
                 Some(res) => managed_set.contains(&res.index()),
             })
-            .map(|(s, _)| s)
             .collect();
         let snapshot = broker.snapshot(SimTime::from_days(month as u64 * 30));
         match run_phase(
@@ -97,10 +96,11 @@ fn main() {
             Some(&universe),
         ) {
             Ok((targets, _)) => {
-                for s in &universe {
-                    let t = targets[s.index()];
-                    if broker.record(*s).unwrap().current != t {
-                        broker.bind_current(*s, t).unwrap();
+                for (i, _) in universe.iter().enumerate().filter(|(_, inside)| **inside) {
+                    let s = ServerId::from_index(i);
+                    let t = targets[i];
+                    if broker.record(s).unwrap().current != t {
+                        broker.bind_current(s, t).unwrap();
                     }
                 }
             }

@@ -7,19 +7,31 @@
 //! 2. remaining slots are filled from unclaimed members, preferring racks
 //!    where the reservation currently has the least capacity, which
 //!    realizes the rack spread that phase 1 never saw.
+//!
+//! A pick costs what its rack and the picks cost, not what the region
+//! costs: the unclaimed members sit in a min-heap of racks, and a rack's
+//! load is counted from its own members the first time it is needed.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 use ras_broker::{BrokerSnapshot, ReservationId};
-use ras_topology::{Region, ServerId};
+use ras_topology::{RackId, Region, ServerId};
 
 use crate::classes::EquivClass;
-use ras_milp::cast;
 
 /// Applies class counts to servers, producing a full target assignment.
 ///
 /// `counts[class][reservation]` comes from [`RasModel::decode`]. Servers
-/// outside every class (unavailable ones) keep their current binding.
+/// outside every class (unavailable ones, and servers outside a scoped
+/// solve's universe) keep their current binding.
+///
+/// Each new slot goes to the unclaimed member minimizing `(servers of the
+/// reservation in its rack, server id)`, the rack count including this
+/// call's earlier picks. Cost: O(members · log members) per class that
+/// still needs servers after the keep pass, O(racks of the class) per
+/// reservation it fills, O(log racks) per pick, and one walk of each
+/// `(rack, reservation)` pair's rack the first time a pick considers it.
 ///
 /// [`RasModel::decode`]: crate::model::RasModel::decode
 pub fn concretize(
@@ -33,13 +45,9 @@ pub fn concretize(
     let mut targets: Vec<Option<ReservationId>> = (0..region.server_count())
         .map(|i| snapshot.records[i].current)
         .collect();
-    // Per-(rack, reservation) RRU-ish load used for spread-aware picks.
-    let mut rack_load: HashMap<(u32, u32), usize> = HashMap::new();
-    for server in region.servers() {
-        if let Some(r) = snapshot.records[server.id.index()].current {
-            *rack_load.entry((server.rack.0, r.0)).or_default() += 1;
-        }
-    }
+    // Per-(rack, reservation) server count used for spread-aware picks,
+    // filled on first use (see `rack_load`) and raised by one per pick.
+    let mut loads: HashMap<(RackId, ReservationId), usize> = HashMap::new();
 
     for (ci, class) in classes.iter().enumerate() {
         // Every class member is reassigned from scratch below.
@@ -63,39 +71,73 @@ pub fn concretize(
                 _ => unclaimed.push(s),
             }
         }
+        if need.iter().all(|n| *n == 0) {
+            // Whatever is left becomes free-pool capacity (target None).
+            continue;
+        }
         // Pass 2: fill remaining demand, preferring least-loaded racks.
+        // Within a rack every member has the same load, so the rack's
+        // candidate is its smallest unclaimed id: each rack is a queue of
+        // its unclaimed members in id order.
+        let rack_of = |s: &ServerId| region.server(*s).rack;
+        unclaimed.sort_unstable_by_key(|s| (rack_of(s), *s));
+        let mut queues: Vec<(RackId, &[ServerId])> = unclaimed
+            .chunk_by(|a, b| rack_of(a) == rack_of(b))
+            .map(|members| (rack_of(&members[0]), members))
+            .collect();
         for (ri, need) in need.into_iter().enumerate() {
             if need == 0 {
                 continue;
             }
             let res = ReservationId::from_index(ri);
+            // Ids are unique, so `(load, id)` orders exactly like a scan's
+            // `min_by_key` over every unclaimed member.
+            let mut heap: BinaryHeap<Reverse<(usize, ServerId, usize)>> = BinaryHeap::new();
+            for (q, (rack, members)) in queues.iter().enumerate() {
+                if let Some(&s) = members.first() {
+                    heap.push(Reverse((
+                        rack_load(&mut loads, region, snapshot, *rack, res),
+                        s,
+                        q,
+                    )));
+                }
+            }
             for _ in 0..need {
-                let Some(best_pos) = unclaimed
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, s)| {
-                        let rack = region.server(**s).rack.0;
-                        (
-                            rack_load
-                                .get(&(rack, cast::idx32(ri)))
-                                .copied()
-                                .unwrap_or(0),
-                            s.index(),
-                        )
-                    })
-                    .map(|(pos, _)| pos)
-                else {
+                let Some(Reverse((load, s, q))) = heap.pop() else {
                     break;
                 };
-                let s = unclaimed.swap_remove(best_pos);
                 targets[s.index()] = Some(res);
-                let rack = region.server(s).rack.0;
-                *rack_load.entry((rack, cast::idx32(ri))).or_default() += 1;
+                let (rack, members) = &mut queues[q];
+                *loads.entry((*rack, res)).or_default() += 1;
+                *members = &members[1..];
+                if let Some(&next) = members.first() {
+                    heap.push(Reverse((load + 1, next, q)));
+                }
             }
         }
         // Whatever is left becomes free-pool capacity (target None).
     }
     targets
+}
+
+/// Servers of `res` in `rack`: those bound to it in `snapshot`, counted
+/// from the rack's members the first time the pair is asked for, plus
+/// the picks `concretize` has recorded in `loads` since.
+fn rack_load(
+    loads: &mut HashMap<(RackId, ReservationId), usize>,
+    region: &Region,
+    snapshot: &BrokerSnapshot,
+    rack: RackId,
+    res: ReservationId,
+) -> usize {
+    *loads.entry((rack, res)).or_insert_with(|| {
+        region
+            .rack(rack)
+            .servers
+            .iter()
+            .filter(|s| snapshot.records[s.index()].current == Some(res))
+            .count()
+    })
 }
 
 /// Move statistics between a current binding and a target assignment.

@@ -7,7 +7,7 @@
 //! fraction and variable budget); every other reservation's assignment is
 //! frozen and its servers are excluded from the phase-2 universe.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::time::Instant;
 
 use ras_broker::{BrokerSnapshot, ReservationId};
@@ -23,7 +23,6 @@ use crate::params::SolverParams;
 use crate::reservation::{ReservationKind, ReservationSpec};
 use crate::session::SolveSession;
 use crate::stats::PhaseStats;
-use ras_milp::cast;
 use ras_milp::tol;
 
 /// Result of the two-phase solve.
@@ -58,9 +57,10 @@ pub fn solve_two_phase(
 /// phase-1 assignment, re-solve the worst offenders at rack granularity
 /// over a restricted universe, and merge. Phase 2 is always a cold solve
 /// — its universe and spec visibility change every round, so there is no
-/// temporal structure to exploit. `scope`, when present, caps the phase-2
-/// universe (a sharded session never lets one shard's refinement touch
-/// another shard's servers).
+/// temporal structure to exploit. `scope`, when present, is a mask
+/// indexed by `ServerId` that caps the phase-2 universe (a sharded
+/// session never lets one shard's refinement touch another shard's
+/// servers).
 pub(crate) fn refine_with_phase2(
     region: &Region,
     specs: &[ReservationSpec],
@@ -68,7 +68,7 @@ pub(crate) fn refine_with_phase2(
     params: &SolverParams,
     targets1: Vec<Option<ReservationId>>,
     phase1: PhaseStats,
-    scope: Option<&HashSet<ServerId>>,
+    scope: Option<&[bool]>,
 ) -> TwoPhaseOutcome {
     // Rank reservations by rack overage under the phase-1 assignment.
     let overages = rack_overages(region, specs, &targets1, params);
@@ -89,19 +89,9 @@ pub(crate) fn refine_with_phase2(
         };
     }
 
-    // The universe phase 2 may touch: selected reservations' servers plus
-    // the free pool, capped by the caller's scope (shard membership).
-    let scoped_universe = |selected: &[usize]| {
-        let mut u = phase2_universe(&targets1, selected);
-        if let Some(allowed) = scope {
-            u.retain(|s| allowed.contains(s));
-        }
-        u
-    };
-
     // Respect the assignment-variable budget by shrinking the selection.
     loop {
-        let universe = scoped_universe(&selected);
+        let universe = phase2_universe(&targets1, &selected, scope);
         let class_estimate = estimate_rack_classes(region, snapshot, &universe);
         if class_estimate * selected.len() <= params.max_assignment_vars || selected.len() == 1 {
             break;
@@ -122,7 +112,7 @@ pub(crate) fn refine_with_phase2(
             spec.kind = ReservationKind::Elastic; // Invisible to the model.
         }
     }
-    let universe = scoped_universe(&selected);
+    let universe = phase2_universe(&targets1, &selected, scope);
     match run_phase(
         region,
         &specs2,
@@ -135,9 +125,9 @@ pub(crate) fn refine_with_phase2(
         Ok((targets2, phase2)) => {
             // Merge: phase 2 only rules over its own universe.
             let mut merged = targets1;
-            for (i, t) in targets2.iter().enumerate() {
-                if universe.contains(&ServerId::from_index(i)) {
-                    merged[i] = *t;
+            for ((m, t), inside) in merged.iter_mut().zip(&targets2).zip(&universe) {
+                if *inside {
+                    *m = *t;
                 }
             }
             TwoPhaseOutcome {
@@ -223,16 +213,17 @@ fn solve_prepared(
 }
 
 /// A round's reduction over the whole region or, for a phase-2 or shard
-/// solve, over `universe` only.
+/// solve, over the servers `universe` (a mask indexed by `ServerId`)
+/// marks.
 pub(crate) fn scoped_reduction(
     region: &Region,
     snapshot: &BrokerSnapshot,
     specs: &[ReservationSpec],
     granularity: Granularity,
     level: AggregationLevel,
-    universe: Option<&HashSet<ServerId>>,
+    universe: Option<&[bool]>,
 ) -> Reduction {
-    let filter = universe.map(|u| move |s: ServerId| u.contains(&s));
+    let filter = universe.map(|u| move |s: ServerId| in_mask(u, s));
     let include = filter.as_ref().map(|f| f as &dyn Fn(ServerId) -> bool);
     build_reduction(region, snapshot, specs, granularity, level, include)
 }
@@ -312,7 +303,9 @@ pub(crate) fn solve_phase(
 }
 
 /// Runs a single phase cold: classes → model → solve (softening on
-/// demand) → concretize.
+/// demand) → concretize. `universe`, when present, is a mask indexed by
+/// `ServerId`: only the servers it marks are classed, and every other
+/// server's target is its current binding.
 #[allow(clippy::type_complexity)]
 pub fn run_phase(
     region: &Region,
@@ -321,7 +314,7 @@ pub fn run_phase(
     params: &SolverParams,
     granularity: Granularity,
     rack_goals: bool,
-    universe: Option<&HashSet<ServerId>>,
+    universe: Option<&[bool]>,
 ) -> Result<(Vec<Option<ReservationId>>, PhaseStats), CoreError> {
     let phase_start = Instant::now();
     // Rack-granularity (phase-2) solves never cluster specs: their
@@ -381,33 +374,42 @@ pub fn rack_overages(
     targets: &[Option<ReservationId>],
     params: &SolverParams,
 ) -> Vec<(usize, f64)> {
-    let mut per_rack: HashMap<(u32, u32), f64> = HashMap::new();
-    for server in region.servers() {
-        if let Some(r) = targets[server.id.index()] {
-            if let Some(spec) = specs.get(r.index()) {
-                let v = spec.rru.value(server.hardware);
-                if v > 0.0 {
-                    *per_rack.entry((server.rack.0, r.0)).or_default() += v;
+    // Each reservation's overage adds its racks in rack id order, each
+    // rack's terms in server id order: in a hash map's per-process order,
+    // f64 rounding made near-tied reservations swap ranks — and the 10 %
+    // phase-2 cut — from one run to the next. `rru[ri]` is the rack's
+    // running sum for `ri`, `held` the reservations it holds (their sums
+    // are positive); the order within `held` touches no shared sum.
+    let mut rru = vec![0.0; specs.len()];
+    let mut held: Vec<usize> = Vec::new();
+    let mut overage = vec![0.0; specs.len()];
+    for rack in region.racks() {
+        for s in &rack.servers {
+            let Some(ri) = targets[s.index()].map(|r| r.index()) else {
+                continue;
+            };
+            let Some(spec) = specs.get(ri) else {
+                continue;
+            };
+            let v = spec.rru.value(region.server(*s).hardware);
+            if v > 0.0 {
+                if rru[ri] == 0.0 {
+                    held.push(ri);
                 }
+                rru[ri] += v;
             }
         }
-    }
-    // Summed in (rack, reservation) order: in the map's per-process hash
-    // order, f64 rounding made near-tied reservations swap ranks — and
-    // the 10 % phase-2 cut — from one run to the next.
-    let mut per_rack: Vec<_> = per_rack.into_iter().collect();
-    per_rack.sort_unstable_by_key(|(key, _)| *key);
-    let mut overage = vec![0.0; specs.len()];
-    for ((_, r), rru) in per_rack {
-        let ri = cast::idx(r);
-        let spec = &specs[ri];
-        if !solver_visible(spec) || spec.capacity <= 0.0 {
-            continue;
-        }
-        let alpha_k = spec.spread.rack_share.unwrap_or(params.default_rack_share);
-        let limit = alpha_k * spec.capacity;
-        if rru > limit {
-            overage[ri] += rru - limit;
+        for ri in held.drain(..) {
+            let sum = std::mem::take(&mut rru[ri]);
+            let spec = &specs[ri];
+            if !solver_visible(spec) || spec.capacity <= 0.0 {
+                continue;
+            }
+            let alpha_k = spec.spread.rack_share.unwrap_or(params.default_rack_share);
+            let limit = alpha_k * spec.capacity;
+            if sum > limit {
+                overage[ri] += sum - limit;
+            }
         }
     }
     let mut ranked: Vec<(usize, f64)> = overage.into_iter().enumerate().collect();
@@ -415,32 +417,44 @@ pub fn rack_overages(
     ranked
 }
 
-/// Servers phase 2 may touch: those targeted at a selected reservation
-/// plus the free pool.
-fn phase2_universe(targets1: &[Option<ReservationId>], selected: &[usize]) -> HashSet<ServerId> {
-    let sel: HashSet<u32> = selected.iter().map(|ri| cast::idx32(*ri)).collect();
+/// True when the mask `universe` (indexed by `ServerId`) marks `s`.
+fn in_mask(universe: &[bool], s: ServerId) -> bool {
+    universe.get(s.index()).copied().unwrap_or(false)
+}
+
+/// Servers phase 2 may touch, as a mask indexed by `ServerId`: those
+/// targeted at a selected reservation plus the free pool, within `scope`
+/// when there is one.
+fn phase2_universe(
+    targets1: &[Option<ReservationId>],
+    selected: &[usize],
+    scope: Option<&[bool]>,
+) -> Vec<bool> {
+    let mut sel = vec![false; selected.iter().max().map_or(0, |ri| ri + 1)];
+    for ri in selected {
+        sel[*ri] = true;
+    }
     targets1
         .iter()
         .enumerate()
-        .filter(|(_, t)| match t {
-            None => true,
-            Some(r) => sel.contains(&r.0),
+        .map(|(i, t)| {
+            let wanted = match t {
+                None => true,
+                Some(r) => sel.get(r.index()).copied().unwrap_or(false),
+            };
+            wanted && scope.is_none_or(|m| in_mask(m, ServerId::from_index(i)))
         })
-        .map(|(i, _)| ServerId::from_index(i))
         .collect()
 }
 
-/// Cheap upper estimate of rack-granularity class count for a universe.
-fn estimate_rack_classes(
-    region: &Region,
-    snapshot: &BrokerSnapshot,
-    universe: &HashSet<ServerId>,
-) -> usize {
+/// Cheap upper estimate of rack-granularity class count for a universe
+/// (a mask indexed by `ServerId`).
+fn estimate_rack_classes(region: &Region, snapshot: &BrokerSnapshot, universe: &[bool]) -> usize {
     let mut keys: HashSet<(u32, Option<ReservationId>, bool)> = HashSet::new();
-    for s in universe {
-        let server = region.server(*s);
-        let record = &snapshot.records[s.index()];
-        keys.insert((server.rack.0, record.current, record.running_containers > 0));
+    for (server, record) in region.servers().iter().zip(&snapshot.records) {
+        if in_mask(universe, server.id) {
+            keys.insert((server.rack.0, record.current, record.running_containers > 0));
+        }
     }
     keys.len()
 }

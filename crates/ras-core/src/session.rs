@@ -52,12 +52,11 @@
 //! Phase 2 always runs cold: its restricted universe and spec visibility
 //! change every round, so there is no temporal structure to exploit.
 
-use std::collections::HashSet;
 use std::time::Instant;
 
 use ras_broker::{BrokerSnapshot, ReservationId};
 use ras_milp::Basis;
-use ras_topology::{Region, ServerId};
+use ras_topology::Region;
 use serde::{Deserialize, Serialize};
 
 use crate::aggregate::AggregationLevel;
@@ -187,8 +186,9 @@ impl SolveSession {
     }
 
     /// Like [`solve_round`](Self::solve_round), but restricted to a server
-    /// universe: classes, the phase-2 refinement, and the returned targets
-    /// only cover `universe` members (every other slot stays `None`).
+    /// universe, a mask indexed by `ServerId`: classes and the phase-2
+    /// refinement only cover the servers it marks, and every other slot of
+    /// the returned targets keeps the server's current binding.
     /// The sharded session ([`crate::shard::ShardedSession`]) runs one
     /// scoped session per shard; `None` solves the whole region.
     ///
@@ -206,7 +206,7 @@ impl SolveSession {
         specs: &[ReservationSpec],
         snapshot: &BrokerSnapshot,
         params: &SolverParams,
-        universe: Option<&HashSet<ServerId>>,
+        universe: Option<&[bool]>,
     ) -> Result<(TwoPhaseOutcome, WarmReport), CoreError> {
         let warm_at_entry = self.cache.is_some() || self.rounds > 0;
         match self.run_round(region, specs, snapshot, params, universe) {
@@ -234,7 +234,7 @@ impl SolveSession {
         specs: &[ReservationSpec],
         snapshot: &BrokerSnapshot,
         params: &SolverParams,
-        universe: Option<&HashSet<ServerId>>,
+        universe: Option<&[bool]>,
     ) -> Result<(TwoPhaseOutcome, WarmReport), CoreError> {
         let phase_start = Instant::now();
         let mut report = WarmReport {
@@ -566,6 +566,52 @@ mod tests {
         assert!(w2.warm_basis_supplied);
         assert!(w2.model_reused, "the softened round kept its names");
         assert!(!w2.basis_remapped);
+    }
+
+    /// A scoped round leaves every server outside its universe on its
+    /// current binding, bound or free: targets start from `current` and
+    /// only the universe's classes are reassigned.
+    #[test]
+    fn scoped_round_keeps_current_bindings_outside_the_universe() {
+        let (region, mut broker) = setup();
+        let specs = vec![uniform_spec(&region, "web", 10.0)];
+        let web = broker.register_reservation("web");
+        // The first MSB is outside the universe; every other of its
+        // servers is bound to `web`.
+        let outside = region.msbs()[0].id;
+        let universe: Vec<bool> = region.servers().iter().map(|s| s.msb != outside).collect();
+        for (k, server) in region.servers_in_msb(outside).enumerate() {
+            if k % 2 == 0 {
+                broker.bind_current(server.id, Some(web)).unwrap();
+            }
+        }
+        let snap = broker.snapshot(SimTime::ZERO);
+        let (outcome, _) = SolveSession::new()
+            .solve_round_scoped(
+                &region,
+                &specs,
+                &snap,
+                &SolverParams::default(),
+                Some(&universe),
+            )
+            .unwrap();
+        let mut kept = [0usize; 2];
+        for server in region.servers_in_msb(outside) {
+            let current = snap.records[server.id.index()].current;
+            assert_eq!(outcome.targets[server.id.index()], current);
+            kept[usize::from(current.is_some())] += 1;
+        }
+        assert!(
+            kept[0] > 0 && kept[1] > 0,
+            "free and bound servers: {kept:?}"
+        );
+        assert!(
+            region
+                .servers()
+                .iter()
+                .any(|s| universe[s.id.index()] && outcome.targets[s.id.index()] == Some(web)),
+            "the universe carries the reservation"
+        );
     }
 
     #[test]

@@ -31,7 +31,6 @@
 //! objective, and must land within [`sharded_tolerance`] of the
 //! monolithic objective (asserted by tests and the `fig_scale` bench).
 
-use std::collections::HashSet;
 use std::time::Instant;
 
 use ras_broker::{BrokerSnapshot, ReservationId, UnavailabilityKind};
@@ -57,8 +56,11 @@ pub struct Shard {
     pub index: usize,
     /// Member MSBs (whole subtrees; racks and rows never straddle shards).
     pub msbs: Vec<MsbId>,
-    /// Every server under the member MSBs.
-    pub servers: HashSet<ServerId>,
+    /// Every server under the member MSBs, in ascending id order.
+    servers: Vec<ServerId>,
+    /// The same servers as a mask indexed by `ServerId` (one entry per
+    /// server of the region), the scope the shard's session solves in.
+    mask: Vec<bool>,
 }
 
 /// A region partition for sharded solving.
@@ -105,17 +107,26 @@ impl ShardPlan {
                 cursor += 1;
             }
             remaining -= size;
-            let member: HashSet<MsbId> = msbs.iter().copied().collect();
+            let mut member = vec![false; region.msbs().len()];
+            for m in &msbs {
+                member[m.index()] = true;
+            }
+            let mask: Vec<bool> = region
+                .servers()
+                .iter()
+                .map(|s| member[s.msb.index()])
+                .collect();
             let servers = region
                 .servers()
                 .iter()
-                .filter(|s| member.contains(&s.msb))
+                .filter(|s| mask[s.id.index()])
                 .map(|s| s.id)
                 .collect();
             shards.push(Shard {
                 index,
                 msbs,
                 servers,
+                mask,
             });
         }
         Self { shards }
@@ -727,7 +738,7 @@ impl ShardedSession {
                                 sspecs,
                                 snapshot,
                                 p,
-                                Some(&shard.servers),
+                                Some(&shard.mask),
                             )
                         })
                     })
@@ -919,6 +930,7 @@ mod tests {
     use crate::rru::RruTable;
     use ras_broker::{ResourceBroker, SimTime};
     use ras_topology::{RegionBuilder, RegionTemplate};
+    use std::collections::HashSet;
 
     fn region() -> Region {
         RegionBuilder::new(RegionTemplate::tiny(), 42).build()
@@ -937,6 +949,12 @@ mod tests {
             let mut seen = HashSet::new();
             for shard in &plan.shards {
                 assert!(!shard.msbs.is_empty(), "shard {} owns no MSB", shard.index);
+                assert!(shard.servers.windows(2).all(|w| w[0] < w[1]));
+                let masked: Vec<ServerId> = (0..region.server_count())
+                    .filter(|i| shard.mask[*i])
+                    .map(ServerId::from_index)
+                    .collect();
+                assert_eq!(masked, shard.servers, "mask and member list agree");
                 for s in &shard.servers {
                     assert!(seen.insert(*s), "server in two shards");
                     assert!(shard.msbs.contains(&region.server(*s).msb));

@@ -58,6 +58,24 @@ proptest! {
         }
     }
 
+    // `Rack::servers` lists, in ascending id order, exactly the servers
+    // whose `rack` names that rack: per-rack walks visit each server once
+    // and in the order a walk over `Region::servers` would.
+    #[test]
+    fn rack_members_are_ascending_and_exact((template, seed) in (arb_template(), 0u64..500)) {
+        let region = RegionBuilder::new(template, seed).build();
+        for rack in region.racks() {
+            let named: Vec<_> = region
+                .servers()
+                .iter()
+                .filter(|s| s.rack == rack.id)
+                .map(|s| s.id)
+                .collect();
+            prop_assert_eq!(&rack.servers, &named, "rack {:?}", rack.id);
+            prop_assert!(rack.servers.windows(2).all(|w| w[0] < w[1]));
+        }
+    }
+
     #[test]
     fn same_seed_same_region((template, seed) in (arb_template(), 0u64..500)) {
         let a = RegionBuilder::new(template.clone(), seed).build();
