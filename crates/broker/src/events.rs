@@ -114,11 +114,6 @@ impl EventQueue {
     pub fn drain(&mut self, subscriber: SubscriberId) -> Vec<EventNotice> {
         std::mem::take(&mut self.queues[subscriber.0 as usize])
     }
-
-    /// Number of registered subscribers.
-    pub fn subscriber_count(&self) -> usize {
-        self.queues.len()
-    }
 }
 
 /// Handle identifying a consumer's change feed.

@@ -97,16 +97,6 @@ impl ResourceBroker {
         ReservationId::from_index(self.reservation_names.len() - 1)
     }
 
-    /// Name of a reservation.
-    pub fn reservation_name(&self, id: ReservationId) -> &str {
-        &self.reservation_names[id.index()]
-    }
-
-    /// Number of registered reservations.
-    pub fn reservation_count(&self) -> usize {
-        self.reservation_names.len()
-    }
-
     /// Number of tracked servers.
     pub fn server_count(&self) -> usize {
         self.records.len()

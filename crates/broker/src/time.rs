@@ -41,11 +41,6 @@ impl SimTime {
         self.0 / 3600
     }
 
-    /// Whole days since the epoch (truncating).
-    pub fn as_days(self) -> u64 {
-        self.0 / 86_400
-    }
-
     /// This time advanced by `secs` seconds.
     pub fn plus_secs(self, secs: u64) -> Self {
         SimTime(self.0 + secs)

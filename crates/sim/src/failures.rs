@@ -293,11 +293,6 @@ impl FailureInjector {
             }
         }
     }
-
-    /// Number of events currently scheduled for recovery.
-    pub fn active_events(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 /// Outcome of one MSB-scale failure drill at the container layer.

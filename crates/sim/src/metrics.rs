@@ -8,7 +8,6 @@
 //! offered shape needs at least a few GiB — the cores are nominally free
 //! yet unusable.
 
-use ras_broker::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// Stranded-capacity totals over a set of hosts at one container grain.
@@ -202,11 +201,6 @@ impl MetricsLog {
         }
         self.samples.iter().map(&f).sum::<f64>() / self.samples.len() as f64
     }
-}
-
-/// Converts a sample time to its hour bucket.
-pub fn hour_of(t: SimTime) -> u64 {
-    t.as_hours()
 }
 
 #[cfg(test)]

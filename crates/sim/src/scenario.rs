@@ -368,11 +368,6 @@ impl Simulation {
             stranded,
         });
     }
-
-    /// Current per-server assignment (current bindings).
-    pub fn current_targets(&self) -> Vec<Option<ReservationId>> {
-        self.broker.iter().map(|(_, r)| r.current).collect()
-    }
 }
 
 #[cfg(test)]

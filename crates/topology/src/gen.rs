@@ -103,12 +103,6 @@ impl RegionBuilder {
         }
     }
 
-    /// Replaces the hardware catalog.
-    pub fn with_catalog(mut self, catalog: HardwareCatalog) -> Self {
-        self.catalog = catalog;
-        self
-    }
-
     /// Builds the region.
     ///
     /// MSBs are assigned a global turn-up order by interleaving across

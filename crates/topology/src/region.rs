@@ -236,16 +236,6 @@ impl Region {
         self.servers.iter().filter(move |s| s.msb == msb)
     }
 
-    /// Iterates over the servers of one datacenter.
-    pub fn servers_in_datacenter(
-        &self,
-        datacenter: DatacenterId,
-    ) -> impl Iterator<Item = &Server> + '_ {
-        self.servers
-            .iter()
-            .filter(move |s| s.datacenter == datacenter)
-    }
-
     /// Partitions all servers by the given scope, returning
     /// `(scope id, member servers)` groups in deterministic order.
     ///

@@ -1,17 +1,15 @@
 //! Static-analysis engine behind `cargo xtask lint`.
 //!
-//! Pipeline: [`lexer`] masks comments, literal contents and
-//! `#[cfg(test)]` modules out of the raw source; [`parser`] turns the
-//! masked text into a token forest with spans and classified scopes;
-//! [`passes`] runs the syntax-aware lints over that forest while
-//! [`lints`] also runs the original masked-substring lints and resolves
-//! `lint:allow` suppression; [`report`] renders text and JSON
-//! diagnostics; [`walk`] decides which files are in scope. The binary
+//! Pipeline: [`walk`] decides which files are in scope; [`parser`]
+//! tokenizes each file once — comments set aside, literals skipped —
+//! and folds the tokens into a forest with spans and classified scopes,
+//! `#[cfg(test)]` modules dropped; [`passes`] runs the eight lints over
+//! that forest; [`lints`] applies `lint:allow` suppression from the
+//! comments; [`report`] renders text and JSON diagnostics. The binary
 //! in `main.rs` fails on any unsuppressed finding.
 //!
 //! Deliberately zero dependencies — see `Cargo.toml`.
 
-pub mod lexer;
 pub mod lints;
 pub mod parser;
 pub mod passes;

@@ -1,21 +1,15 @@
-//! Lint engine: runs every pass over one file and applies suppression.
+//! Lint engine: reads one file once, runs every pass over its token
+//! forest and applies suppression.
 //!
-//! Two generations of lints coexist here:
-//!
-//! * the original masked-substring lints (`partial-cmp-unwrap`,
-//!   `solver-unwrap`, `float-as-int`), kept in their proven token-scan
-//!   form and upgraded to span-accurate [`Finding`]s; and
-//! * the syntax-aware passes in [`crate::passes`], which run over the
-//!   token forest from [`crate::parser`] and can see scopes, receiver
-//!   chains and statement structure.
-//!
-//! Suppression (`// lint:allow(...)`) is resolved once for both
-//! generations — see [`crate::report`] for the line/scope semantics and
-//! the justification requirement on the syntax lints.
+//! [`crate::parser`] tokenizes the raw source (setting comments aside
+//! and skipping literals) and drops test code from the forest;
+//! [`crate::passes`] runs the eight lints over it; the comments'
+//! `lint:allow` directives decide which findings survive — see
+//! [`crate::report`] for the line/scope semantics and the
+//! justification every allow needs.
 
-use crate::lexer::{mask_literals, mask_source, mask_test_mods};
 use crate::parser;
-use crate::passes::{self, SYNTAX_LINTS};
+use crate::passes;
 use crate::report::{collect_allows, Finding, Suppressions};
 
 /// Every lint name, in the order reports are printed.
@@ -30,62 +24,34 @@ pub const LINT_NAMES: [&str; 8] = [
     "debug-assert-effect",
 ];
 
-/// Crates whose non-test sources must not panic on fallible paths
-/// (`solver-unwrap` scope): the solver stack proper, plus the level-2
-/// path around it — twine placement, the broker it reads and the mover
-/// that feeds it — which runs inside the simulation loop and must
-/// degrade, not panic, when capacity or bookkeeping is off. Scoped to
-/// `src/` on purpose: integration tests and benches may unwrap freely.
-const SOLVER_SCOPES: [&str; 5] = [
-    "crates/milp/src",
-    "crates/ras-core/src",
-    "crates/twine/src",
-    "crates/broker/src",
-    "crates/mover/src",
-];
-
 /// Scans one file and returns every unsuppressed finding, plus
-/// warnings for `lint:allow` comments that are inert because a
-/// syntax-lint allow is missing its justification.
+/// warnings for `lint:allow` comments that are inert because they
+/// carry no justification.
 pub fn scan_file(repo_rel: &str, raw: &str) -> (Vec<Finding>, Vec<String>) {
-    let masked = mask_test_mods(&mask_source(raw));
-    let chars: Vec<char> = masked.chars().collect();
-    let raw_lines: Vec<&str> = raw.lines().collect();
-
-    let mut findings = legacy_findings(repo_rel, &chars);
-
-    let trees = parser::parse(&masked);
-    let (syntax_findings, allow_scopes) = passes::run(repo_rel, &trees);
-    findings.extend(syntax_findings);
-
-    // Allows are read from a literals-masked view: the directive only
-    // counts inside real comments, never inside a string literal.
-    let allows = collect_allows(&mask_literals(raw));
+    let (trees, comments) = parser::parse(raw);
+    let (findings, allow_scopes) = passes::run(repo_rel, &trees);
+    let allows = collect_allows(&comments);
     let suppressions = Suppressions::new(&allows, &allow_scopes);
     let warnings: Vec<String> = suppressions
-        .unjustified(&SYNTAX_LINTS)
+        .unjustified(&LINT_NAMES)
         .iter()
         .map(|a| {
             format!(
-                "{repo_rel}:{}: lint:allow({}) is ignored — syntax lints need a reason: \
+                "{repo_rel}:{}: lint:allow({}) is ignored — every allow needs a reason: \
                  `// lint:allow({}): <one-line justification>`",
                 a.line, a.name, a.name
             )
         })
         .collect();
 
+    let raw_lines: Vec<&str> = raw.lines().collect();
     let mut findings: Vec<Finding> = findings
         .into_iter()
-        .filter(|f| {
-            let needs_reason = SYNTAX_LINTS.contains(&f.lint);
-            !suppressions.is_suppressed(f.lint, f.line, needs_reason)
-        })
+        .filter(|f| !suppressions.is_suppressed(f.lint, f.line))
         .map(|mut f| {
-            if f.excerpt.is_empty() {
-                f.excerpt = raw_lines
-                    .get(f.line - 1)
-                    .map_or(String::new(), |l| l.trim().to_string());
-            }
+            f.excerpt = raw_lines
+                .get(f.line - 1)
+                .map_or(String::new(), |l| l.trim().to_string());
             f
         })
         .collect();
@@ -97,162 +63,6 @@ pub fn scan_file(repo_rel: &str, raw: &str) -> (Vec<Finding>, Vec<String>) {
             .then(a.lint.cmp(b.lint))
     });
     (findings, warnings)
-}
-
-/// The original three masked-substring lints.
-fn legacy_findings(repo_rel: &str, chars: &[char]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    let mut push = |lint: &'static str, pos: usize, len: usize, suggestion: &'static str| {
-        let (line, col) = line_col_of(chars, pos);
-        findings.push(Finding {
-            lint,
-            file: repo_rel.to_string(),
-            line,
-            col,
-            len,
-            excerpt: String::new(),
-            suggestion,
-        });
-    };
-
-    // partial-cmp-unwrap: `partial_cmp(…)` immediately unwrapped or
-    // defaulted. NaN-unsound in solver code — `f64::total_cmp` is total
-    // and costs the same. Applies to every crate.
-    let mut from = 0;
-    while let Some(i) = find(chars, "partial_cmp", from) {
-        from = i + "partial_cmp".len();
-        if chars.get(from) != Some(&'(') {
-            continue;
-        }
-        let after = skip_balanced(chars, from);
-        let mut j = after;
-        while chars.get(j).is_some_and(|c| c.is_whitespace()) {
-            j += 1;
-        }
-        if ["unwrap()", "unwrap_or(", "unwrap_or_else(", "expect("]
-            .iter()
-            .any(|m| starts_with(chars, j, &format!(".{m}")))
-        {
-            push(
-                "partial-cmp-unwrap",
-                i,
-                "partial_cmp".len(),
-                "use f64::total_cmp — total over NaN at the same cost",
-            );
-        }
-    }
-
-    // solver-unwrap: bare `.unwrap()` / `.expect(` in the solver crates'
-    // production code. Fallible paths there must propagate `SolveError`
-    // / `CoreError`, or be individually allowed.
-    if SOLVER_SCOPES.iter().any(|s| repo_rel.starts_with(s)) {
-        for pat in [".unwrap()", ".expect("] {
-            let mut from = 0;
-            while let Some(i) = find(chars, pat, from) {
-                from = i + pat.len();
-                push(
-                    "solver-unwrap",
-                    i + 1,
-                    pat.len() - 1,
-                    "propagate SolveError/CoreError instead of panicking the region solve",
-                );
-            }
-        }
-    }
-
-    // float-as-int: `.round() as usize` and friends. The cast saturates
-    // silently on NaN/overflow; conversions on data-dependent values
-    // must go through a checked helper that surfaces the bad input.
-    for method in ["round", "floor", "ceil", "trunc"] {
-        let pat = format!(".{method}() as ");
-        let mut from = 0;
-        while let Some(i) = find(chars, &pat, from) {
-            from = i + pat.len();
-            let mut word = String::new();
-            let mut j = from;
-            while let Some(&c) = chars.get(j) {
-                if c.is_alphanumeric() {
-                    word.push(c);
-                    j += 1;
-                } else {
-                    break;
-                }
-            }
-            if is_int_type(&word) {
-                push(
-                    "float-as-int",
-                    i + 1,
-                    pat.len() + word.len() - 1,
-                    "use milp::cast (rounded_i64/checked_usize/…) — `as` saturates on NaN/overflow",
-                );
-            }
-        }
-    }
-
-    findings
-}
-
-fn is_int_type(word: &str) -> bool {
-    matches!(
-        word,
-        "u8" | "u16"
-            | "u32"
-            | "u64"
-            | "u128"
-            | "usize"
-            | "i8"
-            | "i16"
-            | "i32"
-            | "i64"
-            | "i128"
-            | "isize"
-    )
-}
-
-/// (1-based line, 1-based char column) of a char offset.
-fn line_col_of(chars: &[char], pos: usize) -> (usize, usize) {
-    let mut line = 1;
-    let mut col = 1;
-    for &c in &chars[..pos] {
-        if c == '\n' {
-            line += 1;
-            col = 1;
-        } else {
-            col += 1;
-        }
-    }
-    (line, col)
-}
-
-fn find(chars: &[char], needle: &str, from: usize) -> Option<usize> {
-    let n: Vec<char> = needle.chars().collect();
-    if chars.len() < n.len() {
-        return None;
-    }
-    (from..=chars.len() - n.len()).find(|&i| chars[i..i + n.len()] == n[..])
-}
-
-fn starts_with(chars: &[char], at: usize, needle: &str) -> bool {
-    let n: Vec<char> = needle.chars().collect();
-    chars.get(at..at + n.len()) == Some(&n[..])
-}
-
-/// Index just past the `)` matching the `(` at `open`.
-fn skip_balanced(chars: &[char], open: usize) -> usize {
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < chars.len() {
-        if chars[i] == '(' {
-            depth += 1;
-        } else if chars[i] == ')' {
-            depth -= 1;
-            if depth == 0 {
-                return i + 1;
-            }
-        }
-        i += 1;
-    }
-    chars.len()
 }
 
 #[cfg(test)]
@@ -313,7 +123,7 @@ mod tests {
 
     #[test]
     fn allow_comment_suppresses_same_and_next_line() {
-        let src = "// lint:allow(solver-unwrap)\nlet x = foo().unwrap();\nlet y = bar().unwrap(); // lint:allow(solver-unwrap)\nlet z = baz().unwrap();\n";
+        let src = "// lint:allow(solver-unwrap): checked above\nlet x = foo().unwrap();\nlet y = bar().unwrap(); // lint:allow(solver-unwrap): checked above\nlet z = baz().unwrap();\n";
         assert_eq!(
             lints_of("crates/milp/src/x.rs", src),
             vec![("solver-unwrap", 4)]
@@ -361,6 +171,22 @@ fn hot(v: &[f64]) {
         assert_eq!(findings.len(), 1);
         assert_eq!(warnings.len(), 1);
         assert!(warnings[0].contains("justification"));
+        // The same rule holds for every lint, the once reason-free ones too.
+        let src = "// lint:allow(solver-unwrap)\nlet x = foo().unwrap();\n";
+        let (findings, warnings) = scan_file("crates/milp/src/x.rs", src);
+        assert_eq!(findings.len(), 1);
+        assert_eq!(warnings.len(), 1);
+        assert!(warnings[0].contains("lint:allow(solver-unwrap)"));
+    }
+
+    #[test]
+    fn directive_inside_a_string_does_not_count() {
+        let src =
+            "let s = \"// lint:allow(solver-unwrap): not a comment\";\nlet x = foo().unwrap();\n";
+        assert_eq!(
+            lints_of("crates/milp/src/x.rs", src),
+            vec![("solver-unwrap", 2)]
+        );
     }
 
     #[test]

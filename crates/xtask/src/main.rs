@@ -6,14 +6,14 @@
 //! bare hot-loop indexing in the solver stack, NaN-unsound comparisons
 //! and min/max, inline tolerance literals that can drift apart,
 //! unchecked narrowing casts, and side effects inside `debug_assert!`.
-//! Any finding not suppressed by a `lint:allow` fails the run (and CI).
+//! Any finding not suppressed by a `lint:allow` fails the run (and CI)
+//! and is printed to stderr with its span and a suggested rewrite.
 //!
 //! Usage:
 //!
 //! ```text
-//! cargo xtask lint                 # fail on any unsuppressed finding (CI gate)
-//! cargo xtask lint --list          # also print every finding on stdout
-//! cargo xtask lint --format json   # machine-readable report on stdout (CI artifact)
+//! cargo xtask lint                 # fail on any unsuppressed finding
+//! cargo xtask lint --format json   # the same gate, plus a machine-readable report on stdout
 //! ```
 
 use std::collections::BTreeMap;
@@ -34,12 +34,10 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => {
-            let mut list = false;
             let mut format = Format::Text;
             let mut it = args[1..].iter();
             while let Some(a) = it.next() {
                 match a.as_str() {
-                    "--list" => list = true,
                     "--format" => match it.next().map(String::as_str) {
                         Some("json") => format = Format::Json,
                         Some("text") => format = Format::Text,
@@ -56,18 +54,18 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            run_lint(list, format)
+            run_lint(format)
         }
         _ => usage(),
     }
 }
 
 fn usage() -> ExitCode {
-    eprintln!("usage: cargo xtask lint [--list] [--format <text|json>]");
+    eprintln!("usage: cargo xtask lint [--format <text|json>]");
     ExitCode::FAILURE
 }
 
-fn run_lint(list: bool, format: Format) -> ExitCode {
+fn run_lint(format: Format) -> ExitCode {
     let root = repo_root();
     let files = walk::workspace_files(&root);
     if files.is_empty() {
@@ -106,15 +104,6 @@ fn run_lint(list: bool, format: Format) -> ExitCode {
         eprintln!("xtask lint: warning: {w}");
     }
 
-    if list && format == Format::Text {
-        for f in &findings {
-            print!("{}", report::render_text(f));
-        }
-        if !findings.is_empty() {
-            println!();
-        }
-    }
-
     let failed = !findings.is_empty();
     let human = format == Format::Text;
     if human {
@@ -141,8 +130,7 @@ fn run_lint(list: bool, format: Format) -> ExitCode {
     if failed {
         eprintln!(
             "xtask lint: FAILED — fix the findings or, for a reviewed-and-sound site, \
-             suppress it with `// lint:allow(<lint>)` (syntax lints additionally require \
-             `// lint:allow(<lint>): <justification>`)"
+             suppress it with `// lint:allow(<lint>): <justification>`"
         );
         return ExitCode::FAILURE;
     }

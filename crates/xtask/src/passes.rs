@@ -1,4 +1,4 @@
-//! The syntax-aware lint passes.
+//! The lint passes.
 //!
 //! Each pass is a visitor over the token forest produced by
 //! [`crate::parser`], with full access to sibling context (receiver
@@ -10,29 +10,35 @@
 //!
 //! | lint | fires on |
 //! |------|----------|
+//! | `partial-cmp-unwrap` | `partial_cmp(..)` unwrapped or defaulted, in every crate |
+//! | `solver-unwrap` | `.unwrap()` / `.expect(..)` in the solver stack's `src/` |
+//! | `float-as-int` | `.round()/.floor()/.ceil()/.trunc() as <int>`, in every crate |
 //! | `hot-path-index` | bare `x[i]` / `&x[a..b]` inside loops of the simplex/LU/shard hot modules |
 //! | `tolerance-literal` | inline `1e-7`-style epsilons in solver code outside named constants |
 //! | `as-cast-audit` | narrowing / sign-changing `as` casts in solver code outside `milp::cast` |
-//! | `nan-min-max` | `f64::min`/`max` on float-ish operands; NaN-defaulting `partial_cmp` chains |
+//! | `nan-min-max` | `f64::min`/`max` on float-ish operands |
 //! | `debug-assert-effect` | side effects inside `debug_assert!` (vanish in release builds) |
 //!
-//! All five require a justification on `lint:allow` suppressions (see
-//! [`crate::report`]). Heuristics are documented per pass; where type
-//! information would be needed (e.g. is this `.max(…)` `Ord` or `f64`?)
-//! the pass keys off syntactic float evidence and accepts false
-//! negatives over false positives.
+//! Heuristics are documented per pass; where type information would be
+//! needed (e.g. is this `.max(…)` `Ord` or `f64`?) the pass keys off
+//! syntactic float evidence and accepts false negatives over false
+//! positives.
 
-use crate::parser::{self, Scope, ScopeKind, Tok, TokKind, Tree};
+use crate::parser::{self, leaf_at, Scope, ScopeKind, Tok, TokKind, Tree};
 use crate::report::{AllowScope, Finding};
 
-/// Lints implemented in this module; allows for these require a
-/// one-line justification.
-pub const SYNTAX_LINTS: [&str; 5] = [
-    "hot-path-index",
-    "tolerance-literal",
-    "as-cast-audit",
-    "nan-min-max",
-    "debug-assert-effect",
+/// Crates whose non-test sources must not panic on fallible paths
+/// (`solver-unwrap` scope): the solver stack proper, plus the level-2
+/// path around it — twine placement, the broker it reads and the mover
+/// that feeds it — which runs inside the simulation loop and must
+/// degrade, not panic, when capacity or bookkeeping is off. Scoped to
+/// `src/` on purpose: integration tests and benches may unwrap freely.
+const SOLVER_SCOPES: [&str; 5] = [
+    "crates/milp/src",
+    "crates/ras-core/src",
+    "crates/twine/src",
+    "crates/broker/src",
+    "crates/mover/src",
 ];
 
 /// Hot solver modules whose loop bodies must use checked indexing: the
@@ -58,19 +64,19 @@ const CAST_MODULE: &str = "crates/milp/src/cast.rs";
 /// asserts), so it is exempt from `nan-min-max`.
 const NAN_MODULE: &str = "crates/milp/src/nan.rs";
 
-/// Runs every syntax pass over one file. Returns raw findings (caller
-/// applies suppression) plus the allow scopes (fn/loop bodies) found.
+/// Runs every pass over one file. Returns raw findings (caller applies
+/// suppression) plus the allow scopes (fn/loop bodies) found.
 pub fn run(repo_rel: &str, trees: &[Tree]) -> (Vec<Finding>, Vec<AllowScope>) {
     let mut findings = Vec::new();
     let mut scopes_out: Vec<AllowScope> = Vec::new();
 
-    let hot_path = HOT_PATHS.iter().any(|p| repo_rel.starts_with(p));
-    let solver = SOLVER_SRC.iter().any(|p| repo_rel.starts_with(p));
+    let in_any = |roots: &[&str]| roots.iter().any(|p| repo_rel.starts_with(p));
+    let unwrap = in_any(&SOLVER_SCOPES);
+    let hot_path = in_any(&HOT_PATHS);
+    let solver = in_any(&SOLVER_SRC);
     let tolerance = solver && !TOLERANCE_MODULES.contains(&repo_rel);
     let cast = solver && repo_rel != CAST_MODULE;
-    let nan = (repo_rel.starts_with("crates/milp/src")
-        || repo_rel.starts_with("crates/ras-core/src"))
-        && repo_rel != NAN_MODULE;
+    let nan = in_any(&["crates/milp/src", "crates/ras-core/src"]) && repo_rel != NAN_MODULE;
 
     parser::walk(trees, &mut |sibs, idx, scopes| {
         // Record fn/loop scopes once (on their opening brace visit).
@@ -78,6 +84,11 @@ pub fn run(repo_rel: &str, trees: &[Tree]) -> (Vec<Finding>, Vec<AllowScope>) {
             record_scope(&mut scopes_out, s);
         }
 
+        partial_cmp_unwrap(repo_rel, sibs, idx, &mut findings);
+        if unwrap {
+            solver_unwrap(repo_rel, sibs, idx, &mut findings);
+        }
+        float_as_int(repo_rel, sibs, idx, &mut findings);
         if hot_path {
             hot_path_index(repo_rel, sibs, idx, scopes, &mut findings);
         }
@@ -137,6 +148,130 @@ fn finding(
     }
 }
 
+/// Span length from `from` through column `end_col` of `end_line`, or
+/// `from`'s own length when the span would leave its line.
+fn span(from: &Tok, end_line: usize, end_col: usize) -> usize {
+    if end_line == from.line && end_col >= from.col {
+        end_col - from.col + 1
+    } else {
+        from.text.chars().count().max(1)
+    }
+}
+
+/// Span length from `from` through the last char of `to`.
+fn span_to(from: &Tok, to: &Tok) -> usize {
+    span(from, to.line, to.col + to.text.chars().count() - 1)
+}
+
+fn is_punct_at(sibs: &[Tree], i: usize, p: &str) -> bool {
+    leaf_at(sibs, i).is_some_and(|t| t.is_punct(p))
+}
+
+fn is_dot(sibs: &[Tree], i: usize) -> bool {
+    is_punct_at(sibs, i, ".")
+}
+
+/// `sibs[i]` opens a call: it is followed by a `(…)` group.
+fn is_call(sibs: &[Tree], i: usize) -> bool {
+    sibs.get(i + 1).is_some_and(|g| g.is_group('('))
+}
+
+/// Methods that leave a `partial_cmp` result defaulted or unwrapped.
+const CMP_DEFAULTS: [&str; 7] = [
+    "unwrap",
+    "expect",
+    "unwrap_or",
+    "unwrap_or_else",
+    "unwrap_or_default",
+    "map_or",
+    "map_or_else",
+];
+
+/// `partial-cmp-unwrap`: `partial_cmp(…)` immediately unwrapped or
+/// defaulted. A NaN operand then panics or silently becomes a made-up
+/// `Ordering` (an `unwrap_or(Equal)` comparator is how a NaN merit
+/// scrambles a sort); `f64::total_cmp` is total and costs the same.
+/// Applies to every crate.
+fn partial_cmp_unwrap(file: &str, sibs: &[Tree], idx: usize, out: &mut Vec<Finding>) {
+    let Some(tok) = leaf_at(sibs, idx).filter(|t| t.is_ident("partial_cmp")) else {
+        return;
+    };
+    if is_call(sibs, idx)
+        && is_dot(sibs, idx + 2)
+        && leaf_at(sibs, idx + 3).is_some_and(|t| CMP_DEFAULTS.contains(&t.text.as_str()))
+    {
+        out.push(finding(
+            "partial-cmp-unwrap",
+            file,
+            tok,
+            tok.text.chars().count(),
+            "use f64::total_cmp — total over NaN at the same cost",
+        ));
+    }
+}
+
+/// `solver-unwrap`: `.unwrap()` / `.expect(…)` in the production code
+/// of [`SOLVER_SCOPES`]. Fallible paths there must propagate
+/// `SolveError` / `CoreError`, or be individually allowed.
+fn solver_unwrap(file: &str, sibs: &[Tree], idx: usize, out: &mut Vec<Finding>) {
+    let Some(tok) = leaf_at(sibs, idx) else {
+        return;
+    };
+    let Some(Tree::Group {
+        delim: '(',
+        children,
+        close_line,
+        close_col,
+        ..
+    }) = sibs.get(idx + 1)
+    else {
+        return;
+    };
+    if is_dot(sibs, idx.wrapping_sub(1))
+        && ((tok.is_ident("unwrap") && children.is_empty()) || tok.is_ident("expect"))
+    {
+        out.push(finding(
+            "solver-unwrap",
+            file,
+            tok,
+            span(tok, *close_line, *close_col),
+            "propagate SolveError/CoreError instead of panicking the region solve",
+        ));
+    }
+}
+
+const ROUNDING: [&str; 4] = ["round", "floor", "ceil", "trunc"];
+
+/// `float-as-int`: `.round() as usize` and friends, in every crate. The
+/// cast saturates silently on NaN/overflow; conversions of
+/// data-dependent values must go through a checked helper that surfaces
+/// the bad input.
+fn float_as_int(file: &str, sibs: &[Tree], idx: usize, out: &mut Vec<Finding>) {
+    let Some(tok) = leaf_at(sibs, idx)
+        .filter(|t| t.kind == TokKind::Ident && ROUNDING.contains(&t.text.as_str()))
+    else {
+        return;
+    };
+    let Some(ty) = leaf_at(sibs, idx + 3).filter(|t| INT_TYPES.contains(&t.text.as_str())) else {
+        return;
+    };
+    if is_dot(sibs, idx.wrapping_sub(1))
+        && is_call(sibs, idx)
+        && sibs[idx + 1]
+            .group_children()
+            .is_some_and(<[Tree]>::is_empty)
+        && leaf_at(sibs, idx + 2).is_some_and(|t| t.is_ident("as"))
+    {
+        out.push(finding(
+            "float-as-int",
+            file,
+            tok,
+            span_to(tok, ty),
+            "use milp::cast (rounded_i64/checked_usize/…) — `as` saturates on NaN/overflow",
+        ));
+    }
+}
+
 /// `hot-path-index`: a bare `[...]` index expression (including range
 /// slicing) inside a `for`/`while`/`loop` body of a hot solver module.
 /// Out-of-bounds here is a panic in the region solve path — sites must
@@ -146,7 +281,6 @@ fn finding(
 fn hot_path_index(file: &str, sibs: &[Tree], idx: usize, scopes: &[Scope], out: &mut Vec<Finding>) {
     let Tree::Group {
         delim: '[',
-        open,
         close_line,
         close_col,
         ..
@@ -163,7 +297,7 @@ fn hot_path_index(file: &str, sibs: &[Tree], idx: usize, scopes: &[Scope], out: 
     // The `[` must attach to a value: a plain identifier or a call /
     // index result. Macro brackets (`vec![`), attributes (`#[`), array
     // literals (`= [`), and types (`: [`) all have other predecessors.
-    let Some(prev) = idx.checked_sub(1).and_then(|p| sibs.get(p)) else {
+    let Some(prev) = sibs.get(idx.wrapping_sub(1)) else {
         return;
     };
     let is_receiver = match prev {
@@ -176,20 +310,14 @@ fn hot_path_index(file: &str, sibs: &[Tree], idx: usize, scopes: &[Scope], out: 
         return;
     }
     let anchor = prev.head();
-    let len = if *close_line == anchor.line && *close_col >= anchor.col {
-        *close_col - anchor.col + 1
-    } else {
-        anchor.text.chars().count().max(1)
-    };
     out.push(finding(
         "hot-path-index",
         file,
         anchor,
-        len,
+        span(anchor, *close_line, *close_col),
         "use .get()/.get_unchecked() (handle the miss or argue safety), or add a scoped \
          `// lint:allow(hot-path-index): <why the index is in-bounds>` above the fn or loop",
     ));
-    let _ = open;
 }
 
 /// `tolerance-literal`: an epsilon-style float literal (negative
@@ -204,12 +332,9 @@ fn tolerance_literal(
     scopes: &[Scope],
     out: &mut Vec<Finding>,
 ) {
-    let Some(tok) = sibs[idx].as_leaf() else {
+    let Some(tok) = leaf_at(sibs, idx).filter(|t| t.has_negative_exponent()) else {
         return;
     };
-    if !tok.has_negative_exponent() {
-        return;
-    }
     if scopes.iter().any(|s| s.kind == ScopeKind::ConstInit) {
         return;
     }
@@ -233,52 +358,35 @@ const INT_TYPES: [&str; 12] = [
 /// surfaces the bad value) or `From`/`TryFrom`. Integer-literal casts
 /// (`7 as u8`) are exempt: they are compile-time-checkable and idiom.
 fn as_cast_audit(file: &str, sibs: &[Tree], idx: usize, out: &mut Vec<Finding>) {
-    let Some(tok) = sibs[idx].as_leaf() else {
+    let Some(tok) = leaf_at(sibs, idx).filter(|t| t.is_ident("as")) else {
         return;
     };
-    if !tok.is_ident("as") {
-        return;
-    }
-    let Some(target) = sibs.get(idx + 1).and_then(Tree::as_leaf) else {
+    let Some(target) = leaf_at(sibs, idx + 1) else {
         return;
     };
     if !(INT_TYPES.contains(&target.text.as_str()) || target.text == "f32") {
         return;
     }
-    let prev = idx.checked_sub(1).and_then(|p| sibs.get(p));
+    let prev = idx.wrapping_sub(1);
     // Literal source: `255 as u8` / `1.5 as f32` are value-visible.
-    if prev
-        .and_then(Tree::as_leaf)
+    if leaf_at(sibs, prev)
         .is_some_and(|t| t.kind == TokKind::Num || t.is_ident("true") || t.is_ident("false"))
     {
         return;
     }
-    // `.round() as usize` and friends belong to the legacy
-    // `float-as-int` lint; don't double-report.
-    if let Some(Tree::Group { delim: '(', .. }) = prev {
-        if idx >= 3
-            && sibs
-                .get(idx - 2)
-                .and_then(Tree::as_leaf)
-                .is_some_and(|t| matches!(t.text.as_str(), "round" | "floor" | "ceil" | "trunc"))
-            && sibs
-                .get(idx - 3)
-                .and_then(Tree::as_leaf)
-                .is_some_and(|t| t.is_punct("."))
-        {
-            return;
-        }
+    // `.round() as usize` and friends belong to `float-as-int`; don't
+    // double-report.
+    if sibs.get(prev).is_some_and(|g| g.is_group('('))
+        && leaf_at(sibs, idx.wrapping_sub(2)).is_some_and(|t| ROUNDING.contains(&t.text.as_str()))
+        && is_dot(sibs, idx.wrapping_sub(3))
+    {
+        return;
     }
-    let len = if target.line == tok.line {
-        target.col + target.text.chars().count() - tok.col
-    } else {
-        2
-    };
     out.push(finding(
         "as-cast-audit",
         file,
         tok,
-        len,
+        span_to(tok, target),
         "use milp::cast (checked/rounded helpers) or From/TryFrom; `as` wraps, truncates \
          and saturates silently",
     ));
@@ -347,104 +455,43 @@ fn receiver_chain(sibs: &[Tree], end: usize) -> &[Tree] {
     &sibs[start..end]
 }
 
-/// `nan-min-max`: `min`/`max` on float-ish operands, `f64::min`/`max`
-/// used as a path (e.g. in a `fold`), or a `partial_cmp` chain that
-/// *defaults* on NaN (`map_or(Ordering::…)`, `unwrap_or_default`).
-/// IEEE min/max silently discard a NaN operand — a NaN objective or
-/// reduced cost gets laundered into a plausible number instead of
-/// failing the audit. Use `milp::nan::{fmin, fmax}` (debug-asserts
-/// non-NaN, identical release behavior) or `total_cmp`.
+/// `nan-min-max`: `min`/`max` on float-ish operands, or `f64::min`/`max`
+/// as a path (called, or passed to a `fold`). IEEE min/max silently
+/// discard a NaN operand — a NaN objective or reduced cost gets
+/// laundered into a plausible number instead of failing the audit. Use
+/// `milp::nan::{fmin, fmax}` (debug-asserts non-NaN, identical release
+/// behavior) or `total_cmp`.
 fn nan_min_max(file: &str, sibs: &[Tree], idx: usize, out: &mut Vec<Finding>) {
-    let Some(tok) = sibs[idx].as_leaf() else {
+    let Some(tok) = leaf_at(sibs, idx).filter(|t| t.is_ident("min") || t.is_ident("max")) else {
         return;
     };
-    let suggestion = "use milp::nan::{fmin,fmax} (debug-asserts non-NaN) or f64::total_cmp; \
-                      IEEE min/max silently drop NaN";
-    if (tok.is_ident("min") || tok.is_ident("max"))
-        && sibs.get(idx + 1).is_some_and(|n| n.is_group('('))
-    {
-        let Some(prev) = idx
-            .checked_sub(1)
-            .and_then(|p| sibs.get(p))
-            .and_then(Tree::as_leaf)
+    let flagged = if is_dot(sibs, idx.wrapping_sub(1)) {
+        let Some(args) = sibs
+            .get(idx + 1)
+            .filter(|g| g.is_group('('))
+            .and_then(Tree::group_children)
         else {
             return;
         };
-        if prev.is_punct(".") {
-            let args = sibs[idx + 1].group_children().unwrap_or(&[]);
-            // A bare integer literal argument (`.max(1)`) proves the
-            // receiver is an integer type — `1` cannot coerce to f64, so
-            // an f64 receiver would not compile. Integer min/max is
-            // total; nothing to flag.
-            if let [Tree::Leaf(arg)] = args {
-                if arg.kind == crate::parser::TokKind::Num && !arg.is_float_lit() {
-                    return;
-                }
-            }
-            let recv = receiver_chain(sibs, idx - 1);
-            if floatish(args) || floatish(recv) {
-                out.push(finding(
-                    "nan-min-max",
-                    file,
-                    tok,
-                    tok.text.chars().count(),
-                    suggestion,
-                ));
-            }
-        } else if prev.is_punct("::")
-            && idx >= 2
-            && sibs
-                .get(idx - 2)
-                .and_then(Tree::as_leaf)
+        // A bare integer literal argument (`.max(1)`) proves the
+        // receiver is an integer type — `1` cannot coerce to f64, so an
+        // f64 receiver would not compile. Integer min/max is total.
+        let int_arg =
+            matches!(args, [Tree::Leaf(a)] if a.kind == TokKind::Num && !a.is_float_lit());
+        !int_arg && (floatish(args) || floatish(receiver_chain(sibs, idx - 1)))
+    } else {
+        is_punct_at(sibs, idx.wrapping_sub(1), "::")
+            && leaf_at(sibs, idx.wrapping_sub(2))
                 .is_some_and(|t| t.is_ident("f64") || t.is_ident("f32"))
-        {
-            out.push(finding(
-                "nan-min-max",
-                file,
-                tok,
-                tok.text.chars().count(),
-                suggestion,
-            ));
-        }
-    } else if (tok.is_ident("min") || tok.is_ident("max"))
-        && idx >= 2
-        && sibs
-            .get(idx.wrapping_sub(1))
-            .and_then(Tree::as_leaf)
-            .is_some_and(|t| t.is_punct("::"))
-        && sibs
-            .get(idx - 2)
-            .and_then(Tree::as_leaf)
-            .is_some_and(|t| t.is_ident("f64") || t.is_ident("f32"))
-    {
-        // `f64::max` passed as a function value (no call parens), the
-        // classic NaN-poisoned `fold(f64::NAN, f64::max)` shape.
+    };
+    if flagged {
         out.push(finding(
             "nan-min-max",
             file,
             tok,
             tok.text.chars().count(),
-            suggestion,
-        ));
-    } else if tok.is_ident("partial_cmp")
-        && sibs.get(idx + 1).is_some_and(|n| n.is_group('('))
-        && sibs
-            .get(idx + 2)
-            .and_then(Tree::as_leaf)
-            .is_some_and(|t| t.is_punct("."))
-        && sibs.get(idx + 3).and_then(Tree::as_leaf).is_some_and(|t| {
-            matches!(
-                t.text.as_str(),
-                "map_or" | "map_or_else" | "unwrap_or_default"
-            )
-        })
-    {
-        out.push(finding(
-            "nan-min-max",
-            file,
-            tok,
-            tok.text.chars().count(),
-            "a NaN comparison silently becomes the default Ordering — use f64::total_cmp",
+            "use milp::nan::{fmin,fmax} (debug-asserts non-NaN) or f64::total_cmp; \
+             IEEE min/max silently drop NaN",
         ));
     }
 }
@@ -504,16 +551,12 @@ const ASSIGN_OPS: [&str; 11] = [
 /// changes release behavior — the exact class of bug that only shows up
 /// in production. Fires once per macro invocation.
 fn debug_assert_effect(file: &str, sibs: &[Tree], idx: usize, out: &mut Vec<Finding>) {
-    let Some(tok) = sibs[idx].as_leaf() else {
+    let Some(tok) = leaf_at(sibs, idx) else {
         return;
     };
-    if !(tok.kind == TokKind::Ident && tok.text.starts_with("debug_assert")) {
-        return;
-    }
-    if !sibs
-        .get(idx + 1)
-        .and_then(Tree::as_leaf)
-        .is_some_and(|t| t.is_punct("!"))
+    if !(tok.kind == TokKind::Ident
+        && tok.text.starts_with("debug_assert")
+        && is_punct_at(sibs, idx + 1, "!"))
     {
         return;
     }
@@ -538,6 +581,7 @@ fn first_effect(trees: &[Tree]) -> Option<&Tok> {
     for (i, t) in trees.iter().enumerate() {
         match t {
             Tree::Leaf(tok) => {
+                let method_call = is_dot(trees, i.wrapping_sub(1)) && is_call(trees, i);
                 if tok.is_ident("let") {
                     let_pending = true;
                 } else if tok.kind == TokKind::Punct && ASSIGN_OPS.contains(&tok.text.as_str()) {
@@ -548,24 +592,12 @@ fn first_effect(trees: &[Tree]) -> Option<&Tok> {
                     }
                 } else if tok.is_punct(";") {
                     let_pending = false;
-                } else if tok.kind == TokKind::Ident
+                } else if method_call
+                    && tok.kind == TokKind::Ident
                     && MUT_METHODS.contains(&tok.text.as_str())
-                    && i >= 1
-                    && trees
-                        .get(i - 1)
-                        .and_then(Tree::as_leaf)
-                        .is_some_and(|p| p.is_punct("."))
-                    && trees.get(i + 1).is_some_and(|n| n.is_group('('))
                 {
                     return Some(tok);
-                } else if tok.is_ident("next")
-                    && i >= 1
-                    && trees
-                        .get(i - 1)
-                        .and_then(Tree::as_leaf)
-                        .is_some_and(|p| p.is_punct("."))
-                    && trees.get(i + 1).is_some_and(|n| n.is_group('('))
-                {
+                } else if method_call && tok.is_ident("next") {
                     // `.next()` advances an iterator — unless the
                     // receiver chain manufactures the iterator inline.
                     let recv = receiver_chain(trees, i - 1);
@@ -577,13 +609,7 @@ fn first_effect(trees: &[Tree]) -> Option<&Tok> {
                     if !fresh {
                         return Some(tok);
                     }
-                } else if tok.is_ident("mut")
-                    && i >= 1
-                    && trees
-                        .get(i - 1)
-                        .and_then(Tree::as_leaf)
-                        .is_some_and(|p| p.is_punct("&"))
-                {
+                } else if tok.is_ident("mut") && is_punct_at(trees, i.wrapping_sub(1), "&") {
                     return Some(tok);
                 }
             }
@@ -600,12 +626,9 @@ fn first_effect(trees: &[Tree]) -> Option<&Tok> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::{mask_source, mask_test_mods};
 
     fn run_on(path: &str, src: &str) -> Vec<(String, usize)> {
-        let masked = mask_test_mods(&mask_source(src));
-        let trees = parser::parse(&masked);
-        let (findings, _) = run(path, &trees);
+        let (findings, _) = run(path, &parser::parse(src).0);
         findings
             .into_iter()
             .map(|f| (f.lint.to_string(), f.line))
@@ -704,7 +727,7 @@ mod tests {
     }
 
     #[test]
-    fn as_cast_audit_leaves_float_as_int_sites_to_legacy_lint() {
+    fn as_cast_audit_leaves_float_as_int_sites_to_float_as_int() {
         let src = "fn f(x: f64) { let n = x.round() as usize; }";
         assert!(run_on("crates/milp/src/model.rs", src)
             .iter()
@@ -734,12 +757,15 @@ mod tests {
     }
 
     #[test]
-    fn nan_min_max_catches_defaulting_partial_cmp() {
+    fn partial_cmp_unwrap_catches_defaulting_partial_cmp() {
         let src = "fn f() { v.sort_by(|a, b| a.partial_cmp(b).map_or(O::Equal, |o| o)); }";
-        assert_eq!(
-            run_on("crates/milp/src/solution.rs", src),
-            vec![("nan-min-max".to_string(), 1)]
-        );
+        // One rule in every crate, the solver's and the simulator's alike.
+        for path in ["crates/milp/src/solution.rs", "crates/sim/src/x.rs"] {
+            assert_eq!(
+                run_on(path, src),
+                vec![("partial-cmp-unwrap".to_string(), 1)]
+            );
+        }
     }
 
     #[test]

@@ -7,22 +7,24 @@
 //!
 //! ## Suppression model
 //!
-//! `// lint:allow(<name>[, <name>…])` comments suppress findings:
+//! One rule for every lint: a comment `// lint:allow(<name>[, <name>…]):
+//! <reason>` suppresses that lint's findings:
 //!
-//! * a trailing comment covers its own line;
-//! * a standalone comment line covers the line directly below;
-//! * **scoped**: a standalone comment directly above a `fn` or a
-//!   `for`/`while`/`loop` keyword covers the whole item/loop body —
+//! * on its own line, when it trails code;
+//! * on the line directly below, when it stands alone on its line;
+//! * **scoped**: in the whole body of the `fn` or `for`/`while`/`loop`
+//!   whose keyword sits on the line directly below a standalone allow —
 //!   this is what makes per-function burndowns of the hot-path lints
 //!   tractable without one comment per line.
 //!
-//! Lints introduced by the syntax-aware engine (see
-//! [`crate::passes::SYNTAX_LINTS`]) additionally require a one-line
-//! justification after the closing paren — `// lint:allow(name):
-//! why this site is sound` — an unjustified allow for them is inert and
-//! reported as a warning so it cannot silently rot.
+//! The reason after the colon is required: an allow without one is
+//! inert and reported as a warning, so it cannot silently rot. Only
+//! real comments count; a directive inside a string literal is no
+//! directive.
 
 use std::collections::BTreeMap;
+
+use crate::parser::Comment;
 
 /// One lint hit.
 #[derive(Debug, Clone)]
@@ -43,7 +45,7 @@ pub struct Finding {
     pub suggestion: &'static str,
 }
 
-/// One `lint:allow(...)` annotation parsed from raw source.
+/// One `lint:allow(...)` annotation read from a comment.
 #[derive(Debug, Clone)]
 pub struct Allow {
     /// 1-based line of the comment.
@@ -57,28 +59,27 @@ pub struct Allow {
     pub justified: bool,
 }
 
-/// Allows parsed from the raw (unmasked) source; names may be
-/// comma-separated, and a justification may follow the closing paren.
-pub fn collect_allows(raw: &str) -> Vec<Allow> {
+/// Allows read from the file's comments; names may be comma-separated,
+/// and a justification may follow the closing paren.
+pub fn collect_allows(comments: &[Comment]) -> Vec<Allow> {
     let mut allows = Vec::new();
-    for (idx, line) in raw.lines().enumerate() {
-        let Some(pos) = line.find("lint:allow(") else {
+    for c in comments {
+        let Some(pos) = c.text.find("lint:allow(") else {
             continue;
         };
-        let rest = &line[pos + "lint:allow(".len()..];
+        let rest = &c.text[pos + "lint:allow(".len()..];
         let Some(end) = rest.find(')') else {
             continue;
         };
-        let standalone = line.trim_start().starts_with("//");
-        let after = rest[end + 1..].trim();
+        let after = rest[end + 1..].lines().next().unwrap_or("").trim();
         let justified = after
             .strip_prefix(':')
             .is_some_and(|j| !j.trim().is_empty());
         for name in rest[..end].split(',') {
             allows.push(Allow {
-                line: idx + 1,
+                line: c.line,
                 name: name.trim().to_string(),
-                standalone,
+                standalone: c.standalone,
                 justified,
             });
         }
@@ -96,8 +97,7 @@ pub struct AllowScope {
 }
 
 /// Resolves suppression for one file's findings. `scopes` comes from
-/// the parser (function and loop bodies); `requires_justification`
-/// decides per lint whether an allow must carry a reason.
+/// the passes (function and loop bodies).
 pub struct Suppressions<'a> {
     allows: &'a [Allow],
     scopes: &'a [AllowScope],
@@ -108,10 +108,10 @@ impl<'a> Suppressions<'a> {
         Self { allows, scopes }
     }
 
-    pub fn is_suppressed(&self, lint: &str, line: usize, requires_justification: bool) -> bool {
+    pub fn is_suppressed(&self, lint: &str, line: usize) -> bool {
         self.allows
             .iter()
-            .filter(|a| a.name == lint && (a.justified || !requires_justification))
+            .filter(|a| a.name == lint && a.justified)
             .any(|a| {
                 if a.line == line || (a.standalone && a.line + 1 == line) {
                     return true;
@@ -123,8 +123,8 @@ impl<'a> Suppressions<'a> {
             })
     }
 
-    /// Allows for `lint_names` that demand a justification but have
-    /// none — surfaced as warnings so they can't silently do nothing.
+    /// Allows for `lint_names` that have no justification — surfaced as
+    /// warnings so they can't silently do nothing.
     pub fn unjustified(&self, lint_names: &[&'static str]) -> Vec<&Allow> {
         self.allows
             .iter()
@@ -207,12 +207,17 @@ pub fn render_json(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parser::tokenize;
+
+    fn allows_of(src: &str) -> Vec<Allow> {
+        collect_allows(&tokenize(src).1)
+    }
 
     #[test]
     fn allow_justification_is_parsed() {
         let src = "// lint:allow(hot-path-index): basis permutation is in-bounds\n\
                    x[i]; // lint:allow(hot-path-index)\n";
-        let allows = collect_allows(src);
+        let allows = allows_of(src);
         assert_eq!(allows.len(), 2);
         assert!(allows[0].justified && allows[0].standalone);
         assert!(!allows[1].justified && !allows[1].standalone);
@@ -220,7 +225,7 @@ mod tests {
 
     #[test]
     fn scoped_allow_covers_whole_range() {
-        let allows = collect_allows(
+        let allows = allows_of(
             "// lint:allow(hot-path-index): pivot indices bounded by basis invariant\nfn f() {\n}\n",
         );
         let scopes = [AllowScope {
@@ -228,23 +233,24 @@ mod tests {
             lines: (2, 9),
         }];
         let s = Suppressions::new(&allows, &scopes);
-        assert!(s.is_suppressed("hot-path-index", 5, true));
-        assert!(!s.is_suppressed("hot-path-index", 10, true));
-        assert!(!s.is_suppressed("nan-min-max", 5, true));
+        assert!(s.is_suppressed("hot-path-index", 5));
+        assert!(!s.is_suppressed("hot-path-index", 10));
+        assert!(!s.is_suppressed("nan-min-max", 5));
     }
 
     #[test]
-    fn unjustified_allow_is_inert_for_syntax_lints() {
-        let allows = collect_allows("// lint:allow(hot-path-index)\nfn f() {\n}\n");
+    fn unjustified_allow_is_inert_for_every_lint() {
+        let allows = allows_of("// lint:allow(hot-path-index, solver-unwrap)\nfn f() {\n}\n");
         let scopes = [AllowScope {
             anchor_line: 2,
             lines: (2, 9),
         }];
         let s = Suppressions::new(&allows, &scopes);
-        assert!(!s.is_suppressed("hot-path-index", 5, true));
-        // Legacy lints keep the old no-justification contract.
-        assert!(s.is_suppressed("hot-path-index", 3, false));
-        assert_eq!(s.unjustified(&["hot-path-index"]).len(), 1);
+        for lint in ["hot-path-index", "solver-unwrap"] {
+            assert!(!s.is_suppressed(lint, 2), "{lint}: next line");
+            assert!(!s.is_suppressed(lint, 5), "{lint}: scope");
+        }
+        assert_eq!(s.unjustified(&["hot-path-index", "solver-unwrap"]).len(), 2);
     }
 
     #[test]

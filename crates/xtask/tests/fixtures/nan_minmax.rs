@@ -10,7 +10,7 @@ fn flagged(x: f64, xs: &[f64]) -> f64 {
 }
 
 fn defaulting_partial_cmp(v: &mut [f64]) {
-    v.sort_by(|a, b| a.partial_cmp(b).map_or(std::cmp::Ordering::Equal, |o| o)); //~ nan-min-max
+    v.sort_by(|a, b| a.partial_cmp(b).map_or(std::cmp::Ordering::Equal, |o| o)); //~ partial-cmp-unwrap
 }
 
 fn integer_minmax_is_fine(n: usize, m: i64) -> usize {

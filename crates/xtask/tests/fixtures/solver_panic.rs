@@ -1,5 +1,5 @@
 //@ path: crates/milp/src/branch.rs
-// Fixture: the legacy masked-substring lints, with span interplay.
+// Fixture: the panic and rounding-cast lints, with span interplay.
 
 fn flagged(xs: &[f64]) -> f64 {
     let first = xs.first().unwrap(); //~ solver-unwrap
