@@ -10,7 +10,8 @@ use std::time::Instant;
 use ras_bench::{fmt, Experiment};
 use ras_broker::SimTime;
 use ras_core::classes::Granularity;
-use ras_core::phases::{rack_overages, run_phase, solve_two_phase};
+use ras_core::phases::{rack_overages, run_phase};
+use ras_core::AsyncSolver;
 use ras_topology::RegionTemplate;
 
 fn main() {
@@ -40,7 +41,9 @@ fn main() {
 
     // Two-phase (the production path).
     let t0 = Instant::now();
-    let two = solve_two_phase(&inst.region, &specs, &snapshot, &params).expect("two-phase");
+    let two = AsyncSolver::new(params.clone())
+        .solve(&inst.region, &specs, &snapshot)
+        .expect("two-phase");
     let two_secs = t0.elapsed().as_secs_f64();
     let two_overage: f64 = rack_overages(&inst.region, &specs, &two.targets, &params)
         .iter()

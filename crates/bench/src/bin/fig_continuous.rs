@@ -2,11 +2,11 @@
 //!
 //! The paper's deployment re-solves the region continuously (~every 30
 //! minutes) against inputs that drift by at most a few percent between
-//! rounds. This experiment quantifies what the warm-started
-//! [`ras_core::SolveSession`] buys in that regime: one session solves
+//! rounds. This experiment quantifies what the warm caches of one
+//! [`ras_core::AsyncSolver`] buy in that regime: one solver solves
 //! `RAS_FIG_CONTINUOUS_ROUNDS` (default 8) consecutive rounds with ≤ 2 %
 //! fleet churn per round, and every round's snapshot is *also* solved by
-//! a fresh cold session for comparison.
+//! a fresh, cold solver for comparison.
 //!
 //! Reproduction criteria: warm rounds average ≥ 2× faster than the cold
 //! solve of the same input, the warm basis is accepted and the incumbent

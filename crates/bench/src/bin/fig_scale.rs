@@ -2,8 +2,8 @@
 //!
 //! The paper's region-wide allocator covers 10⁵–10⁶ servers across tens
 //! of MSBs and re-solves inside a ~15-minute budget. This experiment
-//! drives the POP-style sharded solve ([`ras_core::ShardedSession`])
-//! across region sizes up to a paper-scale fleet (4 DCs × 9 MSBs ×
+//! drives the POP-style sharded solve (an [`ras_core::AsyncSolver`] with
+//! `shards` set) across region sizes up to a paper-scale fleet (4 DCs × 9 MSBs ×
 //! 104 400 servers) and checks the reproduction gates:
 //!
 //! * every shard's phase certifies clean under [`ras_core::AuditMode::On`];
@@ -23,7 +23,7 @@ use std::time::Instant;
 use ras_bench::{fmt, Experiment};
 use ras_broker::{ResourceBroker, SimTime};
 use ras_core::{
-    evaluate_targets, sharded_tolerance, AuditMode, ShardedReport, ShardedSession, SolverParams,
+    evaluate_targets, sharded_tolerance, AsyncSolver, AuditMode, SolveOutput, SolverParams,
 };
 use ras_sim::continuous::portfolio;
 use ras_topology::{RegionBuilder, RegionTemplate};
@@ -34,11 +34,10 @@ const ROUND_BUDGET_SECONDS: f64 = 900.0;
 /// in all, over every phase of every shard. A search starts a helper
 /// only while fewer searches than cores are in their node loop, so shards
 /// that outnumber the cores mostly run without one.
-fn solved_ahead(report: &ShardedReport) -> (usize, usize) {
-    report
-        .shards
-        .iter()
-        .flat_map(|s| std::iter::once(&s.phase1).chain(&s.phase2))
+fn solved_ahead(output: &SolveOutput) -> (usize, usize) {
+    output
+        .audit_phases()
+        .into_iter()
         .fold((0, 0), |(ahead, nodes), p| {
             (
                 ahead + p.mip_stats.nodes_solved_ahead,
@@ -113,8 +112,8 @@ fn main() {
         };
 
         let mono_start = Instant::now();
-        let (mono, mono_report) = ShardedSession::new()
-            .solve_round(&region, &specs, &snapshot, &params)
+        let mono = AsyncSolver::new(params.clone())
+            .solve(&region, &specs, &snapshot)
             .expect("monolithic solve");
         let mono_seconds = mono_start.elapsed().as_secs_f64();
         let mono_score = evaluate_targets(&region, &specs, &snapshot, &params, &mono.targets);
@@ -124,22 +123,22 @@ fn main() {
             ..params.clone()
         };
         let shard_start = Instant::now();
-        let (sharded, report) = ShardedSession::new()
-            .solve_round(&region, &specs, &snapshot, &sharded_params)
+        let sharded = AsyncSolver::new(sharded_params)
+            .solve(&region, &specs, &snapshot)
             .expect("sharded solve");
         let shard_seconds = shard_start.elapsed().as_secs_f64();
         let score = evaluate_targets(&region, &specs, &snapshot, &params, &sharded.targets);
 
-        let k = report.shards.len();
+        let k = sharded.sharded.as_ref().map_or(1, |r| r.shards.len());
         let ((mono_ahead, mono_nodes), (shard_ahead, shard_nodes)) =
-            (solved_ahead(&mono_report), solved_ahead(&report));
+            (solved_ahead(&mono), solved_ahead(&sharded));
         look_ahead.push(format!(
             "{name} {mono_ahead} of {mono_nodes} mono, {shard_ahead} of {shard_nodes} sharded"
         ));
-        let certified = report
-            .shards
+        let certified = sharded
+            .audit_phases()
             .iter()
-            .all(|s| s.phase1.mip_stats.audit.certified_clean());
+            .all(|p| p.mip_stats.audit.certified_clean());
         let tol = sharded_tolerance(k, &params, mono_score.objective);
         let within_tol = (score.objective - mono_score.objective).abs() <= tol;
         let feasible = score.capacity_feasible(1e-6);
@@ -156,7 +155,11 @@ fn main() {
             fmt(mono_score.objective, 2),
             fmt(score.objective, 2),
             fmt(tol, 2),
-            report.reconcile.released.to_string(),
+            sharded
+                .sharded
+                .as_ref()
+                .map_or(0, |r| r.reconcile.released)
+                .to_string(),
             (if certified { "yes" } else { "NO" }).to_string(),
         ]);
 

@@ -28,7 +28,7 @@
 //! 2. [`Reduction::disaggregate_counts`] reports residual per-member
 //!    capacity shortfall after its repair passes, surfaced in
 //!    [`PhaseStats::disagg`](crate::stats::PhaseStats::disagg);
-//! 3. the session's **exact-model ratchet** re-solves the unreduced
+//! 3. the continuous round's **exact-model ratchet** re-solves the unreduced
 //!    (`Classes`-level) model every `exact_ratchet_interval` rounds and
 //!    compares plan objectives under the common
 //!    [`evaluate_targets`](crate::shard::evaluate_targets) yardstick.

@@ -32,10 +32,11 @@ pub enum CoreError {
     Solver(String),
     /// A broker write failed.
     Broker(String),
-    /// A continuous round failed mid-solve and the session discarded its
-    /// warm state (cached model skeleton, LP basis, seed targets, round
-    /// numbering). The session itself remains usable: the next
-    /// `solve_round` runs cold, exactly like a fresh session's round 0.
+    /// A continuous round that entered warm failed mid-solve, and the
+    /// [`AsyncSolver`](crate::solver::AsyncSolver) discarded every shard's
+    /// warm state (LP basis and its names, seed targets) and the round
+    /// numbering. The solver itself remains usable: the next `solve` runs
+    /// cold, exactly like a fresh solver's round 0.
     SessionInvalidated {
         /// 0-based index of the round that failed.
         round: usize,

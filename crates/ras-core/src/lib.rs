@@ -21,12 +21,14 @@
 //! * [`model`] — the MIP build (Expressions 1–7) with constraint softening;
 //! * [`heuristic`] — the greedy spread-aware incumbent;
 //! * [`assign`] — concretization of class counts into per-server targets;
-//! * [`phases`] — the one phase body and the two-phase orchestration;
-//! * [`session`] — the continuous warm-started solve session, phase 1
-//!   through the same phase body;
-//! * [`shard`] — POP-style sharded region solves (k warm sessions in
-//!   parallel plus a merge/reconcile pass);
-//! * [`solver`] — the Async Solver facade writing targets to the broker;
+//! * [`phases`] — the one phase body and the phase-2 refinement;
+//! * [`session`] — the per-shard warm cache and the continuous round
+//!   body, phase 1 through the same phase body;
+//! * [`shard`] — POP-style partition and merge math (capacity split,
+//!   reconcile pass, regional evaluator, per-shard folds);
+//! * [`solver`] — the Async Solver: the one owner of a round (shard
+//!   plan, warm caches, numbering, recovery), writing targets to the
+//!   broker;
 //! * [`baseline`] — Twine's previous greedy assignment (evaluation baseline);
 //! * [`buffers`] — failure-buffer sizing and accounting;
 //! * [`emergency`] — the out-of-band emergency allocation path;
@@ -60,9 +62,9 @@ pub use ras_milp::cast;
 pub use ras_milp::{AuditMode, AuditReport};
 pub use reservation::{DcAffinity, ReservationKind, ReservationSpec, SpreadPolicy};
 pub use rru::RruTable;
-pub use session::{SolveSession, WarmReport};
+pub use session::WarmReport;
 pub use shard::{
     evaluate_targets, sharded_tolerance, PlanScore, ReconcileReport, ShardPlan, ShardReport,
-    ShardedReport, ShardedSession,
+    ShardedReport,
 };
 pub use solver::{AsyncSolver, SolveOutput};

@@ -62,10 +62,11 @@ pub struct SolverParams {
     /// rack-aware phase-1 decisions on small regions.
     pub phase1_granularity: Granularity,
     /// Number of POP-style shards the region solve is partitioned into
-    /// (1 = monolithic). Each shard is a set of whole MSB subtrees solved
-    /// concurrently on its own worker thread with its own warm session;
-    /// a cheap merge/reconcile pass recombines the plans. See
-    /// [`crate::shard`].
+    /// (1 = monolithic), an upper bound: the solver picks the largest
+    /// count whose every shard can carry its capacity slice, down to one.
+    /// Each shard is a set of whole MSB subtrees solved concurrently on
+    /// its own worker thread from its own warm cache; a cheap
+    /// merge/reconcile pass recombines the plans. See [`crate::shard`].
     pub shards: usize,
     /// When the MIP auditor runs (static model audit before each solve,
     /// certificate checks after): [`AuditMode::Auto`] audits in debug
@@ -88,7 +89,7 @@ pub struct SolverParams {
     /// with identical hardware-fungibility footprints, CvxCluster-style.
     pub aggregation: AggregationLevel,
     /// At [`AggregationLevel::Clusters`], solve the unreduced
-    /// (`Classes`-level) model every N session rounds and compare plan
+    /// (`Classes`-level) model every N continuous rounds and compare plan
     /// objectives — the exact-model ratchet bounding aggregation drift.
     /// 0 disables the ratchet.
     pub exact_ratchet_interval: usize,

@@ -21,55 +21,24 @@ use crate::error::CoreError;
 use crate::model::{build_model_labeled, soften_baseline, solver_visible, RasModel};
 use crate::params::SolverParams;
 use crate::reservation::{ReservationKind, ReservationSpec};
-use crate::session::SolveSession;
 use crate::stats::PhaseStats;
 use ras_milp::tol;
-
-/// Result of the two-phase solve.
-#[derive(Debug, Clone)]
-pub struct TwoPhaseOutcome {
-    /// Final per-server targets.
-    pub targets: Vec<Option<ReservationId>>,
-    /// Phase-1 statistics.
-    pub phase1: PhaseStats,
-    /// Phase-2 statistics (absent when no reservation needed rack work).
-    pub phase2: Option<PhaseStats>,
-}
-
-/// Runs both phases and returns the merged target assignment.
-///
-/// This is the stateless compatibility path: it spins up a one-shot
-/// [`SolveSession`] and runs a single cold round. Continuous callers
-/// (the [`crate::solver::AsyncSolver`], the sim's `continuous` scenario)
-/// keep the session alive instead, so each round warm-starts from the
-/// last.
-pub fn solve_two_phase(
-    region: &Region,
-    specs: &[ReservationSpec],
-    snapshot: &BrokerSnapshot,
-    params: &SolverParams,
-) -> Result<TwoPhaseOutcome, CoreError> {
-    let (outcome, _warm) = SolveSession::new().solve_round(region, specs, snapshot, params)?;
-    Ok(outcome)
-}
 
 /// Phase-2 refinement: rank reservations by rack overage under the
 /// phase-1 assignment, re-solve the worst offenders at rack granularity
 /// over a restricted universe, and merge. Phase 2 is always a cold solve
 /// — its universe and spec visibility change every round, so there is no
 /// temporal structure to exploit. `scope`, when present, is a mask
-/// indexed by `ServerId` that caps the phase-2 universe (a sharded
-/// session never lets one shard's refinement touch another shard's
-/// servers).
+/// indexed by `ServerId` that caps the phase-2 universe (one shard's
+/// refinement never touches another shard's servers).
 pub(crate) fn refine_with_phase2(
     region: &Region,
     specs: &[ReservationSpec],
     snapshot: &BrokerSnapshot,
     params: &SolverParams,
     targets1: Vec<Option<ReservationId>>,
-    phase1: PhaseStats,
     scope: Option<&[bool]>,
-) -> TwoPhaseOutcome {
+) -> (Vec<Option<ReservationId>>, Option<PhaseStats>) {
     // Rank reservations by rack overage under the phase-1 assignment.
     let overages = rack_overages(region, specs, &targets1, params);
     let visible = specs.iter().filter(|s| solver_visible(s)).count();
@@ -82,11 +51,7 @@ pub(crate) fn refine_with_phase2(
         .take(budget)
         .collect();
     if selected.is_empty() {
-        return TwoPhaseOutcome {
-            targets: targets1,
-            phase1,
-            phase2: None,
-        };
+        return (targets1, None);
     }
 
     // Respect the assignment-variable budget by shrinking the selection.
@@ -130,25 +95,17 @@ pub(crate) fn refine_with_phase2(
                     *m = *t;
                 }
             }
-            TwoPhaseOutcome {
-                targets: merged,
-                phase1,
-                phase2: Some(phase2),
-            }
+            (merged, Some(phase2))
         }
         // Phase 2 is an optimization pass: on failure keep phase-1 output.
-        Err(_) => TwoPhaseOutcome {
-            targets: targets1,
-            phase1,
-            phase2: None,
-        },
+        Err(_) => (targets1, None),
     }
 }
 
 /// Solves one already-built phase model, softening it in place and
 /// solving it again on infeasibility. `warm_basis` and `seed` are the
-/// session's previous-round root basis and re-valued targets, `None` on
-/// the stateless path; the seed is offered after the current assignment
+/// warm cache's previous-round root basis and re-valued targets, `None`
+/// on a cold solve; the seed is offered after the current assignment
 /// and the greedy construction, and branch and bound installs the
 /// cheapest valid one.
 fn solve_prepared(
@@ -250,8 +207,8 @@ pub(crate) struct PhaseRun {
 
 /// The one phase body, model in hand: solve (softening `ras` on demand)
 /// → split aggregate specs back over their members → per-server targets
-/// → statistics. [`run_phase`] enters with no warm start; the session
-/// enters with the previous round's basis and its targets, re-valued on
+/// → statistics. [`run_phase`] enters with no warm start; a continuous
+/// round enters with the previous round's basis and its targets, re-valued on
 /// this model, as `seed`.
 /// `specs` are the full specs `reduction` was built from.
 #[allow(clippy::too_many_arguments)]
@@ -464,6 +421,7 @@ mod tests {
     use super::*;
     use crate::reservation::ReservationSpec;
     use crate::rru::RruTable;
+    use crate::solver::{AsyncSolver, SolveOutput};
     use ras_broker::ResourceBroker;
     use ras_broker::SimTime;
     use ras_topology::{RegionBuilder, RegionTemplate};
@@ -478,6 +436,15 @@ mod tests {
         ReservationSpec::guaranteed(name, capacity, RruTable::uniform(&region.catalog, 1.0))
     }
 
+    /// One cold two-phase round.
+    fn solve(
+        region: &Region,
+        specs: &[ReservationSpec],
+        snap: &BrokerSnapshot,
+    ) -> Result<SolveOutput, CoreError> {
+        AsyncSolver::default().solve(region, specs, snap)
+    }
+
     #[test]
     fn two_phase_produces_capacity_satisfying_targets() {
         let (region, broker) = setup();
@@ -486,8 +453,7 @@ mod tests {
             uniform_spec(&region, "feed", 40.0),
         ];
         let snap = broker.snapshot(SimTime::ZERO);
-        let outcome =
-            solve_two_phase(&region, &specs, &snap, &SolverParams::default()).expect("solve");
+        let outcome = solve(&region, &specs, &snap).expect("solve");
         for (ri, spec) in specs.iter().enumerate() {
             let res = ReservationId::from_index(ri);
             let mut total = 0.0;
@@ -561,8 +527,7 @@ mod tests {
         let mut spec = uniform_spec(&region, "web", 30.0);
         spec.spread.rack_share = Some(0.05); // 1.5 RRUs per rack max.
         let snap = broker.snapshot(SimTime::ZERO);
-        let outcome = solve_two_phase(&region, &[spec.clone()], &snap, &SolverParams::default())
-            .expect("solve");
+        let outcome = solve(&region, &[spec.clone()], &snap).expect("solve");
         // Rack overage of the final assignment should be no worse than the
         // phase-1-only assignment.
         let ranked = rack_overages(&region, &[spec], &outcome.targets, &SolverParams::default());
@@ -601,7 +566,7 @@ mod tests {
         let snap = broker.snapshot(SimTime::ZERO);
         // With no current assignment the softened model allocates what it
         // can; capacity remains short but the solve itself succeeds.
-        let outcome = solve_two_phase(&region, &specs, &snap, &SolverParams::default());
+        let outcome = solve(&region, &specs, &snap);
         match outcome {
             Ok(o) => {
                 assert!(

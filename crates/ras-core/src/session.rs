@@ -1,11 +1,12 @@
-//! The long-lived [`SolveSession`]: warm-started continuous re-solves.
+//! Warm-started continuous re-solves: what one shard carries from round
+//! to round, and the round body that uses it.
 //!
 //! The paper's title claim is **continuously** optimized allocation: RAS
 //! re-solves the region every ~30 minutes against a slightly-drifted
 //! input. A cold solve pays for that drift with fleet-proportional
 //! search — the simplex starts from a slack crash and branch-and-bound
 //! starts with no incumbent even though the previous round's assignment
-//! is almost always feasible and near-optimal. The session makes the
+//! is almost always feasible and near-optimal. The warm cache makes the
 //! search cost proportional to the *drift* instead, by carrying two
 //! artifacts across rounds:
 //!
@@ -42,12 +43,15 @@
 //! carried every warm round whether it hit or not (EXPERIMENTS,
 //! *Session traffic*).
 //!
-//! Staleness and fallback rules: a failed round drops the cache (the
-//! next round is cold); softening raises bounds on the round's own model
-//! and renames nothing, so a softened round caches its basis in the same
-//! name space as a hard one; a basis never enters a model with different
-//! names un-remapped; every warm artifact is validated downstream, so
-//! warm and cold solves of the same round agree on status and objective.
+//! The [`AsyncSolver`](crate::solver::AsyncSolver) owns the round: it
+//! keeps one cache per shard, numbers the rounds and applies the
+//! recovery rule. Staleness and fallback rules: a failed round drops
+//! every cache (the next round is cold); softening raises bounds on the
+//! round's own model and renames nothing, so a softened round caches its
+//! basis in the same name space as a hard one; a basis never enters a
+//! model with different names un-remapped; every warm artifact is
+//! validated downstream, so warm and cold solves of the same round agree
+//! on status and objective.
 //!
 //! Phase 2 always runs cold: its restricted universe and spec visibility
 //! change every round, so there is no temporal structure to exploit.
@@ -65,21 +69,21 @@ use crate::model::build_model_labeled;
 use crate::params::SolverParams;
 use crate::phases::{
     model_names, refine_with_phase2, run_phase, scoped_reduction, solve_phase, PhaseRun,
-    TwoPhaseOutcome,
 };
 use crate::reservation::ReservationSpec;
 use crate::shard::{evaluate_targets, sharded_tolerance};
+use crate::stats::PhaseStats;
 use ras_milp::tol;
 
-/// What warm-start machinery did in one session round (the observability
+/// What warm-start machinery did in one continuous round (the observability
 /// half of the continuous pipeline — `fig_continuous` prints these). The
-/// solve's own counters are in the round's phase-1
-/// [`PhaseStats`](crate::stats::PhaseStats); `warm_basis_accepted`,
-/// `dual_resolve` and `incumbent_seeded` repeat three of them here for
-/// readers of this struct alone.
+/// solve's own counters are in the round's phase-1 [`PhaseStats`];
+/// `warm_basis_accepted`, `dual_resolve` and `incumbent_seeded` repeat
+/// three of them here for readers of this struct alone.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct WarmReport {
-    /// 0-based index of this round within the session.
+    /// 0-based index of this round since the solver last dropped its
+    /// warm state (a new solver, a failed round or a new shard partition).
     pub round: usize,
     /// The round's model has the name space of the previous round's: the
     /// same variables and rows, so the same skeleton as last round.
@@ -116,9 +120,11 @@ pub struct WarmReport {
     pub ratchet_ok: bool,
 }
 
-/// Per-round state carried to the next solve.
+/// One shard's warm state, carried to its next round. The round owner,
+/// [`AsyncSolver`](crate::solver::AsyncSolver), keeps one per shard and
+/// drops them all when a round fails or the partition changes.
 #[derive(Debug, Clone)]
-struct RoundCache {
+pub(crate) struct RoundCache {
     /// Root LP basis of the previous round's phase-1 solve.
     basis: Option<Basis>,
     /// Structural variable names of the model `basis` was recorded in.
@@ -129,260 +135,183 @@ struct RoundCache {
     targets: Vec<Option<ReservationId>>,
 }
 
-/// A long-lived solve session owning warm-start state across rounds.
-///
-/// Create one next to the broker, call [`solve_round`](Self::solve_round)
-/// every allocation interval, and apply the returned targets; each round
-/// after the first starts from the previous round's LP basis and
-/// assignment. Dropping the session (or any round failing) simply makes
-/// the next round cold — no correctness depends on the cache.
-#[derive(Debug, Clone, Default)]
-pub struct SolveSession {
-    rounds: usize,
-    cache: Option<RoundCache>,
+/// One shard's solved round.
+pub(crate) struct RoundRun {
+    /// Per-server targets; every server outside the round's universe
+    /// keeps its current binding.
+    pub targets: Vec<Option<ReservationId>>,
+    /// Phase-1 statistics.
+    pub phase1: PhaseStats,
+    /// Phase-2 statistics, when the refinement ran.
+    pub phase2: Option<PhaseStats>,
+    /// How the round warm-started.
+    pub warm: WarmReport,
 }
 
-impl SolveSession {
-    /// Creates an empty session; the first round is a cold solve.
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// Runs one continuous round of one shard: build the model, warm-start
+/// the MIP from `cache`'s basis and targets, refine with phase 2, and
+/// re-arm `cache` for the next round. `round` is the owner's round number
+/// (it schedules the exact-model ratchet). `universe`, a mask indexed by
+/// `ServerId`, restricts classes and the phase-2 refinement to the
+/// servers it marks, and every other slot of the returned targets keeps
+/// the server's current binding; `None` solves the whole region.
+///
+/// On error `cache` is left empty: the owner's recovery rule decides
+/// what the failure means for the other shards and the numbering.
+pub(crate) fn run_round(
+    cache: &mut Option<RoundCache>,
+    round: usize,
+    region: &Region,
+    specs: &[ReservationSpec],
+    snapshot: &BrokerSnapshot,
+    params: &SolverParams,
+    universe: Option<&[bool]>,
+) -> Result<RoundRun, CoreError> {
+    let phase_start = Instant::now();
+    let mut report = WarmReport {
+        round,
+        ..WarmReport::default()
+    };
 
-    /// Rounds completed so far.
-    pub fn rounds(&self) -> usize {
-        self.rounds
-    }
+    let reduction = scoped_reduction(
+        region,
+        snapshot,
+        specs,
+        params.phase1_granularity,
+        params.aggregation,
+        universe,
+    );
+    let mut ras = build_model_labeled(
+        region,
+        &reduction.specs,
+        &reduction.classes,
+        &reduction.labels,
+        params,
+        false,
+        None,
+    );
+    let ras_build_seconds = phase_start.elapsed().as_secs_f64();
+    let (var_names, row_names) = model_names(&ras.model);
 
-    /// True when the next round can attempt a warm start.
-    pub fn is_warm(&self) -> bool {
-        self.cache.is_some()
-    }
-
-    /// Drops all cached state; the next round is a cold solve.
-    pub fn reset(&mut self) {
-        self.cache = None;
-    }
-
-    /// Drops all cached state *and* restarts round numbering at 0, as if
-    /// the session were freshly created. This is the failed-round
-    /// recovery contract: after a [`CoreError::SessionInvalidated`], the
-    /// next round is indistinguishable from a new session's round 0.
-    pub(crate) fn invalidate(&mut self) {
-        self.cache = None;
-        self.rounds = 0;
-    }
-
-    /// Runs one continuous round: build the model, warm-start the MIP
-    /// from the cached basis and targets, refine with phase 2, and re-arm
-    /// the cache for the next round.
-    pub fn solve_round(
-        &mut self,
-        region: &Region,
-        specs: &[ReservationSpec],
-        snapshot: &BrokerSnapshot,
-        params: &SolverParams,
-    ) -> Result<(TwoPhaseOutcome, WarmReport), CoreError> {
-        self.solve_round_scoped(region, specs, snapshot, params, None)
-    }
-
-    /// Like [`solve_round`](Self::solve_round), but restricted to a server
-    /// universe, a mask indexed by `ServerId`: classes and the phase-2
-    /// refinement only cover the servers it marks, and every other slot of
-    /// the returned targets keeps the server's current binding.
-    /// The sharded session ([`crate::shard::ShardedSession`]) runs one
-    /// scoped session per shard; `None` solves the whole region.
-    ///
-    /// # Failure recovery
-    ///
-    /// On any error the session *explicitly* resets its warm state — the
-    /// cached basis and seed targets are dropped and round numbering
-    /// restarts at 0 — and, when warm state actually existed, the error
-    /// is wrapped in [`CoreError::SessionInvalidated`] so callers know
-    /// the next round runs cold. A failure on a fresh session (nothing
-    /// warm to lose) surfaces the raw error unchanged.
-    pub fn solve_round_scoped(
-        &mut self,
-        region: &Region,
-        specs: &[ReservationSpec],
-        snapshot: &BrokerSnapshot,
-        params: &SolverParams,
-        universe: Option<&[bool]>,
-    ) -> Result<(TwoPhaseOutcome, WarmReport), CoreError> {
-        let warm_at_entry = self.cache.is_some() || self.rounds > 0;
-        match self.run_round(region, specs, snapshot, params, universe) {
-            Ok(out) => Ok(out),
-            Err(cause) => {
-                let round = self.rounds;
-                self.invalidate();
-                if warm_at_entry {
-                    Err(CoreError::SessionInvalidated {
-                        round,
-                        cause: Box::new(cause),
-                    })
-                } else {
-                    Err(cause)
-                }
-            }
+    // Assemble the warm start from the previous round's artifacts.
+    // On any error below the cache stays dropped.
+    let mut prev = cache.take();
+    let (mut warm_basis, mut seed) = (None, None);
+    if let Some(prev) = prev.as_mut() {
+        // Names are built from *reduced* class labels and spec names:
+        // identical full specs imply an identical clustering (the
+        // pipeline is deterministic), so the name space is stable
+        // whenever the class keys are — warm starts survive
+        // aggregation.
+        let same_names = prev.var_names == var_names && prev.row_names == row_names;
+        report.model_reused = same_names;
+        report.bounds_only_patch = same_names;
+        if let Some(basis) = prev.basis.take() {
+            warm_basis = Some(if same_names {
+                basis
+            } else {
+                report.basis_remapped = true;
+                basis.remap(&prev.var_names, &prev.row_names, &var_names, &row_names)
+            });
+            report.warm_basis_supplied = true;
         }
-    }
-
-    /// The round body. Must not re-arm any warm state on the error path —
-    /// [`solve_round_scoped`](Self::solve_round_scoped) owns recovery.
-    fn run_round(
-        &mut self,
-        region: &Region,
-        specs: &[ReservationSpec],
-        snapshot: &BrokerSnapshot,
-        params: &SolverParams,
-        universe: Option<&[bool]>,
-    ) -> Result<(TwoPhaseOutcome, WarmReport), CoreError> {
-        let phase_start = Instant::now();
-        let mut report = WarmReport {
-            round: self.rounds,
-            ..WarmReport::default()
-        };
-
-        let reduction = scoped_reduction(
-            region,
-            snapshot,
-            specs,
-            params.phase1_granularity,
-            params.aggregation,
-            universe,
-        );
-        let mut ras = build_model_labeled(
-            region,
-            &reduction.specs,
-            &reduction.classes,
-            &reduction.labels,
-            params,
-            false,
-            None,
-        );
-        let ras_build_seconds = phase_start.elapsed().as_secs_f64();
-        let (var_names, row_names) = model_names(&ras.model);
-
-        // Assemble the warm start from the previous round's artifacts.
-        // On any error below the cache stays dropped: a failed round
-        // invalidates the session and the next round starts cold.
-        let mut prev = self.cache.take();
-        let (mut warm_basis, mut seed) = (None, None);
-        if let Some(prev) = prev.as_mut() {
-            // Names are built from *reduced* class labels and spec names:
-            // identical full specs imply an identical clustering (the
-            // pipeline is deterministic), so the name space is stable
-            // whenever the class keys are — warm starts survive
-            // aggregation.
-            let same_names = prev.var_names == var_names && prev.row_names == row_names;
-            report.model_reused = same_names;
-            report.bounds_only_patch = same_names;
-            if let Some(basis) = prev.basis.take() {
-                warm_basis = Some(if same_names {
-                    basis
-                } else {
-                    report.basis_remapped = true;
-                    basis.remap(&prev.var_names, &prev.row_names, &var_names, &row_names)
-                });
-                report.warm_basis_supplied = true;
-            }
-            // Previous targets, re-aggregated over the new classes (this
-            // clamps away servers that left the fleet), become the seed
-            // incumbent. Full-space target ids map through the reduction
-            // into the model's (possibly clustered) spec space. Branch and
-            // bound validates it with the other candidates.
-            let mut counts = vec![vec![0usize; reduction.specs.len()]; reduction.classes.len()];
-            for (ci, class) in reduction.classes.iter().enumerate() {
-                for &s in &class.servers {
-                    if let Some(r) = prev.targets.get(s.index()).copied().flatten() {
-                        if let Some(g) = reduction.reduced_index(r) {
-                            if let Some(slot) = counts[ci].get_mut(g) {
-                                *slot += 1;
-                            }
+        // Previous targets, re-aggregated over the new classes (this
+        // clamps away servers that left the fleet), become the seed
+        // incumbent. Full-space target ids map through the reduction
+        // into the model's (possibly clustered) spec space. Branch and
+        // bound validates it with the other candidates.
+        let mut counts = vec![vec![0usize; reduction.specs.len()]; reduction.classes.len()];
+        for (ci, class) in reduction.classes.iter().enumerate() {
+            for &s in &class.servers {
+                if let Some(r) = prev.targets.get(s.index()).copied().flatten() {
+                    if let Some(g) = reduction.reduced_index(r) {
+                        if let Some(slot) = counts[ci].get_mut(g) {
+                            *slot += 1;
                         }
                     }
                 }
             }
-            seed = Some(ras.incumbent_from_counts(&counts));
-            report.seed_supplied = true;
         }
+        seed = Some(ras.incumbent_from_counts(&counts));
+        report.seed_supplied = true;
+    }
 
-        let PhaseRun {
-            targets: targets1,
-            stats: phase1,
-            root_basis,
-        } = solve_phase(
+    let PhaseRun {
+        targets: targets1,
+        stats: phase1,
+        root_basis,
+    } = solve_phase(
+        region,
+        specs,
+        snapshot,
+        params,
+        &reduction,
+        &mut ras,
+        warm_basis,
+        seed,
+        phase_start,
+        ras_build_seconds,
+    )?;
+    report.warm_basis_accepted = phase1.mip_stats.warm_basis_accepted;
+    report.dual_resolve = phase1.mip_stats.root_used_dual_simplex;
+    report.incumbent_seeded = phase1.mip_stats.incumbent_seeded;
+
+    // Exact-model ratchet: every N rounds re-solve the unreduced
+    // (Classes-level) model and score both phase-1 plans with the
+    // term-exact evaluator — aggregation drift beyond the sharded
+    // tolerance marks the round's certificate dirty.
+    if params.aggregation == AggregationLevel::Clusters
+        && reduction.has_clusters()
+        && params.exact_ratchet_interval > 0
+        && round.is_multiple_of(params.exact_ratchet_interval)
+    {
+        report.ratchet_checked = true;
+        let mut exact_params = params.clone();
+        exact_params.aggregation = AggregationLevel::Classes;
+        match run_phase(
             region,
             specs,
             snapshot,
-            params,
-            &reduction,
-            &mut ras,
-            warm_basis,
-            seed,
-            phase_start,
-            ras_build_seconds,
-        )?;
-        report.warm_basis_accepted = phase1.mip_stats.warm_basis_accepted;
-        report.dual_resolve = phase1.mip_stats.root_used_dual_simplex;
-        report.incumbent_seeded = phase1.mip_stats.incumbent_seeded;
-
-        // Exact-model ratchet: every N rounds re-solve the unreduced
-        // (Classes-level) model and score both phase-1 plans with the
-        // term-exact evaluator — aggregation drift beyond the sharded
-        // tolerance marks the round's certificate dirty.
-        if params.aggregation == AggregationLevel::Clusters
-            && reduction.has_clusters()
-            && params.exact_ratchet_interval > 0
-            && self.rounds.is_multiple_of(params.exact_ratchet_interval)
-        {
-            report.ratchet_checked = true;
-            let mut exact_params = params.clone();
-            exact_params.aggregation = AggregationLevel::Classes;
-            match run_phase(
-                region,
-                specs,
-                snapshot,
-                &exact_params,
-                params.phase1_granularity,
-                false,
-                universe,
-            ) {
-                Ok((exact_targets, _)) => {
-                    let ours = evaluate_targets(region, specs, snapshot, params, &targets1);
-                    let exact = evaluate_targets(region, specs, snapshot, params, &exact_targets);
-                    report.ratchet_gap = ours.objective - exact.objective;
-                    report.ratchet_ok = report.ratchet_gap.abs()
-                        <= sharded_tolerance(2, params, exact.objective)
-                        && ours.capacity_feasible(params.mip_abs_gap + tol::PRIMAL_FEAS);
-                }
-                Err(_) => report.ratchet_ok = false,
+            &exact_params,
+            params.phase1_granularity,
+            false,
+            universe,
+        ) {
+            Ok((exact_targets, _)) => {
+                let ours = evaluate_targets(region, specs, snapshot, params, &targets1);
+                let exact = evaluate_targets(region, specs, snapshot, params, &exact_targets);
+                report.ratchet_gap = ours.objective - exact.objective;
+                report.ratchet_ok = report.ratchet_gap.abs()
+                    <= sharded_tolerance(2, params, exact.objective)
+                    && ours.capacity_feasible(params.mip_abs_gap + tol::PRIMAL_FEAS);
             }
+            Err(_) => report.ratchet_ok = false,
         }
-        // Steady-state shortcut: when phase 1 lands exactly on the
-        // previous round's *final* (post-phase-2) targets, last round's
-        // rack refinement already mapped this assignment to itself, so
-        // re-running phase 2 would re-derive the identical plan. Skip it;
-        // any real drift changes targets1 and re-enables refinement.
-        let outcome = if prev.is_some_and(|c| c.targets == targets1) {
-            report.phase2_skipped = true;
-            TwoPhaseOutcome {
-                targets: targets1,
-                phase1,
-                phase2: None,
-            }
-        } else {
-            refine_with_phase2(region, specs, snapshot, params, targets1, phase1, universe)
-        };
-
-        self.cache = Some(RoundCache {
-            basis: root_basis,
-            var_names,
-            row_names,
-            targets: outcome.targets.clone(),
-        });
-        self.rounds += 1;
-        Ok((outcome, report))
     }
+    // Steady-state shortcut: when phase 1 lands exactly on the
+    // previous round's *final* (post-phase-2) targets, last round's
+    // rack refinement already mapped this assignment to itself, so
+    // re-running phase 2 would re-derive the identical plan. Skip it;
+    // any real drift changes targets1 and re-enables refinement.
+    let (targets, phase2) = if prev.is_some_and(|c| c.targets == targets1) {
+        report.phase2_skipped = true;
+        (targets1, None)
+    } else {
+        refine_with_phase2(region, specs, snapshot, params, targets1, universe)
+    };
+
+    *cache = Some(RoundCache {
+        basis: root_basis,
+        var_names,
+        row_names,
+        targets: targets.clone(),
+    });
+    Ok(RoundRun {
+        targets,
+        phase1,
+        phase2,
+        warm: report,
+    })
 }
 
 #[cfg(test)]
@@ -390,6 +319,7 @@ mod tests {
     use super::*;
     use crate::reservation::ReservationSpec;
     use crate::rru::RruTable;
+    use crate::solver::AsyncSolver;
     use ras_broker::{ResourceBroker, SimTime, UnavailabilityEvent, UnavailabilityKind};
     use ras_topology::{RegionBuilder, RegionTemplate, ScopeId, ServerId};
 
@@ -415,13 +345,11 @@ mod tests {
         let (region, mut broker) = setup();
         let specs = vec![uniform_spec(&region, "web", 40.0)];
         broker.register_reservation("web");
-        let params = SolverParams::default();
-        let mut session = SolveSession::new();
+        let mut solver = AsyncSolver::default();
 
         let snap = broker.snapshot(SimTime::ZERO);
-        let (o1, w1) = session
-            .solve_round(&region, &specs, &snap, &params)
-            .unwrap();
+        let o1 = solver.solve(&region, &specs, &snap).unwrap();
+        let w1 = &o1.warm;
         assert!(!w1.model_reused, "round 0 must be cold");
         assert!(!w1.warm_basis_supplied);
         for (i, t) in o1.targets.iter().enumerate() {
@@ -433,9 +361,8 @@ mod tests {
         // keys embed current/target, so this round's names differ (the
         // basis is remapped) and settle into the steady-state key set.
         let snap2 = broker.snapshot(SimTime::from_hours(1));
-        let (o2, w2) = session
-            .solve_round(&region, &specs, &snap2, &params)
-            .unwrap();
+        let o2 = solver.solve(&region, &specs, &snap2).unwrap();
+        let w2 = &o2.warm;
         assert!(w2.warm_basis_supplied);
         assert!(w2.incumbent_seeded);
         assert_eq!(
@@ -445,9 +372,8 @@ mod tests {
 
         // Round 2 on an unchanged snapshot: the same name space.
         let snap3 = broker.snapshot(SimTime::from_hours(2));
-        let (o3, w3) = session
-            .solve_round(&region, &specs, &snap3, &params)
-            .unwrap();
+        let o3 = solver.solve(&region, &specs, &snap3).unwrap();
+        let w3 = &o3.warm;
         assert!(w3.model_reused, "steady state must keep the skeleton");
         assert!(w3.warm_basis_supplied);
         assert!(!w3.basis_remapped, "identical name space, no remap");
@@ -460,22 +386,17 @@ mod tests {
         let (region, mut broker) = setup();
         let specs = vec![uniform_spec(&region, "web", 40.0)];
         broker.register_reservation("web");
-        let params = SolverParams::default();
-        let mut session = SolveSession::new();
+        let mut solver = AsyncSolver::default();
 
         let snap = broker.snapshot(SimTime::ZERO);
-        let (o1, _) = session
-            .solve_round(&region, &specs, &snap, &params)
-            .unwrap();
+        let o1 = solver.solve(&region, &specs, &snap).unwrap();
         for (i, t) in o1.targets.iter().enumerate() {
             broker.set_target(ServerId::from_index(i), *t).unwrap();
         }
         materialize(&mut broker);
         // Stabilization round: the key set now embeds the applied bindings.
         let snap1 = broker.snapshot(SimTime::from_hours(1));
-        session
-            .solve_round(&region, &specs, &snap1, &params)
-            .unwrap();
+        solver.solve(&region, &specs, &snap1).unwrap();
 
         // Take down one free-pool server: its class only shrinks, which
         // moves a bound and a right-hand side and no name, so the cached
@@ -496,9 +417,8 @@ mod tests {
             })
             .unwrap();
         let snap2 = broker.snapshot(SimTime::from_hours(1));
-        let (o2, w2) = session
-            .solve_round(&region, &specs, &snap2, &params)
-            .unwrap();
+        let o2 = solver.solve(&region, &specs, &snap2).unwrap();
+        let w2 = &o2.warm;
         assert!(w2.model_reused);
         assert!(!w2.basis_remapped);
         assert!(w2.warm_basis_accepted);
@@ -516,23 +436,21 @@ mod tests {
         broker.register_reservation("web");
         broker.register_reservation("feed");
         let params = SolverParams::default();
-        let mut session = SolveSession::new();
+        let mut solver = AsyncSolver::new(params.clone());
 
         let snap = broker.snapshot(SimTime::ZERO);
-        let (o1, _) = session
-            .solve_round(&region, &specs, &snap, &params)
-            .unwrap();
+        let o1 = solver.solve(&region, &specs, &snap).unwrap();
         for (i, t) in o1.targets.iter().enumerate() {
             broker.set_target(ServerId::from_index(i), *t).unwrap();
         }
         materialize(&mut broker);
 
         let snap2 = broker.snapshot(SimTime::from_hours(1));
-        let (warm_o, warm_w) = session
-            .solve_round(&region, &specs, &snap2, &params)
+        let warm_o = solver.solve(&region, &specs, &snap2).unwrap();
+        let warm_w = &warm_o.warm;
+        let cold_o = AsyncSolver::new(params.clone())
+            .solve(&region, &specs, &snap2)
             .unwrap();
-        let mut cold = SolveSession::new();
-        let (cold_o, _) = cold.solve_round(&region, &specs, &snap2, &params).unwrap();
 
         assert!(warm_w.warm_basis_supplied);
         assert_eq!(warm_o.phase1.status, cold_o.phase1.status);
@@ -551,17 +469,13 @@ mod tests {
         let (region, mut broker) = setup();
         let specs = vec![uniform_spec(&region, "web", 1e6)];
         broker.register_reservation("web");
-        let params = SolverParams::default();
-        let mut session = SolveSession::new();
+        let mut solver = AsyncSolver::default();
 
         let snap = broker.snapshot(SimTime::ZERO);
-        let (o1, _) = session
-            .solve_round(&region, &specs, &snap, &params)
-            .unwrap();
+        let o1 = solver.solve(&region, &specs, &snap).unwrap();
         assert!(!o1.phase1.softened.is_empty(), "1e6 RRUs cannot fit");
-        let (o2, w2) = session
-            .solve_round(&region, &specs, &snap, &params)
-            .unwrap();
+        let o2 = solver.solve(&region, &specs, &snap).unwrap();
+        let w2 = &o2.warm;
         assert!(!o2.phase1.softened.is_empty());
         assert!(w2.warm_basis_supplied);
         assert!(w2.model_reused, "the softened round kept its names");
@@ -586,15 +500,16 @@ mod tests {
             }
         }
         let snap = broker.snapshot(SimTime::ZERO);
-        let (outcome, _) = SolveSession::new()
-            .solve_round_scoped(
-                &region,
-                &specs,
-                &snap,
-                &SolverParams::default(),
-                Some(&universe),
-            )
-            .unwrap();
+        let outcome = run_round(
+            &mut None,
+            0,
+            &region,
+            &specs,
+            &snap,
+            &SolverParams::default(),
+            Some(&universe),
+        )
+        .unwrap();
         let mut kept = [0usize; 2];
         for server in region.servers_in_msb(outside) {
             let current = snap.records[server.id.index()].current;
@@ -619,13 +534,10 @@ mod tests {
         let (region, mut broker) = setup();
         let mut specs = vec![uniform_spec(&region, "web", 30.0)];
         broker.register_reservation("web");
-        let params = SolverParams::default();
-        let mut session = SolveSession::new();
+        let mut solver = AsyncSolver::default();
 
         let snap = broker.snapshot(SimTime::ZERO);
-        let (o1, _) = session
-            .solve_round(&region, &specs, &snap, &params)
-            .unwrap();
+        let o1 = solver.solve(&region, &specs, &snap).unwrap();
         for (i, t) in o1.targets.iter().enumerate() {
             broker.set_target(ServerId::from_index(i), *t).unwrap();
         }
@@ -634,9 +546,7 @@ mod tests {
         // Growing the reservation moves a right-hand side only.
         specs[0].capacity = 35.0;
         let snap2 = broker.snapshot(SimTime::from_hours(1));
-        let (_, w2) = session
-            .solve_round(&region, &specs, &snap2, &params)
-            .unwrap();
+        let w2 = solver.solve(&region, &specs, &snap2).unwrap().warm;
         assert!(!w2.model_reused, "the applied bindings renamed classes");
         assert!(w2.warm_basis_supplied, "basis still carried over");
         assert!(w2.seed_supplied);

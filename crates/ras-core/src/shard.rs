@@ -4,10 +4,13 @@
 //! The monolithic region MIP cannot reach the paper's 10⁵–10⁶-server
 //! scale on one thread. This module partitions the region into `k`
 //! near-independent subproblems along the fault-domain tree — each shard
-//! is a set of *whole MSB subtrees* — solves them concurrently on worker
-//! threads (each shard owns its own warm [`SolveSession`], so continuous
-//! rounds stay warm per shard), and recombines the per-shard plans with a
-//! cheap merge/reconcile pass.
+//! is a set of *whole MSB subtrees* — which the
+//! [`AsyncSolver`](crate::solver::AsyncSolver) solves concurrently on
+//! worker threads (one warm cache per shard, so continuous rounds stay
+//! warm per shard) and recombines with a cheap merge/reconcile pass. This
+//! module holds the math of both ends: the partition, the capacity split
+//! and its feasibility screen, the reconcile pass, the regional
+//! evaluator and the folds of the per-shard statistics.
 //!
 //! Why whole MSBs? Every intra-MSB structure of the model (per-MSB usage
 //! expressions, the `max_msb` buffer variable, rack groups) is then
@@ -31,18 +34,14 @@
 //! objective, and must land within [`sharded_tolerance`] of the
 //! monolithic objective (asserted by tests and the `fig_scale` bench).
 
-use std::time::Instant;
-
 use ras_broker::{BrokerSnapshot, ReservationId, UnavailabilityKind};
 use ras_topology::{MsbId, Region, ServerId};
 use serde::{Deserialize, Serialize};
 
-use crate::error::CoreError;
 use crate::model::solver_visible;
 use crate::params::SolverParams;
-use crate::phases::TwoPhaseOutcome;
 use crate::reservation::ReservationSpec;
-use crate::session::{SolveSession, WarmReport};
+use crate::session::WarmReport;
 use crate::stats::PhaseStats;
 use ras_milp::nan;
 use ras_milp::nan::NanGuard;
@@ -57,10 +56,10 @@ pub struct Shard {
     /// Member MSBs (whole subtrees; racks and rows never straddle shards).
     pub msbs: Vec<MsbId>,
     /// Every server under the member MSBs, in ascending id order.
-    servers: Vec<ServerId>,
+    pub(crate) servers: Vec<ServerId>,
     /// The same servers as a mask indexed by `ServerId` (one entry per
-    /// server of the region), the scope the shard's session solves in.
-    mask: Vec<bool>,
+    /// server of the region), the scope the shard's round solves in.
+    pub(crate) mask: Vec<bool>,
 }
 
 /// A region partition for sharded solving.
@@ -246,7 +245,7 @@ pub fn shard_specs(
 /// shard MIP still softens genuine edge cases — but it rejects the
 /// partitions that are infeasible *by construction* (too many shards for
 /// the fleet's buffering head-room), which is what drives the automatic
-/// shard-count reduction in [`ShardedSession`].
+/// shard-count reduction in [`supported_plan`].
 // lint:allow(hot-path-index): per-MSB accumulators sized to the region MSB count
 fn plan_supports(
     specs: &[ReservationSpec],
@@ -278,6 +277,27 @@ fn plan_supports(
         }
     }
     true
+}
+
+/// The partition a round solves on: the largest `k' ≤ k` (with
+/// `k' ≥ 2`) whose plan every shard can carry ([`plan_supports`]), with
+/// each shard's capacity slices. `None` when no such plan exists — a
+/// small region or a high utilization — and the round runs as one shard
+/// over the whole region (always feasible).
+pub(crate) fn supported_plan(
+    region: &Region,
+    specs: &[ReservationSpec],
+    k: usize,
+) -> Option<(ShardPlan, Vec<Vec<ReservationSpec>>)> {
+    (2..=k).rev().find_map(|k_try| {
+        let plan = ShardPlan::build(region, k_try);
+        if plan.shards.len() != k_try {
+            return None;
+        }
+        let split = shard_specs(region, specs, &plan);
+        let (raw, _) = shard_supplies(region, specs, &plan);
+        plan_supports(specs, &plan, &split, &raw).then_some((plan, split))
+    })
 }
 
 /// A target assignment valued with the exact monolithic phase-1
@@ -435,7 +455,7 @@ pub struct ReconcileReport {
 /// constraint keeps holding, preferring candidates inside the current
 /// maximum-usage MSB so the buffer shrinks alongside the total.
 // lint:allow(hot-path-index): per-MSB candidate stacks sized to n_msb at entry
-fn reconcile(
+pub(crate) fn reconcile(
     region: &Region,
     specs: &[ReservationSpec],
     snapshot: &BrokerSnapshot,
@@ -527,16 +547,16 @@ pub struct ShardReport {
     pub phase1: PhaseStats,
     /// The shard's phase-2 statistics, when its refinement ran.
     pub phase2: Option<PhaseStats>,
-    /// The shard session's warm-start account.
+    /// The shard's warm-start account.
     pub warm: WarmReport,
 }
 
 /// Everything a sharded round did beyond the merged targets.
 #[derive(Debug, Clone, Default)]
 pub struct ShardedReport {
-    /// Per-shard solve reports (a single entry = monolithic delegation).
+    /// Per-shard solve reports, two or more.
     pub shards: Vec<ShardReport>,
-    /// Merge/reconcile accounting (default for monolithic delegation).
+    /// Merge/reconcile accounting.
     pub reconcile: ReconcileReport,
     /// The merged plan's regional score from [`evaluate_targets`].
     pub score: PlanScore,
@@ -545,304 +565,10 @@ pub struct ShardedReport {
     pub warm: WarmReport,
 }
 
-/// A continuous solve session over a sharded region.
-///
-/// With `params.shards <= 1` this is a thin wrapper around one
-/// [`SolveSession`] (byte-for-byte the monolithic behavior). With
-/// `k > 1` it owns `k` warm sessions, one per shard, and each
-/// [`solve_round`](Self::solve_round):
-///
-/// 1. solves every shard concurrently under `std::thread::scope`, each
-///    restricted to its server universe and its capacity slice;
-/// 2. merges the per-shard targets (disjoint universes — no conflicts);
-/// 3. reconciles: releases surplus acquisitions while the regional
-///    buffered capacity constraint keeps holding;
-/// 4. values the merged plan with [`evaluate_targets`] and reports it as
-///    the round's phase-1 objective.
-///
-/// Failure recovery matches [`SolveSession`]: any shard failing
-/// invalidates *every* shard session (and the round numbering) and
-/// surfaces [`CoreError::SessionInvalidated`]; the next round runs cold.
-#[derive(Debug, Clone, Default)]
-pub struct ShardedSession {
-    k: usize,
-    region_fingerprint: (usize, usize),
-    plan: Option<ShardPlan>,
-    specs_key: Vec<ReservationSpec>,
-    shard_specs: Vec<Vec<ReservationSpec>>,
-    sessions: Vec<SolveSession>,
-    rounds: usize,
-}
-
-impl ShardedSession {
-    /// Creates an empty session; the first round is cold.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Rounds completed so far.
-    pub fn rounds(&self) -> usize {
-        self.rounds
-    }
-
-    /// True when any shard can warm-start its next round.
-    pub fn is_warm(&self) -> bool {
-        self.sessions.iter().any(|s| s.is_warm())
-    }
-
-    /// Drops every shard's cached state; the next round solves cold.
-    pub fn reset(&mut self) {
-        for s in &mut self.sessions {
-            s.reset();
-        }
-    }
-
-    /// The current shard plan (absent before the first sharded round).
-    pub fn plan(&self) -> Option<&ShardPlan> {
-        self.plan.as_ref()
-    }
-
-    /// Re-partitions when the shard count, region, or specs changed.
-    ///
-    /// The requested `k` is an upper bound: the effective shard count is
-    /// the largest `k' ≤ k` whose partition every shard can support (see
-    /// [`plan_supports`]) — small regions or high utilization reduce it,
-    /// down to 1 in the limit (monolithic, always feasible). When the
-    /// re-derived partition is identical to the current one, the warm
-    /// per-shard sessions are kept.
-    fn ensure_plan(&mut self, region: &Region, specs: &[ReservationSpec], k: usize) {
-        let fingerprint = (region.server_count(), region.msbs().len());
-        if self.k == k
-            && self.region_fingerprint == fingerprint
-            && self.specs_key.as_slice() == specs
-            && self.plan.is_some()
-        {
-            return;
-        }
-        let mut chosen: Option<(ShardPlan, Vec<Vec<ReservationSpec>>)> = None;
-        for k_try in (2..=k.min(region.msbs().len().max(1))).rev() {
-            let plan = ShardPlan::build(region, k_try);
-            if plan.shards.len() != k_try {
-                continue;
-            }
-            let split = shard_specs(region, specs, &plan);
-            let (raw, _) = shard_supplies(region, specs, &plan);
-            if plan_supports(specs, &plan, &split, &raw) {
-                chosen = Some((plan, split));
-                break;
-            }
-        }
-        let (plan, split) = chosen.unwrap_or_else(|| {
-            let plan = ShardPlan::build(region, 1);
-            let split = shard_specs(region, specs, &plan);
-            (plan, split)
-        });
-        let same_partition = self.plan.as_ref().is_some_and(|old| {
-            old.shards.len() == plan.shards.len()
-                && old
-                    .shards
-                    .iter()
-                    .zip(&plan.shards)
-                    .all(|(a, b)| a.msbs == b.msbs)
-        });
-        if !same_partition {
-            self.sessions = vec![SolveSession::new(); plan.shards.len()];
-            self.rounds = 0;
-        }
-        self.k = k;
-        self.region_fingerprint = fingerprint;
-        self.plan = Some(plan);
-        self.shard_specs = split;
-        self.specs_key = specs.to_vec();
-    }
-
-    /// Runs one sharded continuous round. See the type docs for the
-    /// lifecycle and [`SolveSession::solve_round_scoped`] for the
-    /// failure-recovery contract.
-    // lint:allow(hot-path-index): shard results vector sized to plan.shards.len()
-    pub fn solve_round(
-        &mut self,
-        region: &Region,
-        specs: &[ReservationSpec],
-        snapshot: &BrokerSnapshot,
-        params: &SolverParams,
-    ) -> Result<(TwoPhaseOutcome, ShardedReport), CoreError> {
-        let k = params.shards.max(1).min(region.msbs().len().max(1));
-        if k <= 1 {
-            // Monolithic delegation: one full-universe session, untouched
-            // semantics.
-            if self.sessions.len() != 1 || self.k != 1 {
-                self.k = 1;
-                self.plan = None;
-                self.sessions = vec![SolveSession::new()];
-                self.rounds = 0;
-            }
-            let round = self.rounds;
-            let (outcome, warm) =
-                match self.sessions[0].solve_round(region, specs, snapshot, params) {
-                    Ok(v) => v,
-                    Err(e) => {
-                        self.rounds = 0;
-                        return Err(e);
-                    }
-                };
-            self.rounds = round + 1;
-            let report = ShardedReport {
-                shards: vec![ShardReport {
-                    shard: 0,
-                    servers: region.server_count(),
-                    capacity: specs.iter().map(|s| s.capacity).collect(),
-                    phase1: outcome.phase1.clone(),
-                    phase2: outcome.phase2.clone(),
-                    warm: warm.clone(),
-                }],
-                reconcile: ReconcileReport::default(),
-                score: PlanScore::default(),
-                warm,
-            };
-            return Ok((outcome, report));
-        }
-
-        let round_start = Instant::now();
-        // Sample the recovery-contract state BEFORE re-planning: a spec
-        // or shard-count change may rebuild the partition (dropping warm
-        // state), and a failure in that very round must still tell the
-        // caller the session it entered warm was invalidated.
-        let warm_at_entry = self.rounds > 0 || self.is_warm();
-        let round = self.rounds;
-        self.ensure_plan(region, specs, k);
-        let mut shard_params = params.clone();
-        shard_params.shards = 1;
-
-        let Self {
-            plan,
-            shard_specs,
-            sessions,
-            ..
-        } = self;
-        let Some(plan) = plan.as_ref() else {
-            return Err(CoreError::Solver("shard plan missing after ensure".into()));
-        };
-
-        let results: Vec<Result<(TwoPhaseOutcome, WarmReport), CoreError>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = sessions
-                    .iter_mut()
-                    .zip(plan.shards.iter())
-                    .zip(shard_specs.iter())
-                    .map(|((session, shard), sspecs)| {
-                        let p = &shard_params;
-                        scope.spawn(move || {
-                            session.solve_round_scoped(
-                                region,
-                                sspecs,
-                                snapshot,
-                                p,
-                                Some(&shard.mask),
-                            )
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().unwrap_or_else(|_| {
-                            Err(CoreError::Solver("shard worker thread panicked".into()))
-                        })
-                    })
-                    .collect()
-            });
-
-        if results.iter().any(|r| r.is_err()) {
-            // One failed shard invalidates the whole sharded session: the
-            // survivors' warm caches describe capacity slices the next
-            // (possibly re-planned) round may not reproduce.
-            for s in &mut self.sessions {
-                s.invalidate();
-            }
-            self.rounds = 0;
-            let cause = results
-                .into_iter()
-                .find_map(|r| r.err())
-                .unwrap_or_else(|| CoreError::Solver("shard round failed".into()));
-            // Unwrap nested invalidation wrappers from the failing shard;
-            // this level owns the caller-facing contract.
-            let cause = match cause {
-                CoreError::SessionInvalidated { cause, .. } => *cause,
-                other => other,
-            };
-            return Err(if warm_at_entry {
-                CoreError::SessionInvalidated {
-                    round,
-                    cause: Box::new(cause),
-                }
-            } else {
-                cause
-            });
-        }
-        let outcomes: Vec<(TwoPhaseOutcome, WarmReport)> =
-            results.into_iter().filter_map(|r| r.ok()).collect();
-
-        // Merge: every shard rules over its own (disjoint) universe;
-        // servers outside every universe keep their current binding.
-        let merge_start = Instant::now();
-        let mut targets: Vec<Option<ReservationId>> =
-            snapshot.records.iter().map(|r| r.current).collect();
-        for (shard, (outcome, _)) in plan.shards.iter().zip(&outcomes) {
-            for s in &shard.servers {
-                targets[s.index()] = outcome.targets[s.index()];
-            }
-        }
-        let (released, released_rru) = reconcile(region, specs, snapshot, &mut targets);
-        let score = evaluate_targets(region, specs, snapshot, params, &targets);
-        let reconcile_report = ReconcileReport {
-            released,
-            released_rru,
-            merge_seconds: merge_start.elapsed().as_secs_f64(),
-        };
-
-        let shard_reports: Vec<ShardReport> = plan
-            .shards
-            .iter()
-            .zip(&outcomes)
-            .zip(shard_specs.iter())
-            .map(|((shard, (outcome, warm)), sspecs)| ShardReport {
-                shard: shard.index,
-                servers: shard.servers.len(),
-                capacity: sspecs.iter().map(|s| s.capacity).collect(),
-                phase1: outcome.phase1.clone(),
-                phase2: outcome.phase2.clone(),
-                warm: warm.clone(),
-            })
-            .collect();
-        let warm = aggregate_warm(round, &shard_reports);
-        let phase1 = aggregate_phase1(
-            &shard_reports,
-            score.objective,
-            round_start.elapsed().as_secs_f64(),
-        );
-
-        self.rounds = round + 1;
-        Ok((
-            TwoPhaseOutcome {
-                targets,
-                phase1,
-                phase2: None,
-            },
-            ShardedReport {
-                shards: shard_reports,
-                reconcile: reconcile_report,
-                score,
-                warm,
-            },
-        ))
-    }
-}
-
-/// Folds per-shard warm reports into one session-level view: the flags
+/// Folds per-shard warm reports into one round-level view: the flags
 /// AND across shards (the round is only as warm as its coldest shard),
 /// `basis_remapped` and `ratchet_checked` OR, and the ratchet gap sums.
-fn aggregate_warm(round: usize, shards: &[ShardReport]) -> WarmReport {
+pub(crate) fn aggregate_warm(round: usize, shards: &[ShardReport]) -> WarmReport {
     let all = |f: fn(&WarmReport) -> bool| shards.iter().all(|s| f(&s.warm));
     let any = |f: fn(&WarmReport) -> bool| shards.iter().any(|s| f(&s.warm));
     WarmReport {
@@ -873,7 +599,11 @@ fn aggregate_warm(round: usize, shards: &[ShardReport]) -> WarmReport {
 /// [`ShardedReport::shards`]; the aggregate's `mip_stats.audit` is
 /// deliberately left default (it certifies nothing itself), and so are
 /// its `gap` and `best_bound`.
-fn aggregate_phase1(shards: &[ShardReport], objective: f64, wall_seconds: f64) -> PhaseStats {
+pub(crate) fn aggregate_phase1(
+    shards: &[ShardReport],
+    objective: f64,
+    wall_seconds: f64,
+) -> PhaseStats {
     let fmax = |f: fn(&PhaseStats) -> f64| {
         shards
             .iter()
@@ -1011,8 +741,9 @@ mod tests {
 
         // A real solve's plan must be feasible and strictly cheaper than
         // an arbitrary all-in-one-MSB plan of the same size.
-        let outcome =
-            crate::phases::solve_two_phase(&region, &specs, &snap, &params).expect("solve");
+        let outcome = crate::solver::AsyncSolver::new(params.clone())
+            .solve(&region, &specs, &snap)
+            .expect("solve");
         let solved = evaluate_targets(&region, &specs, &snap, &params, &outcome.targets);
         assert!(solved.capacity_feasible(1e-6));
         // Phase 2 may have refined the merged targets, so allow a small
@@ -1024,47 +755,6 @@ mod tests {
             solved.objective,
             outcome.phase1.objective
         );
-    }
-
-    #[test]
-    fn sharded_round_is_feasible_and_audited() {
-        let region = region();
-        let specs = vec![
-            uniform_spec(&region, "web", 80.0),
-            uniform_spec(&region, "feed", 40.0),
-        ];
-        let mut broker = ResourceBroker::new(region.server_count());
-        broker.register_reservation("web");
-        broker.register_reservation("feed");
-        let snap = broker.snapshot(SimTime::ZERO);
-        let params = SolverParams {
-            shards: 3,
-            audit: crate::AuditMode::On,
-            ..SolverParams::default()
-        };
-
-        let mut session = ShardedSession::new();
-        let (outcome, report) = session
-            .solve_round(&region, &specs, &snap, &params)
-            .expect("sharded solve");
-        assert_eq!(report.shards.len(), 3);
-        for shard in &report.shards {
-            assert!(
-                shard.phase1.mip_stats.audit.certified_clean(),
-                "shard {} not certified",
-                shard.shard
-            );
-        }
-        let score = evaluate_targets(&region, &specs, &snap, &params, &outcome.targets);
-        assert!(
-            score.capacity_feasible(1e-6),
-            "merged plan infeasible: {:?}",
-            score.capacity_shortfall
-        );
-        assert_eq!(outcome.phase1.classes, {
-            let s: usize = report.shards.iter().map(|s| s.phase1.classes).sum();
-            s
-        });
     }
 
     #[test]

@@ -1,15 +1,23 @@
-//! The Async Solver facade (paper Figure 6, steps 2–3).
+//! The Async Solver (paper Figure 6, steps 2–3): the one owner of a
+//! continuous round.
 //!
 //! Takes a broker snapshot plus the current reservation specs, runs the
 //! two-phase MIP solve, and writes per-server *targets* back to the
 //! broker. Runs off the critical path: the Online Mover materializes the
 //! targets asynchronously, and container placement never waits on it.
 //!
-//! The solver owns a [`ShardedSession`], so consecutive
-//! [`AsyncSolver::solve`] calls on the same instance are *continuous*:
-//! each round warm-starts from the previous one (root-LP basis, seeded
-//! incumbent — per shard when `params.shards > 1`).
-//! Drop or [`AsyncSolver::reset`] the solver to force a cold round.
+//! Consecutive [`AsyncSolver::solve`] calls on the same instance are
+//! *continuous*. The solver keeps the shard plan, one warm cache per
+//! shard ([`crate::session`]: the root-LP basis with its names, and the
+//! targets that seed the incumbent) and one round counter. A round whose
+//! plan has one shard runs the phase body over the whole region; a plan
+//! of two or more shards ([`crate::shard`]) solves them on worker
+//! threads, merges, reconciles and folds their statistics. A new
+//! partition drops every cache and restarts the numbering, and so does a
+//! failed round (the recovery rule, [`AsyncSolver::solve`]). Use a fresh
+//! solver for a cold round.
+
+use std::time::Instant;
 
 use ras_broker::{BrokerSnapshot, ReservationId, ResourceBroker};
 use ras_topology::Region;
@@ -18,10 +26,12 @@ use crate::assign::{count_moves, MoveStats};
 use crate::error::CoreError;
 use crate::model::solver_visible;
 use crate::params::SolverParams;
-use crate::phases::TwoPhaseOutcome;
 use crate::reservation::ReservationSpec;
-use crate::session::WarmReport;
-use crate::shard::{ShardedReport, ShardedSession};
+use crate::session::{self, RoundCache, RoundRun, WarmReport};
+use crate::shard::{
+    aggregate_phase1, aggregate_warm, evaluate_targets, reconcile, supported_plan, ReconcileReport,
+    ShardPlan, ShardReport, ShardedReport,
+};
 use crate::stats::PhaseStats;
 
 /// Output of one solve: targets plus full statistics.
@@ -35,11 +45,11 @@ pub struct SolveOutput {
     pub phase2: Option<PhaseStats>,
     /// Moves this solve plans relative to current bindings.
     pub moves: MoveStats,
-    /// How the continuous session warm-started this round (aggregated
-    /// across shards when the round was sharded).
+    /// How the round warm-started (aggregated across shards when the
+    /// round was sharded).
     pub warm: WarmReport,
-    /// Per-shard reports when the round ran sharded (`params.shards > 1`);
-    /// `None` for a monolithic round. Audit certificates of a sharded
+    /// Per-shard reports when the round's plan had two or more shards;
+    /// `None` for a one-shard round. Audit certificates of a sharded
     /// round live here — the aggregate [`Self::phase1`] carries a default
     /// (uncertified) audit, use [`Self::audit_phases`] instead.
     pub sharded: Option<ShardedReport>,
@@ -98,8 +108,26 @@ impl SolveOutput {
 pub struct AsyncSolver {
     /// Cost coefficients and limits.
     pub params: SolverParams,
-    /// Warm-start state threaded between rounds (one session per shard).
-    session: ShardedSession,
+    /// The shard plan the caches belong to.
+    plan: Option<PlanState>,
+    /// One warm cache per shard of the plan (one for a one-shard plan).
+    caches: Vec<Option<RoundCache>>,
+    /// Rounds solved since the caches were last dropped.
+    rounds: usize,
+}
+
+/// A shard plan with the inputs it was derived from.
+#[derive(Debug, Clone)]
+struct PlanState {
+    /// The shard count asked for, clamped to the MSB count.
+    k: usize,
+    /// The region's server and MSB counts.
+    region: (usize, usize),
+    /// The specs the capacity slices split.
+    specs: Vec<ReservationSpec>,
+    /// The partition and each shard's capacity slices; `None` for a
+    /// one-shard plan (see [`supported_plan`]).
+    shards: Option<(ShardPlan, Vec<Vec<ReservationSpec>>)>,
 }
 
 impl AsyncSolver {
@@ -107,23 +135,18 @@ impl AsyncSolver {
     pub fn new(params: SolverParams) -> Self {
         Self {
             params,
-            session: ShardedSession::new(),
+            ..Self::default()
         }
     }
 
-    /// Number of rounds this solver has completed.
+    /// Number of rounds solved since the warm state was last dropped.
     pub fn rounds(&self) -> usize {
-        self.session.rounds()
+        self.rounds
     }
 
     /// True when the next solve can warm-start from cached state.
     pub fn is_warm(&self) -> bool {
-        self.session.is_warm()
-    }
-
-    /// Drops all cached warm-start state; the next solve runs cold.
-    pub fn reset(&mut self) {
-        self.session.reset();
+        self.caches.iter().any(Option::is_some)
     }
 
     /// Validates specs against the region (actionable rejections,
@@ -157,8 +180,17 @@ impl AsyncSolver {
     ///
     /// `specs[i]` must correspond to `ReservationId(i)` as registered in
     /// the broker. Takes `&mut self` because each round updates the
-    /// warm-start session; use a fresh solver for an independent cold
+    /// warm-start state; use a fresh solver for an independent cold
     /// solve.
+    ///
+    /// # Failure recovery
+    ///
+    /// A failed round — any shard failing — drops every shard's cache
+    /// and restarts the numbering, so the next round is a fresh solver's
+    /// round 0. When the round entered warm the cause comes back wrapped
+    /// in [`CoreError::SessionInvalidated`], numbered as the caller
+    /// counted it; a cold round had nothing to lose and returns the cause
+    /// as it is.
     pub fn solve(
         &mut self,
         region: &Region,
@@ -166,31 +198,110 @@ impl AsyncSolver {
         snapshot: &BrokerSnapshot,
     ) -> Result<SolveOutput, CoreError> {
         self.validate(region, specs)?;
-        let (
-            TwoPhaseOutcome {
-                targets,
-                phase1,
-                phase2,
-            },
-            report,
-        ) = self
-            .session
-            .solve_round(region, specs, snapshot, &self.params)?;
-        let moves = count_moves(snapshot, &targets);
-        let warm = report.warm.clone();
-        let sharded = if report.shards.len() > 1 {
-            Some(report)
-        } else {
-            None
-        };
+        // Sampled before re-planning: a new partition drops the caches,
+        // and a failure in that very round must still report the warm
+        // state it entered with as lost.
+        let (entry_round, entered_warm) = (self.rounds, self.is_warm());
+        self.ensure_plan(region, specs);
+        match self.solve_plan(region, specs, snapshot) {
+            Ok(output) => {
+                self.rounds += 1;
+                Ok(output)
+            }
+            Err(cause) => Err(self.invalidate(entry_round, entered_warm, cause)),
+        }
+    }
+
+    /// The round body on the current plan: one shard over the whole
+    /// region, or two or more on worker threads ([`solve_shards`]).
+    fn solve_plan(
+        &mut self,
+        region: &Region,
+        specs: &[ReservationSpec],
+        snapshot: &BrokerSnapshot,
+    ) -> Result<SolveOutput, CoreError> {
+        let (round, params) = (self.rounds, &self.params);
+        if let Some(sharded) = self.plan.as_ref().and_then(|p| p.shards.as_ref()) {
+            return solve_shards(
+                &mut self.caches,
+                sharded,
+                round,
+                region,
+                specs,
+                snapshot,
+                params,
+            );
+        }
+        let cache = self
+            .caches
+            .first_mut()
+            .ok_or_else(|| CoreError::Solver("no warm cache for the plan".into()))?;
+        let run = session::run_round(cache, round, region, specs, snapshot, params, None)?;
         Ok(SolveOutput {
-            targets,
-            phase1,
-            phase2,
-            moves,
-            warm,
-            sharded,
+            moves: count_moves(snapshot, &run.targets),
+            targets: run.targets,
+            phase1: run.phase1,
+            phase2: run.phase2,
+            warm: run.warm,
+            sharded: None,
         })
+    }
+
+    /// The recovery rule: a failed round drops every shard's cache and
+    /// restarts the numbering. A round that entered warm wraps its cause,
+    /// once, in [`CoreError::SessionInvalidated`].
+    fn invalidate(&mut self, round: usize, entered_warm: bool, cause: CoreError) -> CoreError {
+        self.caches.fill(None);
+        self.rounds = 0;
+        if entered_warm {
+            CoreError::SessionInvalidated {
+                round,
+                cause: Box::new(cause),
+            }
+        } else {
+            cause
+        }
+    }
+
+    /// Re-derives the shard plan when the shard count asked for, the
+    /// region or the specs changed. The count is an upper bound:
+    /// [`supported_plan`] picks the largest one every shard can carry,
+    /// down to one shard over the whole region. A new partition drops
+    /// every cache and restarts the numbering; the same partition keeps
+    /// them warm.
+    fn ensure_plan(&mut self, region: &Region, specs: &[ReservationSpec]) {
+        let k = self.params.shards.clamp(1, region.msbs().len().max(1));
+        let fingerprint = (region.server_count(), region.msbs().len());
+        if self
+            .plan
+            .as_ref()
+            .is_some_and(|p| p.k == k && p.region == fingerprint && p.specs == specs)
+        {
+            return;
+        }
+        let shards = supported_plan(region, specs, k);
+        let partition = |s: &Option<(ShardPlan, Vec<Vec<ReservationSpec>>)>| {
+            s.as_ref().map(|(plan, _)| {
+                plan.shards
+                    .iter()
+                    .map(|sh| sh.msbs.clone())
+                    .collect::<Vec<_>>()
+            })
+        };
+        let same_partition = self
+            .plan
+            .as_ref()
+            .is_some_and(|old| partition(&old.shards) == partition(&shards));
+        if !same_partition {
+            self.caches = vec![None; shards.as_ref().map_or(1, |(plan, _)| plan.len())];
+            self.rounds = 0;
+        }
+        self.plan = Some(PlanState {
+            k,
+            region: fingerprint,
+            specs: specs.to_vec(),
+            shards,
+        });
     }
 
     /// Persists a solve's targets into the broker (Figure 6, step 3).
@@ -219,6 +330,108 @@ impl AsyncSolver {
         }
         Ok(())
     }
+}
+
+/// One round of a plan with two or more shards: every shard solves its
+/// universe and capacity slice from its own cache on a worker thread,
+/// the merge takes each shard's targets over its own (disjoint)
+/// servers, the reconcile pass releases the surplus the per-shard
+/// buffers leave, and the merged plan's regional score becomes the
+/// round's phase-1 objective. The first failing shard, in plan order,
+/// fails the round.
+fn solve_shards(
+    caches: &mut [Option<RoundCache>],
+    (plan, split): &(ShardPlan, Vec<Vec<ReservationSpec>>),
+    round: usize,
+    region: &Region,
+    specs: &[ReservationSpec],
+    snapshot: &BrokerSnapshot,
+    params: &SolverParams,
+) -> Result<SolveOutput, CoreError> {
+    let round_start = Instant::now();
+    let results: Vec<Result<RoundRun, CoreError>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = caches
+            .iter_mut()
+            .zip(&plan.shards)
+            .zip(split)
+            .map(|((cache, shard), shard_specs)| {
+                scope.spawn(move || {
+                    session::run_round(
+                        cache,
+                        round,
+                        region,
+                        shard_specs,
+                        snapshot,
+                        params,
+                        Some(&shard.mask),
+                    )
+                })
+            })
+            .collect();
+        // Join every worker before reading any result: a scope that ends
+        // with an unjoined, panicked thread panics itself.
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join().unwrap_or_else(|_| {
+                    Err(CoreError::Solver("shard worker thread panicked".into()))
+                })
+            })
+            .collect()
+    });
+    let runs = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+
+    // Merge: every shard rules over its own (disjoint) universe;
+    // servers outside every universe keep their current binding.
+    let merge_start = Instant::now();
+    let mut targets: Vec<Option<ReservationId>> =
+        snapshot.records.iter().map(|r| r.current).collect();
+    for (shard, run) in plan.shards.iter().zip(&runs) {
+        for s in &shard.servers {
+            targets[s.index()] = run.targets[s.index()];
+        }
+    }
+    let (released, released_rru) = reconcile(region, specs, snapshot, &mut targets);
+    let score = evaluate_targets(region, specs, snapshot, params, &targets);
+    let reconcile_report = ReconcileReport {
+        released,
+        released_rru,
+        merge_seconds: merge_start.elapsed().as_secs_f64(),
+    };
+
+    let shards: Vec<ShardReport> = plan
+        .shards
+        .iter()
+        .zip(runs)
+        .zip(split)
+        .map(|((shard, run), shard_specs)| ShardReport {
+            shard: shard.index,
+            servers: shard.servers.len(),
+            capacity: shard_specs.iter().map(|s| s.capacity).collect(),
+            phase1: run.phase1,
+            phase2: run.phase2,
+            warm: run.warm,
+        })
+        .collect();
+    let warm = aggregate_warm(round, &shards);
+    let phase1 = aggregate_phase1(
+        &shards,
+        score.objective,
+        round_start.elapsed().as_secs_f64(),
+    );
+    Ok(SolveOutput {
+        moves: count_moves(snapshot, &targets),
+        targets,
+        phase1,
+        phase2: None,
+        warm: warm.clone(),
+        sharded: Some(ShardedReport {
+            shards,
+            reconcile: reconcile_report,
+            score,
+            warm,
+        }),
+    })
 }
 
 #[cfg(test)]
@@ -318,5 +531,46 @@ mod tests {
             sharded: None,
         };
         assert!(solver.apply(&output, &mut small).is_err());
+    }
+
+    #[test]
+    fn sharded_round_is_feasible_and_audited() {
+        let (region, mut broker) = setup();
+        let rru = RruTable::uniform(&region.catalog, 1.0);
+        let specs = vec![
+            ReservationSpec::guaranteed("web", 80.0, rru.clone()),
+            ReservationSpec::guaranteed("feed", 40.0, rru),
+        ];
+        broker.register_reservation("web");
+        broker.register_reservation("feed");
+        let snap = broker.snapshot(SimTime::ZERO);
+        let params = SolverParams {
+            shards: 3,
+            audit: crate::AuditMode::On,
+            ..SolverParams::default()
+        };
+
+        let outcome = AsyncSolver::new(params.clone())
+            .solve(&region, &specs, &snap)
+            .expect("sharded solve");
+        let report = outcome.sharded.as_ref().expect("three shards");
+        assert_eq!(report.shards.len(), 3);
+        for shard in &report.shards {
+            assert!(
+                shard.phase1.mip_stats.audit.certified_clean(),
+                "shard {} not certified",
+                shard.shard
+            );
+        }
+        let score = evaluate_targets(&region, &specs, &snap, &params, &outcome.targets);
+        assert!(
+            score.capacity_feasible(1e-6),
+            "merged plan infeasible: {:?}",
+            score.capacity_shortfall
+        );
+        assert_eq!(outcome.phase1.classes, {
+            let s: usize = report.shards.iter().map(|s| s.phase1.classes).sum();
+            s
+        });
     }
 }

@@ -1,9 +1,11 @@
-//! Failed-round recovery and sharded-vs-monolithic differential tests.
+//! Failed-round recovery, shard-plan and sharded-vs-monolithic
+//! differential tests, all through the one round owner, [`AsyncSolver`].
 //!
 //! Recovery contract: a continuous round that fails mid-solve must leave
-//! the session *usable* — warm state and round numbering dropped, the
-//! error telling the caller the next round runs cold — and that next
-//! round must solve and certify exactly like a fresh session's round 0.
+//! the solver *usable* — every shard's warm state and the round numbering
+//! dropped, the error telling the caller the next round runs cold — and
+//! that next round must solve and certify exactly like a fresh solver's
+//! round 0.
 //!
 //! Differential contract: a POP-style sharded solve of the same input
 //! must land within [`ras_core::sharded_tolerance`] of the monolithic
@@ -12,9 +14,9 @@
 use ras_broker::{ResourceBroker, SimTime};
 use ras_core::reservation::ReservationSpec;
 use ras_core::rru::RruTable;
-use ras_core::session::SolveSession;
 use ras_core::{
-    evaluate_targets, sharded_tolerance, AuditMode, CoreError, ShardedSession, SolverParams,
+    evaluate_targets, sharded_tolerance, AsyncSolver, AuditMode, CoreError, SolveOutput,
+    SolverParams,
 };
 use ras_topology::{Region, RegionBuilder, RegionTemplate};
 
@@ -30,8 +32,17 @@ fn portfolio(region: &Region) -> Vec<ReservationSpec> {
     ]
 }
 
-fn audited_params() -> SolverParams {
+fn broker_for(region: &Region, specs: &[ReservationSpec]) -> ResourceBroker {
+    let mut broker = ResourceBroker::new(region.server_count());
+    for spec in specs {
+        broker.register_reservation(&spec.name);
+    }
+    broker
+}
+
+fn audited_params(shards: usize) -> SolverParams {
     SolverParams {
+        shards,
         audit: AuditMode::On,
         ..SolverParams::default()
     }
@@ -43,27 +54,29 @@ fn poisoned(mut specs: Vec<ReservationSpec>) -> Vec<ReservationSpec> {
     specs
 }
 
+fn certified_clean(out: &SolveOutput) -> bool {
+    out.audit_phases()
+        .iter()
+        .all(|p| p.mip_stats.audit.certified_clean())
+}
+
 #[test]
 fn failed_warm_round_invalidates_session_then_recovers_cold() {
     let region = region();
     let specs = portfolio(&region);
-    let mut broker = ResourceBroker::new(region.server_count());
-    broker.register_reservation("web");
-    broker.register_reservation("feed");
-    let snap = broker.snapshot(SimTime::ZERO);
-    let params = audited_params();
+    let snap = broker_for(&region, &specs).snapshot(SimTime::ZERO);
 
-    let mut session = SolveSession::new();
-    let (_, warm0) = session
-        .solve_round(&region, &specs, &snap, &params)
+    let mut solver = AsyncSolver::new(audited_params(1));
+    let out0 = solver
+        .solve(&region, &specs, &snap)
         .expect("round 0 solves");
-    assert_eq!(warm0.round, 0);
-    assert!(session.is_warm(), "round 0 must leave warm state behind");
+    assert_eq!(out0.warm.round, 0);
+    assert!(solver.is_warm(), "round 0 must leave warm state behind");
 
     // Round 1 fails mid-solve: the audited model rejects the poisoned
-    // spec. The session must report the invalidation explicitly.
-    let err = session
-        .solve_round(&region, &poisoned(specs.clone()), &snap, &params)
+    // spec. The solver must report the invalidation explicitly.
+    let err = solver
+        .solve(&region, &poisoned(specs.clone()), &snap)
         .expect_err("poisoned round must fail");
     match &err {
         CoreError::SessionInvalidated { round, cause } => {
@@ -75,116 +88,98 @@ fn failed_warm_round_invalidates_session_then_recovers_cold() {
         }
         other => panic!("expected SessionInvalidated, got {other:?}"),
     }
-    assert!(!session.is_warm(), "warm state must be dropped");
-    assert_eq!(session.rounds(), 0, "round numbering must restart");
+    assert!(!solver.is_warm(), "warm state must be dropped");
+    assert_eq!(solver.rounds(), 0, "round numbering must restart");
 
-    // The session remains usable: the next round runs cold — round number
+    // The solver remains usable: the next round runs cold — round number
     // 0, no model reuse — and still certifies clean under the auditor.
-    let (outcome, warm) = session
-        .solve_round(&region, &specs, &snap, &params)
+    let out = solver
+        .solve(&region, &specs, &snap)
         .expect("recovery round solves");
-    assert_eq!(warm.round, 0, "recovery round is a fresh round 0");
-    assert!(!warm.model_reused && !warm.warm_basis_supplied && !warm.seed_supplied);
-    assert!(
-        outcome.phase1.mip_stats.audit.certified_clean(),
-        "recovery round must certify clean"
-    );
-    assert!(session.is_warm(), "and it re-arms the warm machinery");
+    assert_eq!(out.warm.round, 0, "recovery round is a fresh round 0");
+    assert!(!out.warm.model_reused && !out.warm.warm_basis_supplied && !out.warm.seed_supplied);
+    assert!(certified_clean(&out), "recovery round must certify clean");
+    assert!(solver.is_warm(), "and it re-arms the warm machinery");
 }
 
 #[test]
 fn failed_cold_round_returns_the_raw_error() {
     let region = region();
-    let mut broker = ResourceBroker::new(region.server_count());
-    broker.register_reservation("web");
-    broker.register_reservation("feed");
-    let snap = broker.snapshot(SimTime::ZERO);
+    let specs = portfolio(&region);
+    let snap = broker_for(&region, &specs).snapshot(SimTime::ZERO);
 
-    // A fresh session has no warm state to lose: the error passes through
-    // unwrapped, exactly like the one-shot `solve_two_phase` path.
-    let mut session = SolveSession::new();
-    let err = session
-        .solve_round(
-            &region,
-            &poisoned(portfolio(&region)),
-            &snap,
-            &audited_params(),
-        )
-        .expect_err("poisoned cold round must fail");
-    assert!(
-        !matches!(err, CoreError::SessionInvalidated { .. }),
-        "cold failure must not claim an invalidated session: {err:?}"
-    );
+    // A fresh solver has no warm state to lose: the error passes through
+    // unwrapped.
+    for shards in [1, 3] {
+        let err = AsyncSolver::new(audited_params(shards))
+            .solve(&region, &poisoned(specs.clone()), &snap)
+            .expect_err("poisoned cold round must fail");
+        assert!(
+            matches!(err, CoreError::Solver(_)),
+            "shards={shards}: cold failure must surface the raw error: {err:?}"
+        );
+    }
 }
 
 #[test]
 fn failed_sharded_round_invalidates_all_shards_then_recovers() {
     let region = region();
     let specs = portfolio(&region);
-    let mut broker = ResourceBroker::new(region.server_count());
-    broker.register_reservation("web");
-    broker.register_reservation("feed");
-    let snap = broker.snapshot(SimTime::ZERO);
-    let params = SolverParams {
-        shards: 3,
-        ..audited_params()
-    };
+    let snap = broker_for(&region, &specs).snapshot(SimTime::ZERO);
 
-    let mut session = ShardedSession::new();
-    session
-        .solve_round(&region, &specs, &snap, &params)
+    let mut solver = AsyncSolver::new(audited_params(3));
+    solver
+        .solve(&region, &specs, &snap)
         .expect("sharded round 0 solves");
-    assert!(session.is_warm());
+    assert!(solver.is_warm());
 
-    let err = session
-        .solve_round(&region, &poisoned(specs.clone()), &snap, &params)
+    let err = solver
+        .solve(&region, &poisoned(specs.clone()), &snap)
         .expect_err("poisoned sharded round must fail");
-    assert!(
-        matches!(err, CoreError::SessionInvalidated { round: 1, .. }),
-        "one failing shard invalidates the whole sharded session: {err:?}"
-    );
-    assert!(!session.is_warm(), "every shard's warm state is dropped");
-    assert_eq!(session.rounds(), 0);
-
-    let (_, report) = session
-        .solve_round(&region, &specs, &snap, &params)
-        .expect("sharded recovery round solves");
-    assert_eq!(report.warm.round, 0, "recovery is a fresh round 0");
-    assert!(!report.warm.model_reused);
-    for shard in &report.shards {
-        assert!(
-            shard.phase1.mip_stats.audit.certified_clean(),
-            "shard {} must certify clean after recovery",
-            shard.shard
-        );
+    match &err {
+        CoreError::SessionInvalidated { round: 1, cause } => assert!(
+            matches!(**cause, CoreError::Solver(_)),
+            "the cause is wrapped once: {cause:?}"
+        ),
+        other => panic!("one failing shard invalidates every shard: {other:?}"),
     }
+    assert!(!solver.is_warm(), "every shard's warm state is dropped");
+    assert_eq!(solver.rounds(), 0);
+
+    let out = solver
+        .solve(&region, &specs, &snap)
+        .expect("sharded recovery round solves");
+    assert_eq!(out.warm.round, 0, "recovery is a fresh round 0");
+    assert!(!out.warm.model_reused);
+    assert_eq!(out.sharded.as_ref().map(|s| s.shards.len()), Some(3));
+    assert!(
+        certified_clean(&out),
+        "every shard must certify clean after recovery"
+    );
 }
 
 #[test]
 fn sharded_solve_matches_monolithic_within_documented_tolerance() {
     let region = region();
     let specs = portfolio(&region);
-    let mut broker = ResourceBroker::new(region.server_count());
-    broker.register_reservation("web");
-    broker.register_reservation("feed");
-    let snap = broker.snapshot(SimTime::ZERO);
+    let snap = broker_for(&region, &specs).snapshot(SimTime::ZERO);
     let params = SolverParams::default();
 
-    let (mono, _) = ShardedSession::new()
-        .solve_round(&region, &specs, &snap, &params)
+    let mono = AsyncSolver::new(params.clone())
+        .solve(&region, &specs, &snap)
         .expect("monolithic solve");
+    assert!(mono.sharded.is_none());
     let mono_score = evaluate_targets(&region, &specs, &snap, &params, &mono.targets);
     assert!(mono_score.capacity_feasible(1e-6));
 
     for k in [2usize, 3] {
-        let sharded_params = SolverParams {
+        let sharded = AsyncSolver::new(SolverParams {
             shards: k,
             ..params.clone()
-        };
-        let (sharded, report) = ShardedSession::new()
-            .solve_round(&region, &specs, &snap, &sharded_params)
-            .expect("sharded solve");
-        assert_eq!(report.shards.len(), k);
+        })
+        .solve(&region, &specs, &snap)
+        .expect("sharded solve");
+        assert_eq!(sharded.sharded.as_ref().map(|s| s.shards.len()), Some(k));
         let score = evaluate_targets(&region, &specs, &snap, &params, &sharded.targets);
         assert!(
             score.capacity_feasible(1e-6),
@@ -199,4 +194,79 @@ fn sharded_solve_matches_monolithic_within_documented_tolerance() {
             mono_score.objective
         );
     }
+}
+
+/// When no partition into two or more shards can carry its capacity
+/// slices, the plan falls back to one shard, and that round is the
+/// monolithic round: the same targets and objective, every phase's
+/// certificate in reach of `audit_phases`.
+#[test]
+fn one_shard_fallback_round_is_the_monolithic_round() {
+    let region = region();
+    let specs = vec![ReservationSpec::guaranteed(
+        "web",
+        280.0,
+        RruTable::uniform(&region.catalog, 1.0),
+    )];
+    let snap = broker_for(&region, &specs).snapshot(SimTime::ZERO);
+
+    let mono = AsyncSolver::new(audited_params(1))
+        .solve(&region, &specs, &snap)
+        .expect("monolithic round");
+    assert!(certified_clean(&mono));
+
+    let fallback = AsyncSolver::new(audited_params(2))
+        .solve(&region, &specs, &snap)
+        .expect("fallback round");
+    assert!(
+        fallback.sharded.is_none(),
+        "one shard is not a sharded round"
+    );
+    assert!(
+        certified_clean(&fallback),
+        "every phase certified: {:?}",
+        fallback
+            .audit_phases()
+            .iter()
+            .map(|p| &p.mip_stats.audit)
+            .collect::<Vec<_>>()
+    );
+    assert_eq!(fallback.targets, mono.targets);
+    assert_eq!(
+        fallback.phase1.objective.to_bits(),
+        mono.phase1.objective.to_bits()
+    );
+}
+
+/// A spec change that re-partitions the region drops every shard's warm
+/// state, so the round after it is numbered 0, like any other cold round.
+#[test]
+fn shard_repartition_restarts_round_numbering() {
+    let region = region();
+    let mut specs = portfolio(&region);
+    let snap = broker_for(&region, &specs).snapshot(SimTime::ZERO);
+
+    let mut solver = AsyncSolver::new(SolverParams {
+        shards: 3,
+        ..SolverParams::default()
+    });
+    let out0 = solver.solve(&region, &specs, &snap).expect("round 0");
+    assert_eq!(out0.sharded.as_ref().map(|s| s.shards.len()), Some(3));
+
+    specs[0].capacity = 160.0;
+    let out = solver
+        .solve(&region, &specs, &snap)
+        .expect("re-partitioned");
+    let report = out.sharded.as_ref().expect("still sharded");
+    assert_eq!(
+        report.shards.len(),
+        2,
+        "the larger slice needs bigger shards"
+    );
+    for shard in &report.shards {
+        assert_eq!(shard.warm.round, 0, "shard {} runs cold", shard.shard);
+        assert!(!shard.warm.warm_basis_supplied);
+    }
+    assert_eq!(out.warm.round, 0, "a re-partition restarts the numbering");
+    assert_eq!(solver.rounds(), 1);
 }

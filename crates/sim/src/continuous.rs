@@ -3,8 +3,8 @@
 //! The paper's deployment runs the Async Solver every ~30 minutes against
 //! an input that drifts only slightly between rounds (a few servers fail
 //! or return, the occasional spec edit). This scenario reproduces that
-//! regime: one [`AsyncSolver`] (and therefore one warm
-//! [`ras_core::SolveSession`]) solves `rounds` consecutive rounds, each
+//! regime: one [`AsyncSolver`], and with it one set of warm per-shard
+//! caches, solves `rounds` consecutive rounds, each
 //! round applying the plan, materializing the moves, and then churning a
 //! small fraction of the fleet — servers go down with unplanned hardware
 //! failures and the previous round's victims come back up.

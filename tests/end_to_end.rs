@@ -7,7 +7,7 @@ use ras::broker::{
 use ras::core::classes::Granularity;
 use ras::core::phases::run_phase;
 use ras::core::rru::RruTable;
-use ras::core::{buffers, AsyncSolver, ReservationSpec, SolveSession, SolverParams};
+use ras::core::{buffers, AsyncSolver, ReservationSpec, SolverParams};
 use ras::mover::{MoverConfig, OnlineMover};
 use ras::topology::{RegionBuilder, RegionTemplate, ScopeId, ServerId};
 use ras::twine::{ContainerSpec, JobSpec, TwineAllocator};
@@ -277,7 +277,7 @@ fn server_bound_to_at_most_one_reservation_always() {
     let _ = ServerId(0);
 }
 
-/// The phase body has two entry points — a fresh session's round and the
+/// The phase body has two entry points — a fresh solver's round and the
 /// stateless `run_phase` — and on the same snapshot they are one solve:
 /// same model, same search, same softening, same targets.
 #[test]
@@ -297,9 +297,9 @@ fn fresh_session_round_and_run_phase_are_one_solve() {
         let snapshot = broker.snapshot(SimTime::ZERO);
         let params = SolverParams::default();
 
-        let (outcome, _) = SolveSession::new()
-            .solve_round(&region, &specs, &snapshot, &params)
-            .expect("session round");
+        let outcome = AsyncSolver::new(params.clone())
+            .solve(&region, &specs, &snapshot)
+            .expect("solver round");
         let (targets, stats) = run_phase(
             &region,
             &specs,
@@ -433,6 +433,111 @@ fn session_rounds_are_bit_identical_to_the_skeleton_cache() {
             let web: Vec<ServerId> = broker.members(ReservationId(0)).step_by(3).collect();
             for s in web {
                 broker.set_running_containers(s, 2).expect("containers");
+            }
+        }
+    }
+}
+
+/// The sharded twin of the golden above: one solver per shard count
+/// (2 and 3) over six scripted rounds — cold, first applied bindings,
+/// a free and a busy server failing, a resize that keeps the partition,
+/// a quiet round — pinned bit for bit. The aggregate objective is the
+/// merged plan's regional score; nodes and iterations sum over shards.
+/// The goldens were printed by this body at 08e3efe, where the round
+/// still ran through two stacked session types.
+#[test]
+fn sharded_rounds_are_bit_identical_across_warm_rounds() {
+    // (shards, objective bits, nodes, simplex iterations, FNV of the
+    // targets, reconcile releases, model_reused, basis_remapped,
+    // warm_basis_accepted)
+    type Golden = (usize, u64, usize, usize, u64, usize, bool, bool, bool);
+    #[rustfmt::skip]
+    const GOLDEN: [[Golden; 6]; 2] = [
+        [
+            (2, 4656580309642505093, 206, 378, 16746468460264700909, 22, false, false, false),
+            (2, 4656624290107616133, 143, 397, 7125803457885048877, 22, false, true, true),
+            (2, 4656783103567132098, 705, 1045, 389354315293653917, 22, false, true, true),
+            (2, 4656580309642505093, 143, 364, 6645164009612649153, 22, false, true, true),
+            (2, 4656992142717804872, 98, 288, 14510663173254826553, 22, true, false, true),
+            (2, 4656992142717804872, 98, 298, 14510663173254826553, 22, true, false, true),
+        ],
+        [
+            (3, 4656580309642505093, 393, 577, 9798367944556387789, 70, false, false, false),
+            (3, 4656580309642505093, 400, 734, 9798367944556387789, 60, false, true, true),
+            (3, 4656580309642505093, 261, 506, 9798367944556387789, 60, true, false, true),
+            (3, 4656580309642505093, 261, 503, 2019248030293192433, 60, false, true, true),
+            (3, 4656992142717804872, 508, 757, 17251886956992828729, 60, false, true, true),
+            (3, 4656992142717804872, 346, 623, 17251886956992828729, 60, false, true, true),
+        ],
+    ];
+
+    for (k, goldens) in [2usize, 3].into_iter().zip(&GOLDEN) {
+        let region = RegionBuilder::new(RegionTemplate::tiny(), 108).build();
+        let rru = RruTable::uniform(&region.catalog, 1.0);
+        let mut specs = vec![
+            ReservationSpec::guaranteed("web", 40.0, rru.clone()),
+            ReservationSpec::guaranteed("feed", 25.0, rru),
+        ];
+        let mut broker = ResourceBroker::new(region.server_count());
+        for s in &specs {
+            broker.register_reservation(&s.name);
+        }
+        let mut solver = AsyncSolver::new(SolverParams {
+            shards: k,
+            ..SolverParams::default()
+        });
+        for (round, golden) in goldens.iter().enumerate() {
+            let hour = round as u64;
+            let down = match round {
+                2 => broker.unbound().next(),
+                3 => broker
+                    .members(ReservationId(0))
+                    .find(|s| broker.record(*s).is_ok_and(|r| r.running_containers > 0)),
+                4 => {
+                    specs[1].capacity = 30.0;
+                    None
+                }
+                _ => None,
+            };
+            if let Some(server) = down {
+                broker
+                    .mark_down(UnavailabilityEvent {
+                        server,
+                        kind: UnavailabilityKind::UnplannedHardware,
+                        scope: ScopeId::Server(server),
+                        start: SimTime::from_hours(hour),
+                        expected_end: None,
+                    })
+                    .expect("mark down");
+            }
+            let out = solver
+                .solve(&region, &specs, &broker.snapshot(SimTime::from_hours(hour)))
+                .expect("solve");
+            let sharded = out.sharded.as_ref().expect("a sharded round");
+            let stats = &out.phase1.mip_stats;
+            let got: Golden = (
+                sharded.shards.len(),
+                out.phase1.objective.to_bits(),
+                stats.nodes,
+                stats.simplex_iterations,
+                fnv_targets(&out.targets),
+                sharded.reconcile.released,
+                out.warm.model_reused,
+                out.warm.basis_remapped,
+                out.warm.warm_basis_accepted,
+            );
+            assert_eq!(got, *golden, "k={k} round {round}");
+
+            solver.apply(&out, &mut broker).expect("apply");
+            for s in broker.pending_moves() {
+                let target = broker.record(s).expect("record").target;
+                broker.bind_current(s, target).expect("bind");
+            }
+            if round == 0 {
+                let web: Vec<ServerId> = broker.members(ReservationId(0)).step_by(3).collect();
+                for s in web {
+                    broker.set_running_containers(s, 2).expect("containers");
+                }
             }
         }
     }
