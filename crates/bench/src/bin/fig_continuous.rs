@@ -59,8 +59,6 @@ fn main() {
             "basis",
             "seeded",
             "pruned",
-            "agg_ratio",
-            "clusters",
             "audit",
         ],
     );
@@ -95,8 +93,6 @@ fn main() {
             .to_string(),
             r.warm.incumbent_seeded.to_string(),
             r.phase1.mip_stats.nodes_pruned_by_seed.to_string(),
-            format!("{:.2}x", r.phase1.reduction.reduction_ratio()),
-            r.phase1.reduction.spec_clusters.to_string(),
             (if r.audit_certified {
                 "certified".to_string()
             } else {

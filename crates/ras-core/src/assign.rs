@@ -58,9 +58,7 @@ pub fn concretize(
             .map(|ri| counts[ci].get(ri).copied().unwrap_or(0).min(class.count()))
             .collect();
         // Pass 1: keep members already in a reservation that still wants
-        // them, one walk over the members. (A merged aggregation class
-        // can hold members bound to several reservations; per-server
-        // matching keeps each with its own.)
+        // them, one walk over the members.
         let mut unclaimed: Vec<ServerId> = Vec::with_capacity(class.count());
         for &s in &class.servers {
             match snapshot.records[s.index()].current {

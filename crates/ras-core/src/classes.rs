@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use ras_broker::{BrokerSnapshot, ReservationId, UnavailabilityKind};
+use ras_broker::{BrokerSnapshot, ReservationId, ServerRecord, UnavailabilityKind};
 use ras_topology::{DatacenterId, HardwareTypeId, MsbId, RackId, Region, ServerId};
 use serde::{Deserialize, Serialize};
 
@@ -85,28 +85,6 @@ impl EquivClass {
         out.push(if self.in_use { '1' } else { '0' });
         out
     }
-
-    /// The grouping key as a comparable tuple, for cross-round diffing.
-    #[allow(clippy::type_complexity)]
-    pub fn key(
-        &self,
-    ) -> (
-        u32,
-        u32,
-        Option<u32>,
-        Option<ReservationId>,
-        Option<ReservationId>,
-        bool,
-    ) {
-        (
-            self.hardware.0,
-            self.msb.0,
-            self.rack.map(|r| r.0),
-            self.current,
-            self.target,
-            self.in_use,
-        )
-    }
 }
 
 /// Builds the equivalence classes for one solve.
@@ -120,6 +98,15 @@ pub fn build_classes(
     include: Option<&dyn Fn(ServerId) -> bool>,
 ) -> Vec<EquivClass> {
     build_classes_counted(region, snapshot, granularity, include).0
+}
+
+/// True when an unplanned or correlated outage removes the server from
+/// the assignable pool; planned maintenance does not.
+pub(crate) fn unplanned_unavailable(record: &ServerRecord) -> bool {
+    record
+        .unavailability
+        .as_ref()
+        .is_some_and(|event| event.kind != UnavailabilityKind::PlannedMaintenance)
 }
 
 /// [`build_classes`] plus the number of servers it excluded as
@@ -154,13 +141,9 @@ pub fn build_classes_counted(
             universe += 1;
         }
         let record = snapshot.record(server.id);
-        if let Some(event) = &record.unavailability {
-            // Unplanned and correlated outages remove the server from the
-            // assignable pool; planned maintenance does not.
-            if event.kind != UnavailabilityKind::PlannedMaintenance {
-                excluded += 1;
-                continue;
-            }
+        if unplanned_unavailable(record) {
+            excluded += 1;
+            continue;
         }
         let rack = match granularity {
             Granularity::Msb => None,

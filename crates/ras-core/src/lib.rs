@@ -16,8 +16,8 @@
 //! * [`rru`] — relative-resource-unit tables;
 //! * [`params`] — the MIP weights of Table 1 (`Ms`, `β`, `τ`, `αK`, `αF`, `θ`);
 //! * [`classes`] — symmetric-server equivalence-class reduction;
-//! * [`aggregate`] — the round's reduction (server classes, then
-//!   CvxCluster-style spec clustering) with certified disaggregation;
+//! * [`aggregate`] — the round's one reduction: the equivalence classes
+//!   with their interned labels, which the solved counts index directly;
 //! * [`model`] — the MIP build (Expressions 1–7) with constraint softening;
 //! * [`heuristic`] — the greedy spread-aware incumbent;
 //! * [`assign`] — concretization of class counts into per-server targets;
@@ -55,7 +55,7 @@ pub mod shard;
 pub mod solver;
 pub mod stats;
 
-pub use aggregate::{build_reduction, AggregationLevel, DisaggStats, Reduction, ReductionStats};
+pub use aggregate::{build_reduction, AggregationLevel, Reduction, ReductionStats};
 pub use error::CoreError;
 pub use params::SolverParams;
 pub use ras_milp::cast;

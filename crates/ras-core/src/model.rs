@@ -284,9 +284,9 @@ pub fn build_model(
 }
 
 /// [`build_model`] with the class labels supplied by the caller — the
-/// aggregation pipeline interns one label table per
-/// [`Reduction`](crate::aggregate::Reduction) and reuses it for model
-/// names and basis remapping instead of re-deriving every label here.
+/// round's [`Reduction`](crate::aggregate::Reduction) interns one label
+/// table and reuses it for model names and basis remapping instead of
+/// re-deriving every label here.
 /// `labels` must be parallel to `classes`.
 pub fn build_model_labeled(
     region: &Region,

@@ -1,4 +1,7 @@
-//! Solver parameters: the cost coefficients of Table 1.
+//! Solver parameters: the cost coefficients of Table 1, plus the
+//! limits and switches of one solve. The reduction is not a choice:
+//! every solve groups symmetric servers into equivalence classes, and
+//! since that reduction is exact no round re-solves an unreduced model.
 
 use ras_milp::AuditMode;
 use serde::{Deserialize, Serialize};
@@ -82,17 +85,10 @@ pub struct SolverParams {
     /// cold ones through the primal two-phase solve; not a production
     /// setting.
     pub warm_dual: bool,
-    /// How aggressively solves aggregate before the MIP (see
-    /// [`crate::aggregate`]). [`AggregationLevel::Classes`] is today's
-    /// behavior (the paper's symmetric-server classes);
-    /// [`AggregationLevel::Clusters`] additionally merges reservations
-    /// with identical hardware-fungibility footprints, CvxCluster-style.
+    /// The reduction solves build before the MIP (see
+    /// [`crate::aggregate`]); its one value is
+    /// [`AggregationLevel::Classes`], the paper's symmetric-server classes.
     pub aggregation: AggregationLevel,
-    /// At [`AggregationLevel::Clusters`], solve the unreduced
-    /// (`Classes`-level) model every N continuous rounds and compare plan
-    /// objectives — the exact-model ratchet bounding aggregation drift.
-    /// 0 disables the ratchet.
-    pub exact_ratchet_interval: usize,
 }
 
 impl Default for SolverParams {
@@ -118,7 +114,6 @@ impl Default for SolverParams {
             audit: AuditMode::Auto,
             warm_dual: true,
             aggregation: AggregationLevel::Classes,
-            exact_ratchet_interval: 4,
         }
     }
 }
@@ -142,6 +137,5 @@ mod tests {
         assert!(p.stability_bonus < p.move_cost_unused);
         assert_eq!(p.phase2_reservation_fraction, 0.10);
         assert_eq!(p.aggregation, AggregationLevel::Classes);
-        assert!(p.exact_ratchet_interval > 0);
     }
 }

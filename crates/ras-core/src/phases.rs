@@ -14,9 +14,9 @@ use ras_broker::{BrokerSnapshot, ReservationId};
 use ras_milp::{Basis, SolveConfig, SolveError};
 use ras_topology::{Region, ServerId};
 
-use crate::aggregate::{build_reduction, AggregationLevel, DisaggStats, Reduction};
+use crate::aggregate::{build_reduction, AggregationLevel, Reduction};
 use crate::assign::concretize;
-use crate::classes::{EquivClass, Granularity};
+use crate::classes::{unplanned_unavailable, EquivClass, Granularity};
 use crate::error::CoreError;
 use crate::model::{build_model_labeled, soften_baseline, solver_visible, RasModel};
 use crate::params::SolverParams;
@@ -57,8 +57,8 @@ pub(crate) fn refine_with_phase2(
     // Respect the assignment-variable budget by shrinking the selection.
     loop {
         let universe = phase2_universe(&targets1, &selected, scope);
-        let class_estimate = estimate_rack_classes(region, snapshot, &universe);
-        if class_estimate * selected.len() <= params.max_assignment_vars || selected.len() == 1 {
+        let classes = count_rack_classes(region, snapshot, &targets1, &universe);
+        if classes * selected.len() <= params.max_assignment_vars || selected.len() == 1 {
             break;
         }
         selected.pop();
@@ -177,11 +177,11 @@ pub(crate) fn scoped_reduction(
     snapshot: &BrokerSnapshot,
     specs: &[ReservationSpec],
     granularity: Granularity,
-    level: AggregationLevel,
     universe: Option<&[bool]>,
 ) -> Reduction {
     let filter = universe.map(|u| move |s: ServerId| in_mask(u, s));
     let include = filter.as_ref().map(|f| f as &dyn Fn(ServerId) -> bool);
+    let level = AggregationLevel::Classes;
     build_reduction(region, snapshot, specs, granularity, level, include)
 }
 
@@ -206,11 +206,10 @@ pub(crate) struct PhaseRun {
 }
 
 /// The one phase body, model in hand: solve (softening `ras` on demand)
-/// → split aggregate specs back over their members → per-server targets
-/// → statistics. [`run_phase`] enters with no warm start; a continuous
-/// round enters with the previous round's basis and its targets, re-valued on
-/// this model, as `seed`.
-/// `specs` are the full specs `reduction` was built from.
+/// → per-server targets from the solved class counts → statistics.
+/// [`run_phase`] enters with no warm start; a continuous round enters
+/// with the previous round's basis and its targets, re-valued on this
+/// model, as `seed`. `specs` are the specs `reduction` was built from.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_phase(
     region: &Region,
@@ -225,17 +224,8 @@ pub(crate) fn solve_phase(
     ras_build_seconds: f64,
 ) -> Result<PhaseRun, CoreError> {
     let solution = solve_prepared(region, reduction, ras, params, warm_basis, seed)?;
-    let solved = ras.decode(&solution);
-    // Below `Clusters` the counts pass through untouched.
-    let mut disagg = DisaggStats::default();
-    let disaggregated;
-    let counts: &[Vec<usize>] = if reduction.has_clusters() {
-        (disaggregated, disagg) = reduction.disaggregate_counts(snapshot, specs, &solved);
-        &disaggregated
-    } else {
-        &solved
-    };
-    let targets = concretize(region, snapshot, &reduction.classes, counts, specs.len());
+    let counts = ras.decode(&solution);
+    let targets = concretize(region, snapshot, &reduction.classes, &counts, specs.len());
     let stats = PhaseStats {
         ras_build_seconds,
         solver_build_seconds: solution.stats.setup_seconds,
@@ -250,7 +240,6 @@ pub(crate) fn solve_phase(
         status: solution.status,
         objective: solution.objective + ras.objective_constant,
         reduction: reduction.stats.clone(),
-        disagg,
     };
     Ok(PhaseRun {
         targets,
@@ -274,14 +263,7 @@ pub fn run_phase(
     universe: Option<&[bool]>,
 ) -> Result<(Vec<Option<ReservationId>>, PhaseStats), CoreError> {
     let phase_start = Instant::now();
-    // Rack-granularity (phase-2) solves never cluster specs: their
-    // universe and visibility change every round, so aggregate identities
-    // would churn for no reuse benefit.
-    let level = match granularity {
-        Granularity::Rack => params.aggregation.without_spec_clusters(),
-        Granularity::Msb => params.aggregation,
-    };
-    let reduction = scoped_reduction(region, snapshot, specs, granularity, level, universe);
+    let reduction = scoped_reduction(region, snapshot, specs, granularity, universe);
     let mut ras = build_model_labeled(
         region,
         &reduction.specs,
@@ -404,14 +386,30 @@ fn phase2_universe(
         .collect()
 }
 
-/// Cheap upper estimate of rack-granularity class count for a universe
-/// (a mask indexed by `ServerId`).
-fn estimate_rack_classes(region: &Region, snapshot: &BrokerSnapshot, universe: &[bool]) -> usize {
-    let mut keys: HashSet<(u32, Option<ReservationId>, bool)> = HashSet::new();
-    for (server, record) in region.servers().iter().zip(&snapshot.records) {
-        if in_mask(universe, server.id) {
-            keys.insert((server.rack.0, record.current, record.running_containers > 0));
+/// The number of rack-granularity classes phase 2 builds over
+/// `universe` (a mask indexed by `ServerId`), counted without building
+/// them: the distinct class keys of the servers the class builder keeps,
+/// with the phase-1 plan `targets1` as each server's target (phase 2's
+/// snapshot carries it). A rack fixes its MSB, so the key needs no MSB.
+fn count_rack_classes(
+    region: &Region,
+    snapshot: &BrokerSnapshot,
+    targets1: &[Option<ReservationId>],
+    universe: &[bool],
+) -> usize {
+    type Key = (u32, u32, Option<ReservationId>, Option<ReservationId>, bool);
+    let mut keys: HashSet<Key> = HashSet::new();
+    for ((server, record), target) in region.servers().iter().zip(&snapshot.records).zip(targets1) {
+        if !in_mask(universe, server.id) || unplanned_unavailable(record) {
+            continue;
         }
+        keys.insert((
+            server.hardware.0,
+            server.rack.0,
+            record.current,
+            *target,
+            record.running_containers > 0,
+        ));
     }
     keys.len()
 }
@@ -537,6 +535,49 @@ mod tests {
             assert!(p2.assignment_vars > 0);
         }
         assert!(ranked[0].1 < 9.0 * rack.servers.len() as f64);
+    }
+
+    /// Phase 1 splits every rack's free servers between a reservation
+    /// and the free pool, and plans the one server that is down into a
+    /// second reservation: the variable budget must see the phase-2
+    /// class count, not one class per rack, and not the down server.
+    #[test]
+    fn rack_class_count_is_the_phase2_class_count() {
+        use crate::classes::build_classes;
+        use ras_broker::UnavailabilityEvent;
+        use ras_topology::ScopeId;
+        let (region, mut broker) = setup();
+        broker.register_reservation("web");
+        broker.register_reservation("feed");
+        let down = region.racks()[0].servers[0];
+        broker
+            .mark_down(UnavailabilityEvent {
+                server: down,
+                kind: ras_broker::UnavailabilityKind::UnplannedHardware,
+                scope: ScopeId::Server(down),
+                start: SimTime::ZERO,
+                expected_end: None,
+            })
+            .unwrap();
+        let snapshot = broker.snapshot(SimTime::ZERO);
+        let mut targets1 = vec![None; region.server_count()];
+        for rack in region.racks() {
+            for s in rack.servers.iter().step_by(2) {
+                targets1[s.index()] = Some(ReservationId::from_index(0));
+            }
+        }
+        targets1[down.index()] = Some(ReservationId::from_index(1));
+        let universe = phase2_universe(&targets1, &[0, 1], None);
+        let mut snapshot2 = snapshot.clone();
+        for (record, t) in snapshot2.records.iter_mut().zip(&targets1) {
+            record.target = *t;
+        }
+        let inside = |s: ServerId| in_mask(&universe, s);
+        let classes = build_classes(&region, &snapshot2, Granularity::Rack, Some(&inside));
+        let counted = count_rack_classes(&region, &snapshot, &targets1, &universe);
+        assert!(classes.len() > region.racks().len());
+        assert!(counted >= classes.len(), "{counted} < {}", classes.len());
+        assert_eq!(counted, classes.len(), "the count is exact");
     }
 
     #[test]

@@ -55,6 +55,11 @@
 //!
 //! Phase 2 always runs cold: its restricted universe and spec visibility
 //! change every round, so there is no temporal structure to exploit.
+//!
+//! A round solves one model, the reduction of
+//! [`crate::aggregate`]. That reduction is exact — its solved class
+//! counts are the plan, with nothing to split back — so no round
+//! re-solves an unreduced model to check it.
 
 use std::time::Instant;
 
@@ -63,17 +68,12 @@ use ras_milp::Basis;
 use ras_topology::Region;
 use serde::{Deserialize, Serialize};
 
-use crate::aggregate::AggregationLevel;
 use crate::error::CoreError;
 use crate::model::build_model_labeled;
 use crate::params::SolverParams;
-use crate::phases::{
-    model_names, refine_with_phase2, run_phase, scoped_reduction, solve_phase, PhaseRun,
-};
+use crate::phases::{model_names, refine_with_phase2, scoped_reduction, solve_phase, PhaseRun};
 use crate::reservation::ReservationSpec;
-use crate::shard::{evaluate_targets, sharded_tolerance};
 use crate::stats::PhaseStats;
-use ras_milp::tol;
 
 /// What warm-start machinery did in one continuous round (the observability
 /// half of the continuous pipeline — `fig_continuous` prints these). The
@@ -110,14 +110,6 @@ pub struct WarmReport {
     /// Phase 2 was skipped because phase 1 reproduced the previous
     /// round's final targets exactly (the refinement is a fixed point).
     pub phase2_skipped: bool,
-    /// This round ran the exact-model ratchet (unreduced re-solve).
-    pub ratchet_checked: bool,
-    /// Aggregated-plan objective minus exact-plan objective (only
-    /// meaningful when `ratchet_checked`).
-    pub ratchet_gap: f64,
-    /// The ratchet found the aggregated plan within tolerance of the
-    /// exact plan and capacity-feasible.
-    pub ratchet_ok: bool,
 }
 
 /// One shard's warm state, carried to its next round. The round owner,
@@ -150,8 +142,8 @@ pub(crate) struct RoundRun {
 
 /// Runs one continuous round of one shard: build the model, warm-start
 /// the MIP from `cache`'s basis and targets, refine with phase 2, and
-/// re-arm `cache` for the next round. `round` is the owner's round number
-/// (it schedules the exact-model ratchet). `universe`, a mask indexed by
+/// re-arm `cache` for the next round. `round` is the owner's round
+/// number, reported in [`WarmReport::round`]. `universe`, a mask indexed by
 /// `ServerId`, restricts classes and the phase-2 refinement to the
 /// servers it marks, and every other slot of the returned targets keeps
 /// the server's current binding; `None` solves the whole region.
@@ -173,14 +165,7 @@ pub(crate) fn run_round(
         ..WarmReport::default()
     };
 
-    let reduction = scoped_reduction(
-        region,
-        snapshot,
-        specs,
-        params.phase1_granularity,
-        params.aggregation,
-        universe,
-    );
+    let reduction = scoped_reduction(region, snapshot, specs, params.phase1_granularity, universe);
     let mut ras = build_model_labeled(
         region,
         &reduction.specs,
@@ -198,11 +183,8 @@ pub(crate) fn run_round(
     let mut prev = cache.take();
     let (mut warm_basis, mut seed) = (None, None);
     if let Some(prev) = prev.as_mut() {
-        // Names are built from *reduced* class labels and spec names:
-        // identical full specs imply an identical clustering (the
-        // pipeline is deterministic), so the name space is stable
-        // whenever the class keys are — warm starts survive
-        // aggregation.
+        // Names are built from class labels and spec names, so the
+        // name space is stable whenever the class keys are.
         let same_names = prev.var_names == var_names && prev.row_names == row_names;
         report.model_reused = same_names;
         report.bounds_only_patch = same_names;
@@ -217,17 +199,14 @@ pub(crate) fn run_round(
         }
         // Previous targets, re-aggregated over the new classes (this
         // clamps away servers that left the fleet), become the seed
-        // incumbent. Full-space target ids map through the reduction
-        // into the model's (possibly clustered) spec space. Branch and
-        // bound validates it with the other candidates.
+        // incumbent. Branch and bound validates it with the other
+        // candidates.
         let mut counts = vec![vec![0usize; reduction.specs.len()]; reduction.classes.len()];
         for (ci, class) in reduction.classes.iter().enumerate() {
             for &s in &class.servers {
                 if let Some(r) = prev.targets.get(s.index()).copied().flatten() {
-                    if let Some(g) = reduction.reduced_index(r) {
-                        if let Some(slot) = counts[ci].get_mut(g) {
-                            *slot += 1;
-                        }
+                    if let Some(slot) = counts[ci].get_mut(r.index()) {
+                        *slot += 1;
                     }
                 }
             }
@@ -256,38 +235,6 @@ pub(crate) fn run_round(
     report.dual_resolve = phase1.mip_stats.root_used_dual_simplex;
     report.incumbent_seeded = phase1.mip_stats.incumbent_seeded;
 
-    // Exact-model ratchet: every N rounds re-solve the unreduced
-    // (Classes-level) model and score both phase-1 plans with the
-    // term-exact evaluator — aggregation drift beyond the sharded
-    // tolerance marks the round's certificate dirty.
-    if params.aggregation == AggregationLevel::Clusters
-        && reduction.has_clusters()
-        && params.exact_ratchet_interval > 0
-        && round.is_multiple_of(params.exact_ratchet_interval)
-    {
-        report.ratchet_checked = true;
-        let mut exact_params = params.clone();
-        exact_params.aggregation = AggregationLevel::Classes;
-        match run_phase(
-            region,
-            specs,
-            snapshot,
-            &exact_params,
-            params.phase1_granularity,
-            false,
-            universe,
-        ) {
-            Ok((exact_targets, _)) => {
-                let ours = evaluate_targets(region, specs, snapshot, params, &targets1);
-                let exact = evaluate_targets(region, specs, snapshot, params, &exact_targets);
-                report.ratchet_gap = ours.objective - exact.objective;
-                report.ratchet_ok = report.ratchet_gap.abs()
-                    <= sharded_tolerance(2, params, exact.objective)
-                    && ours.capacity_feasible(params.mip_abs_gap + tol::PRIMAL_FEAS);
-            }
-            Err(_) => report.ratchet_ok = false,
-        }
-    }
     // Steady-state shortcut: when phase 1 lands exactly on the
     // previous round's *final* (post-phase-2) targets, last round's
     // rack refinement already mapped this assignment to itself, so

@@ -34,10 +34,11 @@
 //! objective, and must land within [`sharded_tolerance`] of the
 //! monolithic objective (asserted by tests and the `fig_scale` bench).
 
-use ras_broker::{BrokerSnapshot, ReservationId, UnavailabilityKind};
+use ras_broker::{BrokerSnapshot, ReservationId};
 use ras_topology::{MsbId, Region, ServerId};
 use serde::{Deserialize, Serialize};
 
+use crate::classes::unplanned_unavailable;
 use crate::model::solver_visible;
 use crate::params::SolverParams;
 use crate::reservation::ReservationSpec;
@@ -353,10 +354,8 @@ pub fn evaluate_targets(
 
     for server in region.servers() {
         let record = snapshot.record(server.id);
-        if let Some(event) = &record.unavailability {
-            if event.kind != UnavailabilityKind::PlannedMaintenance {
-                continue;
-            }
+        if unplanned_unavailable(record) {
+            continue;
         }
         let t = targets[server.id.index()];
         let m = if record.running_containers > 0 {
@@ -476,10 +475,8 @@ pub(crate) fn reconcile(
         let mut candidates: Vec<Vec<(ServerId, f64)>> = vec![Vec::new(); n_msb];
         for server in region.servers() {
             let record = snapshot.record(server.id);
-            if let Some(event) = &record.unavailability {
-                if event.kind != UnavailabilityKind::PlannedMaintenance {
-                    continue;
-                }
+            if unplanned_unavailable(record) {
+                continue;
             }
             if targets[server.id.index()] != Some(res) || !spec.rru.eligible(server.hardware) {
                 continue;
@@ -566,8 +563,8 @@ pub struct ShardedReport {
 }
 
 /// Folds per-shard warm reports into one round-level view: the flags
-/// AND across shards (the round is only as warm as its coldest shard),
-/// `basis_remapped` and `ratchet_checked` OR, and the ratchet gap sums.
+/// AND across shards (the round is only as warm as its coldest shard)
+/// and `basis_remapped` ORs.
 pub(crate) fn aggregate_warm(round: usize, shards: &[ShardReport]) -> WarmReport {
     let all = |f: fn(&WarmReport) -> bool| shards.iter().all(|s| f(&s.warm));
     let any = |f: fn(&WarmReport) -> bool| shards.iter().any(|s| f(&s.warm));
@@ -582,11 +579,6 @@ pub(crate) fn aggregate_warm(round: usize, shards: &[ShardReport]) -> WarmReport
         incumbent_seeded: all(|w| w.incumbent_seeded),
         seed_supplied: all(|w| w.seed_supplied),
         phase2_skipped: all(|w| w.phase2_skipped),
-        ratchet_checked: any(|w| w.ratchet_checked),
-        ratchet_gap: shards.iter().map(|s| s.warm.ratchet_gap).sum(),
-        // The round's ratchet holds only if every shard that checked one
-        // passed; shards that skipped theirs this round don't vote.
-        ratchet_ok: all(|w| !w.ratchet_checked || w.ratchet_ok),
     }
 }
 
@@ -614,13 +606,11 @@ pub(crate) fn aggregate_phase1(
     // acceptance flags are this level's call: they AND over phase 1.
     let mut mip_stats = ras_milp::SolveStats::default();
     let mut reduction = crate::aggregate::ReductionStats::default();
-    let mut disagg = crate::aggregate::DisaggStats::default();
     for s in shards {
         for p in std::iter::once(&s.phase1).chain(s.phase2.as_ref()) {
             mip_stats.absorb(&p.mip_stats);
         }
         reduction.absorb(&s.phase1.reduction);
-        disagg.absorb(&s.phase1.disagg);
     }
     mip_stats.warm_basis_accepted = shards
         .iter()
@@ -650,7 +640,6 @@ pub(crate) fn aggregate_phase1(
         },
         objective,
         reduction,
-        disagg,
     }
 }
 
@@ -824,22 +813,15 @@ mod tests {
     /// size accounting sums over phase 1 only, and `best_bound`, `gap`,
     /// the per-step seconds and `audit` of `mip_stats` stay at their
     /// defaults. Expected values recorded from the hand-written merge
-    /// this replaced (63e5252), which had no `disagg` to sum: that summed
-    /// in `aggregate_warm`.
+    /// this replaced (63e5252).
     #[test]
     fn aggregate_phase1_merges_shards_field_for_field() {
-        use crate::aggregate::{AggregationLevel, DisaggStats, ReductionStats};
+        use crate::aggregate::ReductionStats;
         use ras_milp::Status;
-        let reduction = |n: usize, level| ReductionStats {
-            level,
+        let reduction = |n: usize| ReductionStats {
             servers: 100 * n,
             servers_excluded: n,
             classes: 5 * n,
-            full_specs: 4 * n,
-            reduced_specs: 2 * n,
-            spec_clusters: n,
-            vars_full: 40 * n,
-            vars_reduced: 20 * n,
         };
         // Shard A: phase 1 (n = 1) and a phase 2 (n = 10); shard B:
         // phase 1 only (n = 100).
@@ -856,13 +838,7 @@ mod tests {
             softened: vec!["cap[web]".into()],
             status: Status::Optimal,
             objective: 1.0,
-            reduction: reduction(1, AggregationLevel::Classes),
-            disagg: DisaggStats {
-                repair_moves: 1,
-                stays_honored: 2,
-                topup_units: 3,
-                shortfall_rru: 0.5,
-            },
+            reduction: reduction(1),
         };
         let a2 = PhaseStats {
             ras_build_seconds: 4.0,
@@ -877,8 +853,7 @@ mod tests {
             softened: vec!["rackspread[web][k3]".into()],
             status: Status::Feasible,
             objective: 2.0,
-            reduction: reduction(10, AggregationLevel::Classes),
-            disagg: DisaggStats::default(),
+            reduction: reduction(10),
         };
         let b1 = PhaseStats {
             ras_build_seconds: 3.0,
@@ -893,13 +868,7 @@ mod tests {
             softened: vec!["cap[feed]".into()],
             status: Status::Optimal,
             objective: 3.0,
-            reduction: reduction(100, AggregationLevel::Clusters),
-            disagg: DisaggStats {
-                repair_moves: 10,
-                stays_honored: 20,
-                topup_units: 30,
-                shortfall_rru: 1.5,
-            },
+            reduction: reduction(100),
         };
         let shard = |shard, phase1, phase2| ShardReport {
             shard,
@@ -950,21 +919,9 @@ mod tests {
             status: Status::Optimal,
             objective: 123.5,
             reduction: ReductionStats {
-                level: AggregationLevel::Clusters,
                 servers: 10_100,
                 servers_excluded: 101,
                 classes: 505,
-                full_specs: 404,
-                reduced_specs: 202,
-                spec_clusters: 101,
-                vars_full: 4040,
-                vars_reduced: 2020,
-            },
-            disagg: DisaggStats {
-                repair_moves: 11,
-                stays_honored: 22,
-                topup_units: 33,
-                shortfall_rru: 2.0,
             },
         };
         let got = aggregate_phase1(&shards, 123.5, 0.75);

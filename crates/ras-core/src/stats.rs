@@ -3,7 +3,7 @@
 use ras_milp::{SolveStats, Status};
 use serde::{Deserialize, Serialize};
 
-use crate::aggregate::{DisaggStats, ReductionStats};
+use crate::aggregate::ReductionStats;
 
 /// Timing and size breakdown of one solver phase, matching the paper's
 /// four steps: RAS Build, Solver Build, Initial State, MIP (Figure 8).
@@ -35,12 +35,9 @@ pub struct PhaseStats {
     /// the model actually solved. A warm solve and a cold solve of the
     /// same round must agree on this within tolerance.
     pub objective: f64,
-    /// Size accounting of the aggregation pipeline's reduction for this
-    /// phase (reduction ratio, excluded servers, spec clusters).
+    /// Size accounting of the phase's reduction (servers classed and
+    /// excluded, classes).
     pub reduction: ReductionStats,
-    /// What splitting aggregate specs back over their members had to do
-    /// (all zero when the phase solved without spec clusters).
-    pub disagg: DisaggStats,
 }
 
 impl PhaseStats {

@@ -112,9 +112,8 @@ pub struct RoundReport {
     /// Servers churned (marked down) immediately before this round.
     pub churned: usize,
     /// The round's phase-1 statistics: the full objective (warm and cold
-    /// must agree on it), the solve's counters, the aggregation
-    /// pipeline's reduction and what disaggregation had to repair. A
-    /// sharded round's are the aggregate over its shards.
+    /// must agree on it), the solve's counters and the reduction's
+    /// size. A sharded round's are the aggregate over its shards.
     pub phase1: PhaseStats,
     /// The session's account of its warm-start behavior.
     pub warm: WarmReport,
@@ -141,11 +140,6 @@ pub struct RoundReport {
     pub reconcile_released: usize,
     /// Wall-clock seconds of the sharded merge/reconcile pass.
     pub merge_seconds: f64,
-    /// This round ran the exact-model ratchet.
-    pub ratchet_checked: bool,
-    /// The ratchet (when checked) found the aggregated plan within
-    /// tolerance of the exact solve.
-    pub ratchet_ok: bool,
     /// Containers running at the end of the round (0 without a
     /// [`ContainerLoad`]).
     pub container_count: usize,
@@ -353,8 +347,6 @@ pub fn run_continuous(region: &Region, config: &ContinuousConfig) -> Vec<RoundRe
             shards,
             reconcile_released,
             merge_seconds,
-            ratchet_checked: output.warm.ratchet_checked,
-            ratchet_ok: output.warm.ratchet_ok,
             container_count,
             evac_moved,
             evac_lost,
@@ -479,52 +471,6 @@ mod tests {
                 r.warm
             );
         }
-    }
-
-    #[test]
-    fn clustered_rounds_certify_and_reduce() {
-        let region = region();
-        let config = ContinuousConfig {
-            rounds: 4,
-            churn_fraction: 0.02,
-            params: ras_core::SolverParams {
-                aggregation: ras_core::AggregationLevel::Clusters,
-                audit: ras_core::AuditMode::On,
-                exact_ratchet_interval: 2,
-                ..ras_core::SolverParams::default()
-            },
-            ..ContinuousConfig::default()
-        };
-        let reports = run_continuous(&region, &config);
-        for r in &reports {
-            assert!(
-                r.audit_certified && r.audit_violations == 0,
-                "round {} must certify clean under aggregation",
-                r.round
-            );
-            assert!(
-                r.phase1.reduction.spec_clusters >= 1,
-                "round {}: web+feed share a footprint and must cluster",
-                r.round
-            );
-            let ratio = r.phase1.reduction.reduction_ratio();
-            assert!(
-                ratio > 1.0,
-                "round {}: clustering must shrink the model (ratio {ratio})",
-                r.round
-            );
-            assert!(
-                !r.ratchet_checked || r.ratchet_ok,
-                "round {}: exact-model ratchet gap {} out of tolerance",
-                r.round,
-                r.warm.ratchet_gap
-            );
-            assert!(r.assigned > 0);
-        }
-        assert!(
-            reports.iter().any(|r| r.ratchet_checked),
-            "interval 2 over 4 rounds must run the ratchet"
-        );
     }
 
     #[test]

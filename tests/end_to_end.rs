@@ -7,7 +7,7 @@ use ras::broker::{
 use ras::core::classes::Granularity;
 use ras::core::phases::run_phase;
 use ras::core::rru::RruTable;
-use ras::core::{buffers, AsyncSolver, ReservationSpec, SolverParams};
+use ras::core::{buffers, AsyncSolver, AuditMode, ReservationSpec, SolverParams};
 use ras::mover::{MoverConfig, OnlineMover};
 use ras::topology::{RegionBuilder, RegionTemplate, ScopeId, ServerId};
 use ras::twine::{ContainerSpec, JobSpec, TwineAllocator};
@@ -540,5 +540,148 @@ fn sharded_rounds_are_bit_identical_across_warm_rounds() {
                 }
             }
         }
+    }
+}
+
+/// One audited solver over three continuous rounds of the 24-spec
+/// medium portfolio at 0.85 (the over-subscribed loop's instance): each
+/// round's plan is applied and a fixed set of servers fails before the
+/// next. Pinned bit for bit to cb899d5, the last commit that still
+/// carried the spec-clustering reduction beside the equivalence classes,
+/// so the round's one reduction is shown to plan exactly as the
+/// two-level pipeline did at its default level.
+#[test]
+fn audited_portfolio_rounds_are_bit_identical_to_the_two_level_reduction() {
+    // (objective bits, nodes, simplex iterations, planned moves, phase 2
+    // ran, FNV of the targets)
+    type Golden = (u64, usize, usize, usize, bool, u64);
+    #[rustfmt::skip]
+    const GOLDEN: [Golden; 3] = [
+        (4706370983501286605, 55, 4272, 0, true, 4338201246830391476),
+        (4707741323697890264, 51, 8876, 0, false, 4338201246830391476),
+        (4707808345298892230, 73, 8453, 0, false, 4338201246830391476),
+    ];
+
+    let (region, specs) = ras_bench::instance::portfolio(RegionTemplate::medium(), 2, 24, 0.85);
+    let mut broker = ResourceBroker::new(region.server_count());
+    for s in &specs {
+        broker.register_reservation(&s.name);
+    }
+    let mut solver = AsyncSolver::new(SolverParams {
+        audit: AuditMode::On,
+        ..SolverParams::default()
+    });
+    let n = region.server_count();
+    let mut downed: Vec<ServerId> = Vec::new();
+    for (round, golden) in GOLDEN.iter().enumerate() {
+        let hour = round as u64;
+        let now = SimTime::from_hours(hour);
+        if round > 0 {
+            // Fixed churn: last round's failures recover and a fresh 2 %
+            // of the fleet, at positions shifted by the round, fails.
+            for s in downed.drain(..) {
+                broker.mark_up(s, now).expect("mark up");
+            }
+            for k in 0..n / 50 {
+                let server = ServerId::from_index((round * 7_919 + k * 47) % n);
+                broker
+                    .mark_down(UnavailabilityEvent {
+                        server,
+                        kind: UnavailabilityKind::UnplannedHardware,
+                        scope: ScopeId::Server(server),
+                        start: now,
+                        expected_end: Some(now.plus_hours(1)),
+                    })
+                    .expect("mark down");
+                downed.push(server);
+            }
+        }
+        let out = solver
+            .solve(&region, &specs, &broker.snapshot(now))
+            .expect("solve");
+        let stats = &out.phase1.mip_stats;
+        let got: Golden = (
+            out.phase1.objective.to_bits(),
+            stats.nodes,
+            stats.simplex_iterations,
+            out.moves.total(),
+            out.phase2.is_some(),
+            fnv_targets(&out.targets),
+        );
+        assert_eq!(got, *golden, "round {round}");
+
+        solver.apply(&out, &mut broker).expect("apply");
+        for s in broker.pending_moves() {
+            let target = broker.record(s).expect("record").target;
+            broker.bind_current(s, target).expect("bind");
+        }
+    }
+}
+
+/// Same inputs, same plan: two worlds built from nothing and run at the
+/// default settings, audited, must agree on every round of a churning
+/// fleet, so applying either plan leaves the two brokers in identical
+/// states. A `HashMap` iteration order leaking into the model, the
+/// search or the concretized targets shows up here as a diverging round.
+#[test]
+fn same_inputs_reproduce_targets_bit_for_bit() {
+    let region = RegionBuilder::new(RegionTemplate::tiny(), 11).build();
+    let rru = RruTable::uniform(&region.catalog, 1.0);
+    let specs = vec![
+        ReservationSpec::guaranteed("web", 40.0, rru.clone()),
+        ReservationSpec::guaranteed("feed", 20.0, rru),
+    ];
+
+    let mut worlds: Vec<(AsyncSolver, ResourceBroker)> = (0..2)
+        .map(|_| {
+            let mut broker = ResourceBroker::new(region.server_count());
+            for s in &specs {
+                broker.register_reservation(&s.name);
+            }
+            let params = SolverParams {
+                audit: AuditMode::On,
+                ..SolverParams::default()
+            };
+            (AsyncSolver::new(params), broker)
+        })
+        .collect();
+
+    for round in 0..3u64 {
+        // Deterministic churn, applied identically to both worlds.
+        for k in 0..3usize {
+            let victim =
+                ServerId::from_index((round as usize * 17 + k * 5) % region.server_count());
+            for (_, broker) in worlds.iter_mut() {
+                let _ = broker.mark_down(UnavailabilityEvent {
+                    server: victim,
+                    kind: UnavailabilityKind::UnplannedHardware,
+                    scope: ScopeId::Server(victim),
+                    start: SimTime::from_hours(round),
+                    expected_end: None,
+                });
+            }
+        }
+        let mut targets = Vec::new();
+        for (solver, broker) in worlds.iter_mut() {
+            let snapshot = broker.snapshot(SimTime::from_hours(round));
+            let output = solver
+                .solve(&region, &specs, &snapshot)
+                .expect("round must solve");
+            solver.apply(&output, broker).expect("apply");
+            for s in broker.pending_moves() {
+                let target = broker.record(s).map(|r| r.target).unwrap_or(None);
+                let _ = broker.bind_current(s, target);
+            }
+            targets.push((output.targets.clone(), output.phase1.objective));
+        }
+        assert_eq!(
+            targets[0].0, targets[1].0,
+            "round {round}: both worlds' targets must be identical"
+        );
+        assert_eq!(
+            targets[0].1.to_bits(),
+            targets[1].1.to_bits(),
+            "round {round}: objectives must agree to the bit"
+        );
     }
 }
