@@ -6,7 +6,7 @@
 //! way `solver.rs` quantifies whole LP and MIP solves.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ras_milp::simplex::{solve_lp, solve_lp_warm, LpStatus, Simplex, SimplexConfig};
+use ras_milp::simplex::{solve_lp, solve_lp_warm, DualRule, LpStatus, Simplex, SimplexConfig};
 use ras_milp::standard::StandardForm;
 use ras_milp::{LinExpr, Model, Sense, VarType};
 
@@ -56,7 +56,7 @@ const RULES: [(&str, bool); 2] = [("Devex", false), ("PartialDevex", true)];
 fn solve_with(sf: &StandardForm, partial: bool) -> f64 {
     let mut lp = Simplex::new(sf, SimplexConfig::default());
     lp.set_partial_pricing(partial);
-    let r = lp.solve(&sf.lower, &sf.upper, None);
+    let r = lp.solve(&sf.lower, &sf.upper, None, DualRule::LongStep);
     assert_eq!(r.status, LpStatus::Optimal);
     r.objective
 }
@@ -89,10 +89,10 @@ fn bench_pricing_region_scale(c: &mut Criterion) {
 /// Bound-patch re-solve: the session hot path. One cold solve persists
 /// its basis, then a handful of upper bounds tighten (a round's count
 /// patch) and the LP re-solves three ways: cold from scratch, warm
-/// through the legacy primal repair (`warm_dual: false`), and warm
-/// through the dual simplex (the default). The dual path should win —
-/// the patched basis is dual feasible, so it needs no phase 1 and no
-/// feasibility repair pivots.
+/// through the one-violation repair branch-and-bound nodes use
+/// ([`DualRule::Repair`]), and warm through the long step the root
+/// re-solve uses ([`DualRule::LongStep`]). Both warm paths should win —
+/// the patched basis is dual feasible, so they need no phase 1.
 fn bench_bound_patch_resolve(c: &mut Criterion) {
     let mut group = c.benchmark_group("bound_patch_resolve");
     for m in [10usize, 30] {
@@ -116,14 +116,14 @@ fn bench_bound_patch_resolve(c: &mut Criterion) {
                 r.objective
             })
         });
-        for (name, warm_dual) in [("warm_primal", false), ("warm_dual", true)] {
-            let cfg = SimplexConfig {
-                warm_dual,
-                ..SimplexConfig::default()
-            };
+        for (name, rule) in [
+            ("warm_repair", DualRule::Repair),
+            ("warm_dual", DualRule::LongStep),
+        ] {
             group.bench_with_input(BenchmarkId::new(name, m * m), &sf, |b, sf| {
                 b.iter(|| {
-                    let r = solve_lp_warm(sf, &sf.lower.clone(), &upper, &cfg, Some(&basis));
+                    let mut lp = Simplex::new(sf, cold_cfg.clone());
+                    let r = lp.solve(&sf.lower, &upper, Some(&basis), rule);
                     assert_eq!(r.status, LpStatus::Optimal);
                     r.objective
                 })

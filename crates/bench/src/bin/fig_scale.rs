@@ -6,7 +6,9 @@
 //! `shards` set) across region sizes up to a paper-scale fleet (4 DCs × 9 MSBs ×
 //! 104 400 servers) and checks the reproduction gates:
 //!
-//! * every shard's phase certifies clean under [`ras_core::AuditMode::On`];
+//! * every shard's phase certifies clean under [`ras_core::AuditMode::On`],
+//!   and the round's aggregate certificate (`phase1.mip_stats.audit`) is
+//!   clean exactly when they all are;
 //! * the merged plan satisfies every regional capacity constraint;
 //! * the sharded objective lands within [`ras_core::sharded_tolerance`]
 //!   of the monolithic solve of the same input;
@@ -139,6 +141,8 @@ fn main() {
             .audit_phases()
             .iter()
             .all(|p| p.mip_stats.audit.certified_clean());
+        // The round's own certificate is the fold of its shards'.
+        let aggregate_agrees = sharded.phase1.mip_stats.audit.certified_clean() == certified;
         let tol = sharded_tolerance(k, &params, mono_score.objective);
         let within_tol = (score.objective - mono_score.objective).abs() <= tol;
         let feasible = score.capacity_feasible(1e-6);
@@ -163,9 +167,10 @@ fn main() {
             (if certified { "yes" } else { "NO" }).to_string(),
         ]);
 
-        if !certified || !within_tol || !feasible || !in_budget {
+        if !certified || !aggregate_agrees || !within_tol || !feasible || !in_budget {
             eprintln!(
-                "fig_scale: {name} gate failed (certified={certified} within_tol={within_tol} \
+                "fig_scale: {name} gate failed (certified={certified} \
+                 aggregate_agrees={aggregate_agrees} within_tol={within_tol} \
                  feasible={feasible} in_budget={in_budget})"
             );
             failures += 1;
@@ -173,7 +178,8 @@ fn main() {
     }
 
     exp.note(format!(
-        "gates: all shards audit-certified; merged plan capacity-feasible; \
+        "gates: all shards audit-certified, and the round's aggregate certificate agrees; \
+         merged plan capacity-feasible; \
          |sharded - mono| <= k*abs_gap + 5% of |mono|; sharded round <= {ROUND_BUDGET_SECONDS}s"
     ));
     exp.note(format!(

@@ -223,6 +223,35 @@ impl AuditReport {
     pub fn certified_clean(&self) -> bool {
         self.certified && self.violations.is_empty()
     }
+
+    /// Folds another solve's report into this one, for a caller that
+    /// reports several solves as one (the sharded round; see
+    /// [`SolveStats::absorb`](crate::SolveStats::absorb) for the rest of
+    /// the statistics): each check counts as run only if it ran on both,
+    /// `issues` and `violations` concatenate in order, and every `max_*`
+    /// field takes the larger value.
+    pub fn absorb(&mut self, other: &AuditReport) {
+        self.model_checked &= other.model_checked;
+        self.certified &= other.certified;
+        self.dual_certified &= other.dual_certified;
+        self.issues.extend(other.issues.iter().cloned());
+        self.violations.extend(other.violations.iter().cloned());
+        for (mine, theirs) in [
+            (&mut self.max_primal_residual, other.max_primal_residual),
+            (&mut self.max_bound_violation, other.max_bound_violation),
+            (
+                &mut self.max_integrality_violation,
+                other.max_integrality_violation,
+            ),
+            (&mut self.max_dual_violation, other.max_dual_violation),
+            (
+                &mut self.max_complementarity_violation,
+                other.max_complementarity_violation,
+            ),
+        ] {
+            *mine = mine.nmax(theirs);
+        }
+    }
 }
 
 fn audit_expr(

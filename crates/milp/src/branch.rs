@@ -42,7 +42,7 @@ use crate::branching::PseudoCosts;
 use crate::model::{Model, VarType};
 use crate::nan;
 use crate::nan::NanGuard;
-use crate::simplex::{solve_lp_warm, Basis, LpResult, LpStatus, Simplex, SimplexConfig};
+use crate::simplex::{Basis, DualRule, LpResult, LpStatus, Simplex, SimplexConfig};
 use crate::solution::{Solution, SolveConfig, SolveError, SolveStats, Status};
 use crate::standard::StandardForm;
 use crate::tol;
@@ -50,6 +50,16 @@ use crate::tol;
 /// One branching decision: `(column, is_upper, value)` sets the column's
 /// upper (`true`) or lower (`false`) bound to `value`.
 type BoundChange = (usize, bool, f64);
+
+/// The dual iteration every node, dive and look-ahead LP re-solves
+/// with: the conservative one-violation-at-a-time repair. A branch
+/// changes a single bound, and the long step's bound flips would jump
+/// whole runs of nonbasic integer columns to their opposite bounds,
+/// scrambling the vertex trajectory the search (and any downstream solve
+/// built from this solution) depends on staying near-integral. The long
+/// step earns its keep on the root re-solve, where a round's bound patch
+/// moves many bounds at once.
+const NODE_RULE: DualRule = DualRule::Repair;
 
 /// Open nodes the look-ahead keeps queued for the helper.
 const LOOK_AHEAD: usize = 3;
@@ -420,7 +430,7 @@ impl<'a> LookAhead<'a> {
                 shared.queue.retain(|job| job.id != next.id);
                 drop(shared);
                 next.bounds_into(root_lower, root_upper, &mut self.lower, &mut self.upper);
-                let lp = engine.solve(&self.lower, &self.upper, next.warm.as_deref());
+                let lp = engine.solve(&self.lower, &self.upper, next.warm.as_deref(), NODE_RULE);
                 shared = lock(self.shared);
                 shared.file(next, lp);
             }
@@ -504,7 +514,7 @@ impl Helper<'_> {
                 continue;
             };
             job.bounds_into(self.root_lower, self.root_upper, &mut lower, &mut upper);
-            let lp = engine.solve(&lower, &upper, job.warm.as_deref());
+            let lp = engine.solve(&lower, &upper, job.warm.as_deref(), NODE_RULE);
             let mut shared = lock(self.shared);
             shared.file(&job, lp);
             shared.helper_on = None;
@@ -542,7 +552,7 @@ impl Helper<'_> {
                 shared.helper_on = Some((node.id, node.path.clone()));
             }
             node.bounds_into(self.root_lower, self.root_upper, lower, upper);
-            let mut lp = engine.solve(lower, upper, node.warm.as_deref());
+            let mut lp = engine.solve(lower, upper, node.warm.as_deref(), NODE_RULE);
             solved += 1;
             {
                 let mut shared = lock(self.shared);
@@ -593,16 +603,6 @@ pub fn solve(model: &Model, config: &SolveConfig) -> Result<Solution, SolveError
         .collect();
     let lp_config = SimplexConfig {
         deadline: Some(start + std::time::Duration::from_secs_f64(config.time_limit_seconds)),
-        // Node and dive re-solves stay on the conservative one-
-        // violation-at-a-time repair: a branch changes a single
-        // bound, and the long-step dual's bound flips would jump
-        // whole runs of nonbasic integer columns to their opposite
-        // bounds, scrambling the vertex trajectory the search (and
-        // any downstream solve built from this solution) depends on
-        // staying near-integral. The long-step engine earns its keep
-        // on the root re-solve below, where a round's bound patch
-        // moves many bounds at once.
-        warm_dual: false,
         ..SimplexConfig::default()
     };
 
@@ -635,19 +635,23 @@ pub fn solve(model: &Model, config: &SolveConfig) -> Result<Solution, SolveError
     // root if the budget is already spent.
     let root_config = SimplexConfig {
         deadline: None,
-        warm_dual: config.warm_dual,
         ..lp_config.clone()
     };
     // A warm basis from the previous round (repaired against column
     // changes by `Basis::remap`) replaces the cold start; the simplex
-    // falls back cold when it is stale or singular — dual-first when
-    // the model carries a running plan, from the slack crash if not.
-    let root = solve_lp_warm(
-        &sf,
+    // falls back cold when it is stale or singular — under the long step
+    // dual-first when the model carries a running plan, from the slack
+    // crash if not.
+    let root_rule = if config.warm_dual {
+        DualRule::LongStep
+    } else {
+        NODE_RULE
+    };
+    let root = Simplex::new(&sf, root_config).solve(
         &root_lower,
         &root_upper,
-        &root_config,
         config.warm_basis.as_ref(),
+        root_rule,
     );
     stats.root_lp_seconds = root_start.elapsed().as_secs_f64();
     stats.warm_basis_accepted = root.warm_basis_used;
@@ -835,7 +839,7 @@ pub fn solve(model: &Model, config: &SolveConfig) -> Result<Solution, SolveError
                     // (`Debug` prints every field, each float in its
                     // shortest round-trip digits).
                     if cfg!(debug_assertions) && stats.nodes_solved_ahead.is_multiple_of(16) {
-                        let again = node_lp.solve(&lower, &upper, node.warm.as_deref());
+                        let again = node_lp.solve(&lower, &upper, node.warm.as_deref(), NODE_RULE);
                         debug_assert!(
                             format!("{lp:?}") == format!("{again:?}"),
                             "node {} solved ahead differs from its re-solve",
@@ -844,7 +848,7 @@ pub fn solve(model: &Model, config: &SolveConfig) -> Result<Solution, SolveError
                     }
                     lp
                 }
-                None => node_lp.solve(&lower, &upper, node.warm.as_deref()),
+                None => node_lp.solve(&lower, &upper, node.warm.as_deref(), NODE_RULE),
             };
             stats.nodes += 1;
             stats.record_lp(&lp);
@@ -1041,7 +1045,7 @@ fn dive(
                     upper[j] = v;
                     (j, v)
                 });
-                let mut lp = node_lp.solve(&lower, &upper, warm.as_ref());
+                let mut lp = node_lp.solve(&lower, &upper, warm.as_ref(), NODE_RULE);
                 stats.record_lp(&lp);
                 if lp.status != LpStatus::Optimal {
                     // Rounding to nearest may have cut off feasibility;
@@ -1055,7 +1059,7 @@ fn dive(
                     }
                     lower[j] = other;
                     upper[j] = other;
-                    lp = node_lp.solve(&lower, &upper, warm.as_ref());
+                    lp = node_lp.solve(&lower, &upper, warm.as_ref(), NODE_RULE);
                     stats.record_lp(&lp);
                     if lp.status != LpStatus::Optimal {
                         return None;
@@ -1146,7 +1150,7 @@ mod tests {
         m.set_objective(-1.0 * x);
         let sf = StandardForm::from_model(&m);
         let mut engine = Simplex::new(&sf, SimplexConfig::default());
-        let lp = engine.solve(&sf.lower, &sf.upper, None);
+        let lp = engine.solve(&sf.lower, &sf.upper, None, NODE_RULE);
         let root = Node {
             id: 0,
             path: Vec::new(),

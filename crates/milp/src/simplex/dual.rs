@@ -1,16 +1,18 @@
-//! The dual simplex (dual devex, bound-flip ratio test) — warm re-solves
-//! from the previous basis and the dual-first cold start from the slack
-//! basis — and the one-violation repair that branch-and-bound nodes use.
+//! The dual iteration — one loop, run by the [`DualRule`] its call site
+//! picks: the long step (dual devex, bound-flip ratio test) or the
+//! one-violation repair that branch-and-bound nodes use — and the two
+//! starts it runs from: a warm basis, or the dual-first cold start from
+//! the slack basis.
 
 use super::engine::RefactorReason;
-use super::{Basis, LpResult, LpStatus, Simplex};
+use super::{Basis, DualRule, LpResult, LpStatus, Simplex};
 use crate::cast;
 use crate::nan::NanGuard;
 use crate::tol;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Dual pivots between full reduced-cost refreshes: the dual iteration
+/// Long-step pivots between full reduced-cost refreshes: the long step
 /// patches `d` incrementally along each α-row, and the accumulated
 /// drift is re-zeroed on this cadence (mirroring the primal side's
 /// refresh-on-invalidation policy).
@@ -27,47 +29,26 @@ const COLD_PERTURB: f64 = 1e-6;
 const COLD_PERTURB_SEED: u64 = 0xC01D_D0A1;
 
 impl Simplex<'_> {
-    /// Warm-started solve: install the given basis, repair primal
-    /// feasibility with dual-simplex pivots, then finish with primal
-    /// phase 2. Returns `None` when the warm path cannot proceed safely —
-    /// the caller falls back to a cold start.
+    /// Warm-started solve on a freshly reset engine: install the given
+    /// basis, repair primal feasibility with the dual iteration under
+    /// `rule`, then finish with primal phase 2. Returns `None` when the
+    /// warm path cannot proceed safely — the caller falls back to a cold
+    /// start.
     // lint:allow(hot-path-index): warm-start driver; slots bounded by m, columns by n
     pub(super) fn run_warm(
         &mut self,
         warm: &Basis,
+        rule: DualRule,
         observe: &mut impl FnMut(&Self, usize, bool, Option<usize>),
     ) -> Option<LpResult> {
         let m = self.m;
         // Real costs from the start; artificial columns are pinned at 0.
         self.costs[..self.n0].copy_from_slice(&self.sf.costs);
-        for i in 0..m {
-            let art = self.n0 + i;
-            self.costs[art] = 0.0;
-            self.lower[art] = 0.0;
-            self.upper[art] = 0.0;
-            self.art_sign[i] = 1.0;
-        }
+        self.upper[self.n0..].fill(0.0);
         // Nonbasic columns rest on the bound recorded by the snapshot,
         // clamped to the (possibly tightened) current bounds.
         for j in 0..self.n0 {
-            self.position[j] = usize::MAX;
-            let prefer_upper = warm.at_upper.get(j).copied().unwrap_or(false);
-            let (lo, up) = (self.lower[j], self.upper[j]);
-            let (v, at_up) = if prefer_upper && up.is_finite() {
-                (up, true)
-            } else if lo.is_finite() {
-                (lo, false)
-            } else if up.is_finite() {
-                (up, true)
-            } else {
-                (0.0, false)
-            };
-            self.x[j] = v;
-            self.at_upper[j] = at_up;
-        }
-        for i in 0..m {
-            self.position[self.n0 + i] = usize::MAX;
-            self.x[self.n0 + i] = 0.0;
+            self.rest_nonbasic(j, warm.at_upper.get(j).copied().unwrap_or(false));
         }
         // Install the basis (reject stale or duplicated entries).
         for (row, &bj) in warm.basis.iter().enumerate() {
@@ -100,64 +81,25 @@ impl Simplex<'_> {
                 return None;
             }
         }
-        if self.config.warm_dual {
-            // True dual simplex: the installed basis is dual feasible
-            // after a bound/RHS-only change, so the dual iteration walks
-            // straight back to optimality — zero phase-1 iterations.
-            // A bound patch should never need more than this many
-            // pivots; past it a cold solve is the safer bet than riding
-            // degeneracy.
-            let outcome = self.dual_optimize(10 * m + 1000);
-            let status = self.after_dual(outcome)?;
-            let mut result = self.finish(status);
-            result.warm_basis_used = true;
-            return Some(result);
-        }
-        // One-violation repair (`warm_dual: false`): one dual pivot per
-        // violated row, the duals kept by the dual step and recomputed
-        // once per factorization. This is what every branch-and-bound
-        // node and dive step re-solves with — a branch moves one bound,
-        // so a node is a handful of these pivots — and with it the
-        // largest single cost of a warm round.
-        let max_repair = 4 * m + 200;
-        for _ in 0..max_repair {
-            let Some((row, target, to_upper)) = self.select_leaving(None) else {
-                // Primal feasible: a primal cleanup reaches optimality.
-                let status = self.optimize();
-                let mut result = self.finish(status);
-                result.warm_basis_used = true;
-                return Some(result);
-            };
-            match self.dual_pivot(row, target, to_upper, observe) {
-                RepairPivot::Done => {}
-                RepairPivot::Blocked => {
-                    // No column can enter: the dual simplex's check decides
-                    // whether the row certifies infeasibility.
-                    return match self.infeasible_or_fallback(row) {
-                        DualOutcome::Infeasible => {
-                            let mut result = self.finish(LpStatus::Infeasible);
-                            result.warm_basis_used = true;
-                            Some(result)
-                        }
-                        _ => None,
-                    };
-                }
-                RepairPivot::Failed => return None,
-            }
-            self.iterations += 1;
-            self.pivots_since_refactor += 1;
-            if !self.maintain_basis() {
-                return None;
-            }
-        }
-        None
+        // A bound patch should never need more than this many pivots;
+        // past them a cold solve is the safer bet than riding degeneracy.
+        // The repair, one pivot per violated row, stops at 4m + 200.
+        let budget = match rule {
+            DualRule::LongStep => 10 * m + 1000,
+            DualRule::Repair => 4 * m + 199,
+        };
+        let outcome = self.dual_iterate(rule, budget, observe);
+        let status = self.after_dual(rule, outcome)?;
+        let mut result = self.finish(status);
+        result.warm_basis_used = true;
+        Some(result)
     }
 
     /// Decides whether a cold solve goes dual-first (see
     /// [`run_cold_dual`]) and, if so, returns the structural columns
     /// that need an implied bound to rest on, with that bound. The
-    /// attempt is made when the dual simplex is selected, the LP is one
-    /// the pricing size rule calls large, every structural column has a
+    /// attempt is made (the long step's cold solves only) when the LP is
+    /// one the pricing size rule calls large, every structural column has a
     /// finite bound on the side its cost pushes toward — its own, or
     /// for a free column one its rows imply — and at least one of them
     /// is an upper bound with room below it: the model rewards a current
@@ -166,7 +108,7 @@ impl Simplex<'_> {
     /// [`run_cold_dual`]: Self::run_cold_dual
     // lint:allow(hot-path-index): start-up pass; columns bounded by n
     pub(super) fn cold_dual_start(&self) -> Option<Vec<(usize, f64)>> {
-        if !self.config.warm_dual || self.m == 0 || self.live_cols <= self.cold_dual_min_cols {
+        if self.m == 0 || self.live_cols <= self.cold_dual_min_cols {
             return None;
         }
         let mut implied = Vec::new();
@@ -240,7 +182,7 @@ impl Simplex<'_> {
     /// toward is dual feasible (`y = 0`, `d = c`) and, in a model whose
     /// negative costs reward staying put, *is* the current assignment —
     /// primal infeasible only in the rows the round's drift broke. The
-    /// dual simplex repairs those; a primal cleanup on the true costs
+    /// long step repairs those; a primal cleanup on the true costs
     /// and bounds certifies optimality. No phase 1 runs and no warm
     /// basis was used. Returns `None` when the attempt stalls, runs out
     /// of its pivot budget or hits a singular refactorization: the
@@ -248,7 +190,11 @@ impl Simplex<'_> {
     ///
     /// [`cold_dual_start`]: Self::cold_dual_start
     // lint:allow(hot-path-index): start-up pass; columns bounded by n, slots by m
-    pub(super) fn run_cold_dual(&mut self, mut implied: Vec<(usize, f64)>) -> Option<LpResult> {
+    pub(super) fn run_cold_dual(
+        &mut self,
+        mut implied: Vec<(usize, f64)>,
+        observe: &mut impl FnMut(&Self, usize, bool, Option<usize>),
+    ) -> Option<LpResult> {
         let (m, n) = (self.m, self.n0 - self.m);
         // A free column with a cost rests, for the dual phase only, on
         // the bound its rows imply: redundant, so the feasible set and
@@ -262,18 +208,12 @@ impl Simplex<'_> {
         let mut rng = StdRng::seed_from_u64(COLD_PERTURB_SEED);
         for j in 0..n {
             let u: f64 = rng.gen();
-            self.at_upper[j] = self.rests_on_upper(j);
-            let rest = if self.at_upper[j] {
-                self.upper[j]
-            } else {
-                self.lower[j]
-            };
-            if !rest.is_finite() {
+            self.set_nonbasic(j, self.rests_on_upper(j));
+            if !self.x[j].is_finite() {
                 // A free column without a cost is dual feasible at zero.
                 self.x[j] = 0.0;
                 continue;
             }
-            self.x[j] = rest;
             if self.cold_dual_perturb && self.lower[j] < self.upper[j] {
                 let eps = COLD_PERTURB * (1.0 + self.costs[j].abs()) * (0.5 + 0.5 * u);
                 self.costs[j] += if self.at_upper[j] { -eps } else { eps };
@@ -294,12 +234,12 @@ impl Simplex<'_> {
         // pivots costs less). One per column the model leaves free
         // abandons a stalled attempt for less than the solve it falls
         // back to.
-        let outcome = self.dual_optimize(self.live_cols - m);
+        let outcome = self.dual_iterate(DualRule::LongStep, self.live_cols - m, observe);
         // Whichever way the dual phase ended, everything after it prices
         // with the true costs inside the true bounds.
         self.costs[..self.n0].copy_from_slice(&self.sf.costs);
         self.swap_implied_bounds(&mut implied);
-        let status = self.after_dual(outcome)?;
+        let status = self.after_dual(DualRule::LongStep, outcome)?;
         Some(self.finish(status))
     }
 
@@ -319,236 +259,275 @@ impl Simplex<'_> {
         }
     }
 
-    /// What a solve reports after its dual phase ended in `outcome`:
+    /// What a solve reports after its dual iteration ended in `outcome`:
     /// once primal feasible, the primal cleanup certifies optimality
     /// (normally zero pivots) and leaves fresh duals for the audit.
-    /// `None`: the dual iteration could not proceed safely, solve cold.
-    fn after_dual(&mut self, outcome: DualOutcome) -> Option<LpStatus> {
-        let status = match outcome {
-            DualOutcome::PrimalFeasible => self.optimize(),
-            DualOutcome::Infeasible => LpStatus::Infeasible,
-            DualOutcome::Limit => LpStatus::IterationLimit,
-            DualOutcome::Fallback => return None,
-        };
-        self.used_dual_simplex = true;
-        Some(status)
+    /// `None`: the dual iteration could not proceed safely, solve cold
+    /// (on an engine reset, counts included). Under the long step the
+    /// solve counts as the dual simplex's, and its pivots so far as dual
+    /// iterations; the repair's stay plain ones.
+    fn after_dual(&mut self, rule: DualRule, outcome: DualOutcome) -> Option<LpStatus> {
+        if rule == DualRule::LongStep {
+            self.used_dual_simplex = true;
+            self.dual_iterations = self.iterations;
+        }
+        match outcome {
+            DualOutcome::PrimalFeasible => Some(self.optimize()),
+            DualOutcome::Infeasible => Some(LpStatus::Infeasible),
+            DualOutcome::Limit => Some(LpStatus::IterationLimit),
+            DualOutcome::Fallback => None,
+        }
     }
 
-    /// Dual simplex to primal feasibility: pick the most violated basic
-    /// row (dual devex weighted), run the bound-flip ratio test over the
-    /// α-row, flip every boxed candidate the violation can absorb with a
-    /// single batched FTRAN, then pivot the first non-flip candidate in.
-    /// Reduced costs are maintained incrementally (the dual step `θ`
-    /// patches them along the α-row) and refreshed periodically.
-    // lint:allow(hot-path-index): dual simplex kernel; rows bounded by m, columns by n
-    fn dual_optimize(&mut self, budget: usize) -> DualOutcome {
+    /// The dual iteration, to primal feasibility. Each pass picks the
+    /// leaving row by `rule`'s leaving rule and the entering column by its
+    /// ratio test over the scattered α-row, cross-checks the FTRAN'd pivot
+    /// element against the α-row before any state moves (on disagreement
+    /// it refactorizes and starts the pass over, at most
+    /// [`DRIFT_RETRIES`] times in a row), applies the ratio test's bound
+    /// flips, lands the leaving row on its violated bound, updates the
+    /// basis and the prices the ratio test reads, and maintains the
+    /// factors. More than `budget` pivots send the solve cold.
+    // lint:allow(hot-path-index): dual iteration kernel; rows bounded by m, columns by n
+    fn dual_iterate(
+        &mut self,
+        rule: DualRule,
+        budget: usize,
+        observe: &mut impl FnMut(&Self, usize, bool, Option<usize>),
+    ) -> DualOutcome {
         let m = self.m;
-        // Dual devex row weights: reference framework = current rows.
-        let mut dw = vec![1.0; m];
-        // Row-space accumulator for batched bound flips.
-        let mut flip_r = vec![0.0; m];
-        let mut flips: Vec<(usize, f64)> = Vec::new();
-        let mut cands: Vec<(u32, f64)> = Vec::new();
+        // The long step's leaving rule weighs the rows by dual devex
+        // (reference framework: the current rows); the repair's takes the
+        // largest violation.
+        let mut weights = (rule == DualRule::LongStep).then(|| vec![1.0; m]);
+        let (mut cands, mut flips, mut flip_r) = (Vec::new(), Vec::new(), Vec::new());
         self.d_valid = false;
-        let mut pivots_since_refresh = 0usize;
-        let mut consecutive_failures = 0usize;
-        let mut dual_pivots = 0usize;
+        let (mut pivots, mut since_refresh, mut failures) = (0, 0, 0);
         loop {
-            if self.iterations >= self.config.max_iterations {
+            if self.limit_reached() {
                 return DualOutcome::Limit;
             }
-            if dual_pivots > budget {
+            if pivots > budget {
                 return DualOutcome::Fallback;
             }
-            if self.iterations.is_multiple_of(32) {
-                if let Some(deadline) = self.config.deadline {
-                    if std::time::Instant::now() > deadline {
-                        return DualOutcome::Limit;
-                    }
+            // The prices the ratio test reads: reduced costs refreshed
+            // after each factorization and every DUAL_REFRESH_INTERVAL
+            // pivots, before their d-patches drift enough to misrank it;
+            // or duals recomputed once per factorization.
+            match rule {
+                DualRule::LongStep if !self.d_valid || since_refresh >= DUAL_REFRESH_INTERVAL => {
+                    self.refresh_reduced_costs(false);
+                    since_refresh = 0;
                 }
+                DualRule::Repair if !self.y_valid => self.compute_duals(),
+                _ => {}
             }
-            if !self.d_valid {
-                self.refresh_reduced_costs(false);
-                pivots_since_refresh = 0;
-            }
-            let Some((row, target, to_upper)) = self.select_leaving(Some(&dw)) else {
+            let Some((row, target, to_upper)) = self.select_leaving(weights.as_deref()) else {
                 return DualOutcome::PrimalFeasible;
             };
-            let leaving = self.basis[row];
             // σ orients the violation: +1 above the upper bound (the
             // basic must decrease), −1 below the lower bound.
             let sigma = if to_upper { 1.0 } else { -1.0 };
             self.scatter_alpha_row(row);
-            // Dual ratio test candidates: nonbasic columns whose feasible
-            // move direction pushes the leaving variable toward `target`,
-            // ranked by how soon their reduced cost hits zero.
-            cands.clear();
-            for idx in 0..self.alpha_cols.len() {
-                let cj = self.alpha_cols[idx];
-                let j = cast::idx(cj);
-                if self.position[j] != usize::MAX || self.lower[j] == self.upper[j] {
-                    continue;
+            let entering = match rule {
+                DualRule::LongStep => {
+                    self.long_step_ratio(row, sigma, target, &mut cands, &mut flips)
                 }
-                let a_hat = sigma * self.alpha[j];
-                let eligible = if self.is_free(j) {
-                    a_hat.abs() > tol::EPS
-                } else if self.at_upper[j] {
-                    a_hat < -tol::EPS
-                } else {
-                    a_hat > tol::EPS
-                };
-                if !eligible {
-                    continue;
-                }
-                // Dual feasibility keeps d_j/α̂_j ≥ 0 up to drift.
-                let ratio = (self.d[j] / a_hat).nmax(0.0);
-                cands.push((cj, ratio));
-            }
-            if cands.is_empty() {
-                // No entering candidate: the row certifies primal
+                DualRule::Repair => self.repair_ratio_test(sigma),
+            };
+            observe(self, row, to_upper, entering);
+            let Some(q) = entering else {
+                // No column can enter: the row certifies primal
                 // infeasibility, if it still does on fresh factors.
                 return self.infeasible_or_fallback(row);
-            }
-            cands.sort_unstable_by(|a, b| a.1.total_cmp(&b.1));
-            // Bound-flip (long-step) ratio test: a boxed candidate whose
-            // full flip leaves the row still violated gets flipped
-            // instead of entering, and the walk continues into the next
-            // dual ratio — one pivot absorbs a whole run of degenerate
-            // breakpoints.
-            let mut remaining = (self.x[leaving] - target).abs();
-            flips.clear();
-            let mut entering: Option<usize> = None;
-            for (k, &(cj, ratio)) in cands.iter().enumerate() {
-                let j = cast::idx(cj);
-                let a_hat = sigma * self.alpha[j];
-                let range = self.upper[j] - self.lower[j];
-                if range.is_finite() && remaining > a_hat.abs() * range + tol::OPT {
-                    // Flip: x_j jumps to its opposite bound, absorbing
-                    // |α̂_j|·range of the violation.
-                    let delta = if self.at_upper[j] { -range } else { range };
-                    flips.push((j, delta));
-                    remaining -= a_hat.abs() * range;
-                } else {
-                    // Degenerate ties are the common case after a bound
-                    // patch; break them toward the largest |α̂| — the
-                    // most stable pivot, and the same rule the primal
-                    // repair path uses, so both land on the same vertex.
-                    let mut best_j = j;
-                    let mut best_a = a_hat.abs();
-                    for &(cj2, ratio2) in &cands[k + 1..] {
-                        if ratio2 > ratio + tol::DROP {
-                            break;
-                        }
-                        let j2 = cast::idx(cj2);
-                        let a2 = (sigma * self.alpha[j2]).abs();
-                        let range2 = self.upper[j2] - self.lower[j2];
-                        if range2.is_finite() && remaining > a2 * range2 + tol::OPT {
-                            continue;
-                        }
-                        if a2 > best_a {
-                            best_a = a2;
-                            best_j = j2;
-                        }
-                    }
-                    entering = Some(best_j);
-                    break;
-                }
-            }
-            let Some(q) = entering else {
-                // Every candidate flipped yet violation remains: no
-                // entering column bounds the dual step.
-                return self.infeasible_or_fallback(row);
             };
-            // FTRAN the entering column and cross-check the α-row
-            // *before* mutating any state, so a drift-retry is clean.
             self.compute_direction(q);
-            let w_r = self.w[row];
-            let expected = self.alpha[q];
-            if w_r.abs() <= tol::EPS || (w_r - expected).abs() > tol::OPT * (1.0 + expected.abs()) {
-                // Representation drift: refactorize, refresh, retry.
-                consecutive_failures += 1;
-                if consecutive_failures > DRIFT_RETRIES
-                    || !self.refactor_for(RefactorReason::Accuracy)
-                {
+            #[cfg(test)]
+            if self.inject_drift > 0 {
+                self.inject_drift -= 1;
+                self.w[row] += 1.0;
+            }
+            let (w_r, alpha_q) = (self.w[row], self.alpha[q]);
+            if w_r.abs() <= tol::EPS || (w_r - alpha_q).abs() > tol::OPT * (1.0 + alpha_q.abs()) {
+                // Representation drift: refactorize and start over.
+                failures += 1;
+                if failures > DRIFT_RETRIES || !self.refactor_for(RefactorReason::Accuracy) {
                     return DualOutcome::Fallback;
                 }
                 continue;
             }
-            consecutive_failures = 0;
+            failures = 0;
             // Apply all flips with one batched FTRAN: x_B -= B⁻¹(Σ A_jΔ_j).
             if !flips.is_empty() {
-                flip_r.iter_mut().for_each(|v| *v = 0.0);
+                flip_r.clear();
+                flip_r.resize(m, 0.0);
                 for &(j, delta) in &flips {
                     self.sf.matrix.scatter_column(j, delta, &mut flip_r);
                 }
                 self.repr.ftran(&mut flip_r);
-                for (i, &fr) in flip_r.iter().enumerate().take(m) {
+                for (i, &fr) in flip_r.iter().enumerate() {
                     let b = self.basis[i];
                     self.x[b] -= fr;
                 }
                 for &(j, _) in &flips {
-                    self.at_upper[j] = !self.at_upper[j];
-                    self.x[j] = if self.at_upper[j] {
-                        self.upper[j]
-                    } else {
-                        self.lower[j]
-                    };
+                    self.set_nonbasic(j, !self.at_upper[j]);
                 }
             }
-            // Dual step θ = d_q/α̂_q ≥ 0; primal step lands the leaving
-            // variable exactly on its violated bound.
-            let a_hat_q = sigma * w_r;
-            let theta = (self.d[q] / a_hat_q).nmax(0.0);
+            let leaving = self.basis[row];
             self.land_leaving(row, q, target, to_upper);
-            // Reduced costs move along the α-row: d'_j = d_j − θ·σ·α_j.
-            if theta != 0.0 {
-                for idx in 0..self.alpha_cols.len() {
-                    let j = cast::idx(self.alpha_cols[idx]);
-                    if j == q || self.position[j] != usize::MAX {
-                        continue;
-                    }
-                    self.d[j] -= theta * sigma * self.alpha[j];
-                }
-            }
-            self.d[q] = 0.0;
-            self.d[leaving] = -theta * sigma;
-            self.d_fresh = false;
-            // Dual devex weight update from the FTRAN direction.
-            let a = w_r;
-            let gamma_r = dw[row];
-            let mut exploded = false;
-            for (i, wgt) in dw.iter_mut().enumerate() {
-                if i == row {
-                    continue;
-                }
-                let w_i = self.w[i];
-                if w_i != 0.0 {
-                    let cand = (w_i / a) * (w_i / a) * gamma_r;
-                    if cand > *wgt {
-                        *wgt = cand;
-                        exploded |= cand > 1e12;
-                    }
-                }
-            }
-            dw[row] = (gamma_r / (a * a)).nmax(1.0);
-            exploded |= dw[row] > 1e12;
-            if exploded {
-                dw.iter_mut().for_each(|v| *v = 1.0);
-            }
             self.record_basis_update(row);
+            match rule {
+                DualRule::LongStep => {
+                    // Dual step θ = d_q/α̂_q ≥ 0; reduced costs move along
+                    // the α-row: d'_j = d_j − θ·σ·α_j.
+                    let theta = (self.d[q] / (sigma * w_r)).nmax(0.0);
+                    if theta != 0.0 {
+                        for idx in 0..self.alpha_cols.len() {
+                            let j = cast::idx(self.alpha_cols[idx]);
+                            if j != q && self.position[j] == usize::MAX {
+                                self.d[j] -= theta * sigma * self.alpha[j];
+                            }
+                        }
+                    }
+                    self.d[q] = 0.0;
+                    self.d[leaving] = -theta * sigma;
+                    self.d_fresh = false;
+                }
+                DualRule::Repair => {
+                    // The dual step y += θ·ρ, θ = d_q/α_q: d'_j = d_j − θ·α_j
+                    // zeroes d_q and keeps every other basic column's at zero.
+                    let theta = (self.costs[q] - self.column_dot(q, &self.y)) / w_r;
+                    for (y, &r) in self.y.iter_mut().zip(&self.rho) {
+                        *y += theta * r;
+                    }
+                    self.y_valid = true;
+                }
+            }
+            if let Some(dw) = &mut weights {
+                update_dual_devex(dw, &self.w, row);
+            }
             self.iterations += 1;
-            self.dual_iterations += 1;
-            dual_pivots += 1;
-            pivots_since_refresh += 1;
+            pivots += 1;
+            since_refresh += 1;
             self.pivots_since_refactor += 1;
             if !self.maintain_basis() {
                 return DualOutcome::Fallback;
             }
-            if pivots_since_refresh >= DUAL_REFRESH_INTERVAL {
-                // The incremental d-patches drift; refresh before they
-                // can misrank the dual ratio test.
-                self.d_valid = false;
+        }
+    }
+
+    /// The long step's ratio test, on the maintained reduced costs: the
+    /// α-row's candidates ranked by how soon their reduced cost hits
+    /// zero, walked with the bound-flip rule — a boxed candidate whose
+    /// full flip leaves the row still violated goes into `flips` instead
+    /// of entering, and the walk goes on into the next dual ratio, so one
+    /// pivot absorbs a whole run of degenerate breakpoints. `None` when
+    /// nothing can enter, or everything flipped and violation remains.
+    // lint:allow(hot-path-index): α-row candidates are columns < n + m
+    fn long_step_ratio(
+        &self,
+        row: usize,
+        sigma: f64,
+        target: f64,
+        cands: &mut Vec<(u32, f64)>,
+        flips: &mut Vec<(usize, f64)>,
+    ) -> Option<usize> {
+        cands.clear();
+        flips.clear();
+        for &cj in &self.alpha_cols {
+            let j = cast::idx(cj);
+            let a_hat = sigma * self.alpha[j];
+            if self.may_enter(j, a_hat) {
+                // Dual feasibility keeps d_j/α̂_j ≥ 0 up to drift.
+                cands.push((cj, (self.d[j] / a_hat).nmax(0.0)));
             }
+        }
+        cands.sort_unstable_by(|a, b| a.1.total_cmp(&b.1));
+        let mut remaining = (self.x[self.basis[row]] - target).abs();
+        for (k, &(cj, ratio)) in cands.iter().enumerate() {
+            let j = cast::idx(cj);
+            let a_hat = sigma * self.alpha[j];
+            let range = self.upper[j] - self.lower[j];
+            if range.is_finite() && remaining > a_hat.abs() * range + tol::OPT {
+                // Flip: x_j jumps to its opposite bound, absorbing
+                // |α̂_j|·range of the violation.
+                flips.push((j, if self.at_upper[j] { -range } else { range }));
+                remaining -= a_hat.abs() * range;
+                continue;
+            }
+            // Degenerate ties are the common case after a bound patch;
+            // break them toward the largest |α̂| — the most stable pivot,
+            // and the same rule the primal repair path uses, so both land
+            // on the same vertex.
+            let mut best_j = j;
+            let mut best_a = a_hat.abs();
+            for &(cj2, ratio2) in &cands[k + 1..] {
+                if ratio2 > ratio + tol::DROP {
+                    break;
+                }
+                let j2 = cast::idx(cj2);
+                let a2 = (sigma * self.alpha[j2]).abs();
+                let range2 = self.upper[j2] - self.lower[j2];
+                if range2.is_finite() && remaining > a2 * range2 + tol::OPT {
+                    continue;
+                }
+                if a2 > best_a {
+                    best_a = a2;
+                    best_j = j2;
+                }
+            }
+            return Some(best_j);
+        }
+        None
+    }
+
+    /// The repair's ratio test, on the duals the dual step keeps: the
+    /// smallest `|d_j / α_j|`, ties within the drop tolerance going to
+    /// the largest `|α_j|`. Only columns with an entry in a row where `ρ`
+    /// is nonzero can have `α_j ≠ 0` — every other one is an exact ±0.0,
+    /// below any pivot tolerance, and `ρ` is sparse (a few dozen rows of a
+    /// thousand) — and they are visited in ascending order, exactly as a
+    /// scan over every column would, so every tie breaks as it would there.
+    // lint:allow(hot-path-index): candidate bitmap sized to the n + m columns
+    fn repair_ratio_test(&mut self, sigma: f64) -> Option<usize> {
+        self.ratio_cands.fill(0);
+        for &cj in &self.alpha_cols {
+            let j = cast::idx(cj);
+            self.ratio_cands[j / 64] |= 1 << (j % 64);
+        }
+        let mut best: Option<(usize, f64, f64)> = None; // (col, |ratio|, |alpha|)
+        for (word, &bits) in self.ratio_cands.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let j = word * 64 + cast::idx(bits.trailing_zeros());
+                bits &= bits - 1;
+                let Some((ratio, alpha)) = self.repair_ratio(j, self.alpha[j], sigma) else {
+                    continue;
+                };
+                match best {
+                    Some((_, br, ba))
+                        if ratio > br + tol::DROP || (ratio >= br - tol::DROP && alpha <= ba) => {}
+                    _ => best = Some((j, ratio, alpha)),
+                }
+            }
+        }
+        best.map(|(q, _, _)| q)
+    }
+
+    /// Whether column `j`, whose pivot-row entry oriented by the violation
+    /// is `a_hat` (`σ·α_j`), may enter the dual ratio test: nonbasic, not
+    /// fixed, `|α_j|` above the pivot tolerance, and free to move off its
+    /// bound the way that pushes the leaving variable toward its bound.
+    fn may_enter(&self, j: usize, a_hat: f64) -> bool {
+        if self.position[j] != usize::MAX || self.lower[j] == self.upper[j] {
+            return false;
+        }
+        if self.is_free(j) {
+            a_hat.abs() > tol::EPS
+        } else if self.at_upper[j] {
+            a_hat < -tol::EPS
+        } else {
+            a_hat > tol::EPS
         }
     }
 
@@ -592,12 +571,11 @@ impl Simplex<'_> {
         }
     }
 
-    /// Dual pricing: the leaving row, with the bound it must land on, as
-    /// `(row, bound value, is_upper)`. Without weights (the one-violation
-    /// repair) it is the largest bound violation; the dual simplex
-    /// weights it by the dual devex reference framework
-    /// (`violation²/w_i`), which spreads pivots across degenerate
-    /// capacity rows instead of hammering one.
+    /// The leaving row, with the bound it must land on, as `(row, bound
+    /// value, is_upper)`. Without weights (the repair) it is the largest
+    /// bound violation; the long step weights it by the dual devex
+    /// reference framework (`violation²/w_i`), which spreads pivots across
+    /// degenerate capacity rows instead of hammering one.
     // lint:allow(hot-path-index): leaving-row scan over m basis slots
     fn select_leaving(&self, dw: Option<&[f64]>) -> Option<(usize, f64, bool)> {
         let mut best: Option<(usize, f64, bool, f64)> = None;
@@ -634,119 +612,21 @@ impl Simplex<'_> {
     /// See [`repair_ratio`](Self::repair_ratio).
     #[doc(hidden)]
     pub fn repair_candidate(&self, j: usize, to_upper: bool) -> Option<(f64, f64)> {
-        self.repair_ratio(j, self.column_dot(j, &self.rho), to_upper)
+        let sigma = if to_upper { 1.0 } else { -1.0 };
+        self.repair_ratio(j, self.column_dot(j, &self.rho), sigma)
     }
 
     /// Column `j`, whose entry in the pivot row is `alpha`, in the
-    /// repair's dual ratio test for a leaving row — the one `ρ` was last
-    /// computed for — whose basic variable lands on its upper bound or,
-    /// `to_upper` false, its lower one: `(|d_j / α_j|, |α_j|)` when `j` may
-    /// enter — nonbasic, not fixed, `|α_j|` above the pivot tolerance,
-    /// free to move the way that pushes the leaving variable there — with
-    /// `d_j = c_j − yᵀA_j` on the duals the repair holds, computed for
-    /// such a column only.
-    fn repair_ratio(&self, j: usize, alpha: f64, to_upper: bool) -> Option<(f64, f64)> {
-        if self.position[j] != usize::MAX || self.lower[j] == self.upper[j] {
-            return None;
-        }
-        if alpha.abs() <= tol::EPS {
-            return None;
-        }
-        // x_B[row] changes by -alpha * Δx_j, and must increase toward a
-        // lower bound. At its upper bound x_j can only decrease (Δ < 0 →
-        // x_B[row] += alpha·|Δ|), at its lower one only increase.
-        let ok = if self.is_free(j) {
-            true
-        } else if self.at_upper[j] {
-            (alpha > 0.0) != to_upper
-        } else {
-            (alpha < 0.0) != to_upper
-        };
-        if !ok {
+    /// repair's dual ratio test for the leaving row `ρ` was last computed
+    /// for, its violation oriented by `sigma`: `(|d_j / α_j|, |α_j|)` when
+    /// `j` [may enter](Self::may_enter), with `d_j = c_j − yᵀA_j` on the
+    /// duals the repair holds, computed for such a column only.
+    fn repair_ratio(&self, j: usize, alpha: f64, sigma: f64) -> Option<(f64, f64)> {
+        if !self.may_enter(j, sigma * alpha) {
             return None;
         }
         let d = self.costs[j] - self.column_dot(j, &self.y);
         Some(((d / alpha).abs(), alpha.abs()))
-    }
-
-    /// One dual-simplex pivot: the basic variable of `row` leaves onto
-    /// `target`; an entering column is chosen by the dual ratio test.
-    /// The duals are recomputed once per factorization and otherwise kept
-    /// by the dual step, `y += (d_q/α_q)·ρ`. The FTRAN'd pivot element is
-    /// cross-checked against the α-row's; on disagreement the factors are
-    /// rebuilt and the pivot retried, at most [`DRIFT_RETRIES`] times.
-    /// Reports whether the pivot was made, found no entering candidate,
-    /// or failed: the drift persisted or a rebuild failed.
-    // lint:allow(hot-path-index): candidate bitmap sized to the n + m columns; rows bounded by m
-    fn dual_pivot(
-        &mut self,
-        row: usize,
-        target: f64,
-        to_upper: bool,
-        observe: &mut impl FnMut(&Self, usize, bool, Option<usize>),
-    ) -> RepairPivot {
-        for attempt in 0..=DRIFT_RETRIES {
-            if !self.y_valid {
-                self.compute_duals();
-            }
-            // ρ = row `row` of B⁻¹, and α_j = ρᵀA_j over the columns with
-            // an entry in a row where ρ is nonzero — every other α_j is
-            // an exact ±0.0, below any pivot tolerance, and ρ is sparse
-            // (a few dozen rows of a thousand). Evaluate the touched
-            // columns in ascending order, exactly as a scan over every
-            // column would, so every tie breaks as it would there.
-            self.scatter_alpha_row(row);
-            self.ratio_cands.fill(0);
-            for &cj in &self.alpha_cols {
-                let j = cast::idx(cj);
-                self.ratio_cands[j / 64] |= 1 << (j % 64);
-            }
-            let mut best: Option<(usize, f64, f64)> = None; // (col, |ratio|, |alpha|)
-            for (word, &bits) in self.ratio_cands.iter().enumerate() {
-                let mut bits = bits;
-                while bits != 0 {
-                    let j = word * 64 + cast::idx(bits.trailing_zeros());
-                    bits &= bits - 1;
-                    let Some((ratio, alpha)) = self.repair_ratio(j, self.alpha[j], to_upper) else {
-                        continue;
-                    };
-                    match best {
-                        Some((_, br, ba))
-                            if ratio > br + tol::DROP
-                                || (ratio >= br - tol::DROP && alpha <= ba) => {}
-                        _ => best = Some((j, ratio, alpha)),
-                    }
-                }
-            }
-            observe(self, row, to_upper, best.map(|(q, _, _)| q));
-            let Some((q, _, _)) = best else {
-                return RepairPivot::Blocked;
-            };
-            self.compute_direction(q);
-            #[cfg(test)]
-            if self.inject_drift > 0 {
-                self.inject_drift -= 1;
-                self.w[row] += 1.0;
-            }
-            let (w_r, alpha_q) = (self.w[row], self.alpha[q]);
-            if w_r.abs() > tol::EPS && (w_r - alpha_q).abs() <= tol::OPT * (1.0 + alpha_q.abs()) {
-                let theta = (self.costs[q] - self.column_dot(q, &self.y)) / w_r;
-                self.land_leaving(row, q, target, to_upper);
-                self.record_basis_update(row);
-                // The dual step: d'_j = d_j − θ·α_j zeroes d_q and keeps
-                // every other basic column's d at zero.
-                for (y, &r) in self.y.iter_mut().zip(&self.rho) {
-                    *y += theta * r;
-                }
-                self.y_valid = true;
-                return RepairPivot::Done;
-            }
-            // Representation drift: refactorize and retry.
-            if attempt == DRIFT_RETRIES || !self.refactor_for(RefactorReason::Accuracy) {
-                return RepairPivot::Failed;
-            }
-        }
-        RepairPivot::Failed
     }
 
     /// Moves along the FTRAN'd direction `self.w` of entering column `q`
@@ -769,17 +649,35 @@ impl Simplex<'_> {
     }
 }
 
-/// Outcome of one [`Simplex::dual_pivot`] of the one-violation repair.
-enum RepairPivot {
-    /// The leaving row's basic variable landed on its bound.
-    Done,
-    /// No column can enter: the row may certify infeasibility.
-    Blocked,
-    /// The representation drift persisted or a rebuild failed.
-    Failed,
+/// The long step's leaving-rule update after a pivot on `row`: dual
+/// devex weights from the FTRAN'd direction `w`, restarted once any
+/// outgrows its numerical usefulness.
+// lint:allow(hot-path-index): weights and direction are both sized to m
+fn update_dual_devex(dw: &mut [f64], w: &[f64], row: usize) {
+    let a = w[row];
+    let gamma_r = dw[row];
+    let mut exploded = false;
+    for (i, wgt) in dw.iter_mut().enumerate() {
+        if i == row {
+            continue;
+        }
+        let w_i = w[i];
+        if w_i != 0.0 {
+            let cand = (w_i / a) * (w_i / a) * gamma_r;
+            if cand > *wgt {
+                *wgt = cand;
+                exploded |= cand > 1e12;
+            }
+        }
+    }
+    dw[row] = (gamma_r / (a * a)).nmax(1.0);
+    exploded |= dw[row] > 1e12;
+    if exploded {
+        dw.fill(1.0);
+    }
 }
 
-/// Outcome of a [`Simplex::dual_optimize`] run.
+/// Outcome of a [`Simplex::dual_iterate`] run.
 enum DualOutcome {
     /// Primal feasibility restored; a primal cleanup certifies
     /// optimality (normally with zero further pivots).

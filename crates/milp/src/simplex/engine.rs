@@ -4,7 +4,7 @@
 //! factors.
 
 use super::{
-    Basis, BasisStats, LpResult, LpStatus, PricingRule, PricingStats, SimplexConfig,
+    Basis, BasisStats, DualRule, LpResult, LpStatus, PricingRule, PricingStats, SimplexConfig,
     AUTO_PARTIAL_MIN_COLS, REFACTOR_INTERVAL,
 };
 use crate::cast;
@@ -117,7 +117,7 @@ pub struct Simplex<'a> {
     /// Columns touched by the current α-row scatter.
     pub(super) alpha_cols: Vec<u32>,
     /// One bit per column: the candidates of the repair's dual ratio
-    /// test (see [`dual_pivot`](Self::dual_pivot)).
+    /// test (see [`repair_ratio_test`](Self::repair_ratio_test)).
     pub(super) ratio_cands: Vec<u64>,
     pub(super) pricing: PricingStats,
     /// A cold solve goes dual-first only above this many `live_cols`:
@@ -126,7 +126,7 @@ pub struct Simplex<'a> {
     /// Whether the dual-first cold start perturbs its costs (tests turn
     /// it off to reach the stall fallback).
     pub(super) cold_dual_perturb: bool,
-    /// Test hook: the next this many repair pivots find their FTRAN
+    /// Test hook: the next this many dual pivots find their FTRAN
     /// pivot element off from the α-row, as representation drift would
     /// leave it.
     #[cfg(test)]
@@ -230,40 +230,51 @@ impl<'a> Simplex<'a> {
 
     /// Solves under the given bounds (length `n + m`, as in
     /// [`solve_lp`]), from `warm` when it is usable and cold otherwise
-    /// (see [`solve_lp_warm`]): dual-first from the slack basis where
-    /// that pays, else the primal two-phase solve from the slack crash.
+    /// (see [`solve_lp_warm`]), the dual iteration running by `rule`.
+    /// Cold, the long step goes dual-first from the slack basis where
+    /// that pays; otherwise, and always under the repair, the primal
+    /// two-phase solve runs from the slack crash.
     ///
     /// [`solve_lp`]: super::solve_lp
     /// [`solve_lp_warm`]: super::solve_lp_warm
-    pub fn solve(&mut self, lower: &[f64], upper: &[f64], warm: Option<&Basis>) -> LpResult {
-        self.solve_observed(lower, upper, warm, |_, _, _, _| {})
+    pub fn solve(
+        &mut self,
+        lower: &[f64],
+        upper: &[f64],
+        warm: Option<&Basis>,
+        rule: DualRule,
+    ) -> LpResult {
+        self.solve_observed(lower, upper, warm, rule, |_, _, _, _| {})
     }
 
     /// Test hook: [`solve`](Self::solve), showing `observe` every pivot
-    /// choice of the warm one-violation repair before it is applied: the
-    /// engine, the leaving row, whether its basic variable lands on its
-    /// upper bound, and the entering column (`None`: no candidate; the
-    /// solve returns infeasible if the row certifies it, else goes cold).
+    /// choice of the dual iteration before it is applied: the engine, the
+    /// leaving row, whether its basic variable lands on its upper bound,
+    /// and the entering column (`None`: no candidate; the solve returns
+    /// infeasible if the row certifies it, else goes cold).
     #[doc(hidden)]
     pub fn solve_observed(
         &mut self,
         lower: &[f64],
         upper: &[f64],
         warm: Option<&Basis>,
+        rule: DualRule,
         mut observe: impl FnMut(&Self, usize, bool, Option<usize>),
     ) -> LpResult {
         if let Some(basis) = warm.filter(|b| self.m > 0 && b.basis.len() == self.m) {
             self.reset(lower, upper);
-            if let Some(result) = self.run_warm(basis, &mut observe) {
+            if let Some(result) = self.run_warm(basis, rule, &mut observe) {
                 return result;
             }
         }
         self.reset(lower, upper);
-        if let Some(implied) = self.cold_dual_start() {
-            if let Some(result) = self.run_cold_dual(implied) {
-                return result;
+        if rule == DualRule::LongStep {
+            if let Some(implied) = self.cold_dual_start() {
+                if let Some(result) = self.run_cold_dual(implied, &mut observe) {
+                    return result;
+                }
+                self.reset(lower, upper);
             }
-            self.reset(lower, upper);
         }
         self.run()
     }
@@ -407,17 +418,7 @@ impl<'a> Simplex<'a> {
     // lint:allow(hot-path-index): slack/artificial slots laid out over m rows just allocated
     fn init_basis(&mut self) {
         for j in 0..self.n0 {
-            let (lo, up) = (self.lower[j], self.upper[j]);
-            let (v, at_up) = if lo.is_finite() {
-                (lo, false)
-            } else if up.is_finite() {
-                (up, true)
-            } else {
-                (0.0, false)
-            };
-            self.x[j] = v;
-            self.at_upper[j] = at_up;
-            self.position[j] = usize::MAX;
+            self.rest_nonbasic(j, false);
         }
         // Residual r = b - A x_N over all nonbasic real columns.
         let mut r = self.sf.rhs.clone();
@@ -455,6 +456,35 @@ impl<'a> Simplex<'a> {
         }
         // B = diag(signs), so B⁻¹ = diag(signs).
         self.repr = FtFactors::diagonal(&signs);
+    }
+
+    /// Puts nonbasic column `j` on its upper bound when `upper`, else on
+    /// its lower one.
+    pub(super) fn set_nonbasic(&mut self, j: usize, upper: bool) {
+        self.at_upper[j] = upper;
+        self.x[j] = if upper { self.upper[j] } else { self.lower[j] };
+    }
+
+    /// Rests nonbasic column `j` on a finite bound — the upper one when
+    /// `prefer_upper` or the lower one is infinite — or, free, at zero.
+    pub(super) fn rest_nonbasic(&mut self, j: usize, prefer_upper: bool) {
+        let upper = self.upper[j].is_finite() && (prefer_upper || !self.lower[j].is_finite());
+        self.set_nonbasic(j, upper);
+        if !self.x[j].is_finite() {
+            self.x[j] = 0.0;
+        }
+    }
+
+    /// Whether the solve stops here with [`LpStatus::IterationLimit`]: the
+    /// pivot cap is reached or — checked every 32 iterations, cheap next
+    /// to a pivot — the deadline passed.
+    pub(super) fn limit_reached(&self) -> bool {
+        self.iterations >= self.config.max_iterations
+            || (self.iterations.is_multiple_of(32)
+                && self
+                    .config
+                    .deadline
+                    .is_some_and(|d| std::time::Instant::now() > d))
     }
 
     /// Post-pivot basis maintenance: refactorize early when the last

@@ -1,6 +1,6 @@
-//! Bounded-variable revised simplex: two-phase primal, plus a true dual
-//! simplex for warm re-solves and for cold solves that already have a
-//! plan to start from.
+//! Bounded-variable revised simplex: two-phase primal, plus one dual
+//! iteration, run by the rule each call site names, for warm re-solves
+//! and for cold solves that already have a plan to start from.
 //!
 //! The basis is held as a sparse LU factorization (see [`crate::lu`])
 //! maintained with Forrest–Tomlin updates ([`crate::lu::FtFactors`]),
@@ -11,12 +11,13 @@
 //! every 200 pivots — or early, when an update reports instability or
 //! fill growth.
 //!
-//! A caller sets three things ([`SimplexConfig`]): the pivot limit, the
-//! deadline and whether the true dual simplex runs. Neither the pricing
-//! rule nor the refactorization interval is an option: pricing is devex
-//! up to [`AUTO_PARTIAL_MIN_COLS`] live columns and partial devex above,
-//! and tests reach the other rule, or a shorter interval, through the
-//! engine's hidden test hooks.
+//! A caller configures two things ([`SimplexConfig`]): the pivot limit
+//! and the deadline. Which dual iteration runs ([`DualRule`]) is not
+//! configuration: each call site names it with the solve. Neither the
+//! pricing rule nor the refactorization interval is an option: pricing
+//! is devex up to [`AUTO_PARTIAL_MIN_COLS`] live columns and partial
+//! devex above, and tests reach the other rule, or a shorter interval,
+//! through the engine's hidden test hooks.
 //!
 //! Cold solves start from a *crash* basis: every row whose residual fits
 //! inside its slack's bounds gets the slack basic (no phase-1 work);
@@ -24,14 +25,14 @@
 //! minimizes their sum. Phase 2 then minimizes the true objective.
 //! Anti-cycling uses Bland's rule after a run of degenerate pivots.
 //!
-//! Some cold solves go **dual-first** instead. With every structural
-//! column resting on the bound its cost pushes toward, the all-slack
-//! basis is dual feasible (`y = 0`, `d = c`); in a model that rewards
-//! each server for staying where it is (negative cost on the "stay"
-//! columns, RAS Expression 1) that start *is* the plan already running,
-//! primal infeasible only in the rows the round's drift broke, and the
-//! dual simplex repairs it in a tenth of the pivots the primal needs to
-//! rebuild the plan from nothing. The attempt is made when both hold,
+//! Some cold solves under [`DualRule::LongStep`] go **dual-first**
+//! instead. With every structural column resting on the bound its cost
+//! pushes toward, the all-slack basis is dual feasible (`y = 0`,
+//! `d = c`); in a model that rewards each server for staying where it is
+//! (negative cost on the "stay" columns, RAS Expression 1) that start
+//! *is* the plan already running, primal infeasible only in the rows the
+//! round's drift broke, and the dual simplex repairs it in a tenth of the
+//! pivots the primal needs to rebuild the plan from nothing. The attempt is made when both hold,
 //! each read off the LP and neither an option: some column with a
 //! negative cost actually rests on an upper bound with room below it
 //! (without one there is no plan to repair — the start is the empty
@@ -58,26 +59,36 @@
 //! false`.
 //!
 //! Warm solves ([`solve_lp_warm`]) skip both phases: a bound or RHS
-//! change leaves the persisted basis *dual* feasible, so the dual simplex
-//! (dual devex pricing, bound-flip ratio test) walks straight back to
-//! optimality with **zero phase-1 iterations** — the re-solve path the
-//! RAS session hits every round at the root. Branch-and-bound nodes
-//! re-solve with the one-violation repair instead (`warm_dual: false`),
-//! from a [`Simplex`] engine kept for the whole search (the search's own,
-//! or its look-ahead helper's: each solve resets the engine, so the result
-//! cannot tell them apart): one dual pivot
-//! per violated row, its ratio test read off the scattered pivot row
-//! `ρᵀA`, its duals recomputed once per factorization and otherwise kept
-//! by the dual step `y += (d_q/α_q)·ρ`. Its primal cleanup, like every
-//! path's, declares optimality only on freshly recomputed reduced costs.
+//! change leaves the persisted basis *dual* feasible, so the dual
+//! iteration walks straight back to optimality with **zero phase-1
+//! iterations**. It is one loop — leaving row, ratio test over the
+//! scattered pivot row `ρᵀA`, a cross-check of the pivot element against
+//! the FTRAN'd column (refactorize and retry on drift), the landing on the
+//! violated bound, the basis update and its maintenance — and the rule
+//! changes only the leaving row and the ratio test:
 //!
-//! The dual simplex, warm or cold, and the node repair prove
-//! infeasibility themselves: a
-//! violated row whose nonbasic columns, each moved to its helping bound,
-//! still cannot absorb the violation — checked on fresh factors, against
-//! the threshold the primal's phase 1 uses — has no feasible point, and
-//! the solve returns [`LpStatus::Infeasible`] instead of falling back to
-//! a cold primal that would spend a whole phase 1 re-proving it.
+//! - [`DualRule::LongStep`], the dual simplex proper: the leaving row by
+//!   dual devex, the bound-flip ratio test on maintained reduced costs.
+//!   The root re-solve the RAS session hits every round runs it, and so
+//!   do [`solve_lp`] and [`solve_lp_warm`].
+//! - [`DualRule::Repair`], the one-violation repair: the largest violation
+//!   leaves, and one column enters by the dual ratio on duals recomputed
+//!   once per factorization and otherwise kept by the dual step
+//!   `y += (d_q/α_q)·ρ`. Branch-and-bound nodes re-solve with it, from a
+//!   [`Simplex`] engine kept for the whole search (the search's own, or
+//!   its look-ahead helper's: each solve resets the engine, so the result
+//!   cannot tell them apart). Its cold solves are primal only.
+//!
+//! The primal cleanup after either, like every path's, declares
+//! optimality only on freshly recomputed reduced costs.
+//!
+//! Under either rule, warm or cold, the dual iteration proves
+//! infeasibility itself: a violated row whose nonbasic columns, each
+//! moved to its helping bound, still cannot absorb the violation —
+//! checked on fresh factors, against the threshold the primal's phase 1
+//! uses — has no feasible point, and the solve returns
+//! [`LpStatus::Infeasible`] instead of falling back to a cold primal that
+//! would spend a whole phase 1 re-proving it.
 
 mod basis;
 mod dual;
@@ -194,10 +205,10 @@ pub struct LpResult {
     /// dual-first cold one from the dual-feasible slack basis, so no
     /// artificial phase ever runs.
     pub phase1_iterations: usize,
-    /// Dual-simplex iterations: of a warm re-solve, or of a dual-first
-    /// cold start.
+    /// Long-step ([`DualRule::LongStep`]) iterations: of a warm
+    /// re-solve, or of a dual-first cold start.
     pub dual_iterations: usize,
-    /// True when the dual simplex carried the solve — back to primal
+    /// True when the long step carried the solve — back to primal
     /// feasibility, to an infeasible row or to the iteration limit — from
     /// a warm basis or, on a dual-first cold start, from the slack basis
     /// ([`warm_basis_used`](Self::warm_basis_used) tells the two apart).
@@ -217,7 +228,25 @@ pub struct LpResult {
     pub warm_basis_used: bool,
 }
 
-/// Tuning knobs for the simplex engine.
+/// The rule a dual iteration runs by, named at each solve's call site:
+/// the leaving row and the ratio test are all that differ (module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DualRule {
+    /// The dual simplex proper: the leaving row by dual devex, the
+    /// bound-flip (long-step) ratio test on maintained reduced costs. A
+    /// cold solve goes dual-first where that pays. The solve reports
+    /// [`LpResult::used_dual_simplex`] and counts its dual pivots in
+    /// [`LpResult::dual_iterations`].
+    LongStep,
+    /// The one-violation repair: the largest violation leaves, one column
+    /// enters by the dual ratio on duals the dual step keeps. Its pivots
+    /// count as plain iterations, and a cold solve under it is primal only.
+    Repair,
+}
+
+/// Tuning knobs for the simplex engine: two limits. The dual iteration's
+/// rule is not one of them — each call site names it with the solve
+/// ([`DualRule`]).
 #[derive(Debug, Clone)]
 pub struct SimplexConfig {
     /// Hard cap on total pivots.
@@ -227,12 +256,6 @@ pub struct SimplexConfig {
     /// this from its own time limit so a single huge LP cannot blow
     /// through the solve budget.
     pub deadline: Option<std::time::Instant>,
-    /// Use the true dual simplex (bound-flip ratio test, dual devex):
-    /// for warm re-solves, and for the cold solves that go dual-first
-    /// (module docs, "dual-first"). `false` re-solves warm with the
-    /// one-violation repair loop — what branch and bound runs every node
-    /// and dive LP with — and solves cold with the primal only.
-    pub warm_dual: bool,
 }
 
 impl Default for SimplexConfig {
@@ -240,12 +263,12 @@ impl Default for SimplexConfig {
         Self {
             max_iterations: 200_000,
             deadline: None,
-            warm_dual: true,
         }
     }
 }
 
-/// Solves the LP `min cᵀx  s.t.  Ax = b, lower <= x <= upper`.
+/// Solves the LP `min cᵀx  s.t.  Ax = b, lower <= x <= upper`, cold
+/// under [`DualRule::LongStep`].
 ///
 /// `lower`/`upper` override the standard form's default bounds (same
 /// length, `n + m`); branch-and-bound nodes use this to impose branching
@@ -261,9 +284,9 @@ pub fn solve_lp(
 
 /// Like [`solve_lp`] but warm-started from a previous optimal basis.
 ///
-/// After a branch-and-bound bound change, the old basis stays dual
-/// feasible; a short dual-simplex repair restores primal feasibility and
-/// a primal cleanup finishes. Falls back to a cold start whenever the
+/// After a bound or right-hand-side change the old basis stays dual
+/// feasible; the long step restores primal feasibility and a primal
+/// cleanup finishes. Falls back to a cold start whenever the
 /// warm basis is unusable (singular, stale, or the repair stalls), so the
 /// result is always identical to a cold solve up to degeneracy. Without a
 /// basis the solve is cold: dual-first where that pays (module docs),
@@ -275,7 +298,7 @@ pub fn solve_lp_warm(
     config: &SimplexConfig,
     warm: Option<&Basis>,
 ) -> LpResult {
-    Simplex::new(sf, config.clone()).solve(lower, upper, warm)
+    Simplex::new(sf, config.clone()).solve(lower, upper, warm, DualRule::LongStep)
 }
 
 #[cfg(test)]

@@ -16,16 +16,8 @@ impl Simplex<'_> {
         self.devex.iter_mut().for_each(|w| *w = 1.0);
         self.candidates.clear();
         loop {
-            if self.iterations >= self.config.max_iterations {
+            if self.limit_reached() {
                 return LpStatus::IterationLimit;
-            }
-            // Deadline checks are cheap relative to a pivot.
-            if self.iterations.is_multiple_of(32) {
-                if let Some(deadline) = self.config.deadline {
-                    if std::time::Instant::now() > deadline {
-                        return LpStatus::IterationLimit;
-                    }
-                }
             }
             let use_bland = self.degenerate_run > 64;
             let Some((q, d_q)) = self.select_entering(use_bland) else {
@@ -48,12 +40,7 @@ impl Simplex<'_> {
                 Ratio::Unbounded => return LpStatus::Unbounded,
                 Ratio::BoundFlip(t) => {
                     self.apply_step(q, sigma, t, None);
-                    self.at_upper[q] = !self.at_upper[q];
-                    self.x[q] = if self.at_upper[q] {
-                        self.upper[q]
-                    } else {
-                        self.lower[q]
-                    };
+                    self.set_nonbasic(q, !self.at_upper[q]);
                     // A bound flip leaves the basis — and therefore the
                     // duals and every reduced cost — unchanged; only the
                     // flipped column's eligibility sign changes, which

@@ -14,7 +14,7 @@ use crate::model::{Model, Sense, VarType};
 fn solve_on(sf: &StandardForm, set_up: impl FnOnce(&mut Simplex<'_>)) -> LpResult {
     let mut lp = Simplex::new(sf, SimplexConfig::default());
     set_up(&mut lp);
-    lp.solve(&sf.lower, &sf.upper, None)
+    lp.solve(&sf.lower, &sf.upper, None, DualRule::LongStep)
 }
 
 fn lp(model: &Model) -> LpResult {
@@ -452,9 +452,9 @@ fn warm_rhs_patch_resolves_via_dual() {
     assert_eq!(warm.phase1_iterations, 0);
 }
 
-/// `warm_dual: false` selects the one-violation repair loop (the node
-/// re-solve path); both warm paths and the cold solve agree on the
-/// fixtures.
+/// [`DualRule::Repair`] runs the one-violation repair (the node re-solve
+/// path); both rules' warm re-solves and the cold solve agree on the
+/// fixtures, and only the long step reports the dual simplex.
 #[test]
 fn one_violation_repair_path_agrees() {
     let mut m = Model::new();
@@ -473,28 +473,29 @@ fn one_violation_repair_path_agrees() {
     let mut up = sf.upper.clone();
     up[0] = 2.0;
     let cold = solve_lp(&sf, &sf.lower.clone(), &up, &SimplexConfig::default());
-    for warm_dual in [true, false] {
-        let cfg = SimplexConfig {
-            warm_dual,
-            ..SimplexConfig::default()
-        };
-        let warm = solve_lp_warm(&sf, &sf.lower.clone(), &up, &cfg, base.basis.as_ref());
-        assert_eq!(warm.status, cold.status, "warm_dual={warm_dual}");
-        assert!(
-            (warm.objective - cold.objective).abs() < 1e-7,
-            "warm_dual={warm_dual}"
-        );
+    for rule in [DualRule::LongStep, DualRule::Repair] {
+        let mut lp = Simplex::new(&sf, SimplexConfig::default());
+        let warm = lp.solve(&sf.lower, &up, base.basis.as_ref(), rule);
+        assert_eq!(warm.status, cold.status, "{rule:?}");
+        assert!((warm.objective - cold.objective).abs() < 1e-7, "{rule:?}");
         assert_eq!(
-            warm.used_dual_simplex, warm_dual,
-            "dual flag must track the configured path"
+            warm.used_dual_simplex,
+            rule == DualRule::LongStep,
+            "dual flag must track the rule"
+        );
+        assert!(warm.iterations > 0, "{rule:?}: the patch needs pivots");
+        assert_eq!(
+            warm.dual_iterations > 0,
+            rule == DualRule::LongStep,
+            "{rule:?}: only the long step counts dual iterations"
         );
     }
 }
 
-/// A repair pivot whose FTRAN'd pivot element disagrees with the α-row
+/// A dual pivot whose FTRAN'd pivot element disagrees with the α-row
 /// (drift injected through the test hook) refactorizes and retries, at
 /// most twice; a third disagreement sends the solve cold. Every way it
-/// ends, the answer is the cold one.
+/// ends, under either rule, the answer is the cold one.
 #[test]
 fn repair_drift_refactors_and_retries() {
     let mut m = Model::new();
@@ -508,20 +509,19 @@ fn repair_drift_refactors_and_retries() {
     let mut up = sf.upper.clone();
     up[0] = 2.0;
     let cold = solve_lp(&sf, &sf.lower, &up, &SimplexConfig::default());
-    let config = SimplexConfig {
-        warm_dual: false,
-        ..SimplexConfig::default()
-    };
-    for (drift, warm) in [(0, true), (1, true), (2, true), (3, false)] {
-        let mut lp = Simplex::new(&sf, config.clone());
-        lp.inject_drift = drift;
-        let r = lp.solve(&sf.lower, &up, base.basis.as_ref());
-        assert_eq!(lp.inject_drift, 0, "drift {drift}: the repair pivoted");
-        assert_eq!(r.status, cold.status, "drift {drift}");
-        assert!((r.objective - cold.objective).abs() < 1e-7, "drift {drift}");
-        assert_eq!(r.warm_basis_used, warm, "drift {drift}");
-        if warm {
-            assert_eq!(r.basis_stats.refactors_accuracy, drift, "drift {drift}");
+    for rule in [DualRule::LongStep, DualRule::Repair] {
+        for (drift, warm) in [(0, true), (1, true), (2, true), (3, false)] {
+            let what = format!("{rule:?}, drift {drift}");
+            let mut lp = Simplex::new(&sf, SimplexConfig::default());
+            lp.inject_drift = drift;
+            let r = lp.solve(&sf.lower, &up, base.basis.as_ref(), rule);
+            assert_eq!(lp.inject_drift, 0, "{what}: the dual iteration pivoted");
+            assert_eq!(r.status, cold.status, "{what}");
+            assert!((r.objective - cold.objective).abs() < 1e-7, "{what}");
+            assert_eq!(r.warm_basis_used, warm, "{what}");
+            if warm {
+                assert_eq!(r.basis_stats.refactors_accuracy, drift, "{what}");
+            }
         }
     }
 }
@@ -627,7 +627,7 @@ fn cold_dual_exits_restore_costs_and_bounds() {
         };
         let mut lp = Simplex::new(&sf, cfg);
         lp.set_cold_dual_gate(0, perturb);
-        let r = lp.solve(&sf.lower, &sf.upper, None);
+        let r = lp.solve(&sf.lower, &sf.upper, None, DualRule::LongStep);
         assert_eq!(lp.costs[..lp.n0], sf.costs[..], "costs");
         assert_eq!(lp.lower[..lp.n0], sf.lower[..], "lower bounds");
         assert_eq!(lp.upper[..lp.n0], sf.upper[..], "upper bounds");

@@ -135,7 +135,9 @@ impl SolveStats {
     /// common incumbent to be relative to), the per-step seconds
     /// (`dive_seconds` among them), the
     /// `warm_basis_accepted` / `incumbent_seeded` flags (the caller
-    /// decides which solves vote) and `audit`.
+    /// decides which solves vote) and `audit`, whose fold
+    /// ([`AuditReport::absorb`](crate::AuditReport::absorb)) has no
+    /// identity to start from: the caller starts it at the first report.
     pub fn absorb(&mut self, other: &SolveStats) {
         self.nodes += other.nodes;
         self.simplex_iterations += other.simplex_iterations;
@@ -172,11 +174,14 @@ pub struct SolveConfig {
     pub rel_gap_tol: f64,
     /// Stop when the absolute gap falls below this value.
     pub abs_gap_tol: f64,
-    /// Solve the root with the true dual simplex where it applies: a
-    /// warm re-solve from the supplied basis, or a cold root that goes
-    /// dual-first (see [`crate::simplex`]). `false` sends a warm root
-    /// through the one-violation repair loop that node and dive
-    /// re-solves always use, and a cold one through the primal only.
+    /// The dual iteration the root LP runs by: `true` picks
+    /// [`DualRule::LongStep`](crate::simplex::DualRule::LongStep) — a warm
+    /// re-solve from the supplied basis, or a cold root that goes
+    /// dual-first (see [`crate::simplex`]) — and `false`
+    /// [`DualRule::Repair`](crate::simplex::DualRule::Repair), the rule
+    /// node, dive and look-ahead re-solves always run, whose cold solves
+    /// are primal only. The one remaining switch between the rules; it
+    /// goes once the frozen end-to-end benchmark stops naming it.
     pub warm_dual: bool,
     /// Stop once an incumbent exists and the best bound has not improved
     /// for this many consecutive nodes (0 disables). Mirrors how

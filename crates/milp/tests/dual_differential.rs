@@ -21,7 +21,9 @@ mod support;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ras_milp::lu::{FtFactors, LuFactors};
-use ras_milp::simplex::{solve_lp, solve_lp_warm, LpResult, LpStatus, Simplex, SimplexConfig};
+use ras_milp::simplex::{
+    solve_lp, solve_lp_warm, DualRule, LpResult, LpStatus, Simplex, SimplexConfig,
+};
 use ras_milp::standard::StandardForm;
 use ras_milp::{LinExpr, Model, Sense, Var, VarType};
 use support::dense_simplex::{self, Outcome};
@@ -306,17 +308,13 @@ fn ft_residuals_stay_bounded_where_eta_file_degrades() {
 fn solve_dual_first(sf: &StandardForm, perturb: bool) -> LpResult {
     let mut lp = Simplex::new(sf, SimplexConfig::default());
     lp.set_cold_dual_gate(0, perturb);
-    lp.solve(&sf.lower, &sf.upper, None)
+    lp.solve(&sf.lower, &sf.upper, None, DualRule::LongStep)
 }
 
-/// The cold primal two-phase solve (`warm_dual: false` never goes
+/// The cold primal two-phase solve (the repair's cold solve never goes
 /// dual-first).
 fn solve_primal(sf: &StandardForm) -> LpResult {
-    let cfg = SimplexConfig {
-        warm_dual: false,
-        ..SimplexConfig::default()
-    };
-    solve_lp(sf, &sf.lower, &sf.upper, &cfg)
+    Simplex::new(sf, SimplexConfig::default()).solve(&sf.lower, &sf.upper, None, DualRule::Repair)
 }
 
 fn assert_close(got: f64, want: f64, tag: &str) {

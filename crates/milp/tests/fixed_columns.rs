@@ -11,7 +11,7 @@
 //! weight never restarts the reference framework.
 
 use ras_milp::simplex::{
-    solve_lp, LpResult, LpStatus, Simplex, SimplexConfig, AUTO_PARTIAL_MIN_COLS,
+    DualRule, LpResult, LpStatus, Simplex, SimplexConfig, AUTO_PARTIAL_MIN_COLS,
 };
 use ras_milp::standard::StandardForm;
 use ras_milp::{LinExpr, Model, Sense, VarType};
@@ -84,17 +84,14 @@ fn fingerprint(r: &LpResult) -> Fingerprint {
     (r.status, r.iterations, r.objective.to_bits())
 }
 
-/// Solves `model` under its own bounds with `config`, through `gate`.
-fn solve(model: &Model, config: &SimplexConfig, gate: Option<usize>) -> LpResult {
+/// Solves `model` cold under its own bounds by `rule`, through `gate`.
+fn solve(model: &Model, rule: DualRule, gate: Option<usize>) -> LpResult {
     let sf = StandardForm::from_model(model);
-    match gate {
-        None => solve_lp(&sf, &sf.lower, &sf.upper, config),
-        Some(min_cols) => {
-            let mut lp = Simplex::new(&sf, config.clone());
-            lp.set_cold_dual_gate(min_cols, true);
-            lp.solve(&sf.lower, &sf.upper, None)
-        }
+    let mut lp = Simplex::new(&sf, SimplexConfig::default());
+    if let Some(min_cols) = gate {
+        lp.set_cold_dual_gate(min_cols, true);
     }
+    lp.solve(&sf.lower, &sf.upper, None, rule)
 }
 
 /// Above the devex/partial threshold, with `k` large enough to move
@@ -108,14 +105,11 @@ fn fixed_columns_leave_partial_pricing_alone() {
     let k = 100;
     let root = |n: usize| (n as f64).sqrt().floor();
     assert!(root(total + k) > root(total));
-    // Primal two-phase from the slack crash: partial pricing carries it.
-    let config = SimplexConfig {
-        warm_dual: false,
-        ..SimplexConfig::default()
-    };
-    let plain = solve(&base, &config, None);
+    // Primal two-phase from the slack crash (the repair's cold solve
+    // never goes dual-first): partial pricing carries it.
+    let plain = solve(&base, DualRule::Repair, None);
     assert_eq!(plain.status, LpStatus::Optimal);
-    let fixed = solve(&with_fixed(&base, k), &config, None);
+    let fixed = solve(&with_fixed(&base, k), DualRule::Repair, None);
     assert_eq!(fingerprint(&fixed), fingerprint(&plain));
 }
 
@@ -127,13 +121,9 @@ fn fixed_columns_keep_a_small_lp_on_devex() {
     let total = columns(&StandardForm::from_model(&base));
     assert!(total <= AUTO_PARTIAL_MIN_COLS);
     let k = AUTO_PARTIAL_MIN_COLS + 1 - total;
-    let config = SimplexConfig {
-        warm_dual: false,
-        ..SimplexConfig::default()
-    };
-    let plain = solve(&base, &config, None);
+    let plain = solve(&base, DualRule::Repair, None);
     assert_eq!(plain.status, LpStatus::Optimal);
-    let fixed = solve(&with_fixed(&base, k), &config, None);
+    let fixed = solve(&with_fixed(&base, k), DualRule::Repair, None);
     assert_eq!(fingerprint(&fixed), fingerprint(&plain));
 }
 
@@ -144,13 +134,12 @@ fn fixed_columns_keep_a_small_lp_on_devex() {
 fn fixed_columns_leave_the_cold_dual_gate_and_budget_alone() {
     let base = region_lp(8, 4, 8);
     let total = columns(&StandardForm::from_model(&base));
-    let config = SimplexConfig::default();
     let extended = with_fixed(&base, 40);
     for (gate, dual_first) in [(total, false), (0, true)] {
-        let plain = solve(&base, &config, Some(gate));
+        let plain = solve(&base, DualRule::LongStep, Some(gate));
         assert_eq!(plain.status, LpStatus::Optimal);
         assert_eq!(plain.used_dual_simplex, dual_first, "gate {gate}");
-        let fixed = solve(&extended, &config, Some(gate));
+        let fixed = solve(&extended, DualRule::LongStep, Some(gate));
         assert_eq!(fixed.used_dual_simplex, dual_first, "gate {gate}");
         assert_eq!(fingerprint(&fixed), fingerprint(&plain), "gate {gate}");
     }

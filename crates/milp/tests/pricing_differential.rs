@@ -21,7 +21,7 @@ mod support;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ras_milp::simplex::{LpResult, LpStatus, Simplex, SimplexConfig};
+use ras_milp::simplex::{DualRule, LpResult, LpStatus, Simplex, SimplexConfig};
 use ras_milp::standard::StandardForm;
 use ras_milp::{LinExpr, Model, Sense, VarType};
 use support::dense_simplex::{self, Outcome};
@@ -62,7 +62,7 @@ const RULES: [(&str, bool); 2] = [("devex", false), ("partial devex", true)];
 /// test hook whatever the LP's size would pick.
 fn solve_under(sf: &StandardForm, partial: bool, lp: &mut Simplex<'_>) -> LpResult {
     lp.set_partial_pricing(partial);
-    lp.solve(&sf.lower, &sf.upper, None)
+    lp.solve(&sf.lower, &sf.upper, None, DualRule::LongStep)
 }
 
 /// Checks that `duals` is dual feasible for the solved LP: each column's

@@ -15,7 +15,7 @@
 
 use std::time::Instant;
 
-use ras_milp::simplex::{LpResult, LpStatus, Simplex, SimplexConfig};
+use ras_milp::simplex::{DualRule, LpResult, LpStatus, Simplex, SimplexConfig};
 use ras_milp::standard::StandardForm;
 use ras_milp::{LinExpr, Model, Sense, VarType};
 
@@ -41,7 +41,7 @@ fn time_solve(sf: &StandardForm, partial: bool) -> (f64, LpResult) {
     let start = Instant::now();
     let mut lp = Simplex::new(sf, SimplexConfig::default());
     lp.set_partial_pricing(partial);
-    let r = lp.solve(&sf.lower, &sf.upper, None);
+    let r = lp.solve(&sf.lower, &sf.upper, None, DualRule::LongStep);
     let secs = start.elapsed().as_secs_f64();
     assert_eq!(r.status, LpStatus::Optimal, "partial {partial} must solve");
     (secs, r)

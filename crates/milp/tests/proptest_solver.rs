@@ -7,6 +7,8 @@
 #![recursion_limit = "512"]
 
 use proptest::prelude::*;
+use ras_milp::simplex::{solve_lp, DualRule, Simplex, SimplexConfig};
+use ras_milp::standard::StandardForm;
 use ras_milp::{LinExpr, Model, Sense, SolveError, VarType};
 
 /// Brute-force optimum of a pure-integer model with small box bounds.
@@ -270,4 +272,63 @@ fn warm_solve_matches_cold_on_random_lps() {
         }
     }
     assert!(checked > 100, "too few optimal cases exercised: {checked}");
+}
+
+/// `sf`'s bounds with one branch applied: column `j` (modulo the model's
+/// `num_vars`) gets `value` as its upper bound when `upper` is 1, else as
+/// its lower one, clamped into its range.
+fn branched(
+    sf: &StandardForm,
+    num_vars: usize,
+    (j, upper, value): (usize, u8, i32),
+) -> [Vec<f64>; 2] {
+    let (mut lo, mut up) = (sf.lower.clone(), sf.upper.clone());
+    let j = j % num_vars;
+    let v = f64::from(value).clamp(lo[j], up[j]);
+    if upper == 1 {
+        up[j] = v;
+    } else {
+        lo[j] = v;
+    }
+    [lo, up]
+}
+
+/// An engine with the dual-first cold start open to LPs of any size, so
+/// that the long step's cold solves run the dual iteration too.
+fn engine(sf: &StandardForm) -> Simplex<'_> {
+    let mut lp = Simplex::new(sf, SimplexConfig::default());
+    lp.set_cold_dual_gate(0, true);
+    lp
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // Every `Simplex::solve` resets its engine (branch and bound's
+    // look-ahead rests on it): an LP B solved on an engine that has just
+    // solved A — warm from the root basis, leaving behind dual devex
+    // weights, kept duals and maintained reduced costs — is, to every
+    // printed digit of its result, B solved on a fresh engine. Under
+    // both rules, with B warm from A's basis and cold.
+    #[test]
+    fn a_reused_engine_solves_like_a_fresh_one(
+        model in small_mip(),
+        cut_a in (0..4usize, 0..2u8, 0..=4i32),
+        cut_b in (0..4usize, 0..2u8, 0..=4i32),
+    ) {
+        let sf = StandardForm::from_model(&model);
+        let root = solve_lp(&sf, &sf.lower, &sf.upper, &SimplexConfig::default());
+        let [lo_a, up_a] = branched(&sf, model.num_vars(), cut_a);
+        let [lo_b, up_b] = branched(&sf, model.num_vars(), cut_b);
+        for rule in [DualRule::LongStep, DualRule::Repair] {
+            for warm_from_a in [true, false] {
+                let mut reused = engine(&sf);
+                let a = reused.solve(&lo_a, &up_a, root.basis.as_ref(), rule);
+                let warm = a.basis.filter(|_| warm_from_a);
+                let again = reused.solve(&lo_b, &up_b, warm.as_ref(), rule);
+                let fresh = engine(&sf).solve(&lo_b, &up_b, warm.as_ref(), rule);
+                prop_assert_eq!(format!("{again:?}"), format!("{fresh:?}"));
+            }
+        }
+    }
 }

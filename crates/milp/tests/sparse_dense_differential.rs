@@ -11,7 +11,7 @@ mod support;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ras_milp::simplex::{LpStatus, Simplex, SimplexConfig};
+use ras_milp::simplex::{DualRule, LpStatus, Simplex, SimplexConfig};
 use ras_milp::standard::StandardForm;
 use ras_milp::{LinExpr, Model, Sense, VarType};
 use support::dense_simplex::{self, Outcome};
@@ -82,7 +82,7 @@ fn sparse_and_dense_agree_on_random_lps() {
         // on these small instances.
         let mut lp = Simplex::new(&sf, SimplexConfig::default());
         lp.set_refactor_interval(4);
-        let sparse = lp.solve(&sf.lower, &sf.upper, None);
+        let sparse = lp.solve(&sf.lower, &sf.upper, None, DualRule::LongStep);
         let Outcome::Optimal(dense_objective) = dense else {
             assert_eq!(
                 (dense, sparse.status),

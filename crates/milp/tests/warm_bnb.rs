@@ -13,9 +13,7 @@ mod support;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ras_milp::simplex::{
-    solve_lp, solve_lp_warm, Basis, LpResult, LpStatus, Simplex, SimplexConfig,
-};
+use ras_milp::simplex::{solve_lp, Basis, DualRule, LpResult, LpStatus, Simplex, SimplexConfig};
 use ras_milp::standard::StandardForm;
 use ras_milp::{tol, LinExpr, Model, Sense, SolveConfig, SolveError, Status, VarType};
 
@@ -253,13 +251,9 @@ fn pattern_restricted_ratio_test_matches_the_full_scan() {
             continue;
         };
         let (rows, columns) = (sf.num_rows, sf.num_cols() + sf.num_rows);
-        let config = SimplexConfig {
-            warm_dual: false,
-            ..SimplexConfig::default()
-        };
         // One engine re-used across this LP's re-solves, as branch and
         // bound re-uses its own.
-        let mut lp = Simplex::new(&sf, config.clone());
+        let mut lp = Simplex::new(&sf, SimplexConfig::default());
         for _ in 0..3 {
             // Branches: cut up to three variables' ranges at their LP values.
             let (mut lower, mut upper) = (sf.lower.clone(), sf.upper.clone());
@@ -285,6 +279,7 @@ fn pattern_restricted_ratio_test_matches_the_full_scan() {
                 &lower,
                 &upper,
                 Some(&warm),
+                DualRule::Repair,
                 |lp, row, to_upper, entering| {
                     let (expected, tied) = support::full_scan_entering(lp, columns, to_upper);
                     assert_eq!(entering, expected, "entering column differs (row {row})");
@@ -307,7 +302,12 @@ fn pattern_restricted_ratio_test_matches_the_full_scan() {
                 },
             );
             // Observing changes nothing, and neither does re-use.
-            let plain = solve_lp_warm(&sf, &lower, &upper, &config, Some(&warm));
+            let plain = Simplex::new(&sf, SimplexConfig::default()).solve(
+                &lower,
+                &upper,
+                Some(&warm),
+                DualRule::Repair,
+            );
             assert_eq!(observed.status, plain.status);
             assert_eq!(observed.iterations, plain.iterations);
             assert_eq!(observed.objective.to_bits(), plain.objective.to_bits());
@@ -384,11 +384,8 @@ fn node_lps_are_pure_functions_of_their_bounds_and_basis() {
     for (msbs, per_msb, reservations) in [(8, 4, 8), (16, 8, 34)] {
         let model = support::region_lp(&mut rng, msbs, per_msb, reservations);
         let sf = StandardForm::from_model(&model);
-        let config = SimplexConfig {
-            warm_dual: false,
-            ..SimplexConfig::default()
-        };
-        let root = solve_lp(&sf, &sf.lower, &sf.upper, &SimplexConfig::default());
+        let config = SimplexConfig::default();
+        let root = solve_lp(&sf, &sf.lower, &sf.upper, &config);
         assert_eq!(root.status, LpStatus::Optimal);
         let mut engine = Simplex::new(&sf, config.clone());
         let mut nodes: Vec<(Vec<f64>, Vec<f64>, Basis)> = Vec::new();
@@ -408,7 +405,7 @@ fn node_lps_are_pure_functions_of_their_bounds_and_basis() {
                 } else {
                     continue;
                 }
-                let lp = engine.solve(&lo, &up, Some(&warm));
+                let lp = engine.solve(&lo, &up, Some(&warm), DualRule::Repair);
                 if lp.status == LpStatus::Optimal {
                     feasible.push((lo.clone(), up.clone(), lp.clone()));
                 }
@@ -425,7 +422,8 @@ fn node_lps_are_pure_functions_of_their_bounds_and_basis() {
         let repaired = in_order.iter().filter(|lp| lp.iterations > 0).count();
         assert!(repaired >= 40, "{shape}: only {repaired} nodes pivoted");
         for (i, (lo, up, warm)) in nodes.iter().enumerate() {
-            let fresh = Simplex::new(&sf, config.clone()).solve(lo, up, Some(warm));
+            let fresh =
+                Simplex::new(&sf, config.clone()).solve(lo, up, Some(warm), DualRule::Repair);
             assert_same_lp(
                 &in_order[i],
                 &fresh,
@@ -434,7 +432,7 @@ fn node_lps_are_pure_functions_of_their_bounds_and_basis() {
         }
         let mut reversed = Simplex::new(&sf, config.clone());
         for (i, (lo, up, warm)) in nodes.iter().enumerate().rev() {
-            let lp = reversed.solve(lo, up, Some(warm));
+            let lp = reversed.solve(lo, up, Some(warm), DualRule::Repair);
             assert_same_lp(
                 &in_order[i],
                 &lp,
@@ -457,10 +455,7 @@ fn node_lps_are_pure_functions_of_their_bounds_and_basis() {
 fn the_repairs_infeasible_verdict_agrees_with_a_cold_solve() {
     let mut rng = StdRng::seed_from_u64(0xF1A5);
     let (mut resolves, mut certified, mut declined) = (0, 0, 0);
-    let config = SimplexConfig {
-        warm_dual: false,
-        ..SimplexConfig::default()
-    };
+    let config = SimplexConfig::default();
     while resolves < 600 {
         let model = random_lp(&mut rng);
         let sf = StandardForm::from_model(&model);
@@ -488,9 +483,13 @@ fn the_repairs_infeasible_verdict_agrees_with_a_cold_solve() {
                 }
             }
             let mut blocked = false;
-            let warm = engine.solve_observed(&lower, &upper, Some(&basis), |_, _, _, entering| {
-                blocked |= entering.is_none();
-            });
+            let warm = engine.solve_observed(
+                &lower,
+                &upper,
+                Some(&basis),
+                DualRule::Repair,
+                |_, _, _, entering| blocked |= entering.is_none(),
+            );
             let again = solve_lp(&sf, &lower, &upper, &SimplexConfig::default());
             if warm.status == LpStatus::Infeasible {
                 assert_eq!(

@@ -76,14 +76,15 @@ pub struct SolverParams {
     /// builds only; production runs opt in with [`AuditMode::On`] to
     /// certify every warm round against the same invariants as cold ones.
     pub audit: AuditMode,
-    /// Solve root LPs with the true dual simplex where it applies:
-    /// warm re-solves (bound-only round diffs then re-solve with zero
-    /// phase-1 iterations) and cold roots of a region that already runs
-    /// a plan, which start dual-first from it (a restarted solver, a
-    /// softened retry). `false` sends warm roots through the
-    /// one-violation repair loop that branch-and-bound nodes use and
-    /// cold ones through the primal two-phase solve; not a production
-    /// setting.
+    /// The dual iteration the root LP runs by, passed on as
+    /// [`ras_milp::SolveConfig::warm_dual`]: `true` picks the long step
+    /// ([`ras_milp::simplex::DualRule::LongStep`]) — warm re-solves of
+    /// bound-only round diffs with zero phase-1 iterations, and cold
+    /// roots of a region that already runs a plan starting dual-first
+    /// from it (a restarted solver, a softened retry); `false` picks the
+    /// one-violation repair branch-and-bound nodes use, whose cold
+    /// solves are primal only. Not a production setting: the field goes
+    /// once the frozen end-to-end benchmark stops naming it.
     pub warm_dual: bool,
     /// The reduction solves build before the MIP (see
     /// [`crate::aggregate`]); its one value is

@@ -586,11 +586,12 @@ pub(crate) fn aggregate_warm(round: usize, shards: &[ShardReport]) -> WarmReport
 /// wall-clock totals take the parallel critical path (max across shards),
 /// size and work counters sum, the status is `Optimal` only when every
 /// shard proved optimal, and the objective is the merged plan's regional
-/// score (comparable with a monolithic phase-1 objective). Per-shard raw
-/// statistics — including audit certificates — stay available in
-/// [`ShardedReport::shards`]; the aggregate's `mip_stats.audit` is
-/// deliberately left default (it certifies nothing itself), and so are
-/// its `gap` and `best_bound`.
+/// score (comparable with a monolithic phase-1 objective). The
+/// aggregate's `mip_stats.audit` folds every shard's phase-1 and phase-2
+/// certificate ([`AuditReport::absorb`](ras_milp::AuditReport::absorb)):
+/// the round is certified only if every solve in it was. Per-shard raw
+/// statistics stay available in [`ShardedReport::shards`]; the
+/// aggregate's `gap` and `best_bound` are left at their defaults.
 pub(crate) fn aggregate_phase1(
     shards: &[ShardReport],
     objective: f64,
@@ -602,16 +603,23 @@ pub(crate) fn aggregate_phase1(
             .map(|s| f(&s.phase1) + s.phase2.as_ref().map_or(0.0, f))
             .fold(0.0, nan::fmax)
     };
-    // `SolveStats::absorb` owns the per-counter rules; only the two
-    // acceptance flags are this level's call: they AND over phase 1.
+    // `SolveStats::absorb` and `AuditReport::absorb` own the per-field
+    // rules; only the two acceptance flags are this level's call: they
+    // AND over phase 1.
     let mut mip_stats = ras_milp::SolveStats::default();
+    let mut audit: Option<ras_milp::AuditReport> = None;
     let mut reduction = crate::aggregate::ReductionStats::default();
     for s in shards {
         for p in std::iter::once(&s.phase1).chain(s.phase2.as_ref()) {
             mip_stats.absorb(&p.mip_stats);
+            match &mut audit {
+                Some(audit) => audit.absorb(&p.mip_stats.audit),
+                None => audit = Some(p.mip_stats.audit.clone()),
+            }
         }
         reduction.absorb(&s.phase1.reduction);
     }
+    mip_stats.audit = audit.unwrap_or_default();
     mip_stats.warm_basis_accepted = shards
         .iter()
         .all(|s| s.phase1.mip_stats.warm_basis_accepted);
@@ -800,10 +808,35 @@ mod tests {
             nodes_pruned_by_seed: 13 * n,
             nodes_solved_ahead: 15 * n,
             lp_solves_discarded: 16 * n,
-            audit: crate::AuditReport {
-                certified: true,
-                ..crate::AuditReport::default()
-            },
+            audit: audit_report(n, n != 10),
+        }
+    }
+
+    /// An `AuditReport` that ran every check, its one flagged finding and
+    /// its `max_*` fields distinct multiples of `n`; the dual certificate
+    /// checked as `dual_certified` says.
+    fn audit_report(n: usize, dual_certified: bool) -> ras_milp::AuditReport {
+        let f = n as f64;
+        ras_milp::AuditReport {
+            model_checked: true,
+            certified: true,
+            dual_certified,
+            issues: vec![audit_issue(&format!("n{n}"))],
+            violations: Vec::new(),
+            max_primal_residual: 0.5 * f,
+            max_bound_violation: 0.25 * f,
+            max_integrality_violation: 0.125 * f,
+            max_dual_violation: 2.0 * f,
+            max_complementarity_violation: 4.0 * f,
+        }
+    }
+
+    fn audit_issue(subject: &str) -> ras_milp::AuditIssue {
+        ras_milp::AuditIssue {
+            check: ras_milp::AuditCheck::TinyCoefficient,
+            severity: ras_milp::Severity::Flag,
+            subject: subject.into(),
+            detail: String::new(),
         }
     }
 
@@ -811,9 +844,11 @@ mod tests {
     /// sum over every shard's phase 1 and phase 2, flags OR, seconds take
     /// the slowest shard, the two acceptance flags AND over phase 1 only,
     /// size accounting sums over phase 1 only, and `best_bound`, `gap`,
-    /// the per-step seconds and `audit` of `mip_stats` stay at their
-    /// defaults. Expected values recorded from the hand-written merge
-    /// this replaced (63e5252).
+    /// the per-step seconds of `mip_stats` stay at their defaults, and its
+    /// `audit` ANDs the checks, concatenates the findings in shard order
+    /// and takes each `max_*` from the largest. Expected values, but for
+    /// `audit`, recorded from the hand-written merge this replaced
+    /// (63e5252).
     #[test]
     fn aggregate_phase1_merges_shards_field_for_field() {
         use crate::aggregate::ReductionStats;
@@ -913,6 +948,10 @@ mod tests {
                 nodes_pruned_by_seed: 1443,
                 nodes_solved_ahead: 1665,
                 lp_solves_discarded: 1776,
+                audit: ras_milp::AuditReport {
+                    issues: ["n1", "n10", "n100"].map(audit_issue).to_vec(),
+                    ..audit_report(100, false)
+                },
                 ..ras_milp::SolveStats::default()
             },
             softened: vec!["cap[web]".into(), "cap[feed]".into()],
@@ -926,5 +965,45 @@ mod tests {
         };
         let got = aggregate_phase1(&shards, 123.5, 0.75);
         assert_eq!(format!("{got:#?}"), format!("{expected:#?}"));
+    }
+
+    /// A sharded round is certified clean exactly when every shard's
+    /// solves are: two clean shards make a clean aggregate, and one
+    /// certificate violation in either makes it not.
+    #[test]
+    fn aggregate_phase1_certifies_only_what_every_shard_certified() {
+        let phase = |audit: ras_milp::AuditReport| PhaseStats {
+            mip_stats: ras_milp::SolveStats {
+                audit,
+                ..ras_milp::SolveStats::default()
+            },
+            ..PhaseStats::default()
+        };
+        let clean = ras_milp::AuditReport {
+            model_checked: true,
+            certified: true,
+            dual_certified: true,
+            ..ras_milp::AuditReport::default()
+        };
+        let shard = |shard, audit: &ras_milp::AuditReport| ShardReport {
+            shard,
+            servers: 0,
+            capacity: Vec::new(),
+            phase1: phase(audit.clone()),
+            phase2: Some(phase(clean.clone())),
+            warm: WarmReport::default(),
+        };
+        let audit = |shards: &[ShardReport]| aggregate_phase1(shards, 0.0, 0.0).mip_stats.audit;
+        let both_clean = [shard(0, &clean), shard(1, &clean)];
+        assert!(audit(&both_clean).certified_clean());
+        let mut violated = clean.clone();
+        violated.violations.push(audit_issue("row 3"));
+        for k in 0..2 {
+            let mut shards = both_clean.clone();
+            shards[k].phase1.mip_stats.audit = violated.clone();
+            let got = audit(&shards);
+            assert!(!got.certified_clean(), "shard {k} violated");
+            assert_eq!(got.violations, violated.violations, "shard {k} violated");
+        }
     }
 }

@@ -49,9 +49,10 @@ pub struct SolveOutput {
     /// round was sharded).
     pub warm: WarmReport,
     /// Per-shard reports when the round's plan had two or more shards;
-    /// `None` for a one-shard round. Audit certificates of a sharded
-    /// round live here — the aggregate [`Self::phase1`] carries a default
-    /// (uncertified) audit, use [`Self::audit_phases`] instead.
+    /// `None` for a one-shard round. Each shard's own audit certificates
+    /// live here (see [`Self::audit_phases`]); the aggregate
+    /// [`Self::phase1`] carries their fold, certified clean exactly when
+    /// every one of them is.
     pub sharded: Option<ShardedReport>,
 }
 
@@ -86,9 +87,9 @@ impl SolveOutput {
     /// The real, auditable per-phase solver statistics of this round: the
     /// monolithic phase 1 (+ phase 2) for a monolithic round, every
     /// shard's phase 1 (+ phase 2) for a sharded one. A sharded round's
-    /// top-level [`Self::phase1`] is synthesized from these and carries no
-    /// audit certificate of its own, so certification checks must walk
-    /// this list.
+    /// top-level [`Self::phase1`] is synthesized from these; its audit
+    /// folds theirs (certified clean exactly when each of them is), and
+    /// which shard and phase a finding came from shows only here.
     pub fn audit_phases(&self) -> Vec<&PhaseStats> {
         match &self.sharded {
             Some(report) => report
