@@ -12,9 +12,12 @@ use rand::{Rng, SeedableRng};
 use ras_broker::{ResourceBroker, SimTime};
 use ras_core::buffers;
 use ras_core::reservation::ReservationSpec;
-use ras_core::solver::AsyncSolver;
-use ras_core::SolverParams;
-use ras_topology::{Region, RegionBuilder, RegionTemplate, ServerId};
+use ras_core::rru::RruTable;
+use ras_core::solver::{AsyncSolver, SolveOutput};
+use ras_core::{CoreError, SolverParams};
+use ras_topology::{
+    HardwareCatalog, ProcessorGeneration, Region, RegionBuilder, RegionTemplate, ServerId,
+};
 use ras_workloads::{RequestGenerator, RequestGeneratorConfig, StandardServices};
 
 /// A ready-to-solve instance.
@@ -88,37 +91,68 @@ pub fn build(
 ) -> Instance {
     let (region, specs) = portfolio(template, seed, reservations, utilization);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e3779b9);
-    let mut broker = ResourceBroker::new(region.server_count());
-    for s in &specs {
-        broker.register_reservation(&s.name);
-    }
 
     // Warm-up solve + materialization, then container load.
-    let params = SolverParams::default();
-    let mut solver = AsyncSolver::new(params.clone());
-    if let Ok(out) = solver.solve(&region, &specs, &broker.snapshot(SimTime::ZERO)) {
-        let _ = solver.apply(&out, &mut broker);
-        for s in broker.pending_moves() {
-            let t = broker.record(s).map(|r| r.target).unwrap_or(None);
-            let _ = broker.bind_current(s, t);
-        }
-    }
-    for i in 0..region.server_count() {
+    let mut inst = Instance {
+        broker: broker_for(&region, &specs),
+        region,
+        specs,
+        params: SolverParams::default(),
+    };
+    let _ = inst.solve_round(&mut AsyncSolver::new(inst.params.clone()), SimTime::ZERO);
+    for i in 0..inst.region.server_count() {
         let s = ServerId::from_index(i);
-        let bound = broker
+        let bound = inst
+            .broker
             .record(s)
             .map(|r| r.current.is_some())
             .unwrap_or(false);
         if bound && rng.gen::<f64>() < 0.8 {
-            let _ = broker.set_running_containers(s, rng.gen_range(1..6));
+            let _ = inst.broker.set_running_containers(s, rng.gen_range(1..6));
         }
     }
-    Instance {
-        region,
-        broker,
-        specs,
-        params,
+    inst
+}
+
+impl Instance {
+    /// Solves the round at `now` with `solver`, applies the plan and
+    /// materializes every pending move, so the next round starts from the
+    /// state this one planned.
+    pub fn solve_round(
+        &mut self,
+        solver: &mut AsyncSolver,
+        now: SimTime,
+    ) -> Result<SolveOutput, CoreError> {
+        let out = solver.solve(&self.region, &self.specs, &self.broker.snapshot(now))?;
+        let _ = solver.apply(&out, &mut self.broker);
+        for s in self.broker.pending_moves() {
+            let t = self.broker.record(s).map(|r| r.target).unwrap_or(None);
+            let _ = self.broker.bind_current(s, t);
+        }
+        Ok(out)
     }
+}
+
+/// A broker over `region` with one reservation registered per spec, in
+/// spec order.
+pub fn broker_for(region: &Region, specs: &[ReservationSpec]) -> ResourceBroker {
+    let mut broker = ResourceBroker::new(region.server_count());
+    for s in specs {
+        broker.register_reservation(&s.name);
+    }
+    broker
+}
+
+/// Count-based RRUs on newer compute: every accelerator-free hardware
+/// type past the first processor generation.
+pub fn newer_compute(catalog: &HardwareCatalog) -> RruTable {
+    let mut rru = RruTable::empty(catalog);
+    for hw in catalog.iter() {
+        if !hw.has_accelerator() && hw.generation != ProcessorGeneration::Gen1 {
+            rru.set(hw.id, 1.0);
+        }
+    }
+    rru
 }
 
 /// Applies a small production-like perturbation: resize a few

@@ -1,10 +1,17 @@
-//! Shared harness for the figure-regeneration binaries.
+//! The paper's evaluation, regenerated.
 //!
-//! Every `figNN_*` binary in `src/bin/` regenerates one table or figure
-//! of the paper's evaluation: it prints the same rows/series the paper
-//! reports and writes a machine-readable copy to
-//! `target/experiments/<id>.json` that EXPERIMENTS.md references.
+//! Every module of [`figures`] regenerates one table or figure of the
+//! paper's evaluation (or an ablation) as a function returning its
+//! [`Experiment`]s: the rows/series the paper reports, plus any
+//! reproduction gate that failed. The `figures` binary runs them by id,
+//! prints each one and writes a machine-readable copy to
+//! `target/experiments/<id>.json` that EXPERIMENTS.md references:
+//!
+//! ```text
+//! cargo run --release -p ras-bench --bin figures -- [--smoke] <id>…|all
+//! ```
 
+pub mod figures;
 pub mod instance;
 
 use std::fs;
@@ -13,7 +20,7 @@ use std::path::PathBuf;
 use serde::Serialize;
 
 /// One experiment's output: an id, a headline, and tabular rows.
-#[derive(Debug, Serialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Experiment {
     /// Figure/table id, e.g. `"fig07"`.
     pub id: String,
@@ -27,6 +34,27 @@ pub struct Experiment {
     pub rows: Vec<Vec<String>>,
     /// Free-form findings ("measured: ...").
     pub notes: Vec<String>,
+    /// Reproduction gates that failed; the experiment passed when empty.
+    pub failures: Vec<String>,
+}
+
+/// How large a figure's workload is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shape {
+    /// The shape EXPERIMENTS.md records.
+    Full,
+    /// The smallest shape that still runs the figure's code paths.
+    Smoke,
+}
+
+impl Shape {
+    /// `full` at [`Shape::Full`], `smoke` at [`Shape::Smoke`].
+    pub fn pick<T>(self, full: T, smoke: T) -> T {
+        match self {
+            Shape::Full => full,
+            Shape::Smoke => smoke,
+        }
+    }
 }
 
 impl Experiment {
@@ -44,6 +72,7 @@ impl Experiment {
             columns: columns.iter().map(|c| c.to_string()).collect(),
             rows: Vec::new(),
             notes: Vec::new(),
+            failures: Vec::new(),
         }
     }
 
@@ -58,40 +87,33 @@ impl Experiment {
         self.notes.push(note.into());
     }
 
-    /// Prints the experiment as an aligned table and writes the JSON copy.
+    /// Records a failed reproduction gate.
+    pub fn fail(&mut self, why: impl Into<String>) {
+        self.failures.push(why.into());
+    }
+
+    /// Prints the experiment as an aligned table and writes the JSON copy;
+    /// failed gates go to stderr.
     pub fn finish(&self) {
         println!("== {} — {} ==", self.id, self.title);
         println!("paper: {}", self.paper_claim);
-        let widths: Vec<usize> = self
-            .columns
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                self.rows
-                    .iter()
-                    .map(|r| r[i].len())
-                    .chain([c.len()])
-                    .max()
-                    .unwrap_or(0)
-            })
+        let lines = || std::iter::once(&self.columns).chain(&self.rows);
+        let widths: Vec<usize> = (0..self.columns.len())
+            .map(|i| lines().map(|r| r[i].len()).max().unwrap_or(0))
             .collect();
-        let header: Vec<String> = self
-            .columns
-            .iter()
-            .zip(&widths)
-            .map(|(c, w)| format!("{c:>w$}"))
-            .collect();
-        println!("{}", header.join("  "));
-        for row in &self.rows {
-            let line: Vec<String> = row
+        for line in lines() {
+            let cells: Vec<String> = line
                 .iter()
                 .zip(&widths)
                 .map(|(c, w)| format!("{c:>w$}"))
                 .collect();
-            println!("{}", line.join("  "));
+            println!("{}", cells.join("  "));
         }
         for n in &self.notes {
             println!("note: {n}");
+        }
+        for f in &self.failures {
+            eprintln!("{}: {f}", self.id);
         }
         let dir = output_dir();
         let _ = fs::create_dir_all(&dir);

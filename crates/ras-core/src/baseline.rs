@@ -7,7 +7,7 @@
 //! servers return to the free pool.
 
 use ras_broker::{ReservationId, ResourceBroker};
-use ras_topology::{Region, ServerId};
+use ras_topology::Region;
 
 use crate::reservation::ReservationSpec;
 
@@ -80,36 +80,6 @@ impl GreedyAllocator {
             }
         }
         (acquired, released)
-    }
-
-    /// Replaces one failed server with the first free eligible server,
-    /// mimicking the old failure handling (no planned buffers).
-    pub fn replace_failed(
-        &self,
-        region: &Region,
-        spec: &ReservationSpec,
-        reservation: ReservationId,
-        failed: ServerId,
-        broker: &mut ResourceBroker,
-    ) -> Option<ServerId> {
-        debug_assert_eq!(
-            broker.record(failed).ok()?.current,
-            Some(reservation),
-            "failed server must belong to the reservation"
-        );
-        broker.bind_current(failed, None).ok()?;
-        for server in region.servers() {
-            let record = broker.record(server.id).ok()?;
-            if record.current.is_none()
-                && record.is_up()
-                && server.id != failed
-                && spec.rru.eligible(server.hardware)
-            {
-                broker.bind_current(server.id, Some(reservation)).ok()?;
-                return Some(server.id);
-            }
-        }
-        None
     }
 }
 
@@ -184,24 +154,5 @@ mod tests {
         assert_eq!(released, 8);
         let rest = broker.members_of(r0);
         assert!(rest.contains(&members[0]), "busy server must stay");
-    }
-
-    #[test]
-    fn replace_failed_grabs_first_free() {
-        let (region, mut broker) = setup();
-        let specs = vec![ReservationSpec::guaranteed(
-            "web",
-            5.0,
-            RruTable::uniform(&region.catalog, 1.0),
-        )];
-        let r0 = broker.register_reservation("web");
-        GreedyAllocator.rebalance(&region, &specs, &mut broker);
-        let victim = broker.members_of(r0)[0];
-        let replacement = GreedyAllocator
-            .replace_failed(&region, &specs[0], r0, victim, &mut broker)
-            .expect("replacement found");
-        assert_ne!(replacement, victim);
-        assert_eq!(broker.record(victim).unwrap().current, None);
-        assert_eq!(broker.member_count(r0), 5);
     }
 }

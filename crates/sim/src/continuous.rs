@@ -12,7 +12,7 @@
 //! The per-round [`RoundReport`]s expose what the continuous machinery
 //! did (name-space stability, basis acceptance, incumbent seeding) alongside
 //! wall-clock and simplex-iteration costs, so tests and the
-//! `fig_continuous` benchmark can assert that warm rounds are measurably
+//! `fig_continuous` figure can assert that warm rounds are measurably
 //! cheaper than the cold round 0 and that steady-state rounds plan zero
 //! moves.
 
@@ -22,7 +22,7 @@ use ras_core::solver::AsyncSolver;
 use ras_core::stats::PhaseStats;
 use ras_core::{SolverParams, WarmReport};
 use ras_topology::{Region, ScopeId, ServerId};
-use ras_twine::{ContainerSpec, JobSpec, PlacementPolicyKind, TwineScheduler};
+use ras_twine::{ContainerSpec, JobSpec, PlacementPolicyKind, TwineAllocator, TwineScheduler};
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::{stranded_account, StrandedAccount};
@@ -56,6 +56,52 @@ impl ContainerLoad {
             ],
             rack_anti_affinity: true,
         }
+    }
+
+    /// Binds `members` servers, striped across `region` so every MSB
+    /// contributes, to one fresh reservation called `name`, and submits
+    /// one job per shape to it under the load's policy. Returns the
+    /// broker, the scheduler that placed the load, and the most placement
+    /// candidates one submission evaluated.
+    pub fn place_striped(
+        &self,
+        region: &Region,
+        members: usize,
+        name: &str,
+    ) -> (ResourceBroker, TwineScheduler, usize) {
+        let total = region.server_count();
+        let mut broker = ResourceBroker::new(total);
+        let reservation = broker.register_reservation(name);
+        let stride = (total / members).max(1);
+        let mut bound = 0;
+        for i in (0..total).step_by(stride) {
+            if bound >= members {
+                break;
+            }
+            if broker
+                .bind_current(ServerId::from_index(i), Some(reservation))
+                .is_ok()
+            {
+                bound += 1;
+            }
+        }
+        let mut sched = TwineScheduler::with_policy(self.policy);
+        let mut max_candidates = 0;
+        for (si, (shape, replicas)) in self.shapes.iter().enumerate() {
+            sched.submit(
+                region,
+                &mut broker,
+                JobSpec {
+                    name: format!("{name}-shape{si}"),
+                    reservation,
+                    container: *shape,
+                    replicas: *replicas,
+                    rack_anti_affinity: self.rack_anti_affinity,
+                },
+            );
+            max_candidates = max_candidates.max(sched.allocator.last_candidates_evaluated);
+        }
+        (broker, sched, max_candidates)
     }
 }
 
@@ -324,7 +370,7 @@ pub fn run_continuous(region: &Region, config: &ContinuousConfig) -> Vec<RoundRe
             } else {
                 sched.process(region, &mut broker, now);
             }
-            stranded = stranded_now(sched, region, &broker, specs.len());
+            stranded = stranded_now(&mut sched.allocator, region, &broker, specs.len());
             placement_p50_us = sched.latency.percentile(50.0);
             placement_p99_us = sched.latency.percentile(99.0);
             container_count = sched.allocator.container_count();
@@ -358,13 +404,14 @@ pub fn run_continuous(region: &Region, config: &ContinuousConfig) -> Vec<RoundRe
     reports
 }
 
-/// Stranded-capacity account across every reservation with containers,
-/// each at its own smallest-container grain. Only healthy members that
-/// actually hold containers are accounted: stranding measures what the
-/// *allocator's stacking* left unusable, and hosts it never touched say
-/// nothing about the placement policy.
+/// Stranded-capacity account across every reservation, among the first
+/// `reservations`, that runs containers, each against its own container
+/// shapes. Only healthy members that actually hold containers are
+/// accounted:
+/// stranding measures what the *allocator's stacking* left unusable, and
+/// hosts it never touched say nothing about the placement policy.
 pub(crate) fn stranded_now(
-    sched: &mut TwineScheduler,
+    allocator: &mut TwineAllocator,
     region: &Region,
     broker: &ResourceBroker,
     reservations: usize,
@@ -372,8 +419,7 @@ pub(crate) fn stranded_now(
     let mut total = StrandedAccount::default();
     for ri in 0..reservations {
         let r = ReservationId::from_index(ri);
-        let shapes: Vec<(f64, f64)> = sched
-            .allocator
+        let shapes: Vec<(f64, f64)> = allocator
             .container_shapes(r)
             .iter()
             .map(|s| (s.cores, s.memory_gib))
@@ -384,10 +430,10 @@ pub(crate) fn stranded_now(
         let mut free = Vec::new();
         for s in broker.members(r) {
             let up = broker.record(s).map(|rec| rec.is_up()).unwrap_or(false);
-            if !up || sched.allocator.containers_on(s) == 0 {
+            if !up || allocator.containers_on(s) == 0 {
                 continue;
             }
-            free.push(sched.allocator.free_capacity_of(region, s));
+            free.push(allocator.free_capacity_of(region, s));
         }
         total.merge(&stranded_account(free, &shapes));
     }

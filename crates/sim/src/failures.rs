@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ras_broker::{ResourceBroker, SimTime, UnavailabilityKind};
 use ras_topology::{MsbId, PowerRowId, Region, ScopeId, ServerId};
-use ras_twine::{HealthCheckService, JobSpec, TwineScheduler};
+use ras_twine::HealthCheckService;
 use serde::{Deserialize, Serialize};
 
 use crate::continuous::{stranded_now, ContainerLoad};
@@ -332,39 +332,9 @@ pub fn run_failure_drill(
 ) -> DrillReport {
     let total = region.server_count();
     let want = ras_core::cast::rounded_usize(total as f64 * member_fraction).clamp(1, total);
-    let mut broker = ResourceBroker::new(total);
-    let reservation = broker.register_reservation("drill");
-    // Stripe the membership across the fleet so every MSB contributes.
-    let stride = (total / want).max(1);
-    let mut bound = 0;
-    for i in (0..total).step_by(stride) {
-        if bound >= want {
-            break;
-        }
-        if broker
-            .bind_current(ServerId::from_index(i), Some(reservation))
-            .is_ok()
-        {
-            bound += 1;
-        }
-    }
-
-    let mut sched = TwineScheduler::with_policy(load.policy);
-    for (si, (shape, replicas)) in load.shapes.iter().enumerate() {
-        sched.submit(
-            region,
-            &mut broker,
-            JobSpec {
-                name: format!("drill-shape{si}"),
-                reservation,
-                container: *shape,
-                replicas: *replicas,
-                rack_anti_affinity: load.rack_anti_affinity,
-            },
-        );
-    }
+    let (mut broker, mut sched, _) = load.place_striped(region, want, "drill");
     let containers = sched.allocator.container_count();
-    let stranded_before = stranded_now(&mut sched, region, &broker, 1);
+    let stranded_before = stranded_now(&mut sched.allocator, region, &broker, 1);
 
     // Fail the MSB hosting the most containers — the worst case for the
     // reservation's embedded buffer capacity.
@@ -404,7 +374,7 @@ pub fn run_failure_drill(
             evac_lost += l;
         }
     }
-    let stranded_after = stranded_now(&mut sched, region, &broker, 1);
+    let stranded_after = stranded_now(&mut sched.allocator, region, &broker, 1);
 
     DrillReport {
         policy: sched.allocator.policy_name().to_string(),

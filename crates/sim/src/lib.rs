@@ -5,8 +5,7 @@
 //! into the Resource Broker; the Online Mover replaces failed servers
 //! from the shared buffer within a minute; the Async Solver re-evaluates
 //! the whole region every hour; the Twine allocator keeps containers
-//! running inside each reservation. The same harness can instead drive
-//! Twine's previous greedy allocator as the evaluation baseline.
+//! running inside each reservation.
 
 pub mod continuous;
 pub mod failures;
@@ -16,6 +15,7 @@ pub mod scenario;
 pub use continuous::{run_continuous, ContainerLoad, ContinuousConfig, RoundReport};
 pub use failures::{run_failure_drill, DrillReport, FailureInjector, FailureRates};
 pub use metrics::{
-    stranded_account, stranded_best, stranded_on, HourSample, MetricsLog, StrandedAccount,
+    stranded_account, stranded_best, stranded_on, weighted_max_msb_share, HourSample, MetricsLog,
+    StrandedAccount,
 };
-pub use scenario::{AllocatorMode, SimConfig, Simulation};
+pub use scenario::{SimConfig, Simulation};

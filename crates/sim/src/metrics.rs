@@ -8,6 +8,10 @@
 //! offered shape needs at least a few GiB — the cores are nominally free
 //! yet unusable.
 
+use ras_broker::{ReservationId, ResourceBroker};
+use ras_core::buffers;
+use ras_core::reservation::ReservationSpec;
+use ras_topology::Region;
 use serde::{Deserialize, Serialize};
 
 /// Stranded-capacity totals over a set of hosts at one container grain.
@@ -128,6 +132,21 @@ pub fn stranded_account(
         }
     }
     acct
+}
+
+/// Member-weighted average over reservations of the share of each
+/// reservation's servers in its largest MSB, on the broker's current
+/// bindings (Figure 12's y-axis).
+pub fn weighted_max_msb_share(
+    region: &Region,
+    specs: &[ReservationSpec],
+    broker: &ResourceBroker,
+) -> f64 {
+    let current: Vec<Option<ReservationId>> = broker.iter().map(|(_, r)| r.current).collect();
+    let weights: Vec<f64> = (0..specs.len())
+        .map(|ri| broker.member_count(ReservationId::from_index(ri)) as f64)
+        .collect();
+    buffers::account(region, specs, &current).weighted_max_msb_share(&weights)
 }
 
 /// One hourly sample of region state.

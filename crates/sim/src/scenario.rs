@@ -1,31 +1,22 @@
 //! The simulation harness.
 
-use ras_broker::{EventNotice, ReservationId, ResourceBroker, SimTime, SubscriberId};
-use ras_core::baseline::GreedyAllocator;
+use ras_broker::{ReservationId, ResourceBroker, SimTime};
 use ras_core::buffers;
 use ras_core::reservation::ReservationSpec;
 use ras_core::solver::AsyncSolver;
 use ras_core::SolverParams;
 use ras_mover::{ElasticManager, MoverConfig, OnlineMover};
 use ras_topology::Region;
-use ras_twine::{HealthCheckService, PlacementPolicyKind, TwineAllocator};
+use ras_twine::{HealthCheckService, TwineAllocator};
 use ras_workloads::power;
 
+use crate::continuous::stranded_now;
 use crate::failures::{FailureInjector, FailureRates};
-use crate::metrics::{HourSample, MetricsLog};
+use crate::metrics::{weighted_max_msb_share, HourSample, MetricsLog};
 
 /// A uniform count-based RRU table over a region's catalog.
 pub(crate) fn uniform_rru(region: &Region) -> ras_core::rru::RruTable {
     ras_core::rru::RruTable::uniform(&region.catalog, 1.0)
-}
-
-/// Which level-1 allocator drives the region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AllocatorMode {
-    /// RAS: two-phase MIP solve every interval, mover executes targets.
-    Ras,
-    /// Twine's previous greedy region-pool assignment (the baseline).
-    Greedy,
 }
 
 /// Simulation configuration.
@@ -33,34 +24,24 @@ pub enum AllocatorMode {
 pub struct SimConfig {
     /// RNG seed for the failure injector.
     pub seed: u64,
-    /// Which allocator runs the region.
-    pub mode: AllocatorMode,
-    /// Hours between solves / rebalances (paper: 1).
+    /// Hours between solves (paper: 1).
     pub solve_interval_hours: u64,
     /// Simulation tick in seconds (failure injection resolution).
     pub tick_secs: u64,
     /// Failure rates.
     pub failures: FailureRates,
-    /// Solver parameters (RAS mode).
+    /// Solver parameters.
     pub params: SolverParams,
-    /// Automatically loan idle capacity to an elastic reservation and
-    /// revoke it when correlated failures strike (Section 3.4).
-    pub auto_elastic: bool,
-    /// Placement policy for the Twine (level-2) allocator.
-    pub placement: PlacementPolicyKind,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
         Self {
             seed: 0x5111,
-            mode: AllocatorMode::Ras,
             solve_interval_hours: 1,
             tick_secs: 600,
             failures: FailureRates::default(),
             params: SolverParams::default(),
-            auto_elastic: false,
-            placement: PlacementPolicyKind::BestFit,
         }
     }
 }
@@ -73,11 +54,11 @@ pub struct Simulation {
     pub broker: ResourceBroker,
     /// Reservation specs, index-aligned with broker registrations.
     pub specs: Vec<ReservationSpec>,
-    /// The Async Solver (RAS mode).
+    /// The Async Solver.
     pub solver: AsyncSolver,
     /// The Online Mover.
     pub mover: OnlineMover,
-    /// The Twine allocator.
+    /// The Twine allocator (best-fit placement).
     pub twine: TwineAllocator,
     /// The Health Check Service.
     pub hcs: HealthCheckService,
@@ -87,7 +68,6 @@ pub struct Simulation {
     pub metrics: MetricsLog,
     config: SimConfig,
     time: SimTime,
-    greedy_events: SubscriberId,
     moves_logged: usize,
     elastic: Option<ElasticManager>,
     pending_revokes: Vec<(ras_topology::ServerId, SimTime)>,
@@ -100,7 +80,6 @@ impl Simulation {
     pub fn new(region: Region, config: SimConfig) -> Self {
         let mut broker = ResourceBroker::new(region.server_count());
         let mover = OnlineMover::new(&mut broker, MoverConfig::default());
-        let greedy_events = broker.subscribe();
         let injector = FailureInjector::new(config.failures.clone(), config.seed);
         Self {
             region,
@@ -108,13 +87,12 @@ impl Simulation {
             specs: Vec::new(),
             solver: AsyncSolver::new(config.params.clone()),
             mover,
-            twine: TwineAllocator::with_policy(config.placement),
+            twine: TwineAllocator::new(),
             hcs: HealthCheckService::new(),
             injector,
             metrics: MetricsLog::new(),
             config,
             time: SimTime::ZERO,
-            greedy_events,
             moves_logged: 0,
             elastic: None,
             pending_revokes: Vec::new(),
@@ -129,7 +107,6 @@ impl Simulation {
         let spec = ReservationSpec::elastic(name, crate::scenario::uniform_rru(&self.region));
         let id = self.add_spec(spec);
         self.elastic = Some(ElasticManager::new(id));
-        self.config.auto_elastic = true;
         id
     }
 
@@ -153,26 +130,20 @@ impl Simulation {
         self.time
     }
 
-    /// Runs one solve/rebalance right now (also done automatically on the
-    /// solve interval during [`Simulation::run_hours`]).
+    /// Runs one solve right now and executes its targets (also done
+    /// automatically on the solve interval during
+    /// [`Simulation::run_hours`]).
     pub fn solve_now(&mut self) -> Result<(), ras_core::CoreError> {
-        match self.config.mode {
-            AllocatorMode::Ras => {
-                let snapshot = self.broker.snapshot(self.time);
-                let output = self.solver.solve(&self.region, &self.specs, &snapshot)?;
-                self.solver.apply(&output, &mut self.broker)?;
-                self.solve_history.push(output);
-                let region = &self.region;
-                let twine = &mut self.twine;
-                self.mover
-                    .execute_targets(&mut self.broker, self.time, |server, broker| {
-                        twine.evacuate(region, broker, server);
-                    });
-            }
-            AllocatorMode::Greedy => {
-                GreedyAllocator.rebalance(&self.region, &self.specs, &mut self.broker);
-            }
-        }
+        let snapshot = self.broker.snapshot(self.time);
+        let output = self.solver.solve(&self.region, &self.specs, &snapshot)?;
+        self.solver.apply(&output, &mut self.broker)?;
+        self.solve_history.push(output);
+        let region = &self.region;
+        let twine = &mut self.twine;
+        self.mover
+            .execute_targets(&mut self.broker, self.time, |server, broker| {
+                twine.evacuate(region, broker, server);
+            });
         Ok(())
     }
 
@@ -196,73 +167,41 @@ impl Simulation {
         for s in down_with_containers {
             self.twine.evacuate(&self.region, &mut self.broker, s);
         }
-        match self.config.mode {
-            AllocatorMode::Ras => {
-                self.mover
-                    .handle_failures(&self.region, &self.specs, &mut self.broker, self.time);
-                let _ = self.broker.drain_events(self.greedy_events);
-            }
-            AllocatorMode::Greedy => {
-                let notices = self.broker.drain_events(self.greedy_events);
-                for notice in notices {
-                    let EventNotice::Down(event) = notice else {
-                        continue;
-                    };
-                    if !event.kind.is_unplanned() {
-                        continue;
-                    }
-                    let Ok(rec) = self.broker.record(event.server) else {
-                        continue;
-                    };
-                    if let Some(res) = rec.current {
-                        if let Some(spec) = self.specs.get(res.index()) {
-                            GreedyAllocator.replace_failed(
-                                &self.region,
-                                spec,
-                                res,
-                                event.server,
-                                &mut self.broker,
-                            );
-                        }
-                    }
-                }
-            }
-        }
+        self.mover
+            .handle_failures(&self.region, &self.specs, &mut self.broker, self.time);
         // Elastic automation: loans when calm, revocation under fire.
-        if self.config.auto_elastic {
-            if let Some(mgr) = &self.elastic {
-                // Complete due delayed revocations first.
-                let due: Vec<_> = self
-                    .pending_revokes
-                    .iter()
-                    .filter(|(_, t)| *t <= self.time)
-                    .cloned()
-                    .collect();
-                self.pending_revokes.retain(|(_, t)| *t > self.time);
-                for (s, t) in due {
-                    mgr.complete_revoke(&mut self.broker, s, t, &mut self.mover.log);
+        if let Some(mgr) = &self.elastic {
+            // Complete due delayed revocations first.
+            let due: Vec<_> = self
+                .pending_revokes
+                .iter()
+                .filter(|(_, t)| *t <= self.time)
+                .cloned()
+                .collect();
+            self.pending_revokes.retain(|(_, t)| *t > self.time);
+            for (s, t) in due {
+                mgr.complete_revoke(&mut self.broker, s, t, &mut self.mover.log);
+            }
+            let correlated_active = self.broker.iter().any(|(_, r)| {
+                r.unavailability
+                    .map(|e| e.kind == ras_broker::UnavailabilityKind::CorrelatedFailure)
+                    .unwrap_or(false)
+            });
+            if correlated_active {
+                let loaned = mgr.loaned(&self.broker).len();
+                if loaned > 0 {
+                    let (_, delayed) =
+                        mgr.revoke(&mut self.broker, loaned, self.time, &mut self.mover.log);
+                    self.pending_revokes.extend(delayed);
                 }
-                let correlated_active = self.broker.iter().any(|(_, r)| {
-                    r.unavailability
-                        .map(|e| e.kind == ras_broker::UnavailabilityKind::CorrelatedFailure)
-                        .unwrap_or(false)
-                });
-                if correlated_active {
-                    let loaned = mgr.loaned(&self.broker).len();
-                    if loaned > 0 {
-                        let (_, delayed) =
-                            mgr.revoke(&mut self.broker, loaned, self.time, &mut self.mover.log);
-                        self.pending_revokes.extend(delayed);
-                    }
-                } else {
-                    mgr.loan_idle(
-                        &self.specs,
-                        &mut self.broker,
-                        16,
-                        self.time,
-                        &mut self.mover.log,
-                    );
-                }
+            } else {
+                mgr.loan_idle(
+                    &self.specs,
+                    &mut self.broker,
+                    16,
+                    self.time,
+                    &mut self.mover.log,
+                );
             }
         }
         self.time = self.time.plus_secs(self.config.tick_secs);
@@ -272,8 +211,7 @@ impl Simulation {
     pub fn elastic_loans(&self) -> usize {
         self.elastic
             .as_ref()
-            .map(|m| m.loaned(&self.broker).len())
-            .unwrap_or(0)
+            .map_or(0, |m| m.loaned(&self.broker).len())
     }
 
     /// Runs `hours` simulated hours: ticks, periodic solves, and one
@@ -311,12 +249,6 @@ impl Simulation {
                 }
             }
         }
-        let targets: Vec<Option<ReservationId>> =
-            self.broker.iter().map(|(_, r)| r.current).collect();
-        let acct = buffers::account(&self.region, &self.specs, &targets);
-        let weights: Vec<f64> = (0..self.specs.len())
-            .map(|ri| self.broker.member_count(ReservationId::from_index(ri)) as f64)
-            .collect();
         let budget = power::default_budget(&self.region);
         let p = power::measure(&self.region, &self.broker, budget);
         // Moves executed since the previous sample.
@@ -324,36 +256,12 @@ impl Simulation {
         let in_use = new_records.iter().filter(|r| r.in_use).count();
         let unused = new_records.len() - in_use;
         self.moves_logged = self.mover.log.records().len();
-        // Stranded capacity per reservation running containers, at each
-        // reservation's smallest-container grain, over the healthy
-        // members that actually hold containers (stranding measures what
-        // the allocator's stacking left unusable).
-        let mut stranded = crate::metrics::StrandedAccount::default();
-        for ri in 0..self.specs.len() {
-            let r = ReservationId::from_index(ri);
-            let shapes: Vec<(f64, f64)> = self
-                .twine
-                .container_shapes(r)
-                .iter()
-                .map(|s| (s.cores, s.memory_gib))
-                .collect();
-            if shapes.is_empty() {
-                continue;
-            }
-            let mut free = Vec::new();
-            for s in self.broker.members(r) {
-                let up = self
-                    .broker
-                    .record(s)
-                    .map(|rec| rec.is_up())
-                    .unwrap_or(false);
-                if !up || self.twine.containers_on(s) == 0 {
-                    continue;
-                }
-                free.push(self.twine.free_capacity_of(&self.region, s));
-            }
-            stranded.merge(&crate::metrics::stranded_account(free, &shapes));
-        }
+        let stranded = stranded_now(
+            &mut self.twine,
+            &self.region,
+            &self.broker,
+            self.specs.len(),
+        );
         self.metrics.push(HourSample {
             hour,
             unavailable_total: down.iter().sum::<usize>() as f64 / total,
@@ -361,7 +269,7 @@ impl Simulation {
             unavailable_hardware: down[1] as f64 / total,
             unavailable_correlated: down[3] as f64 / total,
             unavailable_planned: down[0] as f64 / total,
-            avg_max_msb_share: acct.weighted_max_msb_share(&weights),
+            avg_max_msb_share: weighted_max_msb_share(&self.region, &self.specs, &self.broker),
             power_variance: p.utilization_variance,
             power_headroom: p.peak_utilization_headroom,
             moves: (in_use, unused),
@@ -373,6 +281,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ras_core::baseline::GreedyAllocator;
     use ras_core::rru::RruTable;
     use ras_topology::{RegionBuilder, RegionTemplate};
 
@@ -380,9 +289,8 @@ mod tests {
         RegionBuilder::new(RegionTemplate::tiny(), 42).build()
     }
 
-    fn quiet_config(mode: AllocatorMode) -> SimConfig {
+    fn quiet_config() -> SimConfig {
         SimConfig {
-            mode,
             failures: FailureRates::quiet(),
             tick_secs: 1200,
             ..SimConfig::default()
@@ -392,7 +300,7 @@ mod tests {
     #[test]
     fn ras_mode_materializes_capacity() {
         let region = region();
-        let mut sim = Simulation::new(region, quiet_config(AllocatorMode::Ras));
+        let mut sim = Simulation::new(region, quiet_config());
         let catalog = sim.region.catalog.clone();
         let web = sim.add_spec(ras_core::ReservationSpec::guaranteed(
             "web",
@@ -410,41 +318,22 @@ mod tests {
     }
 
     #[test]
-    fn greedy_mode_also_fills_capacity_but_concentrates() {
-        let region = region();
-        let mut sim = Simulation::new(region, quiet_config(AllocatorMode::Greedy));
+    fn ras_spreads_better_than_greedy() {
+        let mut sim = Simulation::new(region(), quiet_config());
         let catalog = sim.region.catalog.clone();
-        let web = sim.add_spec(ras_core::ReservationSpec::guaranteed(
+        sim.add_spec(ras_core::ReservationSpec::guaranteed(
             "web",
-            40.0,
+            60.0,
             RruTable::uniform(&catalog, 1.0),
         ));
-        sim.run_hours(1);
-        assert_eq!(sim.broker.member_count(web), 40);
-        let sample = sim.metrics.latest().unwrap();
-        // Greedy fills in id order → heavy concentration in one MSB.
-        assert!(
-            sample.avg_max_msb_share > 0.4,
-            "greedy should concentrate, share {}",
-            sample.avg_max_msb_share
-        );
-    }
+        sim.run_hours(2);
+        let ras = sim.metrics.latest().unwrap().avg_max_msb_share;
 
-    #[test]
-    fn ras_spreads_better_than_greedy() {
-        let build = |mode| {
-            let mut sim = Simulation::new(region(), quiet_config(mode));
-            let catalog = sim.region.catalog.clone();
-            sim.add_spec(ras_core::ReservationSpec::guaranteed(
-                "web",
-                60.0,
-                RruTable::uniform(&catalog, 1.0),
-            ));
-            sim.run_hours(2);
-            sim.metrics.latest().unwrap().avg_max_msb_share
-        };
-        let ras = build(AllocatorMode::Ras);
-        let greedy = build(AllocatorMode::Greedy);
+        // Twine's previous allocator on the same region and spec.
+        let mut broker = ResourceBroker::new(sim.region.server_count());
+        broker.register_reservation("web");
+        GreedyAllocator.rebalance(&sim.region, &sim.specs, &mut broker);
+        let greedy = weighted_max_msb_share(&sim.region, &sim.specs, &broker);
         assert!(
             ras < greedy * 0.6,
             "RAS max-MSB share {ras} must beat greedy {greedy}"
@@ -454,7 +343,7 @@ mod tests {
     #[test]
     fn failure_replacement_keeps_capacity_whole() {
         let region = region();
-        let mut config = quiet_config(AllocatorMode::Ras);
+        let mut config = quiet_config();
         config.failures = FailureRates {
             hardware_per_server_per_day: 0.05, // High for a short test.
             ..FailureRates::quiet()
@@ -481,7 +370,7 @@ mod tests {
     #[test]
     fn auto_elastic_loans_and_revokes() {
         let region = region();
-        let mut config = quiet_config(AllocatorMode::Ras);
+        let mut config = quiet_config();
         config.tick_secs = 600;
         let mut sim = Simulation::new(region, config);
         let catalog = sim.region.catalog.clone();
@@ -526,7 +415,7 @@ mod tests {
     #[test]
     fn unavailability_sampling_sees_injected_events() {
         let region = region();
-        let mut config = quiet_config(AllocatorMode::Ras);
+        let mut config = quiet_config();
         config.failures = FailureRates {
             software_per_server_per_day: 2.0,
             software_minutes: (200.0, 400.0),

@@ -59,7 +59,7 @@ fn walked_files_cover_every_authored_tree() {
 
     // Bench binaries, examples, root integration tests, crate
     // integration tests — each once escaped an earlier walker.
-    assert!(has("crates/bench/src/bin/fig_continuous.rs"));
+    assert!(has("crates/bench/src/bin/figures.rs"));
     assert!(has("examples/quickstart.rs"));
     assert!(has("tests/end_to_end.rs"));
     assert!(

@@ -12,14 +12,13 @@ use ras::broker::UnavailabilityKind;
 use ras::core::rru::RruTable;
 use ras::core::ReservationSpec;
 use ras::mover::ElasticManager;
-use ras::sim::{AllocatorMode, FailureRates, SimConfig, Simulation};
+use ras::sim::{FailureRates, SimConfig, Simulation};
 use ras::topology::{MsbId, RegionBuilder, RegionTemplate, ScopeId};
 use ras::twine::{ContainerSpec, JobSpec};
 
 fn main() {
     let region = RegionBuilder::new(RegionTemplate::tiny(), 21).build();
     let config = SimConfig {
-        mode: AllocatorMode::Ras,
         failures: FailureRates {
             hardware_per_server_per_day: 0.01,
             msb_failures_per_month: 0.0, // We force one manually below.
@@ -51,10 +50,6 @@ fn main() {
         replicas: 40,
         rack_anti_affinity: true,
     };
-    {
-        let region_ref = &sim.region;
-        let _ = region_ref;
-    }
     let placed = {
         let Simulation {
             region,

@@ -5,14 +5,13 @@
 use ras::broker::ReservationId;
 use ras::core::rru::RruTable;
 use ras::core::ReservationSpec;
-use ras::sim::{AllocatorMode, FailureRates, SimConfig, Simulation};
+use ras::sim::{FailureRates, SimConfig, Simulation};
 use ras::topology::{RegionBuilder, RegionTemplate};
 
 fn sim_with_failures(failures: FailureRates, seed: u64) -> (Simulation, ReservationId) {
     let region = RegionBuilder::new(RegionTemplate::tiny(), seed).build();
     let config = SimConfig {
         seed,
-        mode: AllocatorMode::Ras,
         solve_interval_hours: 2,
         tick_secs: 1200,
         failures,
