@@ -29,6 +29,7 @@ pub fn run(_: Shape) -> Vec<Experiment> {
     let mut sim = Simulation::new(region, config);
     let days = 28;
     sim.run_hours(24 * days);
+    assert!(sim.solve_errors.is_empty(), "{:?}", sim.solve_errors);
 
     let mut exp = Experiment::new(
         "fig05",

@@ -45,7 +45,7 @@ pub fn run(shape: Shape) -> Vec<Experiment> {
         ids.push(id);
     }
     sim.add_shared_buffers(0.02);
-    let _ = sim.solve_now();
+    sim.solve_now().expect("the base load solves");
     // Spread containers so ~80 % of members run work (the paper's
     // occupancy) — anti-affinity prevents best-fit from packing them
     // onto a handful of hosts, which would leave every move "unused".
@@ -151,5 +151,9 @@ pub fn run(shape: Shape) -> Vec<Experiment> {
         working.0 as f64 / working.1 as f64,
         offhours.0 as f64 / offhours.1 as f64
     ));
+    if let Some((hour, e)) = sim.solve_errors.first() {
+        let n = sim.solve_errors.len();
+        exp.fail(format!("{n} solves failed, first at hour {hour}: {e}"));
+    }
     vec![exp]
 }

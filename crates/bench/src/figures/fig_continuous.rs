@@ -12,11 +12,10 @@
 //! seed installed once the session settles, and warm/cold agree on
 //! status and phase-1 objective within the MIP gap tolerance.
 //!
-//! The run forces [`ras_core::AuditMode::On`], so even a release build
-//! certificate-checks every solve: the figure fails if any round — cold
-//! or warm-started — fails to certify clean.
+//! The solver certificate-checks every solve in every build and refuses a
+//! plan whose certificate fails; a refused round, cold or warm-started,
+//! panics `run_continuous` and so fails the figure.
 
-use ras_core::{AuditMode, SolverParams};
 use ras_sim::continuous::{run_continuous, ContinuousConfig};
 use ras_topology::{RegionBuilder, RegionTemplate};
 
@@ -29,10 +28,6 @@ pub fn run(_: Shape) -> Vec<Experiment> {
         rounds: 8,
         churn_fraction: 0.02,
         cold_compare: true,
-        params: SolverParams {
-            audit: AuditMode::On,
-            ..SolverParams::default()
-        },
         ..ContinuousConfig::default()
     };
     let reports = run_continuous(&region, &config);
@@ -56,7 +51,6 @@ pub fn run(_: Shape) -> Vec<Experiment> {
             "basis",
             "seeded",
             "pruned",
-            "audit",
         ],
     );
     for r in &reports {
@@ -90,11 +84,6 @@ pub fn run(_: Shape) -> Vec<Experiment> {
             .to_string(),
             r.warm.incumbent_seeded.to_string(),
             r.phase1.mip_stats.nodes_pruned_by_seed.to_string(),
-            (if r.audit_certified {
-                "certified".to_string()
-            } else {
-                format!("{} violations", r.audit_violations)
-            }),
         ]);
     }
 
@@ -132,12 +121,6 @@ pub fn run(_: Shape) -> Vec<Experiment> {
         "warm basis accepted + incumbent seeded in {settled}/{} warm rounds",
         warm.len()
     ));
-    let certified = reports.iter().filter(|r| r.audit_certified).count();
-    let violations: usize = reports.iter().map(|r| r.audit_violations).sum();
-    exp.note(format!(
-        "audit: {certified}/{} rounds certified clean, {violations} violations",
-        reports.len()
-    ));
     // The warm-path contract for bound-only rounds: a model with last
     // round's name space whose warm basis sticks must re-solve via the
     // dual simplex with zero phase-1 iterations — phase 1 rebuilding
@@ -156,9 +139,6 @@ pub fn run(_: Shape) -> Vec<Experiment> {
         "bound-only warm rounds with zero phase-1 iterations: {phase1_free}/{}",
         bound_only_rounds.len()
     ));
-    if certified != reports.len() || violations != 0 {
-        exp.fail("audit certification failed");
-    }
     if bound_only_rounds.is_empty() {
         exp.fail("no bound-only warm round to check");
     }

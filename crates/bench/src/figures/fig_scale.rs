@@ -6,9 +6,11 @@
 //! `shards` set) across region sizes up to a paper-scale fleet (4 DCs × 9 MSBs ×
 //! 104 400 servers) and checks the reproduction gates:
 //!
-//! * every shard's phase certifies clean under [`ras_core::AuditMode::On`],
-//!   and the round's aggregate certificate (`phase1.mip_stats.audit`) is
-//!   clean exactly when they all are;
+//! * every shard's phase certifies clean (the solver certifies every
+//!   solve and refuses a plan whose certificate fails, so a failed
+//!   certificate shows as a failed solve), and the round's aggregate
+//!   certificate (`phase1.mip_stats.audit`) is clean exactly when they
+//!   all are;
 //! * the merged plan satisfies every regional capacity constraint;
 //! * the sharded objective lands within [`ras_core::sharded_tolerance`]
 //!   of the monolithic solve of the same input;
@@ -20,9 +22,7 @@
 use std::time::Instant;
 
 use ras_broker::SimTime;
-use ras_core::{
-    evaluate_targets, sharded_tolerance, AsyncSolver, AuditMode, SolveOutput, SolverParams,
-};
+use ras_core::{evaluate_targets, sharded_tolerance, AsyncSolver, SolveOutput, SolverParams};
 use ras_sim::continuous::portfolio;
 use ras_topology::{RegionBuilder, RegionTemplate};
 
@@ -90,10 +90,7 @@ pub fn run(_: Shape) -> Vec<Experiment> {
         let region = RegionBuilder::new(tpl, 23).build();
         let specs = portfolio(&region, 0.6);
         let snapshot = instance::broker_for(&region, &specs).snapshot(SimTime::ZERO);
-        let params = SolverParams {
-            audit: AuditMode::On,
-            ..SolverParams::default()
-        };
+        let params = SolverParams::default();
 
         let mono_start = Instant::now();
         let mono = match AsyncSolver::new(params.clone()).solve(&region, &specs, &snapshot) {

@@ -24,12 +24,15 @@
 //!   incumbent-within-gap invariant (`best_bound` may never overclaim
 //!   the incumbent).
 //!
-//! Everything lands in an [`AuditReport`] inside
-//! [`SolveStats`]: violations are *data*,
-//! never panics, so production callers can alarm on them while tests
-//! assert they stay empty. The auditor runs automatically in debug
-//! builds and is opt-in per solve in release via
-//! [`SolveConfig::audit`](crate::solution::SolveConfig::audit).
+//! [`crate::branch::solve`] runs all four on every solve, in every build
+//! profile, and their verdict binds: a reject-level static finding
+//! refuses the solve with
+//! [`SolveError::InvalidModel`](crate::solution::SolveError::InvalidModel),
+//! and a certificate violation (root LP or MIP) refuses the solution with
+//! [`SolveError::Uncertified`](crate::solution::SolveError::Uncertified).
+//! So every `Ok` solution carries an [`AuditReport`] in its
+//! [`SolveStats`] that is [`certified_clean`](AuditReport::certified_clean);
+//! the checkers themselves record violations as *data*, never panics.
 
 use serde::{Deserialize, Serialize};
 
@@ -40,27 +43,14 @@ use crate::solution::SolveStats;
 use crate::standard::StandardForm;
 use crate::tol;
 
-/// When the model auditor and certificate checkers run.
+/// When the model auditor and certificate checkers run: on every solve.
+/// The one value stays only because the frozen end-to-end benchmark
+/// names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum AuditMode {
-    /// Audit in debug builds (`cfg(debug_assertions)`), skip in release.
+    /// Audit every solve, in every build profile.
     #[default]
-    Auto,
-    /// Audit every solve regardless of build profile.
     On,
-    /// Never audit.
-    Off,
-}
-
-impl AuditMode {
-    /// True when this mode audits in the current build profile.
-    pub fn enabled(self) -> bool {
-        match self {
-            AuditMode::Auto => cfg!(debug_assertions),
-            AuditMode::On => true,
-            AuditMode::Off => false,
-        }
-    }
 }
 
 /// Which invariant an [`AuditIssue`] is about.
@@ -68,9 +58,9 @@ impl AuditMode {
 pub enum AuditCheck {
     /// NaN or infinite coefficient in a constraint or the objective.
     NonFiniteCoefficient,
-    /// Coefficient magnitude above [`AuditConfig::max_coeff`].
+    /// Coefficient magnitude above [`MAX_COEFF`].
     HugeCoefficient,
-    /// Nonzero coefficient magnitude below [`AuditConfig::min_coeff`].
+    /// Nonzero coefficient magnitude below [`tol::COEFF_MIN`].
     TinyCoefficient,
     /// NaN variable bound (infinite bounds are legal).
     NonFiniteBound,
@@ -161,34 +151,16 @@ impl std::fmt::Display for AuditIssue {
     }
 }
 
-/// Tolerances and scale limits for the auditor.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AuditConfig {
-    /// Relative feasibility tolerance for primal/bound residuals.
-    pub feas_tol: f64,
-    /// Integrality tolerance for the MIP certificate.
-    pub int_tol: f64,
-    /// Relative tolerance for dual feasibility and complementarity
-    /// (looser than `feas_tol`: reduced costs accumulate one inner
-    /// product of rounding per column).
-    pub dual_tol: f64,
-    /// Coefficient magnitudes above this are flagged as absurdly scaled.
-    pub max_coeff: f64,
-    /// Nonzero coefficient magnitudes below this are flagged.
-    pub min_coeff: f64,
-}
+/// Coefficient magnitudes above this are flagged as absurdly scaled.
+pub const MAX_COEFF: f64 = 1e10;
 
-impl Default for AuditConfig {
-    fn default() -> Self {
-        Self {
-            feas_tol: tol::PRIMAL_FEAS,
-            int_tol: tol::PRIMAL_FEAS,
-            dual_tol: tol::DUAL_FEAS,
-            max_coeff: 1e10,
-            min_coeff: tol::COEFF_MIN,
-        }
-    }
-}
+/// The auditor's settings: none. Its tolerances are [`tol::PRIMAL_FEAS`]
+/// (primal, bound and integrality residuals), [`tol::DUAL_FEAS`] (reduced
+/// costs, which accumulate one inner product of rounding per column),
+/// [`tol::COEFF_MIN`] and [`MAX_COEFF`]. Every check function still takes
+/// one only because the frozen end-to-end benchmark passes it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AuditConfig {}
 
 /// The structured audit outcome carried in
 /// [`SolveStats::audit`](crate::solution::SolveStats::audit).
@@ -259,7 +231,6 @@ fn audit_expr(
     subject: &str,
     expr: &crate::expr::LinExpr,
     num_vars: usize,
-    cfg: &AuditConfig,
 ) {
     for &(var, coeff) in &expr.terms {
         if var.index() >= num_vars {
@@ -276,17 +247,17 @@ fn audit_expr(
                 subject,
                 format!("coefficient {coeff} on variable #{}", var.index()),
             ));
-        } else if coeff.abs() > cfg.max_coeff {
+        } else if coeff.abs() > MAX_COEFF {
             issues.push(AuditIssue::flag(
                 AuditCheck::HugeCoefficient,
                 subject,
-                format!("|{coeff:e}| exceeds {:e}", cfg.max_coeff),
+                format!("|{coeff:e}| exceeds {:e}", MAX_COEFF),
             ));
-        } else if coeff != 0.0 && coeff.abs() < cfg.min_coeff {
+        } else if coeff != 0.0 && coeff.abs() < tol::COEFF_MIN {
             issues.push(AuditIssue::flag(
                 AuditCheck::TinyCoefficient,
                 subject,
-                format!("|{coeff:e}| is below {:e}", cfg.min_coeff),
+                format!("|{coeff:e}| is below {:e}", tol::COEFF_MIN),
             ));
         }
     }
@@ -305,7 +276,7 @@ fn audit_expr(
 /// [`Severity::Flag`]s, but any [`Severity::Reject`] means the model
 /// must not be solved (the standard-form build or the simplex would
 /// panic, overflow, or silently produce garbage on it).
-pub fn audit_model(model: &Model, cfg: &AuditConfig) -> Vec<AuditIssue> {
+pub fn audit_model(model: &Model, _: &AuditConfig) -> Vec<AuditIssue> {
     let mut issues = Vec::new();
     let n = model.num_vars();
     for info in model.vars() {
@@ -360,7 +331,7 @@ pub fn audit_model(model: &Model, cfg: &AuditConfig) -> Vec<AuditIssue> {
         }
     }
 
-    audit_expr(&mut issues, "objective", model.objective(), n, cfg);
+    audit_expr(&mut issues, "objective", model.objective(), n);
 
     for c in model.constraints() {
         if c.rhs.is_nan() {
@@ -391,7 +362,7 @@ pub fn audit_model(model: &Model, cfg: &AuditConfig) -> Vec<AuditIssue> {
                 AuditIssue::flag(AuditCheck::NonFiniteRhs, &c.name, format!("rhs {}", c.rhs))
             });
         }
-        audit_expr(&mut issues, &c.name, &c.expr, n, cfg);
+        audit_expr(&mut issues, &c.name, &c.expr, n);
         if c.expr.terms.is_empty() {
             // `0 (sense) rhs`: vacuous, or trivially infeasible — which
             // is still a *solvable* model (the solve reports Infeasible),
@@ -441,7 +412,7 @@ pub fn audit_model(model: &Model, cfg: &AuditConfig) -> Vec<AuditIssue> {
 /// unique, in-range, and finite; a structural variable appearing in no
 /// row is flagged (it can only move to whichever bound its cost prefers,
 /// which usually means a modelling bug upstream).
-pub fn audit_standard_form(sf: &StandardForm, cfg: &AuditConfig) -> Vec<AuditIssue> {
+pub fn audit_standard_form(sf: &StandardForm, _: &AuditConfig) -> Vec<AuditIssue> {
     let mut issues = Vec::new();
     for j in 0..sf.num_cols() {
         let mut last_row: Option<usize> = None;
@@ -461,11 +432,11 @@ pub fn audit_standard_form(sf: &StandardForm, cfg: &AuditConfig) -> Vec<AuditIss
                     format!("col {j}"),
                     format!("entry value {a} in row {i}"),
                 ));
-            } else if a.abs() > cfg.max_coeff {
+            } else if a.abs() > MAX_COEFF {
                 issues.push(AuditIssue::flag(
                     AuditCheck::HugeCoefficient,
                     format!("col {j}"),
-                    format!("|{a:e}| in row {i} exceeds {:e}", cfg.max_coeff),
+                    format!("|{a:e}| in row {i} exceeds {:e}", MAX_COEFF),
                 ));
             }
             if let Some(prev) = last_row {
@@ -503,7 +474,7 @@ pub fn check_lp_certificate(
     lower: &[f64],
     upper: &[f64],
     lp: &LpResult,
-    cfg: &AuditConfig,
+    _: &AuditConfig,
     report: &mut AuditReport,
 ) {
     if lp.status != LpStatus::Optimal {
@@ -533,7 +504,7 @@ pub fn check_lp_certificate(
     for (i, act) in activity.iter().enumerate() {
         let rel = (act - sf.rhs[i]).abs() / (1.0 + sf.rhs[i].abs());
         report.max_primal_residual = report.max_primal_residual.max(rel);
-        if rel > cfg.feas_tol {
+        if rel > tol::PRIMAL_FEAS {
             report.violations.push(AuditIssue::reject(
                 AuditCheck::PrimalInfeasible,
                 format!("row {i}"),
@@ -551,7 +522,7 @@ pub fn check_lp_certificate(
         if viol > 0.0 {
             let rel = viol / (1.0 + x.abs());
             report.max_bound_violation = report.max_bound_violation.max(rel);
-            if rel > cfg.feas_tol {
+            if rel > tol::PRIMAL_FEAS {
                 report.violations.push(AuditIssue::reject(
                     AuditCheck::BoundViolation,
                     format!("col {j}"),
@@ -575,9 +546,9 @@ pub fn check_lp_certificate(
             scale += term.abs();
         }
         let d = sf.costs[j] - dot;
-        let dtol = cfg.dual_tol * (1.0 + scale);
+        let dtol = tol::DUAL_FEAS * (1.0 + scale);
         let x = lp.values[j];
-        let btol = cfg.feas_tol * (1.0 + x.abs());
+        let btol = tol::PRIMAL_FEAS * (1.0 + x.abs());
         let at_lo = lower[j].is_finite() && x - lower[j] <= btol;
         let at_up = upper[j].is_finite() && upper[j] - x <= btol;
         if at_lo && at_up {
@@ -626,7 +597,7 @@ pub fn check_mip_certificate(
     values: &[f64],
     objective: f64,
     stats: &SolveStats,
-    cfg: &AuditConfig,
+    _: &AuditConfig,
     report: &mut AuditReport,
 ) {
     report.certified = true;
@@ -643,7 +614,7 @@ pub fn check_mip_certificate(
         if viol > 0.0 {
             let rel = viol / (1.0 + x.abs());
             report.max_bound_violation = report.max_bound_violation.max(rel);
-            if rel > cfg.feas_tol {
+            if rel > tol::PRIMAL_FEAS {
                 report.violations.push(AuditIssue::reject(
                     AuditCheck::BoundViolation,
                     &info.name,
@@ -654,7 +625,7 @@ pub fn check_mip_certificate(
         if info.ty != VarType::Continuous {
             let frac = (x - x.round()).abs();
             report.max_integrality_violation = report.max_integrality_violation.max(frac);
-            if frac > cfg.int_tol {
+            if frac > tol::PRIMAL_FEAS {
                 report.violations.push(AuditIssue::reject(
                     AuditCheck::IntegralityViolation,
                     &info.name,
@@ -674,7 +645,7 @@ pub fn check_mip_certificate(
         if viol > 0.0 {
             let rel = viol / (1.0 + c.rhs.abs());
             report.max_primal_residual = report.max_primal_residual.max(rel);
-            if rel > cfg.feas_tol {
+            if rel > tol::PRIMAL_FEAS {
                 report.violations.push(AuditIssue::reject(
                     AuditCheck::PrimalInfeasible,
                     &c.name,
@@ -684,7 +655,7 @@ pub fn check_mip_certificate(
         }
     }
     let recomputed = model.objective().eval(values);
-    if (recomputed - objective).abs() > cfg.feas_tol * (1.0 + objective.abs()) {
+    if (recomputed - objective).abs() > tol::PRIMAL_FEAS * (1.0 + objective.abs()) {
         report.violations.push(AuditIssue::reject(
             AuditCheck::ObjectiveMismatch,
             "objective",
@@ -692,7 +663,7 @@ pub fn check_mip_certificate(
         ));
     }
     if stats.best_bound.is_finite()
-        && stats.best_bound > objective + cfg.feas_tol * (1.0 + objective.abs())
+        && stats.best_bound > objective + tol::PRIMAL_FEAS * (1.0 + objective.abs())
     {
         report.violations.push(AuditIssue::reject(
             AuditCheck::BoundOverclaim,
@@ -708,19 +679,15 @@ mod tests {
     use crate::expr::LinExpr;
     use crate::model::{Sense, VarType};
 
-    fn cfg() -> AuditConfig {
-        AuditConfig::default()
-    }
-
     #[test]
     fn clean_model_audits_clean() {
         let mut m = Model::new();
         let x = m.add_var("x", VarType::Integer, 0.0, 10.0);
         m.add_constraint("c", 2.0 * x, Sense::Le, 7.0);
         m.set_objective(-1.0 * x);
-        assert!(audit_model(&m, &cfg()).is_empty());
+        assert!(audit_model(&m, &AuditConfig {}).is_empty());
         let sf = StandardForm::from_model(&m);
-        assert!(audit_standard_form(&sf, &cfg()).is_empty());
+        assert!(audit_standard_form(&sf, &AuditConfig {}).is_empty());
     }
 
     #[test]
@@ -728,7 +695,7 @@ mod tests {
         let mut m = Model::new();
         let x = m.add_var("x", VarType::Continuous, 0.0, 1.0);
         m.add_constraint("c", f64::NAN * x, Sense::Le, 1.0);
-        let issues = audit_model(&m, &cfg());
+        let issues = audit_model(&m, &AuditConfig {});
         assert!(
             issues
                 .iter()
@@ -742,7 +709,7 @@ mod tests {
         let mut m = Model::new();
         // Bypass `set_bounds`' assert by constructing the var directly.
         m.add_var("x", VarType::Continuous, 2.0, 1.0);
-        let issues = audit_model(&m, &cfg());
+        let issues = audit_model(&m, &AuditConfig {});
         assert!(issues.iter().any(|i| i.check == AuditCheck::CrossedBounds));
     }
 
@@ -750,7 +717,7 @@ mod tests {
     fn integer_interval_without_integer_is_rejected() {
         let mut m = Model::new();
         m.add_var("x", VarType::Integer, 0.2, 0.8);
-        let issues = audit_model(&m, &cfg());
+        let issues = audit_model(&m, &AuditConfig {});
         assert!(issues
             .iter()
             .any(|i| i.check == AuditCheck::FractionalIntegerBounds
@@ -761,7 +728,7 @@ mod tests {
     fn fractional_integer_bounds_are_flagged() {
         let mut m = Model::new();
         m.add_var("x", VarType::Integer, 0.5, 3.0);
-        let issues = audit_model(&m, &cfg());
+        let issues = audit_model(&m, &AuditConfig {});
         assert!(issues.iter().any(
             |i| i.check == AuditCheck::FractionalIntegerBounds && i.severity == Severity::Flag
         ));
@@ -772,7 +739,7 @@ mod tests {
         let mut m = Model::new();
         let x = m.add_var("x", VarType::Continuous, 0.0, 1.0);
         m.add_constraint("unsat", 1.0 * x, Sense::Ge, f64::INFINITY);
-        let issues = audit_model(&m, &cfg());
+        let issues = audit_model(&m, &AuditConfig {});
         assert!(issues
             .iter()
             .any(|i| i.check == AuditCheck::NonFiniteRhs && i.severity == Severity::Reject));
@@ -780,7 +747,7 @@ mod tests {
         let mut m = Model::new();
         let x = m.add_var("x", VarType::Continuous, 0.0, 1.0);
         m.add_constraint("vacuous", 1.0 * x, Sense::Le, f64::INFINITY);
-        let issues = audit_model(&m, &cfg());
+        let issues = audit_model(&m, &AuditConfig {});
         assert!(issues
             .iter()
             .any(|i| i.check == AuditCheck::NonFiniteRhs && i.severity == Severity::Flag));
@@ -792,7 +759,7 @@ mod tests {
         let mut m = Model::new();
         let x = m.add_var("x", VarType::Continuous, 0.0, 1.0);
         m.add_constraint("c", 1e12 * x, Sense::Le, 1.0);
-        let issues = audit_model(&m, &cfg());
+        let issues = audit_model(&m, &AuditConfig {});
         assert!(issues.iter().all(|i| i.severity == Severity::Flag));
         assert!(issues
             .iter()
@@ -804,7 +771,7 @@ mod tests {
         let mut m = Model::new();
         let _ = m.add_var("x", VarType::Continuous, 0.0, 1.0);
         m.add_constraint("c", LinExpr::zero(), Sense::Ge, 2.0);
-        let issues = audit_model(&m, &cfg());
+        let issues = audit_model(&m, &AuditConfig {});
         assert!(issues
             .iter()
             .any(|i| i.check == AuditCheck::EmptyRow && i.severity == Severity::Flag));
@@ -832,7 +799,7 @@ mod tests {
         );
         assert_eq!(lp.status, LpStatus::Optimal);
         let mut report = AuditReport::default();
-        check_lp_certificate(&sf, &sf.lower, &sf.upper, &lp, &cfg(), &mut report);
+        check_lp_certificate(&sf, &sf.lower, &sf.upper, &lp, &AuditConfig {}, &mut report);
         assert!(report.dual_certified, "duals must be present and checked");
         assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
@@ -849,7 +816,7 @@ mod tests {
         assert_eq!(lp.status, LpStatus::Optimal);
         lp.values[0] += 1.0; // Corrupt the primal point.
         let mut report = AuditReport::default();
-        check_lp_certificate(&sf, &sf.lower, &sf.upper, &lp, &cfg(), &mut report);
+        check_lp_certificate(&sf, &sf.lower, &sf.upper, &lp, &AuditConfig {}, &mut report);
         assert!(!report.violations.is_empty());
         assert!(report.max_primal_residual > 1e-3);
     }
@@ -865,7 +832,7 @@ mod tests {
             ..SolveStats::default()
         };
         let mut report = AuditReport::default();
-        check_mip_certificate(&m, &[3.0], -3.0, &stats, &cfg(), &mut report);
+        check_mip_certificate(&m, &[3.0], -3.0, &stats, &AuditConfig {}, &mut report);
         assert!(report
             .violations
             .iter()
@@ -880,14 +847,14 @@ mod tests {
         m.set_objective(-1.0 * x);
         let s = m.solve().unwrap();
         let mut report = AuditReport::default();
-        check_mip_certificate(&m, &s.values, s.objective, &s.stats, &cfg(), &mut report);
+        check_mip_certificate(
+            &m,
+            &s.values,
+            s.objective,
+            &s.stats,
+            &AuditConfig {},
+            &mut report,
+        );
         assert!(report.certified_clean(), "{:?}", report.violations);
-    }
-
-    #[test]
-    fn audit_mode_enablement() {
-        assert!(AuditMode::On.enabled());
-        assert!(!AuditMode::Off.enabled());
-        assert_eq!(AuditMode::Auto.enabled(), cfg!(debug_assertions));
     }
 }

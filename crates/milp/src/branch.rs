@@ -36,7 +36,7 @@ use std::time::Instant;
 
 use crate::audit::{
     audit_model, audit_standard_form, check_lp_certificate, check_mip_certificate, AuditConfig,
-    AuditReport, Severity,
+    AuditIssue, AuditReport, Severity,
 };
 use crate::branching::PseudoCosts;
 use crate::model::{Model, VarType};
@@ -574,25 +574,10 @@ pub fn solve(model: &Model, config: &SolveConfig) -> Result<Solution, SolveError
     // dangling variable, crossed bounds) would panic or silently
     // corrupt the standard-form build below, so it must never get
     // there. Flags are carried through into the final stats.
-    let audit_on = config.audit.enabled();
-    let audit_cfg = AuditConfig::default();
     let mut audit = AuditReport::default();
-    if audit_on {
-        audit.model_checked = true;
-        let issues = audit_model(model, &audit_cfg);
-        if issues.iter().any(|i| i.severity == Severity::Reject) {
-            return Err(SolveError::InvalidModel(issues));
-        }
-        audit.issues = issues;
-    }
+    admit(&mut audit, audit_model(model, &AuditConfig {}))?;
     let sf = StandardForm::from_model(model);
-    if audit_on {
-        let issues = audit_standard_form(&sf, &audit_cfg);
-        if issues.iter().any(|i| i.severity == Severity::Reject) {
-            return Err(SolveError::InvalidModel(issues));
-        }
-        audit.issues.extend(issues);
-    }
+    admit(&mut audit, audit_standard_form(&sf, &AuditConfig {}))?;
     let setup_seconds = start.elapsed().as_secs_f64();
     let int_vars: Vec<usize> = model
         .vars()
@@ -676,14 +661,20 @@ pub fn solve(model: &Model, config: &SolveConfig) -> Result<Solution, SolveError
     } else {
         f64::NEG_INFINITY
     };
-    // Certify the proven-optimal root relaxation: primal residual,
-    // bounds, dual feasibility, and complementary slackness against
-    // the duals the simplex reported. Warm-started roots go through
-    // the same checks as cold ones — this is exactly where a stale
-    // remapped basis would first show up.
-    if audit_on && root_optimal {
-        check_lp_certificate(&sf, &root_lower, &root_upper, &root, &audit_cfg, &mut audit);
-    }
+    // Certify the root relaxation when it is proven optimal (the checker
+    // skips any other status): primal residual, bounds, dual
+    // feasibility, and complementary slackness against the duals the
+    // simplex reported. Warm-started roots go through the same checks as
+    // cold ones — this is exactly where a stale remapped basis would
+    // first show up.
+    check_lp_certificate(
+        &sf,
+        &root_lower,
+        &root_upper,
+        &root,
+        &AuditConfig {},
+        &mut audit,
+    );
 
     let mut incumbent: Option<(f64, Vec<f64>)> = None;
     // The one place candidate plans enter the search: each is
@@ -717,17 +708,7 @@ pub fn solve(model: &Model, config: &SolveConfig) -> Result<Solution, SolveError
         stats.best_bound = obj;
         stats.nodes = 1;
         stats.solve_seconds = start.elapsed().as_secs_f64();
-        if audit_on {
-            check_mip_certificate(model, &values, obj, &stats, &audit_cfg, &mut audit);
-        }
-        stats.audit = audit;
-        return Ok(Solution {
-            status: Status::Optimal,
-            objective: obj,
-            values,
-            stats,
-            root_basis: root.basis.clone(),
-        });
+        return certify(model, Status::Optimal, obj, values, stats, audit, &root);
     }
     // One engine for every node and dive LP the search itself solves.
     let mut node_lp = Simplex::new(&sf, lp_config.clone());
@@ -943,21 +924,57 @@ pub fn solve(model: &Model, config: &SolveConfig) -> Result<Solution, SolveError
                 } else {
                     Status::Feasible
                 };
-            if audit_on {
-                check_mip_certificate(model, &values, obj, &stats, &audit_cfg, &mut audit);
-            }
-            stats.audit = audit;
-            Ok(Solution {
-                status,
-                objective: obj,
-                values,
-                stats,
-                root_basis: root.basis.clone(),
-            })
+            certify(model, status, obj, values, stats, audit, &root)
         }
         None if hit_limit => Err(SolveError::NoIncumbent),
         None => Err(SolveError::Infeasible),
     }
+}
+
+/// Adds one static audit's findings to the report and refuses the solve,
+/// with every finding so far, when any is reject-level.
+fn admit(audit: &mut AuditReport, issues: Vec<AuditIssue>) -> Result<(), SolveError> {
+    audit.issues.extend(issues);
+    if audit.issues.iter().any(|i| i.severity == Severity::Reject) {
+        return Err(SolveError::InvalidModel(std::mem::take(&mut audit.issues)));
+    }
+    Ok(())
+}
+
+/// The one way a solution leaves the solver: the incumbent's MIP
+/// certificate is checked against the original model into `audit`, which
+/// already holds the static findings and the root LP certificate, and any
+/// violation of either certificate refuses it. So every returned
+/// solution's `stats.audit` is certified clean.
+fn certify(
+    model: &Model,
+    status: Status,
+    objective: f64,
+    values: Vec<f64>,
+    mut stats: SolveStats,
+    mut audit: AuditReport,
+    root: &LpResult,
+) -> Result<Solution, SolveError> {
+    audit.model_checked = true;
+    check_mip_certificate(
+        model,
+        &values,
+        objective,
+        &stats,
+        &AuditConfig {},
+        &mut audit,
+    );
+    if !audit.violations.is_empty() {
+        return Err(SolveError::Uncertified(audit.violations));
+    }
+    stats.audit = audit;
+    Ok(Solution {
+        status,
+        objective,
+        values,
+        stats,
+        root_basis: root.basis.clone(),
+    })
 }
 
 /// Returns the integer variable with the most fractional LP value.
@@ -1076,6 +1093,7 @@ fn dive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::AuditCheck;
     use crate::expr::LinExpr;
     use crate::model::Sense;
 
@@ -1192,6 +1210,60 @@ mod tests {
         assert_eq!(s.objective.round(), -20.0);
         assert_eq!(s.int_value(b), 1);
         assert_eq!(s.int_value(c), 1);
+    }
+
+    #[test]
+    fn the_finish_step_refuses_what_either_certificate_rejects() {
+        let mut m = Model::new();
+        let x = m.add_var("x", VarType::Integer, 0.0, 10.0);
+        m.add_constraint("c", 2.0 * x, Sense::Le, 7.0);
+        m.set_objective(-1.0 * x);
+        let s = m.solve().unwrap();
+        assert!(s.stats.audit.certified_clean() && s.stats.audit.model_checked);
+        assert_eq!(s.int_value(x), 3);
+        let sf = StandardForm::from_model(&m);
+        let root = crate::simplex::solve_lp(&sf, &sf.lower, &sf.upper, &SimplexConfig::default());
+        let finish = |values: Vec<f64>, objective: f64, best_bound: f64, audit| {
+            let stats = SolveStats {
+                best_bound,
+                ..SolveStats::default()
+            };
+            certify(&m, Status::Optimal, objective, values, stats, audit, &root)
+        };
+        let clean = finish(vec![3.0], -3.0, -3.0, AuditReport::default()).expect("certified");
+        assert!(clean.stats.audit.certified_clean() && clean.stats.audit.model_checked);
+
+        // A clean MIP point whose root LP certificate failed.
+        let mut failed_root = AuditReport::default();
+        failed_root.violations.push(AuditIssue {
+            check: AuditCheck::DualInfeasible,
+            severity: Severity::Reject,
+            subject: "col 0".into(),
+            detail: "d < 0 at lower bound".into(),
+        });
+        for (refused, check) in [
+            // A violated row: x = 4 breaks 2x ≤ 7.
+            (
+                finish(vec![4.0], -4.0, -4.0, AuditReport::default()),
+                AuditCheck::PrimalInfeasible,
+            ),
+            // An overclaimed bound: -2 claims more than the incumbent's -3.
+            (
+                finish(vec![3.0], -3.0, -2.0, AuditReport::default()),
+                AuditCheck::BoundOverclaim,
+            ),
+            (
+                finish(vec![3.0], -3.0, -3.0, failed_root),
+                AuditCheck::DualInfeasible,
+            ),
+        ] {
+            match refused {
+                Err(SolveError::Uncertified(v)) => {
+                    assert!(v.iter().any(|i| i.check == check), "{check:?}: {v:?}")
+                }
+                other => panic!("{check:?}: expected Uncertified, got {other:?}"),
+            }
+        }
     }
 
     #[test]

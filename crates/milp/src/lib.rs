@@ -21,9 +21,10 @@
 //!   incrementally maintained reduced costs on the primal side (partial,
 //!   over a candidate list, on wide models), dual devex with a
 //!   bound-flip ratio test on the dual side;
-//! * [`audit`] — a static model auditor (run before every solve) and
-//!   solution certificate checkers (primal/dual feasibility, integrality,
-//!   incumbent-within-gap) producing a structured [`AuditReport`];
+//! * [`audit`] — a static model auditor and solution certificate
+//!   checkers (primal/dual feasibility, integrality, incumbent-within-gap)
+//!   producing a structured [`AuditReport`]; every solve runs them, and a
+//!   solution whose certificate fails is refused, never returned;
 //! * [`branch`] — best-bound branch-and-bound ([`branch::solve`], what
 //!   [`Model::solve_with`] runs) with pseudo-cost / most-fractional
 //!   branching, a rounding/diving incumbent heuristic, gap reporting and

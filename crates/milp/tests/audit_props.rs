@@ -1,8 +1,8 @@
 //! Property-based tests for the model auditor: pathological models —
 //! NaN/±inf coefficients, crossed bounds, NaN right-hand sides, dangling
 //! variable references — must come back as *structured rejections*
-//! (reject-severity [`AuditIssue`]s, [`SolveError::InvalidModel`] from an
-//! audited solve), never as a panic or a silently-wrong answer; and
+//! (reject-severity [`AuditIssue`]s, [`SolveError::InvalidModel`] from a
+//! solve, which always audits), never as a panic or a silently-wrong answer; and
 //! well-formed models must never be rejected.
 
 // The vendored proptest macro expands one token at a time; the larger
@@ -12,8 +12,7 @@
 use proptest::prelude::*;
 use ras_milp::audit::audit_model;
 use ras_milp::{
-    AuditConfig, AuditIssue, AuditMode, LinExpr, Model, Sense, Severity, SolveConfig, SolveError,
-    Var, VarType,
+    AuditConfig, AuditIssue, LinExpr, Model, Sense, Severity, SolveError, Var, VarType,
 };
 
 /// Which defect the strategy injects into an otherwise-sound model.
@@ -94,17 +93,10 @@ fn rejects(issues: &[AuditIssue]) -> usize {
         .count()
 }
 
-fn audited() -> SolveConfig {
-    SolveConfig {
-        audit: AuditMode::On,
-        ..SolveConfig::default()
-    }
-}
-
 /// `Err(None)` when the solve did not return `InvalidModel`; otherwise
 /// the reject count of the carried findings.
 fn solve_rejections(model: &Model) -> Result<usize, Option<String>> {
-    match model.solve_with(&audited()) {
+    match model.solve() {
         Err(SolveError::InvalidModel(issues)) => Ok(rejects(&issues)),
         Ok(s) => Err(Some(format!("solved to {}", s.objective))),
         Err(e) => Err(Some(format!("{e}"))),
@@ -112,9 +104,10 @@ fn solve_rejections(model: &Model) -> Result<usize, Option<String>> {
 }
 
 /// `Ok` when a clean model solves certified-clean or is honestly
-/// infeasible; `Err(description)` otherwise.
+/// infeasible; `Err(description)` otherwise (a refused, uncertified
+/// solution included).
 fn clean_verdict(model: &Model) -> Result<(), String> {
-    match model.solve_with(&audited()) {
+    match model.solve() {
         Ok(solution) if solution.stats.audit.certified_clean() => Ok(()),
         Ok(solution) => Err(format!(
             "not certified clean: {:?}",
@@ -135,7 +128,7 @@ proptest! {
     // The static audit flags every injected defect at reject severity.
     #[test]
     fn pathological_models_are_rejected_structurally(model in pathological_mip()) {
-        let issues = audit_model(&model, &AuditConfig::default());
+        let issues = audit_model(&model, &AuditConfig {});
         prop_assert!(
             rejects(&issues) > 0,
             "auditor missed the injected defect; findings: {issues:?}"
@@ -165,7 +158,7 @@ proptest! {
     // audited solve reaches a normal certified verdict.
     #[test]
     fn clean_models_pass_the_audit(model in clean_mip()) {
-        let issues = audit_model(&model, &AuditConfig::default());
+        let issues = audit_model(&model, &AuditConfig {});
         prop_assert_eq!(rejects(&issues), 0, "clean model rejected: {:?}", issues);
         let verdict = clean_verdict(&model);
         prop_assert!(verdict.is_ok(), "{}", verdict.unwrap_err());

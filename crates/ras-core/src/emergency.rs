@@ -4,7 +4,11 @@
 //! write server assignments to the Resource Broker to grant immediate
 //! capacity without obeying all placement guarantees. Then, future solves
 //! will correct any placement guarantees that were broken." The same path
-//! doubles as a backup when the Async Solver is unavailable.
+//! doubles as a backup when the Async Solver is unavailable, and it is the
+//! operator's path while rounds are refused: a round whose solve fails
+//! (a failed certificate included) applies nothing, so the broker keeps
+//! the previous targets until a round succeeds, and capacity needed
+//! meanwhile is granted here.
 
 use ras_broker::{ReservationId, ResourceBroker};
 use ras_topology::{Region, ServerId};

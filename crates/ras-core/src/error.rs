@@ -21,6 +21,16 @@ pub enum CoreError {
         /// The offending reservation.
         reservation: ReservationId,
     },
+    /// A reservation asks for a capacity that is not a finite number
+    /// (NaN or ±∞). No plan can meet it: the model would drop a NaN
+    /// capacity row and hand the reservation nothing, and an infinite
+    /// one can never be satisfied.
+    NonFiniteCapacity {
+        /// The offending reservation.
+        reservation: ReservationId,
+        /// The capacity it asked for, in RRUs.
+        capacity: f64,
+    },
     /// The MIP is infeasible even after softening: the region simply does
     /// not have the requested capacity.
     CapacityUnavailable {
@@ -55,6 +65,13 @@ impl std::fmt::Display for CoreError {
             CoreError::NoEligibleHardware { reservation } => {
                 write!(f, "{reservation} requests hardware absent from the region")
             }
+            CoreError::NonFiniteCapacity {
+                reservation,
+                capacity,
+            } => write!(
+                f,
+                "{reservation} requests a non-finite capacity ({capacity} RRU)"
+            ),
             CoreError::CapacityUnavailable { shortfalls } => {
                 write!(f, "insufficient regional capacity:")?;
                 for (r, s) in shortfalls {

@@ -71,10 +71,12 @@ pub struct SolverParams {
     /// its own worker thread from its own warm cache; a cheap
     /// merge/reconcile pass recombines the plans. See [`crate::shard`].
     pub shards: usize,
-    /// When the MIP auditor runs (static model audit before each solve,
-    /// certificate checks after): [`AuditMode::Auto`] audits in debug
-    /// builds only; production runs opt in with [`AuditMode::On`] to
-    /// certify every warm round against the same invariants as cold ones.
+    /// When the MIP auditor runs: [`AuditMode::On`], its one value. Every
+    /// solve is audited (static model audit before it, certificate checks
+    /// after) in every build, warm rounds against the same invariants as
+    /// cold ones, and a phase whose certificate fails is refused
+    /// ([`ras_milp::SolveError::Uncertified`]). Nothing reads the field;
+    /// it stays only because the frozen end-to-end benchmark names it.
     pub audit: AuditMode,
     /// The dual iteration the root LP runs by, passed on as
     /// [`ras_milp::SolveConfig::warm_dual`]: `true` picks the long step
@@ -112,7 +114,7 @@ impl Default for SolverParams {
             assignment_cost: 0.01,
             phase1_granularity: Granularity::Msb,
             shards: 1,
-            audit: AuditMode::Auto,
+            audit: AuditMode::On,
             warm_dual: true,
             aggregation: AggregationLevel::Classes,
         }

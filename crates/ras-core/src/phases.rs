@@ -126,7 +126,6 @@ fn solve_prepared(
         stall_node_limit: params.stall_node_limit,
         incumbents,
         warm_basis,
-        audit: params.audit,
         warm_dual: params.warm_dual,
         ..SolveConfig::default()
     };

@@ -151,7 +151,9 @@ impl AsyncSolver {
     }
 
     /// Validates specs against the region (actionable rejections,
-    /// Section 5.3).
+    /// Section 5.3): every capacity must be a finite number, and every
+    /// solver-visible spec asking for capacity must name hardware the
+    /// region has.
     ///
     /// One pass over the fleet builds per-hardware-type counts; each spec
     /// is then answered in O(|catalog|) instead of O(|fleet|).
@@ -161,6 +163,13 @@ impl AsyncSolver {
             by_hardware[server.hardware.index()] += 1;
         }
         for (ri, spec) in specs.iter().enumerate() {
+            let reservation = ReservationId::from_index(ri);
+            if !spec.capacity.is_finite() {
+                return Err(CoreError::NonFiniteCapacity {
+                    reservation,
+                    capacity: spec.capacity,
+                });
+            }
             if !solver_visible(spec) || spec.capacity <= 0.0 {
                 continue;
             }
@@ -169,9 +178,7 @@ impl AsyncSolver {
                 .iter_eligible()
                 .any(|(hw, _)| by_hardware.get(hw.index()).is_some_and(|&n| n > 0));
             if !exists {
-                return Err(CoreError::NoEligibleHardware {
-                    reservation: ReservationId::from_index(ri),
-                });
+                return Err(CoreError::NoEligibleHardware { reservation });
             }
         }
         Ok(())
@@ -487,6 +494,39 @@ mod tests {
     }
 
     #[test]
+    fn a_non_finite_capacity_is_refused_naming_the_reservation() {
+        let (region, mut broker) = setup();
+        let rru = RruTable::uniform(&region.catalog, 1.0);
+        broker.register_reservation("web");
+        broker.register_reservation("feed");
+        let snap = broker.snapshot(SimTime::ZERO);
+        for capacity in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let specs = vec![
+                ReservationSpec::guaranteed("web", 40.0, rru.clone()),
+                ReservationSpec::guaranteed("feed", capacity, rru.clone()),
+            ];
+            let err = AsyncSolver::default()
+                .solve(&region, &specs, &snap)
+                .expect_err("a non-finite capacity must not plan");
+            match &err {
+                CoreError::NonFiniteCapacity {
+                    reservation,
+                    capacity: asked,
+                } => {
+                    assert_eq!(*reservation, ReservationId::from_index(1));
+                    assert_eq!(asked.to_bits(), capacity.to_bits());
+                }
+                other => panic!("capacity {capacity}: expected NonFiniteCapacity, got {other:?}"),
+            }
+            let msg = err.to_string();
+            assert!(
+                msg.contains("R1") && msg.contains(&capacity.to_string()),
+                "{msg}"
+            );
+        }
+    }
+
+    #[test]
     fn resolve_is_stable_without_input_changes() {
         let (region, mut broker) = setup();
         let specs = vec![ReservationSpec::guaranteed(
@@ -547,7 +587,6 @@ mod tests {
         let snap = broker.snapshot(SimTime::ZERO);
         let params = SolverParams {
             shards: 3,
-            audit: crate::AuditMode::On,
             ..SolverParams::default()
         };
 

@@ -12,11 +12,10 @@
 //! objective, with both plans valued by the one regional evaluator.
 
 use ras_broker::{ResourceBroker, SimTime};
-use ras_core::reservation::ReservationSpec;
+use ras_core::reservation::{DcAffinity, ReservationSpec};
 use ras_core::rru::RruTable;
 use ras_core::{
-    evaluate_targets, sharded_tolerance, AsyncSolver, AuditMode, CoreError, SolveOutput,
-    SolverParams,
+    evaluate_targets, sharded_tolerance, AsyncSolver, CoreError, SolveOutput, SolverParams,
 };
 use ras_topology::{Region, RegionBuilder, RegionTemplate};
 
@@ -40,17 +39,19 @@ fn broker_for(region: &Region, specs: &[ReservationSpec]) -> ResourceBroker {
     broker
 }
 
-fn audited_params(shards: usize) -> SolverParams {
+fn params(shards: usize) -> SolverParams {
     SolverParams {
         shards,
-        audit: AuditMode::On,
         ..SolverParams::default()
     }
 }
 
-/// A spec the static model audit must reject (non-finite capacity RHS).
-fn poisoned(mut specs: Vec<ReservationSpec>) -> Vec<ReservationSpec> {
-    specs[0].capacity = f64::INFINITY;
+/// A spec that passes validation but whose model the static audit must
+/// reject mid-solve: a datacenter-affinity tolerance of `-∞` makes each
+/// affinity row `≤ -∞`, which no point satisfies.
+fn poisoned(region: &Region, mut specs: Vec<ReservationSpec>) -> Vec<ReservationSpec> {
+    let dc = region.datacenters()[0].id;
+    specs[0].dc_affinity = Some(DcAffinity::single(dc, f64::NEG_INFINITY));
     specs
 }
 
@@ -66,7 +67,7 @@ fn failed_warm_round_invalidates_session_then_recovers_cold() {
     let specs = portfolio(&region);
     let snap = broker_for(&region, &specs).snapshot(SimTime::ZERO);
 
-    let mut solver = AsyncSolver::new(audited_params(1));
+    let mut solver = AsyncSolver::new(params(1));
     let out0 = solver
         .solve(&region, &specs, &snap)
         .expect("round 0 solves");
@@ -76,7 +77,7 @@ fn failed_warm_round_invalidates_session_then_recovers_cold() {
     // Round 1 fails mid-solve: the audited model rejects the poisoned
     // spec. The solver must report the invalidation explicitly.
     let err = solver
-        .solve(&region, &poisoned(specs.clone()), &snap)
+        .solve(&region, &poisoned(&region, specs.clone()), &snap)
         .expect_err("poisoned round must fail");
     match &err {
         CoreError::SessionInvalidated { round, cause } => {
@@ -111,8 +112,8 @@ fn failed_cold_round_returns_the_raw_error() {
     // A fresh solver has no warm state to lose: the error passes through
     // unwrapped.
     for shards in [1, 3] {
-        let err = AsyncSolver::new(audited_params(shards))
-            .solve(&region, &poisoned(specs.clone()), &snap)
+        let err = AsyncSolver::new(params(shards))
+            .solve(&region, &poisoned(&region, specs.clone()), &snap)
             .expect_err("poisoned cold round must fail");
         assert!(
             matches!(err, CoreError::Solver(_)),
@@ -127,14 +128,14 @@ fn failed_sharded_round_invalidates_all_shards_then_recovers() {
     let specs = portfolio(&region);
     let snap = broker_for(&region, &specs).snapshot(SimTime::ZERO);
 
-    let mut solver = AsyncSolver::new(audited_params(3));
+    let mut solver = AsyncSolver::new(params(3));
     solver
         .solve(&region, &specs, &snap)
         .expect("sharded round 0 solves");
     assert!(solver.is_warm());
 
     let err = solver
-        .solve(&region, &poisoned(specs.clone()), &snap)
+        .solve(&region, &poisoned(&region, specs.clone()), &snap)
         .expect_err("poisoned sharded round must fail");
     match &err {
         CoreError::SessionInvalidated { round: 1, cause } => assert!(
@@ -210,12 +211,12 @@ fn one_shard_fallback_round_is_the_monolithic_round() {
     )];
     let snap = broker_for(&region, &specs).snapshot(SimTime::ZERO);
 
-    let mono = AsyncSolver::new(audited_params(1))
+    let mono = AsyncSolver::new(params(1))
         .solve(&region, &specs, &snap)
         .expect("monolithic round");
     assert!(certified_clean(&mono));
 
-    let fallback = AsyncSolver::new(audited_params(2))
+    let fallback = AsyncSolver::new(params(2))
         .solve(&region, &specs, &snap)
         .expect("fallback round");
     assert!(

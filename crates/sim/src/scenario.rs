@@ -73,6 +73,9 @@ pub struct Simulation {
     pending_revokes: Vec<(ras_topology::ServerId, SimTime)>,
     /// Statistics of every solve executed (allocation seconds, vars, …).
     pub solve_history: Vec<ras_core::solver::SolveOutput>,
+    /// Every solve [`Simulation::run_hours`] ran that failed (a refused
+    /// plan included), with its simulated hour.
+    pub solve_errors: Vec<(u64, ras_core::CoreError)>,
 }
 
 impl Simulation {
@@ -97,6 +100,7 @@ impl Simulation {
             elastic: None,
             pending_revokes: Vec::new(),
             solve_history: Vec::new(),
+            solve_errors: Vec::new(),
         }
     }
 
@@ -217,15 +221,18 @@ impl Simulation {
     /// Runs `hours` simulated hours: ticks, periodic solves, and one
     /// metric sample per hour.
     ///
-    /// Solve errors (e.g. genuinely impossible capacity) are recorded by
-    /// skipping the solve; the simulation keeps running, as production
-    /// would.
+    /// A failed solve (e.g. genuinely impossible capacity, or a plan the
+    /// solver refused) applies nothing and is recorded in
+    /// [`Simulation::solve_errors`]; the simulation keeps running, as
+    /// production would.
     pub fn run_hours(&mut self, hours: u64) {
         let ticks_per_hour = (3600 / self.config.tick_secs).max(1);
         for _ in 0..hours {
             let hour = self.time.as_hours();
             if hour.is_multiple_of(self.config.solve_interval_hours) {
-                let _ = self.solve_now();
+                if let Err(e) = self.solve_now() {
+                    self.solve_errors.push((hour, e));
+                }
             }
             for _ in 0..ticks_per_hour {
                 self.tick();
@@ -315,6 +322,33 @@ mod tests {
         );
         assert_eq!(sim.metrics.samples().len(), 2);
         assert!(!sim.solve_history.is_empty());
+        assert!(sim.solve_errors.is_empty(), "{:?}", sim.solve_errors);
+    }
+
+    #[test]
+    fn failed_solves_are_recorded_with_their_hour() {
+        let config = SimConfig {
+            solve_interval_hours: 2,
+            ..quiet_config()
+        };
+        let mut sim = Simulation::new(region(), config);
+        let catalog = sim.region.catalog.clone();
+        let ml = sim.add_spec(ras_core::ReservationSpec::guaranteed(
+            "ml",
+            10.0,
+            RruTable::empty(&catalog),
+        ));
+        sim.run_hours(5);
+        assert!(sim.solve_history.is_empty());
+        let hours: Vec<u64> = sim.solve_errors.iter().map(|(h, _)| *h).collect();
+        assert_eq!(hours, [0, 2, 4], "one error per solve hour");
+        for (_, e) in &sim.solve_errors {
+            assert_eq!(
+                *e,
+                ras_core::CoreError::NoEligibleHardware { reservation: ml }
+            );
+        }
+        assert_eq!(sim.metrics.samples().len(), 5, "the hours still ran");
     }
 
     #[test]

@@ -84,13 +84,14 @@ fn benchmark_api_shapes_compile_and_run() {
     }
     let snapshot = broker.snapshot(SimTime::ZERO);
 
-    // driver.rs: the solver settings of every workload.
+    // driver.rs: the solver settings of every workload. Its `audit` field
+    // names `AuditMode::On`, the one value and the default.
     let params = SolverParams {
-        audit: AuditMode::On,
         phase_time_limit: 300.0,
         shards: 1,
         ..SolverParams::default()
     };
+    assert_eq!(params.audit, AuditMode::On);
     let output = AsyncSolver::new(params.clone())
         .solve(&region, &specs, &snapshot)
         .expect("a tiny satisfiable region solves");

@@ -10,13 +10,12 @@
 
 use ras::broker::{ResourceBroker, SimTime, UnavailabilityEvent, UnavailabilityKind};
 use ras::core::solver::SolveOutput;
-use ras::core::{AsyncSolver, AuditMode, ReservationSpec, SolverParams};
+use ras::core::{AsyncSolver, ReservationSpec, SolverParams};
 use ras::topology::{Region, RegionTemplate, ScopeId, ServerId};
 use ras_bench::instance;
 
 fn params(warm_dual: bool) -> SolverParams {
     SolverParams {
-        audit: AuditMode::On,
         warm_dual,
         ..SolverParams::default()
     }

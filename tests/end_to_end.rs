@@ -7,7 +7,7 @@ use ras::broker::{
 use ras::core::classes::Granularity;
 use ras::core::phases::run_phase;
 use ras::core::rru::RruTable;
-use ras::core::{buffers, AsyncSolver, AuditMode, ReservationSpec, SolverParams};
+use ras::core::{buffers, AsyncSolver, ReservationSpec, SolverParams};
 use ras::mover::{MoverConfig, OnlineMover};
 use ras::topology::{RegionBuilder, RegionTemplate, ScopeId, ServerId};
 use ras::twine::{ContainerSpec, JobSpec, TwineAllocator};
@@ -567,10 +567,7 @@ fn audited_portfolio_rounds_are_bit_identical_to_the_two_level_reduction() {
     for s in &specs {
         broker.register_reservation(&s.name);
     }
-    let mut solver = AsyncSolver::new(SolverParams {
-        audit: AuditMode::On,
-        ..SolverParams::default()
-    });
+    let mut solver = AsyncSolver::new(SolverParams::default());
     let n = region.server_count();
     let mut downed: Vec<ServerId> = Vec::new();
     for (round, golden) in GOLDEN.iter().enumerate() {
@@ -638,11 +635,7 @@ fn same_inputs_reproduce_targets_bit_for_bit() {
             for s in &specs {
                 broker.register_reservation(&s.name);
             }
-            let params = SolverParams {
-                audit: AuditMode::On,
-                ..SolverParams::default()
-            };
-            (AsyncSolver::new(params), broker)
+            (AsyncSolver::new(SolverParams::default()), broker)
         })
         .collect();
 

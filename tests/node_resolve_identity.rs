@@ -49,7 +49,7 @@ use ras::core::model::{build_model_labeled, soften_baseline};
 use ras::core::SolverParams;
 use ras::milp::simplex::{solve_lp, SimplexConfig};
 use ras::milp::standard::StandardForm;
-use ras::milp::{AuditMode, SolveConfig};
+use ras::milp::SolveConfig;
 use ras::topology::RegionTemplate;
 use ras_bench::instance;
 
@@ -100,7 +100,6 @@ fn fingerprint(reservations: usize, utilization: f64, soften: bool) -> Fingerpri
         rel_gap_tol: params.mip_rel_gap,
         abs_gap_tol: params.mip_abs_gap,
         incumbents: vec![greedy],
-        audit: AuditMode::Off,
         ..SolveConfig::default()
     };
     let solution = ras.model.solve_with(&config).expect("portfolio solves");
