@@ -65,7 +65,6 @@ pub fn run(_: Shape) -> Vec<Experiment> {
     ]);
 
     // Monolithic: one rack-granularity solve over everything.
-    let everything = vec![true; inst.region.server_count()];
     let t1 = Instant::now();
     match run_phase(
         &inst.region,
@@ -74,7 +73,7 @@ pub fn run(_: Shape) -> Vec<Experiment> {
         &params,
         Granularity::Rack,
         true,
-        Some(&everything),
+        None,
     ) {
         Ok((targets, stats)) => {
             let mono_overage: f64 = rack_overages(&inst.region, &specs, &targets, &params)

@@ -129,9 +129,10 @@ pub fn rollout_step(
     for spec in &mut scoped[managed..] {
         spec.kind = ReservationKind::Elastic;
     }
-    let universe: Vec<bool> = broker
+    let universe: Vec<ServerId> = broker
         .iter()
-        .map(|(s, r)| r.current.is_none_or(|res| res.index() < managed) && online(s))
+        .filter(|(s, r)| r.current.is_none_or(|res| res.index() < managed) && online(*s))
+        .map(|(s, _)| s)
         .collect();
     let (targets, _) = run_phase(
         region,
@@ -142,8 +143,8 @@ pub fn rollout_step(
         false,
         Some(&universe),
     )?;
-    for (i, _) in universe.iter().enumerate().filter(|(_, inside)| **inside) {
-        let s = ServerId::from_index(i);
+    for &s in &universe {
+        let i = s.index();
         let broker_error = |e: BrokerError| CoreError::Broker(e.to_string());
         if broker.record(s).map_err(broker_error)?.current != targets[i] {
             broker.bind_current(s, targets[i]).map_err(broker_error)?;

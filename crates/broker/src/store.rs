@@ -81,6 +81,16 @@ pub struct ResourceBroker {
     changes: ChangeFeeds,
 }
 
+/// Files `server` in the pending-move set `pending` when its record `r`
+/// has `target != current`, and takes it out otherwise.
+fn file_pending(pending: &mut BTreeSet<ServerId>, server: ServerId, r: &ServerRecord) {
+    if r.target != r.current {
+        pending.insert(server);
+    } else {
+        pending.remove(&server);
+    }
+}
+
 impl ResourceBroker {
     /// Creates a broker tracking `server_count` servers, all unassigned.
     pub fn new(server_count: usize) -> Self {
@@ -132,12 +142,7 @@ impl ResourceBroker {
     /// Re-files `server` in the pending-move set after a write to its
     /// `target` or `current`.
     fn refile_pending(&mut self, server: ServerId) {
-        let r = &self.records[server.index()];
-        if r.target != r.current {
-            self.pending.insert(server);
-        } else {
-            self.pending.remove(&server);
-        }
+        file_pending(&mut self.pending, server, &self.records[server.index()]);
     }
 
     /// Writes the solver's target for one server (unconditional).
@@ -151,6 +156,22 @@ impl ResourceBroker {
         r.version += 1;
         self.refile_pending(server);
         Ok(())
+    }
+
+    /// Writes the solver's targets for the fleet, `targets[i]` for
+    /// server `i`, in one pass over the records: every server whose target
+    /// differs gets the write [`Self::set_target`] makes, in ascending id
+    /// order, and every other record is left as it is (its version does
+    /// not move). Entries past the fleet are ignored; servers past the
+    /// end of `targets` keep their target.
+    pub fn apply_targets(&mut self, targets: &[Option<ReservationId>]) {
+        for (i, (r, target)) in self.records.iter_mut().zip(targets).enumerate() {
+            if r.target != *target {
+                r.target = *target;
+                r.version += 1;
+                file_pending(&mut self.pending, ServerId::from_index(i), r);
+            }
+        }
     }
 
     /// Compare-and-set write of the target, used by the emergency
@@ -352,6 +373,39 @@ mod tests {
         b.set_target(ServerId(1), Some(r)).unwrap();
         assert_eq!(b.record(ServerId(1)).unwrap().target, Some(r));
         assert_eq!(b.record(ServerId(0)).unwrap().target, None);
+    }
+
+    /// One pass over the records leaves the broker exactly as a
+    /// `set_target` per changed server, in id order, does: the same
+    /// targets, versions and pending moves, unchanged records untouched.
+    #[test]
+    fn apply_targets_is_set_target_per_changed_server() {
+        let before = || {
+            let mut b = ResourceBroker::new(6);
+            let web = b.register_reservation("web");
+            let feed = b.register_reservation("feed");
+            b.bind_current(ServerId(1), Some(web)).unwrap();
+            b.bind_current(ServerId(2), Some(feed)).unwrap();
+            b.set_target(ServerId(2), Some(web)).unwrap();
+            b.set_target(ServerId(3), Some(feed)).unwrap();
+            (b, web, feed)
+        };
+        let (mut a, web, feed) = before();
+        let (mut b, _, _) = before();
+        let targets = [None, Some(web), Some(feed), Some(feed), Some(web), None];
+        a.apply_targets(&targets);
+        for (i, t) in targets.iter().enumerate() {
+            let s = ServerId::from_index(i);
+            if b.record(s).unwrap().target != *t {
+                b.set_target(s, *t).unwrap();
+            }
+        }
+        let state = |x: &ResourceBroker| -> Vec<(Option<ReservationId>, u64)> {
+            x.iter().map(|(_, r)| (r.target, r.version)).collect()
+        };
+        assert_eq!(state(&a), state(&b));
+        assert_eq!(a.pending_moves(), b.pending_moves());
+        assert_eq!(a.pending_moves(), vec![ServerId(3), ServerId(4)]);
     }
 
     #[test]

@@ -33,8 +33,8 @@ pub struct ReductionStats {
     /// Servers covered by the classes.
     pub servers: usize,
     /// Servers the class builder excluded as unplanned-unavailable
-    /// (`servers + servers_excluded` equals the include-filtered
-    /// universe, asserted in debug builds).
+    /// (`servers + servers_excluded` equals the servers in scope,
+    /// asserted in debug builds).
     pub servers_excluded: usize,
     /// Class count.
     pub classes: usize,
@@ -74,17 +74,18 @@ impl Reduction {
 }
 
 /// Builds the round's reduction: the symmetric-server equivalence
-/// classes of the servers `include` admits (all when `None`) at
-/// `granularity`. `_level` has one value, [`AggregationLevel::Classes`].
+/// classes of the servers `scope` lists in ascending id order (all when
+/// `None`) at `granularity`. `_level` has one value,
+/// [`AggregationLevel::Classes`].
 pub fn build_reduction(
     region: &Region,
     snapshot: &BrokerSnapshot,
     specs: &[ReservationSpec],
     granularity: Granularity,
     _level: AggregationLevel,
-    include: Option<&dyn Fn(ServerId) -> bool>,
+    scope: Option<&[ServerId]>,
 ) -> Reduction {
-    let (classes, excluded) = build_classes_counted(region, snapshot, granularity, include);
+    let (classes, excluded) = build_classes_counted(region, snapshot, granularity, scope);
     Reduction {
         labels: classes.iter().map(|c| c.label()).collect(),
         specs: specs.to_vec(),

@@ -41,10 +41,40 @@ pub fn concretize(
     counts: &[Vec<usize>],
     reservations: usize,
 ) -> Vec<Option<ReservationId>> {
-    // Default: keep whatever the server is currently bound to.
-    let mut targets: Vec<Option<ReservationId>> = (0..region.server_count())
+    let mut targets = current_bindings(region, snapshot);
+    concretize_into(
+        &mut targets,
+        region,
+        snapshot,
+        classes,
+        counts,
+        reservations,
+    );
+    targets
+}
+
+/// Every server's current binding, indexed by `ServerId`: the targets of
+/// a plan that moves nothing.
+pub(crate) fn current_bindings(
+    region: &Region,
+    snapshot: &BrokerSnapshot,
+) -> Vec<Option<ReservationId>> {
+    (0..region.server_count())
         .map(|i| snapshot.records[i].current)
-        .collect();
+        .collect()
+}
+
+/// [`concretize`] into `targets`, writing the members of `classes` only:
+/// every other entry is left as it is, so a caller that holds a plan for
+/// the other servers pays for the classes, not for the region.
+pub(crate) fn concretize_into(
+    targets: &mut [Option<ReservationId>],
+    region: &Region,
+    snapshot: &BrokerSnapshot,
+    classes: &[EquivClass],
+    counts: &[Vec<usize>],
+    reservations: usize,
+) {
     // Per-(rack, reservation) server count used for spread-aware picks,
     // filled on first use (see `rack_load`) and raised by one per pick.
     let mut loads: HashMap<(RackId, ReservationId), usize> = HashMap::new();
@@ -115,7 +145,6 @@ pub fn concretize(
         }
         // Whatever is left becomes free-pool capacity (target None).
     }
-    targets
 }
 
 /// Servers of `res` in `rack`: those bound to it in `snapshot`, counted
@@ -152,6 +181,12 @@ impl MoveStats {
     pub fn total(&self) -> usize {
         self.in_use + self.unused
     }
+
+    /// Adds the moves of a disjoint set of servers (another shard's).
+    pub(crate) fn absorb(&mut self, other: &MoveStats) {
+        self.in_use += other.in_use;
+        self.unused += other.unused;
+    }
 }
 
 /// Counts planned moves: servers whose target differs from their current
@@ -165,6 +200,33 @@ pub fn count_moves(snapshot: &BrokerSnapshot, targets: &[Option<ReservationId>])
             } else {
                 stats.unused += 1;
             }
+        }
+    }
+    stats
+}
+
+/// [`count_moves`] over the members of `classes`, read off each class's
+/// binding and in-use flag instead of the members' records: the whole
+/// plan's count when every server outside the classes keeps its current
+/// binding.
+pub(crate) fn count_class_moves(
+    classes: &[EquivClass],
+    targets: &[Option<ReservationId>],
+) -> MoveStats {
+    let mut stats = MoveStats::default();
+    for class in classes {
+        if class.current.is_none() {
+            continue;
+        }
+        let moved = class
+            .servers
+            .iter()
+            .filter(|s| targets[s.index()] != class.current)
+            .count();
+        if class.in_use {
+            stats.in_use += moved;
+        } else {
+            stats.unused += moved;
         }
     }
     stats

@@ -9,10 +9,11 @@
 //! (the availability constraint); planned maintenance remains usable
 //! capacity (Section 3.3.1).
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use ras_broker::{BrokerSnapshot, ReservationId, ServerRecord, UnavailabilityKind};
-use ras_topology::{DatacenterId, HardwareTypeId, MsbId, RackId, Region, ServerId};
+use ras_topology::{DatacenterId, HardwareTypeId, MsbId, RackId, Region, Server, ServerId};
 use serde::{Deserialize, Serialize};
 
 /// Location granularity of the class key.
@@ -89,15 +90,17 @@ impl EquivClass {
 
 /// Builds the equivalence classes for one solve.
 ///
-/// `include` optionally restricts the class universe (phase 2 passes the
-/// servers belonging to the refined reservations plus the free pool).
+/// `scope` optionally restricts the class universe to a list of servers
+/// in ascending id order (a shard's members, or phase 2's universe: the
+/// servers of the refined reservations plus the free pool); `None`
+/// classes the whole region.
 pub fn build_classes(
     region: &Region,
     snapshot: &BrokerSnapshot,
     granularity: Granularity,
-    include: Option<&dyn Fn(ServerId) -> bool>,
+    scope: Option<&[ServerId]>,
 ) -> Vec<EquivClass> {
-    build_classes_counted(region, snapshot, granularity, include).0
+    build_classes_counted(region, snapshot, granularity, scope).0
 }
 
 /// True when an unplanned or correlated outage removes the server from
@@ -109,37 +112,37 @@ pub(crate) fn unplanned_unavailable(record: &ServerRecord) -> bool {
         .is_some_and(|event| event.kind != UnavailabilityKind::PlannedMaintenance)
 }
 
+/// A class's grouping key, in the order classes are emitted.
+pub(crate) type ClassKey = (
+    u32,                   // hardware
+    u32,                   // msb
+    Option<u32>,           // rack
+    Option<ReservationId>, // current
+    Option<ReservationId>, // target
+    bool,                  // in_use
+);
+
 /// [`build_classes`] plus the number of servers it excluded as
 /// unplanned-unavailable, so reduction stats can account for the whole
 /// universe instead of dropping those servers silently.
+///
+/// Walks only the servers in scope, once, in ascending id order. Each
+/// server joins its group through a hash of its key (a run of servers
+/// with one key, as a rack's usually are, skips even that); the few
+/// hundred distinct keys are sorted once at the end, so the classes come
+/// out in key order with their members in id order.
 pub fn build_classes_counted(
     region: &Region,
     snapshot: &BrokerSnapshot,
     granularity: Granularity,
-    include: Option<&dyn Fn(ServerId) -> bool>,
+    scope: Option<&[ServerId]>,
 ) -> (Vec<EquivClass>, usize) {
-    type Key = (
-        u32,                   // hardware
-        u32,                   // msb
-        Option<u32>,           // rack
-        Option<ReservationId>, // current
-        Option<ReservationId>, // target
-        bool,                  // in_use
-    );
-    let mut groups: BTreeMap<Key, Vec<ServerId>> = BTreeMap::new();
-    let mut excluded = 0usize;
-    #[cfg(debug_assertions)]
-    let mut universe = 0usize;
-    for server in region.servers() {
-        if let Some(f) = include {
-            if !f(server.id) {
-                continue;
-            }
-        }
-        #[cfg(debug_assertions)]
-        {
-            universe += 1;
-        }
+    let mut index: HashMap<ClassKey, usize, FastHash> = HashMap::default();
+    let mut groups: Vec<(ClassKey, Vec<ServerId>)> = Vec::new();
+    let mut last: Option<(ClassKey, usize)> = None;
+    let (mut universe, mut excluded) = (0usize, 0usize);
+    for server in scope_servers(region, scope) {
+        universe += 1;
         let record = snapshot.record(server.id);
         if unplanned_unavailable(record) {
             excluded += 1;
@@ -149,7 +152,7 @@ pub fn build_classes_counted(
             Granularity::Msb => None,
             Granularity::Rack => Some(server.rack.0),
         };
-        let key: Key = (
+        let key: ClassKey = (
             server.hardware.0,
             server.msb.0,
             rack,
@@ -157,8 +160,20 @@ pub fn build_classes_counted(
             record.target,
             record.running_containers > 0,
         );
-        groups.entry(key).or_default().push(server.id);
+        let group = match last {
+            Some((k, g)) if k == key => g,
+            _ => {
+                let g = *index.entry(key).or_insert_with(|| {
+                    groups.push((key, Vec::new()));
+                    groups.len() - 1
+                });
+                last = Some((key, g));
+                g
+            }
+        };
+        groups[group].1.push(server.id);
     }
+    groups.sort_unstable_by_key(|(key, _)| *key);
     let classes: Vec<EquivClass> = groups
         .into_iter()
         .map(|((hw, msb, rack, current, target, in_use), servers)| {
@@ -175,13 +190,76 @@ pub fn build_classes_counted(
             }
         })
         .collect();
-    #[cfg(debug_assertions)]
     debug_assert_eq!(
         total_servers(&classes) + excluded,
         universe,
-        "every include-filtered server must be classed or counted excluded"
+        "every server in scope must be classed or counted excluded"
     );
     (classes, excluded)
+}
+
+/// A multiply-rotate hasher for the small integer keys of the per-server
+/// grouping passes: a few multiplies per key instead of SipHash's rounds.
+/// Keys come from the region and the broker, not from an adversary.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct FastHasher(u64);
+
+impl FastHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for FastHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(u64::from(i));
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(u64::try_from(i).unwrap_or(u64::MAX));
+    }
+}
+
+/// [`BuildHasher`](std::hash::BuildHasher) of [`FastHasher`].
+pub(crate) type FastHash = BuildHasherDefault<FastHasher>;
+
+/// The servers of `scope`, which lists them in ascending id order, or
+/// every server of the region when there is none.
+pub(crate) fn scope_servers<'a>(
+    region: &'a Region,
+    scope: Option<&'a [ServerId]>,
+) -> impl Iterator<Item = &'a Server> + 'a {
+    debug_assert!(
+        scope.is_none_or(|servers| servers.windows(2).all(|w| w[0] < w[1])),
+        "a scope lists servers in ascending id order"
+    );
+    let all = scope
+        .is_none()
+        .then(|| region.servers())
+        .into_iter()
+        .flatten();
+    let listed = scope.into_iter().flatten().map(|s| region.server(*s));
+    all.chain(listed)
 }
 
 /// Total member count across classes.
@@ -270,11 +348,11 @@ mod tests {
     }
 
     #[test]
-    fn include_filter_limits_universe() {
+    fn scope_limits_universe() {
         let (region, broker) = setup();
         let snap = broker.snapshot(SimTime::ZERO);
-        let keep = |s: ServerId| s.index() < 20;
-        let classes = build_classes(&region, &snap, Granularity::Msb, Some(&keep));
+        let scope: Vec<ServerId> = (0..20).map(ServerId::from_index).collect();
+        let classes = build_classes(&region, &snap, Granularity::Msb, Some(&scope));
         assert_eq!(total_servers(&classes), 20);
     }
 

@@ -46,6 +46,8 @@ pub mod error;
 pub mod explain;
 pub mod heuristic;
 pub mod model;
+#[cfg(test)]
+mod oracles;
 pub mod params;
 pub mod phases;
 pub mod reservation;

@@ -15,8 +15,8 @@ use ras_milp::{Basis, SolveConfig, SolveError};
 use ras_topology::{Region, ServerId};
 
 use crate::aggregate::{build_reduction, AggregationLevel, Reduction};
-use crate::assign::concretize;
-use crate::classes::{unplanned_unavailable, EquivClass, Granularity};
+use crate::assign::{concretize_into, current_bindings};
+use crate::classes::{scope_servers, unplanned_unavailable, EquivClass, FastHash, Granularity};
 use crate::error::CoreError;
 use crate::model::{build_model_labeled, soften_baseline, solver_visible, RasModel};
 use crate::params::SolverParams;
@@ -28,16 +28,16 @@ use ras_milp::tol;
 /// phase-1 assignment, re-solve the worst offenders at rack granularity
 /// over a restricted universe, and merge. Phase 2 is always a cold solve
 /// — its universe and spec visibility change every round, so there is no
-/// temporal structure to exploit. `scope`, when present, is a mask
-/// indexed by `ServerId` that caps the phase-2 universe (one shard's
-/// refinement never touches another shard's servers).
+/// temporal structure to exploit. `scope`, when present, lists in
+/// ascending id order the servers that cap the phase-2 universe (one
+/// shard's refinement never touches another shard's servers).
 pub(crate) fn refine_with_phase2(
     region: &Region,
     specs: &[ReservationSpec],
     snapshot: &BrokerSnapshot,
     params: &SolverParams,
-    targets1: Vec<Option<ReservationId>>,
-    scope: Option<&[bool]>,
+    mut targets1: Vec<Option<ReservationId>>,
+    scope: Option<&[ServerId]>,
 ) -> (Vec<Option<ReservationId>>, Option<PhaseStats>) {
     // Rank reservations by rack overage under the phase-1 assignment.
     let overages = rack_overages(region, specs, &targets1, params);
@@ -54,13 +54,14 @@ pub(crate) fn refine_with_phase2(
         return (targets1, None);
     }
 
-    // Respect the assignment-variable budget by shrinking the selection.
-    loop {
-        let universe = phase2_universe(&targets1, &selected, scope);
-        let classes = count_rack_classes(region, snapshot, &targets1, &universe);
-        if classes * selected.len() <= params.max_assignment_vars || selected.len() == 1 {
-            break;
-        }
+    // Respect the assignment-variable budget by shrinking the selection:
+    // the class count of every prefix of the selection comes from one
+    // walk over the scope.
+    let (free, per_selected) = rack_class_counts(region, snapshot, &targets1, &selected, scope);
+    while selected.len() > 1
+        && (free + per_selected[..selected.len()].iter().sum::<usize>()) * selected.len()
+            > params.max_assignment_vars
+    {
         selected.pop();
     }
 
@@ -77,8 +78,14 @@ pub(crate) fn refine_with_phase2(
             spec.kind = ReservationKind::Elastic; // Invisible to the model.
         }
     }
-    let universe = phase2_universe(&targets1, &selected, scope);
-    match run_phase(
+    let universe = phase2_universe(region, &targets1, &selected, scope);
+    // Merge: phase 2 only rules over its own universe. It concretizes
+    // straight into the phase-1 plan: its classes are the universe's
+    // available servers, and every other server of the universe is
+    // unplanned-unavailable, which phase 1 left on its current binding
+    // too.
+    match run_phase_into(
+        &mut targets1,
         region,
         &specs2,
         &snapshot2,
@@ -87,17 +94,9 @@ pub(crate) fn refine_with_phase2(
         true,
         Some(&universe),
     ) {
-        Ok((targets2, phase2)) => {
-            // Merge: phase 2 only rules over its own universe.
-            let mut merged = targets1;
-            for ((m, t), inside) in merged.iter_mut().zip(&targets2).zip(&universe) {
-                if *inside {
-                    *m = *t;
-                }
-            }
-            (merged, Some(phase2))
-        }
-        // Phase 2 is an optimization pass: on failure keep phase-1 output.
+        Ok(phase2) => (targets1, Some(phase2)),
+        // Phase 2 is an optimization pass: on failure keep phase-1 output
+        // (a failed solve writes no target).
         Err(_) => (targets1, None),
     }
 }
@@ -169,19 +168,16 @@ fn solve_prepared(
 }
 
 /// A round's reduction over the whole region or, for a phase-2 or shard
-/// solve, over the servers `universe` (a mask indexed by `ServerId`)
-/// marks.
+/// solve, over the servers `universe` lists in ascending id order.
 pub(crate) fn scoped_reduction(
     region: &Region,
     snapshot: &BrokerSnapshot,
     specs: &[ReservationSpec],
     granularity: Granularity,
-    universe: Option<&[bool]>,
+    universe: Option<&[ServerId]>,
 ) -> Reduction {
-    let filter = universe.map(|u| move |s: ServerId| in_mask(u, s));
-    let include = filter.as_ref().map(|f| f as &dyn Fn(ServerId) -> bool);
     let level = AggregationLevel::Classes;
-    build_reduction(region, snapshot, specs, granularity, level, include)
+    build_reduction(region, snapshot, specs, granularity, level, universe)
 }
 
 /// `model`'s structural variable names and constraint row names — the
@@ -193,10 +189,8 @@ pub(crate) fn model_names(model: &ras_milp::Model) -> (Vec<String>, Vec<String>)
     )
 }
 
-/// What one run of the phase body hands back.
+/// What one run of the phase body hands back besides its targets.
 pub(crate) struct PhaseRun {
-    /// Per-server targets of this phase.
-    pub targets: Vec<Option<ReservationId>>,
     /// The phase's statistics.
     pub stats: PhaseStats,
     /// The solve's root LP basis, for the next round's warm start. It
@@ -205,12 +199,15 @@ pub(crate) struct PhaseRun {
 }
 
 /// The one phase body, model in hand: solve (softening `ras` on demand)
-/// → per-server targets from the solved class counts → statistics.
-/// [`run_phase`] enters with no warm start; a continuous round enters
-/// with the previous round's basis and its targets, re-valued on this
-/// model, as `seed`. `specs` are the specs `reduction` was built from.
+/// → per-server targets from the solved class counts, written into
+/// `targets` for the reduction's class members only → statistics. On
+/// error `targets` is left as it was. [`run_phase`] enters with no warm
+/// start; a continuous round enters with the previous round's basis and
+/// its targets, re-valued on this model, as `seed`. `specs` are the specs
+/// `reduction` was built from.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_phase(
+    targets: &mut [Option<ReservationId>],
     region: &Region,
     specs: &[ReservationSpec],
     snapshot: &BrokerSnapshot,
@@ -224,7 +221,14 @@ pub(crate) fn solve_phase(
 ) -> Result<PhaseRun, CoreError> {
     let solution = solve_prepared(region, reduction, ras, params, warm_basis, seed)?;
     let counts = ras.decode(&solution);
-    let targets = concretize(region, snapshot, &reduction.classes, &counts, specs.len());
+    concretize_into(
+        targets,
+        region,
+        snapshot,
+        &reduction.classes,
+        &counts,
+        specs.len(),
+    );
     let stats = PhaseStats {
         ras_build_seconds,
         solver_build_seconds: solution.stats.setup_seconds,
@@ -241,16 +245,15 @@ pub(crate) fn solve_phase(
         reduction: reduction.stats.clone(),
     };
     Ok(PhaseRun {
-        targets,
         stats,
         root_basis: solution.root_basis,
     })
 }
 
 /// Runs a single phase cold: classes → model → solve (softening on
-/// demand) → concretize. `universe`, when present, is a mask indexed by
-/// `ServerId`: only the servers it marks are classed, and every other
-/// server's target is its current binding.
+/// demand) → concretize. `universe`, when present, lists in ascending id
+/// order the servers to class, and every other server's target is its
+/// current binding.
 #[allow(clippy::type_complexity)]
 pub fn run_phase(
     region: &Region,
@@ -259,8 +262,35 @@ pub fn run_phase(
     params: &SolverParams,
     granularity: Granularity,
     rack_goals: bool,
-    universe: Option<&[bool]>,
+    universe: Option<&[ServerId]>,
 ) -> Result<(Vec<Option<ReservationId>>, PhaseStats), CoreError> {
+    let mut targets = current_bindings(region, snapshot);
+    let stats = run_phase_into(
+        &mut targets,
+        region,
+        specs,
+        snapshot,
+        params,
+        granularity,
+        rack_goals,
+        universe,
+    )?;
+    Ok((targets, stats))
+}
+
+/// [`run_phase`] writing its targets into `targets`, for the servers of
+/// its classes only; on error `targets` is left as it was.
+#[allow(clippy::too_many_arguments)]
+fn run_phase_into(
+    targets: &mut [Option<ReservationId>],
+    region: &Region,
+    specs: &[ReservationSpec],
+    snapshot: &BrokerSnapshot,
+    params: &SolverParams,
+    granularity: Granularity,
+    rack_goals: bool,
+    universe: Option<&[ServerId]>,
+) -> Result<PhaseStats, CoreError> {
     let phase_start = Instant::now();
     let reduction = scoped_reduction(region, snapshot, specs, granularity, universe);
     let mut ras = build_model_labeled(
@@ -274,6 +304,7 @@ pub fn run_phase(
     );
     let ras_build_seconds = phase_start.elapsed().as_secs_f64();
     let run = solve_phase(
+        targets,
         region,
         specs,
         snapshot,
@@ -285,7 +316,7 @@ pub fn run_phase(
         phase_start,
         ras_build_seconds,
     )?;
-    Ok((run.targets, run.stats))
+    Ok(run.stats)
 }
 
 /// The candidate incumbents every phase solve offers branch and bound,
@@ -355,62 +386,79 @@ pub fn rack_overages(
     ranked
 }
 
-/// True when the mask `universe` (indexed by `ServerId`) marks `s`.
-fn in_mask(universe: &[bool], s: ServerId) -> bool {
-    universe.get(s.index()).copied().unwrap_or(false)
-}
-
-/// Servers phase 2 may touch, as a mask indexed by `ServerId`: those
-/// targeted at a selected reservation plus the free pool, within `scope`
-/// when there is one.
-fn phase2_universe(
+/// Servers phase 2 may touch, in ascending id order: those targeted at a
+/// selected reservation plus the free pool, within `scope` when there is
+/// one.
+pub(crate) fn phase2_universe(
+    region: &Region,
     targets1: &[Option<ReservationId>],
     selected: &[usize],
-    scope: Option<&[bool]>,
-) -> Vec<bool> {
-    let mut sel = vec![false; selected.iter().max().map_or(0, |ri| ri + 1)];
-    for ri in selected {
-        sel[*ri] = true;
-    }
-    targets1
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            let wanted = match t {
-                None => true,
-                Some(r) => sel.get(r.index()).copied().unwrap_or(false),
-            };
-            wanted && scope.is_none_or(|m| in_mask(m, ServerId::from_index(i)))
+    scope: Option<&[ServerId]>,
+) -> Vec<ServerId> {
+    let sel = selection_slots(selected);
+    scope_servers(region, scope)
+        .map(|server| server.id)
+        .filter(|s| match targets1[s.index()] {
+            None => true,
+            Some(r) => sel.get(r.index()).copied().flatten().is_some(),
         })
         .collect()
 }
 
-/// The number of rack-granularity classes phase 2 builds over
-/// `universe` (a mask indexed by `ServerId`), counted without building
-/// them: the distinct class keys of the servers the class builder keeps,
-/// with the phase-1 plan `targets1` as each server's target (phase 2's
-/// snapshot carries it). A rack fixes its MSB, so the key needs no MSB.
-fn count_rack_classes(
+/// `slots[ri]`: the position of reservation `ri` in `selected`.
+fn selection_slots(selected: &[usize]) -> Vec<Option<usize>> {
+    let mut slots = vec![None; selected.iter().max().map_or(0, |ri| ri + 1)];
+    for (pos, ri) in selected.iter().enumerate() {
+        slots[*ri] = Some(pos);
+    }
+    slots
+}
+
+/// The rack-granularity classes phase 2 builds over the universe of
+/// every prefix of `selected`, counted in one walk over `scope` without
+/// building them: the distinct class keys of the servers the class
+/// builder keeps, with the phase-1 plan `targets1` as each server's
+/// target (phase 2's snapshot carries it). A key's target names the one
+/// bucket it counts in, so the prefix `selected[..n]` builds `free +
+/// per_selected[..n].sum()` classes: `free` counts the keys of the free
+/// pool, `per_selected[i]` those targeted at `selected[i]`. A rack fixes
+/// its MSB, so the key needs no MSB.
+fn rack_class_counts(
     region: &Region,
     snapshot: &BrokerSnapshot,
     targets1: &[Option<ReservationId>],
-    universe: &[bool],
-) -> usize {
+    selected: &[usize],
+    scope: Option<&[ServerId]>,
+) -> (usize, Vec<usize>) {
     type Key = (u32, u32, Option<ReservationId>, Option<ReservationId>, bool);
-    let mut keys: HashSet<Key> = HashSet::new();
-    for ((server, record), target) in region.servers().iter().zip(&snapshot.records).zip(targets1) {
-        if !in_mask(universe, server.id) || unplanned_unavailable(record) {
+    let sel = selection_slots(selected);
+    let mut keys: HashSet<Key, FastHash> = HashSet::default();
+    let (mut free, mut per_selected) = (0usize, vec![0usize; selected.len()]);
+    for server in scope_servers(region, scope) {
+        let target = targets1[server.id.index()];
+        let bucket = match target {
+            None => &mut free,
+            Some(r) => match sel.get(r.index()).copied().flatten() {
+                Some(pos) => &mut per_selected[pos],
+                None => continue,
+            },
+        };
+        let record = snapshot.record(server.id);
+        if unplanned_unavailable(record) {
             continue;
         }
-        keys.insert((
+        let fresh = keys.insert((
             server.hardware.0,
             server.rack.0,
             record.current,
-            *target,
+            target,
             record.running_containers > 0,
         ));
+        if fresh {
+            *bucket += 1;
+        }
     }
-    keys.len()
+    (free, per_selected)
 }
 
 #[cfg(test)]
@@ -538,8 +586,9 @@ mod tests {
 
     /// Phase 1 splits every rack's free servers between a reservation
     /// and the free pool, and plans the one server that is down into a
-    /// second reservation: the variable budget must see the phase-2
-    /// class count, not one class per rack, and not the down server.
+    /// second reservation: the variable budget must see, for every prefix
+    /// of the selection, the phase-2 class count, not one class per rack,
+    /// and not the down server.
     #[test]
     fn rack_class_count_is_the_phase2_class_count() {
         use crate::classes::build_classes;
@@ -566,17 +615,20 @@ mod tests {
             }
         }
         targets1[down.index()] = Some(ReservationId::from_index(1));
-        let universe = phase2_universe(&targets1, &[0, 1], None);
         let mut snapshot2 = snapshot.clone();
         for (record, t) in snapshot2.records.iter_mut().zip(&targets1) {
             record.target = *t;
         }
-        let inside = |s: ServerId| in_mask(&universe, s);
-        let classes = build_classes(&region, &snapshot2, Granularity::Rack, Some(&inside));
-        let counted = count_rack_classes(&region, &snapshot, &targets1, &universe);
-        assert!(classes.len() > region.racks().len());
-        assert!(counted >= classes.len(), "{counted} < {}", classes.len());
-        assert_eq!(counted, classes.len(), "the count is exact");
+        let selected = [0, 1];
+        let (free, per_selected) =
+            rack_class_counts(&region, &snapshot, &targets1, &selected, None);
+        for n in 1..=selected.len() {
+            let universe = phase2_universe(&region, &targets1, &selected[..n], None);
+            let classes = build_classes(&region, &snapshot2, Granularity::Rack, Some(&universe));
+            let counted = free + per_selected[..n].iter().sum::<usize>();
+            assert!(classes.len() > region.racks().len());
+            assert_eq!(counted, classes.len(), "prefix {n}: the count is exact");
+        }
     }
 
     #[test]

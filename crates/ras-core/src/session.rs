@@ -65,9 +65,11 @@ use std::time::Instant;
 
 use ras_broker::{BrokerSnapshot, ReservationId};
 use ras_milp::Basis;
-use ras_topology::Region;
+use ras_topology::{Region, ServerId};
 use serde::{Deserialize, Serialize};
 
+use crate::assign::{count_class_moves, current_bindings, MoveStats};
+use crate::classes::EquivClass;
 use crate::error::CoreError;
 use crate::model::build_model_labeled;
 use crate::params::SolverParams;
@@ -136,6 +138,11 @@ pub(crate) struct RoundRun {
     pub phase1: PhaseStats,
     /// Phase-2 statistics, when the refinement ran.
     pub phase2: Option<PhaseStats>,
+    /// Moves the targets plan.
+    pub moves: MoveStats,
+    /// The phase-1 classes: every server of the universe the round could
+    /// assign, under its binding.
+    pub classes: Vec<EquivClass>,
     /// How the round warm-started.
     pub warm: WarmReport,
 }
@@ -143,10 +150,11 @@ pub(crate) struct RoundRun {
 /// Runs one continuous round of one shard: build the model, warm-start
 /// the MIP from `cache`'s basis and targets, refine with phase 2, and
 /// re-arm `cache` for the next round. `round` is the owner's round
-/// number, reported in [`WarmReport::round`]. `universe`, a mask indexed by
-/// `ServerId`, restricts classes and the phase-2 refinement to the
-/// servers it marks, and every other slot of the returned targets keeps
-/// the server's current binding; `None` solves the whole region.
+/// number, reported in [`WarmReport::round`]. `universe`, a list of
+/// servers in ascending id order, restricts classes and the phase-2
+/// refinement to those servers, and every other slot of the returned
+/// targets keeps the server's current binding; `None` solves the whole
+/// region.
 ///
 /// On error `cache` is left empty: the owner's recovery rule decides
 /// what the failure means for the other shards and the numbering.
@@ -157,7 +165,7 @@ pub(crate) fn run_round(
     specs: &[ReservationSpec],
     snapshot: &BrokerSnapshot,
     params: &SolverParams,
-    universe: Option<&[bool]>,
+    universe: Option<&[ServerId]>,
 ) -> Result<RoundRun, CoreError> {
     let phase_start = Instant::now();
     let mut report = WarmReport {
@@ -215,11 +223,15 @@ pub(crate) fn run_round(
         report.seed_supplied = true;
     }
 
+    // Phase 2 ranks rack overages over the whole region, and the
+    // steady-state check below compares whole plans, so phase 1's plan
+    // covers every server: outside its classes, the current binding.
+    let mut targets1 = current_bindings(region, snapshot);
     let PhaseRun {
-        targets: targets1,
         stats: phase1,
         root_basis,
     } = solve_phase(
+        &mut targets1,
         region,
         specs,
         snapshot,
@@ -254,6 +266,11 @@ pub(crate) fn run_round(
         targets: targets.clone(),
     });
     Ok(RoundRun {
+        // No server outside the phase-1 classes moves: phase 2 reassigns
+        // some of their members, and every other server keeps its
+        // current binding.
+        moves: count_class_moves(&reduction.classes, &targets),
+        classes: reduction.classes,
         targets,
         phase1,
         phase2,
@@ -268,7 +285,7 @@ mod tests {
     use crate::rru::RruTable;
     use crate::solver::AsyncSolver;
     use ras_broker::{ResourceBroker, SimTime, UnavailabilityEvent, UnavailabilityKind};
-    use ras_topology::{RegionBuilder, RegionTemplate, ScopeId, ServerId};
+    use ras_topology::{RegionBuilder, RegionTemplate, ScopeId};
 
     fn setup() -> (Region, ResourceBroker) {
         let region = RegionBuilder::new(RegionTemplate::tiny(), 42).build();
@@ -440,7 +457,12 @@ mod tests {
         // The first MSB is outside the universe; every other of its
         // servers is bound to `web`.
         let outside = region.msbs()[0].id;
-        let universe: Vec<bool> = region.servers().iter().map(|s| s.msb != outside).collect();
+        let universe: Vec<ServerId> = region
+            .servers()
+            .iter()
+            .filter(|s| s.msb != outside)
+            .map(|s| s.id)
+            .collect();
         for (k, server) in region.servers_in_msb(outside).enumerate() {
             if k % 2 == 0 {
                 broker.bind_current(server.id, Some(web)).unwrap();
@@ -471,7 +493,7 @@ mod tests {
             region
                 .servers()
                 .iter()
-                .any(|s| universe[s.id.index()] && outcome.targets[s.id.index()] == Some(web)),
+                .any(|s| s.msb != outside && outcome.targets[s.id.index()] == Some(web)),
             "the universe carries the reservation"
         );
     }

@@ -34,11 +34,11 @@
 //! objective, and must land within [`sharded_tolerance`] of the
 //! monolithic objective (asserted by tests and the `fig_scale` bench).
 
-use ras_broker::{BrokerSnapshot, ReservationId};
+use ras_broker::{BrokerSnapshot, ReservationId, ServerRecord};
 use ras_topology::{MsbId, Region, ServerId};
 use serde::{Deserialize, Serialize};
 
-use crate::classes::unplanned_unavailable;
+use crate::classes::{unplanned_unavailable, EquivClass};
 use crate::model::solver_visible;
 use crate::params::SolverParams;
 use crate::reservation::ReservationSpec;
@@ -56,11 +56,9 @@ pub struct Shard {
     pub index: usize,
     /// Member MSBs (whole subtrees; racks and rows never straddle shards).
     pub msbs: Vec<MsbId>,
-    /// Every server under the member MSBs, in ascending id order.
+    /// Every server under the member MSBs, in ascending id order: the
+    /// scope the shard's round solves in.
     pub(crate) servers: Vec<ServerId>,
-    /// The same servers as a mask indexed by `ServerId` (one entry per
-    /// server of the region), the scope the shard's round solves in.
-    pub(crate) mask: Vec<bool>,
 }
 
 /// A region partition for sharded solving.
@@ -111,22 +109,16 @@ impl ShardPlan {
             for m in &msbs {
                 member[m.index()] = true;
             }
-            let mask: Vec<bool> = region
-                .servers()
-                .iter()
-                .map(|s| member[s.msb.index()])
-                .collect();
             let servers = region
                 .servers()
                 .iter()
-                .filter(|s| mask[s.id.index()])
+                .filter(|s| member[s.msb.index()])
                 .map(|s| s.id)
                 .collect();
             shards.push(Shard {
                 index,
                 msbs,
                 servers,
-                mask,
             });
         }
         Self { shards }
@@ -444,50 +436,128 @@ pub struct ReconcileReport {
     pub merge_seconds: f64,
 }
 
+/// What reconcile reads of a server: whether a round could assign it
+/// at all, and whether it is bound.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Standing {
+    /// Down for an unplanned reason: outside every class.
+    Unavailable,
+    /// Assignable and bound to a reservation.
+    Bound,
+    /// Assignable and bound to none: a release candidate when targeted.
+    Free,
+}
+
+impl Standing {
+    /// The standing `record` gives its server.
+    pub(crate) fn of(record: &ServerRecord) -> Self {
+        if unplanned_unavailable(record) {
+            Standing::Unavailable
+        } else if record.current.is_some() {
+            Standing::Bound
+        } else {
+            Standing::Free
+        }
+    }
+}
+
+/// Every server's [`Standing`] from the classes of reductions whose
+/// scopes cover the region of `servers` servers: a class member is
+/// assignable and bound as its class is, and a server in no class is
+/// down (the class builder leaves out exactly those).
+// lint:allow(hot-path-index): class members are servers of the region, one entry each
+pub(crate) fn standings<'a>(
+    servers: usize,
+    classes: impl IntoIterator<Item = &'a EquivClass>,
+) -> Vec<Standing> {
+    let mut standing = vec![Standing::Unavailable; servers];
+    for class in classes {
+        let s = if class.current.is_some() {
+            Standing::Bound
+        } else {
+            Standing::Free
+        };
+        for member in &class.servers {
+            standing[member.index()] = s;
+        }
+    }
+    standing
+}
+
 /// Releases surplus acquisitions from a merged sharded plan.
 ///
 /// Candidates are servers the round newly acquired from the free pool
-/// (`target == Some(r)`, `current == None`): releasing one undoes an
+/// (`target == Some(r)`, [`Standing::Free`]): releasing one undoes an
 /// `assignment_cost` and shrinks buffer/spread terms without incurring
 /// any movement cost, so every release strictly improves the objective.
 /// A release is committed only while the regional (buffered) capacity
 /// constraint keeps holding, preferring candidates inside the current
 /// maximum-usage MSB so the buffer shrinks alongside the total.
-// lint:allow(hot-path-index): per-MSB candidate stacks sized to n_msb at entry
+///
+/// One walk over the region sums every reservation's RRUs, by MSB, and
+/// stacks its candidates, each reservation's terms in server id order,
+/// reading each server's [`Standing`] (indexed by `ServerId`) where the
+/// per-reservation walks this replaced read its record; each reservation
+/// then releases from its own stacks. A round costs one walk whatever
+/// the number of reservations.
+// lint:allow(hot-path-index): per-reservation holdings and per-MSB stacks sized at entry
 pub(crate) fn reconcile(
     region: &Region,
     specs: &[ReservationSpec],
-    snapshot: &BrokerSnapshot,
+    standing: &[Standing],
     targets: &mut [Option<ReservationId>],
 ) -> (usize, f64) {
+    /// One reservation's RRUs under the plan: in total, by MSB, and its
+    /// release candidates by MSB.
+    struct Holdings {
+        total: f64,
+        by_msb: Vec<f64>,
+        candidates: Vec<Vec<(ServerId, f64)>>,
+    }
     let n_msb = region.msbs().len();
-    let mut released = 0usize;
-    let mut released_rru = 0.0f64;
-    for (ri, spec) in specs.iter().enumerate() {
-        if !solver_visible(spec) || spec.capacity <= 0.0 {
+    let mut held: Vec<Option<Holdings>> = specs
+        .iter()
+        .map(|spec| {
+            (solver_visible(spec) && spec.capacity > 0.0).then(|| Holdings {
+                total: 0.0,
+                by_msb: vec![0.0; n_msb],
+                candidates: vec![Vec::new(); n_msb],
+            })
+        })
+        .collect();
+    let walk = region.servers().iter().zip(targets.iter()).zip(standing);
+    for ((server, target), standing) in walk {
+        let Some(r) = target else {
+            continue;
+        };
+        let Some(Some(h)) = held.get_mut(r.index()) else {
+            continue;
+        };
+        let spec = &specs[r.index()];
+        if *standing == Standing::Unavailable || !spec.rru.eligible(server.hardware) {
             continue;
         }
-        let res = ReservationId::from_index(ri);
-        let mut total = 0.0f64;
-        let mut by_msb = vec![0.0f64; n_msb];
-        // Per-MSB candidate stacks, largest RRU on top (fewer, bigger
-        // releases converge faster).
-        let mut candidates: Vec<Vec<(ServerId, f64)>> = vec![Vec::new(); n_msb];
-        for server in region.servers() {
-            let record = snapshot.record(server.id);
-            if unplanned_unavailable(record) {
-                continue;
-            }
-            if targets[server.id.index()] != Some(res) || !spec.rru.eligible(server.hardware) {
-                continue;
-            }
-            let v = spec.rru.value(server.hardware);
-            total += v;
-            by_msb[server.msb.index()] += v;
-            if record.current.is_none() {
-                candidates[server.msb.index()].push((server.id, v));
-            }
+        let v = spec.rru.value(server.hardware);
+        h.total += v;
+        h.by_msb[server.msb.index()] += v;
+        if *standing == Standing::Free {
+            // Per-MSB candidate stacks, largest RRU on top once sorted
+            // (fewer, bigger releases converge faster).
+            h.candidates[server.msb.index()].push((server.id, v));
         }
+    }
+
+    let mut released = 0usize;
+    let mut released_rru = 0.0f64;
+    for (spec, h) in specs.iter().zip(held) {
+        let Some(Holdings {
+            mut total,
+            mut by_msb,
+            mut candidates,
+        }) = h
+        else {
+            continue;
+        };
         for stack in &mut candidates {
             stack.sort_by(|a, b| a.1.total_cmp(&b.1));
         }
@@ -677,11 +747,6 @@ mod tests {
             for shard in &plan.shards {
                 assert!(!shard.msbs.is_empty(), "shard {} owns no MSB", shard.index);
                 assert!(shard.servers.windows(2).all(|w| w[0] < w[1]));
-                let masked: Vec<ServerId> = (0..region.server_count())
-                    .filter(|i| shard.mask[*i])
-                    .map(ServerId::from_index)
-                    .collect();
-                assert_eq!(masked, shard.servers, "mask and member list agree");
                 for s in &shard.servers {
                     assert!(seen.insert(*s), "server in two shards");
                     assert!(shard.msbs.contains(&region.server(*s).msb));
@@ -763,7 +828,8 @@ mod tests {
         // Grossly over-assign: every server to the reservation.
         let mut targets: Vec<Option<ReservationId>> =
             vec![Some(ReservationId::from_index(0)); region.server_count()];
-        let (released, rru) = reconcile(&region, &specs, &snap, &mut targets);
+        let standing: Vec<Standing> = snap.records.iter().map(Standing::of).collect();
+        let (released, rru) = reconcile(&region, &specs, &standing, &mut targets);
         assert!(released > 0, "surplus must be released");
         assert!(rru > 0.0);
         let score = evaluate_targets(&region, &specs, &snap, &SolverParams::default(), &targets);

@@ -29,8 +29,8 @@ use crate::params::SolverParams;
 use crate::reservation::ReservationSpec;
 use crate::session::{self, RoundCache, RoundRun, WarmReport};
 use crate::shard::{
-    aggregate_phase1, aggregate_warm, evaluate_targets, reconcile, supported_plan, ReconcileReport,
-    ShardPlan, ShardReport, ShardedReport,
+    aggregate_phase1, aggregate_warm, evaluate_targets, reconcile, standings, supported_plan,
+    ReconcileReport, ShardPlan, ShardReport, ShardedReport, Standing,
 };
 use crate::stats::PhaseStats;
 
@@ -246,7 +246,7 @@ impl AsyncSolver {
             .ok_or_else(|| CoreError::Solver("no warm cache for the plan".into()))?;
         let run = session::run_round(cache, round, region, specs, snapshot, params, None)?;
         Ok(SolveOutput {
-            moves: count_moves(snapshot, &run.targets),
+            moves: run.moves,
             targets: run.targets,
             phase1: run.phase1,
             phase2: run.phase2,
@@ -312,7 +312,10 @@ impl AsyncSolver {
         });
     }
 
-    /// Persists a solve's targets into the broker (Figure 6, step 3).
+    /// Persists a solve's targets into the broker (Figure 6, step 3), in
+    /// one pass of the broker over its records: every server whose target
+    /// changed gets a [`ResourceBroker::set_target`] write, in ascending
+    /// id order.
     pub fn apply(
         &self,
         output: &SolveOutput,
@@ -325,17 +328,7 @@ impl AsyncSolver {
                 broker.server_count()
             )));
         }
-        for (i, target) in output.targets.iter().enumerate() {
-            let server = ras_topology::ServerId::from_index(i);
-            let record = broker
-                .record(server)
-                .map_err(|e| CoreError::Broker(e.to_string()))?;
-            if record.target != *target {
-                broker
-                    .set_target(server, *target)
-                    .map_err(|e| CoreError::Broker(e.to_string()))?;
-            }
-        }
+        broker.apply_targets(&output.targets);
         Ok(())
     }
 }
@@ -371,7 +364,7 @@ fn solve_shards(
                         shard_specs,
                         snapshot,
                         params,
-                        Some(&shard.mask),
+                        Some(&shard.servers),
                     )
                 })
             })
@@ -389,17 +382,34 @@ fn solve_shards(
     });
     let runs = results.into_iter().collect::<Result<Vec<_>, _>>()?;
 
-    // Merge: every shard rules over its own (disjoint) universe;
-    // servers outside every universe keep their current binding.
+    // Merge: every shard rules over its own (disjoint) universe, and the
+    // universes cover the region (`ShardPlan::build`), so the merged plan
+    // is built from the shards' own server lists and its moves are the
+    // sum of theirs. Reconcile only releases servers that are bound
+    // nowhere, which never moves one, so the sum holds for the final plan.
     let merge_start = Instant::now();
-    let mut targets: Vec<Option<ReservationId>> =
-        snapshot.records.iter().map(|r| r.current).collect();
+    let mut targets: Vec<Option<ReservationId>> = vec![None; region.server_count()];
+    let mut moves = MoveStats::default();
     for (shard, run) in plan.shards.iter().zip(&runs) {
         for s in &shard.servers {
             targets[s.index()] = run.targets[s.index()];
         }
+        moves.absorb(&run.moves);
     }
-    let (released, released_rru) = reconcile(region, specs, snapshot, &mut targets);
+    debug_assert_eq!(
+        plan.shards.iter().map(|s| s.servers.len()).sum::<usize>(),
+        region.server_count(),
+        "the shards cover the region"
+    );
+    // The shards' phase-1 classes hold every assignable server with its
+    // binding, so reconcile reads them instead of the snapshot.
+    let standing = standings(region.server_count(), runs.iter().flat_map(|r| &r.classes));
+    debug_assert!(standing
+        .iter()
+        .zip(&snapshot.records)
+        .all(|(s, record)| *s == Standing::of(record)));
+    let (released, released_rru) = reconcile(region, specs, &standing, &mut targets);
+    debug_assert_eq!(moves, count_moves(snapshot, &targets));
     let score = evaluate_targets(region, specs, snapshot, params, &targets);
     let reconcile_report = ReconcileReport {
         released,
@@ -428,7 +438,7 @@ fn solve_shards(
         round_start.elapsed().as_secs_f64(),
     );
     Ok(SolveOutput {
-        moves: count_moves(snapshot, &targets),
+        moves,
         targets,
         phase1,
         phase2: None,

@@ -196,13 +196,15 @@ proptest! {
     fn heap_concretize_matches_the_scan(seed in 0u64..u64::MAX, reservations in 1..=4usize) {
         let mut mix = Mix(seed);
         let (region, snapshot) = bound_region(reservations, &mut mix);
-        // A random scope mask, then merges of neighbouring classes, so
+        // A random scope, then merges of neighbouring classes, so
         // one class can hold members bound to several reservations.
-        let mask: Vec<bool> = (0..region.server_count()).map(|_| mix.chance(80)).collect();
-        let include = |s: ServerId| mask[s.index()];
+        let scope: Vec<ServerId> = (0..region.server_count())
+            .filter(|_| mix.chance(80))
+            .map(ServerId::from_index)
+            .collect();
         let granularity = if mix.chance(50) { Granularity::Msb } else { Granularity::Rack };
         let mut classes: Vec<EquivClass> = Vec::new();
-        for class in build_classes(&region, &snapshot, granularity, Some(&include)) {
+        for class in build_classes(&region, &snapshot, granularity, Some(&scope)) {
             match classes.last_mut() {
                 Some(last) if mix.chance(40) => {
                     last.servers.extend(class.servers);

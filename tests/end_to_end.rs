@@ -11,6 +11,7 @@ use ras::core::{buffers, AsyncSolver, ReservationSpec, SolverParams};
 use ras::mover::{MoverConfig, OnlineMover};
 use ras::topology::{RegionBuilder, RegionTemplate, ScopeId, ServerId};
 use ras::twine::{ContainerSpec, JobSpec, TwineAllocator};
+use ras::workloads::StandardServices;
 
 fn materialize(broker: &mut ResourceBroker, mover: &mut OnlineMover, at: SimTime) -> usize {
     mover.execute_targets(broker, at, |_, _| {})
@@ -536,6 +537,174 @@ fn sharded_rounds_are_bit_identical_across_warm_rounds() {
             if round == 0 {
                 let web: Vec<ServerId> = broker.members(ReservationId(0)).step_by(3).collect();
                 for s in web {
+                    broker.set_running_containers(s, 2).expect("containers");
+                }
+            }
+        }
+    }
+}
+
+/// The medium-region twin of the sharded golden above, on the inputs
+/// that reach reconcile's eligibility filter and most class keys: a
+/// medium region, the six Figure-4 service profiles (each eligible on
+/// two to ten hardware types, at its own RRU values, with an MSB
+/// buffer), an unbuffered shared buffer and one elastic reservation the
+/// solver cannot see, at shard counts 2 and 3 over five warm rounds after the cold
+/// one: servers bound to the elastic reservation and to reservations
+/// their hardware does not serve, containers on a third of the first
+/// reservation, unplanned and planned outages, their recovery and a
+/// resize. Every round pins the merged objective, the work counters,
+/// the targets, both reconcile figures and the warm flags bit for bit.
+/// The goldens were printed by this body at 8393098, where each shard
+/// walked the region to class its servers and reconcile walked it once
+/// per reservation.
+#[test]
+fn sharded_portfolio_rounds_are_bit_identical_across_warm_rounds() {
+    // (shards, objective bits, nodes, simplex iterations, FNV of the
+    // targets, reconcile releases, released RRU bits, model_reused,
+    // basis_remapped, warm_basis_accepted)
+    type Golden = (usize, u64, usize, usize, u64, usize, u64, bool, bool, bool);
+    #[rustfmt::skip]
+    const GOLDEN: [[Golden; 6]; 2] = [
+        [
+            (2, 4664387347975063464, 223, 837, 10966352881578886113, 37, 4631669334398960925, false, false, false),
+            (2, 4662848031696177067, 593, 2793, 5029366776584491817, 37, 4631652445900358286, false, true, true),
+            (2, 4662804051231066032, 783, 4036, 2567317994839143968, 36, 4631511708412002958, false, true, true),
+            (2, 4662705095184566190, 881, 4371, 18057949333021806705, 37, 4631652445900358287, false, true, true),
+            (2, 4662688800422242550, 705, 3285, 5062160655264436625, 38, 4631793183388713615, true, false, true),
+            (2, 4662688800422242550, 997, 6204, 5062160655264436625, 39, 4631933920877068943, true, false, true),
+        ],
+        [
+            (3, 4665150112176600509, 328, 1066, 11620436208867356819, 153, 4640184656131900048, false, false, false),
+            (3, 4663467859386103234, 1067, 2637, 11623554484531532203, 153, 4640186767194225377, false, true, true),
+            (3, 4663478854502380995, 1266, 3201, 7843995701773191450, 153, 4640186767194225377, false, true, true),
+            (3, 4663390915562391470, 1202, 3120, 7843995701773191450, 151, 4640116398450047713, true, false, true),
+            (3, 4663442526638199275, 1001, 2282, 13743942559084848207, 152, 4640176211882598728, true, false, true),
+            (3, 4663398546173088236, 935, 2461, 13743942559084848207, 152, 4640176211882598728, false, true, true),
+        ],
+    ];
+
+    for (k, goldens) in [2usize, 3].into_iter().zip(&GOLDEN) {
+        let region = RegionBuilder::new(RegionTemplate::medium(), 5).build();
+        let units = (region.server_count() as f64 * 0.015).round();
+        let mut specs: Vec<ReservationSpec> = StandardServices::all()
+            .iter()
+            .map(|p| p.reservation(&region.catalog, units))
+            .collect();
+        let uniform = RruTable::uniform(&region.catalog, 1.0);
+        specs.push(ReservationSpec::shared_buffer(
+            "buffer",
+            100.0,
+            uniform.clone(),
+        ));
+        let loan = ReservationId::from_index(specs.len());
+        specs.push(ReservationSpec::elastic("loan", uniform));
+        let mut broker = ResourceBroker::new(region.server_count());
+        for s in &specs {
+            broker.register_reservation(&s.name);
+        }
+        // Before the cold round: every 97th server lent to the elastic
+        // reservation, and every 89th bound to the first reservation
+        // whose table does not list its hardware.
+        for server in region.servers() {
+            let i = server.id.index();
+            let binding = if i % 97 == 0 {
+                Some(loan)
+            } else if i % 89 == 0 {
+                specs
+                    .iter()
+                    .position(|s| !s.rru.eligible(server.hardware))
+                    .map(ReservationId::from_index)
+            } else {
+                None
+            };
+            if binding.is_some() {
+                broker.bind_current(server.id, binding).expect("bind");
+            }
+        }
+        let mut solver = AsyncSolver::new(SolverParams {
+            shards: k,
+            ..SolverParams::default()
+        });
+        let mut downed: Vec<ServerId> = Vec::new();
+        for (round, golden) in goldens.iter().enumerate() {
+            let now = SimTime::from_hours(round as u64);
+            match round {
+                // A free server, a busy one of the first reservation and
+                // a server of the second fail; one more goes into
+                // planned maintenance.
+                2 => {
+                    let busy = broker
+                        .members(ReservationId(0))
+                        .find(|s| broker.record(*s).is_ok_and(|r| r.running_containers > 0));
+                    let picks = [
+                        broker.unbound().nth(11),
+                        busy,
+                        broker.members(ReservationId(1)).nth(3),
+                    ];
+                    for server in picks.into_iter().flatten() {
+                        broker
+                            .mark_down(UnavailabilityEvent {
+                                server,
+                                kind: UnavailabilityKind::UnplannedHardware,
+                                scope: ScopeId::Server(server),
+                                start: now,
+                                expected_end: None,
+                            })
+                            .expect("mark down");
+                        downed.push(server);
+                    }
+                    let maintained = broker.members(ReservationId(2)).nth(5);
+                    if let Some(server) = maintained {
+                        broker
+                            .mark_down(UnavailabilityEvent {
+                                server,
+                                kind: UnavailabilityKind::PlannedMaintenance,
+                                scope: ScopeId::Server(server),
+                                start: now,
+                                expected_end: Some(now.plus_hours(2)),
+                            })
+                            .expect("maintenance");
+                        downed.push(server);
+                    }
+                }
+                // Everything that went down comes back.
+                3 => {
+                    for server in downed.drain(..) {
+                        broker.mark_up(server, now).expect("mark up");
+                    }
+                }
+                // The second reservation grows by a fifth.
+                4 => specs[1].capacity = (specs[1].capacity * 1.2).round(),
+                _ => {}
+            }
+            let out = solver
+                .solve(&region, &specs, &broker.snapshot(now))
+                .expect("solve");
+            let sharded = out.sharded.as_ref().expect("a sharded round");
+            let stats = &out.phase1.mip_stats;
+            let got: Golden = (
+                sharded.shards.len(),
+                out.phase1.objective.to_bits(),
+                stats.nodes,
+                stats.simplex_iterations,
+                fnv_targets(&out.targets),
+                sharded.reconcile.released,
+                sharded.reconcile.released_rru.to_bits(),
+                out.warm.model_reused,
+                out.warm.basis_remapped,
+                out.warm.warm_basis_accepted,
+            );
+            assert_eq!(got, *golden, "k={k} round {round}");
+
+            solver.apply(&out, &mut broker).expect("apply");
+            for s in broker.pending_moves() {
+                let target = broker.record(s).expect("record").target;
+                broker.bind_current(s, target).expect("bind");
+            }
+            if round == 0 {
+                let first: Vec<ServerId> = broker.members(ReservationId(0)).step_by(3).collect();
+                for s in first {
                     broker.set_running_containers(s, 2).expect("containers");
                 }
             }
