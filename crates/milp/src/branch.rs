@@ -1196,6 +1196,95 @@ mod tests {
         assert_eq!(lock(&shared).discarded, 1);
     }
 
+    fn stall_config(limit: usize) -> SolveConfig {
+        SolveConfig {
+            abs_gap_tol: 0.5,
+            stall_node_limit: limit,
+            ..SolveConfig::default()
+        }
+    }
+
+    #[test]
+    fn a_bound_rise_within_the_gap_tolerance_does_not_reset_the_stall() {
+        let config = stall_config(3);
+        let mut stall = Stall::new();
+        assert!(!stall.stalled(10.0, &config));
+        assert!(!stall.stalled(10.25, &config));
+        // 0.5 above the last rise is not a rise.
+        assert!(!stall.stalled(10.5, &config));
+        assert_eq!(stall.nodes, 2);
+        assert!(stall.stalled(10.5, &config));
+    }
+
+    #[test]
+    fn a_bound_rise_beyond_the_gap_tolerance_resets_the_stall() {
+        let config = stall_config(3);
+        let mut stall = Stall::new();
+        for bound in [10.0, 10.0, 10.0] {
+            assert!(!stall.stalled(bound, &config));
+        }
+        assert_eq!(stall.nodes, 2);
+        assert!(!stall.stalled(10.75, &config));
+        assert_eq!(stall.nodes, 0);
+        // The count starts over from the new bound.
+        assert!(!stall.stalled(10.75, &config));
+        assert!(!stall.stalled(11.0, &config));
+        assert!(stall.stalled(11.25, &config));
+    }
+
+    #[test]
+    fn the_stall_rule_fires_on_exactly_the_limit_th_flat_pop() {
+        for limit in 1..=8 {
+            let config = stall_config(limit);
+            let mut stall = Stall::new();
+            // The first pop is a rise from no bound at all.
+            assert!(!stall.stalled(-3.0, &config));
+            for flat in 1..limit {
+                assert!(!stall.stalled(-3.0, &config), "limit {limit}, pop {flat}");
+            }
+            assert!(stall.stalled(-3.0, &config), "limit {limit}");
+        }
+    }
+
+    /// A twelve-item knapsack that needs nodes, whose best open bound
+    /// does not rise on every pop.
+    fn knapsack_needing_nodes() -> Model {
+        let mut m = Model::new();
+        let mut obj = LinExpr::zero();
+        let mut w = LinExpr::zero();
+        for i in 0..12 {
+            let x = m.add_var(format!("x{i}"), VarType::Binary, 0.0, 1.0);
+            obj += LinExpr::term(x, -((i % 5 + 1) as f64) - 0.37);
+            w += LinExpr::term(x, (i % 7 + 1) as f64);
+        }
+        m.add_constraint("w", w, Sense::Le, 11.0);
+        m.set_objective(obj);
+        m
+    }
+
+    /// With the stall rule off the search proves the knapsack's optimum;
+    /// with a budget of one flat pop it stops on the dive's incumbent and
+    /// reports the gap it leaves.
+    #[test]
+    fn a_stall_budget_of_zero_searches_to_proof_and_one_stops_early() {
+        let m = knapsack_needing_nodes();
+        let off = m.solve_with(&SolveConfig::default()).unwrap();
+        assert_eq!(off.status, Status::Optimal);
+        assert!(!off.stats.hit_limit);
+
+        let one = m
+            .solve_with(&SolveConfig {
+                stall_node_limit: 1,
+                ..SolveConfig::default()
+            })
+            .unwrap();
+        assert!(one.stats.hit_limit);
+        assert!(one.stats.nodes < off.stats.nodes);
+        assert!(one.stats.gap.is_finite() && one.stats.gap > 0.0);
+        assert!(one.stats.best_bound <= off.objective + 1e-9);
+        assert!(one.objective >= off.objective - 1e-9);
+    }
+
     #[test]
     fn knapsack_small() {
         // max 10a + 13b + 7c, weights 3,4,2, cap 6 → best is a+c = 17? or b+c = 20.
@@ -1368,19 +1457,9 @@ mod tests {
 
     #[test]
     fn node_limit_reports_gap() {
-        // A knapsack big enough to need nodes, with a 1-node limit: the
-        // heuristic provides an incumbent and the gap is reported.
-        let mut m = Model::new();
-        let n = 12;
-        let mut obj = LinExpr::zero();
-        let mut w = LinExpr::zero();
-        for i in 0..n {
-            let x = m.add_var(format!("x{i}"), VarType::Binary, 0.0, 1.0);
-            obj += LinExpr::term(x, -((i % 5 + 1) as f64) - 0.37);
-            w += LinExpr::term(x, (i % 7 + 1) as f64);
-        }
-        m.add_constraint("w", w, Sense::Le, 11.0);
-        m.set_objective(obj);
+        // A 1-node limit: the heuristic provides an incumbent and the gap
+        // is reported.
+        let m = knapsack_needing_nodes();
         let config = SolveConfig {
             max_nodes: 1,
             ..SolveConfig::default()

@@ -386,7 +386,11 @@ fn session_rounds_are_bit_identical_to_the_skeleton_cache() {
             .expect("mark down");
     };
 
-    let mut solver = AsyncSolver::default();
+    // The goldens were printed at the 48-node stall budget.
+    let mut solver = AsyncSolver::new(SolverParams {
+        stall_node_limit: 48,
+        ..SolverParams::default()
+    });
     for (round, golden) in GOLDEN.iter().enumerate() {
         let hour = round as u64;
         match round {
@@ -483,8 +487,10 @@ fn sharded_rounds_are_bit_identical_across_warm_rounds() {
         for s in &specs {
             broker.register_reservation(&s.name);
         }
+        // The goldens were printed at the 48-node stall budget.
         let mut solver = AsyncSolver::new(SolverParams {
             shards: k,
+            stall_node_limit: 48,
             ..SolverParams::default()
         });
         for (round, golden) in goldens.iter().enumerate() {
@@ -622,8 +628,10 @@ fn sharded_portfolio_rounds_are_bit_identical_across_warm_rounds() {
                 broker.bind_current(server.id, binding).expect("bind");
             }
         }
+        // The goldens were printed at the 48-node stall budget.
         let mut solver = AsyncSolver::new(SolverParams {
             shards: k,
+            stall_node_limit: 48,
             ..SolverParams::default()
         });
         let mut downed: Vec<ServerId> = Vec::new();
@@ -712,34 +720,25 @@ fn sharded_portfolio_rounds_are_bit_identical_across_warm_rounds() {
     }
 }
 
+/// What a round of the audited portfolio pins: (objective bits, nodes,
+/// simplex iterations, planned moves, phase 2 ran, FNV of the targets).
+type PortfolioRound = (u64, usize, usize, usize, bool, u64);
+
 /// One audited solver over three continuous rounds of the 24-spec
 /// medium portfolio at 0.85 (the over-subscribed loop's instance): each
 /// round's plan is applied and a fixed set of servers fails before the
-/// next. Pinned bit for bit to cb899d5, the last commit that still
-/// carried the spec-clustering reduction beside the equivalence classes,
-/// so the round's one reduction is shown to plan exactly as the
-/// two-level pipeline did at its default level.
-#[test]
-fn audited_portfolio_rounds_are_bit_identical_to_the_two_level_reduction() {
-    // (objective bits, nodes, simplex iterations, planned moves, phase 2
-    // ran, FNV of the targets)
-    type Golden = (u64, usize, usize, usize, bool, u64);
-    #[rustfmt::skip]
-    const GOLDEN: [Golden; 3] = [
-        (4706370983501286605, 55, 4272, 0, true, 4338201246830391476),
-        (4707741323697890264, 51, 8876, 0, false, 4338201246830391476),
-        (4707808345298892230, 73, 8453, 0, false, 4338201246830391476),
-    ];
-
+/// next.
+fn audited_portfolio_rounds(params: SolverParams) -> Vec<PortfolioRound> {
     let (region, specs) = ras_bench::instance::portfolio(RegionTemplate::medium(), 2, 24, 0.85);
     let mut broker = ResourceBroker::new(region.server_count());
     for s in &specs {
         broker.register_reservation(&s.name);
     }
-    let mut solver = AsyncSolver::new(SolverParams::default());
+    let mut solver = AsyncSolver::new(params);
     let n = region.server_count();
     let mut downed: Vec<ServerId> = Vec::new();
-    for (round, golden) in GOLDEN.iter().enumerate() {
+    let mut rounds = Vec::new();
+    for round in 0..3 {
         let hour = round as u64;
         let now = SimTime::from_hours(hour);
         if round > 0 {
@@ -766,21 +765,62 @@ fn audited_portfolio_rounds_are_bit_identical_to_the_two_level_reduction() {
             .solve(&region, &specs, &broker.snapshot(now))
             .expect("solve");
         let stats = &out.phase1.mip_stats;
-        let got: Golden = (
+        rounds.push((
             out.phase1.objective.to_bits(),
             stats.nodes,
             stats.simplex_iterations,
             out.moves.total(),
             out.phase2.is_some(),
             fnv_targets(&out.targets),
-        );
-        assert_eq!(got, *golden, "round {round}");
+        ));
 
         solver.apply(&out, &mut broker).expect("apply");
         for s in broker.pending_moves() {
             let target = broker.record(s).expect("record").target;
             broker.bind_current(s, target).expect("bind");
         }
+    }
+    rounds
+}
+
+/// The audited portfolio pinned bit for bit to cb899d5, the last commit
+/// that still carried the spec-clustering reduction beside the
+/// equivalence classes, so the round's one reduction is shown to plan
+/// exactly as the two-level pipeline did at its default level.
+#[test]
+fn audited_portfolio_rounds_are_bit_identical_to_the_two_level_reduction() {
+    #[rustfmt::skip]
+    const GOLDEN: [PortfolioRound; 3] = [
+        (4706370983501286605, 55, 4272, 0, true, 4338201246830391476),
+        (4707741323697890264, 51, 8876, 0, false, 4338201246830391476),
+        (4707808345298892230, 73, 8453, 0, false, 4338201246830391476),
+    ];
+    // The goldens were printed at the 48-node stall budget.
+    let rounds = audited_portfolio_rounds(SolverParams {
+        stall_node_limit: 48,
+        ..SolverParams::default()
+    });
+    for (round, (got, golden)) in rounds.iter().zip(&GOLDEN).enumerate() {
+        assert_eq!(got, golden, "round {round}");
+    }
+}
+
+/// The audited portfolio at the default settings, so a change to the
+/// default stall budget shows here while the goldens above keep the
+/// budget they were printed at. Printed by this body at the commit that
+/// lowered the budget from 48 to 8; against the 48-node goldens only the
+/// node and simplex iteration counts differ.
+#[test]
+fn audited_portfolio_rounds_are_pinned_at_the_default_stall_budget() {
+    #[rustfmt::skip]
+    const GOLDEN: [PortfolioRound; 3] = [
+        (4706370983501286605, 15, 4212, 0, true, 4338201246830391476),
+        (4707741323697890264, 11, 8136, 0, false, 4338201246830391476),
+        (4707808345298892230, 8, 7558, 0, false, 4338201246830391476),
+    ];
+    let rounds = audited_portfolio_rounds(SolverParams::default());
+    for (round, (got, golden)) in rounds.iter().zip(&GOLDEN).enumerate() {
+        assert_eq!(got, golden, "round {round}");
     }
 }
 
