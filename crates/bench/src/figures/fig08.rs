@@ -114,6 +114,13 @@ pub fn run(shape: Shape) -> Vec<Experiment> {
         fmt(dive_seconds, 3),
         fmt(acc[0].mip_seconds + acc[1].mip_seconds, 3)
     ));
+    exp.note(format!(
+        "dives: {} LPs, {} us per dive LP; {} solves installed the basis \
+         their engine held (timing-dependent)",
+        mip.dive_lps,
+        fmt(dive_seconds * 1e6 / mip.dive_lps.max(1) as f64, 0),
+        mip.held_installs
+    ));
     exp.note("shape check: MIP share of phase 1 should exceed its share of phase 2");
     vec![exp]
 }

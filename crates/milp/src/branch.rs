@@ -27,6 +27,7 @@
 //! parked helper woke on the search's own core often enough to lose the
 //! gain.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
@@ -891,6 +892,7 @@ pub fn solve(model: &Model, config: &SolveConfig) -> Result<Solution, SolveError
     })?;
     let shared = shared.into_inner().unwrap_or_else(PoisonError::into_inner);
     stats.lp_solves_discarded = shared.done.len() + shared.discarded;
+    stats.held_installs = node_lp.held_installs();
 
     stats.solve_seconds = start.elapsed().as_secs_f64();
     stats.mip_seconds =
@@ -978,7 +980,7 @@ fn certify(
 }
 
 /// Returns the integer variable with the most fractional LP value.
-fn most_fractional(values: &[f64], int_vars: &[usize]) -> Option<usize> {
+pub(crate) fn most_fractional(values: &[f64], int_vars: &[usize]) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
     for &j in int_vars {
         let v = values[j];
@@ -1006,6 +1008,12 @@ fn snap(model: &Model, lp: &LpResult, int_vars: &[usize]) -> (f64, Vec<f64>) {
 
 /// Iterated rounding/diving heuristic: repeatedly fix near-integral
 /// variables and re-solve, hoping to land on a feasible integral point.
+///
+/// Each step's LP starts from the basis the last one returned, which is
+/// the one `node_lp` holds: the engine installs it by applying the bounds
+/// the step changed. The step's own pass visits only what can have moved
+/// (see [`DiveFixings`]), and no LP result is cloned: the current one
+/// lends its basis to the next solve.
 #[allow(clippy::too_many_arguments)]
 fn dive(
     model: &Model,
@@ -1020,8 +1028,8 @@ fn dive(
 ) -> Option<(f64, Vec<f64>)> {
     let mut lower = root_lower.to_vec();
     let mut upper = root_upper.to_vec();
-    let mut current = root.clone();
-    let mut warm = root.basis.clone();
+    let mut fixings = DiveFixings::new(int_vars, model.num_vars());
+    let mut current = Cow::Borrowed(root);
     // Every round fixes at least one more integer, so a full sweep
     // needs at most one round per integer variable.
     let max_rounds = int_vars.len().max(64);
@@ -1029,65 +1037,170 @@ fn dive(
         if start.elapsed().as_secs_f64() > config.time_limit_seconds * 0.5 {
             return None;
         }
-        match most_fractional(&current.values, int_vars) {
-            None => {
-                let (obj, values) = snap(model, &current, int_vars);
-                if model.violations(&values, tol::DUAL_FEAS).is_empty() {
-                    return Some((obj, values));
-                }
+        let basic = current.basis.as_ref().map_or(&[][..], |b| &b.basis[..]);
+        let Some(least) = fixings.step(&current.values, basic, &mut lower, &mut upper) else {
+            let (obj, values) = snap(model, &current, int_vars);
+            if model.violations(&values, tol::DUAL_FEAS).is_empty() {
+                return Some((obj, values));
+            }
+            return None;
+        };
+        // Round the least fractional remaining one.
+        let fixed = least.map(|j| {
+            let v = current.values[j]
+                .round()
+                .clamp(root_lower[j], root_upper[j]);
+            lower[j] = v;
+            upper[j] = v;
+            (j, v)
+        });
+        let warm = current.basis.as_ref();
+        let mut lp = node_lp.solve(&lower, &upper, warm, NODE_RULE);
+        stats.record_lp(&lp);
+        stats.dive_lps += 1;
+        if lp.status != LpStatus::Optimal {
+            // Rounding to nearest may have cut off feasibility;
+            // retry the opposite rounding direction once.
+            let (j, v) = fixed?;
+            let frac = current.values[j];
+            let other = if v >= frac { frac.floor() } else { frac.ceil() };
+            let other = other.clamp(root_lower[j], root_upper[j]);
+            if other == v {
                 return None;
             }
-            Some(_) => {
-                // Fix every var that is already (nearly) integral, plus
-                // round the least fractional remaining one.
-                let mut least: Option<(usize, f64)> = None;
-                for &j in int_vars {
-                    let v = current.values[j];
-                    let frac = (v - v.round()).abs();
-                    if frac <= tol::PRIMAL_FEAS {
-                        lower[j] = v.round();
-                        upper[j] = v.round();
-                    } else {
-                        match least {
-                            Some((_, bf)) if frac >= bf => {}
-                            _ => least = Some((j, frac)),
-                        }
-                    }
-                }
-                let fixed = least.map(|(j, _)| {
-                    let v = current.values[j]
-                        .round()
-                        .clamp(root_lower[j], root_upper[j]);
-                    lower[j] = v;
-                    upper[j] = v;
-                    (j, v)
-                });
-                let mut lp = node_lp.solve(&lower, &upper, warm.as_ref(), NODE_RULE);
-                stats.record_lp(&lp);
-                if lp.status != LpStatus::Optimal {
-                    // Rounding to nearest may have cut off feasibility;
-                    // retry the opposite rounding direction once.
-                    let (j, v) = fixed?;
-                    let frac = current.values[j];
-                    let other = if v >= frac { frac.floor() } else { frac.ceil() };
-                    let other = other.clamp(root_lower[j], root_upper[j]);
-                    if other == v {
-                        return None;
-                    }
-                    lower[j] = other;
-                    upper[j] = other;
-                    lp = node_lp.solve(&lower, &upper, warm.as_ref(), NODE_RULE);
-                    stats.record_lp(&lp);
-                    if lp.status != LpStatus::Optimal {
-                        return None;
-                    }
-                }
-                warm = lp.basis.clone();
-                current = lp;
+            lower[j] = other;
+            upper[j] = other;
+            lp = node_lp.solve(&lower, &upper, warm, NODE_RULE);
+            stats.record_lp(&lp);
+            stats.dive_lps += 1;
+            if lp.status != LpStatus::Optimal {
+                return None;
             }
         }
+        if let Some((j, _)) = fixed {
+            fixings.settle(j, lower[j]);
+        }
+        current = Cow::Owned(lp);
     }
     None
+}
+
+/// The dive's bookkeeping over its integer variables. An integer the dive
+/// fixed at an integral value and that its LP left nonbasic rests exactly
+/// on that value: its fractionality is zero, and fixing it again at its
+/// rounded value writes the bits it already has. So a step visits only the
+/// integers not yet fixed and the fixed ones the LP made basic — whose
+/// value may have drifted off the bound — in `int_vars` order, and does
+/// to them what a pass over every integer would (that pass is kept as
+/// the oracle `oracles::full_scan_step`). Both sets are bitsets
+/// over positions in `int_vars`, so a step walks their union in order
+/// without sorting or merging.
+pub(crate) struct DiveFixings<'a> {
+    int_vars: &'a [usize],
+    /// Position in `int_vars` of each variable; `u32::MAX` when it is
+    /// continuous.
+    slot: Vec<u32>,
+    /// One bit per position: the integer is not fixed at an integral
+    /// value.
+    open: Vec<u64>,
+    /// One bit per position: a fixed integer the current LP made basic.
+    basic: Vec<u64>,
+}
+
+impl<'a> DiveFixings<'a> {
+    /// Nothing fixed yet, over the `int_vars` of a model of `num_vars`.
+    pub(crate) fn new(int_vars: &'a [usize], num_vars: usize) -> Self {
+        let mut slot = vec![u32::MAX; num_vars];
+        let mut open = vec![0u64; int_vars.len().div_ceil(64)];
+        for (k, &j) in int_vars.iter().enumerate() {
+            slot[j] = crate::cast::idx32(k);
+            open[k / 64] |= 1 << (k % 64);
+        }
+        let basic = vec![0; open.len()];
+        Self {
+            int_vars,
+            slot,
+            open,
+            basic,
+        }
+    }
+
+    /// One step over the LP `values`, whose basic columns are `basic`:
+    /// `None`, the bounds untouched, when every integer is within the
+    /// tolerance of an integer; otherwise each integer that is gets fixed
+    /// at its rounded value in `lower`/`upper`, and the answer names the
+    /// least fractional of the others (the first in `int_vars` order on a
+    /// tie).
+    pub(crate) fn step(
+        &mut self,
+        values: &[f64],
+        basic: &[usize],
+        lower: &mut [f64],
+        upper: &mut [f64],
+    ) -> Option<Option<usize>> {
+        self.basic.fill(0);
+        for &b in basic {
+            if let Some(&k) = self.slot.get(b).filter(|&&k| k != u32::MAX) {
+                let (word, bit) = (crate::cast::idx(k) / 64, 1 << (k % 64));
+                if self.open[word] & bit == 0 {
+                    self.basic[word] |= bit;
+                }
+            }
+        }
+        let visit: Vec<usize> = self.visited().collect();
+        let frac = |k: usize| {
+            let v = values[self.int_vars[k]];
+            (v - v.round()).abs()
+        };
+        if !visit.iter().any(|&k| frac(k) > tol::PRIMAL_FEAS) {
+            return None;
+        }
+        let mut least: Option<(usize, f64)> = None;
+        for k in visit {
+            let j = self.int_vars[k];
+            let v = values[j];
+            let frac = (v - v.round()).abs();
+            if frac <= tol::PRIMAL_FEAS {
+                lower[j] = v.round();
+                upper[j] = v.round();
+                self.open[k / 64] &= !(1 << (k % 64));
+            } else {
+                match least {
+                    Some((_, bf)) if frac >= bf => {}
+                    _ => least = Some((j, frac)),
+                }
+            }
+        }
+        Some(least.map(|(j, _)| j))
+    }
+
+    /// The positions a step visits, ascending.
+    fn visited(&self) -> impl Iterator<Item = usize> + '_ {
+        let words = self.open.iter().zip(&self.basic).enumerate();
+        words.flat_map(|(word, (&open, &basic))| {
+            let mut bits = open | basic;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let k = word * 64 + crate::cast::idx(bits.trailing_zeros());
+                    bits &= bits - 1;
+                    k
+                })
+            })
+        })
+    }
+
+    /// Records that integer `j` now sits fixed at `value`: for good when
+    /// the value is integral, else among the visited ones (a bound it
+    /// was clamped to need not be integral).
+    pub(crate) fn settle(&mut self, j: usize, value: f64) {
+        let k = crate::cast::idx(self.slot[j]);
+        let bit = 1 << (k % 64);
+        if value.round().to_bits() == value.to_bits() {
+            self.open[k / 64] &= !bit;
+        } else {
+            self.open[k / 64] |= bit;
+        }
+    }
 }
 
 #[cfg(test)]

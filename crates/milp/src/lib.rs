@@ -56,6 +56,8 @@ pub mod expr;
 pub mod lu;
 pub mod model;
 pub mod nan;
+#[cfg(test)]
+mod oracles;
 pub mod presolve;
 pub mod simplex;
 pub mod solution;

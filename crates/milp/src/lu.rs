@@ -37,8 +37,9 @@ pub struct LuFactors {
     step_of_slot: Vec<usize>,
     /// `L` by step: off-diagonal multipliers, indexed by original row.
     l: CscStore,
-    /// `U` by step: off-diagonal entries, indexed by *earlier step*.
-    u: CscStore,
+    /// `U` by step: off-diagonal entries, indexed by *earlier step*, laid
+    /// out as the column lists [`FtFactors`] updates in place.
+    u: Segments,
     /// Diagonal of `U` per step.
     u_diag: Vec<f64>,
 }
@@ -49,10 +50,10 @@ impl LuFactors {
     pub fn diagonal(signs: &[f64]) -> Self {
         let m = signs.len();
         let mut l = CscStore::with_capacity(m, 0);
-        let mut u = CscStore::with_capacity(m, 0);
+        let mut u = Segments::with_capacity(m, 0);
         for _ in 0..m {
             l.finish_column();
-            u.finish_column();
+            u.finish_list();
         }
         Self {
             m,
@@ -76,18 +77,29 @@ impl LuFactors {
         column: impl Fn(usize) -> I,
         pivot_tol: f64,
     ) -> Option<Self> {
-        // Static column order: fewest nonzeros first. Identity-like
-        // columns (slacks, artificials) eliminate without fill, which
-        // keeps the fronts small by the time denser columns arrive.
+        // Static column order: fewest nonzeros first, ties in slot order
+        // (a stable counting sort on the lengths). Identity-like columns
+        // (slacks, artificials) eliminate without fill, which keeps the
+        // fronts small by the time denser columns arrive.
         let lens: Vec<usize> = (0..m).map(|j| column(j).count()).collect();
-        let mut order: Vec<usize> = (0..m).collect();
-        order.sort_by_key(|&j| lens[j]);
+        let mut next = vec![0usize; lens.iter().max().map_or(1, |&len| len + 2)];
+        for &len in &lens {
+            next[len + 1] += 1;
+        }
+        for len in 1..next.len() {
+            next[len] += next[len - 1];
+        }
+        let mut order = vec![0usize; m];
+        for (j, &len) in lens.iter().enumerate() {
+            order[next[len]] = j;
+            next[len] += 1;
+        }
 
         let nnz_hint: usize = lens.iter().sum();
         let mut pivot_row = Vec::with_capacity(m);
         let mut slot_of_step = Vec::with_capacity(m);
         let mut l = CscStore::with_capacity(m, nnz_hint);
-        let mut u = CscStore::with_capacity(m, nnz_hint);
+        let mut u = Segments::with_capacity(m, nnz_hint);
         let mut u_diag = Vec::with_capacity(m);
         // Step that pivoted each row, or MAX while the row is unpivoted.
         let mut row_to_step = vec![usize::MAX; m];
@@ -130,9 +142,9 @@ impl LuFactors {
                     let (t, cursor) = *top;
                     let mut child: Option<usize> = None;
                     let mut new_cursor = cursor;
-                    for (r, _) in l.column(t).skip(cursor) {
+                    for &r in l.column_rows(t).get(cursor..).unwrap_or_default() {
                         new_cursor += 1;
-                        let t2 = row_to_step[r];
+                        let t2 = row_to_step[cast::idx(r)];
                         if t2 != usize::MAX && step_seen[t2] != epoch {
                             child = Some(t2);
                             break;
@@ -159,7 +171,7 @@ impl LuFactors {
                 if ut == 0.0 {
                     continue; // structural fill that cancelled to zero
                 }
-                u.push_entry(t, ut);
+                u.data.push((cast::idx32(t), ut));
                 for (r, lv) in l.column(t) {
                     if live[r] != epoch {
                         live[r] = epoch;
@@ -195,7 +207,7 @@ impl LuFactors {
                 }
             }
             l.finish_column();
-            u.finish_column();
+            u.finish_list();
         }
         let mut step_of_slot = vec![0usize; m];
         for (k, &slot) in slot_of_step.iter().enumerate() {
@@ -246,6 +258,24 @@ struct Segments {
 }
 
 impl Segments {
+    /// No lists yet, with room for `lists` of them and `nnz` entries.
+    fn with_capacity(lists: usize, nnz: usize) -> Self {
+        Self {
+            spans: Vec::with_capacity(lists),
+            data: Vec::with_capacity(nnz),
+            nnz: 0,
+        }
+    }
+
+    /// Seals the entries pushed onto `data` since the last list as the
+    /// next list, packed (no spare room).
+    fn finish_list(&mut self) {
+        let start = self.spans.last().map_or(0, |&(start, len, _)| start + len);
+        let len = cast::idx32(self.data.len()) - start;
+        self.spans.push((start, len, len));
+        self.nnz += cast::idx(len);
+    }
+
     fn list(&self, k: usize) -> &[(u32, f64)] {
         let (start, len, _) = self.spans[k];
         &self.data[cast::idx(start)..cast::idx(start + len)]
@@ -371,27 +401,17 @@ impl FtFactors {
     // lint:allow(hot-path-index): packs factors whose patterns were built over the same m columns
     pub fn from_lu(lu: LuFactors) -> Self {
         let m = lu.m;
-        // Column lists are `U`'s columns as factored; the row mirror is
-        // a counting sort that files every entry under its row step in
-        // ascending column order.
-        let mut u_cols = Segments {
-            spans: Vec::with_capacity(m),
-            data: Vec::with_capacity(lu.u.nnz()),
-            nnz: lu.u.nnz(),
-        };
+        // Column lists are `U`'s columns as factored, taken over as they
+        // are; the row mirror is a counting sort that files every entry
+        // under its row step in ascending column order.
+        let u_cols = lu.u;
         let mut u_rows = Segments {
             spans: vec![(0, 0, 0); m],
-            data: vec![(0, 0.0); lu.u.nnz()],
-            nnz: lu.u.nnz(),
+            data: vec![(0, 0.0); u_cols.nnz],
+            nnz: u_cols.nnz,
         };
-        for k in 0..m {
-            let start = cast::idx32(u_cols.data.len());
-            for (t, uv) in lu.u.column(k) {
-                u_cols.data.push((cast::idx32(t), uv));
-                u_rows.spans[t].2 += 1;
-            }
-            let len = cast::idx32(u_cols.data.len()) - start;
-            u_cols.spans.push((start, len, len));
+        for &(t, _) in &u_cols.data {
+            u_rows.spans[cast::idx(t)].2 += 1;
         }
         let mut next = 0;
         for span in &mut u_rows.spans {
@@ -405,7 +425,7 @@ impl FtFactors {
                 u_rows.spans[cast::idx(t)].1 += 1;
             }
         }
-        let base_nnz = lu.l.nnz() + lu.u.nnz() + m;
+        let base_nnz = lu.l.nnz() + u_cols.nnz + m;
         Self {
             m,
             pivot_row: lu.pivot_row,

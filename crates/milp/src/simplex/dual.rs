@@ -29,34 +29,42 @@ const COLD_PERTURB: f64 = 1e-6;
 const COLD_PERTURB_SEED: u64 = 0xC01D_D0A1;
 
 impl Simplex<'_> {
-    /// Warm-started solve on a freshly reset engine: install the given
-    /// basis, repair primal feasibility with the dual iteration under
+    /// Warm-started solve under `lower`/`upper`: install the given basis
+    /// — on the held install when the engine holds it, on a reset engine
+    /// otherwise — repair primal feasibility with the dual iteration under
     /// `rule`, then finish with primal phase 2. Returns `None` when the
     /// warm path cannot proceed safely — the caller falls back to a cold
     /// start.
     // lint:allow(hot-path-index): warm-start driver; slots bounded by m, columns by n
     pub(super) fn run_warm(
         &mut self,
+        lower: &[f64],
+        upper: &[f64],
         warm: &Basis,
         rule: DualRule,
         observe: &mut impl FnMut(&Self, usize, bool, Option<usize>),
     ) -> Option<LpResult> {
         let m = self.m;
-        // Real costs from the start; artificial columns are pinned at 0.
-        self.costs[..self.n0].copy_from_slice(&self.sf.costs);
-        self.upper[self.n0..].fill(0.0);
-        // Nonbasic columns rest on the bound recorded by the snapshot,
-        // clamped to the (possibly tightened) current bounds.
-        for j in 0..self.n0 {
-            self.rest_nonbasic(j, warm.at_upper.get(j).copied().unwrap_or(false));
-        }
-        // Install the basis (reject stale or duplicated entries).
-        for (row, &bj) in warm.basis.iter().enumerate() {
-            if bj >= self.n0 + m || self.position[bj] != usize::MAX {
-                return None;
+        if self.holds(warm) {
+            self.install_held(lower, upper, warm);
+        } else {
+            self.reset(lower, upper);
+            // Real costs from the start; artificial columns are pinned at 0.
+            self.costs[..self.n0].copy_from_slice(&self.sf.costs);
+            self.pin_artificials();
+            // Nonbasic columns rest on the bound recorded by the snapshot,
+            // clamped to the (possibly tightened) current bounds.
+            for j in 0..self.n0 {
+                self.rest_nonbasic(j, warm.at_upper.get(j).copied().unwrap_or(false));
             }
-            self.basis[row] = bj;
-            self.position[bj] = row;
+            // Install the basis (reject stale or duplicated entries).
+            for (row, &bj) in warm.basis.iter().enumerate() {
+                if bj >= self.n0 + m || self.position[bj] != usize::MAX {
+                    return None;
+                }
+                self.basis[row] = bj;
+                self.position[bj] = row;
+            }
         }
         if !self.refactor() {
             // A remapped basis can go singular when rows changed under
@@ -222,9 +230,9 @@ impl Simplex<'_> {
         for i in 0..m {
             self.basis[i] = n + i;
             self.position[n + i] = i;
-            // Artificials are pinned at zero throughout.
-            self.upper[self.n0 + i] = 0.0;
         }
+        // Artificials are pinned at zero throughout.
+        self.pin_artificials();
         if !self.refactor() {
             return None;
         }
@@ -256,6 +264,7 @@ impl Simplex<'_> {
                 &mut self.upper[*j]
             };
             std::mem::swap(side, bound);
+            self.bounds_changed(*j);
         }
     }
 
@@ -328,7 +337,7 @@ impl Simplex<'_> {
             // σ orients the violation: +1 above the upper bound (the
             // basic must decrease), −1 below the lower bound.
             let sigma = if to_upper { 1.0 } else { -1.0 };
-            self.scatter_alpha_row(row);
+            self.scatter_alpha_row(row, true);
             let entering = match rule {
                 DualRule::LongStep => {
                     self.long_step_ratio(row, sigma, target, &mut cands, &mut flips)
@@ -365,9 +374,8 @@ impl Simplex<'_> {
                     self.sf.matrix.scatter_column(j, delta, &mut flip_r);
                 }
                 self.repr.ftran(&mut flip_r);
-                for (i, &fr) in flip_r.iter().enumerate() {
-                    let b = self.basis[i];
-                    self.x[b] -= fr;
+                for (xb, &fr) in self.xb.iter_mut().zip(&flip_r) {
+                    *xb -= fr;
                 }
                 for &(j, _) in &flips {
                     self.set_nonbasic(j, !self.at_upper[j]);
@@ -443,7 +451,7 @@ impl Simplex<'_> {
             }
         }
         cands.sort_unstable_by(|a, b| a.1.total_cmp(&b.1));
-        let mut remaining = (self.x[self.basis[row]] - target).abs();
+        let mut remaining = (self.xb[row] - target).abs();
         for (k, &(cj, ratio)) in cands.iter().enumerate() {
             let j = cast::idx(cj);
             let a_hat = sigma * self.alpha[j];
@@ -519,7 +527,7 @@ impl Simplex<'_> {
     /// fixed, `|α_j|` above the pivot tolerance, and free to move off its
     /// bound the way that pushes the leaving variable toward its bound.
     fn may_enter(&self, j: usize, a_hat: f64) -> bool {
-        if self.position[j] != usize::MAX || self.lower[j] == self.upper[j] {
+        if self.position[j] != usize::MAX || !self.is_live(j) {
             return false;
         }
         if self.is_free(j) {
@@ -548,7 +556,7 @@ impl Simplex<'_> {
             return DualOutcome::Fallback;
         };
         let sigma = if to_upper { 1.0 } else { -1.0 };
-        self.scatter_alpha_row(row);
+        self.scatter_alpha_row(row, false);
         let mut unabsorbed = violation;
         for &cj in &self.alpha_cols {
             let j = cast::idx(cj);
@@ -595,12 +603,11 @@ impl Simplex<'_> {
     /// How far the basic variable of `row` sits outside its bounds, if it
     /// does: `(violation, violated bound, bound is the upper one)`.
     fn basic_violation(&self, row: usize) -> Option<(f64, f64, bool)> {
-        let b = self.basis[row];
-        let x = self.x[b];
-        if x < self.lower[b] - tol::OPT {
-            Some((self.lower[b] - x, self.lower[b], false))
-        } else if x > self.upper[b] + tol::OPT {
-            Some((x - self.upper[b], self.upper[b], true))
+        let (x, lo, up) = (self.xb[row], self.lb[row], self.ub[row]);
+        if x < lo - tol::OPT {
+            Some((lo - x, lo, false))
+        } else if x > up + tol::OPT {
+            Some((x - up, up, true))
         } else {
             None
         }
@@ -635,17 +642,14 @@ impl Simplex<'_> {
     // lint:allow(hot-path-index): basic-value update over basis slots, bounded by m
     fn land_leaving(&mut self, row: usize, q: usize, target: f64, to_upper: bool) {
         let leaving = self.basis[row];
-        let delta = (self.x[leaving] - target) / self.w[row];
-        for i in 0..self.m {
-            let b = self.basis[i];
-            self.x[b] -= delta * self.w[i];
+        let delta = (self.xb[row] - target) / self.w[row];
+        for (xb, &w) in self.xb.iter_mut().zip(&self.w) {
+            *xb -= delta * w;
         }
         self.x[leaving] = target;
         self.at_upper[leaving] = to_upper;
         self.position[leaving] = usize::MAX;
-        self.x[q] += delta;
-        self.basis[row] = q;
-        self.position[q] = row;
+        self.enter_row(row, q, self.x[q] + delta);
     }
 }
 

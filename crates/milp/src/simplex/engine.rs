@@ -29,13 +29,22 @@ pub(super) enum RefactorReason {
 }
 
 /// The simplex engine for one standard form: every vector a solve needs,
-/// allocated once and reused by each [`solve`](Self::solve), which resets
-/// it: a result never depends on what the engine solved before. Branch
-/// and bound keeps one for the node and dive LPs its search solves, and
-/// its look-ahead helper one more — a node re-solve is a
-/// handful of pivots, and building a dozen `n + m` vectors around each
-/// used to cost as much as the pivots. [`solve_lp`] and [`solve_lp_warm`]
-/// wrap a throwaway instance.
+/// allocated once and reused by each [`solve`](Self::solve). A solve
+/// returns what a reset engine returns: a result never depends on what
+/// the engine solved before. Branch and bound keeps one for the node and
+/// dive LPs its search solves, and its look-ahead helper one more — a
+/// node re-solve is a handful of pivots, and building a dozen `n + m`
+/// vectors around each used to cost as much as the pivots. [`solve_lp`]
+/// and [`solve_lp_warm`] wrap a throwaway instance.
+///
+/// **Held install.** Handed the warm basis it already holds — the one its
+/// last optimal solve returned, as a dive step's next LP or a node solved
+/// right after its parent is — the engine does not reset: it applies only
+/// the bounds whose bits differ, re-rests those columns as a fresh install
+/// would, and refactorizes and iterates exactly as a fresh install does.
+/// Every other warm basis, and every cold start, resets the engine first.
+/// Builds with debug assertions re-solve every 16th held install on a
+/// fresh engine and assert the same `Debug` form.
 ///
 /// [`solve_lp`]: super::solve_lp
 /// [`solve_lp_warm`]: super::solve_lp_warm
@@ -62,10 +71,22 @@ pub struct Simplex<'a> {
     pub(super) position: Vec<usize>,
     /// Basis factorization: sparse LU under Forrest–Tomlin updates.
     pub(super) repr: FtFactors,
-    /// Current value of every variable.
+    /// Current value of every nonbasic variable (a basic one's entry is
+    /// stale: its value is kept by row, in `xb`).
     pub(super) x: Vec<f64>,
+    /// Value of each row's basic variable.
+    pub(super) xb: Vec<f64>,
+    /// Bounds of each row's basic variable, mirrored from `lower` and
+    /// `upper`: the leaving-row scans and the primal ratio test walk
+    /// these three arrays in row order instead of gathering by column.
+    pub(super) lb: Vec<f64>,
+    pub(super) ub: Vec<f64>,
     /// Nonbasic-at-upper flag.
     pub(super) at_upper: Vec<bool>,
+    /// One bit per column: set when the current bounds leave it free to
+    /// move (`lower != upper`). Kept by every bound write; pricing and
+    /// the dual iteration's pivot row walk only these columns.
+    pub(super) live: Vec<u64>,
     pub(super) iterations: usize,
     pub(super) phase1_iterations: usize,
     pub(super) dual_iterations: usize,
@@ -126,6 +147,14 @@ pub struct Simplex<'a> {
     /// Whether the dual-first cold start perturbs its costs (tests turn
     /// it off to reach the stall fallback).
     pub(super) cold_dual_perturb: bool,
+    /// Whether the engine's state is the end of an optimal solve whose
+    /// returned basis a fresh install would rebuild column for column:
+    /// set by every optimal warm or primal solve, cleared by everything
+    /// else — a dual-first cold solve among them, whose free columns may
+    /// still rest on the bounds their rows implied.
+    pub(super) held: bool,
+    /// Warm solves that took the held install, over the engine's life.
+    pub(super) held_installs: usize,
     /// Test hook: the next this many dual pivots find their FTRAN
     /// pivot element off from the α-row, as representation drift would
     /// leave it.
@@ -164,7 +193,11 @@ impl<'a> Simplex<'a> {
             position: vec![usize::MAX; total],
             repr: FtFactors::diagonal(&vec![1.0; m]),
             x: vec![0.0; total],
+            xb: vec![0.0; m],
+            lb: vec![0.0; m],
+            ub: vec![0.0; m],
             at_upper: vec![false; total],
+            live: vec![0; total.div_ceil(64)],
             iterations: 0,
             phase1_iterations: 0,
             dual_iterations: 0,
@@ -194,6 +227,8 @@ impl<'a> Simplex<'a> {
             pricing: PricingStats::default(),
             cold_dual_min_cols: AUTO_PARTIAL_MIN_COLS,
             cold_dual_perturb: true,
+            held: false,
+            held_installs: 0,
             #[cfg(test)]
             inject_drift: 0,
         }
@@ -261,38 +296,140 @@ impl<'a> Simplex<'a> {
         rule: DualRule,
         mut observe: impl FnMut(&Self, usize, bool, Option<usize>),
     ) -> LpResult {
+        #[cfg(debug_assertions)]
+        let held_before = self.held_installs;
+        #[cfg(all(test, debug_assertions))]
+        let drift = self.inject_drift;
+        let result = self.solve_from(lower, upper, warm, rule, &mut observe);
+        #[cfg(debug_assertions)]
+        if self.held_installs > held_before && self.held_installs.is_multiple_of(16) {
+            // Held-install oracle: a fresh engine, tuned by the same test
+            // hooks, must return this result to the bit (`Debug` prints
+            // every field, each float in its shortest round-trip digits).
+            // A deadline can cut either solve where it did not cut the
+            // other, so a solve it limited proves nothing.
+            let mut fresh = Simplex::new(self.sf, self.config.clone());
+            fresh.rule = self.rule;
+            fresh.refactor_interval = self.refactor_interval;
+            fresh.set_cold_dual_gate(self.cold_dual_min_cols, self.cold_dual_perturb);
+            #[cfg(all(test, debug_assertions))]
+            {
+                fresh.inject_drift = drift;
+            }
+            let again = fresh.solve(lower, upper, warm, rule);
+            let limited = LpStatus::IterationLimit;
+            if result.status != limited && again.status != limited {
+                debug_assert!(
+                    format!("{result:?}") == format!("{again:?}"),
+                    "held install {} differs from a fresh engine's solve",
+                    self.held_installs
+                );
+            }
+        }
+        result
+    }
+
+    /// The body of [`solve_observed`](Self::solve_observed): the warm
+    /// start (held or fresh install), then the cold starts.
+    fn solve_from(
+        &mut self,
+        lower: &[f64],
+        upper: &[f64],
+        warm: Option<&Basis>,
+        rule: DualRule,
+        observe: &mut impl FnMut(&Self, usize, bool, Option<usize>),
+    ) -> LpResult {
         if let Some(basis) = warm.filter(|b| self.m > 0 && b.basis.len() == self.m) {
-            self.reset(lower, upper);
-            if let Some(result) = self.run_warm(basis, rule, &mut observe) {
+            if let Some(result) = self.run_warm(lower, upper, basis, rule, observe) {
+                self.held = result.basis.is_some();
                 return result;
             }
         }
+        self.held = false;
         self.reset(lower, upper);
         if rule == DualRule::LongStep {
             if let Some(implied) = self.cold_dual_start() {
-                if let Some(result) = self.run_cold_dual(implied, &mut observe) {
+                if let Some(result) = self.run_cold_dual(implied, observe) {
                     return result;
                 }
                 self.reset(lower, upper);
             }
         }
-        self.run()
+        let result = self.run();
+        self.held = result.basis.is_some();
+        result
+    }
+
+    /// Test hook: the warm solves that installed the basis the engine
+    /// already held (see the type's docs) over its life.
+    #[doc(hidden)]
+    pub fn held_installs(&self) -> usize {
+        self.held_installs
     }
 
     /// Puts every vector and counter back to the state a fresh engine
     /// starts a solve from: all columns nonbasic at zero with zero cost,
     /// artificials free above zero.
-    fn reset(&mut self, lower: &[f64], upper: &[f64]) {
+    pub(super) fn reset(&mut self, lower: &[f64], upper: &[f64]) {
         let n0 = self.n0;
+        self.held = false;
+        self.position.fill(usize::MAX);
         self.lower[..n0].copy_from_slice(lower);
         self.lower[n0..].fill(0.0);
         self.upper[..n0].copy_from_slice(upper);
         self.upper[n0..].fill(f64::INFINITY);
+        for j in 0..n0 + self.m {
+            self.bounds_changed(j);
+        }
         self.costs.fill(0.0);
         self.art_sign.fill(1.0);
-        self.position.fill(usize::MAX);
         self.x.fill(0.0);
         self.at_upper.fill(false);
+        self.reset_counters();
+    }
+
+    /// Whether `warm` is the basis the engine holds (see the type's docs):
+    /// its last optimal solve returned it and nothing moved since.
+    pub(super) fn holds(&self, warm: &Basis) -> bool {
+        self.held && warm.basis == self.basis && warm.at_upper[..] == self.at_upper[..self.n0]
+    }
+
+    /// The held install: leaves the engine in the state a reset and a
+    /// fresh install of `warm` under `lower`/`upper` would, touching only
+    /// the columns whose bounds differ in their bits (`-0.0` is not
+    /// `0.0`: a rounded `-3.5e-15` fixes a column at `-0.0`). Every other
+    /// column already rests where the fresh install would rest it — the
+    /// bound its flag names, which its last placement chose under these
+    /// very bounds — and the basic values are the refactorization's to
+    /// recompute. The artificials go back to `+1` columns at zero.
+    // lint:allow(hot-path-index): bound arrays are sized to n0 with the tableau
+    pub(super) fn install_held(&mut self, lower: &[f64], upper: &[f64], warm: &Basis) {
+        let n0 = self.n0;
+        for j in 0..n0 {
+            let (lo, up) = (lower[j], upper[j]);
+            if lo.to_bits() != self.lower[j].to_bits() || up.to_bits() != self.upper[j].to_bits() {
+                self.lower[j] = lo;
+                self.upper[j] = up;
+                self.bounds_changed(j);
+                self.rest_nonbasic(j, warm.at_upper[j]);
+            }
+        }
+        debug_assert!(self.lower[n0..]
+            .iter()
+            .chain(&self.upper[n0..])
+            .all(|&b| b == 0.0));
+        debug_assert!(
+            self.costs[..n0] == self.sf.costs[..] && self.costs[n0..].iter().all(|&c| c == 0.0)
+        );
+        self.art_sign.fill(1.0);
+        self.x[n0..].fill(0.0);
+        self.at_upper[n0..].fill(false);
+        self.reset_counters();
+        self.held_installs += 1;
+    }
+
+    /// Zeroes every per-solve counter and invalidates the prices.
+    fn reset_counters(&mut self) {
         self.iterations = 0;
         self.phase1_iterations = 0;
         self.dual_iterations = 0;
@@ -326,7 +463,7 @@ impl<'a> Simplex<'a> {
         // Phase 1 runs only when the crash basis left some infeasibility
         // (an artificial carrying a nonzero residual); a fully
         // slack-feasible start jumps straight to phase 2.
-        let infeas0: f64 = (0..self.m).map(|i| self.x[self.n0 + i]).sum();
+        let infeas0: f64 = (0..self.m).map(|i| self.value(self.n0 + i)).sum();
         if infeas0 > 0.0 {
             // Phase 1: minimize the sum of artificials.
             for j in 0..self.m {
@@ -337,17 +474,20 @@ impl<'a> Simplex<'a> {
             if status == LpStatus::IterationLimit {
                 return self.finish(LpStatus::IterationLimit);
             }
-            let infeas: f64 = (0..self.m).map(|i| self.x[self.n0 + i]).sum();
+            let infeas: f64 = (0..self.m).map(|i| self.value(self.n0 + i)).sum();
             if infeas > self.infeasibility_threshold() {
                 return self.finish(LpStatus::Infeasible);
             }
         }
         // Phase 2: true costs; artificials are pinned to zero.
+        self.pin_artificials();
         for j in 0..self.m {
-            self.costs[self.n0 + j] = 0.0;
-            self.lower[self.n0 + j] = 0.0;
-            self.upper[self.n0 + j] = 0.0;
-            self.x[self.n0 + j] = 0.0;
+            let art = self.n0 + j;
+            self.costs[art] = 0.0;
+            match self.position[art] {
+                usize::MAX => self.x[art] = 0.0,
+                row => self.xb[row] = 0.0,
+            }
         }
         self.costs[..self.n0].copy_from_slice(&self.sf.costs);
         let status = self.optimize();
@@ -386,9 +526,15 @@ impl<'a> Simplex<'a> {
     }
 
     pub(super) fn finish(&self, status: LpStatus) -> LpResult {
+        let mut values = self.x[..self.n0].to_vec();
+        for (&b, &v) in self.basis.iter().zip(&self.xb) {
+            if let Some(value) = values.get_mut(b) {
+                *value = v;
+            }
+        }
         let objective = self.sf.obj_constant
             + (0..self.n0)
-                .map(|j| self.sf.costs[j] * self.x[j])
+                .map(|j| self.sf.costs[j] * values[j])
                 .sum::<f64>();
         let basis = (status == LpStatus::Optimal && self.m > 0).then(|| Basis {
             basis: self.basis.clone(),
@@ -397,7 +543,7 @@ impl<'a> Simplex<'a> {
         LpResult {
             status,
             objective,
-            values: self.x[..self.n0].to_vec(),
+            values,
             duals: self.y.clone(),
             iterations: self.iterations,
             phase1_iterations: self.phase1_iterations,
@@ -439,18 +585,14 @@ impl<'a> Simplex<'a> {
             if resid >= self.lower[slack] && resid <= self.upper[slack] {
                 // Crash the slack basic: B's column is +e_i, the row is
                 // feasible, and phase 1 has nothing to do here.
-                self.basis[i] = slack;
-                self.position[slack] = i;
-                self.x[slack] = resid;
                 self.art_sign[i] = 1.0;
                 self.position[art] = usize::MAX;
                 self.x[art] = 0.0;
+                self.enter_row(i, slack, resid);
             } else {
                 let sign = if r[i] >= 0.0 { 1.0 } else { -1.0 };
                 self.art_sign[i] = sign;
-                self.basis[i] = art;
-                self.position[art] = i;
-                self.x[art] = r[i].abs();
+                self.enter_row(i, art, r[i].abs());
                 signs[i] = sign;
             }
         }
@@ -530,6 +672,58 @@ impl<'a> Simplex<'a> {
         j < self.sf.num_structural && self.sf.lower.get(j) == self.sf.upper.get(j)
     }
 
+    /// Whether the current bounds leave column `j` free to move.
+    pub(super) fn is_live(&self, j: usize) -> bool {
+        self.live[j / 64] >> (j % 64) & 1 == 1
+    }
+
+    /// Files column `j`, whose bounds were just written, in
+    /// [`live`](Self::live) and, when it is basic, in its row's mirror.
+    pub(super) fn bounds_changed(&mut self, j: usize) {
+        let bit = 1 << (j % 64);
+        if self.lower[j] == self.upper[j] {
+            self.live[j / 64] &= !bit;
+        } else {
+            self.live[j / 64] |= bit;
+        }
+        if let Some(row) = self
+            .position
+            .get(j)
+            .copied()
+            .filter(|&row| row != usize::MAX)
+        {
+            self.lb[row] = self.lower[j];
+            self.ub[row] = self.upper[j];
+        }
+    }
+
+    /// Makes `q` the basic variable of `row`, at `value`.
+    pub(super) fn enter_row(&mut self, row: usize, q: usize, value: f64) {
+        self.basis[row] = q;
+        self.position[q] = row;
+        self.xb[row] = value;
+        self.lb[row] = self.lower[q];
+        self.ub[row] = self.upper[q];
+    }
+
+    /// The value of column `j`, basic or not.
+    pub(super) fn value(&self, j: usize) -> f64 {
+        match self.position[j] {
+            usize::MAX => self.x[j],
+            row => self.xb[row],
+        }
+    }
+
+    /// Pins every artificial column at zero.
+    pub(super) fn pin_artificials(&mut self) {
+        let n0 = self.n0;
+        self.lower[n0..].fill(0.0);
+        self.upper[n0..].fill(0.0);
+        for j in n0..n0 + self.m {
+            self.bounds_changed(j);
+        }
+    }
+
     pub(super) fn is_free(&self, j: usize) -> bool {
         self.lower[j] == f64::NEG_INFINITY && self.upper[j] == f64::INFINITY
     }
@@ -605,21 +799,31 @@ impl<'a> Simplex<'a> {
         self.repr = FtFactors::from_lu(lu);
         self.refactorizations += 1;
         // Recompute x_B = B⁻¹ (b − N x_N); the direction buffer is free
-        // between pivots.
-        let (sf, unit_rows, art_sign) = (self.sf, &self.unit_rows, &self.art_sign);
+        // between pivots. Structural and slack columns first, then the
+        // artificials' one entries, each in column order.
+        let n0 = self.n0;
         let mut r = std::mem::take(&mut self.w);
         r.copy_from_slice(&self.sf.rhs);
-        for j in 0..self.n0 + self.m {
-            let xj = self.x[j];
-            if self.position[j] == usize::MAX && xj != 0.0 {
-                for (row, v) in column_of(sf, unit_rows, art_sign, j) {
-                    r[row] -= v * xj;
+        let nonbasic = self.x[..n0].iter().zip(&self.position[..n0]);
+        for (j, (&xj, &pos)) in nonbasic.enumerate() {
+            if pos == usize::MAX && xj != 0.0 {
+                let (rows, values) = self.sf.matrix.column_slices(j);
+                for (&row, &v) in rows.iter().zip(values) {
+                    r[cast::idx(row)] -= v * xj;
                 }
             }
         }
+        let artificials = self.x[n0..].iter().zip(&self.position[n0..]);
+        for ((&xj, &pos), (ri, &sign)) in artificials.zip(r.iter_mut().zip(&self.art_sign)) {
+            if pos == usize::MAX && xj != 0.0 {
+                *ri -= sign * xj;
+            }
+        }
         self.repr.ftran(&mut r);
-        for (i, &ri) in r.iter().enumerate() {
-            self.x[self.basis[i]] = ri;
+        self.xb.copy_from_slice(&r);
+        for (i, &b) in self.basis.iter().enumerate() {
+            self.lb[i] = self.lower[b];
+            self.ub[i] = self.upper[b];
         }
         self.w = r;
         // The rebuilt representation supersedes whatever incremental

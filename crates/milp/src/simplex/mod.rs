@@ -76,11 +76,21 @@
 //!   once per factorization and otherwise kept by the dual step
 //!   `y += (d_q/α_q)·ρ`. Branch-and-bound nodes re-solve with it, from a
 //!   [`Simplex`] engine kept for the whole search (the search's own, or
-//!   its look-ahead helper's: each solve resets the engine, so the result
-//!   cannot tell them apart). Its cold solves are primal only.
+//!   its look-ahead helper's: a solve returns what a reset engine
+//!   returns, so the result cannot tell them apart). Its cold solves are
+//!   primal only.
 //!
 //! The primal cleanup after either, like every path's, declares
-//! optimality only on freshly recomputed reduced costs.
+//! optimality only on freshly recomputed reduced costs — those of the
+//! columns the current bounds leave free: a fixed column can never
+//! enter, so its reduced cost is never priced or read.
+//!
+//! A warm solve handed the basis its engine already holds (a dive step's
+//! next LP, a node solved right after its parent) takes the **held
+//! install**: only the bounds whose bits changed are applied, and the
+//! refactorization and the iteration run exactly as after a fresh
+//! install (see [`Simplex`]). Basic values and their bounds are kept by
+//! row, so the leaving-row scans walk contiguous arrays.
 //!
 //! Under either rule, warm or cold, the dual iteration proves
 //! infeasibility itself: a violated row whose nonbasic columns, each
@@ -301,5 +311,7 @@ pub fn solve_lp_warm(
     Simplex::new(sf, config.clone()).solve(lower, upper, warm, DualRule::LongStep)
 }
 
+#[cfg(test)]
+mod oracles;
 #[cfg(test)]
 mod tests;

@@ -39,32 +39,41 @@ impl Simplex<'_> {
         self.pick_by_rule()
     }
 
-    fn pick_by_rule(&mut self) -> Option<(usize, f64)> {
+    pub(super) fn pick_by_rule(&mut self) -> Option<(usize, f64)> {
         match self.rule {
             PricingRule::Devex => self.pick_devex(),
             PricingRule::PartialDevex => self.pick_partial(),
         }
     }
 
-    /// Recomputes the duals and every nonbasic reduced cost from scratch.
-    /// With `relist`, the same pass rebuilds partial pricing's candidate
-    /// list, which the pick that follows would otherwise do with a second
-    /// full scan: the old list was ranked on drifted costs and is dropped
-    /// either way.
+    /// Recomputes the duals and the reduced cost of every nonbasic column
+    /// the current bounds leave free from scratch. A fixed nonbasic
+    /// column's `d_j` is left as it is: it is never read, since
+    /// [`eligible_d`](Self::eligible_d), the dual ratio tests'
+    /// `may_enter` and the candidate list all check fixedness first — and
+    /// a dive fixes columns by the thousand. With `relist`, the same pass
+    /// rebuilds partial pricing's candidate list, which the pick that
+    /// follows would otherwise do with a second full scan: the old list
+    /// was ranked on drifted costs and is dropped either way.
     // lint:allow(hot-path-index): reduced-cost array sized to n with the tableau
     pub(super) fn refresh_reduced_costs(&mut self, relist: bool) {
         self.compute_duals();
         // Take the list out so `eligible_d` can borrow `self`.
         let mut cands = std::mem::take(&mut self.candidates);
         cands.clear();
-        for j in 0..self.n0 + self.m {
-            self.d[j] = if self.position[j] != usize::MAX {
-                0.0
-            } else {
-                self.costs[j] - self.column_dot(j, &self.y)
-            };
-            if relist && self.eligible_d(j).is_some() {
-                cands.push(cast::idx32(j));
+        for word in 0..self.live.len() {
+            let mut bits = self.live[word];
+            while bits != 0 {
+                let j = word * 64 + cast::idx(bits.trailing_zeros());
+                bits &= bits - 1;
+                if self.position[j] != usize::MAX {
+                    self.d[j] = 0.0;
+                    continue;
+                }
+                self.d[j] = self.costs[j] - self.column_dot(j, &self.y);
+                if relist && self.eligible_d(j).is_some() {
+                    cands.push(cast::idx32(j));
+                }
             }
         }
         self.candidates = cands;
@@ -79,8 +88,8 @@ impl Simplex<'_> {
 
     /// The maintained reduced cost of `j` if it is an eligible entering
     /// candidate (nonbasic, not fixed, cost pushes off its bound).
-    fn eligible_d(&self, j: usize) -> Option<f64> {
-        if self.position[j] != usize::MAX || self.lower[j] == self.upper[j] {
+    pub(super) fn eligible_d(&self, j: usize) -> Option<f64> {
+        if self.position[j] != usize::MAX || !self.is_live(j) {
             return None;
         }
         let d = self.d[j];
@@ -171,7 +180,7 @@ impl Simplex<'_> {
 
     /// Keeps the top slice of the candidate list by devex merit when it
     /// holds more than the cap.
-    fn cap_candidates(&mut self) {
+    pub(super) fn cap_candidates(&mut self) {
         let cap = (cast::floor_usize((self.live_cols as f64).sqrt()) * 2).clamp(64, 2048);
         self.candidates_complete = self.candidates.len() <= cap;
         if !self.candidates_complete {
@@ -199,7 +208,7 @@ impl Simplex<'_> {
     /// column (`α_q` must equal `w[row]`), which signals numerical
     /// drift in the basis representation.
     pub(super) fn prepare_pivot_row(&mut self, row: usize, q: usize) -> bool {
-        self.scatter_alpha_row(row);
+        self.scatter_alpha_row(row, false);
         let expected = self.w[row];
         let got = if self.alpha_mark[q] == self.alpha_epoch {
             self.alpha[q]
@@ -211,11 +220,14 @@ impl Simplex<'_> {
 
     /// Scatters the pivot row `ρ = B⁻ᵀe_row` into the α-row workspace:
     /// `alpha[j] = ρᵀA_j` over every column reachable through the rows
-    /// where ρ is nonzero (found via the matrix's row-major mirror).
+    /// where ρ is nonzero (found via the matrix's row-major mirror) — or,
+    /// with `live_only`, over the [live](Self::is_live) ones alone: the
+    /// dual ratio tests never let a fixed column enter, so it needs no
+    /// entry, and the others sum the same terms in the same order.
     /// Touched columns are listed in `alpha_cols` and validated against
     /// the bumped `alpha_epoch`.
     // lint:allow(hot-path-index): scatter into scratch sized to n; pattern indices from the packed row
-    pub(super) fn scatter_alpha_row(&mut self, row: usize) {
+    pub(super) fn scatter_alpha_row(&mut self, row: usize, live_only: bool) {
         self.repr.btran_unit(row, &mut self.rho);
         self.alpha_epoch = self.alpha_epoch.wrapping_add(1);
         let epoch = self.alpha_epoch;
@@ -227,6 +239,9 @@ impl Simplex<'_> {
                 continue;
             }
             for (col, v) in sf.matrix.row(r) {
+                if live_only && !self.is_live(col) {
+                    continue;
+                }
                 if self.alpha_mark[col] != epoch {
                     self.alpha_mark[col] = epoch;
                     self.alpha[col] = 0.0;
@@ -236,6 +251,9 @@ impl Simplex<'_> {
             }
             // The artificial for row `r` is a single ±1 entry there.
             let art = self.n0 + r;
+            if live_only && !self.is_live(art) {
+                continue;
+            }
             if self.alpha_mark[art] != epoch {
                 self.alpha_mark[art] = epoch;
                 self.alpha[art] = 0.0;

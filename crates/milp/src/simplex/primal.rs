@@ -101,16 +101,16 @@ impl Simplex<'_> {
             if w_i.abs() <= tol::EPS {
                 continue;
             }
-            let b = self.basis[i];
+            let (x, lo, up) = (self.xb[i], self.lb[i], self.ub[i]);
             let rate = -sigma * w_i;
             let (limit, to_upper) = if rate < 0.0 {
-                if self.lower[b].is_finite() {
-                    ((self.x[b] - self.lower[b]) / -rate, false)
+                if lo.is_finite() {
+                    ((x - lo) / -rate, false)
                 } else {
                     continue;
                 }
-            } else if self.upper[b].is_finite() {
-                ((self.upper[b] - self.x[b]) / rate, true)
+            } else if up.is_finite() {
+                ((up - x) / rate, true)
             } else {
                 continue;
             };
@@ -150,12 +150,10 @@ impl Simplex<'_> {
     /// Moves the entering variable by `t` and optionally pivots.
     // lint:allow(hot-path-index): basic-value update over basis slots, bounded by m
     fn apply_step(&mut self, q: usize, sigma: f64, t: f64, pivot: Option<(usize, bool)>) {
-        let m = self.m;
         // Update basic values: x_B -= sigma * t * w.
         if t != 0.0 {
-            for i in 0..m {
-                let b = self.basis[i];
-                self.x[b] -= sigma * t * self.w[i];
+            for (xb, &w) in self.xb.iter_mut().zip(&self.w) {
+                *xb -= sigma * t * w;
             }
         }
         let Some((row, to_upper)) = pivot else {
@@ -178,9 +176,7 @@ impl Simplex<'_> {
         } else {
             self.lower[q]
         };
-        self.x[q] = from + sigma * t;
-        self.basis[row] = q;
-        self.position[q] = row;
+        self.enter_row(row, q, from + sigma * t);
         self.record_basis_update(row);
     }
 }

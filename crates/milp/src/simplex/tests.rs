@@ -651,3 +651,184 @@ fn cold_dual_exits_restore_costs_and_bounds() {
     assert!(fallen_back.phase1_iterations > 0);
     assert!((fallen_back.objective - optimal.objective).abs() < 1e-6);
 }
+
+/// One dive step on `bounds`, as branch and bound's dive takes it: every
+/// structural column of `r` within `1e-9` of an integer is fixed at its
+/// rounded value, and the first fractional one at its rounding. Returns
+/// whether anything was fractional.
+fn dive_step(n: usize, r: &LpResult, bounds: &mut (Vec<f64>, Vec<f64>)) -> bool {
+    let mut rounded = false;
+    for j in 0..n {
+        let v = r.values[j];
+        let near = (v - v.round()).abs() <= 1e-9;
+        if near || !rounded {
+            rounded |= !near;
+            bounds.0[j] = v.round();
+            bounds.1[j] = v.round();
+        }
+    }
+    rounded
+}
+
+/// A dive on one engine: each step's LP starts from the basis the last
+/// one returned, which the engine holds, so it takes the held install —
+/// and returns, to the bit, what a fresh engine returns from that basis.
+#[test]
+fn held_install_matches_a_fresh_engine_along_a_dive() {
+    // A dozen boxed columns under six packing rows with fractional
+    // coefficients and right-hand sides: the LP optimum is fractional
+    // in a few columns at a time.
+    let mut m = Model::new();
+    let xs: Vec<_> = (0..12)
+        .map(|i| m.add_var(format!("x{i}"), VarType::Continuous, 0.0, 4.0))
+        .collect();
+    for r in 0..6 {
+        let row = xs
+            .iter()
+            .enumerate()
+            .map(|(i, x)| (*x, 1.0 + ((i * 7 + r * 3) % 5) as f64 * 0.5));
+        m.add_constraint(
+            format!("r{r}"),
+            LinExpr::sum(row),
+            Sense::Le,
+            7.3 + r as f64,
+        );
+    }
+    m.set_objective(LinExpr::sum(
+        xs.iter()
+            .enumerate()
+            .map(|(i, x)| (*x, -1.0 - (i % 4) as f64)),
+    ));
+    let sf = StandardForm::from_model(&m);
+    let cfg = SimplexConfig::default();
+    let mut engine = Simplex::new(&sf, cfg.clone());
+    let mut r = engine.solve(&sf.lower, &sf.upper, None, DualRule::Repair);
+    let mut bounds = (sf.lower.clone(), sf.upper.clone());
+    let mut steps = 0;
+    while r.status == LpStatus::Optimal && dive_step(sf.num_structural, &r, &mut bounds) {
+        let before = engine.held_installs();
+        let held = engine.solve(&bounds.0, &bounds.1, r.basis.as_ref(), DualRule::Repair);
+        assert_eq!(engine.held_installs(), before + 1, "step {steps}");
+        let fresh = Simplex::new(&sf, cfg.clone()).solve(
+            &bounds.0,
+            &bounds.1,
+            r.basis.as_ref(),
+            DualRule::Repair,
+        );
+        assert_eq!(format!("{held:?}"), format!("{fresh:?}"), "step {steps}");
+        r = held;
+        steps += 1;
+    }
+    assert!(steps >= 3, "the dive took {steps} steps");
+}
+
+/// A bound that changes only its sign bit is a changed bound: a column
+/// fixed at `0.0` and then at `-0.0` (what rounding `-3.5e-15` gives)
+/// rests on `-0.0` after the held install, as after a fresh one.
+#[test]
+fn held_install_applies_a_bound_that_changed_only_its_sign() {
+    let mut m = Model::new();
+    let x = m.add_var("x", VarType::Continuous, 0.0, 8.0);
+    let y = m.add_var("y", VarType::Continuous, -4.0, 8.0);
+    m.add_constraint("a", 1.0 * x + 2.0 * y, Sense::Le, 10.0);
+    m.add_constraint("b", 3.0 * x + 1.0 * y, Sense::Le, 15.0);
+    m.set_objective(-2.0 * x - 3.0 * y);
+    let sf = StandardForm::from_model(&m);
+    let cfg = SimplexConfig::default();
+    let mut engine = Simplex::new(&sf, cfg.clone());
+    let mut r = engine.solve(&sf.lower, &sf.upper, None, DualRule::Repair);
+    for zero in [0.0, -0.0, 0.0] {
+        let (mut lo, mut up) = (sf.lower.clone(), sf.upper.clone());
+        (lo[1], up[1]) = (zero, zero);
+        let before = engine.held_installs();
+        let held = engine.solve(&lo, &up, r.basis.as_ref(), DualRule::Repair);
+        assert_eq!(engine.held_installs(), before + 1);
+        let fresh =
+            Simplex::new(&sf, cfg.clone()).solve(&lo, &up, r.basis.as_ref(), DualRule::Repair);
+        assert_eq!(
+            format!("{held:?}"),
+            format!("{fresh:?}"),
+            "y fixed at {zero:?}"
+        );
+        assert_eq!(
+            held.values[1].to_bits(),
+            zero.to_bits(),
+            "y rests on {zero:?}"
+        );
+        r = held;
+    }
+}
+
+/// The held install needs the basis the engine holds from an optimal
+/// solve that a fresh install rebuilds: another basis, an engine whose
+/// last solve proved infeasibility, and one whose last solve went
+/// dual-first (its free columns may rest on implied bounds) all take the
+/// full install — and still answer as a fresh engine does.
+#[test]
+fn held_install_needs_the_basis_the_engine_holds() {
+    let sf = StandardForm::from_model(&region_lp());
+    let cfg = SimplexConfig::default();
+    let fresh = |lo: &[f64], up: &[f64], warm: Option<&Basis>, rule| {
+        let mut lp = Simplex::new(&sf, cfg.clone());
+        lp.set_cold_dual_gate(0, true);
+        lp.solve(lo, up, warm, rule)
+    };
+    let (lo, up) = (&sf.lower, &sf.upper);
+    let mut engine = Simplex::new(&sf, cfg.clone());
+    engine.set_cold_dual_gate(0, true);
+
+    // Dual-first cold: optimal, but not held.
+    let dual_first = engine.solve(lo, up, None, DualRule::LongStep);
+    assert!(dual_first.used_dual_simplex && dual_first.phase1_iterations == 0);
+    let again = engine.solve(lo, up, dual_first.basis.as_ref(), DualRule::Repair);
+    assert_eq!(engine.held_installs(), 0, "after a dual-first cold solve");
+    assert_eq!(
+        format!("{again:?}"),
+        format!(
+            "{:?}",
+            fresh(lo, up, dual_first.basis.as_ref(), DualRule::Repair)
+        )
+    );
+
+    // Another basis: the slack basis of the primal crash.
+    let mut tight = (lo.clone(), up.clone());
+    dive_step(sf.num_structural, &again, &mut tight);
+    let other = Simplex::new(&sf, cfg.clone()).solve(&tight.0, &tight.1, None, DualRule::Repair);
+    assert_ne!(
+        other.basis.as_ref().map(|b| &b.basis),
+        again.basis.as_ref().map(|b| &b.basis)
+    );
+    let r = engine.solve(&tight.0, &tight.1, other.basis.as_ref(), DualRule::Repair);
+    assert_eq!(engine.held_installs(), 0, "another basis");
+    assert_eq!(
+        format!("{r:?}"),
+        format!(
+            "{:?}",
+            fresh(&tight.0, &tight.1, other.basis.as_ref(), DualRule::Repair)
+        )
+    );
+
+    // Held now; an infeasible solve drops it.
+    let held = engine.solve(&tight.0, &tight.1, r.basis.as_ref(), DualRule::Repair);
+    assert_eq!(engine.held_installs(), 1, "the basis the engine holds");
+    let mut infeasible = tight.clone();
+    for j in 0..sf.num_structural {
+        if infeasible.1[j].is_finite() {
+            infeasible.0[j] = infeasible.1[j];
+        }
+    }
+    let none = engine.solve(
+        &infeasible.0,
+        &infeasible.1,
+        held.basis.as_ref(),
+        DualRule::Repair,
+    );
+    assert_eq!(none.status, LpStatus::Infeasible);
+    assert_eq!(
+        engine.held_installs(),
+        2,
+        "the infeasible solve started held"
+    );
+    engine.solve(&tight.0, &tight.1, held.basis.as_ref(), DualRule::Repair);
+    assert_eq!(engine.held_installs(), 2, "after an infeasible solve");
+}

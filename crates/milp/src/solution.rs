@@ -85,6 +85,17 @@ pub struct SolveStats {
     /// Seconds the search thread spent in its rounding dives, the root
     /// dive and the periodic ones: part of `mip_seconds`.
     pub dive_seconds: f64,
+    /// LPs the rounding dives solved, the root dive's and the periodic
+    /// ones' (their pivots count in `simplex_iterations` too).
+    pub dive_lps: usize,
+    /// LP solves on the search's own engine that installed the basis the
+    /// engine already held — a dive step's, or a node's solved right after
+    /// its parent — by applying only the bounds that changed (see
+    /// [`Simplex`](crate::simplex::Simplex)). Which nodes the search
+    /// solves itself depends on what the look-ahead solved first, so like
+    /// [`nodes_solved_ahead`](Self::nodes_solved_ahead) it depends on
+    /// thread timing and no identity check may read it.
+    pub held_installs: usize,
     /// True when the root LP started from a supplied warm basis and the
     /// repair succeeded (no fallback to the slack crash).
     pub warm_basis_accepted: bool,
@@ -127,8 +138,9 @@ impl SolveStats {
     }
 
     /// Folds another solve's statistics into this one, for a caller that
-    /// reports several solves as one (the sharded round): work counters,
-    /// the look-ahead's two counters and `absolute_gap` sum, the `used_dual_simplex` /
+    /// reports several solves as one (the sharded round): work counters
+    /// (`dive_lps` and `held_installs` among them), the look-ahead's two
+    /// counters and `absolute_gap` sum, the `used_dual_simplex` /
     /// `root_used_dual_simplex` / `hit_limit` flags OR, `solve_seconds`
     /// takes the longer solve (shards run side by side). What has no
     /// merge is left as it is in `self`: `best_bound` and `gap` (no
@@ -160,6 +172,8 @@ impl SolveStats {
         self.nodes_pruned_by_seed += other.nodes_pruned_by_seed;
         self.nodes_solved_ahead += other.nodes_solved_ahead;
         self.lp_solves_discarded += other.lp_solves_discarded;
+        self.dive_lps += other.dive_lps;
+        self.held_installs += other.held_installs;
     }
 }
 

@@ -213,6 +213,11 @@ impl CscStore {
         self.col_starts[col + 1] - self.col_starts[col]
     }
 
+    /// The row indices of one sealed column, in stored order.
+    pub(crate) fn column_rows(&self, col: usize) -> &[u32] {
+        &self.row_idx[self.col_starts[col]..self.col_starts[col + 1]]
+    }
+
     /// Iterates the `(row, value)` entries of one sealed column.
     pub fn column(&self, col: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         let start = self.col_starts[col];

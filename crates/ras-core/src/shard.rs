@@ -874,6 +874,8 @@ mod tests {
             nodes_pruned_by_seed: 13 * n,
             nodes_solved_ahead: 15 * n,
             lp_solves_discarded: 16 * n,
+            dive_lps: 17 * n,
+            held_installs: 18 * n,
             audit: audit_report(n, n != 10),
         }
     }
@@ -1014,6 +1016,8 @@ mod tests {
                 nodes_pruned_by_seed: 1443,
                 nodes_solved_ahead: 1665,
                 lp_solves_discarded: 1776,
+                dive_lps: 1887,
+                held_installs: 1998,
                 audit: ras_milp::AuditReport {
                     issues: ["n1", "n10", "n100"].map(audit_issue).to_vec(),
                     ..audit_report(100, false)
