@@ -51,7 +51,7 @@ pub fn run(_: Shape) -> Vec<Experiment> {
         }
     };
     let two_secs = t0.elapsed().as_secs_f64();
-    let two_overage: f64 = rack_overages(&inst.region, &specs, &two.targets, &params)
+    let two_overage: f64 = rack_overages(&inst.region, &specs, &two.targets)
         .iter()
         .map(|(_, o)| o)
         .sum();
@@ -76,7 +76,7 @@ pub fn run(_: Shape) -> Vec<Experiment> {
         None,
     ) {
         Ok((targets, stats)) => {
-            let mono_overage: f64 = rack_overages(&inst.region, &specs, &targets, &params)
+            let mono_overage: f64 = rack_overages(&inst.region, &specs, &targets)
                 .iter()
                 .map(|(_, o)| o)
                 .sum();

@@ -130,7 +130,7 @@ pub fn run(shape: Shape) -> Vec<Experiment> {
         / gaps.len() as f64;
     let below_soften = gaps
         .iter()
-        .filter(|g| **g < inst.params.soften_penalty)
+        .filter(|g| **g < ras_core::params::SOFTEN_PENALTY)
         .count() as f64
         / gaps.len() as f64;
 

@@ -5,7 +5,7 @@
 //! best-fit on cores) exhausts one resource while the complement sits
 //! free: the host's leftover capacity is *stranded* — nominally free,
 //! unusable at the reservation's container grain. This experiment
-//! drives both shipped [`ras_twine::PlacementPolicy`] implementations
+//! drives both shipped [`ras_twine::PlacementPolicyKind`] policies
 //! through three scenarios:
 //!
 //! 1. **Churn** — 6 continuous rounds (3 at [`Shape::Smoke`]) with 2 %
@@ -43,13 +43,6 @@ const POLICIES: [PlacementPolicyKind; 2] = [
 
 /// Servers per reservation the churn load is sized for.
 const LOAD_SCALE: usize = 30;
-
-fn policy_name(kind: PlacementPolicyKind) -> &'static str {
-    match kind {
-        PlacementPolicyKind::BestFit => "best-fit",
-        PlacementPolicyKind::FarbBalance => "farb",
-    }
-}
 
 /// Mean of a stranded-account metric over the post-submission rounds
 /// (round 0 sets the load up; later rounds churn, evacuate, and retry).
@@ -119,7 +112,7 @@ pub fn run(shape: Shape) -> Vec<Experiment> {
         for r in &reports {
             exp.row(&[
                 "churn".into(),
-                policy_name(policy).into(),
+                policy.name().into(),
                 r.round.to_string(),
                 r.container_count.to_string(),
                 fmt(r.stranded.fraction(), 4),
@@ -134,7 +127,7 @@ pub fn run(shape: Shape) -> Vec<Experiment> {
         let hosts = mean_over_rounds(&reports, |r| r.stranded.host_fraction());
         exp.note(format!(
             "churn/{}: mean stranded-host fraction {:.1}%, mean capacity fraction {:.4}, {} evacuation losses",
-            policy_name(policy),
+            policy.name(),
             hosts * 100.0,
             mean_over_rounds(&reports, |r| r.stranded.fraction()),
             lost,

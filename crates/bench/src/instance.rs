@@ -60,7 +60,6 @@ pub fn portfolio(
     }
     let mut gen = RequestGenerator::new(RequestGeneratorConfig {
         seed: seed ^ 0xabcd,
-        ..RequestGeneratorConfig::default()
     });
     let rest = reservations.saturating_sub(headline_n);
     if rest > 0 {

@@ -8,24 +8,14 @@ use ras_topology::{HardwareTypeId, Region, ServerId};
 
 use crate::log::{MoveLog, MoveReason, MoveRecord};
 
-/// Mover tuning.
-#[derive(Debug, Clone)]
-pub struct MoverConfig {
-    /// Maximum target moves executed per cycle (production movers throttle
-    /// to bound preemption churn).
-    pub moves_per_cycle: usize,
-    /// Simulated seconds to provide a failure replacement (paper: < 1 min).
-    pub replacement_latency_secs: u64,
-}
+/// Simulated seconds to provide a failure replacement (paper: < 1 min).
+pub const REPLACEMENT_LATENCY_SECS: u64 = 60;
 
-impl Default for MoverConfig {
-    fn default() -> Self {
-        Self {
-            moves_per_cycle: usize::MAX,
-            replacement_latency_secs: 60,
-        }
-    }
-}
+/// Mover tuning. It has no settings: the mover executes every pending
+/// move each cycle. [`OnlineMover::new`] still takes it because callers,
+/// the benchmark driver among them, pass `MoverConfig::default()`.
+#[derive(Debug, Clone, Default)]
+pub struct MoverConfig {}
 
 /// Where an idle, up server is filed: its hardware type and its binding.
 /// Whether a binding is a shared buffer is the caller's `specs` to say, at
@@ -35,7 +25,6 @@ type Pool = (HardwareTypeId, Option<ReservationId>);
 /// The Online Mover.
 #[derive(Debug)]
 pub struct OnlineMover {
-    config: MoverConfig,
     subscriber: SubscriberId,
     /// The broker change feed that keeps `pools` current.
     feed: ChangeFeedId,
@@ -55,9 +44,8 @@ pub struct OnlineMover {
 
 impl OnlineMover {
     /// Creates a mover and subscribes it to broker events and changes.
-    pub fn new(broker: &mut ResourceBroker, config: MoverConfig) -> Self {
+    pub fn new(broker: &mut ResourceBroker, _config: MoverConfig) -> Self {
         Self {
-            config,
             subscriber: broker.subscribe(),
             feed: broker.watch_changes(),
             pools: BTreeMap::new(),
@@ -79,7 +67,7 @@ impl OnlineMover {
     ) -> usize {
         let pending = broker.pending_moves();
         let mut executed = 0;
-        for server in pending.into_iter().take(self.config.moves_per_cycle) {
+        for server in pending {
             let Ok(record) = broker.record(server) else {
                 continue;
             };
@@ -116,7 +104,7 @@ impl OnlineMover {
     /// correlated failures are absorbed by embedded buffers too).
     ///
     /// Returns `(failed, replacement)` pairs, each completed within
-    /// [`MoverConfig::replacement_latency_secs`] of the notice.
+    /// [`REPLACEMENT_LATENCY_SECS`] of the notice.
     pub fn handle_failures(
         &mut self,
         region: &Region,
@@ -150,7 +138,7 @@ impl OnlineMover {
             if let Some(replacement) =
                 self.find_buffer_replacement(region, specs, spec, event.server)
             {
-                let done = at.plus_secs(self.config.replacement_latency_secs);
+                let done = at.plus_secs(REPLACEMENT_LATENCY_SECS);
                 let from = broker
                     .record(replacement)
                     .map(|r| r.current)
@@ -301,27 +289,6 @@ mod tests {
         assert_eq!(preempted, vec![ServerId(0)]);
         assert_eq!(mover.log.totals(), (1, 0));
         assert_eq!(broker.record(ServerId(0)).unwrap().current, Some(r1));
-    }
-
-    #[test]
-    fn throttles_moves_per_cycle() {
-        let (_region, mut broker) = setup();
-        let r0 = broker.register_reservation("web");
-        let mut mover = OnlineMover::new(
-            &mut broker,
-            MoverConfig {
-                moves_per_cycle: 3,
-                ..MoverConfig::default()
-            },
-        );
-        for i in 0..10 {
-            broker.set_target(ServerId(i), Some(r0)).unwrap();
-        }
-        assert_eq!(
-            mover.execute_targets(&mut broker, SimTime::ZERO, |_, _| {}),
-            3
-        );
-        assert_eq!(broker.pending_moves().len(), 7);
     }
 
     #[test]

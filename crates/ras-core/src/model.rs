@@ -18,7 +18,7 @@
 //!   within `θ · Cr` of the desired share `A[r][G] · Cr`.
 //!
 //! Every capacity row and every affinity pair carries an elastic column
-//! that costs `soften_penalty` and is fixed at zero, so the hard model is
+//! that costs [`SOFTEN_PENALTY`] and is fixed at zero, so the hard model is
 //! the model with those columns pinned. When it is infeasible,
 //! [`soften_baseline`] computes each constraint's violation under the
 //! *current* assignment and [`RasModel::soften`] raises the elastic
@@ -34,7 +34,7 @@ use ras_topology::Region;
 use serde::{Deserialize, Serialize};
 
 use crate::classes::EquivClass;
-use crate::params::SolverParams;
+use crate::params::{SolverParams, ASSIGNMENT_COST, BUFFER_COST, SOFTEN_PENALTY, SPREAD_PENALTY};
 use crate::reservation::{ReservationKind, ReservationSpec};
 use ras_milp::cast;
 use ras_milp::nan;
@@ -325,7 +325,7 @@ pub fn build_model_labeled(
                 );
                 // Epsilon acquisition cost: prefer the minimal allocation
                 // among otherwise-equal optima (prevents shed churn).
-                objective += LinExpr::term(var, params.assignment_cost);
+                objective += LinExpr::term(var, ASSIGNMENT_COST);
                 assignment_var_count += 1;
                 row.push(Some(var));
             } else {
@@ -417,7 +417,7 @@ pub fn build_model_labeled(
                 max_msb,
                 AuxInit::MaxOver(msb_exprs.iter().map(|(_, e)| e.clone()).collect()),
             ));
-            objective += LinExpr::term(max_msb, params.buffer_cost);
+            objective += LinExpr::term(max_msb, BUFFER_COST);
             Some(total_expr - max_msb)
         } else {
             (spec.capacity > 0.0).then_some(total_expr)
@@ -438,7 +438,7 @@ pub fn build_model_labeled(
                     let over =
                         model.max_of_zero(format!("msbspread[{}][m{mi}]", spec.name), def.clone());
                     aux.push((over, AuxInit::MaxZero(def)));
-                    objective += LinExpr::term(over, params.spread_penalty);
+                    objective += LinExpr::term(over, SPREAD_PENALTY);
                 }
             }
         }
@@ -460,7 +460,7 @@ pub fn build_model_labeled(
                     let over =
                         model.max_of_zero(format!("rackspread[{}][k{rk}]", spec.name), def.clone());
                     aux.push((over, AuxInit::MaxZero(def)));
-                    objective += LinExpr::term(over, params.spread_penalty);
+                    objective += LinExpr::term(over, SPREAD_PENALTY);
                 }
             }
         }
@@ -496,7 +496,7 @@ pub fn build_model_labeled(
         for (row, coeff) in terms {
             model.add_term(row, var, coeff);
         }
-        objective += LinExpr::term(var, params.soften_penalty);
+        objective += LinExpr::term(var, SOFTEN_PENALTY);
         aux.push((var, def));
         elastic.push(ElasticColumn { var, name, slot });
     }

@@ -2,6 +2,19 @@
 //! limits and switches of one solve. The reduction is not a choice:
 //! every solve groups symmetric servers into equivalence classes, and
 //! since that reduction is exact no round re-solves an unreduced model.
+//!
+//! The coefficients and limits every run uses at one value are constants
+//! here rather than [`SolverParams`] fields:
+//!
+//! * [`SPREAD_PENALTY`] — `β`, per RRU over a spread threshold;
+//! * [`BUFFER_COST`] — `τ`, per RRU of correlated-failure buffer;
+//! * [`SOFTEN_PENALTY`] — per RRU of softened-constraint slack;
+//! * [`DEFAULT_MSB_SHARE`] / [`DEFAULT_RACK_SHARE`] — `αF` / `αK` when a
+//!   spec sets none;
+//! * [`MAX_ASSIGNMENT_VARS`] — the assignment-variable budget of one MIP;
+//! * [`PHASE2_RESERVATION_FRACTION`] — the share of reservations phase 2
+//!   refines;
+//! * [`ASSIGNMENT_COST`] — the epsilon per assigned server.
 
 use ras_milp::AuditMode;
 use serde::{Deserialize, Serialize};
@@ -9,6 +22,38 @@ use serde::{Deserialize, Serialize};
 use crate::aggregate::AggregationLevel;
 use crate::classes::Granularity;
 use ras_milp::tol;
+
+/// Cost `β` per RRU exceeding a spread threshold.
+pub const SPREAD_PENALTY: f64 = 50.0;
+
+/// Cost `τ` per RRU of correlated-failure buffer (the per-reservation
+/// maximum MSB usage of Expression 4).
+pub const BUFFER_COST: f64 = 5.0;
+
+/// Penalty per RRU of softened-constraint slack; "high-priority
+/// objectives associated with fixing as many constraints as possible"
+/// — set well above every other coefficient.
+pub const SOFTEN_PENALTY: f64 = 10_000.0;
+
+/// Default `αF` (MSB share limit) when a spec does not set one.
+pub const DEFAULT_MSB_SHARE: f64 = 0.10;
+
+/// Default `αK` (rack share limit) when a spec does not set one.
+pub const DEFAULT_RACK_SHARE: f64 = 0.05;
+
+/// Assignment-variable budget for one MIP (the paper found ≈10 M to be
+/// the practical upper limit; scaled down for this reproduction).
+pub const MAX_ASSIGNMENT_VARS: usize = 2_000_000;
+
+/// Fraction of reservations phase 2 may refine (paper: 10 %).
+pub const PHASE2_RESERVATION_FRACTION: f64 = 0.10;
+
+/// Tiny cost per assigned server. Acquiring a free server is otherwise
+/// free, which creates over-allocation among alternative optima —
+/// surplus the *next* solve would shed as churn. The epsilon pins the
+/// minimal allocation without influencing any real trade-off (it is far
+/// below every other coefficient).
+pub const ASSIGNMENT_COST: f64 = 0.01;
 
 /// Weights and limits of the RAS MIP (paper Table 1 and Section 4.6).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -22,24 +67,6 @@ pub struct SolverParams {
     /// previous solve ("maintain the same move in the current solve",
     /// Section 3.5.1). Must be smaller than any movement cost.
     pub stability_bonus: f64,
-    /// Cost `β` per RRU exceeding a spread threshold.
-    pub spread_penalty: f64,
-    /// Cost `τ` per RRU of correlated-failure buffer (the per-reservation
-    /// maximum MSB usage of Expression 4).
-    pub buffer_cost: f64,
-    /// Penalty per RRU of softened-constraint slack; "high-priority
-    /// objectives associated with fixing as many constraints as possible"
-    /// — set well above every other coefficient.
-    pub soften_penalty: f64,
-    /// Default `αF` (MSB share limit) when a spec does not set one.
-    pub default_msb_share: f64,
-    /// Default `αK` (rack share limit) when a spec does not set one.
-    pub default_rack_share: f64,
-    /// Assignment-variable budget for one MIP (the paper found ≈10 M to
-    /// be the practical upper limit; scaled down for this reproduction).
-    pub max_assignment_vars: usize,
-    /// Fraction of reservations phase 2 may refine (paper: 10 %).
-    pub phase2_reservation_fraction: f64,
     /// Wall-clock budget per phase in seconds.
     pub phase_time_limit: f64,
     /// Relative MIP gap at which a solve counts as done. Production RAS
@@ -58,12 +85,6 @@ pub struct SolverParams {
     /// and 8 takes about half the medium round time of the old 48
     /// (EXPERIMENTS.md, *Node budget by evidence*).
     pub stall_node_limit: usize,
-    /// Tiny cost per assigned server. Acquiring a free server is
-    /// otherwise free, which creates over-allocation among alternative
-    /// optima — surplus the *next* solve would shed as churn. The epsilon
-    /// pins the minimal allocation without influencing any real
-    /// trade-off (it is far below every other coefficient).
-    pub assignment_cost: f64,
     /// Class granularity of the phase-1 (region-wide) solve. The warm
     /// path, the cold path, and every per-shard build read this one
     /// setting, so they cannot silently diverge. [`Granularity::Msb`] is
@@ -106,18 +127,10 @@ impl Default for SolverParams {
             move_cost_in_use: 100.0,
             move_cost_unused: 10.0,
             stability_bonus: 1.0,
-            spread_penalty: 50.0,
-            buffer_cost: 5.0,
-            soften_penalty: 10_000.0,
-            default_msb_share: 0.10,
-            default_rack_share: 0.05,
-            max_assignment_vars: 2_000_000,
-            phase2_reservation_fraction: 0.10,
             phase_time_limit: 15.0,
             mip_rel_gap: tol::GAP_REL,
             mip_abs_gap: 0.9,
             stall_node_limit: 8,
-            assignment_cost: 0.01,
             phase1_granularity: Granularity::Msb,
             shards: 1,
             audit: AuditMode::On,
@@ -142,9 +155,10 @@ mod tests {
     fn defaults_follow_the_paper() {
         let p = SolverParams::default();
         assert_eq!(p.move_cost_ratio(), 10.0);
-        assert!(p.soften_penalty > p.move_cost_in_use);
+        assert!(SOFTEN_PENALTY > p.move_cost_in_use);
+        assert!(ASSIGNMENT_COST < p.stability_bonus);
         assert!(p.stability_bonus < p.move_cost_unused);
-        assert_eq!(p.phase2_reservation_fraction, 0.10);
+        assert_eq!(PHASE2_RESERVATION_FRACTION, 0.10);
         assert_eq!(p.aggregation, AggregationLevel::Classes);
     }
 }

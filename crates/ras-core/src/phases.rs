@@ -19,7 +19,9 @@ use crate::assign::{concretize_into, current_bindings};
 use crate::classes::{scope_servers, unplanned_unavailable, EquivClass, FastHash, Granularity};
 use crate::error::CoreError;
 use crate::model::{build_model_labeled, soften_baseline, solver_visible, RasModel};
-use crate::params::SolverParams;
+use crate::params::{
+    SolverParams, DEFAULT_RACK_SHARE, MAX_ASSIGNMENT_VARS, PHASE2_RESERVATION_FRACTION,
+};
 use crate::reservation::{ReservationKind, ReservationSpec};
 use crate::stats::PhaseStats;
 use ras_milp::tol;
@@ -40,10 +42,9 @@ pub(crate) fn refine_with_phase2(
     scope: Option<&[ServerId]>,
 ) -> (Vec<Option<ReservationId>>, Option<PhaseStats>) {
     // Rank reservations by rack overage under the phase-1 assignment.
-    let overages = rack_overages(region, specs, &targets1, params);
+    let overages = rack_overages(region, specs, &targets1);
     let visible = specs.iter().filter(|s| solver_visible(s)).count();
-    let budget =
-        ras_milp::cast::ceil_usize(visible as f64 * params.phase2_reservation_fraction).max(1);
+    let budget = ras_milp::cast::ceil_usize(visible as f64 * PHASE2_RESERVATION_FRACTION).max(1);
     let mut selected: Vec<usize> = overages
         .iter()
         .filter(|(_, o)| *o > tol::EPS)
@@ -60,7 +61,7 @@ pub(crate) fn refine_with_phase2(
     let (free, per_selected) = rack_class_counts(region, snapshot, &targets1, &selected, scope);
     while selected.len() > 1
         && (free + per_selected[..selected.len()].iter().sum::<usize>()) * selected.len()
-            > params.max_assignment_vars
+            > MAX_ASSIGNMENT_VARS
     {
         selected.pop();
     }
@@ -341,7 +342,6 @@ pub fn rack_overages(
     region: &Region,
     specs: &[ReservationSpec],
     targets: &[Option<ReservationId>],
-    params: &SolverParams,
 ) -> Vec<(usize, f64)> {
     // Each reservation's overage adds its racks in rack id order, each
     // rack's terms in server id order: in a hash map's per-process order,
@@ -374,7 +374,7 @@ pub fn rack_overages(
             if !solver_visible(spec) || spec.capacity <= 0.0 {
                 continue;
             }
-            let alpha_k = spec.spread.rack_share.unwrap_or(params.default_rack_share);
+            let alpha_k = spec.spread.rack_share.unwrap_or(DEFAULT_RACK_SHARE);
             let limit = alpha_k * spec.capacity;
             if sum > limit {
                 overage[ri] += sum - limit;
@@ -548,11 +548,10 @@ mod tests {
                 targets[s.index()] = Some(ReservationId::from_index((ri + si) % 2));
             }
         }
-        let params = SolverParams::default();
-        let first = rack_overages(&region, &specs, &targets, &params);
+        let first = rack_overages(&region, &specs, &targets);
         assert!(first[0].1 > 0.0 && first[1].1 > 0.0 && first[2].1 == 0.0);
         for _ in 0..64 {
-            let again = rack_overages(&region, &specs, &targets, &params);
+            let again = rack_overages(&region, &specs, &targets);
             let bits = |r: &[(usize, f64)]| -> Vec<(usize, u64)> {
                 r.iter().map(|(i, v)| (*i, v.to_bits())).collect()
             };
@@ -575,7 +574,7 @@ mod tests {
         let outcome = solve(&region, &[spec.clone()], &snap).expect("solve");
         // Rack overage of the final assignment should be no worse than the
         // phase-1-only assignment.
-        let ranked = rack_overages(&region, &[spec], &outcome.targets, &SolverParams::default());
+        let ranked = rack_overages(&region, &[spec], &outcome.targets);
         // The solve must have engaged phase 2 (there was rack overage at
         // start) unless phase 1 already fixed the spread.
         if let Some(p2) = &outcome.phase2 {
@@ -646,7 +645,7 @@ mod tests {
         ];
         let snap = broker.snapshot(SimTime::ZERO);
         let targets: Vec<Option<ReservationId>> = snap.records.iter().map(|r| r.current).collect();
-        let ranked = rack_overages(&region, &specs, &targets, &SolverParams::default());
+        let ranked = rack_overages(&region, &specs, &targets);
         assert_eq!(ranked[0].0, 0, "reservation a has the rack pileup");
         assert!(ranked[0].1 > ranked[1].1);
     }

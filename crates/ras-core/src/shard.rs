@@ -28,7 +28,7 @@
 //! The reconcile pass then *releases* that surplus — newly-acquired
 //! free-pool servers are returned while the regional capacity constraint
 //! keeps holding — which strictly improves the objective (an acquisition
-//! costs `assignment_cost` and inflates buffer/spread terms; releasing a
+//! costs [`ASSIGNMENT_COST`] and inflates buffer/spread terms; releasing a
 //! free server incurs no movement cost). The merged plan is valued with
 //! [`evaluate_targets`], an exact re-implementation of the phase-1
 //! objective, and must land within [`sharded_tolerance`] of the
@@ -40,7 +40,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::classes::{unplanned_unavailable, EquivClass};
 use crate::model::solver_visible;
-use crate::params::SolverParams;
+use crate::params::{SolverParams, ASSIGNMENT_COST, BUFFER_COST, SPREAD_PENALTY};
 use crate::reservation::ReservationSpec;
 use crate::session::WarmReport;
 use crate::stats::PhaseStats;
@@ -374,7 +374,7 @@ pub fn evaluate_targets(
         }
         if let Some(r) = t {
             if assignable(r, server.hardware) {
-                objective += params.assignment_cost;
+                objective += ASSIGNMENT_COST;
                 let v = specs[r.index()].rru.value(server.hardware);
                 total[r.index()] += v;
                 by_msb[r.index()][server.msb.index()] += v;
@@ -391,7 +391,7 @@ pub fn evaluate_targets(
         let max_msb = by_msb[ri].iter().copied().fold(0.0, nan::fmax);
         max_msb_rru[ri] = max_msb;
         let effective = if spec.survives_msb_loss() {
-            objective += params.buffer_cost * max_msb;
+            objective += BUFFER_COST * max_msb;
             total[ri] - max_msb
         } else {
             total[ri]
@@ -401,7 +401,7 @@ pub fn evaluate_targets(
             if let Some(alpha_f) = spec.spread.msb_share {
                 let limit = alpha_f * spec.capacity;
                 for usage in &by_msb[ri] {
-                    objective += params.spread_penalty * (usage - limit).nmax(0.0);
+                    objective += SPREAD_PENALTY * (usage - limit).nmax(0.0);
                 }
             }
         }
@@ -488,7 +488,7 @@ pub(crate) fn standings<'a>(
 ///
 /// Candidates are servers the round newly acquired from the free pool
 /// (`target == Some(r)`, [`Standing::Free`]): releasing one undoes an
-/// `assignment_cost` and shrinks buffer/spread terms without incurring
+/// [`ASSIGNMENT_COST`] and shrinks buffer/spread terms without incurring
 /// any movement cost, so every release strictly improves the objective.
 /// A release is committed only while the regional (buffered) capacity
 /// constraint keeps holding, preferring candidates inside the current

@@ -17,8 +17,9 @@ use ras_broker::{BrokerSnapshot, ReservationId, ResourceBroker, SimTime};
 use ras_core::assign::concretize;
 use ras_core::classes::{build_classes, EquivClass, Granularity};
 use ras_core::model::solver_visible;
+use ras_core::params::DEFAULT_RACK_SHARE;
 use ras_core::phases::rack_overages;
-use ras_core::{ReservationSpec, RruTable, SolverParams};
+use ras_core::{ReservationSpec, RruTable};
 use ras_topology::{HardwareTypeId, Region, RegionBuilder, RegionTemplate, ServerId};
 
 /// The scan `concretize`: the oracle for the heap.
@@ -85,7 +86,6 @@ fn map_rack_overages(
     region: &Region,
     specs: &[ReservationSpec],
     targets: &[Option<ReservationId>],
-    params: &SolverParams,
 ) -> Vec<(usize, f64)> {
     let mut per_rack: HashMap<(u32, u32), f64> = HashMap::new();
     for server in region.servers() {
@@ -107,7 +107,7 @@ fn map_rack_overages(
         if !solver_visible(spec) || spec.capacity <= 0.0 {
             continue;
         }
-        let limit = spec.spread.rack_share.unwrap_or(params.default_rack_share) * spec.capacity;
+        let limit = spec.spread.rack_share.unwrap_or(DEFAULT_RACK_SHARE) * spec.capacity;
         if rru > limit {
             overage[ri] += rru - limit;
         }
@@ -254,13 +254,12 @@ proptest! {
         let targets: Vec<Option<ReservationId>> = (0..region.server_count())
             .map(|_| (!mix.chance(25)).then(|| ReservationId::from_index(mix.below(reservations + 1))))
             .collect();
-        let params = SolverParams::default();
         let bits = |r: Vec<(usize, f64)>| -> Vec<(usize, u64)> {
             r.into_iter().map(|(i, v)| (i, v.to_bits())).collect()
         };
         prop_assert_eq!(
-            bits(rack_overages(&region, &specs, &targets, &params)),
-            bits(map_rack_overages(&region, &specs, &targets, &params))
+            bits(rack_overages(&region, &specs, &targets)),
+            bits(map_rack_overages(&region, &specs, &targets))
         );
     }
 }

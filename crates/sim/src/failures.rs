@@ -22,13 +22,21 @@ use serde::{Deserialize, Serialize};
 use crate::continuous::{stranded_now, ContainerLoad};
 use crate::metrics::StrandedAccount;
 
+/// Hardware repair time range in days.
+const REPAIR_DAYS: (f64, f64) = (4.0, 20.0);
+
+/// Hours a power-row failure lasts.
+const POWER_ROW_HOURS: (f64, f64) = (1.0, 6.0);
+
+/// Fraction of each MSB under planned maintenance during a maintenance
+/// window (paper caps concurrency at 25 %).
+const MAINTENANCE_FRACTION: f64 = 0.25;
+
 /// Event rates, all per simulated time.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FailureRates {
     /// Probability a given server suffers a hardware failure per day.
     pub hardware_per_server_per_day: f64,
-    /// Hardware repair time range in days.
-    pub repair_days: (f64, f64),
     /// Probability a given server suffers a software failure per day.
     pub software_per_server_per_day: f64,
     /// Software outage duration range in minutes.
@@ -39,11 +47,6 @@ pub struct FailureRates {
     pub msb_outage_hours: (f64, f64),
     /// Power-row correlated failures per row per year (~0.5 %).
     pub power_row_per_row_per_year: f64,
-    /// Hours a power-row failure lasts.
-    pub power_row_hours: (f64, f64),
-    /// Fraction of each MSB under planned maintenance during a
-    /// maintenance window (paper caps concurrency at 25 %).
-    pub maintenance_fraction: f64,
     /// Planned maintenance windows per MSB per week.
     pub maintenance_per_msb_per_week: f64,
     /// Maintenance window length in hours.
@@ -56,14 +59,11 @@ impl Default for FailureRates {
             // ~0.1 % of fleet in repair with ~10-day repairs → arrival
             // rate ≈ 0.001 / 10 per server-day.
             hardware_per_server_per_day: 0.0001,
-            repair_days: (4.0, 20.0),
             software_per_server_per_day: 0.02,
             software_minutes: (10.0, 120.0),
             msb_failures_per_month: 1.0,
             msb_outage_hours: (2.0, 12.0),
             power_row_per_row_per_year: 0.005,
-            power_row_hours: (1.0, 6.0),
-            maintenance_fraction: 0.25,
             maintenance_per_msb_per_week: 1.0,
             maintenance_hours: (2.0, 6.0),
         }
@@ -155,9 +155,7 @@ impl FailureInjector {
                 if broker.record(victim).map(|r| r.is_up()).unwrap_or(false) {
                     let end = match dur {
                         Some(minutes) => now.plus_secs((self.uniform(minutes) * 60.0) as u64),
-                        None => {
-                            now.plus_secs((self.uniform(self.rates.repair_days) * 86_400.0) as u64)
-                        }
+                        None => now.plus_secs((self.uniform(REPAIR_DAYS) * 86_400.0) as u64),
                     };
                     let _ = hcs.report_down(
                         broker,
@@ -198,7 +196,7 @@ impl FailureInjector {
             * region.power_rows().len() as f64;
         if self.happens(row_rate) {
             let row = PowerRowId::from_index(self.rng.gen_range(0..region.power_rows().len()));
-            let end = now.plus_secs((self.uniform(self.rates.power_row_hours) * 3600.0) as u64);
+            let end = now.plus_secs((self.uniform(POWER_ROW_HOURS) * 3600.0) as u64);
             let n = hcs
                 .report_scope_down(
                     broker,
@@ -221,7 +219,7 @@ impl FailureInjector {
         if self.happens(maint_rate) {
             let msb = MsbId::from_index(self.rng.gen_range(0..region.msbs().len()));
             let members: Vec<ServerId> = region.servers_in_msb(msb).map(|s| s.id).collect();
-            let take = (members.len() as f64 * self.rates.maintenance_fraction) as usize;
+            let take = (members.len() as f64 * MAINTENANCE_FRACTION) as usize;
             let end = now.plus_secs((self.uniform(self.rates.maintenance_hours) * 3600.0) as u64);
             let mut n = 0;
             for s in members.into_iter().take(take) {
@@ -377,7 +375,7 @@ pub fn run_failure_drill(
     let stranded_after = stranded_now(&mut sched.allocator, region, &broker, 1);
 
     DrillReport {
-        policy: sched.allocator.policy_name().to_string(),
+        policy: load.policy.name().to_string(),
         containers,
         msb_servers,
         containers_on_msb,

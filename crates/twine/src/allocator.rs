@@ -4,19 +4,19 @@
 //! and keeps the broker's `running_containers` counters in sync, which is
 //! how the Async Solver learns which servers are expensive to move.
 //!
-//! Placement is policy-pluggable: every capacity state that fits the
-//! container is scored by a [`PlacementPolicy`] and the lowest score wins
-//! (after the rack anti-affinity tier, which the allocator applies
-//! itself), the lowest server id among equals. Two policies ship:
+//! Every capacity state that fits the container is scored by the
+//! allocator's [`PlacementPolicyKind`] and the lowest score wins (after
+//! the rack anti-affinity tier, which the allocator applies itself), the
+//! lowest server id among equals. Two policies ship:
 //!
-//! * [`BestFit`] — the classic tightest-stacking rule: least residual
-//!   cores after placement. Cheap and dense, but blind to the memory
-//!   dimension, so mixed workloads strand memory on core-exhausted hosts
-//!   (and vice versa).
-//! * [`FarbBalance`] — fragmentation-aware resource balance: scores the
-//!   *normalized residual vector* after placement, weighting dimension
-//!   balance most heavily so neither cores nor memory is left stranded
-//!   behind an exhausted complement.
+//! * [`PlacementPolicyKind::BestFit`] — the classic tightest-stacking
+//!   rule: least residual cores after placement. Cheap and dense, but
+//!   blind to the memory dimension, so mixed workloads strand memory on
+//!   core-exhausted hosts (and vice versa).
+//! * [`PlacementPolicyKind::FarbBalance`] — fragmentation-aware resource
+//!   balance: scores the *normalized residual vector* after placement,
+//!   weighting dimension balance most heavily so neither cores nor
+//!   memory is left stranded behind an exhausted complement.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -70,95 +70,61 @@ pub struct Candidate {
     pub capacity_memory_gib: f64,
 }
 
-/// Scores feasible candidate servers for one container placement; the
-/// lowest score wins. Rack anti-affinity (when the job requests it) is a
-/// strictly higher-priority tier applied by the allocator, so a policy
-/// only ranks servers within the least-loaded-rack tier.
-pub trait PlacementPolicy: std::fmt::Debug + Send + Sync {
-    /// Short policy name for reports and benches.
-    fn name(&self) -> &'static str;
+/// FARB's weight of the dimension-balance component.
+const FARB_W_BALANCE: f64 = 2.0;
 
-    /// Score of placing `spec` on `candidate` (which is known to fit).
-    /// Lower is better. Scores must be finite.
-    fn score(&self, candidate: Candidate, spec: ContainerSpec) -> f64;
-}
+/// FARB's weight of the fullness component.
+const FARB_W_FULLNESS: f64 = 1.0;
 
-/// Tightest stacking: least residual cores after placement.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BestFit;
+/// FARB's weight of the residual-L2 tiebreaker.
+const FARB_W_RESIDUAL: f64 = 0.5;
 
-impl PlacementPolicy for BestFit {
-    fn name(&self) -> &'static str {
-        "best-fit"
-    }
-
-    fn score(&self, candidate: Candidate, spec: ContainerSpec) -> f64 {
-        candidate.free_cores - spec.cores
-    }
-}
-
-/// Fragmentation-aware resource balance (FARB).
-///
-/// Scores the normalized post-placement residual `(cpu_res, mem_res)`
-/// with three weighted components: dimension *balance*
-/// (`|cpu_res − mem_res|`, weighted most heavily — an unbalanced
-/// residual is capacity one dimension will strand), *fullness*
-/// (`(cpu_res + mem_res) / 2`, prefer filling hosts), and the residual
-/// L2 norm as a tiebreaker.
-#[derive(Debug, Clone, Copy)]
-pub struct FarbBalance {
-    /// Weight of the dimension-balance component.
-    pub w_balance: f64,
-    /// Weight of the fullness component.
-    pub w_fullness: f64,
-    /// Weight of the residual-L2 tiebreaker.
-    pub w_residual: f64,
-}
-
-impl Default for FarbBalance {
-    fn default() -> Self {
-        Self {
-            w_balance: 2.0,
-            w_fullness: 1.0,
-            w_residual: 0.5,
-        }
-    }
-}
-
-impl PlacementPolicy for FarbBalance {
-    fn name(&self) -> &'static str {
-        "farb"
-    }
-
-    fn score(&self, candidate: Candidate, spec: ContainerSpec) -> f64 {
-        let cpu_res = (candidate.free_cores - spec.cores) / candidate.capacity_cores.max(1.0);
-        let mem_res =
-            (candidate.free_memory_gib - spec.memory_gib) / candidate.capacity_memory_gib.max(1.0);
-        let balance = (cpu_res - mem_res).abs();
-        let fullness = (cpu_res + mem_res) / 2.0;
-        let l2 = (cpu_res * cpu_res + mem_res * mem_res).sqrt();
-        self.w_balance * balance + self.w_fullness * fullness + self.w_residual * l2
-    }
-}
-
-/// Constructible policy selector for configs that must be `Clone`
-/// (simulation configs, bench wiring) while the allocator itself holds a
-/// trait object.
+/// The placement policy: scores feasible candidate servers for one
+/// container placement, the lowest score winning. Rack anti-affinity
+/// (when the job requests it) is a strictly higher-priority tier applied
+/// by the allocator, so a policy only ranks servers within the
+/// least-loaded-rack tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum PlacementPolicyKind {
-    /// [`BestFit`] tightest stacking (the historical behavior).
+    /// Tightest stacking: least residual cores after placement (the
+    /// historical behavior).
     #[default]
     BestFit,
-    /// [`FarbBalance`] fragmentation-aware scoring with default weights.
+    /// Fragmentation-aware resource balance (FARB).
+    ///
+    /// Scores the normalized post-placement residual `(cpu_res, mem_res)`
+    /// with three weighted components: dimension *balance*
+    /// (`|cpu_res − mem_res|`, weighted most heavily — an unbalanced
+    /// residual is capacity one dimension will strand), *fullness*
+    /// (`(cpu_res + mem_res) / 2`, prefer filling hosts), and the
+    /// residual L2 norm as a tiebreaker.
     FarbBalance,
 }
 
 impl PlacementPolicyKind {
-    /// Builds the policy object.
-    pub fn build(self) -> Box<dyn PlacementPolicy> {
+    /// Short policy name for reports and benches.
+    pub fn name(self) -> &'static str {
         match self {
-            PlacementPolicyKind::BestFit => Box::new(BestFit),
-            PlacementPolicyKind::FarbBalance => Box::new(FarbBalance::default()),
+            PlacementPolicyKind::BestFit => "best-fit",
+            PlacementPolicyKind::FarbBalance => "farb",
+        }
+    }
+
+    /// Score of placing `spec` on `candidate` (which is known to fit).
+    /// Lower is better; finite for every fitting candidate.
+    pub fn score(self, candidate: Candidate, spec: ContainerSpec) -> f64 {
+        match self {
+            PlacementPolicyKind::BestFit => candidate.free_cores - spec.cores,
+            PlacementPolicyKind::FarbBalance => {
+                let cpu_res =
+                    (candidate.free_cores - spec.cores) / candidate.capacity_cores.max(1.0);
+                let mem_res = (candidate.free_memory_gib - spec.memory_gib)
+                    / candidate.capacity_memory_gib.max(1.0);
+                let balance = (cpu_res - mem_res).abs();
+                let fullness = (cpu_res + mem_res) / 2.0;
+                let l2 = (cpu_res * cpu_res + mem_res * mem_res).sqrt();
+                FARB_W_BALANCE * balance + FARB_W_FULLNESS * fullness + FARB_W_RESIDUAL * l2
+            }
         }
     }
 }
@@ -187,7 +153,7 @@ struct JobEntry {
 }
 
 /// The capacity state all servers of one bucket share. A
-/// [`PlacementPolicy`] sees nothing else of a server (the [`Candidate`]
+/// [`PlacementPolicyKind`] sees nothing else of a server (the [`Candidate`]
 /// is built from exactly these three values), so one score stands for
 /// the whole bucket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -251,7 +217,7 @@ pub struct TwineAllocator {
     buckets: Vec<Buckets>,
     /// The broker change feed that keeps `Host::listed` current.
     feed: Option<ChangeFeedId>,
-    policy: Box<dyn PlacementPolicy>,
+    policy: PlacementPolicyKind,
     /// Work counter of the latest placement call: bucket representatives
     /// scored plus servers inspected. The indexes keep it proportional to
     /// the number of distinct capacity states and the job's replicas, not
@@ -283,7 +249,8 @@ fn after_rack_run(region: &Region, server: ServerId, rack: RackId) -> Option<Ser
 }
 
 impl TwineAllocator {
-    /// Creates an empty allocator with the default [`BestFit`] policy.
+    /// Creates an empty allocator with the default
+    /// [`PlacementPolicyKind::BestFit`] policy.
     pub fn new() -> Self {
         Self::default()
     }
@@ -298,14 +265,9 @@ impl TwineAllocator {
             hosts: Vec::new(),
             buckets: Vec::new(),
             feed: None,
-            policy: kind.build(),
+            policy: kind,
             last_candidates_evaluated: 0,
         }
-    }
-
-    /// Name of the active placement policy.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     /// Gives every server of the region a [`Host`] at hardware capacity.
@@ -923,8 +885,8 @@ mod tests {
         let (region, mut broker, r) = setup();
         let mut best = TwineAllocator::with_policy(PlacementPolicyKind::BestFit);
         let mut farb = TwineAllocator::with_policy(PlacementPolicyKind::FarbBalance);
-        assert_eq!(best.policy_name(), "best-fit");
-        assert_eq!(farb.policy_name(), "farb");
+        assert_eq!(PlacementPolicyKind::BestFit.name(), "best-fit");
+        assert_eq!(PlacementPolicyKind::FarbBalance.name(), "farb");
         // A cores-heavy then a memory-heavy job: best-fit stacks by cores
         // only, FARB keeps the residual vector balanced.
         for alloc in [&mut best, &mut farb] {

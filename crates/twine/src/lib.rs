@@ -15,10 +15,7 @@ pub mod health;
 pub mod job;
 pub mod scheduler;
 
-pub use allocator::{
-    BestFit, Candidate, FarbBalance, PlacementError, PlacementPolicy, PlacementPolicyKind,
-    TwineAllocator,
-};
+pub use allocator::{Candidate, PlacementError, PlacementPolicyKind, TwineAllocator};
 pub use health::HealthCheckService;
 pub use job::{ContainerId, ContainerSpec, JobId, JobSpec};
 pub use scheduler::{JobState, LatencyStats, TwineScheduler};

@@ -15,9 +15,7 @@ use std::collections::{BTreeMap, HashMap};
 use ras_broker::{ReservationId, ResourceBroker};
 use ras_milp::cast;
 use ras_topology::{Region, ServerId};
-use ras_twine::{
-    Candidate, ContainerId, ContainerSpec, JobId, JobSpec, PlacementPolicy, PlacementPolicyKind,
-};
+use ras_twine::{Candidate, ContainerId, ContainerSpec, JobId, JobSpec, PlacementPolicyKind};
 
 /// Same quantization as the allocator's placement key.
 const SCORE_SCALE: f64 = 1e6;
@@ -37,7 +35,7 @@ pub struct ScanAllocator {
     containers: BTreeMap<ContainerId, Placement>,
     next_container: u64,
     free: HashMap<ServerId, (f64, f64)>,
-    policy: Box<dyn PlacementPolicy>,
+    policy: PlacementPolicyKind,
     /// Members scored by the latest submit — the scan's work.
     pub last_candidates_evaluated: usize,
 }
@@ -49,7 +47,7 @@ impl ScanAllocator {
             containers: BTreeMap::new(),
             next_container: 0,
             free: HashMap::new(),
-            policy: kind.build(),
+            policy: kind,
             last_candidates_evaluated: 0,
         }
     }

@@ -42,39 +42,37 @@ impl CapacityRequest {
     }
 }
 
+/// Mean requests per working hour (paper: thousands per day).
+const MEAN_PER_WORKING_HOUR: f64 = 40.0;
+
+/// Largest request size (the paper's Web/Feed requests near 30 000).
+const MAX_UNITS: f64 = 30_000.0;
+
 /// Generator configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RequestGeneratorConfig {
     /// RNG seed.
     pub seed: u64,
-    /// Mean requests per working hour (paper: thousands per day).
-    pub mean_per_working_hour: f64,
-    /// Largest request size (the paper's Web/Feed requests near 30 000).
-    pub max_units: f64,
 }
 
 impl Default for RequestGeneratorConfig {
     fn default() -> Self {
-        Self {
-            seed: 0xF164,
-            mean_per_working_hour: 40.0,
-            max_units: 30_000.0,
-        }
+        Self { seed: 0xF164 }
     }
 }
 
 /// Deterministic request generator.
 #[derive(Debug)]
 pub struct RequestGenerator {
-    config: RequestGeneratorConfig,
     rng: StdRng,
 }
 
 impl RequestGenerator {
     /// Creates a generator.
     pub fn new(config: RequestGeneratorConfig) -> Self {
-        let rng = StdRng::seed_from_u64(config.seed);
-        Self { config, rng }
+        Self {
+            rng: StdRng::seed_from_u64(config.seed),
+        }
     }
 
     /// Samples one request submitted at `at`.
@@ -105,11 +103,7 @@ impl RequestGenerator {
             // Very large Web/Feed-scale requests.
             4.0 + self.rng.gen::<f64>() * 0.48
         };
-        10f64
-            .powf(log10)
-            .min(self.config.max_units)
-            .max(1.0)
-            .round()
+        10f64.powf(log10).clamp(1.0, MAX_UNITS).round()
     }
 
     /// Bimodal fungibility: newest-generation-only (mode at 1), flexible
@@ -151,7 +145,7 @@ impl RequestGenerator {
     pub fn arrival_rate(&self, at: SimTime) -> f64 {
         let hour = at.hour_of_day();
         let weekday = at.day_of_week() < 5;
-        let base = self.config.mean_per_working_hour;
+        let base = MEAN_PER_WORKING_HOUR;
         match (weekday, hour) {
             (true, 9..=17) => base,
             (true, 7..=8) | (true, 18..=20) => base * 0.4,

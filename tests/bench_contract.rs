@@ -3,16 +3,21 @@
 //! `bench_e2e` (the package `BENCHMARK.json` runs) lives outside the
 //! workspace, so `cargo build` and `cargo test` never compile it: a PR
 //! that renames or deletes something it uses finds out only when the
-//! benchmark driver runs. This test spells out, on a tiny region, the
+//! benchmark is run. These tests spell out, on a tiny region, the
 //! exact shapes its frozen files use — the struct literals of
 //! `driver.rs` and `layers.rs`, every call of `layers::probe`, the plan
-//! valuation of `driver.rs`, and every `SolveStats`, `PhaseStats`,
+//! valuation of `driver.rs`, every `SolveStats`, `PhaseStats`,
 //! `WarmReport` and `ReductionStats` field `layers.rs` and `report.rs`
-//! read — so that such a PR stops compiling here first. Keep the shapes as they are; when the benchmark
-//! itself changes (a `benchmark` PR), change them with it.
+//! read, the mover and Twine calls of `driver.rs`, and the portfolio
+//! generator calls of `gen.rs` — so that a change that breaks one stops
+//! compiling here first. Keep the shapes as they are; when the benchmark
+//! itself changes, change them with it.
 
-use ras::broker::{ResourceBroker, SimTime};
+use ras::broker::{
+    ReservationId, ResourceBroker, SimTime, UnavailabilityEvent, UnavailabilityKind,
+};
 use ras::core::assign::concretize;
+use ras::core::buffers::shared_buffer_specs;
 use ras::core::classes::build_classes;
 use ras::core::heuristic::greedy_counts;
 use ras::core::model::build_model_labeled;
@@ -29,7 +34,10 @@ use ras::milp::presolve::tighten;
 use ras::milp::simplex::{solve_lp, SimplexConfig};
 use ras::milp::standard::StandardForm;
 use ras::milp::{AuditConfig, AuditReport, SolveConfig, SolveStats};
-use ras::topology::{RegionBuilder, RegionTemplate};
+use ras::mover::{MoverConfig, OnlineMover};
+use ras::topology::{RegionBuilder, RegionTemplate, ScopeId, ServerId};
+use ras::twine::{ContainerId, ContainerSpec, JobSpec, TwineAllocator};
+use ras::workloads::{RequestGenerator, RequestGeneratorConfig, StandardServices};
 
 /// `report.rs`: every counter it turns into a metric.
 fn read_like_report(stats: &SolveStats) -> (usize, bool, f64) {
@@ -195,4 +203,114 @@ fn benchmark_api_shapes_compile_and_run() {
         .expect("the hard model solves");
     let (work, _, _) = read_like_report(&solution.stats);
     assert!(work > 0);
+}
+
+/// `gen.rs`: the Figure-4 portfolio from the program's own generators.
+fn figure4_like(region: &ras::topology::Region, seed: u64) -> Vec<ReservationSpec> {
+    let headline = [
+        StandardServices::web(),
+        StandardServices::feed1(),
+        StandardServices::feed2(),
+        StandardServices::datastore(),
+    ];
+    let mut specs: Vec<ReservationSpec> = headline
+        .iter()
+        .map(|p| p.reservation(&region.catalog, 8.0))
+        .collect();
+    // The struct update is the literal `gen.rs` writes.
+    #[allow(clippy::needless_update)]
+    let mut requests = RequestGenerator::new(RequestGeneratorConfig {
+        seed: seed ^ 0xF164,
+        ..RequestGeneratorConfig::default()
+    });
+    for i in 0..2 {
+        let request = requests.sample(&region.catalog, SimTime::ZERO);
+        let mut spec = request.to_spec(&region.catalog, format!("svc{i}"));
+        spec.capacity = 8.0;
+        specs.push(spec);
+    }
+    specs.extend(shared_buffer_specs(region, 0.02));
+    specs
+}
+
+#[test]
+fn mover_twine_and_generator_shapes_compile_and_run() {
+    let region = RegionBuilder::new(RegionTemplate::tiny(), 7).build();
+    let specs = figure4_like(&region, 1);
+    assert!(specs.len() > 6, "the generators add a shared buffer");
+    let mut broker = ResourceBroker::new(region.server_count());
+    for s in &specs {
+        broker.register_reservation(&s.name);
+    }
+
+    // driver.rs `set_up`: the mover, the allocator, round 0 applied and
+    // materialised.
+    let mut mover = OnlineMover::new(&mut broker, MoverConfig::default());
+    let mut twine = TwineAllocator::new();
+    let params = SolverParams {
+        phase_time_limit: 300.0,
+        shards: 1,
+        ..SolverParams::default()
+    };
+    let mut solver = AsyncSolver::new(params);
+    let snapshot = broker.snapshot(SimTime::ZERO);
+    let output = solver
+        .solve(&region, &specs, &snapshot)
+        .expect("a tiny Figure-4 portfolio solves");
+    solver
+        .apply(&output, &mut broker)
+        .expect("the plan applies");
+    let moved = mover.execute_targets(&mut broker, SimTime::ZERO, |_, _| {});
+    assert!(moved > 0, "round 0 binds servers");
+
+    // driver.rs `submit_jobs` / `stop_jobs`.
+    let spec = JobSpec {
+        name: "job0-0".into(),
+        reservation: ReservationId::from_index(0),
+        container: ContainerSpec::small(),
+        replicas: 4,
+        rack_anti_affinity: true,
+    };
+    let (placed, unplaced): (Vec<ContainerId>, u32) =
+        twine.submit_partial(&region, &mut broker, spec);
+    assert_eq!(placed.len() + unplaced as usize, 4);
+    assert!(!placed.is_empty() && twine.last_candidates_evaluated > 0);
+    let stopped = placed[0];
+    twine.stop(&mut broker, stopped);
+
+    // driver.rs `apply_ops`: a failure, the mover's replacement and
+    // Twine's evacuation of the failed server.
+    let busy = |broker: &ResourceBroker| {
+        (0..region.server_count())
+            .map(ServerId::from_index)
+            .filter(|s| broker.record(*s).map_or(0, |r| r.running_containers) > 0)
+            .collect::<Vec<_>>()
+    };
+    let server = busy(&broker)[0];
+    let now = SimTime::from_hours(1);
+    let _ = broker.mark_down(UnavailabilityEvent {
+        server,
+        kind: UnavailabilityKind::UnplannedHardware,
+        scope: ScopeId::Server(server),
+        start: now,
+        expected_end: Some(now.plus_hours(1)),
+    });
+    let replaced: Vec<(ServerId, ServerId)> =
+        mover.handle_failures(&region, &specs, &mut broker, now);
+    assert!(replaced.len() <= 1);
+    let (moved, lost): (usize, usize) = twine.evacuate(&region, &mut broker, server);
+    assert!(moved + lost > 0, "the failed server's containers leave it");
+
+    // driver.rs `round`: the mover preempting through Twine.
+    let victim = busy(&broker)[0];
+    broker
+        .set_target(victim, Some(ReservationId::from_index(1)))
+        .expect("the server exists");
+    let mut preemptions = 0;
+    let executed: usize = mover.execute_targets(&mut broker, now, |s, b| {
+        preemptions += 1;
+        let (m, l) = twine.evacuate(&region, b, s);
+        assert!(m + l > 0, "a preempted server's containers leave it");
+    });
+    assert!(preemptions >= 1 && executed >= preemptions);
 }
