@@ -1,123 +1,166 @@
-//! Sparse LU factorization of a simplex basis.
+//! Sparse LU factorization of a simplex basis, under Forrest–Tomlin
+//! updates: [`FtFactors`].
 //!
-//! Left-looking (Gilbert–Peierls) elimination with a static column
-//! ordering by nonzero count — a cheap Markowitz-style merit that sends
-//! slack/identity columns through first, where they cause no fill —
-//! magnitude pivoting within each column, and a symbolic depth-first
-//! reach so each step costs time proportional to the fill it actually
-//! produces. The factors are stored column-wise in [`CscStore`]s.
+//! A factorization is left-looking (Gilbert–Peierls) elimination with a
+//! static column ordering by nonzero count — a cheap Markowitz-style
+//! merit that sends slack/identity columns through first, where they
+//! cause no fill — magnitude pivoting within each column, and a symbolic
+//! depth-first reach so each step costs time proportional to the fill it
+//! actually produces. It runs in place: each basis column is read once,
+//! a unit column on an unpivoted row skips the reach and the pivot scan,
+//! and every arena and workspace is kept for the next one.
 //!
-//! On top of a factorization sits [`FtFactors`]: Forrest–Tomlin updates
-//! that modify `U` in place per pivot, keeping the factorization
-//! genuinely triangular so `ftran` / `btran` residuals stay bounded
-//! between refactorizations — where a product-form *eta file*, one
-//! rank-one eta appended per pivot, loses sparsity and accuracy on long
-//! pivot sequences (`tests/dual_differential.rs` keeps one to show it).
+//! Between factorizations, Forrest–Tomlin updates modify `U` in place per
+//! pivot, keeping the factorization genuinely triangular so `ftran` /
+//! `btran` residuals stay bounded between refactorizations — where a
+//! product-form *eta file*, one rank-one eta appended per pivot, loses
+//! sparsity and accuracy on long pivot sequences
+//! (`tests/dual_differential.rs` keeps one to show it).
+//!
+//! Most of a simplex basis is unit columns (slacks, artificials), whose
+//! steps have an empty `L` column and — until an update replaces them —
+//! an empty `U` column over a diagonal of 1.0. The solves walk only the
+//! steps that are not such: a skipped step would subtract nothing and
+//! divide by 1.0, so every result is the one a sweep over all `m` steps
+//! gives, bit for bit.
 
 use crate::cast;
 use crate::nan::NanGuard;
 use crate::sparse::CscStore;
 use crate::tol;
 
-/// Sparse LU factors of a square basis matrix `B`.
-///
-/// The factorization is `B = Pᵀ L U Q` for permutations chosen during
-/// elimination: step `k` eliminates basis column (slot) `slot_of_step[k]`
-/// on row `pivot_row[k]`. `L` is unit lower triangular with the diagonal
-/// implicit; `U` is upper triangular in step space with its diagonal kept
-/// separately for the back-substitutions.
-#[derive(Debug, Clone)]
-pub struct LuFactors {
-    m: usize,
-    /// Row eliminated at each step.
+/// One refactorization's workspace and output, kept from one to the next
+/// so that none allocates once its arenas have grown. The factors are
+/// built here, named as in [`FtFactors`], and swapped in only when the
+/// basis proves nonsingular: a failed refactorization leaves the live
+/// factors as they were.
+#[derive(Debug, Clone, Default)]
+struct Elimination {
+    /// The basis, read once: slot `j`'s entries are
+    /// `cols[col_start[j]..col_start[j + 1]]`.
+    cols: Vec<(u32, f64)>,
+    col_start: Vec<usize>,
+    /// Slots in elimination order, and the counting sort's buckets.
+    order: Vec<usize>,
+    bucket: Vec<usize>,
+    /// Step that pivoted each row, or MAX while the row is unpivoted.
+    row_to_step: Vec<usize>,
+    /// Dense numeric workspace; `live[r] == epoch` marks the rows of
+    /// `x` holding values for the current column.
+    x: Vec<f64>,
+    live: Vec<u32>,
+    step_seen: Vec<u32>,
+    pattern: Vec<usize>,
+    reach: Vec<usize>,
+    stack: Vec<(usize, usize)>,
     pivot_row: Vec<usize>,
-    /// Basis column (slot) eliminated at each step.
     slot_of_step: Vec<usize>,
-    /// Inverse of `slot_of_step`: the step that eliminated each slot.
-    step_of_slot: Vec<usize>,
-    /// `L` by step: off-diagonal multipliers, indexed by original row.
     l: CscStore,
-    /// `U` by step: off-diagonal entries, indexed by *earlier step*, laid
-    /// out as the column lists [`FtFactors`] updates in place.
     u: Segments,
-    /// Diagonal of `U` per step.
-    u_diag: Vec<f64>,
+    diag: Vec<f64>,
 }
 
-impl LuFactors {
-    /// Factors of the diagonal basis `B = diag(signs)` (slot `i` on row
-    /// `i`). This is the crash basis the simplex engine starts from.
-    pub fn diagonal(signs: &[f64]) -> Self {
-        let m = signs.len();
-        let mut l = CscStore::with_capacity(m, 0);
-        let mut u = Segments::with_capacity(m, 0);
-        for _ in 0..m {
-            l.finish_column();
-            u.finish_list();
-        }
-        Self {
-            m,
-            pivot_row: (0..m).collect(),
-            slot_of_step: (0..m).collect(),
-            step_of_slot: (0..m).collect(),
-            l,
-            u,
-            u_diag: signs.to_vec(),
-        }
-    }
-
+impl Elimination {
     /// Factorizes the `m`-column basis whose column `slot` is the sparse
-    /// `(row, value)` sequence `column(slot)` — read in place from the
-    /// caller's matrix, duplicates summed. Returns `None` when the basis
-    /// is numerically singular (no remaining pivot exceeds `pivot_tol`
-    /// in magnitude).
+    /// `(row, value)` sequence `column(slot)`, duplicates summed, into
+    /// this workspace's factors: step `k` eliminates slot
+    /// `slot_of_step[k]` on row `pivot_row[k]`, `L` is unit lower
+    /// triangular with the diagonal implicit, and `U`'s off-diagonals are
+    /// indexed by *earlier step*, its diagonal kept apart. Returns false
+    /// when the basis is numerically singular (no remaining pivot exceeds
+    /// the positive `pivot_tol` in magnitude).
     // lint:allow(hot-path-index): Markowitz elimination kernel; row/col indices live in the m-sized pattern built above
-    pub fn factorize<I: Iterator<Item = (usize, f64)>>(
+    fn run<I: Iterator<Item = (usize, f64)>>(
+        &mut self,
         m: usize,
         column: impl Fn(usize) -> I,
         pivot_tol: f64,
-    ) -> Option<Self> {
+    ) -> bool {
+        let Self {
+            cols,
+            col_start,
+            order,
+            bucket,
+            row_to_step,
+            x,
+            live,
+            step_seen,
+            pattern,
+            reach,
+            stack,
+            pivot_row,
+            slot_of_step,
+            l,
+            u,
+            diag,
+        } = self;
+        cols.clear();
+        col_start.clear();
+        for slot in 0..m {
+            col_start.push(cols.len());
+            cols.extend(column(slot).map(|(r, v)| (cast::idx32(r), v)));
+        }
+        col_start.push(cols.len());
         // Static column order: fewest nonzeros first, ties in slot order
         // (a stable counting sort on the lengths). Identity-like columns
         // (slacks, artificials) eliminate without fill, which keeps the
         // fronts small by the time denser columns arrive.
-        let lens: Vec<usize> = (0..m).map(|j| column(j).count()).collect();
-        let mut next = vec![0usize; lens.iter().max().map_or(1, |&len| len + 2)];
-        for &len in &lens {
-            next[len + 1] += 1;
+        let len = |j: usize| col_start[j + 1] - col_start[j];
+        bucket.clear();
+        bucket.resize((0..m).map(len).max().unwrap_or(0) + 2, 0);
+        for j in 0..m {
+            bucket[len(j) + 1] += 1;
         }
-        for len in 1..next.len() {
-            next[len] += next[len - 1];
+        for b in 1..bucket.len() {
+            bucket[b] += bucket[b - 1];
         }
-        let mut order = vec![0usize; m];
-        for (j, &len) in lens.iter().enumerate() {
-            order[next[len]] = j;
-            next[len] += 1;
+        order.clear();
+        order.resize(m, 0);
+        for j in 0..m {
+            let next = &mut bucket[len(j)];
+            order[*next] = j;
+            *next += 1;
         }
 
-        let nnz_hint: usize = lens.iter().sum();
-        let mut pivot_row = Vec::with_capacity(m);
-        let mut slot_of_step = Vec::with_capacity(m);
-        let mut l = CscStore::with_capacity(m, nnz_hint);
-        let mut u = Segments::with_capacity(m, nnz_hint);
-        let mut u_diag = Vec::with_capacity(m);
-        // Step that pivoted each row, or MAX while the row is unpivoted.
-        let mut row_to_step = vec![usize::MAX; m];
-        // Dense numeric workspace; `live[r] == epoch` marks the rows of
-        // `x` holding values for the current column.
-        let mut x = vec![0.0; m];
-        let mut live = vec![u32::MAX; m];
-        let mut step_seen = vec![u32::MAX; m];
-        let mut pattern: Vec<usize> = Vec::new();
-        let mut reach: Vec<usize> = Vec::new();
-        let mut stack: Vec<(usize, usize)> = Vec::new();
+        pivot_row.clear();
+        slot_of_step.clear();
+        l.clear();
+        u.reset();
+        diag.clear();
+        row_to_step.clear();
+        row_to_step.resize(m, usize::MAX);
+        x.resize(m, 0.0);
+        live.clear();
+        live.resize(m, u32::MAX);
+        step_seen.clear();
+        step_seen.resize(m, u32::MAX);
 
         for (k, &slot) in order.iter().enumerate() {
+            let entries = &cols[col_start[slot]..col_start[slot + 1]];
+            // A unit column on a row no earlier step pivoted reaches no
+            // earlier step and leaves nothing below its pivot: empty `L`
+            // and `U` columns, its entry the diagonal.
+            if let &[(r, v)] = entries {
+                let r = cast::idx(r);
+                if row_to_step[r] == usize::MAX {
+                    if v.abs() > pivot_tol {
+                        row_to_step[r] = k;
+                        pivot_row.push(r);
+                        slot_of_step.push(slot);
+                        diag.push(v);
+                        l.finish_column();
+                        u.finish_list();
+                        continue;
+                    }
+                    return false; // singular (a negligible unit column)
+                }
+            }
             let epoch = cast::idx32(k);
             pattern.clear();
             reach.clear();
             // Scatter the column into the workspace.
-            for (r, v) in column(slot) {
+            for &(r, v) in entries {
+                let r = cast::idx(r);
                 if live[r] != epoch {
                     live[r] = epoch;
                     x[r] = 0.0;
@@ -130,8 +173,8 @@ impl LuFactors {
             // column structure of `L`. Edges run from earlier to later
             // steps, so ascending step order is a valid topological
             // order for the numeric phase.
-            for (r0, _) in column(slot) {
-                let t0 = row_to_step[r0];
+            for &(r0, _) in entries {
+                let t0 = row_to_step[cast::idx(r0)];
                 if t0 == usize::MAX || step_seen[t0] == epoch {
                     continue;
                 }
@@ -165,7 +208,7 @@ impl LuFactors {
             }
             reach.sort_unstable();
             // Numeric phase: eliminate with each reached step in order.
-            for &t in &reach {
+            for &t in reach.iter() {
                 let pr = pivot_row[t];
                 let ut = if live[pr] == epoch { x[pr] } else { 0.0 };
                 if ut == 0.0 {
@@ -184,7 +227,7 @@ impl LuFactors {
             // Pivot: largest remaining magnitude among unpivoted rows.
             let mut best_row = usize::MAX;
             let mut best = pivot_tol;
-            for &r in &pattern {
+            for &r in pattern.iter() {
                 if row_to_step[r] == usize::MAX {
                     let a = x[r].abs();
                     if a > best {
@@ -194,34 +237,22 @@ impl LuFactors {
                 }
             }
             if best_row == usize::MAX {
-                return None; // singular (column of the span of prior steps)
+                return false; // singular (column of the span of prior steps)
             }
-            let diag = x[best_row];
+            let d = x[best_row];
             row_to_step[best_row] = k;
             pivot_row.push(best_row);
             slot_of_step.push(slot);
-            u_diag.push(diag);
-            for &r in &pattern {
+            diag.push(d);
+            for &r in pattern.iter() {
                 if row_to_step[r] == usize::MAX && x[r] != 0.0 {
-                    l.push_entry(r, x[r] / diag);
+                    l.push_entry(r, x[r] / d);
                 }
             }
             l.finish_column();
             u.finish_list();
         }
-        let mut step_of_slot = vec![0usize; m];
-        for (k, &slot) in slot_of_step.iter().enumerate() {
-            step_of_slot[slot] = k;
-        }
-        Some(Self {
-            m,
-            pivot_row,
-            slot_of_step,
-            step_of_slot,
-            l,
-            u,
-            u_diag,
-        })
+        true
     }
 }
 
@@ -245,10 +276,10 @@ pub enum FtReject {
 /// Forrest–Tomlin mirrors of `U`: a `Vec` per list cost every
 /// refactorization — one per branch-and-bound node — `2m` allocations.
 /// A list that outgrows its span moves to the arena's end with doubled
-/// room; the hole is dropped with the arena at the next refactorization.
+/// room; the hole goes when the next refactorization empties the arena.
 /// Entry order within a list is exactly that of a `Vec` under `push` and
 /// `swap_remove`, so solves sum in the order they always did.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Segments {
     /// `(start, len, capacity)` of each list inside `data`.
     spans: Vec<(u32, u32, u32)>,
@@ -258,13 +289,11 @@ struct Segments {
 }
 
 impl Segments {
-    /// No lists yet, with room for `lists` of them and `nnz` entries.
-    fn with_capacity(lists: usize, nnz: usize) -> Self {
-        Self {
-            spans: Vec::with_capacity(lists),
-            data: Vec::with_capacity(nnz),
-            nnz: 0,
-        }
+    /// Empties the arena, keeping its allocation.
+    fn reset(&mut self) {
+        self.spans.clear();
+        self.data.clear();
+        self.nnz = 0;
     }
 
     /// Seals the entries pushed onto `data` since the last list as the
@@ -314,10 +343,34 @@ impl Segments {
     }
 }
 
+/// Moves `v[from[k]]` to `v[to[k]]` for every step `k` of `moved` at
+/// once, through `scratch`: `from` and `to` are permutations that agree
+/// off `moved`, so the entries written are exactly the entries read.
+// lint:allow(hot-path-index): from/to are m-permutations; scratch holds an entry per moved step
+fn permute_moved(moved: &[u32], from: &[usize], to: &[usize], scratch: &mut [f64], v: &mut [f64]) {
+    for (tmp, &k) in scratch.iter_mut().zip(moved) {
+        *tmp = v[from[cast::idx(k)]];
+    }
+    for (&tmp, &k) in scratch.iter().zip(moved) {
+        v[to[cast::idx(k)]] = tmp;
+    }
+}
+
+/// Removes step `k` from `steps`, a list in ascending `pos` stamps, if it
+/// is there.
+fn unlist(steps: &mut Vec<u32>, pos: &[u32], k: u32) {
+    let stamp = |s: u32| pos.get(cast::idx(s)).copied();
+    let at = steps.partition_point(|&s| stamp(s) < stamp(k));
+    if steps.get(at) == Some(&k) {
+        steps.remove(at);
+    }
+}
+
 /// Sparse LU factors maintained under Forrest–Tomlin column updates.
 ///
-/// Built from a fresh [`LuFactors`] factorization, this keeps `L` and the
-/// row permutation fixed while `U` is *mutated* per basis change: the
+/// A factorization is `B = Pᵀ L U Q`: step `k` eliminates basis column
+/// (slot) `slot_of_step[k]` on row `pivot_row[k]`. Updates keep `L` and
+/// the row permutation fixed while `U` is *mutated* per basis change: the
 /// replaced column becomes the spike, the replaced step moves to the end
 /// of a dynamic triangular ordering, and the resulting row spike is
 /// eliminated by elementary row operations recorded as row etas. The
@@ -356,10 +409,21 @@ pub struct FtFactors {
     u_rows: Segments,
     /// Diagonal of `U` per step.
     diag: Vec<f64>,
-    /// Dynamic triangular ordering: `order[p]` is the step at position `p`.
-    order: Vec<u32>,
-    /// Inverse of `order`: position of each step.
+    /// Position stamp of each step: ascending stamps are the dynamic
+    /// triangular ordering. A factorization stamps step `k` with `k`; an
+    /// update moves the replaced step past every other by stamping it
+    /// `m` plus the updates before it, which leaves the rest in order.
     pos: Vec<u32>,
+    /// Steps whose `L` column is not empty, ascending: the only steps the
+    /// `L` solves touch. Fixed at factorization, like `L`.
+    l_steps: Vec<u32>,
+    /// Steps not [trivial in `U`](Self::trivial_in_u), in position order:
+    /// the only steps the `U` solves touch.
+    u_steps: Vec<u32>,
+    /// Steps whose slot is not their pivot row, ascending: the only
+    /// entries the solves' row/slot permutations move. Fixed at
+    /// factorization, like both.
+    moved: Vec<u32>,
     /// Row etas accumulated since the factorization, in creation order:
     /// the elementary row operations that eliminated each update's row
     /// spike. Eta `e` has `(source step, multiplier)` entries
@@ -373,7 +437,7 @@ pub struct FtFactors {
     base_nnz: usize,
     /// Updates applied since the last factorization.
     updates: usize,
-    /// Step-indexed workspace of the solves.
+    /// Workspace of the solves' permutations, one entry per moved step.
     scratch: Vec<f64>,
     /// The staged spike, step-indexed: `spike[k]` holds a value iff
     /// `spike_mark[k] == epoch`, and `spike_pat` lists those steps.
@@ -390,6 +454,8 @@ pub struct FtFactors {
     roww: Vec<f64>,
     roww_mark: Vec<u32>,
     epoch: u32,
+    /// The next refactorization's workspace.
+    work: Elimination,
 }
 
 impl FtFactors {
@@ -397,67 +463,213 @@ impl FtFactors {
     /// refused with [`FtReject::UnstableMultiplier`].
     const MAX_MULTIPLIER: f64 = 1e12;
 
-    /// Wraps a fresh factorization for in-place updates.
-    // lint:allow(hot-path-index): packs factors whose patterns were built over the same m columns
-    pub fn from_lu(lu: LuFactors) -> Self {
-        let m = lu.m;
-        // Column lists are `U`'s columns as factored, taken over as they
-        // are; the row mirror is a counting sort that files every entry
-        // under its row step in ascending column order.
-        let u_cols = lu.u;
-        let mut u_rows = Segments {
-            spans: vec![(0, 0, 0); m],
-            data: vec![(0, 0.0); u_cols.nnz],
-            nnz: u_cols.nnz,
-        };
-        for &(t, _) in &u_cols.data {
-            u_rows.spans[cast::idx(t)].2 += 1;
-        }
-        let mut next = 0;
-        for span in &mut u_rows.spans {
-            span.0 = next;
-            next += span.2;
-        }
-        for k in 0..m {
-            for &(t, uv) in u_cols.list(k) {
-                let (start, len, _) = u_rows.spans[cast::idx(t)];
-                u_rows.data[cast::idx(start + len)] = (cast::idx32(k), uv);
-                u_rows.spans[cast::idx(t)].1 += 1;
-            }
-        }
-        let base_nnz = lu.l.nnz() + u_cols.nnz + m;
+    /// Factors of the diagonal basis `B = diag(signs)` (slot `i` on row
+    /// `i`). This is the crash basis the simplex engine starts from.
+    pub fn diagonal(signs: &[f64]) -> Self {
+        let mut factors = Self::with_dim(signs.len());
+        factors.reset_diagonal(signs);
+        factors
+    }
+
+    /// Factors of the `m`-column basis whose column `slot` is the sparse
+    /// `(row, value)` sequence `column(slot)`; `None` when the basis is
+    /// numerically singular (see [`refactorize`](Self::refactorize)).
+    pub fn factorize<I: Iterator<Item = (usize, f64)>>(
+        m: usize,
+        column: impl Fn(usize) -> I,
+        pivot_tol: f64,
+    ) -> Option<Self> {
+        let mut factors = Self::with_dim(m);
+        factors.refactorize(column, pivot_tol).then_some(factors)
+    }
+
+    /// Dimension `m` with nothing factored: every vector is sized by the
+    /// first factorization.
+    fn with_dim(m: usize) -> Self {
         Self {
             m,
-            pivot_row: lu.pivot_row,
-            slot_of_step: lu.slot_of_step,
-            step_of_slot: lu.step_of_slot,
-            l: lu.l,
-            u_cols,
-            u_rows,
-            diag: lu.u_diag,
-            order: (0..cast::idx32(m)).collect(),
-            pos: (0..cast::idx32(m)).collect(),
+            pivot_row: Vec::new(),
+            slot_of_step: Vec::new(),
+            step_of_slot: Vec::new(),
+            l: CscStore::new(),
+            u_cols: Segments::default(),
+            u_rows: Segments::default(),
+            diag: Vec::new(),
+            pos: Vec::new(),
+            l_steps: Vec::new(),
+            u_steps: Vec::new(),
+            moved: Vec::new(),
             eta_target: Vec::new(),
-            eta_start: vec![0],
+            eta_start: Vec::new(),
             eta_data: Vec::new(),
-            base_nnz,
+            base_nnz: 0,
             updates: 0,
-            scratch: vec![0.0; m],
-            spike: vec![0.0; m],
-            spike_mark: vec![u32::MAX; m],
+            scratch: Vec::new(),
+            spike: Vec::new(),
+            spike_mark: Vec::new(),
             spike_pat: Vec::new(),
             staged: false,
             #[cfg(debug_assertions)]
-            staged_w: vec![0.0; m],
-            roww: vec![0.0; m],
-            roww_mark: vec![u32::MAX; m],
+            staged_w: Vec::new(),
+            roww: Vec::new(),
+            roww_mark: Vec::new(),
             epoch: 0,
+            work: Elimination::default(),
         }
     }
 
-    /// Factors of the diagonal basis `B = diag(signs)`.
-    pub fn diagonal(signs: &[f64]) -> Self {
-        Self::from_lu(LuFactors::diagonal(signs))
+    /// Replaces the factors, in place, by those of `B = diag(signs)`.
+    pub(crate) fn reset_diagonal(&mut self, signs: &[f64]) {
+        debug_assert_eq!(signs.len(), self.m);
+        let m = self.m;
+        self.pivot_row.clear();
+        self.pivot_row.extend(0..m);
+        self.slot_of_step.clear();
+        self.slot_of_step.extend(0..m);
+        self.l.clear();
+        self.u_cols.reset();
+        for _ in 0..m {
+            self.l.finish_column();
+            self.u_cols.finish_list();
+        }
+        self.diag.clear();
+        self.diag.extend_from_slice(signs);
+        self.start_fresh();
+    }
+
+    /// Refactorizes, in place, the basis whose column `slot` is the sparse
+    /// `(row, value)` sequence `column(slot)` — read once, in place from
+    /// the caller's matrix, duplicates summed. Returns false, the factors
+    /// left as they were, when the basis is numerically singular (no
+    /// remaining pivot exceeds the positive `pivot_tol` in magnitude).
+    pub fn refactorize<I: Iterator<Item = (usize, f64)>>(
+        &mut self,
+        column: impl Fn(usize) -> I,
+        pivot_tol: f64,
+    ) -> bool {
+        if !self.work.run(self.m, column, pivot_tol) {
+            return false;
+        }
+        // The replaced factors become the next refactorization's arenas.
+        let work = &mut self.work;
+        std::mem::swap(&mut self.pivot_row, &mut work.pivot_row);
+        std::mem::swap(&mut self.slot_of_step, &mut work.slot_of_step);
+        std::mem::swap(&mut self.l, &mut work.l);
+        std::mem::swap(&mut self.u_cols, &mut work.u);
+        std::mem::swap(&mut self.diag, &mut work.diag);
+        self.start_fresh();
+        true
+    }
+
+    /// Derives the rest of the factors from fresh `pivot_row`,
+    /// `slot_of_step`, `l`, `u_cols` (packed) and `diag`, and drops every
+    /// update, eta and stage.
+    // lint:allow(hot-path-index): permutations and U's step indices are all bounded by m
+    fn start_fresh(&mut self) {
+        let m = self.m;
+        self.step_of_slot.resize(m, 0);
+        self.pos.clear();
+        // Each list is offered every step and keeps the ones its test
+        // passes, without a branch: unit and other steps interleave.
+        let mut kept = [0; 3];
+        for list in [&mut self.l_steps, &mut self.u_steps, &mut self.moved] {
+            list.resize(m, 0);
+        }
+        for k in 0..m {
+            let (slot, k32) = (self.slot_of_step[k], cast::idx32(k));
+            self.step_of_slot[slot] = k;
+            self.pos.push(k32);
+            self.l_steps[kept[0]] = k32;
+            kept[0] += usize::from(self.l.column_len(k) > 0);
+            self.u_steps[kept[1]] = k32;
+            kept[1] += usize::from(!self.trivial_in_u(k));
+            self.moved[kept[2]] = k32;
+            kept[2] += usize::from(slot != self.pivot_row[k]);
+        }
+        self.l_steps.truncate(kept[0]);
+        self.u_steps.truncate(kept[1]);
+        self.moved.truncate(kept[2]);
+        // The row mirror is a counting sort that files every entry of the
+        // column lists under its row step, in ascending column order (the
+        // listed steps hold every non-empty column).
+        let (u_cols, rows) = (&self.u_cols, &mut self.u_rows);
+        rows.spans.clear();
+        rows.spans.resize(m, (0, 0, 0));
+        rows.data.clear();
+        rows.data.resize(u_cols.nnz, (0, 0.0));
+        rows.nnz = u_cols.nnz;
+        for &(t, _) in &u_cols.data {
+            rows.spans[cast::idx(t)].2 += 1;
+        }
+        let mut next = 0;
+        for span in &mut rows.spans {
+            span.0 = next;
+            next += span.2;
+        }
+        for &k in &self.u_steps {
+            for &(t, uv) in u_cols.list(cast::idx(k)) {
+                let (start, len, _) = rows.spans[cast::idx(t)];
+                rows.data[cast::idx(start + len)] = (k, uv);
+                rows.spans[cast::idx(t)].1 += 1;
+            }
+        }
+        self.eta_target.clear();
+        self.eta_start.clear();
+        self.eta_start.push(0);
+        self.eta_data.clear();
+        self.base_nnz = self.l.nnz() + self.u_cols.nnz + m;
+        self.updates = 0;
+        self.scratch.resize(m, 0.0);
+        self.spike.resize(m, 0.0);
+        self.spike_mark.clear();
+        self.spike_mark.resize(m, u32::MAX);
+        self.spike_pat.clear();
+        self.staged = false;
+        #[cfg(debug_assertions)]
+        {
+            self.staged_w.resize(m, 0.0);
+            self.check_step_lists();
+        }
+        self.roww.resize(m, 0.0);
+        self.roww_mark.clear();
+        self.roww_mark.resize(m, u32::MAX);
+        self.epoch = 0;
+    }
+
+    /// Whether step `k` leaves every solve's entry as it found it: an
+    /// empty `U` column over a diagonal of exactly 1.0 subtracts nothing
+    /// and divides by one (`x / 1.0 == x`, signed zeros included). A
+    /// diagonal of −1.0, an artificial's, is not trivial.
+    fn trivial_in_u(&self, k: usize) -> bool {
+        self.u_cols.spans[k].1 == 0 && self.diag[k] == 1.0
+    }
+
+    /// Asserts that the step lists equal a full scan of the factors.
+    #[cfg(any(test, debug_assertions))]
+    fn check_step_lists(&self) {
+        let moved_scan = (0..self.m).filter(|&k| self.slot_of_step[k] != self.pivot_row[k]);
+        assert!(
+            self.moved.iter().map(|&k| cast::idx(k)).eq(moved_scan),
+            "moved step list differs from a scan of the permutations"
+        );
+        let l_scan = (0..self.m).filter(|&k| self.l.column_len(k) > 0);
+        assert!(
+            self.l_steps.iter().map(|&k| cast::idx(k)).eq(l_scan),
+            "L step list differs from a scan of L"
+        );
+        let ascending = self.u_steps.windows(2).all(|w| {
+            let [a, b] = [w[0], w[1]].map(|k| self.pos[cast::idx(k)]);
+            a < b
+        });
+        let listed = self
+            .u_steps
+            .iter()
+            .all(|&k| !self.trivial_in_u(cast::idx(k)));
+        let nontrivial = (0..self.m).filter(|&k| !self.trivial_in_u(k)).count();
+        assert!(
+            ascending && listed && nontrivial == self.u_steps.len(),
+            "U step list differs from a scan of U in position order"
+        );
     }
 
     /// Dimension of the factored basis.
@@ -502,9 +714,11 @@ impl FtFactors {
     // lint:allow(hot-path-index): triangular solve over m-length pivot_row/order permutation arrays
     fn ftran_steps(&mut self, v: &mut [f64], stage: bool) {
         let m = self.m;
-        // L solve (unit diagonal), column-oriented in step order; values
-        // live at original-row indices throughout.
-        for k in 0..m {
+        // L solve (unit diagonal), column-oriented in step order over the
+        // steps with an `L` column; values live at original-row indices
+        // throughout.
+        for &k in &self.l_steps {
+            let k = cast::idx(k);
             let t = v[self.pivot_row[k]];
             if t != 0.0 {
                 for (r, lv) in self.l.column(k) {
@@ -539,9 +753,10 @@ impl FtFactors {
             self.staged = true;
         }
         // U back-substitution, column-oriented in reverse *position*
-        // order — the dynamic ordering is what updates keep triangular.
-        for p in (0..m).rev() {
-            let k = cast::idx(self.order[p]);
+        // order — the dynamic ordering is what updates keep triangular —
+        // over the steps not trivial in `U`.
+        for &k in self.u_steps.iter().rev() {
+            let k = cast::idx(k);
             let pr = self.pivot_row[k];
             let z = v[pr] / self.diag[k];
             v[pr] = z;
@@ -551,21 +766,20 @@ impl FtFactors {
                 }
             }
         }
-        // Un-permute from step space into slot space.
-        for k in 0..m {
-            self.scratch[self.slot_of_step[k]] = v[self.pivot_row[k]];
-        }
-        v.copy_from_slice(&self.scratch);
+        // Un-permute from step space into slot space: step `k`'s value
+        // sits on row `pivot_row[k]` and belongs in slot
+        // `slot_of_step[k]`. Only the moved steps' entries change place,
+        // and the slots they fill are the rows they leave.
+        let (rows, slots) = (&self.pivot_row, &self.slot_of_step);
+        permute_moved(&self.moved, rows, slots, &mut self.scratch, v);
     }
 
     /// Solves `Bᵀ y = v` in place (BTRAN): `v` enters indexed by basis
     /// slot and leaves indexed by constraint row.
-    // lint:allow(hot-path-index): triangular solve over m-length pivot_row/order permutation arrays
     pub fn btran(&mut self, v: &mut [f64]) {
-        // Permute into step space.
-        for k in 0..self.m {
-            self.scratch[k] = v[self.slot_of_step[k]];
-        }
+        // Into step space, where step `k`'s value sits on its pivot row.
+        let (slots, rows) = (&self.slot_of_step, &self.pivot_row);
+        permute_moved(&self.moved, slots, rows, &mut self.scratch, v);
         self.btran_steps(v, 0);
     }
 
@@ -576,52 +790,56 @@ impl FtFactors {
     /// pivot-row extraction.
     pub fn btran_unit(&mut self, slot: usize, v: &mut [f64]) {
         let t0 = self.step_of_slot[slot];
-        let p0 = cast::idx(self.pos[t0]);
+        let p0 = self.pos[t0];
         // Materialize the unit right-hand side: zeros everywhere, one at
         // the replaced step. Positions before `p0` then stay zero through
         // the skipped solve prefix.
-        self.scratch.fill(0.0);
-        self.scratch[t0] = 1.0;
-        self.btran_steps(v, p0);
+        v.fill(0.0);
+        v[self.pivot_row[t0]] = 1.0;
+        let pos = &self.pos;
+        let first = self.u_steps.partition_point(|&k| pos[cast::idx(k)] < p0);
+        self.btran_steps(v, first);
     }
 
-    /// Shared BTRAN tail: Uᵀ forward solve from position `p_start` (all
-    /// earlier positions already hold solved — possibly zero — values in
-    /// `scratch`, step-indexed, with the raw right-hand side at later
-    /// positions), then the eta transposes in reverse creation order,
-    /// then the Lᵀ solve writing the row-indexed result into `v`.
+    /// Shared BTRAN tail, on `v` holding each step's value on its pivot
+    /// row: Uᵀ forward solve from `u_steps[first]` on (all earlier
+    /// positions already hold solved — possibly zero — values, with the
+    /// raw right-hand side at later positions), then the eta transposes
+    /// in reverse creation order, then the Lᵀ solve, which leaves `v`
+    /// indexed by row.
     // lint:allow(hot-path-index): eta/permutation indices bounded by m by the Forrest-Tomlin invariant
-    fn btran_steps(&mut self, v: &mut [f64], p_start: usize) {
-        let m = self.m;
-        let scratch = &mut self.scratch[..];
+    fn btran_steps(&mut self, v: &mut [f64], first: usize) {
+        let pr = &self.pivot_row[..];
         // Uᵀ forward solve in ascending position order: every off-diagonal
         // of column `k` sits at an earlier position, already solved.
-        for p in p_start..m {
-            let k = cast::idx(self.order[p]);
-            let mut s = scratch[k];
+        for &k in &self.u_steps[first..] {
+            let k = cast::idx(k);
+            let mut s = v[pr[k]];
             for &(t, uv) in self.u_cols.list(k) {
-                s -= uv * scratch[cast::idx(t)];
+                s -= uv * v[pr[cast::idx(t)]];
             }
-            scratch[k] = s / self.diag[k];
+            v[pr[k]] = s / self.diag[k];
         }
         // Eta transposes in reverse creation order: sources update from
         // the (unmodified-within-this-eta) target.
         for (e, &target) in self.eta_target.iter().enumerate().rev() {
-            let zt = scratch[cast::idx(target)];
+            let zt = v[pr[cast::idx(target)]];
             if zt != 0.0 {
                 for &(src, mu) in &self.eta_data[self.eta_start[e]..self.eta_start[e + 1]] {
-                    scratch[cast::idx(src)] -= mu * zt;
+                    v[pr[cast::idx(src)]] -= mu * zt;
                 }
             }
         }
-        // Lᵀ backward solve; L's column `k` reads rows pivoted by later
-        // steps, all already written in this sweep.
-        for k in (0..m).rev() {
-            let mut s = scratch[k];
+        // Lᵀ backward solve over the steps with an `L` column, descending:
+        // each subtracts what its column reads from rows pivoted by later
+        // steps, all final by then.
+        for &k in self.l_steps.iter().rev() {
+            let k = cast::idx(k);
+            let mut s = v[pr[k]];
             for (r, lv) in self.l.column(k) {
                 s -= lv * v[r];
             }
-            v[self.pivot_row[k]] = s;
+            v[pr[k]] = s;
         }
     }
 
@@ -633,7 +851,7 @@ impl FtFactors {
     /// On `Err` the factors are untouched and the caller must
     /// refactorize: the numeric checks run against scratch state before
     /// anything is committed. Either way the stage is consumed.
-    // lint:allow(hot-path-index): Forrest-Tomlin spike update; order/pos stay an m-permutation throughout
+    // lint:allow(hot-path-index): Forrest-Tomlin spike update; step indices stay below m, pos holds a stamp per step
     pub fn update(&mut self, slot: usize) -> Result<usize, FtReject> {
         if !std::mem::take(&mut self.staged) {
             return Err(FtReject::Unstaged);
@@ -665,7 +883,7 @@ impl FtFactors {
         // replacement column's contribution is tracked through the spike
         // values instead, which is exactly the new diagonal
         // `d_t = spike_t − Σ mu_j · spike_{s_j}`.
-        let old_pos = cast::idx(self.pos[t]);
+        let old_pos = self.pos[t];
         for &(s, uv) in self.u_rows.list(t) {
             let s_us = cast::idx(s);
             self.roww_mark[s_us] = epoch;
@@ -682,8 +900,14 @@ impl FtFactors {
         for &k in &self.spike_pat {
             spike_scale = spike_scale.nmax(self.spike[cast::idx(k)].abs());
         }
-        for p in old_pos + 1..m {
-            let s = cast::idx(self.order[p]);
+        // Every step with an entry in row `t`, or filled into it, has a
+        // non-empty column: only the listed steps past `t` can carry one.
+        let pos = &self.pos;
+        let after = self
+            .u_steps
+            .partition_point(|&k| pos[cast::idx(k)] <= old_pos);
+        for &s in &self.u_steps[after..] {
+            let s = cast::idx(s);
             if self.roww_mark[s] != epoch {
                 continue;
             }
@@ -720,24 +944,26 @@ impl FtFactors {
             return Err(FtReject::SingularDiagonal);
         }
 
-        // Commit. Delete old column `t` from the row mirror…
+        // Commit. `t` leaves the step list while its stamp still places
+        // it. Delete old column `t` from the row mirror…
+        let t32 = cast::idx32(t);
+        unlist(&mut self.u_steps, &self.pos, t32);
         for &(r, _) in self.u_cols.list(t) {
-            self.u_rows.remove(cast::idx(r), cast::idx32(t));
+            self.u_rows.remove(cast::idx(r), t32);
         }
         self.u_cols.clear(t);
-        // …and old row `t` from the column mirror.
+        // …and old row `t` from the column mirror: a column it leaves
+        // empty over a diagonal of 1.0 turns trivial.
         for &(s, _) in self.u_rows.list(t) {
-            self.u_cols.remove(cast::idx(s), cast::idx32(t));
+            let s_us = cast::idx(s);
+            self.u_cols.remove(s_us, t32);
+            if self.trivial_in_u(s_us) {
+                unlist(&mut self.u_steps, &self.pos, s);
+            }
         }
         self.u_rows.clear(t);
-        // Move `t` to the last position (everything after shifts left).
-        for p in old_pos..m - 1 {
-            let s = self.order[p + 1];
-            self.order[p] = s;
-            self.pos[cast::idx(s)] = cast::idx32(p);
-        }
-        self.order[m - 1] = cast::idx32(t);
-        self.pos[t] = cast::idx32(m - 1);
+        // Move `t` past every other step.
+        self.pos[t] = cast::idx32(m + self.updates);
         // Record the row eta and insert the spike as the new column `t`.
         if self.eta_data.len() > eta_base {
             self.eta_target.push(cast::idx32(t));
@@ -755,6 +981,11 @@ impl FtFactors {
             inserted += 1;
         }
         self.diag[t] = d_t;
+        if !self.trivial_in_u(t) {
+            self.u_steps.push(t32);
+        }
+        #[cfg(debug_assertions)]
+        self.check_step_lists();
         self.updates += 1;
         Ok(inserted)
     }
@@ -789,6 +1020,7 @@ impl FtFactors {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Multiplies `B z` given the basis columns (slot-indexed `z`).
     fn mul(columns: &[Vec<(usize, f64)>], z: &[f64]) -> Vec<f64> {
@@ -810,8 +1042,8 @@ mod tests {
             .collect()
     }
 
-    fn factorize(columns: &[Vec<(usize, f64)>]) -> Option<LuFactors> {
-        LuFactors::factorize(columns.len(), |j| columns[j].iter().copied(), 1e-12)
+    fn factorize(columns: &[Vec<(usize, f64)>]) -> Option<FtFactors> {
+        FtFactors::factorize(columns.len(), |j| columns[j].iter().copied(), 1e-12)
     }
 
     fn assert_close(a: &[f64], b: &[f64]) {
@@ -821,7 +1053,7 @@ mod tests {
     }
 
     fn check_roundtrip(columns: &[Vec<(usize, f64)>], rhs: &[f64]) {
-        let mut ft = FtFactors::from_lu(factorize(columns).expect("nonsingular"));
+        let mut ft = factorize(columns).expect("nonsingular");
         let mut z = rhs.to_vec();
         ft.ftran(&mut z);
         assert_close(&mul(columns, &z), rhs);
@@ -908,7 +1140,7 @@ mod tests {
             vec![(4, 1.0), (0, 0.5)],
         ];
         let m = cols.len();
-        let mut ft = FtFactors::from_lu(factorize(&cols).expect("nonsingular"));
+        let mut ft = factorize(&cols).expect("nonsingular");
         for slot in 0..m {
             let mut expected = vec![0.0; m];
             expected[slot] = 1.0;
@@ -991,8 +1223,7 @@ mod tests {
         let mut state = 0x9E3779B97F4A7C15u64;
         for trial in 0..5 {
             let mut columns = random_basis(m, &mut state);
-            let lu = factorize(&columns).expect("nonsingular");
-            let mut ft = FtFactors::from_lu(lu);
+            let mut ft = factorize(&columns).expect("nonsingular");
             for step in 0..40 {
                 let slot = (xorshift(&mut state) as usize) % m;
                 let new_col = random_column(m, slot, &mut state);
@@ -1067,8 +1298,7 @@ mod tests {
             vec![(1, 1.0), (2, 4.0)],
         ];
         let m = cols.len();
-        let lu = factorize(&cols).expect("nonsingular");
-        let mut ft = FtFactors::from_lu(lu);
+        let mut ft = factorize(&cols).expect("nonsingular");
         // Duplicate column 1 into slot 0.
         let mut w = scatter(m, &cols[1]);
         ft.ftran_entering(&mut w);
@@ -1093,7 +1323,7 @@ mod tests {
             vec![(1, 1.0), (2, 4.0)],
         ];
         let m = cols.len();
-        let mut ft = FtFactors::from_lu(factorize(&cols).expect("nonsingular"));
+        let mut ft = factorize(&cols).expect("nonsingular");
         let replacement = vec![(0, 1.0), (2, 2.0)];
         assert_eq!(ft.update(1), Err(FtReject::Unstaged), "fresh factors");
         let mut w = scatter(m, &replacement);
@@ -1131,5 +1361,513 @@ mod tests {
         cols.push(last);
         let rhs: Vec<f64> = (0..m).map(|i| (i as f64) - 2.0).collect();
         check_roundtrip(&cols, &rhs);
+    }
+
+    /// The elimination, packing and solves that the in-place
+    /// refactorization and the step lists replaced, kept as the oracle
+    /// they must match to the bit: elimination reads each column three
+    /// times and takes every step through the reach and the pivot scan,
+    /// and the solves sweep all `m` steps.
+    mod dense {
+        use super::super::*;
+
+        /// Factors of the basis `column(slot)` as a fresh elimination and
+        /// its packing built them; the step lists come from a scan, so
+        /// that the shared [`FtFactors::update`] runs on them too (the
+        /// dense solves ignore them).
+        // lint:allow(hot-path-index): test oracle; indices bounded by m as in the kernel it mirrors
+        pub(super) fn factorize<I: Iterator<Item = (usize, f64)>>(
+            m: usize,
+            column: impl Fn(usize) -> I,
+            pivot_tol: f64,
+        ) -> Option<FtFactors> {
+            let lens: Vec<usize> = (0..m).map(|j| column(j).count()).collect();
+            let mut next = vec![0usize; lens.iter().max().map_or(1, |&len| len + 2)];
+            for &len in &lens {
+                next[len + 1] += 1;
+            }
+            for len in 1..next.len() {
+                next[len] += next[len - 1];
+            }
+            let mut order = vec![0usize; m];
+            for (j, &len) in lens.iter().enumerate() {
+                order[next[len]] = j;
+                next[len] += 1;
+            }
+            let mut pivot_row = Vec::with_capacity(m);
+            let mut slot_of_step = Vec::with_capacity(m);
+            let mut l = CscStore::new();
+            let mut u = Segments::default();
+            let mut u_diag = Vec::with_capacity(m);
+            let mut row_to_step = vec![usize::MAX; m];
+            let mut x = vec![0.0; m];
+            let mut live = vec![u32::MAX; m];
+            let mut step_seen = vec![u32::MAX; m];
+            let mut pattern: Vec<usize> = Vec::new();
+            let mut reach: Vec<usize> = Vec::new();
+            let mut stack: Vec<(usize, usize)> = Vec::new();
+            for (k, &slot) in order.iter().enumerate() {
+                let epoch = cast::idx32(k);
+                pattern.clear();
+                reach.clear();
+                for (r, v) in column(slot) {
+                    if live[r] != epoch {
+                        live[r] = epoch;
+                        x[r] = 0.0;
+                        pattern.push(r);
+                    }
+                    x[r] += v;
+                }
+                for (r0, _) in column(slot) {
+                    let t0 = row_to_step[r0];
+                    if t0 == usize::MAX || step_seen[t0] == epoch {
+                        continue;
+                    }
+                    step_seen[t0] = epoch;
+                    stack.push((t0, 0));
+                    while let Some(top) = stack.last_mut() {
+                        let (t, cursor) = *top;
+                        let mut child: Option<usize> = None;
+                        let mut new_cursor = cursor;
+                        for &r in l.column_rows(t).get(cursor..).unwrap_or_default() {
+                            new_cursor += 1;
+                            let t2 = row_to_step[cast::idx(r)];
+                            if t2 != usize::MAX && step_seen[t2] != epoch {
+                                child = Some(t2);
+                                break;
+                            }
+                        }
+                        top.1 = new_cursor;
+                        match child {
+                            Some(t2) => {
+                                step_seen[t2] = epoch;
+                                stack.push((t2, 0));
+                            }
+                            None => {
+                                reach.push(t);
+                                stack.pop();
+                            }
+                        }
+                    }
+                }
+                reach.sort_unstable();
+                for &t in &reach {
+                    let pr = pivot_row[t];
+                    let ut = if live[pr] == epoch { x[pr] } else { 0.0 };
+                    if ut == 0.0 {
+                        continue;
+                    }
+                    u.data.push((cast::idx32(t), ut));
+                    for (r, lv) in l.column(t) {
+                        if live[r] != epoch {
+                            live[r] = epoch;
+                            x[r] = 0.0;
+                            pattern.push(r);
+                        }
+                        x[r] -= lv * ut;
+                    }
+                }
+                let mut best_row = usize::MAX;
+                let mut best = pivot_tol;
+                for &r in &pattern {
+                    if row_to_step[r] == usize::MAX {
+                        let a = x[r].abs();
+                        if a > best {
+                            best = a;
+                            best_row = r;
+                        }
+                    }
+                }
+                if best_row == usize::MAX {
+                    return None;
+                }
+                let diag = x[best_row];
+                row_to_step[best_row] = k;
+                pivot_row.push(best_row);
+                slot_of_step.push(slot);
+                u_diag.push(diag);
+                for &r in &pattern {
+                    if row_to_step[r] == usize::MAX && x[r] != 0.0 {
+                        l.push_entry(r, x[r] / diag);
+                    }
+                }
+                l.finish_column();
+                u.finish_list();
+            }
+            let mut step_of_slot = vec![0usize; m];
+            for (k, &slot) in slot_of_step.iter().enumerate() {
+                step_of_slot[slot] = k;
+            }
+            // The packing: the column lists as factored, the row mirror a
+            // counting sort in ascending column order.
+            let mut u_rows = Segments {
+                spans: vec![(0, 0, 0); m],
+                data: vec![(0, 0.0); u.nnz],
+                nnz: u.nnz,
+            };
+            for &(t, _) in &u.data {
+                u_rows.spans[cast::idx(t)].2 += 1;
+            }
+            let mut next = 0;
+            for span in &mut u_rows.spans {
+                span.0 = next;
+                next += span.2;
+            }
+            for k in 0..m {
+                for &(t, uv) in u.list(k) {
+                    let (start, len, _) = u_rows.spans[cast::idx(t)];
+                    u_rows.data[cast::idx(start + len)] = (cast::idx32(k), uv);
+                    u_rows.spans[cast::idx(t)].1 += 1;
+                }
+            }
+            let mut f = FtFactors::with_dim(m);
+            f.base_nnz = l.nnz() + u.nnz + m;
+            f.pivot_row = pivot_row;
+            f.slot_of_step = slot_of_step;
+            f.step_of_slot = step_of_slot;
+            f.l = l;
+            f.u_cols = u;
+            f.u_rows = u_rows;
+            f.diag = u_diag;
+            f.pos = (0..cast::idx32(m)).collect();
+            f.eta_start = vec![0];
+            f.scratch = vec![0.0; m];
+            f.spike = vec![0.0; m];
+            f.spike_mark = vec![u32::MAX; m];
+            #[cfg(debug_assertions)]
+            {
+                f.staged_w = vec![0.0; m];
+            }
+            f.roww = vec![0.0; m];
+            f.roww_mark = vec![u32::MAX; m];
+            f.l_steps = (0..m)
+                .filter(|&k| f.l.column_len(k) > 0)
+                .map(cast::idx32)
+                .collect();
+            f.u_steps = (0..m)
+                .filter(|&k| !f.trivial_in_u(k))
+                .map(cast::idx32)
+                .collect();
+            f.moved = (0..m)
+                .filter(|&k| f.slot_of_step[k] != f.pivot_row[k])
+                .map(cast::idx32)
+                .collect();
+            Some(f)
+        }
+
+        impl FtFactors {
+            /// Every step, in ascending position stamps.
+            fn position_order(&self) -> Vec<usize> {
+                let mut order: Vec<usize> = (0..self.m).collect();
+                order.sort_by_key(|&k| self.pos[k]);
+                order
+            }
+
+            /// FTRAN sweeping every step; with `stage`, stages the spike
+            /// as [`FtFactors::ftran_entering`] does.
+            // lint:allow(hot-path-index): test oracle over m-length permutation arrays
+            pub(super) fn dense_ftran(&mut self, v: &mut [f64], stage: bool) {
+                let m = self.m;
+                for k in 0..m {
+                    let t = v[self.pivot_row[k]];
+                    if t != 0.0 {
+                        for (r, lv) in self.l.column(k) {
+                            v[r] -= lv * t;
+                        }
+                    }
+                }
+                for (e, &target) in self.eta_target.iter().enumerate() {
+                    let tr = self.pivot_row[cast::idx(target)];
+                    let mut s = v[tr];
+                    for &(src, mu) in &self.eta_data[self.eta_start[e]..self.eta_start[e + 1]] {
+                        s -= mu * v[self.pivot_row[cast::idx(src)]];
+                    }
+                    v[tr] = s;
+                }
+                if stage {
+                    self.epoch = self.epoch.wrapping_add(1);
+                    self.spike_pat.clear();
+                    for k in 0..m {
+                        let val = v[self.pivot_row[k]];
+                        if val != 0.0 {
+                            self.spike_mark[k] = self.epoch;
+                            self.spike[k] = val;
+                            self.spike_pat.push(cast::idx32(k));
+                        }
+                    }
+                    self.staged = true;
+                }
+                for &k in self.position_order().iter().rev() {
+                    let pr = self.pivot_row[k];
+                    let z = v[pr] / self.diag[k];
+                    v[pr] = z;
+                    if z != 0.0 {
+                        for &(r, uv) in self.u_cols.list(k) {
+                            v[self.pivot_row[cast::idx(r)]] -= uv * z;
+                        }
+                    }
+                }
+                for k in 0..m {
+                    self.scratch[self.slot_of_step[k]] = v[self.pivot_row[k]];
+                }
+                v.copy_from_slice(&self.scratch);
+                #[cfg(debug_assertions)]
+                if stage {
+                    self.staged_w.copy_from_slice(v);
+                }
+            }
+
+            /// BTRAN sweeping every step.
+            // lint:allow(hot-path-index): test oracle over m-length permutation arrays
+            pub(super) fn dense_btran(&mut self, v: &mut [f64]) {
+                for k in 0..self.m {
+                    self.scratch[k] = v[self.slot_of_step[k]];
+                }
+                self.dense_btran_steps(v, 0);
+            }
+
+            /// Unit BTRAN sweeping every step from the slot's position.
+            pub(super) fn dense_btran_unit(&mut self, slot: usize, v: &mut [f64]) {
+                let t0 = self.step_of_slot[slot];
+                let p0 = self
+                    .position_order()
+                    .iter()
+                    .position(|&k| k == t0)
+                    .unwrap_or(0);
+                self.scratch.fill(0.0);
+                self.scratch[t0] = 1.0;
+                self.dense_btran_steps(v, p0);
+            }
+
+            // lint:allow(hot-path-index): test oracle over m-length permutation arrays
+            fn dense_btran_steps(&mut self, v: &mut [f64], p_start: usize) {
+                let m = self.m;
+                let order = self.position_order();
+                let scratch = &mut self.scratch[..];
+                for &k in &order[p_start..] {
+                    let mut s = scratch[k];
+                    for &(t, uv) in self.u_cols.list(k) {
+                        s -= uv * scratch[cast::idx(t)];
+                    }
+                    scratch[k] = s / self.diag[k];
+                }
+                for (e, &target) in self.eta_target.iter().enumerate().rev() {
+                    let zt = scratch[cast::idx(target)];
+                    if zt != 0.0 {
+                        for &(src, mu) in &self.eta_data[self.eta_start[e]..self.eta_start[e + 1]] {
+                            scratch[cast::idx(src)] -= mu * zt;
+                        }
+                    }
+                }
+                for k in (0..m).rev() {
+                    let mut s = scratch[k];
+                    for (r, lv) in self.l.column(k) {
+                        s -= lv * v[r];
+                    }
+                    v[self.pivot_row[k]] = s;
+                }
+            }
+        }
+    }
+
+    fn assert_bits(got: &[f64], want: &[f64], what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}: {got:?} vs {want:?}");
+    }
+
+    /// Asserts two sets of factors equal to the bit, list by list (arena
+    /// layouts may differ: only the lists are the factors).
+    fn assert_same_factors(a: &FtFactors, b: &FtFactors, what: &str) {
+        let lists = |s: &Segments, m: usize| {
+            (0..m)
+                .map(|k| s.list(k).iter().map(|&(i, x)| (i, x.to_bits())).collect())
+                .collect::<Vec<Vec<_>>>()
+        };
+        let l_cols = |f: &FtFactors| {
+            (0..f.m)
+                .map(|k| f.l.column(k).map(|(r, x)| (r, x.to_bits())).collect())
+                .collect::<Vec<Vec<_>>>()
+        };
+        let etas = |f: &FtFactors| {
+            let data: Vec<_> = f.eta_data.iter().map(|&(s, x)| (s, x.to_bits())).collect();
+            (f.eta_target.clone(), f.eta_start.clone(), data)
+        };
+        assert_eq!(a.m, b.m, "{what}: dimension");
+        assert_eq!(a.pivot_row, b.pivot_row, "{what}: pivot rows");
+        assert_eq!(a.slot_of_step, b.slot_of_step, "{what}: slots");
+        assert_eq!(a.step_of_slot, b.step_of_slot, "{what}: steps");
+        assert_eq!(l_cols(a), l_cols(b), "{what}: L");
+        assert_eq!(
+            lists(&a.u_cols, a.m),
+            lists(&b.u_cols, b.m),
+            "{what}: U columns"
+        );
+        assert_eq!(
+            lists(&a.u_rows, a.m),
+            lists(&b.u_rows, b.m),
+            "{what}: U rows"
+        );
+        assert_eq!((a.u_cols.nnz, a.u_rows.nnz), (b.u_cols.nnz, b.u_rows.nnz));
+        assert_bits(&a.diag, &b.diag, what);
+        assert_eq!(a.pos, b.pos, "{what}: ordering");
+        assert_eq!(
+            (&a.l_steps, &a.u_steps),
+            (&b.l_steps, &b.u_steps),
+            "{what}: step lists"
+        );
+        assert_eq!(a.moved, b.moved, "{what}: moved steps");
+        assert_eq!(etas(a), etas(b), "{what}: etas");
+        assert_eq!(
+            (a.base_nnz, a.updates),
+            (b.base_nnz, b.updates),
+            "{what}: counts"
+        );
+        assert_eq!(a.staged, b.staged, "{what}: stage");
+        a.check_step_lists();
+    }
+
+    /// A basis column of a slack-heavy basis: with probability
+    /// `unit_share` a slack or artificial (one entry of 1.0, −1 or now
+    /// and then another value; rarely on another slot's row, which can
+    /// make the basis singular), otherwise a structural column on the
+    /// slot's row, its entry there −1, 1.0 or another value, with a few
+    /// off-diagonals and now and then a duplicate entry.
+    fn oracle_column(m: usize, slot: usize, unit_share: f64, state: &mut u64) -> Vec<(usize, f64)> {
+        if rand_unit(state) < unit_share {
+            let value = match xorshift(state) % 8 {
+                0..=4 => 1.0,
+                5 | 6 => -1.0,
+                _ => 0.5 + 2.0 * rand_unit(state),
+            };
+            let row = if xorshift(state).is_multiple_of(64) {
+                (xorshift(state) as usize) % m
+            } else {
+                slot
+            };
+            return vec![(row, value)];
+        }
+        let diag = match xorshift(state) % 3 {
+            0 => -1.0,
+            1 => 1.0,
+            _ => 0.5 + 2.0 * rand_unit(state),
+        };
+        let mut col = vec![(slot, diag)];
+        for _ in 0..1 + xorshift(state) % 3 {
+            let r = (xorshift(state) as usize) % m;
+            if col.iter().all(|&(cr, _)| cr != r) {
+                col.push((r, 2.0 * rand_unit(state) - 1.0));
+            }
+        }
+        if xorshift(state).is_multiple_of(8) {
+            col.push((slot, 0.25));
+        }
+        col
+    }
+
+    /// A right-hand side with exact zeros of both signs among its entries.
+    fn oracle_rhs(m: usize, state: &mut u64) -> Vec<f64> {
+        (0..m)
+            .map(|_| match xorshift(state) % 10 {
+                0..=3 => 0.0,
+                4 => -0.0,
+                5 => -1.0,
+                _ => 4.0 * rand_unit(state) - 2.0,
+            })
+            .collect()
+    }
+
+    /// One oracle case: a random slack-heavy basis factorized in place
+    /// and by the oracle, then a sequence of solves, staged and unstaged
+    /// updates (some refused, each refusal followed by a refactorization)
+    /// and periodic refactorizations, every result and every set of
+    /// factors compared to the bit.
+    fn oracle_case(seed: u64) {
+        let mut state = seed | 1;
+        let m = 4 + (xorshift(&mut state) % 21) as usize;
+        let unit_share = 0.5 + 0.3 * rand_unit(&mut state);
+        let mut columns: Vec<Vec<(usize, f64)>> = (0..m)
+            .map(|slot| oracle_column(m, slot, unit_share, &mut state))
+            .collect();
+        let tol = 1e-12;
+        // Refactorizing in place over the crash basis reuses its arenas.
+        let mut ft = FtFactors::diagonal(&vec![1.0; m]);
+        let factored = ft.refactorize(|j| columns[j].iter().copied(), tol);
+        let Some(mut oracle) = dense::factorize(m, |j| columns[j].iter().copied(), tol) else {
+            assert!(!factored, "the oracle finds the basis singular");
+            return;
+        };
+        assert!(factored, "the oracle factorizes the basis");
+        assert_same_factors(&ft, &oracle, "factorization");
+        for op in 0..48 {
+            let what = format!("seed {seed:#x} op {op}");
+            let rhs = oracle_rhs(m, &mut state);
+            let (mut got, mut want) = (rhs.clone(), rhs.clone());
+            ft.ftran(&mut got);
+            oracle.dense_ftran(&mut want, false);
+            assert_bits(&got, &want, &format!("{what}: ftran"));
+            let (mut got, mut want) = (rhs.clone(), rhs);
+            ft.btran(&mut got);
+            oracle.dense_btran(&mut want);
+            assert_bits(&got, &want, &format!("{what}: btran"));
+            let probe = (xorshift(&mut state) as usize) % m;
+            let (mut got, mut want) = (vec![f64::NAN; m], vec![f64::NAN; m]);
+            ft.btran_unit(probe, &mut got);
+            oracle.dense_btran_unit(probe, &mut want);
+            assert_bits(&got, &want, &format!("{what}: btran_unit"));
+
+            let slot = (xorshift(&mut state) as usize) % m;
+            let refused = if xorshift(&mut state).is_multiple_of(10) {
+                // Nothing staged: both refuse, the factors untouched.
+                assert_eq!(ft.update(slot), Err(FtReject::Unstaged));
+                assert_eq!(oracle.update(slot), Err(FtReject::Unstaged));
+                true
+            } else {
+                let new_col = match xorshift(&mut state) % 8 {
+                    // A copy of another basis column: singular, refused.
+                    0 => columns[(slot + 1) % m].clone(),
+                    1..=3 => oracle_column(m, slot, 1.0, &mut state),
+                    _ => oracle_column(m, slot, 0.0, &mut state),
+                };
+                let mut got = scatter(m, &new_col);
+                let mut want = got.clone();
+                ft.ftran_entering(&mut got);
+                oracle.dense_ftran(&mut want, true);
+                assert_bits(&got, &want, &format!("{what}: ftran_entering"));
+                let stage = |f: &FtFactors| {
+                    let spike = f.spike_pat.iter().map(|&k| f.spike[cast::idx(k)].to_bits());
+                    (f.spike_pat.clone(), spike.collect::<Vec<_>>(), f.staged)
+                };
+                assert_eq!(stage(&ft), stage(&oracle), "{what}: staged spike");
+                let outcome = ft.update(slot);
+                assert_eq!(outcome, oracle.update(slot), "{what}: update");
+                if outcome.is_ok() {
+                    columns[slot] = new_col;
+                }
+                outcome.is_err()
+            };
+            assert_same_factors(&ft, &oracle, &what);
+            if refused || op % 16 == 15 {
+                let factored = ft.refactorize(|j| columns[j].iter().copied(), tol);
+                let Some(fresh) = dense::factorize(m, |j| columns[j].iter().copied(), tol) else {
+                    assert!(!factored, "{what}: the oracle finds the basis singular");
+                    return;
+                };
+                assert!(factored, "{what}: the oracle refactorizes the basis");
+                oracle = fresh;
+                assert_same_factors(&ft, &oracle, &format!("{what}: refactorization"));
+            }
+        }
+    }
+
+    // Every solve, stage and set of factors of the step-list solves and
+    // the in-place refactorization equals the dense oracle's to the bit,
+    // signed zeros included, on slack-heavy bases.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn step_lists_and_in_place_refactors_match_the_dense_oracle(seed in 0u64..1 << 48) {
+            oracle_case(seed);
+        }
     }
 }

@@ -219,7 +219,7 @@ impl Simplex<'_> {
             self.set_nonbasic(j, self.rests_on_upper(j));
             if !self.x[j].is_finite() {
                 // A free column without a cost is dual feasible at zero.
-                self.x[j] = 0.0;
+                self.set_x(j, 0.0);
                 continue;
             }
             if self.cold_dual_perturb && self.lower[j] < self.upper[j] {
@@ -646,7 +646,7 @@ impl Simplex<'_> {
         for (xb, &w) in self.xb.iter_mut().zip(&self.w) {
             *xb -= delta * w;
         }
-        self.x[leaving] = target;
+        self.set_x(leaving, target);
         self.at_upper[leaving] = to_upper;
         self.position[leaving] = usize::MAX;
         self.enter_row(row, q, self.x[q] + delta);

@@ -8,7 +8,7 @@ use super::{
     AUTO_PARTIAL_MIN_COLS, REFACTOR_INTERVAL,
 };
 use crate::cast;
-use crate::lu::{FtFactors, LuFactors};
+use crate::lu::FtFactors;
 use crate::standard::StandardForm;
 use crate::tol;
 
@@ -72,8 +72,12 @@ pub struct Simplex<'a> {
     /// Basis factorization: sparse LU under Forrest–Tomlin updates.
     pub(super) repr: FtFactors,
     /// Current value of every nonbasic variable (a basic one's entry is
-    /// stale: its value is kept by row, in `xb`).
+    /// stale: its value is kept by row, in `xb`). Written through
+    /// [`set_x`](Self::set_x) alone, which keeps `nonzero_x`.
     pub(super) x: Vec<f64>,
+    /// One bit per column: set while `x[j] != 0.0`. The basic values'
+    /// right-hand side `b − N·x_N` walks only these columns.
+    nonzero_x: Vec<u64>,
     /// Value of each row's basic variable.
     pub(super) xb: Vec<f64>,
     /// Bounds of each row's basic variable, mirrored from `lower` and
@@ -155,6 +159,10 @@ pub struct Simplex<'a> {
     pub(super) held: bool,
     /// Warm solves that took the held install, over the engine's life.
     pub(super) held_installs: usize,
+    /// Refactorizations over the engine's life, for the basic-value
+    /// oracle.
+    #[cfg(debug_assertions)]
+    refactors_seen: usize,
     /// Test hook: the next this many dual pivots find their FTRAN
     /// pivot element off from the α-row, as representation drift would
     /// leave it.
@@ -193,6 +201,7 @@ impl<'a> Simplex<'a> {
             position: vec![usize::MAX; total],
             repr: FtFactors::diagonal(&vec![1.0; m]),
             x: vec![0.0; total],
+            nonzero_x: vec![0; total.div_ceil(64)],
             xb: vec![0.0; m],
             lb: vec![0.0; m],
             ub: vec![0.0; m],
@@ -229,6 +238,8 @@ impl<'a> Simplex<'a> {
             cold_dual_perturb: true,
             held: false,
             held_installs: 0,
+            #[cfg(debug_assertions)]
+            refactors_seen: 0,
             #[cfg(test)]
             inject_drift: 0,
         }
@@ -384,6 +395,7 @@ impl<'a> Simplex<'a> {
         self.costs.fill(0.0);
         self.art_sign.fill(1.0);
         self.x.fill(0.0);
+        self.nonzero_x.fill(0);
         self.at_upper.fill(false);
         self.reset_counters();
     }
@@ -422,7 +434,9 @@ impl<'a> Simplex<'a> {
             self.costs[..n0] == self.sf.costs[..] && self.costs[n0..].iter().all(|&c| c == 0.0)
         );
         self.art_sign.fill(1.0);
-        self.x[n0..].fill(0.0);
+        for j in n0..n0 + self.m {
+            self.set_x(j, 0.0);
+        }
         self.at_upper[n0..].fill(false);
         self.reset_counters();
         self.held_installs += 1;
@@ -485,7 +499,7 @@ impl<'a> Simplex<'a> {
             let art = self.n0 + j;
             self.costs[art] = 0.0;
             match self.position[art] {
-                usize::MAX => self.x[art] = 0.0,
+                usize::MAX => self.set_x(art, 0.0),
                 row => self.xb[row] = 0.0,
             }
         }
@@ -519,7 +533,7 @@ impl<'a> Simplex<'a> {
             if !v.is_finite() {
                 return self.finish(LpStatus::Unbounded);
             }
-            self.x[j] = v;
+            self.set_x(j, v);
         }
         self.costs[..self.n0].copy_from_slice(&self.sf.costs);
         self.finish(LpStatus::Optimal)
@@ -587,7 +601,7 @@ impl<'a> Simplex<'a> {
                 // feasible, and phase 1 has nothing to do here.
                 self.art_sign[i] = 1.0;
                 self.position[art] = usize::MAX;
-                self.x[art] = 0.0;
+                self.set_x(art, 0.0);
                 self.enter_row(i, slack, resid);
             } else {
                 let sign = if r[i] >= 0.0 { 1.0 } else { -1.0 };
@@ -597,14 +611,25 @@ impl<'a> Simplex<'a> {
             }
         }
         // B = diag(signs), so B⁻¹ = diag(signs).
-        self.repr = FtFactors::diagonal(&signs);
+        self.repr.reset_diagonal(&signs);
     }
 
     /// Puts nonbasic column `j` on its upper bound when `upper`, else on
     /// its lower one.
     pub(super) fn set_nonbasic(&mut self, j: usize, upper: bool) {
         self.at_upper[j] = upper;
-        self.x[j] = if upper { self.upper[j] } else { self.lower[j] };
+        self.set_x(j, if upper { self.upper[j] } else { self.lower[j] });
+    }
+
+    /// Sets `x[j]`, filing column `j` in [`nonzero_x`](Self::nonzero_x).
+    pub(super) fn set_x(&mut self, j: usize, value: f64) {
+        self.x[j] = value;
+        let bit = 1 << (j % 64);
+        if value != 0.0 {
+            self.nonzero_x[j / 64] |= bit;
+        } else {
+            self.nonzero_x[j / 64] &= !bit;
+        }
     }
 
     /// Rests nonbasic column `j` on a finite bound — the upper one when
@@ -613,7 +638,7 @@ impl<'a> Simplex<'a> {
         let upper = self.upper[j].is_finite() && (prefer_upper || !self.lower[j].is_finite());
         self.set_nonbasic(j, upper);
         if !self.x[j].is_finite() {
-            self.x[j] = 0.0;
+            self.set_x(j, 0.0);
         }
     }
 
@@ -752,20 +777,11 @@ impl<'a> Simplex<'a> {
     #[doc(hidden)]
     pub fn fresh_duals(&self) -> Option<Vec<f64>> {
         let mut y: Vec<f64> = self.basis.iter().map(|&b| self.costs[b]).collect();
-        FtFactors::from_lu(self.factor_basis()?).btran(&mut y);
-        Some(y)
-    }
-
-    /// A fresh LU factorization of the current basis columns; `None` when
-    /// the basis is numerically singular.
-    fn factor_basis(&self) -> Option<LuFactors> {
         let (sf, basis) = (self.sf, &self.basis);
         let (unit_rows, art_sign) = (&self.unit_rows, &self.art_sign);
-        LuFactors::factorize(
-            self.m,
-            |slot| column_of(sf, unit_rows, art_sign, basis[slot]),
-            tol::DROP,
-        )
+        let column = |slot: usize| column_of(sf, unit_rows, art_sign, basis[slot]);
+        FtFactors::factorize(self.m, column, tol::DROP)?.btran(&mut y);
+        Some(y)
     }
 
     /// Replaces column `row` of the factors by the entering column staged
@@ -785,25 +801,87 @@ impl<'a> Simplex<'a> {
         self.y_valid = false;
     }
 
-    /// Rebuilds the basis representation from the current basis columns
-    /// and recomputes basic values from the nonbasic assignment.
+    /// Rebuilds the basis representation, in place, from the current
+    /// basis columns and recomputes basic values from the nonbasic
+    /// assignment.
     ///
     /// Returns false when the basis is numerically singular (the old
     /// representation is kept so the caller can decide how to recover).
     // lint:allow(hot-path-index): rebuilds basis columns; slots and rows bounded by m
     pub(super) fn refactor(&mut self) -> bool {
         self.pivots_since_refactor = 0;
-        let Some(lu) = self.factor_basis() else {
+        let (sf, basis) = (self.sf, &self.basis);
+        let (unit_rows, art_sign) = (&self.unit_rows, &self.art_sign);
+        let column = |slot: usize| column_of(sf, unit_rows, art_sign, basis[slot]);
+        if !self.repr.refactorize(column, tol::DROP) {
             return false;
-        };
-        self.repr = FtFactors::from_lu(lu);
+        }
         self.refactorizations += 1;
         // Recompute x_B = B⁻¹ (b − N x_N); the direction buffer is free
-        // between pivots. Structural and slack columns first, then the
-        // artificials' one entries, each in column order.
+        // between pivots. The nonbasic columns with a nonzero value, in
+        // ascending column order: structural and slack columns, then the
+        // artificials' one entries.
         let n0 = self.n0;
         let mut r = std::mem::take(&mut self.w);
         r.copy_from_slice(&self.sf.rhs);
+        for (word, &bits) in self.nonzero_x.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                let j = 64 * word + cast::idx(bits.trailing_zeros());
+                bits &= bits - 1;
+                if self.position[j] != usize::MAX {
+                    continue;
+                }
+                let xj = self.x[j];
+                match j.checked_sub(n0) {
+                    None => {
+                        let (rows, values) = self.sf.matrix.column_slices(j);
+                        for (&row, &v) in rows.iter().zip(values) {
+                            r[cast::idx(row)] -= v * xj;
+                        }
+                    }
+                    Some(i) => r[i] -= self.art_sign[i] * xj,
+                }
+            }
+        }
+        self.repr.ftran(&mut r);
+        self.xb.copy_from_slice(&r);
+        for (i, &b) in self.basis.iter().enumerate() {
+            self.lb[i] = self.lower[b];
+            self.ub[i] = self.upper[b];
+        }
+        self.w = r;
+        #[cfg(debug_assertions)]
+        {
+            self.refactors_seen += 1;
+            if self.refactors_seen.is_multiple_of(16) {
+                self.check_basic_values();
+            }
+        }
+        // The rebuilt representation supersedes whatever incremental
+        // drift the maintained reduced costs accumulated against the old
+        // one; force a refresh at the next pricing step. The repair's
+        // dual steps restart from a BTRAN on the new factors too.
+        self.d_valid = false;
+        self.y_valid = false;
+        true
+    }
+
+    /// Basic-value oracle: `nonzero_x` must hold exactly the columns with
+    /// `x[j] != 0.0`, and `x_B` must equal, to the bit, the solve of the
+    /// right-hand side summed over every nonbasic column in column order.
+    #[cfg(any(test, debug_assertions))]
+    // lint:allow(hot-path-index): oracle walk; `nonzero_x` has a bit and the matrix a row in range for every column
+    pub(super) fn check_basic_values(&mut self) {
+        for (j, &xj) in self.x.iter().enumerate() {
+            assert_eq!(
+                self.nonzero_x[j / 64] >> (j % 64) & 1 == 1,
+                xj != 0.0,
+                "nonzero_x misfiles column {j} at {xj}"
+            );
+        }
+        let mut r = self.sf.rhs.clone();
+        let n0 = self.n0;
         let nonbasic = self.x[..n0].iter().zip(&self.position[..n0]);
         for (j, (&xj, &pos)) in nonbasic.enumerate() {
             if pos == usize::MAX && xj != 0.0 {
@@ -820,19 +898,14 @@ impl<'a> Simplex<'a> {
             }
         }
         self.repr.ftran(&mut r);
-        self.xb.copy_from_slice(&r);
-        for (i, &b) in self.basis.iter().enumerate() {
-            self.lb[i] = self.lower[b];
-            self.ub[i] = self.upper[b];
-        }
-        self.w = r;
-        // The rebuilt representation supersedes whatever incremental
-        // drift the maintained reduced costs accumulated against the old
-        // one; force a refresh at the next pricing step. The repair's
-        // dual steps restart from a BTRAN on the new factors too.
-        self.d_valid = false;
-        self.y_valid = false;
-        true
+        let same = r
+            .iter()
+            .zip(&self.xb)
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(
+            same,
+            "x_B over the nonzero columns differs from the full walk's"
+        );
     }
 }
 

@@ -9,6 +9,11 @@
 //! Along the way the `live` bits and the basic bounds kept by row must
 //! match the bounds they mirror.
 //!
+//! The basic values a refactorization sums over the columns with a
+//! nonzero value are held to the full column walk the same way
+//! ([`Simplex::check_basic_values`], which builds with debug assertions
+//! also run on every 16th refactorization).
+//!
 //! The dive's bookkeeping has its oracle in the crate's `oracles` module.
 
 // Repeats the declaration's attribute so that the file reads as test
@@ -156,11 +161,54 @@ fn check_dive(seed: u64, partial: bool) {
     }
 }
 
+/// Along a dive of re-solves on one engine, refactorizing every few
+/// pivots, the basic values a refactorization computes from the columns
+/// `nonzero_x` holds equal the full walk's to the bit, and `nonzero_x`
+/// holds exactly the columns with a nonzero value — whichever start
+/// (cold primal, dual-first cold, warm, held) wrote them.
+fn check_basic_values(seed: u64, rule: DualRule) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let sf = StandardForm::from_model(&random_lp(&mut rng));
+    let mut engine = Simplex::new(&sf, SimplexConfig::default());
+    engine.set_refactor_interval(rng.gen_range(1..4));
+    engine.set_cold_dual_gate(0, rng.gen_bool(0.5));
+    let (mut lo, mut up) = (sf.lower.clone(), sf.upper.clone());
+    // Widened to `[−u, u]`, a column can rest at a negative value.
+    for j in 0..sf.num_structural {
+        if rng.gen_bool(0.3) {
+            lo[j] = -up[j];
+        }
+    }
+    let mut warm = None;
+    for _ in 0..5 {
+        let r = engine.solve(&lo, &up, warm.as_ref(), rule);
+        if engine.refactor() {
+            engine.check_basic_values();
+        }
+        if r.status != LpStatus::Optimal {
+            break;
+        }
+        for j in 0..sf.num_structural {
+            if rng.gen_bool(0.3) {
+                let v = r.values[j].round().clamp(lo[j], up[j]);
+                (lo[j], up[j]) = (v, v);
+            }
+        }
+        warm = r.basis;
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn live_refresh_matches_the_full_scan(seed in 0u64..u64::MAX, partial in 0u8..2) {
         check_dive(seed, partial == 1);
+    }
+
+    #[test]
+    fn basic_values_match_the_full_walk(seed in 0u64..u64::MAX, long_step in 0u8..2) {
+        let rule = if long_step == 1 { DualRule::LongStep } else { DualRule::Repair };
+        check_basic_values(seed, rule);
     }
 }

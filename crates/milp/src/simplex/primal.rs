@@ -161,11 +161,12 @@ impl Simplex<'_> {
         };
         let leaving = self.basis[row];
         // Snap the leaving variable exactly onto the bound it hit.
-        self.x[leaving] = if to_upper {
+        let bound = if to_upper {
             self.upper[leaving]
         } else {
             self.lower[leaving]
         };
+        self.set_x(leaving, bound);
         self.at_upper[leaving] = to_upper;
         self.position[leaving] = usize::MAX;
         // Entering variable's new value.

@@ -175,16 +175,11 @@ impl CscStore {
         }
     }
 
-    /// An empty store with reserved space for `cols` columns and `nnz`
-    /// entries.
-    pub fn with_capacity(cols: usize, nnz: usize) -> Self {
-        let mut col_starts = Vec::with_capacity(cols + 1);
-        col_starts.push(0);
-        Self {
-            col_starts,
-            row_idx: Vec::with_capacity(nnz),
-            values: Vec::with_capacity(nnz),
-        }
+    /// Drops every column, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.col_starts.truncate(1);
+        self.row_idx.clear();
+        self.values.clear();
     }
 
     /// Appends one entry to the open (not yet finished) column.

@@ -20,7 +20,7 @@ mod support;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ras_milp::lu::{FtFactors, LuFactors};
+use ras_milp::lu::FtFactors;
 use ras_milp::simplex::{
     solve_lp, solve_lp_warm, DualRule, LpResult, LpStatus, Simplex, SimplexConfig,
 };
@@ -124,9 +124,9 @@ struct EtaFile {
 }
 
 impl EtaFile {
-    fn new(lu: LuFactors) -> Self {
+    fn new(lu: FtFactors) -> Self {
         Self {
-            lu: FtFactors::from_lu(lu),
+            lu,
             etas: Vec::new(),
         }
     }
@@ -170,7 +170,7 @@ fn dense_from_cols(m: usize, cols: &[Vec<(usize, f64)>]) -> Vec<Vec<f64>> {
     let mut b = vec![vec![0.0; m]; m];
     for (j, col) in cols.iter().enumerate() {
         for &(r, v) in col {
-            // Sum duplicates, matching `LuFactors::factorize`.
+            // Sum duplicates, matching `FtFactors::factorize`.
             b[r][j] += v;
         }
     }
@@ -220,8 +220,8 @@ fn ft_residuals_stay_bounded_where_eta_file_degrades() {
     // Well-conditioned sparse start: dominant diagonal + off-diagonals.
     let mut cols: Vec<Vec<(usize, f64)>> = (0..m).map(|j| good_col(m, j, &mut rng)).collect();
     let factorize =
-        |cols: &[Vec<(usize, f64)>]| LuFactors::factorize(m, |j| cols[j].iter().copied(), 1e-12);
-    let mut ft = FtFactors::from_lu(factorize(&cols).expect("ft copy"));
+        |cols: &[Vec<(usize, f64)>]| FtFactors::factorize(m, |j| cols[j].iter().copied(), 1e-12);
+    let mut ft = factorize(&cols).expect("ft copy");
     let mut eta = EtaFile::new(factorize(&cols).expect("start basis factorizes"));
 
     let mut ft_updates = 0usize;
@@ -257,7 +257,8 @@ fn ft_residuals_stay_bounded_where_eta_file_degrades() {
                 // An FT rejection triggers an accuracy refactorization
                 // in the engine; mirror that here.
                 ft_rejections += 1;
-                ft = FtFactors::from_lu(factorize(&cols).expect("replacement basis factorizes"));
+                let refactored = ft.refactorize(|j| cols[j].iter().copied(), 1e-12);
+                assert!(refactored, "replacement basis factorizes");
             }
         }
     }
