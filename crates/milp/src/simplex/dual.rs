@@ -107,11 +107,10 @@ impl Simplex<'_> {
     /// [`run_cold_dual`]) and, if so, returns the structural columns
     /// that need an implied bound to rest on, with that bound. The
     /// attempt is made (the long step's cold solves only) when the LP is
-    /// one the pricing size rule calls large, every structural column has a
-    /// finite bound on the side its cost pushes toward — its own, or
-    /// for a free column one its rows imply — and at least one of them
-    /// is an upper bound with room below it: the model rewards a current
-    /// assignment, so the start is that plan and not the empty one.
+    /// one the pricing size rule calls large and every structural column
+    /// with a cost has a finite bound on the side that cost pushes toward
+    /// — its own, or for a free column one its rows imply — whether the
+    /// start is a running plan or the empty one.
     ///
     /// [`run_cold_dual`]: Self::run_cold_dual
     // lint:allow(hot-path-index): start-up pass; columns bounded by n
@@ -120,18 +119,18 @@ impl Simplex<'_> {
             return None;
         }
         let mut implied = Vec::new();
-        let mut stays = false;
         for j in 0..self.n0 - self.m {
             let c = self.sf.costs[j];
-            let (lo, up) = (self.lower[j], self.upper[j]);
-            let rest = if self.rests_on_upper(j) { up } else { lo };
-            if rest.is_finite() {
-                stays |= c < 0.0 && lo < up;
-            } else if c != 0.0 {
+            let rest = if self.rests_on_upper(j) {
+                self.upper[j]
+            } else {
+                self.lower[j]
+            };
+            if c != 0.0 && !rest.is_finite() {
                 implied.push((j, self.implied_bound(j, c > 0.0)?));
             }
         }
-        stays.then_some(implied)
+        Some(implied)
     }
 
     /// The bound structural column `j` rests on in the dual-first cold
@@ -189,9 +188,10 @@ impl Simplex<'_> {
     /// basis with every structural column on the bound its cost pushes
     /// toward is dual feasible (`y = 0`, `d = c`) and, in a model whose
     /// negative costs reward staying put, *is* the current assignment —
-    /// primal infeasible only in the rows the round's drift broke. The
-    /// long step repairs those; a primal cleanup on the true costs
-    /// and bounds certifies optimality. No phase 1 runs and no warm
+    /// primal infeasible only in the rows the round's drift broke (from
+    /// an empty region, the empty plan: every demand row). The long step
+    /// repairs those; a primal cleanup on the true costs and bounds
+    /// certifies optimality. No phase 1 runs and no warm
     /// basis was used. Returns `None` when the attempt stalls, runs out
     /// of its pivot budget or hits a singular refactorization: the
     /// caller resets and runs the primal two-phase solve.

@@ -277,9 +277,10 @@ impl<'a> Simplex<'a> {
     /// Solves under the given bounds (length `n + m`, as in
     /// [`solve_lp`]), from `warm` when it is usable and cold otherwise
     /// (see [`solve_lp_warm`]), the dual iteration running by `rule`.
-    /// Cold, the long step goes dual-first from the slack basis where
-    /// that pays; otherwise, and always under the repair, the primal
-    /// two-phase solve runs from the slack crash.
+    /// Cold, the long step goes dual-first from the slack basis on an LP
+    /// past the size gate, a running plan or none; below it, under the
+    /// repair and on the attempt's fallback, the primal two-phase solve
+    /// runs from the slack crash.
     ///
     /// [`solve_lp`]: super::solve_lp
     /// [`solve_lp_warm`]: super::solve_lp_warm

@@ -1,6 +1,6 @@
 //! Bounded-variable revised simplex: two-phase primal, plus one dual
 //! iteration, run by the rule each call site names, for warm re-solves
-//! and for cold solves that already have a plan to start from.
+//! and for large cold solves.
 //!
 //! The basis is held as a sparse LU factorization (see [`crate::lu`])
 //! maintained with Forrest–Tomlin updates ([`crate::lu::FtFactors`]),
@@ -32,15 +32,14 @@
 //! (negative cost on the "stay" columns, RAS Expression 1) that start
 //! *is* the plan already running, primal infeasible only in the rows the
 //! round's drift broke, and the dual simplex repairs it in a tenth of the
-//! pivots the primal needs to rebuild the plan from nothing. The attempt is made when both hold,
-//! each read off the LP and neither an option: some column with a
-//! negative cost actually rests on an upper bound with room below it
-//! (without one there is no plan to repair — the start is the empty
-//! region — and the primal crash stays round 0's solver), and the LP is
-//! one the pricing size rule already calls large, more than
+//! pivots the primal needs to rebuild the plan from nothing. From an
+//! empty region the start is the empty plan, and the same repair builds
+//! it (at paper scale in seconds, where the primal phase 1 runs into its
+//! iteration cap). The attempt is made, read off the LP and not an
+//! option, when the pricing size rule calls the LP large: more than
 //! [`AUTO_PARTIAL_MIN_COLS`] columns the model does not fix (smaller LPs
-//! solve in a couple of milliseconds either way, and moving them would
-//! re-roll plans for nothing). A free column with a cost rests, for the
+//! solve in milliseconds either way, and on some the dual start costs
+//! plan quality). A free column with a cost rests, for the
 //! dual phase, on the bound its own rows imply (the `max`-over-MSBs
 //! columns of the region model: `t ≥ Σ x ≥ 0`); if a column has no
 //! dual-feasible finite bound, own or implied, the attempt is skipped.

@@ -8,6 +8,12 @@
 //! larger — see EXPERIMENTS.md); the point is to catch the pathological
 //! regression where the dual path silently falls back to a cold start
 //! on the hot bound-patch loop.
+//!
+//! The cold reference is itself a dual solve: the LP is past the size
+//! gate, so `solve_lp` goes dual-first from the slack basis, with every
+//! column on its lower bound, and never runs primal phase 1 (asserted
+//! below). The bar therefore measures what the persisted basis saves
+//! over the same long step started from nothing.
 
 use std::time::Instant;
 
@@ -36,6 +42,9 @@ fn time_cold(sf: &StandardForm, lower: &[f64]) -> (f64, f64) {
     let r = solve_lp(sf, lower, &sf.upper.clone(), &cfg);
     let secs = start.elapsed().as_secs_f64();
     assert_eq!(r.status, LpStatus::Optimal, "cold solve must finish");
+    assert!(r.used_dual_simplex, "the cold reference goes dual-first");
+    assert!(!r.warm_basis_used);
+    assert_eq!(r.phase1_iterations, 0, "dual-first runs no phase 1");
     (secs, r.objective)
 }
 

@@ -1,12 +1,14 @@
 //! A solver restart costs what a warm round costs.
 //!
-//! A fresh `AsyncSolver` has no basis to start from, but the model it
-//! builds rewards every server for staying where it is, so the plan the
-//! region already runs is a dual-feasible start: the cold root LP goes
-//! dual-first from it (`ras::milp::simplex`, "Cold solves"), with no
-//! phase 1 and no warm basis. These tests pin that on a medium region
-//! where the model is past the size gate — and that round 0, which has no
-//! plan to start from, still takes the primal path.
+//! A fresh `AsyncSolver` has no basis to start from, but every structural
+//! column resting on the bound its cost pushes toward is a dual-feasible
+//! start: the cold root LP of a model past the size gate goes dual-first
+//! from it (`ras::milp::simplex`, "Cold solves"), with no phase 1 and no
+//! warm basis. Where the region already runs a plan, the model rewards
+//! every server for staying, so that start is the running plan; from an
+//! empty broker it is the empty plan, and round 0 takes the same path.
+//! These tests pin both on medium regions — and that a root below the
+//! size gate still takes the primal two-phase path.
 
 use ras::broker::{ResourceBroker, SimTime, UnavailabilityEvent, UnavailabilityKind};
 use ras::core::solver::SolveOutput;
@@ -73,8 +75,8 @@ fn region_after_round_zero(
 fn restarted_solver_repairs_the_running_plan_with_the_dual() {
     let (region, specs, broker, round0) = region_after_round_zero(0.5);
 
-    // From an empty broker nothing rewards staying: the empty plan is no
-    // start worth repairing, and the primal two-phase solve runs.
+    // This round 0's model is below the size gate (`AUTO_PARTIAL_MIN_COLS`
+    // live columns), so the primal two-phase solve runs.
     let first = &round0.phase1.mip_stats;
     assert!(!first.root_used_dual_simplex);
     assert!(first.root_phase1_iterations > 0);
@@ -114,6 +116,31 @@ fn restarted_solver_repairs_the_running_plan_with_the_dual() {
         stats.absolute_gap,
         primal_stats.absolute_gap
     );
+}
+
+#[test]
+fn round_zero_past_the_size_gate_goes_dual_first() {
+    // Nothing runs yet, and nothing rewards staying: the start is the
+    // empty plan, which the long step repairs as it would a running one.
+    // The root LP is past the size gate: its 2 436 assignment variables,
+    // with the other structural columns and a slack and an artificial
+    // per row, make more than `AUTO_PARTIAL_MIN_COLS` live columns.
+    let (region, specs) = instance::portfolio(RegionTemplate::medium(), 2, 40, 0.5);
+    let broker = instance::broker_for(&region, &specs);
+    let round0 = fresh_round(&region, &specs, &broker, true);
+    let stats = &round0.phase1.mip_stats;
+    assert!(round0.phase1.softened.is_empty());
+    assert!(
+        stats.root_used_dual_simplex,
+        "the cold root went dual-first"
+    );
+    assert_eq!(stats.root_phase1_iterations, 0);
+    assert!(!stats.warm_basis_accepted, "a fresh solver has no basis");
+    assert!(stats.best_bound.is_finite());
+    for phase in round0.audit_phases() {
+        let audit = &phase.mip_stats.audit;
+        assert!(audit.certified_clean(), "{:?}", audit.violations);
+    }
 }
 
 #[test]
