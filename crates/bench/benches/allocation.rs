@@ -85,20 +85,18 @@ fn bench_twine_placement(c: &mut Criterion) {
                         let _ = broker_copy.bind_current(s, Some(reservation));
                     }
                 }
-                twine
-                    .submit(
-                        &inst.region,
-                        &mut broker_copy,
-                        JobSpec {
-                            name: "bench".into(),
-                            reservation,
-                            container: ContainerSpec::small(),
-                            replicas: 5,
-                            rack_anti_affinity: true,
-                        },
-                    )
-                    .map(|p| p.len())
-                    .unwrap_or(0)
+                let job = twine.submit(
+                    &inst.region,
+                    &mut broker_copy,
+                    JobSpec {
+                        name: "bench".into(),
+                        reservation,
+                        container: ContainerSpec::small(),
+                        replicas: 5,
+                        rack_anti_affinity: true,
+                    },
+                );
+                twine.placed_replicas(job)
             },
             criterion::BatchSize::SmallInput,
         )

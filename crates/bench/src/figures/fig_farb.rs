@@ -61,8 +61,8 @@ fn mean_over_rounds(reports: &[RoundReport], f: impl Fn(&RoundReport) -> f64) ->
 /// Places one mixed load on a fixed-size reservation striped across
 /// `region` and returns `(p50_us, max_candidates_evaluated)`.
 fn placement_probe(region: &Region, members: usize, load: &ContainerLoad) -> (u64, usize) {
-    let (_, sched, max_candidates) = load.place_striped(region, members, "probe");
-    (sched.latency.percentile(50.0).unwrap_or(0), max_candidates)
+    let (_, twine, max_candidates) = load.place_striped(region, members, "probe");
+    (twine.latency.percentile(50.0).unwrap_or(0), max_candidates)
 }
 
 /// Regenerates the FARB experiment.

@@ -82,13 +82,19 @@ pub fn portfolio(
 /// `reservations` counts the guaranteed reservations (headline profiles
 /// first, then generated requests); utilization sets the fraction of
 /// fleet RRUs requested in total.
+///
+/// # Panics
+///
+/// When the warm-up round fails to solve: every experiment built on the
+/// instance would otherwise measure an empty broker. The message names
+/// the template, the seed and the error.
 pub fn build(
     template: RegionTemplate,
     seed: u64,
     reservations: usize,
     utilization: f64,
 ) -> Instance {
-    let (region, specs) = portfolio(template, seed, reservations, utilization);
+    let (region, specs) = portfolio(template.clone(), seed, reservations, utilization);
     let mut rng = StdRng::seed_from_u64(seed ^ 0x9e3779b9);
 
     // Warm-up solve + materialization, then container load.
@@ -98,7 +104,9 @@ pub fn build(
         specs,
         params: SolverParams::default(),
     };
-    let _ = inst.solve_round(&mut AsyncSolver::new(inst.params.clone()), SimTime::ZERO);
+    if let Err(e) = inst.solve_round(&mut AsyncSolver::new(inst.params.clone()), SimTime::ZERO) {
+        panic!("warm-up round of {template:?} (seed {seed}) failed: {e}");
+    }
     for i in 0..inst.region.server_count() {
         let s = ServerId::from_index(i);
         let bound = inst

@@ -22,18 +22,18 @@ use ras_core::solver::AsyncSolver;
 use ras_core::stats::PhaseStats;
 use ras_core::{SolverParams, WarmReport};
 use ras_topology::{Region, ScopeId, ServerId};
-use ras_twine::{ContainerSpec, JobSpec, PlacementPolicyKind, TwineAllocator, TwineScheduler};
+use ras_twine::{ContainerSpec, JobSpec, PlacementPolicyKind, TwineAllocator};
 use serde::{Deserialize, Serialize};
 
 use crate::metrics::{stranded_account, StrandedAccount};
 
 /// Level-2 container load driven alongside the level-1 solve rounds:
-/// each reservation gets one job per shape, placed by a Twine scheduler
-/// under the configured policy, evacuated on churn, and accounted for
-/// stranded capacity every round.
+/// each reservation gets one job per shape, placed by Twine under the
+/// configured policy, evacuated on churn, and accounted for stranded
+/// capacity every round.
 #[derive(Debug, Clone)]
 pub struct ContainerLoad {
-    /// Placement policy for the Twine scheduler.
+    /// Placement policy for Twine.
     pub policy: PlacementPolicyKind,
     /// Container shapes submitted per reservation: `(spec, replicas)`.
     pub shapes: Vec<(ContainerSpec, u32)>,
@@ -58,17 +58,45 @@ impl ContainerLoad {
         }
     }
 
+    /// Submits one job per shape, named `{name}-shape{i}`, to
+    /// `reservation`. Returns the most placement candidates one
+    /// submission evaluated.
+    pub fn submit_to(
+        &self,
+        region: &Region,
+        broker: &mut ResourceBroker,
+        twine: &mut TwineAllocator,
+        reservation: ReservationId,
+        name: &str,
+    ) -> usize {
+        let mut max_candidates = 0;
+        for (si, (shape, replicas)) in self.shapes.iter().enumerate() {
+            twine.submit(
+                region,
+                broker,
+                JobSpec {
+                    name: format!("{name}-shape{si}"),
+                    reservation,
+                    container: *shape,
+                    replicas: *replicas,
+                    rack_anti_affinity: self.rack_anti_affinity,
+                },
+            );
+            max_candidates = max_candidates.max(twine.last_candidates_evaluated);
+        }
+        max_candidates
+    }
+
     /// Binds `members` servers, striped across `region` so every MSB
     /// contributes, to one fresh reservation called `name`, and submits
-    /// one job per shape to it under the load's policy. Returns the
-    /// broker, the scheduler that placed the load, and the most placement
-    /// candidates one submission evaluated.
+    /// the load to it. Returns the broker, the allocator that placed the
+    /// load, and the most placement candidates one submission evaluated.
     pub fn place_striped(
         &self,
         region: &Region,
         members: usize,
         name: &str,
-    ) -> (ResourceBroker, TwineScheduler, usize) {
+    ) -> (ResourceBroker, TwineAllocator, usize) {
         let total = region.server_count();
         let mut broker = ResourceBroker::new(total);
         let reservation = broker.register_reservation(name);
@@ -85,23 +113,9 @@ impl ContainerLoad {
                 bound += 1;
             }
         }
-        let mut sched = TwineScheduler::with_policy(self.policy);
-        let mut max_candidates = 0;
-        for (si, (shape, replicas)) in self.shapes.iter().enumerate() {
-            sched.submit(
-                region,
-                &mut broker,
-                JobSpec {
-                    name: format!("{name}-shape{si}"),
-                    reservation,
-                    container: *shape,
-                    replicas: *replicas,
-                    rack_anti_affinity: self.rack_anti_affinity,
-                },
-            );
-            max_candidates = max_candidates.max(sched.allocator.last_candidates_evaluated);
-        }
-        (broker, sched, max_candidates)
+        let mut twine = TwineAllocator::with_policy(self.policy);
+        let max_candidates = self.submit_to(region, &mut broker, &mut twine, reservation, name);
+        (broker, twine, max_candidates)
     }
 }
 
@@ -249,7 +263,7 @@ pub fn run_continuous(region: &Region, config: &ContinuousConfig) -> Vec<RoundRe
     let mut twine = config
         .containers
         .as_ref()
-        .map(|load| TwineScheduler::with_policy(load.policy));
+        .map(|load| TwineAllocator::with_policy(load.policy));
 
     for round in 0..config.rounds {
         let now = SimTime::from_hours(round as u64);
@@ -281,10 +295,10 @@ pub fn run_continuous(region: &Region, config: &ContinuousConfig) -> Vec<RoundRe
             }
             // Twine reacts to the churn immediately: every container on a
             // freshly-downed server is evacuated within its reservation.
-            if let Some(sched) = &mut twine {
+            if let Some(twine) = &mut twine {
                 for s in &downed {
-                    if sched.allocator.containers_on(*s) > 0 {
-                        let (m, l) = sched.evacuate(region, &mut broker, *s);
+                    if twine.containers_on(*s) > 0 {
+                        let (m, l) = twine.evacuate(region, &mut broker, *s);
                         evac_moved += m;
                         evac_lost += l;
                     }
@@ -335,31 +349,19 @@ pub fn run_continuous(region: &Region, config: &ContinuousConfig) -> Vec<RoundRe
         let mut stranded = StrandedAccount::default();
         let (mut placement_p50_us, mut placement_p99_us) = (None, None);
         let mut container_count = 0;
-        if let (Some(sched), Some(load)) = (&mut twine, config.containers.as_ref()) {
+        if let (Some(twine), Some(load)) = (&mut twine, config.containers.as_ref()) {
             if round == 0 {
                 for (ri, spec) in specs.iter().enumerate() {
                     let reservation = ReservationId::from_index(ri);
-                    for (si, (shape, replicas)) in load.shapes.iter().enumerate() {
-                        sched.submit(
-                            region,
-                            &mut broker,
-                            JobSpec {
-                                name: format!("{}-shape{si}", spec.name),
-                                reservation,
-                                container: *shape,
-                                replicas: *replicas,
-                                rack_anti_affinity: load.rack_anti_affinity,
-                            },
-                        );
-                    }
+                    load.submit_to(region, &mut broker, twine, reservation, &spec.name);
                 }
             } else {
-                sched.process(region, &mut broker, now);
+                twine.process(region, &mut broker);
             }
-            stranded = stranded_now(&mut sched.allocator, region, &broker, specs.len());
-            placement_p50_us = sched.latency.percentile(50.0);
-            placement_p99_us = sched.latency.percentile(99.0);
-            container_count = sched.allocator.container_count();
+            stranded = stranded_now(twine, region, &broker, specs.len());
+            placement_p50_us = twine.latency.percentile(50.0);
+            placement_p99_us = twine.latency.percentile(99.0);
+            container_count = twine.container_count();
         }
 
         reports.push(RoundReport {

@@ -330,9 +330,9 @@ pub fn run_failure_drill(
 ) -> DrillReport {
     let total = region.server_count();
     let want = ras_core::cast::rounded_usize(total as f64 * member_fraction).clamp(1, total);
-    let (mut broker, mut sched, _) = load.place_striped(region, want, "drill");
-    let containers = sched.allocator.container_count();
-    let stranded_before = stranded_now(&mut sched.allocator, region, &broker, 1);
+    let (mut broker, mut twine, _) = load.place_striped(region, want, "drill");
+    let containers = twine.container_count();
+    let stranded_before = stranded_now(&mut twine, region, &broker, 1);
 
     // Fail the MSB hosting the most containers — the worst case for the
     // reservation's embedded buffer capacity.
@@ -340,7 +340,7 @@ pub fn run_failure_drill(
     for msb in region.msbs() {
         per_msb[msb.id.index()] = region
             .servers_in_msb(msb.id)
-            .map(|s| sched.allocator.containers_on(s.id))
+            .map(|s| twine.containers_on(s.id))
             .sum();
     }
     let worst = per_msb
@@ -366,13 +366,13 @@ pub fn run_failure_drill(
     let mut evac_moved = 0;
     let mut evac_lost = 0;
     for server in region.servers_in_msb(worst).map(|s| s.id) {
-        if sched.allocator.containers_on(server) > 0 {
-            let (m, l) = sched.evacuate(region, &mut broker, server);
+        if twine.containers_on(server) > 0 {
+            let (m, l) = twine.evacuate(region, &mut broker, server);
             evac_moved += m;
             evac_lost += l;
         }
     }
-    let stranded_after = stranded_now(&mut sched.allocator, region, &broker, 1);
+    let stranded_after = stranded_now(&mut twine, region, &broker, 1);
 
     DrillReport {
         policy: load.policy.name().to_string(),
@@ -383,8 +383,8 @@ pub fn run_failure_drill(
         evac_lost,
         stranded_before,
         stranded_after,
-        placement_p50_us: sched.latency.percentile(50.0),
-        placement_p99_us: sched.latency.percentile(99.0),
+        placement_p50_us: twine.latency.percentile(50.0),
+        placement_p99_us: twine.latency.percentile(99.0),
     }
 }
 

@@ -18,26 +18,19 @@
 //!   weighting dimension balance most heavily so neither cores nor
 //!   memory is left stranded behind an exhausted complement.
 
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::time::Instant;
 
 use ras_broker::{ChangeFeedId, ReservationId, ResourceBroker};
 use ras_milp::cast;
 use ras_topology::{HardwareTypeId, RackId, Region, ServerId};
 use serde::{Deserialize, Serialize};
 
-use crate::job::{ContainerId, ContainerSpec, JobId, JobSpec};
+use crate::job::{ContainerId, ContainerSpec, JobId, JobSpec, JobState};
 
-/// Why a placement failed.
+/// Why a job operation failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlacementError {
-    /// The reservation has no server with enough free capacity.
-    NoCapacity {
-        /// The reservation that was full.
-        reservation: ReservationId,
-        /// Replicas that could not be placed.
-        unplaced: u32,
-    },
     /// The job references a job id that does not exist.
     UnknownJob(JobId),
 }
@@ -45,10 +38,6 @@ pub enum PlacementError {
 impl std::fmt::Display for PlacementError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PlacementError::NoCapacity {
-                reservation,
-                unplaced,
-            } => write!(f, "{reservation} out of capacity ({unplaced} unplaced)"),
             PlacementError::UnknownJob(id) => write!(f, "unknown job {id:?}"),
         }
     }
@@ -134,22 +123,76 @@ impl PlacementPolicyKind {
 /// leaving BestFit's core counts far from `i64` range.
 const SCORE_SCALE: f64 = 1e6;
 
-/// A placed container.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+/// A placed container: its job (which holds its shape) and its server.
+#[derive(Debug, Clone, Copy)]
 struct Placement {
     job: JobId,
     server: ServerId,
-    spec: ContainerSpec,
 }
 
-/// A job as the allocator knows it.
+/// A job: the allocator's one record of it.
 #[derive(Debug)]
 struct JobEntry {
-    /// Latest spec submitted under this id.
+    /// The spec as submitted; `replicas` follows [`TwineAllocator::scale`]
+    /// and every [`TwineAllocator::stop`] of one of its containers.
     spec: JobSpec,
+    state: JobState,
+    /// Live containers, ascending: ids are minted in increasing order,
+    /// appended, and kept through evacuation.
+    containers: Vec<ContainerId>,
     /// Replicas currently placed per rack — the anti-affinity penalty of
     /// every server in that rack. Racks without replicas are absent.
     racks: HashMap<RackId, usize>,
+}
+
+impl JobEntry {
+    /// Replicas wanted but not running.
+    fn missing(&self) -> u32 {
+        self.spec
+            .replicas
+            .saturating_sub(cast::idx32(self.containers.len()))
+    }
+
+    /// Drops a container from the live list (which is ascending).
+    fn forget(&mut self, container: ContainerId) {
+        if let Ok(at) = self.containers.binary_search(&container) {
+            self.containers.remove(at);
+        }
+    }
+}
+
+/// Placement latency statistics (wall-clock, microseconds).
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+pub struct LatencyStats {
+    samples_us: Vec<u64>,
+}
+
+impl LatencyStats {
+    /// Records one sample.
+    pub fn push(&mut self, us: u64) {
+        self.samples_us.push(us);
+    }
+
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.samples_us.len()
+    }
+
+    /// True when no samples have been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.samples_us.is_empty()
+    }
+
+    /// The `p`-th percentile in microseconds (nearest rank).
+    pub fn percentile(&self, p: f64) -> Option<u64> {
+        if self.samples_us.is_empty() {
+            return None;
+        }
+        let mut sorted = self.samples_us.clone();
+        sorted.sort_unstable();
+        let rank = cast::rounded_usize(((p / 100.0) * sorted.len() as f64).ceil().max(1.0)) - 1;
+        Some(sorted[rank.min(sorted.len() - 1)])
+    }
 }
 
 /// The capacity state all servers of one bucket share. A
@@ -171,8 +214,7 @@ struct Host {
     rack: RackId,
     /// Free `(cores, memory_gib)`: hardware capacity minus `containers`.
     free: (f64, f64),
-    /// Containers placed here, ascending: ids are minted in increasing
-    /// order and appended.
+    /// Containers placed here, in arrival order.
     containers: Vec<ContainerId>,
     /// The reservation whose buckets list this server — its broker
     /// binding while it is up, `None` while it is down or unbound.
@@ -192,25 +234,28 @@ impl Host {
 /// One reservation's placeable servers, grouped by capacity state.
 type Buckets = BTreeMap<Bucket, BTreeSet<ServerId>>;
 
-/// The per-region Twine allocator (manages many reservations; each
-/// placement decision only looks at one).
+/// The per-region Twine allocator and scheduler (manages many
+/// reservations; each placement decision only looks at one).
+///
+/// It is the one record of every job: its spec, its live containers,
+/// its replicas per rack and its [`JobState`]. A job that does not fully
+/// place stays [`JobState::Pending`] and every
+/// [`TwineAllocator::process`] retries it; one that loses containers in
+/// an evacuation turns [`JobState::Degraded`] and is re-placed the same
+/// way.
 ///
 /// Placement answers from three indexes instead of scans: per server its
 /// container list, per job its replicas per rack, and per reservation
 /// its up members grouped into capacity-state buckets. Membership
 /// and health reach the buckets through the broker's change feed; free
 /// capacity moves a server between buckets as containers come and go.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TwineAllocator {
-    /// Identity for anti-affinity and evacuation re-placement. Retries of
-    /// the same job update the spec in place rather than minting
-    /// duplicates.
-    jobs: HashMap<JobId, JobEntry>,
+    /// Every job ever submitted, indexed by [`JobId::index`]: the next
+    /// job's id is the table's length.
+    jobs: Vec<JobEntry>,
     containers: HashMap<ContainerId, Placement>,
     next_container: u64,
-    /// Next allocator-minted job id (for callers without their own ids);
-    /// kept past any externally supplied id to avoid collisions.
-    next_job: u32,
     /// Indexed by [`ServerId::index`]; filled from the region on first use.
     hosts: Vec<Host>,
     /// Indexed by [`ReservationId::index`].
@@ -223,12 +268,9 @@ pub struct TwineAllocator {
     /// the number of distinct capacity states and the job's replicas, not
     /// to reservation or region size.
     pub last_candidates_evaluated: usize,
-}
-
-impl Default for TwineAllocator {
-    fn default() -> Self {
-        Self::with_policy(PlacementPolicyKind::BestFit)
-    }
+    /// Wall-clock time of every placement attempt `submit`, `scale` and
+    /// `process` make.
+    pub latency: LatencyStats,
 }
 
 /// The first id that can follow `server` and a run of its rack-mates.
@@ -258,15 +300,8 @@ impl TwineAllocator {
     /// Creates an empty allocator with the given placement policy.
     pub fn with_policy(kind: PlacementPolicyKind) -> Self {
         Self {
-            jobs: HashMap::new(),
-            containers: HashMap::new(),
-            next_container: 0,
-            next_job: 0,
-            hosts: Vec::new(),
-            buckets: Vec::new(),
-            feed: None,
             policy: kind,
-            last_candidates_evaluated: 0,
+            ..Self::default()
         }
     }
 
@@ -293,14 +328,14 @@ impl TwineAllocator {
         self.hosts[server.index()].free
     }
 
-    /// True when the container is currently placed.
-    pub fn contains(&self, container: ContainerId) -> bool {
-        self.containers.contains_key(&container)
-    }
-
     /// The server a container currently runs on.
     pub fn server_of(&self, container: ContainerId) -> Option<ServerId> {
         self.containers.get(&container).map(|p| p.server)
+    }
+
+    /// The job a running container belongs to.
+    pub fn job_of(&self, container: ContainerId) -> Option<JobId> {
+        self.containers.get(&container).map(|p| p.job)
     }
 
     /// The distinct container shapes offered by the reservation's jobs —
@@ -308,7 +343,7 @@ impl TwineAllocator {
     /// only *stranded* when none of these shapes can consume it.
     pub fn container_shapes(&self, reservation: ReservationId) -> Vec<ContainerSpec> {
         let mut shapes: Vec<ContainerSpec> = Vec::new();
-        for j in self.jobs.values() {
+        for j in &self.jobs {
             if j.spec.reservation == reservation && !shapes.contains(&j.spec.container) {
                 shapes.push(j.spec.container);
             }
@@ -316,91 +351,159 @@ impl TwineAllocator {
         shapes
     }
 
-    /// Submits a job: places `replicas` containers on the reservation's
-    /// servers. Returns the container ids placed.
+    /// Submits a job; its replicas are placed at once, and what does not
+    /// fit is retried by every [`TwineAllocator::process`] until all run.
     ///
     /// Placement policy: filter the reservation's healthy members with
     /// room, then pick the least-loaded rack first (anti-affinity) and
     /// the best policy score otherwise.
-    ///
-    /// On capacity exhaustion the partial placements *stay* (Twine keeps
-    /// retrying in production) but their ids are not returned; callers
-    /// that need them should use [`TwineAllocator::submit_partial`].
-    pub fn submit(
-        &mut self,
-        region: &Region,
-        broker: &mut ResourceBroker,
-        job: JobSpec,
-    ) -> Result<Vec<ContainerId>, PlacementError> {
-        let reservation = job.reservation;
-        let want = job.replicas;
-        let (placed, unplaced) = self.submit_partial(region, broker, job);
-        if unplaced > 0 {
-            debug_assert_eq!(cast::idx32(placed.len()) + unplaced, want);
-            return Err(PlacementError::NoCapacity {
-                reservation,
-                unplaced,
-            });
-        }
-        Ok(placed)
+    pub fn submit(&mut self, region: &Region, broker: &mut ResourceBroker, spec: JobSpec) -> JobId {
+        let job = self.register(spec);
+        self.try_place(region, broker, job);
+        job
     }
 
-    /// Like [`TwineAllocator::submit`] but always returns the ids that
-    /// did place, plus the shortfall: `(placed, unplaced)`.
+    /// Like [`TwineAllocator::submit`], but untimed, and returns the ids
+    /// that did place plus the shortfall: `(placed, unplaced)`. The
+    /// shortfall stays pending like any other job's.
     pub fn submit_partial(
         &mut self,
         region: &Region,
         broker: &mut ResourceBroker,
-        job: JobSpec,
+        spec: JobSpec,
     ) -> (Vec<ContainerId>, u32) {
-        let id = JobId(self.next_job);
-        self.submit_partial_as(region, broker, id, job)
+        let job = self.register(spec);
+        let unplaced = self.place_missing(region, broker, job);
+        (self.jobs[job.index()].containers.clone(), unplaced)
     }
 
-    /// Places `job.replicas` containers under the *caller's* job id.
-    ///
-    /// Schedulers that retry or scale a job call this with the same id
-    /// every time, so rack anti-affinity sees replicas placed in earlier
-    /// calls and job bookkeeping stays deduplicated (the stored spec is
-    /// updated in place, never duplicated).
-    pub fn submit_partial_as(
+    fn register(&mut self, spec: JobSpec) -> JobId {
+        let job = JobId(cast::idx32(self.jobs.len()));
+        self.jobs.push(JobEntry {
+            spec,
+            state: JobState::Pending,
+            containers: Vec::new(),
+            racks: HashMap::new(),
+        });
+        job
+    }
+
+    /// Scales a job to a new replica count: surplus containers stop,
+    /// newest first; missing ones are placed now and retried by
+    /// [`TwineAllocator::process`].
+    pub fn scale(
         &mut self,
         region: &Region,
         broker: &mut ResourceBroker,
-        job_id: JobId,
-        job: JobSpec,
-    ) -> (Vec<ContainerId>, u32) {
-        self.next_job = self.next_job.max(job_id.0.saturating_add(1));
-        let reservation = job.reservation;
-        let replicas = job.replicas;
-        let (container, anti_affinity) = (job.container, job.rack_anti_affinity);
-        let mut placed = Vec::new();
+        job: JobId,
+        replicas: u32,
+    ) -> Result<(), PlacementError> {
+        let entry = self
+            .jobs
+            .get_mut(job.index())
+            .ok_or(PlacementError::UnknownJob(job))?;
+        entry.spec.replicas = replicas;
+        let keep = entry.containers.len().min(cast::idx(replicas));
+        let surplus = entry.containers.split_off(keep);
+        if entry.missing() > 0 {
+            entry.state = JobState::Pending;
+        }
+        for c in surplus.into_iter().rev() {
+            self.unplace(broker, c);
+        }
+        self.try_place(region, broker, job);
+        Ok(())
+    }
+
+    /// Stops a job and all its containers.
+    pub fn stop_job(&mut self, broker: &mut ResourceBroker, job: JobId) {
+        let Some(entry) = self.jobs.get_mut(job.index()) else {
+            return;
+        };
+        entry.state = JobState::Stopped;
+        for c in std::mem::take(&mut entry.containers) {
+            self.unplace(broker, c);
+        }
+    }
+
+    /// Retries placement for every pending or degraded job, in job id
+    /// order; call after the Mover materializes new capacity or failures
+    /// were repaired.
+    pub fn process(&mut self, region: &Region, broker: &mut ResourceBroker) {
+        for i in 0..self.jobs.len() {
+            if matches!(self.jobs[i].state, JobState::Pending | JobState::Degraded) {
+                self.try_place(region, broker, JobId(cast::idx32(i)));
+            }
+        }
+    }
+
+    /// Places a live job's missing replicas as one timed attempt.
+    fn try_place(&mut self, region: &Region, broker: &mut ResourceBroker, job: JobId) {
+        let entry = &mut self.jobs[job.index()];
+        if entry.state == JobState::Stopped {
+            return;
+        }
+        if entry.missing() == 0 {
+            entry.state = JobState::Running;
+            return;
+        }
+        let start = Instant::now();
+        self.place_missing(region, broker, job);
+        // lint:allow(as-cast-audit): u128 micros overflow u64 only after ~584k years
+        self.latency.push(start.elapsed().as_micros() as u64);
+    }
+
+    /// Places the job's missing replicas until one does not fit, sets its
+    /// state and returns the shortfall.
+    fn place_missing(&mut self, region: &Region, broker: &mut ResourceBroker, job: JobId) -> u32 {
         self.last_candidates_evaluated = 0;
-        match self.jobs.entry(job_id) {
-            Entry::Occupied(mut known) => known.get_mut().spec = job,
-            Entry::Vacant(new) => {
-                new.insert(JobEntry {
-                    spec: job,
-                    racks: HashMap::new(),
-                });
+        let mut missing = self.jobs[job.index()].missing();
+        while missing > 0 {
+            let id = ContainerId(self.next_container);
+            if !self.place(region, broker, job, id, None) {
+                break;
+            }
+            self.next_container += 1;
+            self.jobs[job.index()].containers.push(id);
+            missing -= 1;
+        }
+        self.jobs[job.index()].state = if missing == 0 {
+            JobState::Running
+        } else {
+            JobState::Pending
+        };
+        missing
+    }
+
+    /// Current state of one job.
+    pub fn state(&self, job: JobId) -> Option<JobState> {
+        self.jobs.get(job.index()).map(|e| e.state)
+    }
+
+    /// Replicas currently placed for one job.
+    pub fn placed_replicas(&self, job: JobId) -> usize {
+        self.containers_of(job).len()
+    }
+
+    /// The live containers of one job, ascending.
+    pub fn containers_of(&self, job: JobId) -> &[ContainerId] {
+        self.jobs
+            .get(job.index())
+            .map_or(&[], |e| e.containers.as_slice())
+    }
+
+    /// Number of jobs in each state: (pending, running, degraded, stopped).
+    pub fn state_counts(&self) -> (usize, usize, usize, usize) {
+        let mut c = (0, 0, 0, 0);
+        for e in &self.jobs {
+            match e.state {
+                JobState::Pending => c.0 += 1,
+                JobState::Running => c.1 += 1,
+                JobState::Degraded => c.2 += 1,
+                JobState::Stopped => c.3 += 1,
             }
         }
-        for _ in 0..replicas {
-            match self.place_one(
-                region,
-                broker,
-                reservation,
-                container,
-                anti_affinity,
-                job_id,
-                None,
-            ) {
-                Some(id) => placed.push(id),
-                None => break,
-            }
-        }
-        let unplaced = replicas - cast::idx32(placed.len());
-        (placed, unplaced)
+        c
     }
 
     /// Brings `Host::listed` and the buckets up to the broker's state:
@@ -540,67 +643,75 @@ impl TwineAllocator {
         (best.map(|(_, server)| server), evaluated)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn place_one(
+    /// Places container `id` of `job` on the server [`Self::choose`]
+    /// picks (never `exclude`): takes its capacity and rack slot and
+    /// updates the broker's count. False when nothing fits.
+    fn place(
         &mut self,
         region: &Region,
         broker: &mut ResourceBroker,
-        reservation: ReservationId,
-        spec: ContainerSpec,
-        anti_affinity: bool,
         job: JobId,
+        id: ContainerId,
         exclude: Option<ServerId>,
-    ) -> Option<ContainerId> {
+    ) -> bool {
         self.sync(region, broker);
-        let job_racks = self.jobs.get(&job).map(|j| &j.racks);
-        let (chosen, evaluated) = self.choose(
-            region,
-            reservation,
-            spec,
-            job_racks.filter(|_| anti_affinity),
-            exclude,
-        );
+        let entry = &self.jobs[job.index()];
+        let spec = entry.spec.container;
+        let job_racks = entry.spec.rack_anti_affinity.then_some(&entry.racks);
+        let (chosen, evaluated) =
+            self.choose(region, entry.spec.reservation, spec, job_racks, exclude);
         self.last_candidates_evaluated += evaluated;
-        let server = chosen?;
+        let Some(server) = chosen else {
+            return false;
+        };
         let (cores, mem) = self.hosts[server.index()].free;
         self.set_free(server, (cores - spec.cores, mem - spec.memory_gib));
-        let id = ContainerId(self.next_container);
-        self.next_container += 1;
-        self.containers.insert(id, Placement { job, server, spec });
+        self.containers.insert(id, Placement { job, server });
         let host = &mut self.hosts[server.index()];
         host.containers.push(id);
-        let count = cast::idx32(host.containers.len());
-        if let Some(entry) = self.jobs.get_mut(&job) {
-            *entry.racks.entry(host.rack).or_default() += 1;
-        }
-        broker.set_running_containers(server, count).ok()?;
-        Some(id)
+        *self.jobs[job.index()].racks.entry(host.rack).or_default() += 1;
+        let _ = broker.set_running_containers(server, cast::idx32(host.containers.len()));
+        true
     }
 
-    /// Returns a removed container's capacity and rack slot. The caller
-    /// has taken it out of `containers` and of its host's list.
+    /// Returns a placement's capacity and rack slot. The caller has taken
+    /// the container off its host's list.
     fn release(&mut self, p: Placement) {
+        let spec = self.jobs[p.job.index()].spec.container;
         let host = &self.hosts[p.server.index()];
         let (rack, (cores, mem)) = (host.rack, host.free);
-        self.set_free(p.server, (cores + p.spec.cores, mem + p.spec.memory_gib));
-        if let Some(job) = self.jobs.get_mut(&p.job) {
-            if let Some(count) = job.racks.get_mut(&rack) {
-                *count -= 1;
-                if *count == 0 {
-                    job.racks.remove(&rack);
-                }
+        self.set_free(p.server, (cores + spec.cores, mem + spec.memory_gib));
+        let racks = &mut self.jobs[p.job.index()].racks;
+        if let Some(count) = racks.get_mut(&rack) {
+            *count -= 1;
+            if *count == 0 {
+                racks.remove(&rack);
             }
         }
     }
 
-    /// Stops one container.
+    /// Takes a container off its server and the broker's count; its
+    /// job's list is the caller's to update.
+    fn unplace(&mut self, broker: &mut ResourceBroker, container: ContainerId) -> Option<JobId> {
+        let p = self.containers.remove(&container)?;
+        let on_host = &mut self.hosts[p.server.index()].containers;
+        on_host.retain(|c| *c != container);
+        let count = cast::idx32(on_host.len());
+        self.release(p);
+        let _ = broker.set_running_containers(p.server, count);
+        Some(p.job)
+    }
+
+    /// Stops one container and lowers its job's replica count, so
+    /// [`TwineAllocator::process`] does not place it again.
     pub fn stop(&mut self, broker: &mut ResourceBroker, container: ContainerId) {
-        if let Some(p) = self.containers.remove(&container) {
-            let on_host = &mut self.hosts[p.server.index()].containers;
-            on_host.retain(|c| *c != container);
-            let count = cast::idx32(on_host.len());
-            self.release(p);
-            let _ = broker.set_running_containers(p.server, count);
+        if let Some(job) = self.unplace(broker, container) {
+            let entry = &mut self.jobs[job.index()];
+            entry.forget(container);
+            entry.spec.replicas = entry.spec.replicas.saturating_sub(1);
+            if entry.missing() == 0 {
+                entry.state = JobState::Running;
+            }
         }
     }
 
@@ -613,8 +724,9 @@ impl TwineAllocator {
             .into_iter()
             .flat_map(|host| &host.containers)
             .filter_map(|c| self.containers.get(c))
-            .fold((0.0, 0.0), |(c, m), p| {
-                (c + p.spec.cores, m + p.spec.memory_gib)
+            .map(|p| self.jobs[p.job.index()].spec.container)
+            .fold((0.0, 0.0), |(c, m), spec| {
+                (c + spec.cores, m + spec.memory_gib)
             })
     }
 
@@ -632,9 +744,11 @@ impl TwineAllocator {
 
     /// Evacuates every container from a failed or preempted server and
     /// re-places each within its reservation (onto embedded buffer
-    /// capacity after an MSB failure), in ascending [`ContainerId`] order
-    /// so the outcome is the same in every process. Returns
-    /// `(moved, lost)` counts.
+    /// capacity after an MSB failure) under its own [`ContainerId`], in
+    /// ascending id order so the outcome is the same in every process.
+    /// A container that finds no room is lost: its job keeps its replica
+    /// count and turns [`JobState::Degraded`], so the next
+    /// [`TwineAllocator::process`] re-places it. Returns `(moved, lost)`.
     ///
     /// The drained server is excluded from the candidate set even when it
     /// is still up (a preempted server would otherwise be the tightest
@@ -645,42 +759,30 @@ impl TwineAllocator {
         broker: &mut ResourceBroker,
         server: ServerId,
     ) -> (usize, usize) {
-        let victims = self
+        let mut victims = self
             .hosts
             .get_mut(server.index())
             .map(|host| std::mem::take(&mut host.containers))
             .unwrap_or_default();
+        victims.sort_unstable();
         let mut moved = 0;
         let mut lost = 0;
         // Victims leave one at a time: those still waiting keep counting
         // towards their jobs' rack penalties, as they still run there.
         for id in victims {
-            let Some(p) = self.containers.remove(&id) else {
+            let Some(&p) = self.containers.get(&id) else {
                 continue;
             };
             self.release(p);
-            let Some(job) = self.jobs.get(&p.job) else {
-                // Unknown job id (cannot happen through the public API):
-                // the container cannot be re-placed faithfully.
-                lost += 1;
-                continue;
-            };
-            let reservation = job.spec.reservation;
-            let anti = job.spec.rack_anti_affinity;
-            if self
-                .place_one(
-                    region,
-                    broker,
-                    reservation,
-                    p.spec,
-                    anti,
-                    p.job,
-                    Some(server),
-                )
-                .is_some()
-            {
+            if self.place(region, broker, p.job, id, Some(server)) {
                 moved += 1;
             } else {
+                self.containers.remove(&id);
+                let entry = &mut self.jobs[p.job.index()];
+                entry.forget(id);
+                if entry.state == JobState::Running {
+                    entry.state = JobState::Degraded;
+                }
                 lost += 1;
             }
         }
@@ -719,14 +821,19 @@ mod tests {
         }
     }
 
+    fn running_total(broker: &ResourceBroker) -> usize {
+        broker
+            .iter()
+            .map(|(_, rec)| rec.running_containers as usize)
+            .sum()
+    }
+
     #[test]
     fn placement_stays_inside_the_reservation() {
         let (region, mut broker, r) = setup();
         let mut alloc = TwineAllocator::new();
-        let placed = alloc
-            .submit(&region, &mut broker, job(r, 10, false))
-            .unwrap();
-        assert_eq!(placed.len(), 10);
+        let id = alloc.submit(&region, &mut broker, job(r, 10, false));
+        assert_eq!(alloc.placed_replicas(id), 10);
         for (s, rec) in broker.iter() {
             if rec.running_containers > 0 {
                 assert_eq!(rec.current, Some(r), "container outside reservation on {s}");
@@ -738,9 +845,7 @@ mod tests {
     fn stacking_coexists_on_one_server() {
         let (region, mut broker, r) = setup();
         let mut alloc = TwineAllocator::new();
-        alloc
-            .submit(&region, &mut broker, job(r, 4, false))
-            .unwrap();
+        alloc.submit(&region, &mut broker, job(r, 4, false));
         // Best-fit stacking should reuse servers rather than spray.
         let busy = broker
             .iter()
@@ -753,7 +858,7 @@ mod tests {
     fn anti_affinity_spreads_across_racks() {
         let (region, mut broker, r) = setup();
         let mut alloc = TwineAllocator::new();
-        alloc.submit(&region, &mut broker, job(r, 3, true)).unwrap();
+        alloc.submit(&region, &mut broker, job(r, 3, true));
         let mut racks = std::collections::HashSet::new();
         for (s, rec) in broker.iter() {
             if rec.running_containers > 0 {
@@ -768,22 +873,18 @@ mod tests {
         let (region, mut broker, r) = setup();
         let mut alloc = TwineAllocator::new();
         // Each server fits a bounded number of small containers; demand far more.
-        let err = alloc
-            .submit(&region, &mut broker, job(r, 10_000, false))
-            .unwrap_err();
-        match err {
-            PlacementError::NoCapacity { unplaced, .. } => assert!(unplaced > 0),
-            e => panic!("unexpected error {e}"),
-        }
+        let (placed, unplaced) = alloc.submit_partial(&region, &mut broker, job(r, 10_000, false));
+        assert!(unplaced > 0);
+        assert_eq!(placed.len() + unplaced as usize, 10_000);
+        assert_eq!(placed.len(), alloc.container_count());
+        assert_eq!(alloc.state(JobId(0)), Some(JobState::Pending));
     }
 
     #[test]
     fn candidates_scale_with_reservation_not_region() {
         let (region, mut broker, r) = setup();
         let mut alloc = TwineAllocator::new();
-        alloc
-            .submit(&region, &mut broker, job(r, 1, false))
-            .unwrap();
+        alloc.submit(&region, &mut broker, job(r, 1, false));
         assert!(
             alloc.last_candidates_evaluated <= 30,
             "only reservation members may be scanned, got {}",
@@ -795,7 +896,7 @@ mod tests {
     fn unresolvable_member_is_skipped_not_fatal() {
         let (region, _, _) = setup();
         // The broker tracks one server the region does not describe, and
-        // it is the reservation's lowest-id... highest-id member.
+        // it is the reservation's highest-id member.
         let stray = ServerId::from_index(region.server_count());
         let mut broker = ResourceBroker::new(region.server_count() + 1);
         let r = broker.register_reservation("web");
@@ -803,33 +904,35 @@ mod tests {
             broker.bind_current(s, Some(r)).unwrap();
         }
         let mut alloc = TwineAllocator::new();
-        let placed = alloc
-            .submit(&region, &mut broker, job(r, 6, false))
-            .expect("the two known members hold the job");
-        assert_eq!(placed.len(), 6);
+        let id = alloc.submit(&region, &mut broker, job(r, 6, false));
+        assert_eq!(
+            alloc.state(id),
+            Some(JobState::Running),
+            "the two known members hold the job"
+        );
         assert_eq!(broker.record(stray).unwrap().running_containers, 0);
     }
 
     #[test]
-    fn stop_frees_capacity() {
+    fn stop_frees_capacity_and_lowers_the_replica_count() {
         let (region, mut broker, r) = setup();
         let mut alloc = TwineAllocator::new();
-        let placed = alloc
-            .submit(&region, &mut broker, job(r, 2, false))
-            .unwrap();
-        let busy_before = alloc.container_count();
+        let (placed, _) = alloc.submit_partial(&region, &mut broker, job(r, 2, false));
         alloc.stop(&mut broker, placed[0]);
-        assert_eq!(alloc.container_count(), busy_before - 1);
+        assert_eq!(alloc.container_count(), 1);
         // Counter synced to broker.
-        let total: u32 = broker.iter().map(|(_, rec)| rec.running_containers).sum();
-        assert_eq!(total as usize, alloc.container_count());
+        assert_eq!(running_total(&broker), alloc.container_count());
+        // The stopped replica is not the job's any more.
+        alloc.process(&region, &mut broker);
+        assert_eq!(alloc.containers_of(JobId(0)), &placed[1..]);
+        assert_eq!(alloc.state(JobId(0)), Some(JobState::Running));
     }
 
     #[test]
     fn evacuation_moves_containers_within_reservation() {
         let (region, mut broker, r) = setup();
         let mut alloc = TwineAllocator::new();
-        alloc.submit(&region, &mut broker, job(r, 6, true)).unwrap();
+        let (placed, _) = alloc.submit_partial(&region, &mut broker, job(r, 6, true));
         let victim = broker
             .iter()
             .find(|(_, rec)| rec.running_containers > 0)
@@ -851,7 +954,9 @@ mod tests {
         assert_eq!(moved, on_victim);
         assert_eq!(lost, 0);
         assert_eq!(alloc.containers_on(victim), 0);
-        assert_eq!(alloc.container_count(), 6);
+        // Every container kept its id.
+        assert_eq!(alloc.containers_of(JobId(0)), placed.as_slice());
+        assert!(placed.iter().all(|c| alloc.server_of(*c) != Some(victim)));
     }
 
     #[test]
@@ -860,10 +965,8 @@ mod tests {
         let mut alloc = TwineAllocator::new();
         // Two containers stacked on one server make that server the
         // tightest best-fit for its own evacuees.
-        let placed = alloc
-            .submit(&region, &mut broker, job(r, 2, false))
-            .unwrap();
-        let victim = alloc.containers.get(&placed[0]).map(|p| p.server).unwrap();
+        let (placed, _) = alloc.submit_partial(&region, &mut broker, job(r, 2, false));
+        let victim = alloc.server_of(placed[0]).unwrap();
         assert_eq!(alloc.containers_on(victim), 2, "both stack on one server");
         // Preemption drains the server while it is still up.
         let (moved, lost) = alloc.evacuate(&region, &mut broker, victim);
@@ -924,21 +1027,107 @@ mod tests {
     }
 
     #[test]
-    fn retried_submissions_share_one_job_identity() {
+    fn scale_up_keeps_one_job_identity() {
         let (region, mut broker, r) = setup();
         let mut alloc = TwineAllocator::new();
-        let id = JobId(7);
-        let (first, _) = alloc.submit_partial_as(&region, &mut broker, id, job(r, 1, true));
-        let (second, _) = alloc.submit_partial_as(&region, &mut broker, id, job(r, 1, true));
-        assert_eq!(first.len() + second.len(), 2);
-        assert_eq!(alloc.jobs.len(), 1, "retries must not duplicate job specs");
+        let id = alloc.submit(&region, &mut broker, job(r, 1, true));
+        alloc.scale(&region, &mut broker, id, 2).unwrap();
+        assert_eq!(alloc.jobs.len(), 1, "scaling must not add a job");
         // Both replicas belong to the same job and anti-affinity saw the
         // first one: they land on different racks.
         let racks: std::collections::HashSet<u32> = alloc
-            .containers
-            .values()
-            .map(|p| region.server(p.server).rack.0)
+            .containers_of(id)
+            .iter()
+            .filter_map(|c| alloc.server_of(*c))
+            .map(|s| region.server(s).rack.0)
             .collect();
-        assert_eq!(racks.len(), 2, "anti-affinity must span the retry");
+        assert_eq!(racks.len(), 2, "anti-affinity must span the scale-up");
+    }
+
+    #[test]
+    fn submit_runs_and_tracks_latency() {
+        let (region, mut broker, r) = setup();
+        let mut alloc = TwineAllocator::new();
+        let id = alloc.submit(&region, &mut broker, job(r, 10, false));
+        assert_eq!(alloc.state(id), Some(JobState::Running));
+        assert_eq!(alloc.placed_replicas(id), 10);
+        assert!(!alloc.latency.is_empty());
+        assert!(alloc.latency.percentile(50.0).is_some());
+        // An untimed submission adds no sample.
+        let _ = alloc.submit_partial(&region, &mut broker, job(r, 1, false));
+        assert_eq!(alloc.latency.len(), 1);
+    }
+
+    #[test]
+    fn scale_up_and_down() {
+        let (region, mut broker, r) = setup();
+        let mut alloc = TwineAllocator::new();
+        let id = alloc.submit(&region, &mut broker, job(r, 4, false));
+        alloc.scale(&region, &mut broker, id, 8).unwrap();
+        assert_eq!(alloc.placed_replicas(id), 8);
+        alloc.scale(&region, &mut broker, id, 2).unwrap();
+        assert_eq!(alloc.placed_replicas(id), 2);
+        assert_eq!(alloc.container_count(), 2);
+        assert_eq!(
+            alloc.scale(&region, &mut broker, JobId(9), 1),
+            Err(PlacementError::UnknownJob(JobId(9)))
+        );
+    }
+
+    #[test]
+    fn pending_job_recovers_when_capacity_arrives() {
+        let (region, mut broker, r) = setup();
+        let mut alloc = TwineAllocator::new();
+        // Demand more than 30 servers can hold.
+        let id = alloc.submit(&region, &mut broker, job(r, 500, false));
+        assert_eq!(alloc.state(id), Some(JobState::Pending));
+        // The reservation grows (mover materializes more capacity)...
+        for i in 30..200 {
+            broker.bind_current(ServerId(i), Some(r)).unwrap();
+        }
+        alloc.process(&region, &mut broker);
+        assert_eq!(alloc.state(id), Some(JobState::Running));
+        assert_eq!(alloc.placed_replicas(id), 500);
+    }
+
+    #[test]
+    fn a_stopped_container_is_not_placed_again() {
+        let (region, mut broker, r) = setup();
+        let mut alloc = TwineAllocator::new();
+        let id = alloc.submit(&region, &mut broker, job(r, 500, false));
+        assert_eq!(alloc.state(id), Some(JobState::Pending));
+        let first = alloc.containers_of(id)[0];
+        alloc.stop(&mut broker, first);
+        for i in 30..200 {
+            broker.bind_current(ServerId(i), Some(r)).unwrap();
+        }
+        alloc.process(&region, &mut broker);
+        assert_eq!(alloc.state(id), Some(JobState::Running));
+        assert_eq!(alloc.placed_replicas(id), 499);
+        assert_eq!(alloc.container_count(), 499);
+    }
+
+    #[test]
+    fn stop_job_releases_everything() {
+        let (region, mut broker, r) = setup();
+        let mut alloc = TwineAllocator::new();
+        let id = alloc.submit(&region, &mut broker, job(r, 5, false));
+        alloc.stop_job(&mut broker, id);
+        assert_eq!(alloc.state(id), Some(JobState::Stopped));
+        assert_eq!(alloc.container_count(), 0);
+        assert_eq!(running_total(&broker), 0);
+        // Stopped jobs stay stopped through process().
+        alloc.process(&region, &mut broker);
+        assert_eq!(alloc.placed_replicas(id), 0);
+    }
+
+    #[test]
+    fn state_counts_aggregate() {
+        let (region, mut broker, r) = setup();
+        let mut alloc = TwineAllocator::new();
+        let a = alloc.submit(&region, &mut broker, job(r, 2, false));
+        let _b = alloc.submit(&region, &mut broker, job(r, 2, false));
+        alloc.stop_job(&mut broker, a);
+        assert_eq!(alloc.state_counts(), (0, 1, 0, 1));
     }
 }

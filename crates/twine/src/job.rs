@@ -14,7 +14,21 @@ impl JobId {
     }
 }
 
-/// Identifier of a container instance.
+/// Lifecycle state of a job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum JobState {
+    /// Submitted, not all replicas placed yet.
+    Pending,
+    /// All replicas running.
+    Running,
+    /// Was running; some replicas were lost and await re-placement.
+    Degraded,
+    /// Stopped by the owner.
+    Stopped,
+}
+
+/// Identifier of a container instance; a container keeps it for life,
+/// evacuations included.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct ContainerId(pub u64);
 

@@ -9,13 +9,17 @@
 //! just the reservation's members — not the whole region — placement
 //! latency stays low regardless of region size, which is the entire point
 //! of the two-level split.
+//!
+//! [`TwineAllocator`] is the one record of every job: its spec, its live
+//! containers and its [`JobState`]. A container keeps its [`ContainerId`]
+//! for life: an evacuation drains a server's containers in ascending id
+//! and re-places each under its own id, so a job's container list stays
+//! true through every move.
 
 pub mod allocator;
 pub mod health;
 pub mod job;
-pub mod scheduler;
 
-pub use allocator::{Candidate, PlacementError, PlacementPolicyKind, TwineAllocator};
+pub use allocator::{Candidate, LatencyStats, PlacementError, PlacementPolicyKind, TwineAllocator};
 pub use health::HealthCheckService;
-pub use job::{ContainerId, ContainerSpec, JobId, JobSpec};
-pub use scheduler::{JobState, LatencyStats, TwineScheduler};
+pub use job::{ContainerId, ContainerSpec, JobId, JobSpec, JobState};

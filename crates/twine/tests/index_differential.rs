@@ -1,8 +1,9 @@
 //! Differential oracle for the indexed allocator: after *any*
-//! interleaving of submit / retry-and-scale / stop / evacuate / bind /
-//! unbind / `mark_down` / `mark_up` / failure replacement, every container
-//! sits on the server the member scan (`support::ScanAllocator`) puts it
-//! on — for both policies, with and without rack anti-affinity, with
+//! interleaving of submit / scale / stop a container or a job / process
+//! / evacuate / bind / unbind / `mark_down` / `mark_up` / failure
+//! replacement, every container sits on the server the member scan
+//! (`support::ScanAllocator`) puts it on, under the same id — for both
+//! policies, with and without rack anti-affinity, with
 //! (`evacuate`) and without (`submit`) an excluded server, on a tiny and a
 //! medium region and on one whose racks interleave in id order — and the
 //! broker's member and unbound sets equal a fresh filter over `iter()`.
@@ -31,16 +32,19 @@ enum Op {
         replicas: u32,
         anti: bool,
     },
-    /// A retry or scale-up under a known job id (the anti-affinity flag
-    /// may differ from the first submission).
-    Resubmit {
+    /// Scales a known job up or down.
+    Scale {
         job: u8,
         replicas: u32,
-        anti: bool,
     },
     Stop {
         container: u16,
     },
+    StopJob {
+        job: u8,
+    },
+    /// Retries every job short of replicas.
+    Process,
     Evacuate {
         server: u8,
     },
@@ -75,12 +79,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
                 }
             }
         ),
-        (0u8..=254, 1u32..5, 0u8..2).prop_map(|(job, replicas, anti)| Op::Resubmit {
-            job,
-            replicas,
-            anti: anti == 1,
-        }),
+        (0u8..=254, 0u32..8).prop_map(|(job, replicas)| Op::Scale { job, replicas }),
         (0u16..1000).prop_map(|container| Op::Stop { container }),
+        (0u8..=254).prop_map(|job| Op::StopJob { job }),
+        Just(Op::Process),
         (0u8..=254).prop_map(|server| Op::Evacuate { server }),
         (0u8..=254, prop::option::of(reservation)).prop_map(|(server, reservation)| Op::Bind {
             server,
@@ -103,14 +105,16 @@ fn shape(idx: u8) -> ContainerSpec {
 
 /// What the differential needs of either allocator.
 trait Level2 {
-    fn submit_as(
+    fn submit(
         &mut self,
         region: &Region,
         broker: &mut ResourceBroker,
-        id: JobId,
         job: JobSpec,
     ) -> (Vec<ContainerId>, u32);
+    fn scale(&mut self, region: &Region, broker: &mut ResourceBroker, job: JobId, replicas: u32);
     fn stop(&mut self, broker: &mut ResourceBroker, container: ContainerId);
+    fn stop_job(&mut self, broker: &mut ResourceBroker, job: JobId);
+    fn process(&mut self, region: &Region, broker: &mut ResourceBroker);
     fn evacuate(
         &mut self,
         region: &Region,
@@ -124,17 +128,31 @@ trait Level2 {
 macro_rules! level2 {
     ($t:ty) => {
         impl Level2 for $t {
-            fn submit_as(
+            fn submit(
                 &mut self,
                 region: &Region,
                 broker: &mut ResourceBroker,
-                id: JobId,
                 job: JobSpec,
             ) -> (Vec<ContainerId>, u32) {
-                self.submit_partial_as(region, broker, id, job)
+                self.submit_partial(region, broker, job)
+            }
+            fn scale(
+                &mut self,
+                region: &Region,
+                broker: &mut ResourceBroker,
+                job: JobId,
+                replicas: u32,
+            ) {
+                let _ = <$t>::scale(self, region, broker, job, replicas);
             }
             fn stop(&mut self, broker: &mut ResourceBroker, container: ContainerId) {
                 <$t>::stop(self, broker, container)
+            }
+            fn stop_job(&mut self, broker: &mut ResourceBroker, job: JobId) {
+                <$t>::stop_job(self, broker, job)
+            }
+            fn process(&mut self, region: &Region, broker: &mut ResourceBroker) {
+                <$t>::process(self, region, broker)
             }
             fn evacuate(
                 &mut self,
@@ -160,7 +178,8 @@ level2!(ScanAllocator);
 struct Side<A> {
     broker: ResourceBroker,
     alloc: A,
-    jobs: Vec<(JobId, JobSpec)>,
+    /// Jobs submitted so far: both allocators mint `JobId(0)`, `JobId(1)`, …
+    jobs: u32,
 }
 
 impl<A: Level2> Side<A> {
@@ -179,7 +198,7 @@ impl<A: Level2> Side<A> {
         Self {
             broker,
             alloc,
-            jobs: Vec::new(),
+            jobs: 0,
         }
     }
 
@@ -213,7 +232,6 @@ impl<A: Level2> Side<A> {
                 replicas,
                 anti,
             } => {
-                let id = JobId(self.jobs.len() as u32);
                 let job = JobSpec {
                     name: "p".into(),
                     reservation: ReservationId(u32::from(reservation)),
@@ -221,22 +239,22 @@ impl<A: Level2> Side<A> {
                     replicas,
                     rack_anti_affinity: anti,
                 };
-                self.jobs.push((id, job.clone()));
-                self.alloc.submit_as(region, &mut self.broker, id, job);
+                self.jobs += 1;
+                self.alloc.submit(region, &mut self.broker, job);
             }
-            Op::Resubmit {
-                job,
-                replicas,
-                anti,
-            } => {
-                if !self.jobs.is_empty() {
-                    let slot = job as usize % self.jobs.len();
-                    let (id, mut spec) = self.jobs[slot].clone();
-                    spec.replicas = replicas;
-                    spec.rack_anti_affinity = anti;
-                    self.alloc.submit_as(region, &mut self.broker, id, spec);
+            Op::Scale { job, replicas } => {
+                if self.jobs > 0 {
+                    let id = JobId(u32::from(job) % self.jobs);
+                    self.alloc.scale(region, &mut self.broker, id, replicas);
                 }
             }
+            Op::StopJob { job } => {
+                if self.jobs > 0 {
+                    let id = JobId(u32::from(job) % self.jobs);
+                    self.alloc.stop_job(&mut self.broker, id);
+                }
+            }
+            Op::Process => self.alloc.process(region, &mut self.broker),
             Op::Stop { container } => {
                 let live = self.live();
                 if !live.is_empty() {

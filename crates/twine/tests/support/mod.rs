@@ -4,15 +4,20 @@
 //! member, rebuilds the job's rack usage from all containers, and keeps
 //! the first minimum of `(rack penalty, quantized score)`.
 //!
-//! It differs from the scan that shipped in two deliberate ways, both
+//! It differs from the scan that shipped in three deliberate ways, all
 //! shared with the indexed allocator: victims of an evacuation are
 //! re-placed in ascending `ContainerId` order (the shipped scan walked a
-//! `HashMap`), and a member the broker cannot resolve is skipped instead
-//! of ending the job's placement.
+//! `HashMap`) and each under its own id (the shipped scan minted a fresh
+//! one), and a member the broker cannot resolve is skipped instead of
+//! ending the job's placement.
+//!
+//! Its job ledger is the plainest one that places the same: a job is its
+//! spec, whose `replicas` follows `scale`, container stops and job stops
+//! (to zero); its containers are found by scanning them all.
 
 use std::collections::{BTreeMap, HashMap};
 
-use ras_broker::{ReservationId, ResourceBroker};
+use ras_broker::ResourceBroker;
 use ras_milp::cast;
 use ras_topology::{Region, ServerId};
 use ras_twine::{Candidate, ContainerId, ContainerSpec, JobId, JobSpec, PlacementPolicyKind};
@@ -30,7 +35,8 @@ struct Placement {
 /// The scan-based reference allocator.
 #[derive(Debug)]
 pub struct ScanAllocator {
-    jobs: HashMap<JobId, JobSpec>,
+    /// Indexed by `JobId`.
+    jobs: Vec<JobSpec>,
     /// Ordered, so that evacuation collects victims in ascending id.
     containers: BTreeMap<ContainerId, Placement>,
     next_container: u64,
@@ -43,7 +49,7 @@ pub struct ScanAllocator {
 impl ScanAllocator {
     pub fn with_policy(kind: PlacementPolicyKind) -> Self {
         Self {
-            jobs: HashMap::new(),
+            jobs: Vec::new(),
             containers: BTreeMap::new(),
             next_container: 0,
             free: HashMap::new(),
@@ -67,45 +73,85 @@ impl ScanAllocator {
         self.containers.len()
     }
 
-    pub fn submit_partial_as(
+    /// The job's live containers, ascending.
+    fn live(&self, job: JobId) -> Vec<ContainerId> {
+        self.containers
+            .iter()
+            .filter(|(_, p)| p.job == job)
+            .map(|(id, _)| *id)
+            .collect()
+    }
+
+    pub fn submit_partial(
         &mut self,
         region: &Region,
         broker: &mut ResourceBroker,
-        job_id: JobId,
         job: JobSpec,
     ) -> (Vec<ContainerId>, u32) {
-        let mut placed = Vec::new();
-        self.last_candidates_evaluated = 0;
-        self.jobs.insert(job_id, job.clone());
-        for _ in 0..job.replicas {
-            match self.place_one(
-                region,
-                broker,
-                job.reservation,
-                job.container,
-                job.rack_anti_affinity,
-                job_id,
-                None,
-            ) {
-                Some(id) => placed.push(id),
-                None => break,
-            }
-        }
-        let unplaced = job.replicas - cast::idx32(placed.len());
-        (placed, unplaced)
+        let id = JobId(cast::idx32(self.jobs.len()));
+        self.jobs.push(job);
+        let unplaced = self.place_missing(region, broker, id);
+        (self.live(id), unplaced)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    pub fn scale(
+        &mut self,
+        region: &Region,
+        broker: &mut ResourceBroker,
+        job: JobId,
+        replicas: u32,
+    ) {
+        self.jobs[job.index()].replicas = replicas;
+        for c in self.live(job).into_iter().skip(replicas as usize) {
+            self.unplace(broker, c);
+        }
+        self.place_missing(region, broker, job);
+    }
+
+    pub fn stop_job(&mut self, broker: &mut ResourceBroker, job: JobId) {
+        self.jobs[job.index()].replicas = 0;
+        for c in self.live(job) {
+            self.unplace(broker, c);
+        }
+    }
+
+    pub fn process(&mut self, region: &Region, broker: &mut ResourceBroker) {
+        for i in 0..self.jobs.len() {
+            self.place_missing(region, broker, JobId(cast::idx32(i)));
+        }
+    }
+
+    fn place_missing(&mut self, region: &Region, broker: &mut ResourceBroker, job: JobId) -> u32 {
+        self.last_candidates_evaluated = 0;
+        let mut missing = self.jobs[job.index()]
+            .replicas
+            .saturating_sub(cast::idx32(self.live(job).len()));
+        while missing > 0 {
+            let id = ContainerId(self.next_container);
+            if !self.place_one(region, broker, job, id, None) {
+                break;
+            }
+            self.next_container += 1;
+            missing -= 1;
+        }
+        missing
+    }
+
+    /// Places container `id` of `job`; false when nothing fits.
     fn place_one(
         &mut self,
         region: &Region,
         broker: &mut ResourceBroker,
-        reservation: ReservationId,
-        spec: ContainerSpec,
-        anti_affinity: bool,
         job: JobId,
+        id: ContainerId,
         exclude: Option<ServerId>,
-    ) -> Option<ContainerId> {
+    ) -> bool {
+        let JobSpec {
+            reservation,
+            container: spec,
+            rack_anti_affinity: anti_affinity,
+            ..
+        } = self.jobs[job.index()].clone();
         let members = broker.members_of(reservation);
         let mut job_racks: HashMap<u32, usize> = HashMap::new();
         if anti_affinity {
@@ -153,26 +199,33 @@ impl ScanAllocator {
                 _ => best = Some((s, key)),
             }
         }
-        let (server, _) = best?;
+        let Some((server, _)) = best else {
+            return false;
+        };
         let (cores, mem) = self.free_capacity(region, server);
         self.free
             .insert(server, (cores - spec.cores, mem - spec.memory_gib));
-        let id = ContainerId(self.next_container);
-        self.next_container += 1;
         self.containers.insert(id, Placement { job, server, spec });
         let count = cast::idx32(self.containers_on(server));
-        broker.set_running_containers(server, count).ok()?;
-        Some(id)
+        let _ = broker.set_running_containers(server, count);
+        true
+    }
+
+    fn unplace(&mut self, broker: &mut ResourceBroker, container: ContainerId) -> Option<JobId> {
+        let p = self.containers.remove(&container)?;
+        if let Some((c, m)) = self.free.get_mut(&p.server) {
+            *c += p.spec.cores;
+            *m += p.spec.memory_gib;
+        }
+        let count = cast::idx32(self.containers_on(p.server));
+        let _ = broker.set_running_containers(p.server, count);
+        Some(p.job)
     }
 
     pub fn stop(&mut self, broker: &mut ResourceBroker, container: ContainerId) {
-        if let Some(p) = self.containers.remove(&container) {
-            if let Some((c, m)) = self.free.get_mut(&p.server) {
-                *c += p.spec.cores;
-                *m += p.spec.memory_gib;
-            }
-            let count = cast::idx32(self.containers_on(p.server));
-            let _ = broker.set_running_containers(p.server, count);
+        if let Some(job) = self.unplace(broker, container) {
+            let replicas = &mut self.jobs[job.index()].replicas;
+            *replicas = replicas.saturating_sub(1);
         }
     }
 
@@ -203,23 +256,7 @@ impl ScanAllocator {
                 *c += p.spec.cores;
                 *m += p.spec.memory_gib;
             }
-            let Some(job) = self.jobs.get(&p.job) else {
-                lost += 1;
-                continue;
-            };
-            let (reservation, anti) = (job.reservation, job.rack_anti_affinity);
-            if self
-                .place_one(
-                    region,
-                    broker,
-                    reservation,
-                    p.spec,
-                    anti,
-                    p.job,
-                    Some(server),
-                )
-                .is_some()
-            {
+            if self.place_one(region, broker, p.job, id, Some(server)) {
                 moved += 1;
             } else {
                 lost += 1;

@@ -57,9 +57,10 @@ fn main() {
             twine,
             ..
         } = &mut sim;
-        twine.submit(region, broker, job).expect("place containers")
+        let id = twine.submit(region, broker, job);
+        twine.placed_replicas(id)
     };
-    println!("day 1: {} containers running in web", placed.len());
+    println!("day 1: {placed} containers running in web");
 
     // Loan idle capacity to the elastic pool.
     let mgr = ElasticManager::new(elastic);

@@ -39,20 +39,18 @@ fn capacity_request_to_running_containers() {
     // Containers land only on reservation members, quickly (small
     // candidate set), and stack.
     let mut twine = TwineAllocator::new();
-    let placed = twine
-        .submit(
-            &region,
-            &mut broker,
-            JobSpec {
-                name: "frontend".into(),
-                reservation: web,
-                container: ContainerSpec::small(),
-                replicas: 25,
-                rack_anti_affinity: true,
-            },
-        )
-        .expect("place");
-    assert_eq!(placed.len(), 25);
+    let job = twine.submit(
+        &region,
+        &mut broker,
+        JobSpec {
+            name: "frontend".into(),
+            reservation: web,
+            container: ContainerSpec::small(),
+            replicas: 25,
+            rack_anti_affinity: true,
+        },
+    );
+    assert_eq!(twine.placed_replicas(job), 25);
     for (s, rec) in broker.iter() {
         if rec.running_containers > 0 {
             assert_eq!(rec.current, Some(web), "{s} runs containers outside web");

@@ -9,7 +9,7 @@ use ras::core::rru::RruTable;
 use ras::core::{AsyncSolver, ReservationSpec};
 use ras::mover::{MoverConfig, OnlineMover};
 use ras::topology::{Region, RegionBuilder, RegionTemplate, ScopeId, ServerId};
-use ras::twine::{ContainerSpec, JobSpec, JobState, TwineAllocator, TwineScheduler};
+use ras::twine::{ContainerSpec, JobSpec, JobState, TwineAllocator};
 
 /// Places one job in a region of the given template and returns the
 /// candidate-evaluation count of the placement call.
@@ -31,8 +31,8 @@ fn candidates_for(template: RegionTemplate, seed: u64) -> usize {
         let t = broker.record(s).map(|r| r.target).unwrap_or(None);
         let _ = broker.bind_current(s, t);
     }
-    let mut sched = TwineScheduler::new();
-    let id = sched.submit(
+    let mut twine = TwineAllocator::new();
+    let id = twine.submit(
         &region,
         &mut broker,
         JobSpec {
@@ -43,8 +43,8 @@ fn candidates_for(template: RegionTemplate, seed: u64) -> usize {
             rack_anti_affinity: false,
         },
     );
-    assert_eq!(sched.state(id), Some(JobState::Running));
-    sched.allocator.last_candidates_evaluated
+    assert_eq!(twine.state(id), Some(JobState::Running));
+    twine.last_candidates_evaluated
 }
 
 #[test]
@@ -190,8 +190,8 @@ fn capacity_requests_do_not_block_container_requests() {
     // Take the snapshot a big new capacity request would solve against…
     let snapshot = broker.snapshot(SimTime::from_hours(1));
     // …and place containers meanwhile.
-    let mut sched = TwineScheduler::new();
-    let id = sched.submit(
+    let mut twine = TwineAllocator::new();
+    let id = twine.submit(
         &region,
         &mut broker,
         JobSpec {
@@ -202,9 +202,68 @@ fn capacity_requests_do_not_block_container_requests() {
             rack_anti_affinity: true,
         },
     );
-    assert_eq!(sched.state(id), Some(JobState::Running));
+    assert_eq!(twine.state(id), Some(JobState::Running));
     // The solver still sees its consistent snapshot from before.
     assert!(snapshot.records.iter().all(|r| r.running_containers == 0));
+}
+
+#[test]
+fn evacuated_containers_stay_with_their_jobs() {
+    // A failure drains a member of a RAS-built reservation: every
+    // container moves under its own id, so a scale-down and a job stop
+    // afterwards reach the moved ones too and nothing keeps running for a
+    // job that no longer wants it.
+    let region = RegionBuilder::new(RegionTemplate::tiny(), 32).build();
+    let mut broker = ResourceBroker::new(region.server_count());
+    let specs = vec![ReservationSpec::guaranteed(
+        "web",
+        30.0,
+        RruTable::uniform(&region.catalog, 1.0),
+    )];
+    let web = broker.register_reservation("web");
+    let mut solver = AsyncSolver::default();
+    let out = solver
+        .solve(&region, &specs, &broker.snapshot(SimTime::ZERO))
+        .expect("solve");
+    solver.apply(&out, &mut broker).expect("apply");
+    for s in broker.pending_moves() {
+        let t = broker.record(s).map(|r| r.target).unwrap_or(None);
+        let _ = broker.bind_current(s, t);
+    }
+    let mut twine = TwineAllocator::new();
+    let id = twine.submit(
+        &region,
+        &mut broker,
+        JobSpec {
+            name: "stateful".into(),
+            reservation: web,
+            container: ContainerSpec::small(),
+            replicas: 12,
+            rack_anti_affinity: false,
+        },
+    );
+    assert_eq!(twine.state(id), Some(JobState::Running));
+    let ids = twine.containers_of(id).to_vec();
+    let victim = twine.server_of(ids[0]).expect("placed");
+    broker
+        .mark_down(UnavailabilityEvent {
+            server: victim,
+            kind: UnavailabilityKind::UnplannedHardware,
+            scope: ScopeId::Server(victim),
+            start: SimTime::ZERO,
+            expected_end: None,
+        })
+        .expect("mark down");
+    let (moved, lost) = twine.evacuate(&region, &mut broker, victim);
+    assert!(moved > 0 && lost == 0, "moved {moved}, lost {lost}");
+    assert_eq!(twine.containers_of(id), ids.as_slice(), "ids kept");
+    assert!(ids.iter().all(|c| twine.server_of(*c) != Some(victim)));
+
+    twine.scale(&region, &mut broker, id, 4).expect("known job");
+    assert_eq!(twine.container_count(), 4);
+    twine.stop_job(&mut broker, id);
+    assert_eq!(twine.container_count(), 0);
+    assert!(broker.iter().all(|(_, rec)| rec.running_containers == 0));
 }
 
 #[test]
