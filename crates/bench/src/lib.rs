@@ -17,10 +17,8 @@ pub mod instance;
 use std::fs;
 use std::path::PathBuf;
 
-use serde::Serialize;
-
 /// One experiment's output: an id, a headline, and tabular rows.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Experiment {
     /// Figure/table id, e.g. `"fig07"`.
     pub id: String,
@@ -118,18 +116,95 @@ impl Experiment {
         let dir = output_dir();
         let _ = fs::create_dir_all(&dir);
         let path = dir.join(format!("{}.json", self.id));
-        match serde_json::to_string_pretty(self) {
-            Ok(json) => {
-                if let Err(e) = fs::write(&path, json) {
-                    eprintln!("warning: could not write {}: {e}", path.display());
-                } else {
-                    println!("written: {}", path.display());
-                }
-            }
-            Err(e) => eprintln!("warning: could not serialize experiment: {e}"),
+        if let Err(e) = fs::write(&path, self.to_json()) {
+            eprintln!("warning: could not write {}: {e}", path.display());
+        } else {
+            println!("written: {}", path.display());
         }
         println!();
     }
+
+    /// The experiment as one 2-space-indented JSON object, fields in
+    /// declaration order.
+    pub fn to_json(&self) -> String {
+        let fields: [(&str, &dyn Json); 7] = [
+            ("id", &self.id),
+            ("title", &self.title),
+            ("paper_claim", &self.paper_claim),
+            ("columns", &self.columns),
+            ("rows", &self.rows),
+            ("notes", &self.notes),
+            ("failures", &self.failures),
+        ];
+        let mut out = String::from("{");
+        for (i, (key, value)) in fields.into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            newline(1, &mut out);
+            push_json_str(key, &mut out);
+            out.push_str(": ");
+            value.write(1, &mut out);
+        }
+        newline(0, &mut out);
+        out.push('}');
+        out
+    }
+}
+
+/// A value [`Experiment::to_json`] writes: a string or an array.
+trait Json {
+    /// Appends `self` to `out`, nested `depth` levels deep.
+    fn write(&self, depth: usize, out: &mut String);
+}
+
+impl Json for String {
+    fn write(&self, _depth: usize, out: &mut String) {
+        push_json_str(self, out);
+    }
+}
+
+impl<T: Json> Json for Vec<T> {
+    fn write(&self, depth: usize, out: &mut String) {
+        if self.is_empty() {
+            out.push_str("[]");
+            return;
+        }
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            newline(depth + 1, out);
+            item.write(depth + 1, out);
+        }
+        newline(depth, out);
+        out.push(']');
+    }
+}
+
+/// Appends `s` as a quoted JSON string, escaping quotes, backslashes and
+/// control characters.
+fn push_json_str(s: &str, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Starts a new line indented for nesting level `depth`.
+fn newline(depth: usize, out: &mut String) {
+    out.push('\n');
+    out.push_str(&"  ".repeat(depth));
 }
 
 /// Where experiment JSON lands (`target/experiments` by default,
@@ -172,6 +247,66 @@ mod tests {
         let mut e = Experiment::new("t", "t", "t", &["a", "b"]);
         e.row(&["1".into(), "2".into()]);
         assert_eq!(e.rows.len(), 1);
+    }
+
+    #[test]
+    fn to_json_escapes_strings_and_writes_empty_arrays() {
+        let e = Experiment::new(
+            "fix",
+            "say \"hi\" to C:\\ras",
+            "line one\nline two\u{1}\tend",
+            &["cost ≈ 1", "a — b"],
+        );
+        // What the JSON pretty printer this writer replaced wrote for it.
+        let expected = r#"{
+  "id": "fix",
+  "title": "say \"hi\" to C:\\ras",
+  "paper_claim": "line one\nline two\u0001\tend",
+  "columns": [
+    "cost ≈ 1",
+    "a — b"
+  ],
+  "rows": [],
+  "notes": [],
+  "failures": []
+}"#;
+        assert_eq!(e.to_json(), expected);
+    }
+
+    #[test]
+    fn to_json_indents_nested_rows() {
+        let mut e = Experiment::new("rows", "t", "p", &["a", "b"]);
+        e.row(&["1".into(), "2".into()]);
+        e.row(&["3".into(), "4".into()]);
+        e.note("n");
+        e.fail("f");
+        // What the JSON pretty printer this writer replaced wrote for it.
+        let expected = r#"{
+  "id": "rows",
+  "title": "t",
+  "paper_claim": "p",
+  "columns": [
+    "a",
+    "b"
+  ],
+  "rows": [
+    [
+      "1",
+      "2"
+    ],
+    [
+      "3",
+      "4"
+    ]
+  ],
+  "notes": [
+    "n"
+  ],
+  "failures": [
+    "f"
+  ]
+}"#;
+        assert_eq!(e.to_json(), expected);
     }
 
     #[test]

@@ -12,12 +12,11 @@
 //! about hardware types or container shapes.
 
 use ras_topology::{ScopeId, ServerId};
-use serde::{Deserialize, Serialize};
 
 use crate::time::SimTime;
 
 /// Classification of an unavailability event (paper Section 2.5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnavailabilityKind {
     /// Planned maintenance (server, switch, power device, kernel update).
     /// Planned events are absorbed by embedded buffers; the solver still
@@ -48,7 +47,7 @@ impl UnavailabilityKind {
 /// Correlated failures are fanned out into one event per member server,
 /// all carrying the failing [`ScopeId`] so subscribers can recognize the
 /// common cause.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnavailabilityEvent {
     /// The affected server.
     pub server: ServerId,
@@ -64,11 +63,11 @@ pub struct UnavailabilityEvent {
 }
 
 /// Handle identifying a subscriber's event queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SubscriberId(pub u32);
 
 /// A change notice delivered to subscribers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventNotice {
     /// A server became unavailable.
     Down(UnavailabilityEvent),
@@ -117,7 +116,7 @@ impl EventQueue {
 }
 
 /// Handle identifying a consumer's change feed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChangeFeedId(pub u32);
 
 /// One consumer's pending changes: each server at most once, in the order

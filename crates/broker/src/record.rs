@@ -1,7 +1,6 @@
 //! Per-server broker records and reservation identifiers.
 
 use ras_topology::ServerId;
-use serde::{Deserialize, Serialize};
 
 use crate::events::UnavailabilityEvent;
 
@@ -10,7 +9,7 @@ use crate::events::UnavailabilityEvent;
 /// The shared random-failure buffer and elastic reservations are ordinary
 /// reservations with their own identifiers (paper Section 3.5.1 treats
 /// the buffer as "a standalone special reservation").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ReservationId(pub u32);
 
 impl ReservationId {
@@ -38,7 +37,7 @@ impl std::fmt::Display for ReservationId {
 
 /// The broker's record for one server (the row sketched in Figure 6:
 /// `{ID, CPU, Rack, …} | Target | Current | Elastic | Unavailability`).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ServerRecord {
     /// Reservation the Async Solver wants this server in.
     pub target: Option<ReservationId>,
@@ -73,7 +72,7 @@ impl ServerRecord {
 }
 
 /// A server identifier paired with its record, as returned by snapshots.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServerState {
     /// The server.
     pub server: ServerId,

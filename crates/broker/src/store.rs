@@ -3,7 +3,6 @@
 use std::collections::BTreeSet;
 
 use ras_topology::ServerId;
-use serde::{Deserialize, Serialize};
 
 use crate::events::{
     ChangeFeedId, ChangeFeeds, EventNotice, EventQueue, SubscriberId, UnavailabilityEvent,
@@ -46,7 +45,7 @@ impl std::fmt::Display for BrokerError {
 impl std::error::Error for BrokerError {}
 
 /// A point-in-time copy of every record, consumed by the Async Solver.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BrokerSnapshot {
     /// When the snapshot was taken.
     pub taken_at: SimTime,

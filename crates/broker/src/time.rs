@@ -4,12 +4,8 @@
 //! count of simulated seconds. The discrete-event simulator advances it;
 //! unit tests construct it directly.
 
-use serde::{Deserialize, Serialize};
-
 /// A point in simulated time, in whole seconds since simulation start.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 impl SimTime {

@@ -34,8 +34,6 @@
 //! [`SolveStats`] that is [`certified_clean`](AuditReport::certified_clean);
 //! the checkers themselves record violations as *data*, never panics.
 
-use serde::{Deserialize, Serialize};
-
 use crate::model::{Model, VarType};
 use crate::nan::NanGuard;
 use crate::simplex::{LpResult, LpStatus};
@@ -46,7 +44,7 @@ use crate::tol;
 /// When the model auditor and certificate checkers run: on every solve.
 /// The one value stays only because the frozen end-to-end benchmark
 /// names it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AuditMode {
     /// Audit every solve, in every build profile.
     #[default]
@@ -54,7 +52,7 @@ pub enum AuditMode {
 }
 
 /// Which invariant an [`AuditIssue`] is about.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AuditCheck {
     /// NaN or infinite coefficient in a constraint or the objective.
     NonFiniteCoefficient,
@@ -98,7 +96,7 @@ pub enum AuditCheck {
 }
 
 /// How bad a finding is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Severity {
     /// The solve must not proceed (pre-solve) or cannot be trusted
     /// (post-solve certificate violation).
@@ -108,7 +106,7 @@ pub enum Severity {
 }
 
 /// One auditor finding: a structured record, never a panic.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditIssue {
     /// The invariant this finding is about.
     pub check: AuditCheck,
@@ -164,7 +162,7 @@ pub struct AuditConfig {}
 
 /// The structured audit outcome carried in
 /// [`SolveStats::audit`](crate::solution::SolveStats::audit).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AuditReport {
     /// The static model auditor ran.
     pub model_checked: bool,

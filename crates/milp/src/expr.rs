@@ -7,12 +7,11 @@
 use std::ops::{Add, AddAssign, Mul, Neg, Sub, SubAssign};
 
 use crate::tol;
-use serde::{Deserialize, Serialize};
 
 /// A decision variable handle, valid for the [`Model`] that created it.
 ///
 /// [`Model`]: crate::model::Model
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Var(pub u32);
 
 impl Var {
@@ -27,7 +26,7 @@ impl Var {
 /// Terms may mention the same variable several times while building; call
 /// [`LinExpr::compact`] (done automatically when adding to a model) to
 /// merge duplicates and drop zero coefficients.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LinExpr {
     /// `(variable, coefficient)` terms, possibly with duplicates.
     pub terms: Vec<(Var, f64)>,

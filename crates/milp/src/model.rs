@@ -4,15 +4,13 @@
 //! objective, plus the exact linearization helpers the RAS formulation
 //! needs ([`Model::max_of_zero`], [`Model::max_over`], [`Model::abs_le`]).
 
-use serde::{Deserialize, Serialize};
-
 use crate::expr::{LinExpr, Var};
 use crate::nan::NanGuard;
 use crate::solution::{Solution, SolveConfig, SolveError};
 use crate::tol;
 
 /// Variable integrality class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VarType {
     /// Real-valued variable.
     Continuous,
@@ -23,7 +21,7 @@ pub enum VarType {
 }
 
 /// Constraint sense.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Sense {
     /// `expr <= rhs`
     Le,
@@ -34,7 +32,7 @@ pub enum Sense {
 }
 
 /// Metadata of one variable.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VarInfo {
     /// Human-readable name (used in diagnostics).
     pub name: String,
@@ -47,7 +45,7 @@ pub struct VarInfo {
 }
 
 /// One linear constraint `expr (<=|>=|==) rhs`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Constraint {
     /// Human-readable name.
     pub name: String,
@@ -60,7 +58,7 @@ pub struct Constraint {
 }
 
 /// A mixed-integer linear program, always a *minimization*.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Model {
     vars: Vec<VarInfo>,
     constraints: Vec<Constraint>,

@@ -1,10 +1,9 @@
 //! Solver results, statistics, and configuration.
 
 use crate::tol;
-use serde::{Deserialize, Serialize};
 
 /// Final status of a MIP solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Status {
     /// Proven optimal within tolerances.
     Optimal,
@@ -22,7 +21,7 @@ pub enum Status {
 }
 
 /// Statistics from a solve, used by the Figures 7–11 experiments.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SolveStats {
     /// Branch-and-bound nodes explored.
     pub nodes: usize,
@@ -178,7 +177,7 @@ impl SolveStats {
 }
 
 /// Configuration for a MIP solve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SolveConfig {
     /// Wall-clock limit in seconds (the paper's phase-1 timeout).
     pub time_limit_seconds: f64,
@@ -241,7 +240,7 @@ impl Default for SolveConfig {
 }
 
 /// A MIP solution.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Solution {
     /// Final status.
     pub status: Status,

@@ -1,7 +1,6 @@
 //! Compressed sparse column (CSC) matrix used by the simplex engine.
 
 use crate::cast;
-use serde::{Deserialize, Serialize};
 
 /// A read-only CSC matrix with a row-major mirror.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// kernel: given the BTRAN'd pivot row `ρ`, the updates `α_j = ρᵀA_j`
 /// only touch columns with a nonzero in some row where `ρ` is nonzero,
 /// which row iteration finds without scanning every column.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CscMatrix {
     rows: usize,
     cols: usize,

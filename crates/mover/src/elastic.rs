@@ -12,25 +12,22 @@ use ras_topology::ServerId;
 
 use crate::log::{MoveLog, MoveReason, MoveRecord};
 
+/// Fraction of a revocation cleared immediately (the rest is delayed).
+const IMMEDIATE_FRACTION: f64 = 0.75;
+/// Delay for the second revocation wave, in seconds.
+const DELAYED_SECS: u64 = 30 * 60;
+
 /// Manages loans for one elastic reservation.
 #[derive(Debug)]
 pub struct ElasticManager {
     /// The elastic reservation receiving loans.
     pub elastic: ReservationId,
-    /// Fraction revoked immediately on demand (the rest is delayed).
-    pub immediate_fraction: f64,
-    /// Delay for the second revocation wave, in seconds.
-    pub delayed_secs: u64,
 }
 
 impl ElasticManager {
     /// Creates a manager with the paper's 75 % / 30 min split.
     pub fn new(elastic: ReservationId) -> Self {
-        Self {
-            elastic,
-            immediate_fraction: 0.75,
-            delayed_secs: 30 * 60,
-        }
+        Self { elastic }
     }
 
     /// Loans idle, healthy servers to the elastic reservation: free-pool
@@ -80,7 +77,7 @@ impl ElasticManager {
 
     /// Revokes up to `needed` loans. Returns `(immediate, delayed)`:
     /// `immediate` loans are cleared now, `delayed` ones are scheduled for
-    /// `at + delayed_secs` (the caller clears them then).
+    /// `at + DELAYED_SECS` (the caller clears them then).
     pub fn revoke(
         &self,
         broker: &mut ResourceBroker,
@@ -94,7 +91,7 @@ impl ElasticManager {
             .map(|(s, _)| s)
             .take(needed)
             .collect();
-        let cut = ras_core::cast::ceil_usize(loaned.len() as f64 * self.immediate_fraction);
+        let cut = ras_core::cast::ceil_usize(loaned.len() as f64 * IMMEDIATE_FRACTION);
         let mut immediate = Vec::new();
         let mut delayed = Vec::new();
         for (i, s) in loaned.into_iter().enumerate() {
@@ -111,7 +108,7 @@ impl ElasticManager {
                     immediate.push(s);
                 }
             } else {
-                delayed.push((s, at.plus_secs(self.delayed_secs)));
+                delayed.push((s, at.plus_secs(DELAYED_SECS)));
             }
         }
         (immediate, delayed)

@@ -2,10 +2,9 @@
 
 use ras_broker::{ReservationId, SimTime};
 use ras_topology::ServerId;
-use serde::{Deserialize, Serialize};
 
 /// Why a server moved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MoveReason {
     /// Executing a solver target.
     SolverTarget,
@@ -20,7 +19,7 @@ pub enum MoveReason {
 }
 
 /// One executed move.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MoveRecord {
     /// The server that moved.
     pub server: ServerId,
@@ -37,7 +36,7 @@ pub struct MoveRecord {
 }
 
 /// Append-only log of executed moves with hourly aggregation helpers.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MoveLog {
     records: Vec<MoveRecord>,
 }

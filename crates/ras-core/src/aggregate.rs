@@ -13,14 +13,13 @@
 
 use ras_broker::{BrokerSnapshot, ReservationId};
 use ras_topology::{Region, ServerId};
-use serde::{Deserialize, Serialize};
 
 use crate::classes::{build_classes_counted, total_servers, EquivClass, Granularity};
 use crate::reservation::ReservationSpec;
 
 /// How a solve reduces the region before the MIP. The symmetric-server
 /// classes are the only reduction.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum AggregationLevel {
     /// The paper's symmetric-server equivalence classes.
     #[default]
@@ -28,7 +27,7 @@ pub enum AggregationLevel {
 }
 
 /// Size accounting of one reduction.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReductionStats {
     /// Servers covered by the classes.
     pub servers: usize,

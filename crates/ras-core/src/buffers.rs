@@ -13,7 +13,6 @@
 
 use ras_broker::ReservationId;
 use ras_topology::Region;
-use serde::{Deserialize, Serialize};
 
 use crate::reservation::{ReservationKind, ReservationSpec};
 use crate::rru::RruTable;
@@ -42,7 +41,7 @@ pub fn shared_buffer_specs(region: &Region, fraction: f64) -> Vec<ReservationSpe
 }
 
 /// Region-level capacity accounting under an assignment.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct BufferAccounting {
     /// Fraction of servers bound to guaranteed reservations, *excluding*
     /// their embedded buffers.

@@ -14,10 +14,9 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use ras_broker::{BrokerSnapshot, ReservationId, ServerRecord, UnavailabilityKind};
 use ras_topology::{DatacenterId, HardwareTypeId, MsbId, RackId, Region, Server, ServerId};
-use serde::{Deserialize, Serialize};
 
 /// Location granularity of the class key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Granularity {
     /// Phase 1: group by MSB, ignoring racks (fewer, larger classes).
     Msb,
@@ -26,7 +25,7 @@ pub enum Granularity {
 }
 
 /// One equivalence class of interchangeable servers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct EquivClass {
     /// Member servers (all interchangeable under the model).
     pub servers: Vec<ServerId>,

@@ -15,7 +15,6 @@
 
 use ras_broker::ReservationId;
 use ras_topology::Region;
-use serde::{Deserialize, Serialize};
 
 use crate::buffers;
 use crate::reservation::ReservationSpec;
@@ -23,7 +22,7 @@ use ras_milp::nan;
 use ras_milp::tol;
 
 /// One hardware line of the explanation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HardwareLine {
     /// Hardware type name.
     pub hardware: String,
@@ -38,7 +37,7 @@ pub struct HardwareLine {
 }
 
 /// A reservation's placement explanation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Explanation {
     /// Reservation name.
     pub name: String,

@@ -31,7 +31,6 @@
 
 use ras_milp::{LinExpr, Model, Sense, Var, VarType};
 use ras_topology::Region;
-use serde::{Deserialize, Serialize};
 
 use crate::classes::EquivClass;
 use crate::params::{SolverParams, ASSIGNMENT_COST, BUFFER_COST, SOFTEN_PENALTY, SPREAD_PENALTY};
@@ -42,7 +41,7 @@ use ras_milp::nan::NanGuard;
 
 /// Per-constraint violation levels of the current assignment, used as
 /// the elastic columns' upper bounds when softening.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SoftenBaseline {
     /// Capacity shortfall per reservation (RRUs below `Cr`, after the
     /// buffer term for MSB-buffered reservations).

@@ -17,7 +17,6 @@
 //! * [`ASSIGNMENT_COST`] — the epsilon per assigned server.
 
 use ras_milp::AuditMode;
-use serde::{Deserialize, Serialize};
 
 use crate::aggregate::AggregationLevel;
 use crate::classes::Granularity;
@@ -56,7 +55,7 @@ pub const PHASE2_RESERVATION_FRACTION: f64 = 0.10;
 pub const ASSIGNMENT_COST: f64 = 0.01;
 
 /// Weights and limits of the RAS MIP (paper Table 1 and Section 4.6).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SolverParams {
     /// Movement cost `Ms` for a server with running containers.
     pub move_cost_in_use: f64,

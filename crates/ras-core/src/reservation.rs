@@ -6,12 +6,11 @@
 //! Capacity Portal; the Async Solver materializes them into server sets.
 
 use ras_topology::DatacenterId;
-use serde::{Deserialize, Serialize};
 
 use crate::rru::RruTable;
 
 /// What role a reservation plays in the region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReservationKind {
     /// Ordinary guaranteed capacity owned by a business unit.
     Guaranteed,
@@ -24,7 +23,7 @@ pub enum ReservationKind {
 }
 
 /// Spread limits across fault domains (the `αK`/`αF` of Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpreadPolicy {
     /// Maximum fraction of the reservation's capacity allowed in one rack
     /// (`αK`); `None` disables the rack-spread objective.
@@ -57,7 +56,7 @@ impl SpreadPolicy {
 /// "If a service's data resides in a datacenter, its compute servers
 /// should also come from that datacenter" — systems outside RAS determine
 /// the desired shares.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DcAffinity {
     /// Desired fraction of capacity per datacenter; fractions should sum
     /// to ~1. Datacenters absent from the list get share 0.
@@ -86,7 +85,7 @@ impl DcAffinity {
 }
 
 /// A capacity request materialized as a reservation spec.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReservationSpec {
     /// Human-readable name (service or business unit).
     pub name: String,

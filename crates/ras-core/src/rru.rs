@@ -8,10 +8,9 @@
 
 use ras_milp::nan;
 use ras_topology::{HardwareCatalog, HardwareTypeId, ProcessorGeneration};
-use serde::{Deserialize, Serialize};
 
 /// Per-hardware-type RRU values for one workload (the paper's `Vs,r`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RruTable {
     values: Vec<f64>,
 }

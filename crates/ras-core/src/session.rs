@@ -66,7 +66,6 @@ use std::time::Instant;
 use ras_broker::{BrokerSnapshot, ReservationId};
 use ras_milp::Basis;
 use ras_topology::{Region, ServerId};
-use serde::{Deserialize, Serialize};
 
 use crate::assign::{count_class_moves, current_bindings, MoveStats};
 use crate::classes::EquivClass;
@@ -82,7 +81,7 @@ use crate::stats::PhaseStats;
 /// solve's own counters are in the round's phase-1 [`PhaseStats`];
 /// `warm_basis_accepted`, `dual_resolve` and `incumbent_seeded` repeat
 /// three of them here for readers of this struct alone.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct WarmReport {
     /// 0-based index of this round since the solver last dropped its
     /// warm state (a new solver, a failed round or a new shard partition).

@@ -36,7 +36,6 @@
 
 use ras_broker::{BrokerSnapshot, ReservationId, ServerRecord};
 use ras_topology::{MsbId, Region, ServerId};
-use serde::{Deserialize, Serialize};
 
 use crate::classes::{unplanned_unavailable, EquivClass};
 use crate::model::solver_visible;
@@ -295,7 +294,7 @@ pub(crate) fn supported_plan(
 
 /// A target assignment valued with the exact monolithic phase-1
 /// objective (movement + stability + acquisition + MSB spread + buffer).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PlanScore {
     /// The phase-1 objective this plan scores in the regional model.
     pub objective: f64,
@@ -425,7 +424,7 @@ pub fn sharded_tolerance(k: usize, params: &SolverParams, mono_objective: f64) -
 }
 
 /// What the merge/reconcile pass did after the shard solves landed.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ReconcileReport {
     /// Newly-acquired free-pool servers released back (surplus from
     /// per-shard over-buffering).

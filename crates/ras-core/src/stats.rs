@@ -1,13 +1,12 @@
 //! Per-phase solve statistics (the quantities behind Figures 8, 10, 11).
 
 use ras_milp::{SolveStats, Status};
-use serde::{Deserialize, Serialize};
 
 use crate::aggregate::ReductionStats;
 
 /// Timing and size breakdown of one solver phase, matching the paper's
 /// four steps: RAS Build, Solver Build, Initial State, MIP (Figure 8).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PhaseStats {
     /// Seconds building RAS objectives/constraints (classes + model).
     pub ras_build_seconds: f64,

@@ -23,7 +23,6 @@ use ras_core::stats::PhaseStats;
 use ras_core::{SolverParams, WarmReport};
 use ras_topology::{Region, ScopeId, ServerId};
 use ras_twine::{ContainerSpec, JobSpec, PlacementPolicyKind, TwineAllocator};
-use serde::{Deserialize, Serialize};
 
 use crate::metrics::{stranded_account, StrandedAccount};
 
@@ -156,7 +155,7 @@ impl Default for ContinuousConfig {
 }
 
 /// What one continuous round cost and how warm it ran.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RoundReport {
     /// 0-based round index (round 0 is the cold solve).
     pub round: usize,

@@ -17,7 +17,6 @@ use rand::{Rng, SeedableRng};
 use ras_broker::{ResourceBroker, SimTime, UnavailabilityKind};
 use ras_topology::{MsbId, PowerRowId, Region, ScopeId, ServerId};
 use ras_twine::HealthCheckService;
-use serde::{Deserialize, Serialize};
 
 use crate::continuous::{stranded_now, ContainerLoad};
 use crate::metrics::StrandedAccount;
@@ -33,7 +32,7 @@ const POWER_ROW_HOURS: (f64, f64) = (1.0, 6.0);
 const MAINTENANCE_FRACTION: f64 = 0.25;
 
 /// Event rates, all per simulated time.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FailureRates {
     /// Probability a given server suffers a hardware failure per day.
     pub hardware_per_server_per_day: f64,
@@ -97,7 +96,8 @@ pub struct FailureInjector {
     rates: FailureRates,
     rng: StdRng,
     pending: Vec<Pending>,
-    /// Running count of events injected, by kind (for Figure 5).
+    /// Every event injected: when, its kind and how many servers it took
+    /// down. Only this module's unit tests read it.
     pub injected: Vec<(SimTime, UnavailabilityKind, usize)>,
 }
 
@@ -294,7 +294,7 @@ impl FailureInjector {
 }
 
 /// Outcome of one MSB-scale failure drill at the container layer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DrillReport {
     /// Placement policy that ran the drill.
     pub policy: String,

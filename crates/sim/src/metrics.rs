@@ -12,10 +12,9 @@ use ras_broker::{ReservationId, ResourceBroker};
 use ras_core::buffers;
 use ras_core::reservation::ReservationSpec;
 use ras_topology::Region;
-use serde::{Deserialize, Serialize};
 
 /// Stranded-capacity totals over a set of hosts at one container grain.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StrandedAccount {
     /// Total free cores across the accounted hosts.
     pub free_cores: f64,
@@ -150,7 +149,7 @@ pub fn weighted_max_msb_share(
 }
 
 /// One hourly sample of region state.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct HourSample {
     /// Sample time in hours since simulation start.
     pub hour: u64,
@@ -179,7 +178,7 @@ pub struct HourSample {
 }
 
 /// Append-only metric log.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricsLog {
     samples: Vec<HourSample>,
 }

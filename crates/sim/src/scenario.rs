@@ -71,8 +71,6 @@ pub struct Simulation {
     moves_logged: usize,
     elastic: Option<ElasticManager>,
     pending_revokes: Vec<(ras_topology::ServerId, SimTime)>,
-    /// Statistics of every solve executed (allocation seconds, vars, …).
-    pub solve_history: Vec<ras_core::solver::SolveOutput>,
     /// Every solve [`Simulation::run_hours`] ran that failed (a refused
     /// plan included), with its simulated hour.
     pub solve_errors: Vec<(u64, ras_core::CoreError)>,
@@ -99,7 +97,6 @@ impl Simulation {
             moves_logged: 0,
             elastic: None,
             pending_revokes: Vec::new(),
-            solve_history: Vec::new(),
             solve_errors: Vec::new(),
         }
     }
@@ -141,7 +138,6 @@ impl Simulation {
         let snapshot = self.broker.snapshot(self.time);
         let output = self.solver.solve(&self.region, &self.specs, &snapshot)?;
         self.solver.apply(&output, &mut self.broker)?;
-        self.solve_history.push(output);
         let region = &self.region;
         let twine = &mut self.twine;
         self.mover
@@ -321,7 +317,6 @@ mod tests {
             sim.broker.member_count(web)
         );
         assert_eq!(sim.metrics.samples().len(), 2);
-        assert!(!sim.solve_history.is_empty());
         assert!(sim.solve_errors.is_empty(), "{:?}", sim.solve_errors);
     }
 
@@ -339,7 +334,6 @@ mod tests {
             RruTable::empty(&catalog),
         ));
         sim.run_hours(5);
-        assert!(sim.solve_history.is_empty());
         let hours: Vec<u64> = sim.solve_errors.iter().map(|(h, _)| *h).collect();
         assert_eq!(hours, [0, 2, 4], "one error per solve hour");
         for (_, e) in &sim.solve_errors {

@@ -14,14 +14,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::hardware::{HardwareCatalog, ProcessorGeneration};
 use crate::ids::HardwareTypeId;
 use crate::region::Region;
 
 /// Size parameters for a synthetic region.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RegionTemplate {
     /// Number of datacenters (the paper's example uses 5).
     pub datacenters: usize,

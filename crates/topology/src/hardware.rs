@@ -6,12 +6,10 @@
 //! nine categories and twelve subtypes (Figure 2); the default
 //! [`HardwareCatalog`] mirrors that breakdown.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::HardwareTypeId;
 
 /// Processor generation of a server type (paper Figure 3 uses three).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ProcessorGeneration {
     /// Oldest generation still in the fleet.
     Gen1,
@@ -40,7 +38,7 @@ impl ProcessorGeneration {
 }
 
 /// Broad hardware category (`C` in the paper's `<Ci-Si>` notation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum HardwareCategory {
     /// General-purpose compute.
     Compute,
@@ -82,7 +80,7 @@ impl HardwareCategory {
 /// Subtypes exist "only if there is a notable performance difference"
 /// (Section 2.2), which we model through the processor generation and the
 /// resource sizes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HardwareType {
     /// Dense identifier within the owning catalog.
     pub id: HardwareTypeId,
@@ -114,7 +112,7 @@ impl HardwareType {
 }
 
 /// Immutable registry of every hardware type deployed in a region.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct HardwareCatalog {
     types: Vec<HardwareType>,
 }

@@ -6,14 +6,12 @@
 //! solver consumes the region read-only; mutable fleet state (assignments,
 //! unavailability) lives in the resource broker instead.
 
-use serde::{Deserialize, Serialize};
-
 use crate::hardware::HardwareCatalog;
 use crate::ids::{DatacenterId, HardwareTypeId, MsbId, PowerRowId, RackId, ServerId};
 use crate::scope::{Scope, ScopeId};
 
 /// A datacenter within the region.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Datacenter {
     /// Dense identifier.
     pub id: DatacenterId,
@@ -25,7 +23,7 @@ pub struct Datacenter {
 
 /// A main switch board: isolated power + network domain of thousands of
 /// servers, and the largest single fault domain RAS plans for.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Msb {
     /// Dense identifier.
     pub id: MsbId,
@@ -39,7 +37,7 @@ pub struct Msb {
 }
 
 /// A power row inside an MSB (intermediate correlated-failure domain).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PowerRow {
     /// Dense identifier.
     pub id: PowerRowId,
@@ -50,7 +48,7 @@ pub struct PowerRow {
 }
 
 /// A rack and its top-of-rack switch.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Rack {
     /// Dense identifier.
     pub id: RackId,
@@ -61,7 +59,7 @@ pub struct Rack {
 }
 
 /// A physical server.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Server {
     /// Dense identifier.
     pub id: ServerId,
@@ -92,7 +90,7 @@ impl Server {
 }
 
 /// The full regional topology: arenas plus the hardware catalog.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Region {
     /// Region name (e.g. `"prn"`).
     pub name: String,

@@ -4,12 +4,10 @@
 //! domain (`ΨF`), and datacenter (`ΨD`). [`Scope`] names the level and
 //! [`ScopeId`] identifies one concrete fault domain at that level.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{DatacenterId, MsbId, PowerRowId, RackId, ServerId};
 
 /// A level of the fault-domain hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Scope {
     /// A single server (random-failure scope).
     Server,
@@ -50,7 +48,7 @@ impl Scope {
 }
 
 /// One concrete fault domain: a scope level plus the identifier within it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ScopeId {
     /// A single server.
     Server(ServerId),

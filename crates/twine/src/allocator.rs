@@ -24,7 +24,6 @@ use std::time::Instant;
 use ras_broker::{ChangeFeedId, ReservationId, ResourceBroker};
 use ras_milp::cast;
 use ras_topology::{HardwareTypeId, RackId, Region, ServerId};
-use serde::{Deserialize, Serialize};
 
 use crate::job::{ContainerId, ContainerSpec, JobId, JobSpec, JobState};
 
@@ -73,7 +72,7 @@ const FARB_W_RESIDUAL: f64 = 0.5;
 /// (when the job requests it) is a strictly higher-priority tier applied
 /// by the allocator, so a policy only ranks servers within the
 /// least-loaded-rack tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlacementPolicyKind {
     /// Tightest stacking: least residual cores after placement (the
     /// historical behavior).
@@ -162,7 +161,7 @@ impl JobEntry {
 }
 
 /// Placement latency statistics (wall-clock, microseconds).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LatencyStats {
     samples_us: Vec<u64>,
 }

@@ -8,17 +8,15 @@
 use ras_broker::{BrokerError, ResourceBroker, SimTime, UnavailabilityEvent, UnavailabilityKind};
 use ras_topology::{Region, ScopeId, ServerId};
 
-/// Health Check Service: the single writer of unavailability state.
+/// Health Check Service: the single writer of unavailability state. It
+/// keeps none of its own: the broker's records are the source of truth.
 #[derive(Debug, Default)]
-pub struct HealthCheckService {
-    /// Servers currently reported down, with their event.
-    down: Vec<(ServerId, UnavailabilityKind)>,
-}
+pub struct HealthCheckService;
 
 impl HealthCheckService {
     /// Creates the service.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
     /// Reports one server down.
@@ -37,9 +35,7 @@ impl HealthCheckService {
             scope,
             start: at,
             expected_end,
-        })?;
-        self.down.push((server, kind));
-        Ok(())
+        })
     }
 
     /// Reports a whole fault domain down (correlated failure): every
@@ -72,9 +68,7 @@ impl HealthCheckService {
         server: ServerId,
         at: SimTime,
     ) -> Result<(), BrokerError> {
-        broker.mark_up(server, at)?;
-        self.down.retain(|(s, _)| *s != server);
-        Ok(())
+        broker.mark_up(server, at)
     }
 
     /// Recovers every server of a fault domain.
@@ -96,17 +90,16 @@ impl HealthCheckService {
         }
         Ok(members.len())
     }
-
-    /// Servers currently known down.
-    pub fn down_count(&self) -> usize {
-        self.down.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ras_topology::{MsbId, RegionBuilder, RegionTemplate};
+
+    fn down_count(broker: &ResourceBroker) -> usize {
+        broker.iter().filter(|(_, rec)| !rec.is_up()).count()
+    }
 
     #[test]
     fn scope_down_hits_every_member() {
@@ -125,7 +118,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(n, region.servers_in_msb(msb).count());
-        assert_eq!(hcs.down_count(), n);
+        assert_eq!(down_count(&broker), n);
         for s in region.servers_in_msb(msb) {
             let rec = broker.record(s.id).unwrap();
             assert!(!rec.is_up());
@@ -140,7 +133,7 @@ mod tests {
             )
             .unwrap();
         assert_eq!(up, n);
-        assert_eq!(hcs.down_count(), 0);
+        assert_eq!(down_count(&broker), 0);
     }
 
     #[test]
@@ -158,7 +151,7 @@ mod tests {
             None,
         )
         .unwrap();
-        assert_eq!(hcs.down_count(), 1);
+        assert_eq!(down_count(&broker), 1);
         hcs.report_up(&mut broker, s, SimTime::from_hours(1))
             .unwrap();
         assert!(broker.record(s).unwrap().is_up());

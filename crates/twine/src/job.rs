@@ -1,10 +1,9 @@
 //! Jobs and containers.
 
 use ras_broker::ReservationId;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JobId(pub u32);
 
 impl JobId {
@@ -15,7 +14,7 @@ impl JobId {
 }
 
 /// Lifecycle state of a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobState {
     /// Submitted, not all replicas placed yet.
     Pending,
@@ -29,11 +28,11 @@ pub enum JobState {
 
 /// Identifier of a container instance; a container keeps it for life,
 /// evacuations included.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ContainerId(pub u64);
 
 /// Resource shape of one container.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ContainerSpec {
     /// CPU cores requested.
     pub cores: f64,
@@ -84,7 +83,7 @@ impl ContainerSpec {
 }
 
 /// A job: `replicas` identical containers inside one reservation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JobSpec {
     /// Human-readable name.
     pub name: String,

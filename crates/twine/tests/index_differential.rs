@@ -1,15 +1,17 @@
 //! Differential oracle for the indexed allocator: after *any*
 //! interleaving of submit / scale / stop a container or a job / process
-//! / evacuate / bind / unbind / `mark_down` / `mark_up` / failure
-//! replacement, every container sits on the server the member scan
-//! (`support::ScanAllocator`) puts it on, under the same id — for both
-//! policies, with and without rack anti-affinity, with
+//! / evacuate (a named server or the busiest one) / bind / unbind /
+//! `mark_down` / `mark_up` / failure replacement, with jobs stacked into
+//! nearly full reservations, every container sits on the server the
+//! member scan (`support::ScanAllocator`) puts it on, under the same id —
+//! for both policies, with and without rack anti-affinity, with
 //! (`evacuate`) and without (`submit`) an excluded server, on a tiny and a
 //! medium region and on one whose racks interleave in id order — and the
 //! broker's member and unbound sets equal a fresh filter over `iter()`.
 
 mod support;
 
+use std::cmp::Reverse;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
@@ -48,6 +50,18 @@ enum Op {
     Evacuate {
         server: u8,
     },
+    /// Evacuates the server holding the most containers (ties go to the
+    /// lowest id): its victims from several jobs run out of room part-way
+    /// in a nearly full reservation, so the order they drain in shows.
+    EvacuateBusiest,
+    /// Fills a reservation with one job of large containers (the replicas
+    /// that do not fit wait), then submits `jobs` small jobs into what is
+    /// left: best fit stacks them on the few servers with room.
+    Stack {
+        reservation: u8,
+        shape: u8,
+        jobs: u8,
+    },
     Bind {
         server: u8,
         reservation: Option<u8>,
@@ -84,6 +98,12 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u8..=254).prop_map(|job| Op::StopJob { job }),
         Just(Op::Process),
         (0u8..=254).prop_map(|server| Op::Evacuate { server }),
+        Just(Op::EvacuateBusiest),
+        (reservation.clone(), 0u8..4, 2u8..6).prop_map(|(reservation, shape, jobs)| Op::Stack {
+            reservation,
+            shape,
+            jobs,
+        }),
         (0u8..=254, prop::option::of(reservation)).prop_map(|(server, reservation)| Op::Bind {
             server,
             reservation,
@@ -223,6 +243,25 @@ impl<A: Level2> Side<A> {
             .unwrap();
     }
 
+    fn submit(
+        &mut self,
+        region: &Region,
+        reservation: u8,
+        container: ContainerSpec,
+        replicas: u32,
+        anti: bool,
+    ) {
+        let job = JobSpec {
+            name: "p".into(),
+            reservation: ReservationId(u32::from(reservation)),
+            container,
+            replicas,
+            rack_anti_affinity: anti,
+        };
+        self.jobs += 1;
+        self.alloc.submit(region, &mut self.broker, job);
+    }
+
     fn apply(&mut self, region: &Region, pool: &[ServerId], op: &Op) {
         let pick = |i: u8| pool[i as usize % pool.len()];
         match *op {
@@ -231,17 +270,7 @@ impl<A: Level2> Side<A> {
                 shape: s,
                 replicas,
                 anti,
-            } => {
-                let job = JobSpec {
-                    name: "p".into(),
-                    reservation: ReservationId(u32::from(reservation)),
-                    container: shape(s),
-                    replicas,
-                    rack_anti_affinity: anti,
-                };
-                self.jobs += 1;
-                self.alloc.submit(region, &mut self.broker, job);
-            }
+            } => self.submit(region, reservation, shape(s), replicas, anti),
             Op::Scale { job, replicas } => {
                 if self.jobs > 0 {
                     let id = JobId(u32::from(job) % self.jobs);
@@ -264,6 +293,27 @@ impl<A: Level2> Side<A> {
             }
             Op::Evacuate { server } => {
                 self.alloc.evacuate(region, &mut self.broker, pick(server));
+            }
+            Op::EvacuateBusiest => {
+                let busiest = self
+                    .broker
+                    .iter()
+                    .max_by_key(|(s, rec)| (rec.running_containers, Reverse(*s)))
+                    .map(|(s, _)| s);
+                if let Some(server) = busiest {
+                    self.alloc.evacuate(region, &mut self.broker, server);
+                }
+            }
+            Op::Stack {
+                reservation,
+                shape: s,
+                jobs,
+            } => {
+                self.submit(region, reservation, ContainerSpec::large(), 200, false);
+                for j in 0..jobs {
+                    let container = shape(s.wrapping_add(j));
+                    self.submit(region, reservation, container, 1 + u32::from(j % 3), false);
+                }
             }
             Op::Bind {
                 server,

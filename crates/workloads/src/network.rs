@@ -9,10 +9,9 @@
 use ras_broker::ReservationId;
 use ras_core::reservation::ReservationSpec;
 use ras_topology::{DatacenterId, Region};
-use serde::{Deserialize, Serialize};
 
 /// A storage-affine service's traffic model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StorageAffineService {
     /// The reservation running the compute.
     pub reservation: ReservationId,
@@ -23,7 +22,7 @@ pub struct StorageAffineService {
 }
 
 /// Traffic summary for one service under an assignment.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TrafficReport {
     /// RRUs placed in the data's datacenter.
     pub local_rru: f64,

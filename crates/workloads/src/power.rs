@@ -7,10 +7,9 @@
 
 use ras_broker::ResourceBroker;
 use ras_topology::Region;
-use serde::{Deserialize, Serialize};
 
 /// Per-MSB power summary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PowerReport {
     /// Power per MSB in watts.
     pub per_msb_watts: Vec<f64>,

@@ -7,10 +7,9 @@
 use ras_core::reservation::ReservationSpec;
 use ras_core::rru::{figure3, RruTable};
 use ras_topology::{HardwareCatalog, HardwareCategory};
-use serde::{Deserialize, Serialize};
 
 /// A reusable service profile.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServiceProfile {
     /// Service name.
     pub name: String,

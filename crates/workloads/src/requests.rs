@@ -13,10 +13,9 @@ use ras_broker::SimTime;
 use ras_core::reservation::ReservationSpec;
 use ras_core::rru::RruTable;
 use ras_topology::{HardwareCatalog, HardwareTypeId, ProcessorGeneration};
-use serde::{Deserialize, Serialize};
 
 /// One generated capacity request.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CapacityRequest {
     /// Requested capacity in units (1 unit ≈ 1 server, Figure 4).
     pub units: f64,
@@ -49,7 +48,7 @@ const MEAN_PER_WORKING_HOUR: f64 = 40.0;
 const MAX_UNITS: f64 = 30_000.0;
 
 /// Generator configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RequestGeneratorConfig {
     /// RNG seed.
     pub seed: u64,

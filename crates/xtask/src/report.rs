@@ -163,7 +163,7 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Serializes the whole run as a JSON document for the CI artifact.
+/// Renders the whole run as a JSON document for the CI artifact.
 pub fn render_json(
     files_scanned: usize,
     findings: &[Finding],
