@@ -185,9 +185,6 @@ pub struct RoundReport {
     pub cold_status_matches: Option<bool>,
     /// Shards the round solved in parallel (1 = monolithic).
     pub shards: usize,
-    /// Surplus free-pool acquisitions the merge pass released (0 for
-    /// monolithic rounds).
-    pub reconcile_released: usize,
     /// Wall-clock seconds of the sharded merge/reconcile pass.
     pub merge_seconds: f64,
     /// Containers running at the end of the round (0 without a
@@ -249,6 +246,16 @@ pub fn portfolio(region: &Region, utilization: f64) -> Vec<ReservationSpec> {
 /// certificate fails; a refused round panics here, so every returned
 /// report is of a certified round.
 pub fn run_continuous(region: &Region, config: &ContinuousConfig) -> Vec<RoundReport> {
+    run_rounds(region, config, |_, _| {})
+}
+
+/// [`run_continuous`], handing the broker and the allocator (present
+/// with a [`ContainerLoad`]) to `after_round` at the end of every round.
+fn run_rounds(
+    region: &Region,
+    config: &ContinuousConfig,
+    mut after_round: impl FnMut(&ResourceBroker, Option<&TwineAllocator>),
+) -> Vec<RoundReport> {
     let specs = portfolio(region, config.utilization);
     let mut broker = ResourceBroker::new(region.server_count());
     for s in &specs {
@@ -327,13 +334,9 @@ pub fn run_continuous(region: &Region, config: &ContinuousConfig) -> Vec<RoundRe
             (None, None, None)
         };
 
-        let (shards, reconcile_released, merge_seconds) = match &output.sharded {
-            Some(rep) => (
-                rep.shards.len(),
-                rep.reconcile.released,
-                rep.reconcile.merge_seconds,
-            ),
-            None => (1, 0, 0.0),
+        let (shards, merge_seconds) = match &output.sharded {
+            Some(rep) => (rep.shards.len(), rep.reconcile.merge_seconds),
+            None => (1, 0.0),
         };
 
         solver.apply(&output, &mut broker).expect("apply");
@@ -362,6 +365,7 @@ pub fn run_continuous(region: &Region, config: &ContinuousConfig) -> Vec<RoundRe
             placement_p99_us = twine.latency.percentile(99.0);
             container_count = twine.container_count();
         }
+        after_round(&broker, twine.as_ref());
 
         reports.push(RoundReport {
             round,
@@ -376,7 +380,6 @@ pub fn run_continuous(region: &Region, config: &ContinuousConfig) -> Vec<RoundRe
             cold_objective,
             cold_status_matches,
             shards,
-            reconcile_released,
             merge_seconds,
             container_count,
             evac_moved,
@@ -429,6 +432,7 @@ pub(crate) fn stranded_now(
 mod tests {
     use super::*;
     use ras_topology::{RegionBuilder, RegionTemplate};
+    use ras_twine::JobId;
 
     fn region() -> Region {
         RegionBuilder::new(RegionTemplate::tiny(), 42).build()
@@ -501,13 +505,45 @@ mod tests {
     #[test]
     fn container_rounds_account_stranding_and_survive_churn() {
         let region = region();
+        let load = ContainerLoad::mixed(PlacementPolicyKind::FarbBalance, 30);
+        let shapes = load.shapes.len();
         let config = ContinuousConfig {
             rounds: 4,
             churn_fraction: 0.02,
-            containers: Some(ContainerLoad::mixed(PlacementPolicyKind::FarbBalance, 30)),
+            containers: Some(load),
             ..ContinuousConfig::default()
         };
-        let reports = run_continuous(&region, &config);
+        // After every round, every server holding containers is up and
+        // bound to the reservation of the job that placed them: the churn
+        // evacuation empties the downed servers, and the pending moves the
+        // round binds straight to their targets never take a server in use.
+        let mut rounds_checked = 0;
+        let reports = run_rounds(&region, &config, |broker, twine| {
+            let twine = twine.expect("the config carries a container load");
+            // Round 0 submits `shapes` jobs per reservation, in order.
+            let jobs = (0..).map(JobId).take_while(|j| twine.state(*j).is_some());
+            let mut containers = 0;
+            for job in jobs {
+                let reservation = ReservationId::from_index(job.index() / shapes);
+                for &c in twine.containers_of(job) {
+                    let server = twine.server_of(c).expect("a live container runs");
+                    let rec = broker.record(server).expect("a region server");
+                    assert!(
+                        rec.is_up(),
+                        "round {rounds_checked}: {c:?} on down {server}"
+                    );
+                    assert_eq!(
+                        rec.current,
+                        Some(reservation),
+                        "round {rounds_checked}: {c:?} of {job:?} on {server}"
+                    );
+                    containers += 1;
+                }
+            }
+            assert!(containers > 0, "round {rounds_checked} runs containers");
+            rounds_checked += 1;
+        });
+        assert_eq!(rounds_checked, 4);
         assert!(
             reports[0].container_count > 0,
             "round 0 must place the container load"

@@ -14,9 +14,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use ras_broker::{ResourceBroker, SimTime, UnavailabilityKind};
+use ras_broker::{ResourceBroker, SimTime, UnavailabilityEvent, UnavailabilityKind};
 use ras_topology::{MsbId, PowerRowId, Region, ScopeId, ServerId};
-use ras_twine::HealthCheckService;
+use ras_twine::health::{report_scope_down, report_scope_up};
 
 use crate::continuous::{stranded_now, ContainerLoad};
 use crate::metrics::StrandedAccount;
@@ -121,17 +121,17 @@ impl FailureInjector {
         rate_per_step > 0.0 && self.rng.gen::<f64>() < rate_per_step.min(1.0)
     }
 
-    /// Advances the injector by `dt_secs`, injecting new events through
-    /// the Health Check Service and completing due recoveries.
+    /// Advances the injector by `dt_secs`, writing new unavailability
+    /// events into the broker (the Health Check Service's role) and
+    /// completing due recoveries.
     pub fn step(
         &mut self,
         region: &Region,
         broker: &mut ResourceBroker,
-        hcs: &mut HealthCheckService,
         now: SimTime,
         dt_secs: u64,
     ) {
-        self.complete_recoveries(region, broker, hcs, now);
+        self.complete_recoveries(region, broker, now);
         let dt_days = dt_secs as f64 / 86_400.0;
 
         // Random single-server failures: sample the expected number of
@@ -157,14 +157,13 @@ impl FailureInjector {
                         Some(minutes) => now.plus_secs((self.uniform(minutes) * 60.0) as u64),
                         None => now.plus_secs((self.uniform(REPAIR_DAYS) * 86_400.0) as u64),
                     };
-                    let _ = hcs.report_down(
-                        broker,
-                        victim,
+                    let _ = broker.mark_down(UnavailabilityEvent {
+                        server: victim,
                         kind,
-                        ScopeId::Server(victim),
-                        now,
-                        Some(end),
-                    );
+                        scope: ScopeId::Server(victim),
+                        start: now,
+                        expected_end: Some(end),
+                    });
                     self.pending.push(Pending::Server(victim, end));
                     self.injected.push((now, kind, 1));
                 }
@@ -176,16 +175,15 @@ impl FailureInjector {
         if self.happens(msb_rate) {
             let msb = MsbId::from_index(self.rng.gen_range(0..region.msbs().len()));
             let end = now.plus_secs((self.uniform(self.rates.msb_outage_hours) * 3600.0) as u64);
-            let n = hcs
-                .report_scope_down(
-                    broker,
-                    region,
-                    ScopeId::Msb(msb),
-                    UnavailabilityKind::CorrelatedFailure,
-                    now,
-                    Some(end),
-                )
-                .unwrap_or(0);
+            let n = report_scope_down(
+                broker,
+                region,
+                ScopeId::Msb(msb),
+                UnavailabilityKind::CorrelatedFailure,
+                now,
+                Some(end),
+            )
+            .unwrap_or(0);
             self.pending.push(Pending::Scope(ScopeId::Msb(msb), end));
             self.injected
                 .push((now, UnavailabilityKind::CorrelatedFailure, n));
@@ -197,16 +195,15 @@ impl FailureInjector {
         if self.happens(row_rate) {
             let row = PowerRowId::from_index(self.rng.gen_range(0..region.power_rows().len()));
             let end = now.plus_secs((self.uniform(POWER_ROW_HOURS) * 3600.0) as u64);
-            let n = hcs
-                .report_scope_down(
-                    broker,
-                    region,
-                    ScopeId::PowerRow(row),
-                    UnavailabilityKind::CorrelatedFailure,
-                    now,
-                    Some(end),
-                )
-                .unwrap_or(0);
+            let n = report_scope_down(
+                broker,
+                region,
+                ScopeId::PowerRow(row),
+                UnavailabilityKind::CorrelatedFailure,
+                now,
+                Some(end),
+            )
+            .unwrap_or(0);
             self.pending
                 .push(Pending::Scope(ScopeId::PowerRow(row), end));
             self.injected
@@ -224,14 +221,13 @@ impl FailureInjector {
             let mut n = 0;
             for s in members.into_iter().take(take) {
                 if broker.record(s).map(|r| r.is_up()).unwrap_or(false) {
-                    let _ = hcs.report_down(
-                        broker,
-                        s,
-                        UnavailabilityKind::PlannedMaintenance,
-                        ScopeId::Msb(msb),
-                        now,
-                        Some(end),
-                    );
+                    let _ = broker.mark_down(UnavailabilityEvent {
+                        server: s,
+                        kind: UnavailabilityKind::PlannedMaintenance,
+                        scope: ScopeId::Msb(msb),
+                        start: now,
+                        expected_end: Some(end),
+                    });
                     self.pending.push(Pending::Server(s, end));
                     n += 1;
                 }
@@ -262,13 +258,7 @@ impl FailureInjector {
         }
     }
 
-    fn complete_recoveries(
-        &mut self,
-        region: &Region,
-        broker: &mut ResourceBroker,
-        hcs: &mut HealthCheckService,
-        now: SimTime,
-    ) {
+    fn complete_recoveries(&mut self, region: &Region, broker: &mut ResourceBroker, now: SimTime) {
         let due: Vec<Pending> = self
             .pending
             .iter()
@@ -283,10 +273,10 @@ impl FailureInjector {
         for p in due {
             match p {
                 Pending::Server(s, t) => {
-                    let _ = hcs.report_up(broker, s, t);
+                    let _ = broker.mark_up(s, t);
                 }
                 Pending::Scope(scope, t) => {
-                    let _ = hcs.report_scope_up(broker, region, scope, t);
+                    let _ = report_scope_up(broker, region, scope, t);
                 }
             }
         }
@@ -351,17 +341,15 @@ pub fn run_failure_drill(
         .unwrap_or(MsbId::from_index(0));
     let containers_on_msb = per_msb[worst.index()];
 
-    let mut hcs = HealthCheckService::new();
-    let msb_servers = hcs
-        .report_scope_down(
-            &mut broker,
-            region,
-            ScopeId::Msb(worst),
-            UnavailabilityKind::CorrelatedFailure,
-            SimTime::ZERO,
-            Some(SimTime::from_hours(6)),
-        )
-        .unwrap_or(0);
+    let msb_servers = report_scope_down(
+        &mut broker,
+        region,
+        ScopeId::Msb(worst),
+        UnavailabilityKind::CorrelatedFailure,
+        SimTime::ZERO,
+        Some(SimTime::from_hours(6)),
+    )
+    .unwrap_or(0);
 
     let mut evac_moved = 0;
     let mut evac_lost = 0;
@@ -393,10 +381,10 @@ mod tests {
     use super::*;
     use ras_topology::{RegionBuilder, RegionTemplate};
 
-    fn setup() -> (Region, ResourceBroker, HealthCheckService) {
+    fn setup() -> (Region, ResourceBroker) {
         let region = RegionBuilder::new(RegionTemplate::tiny(), 42).build();
         let broker = ResourceBroker::new(region.server_count());
-        (region, broker, HealthCheckService::new())
+        (region, broker)
     }
 
     fn down_fraction(broker: &ResourceBroker) -> f64 {
@@ -406,10 +394,10 @@ mod tests {
 
     #[test]
     fn quiet_rates_inject_nothing() {
-        let (region, mut broker, mut hcs) = setup();
+        let (region, mut broker) = setup();
         let mut inj = FailureInjector::new(FailureRates::quiet(), 1);
         for h in 0..48 {
-            inj.step(&region, &mut broker, &mut hcs, SimTime::from_hours(h), 3600);
+            inj.step(&region, &mut broker, SimTime::from_hours(h), 3600);
         }
         assert_eq!(inj.injected.len(), 0);
         assert_eq!(down_fraction(&broker), 0.0);
@@ -417,30 +405,30 @@ mod tests {
 
     #[test]
     fn failures_eventually_recover() {
-        let (region, mut broker, mut hcs) = setup();
+        let (region, mut broker) = setup();
         let rates = FailureRates {
             software_per_server_per_day: 5.0, // Very bursty.
             software_minutes: (5.0, 10.0),
             ..FailureRates::quiet()
         };
         let mut inj = FailureInjector::new(rates, 2);
-        inj.step(&region, &mut broker, &mut hcs, SimTime::ZERO, 3600);
+        inj.step(&region, &mut broker, SimTime::ZERO, 3600);
         assert!(down_fraction(&broker) > 0.0, "events must fire");
         // After two hours every short software event has recovered; a
         // zero-length step performs recoveries without new injections.
-        inj.step(&region, &mut broker, &mut hcs, SimTime::from_hours(2), 0);
+        inj.step(&region, &mut broker, SimTime::from_hours(2), 0);
         assert_eq!(down_fraction(&broker), 0.0);
     }
 
     #[test]
     fn msb_failure_takes_out_whole_scope() {
-        let (region, mut broker, mut hcs) = setup();
+        let (region, mut broker) = setup();
         let rates = FailureRates {
             msb_failures_per_month: 1e9, // Force it immediately.
             ..FailureRates::quiet()
         };
         let mut inj = FailureInjector::new(rates, 3);
-        inj.step(&region, &mut broker, &mut hcs, SimTime::ZERO, 3600);
+        inj.step(&region, &mut broker, SimTime::ZERO, 3600);
         let correlated: usize = inj
             .injected
             .iter()
@@ -456,13 +444,13 @@ mod tests {
 
     #[test]
     fn maintenance_respects_concurrency_cap() {
-        let (region, mut broker, mut hcs) = setup();
+        let (region, mut broker) = setup();
         let rates = FailureRates {
             maintenance_per_msb_per_week: 1e9,
             ..FailureRates::quiet()
         };
         let mut inj = FailureInjector::new(rates, 4);
-        inj.step(&region, &mut broker, &mut hcs, SimTime::ZERO, 3600);
+        inj.step(&region, &mut broker, SimTime::ZERO, 3600);
         // Per-MSB fraction under maintenance must respect the 25 % cap.
         for msb in region.msbs() {
             let members: Vec<_> = region.servers_in_msb(msb.id).collect();
@@ -515,7 +503,6 @@ mod tests {
     fn hardware_steady_state_near_point_one_percent() {
         let region = RegionBuilder::new(RegionTemplate::medium(), 9).build();
         let mut broker = ResourceBroker::new(region.server_count());
-        let mut hcs = HealthCheckService::new();
         let rates = FailureRates {
             software_per_server_per_day: 0.0,
             msb_failures_per_month: 0.0,
@@ -527,7 +514,7 @@ mod tests {
         // Warm up 60 days at 6-hour steps, then sample.
         let mut t = SimTime::ZERO;
         for _ in 0..(60 * 4) {
-            inj.step(&region, &mut broker, &mut hcs, t, 6 * 3600);
+            inj.step(&region, &mut broker, t, 6 * 3600);
             t = t.plus_hours(6);
         }
         let frac =

@@ -166,15 +166,8 @@ pub struct HourSample {
     /// Server-weighted average of per-reservation max-MSB share
     /// (Figure 12's y-axis).
     pub avg_max_msb_share: f64,
-    /// Normalized per-MSB power variance (Figure 14).
-    pub power_variance: f64,
-    /// Peak-MSB power headroom.
-    pub power_headroom: f64,
     /// Solver target moves executed this hour: (in-use, unused).
     pub moves: (usize, usize),
-    /// Stranded-capacity account across every reservation running
-    /// containers (empty when the twine layer is idle).
-    pub stranded: StrandedAccount,
 }
 
 /// Append-only metric log.

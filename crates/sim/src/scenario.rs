@@ -7,10 +7,8 @@ use ras_core::solver::AsyncSolver;
 use ras_core::SolverParams;
 use ras_mover::{ElasticManager, MoverConfig, OnlineMover};
 use ras_topology::Region;
-use ras_twine::{HealthCheckService, TwineAllocator};
-use ras_workloads::power;
+use ras_twine::TwineAllocator;
 
-use crate::continuous::stranded_now;
 use crate::failures::{FailureInjector, FailureRates};
 use crate::metrics::{weighted_max_msb_share, HourSample, MetricsLog};
 
@@ -60,8 +58,6 @@ pub struct Simulation {
     pub mover: OnlineMover,
     /// The Twine allocator (best-fit placement).
     pub twine: TwineAllocator,
-    /// The Health Check Service.
-    pub hcs: HealthCheckService,
     /// The failure injector.
     pub injector: FailureInjector,
     /// Collected hourly metrics.
@@ -89,7 +85,6 @@ impl Simulation {
             solver: AsyncSolver::new(config.params.clone()),
             mover,
             twine: TwineAllocator::new(),
-            hcs: HealthCheckService::new(),
             injector,
             metrics: MetricsLog::new(),
             config,
@@ -153,7 +148,6 @@ impl Simulation {
         self.injector.step(
             &self.region,
             &mut self.broker,
-            &mut self.hcs,
             self.time,
             self.config.tick_secs,
         );
@@ -252,19 +246,11 @@ impl Simulation {
                 }
             }
         }
-        let budget = power::default_budget(&self.region);
-        let p = power::measure(&self.region, &self.broker, budget);
         // Moves executed since the previous sample.
         let new_records = &self.mover.log.records()[self.moves_logged..];
         let in_use = new_records.iter().filter(|r| r.in_use).count();
         let unused = new_records.len() - in_use;
         self.moves_logged = self.mover.log.records().len();
-        let stranded = stranded_now(
-            &mut self.twine,
-            &self.region,
-            &self.broker,
-            self.specs.len(),
-        );
         self.metrics.push(HourSample {
             hour,
             unavailable_total: down.iter().sum::<usize>() as f64 / total,
@@ -273,10 +259,7 @@ impl Simulation {
             unavailable_correlated: down[3] as f64 / total,
             unavailable_planned: down[0] as f64 / total,
             avg_max_msb_share: weighted_max_msb_share(&self.region, &self.specs, &self.broker),
-            power_variance: p.utilization_variance,
-            power_headroom: p.peak_utilization_headroom,
             moves: (in_use, unused),
-            stranded,
         });
     }
 }
@@ -414,23 +397,15 @@ mod tests {
         let msb = ras_topology::MsbId(0);
         let now = sim.now();
         let loans_before = sim.elastic_loans();
-        {
-            let Simulation {
-                region,
-                broker,
-                hcs,
-                ..
-            } = &mut sim;
-            hcs.report_scope_down(
-                broker,
-                region,
-                ras_topology::ScopeId::Msb(msb),
-                ras_broker::UnavailabilityKind::CorrelatedFailure,
-                now,
-                Some(now.plus_hours(2)),
-            )
-            .unwrap();
-        }
+        ras_twine::health::report_scope_down(
+            &mut sim.broker,
+            &sim.region,
+            ras_topology::ScopeId::Msb(msb),
+            ras_broker::UnavailabilityKind::CorrelatedFailure,
+            now,
+            Some(now.plus_hours(2)),
+        )
+        .unwrap();
         sim.run_hours(1);
         assert!(
             sim.elastic_loans() < loans_before / 2,

@@ -3,93 +3,62 @@
 //! Monitors the fleet and writes unavailability events into the Resource
 //! Broker; the Online Mover and the Twine allocator react through their
 //! subscriptions. In this reproduction the "monitoring" input comes from
-//! the failure injectors in `ras-sim`.
+//! the failure injectors in `ras-sim`. The service keeps no state of its
+//! own: the broker's records are the source of truth, so a single
+//! server's failure or recovery is one `ResourceBroker::mark_down` /
+//! `mark_up` call, and the two functions here fan a whole fault domain
+//! out to its member servers.
 
 use ras_broker::{BrokerError, ResourceBroker, SimTime, UnavailabilityEvent, UnavailabilityKind};
 use ras_topology::{Region, ScopeId, ServerId};
 
-/// Health Check Service: the single writer of unavailability state. It
-/// keeps none of its own: the broker's records are the source of truth.
-#[derive(Debug, Default)]
-pub struct HealthCheckService;
+/// The servers of one fault domain, in id order.
+fn members(region: &Region, scope: ScopeId) -> Vec<ServerId> {
+    region
+        .servers()
+        .iter()
+        .filter(|s| s.scope_id(scope.scope()) == scope)
+        .map(|s| s.id)
+        .collect()
+}
 
-impl HealthCheckService {
-    /// Creates the service.
-    pub fn new() -> Self {
-        Self
-    }
-
-    /// Reports one server down.
-    pub fn report_down(
-        &mut self,
-        broker: &mut ResourceBroker,
-        server: ServerId,
-        kind: UnavailabilityKind,
-        scope: ScopeId,
-        at: SimTime,
-        expected_end: Option<SimTime>,
-    ) -> Result<(), BrokerError> {
+/// Reports a whole fault domain down (correlated failure): every member
+/// server gets an event carrying the failing scope. Returns the number
+/// of servers reported.
+pub fn report_scope_down(
+    broker: &mut ResourceBroker,
+    region: &Region,
+    scope: ScopeId,
+    kind: UnavailabilityKind,
+    at: SimTime,
+    expected_end: Option<SimTime>,
+) -> Result<usize, BrokerError> {
+    let members = members(region, scope);
+    for &server in &members {
         broker.mark_down(UnavailabilityEvent {
             server,
             kind,
             scope,
             start: at,
             expected_end,
-        })
+        })?;
     }
+    Ok(members.len())
+}
 
-    /// Reports a whole fault domain down (correlated failure): every
-    /// member server gets an event carrying the failing scope.
-    pub fn report_scope_down(
-        &mut self,
-        broker: &mut ResourceBroker,
-        region: &Region,
-        scope: ScopeId,
-        kind: UnavailabilityKind,
-        at: SimTime,
-        expected_end: Option<SimTime>,
-    ) -> Result<usize, BrokerError> {
-        let members: Vec<ServerId> = region
-            .servers()
-            .iter()
-            .filter(|s| s.scope_id(scope.scope()) == scope)
-            .map(|s| s.id)
-            .collect();
-        for server in &members {
-            self.report_down(broker, *server, kind, scope, at, expected_end)?;
-        }
-        Ok(members.len())
+/// Recovers every server of a fault domain. Returns the number of
+/// servers reported.
+pub fn report_scope_up(
+    broker: &mut ResourceBroker,
+    region: &Region,
+    scope: ScopeId,
+    at: SimTime,
+) -> Result<usize, BrokerError> {
+    let members = members(region, scope);
+    for &server in &members {
+        broker.mark_up(server, at)?;
     }
-
-    /// Reports one server recovered.
-    pub fn report_up(
-        &mut self,
-        broker: &mut ResourceBroker,
-        server: ServerId,
-        at: SimTime,
-    ) -> Result<(), BrokerError> {
-        broker.mark_up(server, at)
-    }
-
-    /// Recovers every server of a fault domain.
-    pub fn report_scope_up(
-        &mut self,
-        broker: &mut ResourceBroker,
-        region: &Region,
-        scope: ScopeId,
-        at: SimTime,
-    ) -> Result<usize, BrokerError> {
-        let members: Vec<ServerId> = region
-            .servers()
-            .iter()
-            .filter(|s| s.scope_id(scope.scope()) == scope)
-            .map(|s| s.id)
-            .collect();
-        for server in &members {
-            self.report_up(broker, *server, at)?;
-        }
-        Ok(members.len())
-    }
+    Ok(members.len())
 }
 
 #[cfg(test)]
@@ -105,18 +74,16 @@ mod tests {
     fn scope_down_hits_every_member() {
         let region = RegionBuilder::new(RegionTemplate::tiny(), 1).build();
         let mut broker = ResourceBroker::new(region.server_count());
-        let mut hcs = HealthCheckService::new();
         let msb = MsbId(0);
-        let n = hcs
-            .report_scope_down(
-                &mut broker,
-                &region,
-                ScopeId::Msb(msb),
-                UnavailabilityKind::CorrelatedFailure,
-                SimTime::ZERO,
-                None,
-            )
-            .unwrap();
+        let n = report_scope_down(
+            &mut broker,
+            &region,
+            ScopeId::Msb(msb),
+            UnavailabilityKind::CorrelatedFailure,
+            SimTime::ZERO,
+            None,
+        )
+        .unwrap();
         assert_eq!(n, region.servers_in_msb(msb).count());
         assert_eq!(down_count(&broker), n);
         for s in region.servers_in_msb(msb) {
@@ -124,14 +91,13 @@ mod tests {
             assert!(!rec.is_up());
             assert_eq!(rec.unavailability.unwrap().scope, ScopeId::Msb(msb));
         }
-        let up = hcs
-            .report_scope_up(
-                &mut broker,
-                &region,
-                ScopeId::Msb(msb),
-                SimTime::from_hours(3),
-            )
-            .unwrap();
+        let up = report_scope_up(
+            &mut broker,
+            &region,
+            ScopeId::Msb(msb),
+            SimTime::from_hours(3),
+        )
+        .unwrap();
         assert_eq!(up, n);
         assert_eq!(down_count(&broker), 0);
     }
@@ -140,20 +106,26 @@ mod tests {
     fn single_server_roundtrip() {
         let region = RegionBuilder::new(RegionTemplate::tiny(), 1).build();
         let mut broker = ResourceBroker::new(region.server_count());
-        let mut hcs = HealthCheckService::new();
         let s = ServerId(7);
-        hcs.report_down(
+        let n = report_scope_down(
             &mut broker,
-            s,
-            UnavailabilityKind::UnplannedHardware,
+            &region,
             ScopeId::Server(s),
+            UnavailabilityKind::UnplannedHardware,
             SimTime::ZERO,
             None,
         )
         .unwrap();
+        assert_eq!(n, 1);
         assert_eq!(down_count(&broker), 1);
-        hcs.report_up(&mut broker, s, SimTime::from_hours(1))
-            .unwrap();
+        let up = report_scope_up(
+            &mut broker,
+            &region,
+            ScopeId::Server(s),
+            SimTime::from_hours(1),
+        )
+        .unwrap();
+        assert_eq!(up, 1);
         assert!(broker.record(s).unwrap().is_up());
     }
 }

@@ -21,5 +21,4 @@ pub mod health;
 pub mod job;
 
 pub use allocator::{Candidate, LatencyStats, PlacementError, PlacementPolicyKind, TwineAllocator};
-pub use health::HealthCheckService;
 pub use job::{ContainerId, ContainerSpec, JobId, JobSpec, JobState};

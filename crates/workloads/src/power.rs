@@ -1,11 +1,10 @@
 //! Power aggregation across MSBs (paper Section 4.4, Figure 14).
 //!
 //! Each hardware type has a nominal busy-power draw; a server consumes
-//! that draw scaled by whether it runs containers. The figure-14 metrics
-//! are the normalized variance of per-MSB power and the headroom of the
-//! most-loaded MSB.
+//! that draw scaled by whether the caller counts it busy. The figure-14
+//! metrics are the normalized variance of per-MSB power and the headroom
+//! of the most-loaded MSB.
 
-use ras_broker::ResourceBroker;
 use ras_topology::Region;
 
 /// Per-MSB power summary.
@@ -34,22 +33,13 @@ pub struct PowerReport {
 /// Idle power as a fraction of busy power.
 const IDLE_FRACTION: f64 = 0.45;
 
-/// Computes per-MSB power for the current fleet state.
+/// Computes per-MSB power with the servers `is_busy` picks drawing full
+/// power and the rest idle — e.g. "bound to any reservation" when
+/// measuring allocation-driven power, or "running containers" for
+/// instantaneous load.
 ///
 /// `budget_watts` is the provisioned power per MSB; headroom is measured
 /// against it.
-pub fn measure(region: &Region, broker: &ResourceBroker, budget_watts: f64) -> PowerReport {
-    measure_with(region, budget_watts, |s| {
-        broker
-            .record(s)
-            .map(|r| r.running_containers > 0 || r.elastic.is_some())
-            .unwrap_or(false)
-    })
-}
-
-/// Like [`measure`], but with a caller-supplied busy predicate — e.g.
-/// "bound to any reservation" when measuring allocation-driven power
-/// rather than instantaneous container load.
 pub fn measure_with(
     region: &Region,
     budget_watts: f64,
@@ -129,7 +119,19 @@ pub fn default_budget(region: &Region) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ras_broker::ResourceBroker;
     use ras_topology::{RegionBuilder, RegionTemplate, ServerId};
+
+    /// Per-MSB power under the broker's instantaneous load: a server is
+    /// busy when it runs containers or is on an elastic loan.
+    fn measure_load(region: &Region, broker: &ResourceBroker, budget_watts: f64) -> PowerReport {
+        measure_with(region, budget_watts, |s| {
+            broker
+                .record(s)
+                .map(|r| r.running_containers > 0 || r.elastic.is_some())
+                .unwrap_or(false)
+        })
+    }
 
     /// The MSB whose fully-busy draw is the region's maximum.
     fn max_power_msb(region: &Region) -> ras_topology::MsbId {
@@ -150,7 +152,7 @@ mod tests {
         let region = RegionBuilder::new(RegionTemplate::tiny(), 42).build();
         let mut broker = ResourceBroker::new(region.server_count());
         let budget = default_budget(&region);
-        let idle = measure(&region, &broker, budget);
+        let idle = measure_load(&region, &broker, budget);
         // Normalized variance is scale-invariant, so the all-idle and
         // all-busy fleets have the same value; loading only the
         // highest-draw MSB must push it up.
@@ -159,7 +161,7 @@ mod tests {
         for s in servers {
             broker.set_running_containers(s, 1).unwrap();
         }
-        let loaded = measure(&region, &broker, budget);
+        let loaded = measure_load(&region, &broker, budget);
         assert!(loaded.per_msb_watts[msb.index()] > idle.per_msb_watts[msb.index()]);
         assert!(loaded.normalized_variance > idle.normalized_variance);
     }
@@ -169,13 +171,13 @@ mod tests {
         let region = RegionBuilder::new(RegionTemplate::tiny(), 42).build();
         let mut broker = ResourceBroker::new(region.server_count());
         let budget = default_budget(&region);
-        let before = measure(&region, &broker, budget).peak_headroom;
+        let before = measure_load(&region, &broker, budget).peak_headroom;
         let msb = max_power_msb(&region);
         let servers: Vec<ServerId> = region.servers_in_msb(msb).map(|s| s.id).collect();
         for s in servers {
             broker.set_running_containers(s, 1).unwrap();
         }
-        let after = measure(&region, &broker, budget).peak_headroom;
+        let after = measure_load(&region, &broker, budget).peak_headroom;
         assert!(after < before, "headroom {before} -> {after}");
     }
 
@@ -192,8 +194,8 @@ mod tests {
             busy.set_running_containers(ServerId::from_index(i), 1)
                 .unwrap();
         }
-        let idle_report = measure(&region, &idle, budget);
-        let busy_report = measure(&region, &busy, budget);
+        let idle_report = measure_load(&region, &idle, budget);
+        let busy_report = measure_load(&region, &busy, budget);
         assert!(
             (idle_report.normalized_variance - busy_report.normalized_variance).abs() < 1e-9,
             "idle {} vs busy {}",

@@ -14,6 +14,7 @@ use ras::core::ReservationSpec;
 use ras::mover::ElasticManager;
 use ras::sim::{FailureRates, SimConfig, Simulation};
 use ras::topology::{MsbId, RegionBuilder, RegionTemplate, ScopeId};
+use ras::twine::health::{report_scope_down, report_scope_up};
 use ras::twine::{ContainerSpec, JobSpec};
 
 fn main() {
@@ -126,11 +127,10 @@ fn main() {
         let Simulation {
             region,
             broker,
-            hcs,
             twine,
             ..
         } = &mut sim;
-        hcs.report_scope_down(
+        report_scope_down(
             broker,
             region,
             ScopeId::Msb(MsbId::from_index(worst)),
@@ -170,16 +170,13 @@ fn main() {
     // it also clears it manually after the 6-hour window.
     sim.run_hours(6);
     let now = sim.now();
-    {
-        let Simulation {
-            region,
-            broker,
-            hcs,
-            ..
-        } = &mut sim;
-        hcs.report_scope_up(broker, region, ScopeId::Msb(MsbId::from_index(worst)), now)
-            .expect("clear MSB failure");
-    }
+    report_scope_up(
+        &mut sim.broker,
+        &sim.region,
+        ScopeId::Msb(MsbId::from_index(worst)),
+        now,
+    )
+    .expect("clear MSB failure");
     sim.run_hours(6);
     println!(
         "after recovery: unavailability={:.2}%",
