@@ -68,7 +68,7 @@ pub fn run(_: Shape) -> Vec<Experiment> {
             r.moves.to_string(),
             (if r.warm.model_reused {
                 "same"
-            } else if r.warm.seed_supplied {
+            } else if r.warm.round > 0 {
                 "changed"
             } else {
                 "-"

@@ -633,13 +633,15 @@ pub fn solve(model: &Model, config: &SolveConfig) -> Result<Solution, SolveError
     } else {
         NODE_RULE
     };
-    let root = Simplex::new(&sf, root_config).solve(
+    let mut root_lp = Simplex::new(&sf, root_config);
+    let root = root_lp.solve(
         &root_lower,
         &root_upper,
         config.warm_basis.as_ref(),
         root_rule,
     );
     stats.root_lp_seconds = root_start.elapsed().as_secs_f64();
+    stats.root_discarded_seconds = root_lp.discarded_seconds();
     stats.warm_basis_accepted = root.warm_basis_used;
     stats.root_phase1_iterations = root.phase1_iterations;
     stats.root_used_dual_simplex = root.used_dual_simplex;

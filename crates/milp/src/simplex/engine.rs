@@ -11,6 +11,7 @@ use crate::cast;
 use crate::lu::FtFactors;
 use crate::standard::StandardForm;
 use crate::tol;
+use std::time::Instant;
 
 /// Once the Forrest–Tomlin factors (spike fill plus row-elimination
 /// etas) outgrow the fresh factorization's nonzeros by this factor, a
@@ -97,6 +98,12 @@ pub struct Simplex<'a> {
     pub(super) used_dual_simplex: bool,
     pub(super) refactorizations: usize,
     pub(super) basis_stats: BasisStats,
+    /// Pivots, refactorizations and seconds of the attempts the current
+    /// solve threw away (see [`discarded_seconds`](Self::discarded_seconds)):
+    /// kept apart from the counters above, which each reset zeroes.
+    discarded_iterations: usize,
+    discarded_refactorizations: usize,
+    discarded_seconds: f64,
     /// Set when a basis update was rejected; forces an accuracy
     /// refactorization before the next FTRAN/BTRAN is trusted.
     pub(super) update_rejected: bool,
@@ -213,6 +220,9 @@ impl<'a> Simplex<'a> {
             used_dual_simplex: false,
             refactorizations: 0,
             basis_stats: BasisStats::default(),
+            discarded_iterations: 0,
+            discarded_refactorizations: 0,
+            discarded_seconds: 0.0,
             update_rejected: false,
             refactor_interval: REFACTOR_INTERVAL,
             pivots_since_refactor: 0,
@@ -342,7 +352,9 @@ impl<'a> Simplex<'a> {
     }
 
     /// The body of [`solve_observed`](Self::solve_observed): the warm
-    /// start (held or fresh install), then the cold starts.
+    /// start (held or fresh install), then the cold starts. An attempt
+    /// that gives up leaves its counts to the discarded ones before the
+    /// next start resets the engine.
     fn solve_from(
         &mut self,
         lower: &[f64],
@@ -351,11 +363,16 @@ impl<'a> Simplex<'a> {
         rule: DualRule,
         observe: &mut impl FnMut(&Self, usize, bool, Option<usize>),
     ) -> LpResult {
+        let start = Instant::now();
+        self.discarded_iterations = 0;
+        self.discarded_refactorizations = 0;
+        self.discarded_seconds = 0.0;
         if let Some(basis) = warm.filter(|b| self.m > 0 && b.basis.len() == self.m) {
             if let Some(result) = self.run_warm(lower, upper, basis, rule, observe) {
                 self.held = result.basis.is_some();
                 return result;
             }
+            self.discard_attempt(start);
         }
         self.held = false;
         self.reset(lower, upper);
@@ -364,12 +381,30 @@ impl<'a> Simplex<'a> {
                 if let Some(result) = self.run_cold_dual(implied, observe) {
                     return result;
                 }
+                self.discard_attempt(start);
                 self.reset(lower, upper);
             }
         }
         let result = self.run();
         self.held = result.basis.is_some();
         result
+    }
+
+    /// Files the attempt that just gave up under the discarded counts;
+    /// the solve began at `start`.
+    fn discard_attempt(&mut self, start: Instant) {
+        self.discarded_iterations += self.iterations;
+        self.discarded_refactorizations += self.refactorizations;
+        self.discarded_seconds = start.elapsed().as_secs_f64();
+    }
+
+    /// Seconds the last solve spent on the attempts it threw away (their
+    /// pivots and refactorizations are in
+    /// [`LpResult::discarded_iterations`] and
+    /// [`LpResult::discarded_refactorizations`]). A result never depends
+    /// on the clock, so the seconds stay on the engine.
+    pub fn discarded_seconds(&self) -> f64 {
+        self.discarded_seconds
     }
 
     /// Test hook: the warm solves that installed the basis the engine
@@ -565,6 +600,8 @@ impl<'a> Simplex<'a> {
             dual_iterations: self.dual_iterations,
             used_dual_simplex: self.used_dual_simplex,
             refactorizations: self.refactorizations,
+            discarded_iterations: self.discarded_iterations,
+            discarded_refactorizations: self.discarded_refactorizations,
             basis_stats: self.basis_stats,
             pricing: self.pricing,
             basis,

@@ -224,6 +224,13 @@ pub struct LpResult {
     pub used_dual_simplex: bool,
     /// Basis (re)factorizations performed.
     pub refactorizations: usize,
+    /// Pivots of the attempts this solve threw away before the start
+    /// that answered: a refused warm start, a dual-first cold start that
+    /// fell back, or both. They are not in [`iterations`](Self::iterations).
+    pub discarded_iterations: usize,
+    /// Refactorizations of those attempts, not in
+    /// [`refactorizations`](Self::refactorizations).
+    pub discarded_refactorizations: usize,
     /// Basis-maintenance counters (see [`BasisStats`]).
     pub basis_stats: BasisStats,
     /// Pricing-engine counters (see [`PricingStats`]).

@@ -65,6 +65,15 @@ pub struct SolveStats {
     /// Full pricing scans (reduced-cost refreshes plus candidate-list
     /// rebuilds) across all LP solves.
     pub pricing_full_rebuilds: usize,
+    /// Pivots of the attempts the LP solves threw away — a refused warm
+    /// start, a dual-first cold start that fell back — across all LP
+    /// solves. No other counter includes them.
+    pub discarded_iterations: usize,
+    /// Refactorizations of those attempts across all LP solves.
+    pub discarded_refactorizations: usize,
+    /// Seconds the root LP spent on the attempts it threw away: part of
+    /// `root_lp_seconds`, what refusing a warm basis cost the round.
+    pub root_discarded_seconds: f64,
     /// Wall-clock seconds spent in the solve.
     pub solve_seconds: f64,
     /// Best proven lower bound on the objective.
@@ -134,21 +143,23 @@ impl SolveStats {
         self.refactors_accuracy += lp.basis_stats.refactors_accuracy;
         self.pricing_candidate_hits += lp.pricing.candidate_hits;
         self.pricing_full_rebuilds += lp.pricing.full_rebuilds;
+        self.discarded_iterations += lp.discarded_iterations;
+        self.discarded_refactorizations += lp.discarded_refactorizations;
     }
 
     /// Folds another solve's statistics into this one, for a caller that
     /// reports several solves as one (the sharded round): work counters
     /// (`dive_lps` and `held_installs` among them), the look-ahead's two
-    /// counters and `absolute_gap` sum, the `used_dual_simplex` /
-    /// `root_used_dual_simplex` / `hit_limit` flags OR, `solve_seconds`
-    /// takes the longer solve (shards run side by side). What has no
-    /// merge is left as it is in `self`: `best_bound` and `gap` (no
+    /// counters, `root_discarded_seconds` and `absolute_gap` sum, the
+    /// `used_dual_simplex` / `root_used_dual_simplex` / `hit_limit` flags OR,
+    /// `solve_seconds` takes the longer solve (shards run side by side). What
+    /// has no merge is left as it is in `self`: `best_bound` and `gap` (no
     /// common incumbent to be relative to), the per-step seconds
-    /// (`dive_seconds` among them), the
-    /// `warm_basis_accepted` / `incumbent_seeded` flags (the caller
-    /// decides which solves vote) and `audit`, whose fold
-    /// ([`AuditReport::absorb`](crate::AuditReport::absorb)) has no
-    /// identity to start from: the caller starts it at the first report.
+    /// (`dive_seconds` among them), the `warm_basis_accepted` /
+    /// `incumbent_seeded` flags (the caller decides which solves vote) and
+    /// `audit`, whose fold
+    /// ([`AuditReport::absorb`](crate::AuditReport::absorb)) has no identity
+    /// to start from: the caller starts it at the first report.
     pub fn absorb(&mut self, other: &SolveStats) {
         self.nodes += other.nodes;
         self.simplex_iterations += other.simplex_iterations;
@@ -165,6 +176,9 @@ impl SolveStats {
         self.refactors_accuracy += other.refactors_accuracy;
         self.pricing_candidate_hits += other.pricing_candidate_hits;
         self.pricing_full_rebuilds += other.pricing_full_rebuilds;
+        self.discarded_iterations += other.discarded_iterations;
+        self.discarded_refactorizations += other.discarded_refactorizations;
+        self.root_discarded_seconds += other.root_discarded_seconds;
         self.solve_seconds = self.solve_seconds.max(other.solve_seconds);
         self.absolute_gap += other.absolute_gap;
         self.hit_limit |= other.hit_limit;

@@ -4,7 +4,7 @@
 //! Interchangeable servers collapse into one integer variable per
 //! (class, reservation) pair. [`build_reduction`] groups the round's
 //! servers once, interns every class label, and hands back a
-//! [`Reduction`] that model build, warm-start seeding and target
+//! [`Reduction`] that model build, the candidate incumbents and target
 //! concretization all read: the model's variables and rows are named
 //! after the labels, the solved per-class counts are already in the
 //! reservations' own index space, and `concretize` turns them into
@@ -50,7 +50,7 @@ impl ReductionStats {
 }
 
 /// The reduced model entities of one round — built once and threaded
-/// through model build, warm-start seeding and target concretization.
+/// through model build, the candidate incumbents and target concretization.
 #[derive(Debug, Clone)]
 pub struct Reduction {
     /// Equivalence classes of the round's servers.

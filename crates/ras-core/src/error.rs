@@ -44,7 +44,7 @@ pub enum CoreError {
     Broker(String),
     /// A continuous round that entered warm failed mid-solve, and the
     /// [`AsyncSolver`](crate::solver::AsyncSolver) discarded every shard's
-    /// warm state (LP basis and its names, seed targets) and the round
+    /// warm state (the root LP basis and its names) and the round
     /// numbering. The solver itself remains usable: the next `solve` runs
     /// cold, exactly like a fresh solver's round 0.
     SessionInvalidated {

@@ -103,22 +103,18 @@ pub(crate) fn refine_with_phase2(
 }
 
 /// Solves one already-built phase model, softening it in place and
-/// solving it again on infeasibility. `warm_basis` and `seed` are the
-/// warm cache's previous-round root basis and re-valued targets, `None`
-/// on a cold solve; the seed is offered after the current assignment
-/// and the greedy construction, and branch and bound installs the
-/// cheapest valid one.
+/// solving it again on infeasibility. `warm_basis` is the warm cache's
+/// previous-round root basis, `None` on a cold solve; the candidate
+/// incumbents are a cold solve's either way.
 fn solve_prepared(
     region: &Region,
     reduction: &Reduction,
     ras: &mut RasModel,
     params: &SolverParams,
     warm_basis: Option<Basis>,
-    seed: Option<Vec<f64>>,
 ) -> Result<ras_milp::Solution, CoreError> {
     let (specs, classes) = (&reduction.specs, &reduction.classes);
-    let mut incumbents = candidate_incumbents(ras, region, specs, classes, params);
-    incumbents.extend(seed);
+    let incumbents = candidate_incumbents(ras, region, specs, classes, params);
     let mut config = SolveConfig {
         time_limit_seconds: params.phase_time_limit,
         rel_gap_tol: params.mip_rel_gap,
@@ -143,10 +139,9 @@ fn solve_prepared(
         // (A NoIncumbent timeout also lands here: the softened model
         // always contains the current assignment as a feasible point, so
         // its heuristics cannot come up empty.) The model keeps its
-        // columns and rows, but the retry still starts cold and without
-        // the seed: measured on over-subscribed rounds, dual-first from
-        // the running plan beats the basis that proved the hard model
-        // infeasible.
+        // columns and rows, but the retry still starts cold: measured on
+        // over-subscribed rounds, dual-first from the running plan beats
+        // the basis that proved the hard model infeasible.
         let baseline = soften_baseline(region, specs, classes);
         ras.soften(&baseline);
         config.incumbents = candidate_incumbents(ras, region, specs, classes, params);
@@ -203,9 +198,8 @@ pub(crate) struct PhaseRun {
 /// → per-server targets from the solved class counts, written into
 /// `targets` for the reduction's class members only → statistics. On
 /// error `targets` is left as it was. [`run_phase`] enters with no warm
-/// start; a continuous round enters with the previous round's basis and
-/// its targets, re-valued on this model, as `seed`. `specs` are the specs
-/// `reduction` was built from.
+/// start; a continuous round enters with the previous round's basis.
+/// `specs` are the specs `reduction` was built from.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_phase(
     targets: &mut [Option<ReservationId>],
@@ -216,11 +210,10 @@ pub(crate) fn solve_phase(
     reduction: &Reduction,
     ras: &mut RasModel,
     warm_basis: Option<Basis>,
-    seed: Option<Vec<f64>>,
     phase_start: Instant,
     ras_build_seconds: f64,
 ) -> Result<PhaseRun, CoreError> {
-    let solution = solve_prepared(region, reduction, ras, params, warm_basis, seed)?;
+    let solution = solve_prepared(region, reduction, ras, params, warm_basis)?;
     let counts = ras.decode(&solution);
     concretize_into(
         targets,
@@ -313,7 +306,6 @@ fn run_phase_into(
         &reduction,
         &mut ras,
         None,
-        None,
         phase_start,
         ras_build_seconds,
     )?;
@@ -321,10 +313,12 @@ fn run_phase_into(
 }
 
 /// The candidate incumbents every phase solve offers branch and bound,
-/// valued on `ras` as it stands, softened or not: the assignment the
-/// region runs, then the greedy spread-aware construction (in a softened
-/// model the do-nothing point is always valid but pays the full softening
-/// penalty, so the greedy construction usually beats it).
+/// cold or warm, valued on `ras` as it stands, softened or not: the
+/// assignment the region runs, then the greedy spread-aware construction
+/// (in a softened model the do-nothing point is always valid but pays
+/// the full softening penalty, so the greedy construction usually beats
+/// it). A warm round offers no more: the plan it would carry is the
+/// broker's, which the model's stability terms already read.
 pub fn candidate_incumbents(
     ras: &RasModel,
     region: &Region,

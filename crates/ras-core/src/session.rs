@@ -4,44 +4,43 @@
 //! The paper's title claim is **continuously** optimized allocation: RAS
 //! re-solves the region every ~30 minutes against a slightly-drifted
 //! input. A cold solve pays for that drift with fleet-proportional
-//! search — the simplex starts from a slack crash and branch-and-bound
-//! starts with no incumbent even though the previous round's assignment
-//! is almost always feasible and near-optimal. The warm cache makes the
-//! search cost proportional to the *drift* instead, by carrying two
-//! artifacts across rounds:
+//! simplex work from a slack crash, even though the previous round's
+//! root LP is almost always a few pivots from this round's. A round
+//! carries one warm artifact to make that work proportional to the
+//! *drift*: **the root LP basis, with its name space.** The previous
+//! round's optimal root basis is handed to the simplex through
+//! [`ras_milp::SolveConfig::warm_basis`]. Variables and rows are named
+//! after key-stable class labels, so the basis goes in as it is when the
+//! new model's names equal the cached ones ([`WarmReport::model_reused`]:
+//! the round differs from the last in bounds and right-hand sides only,
+//! which keeps the basis dual feasible) and is otherwise repaired by name
+//! ([`ras_milp::Basis::remap`]) — vanished columns fall back to slacks or
+//! artificials, and the warm solve's dual-repair loop absorbs the
+//! difference (or the simplex falls back to a cold start; the final
+//! objective is identical either way).
 //!
-//! 1. **The root LP basis, with its name space.** The previous round's
-//!    optimal root basis is handed to the simplex through
-//!    [`ras_milp::SolveConfig::warm_basis`]. Variables and rows are named
-//!    after key-stable class labels, so the basis goes in as it is when
-//!    the new model's names equal the cached ones
-//!    ([`WarmReport::model_reused`]: the round differs from the last in
-//!    bounds and right-hand sides only, which keeps the basis dual
-//!    feasible) and is otherwise repaired by name
-//!    ([`ras_milp::Basis::remap`]) — vanished columns fall back to slacks
-//!    or artificials, and the warm solve's dual-repair loop absorbs the
-//!    difference (or the simplex falls back to a cold start; the final
-//!    objective is identical either way).
-//! 2. **The previous targets as a seed incumbent.** The last round's
-//!    per-server targets are re-aggregated over the *new* classes —
-//!    which silently repairs assignments of servers that since left the
-//!    fleet — valued through the model's auxiliary definitions, and
-//!    offered to branch-and-bound as a starting best-known solution so
-//!    best-bound search prunes from iteration zero. It is the last of the
-//!    round's candidate incumbents ([`ras_milp::SolveConfig::incumbents`]:
-//!    the current assignment, the greedy construction, the seed), and
-//!    branch and bound, the one place that validates them, installs the
-//!    cheapest valid one. If drift made the seed infeasible (e.g.
-//!    capacity grew), it is simply not installed.
+//! The plan the region already runs needs no carrier of its own: it
+//! reaches the round through the broker snapshot, whose per-server
+//! `current` and `target` enter the model's stability terms (paper
+//! Expression 1), and branch and bound gets the candidate incumbents a
+//! cold round gets ([`crate::phases::candidate_incumbents`]: the current
+//! assignment, then the greedy construction). An earlier design also
+//! re-valued the last round's targets as a *seed* incumbent. Withheld on
+//! the benchmark's four workloads, on two instances each, it changed no
+//! plan metric and no work counter to the last digit, nor any objective
+//! or move with half of each round's moves left pending and servers
+//! failing. It acted in sharded rounds alone, where it offered each
+//! shard its own targets from before reconcile released the merged
+//! plan's surplus (EXPERIMENTS, *One warm artifact*).
 //!
 //! The phase-1 model itself is rebuilt from the round's reduction every
 //! round. An earlier design cached it and patched drifted class counts
 //! in place; measured on the benchmark's four workloads that cache was
 //! hit on 0 / 0 / 0 / 9.4 % of rounds (class keys embed current, target
 //! and in-use, so any applied move changes them) and a hit skipped a
-//! 0.5 ms build inside a 17 ms round, while the basis and the seed above
-//! carried every warm round whether it hit or not (EXPERIMENTS,
-//! *Session traffic*).
+//! 0.5 ms build inside a 17 ms round, while the basis above carried
+//! every warm round whether it hit or not (EXPERIMENTS, *Session
+//! traffic*).
 //!
 //! The [`AsyncSolver`](crate::solver::AsyncSolver) owns the round: it
 //! keeps one cache per shard, numbers the rounds and applies the
@@ -49,12 +48,15 @@
 //! every cache (the next round is cold); softening raises bounds on the
 //! round's own model and renames nothing, so a softened round caches its
 //! basis in the same name space as a hard one; a basis never enters a
-//! model with different names un-remapped; every warm artifact is
-//! validated downstream, so warm and cold solves of the same round agree
+//! model with different names un-remapped; the simplex validates the
+//! basis it is handed, so warm and cold solves of the same round agree
 //! on status and objective.
 //!
 //! Phase 2 always runs cold: its restricted universe and spec visibility
-//! change every round, so there is no temporal structure to exploit.
+//! change every round, so there is no temporal structure to exploit. A
+//! warm round skips it when phase 1 reproduces the targets the broker
+//! already carries: re-run on an unchanged plan, phase 2 can swap
+//! servers between racks at an equal objective.
 //!
 //! A round solves one model, the reduction of
 //! [`crate::aggregate`]. That reduction is exact — its solved class
@@ -68,7 +70,7 @@ use ras_milp::Basis;
 use ras_topology::{Region, ServerId};
 
 use crate::assign::{count_class_moves, current_bindings, MoveStats};
-use crate::classes::EquivClass;
+use crate::classes::{scope_servers, EquivClass};
 use crate::error::CoreError;
 use crate::model::build_model_labeled;
 use crate::params::SolverParams;
@@ -106,11 +108,6 @@ pub struct WarmReport {
     pub dual_resolve: bool,
     /// Branch-and-bound installed a supplied incumbent before searching.
     pub incumbent_seeded: bool,
-    /// A previous-round target seed was offered to the solver.
-    pub seed_supplied: bool,
-    /// Phase 2 was skipped because phase 1 reproduced the previous
-    /// round's final targets exactly (the refinement is a fixed point).
-    pub phase2_skipped: bool,
 }
 
 /// One shard's warm state, carried to its next round. The round owner,
@@ -124,8 +121,6 @@ pub(crate) struct RoundCache {
     var_names: Vec<String>,
     /// Constraint row names of the model `basis` was recorded in.
     row_names: Vec<String>,
-    /// Final (merged, post-phase-2) targets of the previous round.
-    targets: Vec<Option<ReservationId>>,
 }
 
 /// One shard's solved round.
@@ -147,7 +142,7 @@ pub(crate) struct RoundRun {
 }
 
 /// Runs one continuous round of one shard: build the model, warm-start
-/// the MIP from `cache`'s basis and targets, refine with phase 2, and
+/// the root LP from `cache`'s basis, refine with phase 2, and
 /// re-arm `cache` for the next round. `round` is the owner's round
 /// number, reported in [`WarmReport::round`]. `universe`, a list of
 /// servers in ascending id order, restricts classes and the phase-2
@@ -185,17 +180,18 @@ pub(crate) fn run_round(
     let ras_build_seconds = phase_start.elapsed().as_secs_f64();
     let (var_names, row_names) = model_names(&ras.model);
 
-    // Assemble the warm start from the previous round's artifacts.
-    // On any error below the cache stays dropped.
-    let mut prev = cache.take();
-    let (mut warm_basis, mut seed) = (None, None);
-    if let Some(prev) = prev.as_mut() {
+    // The warm start is the previous round's root basis, repaired by
+    // name when the name space moved. On any error below the cache
+    // stays dropped.
+    let entered_warm = cache.is_some();
+    let mut warm_basis = None;
+    if let Some(prev) = cache.take() {
         // Names are built from class labels and spec names, so the
         // name space is stable whenever the class keys are.
         let same_names = prev.var_names == var_names && prev.row_names == row_names;
         report.model_reused = same_names;
         report.bounds_only_patch = same_names;
-        if let Some(basis) = prev.basis.take() {
+        if let Some(basis) = prev.basis {
             warm_basis = Some(if same_names {
                 basis
             } else {
@@ -204,27 +200,11 @@ pub(crate) fn run_round(
             });
             report.warm_basis_supplied = true;
         }
-        // Previous targets, re-aggregated over the new classes (this
-        // clamps away servers that left the fleet), become the seed
-        // incumbent. Branch and bound validates it with the other
-        // candidates.
-        let mut counts = vec![vec![0usize; reduction.specs.len()]; reduction.classes.len()];
-        for (ci, class) in reduction.classes.iter().enumerate() {
-            for &s in &class.servers {
-                if let Some(r) = prev.targets.get(s.index()).copied().flatten() {
-                    if let Some(slot) = counts[ci].get_mut(r.index()) {
-                        *slot += 1;
-                    }
-                }
-            }
-        }
-        seed = Some(ras.incumbent_from_counts(&counts));
-        report.seed_supplied = true;
     }
 
-    // Phase 2 ranks rack overages over the whole region, and the
-    // steady-state check below compares whole plans, so phase 1's plan
-    // covers every server: outside its classes, the current binding.
+    // Phase 2 ranks rack overages over the whole region, so phase 1's
+    // plan covers every server: outside its classes, the current
+    // binding.
     let mut targets1 = current_bindings(region, snapshot);
     let PhaseRun {
         stats: phase1,
@@ -238,7 +218,6 @@ pub(crate) fn run_round(
         &reduction,
         &mut ras,
         warm_basis,
-        seed,
         phase_start,
         ras_build_seconds,
     )?;
@@ -246,13 +225,18 @@ pub(crate) fn run_round(
     report.dual_resolve = phase1.mip_stats.root_used_dual_simplex;
     report.incumbent_seeded = phase1.mip_stats.incumbent_seeded;
 
-    // Steady-state shortcut: when phase 1 lands exactly on the
-    // previous round's *final* (post-phase-2) targets, last round's
-    // rack refinement already mapped this assignment to itself, so
-    // re-running phase 2 would re-derive the identical plan. Skip it;
-    // any real drift changes targets1 and re-enables refinement.
-    let (targets, phase2) = if prev.is_some_and(|c| c.targets == targets1) {
-        report.phase2_skipped = true;
+    // Steady-state check: a warm round whose phase 1 lands exactly on
+    // the targets the broker already carries for the round's universe
+    // keeps them and skips phase 2. Phase 2 is not a fixed point of its own output: re-run
+    // on an unchanged plan it can swap servers between racks at an
+    // equal objective and plan moves for nothing. Any real drift
+    // changes targets1 and re-enables refinement.
+    let steady = entered_warm
+        && scope_servers(region, universe).all(|server| {
+            let s = server.id.index();
+            targets1[s] == snapshot.records[s].target
+        });
+    let (targets, phase2) = if steady {
         (targets1, None)
     } else {
         refine_with_phase2(region, specs, snapshot, params, targets1, universe)
@@ -262,7 +246,6 @@ pub(crate) fn run_round(
         basis: root_basis,
         var_names,
         row_names,
-        targets: targets.clone(),
     });
     Ok(RoundRun {
         // No server outside the phase-1 classes moves: phase 2 reassigns
@@ -303,45 +286,81 @@ mod tests {
         }
     }
 
+    /// On the region of seed 42 with one reservation, and on seed 108
+    /// with two, where phase 2 re-run on an unchanged plan swaps servers
+    /// between racks: once the plan is applied, warm rounds keep it with
+    /// no phase 2 and no move, while a fresh solver on the same broker
+    /// refines it again (on seed 42 the plan has no rack overage, so no
+    /// solver runs phase 2).
     #[test]
     fn steady_state_reuses_model_and_plans_no_moves() {
-        let (region, mut broker) = setup();
-        let specs = vec![uniform_spec(&region, "web", 40.0)];
-        broker.register_reservation("web");
-        let mut solver = AsyncSolver::default();
+        let fixtures = [
+            (42, &[("web", 40.0)][..], false),
+            (108, &[("web", 40.0), ("feed", 25.0)][..], true),
+        ];
+        for (seed, capacities, rack_overage) in fixtures {
+            let region = RegionBuilder::new(RegionTemplate::tiny(), seed).build();
+            let mut broker = ResourceBroker::new(region.server_count());
+            let specs: Vec<ReservationSpec> = capacities
+                .iter()
+                .map(|&(name, capacity)| {
+                    broker.register_reservation(name);
+                    uniform_spec(&region, name, capacity)
+                })
+                .collect();
+            let mut solver = AsyncSolver::default();
 
-        let snap = broker.snapshot(SimTime::ZERO);
-        let o1 = solver.solve(&region, &specs, &snap).unwrap();
-        let w1 = &o1.warm;
-        assert!(!w1.model_reused, "round 0 must be cold");
-        assert!(!w1.warm_basis_supplied);
-        for (i, t) in o1.targets.iter().enumerate() {
-            broker.set_target(ServerId::from_index(i), *t).unwrap();
+            let snap = broker.snapshot(SimTime::ZERO);
+            let o1 = solver.solve(&region, &specs, &snap).unwrap();
+            let w1 = &o1.warm;
+            assert!(!w1.model_reused, "seed {seed}: round 0 must be cold");
+            assert!(!w1.warm_basis_supplied);
+            for (i, t) in o1.targets.iter().enumerate() {
+                broker.set_target(ServerId::from_index(i), *t).unwrap();
+            }
+            materialize(&mut broker);
+
+            // Round 1 sees the applied bindings for the first time: the
+            // class keys embed current/target, so this round's names
+            // differ (the basis is remapped) and settle into the
+            // steady-state key set.
+            let snap2 = broker.snapshot(SimTime::from_hours(1));
+            let o2 = solver.solve(&region, &specs, &snap2).unwrap();
+            let w2 = &o2.warm;
+            assert!(w2.warm_basis_supplied);
+            assert!(w2.incumbent_seeded);
+            assert_eq!(
+                o2.targets, o1.targets,
+                "seed {seed}: steady-state round must keep the assignment"
+            );
+
+            // Round 2 on an unchanged snapshot: the same name space.
+            let snap3 = broker.snapshot(SimTime::from_hours(2));
+            let o3 = solver.solve(&region, &specs, &snap3).unwrap();
+            let w3 = &o3.warm;
+            assert!(
+                w3.model_reused,
+                "seed {seed}: steady state must keep the skeleton"
+            );
+            assert!(w3.warm_basis_supplied);
+            assert!(!w3.basis_remapped, "identical name space, no remap");
+            assert!(w3.incumbent_seeded);
+            assert_eq!(o3.targets, o1.targets);
+            for (round, out) in [(1, &o2), (2, &o3)] {
+                assert!(
+                    out.phase2.is_none(),
+                    "seed {seed} round {round}: phase 1 reproduced the broker's targets"
+                );
+                assert_eq!(out.moves.total(), 0, "seed {seed} round {round}");
+            }
+
+            // A fresh solver enters the round cold: it never takes the
+            // steady-state check and refines the applied plan again.
+            let fresh = AsyncSolver::default()
+                .solve(&region, &specs, &snap3)
+                .unwrap();
+            assert_eq!(fresh.phase2.is_some(), rack_overage, "seed {seed}");
         }
-        materialize(&mut broker);
-
-        // Round 1 sees the applied bindings for the first time: the class
-        // keys embed current/target, so this round's names differ (the
-        // basis is remapped) and settle into the steady-state key set.
-        let snap2 = broker.snapshot(SimTime::from_hours(1));
-        let o2 = solver.solve(&region, &specs, &snap2).unwrap();
-        let w2 = &o2.warm;
-        assert!(w2.warm_basis_supplied);
-        assert!(w2.incumbent_seeded);
-        assert_eq!(
-            o2.targets, o1.targets,
-            "steady-state round must keep the assignment"
-        );
-
-        // Round 2 on an unchanged snapshot: the same name space.
-        let snap3 = broker.snapshot(SimTime::from_hours(2));
-        let o3 = solver.solve(&region, &specs, &snap3).unwrap();
-        let w3 = &o3.warm;
-        assert!(w3.model_reused, "steady state must keep the skeleton");
-        assert!(w3.warm_basis_supplied);
-        assert!(!w3.basis_remapped, "identical name space, no remap");
-        assert!(w3.incumbent_seeded);
-        assert_eq!(o3.targets, o1.targets);
     }
 
     #[test]
@@ -498,7 +517,7 @@ mod tests {
     }
 
     #[test]
-    fn spec_change_still_carries_basis_and_seed() {
+    fn spec_change_still_carries_the_basis() {
         let (region, mut broker) = setup();
         let mut specs = vec![uniform_spec(&region, "web", 30.0)];
         broker.register_reservation("web");
@@ -517,6 +536,5 @@ mod tests {
         let w2 = solver.solve(&region, &specs, &snap2).unwrap().warm;
         assert!(!w2.model_reused, "the applied bindings renamed classes");
         assert!(w2.warm_basis_supplied, "basis still carried over");
-        assert!(w2.seed_supplied);
     }
 }

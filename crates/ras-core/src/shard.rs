@@ -646,8 +646,6 @@ pub(crate) fn aggregate_warm(round: usize, shards: &[ShardReport]) -> WarmReport
         bounds_only_patch: all(|w| w.bounds_only_patch),
         dual_resolve: all(|w| w.dual_resolve),
         incumbent_seeded: all(|w| w.incumbent_seeded),
-        seed_supplied: all(|w| w.seed_supplied),
-        phase2_skipped: all(|w| w.phase2_skipped),
     }
 }
 
@@ -859,6 +857,9 @@ mod tests {
             refactors_accuracy: 10 * n,
             pricing_candidate_hits: 11 * n,
             pricing_full_rebuilds: 12 * n,
+            discarded_iterations: 19 * n,
+            discarded_refactorizations: 20 * n,
+            root_discarded_seconds: 5.5 * f,
             solve_seconds: 0.125 * f,
             best_bound: 7.0 * f,
             absolute_gap: 0.5 * f,
@@ -1007,6 +1008,9 @@ mod tests {
                 refactors_accuracy: 1110,
                 pricing_candidate_hits: 1221,
                 pricing_full_rebuilds: 1332,
+                discarded_iterations: 2109,
+                discarded_refactorizations: 2220,
+                root_discarded_seconds: 610.5,
                 solve_seconds: 12.5,
                 absolute_gap: 55.5,
                 hit_limit: false,

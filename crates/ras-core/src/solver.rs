@@ -8,11 +8,11 @@
 //!
 //! Consecutive [`AsyncSolver::solve`] calls on the same instance are
 //! *continuous*. The solver keeps the shard plan, one warm cache per
-//! shard ([`crate::session`]: the root-LP basis with its names, and the
-//! targets that seed the incumbent) and one round counter. A round whose
-//! plan has one shard runs the phase body over the whole region; a plan
-//! of two or more shards ([`crate::shard`]) solves them on worker
-//! threads, merges, reconciles and folds their statistics. A new
+//! shard ([`crate::session`]: the root-LP basis with its names) and one
+//! round counter. A round whose plan has one shard runs the phase body
+//! over the whole region; a plan of two or more shards
+//! ([`crate::shard`]) solves them on worker threads, merges, reconciles
+//! and folds their statistics. A new
 //! partition drops every cache and restarts the numbering, and so does a
 //! failed round (the recovery rule, [`AsyncSolver::solve`]). Use a fresh
 //! solver for a cold round.
@@ -65,12 +65,6 @@ impl SolveOutput {
     /// Total assignment variables across phases.
     pub fn assignment_vars(&self) -> usize {
         self.phase1.assignment_vars + self.phase2.as_ref().map_or(0, |p| p.assignment_vars)
-    }
-
-    /// True when this round started from the previous round's state (a
-    /// supplied root basis or a seed incumbent).
-    pub fn warm_start_used(&self) -> bool {
-        self.warm.warm_basis_supplied || self.warm.seed_supplied
     }
 
     /// Total simplex iterations across both phases (all LP solves of each
@@ -478,7 +472,7 @@ mod tests {
         let mut solver = AsyncSolver::default();
         let snap = broker.snapshot(SimTime::ZERO);
         let output = solver.solve(&region, &specs, &snap).expect("solve");
-        assert!(!output.warm_start_used(), "first round runs cold");
+        assert!(!output.warm.warm_basis_supplied, "first round runs cold");
         solver.apply(&output, &mut broker).expect("apply");
         let assigned = broker.iter().filter(|(_, r)| r.target == Some(r0)).count();
         assert!(
@@ -562,7 +556,7 @@ mod tests {
             "steady state must be move-free (stability objective)"
         );
         assert!(
-            output2.warm_start_used(),
+            output2.warm.warm_basis_supplied,
             "second round must run warm: {:?}",
             output2.warm
         );

@@ -98,7 +98,7 @@ fn failed_warm_round_invalidates_session_then_recovers_cold() {
         .solve(&region, &specs, &snap)
         .expect("recovery round solves");
     assert_eq!(out.warm.round, 0, "recovery round is a fresh round 0");
-    assert!(!out.warm.model_reused && !out.warm.warm_basis_supplied && !out.warm.seed_supplied);
+    assert!(!out.warm.model_reused && !out.warm.warm_basis_supplied);
     assert!(certified_clean(&out), "recovery round must certify clean");
     assert!(solver.is_warm(), "and it re-arms the warm machinery");
 }

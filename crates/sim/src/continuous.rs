@@ -452,7 +452,6 @@ mod tests {
         assert!(reports[0].assigned > 0, "cold round fills the reservations");
         for r in &reports[1..] {
             assert!(r.warm.warm_basis_supplied, "round {} warm", r.round);
-            assert!(r.warm.seed_supplied, "round {} seeded", r.round);
         }
         // The first post-apply rounds may still refine rack placement
         // (phase 2 works off a per-round move budget), but with zero
@@ -494,10 +493,9 @@ mod tests {
         }
         for r in &reports[1..] {
             assert!(
-                r.warm.warm_basis_supplied && r.warm.seed_supplied,
+                r.warm.warm_basis_supplied,
                 "round {} must run warm in every shard: {:?}",
-                r.round,
-                r.warm
+                r.round, r.warm
             );
         }
     }
@@ -585,7 +583,6 @@ mod tests {
         let reports = run_continuous(&region, &config);
         for r in &reports[1..] {
             assert!(r.warm.warm_basis_supplied, "round {} basis", r.round);
-            assert!(r.warm.seed_supplied, "round {} seed", r.round);
             assert!(r.warm.incumbent_seeded, "round {} incumbent", r.round);
             assert!(r.phase1.objective.is_finite());
             // Churn only perturbs the plan locally.

@@ -163,9 +163,6 @@ pub struct HourSample {
     pub unavailable_correlated: f64,
     /// Fraction down for planned maintenance.
     pub unavailable_planned: f64,
-    /// Server-weighted average of per-reservation max-MSB share
-    /// (Figure 12's y-axis).
-    pub avg_max_msb_share: f64,
     /// Solver target moves executed this hour: (in-use, unused).
     pub moves: (usize, usize),
 }

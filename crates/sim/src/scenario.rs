@@ -10,7 +10,7 @@ use ras_topology::Region;
 use ras_twine::TwineAllocator;
 
 use crate::failures::{FailureInjector, FailureRates};
-use crate::metrics::{weighted_max_msb_share, HourSample, MetricsLog};
+use crate::metrics::{HourSample, MetricsLog};
 
 /// A uniform count-based RRU table over a region's catalog.
 pub(crate) fn uniform_rru(region: &Region) -> ras_core::rru::RruTable {
@@ -258,7 +258,6 @@ impl Simulation {
             unavailable_hardware: down[1] as f64 / total,
             unavailable_correlated: down[3] as f64 / total,
             unavailable_planned: down[0] as f64 / total,
-            avg_max_msb_share: weighted_max_msb_share(&self.region, &self.specs, &self.broker),
             moves: (in_use, unused),
         });
     }
@@ -267,6 +266,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::weighted_max_msb_share;
     use ras_core::baseline::GreedyAllocator;
     use ras_core::rru::RruTable;
     use ras_topology::{RegionBuilder, RegionTemplate};
@@ -338,7 +338,7 @@ mod tests {
             RruTable::uniform(&catalog, 1.0),
         ));
         sim.run_hours(2);
-        let ras = sim.metrics.latest().unwrap().avg_max_msb_share;
+        let ras = weighted_max_msb_share(&sim.region, &sim.specs, &sim.broker);
 
         // Twine's previous allocator on the same region and spec.
         let mut broker = ResourceBroker::new(sim.region.server_count());

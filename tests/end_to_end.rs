@@ -341,9 +341,12 @@ fn fnv_targets(targets: &[Option<ReservationId>]) -> u64 {
 /// the commit that still cached the phase-1 model between rounds
 /// (63e5252: reuse on an unchanged key set, in-place count patch on pure
 /// count drift, rebuild otherwise). The session now rebuilds the model
-/// every round; the goldens below were printed by this same body at that
-/// commit, so the rebuilt model, the basis it is handed and the seed are
-/// the ones the cache produced — objective, search and targets.
+/// every round and carries only the root basis; the goldens below were
+/// printed by this same body at that commit, so the rebuilt model and
+/// the basis it is handed are the ones the cache produced — objective,
+/// search and targets. They held unchanged when the session stopped
+/// offering last round's targets as a seed incumbent and its phase-2
+/// steady-state check began reading the broker's targets.
 #[test]
 fn session_rounds_are_bit_identical_to_the_skeleton_cache() {
     // (objective bits, nodes, simplex iterations, root phase-1
@@ -447,7 +450,10 @@ fn session_rounds_are_bit_identical_to_the_skeleton_cache() {
 /// a quiet round — pinned bit for bit. The aggregate objective is the
 /// merged plan's regional score; nodes and iterations sum over shards.
 /// The goldens were printed by this body at 08e3efe, where the round
-/// still ran through two stacked session types.
+/// still ran through two stacked session types, and re-printed from
+/// k=2 round 2 and k=3 round 1 on when the seed incumbent went: it
+/// offered each shard its own plan from before reconcile released the
+/// surplus.
 #[test]
 fn sharded_rounds_are_bit_identical_across_warm_rounds() {
     // (shards, objective bits, nodes, simplex iterations, FNV of the
@@ -459,18 +465,18 @@ fn sharded_rounds_are_bit_identical_across_warm_rounds() {
         [
             (2, 4656580309642505093, 206, 378, 16746468460264700909, 22, false, false, false),
             (2, 4656624290107616133, 143, 397, 7125803457885048877, 22, false, true, true),
-            (2, 4656783103567132098, 705, 1045, 389354315293653917, 22, false, true, true),
-            (2, 4656580309642505093, 143, 364, 6645164009612649153, 22, false, true, true),
-            (2, 4656992142717804872, 98, 288, 14510663173254826553, 22, true, false, true),
-            (2, 4656992142717804872, 98, 298, 14510663173254826553, 22, true, false, true),
+            (2, 4656580309642505093, 143, 356, 7125803457885048877, 22, false, true, true),
+            (2, 4656580309642505093, 98, 302, 9714204545785523025, 22, true, false, true),
+            (2, 4656992142717804872, 98, 294, 9951619092491763577, 22, true, false, true),
+            (2, 4657146074345693512, 464, 750, 16584929724500247433, 22, true, false, true),
         ],
         [
             (3, 4656580309642505093, 393, 577, 9798367944556387789, 70, false, false, false),
-            (3, 4656580309642505093, 400, 734, 9798367944556387789, 60, false, true, true),
-            (3, 4656580309642505093, 261, 506, 9798367944556387789, 60, true, false, true),
-            (3, 4656580309642505093, 261, 503, 2019248030293192433, 60, false, true, true),
+            (3, 4656580309642505093, 462, 789, 9798367944556387789, 60, false, true, true),
+            (3, 4656580309642505093, 462, 752, 9798367944556387789, 60, true, false, true),
+            (3, 4656580309642505093, 462, 748, 2019248030293192433, 60, false, true, true),
             (3, 4656992142717804872, 508, 757, 17251886956992828729, 60, false, true, true),
-            (3, 4656992142717804872, 346, 623, 17251886956992828729, 60, false, true, true),
+            (3, 4656992142717804872, 508, 784, 17251886956992828729, 60, false, true, true),
         ],
     ];
 
@@ -561,7 +567,8 @@ fn sharded_rounds_are_bit_identical_across_warm_rounds() {
 /// the targets, both reconcile figures and the warm flags bit for bit.
 /// The goldens were printed by this body at 8393098, where each shard
 /// walked the region to class its servers and reconcile walked it once
-/// per reservation.
+/// per reservation, and re-printed from k=2 round 3 and k=3 round 2 on
+/// when the seed incumbent went (see the golden above).
 #[test]
 fn sharded_portfolio_rounds_are_bit_identical_across_warm_rounds() {
     // (shards, objective bits, nodes, simplex iterations, FNV of the
@@ -574,17 +581,17 @@ fn sharded_portfolio_rounds_are_bit_identical_across_warm_rounds() {
             (2, 4664387347975063464, 223, 837, 10966352881578886113, 37, 4631669334398960925, false, false, false),
             (2, 4662848031696177067, 593, 2793, 5029366776584491817, 37, 4631652445900358286, false, true, true),
             (2, 4662804051231066032, 783, 4036, 2567317994839143968, 36, 4631511708412002958, false, true, true),
-            (2, 4662705095184566190, 881, 4371, 18057949333021806705, 37, 4631652445900358287, false, true, true),
-            (2, 4662688800422242550, 705, 3285, 5062160655264436625, 38, 4631793183388713615, true, false, true),
-            (2, 4662688800422242550, 997, 6204, 5062160655264436625, 39, 4631933920877068943, true, false, true),
+            (2, 4662716101295960228, 881, 4371, 15580750873237930877, 35, 4631370970923647630, false, true, true),
+            (2, 4662688811417358828, 689, 3012, 8136339263503650485, 37, 4631652445900358287, false, true, true),
+            (2, 4662710801649914348, 893, 5256, 3372855493251353229, 37, 4631652445900358287, false, true, true),
         ],
         [
             (3, 4665150112176600509, 328, 1066, 11620436208867356819, 153, 4640184656131900048, false, false, false),
             (3, 4663467859386103234, 1067, 2637, 11623554484531532203, 153, 4640186767194225377, false, true, true),
-            (3, 4663478854502380995, 1266, 3201, 7843995701773191450, 153, 4640186767194225377, false, true, true),
-            (3, 4663390915562391470, 1202, 3120, 7843995701773191450, 151, 4640116398450047713, true, false, true),
-            (3, 4663442526638199275, 1001, 2282, 13743942559084848207, 152, 4640176211882598728, true, false, true),
-            (3, 4663398546173088236, 935, 2461, 13743942559084848207, 152, 4640176211882598728, false, true, true),
+            (3, 4663412883804714435, 1374, 3260, 10384099717896394074, 153, 4640195211443526697, false, true, true),
+            (3, 4663406044842389668, 1224, 2797, 2724029652447148410, 150, 4640070306922611344, true, false, true),
+            (3, 4663413675453086434, 1051, 2223, 9017606511552476295, 151, 4640121676105861038, true, false, true),
+            (3, 4663413675453086433, 1193, 2823, 2915095713253961103, 151, 4640121676105861038, false, true, true),
         ],
     ];
 
