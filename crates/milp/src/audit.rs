@@ -1,11 +1,12 @@
 //! Static model auditing and post-solve solution certificates.
 //!
-//! RAS re-solves the region continuously, and the warm-start machinery
-//! (cached model skeletons, remapped bases, seeded incumbents) reuses
-//! state across rounds — exactly where silent numerical corruption would
-//! creep in. This module is the cheap self-verification substrate that
-//! makes those shortcuts safe (the same idea POP and CvxCluster lean on:
-//! aggressive solver shortcuts guarded by post-hoc feasibility checks):
+//! RAS re-solves the region continuously, and the solver's shortcuts
+//! (dual-first roots from the running plan, held installs, candidate
+//! incumbents, the look-ahead's node solves) are exactly where silent
+//! numerical corruption would creep in. This module is the cheap
+//! self-verification substrate that makes those shortcuts safe (the same
+//! idea POP and CvxCluster lean on: aggressive solver shortcuts guarded
+//! by post-hoc feasibility checks):
 //!
 //! * [`audit_model`] / [`audit_standard_form`] — a *static auditor* run
 //!   before the solve. It rejects models no solver invariant can survive

@@ -623,26 +623,23 @@ pub fn solve(model: &Model, config: &SolveConfig) -> Result<Solution, SolveError
         deadline: None,
         ..lp_config.clone()
     };
-    // A warm basis from the previous round (repaired against column
-    // changes by `Basis::remap`) replaces the cold start; the simplex
-    // falls back cold when it is stale or singular — under the long step
-    // dual-first when the model carries a running plan, from the slack
-    // crash if not.
+    // The root is always a cold solve. Under the long step it goes
+    // dual-first from the slack basis past the size gate — or at any size
+    // when the caller says the slack basis is the running plan — and
+    // takes the primal two-phase solve otherwise or on the attempt's
+    // fallback.
     let root_rule = if config.warm_dual {
         DualRule::LongStep
     } else {
         NODE_RULE
     };
     let mut root_lp = Simplex::new(&sf, root_config);
-    let root = root_lp.solve(
-        &root_lower,
-        &root_upper,
-        config.warm_basis.as_ref(),
-        root_rule,
-    );
+    if config.root_from_plan {
+        root_lp.set_cold_dual_gate(0, true);
+    }
+    let root = root_lp.solve(&root_lower, &root_upper, None, root_rule);
     stats.root_lp_seconds = root_start.elapsed().as_secs_f64();
     stats.root_discarded_seconds = root_lp.discarded_seconds();
-    stats.warm_basis_accepted = root.warm_basis_used;
     stats.root_phase1_iterations = root.phase1_iterations;
     stats.root_used_dual_simplex = root.used_dual_simplex;
     stats.record_lp(&root);
@@ -667,9 +664,7 @@ pub fn solve(model: &Model, config: &SolveConfig) -> Result<Solution, SolveError
     // Certify the root relaxation when it is proven optimal (the checker
     // skips any other status): primal residual, bounds, dual
     // feasibility, and complementary slackness against the duals the
-    // simplex reported. Warm-started roots go through the same checks as
-    // cold ones — this is exactly where a stale remapped basis would
-    // first show up.
+    // simplex reported.
     check_lp_certificate(
         &sf,
         &root_lower,
@@ -711,7 +706,7 @@ pub fn solve(model: &Model, config: &SolveConfig) -> Result<Solution, SolveError
         stats.best_bound = obj;
         stats.nodes = 1;
         stats.solve_seconds = start.elapsed().as_secs_f64();
-        return certify(model, Status::Optimal, obj, values, stats, audit, &root);
+        return certify(model, Status::Optimal, obj, values, stats, audit);
     }
     // One engine for every node and dive LP the search itself solves.
     let mut node_lp = Simplex::new(&sf, lp_config.clone());
@@ -928,7 +923,7 @@ pub fn solve(model: &Model, config: &SolveConfig) -> Result<Solution, SolveError
                 } else {
                     Status::Feasible
                 };
-            certify(model, status, obj, values, stats, audit, &root)
+            certify(model, status, obj, values, stats, audit)
         }
         None if hit_limit => Err(SolveError::NoIncumbent),
         None => Err(SolveError::Infeasible),
@@ -957,7 +952,6 @@ fn certify(
     values: Vec<f64>,
     mut stats: SolveStats,
     mut audit: AuditReport,
-    root: &LpResult,
 ) -> Result<Solution, SolveError> {
     audit.model_checked = true;
     check_mip_certificate(
@@ -977,7 +971,6 @@ fn certify(
         objective,
         values,
         stats,
-        root_basis: root.basis.clone(),
     })
 }
 
@@ -1425,14 +1418,12 @@ mod tests {
         let s = m.solve().unwrap();
         assert!(s.stats.audit.certified_clean() && s.stats.audit.model_checked);
         assert_eq!(s.int_value(x), 3);
-        let sf = StandardForm::from_model(&m);
-        let root = crate::simplex::solve_lp(&sf, &sf.lower, &sf.upper, &SimplexConfig::default());
         let finish = |values: Vec<f64>, objective: f64, best_bound: f64, audit| {
             let stats = SolveStats {
                 best_bound,
                 ..SolveStats::default()
             };
-            certify(&m, Status::Optimal, objective, values, stats, audit, &root)
+            certify(&m, Status::Optimal, objective, values, stats, audit)
         };
         let clean = finish(vec![3.0], -3.0, -3.0, AuditReport::default()).expect("certified");
         assert!(clean.stats.audit.certified_clean() && clean.stats.audit.model_checked);

@@ -67,10 +67,9 @@ impl Simplex<'_> {
             }
         }
         if !self.refactor() {
-            // A remapped basis can go singular when rows changed under
-            // the model (two surviving columns that differed only in a
-            // vanished row become dependent). Degrade to the always-
-            // nonsingular slack basis but keep the warm bound snapshot:
+            // A supplied basis can fail to factorize (one built
+            // elsewhere can hold dependent columns). Degrade to the
+            // always-nonsingular slack basis but keep the warm bound snapshot:
             // the nonbasic values still encode the previous solution, so
             // the dual repair below starts near the old optimum instead
             // of from scratch.

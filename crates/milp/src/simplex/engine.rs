@@ -153,7 +153,8 @@ pub struct Simplex<'a> {
     pub(super) ratio_cands: Vec<u64>,
     pub(super) pricing: PricingStats,
     /// A cold solve goes dual-first only above this many `live_cols`:
-    /// [`AUTO_PARTIAL_MIN_COLS`], lowered by tests alone.
+    /// [`AUTO_PARTIAL_MIN_COLS`], lifted for a root that starts from the
+    /// running plan and lowered by tests.
     pub(super) cold_dual_min_cols: usize,
     /// Whether the dual-first cold start perturbs its costs (tests turn
     /// it off to reach the stall fallback).
@@ -255,10 +256,13 @@ impl<'a> Simplex<'a> {
         }
     }
 
-    /// Test hook: lets LPs of more than `min_cols` columns (in place of
+    /// Lets LPs of more than `min_cols` columns (in place of
     /// [`AUTO_PARTIAL_MIN_COLS`]) take the dual-first cold start, with
-    /// or without its cost perturbation.
-    #[doc(hidden)]
+    /// or without its cost perturbation. Branch and bound lifts the gate
+    /// (`0`, perturbed) for a root that starts from the running plan
+    /// ([`SolveConfig::root_from_plan`](crate::SolveConfig::root_from_plan));
+    /// tests lower it to reach small LPs, and turn the perturbation off to
+    /// reach the stall fallback.
     pub fn set_cold_dual_gate(&mut self, min_cols: usize, perturb: bool) {
         self.cold_dual_min_cols = min_cols;
         self.cold_dual_perturb = perturb;

@@ -39,7 +39,13 @@
 //! option, when the pricing size rule calls the LP large: more than
 //! [`AUTO_PARTIAL_MIN_COLS`] columns the model does not fix (smaller LPs
 //! solve in milliseconds either way, and on some the dual start costs
-//! plan quality). A free column with a cost rests, for the
+//! plan quality). The one exception is a root whose caller vouches that
+//! the slack basis is the running plan
+//! ([`SolveConfig::root_from_plan`](crate::SolveConfig::root_from_plan),
+//! which RAS sets for its hard phase-1 solve, round 0 included): it goes
+//! dual-first at any size, since no basis is carried from one round to
+//! the next. Phase-2 and softened roots keep the gate, where lifting it
+//! measured dearer plans. A free column with a cost rests, for the
 //! dual phase, on the bound its own rows imply (the `max`-over-MSBs
 //! columns of the region model: `t ≥ Σ x ≥ 0`); if a column has no
 //! dual-feasible finite bound, own or implied, the attempt is skipped.
@@ -117,7 +123,9 @@ use crate::standard::StandardForm;
 /// scan per pivot is cheap and the better pivot quality wins; above it
 /// the scan itself is the bottleneck. No option overrides this switch.
 /// The same count sizes the candidate list and gates and budgets the
-/// dual-first cold start.
+/// dual-first cold start; only a root that starts from the running plan
+/// ([`SolveConfig::root_from_plan`](crate::SolveConfig::root_from_plan))
+/// skips the gate.
 pub const AUTO_PARTIAL_MIN_COLS: usize = 4096;
 
 /// Outcome status of an LP solve.

@@ -37,12 +37,11 @@ pub struct SolveStats {
     /// True when the dual simplex carried at least one LP, warm or cold.
     pub used_dual_simplex: bool,
     /// Phase-1 iterations of the root LP alone — the number the
-    /// continuous-session gate checks: a bound-only warm round must
-    /// report 0 here, and so does a cold root that went dual-first.
+    /// continuous-session gate checks: a root that went dual-first from
+    /// the slack basis reports 0 here.
     pub root_phase1_iterations: usize,
-    /// True when the dual simplex solved the root LP: warm from the
-    /// supplied basis (`warm_basis_accepted` is then set too) or cold,
-    /// dual-first from the slack basis (it is not).
+    /// True when the dual simplex solved the root LP: dual-first from the
+    /// slack basis, with no fallback to the primal two-phase solve.
     pub root_used_dual_simplex: bool,
     /// Total basis (re)factorizations across all LP solves.
     pub lp_refactorizations: usize,
@@ -71,8 +70,8 @@ pub struct SolveStats {
     pub discarded_iterations: usize,
     /// Refactorizations of those attempts across all LP solves.
     pub discarded_refactorizations: usize,
-    /// Seconds the root LP spent on the attempts it threw away: part of
-    /// `root_lp_seconds`, what refusing a warm basis cost the round.
+    /// Seconds the root LP spent on the attempts it threw away (a
+    /// dual-first start that fell back): part of `root_lp_seconds`.
     pub root_discarded_seconds: f64,
     /// Wall-clock seconds spent in the solve.
     pub solve_seconds: f64,
@@ -104,9 +103,6 @@ pub struct SolveStats {
     /// [`nodes_solved_ahead`](Self::nodes_solved_ahead) it depends on
     /// thread timing and no identity check may read it.
     pub held_installs: usize,
-    /// True when the root LP started from a supplied warm basis and the
-    /// repair succeeded (no fallback to the slack crash).
-    pub warm_basis_accepted: bool,
     /// True when a supplied incumbent validated and was installed as the
     /// starting best-known solution.
     pub incumbent_seeded: bool,
@@ -155,8 +151,8 @@ impl SolveStats {
     /// `solve_seconds` takes the longer solve (shards run side by side). What
     /// has no merge is left as it is in `self`: `best_bound` and `gap` (no
     /// common incumbent to be relative to), the per-step seconds
-    /// (`dive_seconds` among them), the `warm_basis_accepted` /
-    /// `incumbent_seeded` flags (the caller decides which solves vote) and
+    /// (`dive_seconds` among them), the `incumbent_seeded` flag (the
+    /// caller decides which solves vote) and
     /// `audit`, whose fold
     /// ([`AuditReport::absorb`](crate::AuditReport::absorb)) has no identity
     /// to start from: the caller starts it at the first report.
@@ -202,9 +198,9 @@ pub struct SolveConfig {
     /// Stop when the absolute gap falls below this value.
     pub abs_gap_tol: f64,
     /// The dual iteration the root LP runs by: `true` picks
-    /// [`DualRule::LongStep`](crate::simplex::DualRule::LongStep) — a warm
-    /// re-solve from the supplied basis, or a cold root that goes
-    /// dual-first (see [`crate::simplex`]) — and `false`
+    /// [`DualRule::LongStep`](crate::simplex::DualRule::LongStep) — a
+    /// cold root that goes dual-first where that pays (see
+    /// [`crate::simplex`]) — and `false`
     /// [`DualRule::Repair`](crate::simplex::DualRule::Repair), the rule
     /// node, dive and look-ahead re-solves always run, whose cold solves
     /// are primal only. The one remaining switch between the rules; it
@@ -224,11 +220,17 @@ pub struct SolveConfig {
     /// makes steady-state re-solves quiescent (paper Expression 1's
     /// purpose).
     pub incumbents: Vec<Vec<f64>>,
-    /// Starting basis for the root LP, typically the previous round's
-    /// [`Solution::root_basis`]. The simplex starts from it instead of
-    /// performing a cold start and falls back cold when it is stale or
-    /// singular.
-    pub warm_basis: Option<crate::simplex::Basis>,
+    /// The root starts from the running plan: the caller vouches that the
+    /// model rewards every structural column for resting where the plan
+    /// the region already runs puts it, so the slack basis *is* that plan
+    /// and the long-step root goes dual-first from it whatever the LP's
+    /// size, not only past [`AUTO_PARTIAL_MIN_COLS`] (see
+    /// [`crate::simplex`], "Cold solves"). The attempt's fallback to the
+    /// primal two-phase solve stays. RAS sets it for the hard phase-1
+    /// solve alone.
+    ///
+    /// [`AUTO_PARTIAL_MIN_COLS`]: crate::simplex::AUTO_PARTIAL_MIN_COLS
+    pub root_from_plan: bool,
     /// When the model auditor and solution certificate checkers run (see
     /// [`crate::audit`]): [`crate::audit::AuditMode::On`], its one value —
     /// every solve is audited, and a solution whose certificate fails is
@@ -247,7 +249,7 @@ impl Default for SolveConfig {
             warm_dual: true,
             stall_node_limit: 0,
             incumbents: Vec::new(),
-            warm_basis: None,
+            root_from_plan: false,
             audit: crate::audit::AuditMode::default(),
         }
     }
@@ -264,10 +266,6 @@ pub struct Solution {
     pub values: Vec<f64>,
     /// Solve statistics.
     pub stats: SolveStats,
-    /// Final basis of the root LP relaxation, when it solved to
-    /// optimality. Persist it and hand it back as
-    /// [`SolveConfig::warm_basis`] to warm-start the next round.
-    pub root_basis: Option<crate::simplex::Basis>,
 }
 
 impl Solution {
@@ -351,7 +349,7 @@ mod tests {
     fn default_config_is_sane() {
         let c = SolveConfig::default();
         assert!(c.time_limit_seconds > 0.0);
-        assert!(c.incumbents.is_empty() && c.warm_basis.is_none());
+        assert!(c.incumbents.is_empty() && !c.root_from_plan);
     }
 
     #[test]
@@ -366,7 +364,6 @@ mod tests {
             objective: 0.0,
             values: vec![],
             stats: SolveStats::default(),
-            root_basis: None,
         };
         assert!(mk(Status::Optimal).is_usable());
         assert!(mk(Status::Feasible).is_usable());

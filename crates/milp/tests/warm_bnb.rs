@@ -267,7 +267,8 @@ fn pattern_restricted_ratio_test_matches_the_full_scan() {
             }
             let mut warm = basis.clone();
             if rng.gen_range(0..4) == 0 {
-                // A remapped basis: some row covered by its artificial.
+                // A basis built elsewhere: some row covered by its
+                // artificial.
                 let row = rng.gen_range(0..rows);
                 warm.basis[row] = sf.num_cols() + row;
                 artificial_bases += 1;

@@ -56,7 +56,7 @@ pub struct Reduction {
     /// Equivalence classes of the round's servers.
     pub classes: Vec<EquivClass>,
     /// Interned class labels, parallel to `classes`, reused for model
-    /// variable/row names and basis remapping.
+    /// variable/row names.
     pub labels: Vec<String>,
     /// The round's reservation specs, in reservation id order.
     pub specs: Vec<ReservationSpec>,

@@ -53,12 +53,11 @@ impl EquivClass {
 
     /// Stable identity of the class, derived from its grouping key alone
     /// (never from member count or position). Model variable/constraint
-    /// names embed this label so a basis snapshotted in one round can be
-    /// matched by name against the next round's model even after classes
-    /// appeared, vanished, or were reordered (see `ras_milp::Basis::remap`).
-    /// Labels are built once per [`Reduction`](crate::aggregate::Reduction)
-    /// into an interned table; model build and basis remap reuse that
-    /// table instead of re-deriving a fresh `String` per class per round.
+    /// names embed this label, so a class keeps its names from one round
+    /// to the next. Labels are built once per
+    /// [`Reduction`](crate::aggregate::Reduction) into an interned table;
+    /// the model build reuses that table instead of re-deriving a fresh
+    /// `String` per class per round.
     pub fn label(&self) -> String {
         use std::fmt::Write;
         fn opt(out: &mut String, r: Option<ReservationId>) {

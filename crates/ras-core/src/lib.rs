@@ -22,12 +22,12 @@
 //! * [`heuristic`] — the greedy spread-aware incumbent;
 //! * [`assign`] — concretization of class counts into per-server targets;
 //! * [`phases`] — the one phase body and the phase-2 refinement;
-//! * [`session`] — the per-shard warm cache and the continuous round
-//!   body, phase 1 through the same phase body;
+//! * [`session`] — the continuous round body, phase 1 through the same
+//!   phase body, with the running plan as its one warm start;
 //! * [`shard`] — POP-style partition and merge math (capacity split,
 //!   reconcile pass, regional evaluator, per-shard folds);
 //! * [`solver`] — the Async Solver: the one owner of a round (shard
-//!   plan, warm caches, numbering, recovery), writing targets to the
+//!   plan, numbering, recovery), writing targets to the
 //!   broker;
 //! * [`baseline`] — Twine's previous greedy assignment (evaluation baseline);
 //! * [`buffers`] — failure-buffer sizing and accounting;

@@ -284,8 +284,8 @@ pub fn build_model(
 
 /// [`build_model`] with the class labels supplied by the caller — the
 /// round's [`Reduction`](crate::aggregate::Reduction) interns one label
-/// table and reuses it for model names and basis remapping instead of
-/// re-deriving every label here.
+/// table and reuses it for model names instead of re-deriving every
+/// label here.
 /// `labels` must be parallel to `classes`.
 pub fn build_model_labeled(
     region: &Region,
@@ -309,8 +309,7 @@ pub fn build_model_labeled(
     let mut soft_rows = Vec::new();
 
     // Assignment variables n[c][r], Expression 5's primitives. Names use
-    // the class's key-stable label (not its position) so warm bases can be
-    // remapped by name across rounds.
+    // the class's key-stable label, not its position.
     for (class, label) in classes.iter().zip(labels) {
         let mut row = Vec::with_capacity(specs.len());
         for spec in specs.iter() {

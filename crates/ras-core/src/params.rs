@@ -94,7 +94,7 @@ pub struct SolverParams {
     /// (1 = monolithic), an upper bound: the solver picks the largest
     /// count whose every shard can carry its capacity slice, down to one.
     /// Each shard is a set of whole MSB subtrees solved concurrently on
-    /// its own worker thread from its own warm cache; a cheap
+    /// its own worker thread; a cheap
     /// merge/reconcile pass recombines the plans. See [`crate::shard`].
     pub shards: usize,
     /// When the MIP auditor runs: [`AuditMode::On`], its one value. Every

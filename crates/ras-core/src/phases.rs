@@ -11,7 +11,7 @@ use std::collections::HashSet;
 use std::time::Instant;
 
 use ras_broker::{BrokerSnapshot, ReservationId};
-use ras_milp::{Basis, SolveConfig, SolveError};
+use ras_milp::{SolveConfig, SolveError};
 use ras_topology::{Region, ServerId};
 
 use crate::aggregate::{build_reduction, AggregationLevel, Reduction};
@@ -103,15 +103,17 @@ pub(crate) fn refine_with_phase2(
 }
 
 /// Solves one already-built phase model, softening it in place and
-/// solving it again on infeasibility. `warm_basis` is the warm cache's
-/// previous-round root basis, `None` on a cold solve; the candidate
-/// incumbents are a cold solve's either way.
+/// solving it again on infeasibility. The hard solve of a phase-1 model
+/// (no `rack_goals`) starts its root from the running plan at any size
+/// ([`SolveConfig::root_from_plan`]); a phase-2 model's root and the
+/// softened retry keep the size gate, where lifting it measured worse
+/// plans. No round carries solver state into another.
 fn solve_prepared(
     region: &Region,
     reduction: &Reduction,
     ras: &mut RasModel,
     params: &SolverParams,
-    warm_basis: Option<Basis>,
+    rack_goals: bool,
 ) -> Result<ras_milp::Solution, CoreError> {
     let (specs, classes) = (&reduction.specs, &reduction.classes);
     let incumbents = candidate_incumbents(ras, region, specs, classes, params);
@@ -121,7 +123,7 @@ fn solve_prepared(
         abs_gap_tol: params.mip_abs_gap,
         stall_node_limit: params.stall_node_limit,
         incumbents,
-        warm_basis,
+        root_from_plan: !rack_goals,
         warm_dual: params.warm_dual,
         ..SolveConfig::default()
     };
@@ -138,14 +140,13 @@ fn solve_prepared(
         // Soften: no constraint may regress beyond its current violation.
         // (A NoIncumbent timeout also lands here: the softened model
         // always contains the current assignment as a feasible point, so
-        // its heuristics cannot come up empty.) The model keeps its
-        // columns and rows, but the retry still starts cold: measured on
-        // over-subscribed rounds, dual-first from the running plan beats
-        // the basis that proved the hard model infeasible.
+        // its heuristics cannot come up empty.) The retry keeps the size
+        // gate: measured on over-subscribed rounds, a softened root that
+        // goes dual-first below it returns worse plans.
         let baseline = soften_baseline(region, specs, classes);
         ras.soften(&baseline);
         config.incumbents = candidate_incumbents(ras, region, specs, classes, params);
-        config.warm_basis = None;
+        config.root_from_plan = false;
         solution = ras.model.solve_with(&config);
         if matches!(solution, Err(SolveError::Infeasible)) {
             // Cannot happen when the current assignment is well formed —
@@ -176,29 +177,11 @@ pub(crate) fn scoped_reduction(
     build_reduction(region, snapshot, specs, granularity, level, universe)
 }
 
-/// `model`'s structural variable names and constraint row names — the
-/// name space a [`Basis`] of that model lives in.
-pub(crate) fn model_names(model: &ras_milp::Model) -> (Vec<String>, Vec<String>) {
-    (
-        model.vars().iter().map(|v| v.name.clone()).collect(),
-        model.constraints().iter().map(|c| c.name.clone()).collect(),
-    )
-}
-
-/// What one run of the phase body hands back besides its targets.
-pub(crate) struct PhaseRun {
-    /// The phase's statistics.
-    pub stats: PhaseStats,
-    /// The solve's root LP basis, for the next round's warm start. It
-    /// lives in the name space of the model passed in, softened or not.
-    pub root_basis: Option<Basis>,
-}
-
 /// The one phase body, model in hand: solve (softening `ras` on demand)
 /// → per-server targets from the solved class counts, written into
 /// `targets` for the reduction's class members only → statistics. On
-/// error `targets` is left as it was. [`run_phase`] enters with no warm
-/// start; a continuous round enters with the previous round's basis.
+/// error `targets` is left as it was. [`run_phase`] and a continuous
+/// round enter it alike; `rack_goals` says whether `ras` carries them.
 /// `specs` are the specs `reduction` was built from.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_phase(
@@ -209,11 +192,11 @@ pub(crate) fn solve_phase(
     params: &SolverParams,
     reduction: &Reduction,
     ras: &mut RasModel,
-    warm_basis: Option<Basis>,
+    rack_goals: bool,
     phase_start: Instant,
     ras_build_seconds: f64,
-) -> Result<PhaseRun, CoreError> {
-    let solution = solve_prepared(region, reduction, ras, params, warm_basis)?;
+) -> Result<PhaseStats, CoreError> {
+    let solution = solve_prepared(region, reduction, ras, params, rack_goals)?;
     let counts = ras.decode(&solution);
     concretize_into(
         targets,
@@ -223,7 +206,7 @@ pub(crate) fn solve_phase(
         &counts,
         specs.len(),
     );
-    let stats = PhaseStats {
+    Ok(PhaseStats {
         ras_build_seconds,
         solver_build_seconds: solution.stats.setup_seconds,
         initial_state_seconds: solution.stats.root_lp_seconds,
@@ -237,10 +220,6 @@ pub(crate) fn solve_phase(
         status: solution.status,
         objective: solution.objective + ras.objective_constant,
         reduction: reduction.stats.clone(),
-    };
-    Ok(PhaseRun {
-        stats,
-        root_basis: solution.root_basis,
     })
 }
 
@@ -297,7 +276,7 @@ fn run_phase_into(
         None,
     );
     let ras_build_seconds = phase_start.elapsed().as_secs_f64();
-    let run = solve_phase(
+    solve_phase(
         targets,
         region,
         specs,
@@ -305,11 +284,10 @@ fn run_phase_into(
         params,
         &reduction,
         &mut ras,
-        None,
+        rack_goals,
         phase_start,
         ras_build_seconds,
-    )?;
-    Ok(run.stats)
+    )
 }
 
 /// The candidate incumbents every phase solve offers branch and bound,

@@ -6,8 +6,9 @@
 //! near-independent subproblems along the fault-domain tree — each shard
 //! is a set of *whole MSB subtrees* — which the
 //! [`AsyncSolver`](crate::solver::AsyncSolver) solves concurrently on
-//! worker threads (one warm cache per shard, so continuous rounds stay
-//! warm per shard) and recombines with a cheap merge/reconcile pass. This
+//! worker threads (each shard's phase-1 root starting from the running
+//! plan, as a one-shard round's does) and recombines with a cheap
+//! merge/reconcile pass. This
 //! module holds the math of both ends: the partition, the capacity split
 //! and its feasibility screen, the reconcile pass, the regional
 //! evaluator and the folds of the per-shard statistics.
@@ -626,26 +627,17 @@ pub struct ShardedReport {
     pub reconcile: ReconcileReport,
     /// The merged plan's regional score from [`evaluate_targets`].
     pub score: PlanScore,
-    /// Aggregate warm-start view across shards (AND for the reuse flags,
-    /// sums for the counters).
-    pub warm: WarmReport,
 }
 
 /// Folds per-shard warm reports into one round-level view: the flags
-/// AND across shards (the round is only as warm as its coldest shard)
-/// and `basis_remapped` ORs.
+/// AND across shards (the round is only as warm as its coldest shard).
 pub(crate) fn aggregate_warm(round: usize, shards: &[ShardReport]) -> WarmReport {
     let all = |f: fn(&WarmReport) -> bool| shards.iter().all(|s| f(&s.warm));
-    let any = |f: fn(&WarmReport) -> bool| shards.iter().any(|s| f(&s.warm));
     WarmReport {
         round,
-        model_reused: all(|w| w.model_reused),
-        warm_basis_supplied: all(|w| w.warm_basis_supplied),
-        basis_remapped: any(|w| w.basis_remapped),
-        warm_basis_accepted: all(|w| w.warm_basis_accepted),
-        bounds_only_patch: all(|w| w.bounds_only_patch),
         dual_resolve: all(|w| w.dual_resolve),
         incumbent_seeded: all(|w| w.incumbent_seeded),
+        ..WarmReport::default()
     }
 }
 
@@ -671,8 +663,8 @@ pub(crate) fn aggregate_phase1(
             .fold(0.0, nan::fmax)
     };
     // `SolveStats::absorb` and `AuditReport::absorb` own the per-field
-    // rules; only the two acceptance flags are this level's call: they
-    // AND over phase 1.
+    // rules; only the seeding flag is this level's call: it ANDs over
+    // phase 1.
     let mut mip_stats = ras_milp::SolveStats::default();
     let mut audit: Option<ras_milp::AuditReport> = None;
     let mut reduction = crate::aggregate::ReductionStats::default();
@@ -687,9 +679,6 @@ pub(crate) fn aggregate_phase1(
         reduction.absorb(&s.phase1.reduction);
     }
     mip_stats.audit = audit.unwrap_or_default();
-    mip_stats.warm_basis_accepted = shards
-        .iter()
-        .all(|s| s.phase1.mip_stats.warm_basis_accepted);
     mip_stats.incumbent_seeded = shards.iter().all(|s| s.phase1.mip_stats.incumbent_seeded);
     PhaseStats {
         ras_build_seconds: fmax(|p| p.ras_build_seconds),
@@ -839,7 +828,7 @@ mod tests {
 
     /// A `SolveStats` whose every field is a distinct multiple of `n`, so
     /// decimal digits show which inputs reached which output field.
-    fn solve_stats(n: usize, flags: [bool; 5]) -> ras_milp::SolveStats {
+    fn solve_stats(n: usize, flags: [bool; 4]) -> ras_milp::SolveStats {
         let f = n as f64;
         ras_milp::SolveStats {
             nodes: n,
@@ -869,8 +858,7 @@ mod tests {
             root_lp_seconds: 2.5 * f,
             mip_seconds: 3.5 * f,
             dive_seconds: 4.5 * f,
-            warm_basis_accepted: flags[3],
-            incumbent_seeded: flags[4],
+            incumbent_seeded: flags[3],
             nodes_pruned_by_seed: 13 * n,
             nodes_solved_ahead: 15 * n,
             lp_solves_discarded: 16 * n,
@@ -910,7 +898,7 @@ mod tests {
 
     /// The sharded round's phase-1 aggregate, field for field: counters
     /// sum over every shard's phase 1 and phase 2, flags OR, seconds take
-    /// the slowest shard, the two acceptance flags AND over phase 1 only,
+    /// the slowest shard, the seeding flag ANDs over phase 1 only,
     /// size accounting sums over phase 1 only, and `best_bound`, `gap`,
     /// the per-step seconds of `mip_stats` stay at their defaults, and its
     /// `audit` ANDs the checks, concatenates the findings in shard order
@@ -937,7 +925,7 @@ mod tests {
             assignment_vars: 20,
             classes: 5,
             memory_bytes: 1000,
-            mip_stats: solve_stats(1, [false, false, false, true, true]),
+            mip_stats: solve_stats(1, [false, false, false, true]),
             softened: vec!["cap[web]".into()],
             status: Status::Optimal,
             objective: 1.0,
@@ -952,7 +940,7 @@ mod tests {
             assignment_vars: 7,
             classes: 3,
             memory_bytes: 10,
-            mip_stats: solve_stats(10, [true, false, false, false, false]),
+            mip_stats: solve_stats(10, [true, false, false, false]),
             softened: vec!["rackspread[web][k3]".into()],
             status: Status::Feasible,
             objective: 2.0,
@@ -967,7 +955,7 @@ mod tests {
             assignment_vars: 30,
             classes: 6,
             memory_bytes: 2000,
-            mip_stats: solve_stats(100, [false, true, false, true, false]),
+            mip_stats: solve_stats(100, [false, true, false, false]),
             softened: vec!["cap[feed]".into()],
             status: Status::Optimal,
             objective: 3.0,
@@ -1014,7 +1002,6 @@ mod tests {
                 solve_seconds: 12.5,
                 absolute_gap: 55.5,
                 hit_limit: false,
-                warm_basis_accepted: true,
                 incumbent_seeded: false,
                 nodes_pruned_by_seed: 1443,
                 nodes_solved_ahead: 1665,

@@ -7,15 +7,15 @@
 //! targets asynchronously, and container placement never waits on it.
 //!
 //! Consecutive [`AsyncSolver::solve`] calls on the same instance are
-//! *continuous*. The solver keeps the shard plan, one warm cache per
-//! shard ([`crate::session`]: the root-LP basis with its names) and one
-//! round counter. A round whose plan has one shard runs the phase body
+//! *continuous*. The solver keeps the shard plan and one round counter;
+//! no solver state crosses from one round to the next
+//! ([`crate::session`]: the running plan, read from the snapshot, is
+//! the warm start). A round whose plan has one shard runs the phase body
 //! over the whole region; a plan of two or more shards
 //! ([`crate::shard`]) solves them on worker threads, merges, reconciles
-//! and folds their statistics. A new
-//! partition drops every cache and restarts the numbering, and so does a
-//! failed round (the recovery rule, [`AsyncSolver::solve`]). Use a fresh
-//! solver for a cold round.
+//! and folds their statistics. A new partition restarts the numbering,
+//! and so does a failed round (the recovery rule,
+//! [`AsyncSolver::solve`]). Use a fresh solver for a cold round.
 
 use std::time::Instant;
 
@@ -27,7 +27,7 @@ use crate::error::CoreError;
 use crate::model::solver_visible;
 use crate::params::SolverParams;
 use crate::reservation::ReservationSpec;
-use crate::session::{self, RoundCache, RoundRun, WarmReport};
+use crate::session::{self, RoundRun, WarmReport};
 use crate::shard::{
     aggregate_phase1, aggregate_warm, evaluate_targets, reconcile, standings, supported_plan,
     ReconcileReport, ShardPlan, ShardReport, ShardedReport, Standing,
@@ -103,11 +103,9 @@ impl SolveOutput {
 pub struct AsyncSolver {
     /// Cost coefficients and limits.
     pub params: SolverParams,
-    /// The shard plan the caches belong to.
+    /// The shard plan the rounds are numbered under.
     plan: Option<PlanState>,
-    /// One warm cache per shard of the plan (one for a one-shard plan).
-    caches: Vec<Option<RoundCache>>,
-    /// Rounds solved since the caches were last dropped.
+    /// Rounds solved since the warm state was last dropped.
     rounds: usize,
 }
 
@@ -139,9 +137,11 @@ impl AsyncSolver {
         self.rounds
     }
 
-    /// True when the next solve can warm-start from cached state.
+    /// True when a round was solved since the warm state was last
+    /// dropped: the next round is a warm one, which may keep the broker's
+    /// targets without phase 2 ([`crate::session`]).
     pub fn is_warm(&self) -> bool {
-        self.caches.iter().any(Option::is_some)
+        self.rounds > 0
     }
 
     /// Validates specs against the region (actionable rejections,
@@ -182,17 +182,17 @@ impl AsyncSolver {
     ///
     /// `specs[i]` must correspond to `ReservationId(i)` as registered in
     /// the broker. Takes `&mut self` because each round updates the
-    /// warm-start state; use a fresh solver for an independent cold
-    /// solve.
+    /// shard plan and the round count; use a fresh solver for an
+    /// independent cold solve.
     ///
     /// # Failure recovery
     ///
-    /// A failed round — any shard failing — drops every shard's cache
-    /// and restarts the numbering, so the next round is a fresh solver's
-    /// round 0. When the round entered warm the cause comes back wrapped
-    /// in [`CoreError::SessionInvalidated`], numbered as the caller
-    /// counted it; a cold round had nothing to lose and returns the cause
-    /// as it is.
+    /// A failed round — any shard failing — restarts the numbering, so
+    /// the next round is a fresh solver's round 0. When the round entered
+    /// warm the cause comes back wrapped in
+    /// [`CoreError::SessionInvalidated`], numbered as the caller counted
+    /// it; a cold round had nothing to lose and returns the cause as it
+    /// is.
     pub fn solve(
         &mut self,
         region: &Region,
@@ -200,9 +200,9 @@ impl AsyncSolver {
         snapshot: &BrokerSnapshot,
     ) -> Result<SolveOutput, CoreError> {
         self.validate(region, specs)?;
-        // Sampled before re-planning: a new partition drops the caches,
-        // and a failure in that very round must still report the warm
-        // state it entered with as lost.
+        // Sampled before re-planning: a new partition restarts the
+        // numbering, and a failure in that very round must still report
+        // the warm state it entered with as lost.
         let (entry_round, entered_warm) = (self.rounds, self.is_warm());
         self.ensure_plan(region, specs);
         match self.solve_plan(region, specs, snapshot) {
@@ -217,28 +217,16 @@ impl AsyncSolver {
     /// The round body on the current plan: one shard over the whole
     /// region, or two or more on worker threads ([`solve_shards`]).
     fn solve_plan(
-        &mut self,
+        &self,
         region: &Region,
         specs: &[ReservationSpec],
         snapshot: &BrokerSnapshot,
     ) -> Result<SolveOutput, CoreError> {
         let (round, params) = (self.rounds, &self.params);
         if let Some(sharded) = self.plan.as_ref().and_then(|p| p.shards.as_ref()) {
-            return solve_shards(
-                &mut self.caches,
-                sharded,
-                round,
-                region,
-                specs,
-                snapshot,
-                params,
-            );
+            return solve_shards(sharded, round, region, specs, snapshot, params);
         }
-        let cache = self
-            .caches
-            .first_mut()
-            .ok_or_else(|| CoreError::Solver("no warm cache for the plan".into()))?;
-        let run = session::run_round(cache, round, region, specs, snapshot, params, None)?;
+        let run = session::run_round(round, region, specs, snapshot, params, None)?;
         Ok(SolveOutput {
             moves: run.moves,
             targets: run.targets,
@@ -249,11 +237,10 @@ impl AsyncSolver {
         })
     }
 
-    /// The recovery rule: a failed round drops every shard's cache and
-    /// restarts the numbering. A round that entered warm wraps its cause,
-    /// once, in [`CoreError::SessionInvalidated`].
+    /// The recovery rule: a failed round restarts the numbering. A round
+    /// that entered warm wraps its cause, once, in
+    /// [`CoreError::SessionInvalidated`].
     fn invalidate(&mut self, round: usize, entered_warm: bool, cause: CoreError) -> CoreError {
-        self.caches.fill(None);
         self.rounds = 0;
         if entered_warm {
             CoreError::SessionInvalidated {
@@ -268,9 +255,8 @@ impl AsyncSolver {
     /// Re-derives the shard plan when the shard count asked for, the
     /// region or the specs changed. The count is an upper bound:
     /// [`supported_plan`] picks the largest one every shard can carry,
-    /// down to one shard over the whole region. A new partition drops
-    /// every cache and restarts the numbering; the same partition keeps
-    /// them warm.
+    /// down to one shard over the whole region. A new partition restarts
+    /// the numbering; the same partition keeps it.
     fn ensure_plan(&mut self, region: &Region, specs: &[ReservationSpec]) {
         let k = self.params.shards.clamp(1, region.msbs().len().max(1));
         let fingerprint = (region.server_count(), region.msbs().len());
@@ -295,7 +281,6 @@ impl AsyncSolver {
             .as_ref()
             .is_some_and(|old| partition(&old.shards) == partition(&shards));
         if !same_partition {
-            self.caches = vec![None; shards.as_ref().map_or(1, |(plan, _)| plan.len())];
             self.rounds = 0;
         }
         self.plan = Some(PlanState {
@@ -328,14 +313,13 @@ impl AsyncSolver {
 }
 
 /// One round of a plan with two or more shards: every shard solves its
-/// universe and capacity slice from its own cache on a worker thread,
+/// universe and capacity slice on a worker thread,
 /// the merge takes each shard's targets over its own (disjoint)
 /// servers, the reconcile pass releases the surplus the per-shard
 /// buffers leave, and the merged plan's regional score becomes the
 /// round's phase-1 objective. The first failing shard, in plan order,
 /// fails the round.
 fn solve_shards(
-    caches: &mut [Option<RoundCache>],
     (plan, split): &(ShardPlan, Vec<Vec<ReservationSpec>>),
     round: usize,
     region: &Region,
@@ -345,14 +329,13 @@ fn solve_shards(
 ) -> Result<SolveOutput, CoreError> {
     let round_start = Instant::now();
     let results: Vec<Result<RoundRun, CoreError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = caches
-            .iter_mut()
-            .zip(&plan.shards)
+        let handles: Vec<_> = plan
+            .shards
+            .iter()
             .zip(split)
-            .map(|((cache, shard), shard_specs)| {
+            .map(|(shard, shard_specs)| {
                 scope.spawn(move || {
                     session::run_round(
-                        cache,
                         round,
                         region,
                         shard_specs,
@@ -436,12 +419,11 @@ fn solve_shards(
         targets,
         phase1,
         phase2: None,
-        warm: warm.clone(),
+        warm,
         sharded: Some(ShardedReport {
             shards,
             reconcile: reconcile_report,
             score,
-            warm,
         }),
     })
 }
@@ -472,7 +454,7 @@ mod tests {
         let mut solver = AsyncSolver::default();
         let snap = broker.snapshot(SimTime::ZERO);
         let output = solver.solve(&region, &specs, &snap).expect("solve");
-        assert!(!output.warm.warm_basis_supplied, "first round runs cold");
+        assert_eq!(output.warm.round, 0, "the first round runs cold");
         solver.apply(&output, &mut broker).expect("apply");
         let assigned = broker.iter().filter(|(_, r)| r.target == Some(r0)).count();
         assert!(
@@ -555,11 +537,8 @@ mod tests {
             0,
             "steady state must be move-free (stability objective)"
         );
-        assert!(
-            output2.warm.warm_basis_supplied,
-            "second round must run warm: {:?}",
-            output2.warm
-        );
+        assert!(solver.is_warm());
+        assert_eq!(output2.warm.round, 1, "the second round runs warm");
     }
 
     #[test]

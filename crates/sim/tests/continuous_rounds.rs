@@ -48,7 +48,7 @@ fn warm_rounds_agree_with_cold_solves() {
         );
     }
     for r in &reports[1..] {
-        assert!(r.warm.warm_basis_supplied, "round {} basis", r.round);
+        assert!(r.root_started_from_plan(), "round {} root", r.round);
         assert!(r.warm.incumbent_seeded, "round {} incumbent", r.round);
     }
 }
@@ -111,13 +111,21 @@ fn warm_rounds_beat_cold_by_2x_in_release() {
         round0 >= 2.0 * warm_mean,
         "warm rounds not 2x faster: round0 {round0:.4}s, warm mean {warm_mean:.4}s"
     );
-    let settled = warm
-        .iter()
-        .filter(|r| r.warm.warm_basis_accepted && r.warm.incumbent_seeded)
-        .count();
+    // Every warm round's phase-1 root starts from the running plan, and
+    // a run with no warm round proves nothing.
+    assert!(!warm.is_empty(), "no warm round to check");
+    for r in warm {
+        assert!(
+            r.root_started_from_plan(),
+            "round {}: the root did not go dual-first from the plan: {:?}",
+            r.round,
+            r.warm
+        );
+    }
+    let seeded = warm.iter().filter(|r| r.warm.incumbent_seeded).count();
     assert!(
-        settled >= warm.len() - 1,
-        "warm machinery must engage on drift rounds: {settled}/{} accepted+seeded",
+        seeded >= warm.len() - 1,
+        "the incumbent seed must install on drift rounds: {seeded}/{}",
         warm.len()
     );
 }

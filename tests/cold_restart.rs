@@ -1,18 +1,25 @@
-//! A solver restart costs what a warm round costs.
+//! A solver restart costs what a warm round costs, and both start their
+//! phase-1 root from the running plan.
 //!
-//! A fresh `AsyncSolver` has no basis to start from, but every structural
-//! column resting on the bound its cost pushes toward is a dual-feasible
-//! start: the cold root LP of a model past the size gate goes dual-first
-//! from it (`ras::milp::simplex`, "Cold solves"), with no phase 1 and no
-//! warm basis. Where the region already runs a plan, the model rewards
-//! every server for staying, so that start is the running plan; from an
-//! empty broker it is the empty plan, and round 0 takes the same path.
-//! These tests pin both on medium regions — and that a root below the
-//! size gate still takes the primal two-phase path.
+//! No round carries a basis, but every structural column resting on the
+//! bound its cost pushes toward is a dual-feasible start: the hard
+//! phase-1 root goes dual-first from it at any size (`ras::milp::simplex`,
+//! "Cold solves"), with no phase 1. Where the region already runs a
+//! plan, the model rewards every server for staying, so that start is
+//! the running plan; from an empty broker it is the empty plan, and
+//! round 0 takes the same path. A warm round and a restarted solver's
+//! round are then one phase-1 solve. These tests pin that route on
+//! medium regions past the size gate and below it, and that a phase-2
+//! root and a softened retry's root below the gate keep the primal
+//! two-phase start.
 
 use ras::broker::{ResourceBroker, SimTime, UnavailabilityEvent, UnavailabilityKind};
+use ras::core::model::build_model_labeled;
 use ras::core::solver::SolveOutput;
-use ras::core::{AsyncSolver, ReservationSpec, SolverParams};
+use ras::core::stats::PhaseStats;
+use ras::core::{build_reduction, AsyncSolver, ReservationSpec, SolverParams};
+use ras::milp::simplex::AUTO_PARTIAL_MIN_COLS;
+use ras::milp::standard::StandardForm;
 use ras::topology::{Region, RegionTemplate, ScopeId, ServerId};
 use ras_bench::instance;
 
@@ -35,16 +42,78 @@ fn fresh_round(
         .expect("the round solves")
 }
 
-/// A medium region running the plan of a first round, 24 of its bound
-/// servers then failed: `(region, specs, broker, round 0's output)`.
+/// The columns the simplex's size gate counts in the phase-1 model of
+/// `broker`'s snapshot: structural columns the model does not fix, plus
+/// a slack and an artificial per row.
+fn phase1_live_columns(
+    region: &Region,
+    specs: &[ReservationSpec],
+    broker: &ResourceBroker,
+) -> usize {
+    let params = SolverParams::default();
+    let snapshot = broker.snapshot(SimTime::ZERO);
+    let granularity = params.phase1_granularity;
+    let reduction = build_reduction(
+        region,
+        &snapshot,
+        specs,
+        granularity,
+        params.aggregation,
+        None,
+    );
+    let ras = build_model_labeled(
+        region,
+        &reduction.specs,
+        &reduction.classes,
+        &reduction.labels,
+        &params,
+        false,
+        None,
+    );
+    let sf = StandardForm::from_model(&ras.model);
+    let fixed = (sf.lower.iter().zip(&sf.upper))
+        .take(sf.num_structural)
+        .filter(|(lo, up)| lo == up)
+        .count();
+    sf.num_cols() + sf.num_rows - fixed
+}
+
+/// The phase-1 root went dual-first from the slack basis: no primal
+/// phase 1, no attempt thrown away.
+fn assert_root_from_plan(phase: &PhaseStats, what: &str) {
+    let stats = &phase.mip_stats;
+    assert!(
+        stats.root_used_dual_simplex,
+        "{what}: the root went dual-first"
+    );
+    assert_eq!(stats.root_phase1_iterations, 0, "{what}");
+    assert_eq!(
+        stats.root_discarded_seconds, 0.0,
+        "{what}: nothing discarded"
+    );
+    assert!(
+        stats.best_bound.is_finite(),
+        "{what}: bound {}",
+        stats.best_bound
+    );
+}
+
+/// A medium region of `reservations` requests running the plan of a
+/// first round, 24 of its bound servers then failed: `(region, specs,
+/// broker, round 0's output, the solver that planned it)`.
 fn region_after_round_zero(
+    reservations: usize,
     utilization: f64,
-) -> (Region, Vec<ReservationSpec>, ResourceBroker, SolveOutput) {
-    let (region, specs) = instance::portfolio(RegionTemplate::medium(), 2, 24, utilization);
-    let mut broker = ResourceBroker::new(region.server_count());
-    for s in &specs {
-        broker.register_reservation(&s.name);
-    }
+) -> (
+    Region,
+    Vec<ReservationSpec>,
+    ResourceBroker,
+    SolveOutput,
+    AsyncSolver,
+) {
+    let (region, specs) =
+        instance::portfolio(RegionTemplate::medium(), 2, reservations, utilization);
+    let mut broker = instance::broker_for(&region, &specs);
     let mut solver = AsyncSolver::new(params(true));
     let round0 = solver
         .solve(&region, &specs, &broker.snapshot(SimTime::ZERO))
@@ -68,75 +137,96 @@ fn region_after_round_zero(
             })
             .expect("a bound server fails");
     }
-    (region, specs, broker, round0)
+    (region, specs, broker, round0, solver)
 }
 
 #[test]
 fn restarted_solver_repairs_the_running_plan_with_the_dual() {
-    let (region, specs, broker, round0) = region_after_round_zero(0.5);
+    // 24 requests put the rounds after round 0 past the size gate, 8 keep
+    // them below it; every phase-1 root takes the same route either way.
+    for (reservations, past_gate) in [(24, true), (8, false)] {
+        let what = |round: &str| format!("{reservations} requests, {round}");
+        let (region, specs, broker, round0, mut solver) =
+            region_after_round_zero(reservations, 0.5);
 
-    // This round 0's model is below the size gate (`AUTO_PARTIAL_MIN_COLS`
-    // live columns), so the primal two-phase solve runs.
-    let first = &round0.phase1.mip_stats;
-    assert!(!first.root_used_dual_simplex);
-    assert!(first.root_phase1_iterations > 0);
+        // Round 0's model is below the size gate, and its phase-1 root
+        // still goes dual-first, from the empty plan. Phase 2's root
+        // keeps the gate, so below it the primal two-phase solve runs.
+        let empty = instance::broker_for(&region, &specs);
+        assert!(phase1_live_columns(&region, &specs, &empty) <= AUTO_PARTIAL_MIN_COLS);
+        assert_root_from_plan(&round0.phase1, &what("round 0"));
+        let phase2 = round0.phase2.as_ref().expect("round 0 refines its racks");
+        assert!(
+            !phase2.mip_stats.root_used_dual_simplex,
+            "{}: phase 2 runs primal",
+            what("round 0")
+        );
 
-    let restarted = fresh_round(&region, &specs, &broker, true);
-    let stats = &restarted.phase1.mip_stats;
-    assert!(restarted.phase1.softened.is_empty());
-    assert!(
-        restarted.phase1.assignment_vars > 4096,
-        "past the size gate"
-    );
-    assert!(
-        stats.root_used_dual_simplex,
-        "the cold root went dual-first"
-    );
-    assert_eq!(stats.root_phase1_iterations, 0);
-    assert!(!stats.warm_basis_accepted, "a fresh solver has no basis");
-    assert!(
-        stats.audit.certified_clean(),
-        "{:?}",
-        stats.audit.violations
-    );
+        let restarted = fresh_round(&region, &specs, &broker, true);
+        assert!(restarted.phase1.softened.is_empty());
+        assert_eq!(
+            phase1_live_columns(&region, &specs, &broker) > AUTO_PARTIAL_MIN_COLS,
+            past_gate,
+            "{}",
+            what("the restarted round")
+        );
+        assert_root_from_plan(&restarted.phase1, &what("the restarted round"));
+        let stats = &restarted.phase1.mip_stats;
+        assert!(
+            stats.audit.certified_clean(),
+            "{:?}",
+            stats.audit.violations
+        );
 
-    // The same round from the slack crash: the same root LP, so each
-    // objective lies within the other solve's proven gap.
-    let primal = fresh_round(&region, &specs, &broker, false);
-    let primal_stats = &primal.phase1.mip_stats;
-    assert!(!primal_stats.root_used_dual_simplex);
-    assert!(primal_stats.root_phase1_iterations > 0);
-    let gap = stats.absolute_gap.max(primal_stats.absolute_gap);
-    let apart = (restarted.phase1.objective - primal.phase1.objective).abs();
-    assert!(
-        apart <= gap + 1e-6,
-        "objectives {} and {} are {apart} apart, gaps {} and {}",
-        restarted.phase1.objective,
-        primal.phase1.objective,
-        stats.absolute_gap,
-        primal_stats.absolute_gap
-    );
+        // The warm round of the solver that planned round 0 carries
+        // nothing the restarted one lacks: on the same snapshot, one
+        // phase-1 solve.
+        let warm = solver
+            .solve(&region, &specs, &broker.snapshot(SimTime::ZERO))
+            .expect("the warm round solves");
+        assert_eq!(warm.warm.round, 1);
+        assert_root_from_plan(&warm.phase1, &what("the warm round"));
+        assert_eq!(
+            warm.phase1.objective.to_bits(),
+            restarted.phase1.objective.to_bits(),
+            "{}",
+            what("the warm round")
+        );
+        assert_eq!(
+            warm.phase1.mip_stats.simplex_iterations,
+            stats.simplex_iterations
+        );
+
+        // The same round from the slack crash: the same root LP, so each
+        // objective lies within the other solve's proven gap.
+        let primal = fresh_round(&region, &specs, &broker, false);
+        let primal_stats = &primal.phase1.mip_stats;
+        assert!(!primal_stats.root_used_dual_simplex);
+        assert!(primal_stats.root_phase1_iterations > 0);
+        let gap = stats.absolute_gap.max(primal_stats.absolute_gap);
+        let apart = (restarted.phase1.objective - primal.phase1.objective).abs();
+        assert!(
+            apart <= gap + 1e-6,
+            "{}: objectives {} and {} are {apart} apart, gaps {} and {}",
+            what("the restarted round"),
+            restarted.phase1.objective,
+            primal.phase1.objective,
+            stats.absolute_gap,
+            primal_stats.absolute_gap
+        );
+    }
 }
 
 #[test]
 fn round_zero_past_the_size_gate_goes_dual_first() {
     // Nothing runs yet, and nothing rewards staying: the start is the
     // empty plan, which the long step repairs as it would a running one.
-    // The root LP is past the size gate: its 2 436 assignment variables,
-    // with the other structural columns and a slack and an artificial
-    // per row, make more than `AUTO_PARTIAL_MIN_COLS` live columns.
     let (region, specs) = instance::portfolio(RegionTemplate::medium(), 2, 40, 0.5);
     let broker = instance::broker_for(&region, &specs);
+    assert!(phase1_live_columns(&region, &specs, &broker) > AUTO_PARTIAL_MIN_COLS);
     let round0 = fresh_round(&region, &specs, &broker, true);
-    let stats = &round0.phase1.mip_stats;
     assert!(round0.phase1.softened.is_empty());
-    assert!(
-        stats.root_used_dual_simplex,
-        "the cold root went dual-first"
-    );
-    assert_eq!(stats.root_phase1_iterations, 0);
-    assert!(!stats.warm_basis_accepted, "a fresh solver has no basis");
-    assert!(stats.best_bound.is_finite());
+    assert_root_from_plan(&round0.phase1, "round 0");
     for phase in round0.audit_phases() {
         let audit = &phase.mip_stats.audit;
         assert!(audit.certified_clean(), "{:?}", audit.violations);
@@ -145,8 +235,14 @@ fn round_zero_past_the_size_gate_goes_dual_first() {
 
 #[test]
 fn restarted_solver_softens_what_the_primal_softens() {
-    let (region, specs, broker, round0) = region_after_round_zero(0.85);
+    let (region, specs, broker, round0, _) = region_after_round_zero(24, 0.85);
     assert!(!round0.phase1.softened.is_empty(), "over-subscribed");
+    // Round 0 is below the size gate. Its hard root started from the
+    // empty plan; the softened retry keeps the gate, so its root — the
+    // one the round reports — runs primal.
+    let empty = instance::broker_for(&region, &specs);
+    assert!(phase1_live_columns(&region, &specs, &empty) <= AUTO_PARTIAL_MIN_COLS);
+    assert!(!round0.phase1.mip_stats.root_used_dual_simplex);
 
     // The dual proves the hard model infeasible itself; the softened
     // model built next is the one the primal's verdict leads to.
@@ -162,7 +258,7 @@ fn restarted_solver_softens_what_the_primal_softens() {
     );
     assert!(
         stats.root_used_dual_simplex,
-        "the softened root went dual-first"
+        "the softened root past the gate went dual-first"
     );
     assert_eq!(stats.root_phase1_iterations, 0);
     assert!(primal.phase1.mip_stats.root_phase1_iterations > 0);
