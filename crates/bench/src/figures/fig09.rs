@@ -9,6 +9,7 @@
 
 use ras_broker::SimTime;
 use ras_core::classes::{build_classes, Granularity};
+use ras_core::heuristic::greedy_counts;
 use ras_core::model::{build_model, soften_baseline};
 use ras_core::phases::candidate_incumbents;
 use ras_milp::SolveConfig;
@@ -61,9 +62,8 @@ pub fn run(shape: Shape) -> Vec<Experiment> {
         // requests (the paper's 99 %-optimal-up-to-softened-constraints
         // bucket exists *because* production solves are often
         // softened), each offered `run_phase`'s candidate incumbents.
-        let candidates = |ras: &ras_core::model::RasModel| {
-            candidate_incumbents(ras, &inst.region, &inst.specs, &classes, &inst.params)
-        };
+        let greedy = greedy_counts(&inst.region, &inst.specs, &classes, &inst.params);
+        let candidates = |ras: &ras_core::model::RasModel| candidate_incumbents(ras, &greedy);
         let mut ras = build_model(
             &inst.region,
             &inst.specs,

@@ -7,17 +7,21 @@
 //! that gap).
 //!
 //! **Look-ahead on an idle core.** A node LP is a pure function of the
-//! node's bounds and its parent's basis: every [`Simplex::solve`] resets
-//! its engine, so which engine solved a node, and what it solved before,
-//! cannot show in the result. While the search runs exactly as it would
-//! alone, one helper thread with an engine of its own solves nodes ahead
-//! of their pop and files each result under the node's id with the node's
-//! branching path; the search takes a filed result when it pops a node
-//! with that id and path. While the search runs its root dive, the helper
-//! walks the search's own best-bound expansion from the root with no
-//! incumbent to prune against: until the search first prunes a node by its
-//! incumbent, the two trees are one. After the dive it solves the best open
-//! nodes (the best three, republished at every pop). Node stats are
+//! node's bounds and its parent's basis: every [`Simplex::solve`] returns
+//! what a reset engine returns, so which engine solved a node, and what
+//! it solved before, cannot show in the result. (A dive's steps after its
+//! first keep the factors the step before left, and so depend on the
+//! engine's past; but only the search thread dives, and each dive's first
+//! step refactorizes, so those steps follow from the dive alone.) While
+//! the search runs exactly as it would alone, one helper thread with an
+//! engine of its own solves nodes ahead of their pop and files each
+//! result under the node's id with the node's branching path; the search
+//! takes a filed result when it pops a node with that id and path. While
+//! the search runs its root dive, the helper walks the search's own
+//! best-bound expansion from the root with no incumbent to prune against:
+//! until the search first prunes a node by its incumbent, the two trees
+//! are one. After the dive it solves the best open nodes (the best three,
+//! republished at every pop). Node stats are
 //! recorded only when the search takes a node, so every counter, every
 //! prune and the plan are those of the serial search; only
 //! [`SolveStats::nodes_solved_ahead`] and
@@ -1006,9 +1010,16 @@ fn snap(model: &Model, lp: &LpResult, int_vars: &[usize]) -> (f64, Vec<f64>) {
 ///
 /// Each step's LP starts from the basis the last one returned, which is
 /// the one `node_lp` holds: the engine installs it by applying the bounds
-/// the step changed. The step's own pass visits only what can have moved
-/// (see [`DiveFixings`]), and no LP result is cloned: the current one
-/// lends its basis to the next solve.
+/// the step changed. The first step refactorizes, as every node solve
+/// does: its basis is another solve's, maybe the look-ahead helper's, and
+/// what it returns must not depend on which engine that was. Every later
+/// step keeps the factors the step before left
+/// (`Simplex::solve_dive_step`): steps take a pivot or two each, and
+/// rebuilding the LU at each was most of a dive's time. Only the search
+/// thread dives, so those factors are a function of the dive's own steps
+/// and the plan of the serial search. The step's own pass visits only
+/// what can have moved (see [`DiveFixings`]), and no LP result is cloned:
+/// the current one lends its basis to the next solve.
 #[allow(clippy::too_many_arguments)]
 fn dive(
     model: &Model,
@@ -1028,7 +1039,7 @@ fn dive(
     // Every round fixes at least one more integer, so a full sweep
     // needs at most one round per integer variable.
     let max_rounds = int_vars.len().max(64);
-    for _round in 0..max_rounds {
+    for round in 0..max_rounds {
         if start.elapsed().as_secs_f64() > config.time_limit_seconds * 0.5 {
             return None;
         }
@@ -1050,7 +1061,11 @@ fn dive(
             (j, v)
         });
         let warm = current.basis.as_ref();
-        let mut lp = node_lp.solve(&lower, &upper, warm, NODE_RULE);
+        let mut lp = if round == 0 {
+            node_lp.solve(&lower, &upper, warm, NODE_RULE)
+        } else {
+            node_lp.solve_dive_step(&lower, &upper, warm, NODE_RULE)
+        };
         stats.record_lp(&lp);
         stats.dive_lps += 1;
         if lp.status != LpStatus::Optimal {

@@ -31,10 +31,11 @@ const COLD_PERTURB_SEED: u64 = 0xC01D_D0A1;
 impl Simplex<'_> {
     /// Warm-started solve under `lower`/`upper`: install the given basis
     /// — on the held install when the engine holds it, on a reset engine
-    /// otherwise — repair primal feasibility with the dual iteration under
-    /// `rule`, then finish with primal phase 2. Returns `None` when the
-    /// warm path cannot proceed safely — the caller falls back to a cold
-    /// start.
+    /// otherwise — and factorize it, unless the held install kept the
+    /// factors (`keep_factors`, see [`install_held`](Self::install_held));
+    /// repair primal feasibility with the dual iteration under `rule`,
+    /// then finish with primal phase 2. Returns `None` when the warm path
+    /// cannot proceed safely — the caller falls back to a cold start.
     // lint:allow(hot-path-index): warm-start driver; slots bounded by m, columns by n
     pub(super) fn run_warm(
         &mut self,
@@ -42,11 +43,12 @@ impl Simplex<'_> {
         upper: &[f64],
         warm: &Basis,
         rule: DualRule,
+        keep_factors: bool,
         observe: &mut impl FnMut(&Self, usize, bool, Option<usize>),
     ) -> Option<LpResult> {
         let m = self.m;
-        if self.holds(warm) {
-            self.install_held(lower, upper, warm);
+        let kept = if self.holds(warm) {
+            self.install_held(lower, upper, warm, keep_factors)
         } else {
             self.reset(lower, upper);
             // Real costs from the start; artificial columns are pinned at 0.
@@ -65,8 +67,9 @@ impl Simplex<'_> {
                 self.basis[row] = bj;
                 self.position[bj] = row;
             }
-        }
-        if !self.refactor() {
+            false
+        };
+        if !kept && !self.refactor() {
             // A supplied basis can fail to factorize (one built
             // elsewhere can hold dependent columns). Degrade to the
             // always-nonsingular slack basis but keep the warm bound snapshot:

@@ -44,8 +44,21 @@ pub(super) enum RefactorReason {
 /// the bounds whose bits differ, re-rests those columns as a fresh install
 /// would, and refactorizes and iterates exactly as a fresh install does.
 /// Every other warm basis, and every cold start, resets the engine first.
-/// Builds with debug assertions re-solve every 16th held install on a
-/// fresh engine and assert the same `Debug` form.
+///
+/// **Kept factors.** A dive step after the dive's first
+/// (`solve_dive_step`, crate-internal) takes the held install
+/// without the refactorization: the factors, their updates and the pivots
+/// since they were built stay, and one FTRAN patches the basic values for
+/// the columns whose resting value moved. The 200-pivot interval, the
+/// growth and accuracy triggers, the drift cross-check and the optimality
+/// proof on fresh reduced costs all stand, but the result is what a reset
+/// engine returns only to the tolerances: this is the one solve whose
+/// result depends on what the engine solved before.
+///
+/// Builds with debug assertions re-solve every 16th refactoring held
+/// install on a fresh engine and assert the same `Debug` form, and every
+/// 16th kept-factor step too, asserting the same status, the objective
+/// to the optimality tolerance and values that meet the rows and bounds.
 ///
 /// [`solve_lp`]: super::solve_lp
 /// [`solve_lp_warm`]: super::solve_lp_warm
@@ -167,6 +180,8 @@ pub struct Simplex<'a> {
     pub(super) held: bool,
     /// Warm solves that took the held install, over the engine's life.
     pub(super) held_installs: usize,
+    /// Those of them, dive steps, that kept the factors they found.
+    pub(super) kept_installs: usize,
     /// Refactorizations over the engine's life, for the basic-value
     /// oracle.
     #[cfg(debug_assertions)]
@@ -249,6 +264,7 @@ impl<'a> Simplex<'a> {
             cold_dual_perturb: true,
             held: false,
             held_installs: 0,
+            kept_installs: 0,
             #[cfg(debug_assertions)]
             refactors_seen: 0,
             #[cfg(test)]
@@ -322,40 +338,123 @@ impl<'a> Simplex<'a> {
         rule: DualRule,
         mut observe: impl FnMut(&Self, usize, bool, Option<usize>),
     ) -> LpResult {
+        self.solve_checked(lower, upper, warm, rule, false, &mut observe)
+    }
+
+    /// A dive step after the dive's first: [`solve`](Self::solve), except
+    /// that the held install keeps the Forrest–Tomlin factors the last
+    /// solve left (see the type's docs). Only the search thread dives, so
+    /// what the factors hold is a function of the dive's own steps.
+    pub(crate) fn solve_dive_step(
+        &mut self,
+        lower: &[f64],
+        upper: &[f64],
+        warm: Option<&Basis>,
+        rule: DualRule,
+    ) -> LpResult {
+        self.solve_checked(lower, upper, warm, rule, true, &mut |_, _, _, _| {})
+    }
+
+    /// [`solve_from`](Self::solve_from) under the held-install oracles of
+    /// builds with debug assertions, each against a fresh engine tuned by
+    /// the same test hooks. Every 16th refactoring held install must
+    /// return that engine's result to the bit (`Debug` prints every field,
+    /// each float in its shortest round-trip digits). Every 16th install
+    /// that kept its factors computed in other rounding, so it must agree
+    /// on the status and, optimal, on the objective within the optimality
+    /// tolerance, and its values must meet the rows and bounds. A deadline
+    /// can cut either solve where it did not cut the other, so a solve it
+    /// limited proves nothing.
+    fn solve_checked(
+        &mut self,
+        lower: &[f64],
+        upper: &[f64],
+        warm: Option<&Basis>,
+        rule: DualRule,
+        keep_factors: bool,
+        observe: &mut impl FnMut(&Self, usize, bool, Option<usize>),
+    ) -> LpResult {
         #[cfg(debug_assertions)]
-        let held_before = self.held_installs;
+        let (held_before, kept_before) = (self.held_installs, self.kept_installs);
         #[cfg(all(test, debug_assertions))]
         let drift = self.inject_drift;
-        let result = self.solve_from(lower, upper, warm, rule, &mut observe);
+        let result = self.solve_from(lower, upper, warm, rule, keep_factors, observe);
         #[cfg(debug_assertions)]
-        if self.held_installs > held_before && self.held_installs.is_multiple_of(16) {
-            // Held-install oracle: a fresh engine, tuned by the same test
-            // hooks, must return this result to the bit (`Debug` prints
-            // every field, each float in its shortest round-trip digits).
-            // A deadline can cut either solve where it did not cut the
-            // other, so a solve it limited proves nothing.
-            let mut fresh = Simplex::new(self.sf, self.config.clone());
-            fresh.rule = self.rule;
-            fresh.refactor_interval = self.refactor_interval;
-            fresh.set_cold_dual_gate(self.cold_dual_min_cols, self.cold_dual_perturb);
-            #[cfg(all(test, debug_assertions))]
-            {
-                fresh.inject_drift = drift;
-            }
-            let again = fresh.solve(lower, upper, warm, rule);
-            let limited = LpStatus::IterationLimit;
-            if result.status != limited && again.status != limited {
-                debug_assert!(
-                    format!("{result:?}") == format!("{again:?}"),
-                    "held install {} differs from a fresh engine's solve",
-                    self.held_installs
-                );
+        {
+            let kept = self.kept_installs > kept_before;
+            let refactored = self.held_installs - self.kept_installs;
+            let check = if kept {
+                self.kept_installs.is_multiple_of(16)
+            } else {
+                self.held_installs > held_before && refactored.is_multiple_of(16)
+            };
+            if check {
+                let mut fresh = Simplex::new(self.sf, self.config.clone());
+                fresh.rule = self.rule;
+                fresh.refactor_interval = self.refactor_interval;
+                fresh.set_cold_dual_gate(self.cold_dual_min_cols, self.cold_dual_perturb);
+                #[cfg(all(test, debug_assertions))]
+                {
+                    fresh.inject_drift = drift;
+                }
+                let again = fresh.solve(lower, upper, warm, rule);
+                let limited = LpStatus::IterationLimit;
+                if result.status != limited && again.status != limited {
+                    if kept {
+                        self.check_kept_step(lower, upper, &result, &again);
+                    } else {
+                        debug_assert!(
+                            format!("{result:?}") == format!("{again:?}"),
+                            "held install {} differs from a fresh engine's solve",
+                            self.held_installs
+                        );
+                    }
+                }
             }
         }
         result
     }
 
-    /// The body of [`solve_observed`](Self::solve_observed): the warm
+    /// The oracle of a held install that kept its factors: `again` is a
+    /// fresh engine's solve of the same LP.
+    #[cfg(debug_assertions)]
+    fn check_kept_step(&self, lower: &[f64], upper: &[f64], result: &LpResult, again: &LpResult) {
+        let step = self.kept_installs;
+        assert_eq!(
+            result.status, again.status,
+            "kept-factor dive step {step}: status differs from a fresh engine's"
+        );
+        if result.status != LpStatus::Optimal {
+            return;
+        }
+        let obj = result.objective;
+        assert!(
+            (obj - again.objective).abs() <= tol::OPT * (1.0 + obj.abs()),
+            "kept-factor dive step {step}: objective {obj} against a fresh engine's {}",
+            again.objective
+        );
+        let mut residual = self.sf.rhs.clone();
+        for (j, (&v, (&lo, &up))) in result
+            .values
+            .iter()
+            .zip(lower.iter().zip(upper))
+            .enumerate()
+        {
+            assert!(
+                v >= lo - tol::PRIMAL_FEAS && v <= up + tol::PRIMAL_FEAS,
+                "kept-factor dive step {step}: column {j} at {v} outside [{lo}, {up}]"
+            );
+            self.sf.matrix.scatter_column(j, -v, &mut residual);
+        }
+        for (i, r) in residual.iter().enumerate() {
+            assert!(
+                r.abs() <= tol::PRIMAL_FEAS,
+                "kept-factor dive step {step}: row {i} misses its right-hand side by {r}"
+            );
+        }
+    }
+
+    /// The body of [`solve_checked`](Self::solve_checked): the warm
     /// start (held or fresh install), then the cold starts. An attempt
     /// that gives up leaves its counts to the discarded ones before the
     /// next start resets the engine.
@@ -365,6 +464,7 @@ impl<'a> Simplex<'a> {
         upper: &[f64],
         warm: Option<&Basis>,
         rule: DualRule,
+        keep_factors: bool,
         observe: &mut impl FnMut(&Self, usize, bool, Option<usize>),
     ) -> LpResult {
         let start = Instant::now();
@@ -372,7 +472,7 @@ impl<'a> Simplex<'a> {
         self.discarded_refactorizations = 0;
         self.discarded_seconds = 0.0;
         if let Some(basis) = warm.filter(|b| self.m > 0 && b.basis.len() == self.m) {
-            if let Some(result) = self.run_warm(lower, upper, basis, rule, observe) {
+            if let Some(result) = self.run_warm(lower, upper, basis, rule, keep_factors, observe) {
                 self.held = result.basis.is_some();
                 return result;
             }
@@ -454,21 +554,46 @@ impl<'a> Simplex<'a> {
     /// bound its flag names, which its last placement chose under these
     /// very bounds — and the basic values are the refactorization's to
     /// recompute. The artificials go back to `+1` columns at zero.
+    ///
+    /// With `keep_factors` (a dive step after the first) the install keeps
+    /// the factors, their update count and the pivots since they were
+    /// built, and patches the basic values by one FTRAN of `Σ A_j·Δx_j`
+    /// over the nonbasic columns whose resting value moved; it returns
+    /// whether it did. It cannot when the last update was rejected or an
+    /// artificial of the held basis was a `−1` column: the caller then
+    /// refactorizes.
     // lint:allow(hot-path-index): bound arrays are sized to n0 with the tableau
-    pub(super) fn install_held(&mut self, lower: &[f64], upper: &[f64], warm: &Basis) {
+    pub(super) fn install_held(
+        &mut self,
+        lower: &[f64],
+        upper: &[f64],
+        warm: &Basis,
+        keep_factors: bool,
+    ) -> bool {
         let n0 = self.n0;
+        let keep = keep_factors && !self.update_rejected && self.art_sign.iter().all(|&s| s == 1.0);
+        let mut moved = std::mem::take(&mut self.w);
+        moved.fill(0.0);
+        let mut any_moved = false;
         for j in 0..n0 {
             let (lo, up) = (lower[j], upper[j]);
             if lo.to_bits() != self.lower[j].to_bits() || up.to_bits() != self.upper[j].to_bits() {
+                let before = self.x[j];
                 self.lower[j] = lo;
                 self.upper[j] = up;
                 self.bounds_changed(j);
                 self.rest_nonbasic(j, warm.at_upper[j]);
+                let delta = self.x[j] - before;
+                if keep && delta != 0.0 && self.position[j] == usize::MAX {
+                    self.sf.matrix.scatter_column(j, delta, &mut moved);
+                    any_moved = true;
+                }
             }
         }
         debug_assert!(self.lower[n0..]
             .iter()
             .chain(&self.upper[n0..])
+            .chain(&self.x[n0..])
             .all(|&b| b == 0.0));
         debug_assert!(
             self.costs[..n0] == self.sf.costs[..] && self.costs[n0..].iter().all(|&c| c == 0.0)
@@ -478,8 +603,22 @@ impl<'a> Simplex<'a> {
             self.set_x(j, 0.0);
         }
         self.at_upper[n0..].fill(false);
+        if any_moved {
+            // x_B = B⁻¹(b − N·x_N) moves by −B⁻¹·Σ A_j·Δx_j.
+            self.repr.ftran(&mut moved);
+            for (xb, &dv) in self.xb.iter_mut().zip(&moved) {
+                *xb -= dv;
+            }
+        }
+        self.w = moved;
+        let pivots = self.pivots_since_refactor;
         self.reset_counters();
         self.held_installs += 1;
+        if keep {
+            self.pivots_since_refactor = pivots;
+            self.kept_installs += 1;
+        }
+        keep
     }
 
     /// Zeroes every per-solve counter and invalidates the prices.

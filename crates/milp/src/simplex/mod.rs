@@ -94,7 +94,14 @@
 //! next LP, a node solved right after its parent) takes the **held
 //! install**: only the bounds whose bits changed are applied, and the
 //! refactorization and the iteration run exactly as after a fresh
-//! install (see [`Simplex`]). Basic values and their bounds are kept by
+//! install (see [`Simplex`]), so the solve returns what a reset engine
+//! returns. The one exception is a branch-and-bound dive's steps after
+//! its first: each keeps the Forrest–Tomlin factors the step before
+//! left, patches the basic values by one FTRAN of the moved columns, and
+//! refactorizes only when the interval, growth or accuracy triggers say
+//! so. A step takes a pivot or two, so the LU it no longer rebuilds was
+//! most of its cost; its result matches a reset engine's to the
+//! tolerances, not to the bit. Basic values and their bounds are kept by
 //! row, so the leaving-row scans walk contiguous arrays.
 //!
 //! Under either rule, warm or cold, the dual iteration proves

@@ -9,6 +9,7 @@
 use super::*;
 use crate::expr::LinExpr;
 use crate::model::{Model, Sense, VarType};
+use crate::tol;
 
 /// A cold solve of `sf` on an engine the test hooks have set up.
 fn solve_on(sf: &StandardForm, set_up: impl FnOnce(&mut Simplex<'_>)) -> LpResult {
@@ -670,14 +671,10 @@ fn dive_step(n: usize, r: &LpResult, bounds: &mut (Vec<f64>, Vec<f64>)) -> bool 
     rounded
 }
 
-/// A dive on one engine: each step's LP starts from the basis the last
-/// one returned, which the engine holds, so it takes the held install —
-/// and returns, to the bit, what a fresh engine returns from that basis.
-#[test]
-fn held_install_matches_a_fresh_engine_along_a_dive() {
-    // A dozen boxed columns under six packing rows with fractional
-    // coefficients and right-hand sides: the LP optimum is fractional
-    // in a few columns at a time.
+/// A dozen boxed columns under six packing rows with fractional
+/// coefficients and right-hand sides: the LP optimum is fractional in a
+/// few columns at a time, so a dive on it takes several steps.
+fn packing_lp() -> Model {
     let mut m = Model::new();
     let xs: Vec<_> = (0..12)
         .map(|i| m.add_var(format!("x{i}"), VarType::Continuous, 0.0, 4.0))
@@ -699,7 +696,15 @@ fn held_install_matches_a_fresh_engine_along_a_dive() {
             .enumerate()
             .map(|(i, x)| (*x, -1.0 - (i % 4) as f64)),
     ));
-    let sf = StandardForm::from_model(&m);
+    m
+}
+
+/// A dive on one engine: each step's LP starts from the basis the last
+/// one returned, which the engine holds, so it takes the held install —
+/// and returns, to the bit, what a fresh engine returns from that basis.
+#[test]
+fn held_install_matches_a_fresh_engine_along_a_dive() {
+    let sf = StandardForm::from_model(&packing_lp());
     let cfg = SimplexConfig::default();
     let mut engine = Simplex::new(&sf, cfg.clone());
     let mut r = engine.solve(&sf.lower, &sf.upper, None, DualRule::Repair);
@@ -831,4 +836,108 @@ fn held_install_needs_the_basis_the_engine_holds() {
     );
     engine.solve(&tight.0, &tight.1, held.basis.as_ref(), DualRule::Repair);
     assert_eq!(engine.held_installs(), 2, "after an infeasible solve");
+}
+
+/// A dive whose steps after the first keep the factors the step before
+/// left: each such step factorizes only when a maintenance trigger fires,
+/// and answers as a fresh engine does from the same basis — the same
+/// status and, to the optimality tolerance, the same objective — with
+/// values that meet every row and bound.
+#[test]
+fn kept_factor_dive_steps_agree_with_a_fresh_engine() {
+    let sf = StandardForm::from_model(&packing_lp());
+    let cfg = SimplexConfig::default();
+    let mut engine = Simplex::new(&sf, cfg.clone());
+    let mut r = engine.solve(&sf.lower, &sf.upper, None, DualRule::Repair);
+    let mut bounds = (sf.lower.clone(), sf.upper.clone());
+    let (mut steps, mut refactors) = (0, 0);
+    while r.status == LpStatus::Optimal && dive_step(sf.num_structural, &r, &mut bounds) {
+        let first = steps == 0;
+        let kept_before = engine.kept_installs;
+        let step = if first {
+            engine.solve(&bounds.0, &bounds.1, r.basis.as_ref(), DualRule::Repair)
+        } else {
+            engine.solve_dive_step(&bounds.0, &bounds.1, r.basis.as_ref(), DualRule::Repair)
+        };
+        let kept = engine.kept_installs - kept_before;
+        assert_eq!(kept, usize::from(!first), "step {steps}");
+        let triggered = step.basis_stats.refactors_interval
+            + step.basis_stats.refactors_growth
+            + step.basis_stats.refactors_accuracy;
+        if !first {
+            assert_eq!(step.refactorizations, triggered, "step {steps}");
+        }
+        refactors += step.refactorizations;
+        let fresh = Simplex::new(&sf, cfg.clone()).solve(
+            &bounds.0,
+            &bounds.1,
+            r.basis.as_ref(),
+            DualRule::Repair,
+        );
+        assert_eq!(step.status, fresh.status, "step {steps}");
+        if step.status == LpStatus::Optimal {
+            let obj = step.objective;
+            assert!(
+                (obj - fresh.objective).abs() <= tol::OPT * (1.0 + obj.abs()),
+                "step {steps}: {obj} against {}",
+                fresh.objective
+            );
+            let mut residual = sf.rhs.clone();
+            for (j, &v) in step.values.iter().enumerate() {
+                assert!(v >= bounds.0[j] - tol::PRIMAL_FEAS && v <= bounds.1[j] + tol::PRIMAL_FEAS);
+                sf.matrix.scatter_column(j, -v, &mut residual);
+            }
+            assert!(
+                residual.iter().all(|e| e.abs() <= tol::PRIMAL_FEAS),
+                "step {steps}"
+            );
+        }
+        r = step;
+        steps += 1;
+    }
+    assert!(steps >= 3, "the dive took {steps} steps");
+    assert!(
+        refactors < steps,
+        "{refactors} factorizations over {steps} steps"
+    );
+}
+
+/// A kept-factor step whose bounds move nonbasic columns off the value
+/// they rested on patches the basic values by the moved columns: lifting
+/// the lower bound of two columns resting at zero, the step answers as a
+/// fresh engine does, with values that meet every row.
+#[test]
+fn kept_factors_patch_the_basic_values_of_moved_columns() {
+    let sf = StandardForm::from_model(&packing_lp());
+    let cfg = SimplexConfig::default();
+    let (lo, up) = (sf.lower.clone(), sf.upper.clone());
+    let mut engine = Simplex::new(&sf, cfg.clone());
+    let cold = engine.solve(&lo, &up, None, DualRule::Repair);
+    let held = engine.solve(&lo, &up, cold.basis.as_ref(), DualRule::Repair);
+    let basis = held.basis.clone().expect("an optimal basis");
+    let at_rest: Vec<usize> = (0..sf.num_structural)
+        .filter(|&j| !basis.basis.contains(&j) && !basis.at_upper[j] && held.values[j] == 0.0)
+        .take(2)
+        .collect();
+    assert_eq!(at_rest.len(), 2, "two structural columns resting at zero");
+    let mut lifted = lo.clone();
+    for &j in &at_rest {
+        lifted[j] = 0.5;
+    }
+    let kept_before = engine.kept_installs;
+    let step = engine.solve_dive_step(&lifted, &up, Some(&basis), DualRule::Repair);
+    assert_eq!(engine.kept_installs, kept_before + 1);
+    let fresh = Simplex::new(&sf, cfg).solve(&lifted, &up, Some(&basis), DualRule::Repair);
+    assert_eq!(step.status, LpStatus::Optimal);
+    assert_eq!(fresh.status, LpStatus::Optimal);
+    let obj = step.objective;
+    assert!((obj - fresh.objective).abs() <= tol::OPT * (1.0 + obj.abs()));
+    let mut residual = sf.rhs.clone();
+    for (j, &v) in step.values.iter().enumerate() {
+        sf.matrix.scatter_column(j, -v, &mut residual);
+    }
+    assert!(residual.iter().all(|e| e.abs() <= tol::PRIMAL_FEAS));
+    for &j in &at_rest {
+        assert!(step.values[j] >= 0.5 - tol::PRIMAL_FEAS);
+    }
 }

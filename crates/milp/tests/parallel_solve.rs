@@ -210,7 +210,11 @@ fn fingerprint(s: &Solution) -> Vec<(&'static str, u64)> {
 /// reports, to the bit.
 ///
 /// On the knapsack no incumbent prunes a node early, so the helper's walk
-/// during the root dive is the search's own tree. On the switched cover
+/// during the root dive is the search's own tree. The knapsack search
+/// also reaches node 256, where the first periodic dive runs: that dive
+/// starts from a node the helper may have solved, and only its steps
+/// after the first keep the factors the step before left, so it must
+/// end the same whichever engine solved its node. On the switched cover
 /// the dive's incumbent prunes the search's second node, which the walk
 /// expands: from there on the walk's ids name other nodes than the
 /// search's, and its results for them must be turned away.
@@ -220,13 +224,13 @@ fn concurrent_searches_equal_the_serial_search() {
         time_limit_seconds: 1e6,
         ..SolveConfig::default()
     };
-    for (what, model) in [
-        ("knapsack", knapsack()),
-        ("switched cover", switched_cover()),
+    for (what, model, min_nodes) in [
+        ("knapsack", knapsack(), 256),
+        ("switched cover", switched_cover(), 200),
     ] {
         let alone = model.solve_with(&config).expect("lone search");
         assert!(
-            alone.stats.nodes >= 200,
+            alone.stats.nodes >= min_nodes,
             "{what}: the search ran only {} nodes",
             alone.stats.nodes
         );

@@ -16,7 +16,7 @@ use ras_topology::{Region, ServerId};
 
 use crate::aggregate::{build_reduction, AggregationLevel, Reduction};
 use crate::assign::{concretize_into, current_bindings};
-use crate::classes::{scope_servers, unplanned_unavailable, EquivClass, FastHash, Granularity};
+use crate::classes::{scope_servers, unplanned_unavailable, FastHash, Granularity};
 use crate::error::CoreError;
 use crate::model::{build_model_labeled, soften_baseline, solver_visible, RasModel};
 use crate::params::{
@@ -116,7 +116,10 @@ fn solve_prepared(
     rack_goals: bool,
 ) -> Result<ras_milp::Solution, CoreError> {
     let (specs, classes) = (&reduction.specs, &reduction.classes);
-    let incumbents = candidate_incumbents(ras, region, specs, classes, params);
+    // The greedy construction reads neither bounds nor penalties: one
+    // serves the hard solve and the softened retry alike.
+    let greedy = crate::heuristic::greedy_counts(region, specs, classes, params);
+    let incumbents = candidate_incumbents(ras, &greedy);
     let mut config = SolveConfig {
         time_limit_seconds: params.phase_time_limit,
         rel_gap_tol: params.mip_rel_gap,
@@ -145,7 +148,7 @@ fn solve_prepared(
         // goes dual-first below it returns worse plans.
         let baseline = soften_baseline(region, specs, classes);
         ras.soften(&baseline);
-        config.incumbents = candidate_incumbents(ras, region, specs, classes, params);
+        config.incumbents = candidate_incumbents(ras, &greedy);
         config.root_from_plan = false;
         solution = ras.model.solve_with(&config);
         if matches!(solution, Err(SolveError::Infeasible)) {
@@ -293,19 +296,14 @@ fn run_phase_into(
 /// The candidate incumbents every phase solve offers branch and bound,
 /// cold or warm, valued on `ras` as it stands, softened or not: the
 /// assignment the region runs, then the greedy spread-aware construction
-/// (in a softened model the do-nothing point is always valid but pays
-/// the full softening penalty, so the greedy construction usually beats
-/// it). A warm round offers no more: the plan it would carry is the
-/// broker's, which the model's stability terms already read.
-pub fn candidate_incumbents(
-    ras: &RasModel,
-    region: &Region,
-    specs: &[ReservationSpec],
-    classes: &[EquivClass],
-    params: &SolverParams,
-) -> Vec<Vec<f64>> {
-    let greedy = crate::heuristic::greedy_counts(region, specs, classes, params);
-    vec![ras.initial.clone(), ras.incumbent_from_counts(&greedy)]
+/// `greedy` ([`greedy_counts`](crate::heuristic::greedy_counts) of the
+/// model's region, specs and classes; in a softened model the do-nothing
+/// point is always valid but pays the full softening penalty, so the
+/// greedy construction usually beats it). A warm round offers no more:
+/// the plan it would carry is the broker's, which the model's stability
+/// terms already read.
+pub fn candidate_incumbents(ras: &RasModel, greedy: &[Vec<usize>]) -> Vec<Vec<f64>> {
+    vec![ras.initial.clone(), ras.incumbent_from_counts(greedy)]
 }
 
 /// Rack-overage score per reservation under an assignment: total RRUs
