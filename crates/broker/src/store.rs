@@ -1,8 +1,6 @@
 //! The broker store: versioned records plus the subscription fan-out.
 
-use std::collections::BTreeSet;
-
-use ras_topology::ServerId;
+use ras_topology::{ServerId, ServerSet};
 
 use crate::events::{
     ChangeFeedId, ChangeFeeds, EventNotice, EventQueue, SubscriberId, UnavailabilityEvent,
@@ -63,30 +61,31 @@ impl BrokerSnapshot {
 /// The region's server-state store (paper Figure 6, bottom).
 ///
 /// Membership is indexed where it changes: every write that moves
-/// `current` or `target` also moves the server between the ordered sets
-/// below, so [`ResourceBroker::members_of`], [`ResourceBroker::member_count`]
-/// and [`ResourceBroker::pending_moves`] never walk the fleet.
+/// `current` or `target` also moves the server between the
+/// [`ServerSet`]s below (one bit per server, O(1) per move), so
+/// [`ResourceBroker::members_of`], [`ResourceBroker::member_count`] and
+/// [`ResourceBroker::pending_moves`] never walk the fleet.
 #[derive(Debug, Default)]
 pub struct ResourceBroker {
     records: Vec<ServerRecord>,
     reservation_names: Vec<String>,
     events: EventQueue,
-    /// `members[r]`: servers with `current == Some(r)`, ascending.
-    members: Vec<BTreeSet<ServerId>>,
-    /// Servers with `current == None`, ascending.
-    unbound: BTreeSet<ServerId>,
-    /// Servers with `target != current`, ascending.
-    pending: BTreeSet<ServerId>,
+    /// `members[r]`: servers with `current == Some(r)`.
+    members: Vec<ServerSet>,
+    /// Servers with `current == None`.
+    unbound: ServerSet,
+    /// Servers with `target != current`.
+    pending: ServerSet,
     changes: ChangeFeeds,
 }
 
 /// Files `server` in the pending-move set `pending` when its record `r`
 /// has `target != current`, and takes it out otherwise.
-fn file_pending(pending: &mut BTreeSet<ServerId>, server: ServerId, r: &ServerRecord) {
+fn file_pending(pending: &mut ServerSet, server: ServerId, r: &ServerRecord) {
     if r.target != r.current {
         pending.insert(server);
     } else {
-        pending.remove(&server);
+        pending.remove(server);
     }
 }
 
@@ -124,14 +123,14 @@ impl ResourceBroker {
             .ok_or(BrokerError::UnknownServer(server))
     }
 
-    /// The ordered set holding the servers bound to `binding`.
-    fn bound_set(&mut self, binding: Option<ReservationId>) -> &mut BTreeSet<ServerId> {
+    /// The set holding the servers bound to `binding`.
+    fn bound_set(&mut self, binding: Option<ReservationId>) -> &mut ServerSet {
         match binding {
             None => &mut self.unbound,
             Some(r) => {
                 // Bindings may name a reservation that was never registered.
                 if self.members.len() <= r.index() {
-                    self.members.resize_with(r.index() + 1, BTreeSet::new);
+                    self.members.resize_with(r.index() + 1, ServerSet::new);
                 }
                 &mut self.members[r.index()]
             }
@@ -208,7 +207,7 @@ impl ResourceBroker {
         r.elastic = None;
         r.version += 1;
         if previous != current {
-            let was_filed = self.bound_set(previous).remove(&server);
+            let was_filed = self.bound_set(previous).remove(server);
             let is_new = self.bound_set(current).insert(server);
             debug_assert!(
                 was_filed && is_new,
@@ -316,7 +315,7 @@ impl ResourceBroker {
     /// Servers whose target differs from their current binding — the
     /// Online Mover's work queue, ascending.
     pub fn pending_moves(&self) -> Vec<ServerId> {
-        self.pending.iter().copied().collect()
+        self.pending.iter().collect()
     }
 
     /// Servers currently bound to a reservation, ascending.
@@ -327,23 +326,19 @@ impl ResourceBroker {
     /// [`ResourceBroker::members_of`] without the allocation: borrows the
     /// member set and yields it in ascending order.
     pub fn members(&self, reservation: ReservationId) -> impl Iterator<Item = ServerId> + '_ {
-        self.members
-            .get(reservation.index())
-            .into_iter()
-            .flatten()
-            .copied()
+        self.members.get(reservation.index()).into_iter().flatten()
     }
 
     /// Servers bound to no reservation (the free pool), ascending.
     pub fn unbound(&self) -> impl Iterator<Item = ServerId> + '_ {
-        self.unbound.iter().copied()
+        self.unbound.iter()
     }
 
     /// Count of servers currently bound to a reservation.
     pub fn member_count(&self, reservation: ReservationId) -> usize {
         self.members
             .get(reservation.index())
-            .map_or(0, BTreeSet::len)
+            .map_or(0, ServerSet::len)
     }
 
     /// Iterates `(server, record)` pairs.

@@ -20,20 +20,27 @@ enum Op {
     Up(u32),
 }
 
+/// Server ids: a few low ones (so operations meet on one server), the
+/// ids on both sides of the first word boundary (64), and any of the
+/// fleet, whose 150 servers span three words of the broker's sets.
+fn arb_server(servers: u32) -> impl Strategy<Value = u32> {
+    prop_oneof![0..8u32, 60..70u32, 0..servers].prop_map(move |s| s % servers)
+}
+
 fn arb_op(servers: u32, reservations: u32) -> impl Strategy<Value = Op> {
-    let s = 0..servers;
-    let r = prop::option::of(0..reservations);
+    let s = || arb_server(servers);
+    let r = || prop::option::of(0..reservations);
     prop_oneof![
-        (s.clone(), r.clone()).prop_map(|(s, r)| Op::SetTarget(s, r)),
-        (s.clone(), r.clone()).prop_map(|(s, r)| Op::Bind(s, r)),
-        (s.clone(), r).prop_map(|(s, r)| Op::SetElastic(s, r)),
-        (s.clone(), 0u32..5).prop_map(|(s, c)| Op::Containers(s, c)),
-        s.clone().prop_map(Op::Down),
-        s.prop_map(Op::Up),
+        (s(), r()).prop_map(|(s, r)| Op::SetTarget(s, r)),
+        (s(), r()).prop_map(|(s, r)| Op::Bind(s, r)),
+        (s(), r()).prop_map(|(s, r)| Op::SetElastic(s, r)),
+        (s(), 0u32..5).prop_map(|(s, c)| Op::Containers(s, c)),
+        s().prop_map(Op::Down),
+        s().prop_map(Op::Up),
     ]
 }
 
-const N: u32 = 12;
+const N: u32 = 150;
 
 fn apply(broker: &mut ResourceBroker, op: &Op, t: u64) {
     match op {
@@ -169,7 +176,7 @@ proptest! {
     #[test]
     fn maintained_sets_equal_a_fresh_filter(
         ops in prop::collection::vec(arb_op(N, 3), 1..80),
-        cas in prop::collection::vec((0..N, prop::option::of(0u32..3)), 0..8),
+        cas in prop::collection::vec((arb_server(N), prop::option::of(0u32..3)), 0..8),
     ) {
         let mut broker = ResourceBroker::new(N as usize);
         for _ in 0..3 {

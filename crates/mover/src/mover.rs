@@ -1,10 +1,10 @@
 //! Target execution and failure replacement.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use ras_broker::{ChangeFeedId, EventNotice, ReservationId, ResourceBroker, SimTime, SubscriberId};
 use ras_core::reservation::{ReservationKind, ReservationSpec};
-use ras_topology::{HardwareTypeId, Region, ServerId};
+use ras_topology::{HardwareTypeId, Region, ServerId, ServerSet};
 
 use crate::log::{MoveLog, MoveReason, MoveRecord};
 
@@ -30,7 +30,7 @@ pub struct OnlineMover {
     feed: ChangeFeedId,
     /// Up servers without containers, ascending within each pool — the
     /// only servers a failure replacement can come from.
-    pools: BTreeMap<Pool, BTreeSet<ServerId>>,
+    pools: BTreeMap<Pool, ServerSet>,
     /// The pool each server is filed in, indexed by [`ServerId::index`].
     filed: Vec<Option<Pool>>,
     /// Executed-move log (Figure 16's data source).
@@ -180,7 +180,7 @@ impl OnlineMover {
             if let Some(old) = std::mem::replace(filed, pool) {
                 let mut was_filed = false;
                 if let Some(servers) = pools.get_mut(&old) {
-                    was_filed = servers.remove(&server);
+                    was_filed = servers.remove(server);
                     if servers.is_empty() {
                         pools.remove(&old);
                     }
@@ -220,7 +220,7 @@ impl OnlineMover {
         };
         let mut inspected = 0;
         let mut head = |hw: HardwareTypeId, binding: Option<ReservationId>| {
-            let first = self.pools.get(&(hw, binding))?.first().copied();
+            let first = self.pools.get(&(hw, binding))?.next_from(ServerId(0));
             inspected += 1;
             first
         };

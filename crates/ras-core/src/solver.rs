@@ -149,13 +149,10 @@ impl AsyncSolver {
     /// solver-visible spec asking for capacity must name hardware the
     /// region has.
     ///
-    /// One pass over the fleet builds per-hardware-type counts; each spec
-    /// is then answered in O(|catalog|) instead of O(|fleet|).
+    /// The region counts its servers per hardware type as it is built, so
+    /// each spec is answered in O(|catalog|), never O(|fleet|).
     pub fn validate(&self, region: &Region, specs: &[ReservationSpec]) -> Result<(), CoreError> {
-        let mut by_hardware = vec![0usize; region.catalog.len()];
-        for server in region.servers() {
-            by_hardware[server.hardware.index()] += 1;
-        }
+        let by_hardware = region.hardware_counts();
         for (ri, spec) in specs.iter().enumerate() {
             let reservation = ReservationId::from_index(ri);
             if !spec.capacity.is_finite() {

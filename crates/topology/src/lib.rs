@@ -18,9 +18,11 @@ pub mod hardware;
 pub mod ids;
 pub mod region;
 pub mod scope;
+pub mod server_set;
 
 pub use gen::{RegionBuilder, RegionTemplate};
 pub use hardware::{HardwareCatalog, HardwareCategory, HardwareType, ProcessorGeneration};
 pub use ids::{DatacenterId, HardwareTypeId, MsbId, PowerRowId, RackId, ServerId};
 pub use region::{Datacenter, Msb, PowerRow, Rack, Region, Server};
 pub use scope::{Scope, ScopeId};
+pub use server_set::ServerSet;

@@ -101,6 +101,8 @@ pub struct Region {
     power_rows: Vec<PowerRow>,
     racks: Vec<Rack>,
     servers: Vec<Server>,
+    /// Servers per hardware type, indexed by [`HardwareTypeId::index`].
+    hardware_counts: Vec<usize>,
 }
 
 impl Region {
@@ -176,6 +178,10 @@ impl Region {
             datacenter,
         });
         self.racks[rack.index()].servers.push(id);
+        if self.hardware_counts.len() <= hardware.index() {
+            self.hardware_counts.resize(hardware.index() + 1, 0);
+        }
+        self.hardware_counts[hardware.index()] += 1;
         id
     }
 
@@ -281,6 +287,12 @@ impl Region {
         self.servers.len()
     }
 
+    /// Servers per hardware type, indexed by [`HardwareTypeId::index`]
+    /// and counted as servers are added: a type past the end has none.
+    pub fn hardware_counts(&self) -> &[usize] {
+        &self.hardware_counts
+    }
+
     /// Per-MSB hardware mixture: `mix[msb][hardware_type] = server count`.
     pub fn hardware_mix_by_msb(&self) -> Vec<Vec<usize>> {
         let mut mix = vec![vec![0usize; self.catalog.len()]; self.msbs.len()];
@@ -359,6 +371,19 @@ mod tests {
         let mix = region.hardware_mix_by_msb();
         let total: usize = mix.iter().flatten().sum();
         assert_eq!(total, region.server_count());
+    }
+
+    #[test]
+    fn hardware_counts_equal_a_walk_of_the_servers() {
+        let region = tiny_region();
+        let mut walked = vec![0usize; region.catalog.len()];
+        for server in region.servers() {
+            walked[server.hardware.index()] += 1;
+        }
+        let counts = region.hardware_counts();
+        assert!(counts.len() <= walked.len());
+        assert!(walked[counts.len()..].iter().all(|&n| n == 0));
+        assert_eq!(counts, &walked[..counts.len()]);
     }
 
     #[test]

@@ -18,12 +18,12 @@
 //!   weighting dimension balance most heavily so neither cores nor
 //!   memory is left stranded behind an exhausted complement.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::time::Instant;
 
 use ras_broker::{ChangeFeedId, ReservationId, ResourceBroker};
 use ras_milp::cast;
-use ras_topology::{HardwareTypeId, RackId, Region, ServerId};
+use ras_topology::{HardwareTypeId, RackId, Region, ServerId, ServerSet};
 
 use crate::job::{ContainerId, ContainerSpec, JobId, JobSpec, JobState};
 
@@ -230,8 +230,11 @@ impl Host {
     }
 }
 
-/// One reservation's placeable servers, grouped by capacity state.
-type Buckets = BTreeMap<Bucket, BTreeSet<ServerId>>;
+/// One reservation's placeable servers, grouped by capacity state: a
+/// server moves between buckets in O(1) ([`ServerSet`] is a paged bitset
+/// whose pages are allocated only where its members are, so a bucket of a
+/// few servers stays small in any region).
+type Buckets = BTreeMap<Bucket, ServerSet>;
 
 /// The per-region Twine allocator and scheduler (manages many
 /// reservations; each placement decision only looks at one).
@@ -547,7 +550,7 @@ impl TwineAllocator {
         };
         let mut was_listed = false;
         if let Some(servers) = buckets.get_mut(&bucket) {
-            was_listed = servers.remove(&server);
+            was_listed = servers.remove(server);
             if servers.is_empty() {
                 buckets.remove(&bucket);
             }
@@ -573,8 +576,9 @@ impl TwineAllocator {
     /// score)` and, among equals, the lowest id.
     ///
     /// Every server of a bucket has the same score, so a bucket is scored
-    /// once and then walked in id order only as far as it can still hold
-    /// the winner: up to its first server in a rack the job does not use
+    /// once and then walked in id order, each step one
+    /// [`ServerSet::next_from`], only as far as it can still hold the
+    /// winner: up to its first server in a rack the job does not use
     /// yet (penalty 0 — nothing later in the bucket has a smaller key or,
     /// at that key, a smaller id), stepping over each rack the job already
     /// uses after its first server (the rest of the rack ties on the key
@@ -613,7 +617,7 @@ impl TwineAllocator {
             let fit = cast::rounded_i64(self.policy.score(candidate, spec) * SCORE_SCALE);
             evaluated += 1;
             let mut from = Some(ServerId(0));
-            while let Some(&server) = from.and_then(|id| servers.range(id..).next()) {
+            while let Some(server) = from.and_then(|id| servers.next_from(id)) {
                 // From here on the bucket offers keys >= (0, fit) and ids
                 // >= server only.
                 if best.is_some_and(|b| b < ((0, fit), server)) {
