@@ -102,6 +102,7 @@ fn raw_classes(
         .filter(|s| {
             snapshot.records[s.id.index()]
                 .unavailability
+                .as_ref()
                 .map(|e| e.kind == ras_broker::UnavailabilityKind::PlannedMaintenance)
                 .unwrap_or(true)
         })

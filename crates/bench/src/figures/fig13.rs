@@ -143,7 +143,7 @@ pub fn run(_: Shape) -> Vec<Experiment> {
     let ml_dcs: std::collections::HashSet<_> = region
         .servers()
         .iter()
-        .filter(|s| out.targets[s.id.index()] == Some(ras_broker::ReservationId(12)))
+        .filter(|s| out.targets[s.id.index()] == Some(ras_broker::ReservationId::from_index(12)))
         .map(|s| s.datacenter)
         .collect();
     exp.note(format!(

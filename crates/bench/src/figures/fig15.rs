@@ -44,12 +44,12 @@ pub fn run(_: Shape) -> Vec<Experiment> {
         .collect();
 
     let batch_service = StorageAffineService {
-        reservation: ReservationId(0),
+        reservation: ReservationId::from_index(0),
         data_dc,
         scan_intensity: 4.0,
     };
     let interactive_service = StorageAffineService {
-        reservation: ReservationId(1),
+        reservation: ReservationId::from_index(1),
         data_dc,
         scan_intensity: 1.0,
     };

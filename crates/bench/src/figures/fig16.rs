@@ -51,7 +51,7 @@ pub fn run(shape: Shape) -> Vec<Experiment> {
     // onto a handful of hosts, which would leave every move "unused".
     for id in &ids {
         let job = JobSpec {
-            name: format!("job{}", id.0),
+            name: format!("job{}", id.index()),
             reservation: *id,
             container: ContainerSpec::small(),
             replicas: 34,

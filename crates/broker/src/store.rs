@@ -246,7 +246,7 @@ impl ResourceBroker {
     /// Health Check Service: marks a server down and notifies subscribers.
     pub fn mark_down(&mut self, event: UnavailabilityEvent) -> Result<(), BrokerError> {
         let r = self.record_mut(event.server)?;
-        let was_up = r.unavailability.replace(event).is_none();
+        let was_up = r.unavailability.replace(Box::new(event)).is_none();
         r.version += 1;
         self.events.publish(EventNotice::Down(event));
         if was_up {

@@ -5,7 +5,8 @@
 
 use proptest::prelude::*;
 use ras_broker::{
-    EventNotice, ReservationId, ResourceBroker, SimTime, UnavailabilityEvent, UnavailabilityKind,
+    EventNotice, ReservationId, ResourceBroker, ServerRecord, SimTime, UnavailabilityEvent,
+    UnavailabilityKind,
 };
 use ras_topology::{ScopeId, ServerId};
 
@@ -16,9 +17,18 @@ enum Op {
     Bind(u32, Option<u32>),
     SetElastic(u32, Option<u32>),
     Containers(u32, u32),
-    Down(u32),
+    /// Server, index into [`KINDS`], and the expected end's offset from
+    /// the start when the event knows it.
+    Down(u32, usize, Option<u64>),
     Up(u32),
 }
+
+const KINDS: [UnavailabilityKind; 4] = [
+    UnavailabilityKind::PlannedMaintenance,
+    UnavailabilityKind::UnplannedHardware,
+    UnavailabilityKind::UnplannedSoftware,
+    UnavailabilityKind::CorrelatedFailure,
+];
 
 /// Server ids: a few low ones (so operations meet on one server), the
 /// ids on both sides of the first word boundary (64), and any of the
@@ -35,34 +45,86 @@ fn arb_op(servers: u32, reservations: u32) -> impl Strategy<Value = Op> {
         (s(), r()).prop_map(|(s, r)| Op::Bind(s, r)),
         (s(), r()).prop_map(|(s, r)| Op::SetElastic(s, r)),
         (s(), 0u32..5).prop_map(|(s, c)| Op::Containers(s, c)),
-        s().prop_map(Op::Down),
+        (s(), 0..KINDS.len(), prop::option::of(1u64..48))
+            .prop_map(|(s, kind, end)| Op::Down(s, kind, end)),
         s().prop_map(Op::Up),
     ]
 }
 
 const N: u32 = 150;
 
+fn reservation(r: Option<u32>) -> Option<ReservationId> {
+    r.map(|r| ReservationId::from_index(r as usize))
+}
+
+/// Every field of a record, the event's included, by value. The
+/// destructuring is exhaustive, so a field added to either type must be
+/// added here.
+type RecordFields = (
+    Option<ReservationId>,
+    Option<ReservationId>,
+    Option<ReservationId>,
+    Option<(
+        ServerId,
+        UnavailabilityKind,
+        ScopeId,
+        SimTime,
+        Option<SimTime>,
+    )>,
+    u32,
+    u64,
+);
+
+fn fields(record: &ServerRecord) -> RecordFields {
+    let ServerRecord {
+        target,
+        current,
+        elastic,
+        unavailability,
+        running_containers,
+        version,
+    } = record;
+    let event = unavailability.as_deref().map(|event| {
+        let UnavailabilityEvent {
+            server,
+            kind,
+            scope,
+            start,
+            expected_end,
+        } = *event;
+        (server, kind, scope, start, expected_end)
+    });
+    (
+        *target,
+        *current,
+        *elastic,
+        event,
+        *running_containers,
+        *version,
+    )
+}
+
 fn apply(broker: &mut ResourceBroker, op: &Op, t: u64) {
     match op {
         Op::SetTarget(s, r) => {
-            let _ = broker.set_target(ServerId(*s), r.map(ReservationId));
+            let _ = broker.set_target(ServerId(*s), reservation(*r));
         }
         Op::Bind(s, r) => {
-            let _ = broker.bind_current(ServerId(*s), r.map(ReservationId));
+            let _ = broker.bind_current(ServerId(*s), reservation(*r));
         }
         Op::SetElastic(s, r) => {
-            let _ = broker.set_elastic(ServerId(*s), r.map(ReservationId));
+            let _ = broker.set_elastic(ServerId(*s), reservation(*r));
         }
         Op::Containers(s, c) => {
             let _ = broker.set_running_containers(ServerId(*s), *c);
         }
-        Op::Down(s) => {
+        Op::Down(s, kind, end) => {
             let _ = broker.mark_down(UnavailabilityEvent {
                 server: ServerId(*s),
-                kind: UnavailabilityKind::UnplannedHardware,
+                kind: KINDS[*kind],
                 scope: ScopeId::Server(ServerId(*s)),
                 start: SimTime(t),
-                expected_end: None,
+                expected_end: end.map(|d| SimTime(t + d)),
             });
         }
         Op::Up(s) => {
@@ -109,7 +171,7 @@ proptest! {
         }
         if let Some((s, v)) = stale {
             let now = broker.record(s).unwrap().version;
-            let result = broker.cas_target(s, v, Some(ReservationId(1)));
+            let result = broker.cas_target(s, v, Some(ReservationId::from_index(1)));
             if now == v {
                 prop_assert!(result.is_ok());
             } else {
@@ -129,14 +191,20 @@ proptest! {
             apply(&mut broker, op, t as u64);
         }
         let snapshot = broker.snapshot(SimTime(mid as u64));
-        let frozen: Vec<_> = snapshot.records.clone();
+        let live: Vec<RecordFields> = broker.iter().map(|(_, r)| fields(r)).collect();
         for (t, op) in ops[mid..].iter().enumerate() {
             apply(&mut broker, op, (mid + t) as u64);
         }
-        // The snapshot must not have observed post-snapshot writes.
-        for (a, b) in snapshot.records.iter().zip(&frozen) {
-            prop_assert_eq!(a.version, b.version);
-            prop_assert_eq!(a.current, b.current);
+        // The snapshot holds every field of every record, the event's
+        // included, as the broker had it at the snapshot point, and
+        // observed none of the writes after it.
+        prop_assert_eq!(snapshot.records.len(), live.len());
+        for (s, (record, at_snapshot)) in snapshot.records.iter().zip(&live).enumerate() {
+            prop_assert_eq!(&fields(record), at_snapshot, "server {}", s);
+            prop_assert_eq!(record.is_up(), at_snapshot.3.is_none(), "server {}", s);
+        }
+        for (s, record) in broker.iter() {
+            prop_assert_eq!(record.is_up(), record.unavailability.is_none(), "{}", s);
         }
     }
 
@@ -150,14 +218,14 @@ proptest! {
         let mut expected = 0usize;
         for (t, op) in ops.iter().enumerate() {
             let was_up = match op {
-                Op::Down(s) => broker.record(ServerId(*s)).unwrap().is_up(),
+                Op::Down(s, ..) => broker.record(ServerId(*s)).unwrap().is_up(),
                 Op::Up(s) => !broker.record(ServerId(*s)).unwrap().is_up(),
                 _ => false,
             };
             apply(&mut broker, op, t as u64);
             match op {
                 // mark_down always publishes; mark_up only on transition.
-                Op::Down(_) => expected += 1,
+                Op::Down(..) => expected += 1,
                 Op::Up(_) if was_up => expected += 1,
                 _ => {}
             }
@@ -183,10 +251,10 @@ proptest! {
             broker.register_reservation("r");
         }
         let check = |broker: &ResourceBroker| {
-            let servers_where = |keep: &dyn Fn(&ras_broker::ServerRecord) -> bool| -> Vec<ServerId> {
+            let servers_where = |keep: &dyn Fn(&ServerRecord) -> bool| -> Vec<ServerId> {
                 broker.iter().filter(|(_, r)| keep(r)).map(|(s, _)| s).collect()
             };
-            for r in (0..3).map(ReservationId) {
+            for r in (0..3).map(ReservationId::from_index) {
                 let scan = servers_where(&|rec| rec.current == Some(r));
                 assert_eq!(broker.members_of(r), scan);
                 assert_eq!(broker.members(r).collect::<Vec<_>>(), scan);
@@ -209,7 +277,7 @@ proptest! {
         // Emergency-path writes keep the pending set current too.
         for (s, target) in cas {
             let v = broker.record(ServerId(s)).unwrap().version;
-            broker.cas_target(ServerId(s), v, target.map(ReservationId)).unwrap();
+            broker.cas_target(ServerId(s), v, reservation(target)).unwrap();
             check(&broker);
         }
     }

@@ -88,7 +88,7 @@ mod tests {
         MoveRecord {
             server: ServerId(0),
             from: None,
-            to: Some(ReservationId(0)),
+            to: Some(ReservationId::from_index(0)),
             at: SimTime::from_hours(hour),
             in_use,
             reason: MoveReason::SolverTarget,

@@ -102,14 +102,14 @@ fn new_broker(region: &Region, pool: &[ServerId]) -> ResourceBroker {
     }
     // Everything outside the pool belongs to the elastic reservation, so
     // that replacements come from servers the operations can reach.
-    let elastic = ReservationId(u32::from(RESERVATIONS) - 1);
+    let elastic = ReservationId::from_index(usize::from(RESERVATIONS) - 1);
     for s in 0..region.server_count() {
         broker
             .bind_current(ServerId::from_index(s), Some(elastic))
             .unwrap();
     }
     for (i, s) in pool.iter().enumerate() {
-        let binding = (i % 6 != 5).then_some(ReservationId((i % 4) as u32));
+        let binding = (i % 6 != 5).then_some(ReservationId::from_index(i % 4));
         broker.bind_current(*s, binding).unwrap();
     }
     broker
@@ -118,7 +118,7 @@ fn new_broker(region: &Region, pool: &[ServerId]) -> ResourceBroker {
 /// Applies the operations both sides share.
 fn apply(broker: &mut ResourceBroker, pool: &[ServerId], op: &Op) {
     let pick = |i: u8| pool[i as usize % pool.len()];
-    let reservation = |r: Option<u8>| r.map(|r| ReservationId(u32::from(r)));
+    let reservation = |r: Option<u8>| r.map(|r| ReservationId::from_index(usize::from(r)));
     match *op {
         Op::Bind {
             server,

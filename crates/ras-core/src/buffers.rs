@@ -219,7 +219,7 @@ mod tests {
         // Assign 60 servers to web: 30 in MSB 0 (concentrated).
         let mut targets = vec![None; region.server_count()];
         for t in targets.iter_mut().take(60) {
-            *t = Some(ReservationId(0));
+            *t = Some(ReservationId::from_index(0));
         }
         let acct = account(&region, &specs, &targets);
         let sum = acct.guaranteed_fraction

@@ -63,7 +63,7 @@ impl EquivClass {
         fn opt(out: &mut String, r: Option<ReservationId>) {
             match r {
                 Some(r) => {
-                    let _ = write!(out, "{}", r.0);
+                    let _ = write!(out, "{}", r.index());
                 }
                 None => out.push('-'),
             }

@@ -99,7 +99,7 @@ mod tests {
     #[test]
     fn messages_are_actionable() {
         let e = CoreError::CapacityUnavailable {
-            shortfalls: vec![(ReservationId(2), 12.5)],
+            shortfalls: vec![(ReservationId::from_index(2), 12.5)],
         };
         let msg = e.to_string();
         assert!(msg.contains("R2"));

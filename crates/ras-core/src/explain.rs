@@ -259,7 +259,7 @@ mod tests {
     #[test]
     fn explanation_reports_allocation_and_spread() {
         let (region, specs, targets) = solved();
-        let e = explain(&region, &specs[0], ReservationId(0), &targets);
+        let e = explain(&region, &specs[0], ReservationId::from_index(0), &targets);
         assert!(e.allocated >= 40.0);
         assert!(e.msbs_used >= 4);
         assert!(e.survives_any_msb >= 40.0 - 1e-9);
@@ -272,14 +272,14 @@ mod tests {
         let (region, mut specs, targets) = solved();
         // Pretend the owner asked for far more than was allocated.
         specs[0].capacity = 10_000.0;
-        let e = explain(&region, &specs[0], ReservationId(0), &targets);
+        let e = explain(&region, &specs[0], ReservationId::from_index(0), &targets);
         assert!(e.findings.iter().any(|f| f.contains("UNDER-ALLOCATED")));
     }
 
     #[test]
     fn display_renders_every_section() {
         let (region, specs, targets) = solved();
-        let e = explain(&region, &specs[0], ReservationId(0), &targets);
+        let e = explain(&region, &specs[0], ReservationId::from_index(0), &targets);
         let text = e.to_string();
         assert!(text.contains("reservation web"));
         assert!(text.contains("servers"));
@@ -290,7 +290,7 @@ mod tests {
     fn empty_reservation_explains_cleanly() {
         let (region, specs, _) = solved();
         let empty = vec![None; region.server_count()];
-        let e = explain(&region, &specs[0], ReservationId(0), &empty);
+        let e = explain(&region, &specs[0], ReservationId::from_index(0), &empty);
         assert_eq!(e.allocated, 0.0);
         assert_eq!(e.msbs_used, 0);
         assert!(e.findings.iter().any(|f| f.contains("UNDER-ALLOCATED")));

@@ -217,13 +217,13 @@ fn random_snapshot(
         }
         if rng.gen_bool(0.1) {
             let server = ServerId::from_index(i);
-            record.unavailability = Some(UnavailabilityEvent {
+            record.unavailability = Some(Box::new(UnavailabilityEvent {
                 server,
                 kind: kinds[rng.gen_range(0..kinds.len())],
                 scope: ScopeId::Server(server),
                 start: SimTime::ZERO,
                 expected_end: None,
-            });
+            }));
         }
     }
     snap
@@ -301,13 +301,13 @@ fn rack_bound_snapshot(rng: &mut StdRng, region: &Region, reservations: usize) -
                     .then(|| ReservationId::from_index(rng.gen_range(0..reservations)));
             }
             if rng.gen_bool(0.01) {
-                record.unavailability = Some(UnavailabilityEvent {
+                record.unavailability = Some(Box::new(UnavailabilityEvent {
                     server: *s,
                     kind: UnavailabilityKind::UnplannedHardware,
                     scope: ScopeId::Server(*s),
                     start: SimTime::ZERO,
                     expected_end: None,
-                });
+                }));
             }
         }
     }

@@ -177,7 +177,7 @@ impl AsyncSolver {
 
     /// Runs one solve over a snapshot.
     ///
-    /// `specs[i]` must correspond to `ReservationId(i)` as registered in
+    /// `specs[i]` must correspond to `ReservationId::from_index(i)` as registered in
     /// the broker. Takes `&mut self` because each round updates the
     /// shard plan and the round count; use a fresh solver for an
     /// independent cold solve.

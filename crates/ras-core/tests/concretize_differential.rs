@@ -33,10 +33,10 @@ fn scan_concretize(
     let mut targets: Vec<Option<ReservationId>> = (0..region.server_count())
         .map(|i| snapshot.records[i].current)
         .collect();
-    let mut rack_load: HashMap<(u32, u32), usize> = HashMap::new();
+    let mut rack_load: HashMap<(u32, ReservationId), usize> = HashMap::new();
     for server in region.servers() {
         if let Some(r) = snapshot.records[server.id.index()].current {
-            *rack_load.entry((server.rack.0, r.0)).or_default() += 1;
+            *rack_load.entry((server.rack.0, r)).or_default() += 1;
         }
     }
     for (ci, class) in classes.iter().enumerate() {
@@ -64,7 +64,7 @@ fn scan_concretize(
                     .enumerate()
                     .min_by_key(|(_, s)| {
                         let rack = region.server(**s).rack.0;
-                        let load = rack_load.get(&(rack, res.0)).copied().unwrap_or(0);
+                        let load = rack_load.get(&(rack, res)).copied().unwrap_or(0);
                         (load, s.index())
                     })
                     .map(|(pos, _)| pos)
@@ -74,7 +74,7 @@ fn scan_concretize(
                 let s = unclaimed.swap_remove(best_pos);
                 targets[s.index()] = Some(res);
                 let rack = region.server(s).rack.0;
-                *rack_load.entry((rack, res.0)).or_default() += 1;
+                *rack_load.entry((rack, res)).or_default() += 1;
             }
         }
     }
@@ -87,13 +87,13 @@ fn map_rack_overages(
     specs: &[ReservationSpec],
     targets: &[Option<ReservationId>],
 ) -> Vec<(usize, f64)> {
-    let mut per_rack: HashMap<(u32, u32), f64> = HashMap::new();
+    let mut per_rack: HashMap<(u32, ReservationId), f64> = HashMap::new();
     for server in region.servers() {
         if let Some(r) = targets[server.id.index()] {
             if let Some(spec) = specs.get(r.index()) {
                 let v = spec.rru.value(server.hardware);
                 if v > 0.0 {
-                    *per_rack.entry((server.rack.0, r.0)).or_default() += v;
+                    *per_rack.entry((server.rack.0, r)).or_default() += v;
                 }
             }
         }
@@ -102,7 +102,7 @@ fn map_rack_overages(
     per_rack.sort_unstable_by_key(|(key, _)| *key);
     let mut overage = vec![0.0; specs.len()];
     for ((_, r), rru) in per_rack {
-        let ri = r as usize;
+        let ri = r.index();
         let spec = &specs[ri];
         if !solver_visible(spec) || spec.capacity <= 0.0 {
             continue;

@@ -178,6 +178,7 @@ impl Simulation {
             }
             let correlated_active = self.broker.iter().any(|(_, r)| {
                 r.unavailability
+                    .as_ref()
                     .map(|e| e.kind == ras_broker::UnavailabilityKind::CorrelatedFailure)
                     .unwrap_or(false)
             });

@@ -89,7 +89,10 @@ mod tests {
         for s in region.servers_in_msb(msb) {
             let rec = broker.record(s.id).unwrap();
             assert!(!rec.is_up());
-            assert_eq!(rec.unavailability.unwrap().scope, ScopeId::Msb(msb));
+            assert_eq!(
+                rec.unavailability.as_ref().unwrap().scope,
+                ScopeId::Msb(msb)
+            );
         }
         let up = report_scope_up(
             &mut broker,

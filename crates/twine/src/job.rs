@@ -112,7 +112,7 @@ mod tests {
     fn job_spec_is_cloneable() {
         let j = JobSpec {
             name: "web".into(),
-            reservation: ReservationId(0),
+            reservation: ReservationId::from_index(0),
             container: ContainerSpec::small(),
             replicas: 10,
             rack_anti_affinity: true,

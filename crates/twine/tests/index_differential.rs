@@ -253,7 +253,7 @@ impl<A: Level2> Side<A> {
     ) {
         let job = JobSpec {
             name: "p".into(),
-            reservation: ReservationId(u32::from(reservation)),
+            reservation: ReservationId::from_index(usize::from(reservation)),
             container,
             replicas,
             rack_anti_affinity: anti,
@@ -319,7 +319,7 @@ impl<A: Level2> Side<A> {
                 server,
                 reservation,
             } => {
-                let r = reservation.map(|r| ReservationId(u32::from(r)));
+                let r = reservation.map(|r| ReservationId::from_index(usize::from(r)));
                 self.broker.bind_current(pick(server), r).unwrap();
             }
             Op::Down { server } => self.down(pick(server)),
@@ -344,7 +344,7 @@ impl<A: Level2> Side<A> {
 /// The broker's maintained sets against a fresh filter over `iter()`.
 fn assert_broker_sets(broker: &ResourceBroker) {
     for r in 0..RESERVATIONS {
-        let r = ReservationId(u32::from(r));
+        let r = ReservationId::from_index(usize::from(r));
         let scan: Vec<ServerId> = broker
             .iter()
             .filter(|(_, rec)| rec.current == Some(r))

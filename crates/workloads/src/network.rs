@@ -72,7 +72,7 @@ mod tests {
         let spec =
             ReservationSpec::guaranteed("presto", 10.0, RruTable::uniform(&region.catalog, 1.0));
         let service = StorageAffineService {
-            reservation: ReservationId(0),
+            reservation: ReservationId::from_index(0),
             data_dc: region.datacenters()[0].id,
             scan_intensity: 1.0,
         };
@@ -82,10 +82,10 @@ mod tests {
         let mut placed_remote = 0;
         for server in region.servers() {
             if server.datacenter == service.data_dc && placed_local < 3 {
-                targets[server.id.index()] = Some(ReservationId(0));
+                targets[server.id.index()] = Some(ReservationId::from_index(0));
                 placed_local += 1;
             } else if server.datacenter != service.data_dc && placed_remote < 1 {
-                targets[server.id.index()] = Some(ReservationId(0));
+                targets[server.id.index()] = Some(ReservationId::from_index(0));
                 placed_remote += 1;
             }
         }
@@ -101,7 +101,7 @@ mod tests {
         let spec =
             ReservationSpec::guaranteed("presto", 10.0, RruTable::uniform(&region.catalog, 1.0));
         let service = StorageAffineService {
-            reservation: ReservationId(0),
+            reservation: ReservationId::from_index(0),
             data_dc: region.datacenters()[0].id,
             scan_intensity: 1.0,
         };

@@ -48,7 +48,7 @@ fn main() {
         let mut per_type = vec![0usize; catalog.len()];
         let mut rrus = 0.0;
         for server in region.servers() {
-            if out.targets[server.id.index()] == Some(ras::broker::ReservationId(ri as u32)) {
+            if out.targets[server.id.index()] == Some(ras::broker::ReservationId::from_index(ri)) {
                 per_type[server.hardware.index()] += 1;
                 rrus += spec.rru.value(server.hardware);
             }

@@ -54,7 +54,7 @@ fn main() {
             )
             .expect("solve");
         let service = StorageAffineService {
-            reservation: ras::broker::ReservationId(0),
+            reservation: ras::broker::ReservationId::from_index(0),
             data_dc,
             scan_intensity: 1.0,
         };

@@ -330,7 +330,7 @@ fn fresh_session_round_and_run_phase_are_one_solve() {
 fn fnv_targets(targets: &[Option<ReservationId>]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for t in targets {
-        for b in t.map_or(u32::MAX, |r| r.0).to_le_bytes() {
+        for b in t.map_or(u32::MAX, |r| r.index() as u32).to_le_bytes() {
             h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
@@ -401,7 +401,7 @@ fn session_rounds_are_bit_identical_to_the_skeleton_cache() {
             }
             5 => {
                 let busy = broker
-                    .members(ReservationId(0))
+                    .members(ReservationId::from_index(0))
                     .find(|s| broker.record(*s).is_ok_and(|r| r.running_containers > 0))
                     .expect("an in-use server");
                 take_down(&mut broker, busy, hour);
@@ -434,7 +434,10 @@ fn session_rounds_are_bit_identical_to_the_skeleton_cache() {
         if round == 0 {
             // Every third web server runs containers from here on, so
             // the key set carries in-use classes.
-            let web: Vec<ServerId> = broker.members(ReservationId(0)).step_by(3).collect();
+            let web: Vec<ServerId> = broker
+                .members(ReservationId::from_index(0))
+                .step_by(3)
+                .collect();
             for s in web {
                 broker.set_running_containers(s, 2).expect("containers");
             }
@@ -505,7 +508,7 @@ fn sharded_rounds_are_bit_identical_across_warm_rounds() {
             let down = match round {
                 2 => broker.unbound().next(),
                 3 => broker
-                    .members(ReservationId(0))
+                    .members(ReservationId::from_index(0))
                     .find(|s| broker.record(*s).is_ok_and(|r| r.running_containers > 0)),
                 4 => {
                     specs[1].capacity = 30.0;
@@ -546,7 +549,10 @@ fn sharded_rounds_are_bit_identical_across_warm_rounds() {
                 broker.bind_current(s, target).expect("bind");
             }
             if round == 0 {
-                let web: Vec<ServerId> = broker.members(ReservationId(0)).step_by(3).collect();
+                let web: Vec<ServerId> = broker
+                    .members(ReservationId::from_index(0))
+                    .step_by(3)
+                    .collect();
                 for s in web {
                     broker.set_running_containers(s, 2).expect("containers");
                 }
@@ -656,12 +662,12 @@ fn sharded_portfolio_rounds_are_bit_identical_across_warm_rounds() {
                 // planned maintenance.
                 2 => {
                     let busy = broker
-                        .members(ReservationId(0))
+                        .members(ReservationId::from_index(0))
                         .find(|s| broker.record(*s).is_ok_and(|r| r.running_containers > 0));
                     let picks = [
                         broker.unbound().nth(11),
                         busy,
-                        broker.members(ReservationId(1)).nth(3),
+                        broker.members(ReservationId::from_index(1)).nth(3),
                     ];
                     for server in picks.into_iter().flatten() {
                         broker
@@ -675,7 +681,7 @@ fn sharded_portfolio_rounds_are_bit_identical_across_warm_rounds() {
                             .expect("mark down");
                         downed.push(server);
                     }
-                    let maintained = broker.members(ReservationId(2)).nth(5);
+                    let maintained = broker.members(ReservationId::from_index(2)).nth(5);
                     if let Some(server) = maintained {
                         broker
                             .mark_down(UnavailabilityEvent {
@@ -722,7 +728,10 @@ fn sharded_portfolio_rounds_are_bit_identical_across_warm_rounds() {
                 broker.bind_current(s, target).expect("bind");
             }
             if round == 0 {
-                let first: Vec<ServerId> = broker.members(ReservationId(0)).step_by(3).collect();
+                let first: Vec<ServerId> = broker
+                    .members(ReservationId::from_index(0))
+                    .step_by(3)
+                    .collect();
                 for s in first {
                     broker.set_running_containers(s, 2).expect("containers");
                 }

@@ -37,7 +37,7 @@ fn candidates_for(template: RegionTemplate, seed: u64) -> usize {
         &mut broker,
         JobSpec {
             name: "probe".into(),
-            reservation: ras::broker::ReservationId(0),
+            reservation: ras::broker::ReservationId::from_index(0),
             container: ContainerSpec::small(),
             replicas: 5,
             rack_anti_affinity: false,
