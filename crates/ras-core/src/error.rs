@@ -42,17 +42,6 @@ pub enum CoreError {
     Solver(String),
     /// A broker write failed.
     Broker(String),
-    /// A continuous round that entered warm failed mid-solve, and the
-    /// [`AsyncSolver`](crate::solver::AsyncSolver) discarded every shard's
-    /// warm state (the root LP basis and its names) and the round
-    /// numbering. The solver itself remains usable: the next `solve` runs
-    /// cold, exactly like a fresh solver's round 0.
-    SessionInvalidated {
-        /// 0-based index of the round that failed.
-        round: usize,
-        /// The underlying failure.
-        cause: Box<CoreError>,
-    },
 }
 
 impl std::fmt::Display for CoreError {
@@ -81,11 +70,6 @@ impl std::fmt::Display for CoreError {
             }
             CoreError::Solver(msg) => write!(f, "solver failure: {msg}"),
             CoreError::Broker(msg) => write!(f, "broker failure: {msg}"),
-            CoreError::SessionInvalidated { round, cause } => write!(
-                f,
-                "continuous round {round} failed ({cause}); warm state dropped — \
-                 the next round solves cold"
-            ),
         }
     }
 }

@@ -26,9 +26,9 @@
 //!   phase body, with the running plan as its one warm start;
 //! * [`shard`] — POP-style partition and merge math (capacity split,
 //!   reconcile pass, regional evaluator, per-shard folds);
-//! * [`solver`] — the Async Solver: the one owner of a round (shard
-//!   plan, numbering, recovery), writing targets to the
-//!   broker;
+//! * [`solver`] — the Async Solver: the one owner of a round (a
+//!   function of its inputs; it memoizes only the shard plan), writing
+//!   targets to the broker;
 //! * [`baseline`] — Twine's previous greedy assignment (evaluation baseline);
 //! * [`buffers`] — failure-buffer sizing and accounting;
 //! * [`emergency`] — the out-of-band emergency allocation path;

@@ -44,15 +44,14 @@
 //! dual-first below it return plans 1–2.5 % dearer, so they keep the
 //! gate like every other cold solve.
 //!
-//! The [`AsyncSolver`](crate::solver::AsyncSolver) owns the round: it
-//! numbers the rounds and applies the recovery rule (a failed round
-//! restarts the numbering). The one thing a round reads from that
-//! numbering is the phase-2 steady-state check. Phase 2 always runs
-//! cold: its restricted universe and spec visibility change every round.
-//! A warm round — one after a solved round — skips it when phase 1
-//! reproduces the targets the broker already carries: re-run on an
-//! unchanged plan, phase 2 can swap servers between racks at an equal
-//! objective.
+//! A round is a function of its inputs: region, specs, snapshot and
+//! parameters. The [`AsyncSolver`](crate::solver::AsyncSolver) that owns
+//! it keeps no round state, so a fresh solver and a long-lived one plan
+//! the same snapshot alike. Phase 2 always runs cold: its restricted
+//! universe and spec visibility change every round. A round skips it
+//! when phase 1 reproduces the targets the broker already carries over
+//! the round's universe: re-run on an unchanged plan, phase 2 can swap
+//! servers between racks at an equal objective.
 //!
 //! A round solves one model, the reduction of
 //! [`crate::aggregate`]. That reduction is exact — its solved class
@@ -80,9 +79,6 @@ use crate::stats::PhaseStats;
 /// struct alone.
 #[derive(Debug, Clone, Default)]
 pub struct WarmReport {
-    /// 0-based index of this round since the solver last dropped its
-    /// warm state (a new solver, a failed round or a new shard partition).
-    pub round: usize,
     /// Always `false`: no round carries a model or its name space. The
     /// field stays only because the frozen end-to-end benchmark reads
     /// it, and goes once that benchmark stops reading it.
@@ -120,15 +116,13 @@ pub(crate) struct RoundRun {
 }
 
 /// Runs one continuous round of one shard: build the phase-1 model,
-/// solve it from the running plan, refine with phase 2. `round` is the
-/// owner's round number, reported in [`WarmReport::round`]; a round
-/// after the first may keep the broker's targets without phase 2 (the
-/// module's steady-state check). `universe`, a list of servers in
-/// ascending id order, restricts classes and the phase-2 refinement to
-/// those servers, and every other slot of the returned targets keeps
-/// the server's current binding; `None` solves the whole region.
+/// solve it from the running plan, refine with phase 2 unless phase 1
+/// reproduced the broker's targets (the module's steady-state check).
+/// `universe`, a list of servers in ascending id order, restricts
+/// classes and the phase-2 refinement to those servers, and every other
+/// slot of the returned targets keeps the server's current binding;
+/// `None` solves the whole region.
 pub(crate) fn run_round(
-    round: usize,
     region: &Region,
     specs: &[ReservationSpec],
     snapshot: &BrokerSnapshot,
@@ -165,23 +159,21 @@ pub(crate) fn run_round(
         ras_build_seconds,
     )?;
     let warm = WarmReport {
-        round,
         dual_resolve: phase1.mip_stats.root_used_dual_simplex,
         incumbent_seeded: phase1.mip_stats.incumbent_seeded,
         ..WarmReport::default()
     };
 
-    // Steady-state check: a warm round whose phase 1 lands exactly on
-    // the targets the broker already carries for the round's universe
-    // keeps them and skips phase 2. Phase 2 is not a fixed point of its
-    // own output: re-run on an unchanged plan it can swap servers between
+    // Steady-state check: a round whose phase 1 lands exactly on the
+    // targets the broker already carries for the round's universe keeps
+    // them and skips phase 2. Phase 2 is not a fixed point of its own
+    // output: re-run on an unchanged plan it can swap servers between
     // racks at an equal objective and plan moves for nothing. Any real
     // drift changes targets1 and re-enables refinement.
-    let steady = round > 0
-        && scope_servers(region, universe).all(|server| {
-            let s = server.id.index();
-            targets1[s] == snapshot.records[s].target
-        });
+    let steady = scope_servers(region, universe).all(|server| {
+        let s = server.id.index();
+        targets1[s] == snapshot.records[s].target
+    });
     let (targets, phase2) = if steady {
         (targets1, None)
     } else {
@@ -229,18 +221,18 @@ mod tests {
 
     /// On the region of seed 42 with one reservation, and on seed 108
     /// with two, where phase 2 re-run on an unchanged plan swaps servers
-    /// between racks: once the plan is applied, warm rounds keep it with
-    /// no phase 2 and no move, while a fresh solver on the same broker
-    /// refines it again (on seed 42 the plan has no rack overage, so no
-    /// solver runs phase 2). Every round's phase-1 root starts from the
-    /// running plan: dual-first, with no phase 1.
+    /// between racks: once the plan is applied, every later round keeps
+    /// it with no phase 2 and no move, and a fresh solver on the same
+    /// snapshot returns the same targets bit for bit (a round reads no
+    /// solver history). Every round's phase-1 root starts from the running
+    /// plan: dual-first, with no phase 1.
     #[test]
     fn steady_state_keeps_the_plan_and_plans_no_moves() {
         let fixtures = [
-            (42, &[("web", 40.0)][..], false),
-            (108, &[("web", 40.0), ("feed", 25.0)][..], true),
+            (42, &[("web", 40.0)][..]),
+            (108, &[("web", 40.0), ("feed", 25.0)][..]),
         ];
-        for (seed, capacities, rack_overage) in fixtures {
+        for (seed, capacities) in fixtures {
             let region = RegionBuilder::new(RegionTemplate::tiny(), seed).build();
             let mut broker = ResourceBroker::new(region.server_count());
             let specs: Vec<ReservationSpec> = capacities
@@ -254,7 +246,6 @@ mod tests {
 
             let snap = broker.snapshot(SimTime::ZERO);
             let o1 = solver.solve(&region, &specs, &snap).unwrap();
-            assert_eq!(o1.warm.round, 0, "seed {seed}: round 0 is cold");
             for (i, t) in o1.targets.iter().enumerate() {
                 broker.set_target(ServerId::from_index(i), *t).unwrap();
             }
@@ -268,32 +259,36 @@ mod tests {
             let o3 = solver.solve(&region, &specs, &snap3).unwrap();
             for (round, out) in [(0, &o1), (1, &o2), (2, &o3)] {
                 let stats = &out.phase1.mip_stats;
-                assert_eq!(out.warm.round, round, "seed {seed}");
                 assert!(out.warm.dual_resolve, "seed {seed} round {round}");
                 assert_eq!(stats.root_phase1_iterations, 0, "seed {seed} {round}");
                 assert!(out.warm.incumbent_seeded, "seed {seed} round {round}");
             }
-            for (round, out) in [(1, &o2), (2, &o3)] {
-                assert_eq!(
-                    out.targets, o1.targets,
-                    "seed {seed} round {round}: steady state keeps the assignment"
-                );
-                assert!(
-                    out.phase2.is_none(),
-                    "seed {seed} round {round}: phase 1 reproduced the broker's targets"
-                );
-                assert_eq!(out.moves.total(), 0, "seed {seed} round {round}");
-            }
-
-            // A fresh solver enters the round cold: it never takes the
-            // steady-state check and refines the applied plan again.
+            // A fresh solver on the steady snapshot is the kept one.
             let fresh = AsyncSolver::default()
                 .solve(&region, &specs, &snap3)
                 .unwrap();
-            assert_eq!(fresh.phase2.is_some(), rack_overage, "seed {seed}");
+            for (what, out) in [("round 1", &o2), ("round 2", &o3), ("fresh", &fresh)] {
+                assert_eq!(
+                    out.targets, o1.targets,
+                    "seed {seed} {what}: steady state keeps the assignment"
+                );
+                assert!(
+                    out.phase2.is_none(),
+                    "seed {seed} {what}: phase 1 reproduced the broker's targets"
+                );
+                assert_eq!(out.moves.total(), 0, "seed {seed} {what}");
+            }
+            assert_eq!(
+                fresh.phase1.objective.to_bits(),
+                o3.phase1.objective.to_bits(),
+                "seed {seed}"
+            );
         }
     }
 
+    /// The round after an applied plan, solved by the solver that planned
+    /// it and by a fresh one: the same targets and phase-1 objective, to
+    /// the bit.
     #[test]
     fn warm_and_cold_rounds_agree() {
         let (region, mut broker) = setup();
@@ -315,19 +310,20 @@ mod tests {
 
         let snap2 = broker.snapshot(SimTime::from_hours(1));
         let warm_o = solver.solve(&region, &specs, &snap2).unwrap();
-        let warm_w = &warm_o.warm;
-        let cold_o = AsyncSolver::new(params.clone())
+        let cold_o = AsyncSolver::new(params)
             .solve(&region, &specs, &snap2)
             .unwrap();
 
-        assert_eq!(warm_w.round, 1);
+        assert_eq!(warm_o.targets, cold_o.targets);
         assert_eq!(warm_o.phase1.status, cold_o.phase1.status);
-        assert!(
-            (warm_o.phase1.objective - cold_o.phase1.objective).abs() <= params.mip_abs_gap + 1e-6,
+        assert_eq!(
+            warm_o.phase1.objective.to_bits(),
+            cold_o.phase1.objective.to_bits(),
             "warm {} vs cold {}",
             warm_o.phase1.objective,
             cold_o.phase1.objective
         );
+        assert_eq!(warm_o.phase2.is_some(), cold_o.phase2.is_some());
     }
 
     /// A scoped round leaves every server outside its universe on its
@@ -354,7 +350,6 @@ mod tests {
         }
         let snap = broker.snapshot(SimTime::ZERO);
         let outcome = run_round(
-            0,
             &region,
             &specs,
             &snap,

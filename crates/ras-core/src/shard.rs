@@ -631,10 +631,9 @@ pub struct ShardedReport {
 
 /// Folds per-shard warm reports into one round-level view: the flags
 /// AND across shards (the round is only as warm as its coldest shard).
-pub(crate) fn aggregate_warm(round: usize, shards: &[ShardReport]) -> WarmReport {
+pub(crate) fn aggregate_warm(shards: &[ShardReport]) -> WarmReport {
     let all = |f: fn(&WarmReport) -> bool| shards.iter().all(|s| f(&s.warm));
     WarmReport {
-        round,
         dual_resolve: all(|w| w.dual_resolve),
         incumbent_seeded: all(|w| w.incumbent_seeded),
         ..WarmReport::default()

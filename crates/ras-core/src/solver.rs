@@ -6,16 +6,16 @@
 //! broker. Runs off the critical path: the Online Mover materializes the
 //! targets asynchronously, and container placement never waits on it.
 //!
-//! Consecutive [`AsyncSolver::solve`] calls on the same instance are
-//! *continuous*. The solver keeps the shard plan and one round counter;
-//! no solver state crosses from one round to the next
-//! ([`crate::session`]: the running plan, read from the snapshot, is
-//! the warm start). A round whose plan has one shard runs the phase body
-//! over the whole region; a plan of two or more shards
-//! ([`crate::shard`]) solves them on worker threads, merges, reconciles
-//! and folds their statistics. A new partition restarts the numbering,
-//! and so does a failed round (the recovery rule,
-//! [`AsyncSolver::solve`]). Use a fresh solver for a cold round.
+//! A round is a function of its inputs: no solver state crosses from
+//! one round to the next ([`crate::session`]: the running plan, read
+//! from the snapshot, is the warm start), so a fresh solver plans a
+//! snapshot exactly as a long-lived one does. The solver keeps only its
+//! parameters and the shard plan, a memo of a pure function of the shard
+//! count, the region and the specs. A round whose plan has one shard
+//! runs the phase body over the whole region; a plan of two or more
+//! shards ([`crate::shard`]) solves them on worker threads, merges,
+//! reconciles and folds their statistics. A failed round returns its
+//! cause and leaves nothing behind.
 
 use std::time::Instant;
 
@@ -103,10 +103,8 @@ impl SolveOutput {
 pub struct AsyncSolver {
     /// Cost coefficients and limits.
     pub params: SolverParams,
-    /// The shard plan the rounds are numbered under.
+    /// The shard plan of the last round's shard count, region and specs.
     plan: Option<PlanState>,
-    /// Rounds solved since the warm state was last dropped.
-    rounds: usize,
 }
 
 /// A shard plan with the inputs it was derived from.
@@ -130,18 +128,6 @@ impl AsyncSolver {
             params,
             ..Self::default()
         }
-    }
-
-    /// Number of rounds solved since the warm state was last dropped.
-    pub fn rounds(&self) -> usize {
-        self.rounds
-    }
-
-    /// True when a round was solved since the warm state was last
-    /// dropped: the next round is a warm one, which may keep the broker's
-    /// targets without phase 2 ([`crate::session`]).
-    pub fn is_warm(&self) -> bool {
-        self.rounds > 0
     }
 
     /// Validates specs against the region (actionable rejections,
@@ -178,18 +164,9 @@ impl AsyncSolver {
     /// Runs one solve over a snapshot.
     ///
     /// `specs[i]` must correspond to `ReservationId::from_index(i)` as registered in
-    /// the broker. Takes `&mut self` because each round updates the
-    /// shard plan and the round count; use a fresh solver for an
-    /// independent cold solve.
-    ///
-    /// # Failure recovery
-    ///
-    /// A failed round — any shard failing — restarts the numbering, so
-    /// the next round is a fresh solver's round 0. When the round entered
-    /// warm the cause comes back wrapped in
-    /// [`CoreError::SessionInvalidated`], numbered as the caller counted
-    /// it; a cold round had nothing to lose and returns the cause as it
-    /// is.
+    /// the broker. Takes `&mut self` only to memoize the shard plan; the
+    /// output depends on the arguments and [`Self::params`] alone. A
+    /// failed round — any shard failing — returns its cause as it is.
     pub fn solve(
         &mut self,
         region: &Region,
@@ -197,33 +174,12 @@ impl AsyncSolver {
         snapshot: &BrokerSnapshot,
     ) -> Result<SolveOutput, CoreError> {
         self.validate(region, specs)?;
-        // Sampled before re-planning: a new partition restarts the
-        // numbering, and a failure in that very round must still report
-        // the warm state it entered with as lost.
-        let (entry_round, entered_warm) = (self.rounds, self.is_warm());
         self.ensure_plan(region, specs);
-        match self.solve_plan(region, specs, snapshot) {
-            Ok(output) => {
-                self.rounds += 1;
-                Ok(output)
-            }
-            Err(cause) => Err(self.invalidate(entry_round, entered_warm, cause)),
-        }
-    }
-
-    /// The round body on the current plan: one shard over the whole
-    /// region, or two or more on worker threads ([`solve_shards`]).
-    fn solve_plan(
-        &self,
-        region: &Region,
-        specs: &[ReservationSpec],
-        snapshot: &BrokerSnapshot,
-    ) -> Result<SolveOutput, CoreError> {
-        let (round, params) = (self.rounds, &self.params);
+        let params = &self.params;
         if let Some(sharded) = self.plan.as_ref().and_then(|p| p.shards.as_ref()) {
-            return solve_shards(sharded, round, region, specs, snapshot, params);
+            return solve_shards(sharded, region, specs, snapshot, params);
         }
-        let run = session::run_round(round, region, specs, snapshot, params, None)?;
+        let run = session::run_round(region, specs, snapshot, params, None)?;
         Ok(SolveOutput {
             moves: run.moves,
             targets: run.targets,
@@ -234,26 +190,10 @@ impl AsyncSolver {
         })
     }
 
-    /// The recovery rule: a failed round restarts the numbering. A round
-    /// that entered warm wraps its cause, once, in
-    /// [`CoreError::SessionInvalidated`].
-    fn invalidate(&mut self, round: usize, entered_warm: bool, cause: CoreError) -> CoreError {
-        self.rounds = 0;
-        if entered_warm {
-            CoreError::SessionInvalidated {
-                round,
-                cause: Box::new(cause),
-            }
-        } else {
-            cause
-        }
-    }
-
     /// Re-derives the shard plan when the shard count asked for, the
     /// region or the specs changed. The count is an upper bound:
     /// [`supported_plan`] picks the largest one every shard can carry,
-    /// down to one shard over the whole region. A new partition restarts
-    /// the numbering; the same partition keeps it.
+    /// down to one shard over the whole region.
     fn ensure_plan(&mut self, region: &Region, specs: &[ReservationSpec]) {
         let k = self.params.shards.clamp(1, region.msbs().len().max(1));
         let fingerprint = (region.server_count(), region.msbs().len());
@@ -264,27 +204,11 @@ impl AsyncSolver {
         {
             return;
         }
-        let shards = supported_plan(region, specs, k);
-        let partition = |s: &Option<(ShardPlan, Vec<Vec<ReservationSpec>>)>| {
-            s.as_ref().map(|(plan, _)| {
-                plan.shards
-                    .iter()
-                    .map(|sh| sh.msbs.clone())
-                    .collect::<Vec<_>>()
-            })
-        };
-        let same_partition = self
-            .plan
-            .as_ref()
-            .is_some_and(|old| partition(&old.shards) == partition(&shards));
-        if !same_partition {
-            self.rounds = 0;
-        }
         self.plan = Some(PlanState {
             k,
             region: fingerprint,
             specs: specs.to_vec(),
-            shards,
+            shards: supported_plan(region, specs, k),
         });
     }
 
@@ -318,7 +242,6 @@ impl AsyncSolver {
 /// fails the round.
 fn solve_shards(
     (plan, split): &(ShardPlan, Vec<Vec<ReservationSpec>>),
-    round: usize,
     region: &Region,
     specs: &[ReservationSpec],
     snapshot: &BrokerSnapshot,
@@ -332,14 +255,7 @@ fn solve_shards(
             .zip(split)
             .map(|(shard, shard_specs)| {
                 scope.spawn(move || {
-                    session::run_round(
-                        round,
-                        region,
-                        shard_specs,
-                        snapshot,
-                        params,
-                        Some(&shard.servers),
-                    )
+                    session::run_round(region, shard_specs, snapshot, params, Some(&shard.servers))
                 })
             })
             .collect();
@@ -405,7 +321,7 @@ fn solve_shards(
             warm: run.warm,
         })
         .collect();
-    let warm = aggregate_warm(round, &shards);
+    let warm = aggregate_warm(&shards);
     let phase1 = aggregate_phase1(
         &shards,
         score.objective,
@@ -451,7 +367,6 @@ mod tests {
         let mut solver = AsyncSolver::default();
         let snap = broker.snapshot(SimTime::ZERO);
         let output = solver.solve(&region, &specs, &snap).expect("solve");
-        assert_eq!(output.warm.round, 0, "the first round runs cold");
         solver.apply(&output, &mut broker).expect("apply");
         let assigned = broker.iter().filter(|(_, r)| r.target == Some(r0)).count();
         assert!(
@@ -534,8 +449,6 @@ mod tests {
             0,
             "steady state must be move-free (stability objective)"
         );
-        assert!(solver.is_warm());
-        assert_eq!(output2.warm.round, 1, "the second round runs warm");
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Failed-round recovery, shard-plan and sharded-vs-monolithic
 //! differential tests, all through the one round owner, [`AsyncSolver`].
 //!
-//! Recovery contract: a continuous round that fails mid-solve must leave
-//! the solver *usable* — every shard's warm state and the round numbering
-//! dropped, the error telling the caller the next round runs cold — and
-//! that next round must solve and certify exactly like a fresh solver's
-//! round 0.
+//! Recovery contract: a continuous round that fails mid-solve returns its
+//! cause as it is and leaves the solver as it found it — the solver keeps
+//! no round state — so the next round solves and certifies exactly like
+//! a fresh solver's round on the same snapshot.
 //!
 //! Differential contract: a POP-style sharded solve of the same input
 //! must land within [`ras_core::sharded_tolerance`] of the monolithic
@@ -61,100 +60,73 @@ fn certified_clean(out: &SolveOutput) -> bool {
         .all(|p| p.mip_stats.audit.certified_clean())
 }
 
-#[test]
-fn failed_warm_round_invalidates_session_then_recovers_cold() {
-    let region = region();
-    let specs = portfolio(&region);
-    let snap = broker_for(&region, &specs).snapshot(SimTime::ZERO);
-
-    let mut solver = AsyncSolver::new(params(1));
-    let out0 = solver
-        .solve(&region, &specs, &snap)
-        .expect("round 0 solves");
-    assert_eq!(out0.warm.round, 0);
-    assert!(solver.is_warm(), "round 0 must leave warm state behind");
-
-    // Round 1 fails mid-solve: the audited model rejects the poisoned
-    // spec. The solver must report the invalidation explicitly.
-    let err = solver
-        .solve(&region, &poisoned(&region, specs.clone()), &snap)
-        .expect_err("poisoned round must fail");
-    match &err {
-        CoreError::SessionInvalidated { round, cause } => {
-            assert_eq!(*round, 1, "the failing round is round 1");
-            assert!(
-                matches!(**cause, CoreError::Solver(_)),
-                "cause must surface the solver failure, got {cause:?}"
-            );
-        }
-        other => panic!("expected SessionInvalidated, got {other:?}"),
-    }
-    assert!(!solver.is_warm(), "warm state must be dropped");
-    assert_eq!(solver.rounds(), 0, "round numbering must restart");
-
-    // The solver remains usable: the next round runs cold — round number
-    // 0 — and still certifies clean under the auditor.
-    let out = solver
-        .solve(&region, &specs, &snap)
-        .expect("recovery round solves");
-    assert_eq!(out.warm.round, 0, "recovery round is a fresh round 0");
-    assert!(certified_clean(&out), "recovery round must certify clean");
-    assert!(solver.is_warm(), "and it re-arms the warm machinery");
+/// Asserts two rounds planned the same: targets, phase-1 status and
+/// objective bits, phase-2 presence, moves and the shard count.
+fn assert_same_round(a: &SolveOutput, b: &SolveOutput, what: &str) {
+    assert_eq!(a.targets, b.targets, "{what}: targets");
+    assert_eq!(a.phase1.status, b.phase1.status, "{what}: status");
+    assert_eq!(
+        a.phase1.objective.to_bits(),
+        b.phase1.objective.to_bits(),
+        "{what}: objective {} vs {}",
+        a.phase1.objective,
+        b.phase1.objective
+    );
+    assert_eq!(a.phase2.is_some(), b.phase2.is_some(), "{what}: phase 2");
+    assert_eq!(a.moves, b.moves, "{what}: moves");
+    assert_eq!(
+        a.sharded.as_ref().map(|s| s.shards.len()),
+        b.sharded.as_ref().map(|s| s.shards.len()),
+        "{what}: shards"
+    );
 }
 
+/// A failed round — any shard failing — returns its cause as it is,
+/// whether the solver is fresh or has solved before, and leaves nothing
+/// behind: the next round is a fresh solver's round, bit for bit, and
+/// certifies clean.
 #[test]
-fn failed_cold_round_returns_the_raw_error() {
+fn a_failed_round_at_any_shard_count_returns_its_cause_and_leaves_nothing() {
     let region = region();
     let specs = portfolio(&region);
-    let snap = broker_for(&region, &specs).snapshot(SimTime::ZERO);
+    let poisoned = poisoned(&region, specs.clone());
+    for shards in [1, 2, 3] {
+        let what = format!("shards={shards}");
+        let mut broker = broker_for(&region, &specs);
+        let snap = broker.snapshot(SimTime::ZERO);
 
-    // A fresh solver has no warm state to lose: the error passes through
-    // unwrapped.
-    for shards in [1, 3] {
         let err = AsyncSolver::new(params(shards))
-            .solve(&region, &poisoned(&region, specs.clone()), &snap)
-            .expect_err("poisoned cold round must fail");
+            .solve(&region, &poisoned, &snap)
+            .expect_err("a poisoned round fails on a fresh solver");
         assert!(
             matches!(err, CoreError::Solver(_)),
-            "shards={shards}: cold failure must surface the raw error: {err:?}"
+            "{what}: the cause comes back unwrapped: {err:?}"
         );
+
+        // A solver with a solved and applied round fails the same way.
+        let mut solver = AsyncSolver::new(params(shards));
+        let out0 = solver
+            .solve(&region, &specs, &snap)
+            .expect("round 0 solves");
+        solver.apply(&out0, &mut broker).expect("round 0 applies");
+        let snap1 = broker.snapshot(SimTime::from_hours(1));
+        let err = solver
+            .solve(&region, &poisoned, &snap1)
+            .expect_err("a poisoned round fails after a solved one");
+        assert!(
+            matches!(err, CoreError::Solver(_)),
+            "{what}: the cause comes back unwrapped: {err:?}"
+        );
+
+        let next = solver
+            .solve(&region, &specs, &snap1)
+            .expect("the next round solves");
+        let fresh = AsyncSolver::new(params(shards))
+            .solve(&region, &specs, &snap1)
+            .expect("a fresh solver's round solves");
+        assert_same_round(&next, &fresh, &what);
+        assert!(certified_clean(&next), "{what}: the next round certifies");
     }
-}
-
-#[test]
-fn failed_sharded_round_invalidates_all_shards_then_recovers() {
-    let region = region();
-    let specs = portfolio(&region);
-    let snap = broker_for(&region, &specs).snapshot(SimTime::ZERO);
-
-    let mut solver = AsyncSolver::new(params(3));
-    solver
-        .solve(&region, &specs, &snap)
-        .expect("sharded round 0 solves");
-    assert!(solver.is_warm());
-
-    let err = solver
-        .solve(&region, &poisoned(&region, specs.clone()), &snap)
-        .expect_err("poisoned sharded round must fail");
-    match &err {
-        CoreError::SessionInvalidated { round: 1, cause } => assert!(
-            matches!(**cause, CoreError::Solver(_)),
-            "the cause is wrapped once: {cause:?}"
-        ),
-        other => panic!("one failing shard invalidates every shard: {other:?}"),
-    }
-    assert!(!solver.is_warm(), "every shard's warm state is dropped");
-    assert_eq!(solver.rounds(), 0);
-
-    let out = solver
-        .solve(&region, &specs, &snap)
-        .expect("sharded recovery round solves");
-    assert_eq!(out.warm.round, 0, "recovery is a fresh round 0");
-    assert_eq!(out.sharded.as_ref().map(|s| s.shards.len()), Some(3));
-    assert!(
-        certified_clean(&out),
-        "every shard must certify clean after recovery"
-    );
 }
 
 #[test]
@@ -237,18 +209,15 @@ fn one_shard_fallback_round_is_the_monolithic_round() {
     );
 }
 
-/// A spec change that re-partitions the region drops every shard's warm
-/// state, so the round after it is numbered 0, like any other cold round.
+/// A spec change that re-partitions the region: the round after it
+/// solves on the new partition, exactly as a fresh solver does.
 #[test]
-fn shard_repartition_restarts_round_numbering() {
+fn shard_repartition_solves_on_the_new_partition() {
     let region = region();
     let mut specs = portfolio(&region);
     let snap = broker_for(&region, &specs).snapshot(SimTime::ZERO);
 
-    let mut solver = AsyncSolver::new(SolverParams {
-        shards: 3,
-        ..SolverParams::default()
-    });
+    let mut solver = AsyncSolver::new(params(3));
     let out0 = solver.solve(&region, &specs, &snap).expect("round 0");
     assert_eq!(out0.sharded.as_ref().map(|s| s.shards.len()), Some(3));
 
@@ -262,9 +231,8 @@ fn shard_repartition_restarts_round_numbering() {
         2,
         "the larger slice needs bigger shards"
     );
-    for shard in &report.shards {
-        assert_eq!(shard.warm.round, 0, "shard {} runs cold", shard.shard);
-    }
-    assert_eq!(out.warm.round, 0, "a re-partition restarts the numbering");
-    assert_eq!(solver.rounds(), 1);
+    let fresh = AsyncSolver::new(params(3))
+        .solve(&region, &specs, &snap)
+        .expect("a fresh solver's round");
+    assert_same_round(&out, &fresh, "re-partitioned");
 }

@@ -13,13 +13,16 @@
 //! wall-clock and simplex-iteration costs, so tests and the
 //! `fig_continuous` figure can assert that warm rounds are measurably
 //! cheaper than the cold round 0 and that steady-state rounds plan zero
-//! moves.
+//! moves. [`run_rounds`] also hands each round's snapshot and output to
+//! a callback, so a test can re-solve the snapshot with a fresh solver.
 
-use ras_broker::{ReservationId, ResourceBroker, SimTime, UnavailabilityEvent, UnavailabilityKind};
+use ras_broker::{
+    BrokerSnapshot, ReservationId, ResourceBroker, SimTime, UnavailabilityEvent, UnavailabilityKind,
+};
 use ras_core::reservation::ReservationSpec;
-use ras_core::solver::AsyncSolver;
+use ras_core::solver::{AsyncSolver, SolveOutput};
 use ras_core::stats::PhaseStats;
-use ras_core::{SolverParams, WarmReport};
+use ras_core::SolverParams;
 use ras_topology::{Region, ScopeId, ServerId};
 use ras_twine::{ContainerSpec, JobSpec, PlacementPolicyKind, TwineAllocator};
 
@@ -130,10 +133,6 @@ pub struct ContinuousConfig {
     pub utilization: f64,
     /// Solver parameters for every round.
     pub params: SolverParams,
-    /// Also run a cold (fresh-session) solve of every round's snapshot
-    /// and record its time/objective for differential comparison. The
-    /// cold solve is never applied.
-    pub cold_compare: bool,
     /// Container load to run at level 2 (none = level-1-only rounds,
     /// the historical behavior).
     pub containers: Option<ContainerLoad>,
@@ -147,7 +146,6 @@ impl Default for ContinuousConfig {
             seed: 0xC0117,
             utilization: 0.6,
             params: SolverParams::default(),
-            cold_compare: false,
             containers: None,
         }
     }
@@ -169,19 +167,10 @@ pub struct RoundReport {
     pub assigned: usize,
     /// Servers churned (marked down) immediately before this round.
     pub churned: usize,
-    /// The round's phase-1 statistics: the full objective (warm and cold
-    /// must agree on it), the solve's counters and the reduction's
-    /// size. A sharded round's are the aggregate over its shards.
+    /// The round's phase-1 statistics: the full objective, the solve's
+    /// counters and the reduction's size. A sharded round's are the
+    /// aggregate over its shards.
     pub phase1: PhaseStats,
-    /// The session's account of its warm-start behavior.
-    pub warm: WarmReport,
-    /// Wall-clock seconds of the cold solve of the same snapshot
-    /// (only with [`ContinuousConfig::cold_compare`]).
-    pub cold_solve_seconds: Option<f64>,
-    /// Phase-1 objective of the cold solve of the same snapshot.
-    pub cold_objective: Option<f64>,
-    /// Whether the cold solve finished with the same phase-1 status.
-    pub cold_status_matches: Option<bool>,
     /// Shards the round solved in parallel (1 = monolithic).
     pub shards: usize,
     /// Wall-clock seconds of the sharded merge/reconcile pass.
@@ -257,15 +246,17 @@ pub fn portfolio(region: &Region, utilization: f64) -> Vec<ReservationSpec> {
 /// certificate fails; a refused round panics here, so every returned
 /// report is of a certified round.
 pub fn run_continuous(region: &Region, config: &ContinuousConfig) -> Vec<RoundReport> {
-    run_rounds(region, config, |_, _| {})
+    run_rounds(region, config, |_, _, _, _| {})
 }
 
-/// [`run_continuous`], handing the broker and the allocator (present
-/// with a [`ContainerLoad`]) to `after_round` at the end of every round.
-fn run_rounds(
+/// [`run_continuous`], handing `after_round`, at the end of every round,
+/// the snapshot the round solved, the solver's output, the broker and
+/// the allocator (present with a [`ContainerLoad`]). The specs are
+/// [`portfolio`]`(region, config.utilization)`.
+pub fn run_rounds(
     region: &Region,
     config: &ContinuousConfig,
-    mut after_round: impl FnMut(&ResourceBroker, Option<&TwineAllocator>),
+    mut after_round: impl FnMut(&BrokerSnapshot, &SolveOutput, &ResourceBroker, Option<&TwineAllocator>),
 ) -> Vec<RoundReport> {
     let specs = portfolio(region, config.utilization);
     let mut broker = ResourceBroker::new(region.server_count());
@@ -330,21 +321,6 @@ fn run_rounds(
             .expect("continuous round must solve");
         let solve_seconds = start.elapsed().as_secs_f64();
 
-        let (cold_solve_seconds, cold_objective, cold_status_matches) = if config.cold_compare {
-            let mut cold = AsyncSolver::new(config.params.clone());
-            let cold_start = std::time::Instant::now();
-            let cold_out = cold
-                .solve(region, &specs, &snapshot)
-                .expect("cold comparison round must solve");
-            (
-                Some(cold_start.elapsed().as_secs_f64()),
-                Some(cold_out.phase1.objective),
-                Some(cold_out.phase1.status == output.phase1.status),
-            )
-        } else {
-            (None, None, None)
-        };
-
         let (shards, merge_seconds) = match &output.sharded {
             Some(rep) => (rep.shards.len(), rep.reconcile.merge_seconds),
             None => (1, 0.0),
@@ -376,7 +352,7 @@ fn run_rounds(
             placement_p99_us = twine.latency.percentile(99.0);
             container_count = twine.container_count();
         }
-        after_round(&broker, twine.as_ref());
+        after_round(&snapshot, &output, &broker, twine.as_ref());
 
         reports.push(RoundReport {
             round,
@@ -386,10 +362,6 @@ fn run_rounds(
             assigned: output.targets.iter().filter(|t| t.is_some()).count(),
             churned,
             phase1: output.phase1.clone(),
-            warm: output.warm.clone(),
-            cold_solve_seconds,
-            cold_objective,
-            cold_status_matches,
             shards,
             merge_seconds,
             container_count,
@@ -459,7 +431,6 @@ mod tests {
         };
         let reports = run_continuous(&region, &config);
         assert_eq!(reports.len(), 6);
-        assert_eq!(reports[0].warm.round, 0, "round 0 is cold");
         assert!(reports[0].assigned > 0, "cold round fills the reservations");
         // Every warm round's phase-1 root starts from the running plan.
         for r in &reports[1..] {
@@ -475,7 +446,11 @@ mod tests {
                 "round {} must plan zero moves in steady state",
                 r.round
             );
-            assert!(r.warm.incumbent_seeded, "round {} incumbent", r.round);
+            assert!(
+                r.phase1.mip_stats.incumbent_seeded,
+                "round {} incumbent",
+                r.round
+            );
         }
     }
 
@@ -491,20 +466,21 @@ mod tests {
             },
             ..ContinuousConfig::default()
         };
-        let reports = run_continuous(&region, &config);
+        // Every round starts every shard's phase-1 root from the plan.
+        let mut round = 0;
+        let reports = run_rounds(&region, &config, |_, output, _, _| {
+            assert!(
+                output.warm.dual_resolve,
+                "round {round} must start every shard's root from the plan: {:?}",
+                output.warm
+            );
+            round += 1;
+        });
         assert_eq!(reports.len(), 4);
         for r in &reports {
             assert_eq!(r.shards, 2, "round {} must solve sharded", r.round);
             assert!(r.phase1.objective.is_finite());
             assert!(r.assigned > 0, "round {} fills the portfolio", r.round);
-        }
-        for r in &reports[1..] {
-            assert!(
-                r.warm.round > 0 && r.warm.dual_resolve,
-                "round {} must start every shard's root from the plan: {:?}",
-                r.round,
-                r.warm
-            );
         }
     }
 
@@ -524,7 +500,7 @@ mod tests {
         // evacuation empties the downed servers, and the pending moves the
         // round binds straight to their targets never take a server in use.
         let mut rounds_checked = 0;
-        let reports = run_rounds(&region, &config, |broker, twine| {
+        let reports = run_rounds(&region, &config, |_, _, broker, twine| {
             let twine = twine.expect("the config carries a container load");
             // Round 0 submits `shapes` jobs per reservation, in order.
             let jobs = (0..).map(JobId).take_while(|j| twine.state(*j).is_some());
@@ -591,7 +567,11 @@ mod tests {
         let reports = run_continuous(&region, &config);
         for r in &reports[1..] {
             assert!(r.root_started_from_plan(), "round {} root", r.round);
-            assert!(r.warm.incumbent_seeded, "round {} incumbent", r.round);
+            assert!(
+                r.phase1.mip_stats.incumbent_seeded,
+                "round {} incumbent",
+                r.round
+            );
             assert!(r.phase1.objective.is_finite());
             // Churn only perturbs the plan locally.
             assert!(

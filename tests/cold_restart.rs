@@ -179,12 +179,11 @@ fn restarted_solver_repairs_the_running_plan_with_the_dual() {
         );
 
         // The warm round of the solver that planned round 0 carries
-        // nothing the restarted one lacks: on the same snapshot, one
-        // phase-1 solve.
+        // nothing the restarted one lacks: on the same snapshot, the same
+        // round — phase 1, phase 2 and the plan.
         let warm = solver
             .solve(&region, &specs, &broker.snapshot(SimTime::ZERO))
             .expect("the warm round solves");
-        assert_eq!(warm.warm.round, 1);
         assert_root_from_plan(&warm.phase1, &what("the warm round"));
         assert_eq!(
             warm.phase1.objective.to_bits(),
@@ -196,6 +195,19 @@ fn restarted_solver_repairs_the_running_plan_with_the_dual() {
             warm.phase1.mip_stats.simplex_iterations,
             stats.simplex_iterations
         );
+        assert_eq!(
+            warm.targets,
+            restarted.targets,
+            "{}",
+            what("the warm round")
+        );
+        assert_eq!(
+            warm.phase2.is_some(),
+            restarted.phase2.is_some(),
+            "{}",
+            what("the warm round")
+        );
+        assert_eq!(warm.moves, restarted.moves, "{}", what("the warm round"));
 
         // The same round from the slack crash: the same root LP, so each
         // objective lies within the other solve's proven gap.
